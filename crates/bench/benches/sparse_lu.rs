@@ -11,13 +11,19 @@
 //! Measured per scenario: refactorization wall-clock (both kernels),
 //! FTRAN/BTRAN wall-clock (both kernels), the Forrest–Tomlin update loop,
 //! and the fill-in ratio `nnz(L+U) / nnz(B)`. A counting global allocator
-//! additionally asserts the PR's scratch-reuse contract: after one
-//! warm-up call, steady-state `ftran`/`btran` perform **zero** heap
-//! allocations.
+//! additionally asserts the scratch-reuse contract: after one warm-up
+//! call, steady-state `ftran`/`btran` **and `refactor`** perform **zero**
+//! heap allocations.
+//!
+//! A third row, `resident_resolve`, measures the same contract one layer
+//! up: 200 warm re-solves of a staircase LP through a `SolverSession`,
+//! one appended row each, counting heap allocations and microseconds per
+//! `solve` call (DESIGN.md §20: what remains is the returned solution, its
+//! cached copy, and the basis snapshot).
 //!
 //! Set `SPARSE_LU_SMOKE=1` for the CI mode: fewer samples, the
 //! ≥ 1.5× colgen-scale refactor-speedup floor and the zero-allocation
-//! floor asserted, and no JSON written (a smoke run never clobbers
+//! floors asserted, and no JSON written (a smoke run never clobbers
 //! recorded numbers). Full mode writes `BENCH_sparse_lu.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -27,6 +33,7 @@ use std::time::{Duration, Instant};
 use pretium_bench::black_box;
 use pretium_lp::simplex::basis::dense_ref::DenseBumpFactorization;
 use pretium_lp::simplex::basis::{Factorization, SparseCol};
+use pretium_lp::{Cmp, LinExpr, Model, Restart, Sense, SolveOptions, SolverSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,6 +64,11 @@ const PIVOT_TOL: f64 = 1e-9;
 /// Acceptance floor: sparse refactorization must beat the dense bump by
 /// at least this factor at the colgen scale.
 const MIN_COLGEN_REFACTOR_SPEEDUP: f64 = 1.5;
+/// Ceiling on heap allocations per warm session re-solve: the returned
+/// `Solution` (3 vectors), the session's cached copy (3) and the basis
+/// snapshot (3), with room for the odd buffer growing as the model does.
+/// One allocation per pivot, column or row would blow through it.
+const MAX_ALLOCS_PER_RESOLVE: f64 = 16.0;
 
 /// An LP-shaped basis: `slack_frac` of the columns are slack singletons,
 /// a sprinkle are dense percentile/CVaR columns, the rest are interlocked
@@ -140,7 +152,7 @@ fn run_scenario(
     let refs = as_refs(&cols);
 
     // --- refactorization ------------------------------------------------
-    let mut sparse = Factorization::new(m, 0, PIVOT_TOL);
+    let mut sparse = Factorization::new(0, PIVOT_TOL);
     let mut sparse_t: Vec<Duration> = (0..refactor_samples)
         .map(|_| {
             let t0 = Instant::now();
@@ -149,6 +161,12 @@ fn run_scenario(
         })
         .collect();
     let fill_ratio = sparse.factor_nnz() as f64 / nnz as f64;
+    // The object is warm (it has factorized this basis before): doing it
+    // again must not touch the heap.
+    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    sparse.refactor(&refs).unwrap();
+    let refactor_allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    assert_eq!(refactor_allocs, 0, "{name}: a warmed refactor allocated {refactor_allocs} times");
 
     let mut dense = DenseBumpFactorization::new(m, 0, PIVOT_TOL);
     let mut dense_t: Vec<Duration> = (0..dense_samples)
@@ -257,6 +275,65 @@ fn run_scenario(
     }
 }
 
+struct ResolveResult {
+    solves: usize,
+    rows: usize,
+    vars: usize,
+    allocs_per_solve: f64,
+    us_per_solve: f64,
+    pivots_per_solve: f64,
+}
+
+/// 200 warm re-solves of a staircase LP (`jobs × steps` flows under per-job
+/// demand rows and per-step capacity rows — the SAM shape), each after one
+/// appended cutting row that binds at the current optimum. Counts what one
+/// `SolverSession::solve` call allocates and how long it takes.
+fn resident_resolve() -> ResolveResult {
+    let (jobs, steps, solves) = (24usize, 16usize, 200usize);
+    let mut rng = StdRng::seed_from_u64(rand::derive_seed(rand::DEFAULT_SEED, "resident_resolve"));
+    let mut m = Model::new(Sense::Maximize);
+    let mut x = Vec::new();
+    for j in 0..jobs {
+        let value = rng.gen_range(0.5..3.0);
+        for t in 0..steps {
+            x.push(m.add_var("", 0.0, rng.gen_range(1.0..4.0), value - 0.01 * t as f64));
+        }
+        let flows = LinExpr::from_terms((0..steps).map(|t| (1.0, x[j * steps + t])));
+        m.add_row("", flows, Cmp::Le, rng.gen_range(6.0..18.0));
+    }
+    for t in 0..steps {
+        let load = LinExpr::from_terms((0..jobs).map(|j| (1.0, x[j * steps + t])));
+        m.add_row("", load, Cmp::Le, rng.gen_range(8.0..20.0));
+    }
+    let mut session = SolverSession::new(m);
+    let opts = SolveOptions::default();
+    let mut sol = session.solve(&opts).expect("staircase LP is feasible");
+    let (mut allocs, mut times, mut pivots) = (Vec::new(), Vec::new(), 0u64);
+    for _ in 0..solves {
+        // Cut 10% off the load of a few random flows.
+        let picked: Vec<_> = (0..4).map(|_| x[rng.gen_range(0..x.len())]).collect();
+        let load: f64 = picked.iter().map(|&v| sol.value(v)).sum();
+        let cut = LinExpr::from_terms(picked.iter().map(|&v| (1.0, v)));
+        session.add_row("", cut, Cmp::Le, 0.9 * load + 0.05);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let t0 = Instant::now();
+        sol = black_box(session.solve(&opts)).expect("cuts keep zero flow feasible");
+        times.push(t0.elapsed());
+        allocs.push(ALLOCS.load(Ordering::Relaxed) - before);
+        assert_ne!(session.last_restart(), Some(Restart::Cold), "re-solve fell back cold");
+        pivots += sol.iterations();
+    }
+    allocs.sort_unstable();
+    ResolveResult {
+        solves,
+        rows: session.model().num_rows(),
+        vars: session.model().num_vars(),
+        allocs_per_solve: allocs[solves / 2] as f64,
+        us_per_solve: median_us(&mut times),
+        pivots_per_solve: pivots as f64 / solves as f64,
+    }
+}
+
 fn main() {
     let smoke = std::env::var("SPARSE_LU_SMOKE").is_ok_and(|v| v == "1");
     let (refactor_samples, dense_samples) = if smoke { (3, 2) } else { (15, 7) };
@@ -302,10 +379,25 @@ fn main() {
         colgen.refactor_speedup
     );
 
+    let rr = resident_resolve();
+    println!(
+        "resident_resolve: {} warm re-solves, final {} rows x {} vars, {:.1} pivots/solve: \
+         {:.0} allocations/solve (median), {:.1}us/solve (median)",
+        rr.solves, rr.rows, rr.vars, rr.pivots_per_solve, rr.allocs_per_solve, rr.us_per_solve
+    );
+    println!("BENCH\tsparse_lu_resident_resolve_allocs\t{:.0}", rr.allocs_per_solve);
+    println!("BENCH\tsparse_lu_resident_resolve_us\t{:.1}", rr.us_per_solve);
+    assert!(
+        rr.allocs_per_solve <= MAX_ALLOCS_PER_RESOLVE,
+        "a warm session re-solve allocated {} times (cap {MAX_ALLOCS_PER_RESOLVE})",
+        rr.allocs_per_solve
+    );
+
     if smoke {
         println!(
-            "sparse_lu smoke: zero-allocation, fill, and {MIN_COLGEN_REFACTOR_SPEEDUP}x \
-             colgen refactor floors hold"
+            "sparse_lu smoke: zero-allocation (ftran, btran, warmed refactor), resident \
+             re-solve allocation cap, fill, and {MIN_COLGEN_REFACTOR_SPEEDUP}x colgen refactor \
+             floors hold"
         );
         return;
     }
@@ -334,10 +426,21 @@ fn main() {
         )
     };
     let json = format!(
-        "{{\n  \"bench\": \"sparse_lu\",\n  \"steady_state_solve_allocations\": 0,\n  \
-         \"scenarios\": [\n{},\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"sparse_lu\",\n  \"cores\": {},\n  \
+         \"steady_state_solve_allocations\": 0,\n  \
+         \"allocations_per_warmed_refactor\": 0,\n  \"scenarios\": [\n{},\n{}\n  ],\n  \
+         \"resident_resolve\": {{\n    \"solves\": {},\n    \"rows\": {},\n    \"vars\": {},\n    \
+         \"pivots_per_solve\": {:.1},\n    \"allocations_per_solve\": {:.0},\n    \
+         \"us_per_solve\": {:.1}\n  }}\n}}\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         cell(&results[0]),
         cell(&results[1]),
+        rr.solves,
+        rr.rows,
+        rr.vars,
+        rr.pivots_per_solve,
+        rr.allocs_per_solve,
+        rr.us_per_solve,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sparse_lu.json");
     std::fs::write(path, json).expect("write BENCH_sparse_lu.json");

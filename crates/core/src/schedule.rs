@@ -583,7 +583,10 @@ impl ScheduleSession {
         opts: &SolveOptions,
     ) -> Result<ScheduleSolution, SolveError> {
         self.refresh_capacity_rows(capacity);
-        let trace = std::env::var_os("PRETIUM_LP_TRACE").is_some();
+        // Read once per process: a SAM step must not pay for an environment
+        // lookup.
+        static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        let trace = *TRACE.get_or_init(|| std::env::var_os("PRETIUM_LP_TRACE").is_some());
         let round_cap = MAX_ROUNDS + self.colgen.max_rounds();
         let mut rounds = 0;
         let mut col_rounds = 0;

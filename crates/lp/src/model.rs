@@ -58,9 +58,28 @@ impl RowId {
     }
 }
 
+/// Names back to back in one buffer: they are read only by error paths and
+/// diagnostics, and a `String` apiece costs more memory than the variable.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Names {
+    fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(self.text.len() as u32);
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let from = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[from..self.ends[i] as usize]
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct VarData {
-    pub name: String,
     pub lb: f64,
     pub ub: f64,
     pub obj: f64,
@@ -68,7 +87,6 @@ pub(crate) struct VarData {
 
 #[derive(Debug, Clone)]
 pub(crate) struct RowData {
-    pub name: String,
     /// Compacted terms: `(var index, coefficient)`, ascending by index.
     pub terms: Vec<(u32, f64)>,
     pub cmp: Cmp,
@@ -81,6 +99,8 @@ pub struct Model {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<VarData>,
     pub(crate) rows: Vec<RowData>,
+    var_names: Names,
+    row_names: Names,
     /// Constant offset accumulated from expression constants; added back to
     /// the reported objective value.
     pub(crate) obj_offset: f64,
@@ -94,6 +114,8 @@ impl Model {
             sense,
             vars: Vec::new(),
             rows: Vec::new(),
+            var_names: Names::default(),
+            row_names: Names::default(),
             obj_offset: 0.0,
             options: SimplexOptions::default(),
         }
@@ -124,7 +146,8 @@ impl Model {
         assert!(lb <= ub, "variable `{name}` has lb {lb} > ub {ub}");
         let idx = self.vars.len();
         assert!(idx < u32::MAX as usize, "too many variables");
-        self.vars.push(VarData { name: name.to_string(), lb, ub, obj });
+        self.var_names.push(name);
+        self.vars.push(VarData { lb, ub, obj });
         Var(idx as u32)
     }
 
@@ -161,7 +184,8 @@ impl Model {
         }
         let idx = self.rows.len();
         assert!(idx < u32::MAX as usize, "too many rows");
-        self.rows.push(RowData { name: name.to_string(), terms, cmp, rhs: rhs - expr.constant() });
+        self.row_names.push(name);
+        self.rows.push(RowData { terms, cmp, rhs: rhs - expr.constant() });
         RowId(idx as u32)
     }
 
@@ -177,7 +201,7 @@ impl Model {
         assert!(
             v.index() < self.vars.len(),
             "add_term on row `{}`: unknown variable index {}",
-            self.rows[r.index()].name,
+            self.row_name(r),
             v.index()
         );
         assert!(coef.is_finite(), "add_term: non-finite coefficient");
@@ -227,12 +251,12 @@ impl Model {
 
     /// Name of a variable (as given to [`Model::add_var`]).
     pub fn var_name(&self, v: Var) -> &str {
-        &self.vars[v.index()].name
+        self.var_names.get(v.index())
     }
 
     /// Name of a row.
     pub fn row_name(&self, r: RowId) -> &str {
-        &self.rows[r.index()].name
+        self.row_names.get(r.index())
     }
 
     /// Bounds of a variable.

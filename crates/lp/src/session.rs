@@ -46,7 +46,7 @@
 use crate::expr::{LinExpr, Var};
 use crate::lazy::{ColGen, ColRequest, GenOutcome, NoGen, RowGen, RowRequest};
 use crate::model::{Cmp, Model, RowId, Sense};
-use crate::simplex::{solve_model_session, Restart, SimplexOptions, WarmBasis};
+use crate::simplex::{solve_model_session, Problem, Restart, SimplexOptions, WarmBasis};
 use crate::solution::{Solution, SolveError};
 
 /// Default round cap for the generation loops ([`SolverSession::solve_gen`]
@@ -345,16 +345,26 @@ pub struct RestrictedOutcome {
     pub sub_rows: usize,
 }
 
-/// A [`Model`] plus the factorized basis of its last solve.
+/// A [`Model`] plus the simplex state of its last solve: the saved basis
+/// and the solver's standard form of the model. (The basis factorization
+/// and the solver's scratch buffers are resident too, once per thread; they
+/// carry nothing between solves but their capacity.)
 ///
 /// Created with [`SolverSession::new`] (or [`Model::into_session`]); see the
 /// [module docs](self) for the restart rules. The session exposes the same
 /// mutators as [`Model`] — route all changes through it so the basis
-/// snapshot and mutation tracking stay consistent.
+/// snapshot, the resident standard form and mutation tracking stay
+/// consistent. A warm re-solve copies only what was appended to the model
+/// into the standard form and allocates nothing but the solution and the
+/// basis snapshot it returns; a clone re-solves bit-identically.
 #[derive(Debug, Clone)]
 pub struct SolverSession {
     model: Model,
     basis: Option<WarmBasis>,
+    /// Standard form of `model`, kept between solves and synced rather
+    /// than rebuilt (DESIGN.md §20). Valid only together with `basis`:
+    /// `solve_model_session` rebuilds it whenever it solves without one.
+    resident: Problem,
     pending: Mutations,
     stats: SessionStats,
     last_restart: Option<Restart>,
@@ -392,6 +402,7 @@ impl SolverSession {
         SolverSession {
             model,
             basis: None,
+            resident: Problem::default(),
             pending: Mutations::default(),
             stats: SessionStats::default(),
             last_restart: None,
@@ -453,10 +464,18 @@ impl SolverSession {
     }
 
     /// Drop the saved basis; the next solve runs cold. Also drops the
-    /// cached solution, so the next solve really does run the simplex.
+    /// cached solution, so the next solve really does run the simplex, and
+    /// the resident standard form, which is only meaningful with the basis.
     pub fn invalidate(&mut self) {
         self.basis = None;
         self.last_solution = None;
+        self.drop_resident();
+    }
+
+    /// Release the resident standard form but keep the saved basis: the
+    /// next solve is still warm, only it rebuilds what this dropped.
+    fn drop_resident(&mut self) {
+        self.resident = Problem::default();
     }
 
     /// The certified optimum of the current model state, if no mutation has
@@ -515,6 +534,12 @@ impl SolverSession {
         if v.index() < self.solved_vars && r.index() < self.solved_rows {
             self.invalidate();
         }
+        // The resident standard form may be ahead of the saved basis (a
+        // failed solve syncs it but snapshots nothing): a coefficient it has
+        // already copied must not change under it.
+        if v.index() < self.resident.nstruct && r.index() < self.resident.m {
+            self.drop_resident();
+        }
         self.model.add_term(r, v, coef);
     }
 
@@ -542,8 +567,9 @@ impl SolverSession {
     pub fn fix_at_value(&mut self, v: Var, x: f64) {
         let (lb, ub) = self.model.bounds(v);
         let already_pinned = lb == x && ub == x;
-        let matches_cached =
-            lb <= x && x <= ub && self.last_solution.as_ref().is_some_and(|s| s.value(v) == x);
+        // (A variable newer than the cached solution has no value in it.)
+        let cached = self.last_solution.as_ref().and_then(|s| s.values.get(v.index()));
+        let matches_cached = lb <= x && x <= ub && cached == Some(&x);
         if !(already_pinned || matches_cached) {
             self.pending.bounds = true;
         }
@@ -615,7 +641,8 @@ impl SolverSession {
         }
         let simplex = self.effective_simplex(opts);
         let warm = if opts.force_cold { None } else { self.basis.as_ref() };
-        let (solution, basis, restart) = solve_model_session(&self.model, &simplex, warm)?;
+        let (solution, basis, restart) =
+            solve_model_session(&self.model, &simplex, warm, &mut self.resident)?;
         self.basis = Some(basis);
         self.stats.record(restart, &solution);
         self.last_restart = Some(restart);
@@ -736,7 +763,8 @@ impl SolverSession {
             }
         }
         let warm = self.restricted_bases.iter().find(|(k, _)| *k == key).map(|(_, b)| b);
-        let (sub_sol, sub_basis, _restart) = solve_model_session(&sub, sub.options(), warm)?;
+        let (sub_sol, sub_basis, _restart) =
+            solve_model_session(&sub, sub.options(), warm, &mut Problem::default())?;
         if let Some(slot) = self.restricted_bases.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = sub_basis;
         } else {
@@ -1423,7 +1451,7 @@ mod tests {
     fn default_cadence_is_the_shared_constant() {
         // The `0 → default` resolution lives in one place:
         // `basis::DEFAULT_MAX_ETAS` seeds the simplex default cadence, and
-        // `Factorization::new` substitutes it for a literal zero.
+        // `Factorization::set_limits` substitutes it for a literal zero.
         assert_eq!(
             SimplexOptions::default().refactor_every,
             crate::simplex::basis::DEFAULT_MAX_ETAS
@@ -1437,6 +1465,48 @@ mod tests {
         let st = s.stats();
         assert!(st.refactors >= 1, "cold solve refactorizes: {st:?}");
         assert!(st.basis_nnz >= 1 && st.factor_nnz >= st.basis_nnz, "{st:?}");
+    }
+
+    #[test]
+    fn per_solve_factor_stats_sum_to_the_lifetime_counter() {
+        // The factorization outlives every solve (it is the thread's), so a
+        // solve must report only its own share. Twenty-odd lazy rounds, each
+        // a warm re-solve after one appended row: the session's sums of the
+        // per-solve stats equal what the one lifetime counter advanced by.
+        let mut m = Model::new(Sense::Maximize);
+        let vars: Vec<Var> = (0..24).map(|j| m.add_var("x", 0.0, 10.0, 1.0 + j as f64)).collect();
+        let mut next = 0;
+        let mut gen = move |_: &Model, sol: &Solution| {
+            let out: Vec<_> = (next < 20 && sol.value(vars[next]) > 1.0)
+                .then(|| crate::lazy::RowRequest {
+                    name: String::new(),
+                    expr: vars[next] + 0.5 * vars[next + 2],
+                    cmp: Cmp::Le,
+                    rhs: 1.0,
+                    key: next as u64,
+                })
+                .into_iter()
+                .collect();
+            next += 1;
+            out
+        };
+        let mut s = SolverSession::new(m);
+        let before = crate::simplex::lifetime_factor_stats();
+        let out = s.solve_lazy(&mut gen, &SolveOptions::default()).unwrap();
+        let life = crate::simplex::lifetime_factor_stats().since(before);
+        let st = s.stats();
+        assert!(out.rounds >= 20 && st.solves == out.rounds as u64, "{st:?}");
+        assert_eq!(
+            (st.refactors, st.basis_nnz, st.factor_nnz, st.ft_updates, st.pivot_rejections),
+            (
+                life.refactors,
+                life.basis_nnz,
+                life.factor_nnz,
+                life.ft_updates,
+                life.pivot_rejections
+            )
+        );
+        assert!(st.refactors >= st.solves && st.ft_updates >= 20, "{st:?}");
     }
 
     #[test]
@@ -1461,7 +1531,7 @@ mod tests {
         };
         // A literal zero must behave exactly like the shared default —
         // same optimum, same refactorization count — because the
-        // resolution happens once, inside `Factorization::new`.
+        // resolution happens once, inside `Factorization::set_limits`.
         let zero = run(0);
         let default = run(crate::simplex::basis::DEFAULT_MAX_ETAS);
         assert_eq!(zero, default);
@@ -1509,5 +1579,225 @@ mod tests {
         s.solve_restricted(&[], 1e-7, &opts).unwrap();
         assert_eq!(s.restricted_bases.len(), 1);
         assert_ne!(s.restricted_bases[0].0, first_key, "older pattern evicted");
+    }
+
+    // --- resident simplex state: a session against a twin that rebuilds ------
+
+    /// Deterministic xorshift64 stream.
+    struct Gen(u64);
+
+    impl Gen {
+        fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.unit()
+        }
+
+        fn index(&mut self, n: usize) -> usize {
+            (self.unit() * n as f64) as usize
+        }
+
+        fn chance(&mut self, p: f64) -> bool {
+            self.unit() < p
+        }
+    }
+
+    /// A small schedule-shaped LP: `jobs × steps` bounded flow variables, a
+    /// demand row per job, a capacity row per step over a random subset of
+    /// jobs, maximizing weighted flow. Always feasible (zero flow works).
+    fn schedule_shaped(g: &mut Gen) -> Model {
+        let (jobs, steps) = (2 + g.index(4), 2 + g.index(5));
+        let mut m = Model::new(Sense::Maximize);
+        let mut vars = Vec::new();
+        for _ in 0..jobs {
+            let weight = g.range(0.5, 3.0);
+            vars.extend((0..steps).map(|_| m.add_var("x", 0.0, g.range(1.0, 6.0), weight)));
+        }
+        for j in 0..jobs {
+            let e = LinExpr::from_terms((0..steps).map(|t| (1.0, vars[j * steps + t])));
+            m.add_row("dem", e, Cmp::Le, g.range(1.0, 8.0));
+        }
+        for t in 0..steps {
+            let picked = (0..jobs).filter(|_| g.chance(0.7)).map(|j| (1.0, vars[j * steps + t]));
+            m.add_row("cap", LinExpr::from_terms(picked), Cmp::Le, g.range(1.0, 5.0));
+        }
+        m
+    }
+
+    /// One session mutation, replayable on several sessions.
+    #[derive(Debug, Clone)]
+    enum Op {
+        AddVar {
+            ub: f64,
+            obj: f64,
+        },
+        /// A row over the listed variable indices.
+        AddRow {
+            vars: Vec<usize>,
+            rhs: f64,
+        },
+        /// A coefficient between any row and any variable: old × old retrofits
+        /// (and drops the basis), anything else is warm-safe.
+        AddTerm {
+            row: usize,
+            var: usize,
+            coef: f64,
+        },
+        SetBounds {
+            var: usize,
+            lb: f64,
+            ub: f64,
+        },
+        /// Pin at this fraction of the cached value (1.0 keeps the cache).
+        FixAtValue {
+            var: usize,
+            frac: f64,
+        },
+        SetRhs {
+            row: usize,
+            rhs: f64,
+        },
+        SetObj {
+            var: usize,
+            obj: f64,
+        },
+        /// A variable and its own row, added through `append_with`.
+        Append {
+            ub: f64,
+            obj: f64,
+            rhs: f64,
+        },
+        Invalidate,
+    }
+
+    /// `fresh` is the first variable added since the last solve (`nvars` when
+    /// there is none): terms mostly go to fresh variables, the warm-safe case.
+    fn random_op(g: &mut Gen, nvars: usize, nrows: usize, fresh: usize) -> Op {
+        match g.index(16) {
+            0 => Op::AddVar { ub: g.range(0.5, 4.0), obj: g.range(0.2, 3.0) },
+            1 | 2 => Op::AddRow {
+                vars: (0..nvars).filter(|_| g.chance(0.3)).collect(),
+                rhs: g.range(1.0, 6.0),
+            },
+            3 | 4 => {
+                let var = if fresh < nvars && g.chance(0.9) {
+                    fresh + g.index(nvars - fresh)
+                } else {
+                    g.index(nvars)
+                };
+                Op::AddTerm { row: g.index(nrows), var, coef: g.range(0.5, 2.0) }
+            }
+            5 => {
+                let lb = g.range(0.0, 0.5);
+                Op::SetBounds { var: g.index(nvars), lb, ub: lb + g.range(0.0, 4.0) }
+            }
+            6 => Op::FixAtValue {
+                var: g.index(nvars),
+                frac: if g.chance(0.5) { 1.0 } else { g.unit() },
+            },
+            7 | 8 => Op::SetRhs { row: g.index(nrows), rhs: g.range(0.5, 7.0) },
+            9 => Op::SetObj { var: g.index(nvars), obj: g.range(0.1, 4.0) },
+            10 => {
+                Op::Append { ub: g.range(0.5, 3.0), obj: g.range(0.5, 3.0), rhs: g.range(0.5, 4.0) }
+            }
+            11 => Op::Invalidate,
+            _ => Op::AddVar { ub: g.range(0.5, 4.0), obj: g.range(0.2, 3.0) },
+        }
+    }
+
+    fn apply(op: &Op, s: &mut SolverSession) {
+        let var = Var::from_index;
+        match *op {
+            Op::AddVar { ub, obj } => {
+                s.add_var("v", 0.0, ub, obj);
+            }
+            Op::AddRow { ref vars, rhs } => {
+                let e = LinExpr::from_terms(vars.iter().map(|&j| (1.0, var(j))));
+                s.add_row("r", e, Cmp::Le, rhs);
+            }
+            Op::AddTerm { row, var: j, coef } => s.add_term(RowId::from_index(row), var(j), coef),
+            Op::SetBounds { var: j, lb, ub } => s.set_bounds(var(j), lb, ub),
+            Op::FixAtValue { var: j, frac } => {
+                let at = s.cached_solution().map_or(0.0, |sol| sol.value(var(j)) * frac);
+                let (lb, ub) = s.model().bounds(var(j));
+                s.fix_at_value(var(j), at.clamp(lb, ub));
+            }
+            Op::SetRhs { row, rhs } => s.set_rhs(RowId::from_index(row), rhs),
+            Op::SetObj { var: j, obj } => s.set_obj(var(j), obj),
+            Op::Append { ub, obj, rhs } => s.append_with(|m| {
+                let v = m.add_var("a", 0.0, ub, obj);
+                m.add_row("ar", 1.0 * v, Cmp::Le, rhs);
+            }),
+            Op::Invalidate => s.invalidate(),
+        }
+    }
+
+    /// Everything a solve reports, bit for bit (errors by their message).
+    fn fingerprint(s: &mut SolverSession, opts: &SolveOptions) -> Result<Vec<u64>, String> {
+        let sol = s.solve(opts).map_err(|e| e.to_string())?;
+        let mut bits = vec![sol.objective().to_bits(), sol.iterations(), sol.pricing_scans()];
+        bits.extend(sol.values().iter().map(|v| v.to_bits()));
+        bits.extend(sol.duals().iter().map(|v| v.to_bits()));
+        bits.extend(
+            (0..sol.values().len()).map(|j| sol.reduced_cost(Var::from_index(j)).to_bits()),
+        );
+        let fs = sol.factor_stats();
+        bits.extend([
+            fs.refactors,
+            fs.basis_nnz,
+            fs.factor_nnz,
+            fs.ft_updates,
+            fs.pivot_rejections,
+        ]);
+        bits.push(s.last_restart().map_or(9, |r| r as u64));
+        Ok(bits)
+    }
+
+    /// The resident standard form is an optimization only: a session that
+    /// keeps it must report bitwise what a twin reports that is driven through
+    /// the same mutations but rebuilds its standard form before every solve —
+    /// and so must a clone taken mid-run, which carries the resident state
+    /// with it. (Under debug assertions every sync additionally checks the
+    /// resident problem against a fresh build.)
+    #[test]
+    fn resident_session_matches_rebuilding_twin_bitwise() {
+        let opts = SolveOptions::default();
+        let cold = SolveOptions { force_cold: true, ..SolveOptions::default() };
+        let (mut solves, mut warm) = (0u32, 0u32);
+        for seed in 0..60u64 {
+            let mut g = Gen((0x5EED ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let base = schedule_shaped(&mut g);
+            let mut resident = SolverSession::new(base.clone());
+            let mut twin = SolverSession::new(base);
+            let mut clone: Option<SolverSession> = None;
+            for batch in 0..10 {
+                let fresh = resident.model().num_vars();
+                for _ in 0..1 + g.index(4) {
+                    let m = resident.model();
+                    let op = random_op(&mut g, m.num_vars(), m.num_rows(), fresh);
+                    for s in [&mut resident, &mut twin].into_iter().chain(clone.as_mut()) {
+                        apply(&op, s);
+                    }
+                }
+                let opts = if g.chance(0.05) { &cold } else { &opts };
+                twin.drop_resident();
+                let want = fingerprint(&mut twin, opts);
+                assert_eq!(fingerprint(&mut resident, opts), want, "seed {seed} batch {batch}");
+                if let Some(c) = clone.as_mut() {
+                    assert_eq!(fingerprint(c, opts), want, "seed {seed} batch {batch}: clone");
+                }
+                if batch == 4 {
+                    clone = Some(resident.clone());
+                }
+                solves += 1;
+                warm += (want.is_ok() && resident.last_restart() != Some(Restart::Cold)) as u32;
+            }
+        }
+        assert!(warm * 2 > solves, "only {warm} of {solves} solves restarted warm");
     }
 }

@@ -20,7 +20,7 @@
 //! comparable to an FTRAN — in exchange for solve kernels that never
 //! degrade (U stays truly triangular, unlike a product-form eta file).
 
-use super::sparse::RowEta;
+use super::arena::grow;
 use super::Factorization;
 
 pub(super) fn apply(f: &mut Factorization, pos: usize, w: &[f64]) -> bool {
@@ -28,15 +28,15 @@ pub(super) fn apply(f: &mut Factorization, pos: usize, w: &[f64]) -> bool {
     let t = f.slot_of_pos[pos] as usize;
 
     // Entering column permuted to slot space.
-    f.wz.resize(m, 0.0);
+    grow(&mut f.wz, m, 0.0);
     for (s, ws) in f.wz.iter_mut().enumerate() {
         *ws = w[f.pos_of_slot[s] as usize];
     }
     // Spike s = U·w̃ — the replacement column of U, dense over slots.
-    f.spike.resize(m, 0.0);
+    grow(&mut f.spike, m, 0.0);
     for s in 0..m {
         let mut acc = f.udiag[s] * f.wz[s];
-        for &(j, u) in &f.urows[s] {
+        for &(j, u) in f.urows.get(s) {
             acc += u * f.wz[j as usize];
         }
         f.spike[s] = acc;
@@ -47,13 +47,15 @@ pub(super) fn apply(f: &mut Factorization, pos: usize, w: &[f64]) -> bool {
     // until the new pivot passes the tolerance check.
     f.stamp += 1;
     let stamp = f.stamp;
-    f.rowbuf.resize(m, 0.0);
-    f.rowstamp.resize(m, 0);
-    for &(j, u) in &f.urows[t] {
+    grow(&mut f.rowbuf, m, 0.0);
+    grow(&mut f.rowstamp, m, 0);
+    for &(j, u) in f.urows.get(t) {
         f.rowbuf[j as usize] = u;
         f.rowstamp[j as usize] = stamp;
     }
-    let mut terms: Vec<(u32, f64)> = Vec::new();
+    // The terms go straight onto the end of the eta file and are cut off
+    // again if the update is rejected.
+    let terms_from = f.eta_terms.len();
     let mut new_diag = f.spike[t];
     for i in (f.ord[t] as usize + 1)..m {
         let k = f.perm[i] as usize;
@@ -61,10 +63,10 @@ pub(super) fn apply(f: &mut Factorization, pos: usize, w: &[f64]) -> bool {
             continue;
         }
         let r = f.rowbuf[k] / f.udiag[k];
-        terms.push((k as u32, r));
+        f.eta_terms.push((k as u32, r));
         // Row k's entry in the spike column contributes to the diagonal.
         new_diag -= r * f.spike[k];
-        for &(j, u) in &f.urows[k] {
+        for &(j, u) in f.urows.get(k) {
             let jj = j as usize;
             if f.rowstamp[jj] == stamp {
                 f.rowbuf[jj] -= r * u;
@@ -75,6 +77,7 @@ pub(super) fn apply(f: &mut Factorization, pos: usize, w: &[f64]) -> bool {
         }
     }
     if new_diag.abs() <= f.pivot_tol {
+        f.eta_terms.truncate(terms_from);
         f.stats.pivot_rejections += 1;
         return false;
     }
@@ -83,25 +86,24 @@ pub(super) fn apply(f: &mut Factorization, pos: usize, w: &[f64]) -> bool {
     // Drop the old column t from the row lists and the old row t from the
     // column lists (the latter's entries were just eliminated into the
     // row eta).
-    let mut oldcol = std::mem::take(&mut f.ucols[t]);
-    for &(j, _) in &oldcol {
-        f.urows[j as usize].retain(|&(s, _)| s as usize != t);
+    for &(j, _) in f.ucols.get(t) {
+        f.urows.retain(j as usize, |&(s, _)| s as usize != t);
     }
-    let oldrow = std::mem::take(&mut f.urows[t]);
-    for &(j, _) in &oldrow {
-        f.ucols[j as usize].retain(|&(s, _)| s as usize != t);
+    for &(j, _) in f.urows.get(t) {
+        f.ucols.retain(j as usize, |&(s, _)| s as usize != t);
     }
+    f.urows.clear(t);
     // Insert the spike as the new column t: with t rotated last, every
     // other slot sits above it, so all off-diagonal spike entries land in
     // the upper triangle.
-    oldcol.clear();
+    f.ucols.clear(t);
+    f.ucols.reserve(t, f.spike.iter().filter(|&&sv| sv != 0.0).count());
     for (s, &sv) in f.spike.iter().enumerate() {
         if s != t && sv != 0.0 {
-            oldcol.push((s as u32, sv));
-            f.urows[s].push((t as u32, sv));
+            f.ucols.push(t, (s as u32, sv));
+            f.urows.push(s, (t as u32, sv));
         }
     }
-    f.ucols[t] = oldcol;
     f.udiag[t] = new_diag;
     // Rotate slot t to the end of the pivot order.
     let p0 = f.ord[t] as usize;
@@ -113,8 +115,9 @@ pub(super) fn apply(f: &mut Factorization, pos: usize, w: &[f64]) -> bool {
     f.ord[t] = m as u32 - 1;
     // An empty term list is the identity eta (t was already last):
     // nothing to store, but it still counts toward the refactor cadence.
-    if !terms.is_empty() {
-        f.etas.push(RowEta { slot: t as u32, terms });
+    if f.eta_terms.len() > terms_from {
+        f.eta_slot.push(t as u32);
+        f.eta_start.push(f.eta_terms.len() as u32);
     }
     f.updates += 1;
     f.stats.ft_updates += 1;

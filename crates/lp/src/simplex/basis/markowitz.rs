@@ -17,7 +17,8 @@
 //! function of the input columns, preserving the repo-wide bit-exact
 //! determinism contract.
 
-use super::{FactorError, Factorization, SparseCol};
+use super::arena::{refill, SegArena};
+use super::{FactorError, Factorization};
 
 /// Relative stability threshold: an entry is pivot-eligible only when its
 /// magnitude is at least `TAU` times the largest magnitude in its active
@@ -29,82 +30,118 @@ const TAU: f64 = 0.1;
 /// entry has been found (the Suhl–Suhl style bounded search).
 const MAX_SEARCH: usize = 8;
 
+/// Elimination workspace, kept in the [`Factorization`] between calls so a
+/// refactorization only resets it. Every field is fully re-initialized by
+/// [`refactorize`]; nothing carries over from one basis to the next.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Workspace {
+    /// Working copy of the basis, column-major over active rows.
+    acol: SegArena<(u32, f64)>,
+    /// Columns with a (structural) entry in each row. Entries are pushed
+    /// exactly once per (row, column) pair — at setup or at fill creation —
+    /// and never removed; consumers skip already-pivoted columns.
+    rows_cols: SegArena<u32>,
+    /// Count-indexed candidate buckets with lazy invalidation: a column is
+    /// re-pushed whenever its count changes; stale or duplicate entries are
+    /// dropped when a search encounters them.
+    bucket: SegArena<u32>,
+    ccount: Vec<u32>,
+    rcount: Vec<u32>,
+    col_pivoted: Vec<bool>,
+    /// Off-diagonal entries of `U` in creation order: `(basis position,
+    /// elimination step, value)`.
+    uents: Vec<(u32, u32, f64)>,
+    /// Dense scatter scratch for the column updates (`mark`-validated), a
+    /// per-search seen stamp for bucket deduplication, the fill pattern of
+    /// the column being updated, and segment sizes for the flat layouts.
+    work: Vec<f64>,
+    mark: Vec<u32>,
+    seen: Vec<u32>,
+    pattern: Vec<u32>,
+    sizes: Vec<u32>,
+}
+
 pub(super) fn refactorize(
     f: &mut Factorization,
-    columns: &[&SparseCol],
+    m: usize,
+    column: impl Fn(usize, &mut dyn FnMut(&[(u32, f64)])),
 ) -> Result<(), FactorError> {
-    let m = f.m;
-    debug_assert_eq!(columns.len(), m);
+    let Workspace {
+        acol,
+        rows_cols,
+        bucket,
+        ccount,
+        rcount,
+        col_pivoted,
+        uents,
+        work,
+        mark,
+        seen,
+        pattern,
+        sizes,
+    } = &mut f.ws;
+    f.m = m;
 
-    // --- working copy of the basis, column-major over active rows --------
-    let mut acol: Vec<Vec<(u32, f64)>> = columns.iter().map(|c| (*c).clone()).collect();
-    let mut basis_nnz = 0u64;
-    let mut ccount: Vec<u32> = vec![0; m];
-    let mut rcount: Vec<u32> = vec![0; m];
-    // Columns with a (structural) entry in each row. Entries are pushed
-    // exactly once per (row, column) pair — at setup or at fill creation —
-    // and never removed; consumers skip already-pivoted columns.
-    let mut rows_cols: Vec<Vec<u32>> = vec![Vec::new(); m];
-    for (j, col) in acol.iter().enumerate() {
-        basis_nnz += col.len() as u64;
-        ccount[j] = col.len() as u32;
+    // --- working copy of the basis ---------------------------------------
+    acol.layout(std::iter::empty());
+    ccount.clear();
+    refill(rcount, m, 0);
+    refill(sizes, m + 1, 0);
+    for j in 0..m {
+        column(j, &mut |col| acol.push_segment(col));
+        let col = acol.get(j);
+        ccount.push(col.len() as u32);
+        sizes[col.len()] += 1;
         for &(r, _) in col {
             rcount[r as usize] += 1;
-            rows_cols[r as usize].push(j as u32);
+        }
+    }
+    let basis_nnz = acol.total_len() as u64;
+    rows_cols.layout(rcount.iter().copied());
+    bucket.layout(sizes.iter().copied());
+    for (j, &c) in ccount.iter().enumerate() {
+        bucket.push(c as usize, j as u32);
+        for &(r, _) in acol.get(j) {
+            rows_cols.push(r as usize, j as u32);
         }
     }
 
-    // Count-indexed candidate buckets with lazy invalidation: a column is
-    // re-pushed whenever its count changes; stale or duplicate entries are
-    // dropped when a search encounters them.
-    let mut bucket: Vec<Vec<u32>> = vec![Vec::new(); m + 1];
-    for (j, &c) in ccount.iter().enumerate() {
-        bucket[c as usize].push(j as u32);
-    }
-
-    let mut row_pivoted = vec![false; m];
-    let mut col_pivoted = vec![false; m];
+    refill(col_pivoted, m, false);
     // Per-slot outputs, keyed by original row / basis position until the
     // final remap into slot indices.
-    let mut lraw: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m); // (orig row, mult)
-    let mut u_of_col: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m]; // (slot, value)
-    let mut udiag: Vec<f64> = Vec::with_capacity(m);
-    let mut row_of_slot: Vec<u32> = Vec::with_capacity(m);
-    let mut pos_of_slot: Vec<u32> = Vec::with_capacity(m);
-
-    // Dense scatter scratch for the column updates, and a per-search seen
-    // stamp for bucket deduplication.
-    let mut work: Vec<f64> = vec![0.0; m];
-    let mut mark: Vec<u32> = vec![0; m];
-    let mut seen: Vec<u32> = vec![0; m];
-    let mut pattern: Vec<u32> = Vec::new();
+    f.l_start.clear();
+    f.l_start.push(0);
+    f.l_data.clear(); // (orig row, mult)
+    uents.clear();
+    f.udiag.clear();
+    f.row_of_slot.clear();
+    f.pos_of_slot.clear();
+    refill(work, m, 0.0);
+    refill(mark, m, 0);
+    refill(seen, m, 0);
     let mut stamp: u32 = 0;
-    let mut factor_nnz = m as u64; // the diagonal
 
     for step in 0..m {
         // --- pivot search ------------------------------------------------
         let sstamp = step as u32 + 1;
         let mut best: Option<(u64, u32, u32, f64)> = None; // (cost, col, row, val)
         let mut examined = 0usize;
-        // Indexing (not iterating) is load-bearing here: `c` is the count
-        // bucket being drained, compared against `ccount[j]` for staleness.
-        #[allow(clippy::needless_range_loop)]
         'search: for c in 1..=m {
             let mut idx = 0;
-            while idx < bucket[c].len() {
-                let j = bucket[c][idx] as usize;
+            while idx < bucket.get(c).len() {
+                let j = bucket.get(c)[idx] as usize;
                 if col_pivoted[j] || ccount[j] as usize != c || seen[j] == sstamp {
-                    bucket[c].swap_remove(idx); // stale or duplicate
+                    bucket.swap_remove(c, idx); // stale or duplicate
                     continue;
                 }
                 seen[j] = sstamp;
                 idx += 1;
                 // Examine column j: stability threshold relative to its
                 // largest active entry, Markowitz cost from row counts.
-                let colmax = acol[j].iter().fold(0.0f64, |a, &(_, v)| a.max(v.abs()));
+                let colmax = acol.get(j).iter().fold(0.0f64, |a, &(_, v)| a.max(v.abs()));
                 let thresh = TAU * colmax;
                 let mut local: Option<(u64, u32, f64)> = None; // (cost, row, val)
-                for &(r, v) in &acol[j] {
+                for &(r, v) in acol.get(j) {
                     let av = v.abs();
                     if av <= f.pivot_tol || av < thresh {
                         continue;
@@ -142,28 +179,28 @@ pub(super) fn refactorize(
 
         // --- eliminate ---------------------------------------------------
         col_pivoted[jp] = true;
-        row_pivoted[rp] = true;
-        row_of_slot.push(rp as u32);
-        pos_of_slot.push(jp as u32);
-        udiag.push(vp);
+        f.row_of_slot.push(rp as u32);
+        f.pos_of_slot.push(jp as u32);
+        f.udiag.push(vp);
 
         // Pivot column → column of L (active rows only, scaled).
-        let pivcol = std::mem::take(&mut acol[jp]);
-        let mut lcol: Vec<(u32, f64)> = Vec::with_capacity(pivcol.len().saturating_sub(1));
-        for &(i, v) in &pivcol {
+        for &(i, v) in acol.get(jp) {
             if i as usize != rp {
-                lcol.push((i, v / vp));
+                f.l_data.push((i, v / vp));
                 // Row i lost its entry in the pivot column.
                 rcount[i as usize] -= 1;
             }
         }
-        factor_nnz += lcol.len() as u64;
+        let lcol = &f.l_data[f.l_start[step] as usize..];
+        f.l_start.push(f.l_data.len() as u32);
 
         // Right-looking update of every active column crossing the pivot
         // row: column j gains `-l·u` at each L entry, loses its pivot-row
-        // entry (which becomes a row-`step` entry of U).
-        let touched_cols = std::mem::take(&mut rows_cols[rp]);
-        for &jc in &touched_cols {
+        // entry (which becomes a row-`step` entry of U). Row `rp`'s list is
+        // final by now (fills only land in rows still active), so indexing
+        // it while other rows' lists grow is safe.
+        for t in 0..rows_cols.get(rp).len() {
+            let jc = rows_cols.get(rp)[t];
             let j = jc as usize;
             if col_pivoted[j] {
                 continue;
@@ -171,7 +208,7 @@ pub(super) fn refactorize(
             stamp += 1;
             pattern.clear();
             let mut u = 0.0;
-            for &(i, v) in &acol[j] {
+            for &(i, v) in acol.get(j) {
                 if i as usize == rp {
                     u = v;
                 } else {
@@ -181,9 +218,8 @@ pub(super) fn refactorize(
                 }
             }
             if u != 0.0 {
-                u_of_col[j].push((step as u32, u));
-                factor_nnz += 1;
-                for &(i, l) in &lcol {
+                uents.push((jc, step as u32, u));
+                for &(i, l) in lcol {
                     let ii = i as usize;
                     if mark[ii] == stamp {
                         work[ii] -= l * u;
@@ -192,65 +228,63 @@ pub(super) fn refactorize(
                         mark[ii] = stamp;
                         work[ii] = -l * u;
                         pattern.push(i);
-                        rows_cols[ii].push(jc);
+                        rows_cols.push(ii, jc);
                         rcount[ii] += 1;
                     }
                 }
             }
             // Gather back in pattern order (original entries then fills —
             // deterministic), and re-bucket under the new count.
-            let mut newcol = std::mem::take(&mut acol[j]);
-            newcol.clear();
-            newcol.extend(pattern.iter().map(|&i| (i, work[i as usize])));
-            ccount[j] = newcol.len() as u32;
-            acol[j] = newcol;
-            bucket[ccount[j] as usize].push(jc);
+            for (entry, &i) in acol.rewrite(j, pattern.len()).iter_mut().zip(pattern.iter()) {
+                *entry = (i, work[i as usize]);
+            }
+            ccount[j] = pattern.len() as u32;
+            bucket.push(pattern.len(), jc);
         }
-        lraw.push(lcol);
     }
 
     // --- remap into slot space and install -------------------------------
-    let mut slot_of_row = vec![0u32; m];
-    for (k, &r) in row_of_slot.iter().enumerate() {
-        slot_of_row[r as usize] = k as u32;
+    refill(&mut f.slot_of_row, m, 0);
+    for (k, &r) in f.row_of_slot.iter().enumerate() {
+        f.slot_of_row[r as usize] = k as u32;
     }
-    let mut slot_of_pos = vec![0u32; m];
-    for (k, &p) in pos_of_slot.iter().enumerate() {
-        slot_of_pos[p as usize] = k as u32;
+    refill(&mut f.slot_of_pos, m, 0);
+    for (k, &p) in f.pos_of_slot.iter().enumerate() {
+        f.slot_of_pos[p as usize] = k as u32;
     }
-    f.lcols.clear();
-    f.lcols.extend(
-        lraw.into_iter().map(|col| {
-            col.into_iter().map(|(i, l)| (slot_of_row[i as usize], l)).collect::<Vec<_>>()
-        }),
-    );
-    f.ucols.clear();
-    f.ucols.resize(m, Vec::new());
-    for (j, ucol) in u_of_col.iter_mut().enumerate() {
-        f.ucols[slot_of_pos[j] as usize] = std::mem::take(ucol);
+    for e in f.l_data.iter_mut() {
+        e.0 = f.slot_of_row[e.0 as usize];
     }
-    f.urows.clear();
-    f.urows.resize(m, Vec::new());
+    // U by column (entries of one column stay in step order) and its
+    // row-major mirror (each row ascending by column slot), both laid out
+    // to fit exactly.
+    refill(sizes, m, 0);
+    for &(j, _, _) in uents.iter() {
+        sizes[f.slot_of_pos[j as usize] as usize] += 1;
+    }
+    f.ucols.layout(sizes.iter().copied());
+    refill(sizes, m, 0);
+    for &(j, k, u) in uents.iter() {
+        f.ucols.push(f.slot_of_pos[j as usize] as usize, (k, u));
+        sizes[k as usize] += 1;
+    }
+    f.urows.layout(sizes.iter().copied());
     for s in 0..m {
-        // Split borrow: the transpose writes into rows strictly below s.
-        let (rows, cols) = (&mut f.urows, &f.ucols);
-        for &(k, u) in &cols[s] {
-            rows[k as usize].push((s as u32, u));
+        for &(k, u) in f.ucols.get(s) {
+            f.urows.push(k as usize, (s as u32, u));
         }
     }
-    f.udiag = udiag;
     f.perm.clear();
     f.perm.extend(0..m as u32);
     f.ord.clear();
     f.ord.extend(0..m as u32);
-    f.row_of_slot = row_of_slot;
-    f.slot_of_row = slot_of_row;
-    f.pos_of_slot = pos_of_slot;
-    f.slot_of_pos = slot_of_pos;
-    f.etas.clear();
+    f.eta_slot.clear();
+    f.eta_start.clear();
+    f.eta_start.push(0);
+    f.eta_terms.clear();
     f.updates = 0;
     f.stats.refactors += 1;
     f.stats.basis_nnz += basis_nnz;
-    f.stats.factor_nnz += factor_nnz;
+    f.stats.factor_nnz += (m + f.l_data.len() + uents.len()) as u64;
     Ok(())
 }

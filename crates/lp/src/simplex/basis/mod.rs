@@ -27,12 +27,13 @@
 //! implementation* in [`dense_ref`] for torture tests and benchmarks; it
 //! is no longer on any solve path.
 
+pub(crate) mod arena;
 pub mod dense_ref;
 mod ft_update;
 mod markowitz;
 mod sparse;
 
-use sparse::RowEta;
+use arena::SegArena;
 
 /// Sparse column: `(row, value)` pairs, rows strictly increasing.
 pub type SparseCol = Vec<(u32, f64)>;
@@ -40,7 +41,7 @@ pub type SparseCol = Vec<(u32, f64)>;
 /// Default cap on Forrest–Tomlin updates between refactorizations.
 ///
 /// The single source of truth for the `max_etas: 0` / `refactor_every: 0`
-/// convention: [`Factorization::new`] substitutes it for a zero limit, and
+/// convention: [`Factorization::set_limits`] substitutes it for a zero limit, and
 /// `SimplexOptions::default()` seeds `refactor_every` from it, so sessions
 /// created indirectly (e.g. via `solve_restricted`) inherit the same
 /// cadence.
@@ -80,13 +81,17 @@ impl FactorStats {
         self.factor_nnz as f64 / self.basis_nnz.max(1) as f64
     }
 
-    /// Fold another counter set into this one.
-    pub fn merge(&mut self, other: FactorStats) {
-        self.refactors += other.refactors;
-        self.basis_nnz += other.basis_nnz;
-        self.factor_nnz += other.factor_nnz;
-        self.ft_updates += other.ft_updates;
-        self.pivot_rejections += other.pivot_rejections;
+    /// The work done since `earlier`, an older reading of the same
+    /// counters (a factorization outlives a solve; a solve reports its own
+    /// share).
+    pub fn since(&self, earlier: FactorStats) -> FactorStats {
+        FactorStats {
+            refactors: self.refactors - earlier.refactors,
+            basis_nnz: self.basis_nnz - earlier.basis_nnz,
+            factor_nnz: self.factor_nnz - earlier.factor_nnz,
+            ft_updates: self.ft_updates - earlier.ft_updates,
+            pivot_rejections: self.pivot_rejections - earlier.pivot_rejections,
+        }
     }
 }
 
@@ -101,17 +106,25 @@ impl FactorStats {
 /// update. Slots map to original rows (`row_of_slot`) and basis positions
 /// (`pos_of_slot`), which is how the external API keeps speaking the
 /// row/position language of the solver.
-#[derive(Debug, Clone)]
+///
+/// Every list family is a flat buffer and the elimination workspace lives
+/// in the object, so one `Factorization` can be refactorized again and
+/// again — at any size — without touching the heap once its buffers have
+/// grown to the largest basis seen.
+#[derive(Debug, Clone, Default)]
 pub struct Factorization {
     m: usize,
-    /// Columns of unit-lower-triangular `L` by slot: `(slot, multiplier)`
-    /// entries at slots eliminated later. Static between refactors.
-    lcols: Vec<Vec<(u32, f64)>>,
+    /// Columns of unit-lower-triangular `L` by slot, back to back:
+    /// column `k` is `l_data[l_start[k]..l_start[k + 1]]`, `(slot,
+    /// multiplier)` entries at slots eliminated later. Static between
+    /// refactors.
+    l_start: Vec<u32>,
+    l_data: Vec<(u32, f64)>,
     /// Off-diagonal columns of `U` by slot: `(slot, value)` entries at
     /// slots earlier in the current pivot order.
-    ucols: Vec<Vec<(u32, f64)>>,
+    ucols: SegArena<(u32, f64)>,
     /// Row-major mirror of `ucols` (needed by the FT update).
-    urows: Vec<Vec<(u32, f64)>>,
+    urows: SegArena<(u32, f64)>,
     /// Diagonal of `U` by slot.
     udiag: Vec<f64>,
     /// Current pivot order: `perm[i]` = slot eliminated `i`-th.
@@ -126,8 +139,13 @@ pub struct Factorization {
     pos_of_slot: Vec<u32>,
     /// Inverse of `pos_of_slot`.
     slot_of_pos: Vec<u32>,
-    /// Forrest–Tomlin row-eta file, chronological.
-    etas: Vec<RowEta>,
+    /// Forrest–Tomlin row-eta file, chronological: eta `e` eliminated the
+    /// row of `U` at slot `eta_slot[e]` (rotated to the end of the pivot
+    /// order) against `eta_terms[eta_start[e]..eta_start[e + 1]]`,
+    /// `(slot, multiplier)` terms in pivot order.
+    eta_slot: Vec<u32>,
+    eta_start: Vec<u32>,
+    eta_terms: Vec<(u32, f64)>,
     /// Updates absorbed since the last refactorization (identity updates
     /// store no eta but still count toward the cadence).
     updates: usize,
@@ -148,44 +166,32 @@ pub struct Factorization {
     rowbuf: Vec<f64>,
     rowstamp: Vec<u64>,
     stamp: u64,
+    /// Markowitz elimination workspace.
+    ws: markowitz::Workspace,
     stats: FactorStats,
 }
 
 impl Factorization {
-    /// Create a factorization of the identity for an `m`-row basis.
+    /// Create an empty factorization with the given limits; call
+    /// [`Factorization::refactor`] before solving with it (every
+    /// refactorization takes its size from the columns it is handed).
     /// `max_etas: 0` selects [`DEFAULT_MAX_ETAS`].
-    pub fn new(m: usize, max_etas: usize, pivot_tol: f64) -> Self {
-        let iota: Vec<u32> = (0..m as u32).collect();
-        Factorization {
-            m,
-            lcols: vec![Vec::new(); m],
-            ucols: vec![Vec::new(); m],
-            urows: vec![Vec::new(); m],
-            udiag: vec![1.0; m],
-            perm: iota.clone(),
-            ord: iota.clone(),
-            row_of_slot: iota.clone(),
-            slot_of_row: iota.clone(),
-            pos_of_slot: iota.clone(),
-            slot_of_pos: iota,
-            etas: Vec::new(),
-            updates: 0,
-            max_etas: if max_etas == 0 { DEFAULT_MAX_ETAS } else { max_etas },
-            pivot_tol,
-            scratch: vec![0.0; m],
-            z: vec![0.0; m],
-            wz: Vec::new(),
-            spike: Vec::new(),
-            rowbuf: Vec::new(),
-            rowstamp: Vec::new(),
-            stamp: 0,
-            stats: FactorStats::default(),
-        }
+    pub fn new(max_etas: usize, pivot_tol: f64) -> Self {
+        let mut f = Factorization::default();
+        f.set_limits(max_etas, pivot_tol);
+        f
+    }
+
+    /// Replace the update-file limit and the pivot tolerance (a resident
+    /// factorization serves solves with different options).
+    pub fn set_limits(&mut self, max_etas: usize, pivot_tol: f64) {
+        self.max_etas = if max_etas == 0 { DEFAULT_MAX_ETAS } else { max_etas };
+        self.pivot_tol = pivot_tol;
     }
 
     /// Number of row etas accumulated since the last refactorization.
     pub fn eta_count(&self) -> usize {
-        self.etas.len()
+        self.eta_slot.len()
     }
 
     /// Cumulative work counters over this factorization's lifetime.
@@ -196,9 +202,7 @@ impl Factorization {
     /// Nonzeros currently held in `L` and `U` (diagonal included) — the
     /// fill-in diagnostic for the *current* factors.
     pub fn factor_nnz(&self) -> usize {
-        let l: usize = self.lcols.iter().map(Vec::len).sum();
-        let u: usize = self.ucols.iter().map(Vec::len).sum();
-        self.m + l + u
+        self.m + self.l_data.len() + self.ucols.total_len()
     }
 
     /// True when the update file has grown enough that the caller should
@@ -211,18 +215,31 @@ impl Factorization {
 
     /// Factorize the basis given by `columns` (one sparse column per basis
     /// position) by Markowitz elimination. Clears the update file and
-    /// resets the pivot order.
+    /// resets the pivot order. The factors are written in place: after an
+    /// `Err` the object holds neither the old basis nor the new one and must
+    /// not be solved or updated with until a later `refactor` succeeds.
     pub fn refactor(&mut self, columns: &[&SparseCol]) -> Result<(), FactorError> {
-        markowitz::refactorize(self, columns)
+        self.refactor_with(columns.len(), |pos, sink| sink(columns[pos]))
+    }
+
+    /// [`Factorization::refactor`] for columns that are not stored as
+    /// `SparseCol`s: `column(pos, sink)` hands the entries of basis position
+    /// `pos` (rows strictly increasing) to `sink`, once.
+    pub(crate) fn refactor_with(
+        &mut self,
+        m: usize,
+        column: impl Fn(usize, &mut dyn FnMut(&[(u32, f64)])),
+    ) -> Result<(), FactorError> {
+        markowitz::refactorize(self, m, column)
     }
 
     /// Solve `B·w = a` where `a` is a sparse column in original row
     /// coordinates. The result is dense, indexed by basis *position*.
-    pub fn ftran(&mut self, a: &SparseCol, out: &mut Vec<f64>) {
+    pub fn ftran(&mut self, a: &[(u32, f64)], out: &mut Vec<f64>) {
         // Borrow the reusable scratch buffer for the dense scatter; only
         // the entries of `a` are re-zeroed before it is handed back.
         let mut dense = std::mem::take(&mut self.scratch);
-        dense.resize(self.m, 0.0);
+        arena::grow(&mut dense, self.m, 0.0);
         for &(i, v) in a.iter() {
             dense[i as usize] = v;
         }
@@ -266,7 +283,6 @@ mod tests {
 
     /// Build a factorization of the given dense matrix (column-major input).
     fn factor_of(cols: &[Vec<f64>]) -> Factorization {
-        let m = cols.len();
         let sparse: Vec<SparseCol> = cols
             .iter()
             .map(|c| {
@@ -278,7 +294,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&SparseCol> = sparse.iter().collect();
-        let mut f = Factorization::new(m, 32, 1e-12);
+        let mut f = Factorization::new(32, 1e-12);
         f.refactor(&refs).unwrap();
         f
     }
@@ -370,7 +386,7 @@ mod tests {
             .map(|c| c.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect())
             .collect();
         let refs: Vec<&SparseCol> = sparse.iter().collect();
-        let mut f = Factorization::new(2, 32, 1e-12);
+        let mut f = Factorization::new(32, 1e-12);
         assert!(matches!(f.refactor(&refs), Err(FactorError::Singular { .. })));
     }
 
@@ -476,9 +492,9 @@ mod tests {
 
     #[test]
     fn zero_max_etas_selects_default() {
-        let f = Factorization::new(4, 0, 1e-9);
+        let f = Factorization::new(0, 1e-9);
         assert_eq!(f.max_etas, DEFAULT_MAX_ETAS);
-        let f = Factorization::new(4, 7, 1e-9);
+        let f = Factorization::new(7, 1e-9);
         assert_eq!(f.max_etas, 7);
     }
 

@@ -9,16 +9,19 @@
 //! `z` buffer, which is fully overwritten on every call — steady-state
 //! solves perform no allocation.
 
+use super::arena::{grow, refill};
 use super::Factorization;
 
-/// One Forrest–Tomlin update: the row of `U` at `slot` (rotated to the
-/// end of the pivot order) was eliminated against the listed pivots.
-#[derive(Debug, Clone)]
-pub(super) struct RowEta {
-    /// Slot whose row was eliminated.
-    pub slot: u32,
-    /// `(slot, multiplier)` elimination terms, in pivot order.
-    pub terms: Vec<(u32, f64)>,
+/// Column `k` of `L`.
+#[inline]
+fn lcol(f: &Factorization, k: usize) -> &[(u32, f64)] {
+    &f.l_data[f.l_start[k] as usize..f.l_start[k + 1] as usize]
+}
+
+/// Terms of row eta `e` in the flat eta file.
+#[inline]
+fn eta_terms(f: &Factorization, e: usize) -> &[(u32, f64)] {
+    &f.eta_terms[f.eta_start[e] as usize..f.eta_start[e + 1] as usize]
 }
 
 /// Solve `B·w = a` with a dense right-hand side in original row
@@ -28,7 +31,7 @@ pub(super) struct RowEta {
 pub(super) fn ftran_dense(f: &mut Factorization, a: &[f64], out: &mut Vec<f64>) {
     let m = f.m;
     let mut z = std::mem::take(&mut f.z);
-    z.resize(m, 0.0);
+    grow(&mut z, m, 0.0);
     for (s, zs) in z.iter_mut().enumerate() {
         *zs = a[f.row_of_slot[s] as usize];
     }
@@ -36,18 +39,18 @@ pub(super) fn ftran_dense(f: &mut Factorization, a: &[f64], out: &mut Vec<f64>) 
     for k in 0..m {
         let zk = z[k];
         if zk != 0.0 {
-            for &(s, l) in &f.lcols[k] {
+            for &(s, l) in lcol(f, k) {
                 z[s as usize] -= l * zk;
             }
         }
     }
     // Row etas, oldest first: R⁻¹ = I − Σ r·e_t·e_kᵀ.
-    for e in &f.etas {
-        let mut acc = z[e.slot as usize];
-        for &(k, r) in &e.terms {
+    for (e, &t) in f.eta_slot.iter().enumerate() {
+        let mut acc = z[t as usize];
+        for &(k, r) in eta_terms(f, e) {
             acc -= r * z[k as usize];
         }
-        z[e.slot as usize] = acc;
+        z[t as usize] = acc;
     }
     // U backward, column-oriented over the current pivot order.
     for i in (0..m).rev() {
@@ -55,13 +58,12 @@ pub(super) fn ftran_dense(f: &mut Factorization, a: &[f64], out: &mut Vec<f64>) 
         let x = z[s] / f.udiag[s];
         z[s] = x;
         if x != 0.0 {
-            for &(j, u) in &f.ucols[s] {
+            for &(j, u) in f.ucols.get(s) {
                 z[j as usize] -= u * x;
             }
         }
     }
-    out.clear();
-    out.resize(m, 0.0);
+    refill(out, m, 0.0);
     for (s, &zs) in z.iter().enumerate() {
         out[f.pos_of_slot[s] as usize] = zs;
     }
@@ -76,7 +78,7 @@ pub(super) fn ftran_dense(f: &mut Factorization, a: &[f64], out: &mut Vec<f64>) 
 pub(super) fn btran(f: &mut Factorization, c: &[f64], out: &mut Vec<f64>) {
     let m = f.m;
     let mut z = std::mem::take(&mut f.z);
-    z.resize(m, 0.0);
+    grow(&mut z, m, 0.0);
     for (s, zs) in z.iter_mut().enumerate() {
         *zs = c[f.pos_of_slot[s] as usize];
     }
@@ -85,16 +87,16 @@ pub(super) fn btran(f: &mut Factorization, c: &[f64], out: &mut Vec<f64>) {
     for i in 0..m {
         let s = f.perm[i] as usize;
         let mut acc = z[s];
-        for &(j, u) in &f.ucols[s] {
+        for &(j, u) in f.ucols.get(s) {
             acc -= u * z[j as usize];
         }
         z[s] = acc / f.udiag[s];
     }
     // Row-eta transposes, newest first: R⁻ᵀ = I − Σ r·e_k·e_tᵀ.
-    for e in f.etas.iter().rev() {
-        let zt = z[e.slot as usize];
+    for (e, &t) in f.eta_slot.iter().enumerate().rev() {
+        let zt = z[t as usize];
         if zt != 0.0 {
-            for &(k, r) in &e.terms {
+            for &(k, r) in eta_terms(f, e) {
                 z[k as usize] -= r * zt;
             }
         }
@@ -102,13 +104,12 @@ pub(super) fn btran(f: &mut Factorization, c: &[f64], out: &mut Vec<f64>) {
     // Lᵀ backward, dot-product form.
     for k in (0..m).rev() {
         let mut acc = z[k];
-        for &(s, l) in &f.lcols[k] {
+        for &(s, l) in lcol(f, k) {
             acc -= l * z[s as usize];
         }
         z[k] = acc;
     }
-    out.clear();
-    out.resize(m, 0.0);
+    refill(out, m, 0.0);
     for (s, &zs) in z.iter().enumerate() {
         out[f.row_of_slot[s] as usize] = zs;
     }

@@ -19,7 +19,8 @@ mod solver;
 
 use crate::model::{Cmp, Model, Sense};
 use crate::solution::{Solution, SolveError, Status};
-use basis::SparseCol;
+use basis::arena::{grow, refill, reserve_tight, SegArena};
+use std::cell::RefCell;
 
 /// Entering-variable pricing strategy for the primal simplex.
 ///
@@ -89,6 +90,13 @@ impl Default for SimplexOptions {
 }
 
 /// Standard-form problem fed to the iteration core.
+///
+/// Only the structural columns are stored. Slack `i` is the unit column
+/// `e_i`; artificial `i` is `art_sign[i] · e_i`, its sign fixed at crash
+/// time by the solver. The column bounds are not here: a solve mutates
+/// them, so they are loaded into its workspace (`load_bounds`) and this
+/// struct stays fixed while the iterations run.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Problem {
     /// Number of rows (= equality constraints after slack insertion).
     pub m: usize,
@@ -99,63 +107,97 @@ pub(crate) struct Problem {
     pub slack_start: usize,
     /// Index of the first artificial column.
     pub art_start: usize,
-    /// Sparse columns of `A`.
-    pub cols: Vec<SparseCol>,
-    pub lb: Vec<f64>,
-    pub ub: Vec<f64>,
+    /// Sparse structural columns of `A`, `(row, value)` with rows strictly
+    /// increasing.
+    pub cols: SegArena<(u32, f64)>,
+    pub art_sign: Vec<f64>,
     /// Phase-2 costs, already converted to minimization sense.
     pub cost: Vec<f64>,
     pub b: Vec<f64>,
+    /// Terms of each model row already copied into `cols`.
+    row_len: Vec<u32>,
 }
 
 impl Problem {
     /// Build the standard form from a model.
     pub fn from_model(model: &Model) -> Self {
-        let m = model.rows.len();
-        let nstruct = model.vars.len();
-        let slack_start = nstruct;
-        let art_start = nstruct + m;
-        let n = nstruct + 2 * m;
+        let mut p = Problem::default();
+        let synced = p.sync(model);
+        debug_assert!(synced, "every model extends the empty problem");
+        p
+    }
 
-        let mut cols: Vec<SparseCol> = vec![Vec::new(); n];
-        for (i, row) in model.rows.iter().enumerate() {
-            for &(j, coef) in &row.terms {
-                cols[j as usize].push((i as u32, coef));
-            }
+    /// Bring the standard form of an earlier state of `model` up to date,
+    /// in `O(appended nonzeros + n + m)`. Returns `false`, leaving `self`
+    /// unusable, when `model` is not that earlier state grown by appending:
+    /// variables, rows, and terms of new variables in old rows (which sort
+    /// to the tails of those rows) may have been added; bounds, costs and
+    /// right-hand sides may have changed; nothing else. The result equals
+    /// [`Problem::from_model`] of the same model, with the artificials
+    /// closed and positive again.
+    pub fn sync(&mut self, model: &Model) -> bool {
+        let (m0, ns0) = (self.m, self.nstruct);
+        let (m, nstruct) = (model.rows.len(), model.vars.len());
+        let tails_only =
+            self.row_len.iter().zip(&model.rows).all(|(&l, r)| l as usize <= r.terms.len());
+        if m < m0 || nstruct < ns0 || !tails_only {
+            return false;
         }
-        let mut lb = Vec::with_capacity(n);
-        let mut ub = Vec::with_capacity(n);
-        let mut cost = vec![0.0; n];
+        if self.cols.segments() == 0 {
+            // First build: size every column exactly.
+            let mut sizes = vec![0u32; nstruct];
+            for &(j, _) in model.rows.iter().flat_map(|r| &r.terms) {
+                sizes[j as usize] += 1;
+            }
+            self.cols.layout(sizes.into_iter());
+        } else {
+            self.cols.add_segments(nstruct - ns0);
+        }
+        grow(&mut self.row_len, m, 0);
+        for (i, (row, seen)) in model.rows.iter().zip(&mut self.row_len).enumerate() {
+            for &(j, coef) in &row.terms[*seen as usize..] {
+                debug_assert!(i >= m0 || j as usize >= ns0, "old row gained an old variable");
+                self.cols.push(j as usize, (i as u32, coef));
+            }
+            *seen = row.terms.len() as u32;
+        }
+        self.cols.trim();
+
+        (self.m, self.nstruct, self.n) = (m, nstruct, nstruct + 2 * m);
+        (self.slack_start, self.art_start) = (nstruct, nstruct + m);
         let sign = match model.sense {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
-        for (j, v) in model.vars.iter().enumerate() {
-            lb.push(v.lb);
-            ub.push(v.ub);
-            cost[j] = sign * v.obj;
+        self.cost.clear();
+        reserve_tight(&mut self.cost, self.n);
+        self.cost.extend(model.vars.iter().map(|v| sign * v.obj));
+        self.cost.resize(self.n, 0.0);
+        self.b.clear();
+        reserve_tight(&mut self.b, m);
+        self.b.extend(model.rows.iter().map(|r| r.rhs));
+        refill(&mut self.art_sign, m, 1.0);
+        debug_assert!(m0 + ns0 == 0 || *self == Problem::from_model(model));
+        true
+    }
+
+    /// Run `f` on the entries of column `j` (rows strictly increasing).
+    #[inline]
+    pub fn with_col<R>(&self, j: usize, f: impl FnOnce(&[(u32, f64)]) -> R) -> R {
+        if j < self.nstruct {
+            f(self.cols.get(j))
+        } else if j < self.art_start {
+            f(&[((j - self.slack_start) as u32, 1.0)])
+        } else {
+            let i = j - self.art_start;
+            f(&[(i as u32, self.art_sign[i])])
         }
-        let mut b = Vec::with_capacity(m);
-        for (i, row) in model.rows.iter().enumerate() {
-            b.push(row.rhs);
-            // Slack column: row + slack = rhs.
-            cols[slack_start + i].push((i as u32, 1.0));
-            let (slb, sub) = match row.cmp {
-                Cmp::Le => (0.0, f64::INFINITY),
-                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
-                Cmp::Eq => (0.0, 0.0),
-            };
-            lb.push(slb);
-            ub.push(sub);
-        }
-        // Artificial columns: sign fixed at crash time by the solver.
-        for i in 0..m {
-            cols[art_start + i].push((i as u32, 1.0));
-            lb.push(0.0);
-            ub.push(0.0); // opened to [0, inf) only for rows that need one
-        }
-        debug_assert_eq!(lb.len(), n);
-        Problem { m, n, nstruct, slack_start, art_start, cols, lb, ub, cost, b }
+    }
+
+    /// Reduced cost `cost_j − yᵀ·a_j` of column `j` against the duals `y`.
+    #[inline]
+    pub fn reduced_cost(&self, j: usize, cost: &[f64], y: &[f64]) -> f64 {
+        self.with_col(j, |col| col.iter().fold(cost[j], |d, &(i, v)| d - y[i as usize] * v))
     }
 }
 
@@ -199,10 +241,10 @@ pub enum Restart {
 
 fn name_fns(model: &Model) -> (impl Fn(usize) -> String + '_, impl Fn(usize) -> String + '_) {
     (
-        move |i: usize| model.rows[i].name.clone(),
+        move |i: usize| model.row_name(crate::RowId::from_index(i)).to_string(),
         move |j: usize| {
             if j < model.vars.len() {
-                model.vars[j].name.clone()
+                model.var_name(crate::Var::from_index(j)).to_string()
             } else {
                 format!("slack_{}", j - model.vars.len())
             }
@@ -210,18 +252,72 @@ fn name_fns(model: &Model) -> (impl Fn(usize) -> String + '_, impl Fn(usize) -> 
     )
 }
 
+thread_local! {
+    /// The solver workspace — factorization, elimination arenas, every
+    /// per-column and per-row scratch vector — shared by all solves on this
+    /// thread. It carries nothing from one solve to the next but its
+    /// buffers, so it need not belong to a session: an idle session then
+    /// pins only its standard form, and a thread holds one workspace the
+    /// size of its largest LP (until it exits) rather than one per live
+    /// session.
+    static WORK: RefCell<solver::Workspace> = RefCell::default();
+}
+
+/// Run `f` on this thread's workspace. No solve starts inside another (row
+/// and column generators run between solves), so the borrow cannot fail.
+fn with_workspace<R>(f: impl FnOnce(&mut solver::Workspace) -> R) -> R {
+    WORK.with(|w| f(&mut w.borrow_mut()))
+}
+
+/// Lifetime counters of this thread's resident factorization.
+#[cfg(test)]
+pub(crate) fn lifetime_factor_stats() -> basis::FactorStats {
+    with_workspace(|work| work.factor.stats())
+}
+
+/// Load the bounds a solve of `model` starts from into the workspace.
+fn load_bounds(model: &Model, work: &mut solver::Workspace) {
+    let n = model.vars.len() + 2 * model.rows.len();
+    let (lb, ub) = (&mut work.lb, &mut work.ub);
+    lb.clear();
+    reserve_tight(lb, n);
+    lb.extend(model.vars.iter().map(|v| v.lb));
+    ub.clear();
+    reserve_tight(ub, n);
+    ub.extend(model.vars.iter().map(|v| v.ub));
+    for row in &model.rows {
+        // Slack column: row + slack = rhs.
+        let (slb, sub) = match row.cmp {
+            Cmp::Le => (0.0, f64::INFINITY),
+            Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+            Cmp::Eq => (0.0, 0.0),
+        };
+        lb.push(slb);
+        ub.push(sub);
+    }
+    // Artificial columns: opened to [0, inf) only for rows that need one.
+    lb.resize(n, 0.0);
+    ub.resize(n, 0.0);
+}
+
 /// Map a solved outcome back to the model's sense and handles.
-fn finish_solution(model: &Model, problem: &Problem, outcome: &solver::Outcome) -> Solution {
+fn finish_solution(
+    model: &Model,
+    problem: &Problem,
+    work: &solver::Workspace,
+    outcome: &solver::Outcome,
+) -> Solution {
     let sign = match model.sense {
         Sense::Minimize => 1.0,
         Sense::Maximize => -1.0,
     };
-    let values: Vec<f64> = outcome.x[..model.vars.len()].to_vec();
+    let values: Vec<f64> = work.x[..model.vars.len()].to_vec();
     let objective: f64 = model.vars.iter().enumerate().map(|(j, v)| v.obj * values[j]).sum::<f64>()
         + model.obj_offset;
-    let duals: Vec<f64> = outcome.y.iter().map(|&y| sign * y).collect();
-    let reduced_costs: Vec<f64> =
-        (0..model.vars.len()).map(|j| sign * outcome.reduced_cost(problem, j)).collect();
+    let duals: Vec<f64> = work.y.iter().map(|&y| sign * y).collect();
+    let reduced_costs: Vec<f64> = (0..model.vars.len())
+        .map(|j| sign * problem.reduced_cost(j, &problem.cost, &work.y))
+        .collect();
     Solution {
         status: Status::Optimal,
         objective,
@@ -239,9 +335,9 @@ fn finish_solution(model: &Model, problem: &Problem, outcome: &solver::Outcome) 
     }
 }
 
-/// Snapshot the terminal basis of `outcome` in append-stable key form.
-fn snapshot(problem: &Problem, outcome: &solver::Outcome) -> WarmBasis {
-    let keys = outcome
+/// Snapshot the terminal basis in append-stable key form.
+fn snapshot(problem: &Problem, work: &solver::Workspace) -> WarmBasis {
+    let keys = work
         .basis
         .iter()
         .map(|&j| {
@@ -250,62 +346,52 @@ fn snapshot(problem: &Problem, outcome: &solver::Outcome) -> WarmBasis {
             } else if j < problem.art_start {
                 BasisKey::Slack((j - problem.slack_start) as u32)
             } else {
-                let neg = problem.cols[j].first().is_some_and(|&(_, v)| v < 0.0);
-                BasisKey::Art { row: (j - problem.art_start) as u32, neg }
+                let row = j - problem.art_start;
+                BasisKey::Art { row: row as u32, neg: problem.art_sign[row] < 0.0 }
             }
         })
         .collect();
     WarmBasis {
         keys,
-        nb_struct: outcome.nb[..problem.nstruct].to_vec(),
-        nb_slack: outcome.nb[problem.slack_start..problem.art_start].to_vec(),
+        nb_struct: work.nb[..problem.nstruct].to_vec(),
+        nb_slack: work.nb[problem.slack_start..problem.art_start].to_vec(),
     }
 }
 
-/// Resolve a saved [`WarmBasis`] against the current problem dimensions:
-/// remap keys to column indices, seat the slacks of rows appended since the
-/// snapshot, restore artificial column signs, and build the full rest-state
-/// vector. Returns `None` when the snapshot cannot apply (shrunken model,
-/// out-of-range keys).
-fn resolve_warm(
-    problem: &mut Problem,
-    warm: &WarmBasis,
-) -> Option<(Vec<usize>, Vec<solver::NbState>)> {
+/// Resolve a saved [`WarmBasis`] against the current problem dimensions,
+/// into the workspace: remap keys to column indices, seat the slacks of
+/// rows appended since the snapshot, restore artificial column signs, and
+/// build the full rest-state vector. Returns `false` when the snapshot
+/// cannot apply (shrunken model, out-of-range keys).
+fn resolve_warm(problem: &mut Problem, work: &mut solver::Workspace, warm: &WarmBasis) -> bool {
     use solver::NbState;
     let m = problem.m;
     if warm.keys.len() > m || warm.nb_struct.len() > problem.nstruct || warm.nb_slack.len() > m {
-        return None;
+        return false;
     }
-    let mut basis = Vec::with_capacity(m);
+    work.basis.clear();
     for key in &warm.keys {
         let idx = match *key {
             BasisKey::Struct(j) if (j as usize) < problem.nstruct => j as usize,
             BasisKey::Slack(i) if (i as usize) < m => problem.slack_start + i as usize,
             BasisKey::Art { row, neg } if (row as usize) < m => {
-                let j = problem.art_start + row as usize;
-                problem.cols[j] = vec![(row, if neg { -1.0 } else { 1.0 })];
-                j
+                problem.art_sign[row as usize] = if neg { -1.0 } else { 1.0 };
+                problem.art_start + row as usize
             }
-            _ => return None,
+            _ => return false,
         };
-        basis.push(idx);
+        work.basis.push(idx);
     }
     // Rows appended since the snapshot get their own slack as the basic
     // column (the standard cutting-plane extension: duals of the old rows
     // are unchanged, so dual feasibility survives).
-    for i in warm.keys.len()..m {
-        basis.push(problem.slack_start + i);
-    }
-    let mut nb = vec![NbState::Lower; problem.n];
-    for (j, &s) in warm.nb_struct.iter().enumerate() {
-        nb[j] = s;
-    }
-    for (i, &s) in warm.nb_slack.iter().enumerate() {
-        nb[problem.slack_start + i] = s;
-    }
+    work.basis.extend((warm.keys.len()..m).map(|i| problem.slack_start + i));
     // New structurals / slacks keep the Lower default; `run_warm` normalizes
     // every rest state against the actual bounds before solving.
-    Some((basis, nb))
+    refill(&mut work.nb, problem.n, NbState::Lower);
+    work.nb[..warm.nb_struct.len()].copy_from_slice(&warm.nb_struct);
+    work.nb[problem.slack_start..][..warm.nb_slack.len()].copy_from_slice(&warm.nb_slack);
+    true
 }
 
 /// Solve `model`, optionally warm-starting from a saved basis.
@@ -315,56 +401,62 @@ fn resolve_warm(
 /// solve on any warm failure, so the result is always the authoritative
 /// optimum. Returns the solution, a snapshot of the terminal basis for the
 /// next call, and which restart actually ran.
+///
+/// `problem` is the caller's resident standard form, and this function is
+/// the one place that decides whether it survives: it is synced and reused
+/// exactly when a warm basis is supplied and `model` is the model it was
+/// last synced with, grown by appending. Anything else — no basis (first
+/// solve, `invalidate`, a retrofitted old coefficient, `force_cold`), a
+/// model that shrank, a warm attempt that failed, a numerical retry —
+/// rebuilds it from the model. An empty `Problem` makes the call a one-shot
+/// solve.
 pub(crate) fn solve_model_session(
     model: &Model,
     options: &SimplexOptions,
     warm: Option<&WarmBasis>,
+    problem: &mut Problem,
 ) -> Result<(Solution, WarmBasis, Restart), SolveError> {
-    // Row-major mirror of the structural matrix. The model's own row
-    // storage *is* the mirror — `RowData.terms` holds each row's
-    // `(column, coefficient)` terms sorted by column, grown incrementally
-    // by `add_row`/`add_term`/`append_with` — so the solver borrows
-    // per-row slice views instead of duplicating the matrix. Slack and
-    // artificial entries are implicit singletons handled by the solver.
-    let row_terms: Vec<&[(u32, f64)]> = model.rows.iter().map(|r| r.terms.as_slice()).collect();
-    if let Some(w) = warm {
-        let mut problem = Problem::from_model(model);
-        if let Some((basis, nb)) = resolve_warm(&mut problem, w) {
-            let (rows, vars) = name_fns(model);
-            if let Ok((outcome, used_dual)) =
-                solver::run_warm(&mut problem, &row_terms, options, basis, nb, rows, vars)
-            {
-                let solution = finish_solution(model, &problem, &outcome);
-                let basis = snapshot(&problem, &outcome);
-                let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
-                return Ok((solution, basis, restart));
+    // The model's own row storage is the row-major mirror of the structural
+    // matrix (`RowData.terms`, sorted by column); the solver borrows it.
+    let (rows, vars) = name_fns(model);
+    with_workspace(|work| {
+        if let Some(w) = warm {
+            if problem.sync(model) && resolve_warm(problem, work, w) {
+                load_bounds(model, work);
+                if let Ok((outcome, used_dual)) =
+                    solver::run_warm(problem, &model.rows, options, work, &rows, &vars)
+                {
+                    let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
+                    let solution = finish_solution(model, problem, work, &outcome);
+                    return Ok((solution, snapshot(problem, work), restart));
+                }
             }
+            // Fall through to a cold solve: correctness never depends on the
+            // warm path succeeding.
         }
-        // Fall through to a cold solve: correctness never depends on the
-        // warm path succeeding.
-    }
-    let attempt = |options: &SimplexOptions| -> Result<(solver::Outcome, Problem), SolveError> {
-        let mut problem = Problem::from_model(model);
-        let (rows, vars) = name_fns(model);
-        let out = solver::run(&mut problem, &row_terms, options, rows, vars)?;
-        Ok((out, problem))
-    };
-    let (outcome, problem) = match attempt(options) {
-        Ok(s) => s,
-        Err(SolveError::Numerical(_)) => {
-            let conservative = SimplexOptions {
-                pivot_tol: options.pivot_tol.max(1e-8),
-                refactor_every: 32,
-                bland_trigger: 0,
-                ..options.clone()
-            };
-            attempt(&conservative)?
-        }
-        Err(e) => return Err(e),
-    };
-    let solution = finish_solution(model, &problem, &outcome);
-    let basis = snapshot(&problem, &outcome);
-    Ok((solution, basis, Restart::Cold))
+        let mut attempt = |options: &SimplexOptions| {
+            // Release the old standard form before building its replacement.
+            *problem = Problem::default();
+            *problem = Problem::from_model(model);
+            load_bounds(model, work);
+            solver::run(problem, &model.rows, options, work, &rows, &vars)
+        };
+        let outcome = match attempt(options) {
+            Ok(s) => s,
+            Err(SolveError::Numerical(_)) => {
+                let conservative = SimplexOptions {
+                    pivot_tol: options.pivot_tol.max(1e-8),
+                    refactor_every: 32,
+                    bland_trigger: 0,
+                    ..options.clone()
+                };
+                attempt(&conservative)?
+            }
+            Err(e) => return Err(e),
+        };
+        let solution = finish_solution(model, problem, work, &outcome);
+        Ok((solution, snapshot(problem, work), Restart::Cold))
+    })
 }
 
 /// Solve `model` and map the internal result back to the model's sense and
@@ -374,5 +466,5 @@ pub(crate) fn solve_model_session(
 /// heavily degenerate basis) triggers one conservative retry: larger pivot
 /// tolerance, more frequent refactorization, and Bland's rule throughout.
 pub(crate) fn solve_model(model: &Model, options: &SimplexOptions) -> Result<Solution, SolveError> {
-    solve_model_session(model, options, None).map(|(sol, _, _)| sol)
+    solve_model_session(model, options, None, &mut Problem::default()).map(|(sol, _, _)| sol)
 }

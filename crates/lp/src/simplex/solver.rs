@@ -6,17 +6,13 @@
 //! phase 2 the true cost vector. Anti-cycling falls back to Bland's rule
 //! after a run of degenerate pivots.
 
+use super::basis::arena::{grow, refill};
 use super::basis::{FactorError, FactorStats, Factorization};
 use super::{Pricing, Problem, SimplexOptions};
+use crate::model::RowData;
 use crate::solution::SolveError;
 use pretium_par as par;
 use std::time::Instant;
-
-/// Row-major view of the structural matrix: for each row, its
-/// `(column, coefficient)` terms sorted by column. Slack and artificial
-/// entries are implicit (`slack_start + i` with coefficient 1, and the
-/// artificial's crash-time sign from `Problem::cols`).
-pub(crate) type RowTerms<'a> = &'a [(u32, f64)];
 
 /// Where a nonbasic variable currently rests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,17 +23,12 @@ pub(crate) enum NbState {
     Free,
 }
 
-/// Result of the iteration core, in internal (minimization) terms.
+/// Counters of one solve, in internal terms. The solution itself — `x`,
+/// the duals `y`, the terminal `basis` and rest states `nb` — stays in the
+/// [`Workspace`].
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Outcome {
-    /// Values of all columns (structurals, slacks, artificials).
-    pub x: Vec<f64>,
-    /// Row duals for the internal minimization problem.
-    pub y: Vec<f64>,
     pub iterations: u64,
-    /// Basic column per row position at termination.
-    pub basis: Vec<usize>,
-    /// Rest state of every column (meaningful for nonbasic ones).
-    pub nb: Vec<NbState>,
     /// Columns examined by pricing (selection scans plus incremental
     /// pivot-row update touches).
     pub pricing_scans: u64,
@@ -55,19 +46,9 @@ pub(crate) struct Outcome {
     /// Wall clock spent in the incremental pricing routines on the
     /// parallel path, in nanoseconds.
     pub pricing_par_nanos: u64,
-    /// Basis-factorization counters accumulated over the solve.
+    /// Basis-factorization work of this solve alone (the factorization
+    /// itself may be older).
     pub factor_stats: FactorStats,
-}
-
-impl Outcome {
-    /// Internal reduced cost of column `j`.
-    pub fn reduced_cost(&self, p: &Problem, j: usize) -> f64 {
-        let mut d = p.cost[j];
-        for &(i, v) in &p.cols[j] {
-            d -= self.y[i as usize] * v;
-        }
-        d
-    }
 }
 
 /// What the ratio test decided.
@@ -80,25 +61,29 @@ enum Step {
     Unbounded,
 }
 
-struct State<'a> {
-    p: &'a mut Problem,
-    /// Row-major mirror of the structural matrix (shared from the model's
-    /// own row storage), for sparse pivot-row passes.
-    rows: &'a [RowTerms<'a>],
-    opts: &'a SimplexOptions,
+/// Every buffer a solve needs, kept by the caller between solves so a
+/// re-solve allocates nothing. A solve overwrites all of it before reading
+/// (only `stamp` and the all-zero `e_r` are invariants), and leaves its
+/// result in `x`, `y`, `basis` and `nb`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Workspace {
+    /// Bounds of every column, loaded from the model before each solve.
+    /// They are solve state — the warm start boxes columns, the crash opens
+    /// artificials — so they live here, not in the resident [`Problem`].
+    pub lb: Vec<f64>,
+    pub ub: Vec<f64>,
     /// Basic column per row position.
-    basis: Vec<usize>,
+    pub basis: Vec<usize>,
     /// Column -> basis position, or -1 when nonbasic.
     pos_of: Vec<i32>,
-    /// Current value of every column.
-    x: Vec<f64>,
-    nb: Vec<NbState>,
-    factor: Factorization,
-    iterations: u64,
-    max_iterations: u64,
-    degenerate_run: u32,
+    /// Current value of every column (structurals, slacks, artificials).
+    pub x: Vec<f64>,
+    /// Rest state of every column (meaningful for nonbasic ones).
+    pub nb: Vec<NbState>,
+    pub factor: Factorization,
     w: Vec<f64>,
-    y: Vec<f64>,
+    /// Row duals for the internal minimization problem.
+    pub y: Vec<f64>,
     // --- incremental pricing state (Devex / PartialDevex) -----------------
     /// Maintained reduced cost per column: exact after `reprice`, updated
     /// from the pivot row after each pivot. Basic entries are stale.
@@ -109,12 +94,7 @@ struct State<'a> {
     candidates: Vec<u32>,
     /// Membership flags for `candidates`.
     in_cands: Vec<bool>,
-    /// Cyclic column cursor for partial pricing sections.
-    cursor: usize,
-    /// No pivot since the last full reprice: the maintained reduced costs
-    /// are exact, so an empty pricing result is a certified optimum.
-    fresh: bool,
-    // --- scratch buffers reused across iterations -------------------------
+    // --- scratch ----------------------------------------------------------
     /// Basic cost vector for BTRAN (hoisted out of the iteration loop).
     cb: Vec<f64>,
     /// Pivot row of B⁻¹ in original row coordinates.
@@ -122,24 +102,47 @@ struct State<'a> {
     /// Unit vector for the pivot-row BTRAN (kept all-zero between uses).
     e_r: Vec<f64>,
     /// Pivot-row entries `alpha_j = rho · a_j`, valid where
-    /// `alpha_stamp[j] == stamp`.
+    /// `alpha_stamp[j] == stamp`; `stamp` only ever grows.
     alpha: Vec<f64>,
     alpha_stamp: Vec<u64>,
     alpha_touched: Vec<u32>,
     stamp: u64,
-    // --- counters ---------------------------------------------------------
-    scans: u64,
-    bland_pivots: u64,
-    par_sections: u64,
-    par_steals: u64,
-    serial_pricing_nanos: u64,
-    par_pricing_nanos: u64,
+    /// Right-hand side and solution of the `x_B` solve in `refactor`.
+    resid: Vec<f64>,
+    xb: Vec<f64>,
+    /// Bounds saved by `box_dual_infeasible`: `(column, lb, ub)`.
+    boxed: Vec<(usize, f64, f64)>,
+}
+
+struct State<'a> {
+    p: &'a Problem,
+    /// Row-major mirror of the structural matrix (the model's own row
+    /// storage, terms sorted by column), for sparse pivot-row passes. Slack
+    /// and artificial entries are implicit.
+    rows: &'a [RowData],
+    opts: &'a SimplexOptions,
+    ws: &'a mut Workspace,
+    /// Counters so far (`factor_stats` is filled in by `finish`).
+    out: Outcome,
+    max_iterations: u64,
+    degenerate_run: u32,
+    /// Cyclic column cursor for partial pricing sections.
+    cursor: usize,
+    /// No pivot since the last full reprice: the maintained reduced costs
+    /// are exact, so an empty pricing result is a certified optimum.
+    fresh: bool,
+    /// Nothing moved since the last refactorization — no pivot, no bound
+    /// flip — so the factors and `x_B` are already what refactorizing the
+    /// current basis would produce.
+    settled: bool,
+    /// The factorization's lifetime counters when this solve began.
+    factor_before: FactorStats,
 }
 
 /// Read-only view of the pricing state, small enough to hand to the
 /// sectioned parallel map: workers judge eligibility and Devex scores from
-/// shared slices only, never seeing the `&mut Problem` or the
-/// factorization the full [`State`] carries.
+/// shared slices only, never seeing the problem or the factorization the
+/// full [`State`] carries.
 struct PriceView<'b> {
     d: &'b [f64],
     gamma: &'b [f64],
@@ -181,23 +184,24 @@ const CANDS_MAX: usize = 64;
 
 pub(crate) fn run(
     problem: &mut Problem,
-    rows: &[RowTerms<'_>],
+    rows: &[RowData],
     opts: &SimplexOptions,
+    ws: &mut Workspace,
     row_name: impl Fn(usize) -> String,
     var_name: impl Fn(usize) -> String,
 ) -> Result<Outcome, SolveError> {
-    let m = problem.m;
     let n = problem.n;
 
     // --- crash: place nonbasics at bounds, pick slack or artificial basis --
-    let mut x = vec![0.0; n];
-    let mut nb = vec![NbState::Lower; n];
+    let (x, nb) = (&mut ws.x, &mut ws.nb);
+    refill(x, n, 0.0);
+    refill(nb, n, NbState::Lower);
     for j in 0..problem.art_start {
-        if problem.lb[j].is_finite() {
-            x[j] = problem.lb[j];
+        if ws.lb[j].is_finite() {
+            x[j] = ws.lb[j];
             nb[j] = NbState::Lower;
-        } else if problem.ub[j].is_finite() {
-            x[j] = problem.ub[j];
+        } else if ws.ub[j].is_finite() {
+            x[j] = ws.ub[j];
             nb[j] = NbState::Upper;
         } else {
             x[j] = 0.0;
@@ -208,93 +212,67 @@ pub(crate) fn run(
     let mut beta = problem.b.clone();
     for (j, &xj) in x.iter().enumerate().take(problem.nstruct) {
         if xj != 0.0 {
-            for &(i, v) in &problem.cols[j] {
+            for &(i, v) in problem.cols.get(j) {
                 beta[i as usize] -= v * xj;
             }
         }
     }
-    let mut basis = Vec::with_capacity(m);
-    let mut pos_of = vec![-1i32; n];
+    ws.basis.clear();
+    refill(&mut ws.pos_of, n, -1);
     let mut need_phase1 = false;
     for (i, &beta_i) in beta.iter().enumerate() {
         let s = problem.slack_start + i;
-        if beta_i >= problem.lb[s] - opts.feas_tol && beta_i <= problem.ub[s] + opts.feas_tol {
+        let k = if beta_i >= ws.lb[s] - opts.feas_tol && beta_i <= ws.ub[s] + opts.feas_tol {
             x[s] = beta_i;
-            basis.push(s);
-            pos_of[s] = i as i32;
+            s
         } else {
             let a = problem.art_start + i;
-            let sign = if beta_i >= 0.0 { 1.0 } else { -1.0 };
-            problem.cols[a] = vec![(i as u32, sign)];
-            problem.ub[a] = f64::INFINITY;
+            problem.art_sign[i] = if beta_i >= 0.0 { 1.0 } else { -1.0 };
+            ws.ub[a] = f64::INFINITY;
             x[a] = beta_i.abs();
-            basis.push(a);
-            pos_of[a] = i as i32;
             need_phase1 = true;
-        }
+            a
+        };
+        ws.basis.push(k);
+        ws.pos_of[k] = i as i32;
     }
 
-    let max_iterations = if opts.max_iterations > 0 {
-        opts.max_iterations
-    } else {
-        20_000 + 100 * (m as u64 + problem.nstruct as u64)
-    };
-
-    let factor = Factorization::new(m, opts.refactor_every, opts.pivot_tol);
-    let mut st = State::new(problem, rows, opts, basis, pos_of, x, nb, factor, max_iterations);
+    let problem = &*problem; // fixed from here on: only the workspace moves
+    let mut st = State::new(problem, rows, opts, ws);
     st.refactor().map_err(|e| numerical(e, &row_name))?;
 
     // --- phase 1 ----------------------------------------------------------
     if need_phase1 {
         let phase1_cost: Vec<f64> = (0..n)
-            .map(|j| if j >= st.p.art_start && st.p.ub[j] > 0.0 { 1.0 } else { 0.0 })
+            .map(|j| if j >= st.p.art_start && st.ws.ub[j] > 0.0 { 1.0 } else { 0.0 })
             .collect();
         st.iterate(&phase1_cost, true, &var_name, &row_name)?;
-        let residual: f64 = (st.p.art_start..n).map(|j| st.x[j].max(0.0)).sum();
+        let residual: f64 = (st.p.art_start..n).map(|j| st.ws.x[j].max(0.0)).sum();
         let scale = 1.0 + st.p.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
         if residual > st.opts.feas_tol * scale {
             return Err(SolveError::Infeasible { residual });
         }
     }
-    // Close all artificials for phase 2 and snap them to zero.
+    // Close all artificials for phase 2 and snap them to zero (a basic one
+    // may move, so the factors' `x_B` is no longer current).
     for j in st.p.art_start..n {
-        st.p.ub[j] = 0.0;
-        st.x[j] = 0.0;
+        st.ws.ub[j] = 0.0;
+        st.ws.x[j] = 0.0;
     }
+    st.settled = false;
 
     // --- phase 2 ----------------------------------------------------------
-    let phase2_cost = st.p.cost.clone();
-    st.iterate(&phase2_cost, false, &var_name, &row_name)?;
-
-    // Final duals from a fresh factorization for accuracy.
-    st.refactor().map_err(|e| numerical(e, &row_name))?;
-    st.cb.clear();
-    st.cb.extend(st.basis.iter().map(|&k| phase2_cost[k]));
-    let mut y = Vec::new();
-    st.factor.btran(&st.cb, &mut y);
-
-    Ok(Outcome {
-        x: st.x,
-        y,
-        iterations: st.iterations,
-        basis: st.basis,
-        nb: st.nb,
-        pricing_scans: st.scans,
-        bland_pivots: st.bland_pivots,
-        pricing_par_sections: st.par_sections,
-        pricing_par_steals: st.par_steals,
-        pricing_serial_nanos: st.serial_pricing_nanos,
-        pricing_par_nanos: st.par_pricing_nanos,
-        factor_stats: st.factor.stats(),
-    })
+    st.iterate(&problem.cost, false, &var_name, &row_name)?;
+    st.finish(&problem.cost, &row_name)
 }
 
 /// Re-optimize from a known basis instead of crashing one.
 ///
-/// `basis` gives the basic column per row position, `nb` the rest state of
-/// every column; both typically come from a previous [`Outcome`] on a
-/// mutated problem (the caller remaps column indices when the problem has
-/// grown). The start point is classified and the cheapest repair is run:
+/// `ws.basis` gives the basic column per row position, `ws.nb` the rest
+/// state of every column; both typically come from a previous solve of a
+/// since-mutated problem (the caller remaps column indices when the problem
+/// has grown). The start point is classified and the cheapest repair is
+/// run:
 ///
 /// * basic values within bounds → primal phase 2 directly (objective-only
 ///   changes keep the basis primal feasible);
@@ -312,117 +290,51 @@ pub(crate) fn run(
 ///
 /// Returns the outcome plus whether the dual simplex was needed.
 pub(crate) fn run_warm(
-    problem: &mut Problem,
-    rows: &[RowTerms<'_>],
+    problem: &Problem,
+    rows: &[RowData],
     opts: &SimplexOptions,
-    basis: Vec<usize>,
-    mut nb: Vec<NbState>,
+    ws: &mut Workspace,
     row_name: impl Fn(usize) -> String,
     var_name: impl Fn(usize) -> String,
 ) -> Result<(Outcome, bool), SolveError> {
     let m = problem.m;
     let n = problem.n;
-    if basis.len() != m || nb.len() != n {
+    if ws.basis.len() != m || ws.nb.len() != n {
         return Err(SolveError::Numerical("warm basis has wrong dimensions".into()));
     }
-    let mut pos_of = vec![-1i32; n];
-    for (i, &k) in basis.iter().enumerate() {
-        if k >= n || pos_of[k] >= 0 {
+    refill(&mut ws.pos_of, n, -1);
+    for (i, &k) in ws.basis.iter().enumerate() {
+        if k >= n || ws.pos_of[k] >= 0 {
             return Err(SolveError::Numerical("warm basis references invalid columns".into()));
         }
-        pos_of[k] = i as i32;
+        ws.pos_of[k] = i as i32;
     }
     // Rest nonbasic columns on a bound consistent with their current bounds
     // (bounds may have moved since the basis was recorded).
-    let mut x = vec![0.0; n];
+    refill(&mut ws.x, n, 0.0);
     for j in 0..n {
-        if pos_of[j] >= 0 {
+        if ws.pos_of[j] >= 0 {
             continue;
         }
-        let (lb, ub) = (problem.lb[j], problem.ub[j]);
-        let state = match nb[j] {
+        let (lb, ub) = (ws.lb[j], ws.ub[j]);
+        let state = match ws.nb[j] {
             NbState::Lower if lb.is_finite() => NbState::Lower,
             NbState::Upper if ub.is_finite() => NbState::Upper,
             _ if lb.is_finite() => NbState::Lower,
             _ if ub.is_finite() => NbState::Upper,
             _ => NbState::Free,
         };
-        nb[j] = state;
-        x[j] = match state {
+        ws.nb[j] = state;
+        ws.x[j] = match state {
             NbState::Lower => lb,
             NbState::Upper => ub,
             NbState::Free => 0.0,
         };
     }
 
-    let max_iterations = if opts.max_iterations > 0 {
-        opts.max_iterations
-    } else {
-        20_000 + 100 * (m as u64 + problem.nstruct as u64)
-    };
-    let factor = Factorization::new(m, opts.refactor_every, opts.pivot_tol);
-    let mut st = State::new(problem, rows, opts, basis, pos_of, x, nb, factor, max_iterations);
+    let mut st = State::new(problem, rows, opts, ws);
     st.refactor().map_err(|e| numerical(e, &row_name))?;
-
-    let cost = st.p.cost.clone();
-    let feas = opts.feas_tol;
-    let primal_feasible =
-        st.basis.iter().all(|&k| st.x[k] >= st.p.lb[k] - feas && st.x[k] <= st.p.ub[k] + feas);
-    let used_dual = !primal_feasible;
-    if !primal_feasible {
-        // Box away dual-infeasible nonbasics so the dual simplex starts from
-        // a dual-feasible point; the primal polish below reconsiders them.
-        let boxed = st.box_dual_infeasible(&cost);
-        let result = st.dual_iterate(&cost, &row_name);
-        for &(j, lb, ub) in &boxed {
-            st.p.lb[j] = lb;
-            st.p.ub[j] = ub;
-        }
-        match result {
-            Ok(()) => {}
-            Err(SolveError::Infeasible { residual }) if boxed.is_empty() => {
-                // Nothing was boxed, so the verdict applies to the original
-                // problem: no entering column can repair the violated row.
-                return Err(SolveError::Infeasible { residual });
-            }
-            Err(_) => {
-                // With columns boxed the verdict only covers the restricted
-                // problem — let the caller re-solve cold for an authoritative
-                // answer.
-                return Err(SolveError::Numerical(
-                    "dual warm start failed on the restricted problem".into(),
-                ));
-            }
-        }
-    }
-
-    // Primal phase 2: a no-op when the dual pass already reached optimality,
-    // otherwise it repairs reduced-cost violations (objective changes, newly
-    // added columns, boxed columns released above).
-    st.iterate(&cost, false, &var_name, &row_name)?;
-
-    st.refactor().map_err(|e| numerical(e, &row_name))?;
-    st.cb.clear();
-    st.cb.extend(st.basis.iter().map(|&k| cost[k]));
-    let mut y = Vec::new();
-    st.factor.btran(&st.cb, &mut y);
-    Ok((
-        Outcome {
-            x: st.x,
-            y,
-            iterations: st.iterations,
-            basis: st.basis,
-            nb: st.nb,
-            pricing_scans: st.scans,
-            bland_pivots: st.bland_pivots,
-            pricing_par_sections: st.par_sections,
-            pricing_par_steals: st.par_steals,
-            pricing_serial_nanos: st.serial_pricing_nanos,
-            pricing_par_nanos: st.par_pricing_nanos,
-            factor_stats: st.factor.stats(),
-        },
-        used_dual,
-    ))
+    st.reoptimize(&problem.cost, &row_name, &var_name)
 }
 
 fn numerical(e: FactorError, row_name: &impl Fn(usize) -> String) -> SolveError {
@@ -435,72 +347,115 @@ fn numerical(e: FactorError, row_name: &impl Fn(usize) -> String) -> SolveError 
 }
 
 impl<'a> State<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        p: &'a mut Problem,
-        rows: &'a [RowTerms<'a>],
+        p: &'a Problem,
+        rows: &'a [RowData],
         opts: &'a SimplexOptions,
-        basis: Vec<usize>,
-        pos_of: Vec<i32>,
-        x: Vec<f64>,
-        nb: Vec<NbState>,
-        factor: Factorization,
-        max_iterations: u64,
+        ws: &'a mut Workspace,
     ) -> Self {
+        let max_iterations = if opts.max_iterations > 0 {
+            opts.max_iterations
+        } else {
+            20_000 + 100 * (p.m as u64 + p.nstruct as u64)
+        };
+        ws.factor.set_limits(opts.refactor_every, opts.pivot_tol);
+        let factor_before = ws.factor.stats();
         State {
             p,
             rows,
             opts,
-            basis,
-            pos_of,
-            x,
-            nb,
-            factor,
-            iterations: 0,
+            ws,
+            out: Outcome::default(),
             max_iterations,
             degenerate_run: 0,
-            w: Vec::new(),
-            y: Vec::new(),
-            d: Vec::new(),
-            gamma: Vec::new(),
-            candidates: Vec::new(),
-            in_cands: Vec::new(),
             cursor: 0,
             fresh: false,
-            cb: Vec::new(),
-            rho: Vec::new(),
-            e_r: Vec::new(),
-            alpha: Vec::new(),
-            alpha_stamp: Vec::new(),
-            alpha_touched: Vec::new(),
-            stamp: 0,
-            scans: 0,
-            bland_pivots: 0,
-            par_sections: 0,
-            par_steals: 0,
-            serial_pricing_nanos: 0,
-            par_pricing_nanos: 0,
+            settled: false,
+            factor_before,
         }
+    }
+
+    /// The body of [`run_warm`] once the start basis is factorized.
+    fn reoptimize(
+        &mut self,
+        cost: &[f64],
+        row_name: &impl Fn(usize) -> String,
+        var_name: &impl Fn(usize) -> String,
+    ) -> Result<(Outcome, bool), SolveError> {
+        let feas = self.opts.feas_tol;
+        let ws = &*self.ws;
+        let primal_feasible =
+            ws.basis.iter().all(|&k| ws.x[k] >= ws.lb[k] - feas && ws.x[k] <= ws.ub[k] + feas);
+        if !primal_feasible {
+            // Box away dual-infeasible nonbasics so the dual simplex starts from
+            // a dual-feasible point; the primal polish below reconsiders them.
+            self.box_dual_infeasible(cost);
+            let result = self.dual_iterate(cost, row_name);
+            for idx in 0..self.ws.boxed.len() {
+                let (j, lb, ub) = self.ws.boxed[idx];
+                self.ws.lb[j] = lb;
+                self.ws.ub[j] = ub;
+            }
+            match result {
+                Ok(()) => {}
+                Err(SolveError::Infeasible { residual }) if self.ws.boxed.is_empty() => {
+                    // Nothing was boxed, so the verdict applies to the original
+                    // problem: no entering column can repair the violated row.
+                    return Err(SolveError::Infeasible { residual });
+                }
+                Err(_) => {
+                    // With columns boxed the verdict only covers the restricted
+                    // problem — let the caller re-solve cold for an authoritative
+                    // answer.
+                    return Err(SolveError::Numerical(
+                        "dual warm start failed on the restricted problem".into(),
+                    ));
+                }
+            }
+        }
+        // Primal phase 2: a no-op when the dual pass already reached optimality,
+        // otherwise it repairs reduced-cost violations (objective changes, newly
+        // added columns, boxed columns released above).
+        self.iterate(cost, false, var_name, row_name)?;
+        Ok((self.finish(cost, row_name)?, !primal_feasible))
+    }
+
+    /// Final `x_B` and duals from a fresh factorization, for accuracy — the
+    /// one already in hand when nothing moved since it was computed.
+    fn finish(
+        &mut self,
+        cost: &[f64],
+        row_name: &impl Fn(usize) -> String,
+    ) -> Result<Outcome, SolveError> {
+        if !self.settled {
+            self.refactor().map_err(|e| numerical(e, row_name))?;
+        }
+        let ws = &mut *self.ws;
+        ws.cb.clear();
+        ws.cb.extend(ws.basis.iter().map(|&k| cost[k]));
+        ws.factor.btran(&ws.cb, &mut ws.y);
+        self.out.factor_stats = ws.factor.stats().since(self.factor_before);
+        Ok(self.out)
     }
 
     /// Shared-slice view for parallel pricing workers.
     fn view(&self) -> PriceView<'_> {
         PriceView {
-            d: &self.d,
-            gamma: &self.gamma,
-            pos_of: &self.pos_of,
-            nb: &self.nb,
-            in_cands: &self.in_cands,
-            lb: &self.p.lb,
-            ub: &self.p.ub,
+            d: &self.ws.d,
+            gamma: &self.ws.gamma,
+            pos_of: &self.ws.pos_of,
+            nb: &self.ws.nb,
+            in_cands: &self.ws.in_cands,
+            lb: &self.ws.lb,
+            ub: &self.ws.ub,
             tol: self.opts.opt_tol,
         }
     }
 
     /// Fold one sectioned run's section/steal counters into the solve's.
     fn note_par_stats(&mut self, stats: par::ParStats) {
-        self.par_sections += stats.sections;
-        self.par_steals += stats.steals;
+        self.out.pricing_par_sections += stats.sections;
+        self.out.pricing_par_steals += stats.steals;
     }
 
     /// Attribute one pricing call's wall clock to the serial or parallel
@@ -508,9 +463,9 @@ impl<'a> State<'a> {
     fn note_pricing_wall(&mut self, t0: Instant, parallel: bool) {
         let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if parallel {
-            self.par_pricing_nanos += nanos;
+            self.out.pricing_par_nanos += nanos;
         } else {
-            self.serial_pricing_nanos += nanos;
+            self.out.pricing_serial_nanos += nanos;
         }
     }
 
@@ -518,35 +473,35 @@ impl<'a> State<'a> {
     /// dimensions (idempotent; `e_r` keeps its all-zero invariant).
     fn ensure_scratch(&mut self) {
         let (m, n) = (self.p.m, self.p.n);
-        self.e_r.resize(m, 0.0);
-        self.alpha.resize(n, 0.0);
-        self.alpha_stamp.resize(n, 0);
-        self.d.resize(n, 0.0);
-        self.gamma.resize(n, 1.0);
-        self.in_cands.resize(n, false);
+        grow(&mut self.ws.e_r, m, 0.0);
+        grow(&mut self.ws.alpha, n, 0.0);
+        grow(&mut self.ws.alpha_stamp, n, 0);
+        grow(&mut self.ws.d, n, 0.0);
+        grow(&mut self.ws.gamma, n, 1.0);
+        grow(&mut self.ws.in_cands, n, false);
     }
 
     /// Rebuild the LU factorization from the current basis and refresh the
     /// basic variable values from scratch (removes accumulated drift).
     fn refactor(&mut self) -> Result<(), FactorError> {
-        {
-            let cols: Vec<_> = self.basis.iter().map(|&k| &self.p.cols[k]).collect();
-            self.factor.refactor(&cols)?;
-        }
+        let (p, ws) = (self.p, &mut *self.ws);
+        let basis = &ws.basis;
+        ws.factor.refactor_with(p.m, |pos, sink| p.with_col(basis[pos], sink))?;
         // x_B = B⁻¹ (b - N x_N)
-        let mut r = self.p.b.clone();
-        for j in 0..self.p.n {
-            if self.pos_of[j] < 0 && self.x[j] != 0.0 {
-                for &(i, v) in &self.p.cols[j] {
-                    r[i as usize] -= v * self.x[j];
-                }
+        let r = &mut ws.resid;
+        r.clear();
+        r.extend_from_slice(&p.b);
+        for j in 0..p.n {
+            let xj = ws.x[j];
+            if ws.pos_of[j] < 0 && xj != 0.0 {
+                p.with_col(j, |col| col.iter().for_each(|&(i, v)| r[i as usize] -= v * xj));
             }
         }
-        let mut xb = Vec::new();
-        self.factor.ftran_dense(&r, &mut xb);
-        for (pos, &k) in self.basis.iter().enumerate() {
-            self.x[k] = xb[pos];
+        ws.factor.ftran_dense(r, &mut ws.xb);
+        for (pos, &k) in ws.basis.iter().enumerate() {
+            ws.x[k] = ws.xb[pos];
         }
+        self.settled = true;
         Ok(())
     }
 
@@ -565,10 +520,10 @@ impl<'a> State<'a> {
             self.reprice(cost);
         }
         loop {
-            if self.iterations >= self.max_iterations {
-                return Err(SolveError::IterationLimit { iterations: self.iterations });
+            if self.out.iterations >= self.max_iterations {
+                return Err(SolveError::IterationLimit { iterations: self.out.iterations });
             }
-            if self.factor.wants_refactor() {
+            if self.ws.factor.wants_refactor() {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
                 if incremental {
                     // The refactor cadence doubles as the pricing drift guard.
@@ -577,9 +532,9 @@ impl<'a> State<'a> {
             }
             if !incremental {
                 // Simplex multipliers y = c_B B⁻¹.
-                self.cb.clear();
-                self.cb.extend(self.basis.iter().map(|&k| cost[k]));
-                let (factor, cb, y) = (&mut self.factor, &self.cb, &mut self.y);
+                self.ws.cb.clear();
+                self.ws.cb.extend(self.ws.basis.iter().map(|&k| cost[k]));
+                let (factor, cb, y) = (&mut self.ws.factor, &self.ws.cb, &mut self.ws.y);
                 factor.btran(cb, y);
             }
             let bland = self.degenerate_run > self.opts.bland_trigger;
@@ -605,10 +560,10 @@ impl<'a> State<'a> {
                 return Ok(()); // optimal for this phase
             };
             if bland {
-                self.bland_pivots += 1;
+                self.out.bland_pivots += 1;
             }
             // Direction of travel for the entering variable.
-            let sigma = match self.nb[j] {
+            let sigma = match self.ws.nb[j] {
                 NbState::Lower => 1.0,
                 NbState::Upper => -1.0,
                 NbState::Free => {
@@ -620,8 +575,8 @@ impl<'a> State<'a> {
                 }
             };
             {
-                let (p, factor, w) = (&*self.p, &mut self.factor, &mut self.w);
-                factor.ftran(&p.cols[j], w);
+                let (factor, w) = (&mut self.ws.factor, &mut self.ws.w);
+                self.p.with_col(j, |col| factor.ftran(col, w));
             }
             match self.ratio_test(j, sigma, bland) {
                 Step::Unbounded => {
@@ -634,9 +589,10 @@ impl<'a> State<'a> {
                 }
                 Step::BoundFlip { t } => {
                     // No basis change: `y` and `d` stay exact as-is.
+                    self.settled = false;
                     self.apply_step(j, sigma, t);
-                    self.x[j] = if sigma > 0.0 { self.p.ub[j] } else { self.p.lb[j] };
-                    self.nb[j] = if sigma > 0.0 { NbState::Upper } else { NbState::Lower };
+                    self.ws.x[j] = if sigma > 0.0 { self.ws.ub[j] } else { self.ws.lb[j] };
+                    self.ws.nb[j] = if sigma > 0.0 { NbState::Upper } else { NbState::Lower };
                     self.note_step(t);
                 }
                 Step::Pivot { t, position, to_upper } => {
@@ -646,18 +602,19 @@ impl<'a> State<'a> {
                         // updates below.
                         self.pivot_update(j, position);
                     }
+                    self.settled = false;
                     self.apply_step(j, sigma, t);
-                    let entering_value = self.x[j] + sigma * t;
-                    let leaving = self.basis[position];
+                    let entering_value = self.ws.x[j] + sigma * t;
+                    let leaving = self.ws.basis[position];
                     // Snap the leaving variable exactly onto its bound.
-                    self.x[leaving] =
-                        if to_upper { self.p.ub[leaving] } else { self.p.lb[leaving] };
-                    self.nb[leaving] = if to_upper { NbState::Upper } else { NbState::Lower };
-                    self.pos_of[leaving] = -1;
-                    self.basis[position] = j;
-                    self.pos_of[j] = position as i32;
-                    self.x[j] = entering_value;
-                    if !self.factor.update(position, &self.w) {
+                    self.ws.x[leaving] =
+                        if to_upper { self.ws.ub[leaving] } else { self.ws.lb[leaving] };
+                    self.ws.nb[leaving] = if to_upper { NbState::Upper } else { NbState::Lower };
+                    self.ws.pos_of[leaving] = -1;
+                    self.ws.basis[position] = j;
+                    self.ws.pos_of[j] = position as i32;
+                    self.ws.x[j] = entering_value;
+                    if !self.ws.factor.update(position, &self.ws.w) {
                         // Pivot too small for a stable eta: rebuild and, if
                         // the basis went bad, surface a numerical error.
                         self.refactor().map_err(|e| numerical(e, row_name))?;
@@ -668,7 +625,7 @@ impl<'a> State<'a> {
                     self.note_step(t);
                 }
             }
-            self.iterations += 1;
+            self.out.iterations += 1;
         }
     }
 
@@ -683,10 +640,10 @@ impl<'a> State<'a> {
     /// a section boundary, so the result is bitwise identical.
     fn reprice(&mut self, cost: &[f64]) {
         self.ensure_scratch();
-        self.cb.clear();
-        self.cb.extend(self.basis.iter().map(|&k| cost[k]));
+        self.ws.cb.clear();
+        self.ws.cb.extend(self.ws.basis.iter().map(|&k| cost[k]));
         {
-            let (factor, cb, y) = (&mut self.factor, &self.cb, &mut self.y);
+            let (factor, cb, y) = (&mut self.ws.factor, &self.ws.cb, &mut self.ws.y);
             factor.btran(cb, y);
         }
         let t0 = Instant::now();
@@ -694,51 +651,42 @@ impl<'a> State<'a> {
         let n = self.p.n;
         let parallel = jobs > 1 && par::section_count(n) > 1;
         if parallel {
-            let (p, y) = (&*self.p, &self.y);
-            let mut stats = par::for_each_section(&mut self.d, jobs, |_, start, chunk| {
+            let (p, y) = (self.p, &self.ws.y);
+            let mut stats = par::for_each_section(&mut self.ws.d, jobs, |_, start, chunk| {
                 for (off, slot) in chunk.iter_mut().enumerate() {
-                    let j = start + off;
-                    let mut d = cost[j];
-                    for &(i, v) in &p.cols[j] {
-                        d -= y[i as usize] * v;
-                    }
-                    *slot = d;
+                    *slot = p.reduced_cost(start + off, cost, y);
                 }
             });
-            stats.merge(par::for_each_section(&mut self.gamma, jobs, |_, _, chunk| {
+            stats.merge(par::for_each_section(&mut self.ws.gamma, jobs, |_, _, chunk| {
                 chunk.fill(1.0);
             }));
             self.note_par_stats(stats);
         } else {
-            for (j, &cj) in cost.iter().enumerate().take(n) {
-                let mut d = cj;
-                for &(i, v) in &self.p.cols[j] {
-                    d -= self.y[i as usize] * v;
-                }
-                self.d[j] = d;
+            for j in 0..n {
+                self.ws.d[j] = self.p.reduced_cost(j, cost, &self.ws.y);
             }
-            for g in self.gamma.iter_mut() {
+            for g in self.ws.gamma.iter_mut() {
                 *g = 1.0;
             }
         }
         self.note_pricing_wall(t0, parallel);
-        self.candidates.clear();
-        for f in self.in_cands.iter_mut() {
+        self.ws.candidates.clear();
+        for f in self.ws.in_cands.iter_mut() {
             *f = false;
         }
-        self.scans += n as u64;
+        self.out.pricing_scans += n as u64;
         self.fresh = true;
     }
 
     /// Is nonbasic column `j` eligible to enter, judged on the maintained
     /// reduced cost `d[j]`?
     fn eligible(&self, j: usize) -> bool {
-        if self.pos_of[j] >= 0 || self.p.lb[j] == self.p.ub[j] {
+        if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
             return false;
         }
         let tol = self.opts.opt_tol;
-        let d = self.d[j];
-        match self.nb[j] {
+        let d = self.ws.d[j];
+        match self.ws.nb[j] {
             NbState::Lower => d < -tol,
             NbState::Upper => d > tol,
             NbState::Free => d.abs() > tol,
@@ -752,40 +700,37 @@ impl<'a> State<'a> {
     /// its crash-time sign. Entries are valid where
     /// `alpha_stamp[j] == stamp`; `alpha_touched` lists them.
     fn pivot_row_pass(&mut self) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.alpha_touched.clear();
-        for i in 0..self.rho.len() {
-            let rv = self.rho[i];
+        self.ws.stamp += 1;
+        let stamp = self.ws.stamp;
+        self.ws.alpha_touched.clear();
+        for i in 0..self.ws.rho.len() {
+            let rv = self.ws.rho[i];
             if rv == 0.0 {
                 continue;
             }
-            let row = self.rows[i];
-            for &(jc, v) in row {
+            for &(jc, v) in &self.rows[i].terms {
                 let j = jc as usize;
-                if self.alpha_stamp[j] != stamp {
-                    self.alpha_stamp[j] = stamp;
-                    self.alpha[j] = 0.0;
-                    self.alpha_touched.push(jc);
+                if self.ws.alpha_stamp[j] != stamp {
+                    self.ws.alpha_stamp[j] = stamp;
+                    self.ws.alpha[j] = 0.0;
+                    self.ws.alpha_touched.push(jc);
                 }
-                self.alpha[j] += rv * v;
+                self.ws.alpha[j] += rv * v;
             }
             let s = self.p.slack_start + i;
-            self.alpha_stamp[s] = stamp;
-            self.alpha[s] = rv;
-            self.alpha_touched.push(s as u32);
+            self.ws.alpha_stamp[s] = stamp;
+            self.ws.alpha[s] = rv;
+            self.ws.alpha_touched.push(s as u32);
             let a = self.p.art_start + i;
-            if let Some(&(_, av)) = self.p.cols[a].first() {
-                self.alpha_stamp[a] = stamp;
-                self.alpha[a] = rv * av;
-                self.alpha_touched.push(a as u32);
-            }
+            self.ws.alpha_stamp[a] = stamp;
+            self.ws.alpha[a] = rv * self.p.art_sign[i];
+            self.ws.alpha_touched.push(a as u32);
         }
-        self.scans += self.alpha_touched.len() as u64;
+        self.out.pricing_scans += self.ws.alpha_touched.len() as u64;
     }
 
     /// Incremental pricing update for a basis exchange: entering column `q`
-    /// (whose FTRAN is already in `self.w`) replaces the basic variable at
+    /// (whose FTRAN is already in `ws.w`) replaces the basic variable at
     /// `position`. With `rho` the BTRAN'd pivot row and
     /// `theta_d = d_q / alpha_q`:
     ///
@@ -798,47 +743,47 @@ impl<'a> State<'a> {
     /// Must run before the basis bookkeeping and eta update for this pivot.
     fn pivot_update(&mut self, q: usize, position: usize) {
         self.fresh = false;
-        let alpha_q = self.w[position];
+        let alpha_q = self.ws.w[position];
         if alpha_q == 0.0 {
             // The eta update will reject this pivot and force a refactor,
             // which reprices from scratch anyway.
             return;
         }
-        let theta_d = self.d[q] / alpha_q;
-        self.e_r[position] = 1.0;
+        let theta_d = self.ws.d[q] / alpha_q;
+        self.ws.e_r[position] = 1.0;
         {
-            let (factor, e_r, rho) = (&mut self.factor, &self.e_r, &mut self.rho);
+            let (factor, e_r, rho) = (&mut self.ws.factor, &self.ws.e_r, &mut self.ws.rho);
             factor.btran(e_r, rho);
         }
-        self.e_r[position] = 0.0;
+        self.ws.e_r[position] = 0.0;
         self.pivot_row_pass();
-        let gamma_q = self.gamma[q].max(1.0);
+        let gamma_q = self.ws.gamma[q].max(1.0);
         let inv_aq = 1.0 / alpha_q;
-        for idx in 0..self.alpha_touched.len() {
-            let j = self.alpha_touched[idx] as usize;
-            if self.pos_of[j] >= 0 || j == q {
+        for idx in 0..self.ws.alpha_touched.len() {
+            let j = self.ws.alpha_touched[idx] as usize;
+            if self.ws.pos_of[j] >= 0 || j == q {
                 continue;
             }
-            let aj = self.alpha[j];
-            self.d[j] -= theta_d * aj;
+            let aj = self.ws.alpha[j];
+            self.ws.d[j] -= theta_d * aj;
             let r = aj * inv_aq;
             let cand = r * r * gamma_q;
-            if cand > self.gamma[j] {
-                self.gamma[j] = cand;
+            if cand > self.ws.gamma[j] {
+                self.ws.gamma[j] = cand;
             }
         }
         if theta_d != 0.0 {
-            for i in 0..self.rho.len() {
-                let rv = self.rho[i];
+            for i in 0..self.ws.rho.len() {
+                let rv = self.ws.rho[i];
                 if rv != 0.0 {
-                    self.y[i] += theta_d * rv;
+                    self.ws.y[i] += theta_d * rv;
                 }
             }
         }
-        let leaving = self.basis[position];
-        self.d[leaving] = -theta_d;
-        self.gamma[leaving] = (gamma_q * inv_aq * inv_aq).max(1.0);
-        self.d[q] = 0.0;
+        let leaving = self.ws.basis[position];
+        self.ws.d[leaving] = -theta_d;
+        self.ws.gamma[leaving] = (gamma_q * inv_aq * inv_aq).max(1.0);
+        self.ws.d[q] = 0.0;
     }
 
     /// Bland's anti-cycling rule: the smallest-index eligible column. Under
@@ -848,21 +793,13 @@ impl<'a> State<'a> {
     fn price_bland(&mut self, cost: &[f64]) -> Option<(usize, f64)> {
         let tol = self.opts.opt_tol;
         let dantzig = self.opts.pricing == Pricing::Dantzig;
-        for (j, &cj) in cost.iter().enumerate().take(self.p.n) {
-            if self.pos_of[j] >= 0 || self.p.lb[j] == self.p.ub[j] {
+        for j in 0..self.p.n {
+            if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
                 continue;
             }
-            self.scans += 1;
-            let d = if dantzig {
-                let mut d = cj;
-                for &(i, v) in &self.p.cols[j] {
-                    d -= self.y[i as usize] * v;
-                }
-                d
-            } else {
-                self.d[j]
-            };
-            let eligible = match self.nb[j] {
+            self.out.pricing_scans += 1;
+            let d = if dantzig { self.p.reduced_cost(j, cost, &self.ws.y) } else { self.ws.d[j] };
+            let eligible = match self.ws.nb[j] {
                 NbState::Lower => d < -tol,
                 NbState::Upper => d > tol,
                 NbState::Free => d.abs() > tol,
@@ -879,20 +816,17 @@ impl<'a> State<'a> {
     fn price_dantzig(&mut self, cost: &[f64]) -> Option<(usize, f64)> {
         let tol = self.opts.opt_tol;
         let mut best: Option<(usize, f64, f64)> = None; // (j, d, score)
-        for (j, &cj) in cost.iter().enumerate().take(self.p.n) {
-            if self.pos_of[j] >= 0 {
+        for j in 0..self.p.n {
+            if self.ws.pos_of[j] >= 0 {
                 continue;
             }
             // Fixed columns (incl. closed artificials) can never improve.
-            if self.p.lb[j] == self.p.ub[j] {
+            if self.ws.lb[j] == self.ws.ub[j] {
                 continue;
             }
-            self.scans += 1;
-            let mut d = cj;
-            for &(i, v) in &self.p.cols[j] {
-                d -= self.y[i as usize] * v;
-            }
-            let eligible = match self.nb[j] {
+            self.out.pricing_scans += 1;
+            let d = self.p.reduced_cost(j, cost, &self.ws.y);
+            let eligible = match self.ws.nb[j] {
                 NbState::Lower => d < -tol,
                 NbState::Upper => d > tol,
                 NbState::Free => d.abs() > tol,
@@ -954,17 +888,17 @@ impl<'a> State<'a> {
                 if !self.eligible(j) {
                     continue;
                 }
-                let dj = self.d[j];
-                let score = dj * dj / self.gamma[j];
+                let dj = self.ws.d[j];
+                let score = dj * dj / self.ws.gamma[j];
                 if best.is_none_or(|(_, s)| score > s) {
                     best = Some((j, score));
                 }
             }
             best
         };
-        self.scans += n as u64;
+        self.out.pricing_scans += n as u64;
         self.note_pricing_wall(t0, parallel);
-        best.map(|(j, _)| (j, self.d[j]))
+        best.map(|(j, _)| (j, self.ws.d[j]))
     }
 
     /// Partial Devex pricing: prune the candidate shortlist, sweep one
@@ -985,17 +919,17 @@ impl<'a> State<'a> {
         let t0 = Instant::now();
         // Drop candidates that went basic or lost eligibility.
         let mut keep = 0;
-        for idx in 0..self.candidates.len() {
-            let j = self.candidates[idx] as usize;
-            self.scans += 1;
+        for idx in 0..self.ws.candidates.len() {
+            let j = self.ws.candidates[idx] as usize;
+            self.out.pricing_scans += 1;
             if self.eligible(j) {
-                self.candidates[keep] = self.candidates[idx];
+                self.ws.candidates[keep] = self.ws.candidates[idx];
                 keep += 1;
             } else {
-                self.in_cands[j] = false;
+                self.ws.in_cands[j] = false;
             }
         }
-        self.candidates.truncate(keep);
+        self.ws.candidates.truncate(keep);
         let n = self.p.n;
         let section = (n / SECTIONS).max(SECTION_MIN).min(n);
         let jobs = self.opts.pricing_jobs;
@@ -1020,12 +954,12 @@ impl<'a> State<'a> {
                 };
                 self.note_par_stats(stats);
                 for j in parts.into_iter().flatten() {
-                    self.in_cands[j as usize] = true;
-                    self.candidates.push(j);
+                    self.ws.in_cands[j as usize] = true;
+                    self.ws.candidates.push(j);
                 }
                 self.cursor = (start + take) % n;
                 scanned += take;
-                self.scans += take as u64;
+                self.out.pricing_scans += take as u64;
             } else {
                 for _ in 0..section {
                     if scanned >= n {
@@ -1037,14 +971,14 @@ impl<'a> State<'a> {
                         self.cursor = 0;
                     }
                     scanned += 1;
-                    self.scans += 1;
-                    if !self.in_cands[j] && self.eligible(j) {
-                        self.in_cands[j] = true;
-                        self.candidates.push(j as u32);
+                    self.out.pricing_scans += 1;
+                    if !self.ws.in_cands[j] && self.eligible(j) {
+                        self.ws.in_cands[j] = true;
+                        self.ws.candidates.push(j as u32);
                     }
                 }
             }
-            if self.candidates.len() >= CANDS_MIN {
+            if self.ws.candidates.len() >= CANDS_MIN {
                 break;
             }
         }
@@ -1053,25 +987,25 @@ impl<'a> State<'a> {
         // pure function of the maintained (d, gamma) state, so the
         // surviving set — and hence the pivot sequence — stays
         // deterministic.
-        if self.candidates.len() > CANDS_MAX {
-            let mut cands = std::mem::take(&mut self.candidates);
+        if self.ws.candidates.len() > CANDS_MAX {
+            let mut cands = std::mem::take(&mut self.ws.candidates);
             cands.sort_by(|&a, &b| {
                 let (a, b) = (a as usize, b as usize);
-                let sa = self.d[a] * self.d[a] / self.gamma[a];
-                let sb = self.d[b] * self.d[b] / self.gamma[b];
+                let sa = self.ws.d[a] * self.ws.d[a] / self.ws.gamma[a];
+                let sb = self.ws.d[b] * self.ws.d[b] / self.ws.gamma[b];
                 sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
             });
             for &j in &cands[CANDS_MAX..] {
-                self.in_cands[j as usize] = false;
+                self.ws.in_cands[j as usize] = false;
             }
             cands.truncate(CANDS_MAX);
-            self.candidates = cands;
+            self.ws.candidates = cands;
         }
         let mut best: Option<(usize, f64)> = None; // (j, score)
-        for idx in 0..self.candidates.len() {
-            let j = self.candidates[idx] as usize;
-            let dj = self.d[j];
-            let score = dj * dj / self.gamma[j];
+        for idx in 0..self.ws.candidates.len() {
+            let j = self.ws.candidates[idx] as usize;
+            let dj = self.ws.d[j];
+            let score = dj * dj / self.ws.gamma[j];
             let better = match best {
                 None => true,
                 // Insertion order is cyclic, not ascending: break exact
@@ -1083,7 +1017,7 @@ impl<'a> State<'a> {
             }
         }
         self.note_pricing_wall(t0, parallel);
-        best.map(|(j, _)| (j, self.d[j]))
+        best.map(|(j, _)| (j, self.ws.d[j]))
     }
 
     /// Move all basic variables along the FTRAN direction by step `t`.
@@ -1091,10 +1025,10 @@ impl<'a> State<'a> {
         if t == 0.0 {
             return;
         }
-        for (pos, &k) in self.basis.iter().enumerate() {
-            let wi = self.w[pos];
+        for (pos, &k) in self.ws.basis.iter().enumerate() {
+            let wi = self.ws.w[pos];
             if wi != 0.0 {
-                self.x[k] -= sigma * t * wi;
+                self.ws.x[k] -= sigma * t * wi;
             }
         }
     }
@@ -1108,37 +1042,33 @@ impl<'a> State<'a> {
     }
 
     /// Temporarily fix every nonbasic column whose reduced cost violates
-    /// dual feasibility at its current rest value, and return the saved
-    /// bounds `(column, lb, ub)` so the caller can restore them.
-    fn box_dual_infeasible(&mut self, cost: &[f64]) -> Vec<(usize, f64, f64)> {
-        self.cb.clear();
-        self.cb.extend(self.basis.iter().map(|&k| cost[k]));
+    /// dual feasibility at its current rest value, saving the bounds in
+    /// `ws.boxed` so the caller can restore them.
+    fn box_dual_infeasible(&mut self, cost: &[f64]) {
+        self.ws.cb.clear();
+        self.ws.cb.extend(self.ws.basis.iter().map(|&k| cost[k]));
         {
-            let (factor, cb, y) = (&mut self.factor, &self.cb, &mut self.y);
+            let (factor, cb, y) = (&mut self.ws.factor, &self.ws.cb, &mut self.ws.y);
             factor.btran(cb, y);
         }
         let tol = self.opts.opt_tol;
-        let mut boxed = Vec::new();
-        for (j, &cj) in cost.iter().enumerate().take(self.p.n) {
-            if self.pos_of[j] >= 0 || self.p.lb[j] == self.p.ub[j] {
+        self.ws.boxed.clear();
+        for j in 0..self.p.n {
+            if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
                 continue;
             }
-            let mut d = cj;
-            for &(i, v) in &self.p.cols[j] {
-                d -= self.y[i as usize] * v;
-            }
-            let ok = match self.nb[j] {
+            let d = self.p.reduced_cost(j, cost, &self.ws.y);
+            let ok = match self.ws.nb[j] {
                 NbState::Lower => d >= -tol,
                 NbState::Upper => d <= tol,
                 NbState::Free => d.abs() <= tol,
             };
             if !ok {
-                boxed.push((j, self.p.lb[j], self.p.ub[j]));
-                self.p.lb[j] = self.x[j];
-                self.p.ub[j] = self.x[j];
+                self.ws.boxed.push((j, self.ws.lb[j], self.ws.ub[j]));
+                self.ws.lb[j] = self.ws.x[j];
+                self.ws.ub[j] = self.ws.x[j];
             }
         }
-        boxed
     }
 
     /// Bounded-variable dual simplex: starting from a dual-feasible basis
@@ -1152,19 +1082,19 @@ impl<'a> State<'a> {
     ) -> Result<(), SolveError> {
         self.ensure_scratch();
         loop {
-            if self.iterations >= self.max_iterations {
-                return Err(SolveError::IterationLimit { iterations: self.iterations });
+            if self.out.iterations >= self.max_iterations {
+                return Err(SolveError::IterationLimit { iterations: self.out.iterations });
             }
-            if self.factor.wants_refactor() {
+            if self.ws.factor.wants_refactor() {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
             }
             // Leaving variable: the basic value with the largest bound
             // violation. `to_lower` records which bound it will land on.
             let feas = self.opts.feas_tol;
             let mut leave: Option<(usize, f64, bool)> = None; // (pos, viol, to_lower)
-            for (pos, &k) in self.basis.iter().enumerate() {
-                let below = self.p.lb[k] - self.x[k];
-                let above = self.x[k] - self.p.ub[k];
+            for (pos, &k) in self.ws.basis.iter().enumerate() {
+                let below = self.ws.lb[k] - self.ws.x[k];
+                let above = self.ws.x[k] - self.ws.ub[k];
                 let v = below.max(above);
                 if v > feas && leave.as_ref().is_none_or(|&(_, bv, _)| v > bv) {
                     leave = Some((pos, v, below >= above));
@@ -1173,41 +1103,42 @@ impl<'a> State<'a> {
             let Some((r, viol, to_lower)) = leave else {
                 return Ok(()); // primal feasible
             };
-            let k = self.basis[r];
-            let bound = if to_lower { self.p.lb[k] } else { self.p.ub[k] };
+            let k = self.ws.basis[r];
+            let bound = if to_lower { self.ws.lb[k] } else { self.ws.ub[k] };
             // `need` is the direction the leaving value must move.
             let need = if to_lower { 1.0 } else { -1.0 };
             // rho = row r of B⁻¹ (original row coordinates), so that
             // alpha_j = rho · a_j is the pivot row entry of column j; the
             // sparse pivot-row pass materializes exactly the nonzero alphas.
-            self.e_r[r] = 1.0;
+            self.ws.e_r[r] = 1.0;
             {
-                let (factor, e_r, rho) = (&mut self.factor, &self.e_r, &mut self.rho);
+                let (factor, e_r, rho) = (&mut self.ws.factor, &self.ws.e_r, &mut self.ws.rho);
                 factor.btran(e_r, rho);
             }
-            self.e_r[r] = 0.0;
+            self.ws.e_r[r] = 0.0;
             self.pivot_row_pass();
             // Current duals for the ratio test.
-            self.cb.clear();
-            self.cb.extend(self.basis.iter().map(|&b| cost[b]));
+            self.ws.cb.clear();
+            self.ws.cb.extend(self.ws.basis.iter().map(|&b| cost[b]));
             {
-                let (factor, cb, y) = (&mut self.factor, &self.cb, &mut self.y);
+                let (factor, cb, y) = (&mut self.ws.factor, &self.ws.cb, &mut self.ws.y);
                 factor.btran(cb, y);
             }
             let bland = self.degenerate_run > self.opts.bland_trigger;
             // Dual ratio test: among columns whose movement drives x_k toward
             // its bound, pick the one whose reduced cost hits zero first.
             let mut enter: Option<(usize, f64, f64, f64)> = None; // (j, sigma, alpha, ratio)
-            for (j, &cj) in cost.iter().enumerate().take(self.p.n) {
-                if self.pos_of[j] >= 0 || self.p.lb[j] == self.p.ub[j] {
+            for j in 0..self.p.n {
+                if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
                     continue;
                 }
-                let alpha = if self.alpha_stamp[j] == self.stamp { self.alpha[j] } else { 0.0 };
+                let alpha =
+                    if self.ws.alpha_stamp[j] == self.ws.stamp { self.ws.alpha[j] } else { 0.0 };
                 if alpha.abs() <= 1e-9 {
                     continue;
                 }
-                self.scans += 1;
-                let sigma = match self.nb[j] {
+                self.out.pricing_scans += 1;
+                let sigma = match self.ws.nb[j] {
                     NbState::Lower => 1.0,
                     NbState::Upper => -1.0,
                     // Free columns move either way; pick the repairing one.
@@ -1217,10 +1148,7 @@ impl<'a> State<'a> {
                 if -sigma * alpha * need <= 0.0 {
                     continue;
                 }
-                let mut d = cj;
-                for &(i, v) in &self.p.cols[j] {
-                    d -= self.y[i as usize] * v;
-                }
+                let d = self.p.reduced_cost(j, cost, &self.ws.y);
                 let ratio = d.abs() / alpha.abs();
                 let better = match enter {
                     None => true,
@@ -1241,62 +1169,63 @@ impl<'a> State<'a> {
                 return Err(SolveError::Infeasible { residual: viol });
             };
             // Step that lands the leaving variable exactly on its bound.
-            let t = ((self.x[k] - bound) / (sigma * alpha)).max(0.0);
+            let t = ((self.ws.x[k] - bound) / (sigma * alpha)).max(0.0);
+            self.settled = false;
             {
-                let (p, factor, w) = (&*self.p, &mut self.factor, &mut self.w);
-                factor.ftran(&p.cols[q], w);
+                let (factor, w) = (&mut self.ws.factor, &mut self.ws.w);
+                self.p.with_col(q, |col| factor.ftran(col, w));
             }
-            for (pos, &bk) in self.basis.iter().enumerate() {
-                let wi = self.w[pos];
+            for (pos, &bk) in self.ws.basis.iter().enumerate() {
+                let wi = self.ws.w[pos];
                 if wi != 0.0 {
-                    self.x[bk] -= sigma * t * wi;
+                    self.ws.x[bk] -= sigma * t * wi;
                 }
             }
-            let entering_value = self.x[q] + sigma * t;
-            self.x[k] = bound;
-            self.nb[k] = if to_lower { NbState::Lower } else { NbState::Upper };
-            self.pos_of[k] = -1;
-            self.basis[r] = q;
-            self.pos_of[q] = r as i32;
-            self.x[q] = entering_value;
-            if !self.factor.update(r, &self.w) {
+            let entering_value = self.ws.x[q] + sigma * t;
+            self.ws.x[k] = bound;
+            self.ws.nb[k] = if to_lower { NbState::Lower } else { NbState::Upper };
+            self.ws.pos_of[k] = -1;
+            self.ws.basis[r] = q;
+            self.ws.pos_of[q] = r as i32;
+            self.ws.x[q] = entering_value;
+            if !self.ws.factor.update(r, &self.ws.w) {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
             }
             self.note_step(t);
-            self.iterations += 1;
+            self.out.iterations += 1;
         }
     }
 
     /// Bounded-variable ratio test for entering column `j` moving in
-    /// direction `sigma` along `self.w`.
+    /// direction `sigma` along `ws.w`.
     fn ratio_test(&self, j: usize, sigma: f64, bland: bool) -> Step {
-        let p = &self.p;
+        let p = &*self.ws;
         // Bound-flip limit for the entering variable itself.
         let own_range = p.ub[j] - p.lb[j];
         let mut t_best = if own_range.is_finite() { own_range } else { f64::INFINITY };
         let mut leave: Option<(usize, bool, f64)> = None; // (position, to_upper, |w|)
-        for (pos, &wi) in self.w.iter().enumerate() {
+        for (pos, &wi) in self.ws.w.iter().enumerate() {
             if wi.abs() <= ZTOL {
                 continue;
             }
-            let k = self.basis[pos];
+            let k = self.ws.basis[pos];
             let delta = sigma * wi; // x_k moves by -t·delta
             let (t, to_upper) = if delta > 0.0 {
                 if p.lb[k] == f64::NEG_INFINITY {
                     continue;
                 }
-                (((self.x[k] - p.lb[k]) / delta).max(0.0), false)
+                (((self.ws.x[k] - p.lb[k]) / delta).max(0.0), false)
             } else {
                 if p.ub[k] == f64::INFINITY {
                     continue;
                 }
-                (((p.ub[k] - self.x[k]) / -delta).max(0.0), true)
+                (((p.ub[k] - self.ws.x[k]) / -delta).max(0.0), true)
             };
             let better = if bland {
                 // Smallest t; ties by smallest variable index (Bland).
                 t < t_best - ZTOL
                     || (t <= t_best + ZTOL
-                        && leave.as_ref().is_none_or(|&(lp, _, _)| k < self.basis[lp]))
+                        && leave.as_ref().is_none_or(|&(lp, _, _)| k < self.ws.basis[lp]))
             } else {
                 // Smallest t; ties by largest pivot magnitude (stability).
                 t < t_best - ZTOL

@@ -122,7 +122,7 @@ fn residuals_across_density_grid() {
     for &m in &[20usize, 60, 120, 250] {
         for &density in &[0.01, 0.05, 0.15, 0.30] {
             let cols = random_basis(m, density, 1.0, &mut rng);
-            let mut f = Factorization::new(m, 0, 1e-10);
+            let mut f = Factorization::new(0, 1e-10);
             f.refactor(&as_refs(&cols)).expect("nonsingular by construction");
             for trial in 0..3 {
                 let a = random_rhs(m, &mut rng);
@@ -151,7 +151,7 @@ fn large_sparse_system_stays_accurate() {
     let mut rng = Rng::new(0x51AB_1E55_0000);
     let m = 500;
     let cols = random_basis(m, 0.01, 1.0, &mut rng);
-    let mut f = Factorization::new(m, 0, 1e-10);
+    let mut f = Factorization::new(0, 1e-10);
     f.refactor(&as_refs(&cols)).unwrap();
     let a = random_rhs(m, &mut rng);
     let mut w = Vec::new();
@@ -169,7 +169,7 @@ fn matches_dense_reference_kernel() {
     for &m in &[15usize, 40, 90] {
         let cols = random_basis(m, 0.2, 1.0, &mut rng);
         let refs = as_refs(&cols);
-        let mut sparse = Factorization::new(m, 0, 1e-10);
+        let mut sparse = Factorization::new(0, 1e-10);
         sparse.refactor(&refs).unwrap();
         let mut dense = DenseBumpFactorization::new(m, 0, 1e-10);
         dense.refactor(&refs).unwrap();
@@ -201,7 +201,7 @@ fn permuted_identity_is_exact() {
     let m = 64;
     let perm = random_perm(m, &mut rng);
     let cols: Vec<SparseCol> = perm.iter().map(|&r| vec![(r as u32, 1.0)]).collect();
-    let mut f = Factorization::new(m, 0, 1e-10);
+    let mut f = Factorization::new(0, 1e-10);
     f.refactor(&as_refs(&cols)).unwrap();
     // No fill, no arithmetic: solving against e_{perm[j]} must return
     // e_j exactly (bitwise 1.0 / 0.0).
@@ -222,7 +222,7 @@ fn near_singular_basis_still_meets_residual_bound() {
     // Anchors shrunk to 1e-6 of the dominant scale: horrible conditioning
     // for a naive kernel, routine for threshold pivoting.
     let cols = random_basis(m, 0.1, 1e-6, &mut rng);
-    let mut f = Factorization::new(m, 0, 1e-10);
+    let mut f = Factorization::new(0, 1e-10);
     f.refactor(&as_refs(&cols)).unwrap();
     let a = random_rhs(m, &mut rng);
     let mut w = Vec::new();
@@ -241,7 +241,7 @@ fn exactly_singular_inputs_fail_gracefully() {
     // A structurally empty column.
     let mut cols = random_basis(m, 0.1, 1.0, &mut rng);
     cols[m / 2] = Vec::new();
-    let err = Factorization::new(m, 0, 1e-10).refactor(&as_refs(&cols)).unwrap_err();
+    let err = Factorization::new(0, 1e-10).refactor(&as_refs(&cols)).unwrap_err();
     let FactorError::Singular { position } = err;
     assert!(position < m);
 
@@ -249,7 +249,7 @@ fn exactly_singular_inputs_fail_gracefully() {
     let mut cols = random_basis(m, 0.1, 1.0, &mut rng);
     cols[4] = cols[21].clone();
     assert!(matches!(
-        Factorization::new(m, 0, 1e-10).refactor(&as_refs(&cols)),
+        Factorization::new(0, 1e-10).refactor(&as_refs(&cols)),
         Err(FactorError::Singular { .. })
     ));
 }
@@ -259,7 +259,7 @@ fn ft_update_chain_matches_fresh_refactor() {
     let mut rng = Rng::new(0x00F7_C8A1_5EED);
     let m = 80;
     let mut cols = random_basis(m, 0.12, 1.0, &mut rng);
-    let mut f = Factorization::new(m, 0, 1e-10);
+    let mut f = Factorization::new(0, 1e-10);
     f.refactor(&as_refs(&cols)).unwrap();
 
     let mut applied = 0;
@@ -291,7 +291,7 @@ fn ft_update_chain_matches_fresh_refactor() {
             let a = random_rhs(m, &mut rng);
             let mut w_upd = Vec::new();
             f.ftran_dense(&a, &mut w_upd);
-            let mut fresh = Factorization::new(m, 0, 1e-10);
+            let mut fresh = Factorization::new(0, 1e-10);
             fresh.refactor(&as_refs(&cols)).unwrap();
             let mut w_ref = Vec::new();
             fresh.ftran_dense(&a, &mut w_ref);
@@ -306,4 +306,50 @@ fn ft_update_chain_matches_fresh_refactor() {
     }
     assert!(applied >= 25, "only {applied} of 25 updates accepted in {attempts} attempts");
     assert!(f.stats().ft_updates >= 25);
+}
+
+/// One `Factorization` serves every solve of a thread, so whatever an
+/// earlier, differently sized basis left in its buffers must never show:
+/// refactorizing the same object over the density grid — sizes shrinking,
+/// then growing, with Forrest–Tomlin updates in between to dirty the update
+/// file and the `U` arenas — must reproduce a fresh object bit for bit.
+#[test]
+fn reused_factorization_matches_fresh_bitwise() {
+    let mut rng = Rng::new(0x5714_1E00_0000);
+    let mut reused = Factorization::new(0, 1e-10);
+    let sizes = [250usize, 120, 60, 20, 20, 60, 120, 250];
+    for (round, &m) in sizes.iter().enumerate() {
+        for &density in &[0.01, 0.05, 0.15, 0.30] {
+            let cols = random_basis(m, density, 1.0, &mut rng);
+            let mut fresh = Factorization::new(0, 1e-10);
+            fresh.refactor(&as_refs(&cols)).unwrap();
+            reused.refactor(&as_refs(&cols)).unwrap();
+            assert_eq!(reused.factor_nnz(), fresh.factor_nnz());
+            let solves = |f: &mut Factorization, a: &[f64]| {
+                let (mut w, mut y) = (Vec::new(), Vec::new());
+                f.ftran_dense(a, &mut w);
+                f.btran(a, &mut y);
+                w.into_iter().chain(y).map(f64::to_bits).collect::<Vec<u64>>()
+            };
+            let a = random_rhs(m, &mut rng);
+            assert_eq!(
+                solves(&mut reused, &a),
+                solves(&mut fresh, &a),
+                "round {round} m={m} density={density}: stale state leaked into the factors"
+            );
+            // Exchange a few columns on both (same updates, same verdicts),
+            // compare again, and leave `reused` dirty for the next basis.
+            for _ in 0..4 {
+                let pos = rng.below(m);
+                let mut w = Vec::new();
+                fresh.ftran_dense(&random_rhs(m, &mut rng), &mut w);
+                w[pos] += 2.0; // keep the new pivot away from zero
+                assert_eq!(reused.update(pos, &w), fresh.update(pos, &w));
+            }
+            assert_eq!(reused.eta_count(), fresh.eta_count());
+            assert_eq!(solves(&mut reused, &a), solves(&mut fresh, &a), "after updates, m={m}");
+        }
+    }
+    let (life, fresh_parts) = (reused.stats(), sizes.len() as u64 * 4);
+    assert_eq!(life.refactors, fresh_parts, "lifetime counters keep counting across sizes");
 }

@@ -275,3 +275,76 @@ fn growing_model_keeps_append_stable_basis() {
         assert_warm_matches_cold(0xFACE, step + 1, &mut s);
     }
 }
+
+// --- resident simplex state ------------------------------------------------
+
+/// A solve that ends right after a refactorization — here the primal polish
+/// pivots, then refactorizes to certify optimality against exact reduced
+/// costs — does not refactorize the same basis again for its final duals.
+/// The parent commit spent three refactorizations on this solve (start,
+/// certificate, terminal); the result is the parent's, bit for bit.
+#[test]
+fn polish_that_certifies_by_refactor_skips_the_terminal_one() {
+    let mut m = Model::new(Sense::Maximize);
+    let x = m.add_nonneg("x", 3.0);
+    let y = m.add_nonneg("y", 2.0);
+    let z = m.add_var("z", 0.0, 5.0, 1.0);
+    m.add_row("r1", x + y + z, Cmp::Le, 4.0);
+    m.add_row("r2", 1.0 * x + 3.0 * y, Cmp::Le, 6.0);
+    m.add_row("r3", 2.0 * x + 1.0 * z, Cmp::Le, 7.0);
+    let mut s = SolverSession::new(m);
+    s.solve(&SolveOptions::default()).unwrap();
+    s.set_obj(y, 10.0);
+    let sol = s.solve(&SolveOptions::default()).unwrap();
+    assert_eq!(s.last_restart(), Some(pretium_lp::Restart::WarmPrimal));
+    assert_eq!(sol.iterations(), 2);
+    assert_eq!(sol.factor_stats().refactors, 2, "parent: 3");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(sol.objective().to_bits(), 22.0f64.to_bits());
+    assert_eq!(bits(sol.values()), bits(&[0.0, 2.0, 2.0]));
+    assert_eq!(bits(sol.duals()), bits(&[1.0, 3.0, -0.0]));
+}
+
+/// A bound flip moves `x` without touching the basis, so the factors are
+/// current but `x_B` is not: a solve that ends on one still refactorizes
+/// (start + terminal, as at the parent).
+#[test]
+fn solve_ending_on_a_bound_flip_still_refactors() {
+    let mut m = Model::new(Sense::Maximize);
+    let x = m.add_var("x", 0.0, 2.0, 1.0);
+    let y = m.add_var("y", 0.0, 3.0, 1.0);
+    m.add_row("r", x + y, Cmp::Le, 10.0);
+    let mut s = SolverSession::new(m);
+    s.solve(&SolveOptions::default()).unwrap();
+    s.set_obj(x, -1.0);
+    let sol = s.solve(&SolveOptions::default()).unwrap();
+    assert_eq!(s.last_restart(), Some(pretium_lp::Restart::WarmPrimal));
+    assert_eq!((sol.iterations(), sol.factor_stats().ft_updates), (1, 0), "one flip, no pivot");
+    assert_eq!(sol.factor_stats().refactors, 2);
+    assert_eq!(sol.values(), [0.0, 3.0]);
+}
+
+/// A failed solve syncs the resident standard form but saves no basis, so
+/// the session's "appended since the last solve" marks fall behind it. A
+/// term added *again* for a variable the failed solve had already copied
+/// merges into a coefficient the resident form holds: the session must
+/// notice, or the next warm solve optimizes a stale matrix.
+#[test]
+fn term_merged_after_a_failed_solve_reaches_the_resident_form() {
+    let mut m = Model::new(Sense::Maximize);
+    let x = m.add_nonneg("x", 1.0);
+    let r0 = m.add_row("r0", 1.0 * x, Cmp::Le, 4.0);
+    let mut s = SolverSession::new(m);
+    s.solve(&SolveOptions::default()).unwrap();
+    let z = s.add_var("z", 0.0, 5.0, 1.0);
+    let floor = s.add_row("floor", 1.0 * z, Cmp::Ge, 10.0); // z <= 5: infeasible
+    s.add_term(r0, z, 1.0);
+    assert!(s.solve(&SolveOptions::default()).is_err());
+    s.set_rhs(floor, 1.0);
+    s.add_term(r0, z, 1.0); // r0 is now x + 2z <= 4
+    let sol = s.solve(&SolveOptions::default()).unwrap();
+    assert_ne!(s.last_restart(), Some(pretium_lp::Restart::Cold), "the basis is still good");
+    let cold = s.model().solve().unwrap();
+    assert_eq!(sol.objective().to_bits(), cold.objective().to_bits());
+    assert_eq!((sol.value(x), sol.value(z)), (2.0, 1.0));
+}

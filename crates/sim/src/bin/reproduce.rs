@@ -19,33 +19,77 @@
 
 use pretium_sim::registry::{registry_at, run_experiments, Scale};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = rand::DEFAULT_SEED;
-    let mut jobs = pretium_sim::default_jobs();
-    let mut scale = Scale::Evaluation;
-    let mut list = false;
-    let mut show_pool = false;
-    let mut wanted: Vec<String> = Vec::new();
+const USAGE: &str =
+    "usage: reproduce [--seed N] [--jobs N] [--tiny] [--list] [--pool] [experiment ...]";
+
+/// The command line, parsed.
+#[derive(Debug, PartialEq)]
+struct Cli {
+    seed: u64,
+    jobs: usize,
+    scale: Scale,
+    list: bool,
+    show_pool: bool,
+    wanted: Vec<String>,
+}
+
+/// Parse the arguments after the program name. A flag whose value is
+/// missing or does not parse is an error, not a panic.
+fn parse_args(args: &[String], default_jobs: usize) -> Result<Cli, String> {
+    let mut cli = Cli {
+        seed: rand::DEFAULT_SEED,
+        jobs: default_jobs,
+        scale: Scale::Evaluation,
+        list: false,
+        show_pool: false,
+        wanted: Vec::new(),
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--seed" => {
-                seed = it.next().and_then(|s| s.parse().ok()).expect("--seed needs an integer");
+                cli.seed = it
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .ok_or("--seed needs an integer value")?;
             }
             "--jobs" => {
-                jobs = it
+                cli.jobs = it
                     .next()
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
-                    .expect("--jobs needs a positive integer");
+                    .ok_or("--jobs needs a positive integer value")?;
             }
-            "--tiny" => scale = Scale::Tiny,
-            "--list" => list = true,
-            "--pool" => show_pool = true,
-            other => wanted.push(other.to_string()),
+            "--tiny" => cli.scale = Scale::Tiny,
+            "--list" => cli.list = true,
+            "--pool" => cli.show_pool = true,
+            other => cli.wanted.push(other.to_string()),
         }
     }
+    Ok(cli)
+}
+
+/// Does the experiment called `name` (or any of `aliases`) answer to `w`?
+fn answers(name: &str, aliases: &[&str], w: &str) -> bool {
+    name == w || aliases.contains(&w)
+}
+
+/// The requested names that no experiment answers to, given each
+/// experiment's `(name, aliases)`.
+fn unmatched<'a>(wanted: &'a [String], known: &[(&str, &[&str])]) -> Vec<&'a str> {
+    let known_name = |w: &str| known.iter().any(|(name, aliases)| answers(name, aliases, w));
+    wanted.iter().map(String::as_str).filter(|w| !known_name(w)).collect()
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Cli { seed, jobs, scale, list, show_pool, wanted } =
+        parse_args(&args, pretium_sim::default_jobs()).unwrap_or_else(|e| usage_error(&e));
 
     let experiments = registry_at(scale);
     if list {
@@ -60,17 +104,18 @@ fn main() {
         return;
     }
 
+    // Every requested name must select something: a typo silently dropped
+    // would look like a run that produced nothing.
+    let known: Vec<_> = experiments.iter().map(|e| (e.name(), e.aliases())).collect();
+    let unknown = unmatched(&wanted, &known);
+    if !unknown.is_empty() {
+        usage_error(&format!("no experiment is called {unknown:?}; try --list"));
+    }
     let all = wanted.is_empty();
     let selected: Vec<_> = experiments
         .into_iter()
-        .filter(|exp| {
-            all || wanted.iter().any(|w| w == exp.name() || exp.aliases().iter().any(|a| a == w))
-        })
+        .filter(|exp| all || wanted.iter().any(|w| answers(exp.name(), exp.aliases(), w)))
         .collect();
-    if selected.is_empty() {
-        eprintln!("no experiment matches {wanted:?}; try --list");
-        std::process::exit(2);
-    }
 
     let (results, pool) = match run_experiments(&selected, seed, jobs) {
         Ok(r) => r,
@@ -84,5 +129,47 @@ fn main() {
     }
     if show_pool || jobs > 1 {
         println!("{}", pretium_sim::report::render_pool("Parallel engine", &pool));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_and_names_parse() {
+        let cli =
+            parse_args(&args(&["--seed", "11", "table4", "--jobs", "3", "--tiny"]), 1).unwrap();
+        assert_eq!((cli.seed, cli.jobs, cli.scale), (11, 3, Scale::Tiny));
+        assert_eq!(cli.wanted, ["table4"]);
+        let none = parse_args(&[], 5).unwrap();
+        assert_eq!((none.seed, none.jobs), (rand::DEFAULT_SEED, 5));
+        assert!(none.wanted.is_empty() && !none.list && !none.show_pool);
+    }
+
+    #[test]
+    fn missing_or_bad_flag_values_are_errors() {
+        for bad in [
+            &["--seed"][..],
+            &["--seed", "eleven"],
+            &["table4", "--jobs"],
+            &["--jobs", "0"],
+            &["--jobs", "-2"],
+            &["--jobs", "many"],
+        ] {
+            assert!(parse_args(&args(bad), 1).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn every_unmatched_name_is_reported() {
+        let known: [(&str, &[&str]); 2] = [("table4", &["runtimes"]), ("fig6", &[])];
+        let wanted = args(&["table4", "nosuchfigure", "runtimes", "--frobnicate"]);
+        assert_eq!(unmatched(&wanted, &known), ["nosuchfigure", "--frobnicate"]);
+        assert!(unmatched(&args(&["fig6"]), &known).is_empty());
     }
 }
