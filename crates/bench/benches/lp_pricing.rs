@@ -9,13 +9,20 @@
 //! root. Target from the pricing redesign: partial Devex >= 1.5x
 //! wall-clock or >= 2x fewer iterations than Dantzig on the large model.
 //!
+//! Each model also gets a `warm_dual_sweep` row: one session, capacities
+//! tightening over [`SWEEP_STEPS`] re-solves, each a restart from the
+//! previous basis, by the dual simplex when a cut binds — what SAM does per
+//! timestep. It asserts that a dual pivot costs one BTRAN (the pivot row;
+//! the duals ride along).
+//!
 //! Set `LP_PRICING_SMOKE=1` for the CI smoke mode: tiny sizes, few
 //! samples, an iteration-count regression assertion, and no JSON (so a
 //! smoke run never clobbers recorded numbers).
 
 use pretium_bench::{black_box, Harness};
 use pretium_lp::{
-    Cmp, LinExpr, Model, Pricing, Sense, SimplexOptions, SolveOptions, SolverSession,
+    Cmp, LinExpr, Model, Pricing, Restart, RowId, Sense, SimplexOptions, SolveOptions,
+    SolverSession,
 };
 
 /// Deterministic xorshift64* stream in `[0, 1)` (no registry access, so
@@ -114,6 +121,46 @@ fn schedule_lp(jobs: usize, paths: usize, steps: usize, links: usize, seed: u64)
     m
 }
 
+const SWEEP_STEPS: usize = 8;
+
+/// Counters of a capacity sweep over `m`: after a cold solve, every step
+/// cuts a rotating third of the capacity rows (the model's first rows) by a
+/// fifth and re-solves warm. Returns `(iterations, pricing_scans)` summed
+/// over the warm re-solves.
+fn warm_dual_sweep(m: &Model) -> (u64, u64) {
+    let caps = (0..m.num_rows())
+        .take_while(|&i| m.row_name(RowId::from_index(i)).starts_with("cap_"))
+        .count();
+    let mut sess = SolverSession::new(m.clone());
+    sess.solve(&SolveOptions::default()).unwrap();
+    let (mut iterations, mut scans, mut dual_pivots) = (0, 0, 0);
+    for step in 0..SWEEP_STEPS {
+        for row in (step % 3..caps).step_by(3).map(RowId::from_index) {
+            let rhs = sess.model().rhs(row);
+            sess.set_rhs(row, 0.8 * rhs);
+        }
+        let sol = sess.solve(&SolveOptions::default()).unwrap();
+        assert_ne!(sess.last_restart(), Some(Restart::Cold), "sweep step {step}");
+        let fs = sol.factor_stats();
+        // One BTRAN per pivot, one per reprice (the seeding one, one after
+        // each refactorization inside a loop, the polish's own), one for the
+        // terminal duals.
+        assert!(
+            fs.btrans <= sol.iterations() + fs.refactors + 1,
+            "sweep step {step}: {} BTRANs for {} pivots ({} dual) and {} refactorizations",
+            fs.btrans,
+            sol.iterations(),
+            sol.dual_iterations(),
+            fs.refactors
+        );
+        iterations += sol.iterations();
+        scans += sol.pricing_scans();
+        dual_pivots += sol.dual_iterations();
+    }
+    assert!(dual_pivots * 2 > iterations, "{dual_pivots} dual pivots of {iterations}");
+    (iterations, scans)
+}
+
 struct Record {
     model: &'static str,
     strategy: &'static str,
@@ -165,6 +212,18 @@ fn main() {
                 wall_secs: wall,
             });
         }
+        let (iterations, pricing_scans) = warm_dual_sweep(&m);
+        let bench_name = format!("lp_pricing/{name}/warm_dual_sweep");
+        h.bench_function(&bench_name, |b| b.iter(|| black_box(warm_dual_sweep(&m))));
+        records.push(Record {
+            model: name,
+            strategy: "warm_dual_sweep",
+            vars: m.num_vars(),
+            rows: m.num_rows(),
+            iterations,
+            pricing_scans,
+            wall_secs: h.get(&bench_name).map(|r| r.median().as_secs_f64()).unwrap_or(0.0),
+        });
         // All strategies must land on the same optimum — a bench that
         // compares speeds of different answers measures nothing.
         let base = objectives[0];
@@ -203,6 +262,7 @@ fn main() {
         for r in &records {
             let cap = match r.strategy {
                 "dantzig" => 200,
+                "warm_dual_sweep" => 50,
                 _ => 250,
             };
             assert!(

@@ -14,9 +14,14 @@
 //! targets (>= 3x there). Writes `BENCH_sam_incremental.json` at the
 //! workspace root.
 //!
-//! Set `SAM_INCREMENTAL_SMOKE=1` for the CI smoke mode: one timed replay
-//! per path, asserted speedup/certification floors, and no JSON (a smoke
-//! run never clobbers recorded numbers).
+//! Set `SAM_INCREMENTAL_SMOKE=1` for the CI smoke mode: one replay per
+//! path, asserted on counts that repeat exactly — the certified-step floor,
+//! and the median step's simplex iterations, localized against full (the
+//! steady state again: a localized path that stopped warm-starting its
+//! recurrences would pay a cold submodel solve, ~100 pivots here, on the
+//! median step too) — and no JSON (a smoke run never clobbers recorded
+//! numbers). Wall clock is printed, not asserted: at this scale a full warm
+//! step is a handful of dual pivots, and the ratio is noise.
 
 use std::time::{Duration, Instant};
 
@@ -54,6 +59,8 @@ struct Replay {
     certified: usize,
     fallbacks: usize,
     step_times: Vec<Duration>,
+    /// Simplex iterations of each step, restricted sub-solves included.
+    step_iterations: Vec<u64>,
 }
 
 fn window_jobs(net: &Network, requests: &[pretium_workload::Request]) -> Vec<Job> {
@@ -80,7 +87,7 @@ fn no_realized(_: EdgeId, _: Timestep) -> f64 {
     0.0
 }
 
-fn median(samples: &mut [Duration]) -> Duration {
+fn median<T: Ord + Copy>(samples: &mut [T]) -> T {
     samples.sort();
     samples[samples.len() / 2]
 }
@@ -137,8 +144,13 @@ fn main() {
     let run = |localized: bool| -> Replay {
         let mut sess = prepped.clone();
         let mut factors: Vec<f64> = vec![1.0; net.num_edges()];
-        let mut replay =
-            Replay { objective: 0.0, certified: 0, fallbacks: 0, step_times: Vec::new() };
+        let mut replay = Replay {
+            objective: 0.0,
+            certified: 0,
+            fallbacks: 0,
+            step_times: Vec::new(),
+            step_iterations: Vec::new(),
+        };
         for t in 1..STEPS {
             sess.advance_to(t);
             let e = faulted[t % faulted.len()];
@@ -147,6 +159,7 @@ fn main() {
             factors[e.index()] = if factors[e.index()] < 1.0 { 1.0 } else { FAULT_FACTOR };
             let cap =
                 |e: EdgeId, _t: Timestep| net.edge(e).capacity * HEADROOM * factors[e.index()];
+            let iterations_before = sess.lp_stats().iterations;
             let t0 = Instant::now();
             if localized {
                 let touched: DetHashSet<EdgeId> = [e].into_iter().collect();
@@ -165,6 +178,7 @@ fn main() {
                 replay.step_times.push(t0.elapsed());
                 replay.objective += black_box(sol.objective);
             }
+            replay.step_iterations.push(sess.lp_stats().iterations - iterations_before);
         }
         replay
     };
@@ -206,19 +220,25 @@ fn main() {
     println!("BENCH\tsam_incremental_speedup\t{speedup:.3}");
 
     if smoke {
-        // CI regression floors: the localized path must actually certify
-        // on most steps (the freeze/residual machinery working end to
-        // end), and the warm median step must clearly beat the full
-        // re-solve. The floor is conservative against the recorded
-        // full-mode number — shared CI machines are noisy.
+        // CI regression floors, on counts: the localized path must actually
+        // certify on most steps (the freeze/residual machinery working end
+        // to end), and its median step must not take more pivots than the
+        // full re-solve's.
         assert!(
             inc.certified >= (STEPS - 1) * 2 / 3,
             "only {}/{} steps certified on the smoke replay",
             inc.certified,
             STEPS - 1
         );
-        assert!(speedup >= 1.5, "smoke speedup {speedup:.2}x under the 1.5x floor");
-        println!("sam_incremental smoke: certification and speedup floors hold");
+        let (mut inc_its, mut full_its) = (inc.step_iterations, full.step_iterations);
+        let (inc_its, full_its) = (median(&mut inc_its), median(&mut full_its));
+        println!("BENCH\tsam_step_full_median_lp_iterations\t{full_its}");
+        println!("BENCH\tsam_step_localized_median_lp_iterations\t{inc_its}");
+        assert!(
+            inc_its <= full_its,
+            "median localized step took {inc_its} lp iterations, the full one {full_its}"
+        );
+        println!("sam_incremental smoke: certification and iteration floors hold");
         return;
     }
 

@@ -246,7 +246,7 @@ fn run_scenario(
         let t0 = Instant::now();
         let mut w = Vec::new();
         sparse.ftran_dense(&dense_a, &mut w);
-        let ok = sparse.update(pos, &w);
+        let ok = sparse.update(pos);
         update_t.push(t0.elapsed());
         if ok {
             cols[pos] = entering;

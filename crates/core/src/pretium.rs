@@ -741,6 +741,7 @@ impl Pretium {
         }
         let lp_after = carry.sess.lp_stats();
         self.telemetry.lp_iterations += lp_after.iterations - lp_before.iterations;
+        self.telemetry.lp_dual_iterations += lp_after.dual_iterations - lp_before.dual_iterations;
         self.telemetry.lp_pricing_scans += lp_after.pricing_scans - lp_before.pricing_scans;
         self.telemetry.lp_columns_generated +=
             lp_after.columns_generated - lp_before.columns_generated;
@@ -878,6 +879,7 @@ impl Pretium {
         let sol = schedule::solve_with(&problem, &self.pricing_opts())?;
         self.lp_stats.merge(sol.lp_stats);
         self.telemetry.lp_iterations += sol.lp_stats.iterations;
+        self.telemetry.lp_dual_iterations += sol.lp_stats.dual_iterations;
         self.telemetry.lp_pricing_scans += sol.lp_stats.pricing_scans;
         self.telemetry.lp_refactors += sol.lp_stats.refactors;
         self.telemetry.lp_ft_updates += sol.lp_stats.ft_updates;

@@ -195,6 +195,8 @@ pub struct Telemetry {
     /// Simplex iterations across every LP this instance solved (SAM
     /// re-optimizations, degradation re-solves, PC pricing LPs).
     pub lp_iterations: u64,
+    /// Those of them that were dual simplex pivots of warm restarts.
+    pub lp_dual_iterations: u64,
     /// Pricing work behind those iterations: columns examined by entering
     /// selection plus columns touched by incremental pivot-row updates.
     pub lp_pricing_scans: u64,
@@ -260,6 +262,7 @@ impl Telemetry {
             ("sam localized".into(), self.sam_localized.to_string()),
             ("sam localized fallbacks".into(), self.sam_localized_fallbacks.to_string()),
             ("lp iterations".into(), self.lp_iterations.to_string()),
+            ("lp dual iterations".into(), self.lp_dual_iterations.to_string()),
             ("lp pricing scans".into(), self.lp_pricing_scans.to_string()),
             ("lp columns generated".into(), self.lp_columns_generated.to_string()),
             ("lp colgen rounds".into(), self.lp_colgen_rounds.to_string()),
@@ -334,7 +337,7 @@ mod tests {
     fn rows_cover_every_counter() {
         let t = Telemetry::default();
         let rows = t.rows();
-        assert_eq!(rows.len(), 33);
+        assert_eq!(rows.len(), 34);
         assert!(rows.iter().any(|(k, _)| k == "sam localized"));
         assert!(rows.iter().any(|(k, _)| k == "lp refactors"));
         assert!(rows.iter().any(|(k, _)| k == "lp ft updates"));

@@ -157,6 +157,8 @@ pub struct SessionStats {
     pub warm_dual: u64,
     /// Total simplex iterations across all solves.
     pub iterations: u64,
+    /// Those of them that were dual simplex pivots of warm restarts.
+    pub dual_iterations: u64,
     /// Total pricing work across all solves: columns examined by entering
     /// selection plus columns touched by incremental pivot-row updates.
     pub pricing_scans: u64,
@@ -211,6 +213,7 @@ impl PartialEq for SessionStats {
             && self.warm_primal == other.warm_primal
             && self.warm_dual == other.warm_dual
             && self.iterations == other.iterations
+            && self.dual_iterations == other.dual_iterations
             && self.pricing_scans == other.pricing_scans
             && self.bland_pivots == other.bland_pivots
             && self.cache_hits == other.cache_hits
@@ -232,6 +235,7 @@ impl SessionStats {
     fn record(&mut self, restart: Restart, solution: &Solution) {
         self.solves += 1;
         self.iterations += solution.iterations();
+        self.dual_iterations += solution.dual_iterations();
         self.pricing_scans += solution.pricing_scans();
         self.bland_pivots += solution.bland_pivots();
         self.pricing_par_sections += solution.pricing_par_sections();
@@ -270,6 +274,7 @@ impl SessionStats {
         self.warm_primal += other.warm_primal;
         self.warm_dual += other.warm_dual;
         self.iterations += other.iterations;
+        self.dual_iterations += other.dual_iterations;
         self.pricing_scans += other.pricing_scans;
         self.bland_pivots += other.bland_pivots;
         self.cache_hits += other.cache_hits;
@@ -296,6 +301,7 @@ impl SessionStats {
             ("warm primal".into(), self.warm_primal.to_string()),
             ("warm dual".into(), self.warm_dual.to_string()),
             ("iterations".into(), self.iterations.to_string()),
+            ("dual iterations".into(), self.dual_iterations.to_string()),
             ("pricing scans".into(), self.pricing_scans.to_string()),
             ("bland pivots".into(), self.bland_pivots.to_string()),
             ("cache hits".into(), self.cache_hits.to_string()),
@@ -780,6 +786,7 @@ impl SolverSession {
         }
         self.stats.restricted += 1;
         self.stats.iterations += sub_sol.iterations();
+        self.stats.dual_iterations += sub_sol.dual_iterations();
         self.stats.pricing_scans += sub_sol.pricing_scans();
         self.stats.bland_pivots += sub_sol.bland_pivots();
         self.stats.pricing_par_sections += sub_sol.pricing_par_sections();
@@ -961,6 +968,7 @@ impl SolverSession {
             iterations: sub_sol.iterations,
             pricing_scans: sub_sol.pricing_scans,
             bland_pivots: sub_sol.bland_pivots,
+            dual_iterations: sub_sol.dual_iterations,
             pricing_par_sections: sub_sol.pricing_par_sections,
             pricing_par_steals: sub_sol.pricing_par_steals,
             pricing_serial_nanos: sub_sol.pricing_serial_nanos,

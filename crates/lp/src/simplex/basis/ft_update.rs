@@ -2,10 +2,10 @@
 //!
 //! Replacing the basis column at slot `t` with an entering column `a`
 //! turns `U` into `H`: `U` with column `t` replaced by the *spike*
-//! `s = U·w̃`, where `w̃` is the solver-supplied FTRAN result `w = B⁻¹a`
-//! permuted to slot space (so no extra solve is needed — `U·(U⁻¹·Λ⁻¹a)`
-//! recovers `Λ⁻¹a` directly, with `Λ = L·R₁·…·R_K` the product of all
-//! factors left of `U`).
+//! `s = Λ⁻¹a`, with `Λ = L·R₁·…·R_K` the product of all factors left of
+//! `U`. That is the vector the FTRAN of `a` holds on its way to
+//! `w = U⁻¹·s`, so the solve keeps it (`Factorization::spike`) and the
+//! update needs neither `w` nor a second pass over `U`.
 //!
 //! Rotating slot `t` to the end of the pivot order makes the spike column
 //! upper triangular again but strands row `t`'s old entries below the
@@ -16,31 +16,19 @@
 //! `s_t − Σ r_k·s_k`; if it falls below the pivot tolerance the update is
 //! *rejected before anything is committed* and the caller refactorizes.
 //!
-//! Cost per update: one `O(nnz(U))` spike pass plus the row elimination —
-//! comparable to an FTRAN — in exchange for solve kernels that never
-//! degrade (U stays truly triangular, unlike a product-form eta file).
+//! Cost per update: the row elimination and the spike's own nonzeros, in
+//! exchange for solve kernels that never degrade (U stays truly
+//! triangular, unlike a product-form eta file).
 
 use super::arena::grow;
 use super::Factorization;
 
-pub(super) fn apply(f: &mut Factorization, pos: usize, w: &[f64]) -> bool {
+pub(super) fn apply(f: &mut Factorization, pos: usize) -> bool {
+    if !f.spike_live {
+        return false;
+    }
     let m = f.m;
     let t = f.slot_of_pos[pos] as usize;
-
-    // Entering column permuted to slot space.
-    grow(&mut f.wz, m, 0.0);
-    for (s, ws) in f.wz.iter_mut().enumerate() {
-        *ws = w[f.pos_of_slot[s] as usize];
-    }
-    // Spike s = U·w̃ — the replacement column of U, dense over slots.
-    grow(&mut f.spike, m, 0.0);
-    for s in 0..m {
-        let mut acc = f.udiag[s] * f.wz[s];
-        for &(j, u) in f.urows.get(s) {
-            acc += u * f.wz[j as usize];
-        }
-        f.spike[s] = acc;
-    }
 
     // Eliminate row t against every later pivot (in pivot order),
     // collecting the row-eta terms. Scratch only — nothing is committed
@@ -121,5 +109,6 @@ pub(super) fn apply(f: &mut Factorization, pos: usize, w: &[f64]) -> bool {
     }
     f.updates += 1;
     f.stats.ft_updates += 1;
+    f.spike_live = false;
     true
 }

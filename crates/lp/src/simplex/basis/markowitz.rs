@@ -283,6 +283,7 @@ pub(super) fn refactorize(
     f.eta_start.push(0);
     f.eta_terms.clear();
     f.updates = 0;
+    f.spike_live = false;
     f.stats.refactors += 1;
     f.stats.basis_nnz += basis_nnz;
     f.stats.factor_nnz += (m + f.l_data.len() + uents.len()) as u64;

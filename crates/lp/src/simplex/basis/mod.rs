@@ -72,6 +72,10 @@ pub struct FactorStats {
     /// Updates refused because the new pivot fell below tolerance (each
     /// forces the caller to refactorize).
     pub pivot_rejections: u64,
+    /// Forward solves (`ftran` and `ftran_dense`).
+    pub ftrans: u64,
+    /// Backward solves (`btran`).
+    pub btrans: u64,
 }
 
 impl FactorStats {
@@ -91,6 +95,8 @@ impl FactorStats {
             factor_nnz: self.factor_nnz - earlier.factor_nnz,
             ft_updates: self.ft_updates - earlier.ft_updates,
             pivot_rejections: self.pivot_rejections - earlier.pivot_rejections,
+            ftrans: self.ftrans - earlier.ftrans,
+            btrans: self.btrans - earlier.btrans,
         }
     }
 }
@@ -158,10 +164,12 @@ pub struct Factorization {
     scratch: Vec<f64>,
     /// Slot-space work vector for both solve kernels.
     z: Vec<f64>,
-    /// FT update: entering column permuted to slot space.
-    wz: Vec<f64>,
-    /// FT update: the spike `U·w̃`.
+    /// What the last `ftran` held after `L` and the row etas, before `U`:
+    /// the Forrest–Tomlin spike of the column it solved for.
     spike: Vec<f64>,
+    /// `spike` belongs to the current factors: an `ftran` wrote it and
+    /// neither a refactorization nor an update has happened since.
+    spike_live: bool,
     /// FT update: working last row (dense over slots, stamp-validated).
     rowbuf: Vec<f64>,
     rowstamp: Vec<u64>,
@@ -262,14 +270,17 @@ impl Factorization {
         sparse::btran(self, c, out);
     }
 
-    /// Record a pivot: basis position `pos` is replaced by a column whose
-    /// FTRAN'd representation is `w` (dense, basis-position indexed).
+    /// Record a pivot: basis position `pos` is replaced by the column of
+    /// this object's most recent [`Factorization::ftran`], whose spike the
+    /// solve left behind.
     ///
-    /// Returns `false` if the update's new pivot element is too small to
-    /// be stable, in which case nothing is modified and the caller should
-    /// refactorize and retry.
-    pub fn update(&mut self, pos: usize, w: &[f64]) -> bool {
-        ft_update::apply(self, pos, w)
+    /// Returns `false`, with nothing modified, when the caller should
+    /// refactorize instead: the update's new pivot element is too small to
+    /// be stable, or there is no such spike — no `ftran` since the last
+    /// refactorization or update of this object (a solve on another object,
+    /// a clone included, does not count).
+    pub fn update(&mut self, pos: usize) -> bool {
+        ft_update::apply(self, pos)
     }
 }
 
@@ -397,7 +408,7 @@ mod tests {
         let a = col(&[(0, 1.0), (1, 2.0), (2, 1.0)]);
         let mut w = Vec::new();
         f.ftran(&a, &mut w);
-        assert!(f.update(1, &w));
+        assert!(f.update(1));
         let newb = vec![vec![1.0, 0.0, 0.0], vec![1.0, 2.0, 1.0], vec![0.0, 0.0, 1.0]];
         let rhs = col(&[(0, 2.0), (1, 7.0), (2, 5.0)]);
         let mut via_eta = Vec::new();
@@ -445,7 +456,7 @@ mod tests {
                 .collect();
             let mut w = Vec::new();
             f.ftran(&a, &mut w);
-            assert!(f.update(pos, &w), "step {step} rejected");
+            assert!(f.update(pos), "step {step} rejected");
             cols[pos] = newcol;
         }
         let mut fresh = factor_of(&cols);
@@ -469,8 +480,9 @@ mod tests {
     fn tiny_pivot_update_rejected() {
         let ident = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         let mut f = factor_of(&ident);
-        let w = vec![1.0, 1e-15];
-        assert!(!f.update(1, &w));
+        let mut w = Vec::new();
+        f.ftran(&col(&[(0, 1.0), (1, 1e-15)]), &mut w);
+        assert!(!f.update(1));
         assert_eq!(f.stats().pivot_rejections, 1);
         // Nothing was committed: the factorization still solves the
         // identity exactly.
@@ -484,10 +496,39 @@ mod tests {
         let ident = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         let mut f = factor_of(&ident);
         f.max_etas = 2;
-        assert!(f.update(0, &[1.0, 0.0]));
+        let mut w = Vec::new();
+        f.ftran(&col(&[(0, 1.0)]), &mut w);
+        assert!(f.update(0));
         assert!(!f.wants_refactor());
-        assert!(f.update(1, &[0.0, 1.0]));
+        f.ftran(&col(&[(1, 1.0)]), &mut w);
+        assert!(f.update(1));
         assert!(f.wants_refactor());
+    }
+
+    /// `update` takes the spike of this object's last `ftran` and nothing
+    /// else: no solve yet, a solve on a clone, a spike already consumed and a
+    /// spike from before a refactorization are all refused, untouched.
+    #[test]
+    fn update_without_own_ftran_refused() {
+        let cols = vec![vec![2.0, 1.0, 0.0], vec![0.0, 3.0, 1.0], vec![1.0, 0.0, 2.0]];
+        let mut f = factor_of(&cols);
+        let a = col(&[(0, 1.0), (1, 2.0), (2, 4.0)]);
+        let mut w = Vec::new();
+        assert!(!f.update(1), "no ftran yet");
+        let mut foreign = f.clone();
+        foreign.ftran(&a, &mut w);
+        assert!(!f.update(1), "the clone's ftran is not this object's");
+        assert!(foreign.update(1));
+        assert!(!foreign.update(1), "spike already consumed");
+        f.ftran(&a, &mut w);
+        f.refactor(&[&col(&[(0, 2.0), (1, 1.0)]), &col(&[(1, 3.0), (2, 1.0)]), &a]).unwrap();
+        assert!(!f.update(1), "spike predates the refactorization");
+        assert_eq!(f.stats().ft_updates + f.stats().pivot_rejections, 0);
+        // Refused means untouched: `f` still solves the refactorized basis.
+        f.ftran(&a, &mut w);
+        for (got, want) in w.iter().zip([0.0, 0.0, 1.0]) {
+            assert!((got - want).abs() < 1e-12, "{w:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `z` buffer, which is fully overwritten on every call — steady-state
 //! solves perform no allocation.
 
-use super::arena::{grow, refill};
+use super::arena::{grow, refill, reserve_tight};
 use super::Factorization;
 
 /// Column `k` of `L`.
@@ -27,9 +27,11 @@ fn eta_terms(f: &Factorization, e: usize) -> &[(u32, f64)] {
 /// Solve `B·w = a` with a dense right-hand side in original row
 /// coordinates; `out` is dense, indexed by basis position.
 ///
-/// Applies `B⁻¹ = U⁻¹·R_K⁻¹·…·R₁⁻¹·L⁻¹` left to right.
+/// Applies `B⁻¹ = U⁻¹·R_K⁻¹·…·R₁⁻¹·L⁻¹` left to right, and leaves what it
+/// held before `U` in `f.spike` for a Forrest–Tomlin update to pick up.
 pub(super) fn ftran_dense(f: &mut Factorization, a: &[f64], out: &mut Vec<f64>) {
     let m = f.m;
+    f.stats.ftrans += 1;
     let mut z = std::mem::take(&mut f.z);
     grow(&mut z, m, 0.0);
     for (s, zs) in z.iter_mut().enumerate() {
@@ -52,6 +54,10 @@ pub(super) fn ftran_dense(f: &mut Factorization, a: &[f64], out: &mut Vec<f64>) 
         }
         z[t as usize] = acc;
     }
+    f.spike.clear();
+    reserve_tight(&mut f.spike, m);
+    f.spike.extend_from_slice(&z);
+    f.spike_live = true;
     // U backward, column-oriented over the current pivot order.
     for i in (0..m).rev() {
         let s = f.perm[i] as usize;
@@ -77,20 +83,25 @@ pub(super) fn ftran_dense(f: &mut Factorization, a: &[f64], out: &mut Vec<f64>) 
 /// in the opposite order.
 pub(super) fn btran(f: &mut Factorization, c: &[f64], out: &mut Vec<f64>) {
     let m = f.m;
+    f.stats.btrans += 1;
     let mut z = std::mem::take(&mut f.z);
     grow(&mut z, m, 0.0);
     for (s, zs) in z.iter_mut().enumerate() {
         *zs = c[f.pos_of_slot[s] as usize];
     }
-    // Uᵀ forward in pivot order: the column list of slot s is exactly row
-    // s of the transpose.
+    // Uᵀ forward in pivot order, scattering each finished entry along its
+    // row of U: a zero entry costs nothing, so a unit right-hand side (the
+    // pivot row of B⁻¹) pays for its own fill, not for all of U.
     for i in 0..m {
         let s = f.perm[i] as usize;
-        let mut acc = z[s];
-        for &(j, u) in f.ucols.get(s) {
-            acc -= u * z[j as usize];
+        if z[s] == 0.0 {
+            continue;
         }
-        z[s] = acc / f.udiag[s];
+        let x = z[s] / f.udiag[s];
+        z[s] = x;
+        for &(j, u) in f.urows.get(s) {
+            z[j as usize] -= u * x;
+        }
     }
     // Row-eta transposes, newest first: R⁻ᵀ = I − Σ r·e_k·e_tᵀ.
     for (e, &t) in f.eta_slot.iter().enumerate().rev() {

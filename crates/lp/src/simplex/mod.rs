@@ -327,6 +327,7 @@ fn finish_solution(
         iterations: outcome.iterations,
         pricing_scans: outcome.pricing_scans,
         bland_pivots: outcome.bland_pivots,
+        dual_iterations: outcome.dual_iterations,
         pricing_par_sections: outcome.pricing_par_sections,
         pricing_par_steals: outcome.pricing_par_steals,
         pricing_serial_nanos: outcome.pricing_serial_nanos,

@@ -34,6 +34,8 @@ pub(crate) struct Outcome {
     pub pricing_scans: u64,
     /// Iterations priced under the Bland's-rule anti-cycling fallback.
     pub bland_pivots: u64,
+    /// Iterations that were dual simplex pivots (a subset of `iterations`).
+    pub dual_iterations: u64,
     /// Sections executed by the deterministic parallel-pricing primitive
     /// (`pricing_jobs > 1` only; the serial path never touches it).
     pub pricing_par_sections: u64,
@@ -112,6 +114,9 @@ pub(crate) struct Workspace {
     xb: Vec<f64>,
     /// Bounds saved by `box_dual_infeasible`: `(column, lb, ub)`.
     boxed: Vec<(usize, f64, f64)>,
+    /// Dual ratio-test candidates of the current pivot row:
+    /// `(column, alpha, ratio)`.
+    dual_cands: Vec<(u32, f64, f64)>,
 }
 
 struct State<'a> {
@@ -297,6 +302,19 @@ pub(crate) fn run_warm(
     row_name: impl Fn(usize) -> String,
     var_name: impl Fn(usize) -> String,
 ) -> Result<(Outcome, bool), SolveError> {
+    let mut st = warm_state(problem, rows, opts, ws, &row_name)?;
+    st.reoptimize(&problem.cost, &row_name, &var_name)
+}
+
+/// Where [`run_warm`] starts from: the supplied basis checked and factorized,
+/// every nonbasic column at rest on a bound.
+fn warm_state<'a>(
+    problem: &'a Problem,
+    rows: &'a [RowData],
+    opts: &'a SimplexOptions,
+    ws: &'a mut Workspace,
+    row_name: &impl Fn(usize) -> String,
+) -> Result<State<'a>, SolveError> {
     let m = problem.m;
     let n = problem.n;
     if ws.basis.len() != m || ws.nb.len() != n {
@@ -333,8 +351,8 @@ pub(crate) fn run_warm(
     }
 
     let mut st = State::new(problem, rows, opts, ws);
-    st.refactor().map_err(|e| numerical(e, &row_name))?;
-    st.reoptimize(&problem.cost, &row_name, &var_name)
+    st.refactor().map_err(|e| numerical(e, row_name))?;
+    Ok(st)
 }
 
 fn numerical(e: FactorError, row_name: &impl Fn(usize) -> String) -> SolveError {
@@ -590,7 +608,7 @@ impl<'a> State<'a> {
                 Step::BoundFlip { t } => {
                     // No basis change: `y` and `d` stay exact as-is.
                     self.settled = false;
-                    self.apply_step(j, sigma, t);
+                    self.apply_step(sigma, t);
                     self.ws.x[j] = if sigma > 0.0 { self.ws.ub[j] } else { self.ws.lb[j] };
                     self.ws.nb[j] = if sigma > 0.0 { NbState::Upper } else { NbState::Lower };
                     self.note_step(t);
@@ -603,7 +621,7 @@ impl<'a> State<'a> {
                         self.pivot_update(j, position);
                     }
                     self.settled = false;
-                    self.apply_step(j, sigma, t);
+                    self.apply_step(sigma, t);
                     let entering_value = self.ws.x[j] + sigma * t;
                     let leaving = self.ws.basis[position];
                     // Snap the leaving variable exactly onto its bound.
@@ -614,7 +632,7 @@ impl<'a> State<'a> {
                     self.ws.basis[position] = j;
                     self.ws.pos_of[j] = position as i32;
                     self.ws.x[j] = entering_value;
-                    if !self.ws.factor.update(position, &self.ws.w) {
+                    if !self.ws.factor.update(position) {
                         // Pivot too small for a stable eta: rebuild and, if
                         // the basis went bad, surface a numerical error.
                         self.refactor().map_err(|e| numerical(e, row_name))?;
@@ -693,13 +711,20 @@ impl<'a> State<'a> {
         }
     }
 
-    /// Compute the sparse pivot row `alpha_j = rho · a_j` for every column
+    /// BTRAN row `position` of `B⁻¹` into `rho` (original row coordinates)
+    /// and compute the sparse pivot row `alpha_j = rho · a_j` for every column
     /// with support in a row where `rho` is nonzero: structural terms come
     /// from the row-major mirror, the slack for row `i` is implicit with
     /// coefficient 1, and the artificial (when opened by the crash) carries
     /// its crash-time sign. Entries are valid where
     /// `alpha_stamp[j] == stamp`; `alpha_touched` lists them.
-    fn pivot_row_pass(&mut self) {
+    fn pivot_row_pass(&mut self, position: usize) {
+        self.ws.e_r[position] = 1.0;
+        {
+            let (factor, e_r, rho) = (&mut self.ws.factor, &self.ws.e_r, &mut self.ws.rho);
+            factor.btran(e_r, rho);
+        }
+        self.ws.e_r[position] = 0.0;
         self.ws.stamp += 1;
         let stamp = self.ws.stamp;
         self.ws.alpha_touched.clear();
@@ -750,13 +775,7 @@ impl<'a> State<'a> {
             return;
         }
         let theta_d = self.ws.d[q] / alpha_q;
-        self.ws.e_r[position] = 1.0;
-        {
-            let (factor, e_r, rho) = (&mut self.ws.factor, &self.ws.e_r, &mut self.ws.rho);
-            factor.btran(e_r, rho);
-        }
-        self.ws.e_r[position] = 0.0;
-        self.pivot_row_pass();
+        self.pivot_row_pass(position);
         let gamma_q = self.ws.gamma[q].max(1.0);
         let inv_aq = 1.0 / alpha_q;
         for idx in 0..self.ws.alpha_touched.len() {
@@ -772,18 +791,24 @@ impl<'a> State<'a> {
                 self.ws.gamma[j] = cand;
             }
         }
-        if theta_d != 0.0 {
-            for i in 0..self.ws.rho.len() {
-                let rv = self.ws.rho[i];
-                if rv != 0.0 {
-                    self.ws.y[i] += theta_d * rv;
-                }
-            }
-        }
+        self.shift_duals(theta_d);
         let leaving = self.ws.basis[position];
         self.ws.d[leaving] = -theta_d;
         self.ws.gamma[leaving] = (gamma_q * inv_aq * inv_aq).max(1.0);
         self.ws.d[q] = 0.0;
+    }
+
+    /// `y ← y + theta_d · rho` for the pivot row `rho` in hand.
+    fn shift_duals(&mut self, theta_d: f64) {
+        if theta_d == 0.0 {
+            return;
+        }
+        let ws = &mut *self.ws;
+        for (yi, &rv) in ws.y.iter_mut().zip(&ws.rho) {
+            if rv != 0.0 {
+                *yi += theta_d * rv;
+            }
+        }
     }
 
     /// Bland's anti-cycling rule: the smallest-index eligible column. Under
@@ -1021,7 +1046,7 @@ impl<'a> State<'a> {
     }
 
     /// Move all basic variables along the FTRAN direction by step `t`.
-    fn apply_step(&mut self, _entering: usize, sigma: f64, t: f64) {
+    fn apply_step(&mut self, sigma: f64, t: f64) {
         if t == 0.0 {
             return;
         }
@@ -1043,21 +1068,17 @@ impl<'a> State<'a> {
 
     /// Temporarily fix every nonbasic column whose reduced cost violates
     /// dual feasibility at its current rest value, saving the bounds in
-    /// `ws.boxed` so the caller can restore them.
+    /// `ws.boxed` so the caller can restore them. Reprices first; the exact
+    /// `d` and `y` it leaves are what [`State::dual_iterate`] starts from.
     fn box_dual_infeasible(&mut self, cost: &[f64]) {
-        self.ws.cb.clear();
-        self.ws.cb.extend(self.ws.basis.iter().map(|&k| cost[k]));
-        {
-            let (factor, cb, y) = (&mut self.ws.factor, &self.ws.cb, &mut self.ws.y);
-            factor.btran(cb, y);
-        }
+        self.reprice(cost);
         let tol = self.opts.opt_tol;
         self.ws.boxed.clear();
         for j in 0..self.p.n {
             if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
                 continue;
             }
-            let d = self.p.reduced_cost(j, cost, &self.ws.y);
+            let d = self.ws.d[j];
             let ok = match self.ws.nb[j] {
                 NbState::Lower => d >= -tol,
                 NbState::Upper => d <= tol,
@@ -1071,32 +1092,70 @@ impl<'a> State<'a> {
         }
     }
 
+    /// Dual ratio-test candidate: `(alpha_j, |d_j / alpha_j|)` when nonbasic
+    /// column `j` of the current pivot row may move in the one direction,
+    /// `sigma = -need · sign(alpha_j)`, that takes the leaving variable along
+    /// `need` (its value changes by `-t · sigma · alpha_j`).
+    fn dual_candidate(&self, j: usize, need: f64) -> Option<(f64, f64)> {
+        let ws = &*self.ws;
+        if ws.pos_of[j] >= 0 || ws.lb[j] == ws.ub[j] {
+            return None;
+        }
+        let alpha = ws.alpha[j];
+        if alpha.abs() <= self.opts.pivot_tol {
+            return None;
+        }
+        let up = need * alpha < 0.0;
+        let allowed = match ws.nb[j] {
+            NbState::Lower => up,
+            NbState::Upper => !up,
+            NbState::Free => true,
+        };
+        allowed.then(|| (alpha, ws.d[j].abs() / alpha.abs()))
+    }
+
     /// Bounded-variable dual simplex: starting from a dual-feasible basis
     /// whose basic values violate their bounds, repeatedly pivot the most
     /// violated basic variable out against the entering column chosen by the
     /// dual ratio test, until primal feasibility is restored.
+    ///
+    /// Expects exact `d` and `y` (from `box_dual_infeasible`) and maintains
+    /// them from the pivot row each pivot computes anyway, so a pivot costs
+    /// one BTRAN, one FTRAN and work proportional to that row. They are
+    /// recomputed after every refactorization in the loop, which bounds
+    /// their drift; the caller's primal polish reprices before it certifies
+    /// anything.
     fn dual_iterate(
         &mut self,
         cost: &[f64],
         row_name: &impl Fn(usize) -> String,
     ) -> Result<(), SolveError> {
-        self.ensure_scratch();
         loop {
             if self.out.iterations >= self.max_iterations {
                 return Err(SolveError::IterationLimit { iterations: self.out.iterations });
             }
             if self.ws.factor.wants_refactor() {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
+                self.reprice(cost);
             }
+            let bland = self.degenerate_run > self.opts.bland_trigger;
             // Leaving variable: the basic value with the largest bound
-            // violation. `to_lower` records which bound it will land on.
+            // violation (under Bland's rule, the violated one of smallest
+            // index). `to_lower` records which bound it will land on.
             let feas = self.opts.feas_tol;
             let mut leave: Option<(usize, f64, bool)> = None; // (pos, viol, to_lower)
             for (pos, &k) in self.ws.basis.iter().enumerate() {
                 let below = self.ws.lb[k] - self.ws.x[k];
                 let above = self.ws.x[k] - self.ws.ub[k];
                 let v = below.max(above);
-                if v > feas && leave.as_ref().is_none_or(|&(_, bv, _)| v > bv) {
+                let better = |&(bp, bv, _): &(usize, f64, bool)| {
+                    if bland {
+                        k < self.ws.basis[bp]
+                    } else {
+                        v > bv
+                    }
+                };
+                if v > feas && leave.as_ref().is_none_or(better) {
                     leave = Some((pos, v, below >= above));
                 }
             }
@@ -1107,67 +1166,60 @@ impl<'a> State<'a> {
             let bound = if to_lower { self.ws.lb[k] } else { self.ws.ub[k] };
             // `need` is the direction the leaving value must move.
             let need = if to_lower { 1.0 } else { -1.0 };
-            // rho = row r of B⁻¹ (original row coordinates), so that
-            // alpha_j = rho · a_j is the pivot row entry of column j; the
-            // sparse pivot-row pass materializes exactly the nonzero alphas.
-            self.ws.e_r[r] = 1.0;
-            {
-                let (factor, e_r, rho) = (&mut self.ws.factor, &self.ws.e_r, &mut self.ws.rho);
-                factor.btran(e_r, rho);
+            self.pivot_row_pass(r);
+            // Dual ratio test over the pivot row's nonzeros: among columns
+            // whose movement drives x_k toward its bound, the one whose
+            // reduced cost hits zero first. Ties (ratio within ZTOL of the
+            // minimum) go to the largest |alpha|, then the lowest index —
+            // under Bland's rule straight to the lowest index — so the
+            // choice does not depend on the order the row was built in.
+            self.ws.dual_cands.clear();
+            let mut min_ratio = f64::INFINITY;
+            for idx in 0..self.ws.alpha_touched.len() {
+                let j = self.ws.alpha_touched[idx];
+                if let Some((alpha, ratio)) = self.dual_candidate(j as usize, need) {
+                    min_ratio = min_ratio.min(ratio);
+                    self.ws.dual_cands.push((j, alpha, ratio));
+                }
             }
-            self.ws.e_r[r] = 0.0;
-            self.pivot_row_pass();
-            // Current duals for the ratio test.
-            self.ws.cb.clear();
-            self.ws.cb.extend(self.ws.basis.iter().map(|&b| cost[b]));
-            {
-                let (factor, cb, y) = (&mut self.ws.factor, &self.ws.cb, &mut self.ws.y);
-                factor.btran(cb, y);
-            }
-            let bland = self.degenerate_run > self.opts.bland_trigger;
-            // Dual ratio test: among columns whose movement drives x_k toward
-            // its bound, pick the one whose reduced cost hits zero first.
-            let mut enter: Option<(usize, f64, f64, f64)> = None; // (j, sigma, alpha, ratio)
-            for j in 0..self.p.n {
-                if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
-                    continue;
-                }
-                let alpha =
-                    if self.ws.alpha_stamp[j] == self.ws.stamp { self.ws.alpha[j] } else { 0.0 };
-                if alpha.abs() <= 1e-9 {
-                    continue;
-                }
-                self.out.pricing_scans += 1;
-                let sigma = match self.ws.nb[j] {
-                    NbState::Lower => 1.0,
-                    NbState::Upper => -1.0,
-                    // Free columns move either way; pick the repairing one.
-                    NbState::Free => -need * alpha.signum(),
-                };
-                // x_k changes by -t·sigma·alpha; it must move along `need`.
-                if -sigma * alpha * need <= 0.0 {
-                    continue;
-                }
-                let d = self.p.reduced_cost(j, cost, &self.ws.y);
-                let ratio = d.abs() / alpha.abs();
-                let better = match enter {
-                    None => true,
-                    Some((bj, _, ba, br)) => {
-                        if bland {
-                            ratio < br - ZTOL || (ratio <= br + ZTOL && j < bj)
-                        } else {
-                            ratio < br - ZTOL || (ratio <= br + ZTOL && alpha.abs() > ba.abs())
-                        }
+            let mut enter: Option<(u32, f64)> = None; // (j, alpha)
+            for &(j, alpha, ratio) in &self.ws.dual_cands {
+                let better = |&(bj, ba): &(u32, f64)| {
+                    let (a, b) = (alpha.abs(), ba.abs());
+                    if bland || a == b {
+                        j < bj
+                    } else {
+                        a > b
                     }
                 };
-                if better {
-                    enter = Some((j, sigma, alpha, ratio));
+                if ratio <= min_ratio + ZTOL && enter.as_ref().is_none_or(better) {
+                    enter = Some((j, alpha));
                 }
             }
-            let Some((q, sigma, alpha, _)) = enter else {
+            let Some((q, alpha)) = enter else {
                 // No column can repair the violated row: primal infeasible.
                 return Err(SolveError::Infeasible { residual: viol });
             };
+            if bland {
+                self.out.bland_pivots += 1;
+            }
+            let (q, sigma) = (q as usize, -need * alpha.signum());
+            // Dual step, and the reduced costs and duals it moves: the same
+            // update `pivot_update` makes for a primal pivot. A degenerate
+            // step moves none of them.
+            let theta_d = self.ws.d[q] / alpha;
+            if theta_d != 0.0 {
+                for idx in 0..self.ws.alpha_touched.len() {
+                    let j = self.ws.alpha_touched[idx] as usize;
+                    if self.ws.pos_of[j] < 0 {
+                        self.ws.d[j] -= theta_d * self.ws.alpha[j];
+                    }
+                }
+            }
+            self.shift_duals(theta_d);
+            self.ws.d[k] = -theta_d;
+            self.ws.d[q] = 0.0;
+            self.fresh = false;
             // Step that lands the leaving variable exactly on its bound.
             let t = ((self.ws.x[k] - bound) / (sigma * alpha)).max(0.0);
             self.settled = false;
@@ -1175,12 +1227,7 @@ impl<'a> State<'a> {
                 let (factor, w) = (&mut self.ws.factor, &mut self.ws.w);
                 self.p.with_col(q, |col| factor.ftran(col, w));
             }
-            for (pos, &bk) in self.ws.basis.iter().enumerate() {
-                let wi = self.ws.w[pos];
-                if wi != 0.0 {
-                    self.ws.x[bk] -= sigma * t * wi;
-                }
-            }
+            self.apply_step(sigma, t);
             let entering_value = self.ws.x[q] + sigma * t;
             self.ws.x[k] = bound;
             self.ws.nb[k] = if to_lower { NbState::Lower } else { NbState::Upper };
@@ -1188,11 +1235,14 @@ impl<'a> State<'a> {
             self.ws.basis[r] = q;
             self.ws.pos_of[q] = r as i32;
             self.ws.x[q] = entering_value;
-            if !self.ws.factor.update(r, &self.ws.w) {
+            if !self.ws.factor.update(r) {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
+                self.reprice(cost);
             }
-            self.note_step(t);
+            // A dual pivot is degenerate when the duals did not move.
+            self.note_step(theta_d.abs());
             self.out.iterations += 1;
+            self.out.dual_iterations += 1;
         }
     }
 
@@ -1251,5 +1301,105 @@ impl<'a> State<'a> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::simplex::{load_bounds, resolve_warm, snapshot};
+    use crate::{Cmp, LinExpr, Model, RowId, Sense, Var};
+
+    /// Deterministic xorshift64 stream in `[0, 1)`.
+    struct Gen(u64);
+
+    impl Gen {
+        fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The reduced costs and duals the dual loop carries from pivot row to
+    /// pivot row must still be the exact ones when it hands over to the
+    /// polish — whether it re-seeded them every other pivot (cadence 2),
+    /// every seventh, or never (96). Schedule-shaped models (value-weighted
+    /// flows under demand and capacity rows) are solved cold, then hit with
+    /// what SAM and the lazy-row loop do to them: capacities drop, upper
+    /// bounds shrink below the flow they carried, a cutting row arrives.
+    #[test]
+    fn dual_loop_hands_over_exact_reduced_costs_and_duals() {
+        let name = |i: usize| i.to_string();
+        let mut pivots = [0u64; 3];
+        for seed in 1..=40u64 {
+            for (c, refactor_every) in [2, 7, 96].into_iter().enumerate() {
+                let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let (jobs, steps) = (4 + (g.unit() * 5.0) as usize, 4 + (g.unit() * 6.0) as usize);
+                let mut model = Model::new(Sense::Maximize);
+                let mut x: Vec<Var> = Vec::new();
+                for j in 0..jobs {
+                    let value = 0.5 + 2.5 * g.unit();
+                    for t in 0..steps {
+                        x.push(model.add_var(
+                            &format!("x{j}_{t}"),
+                            0.0,
+                            1.0 + 5.0 * g.unit(),
+                            value,
+                        ));
+                    }
+                }
+                for j in 0..jobs {
+                    let e = LinExpr::from_terms((0..steps).map(|t| (1.0, x[j * steps + t])));
+                    model.add_row(&format!("dem{j}"), e, Cmp::Le, 2.0 + 8.0 * g.unit());
+                }
+                let caps: Vec<RowId> = (0..steps)
+                    .map(|t| {
+                        let e = LinExpr::from_terms((0..jobs).map(|j| (1.0, x[j * steps + t])));
+                        model.add_row(&format!("cap{t}"), e, Cmp::Le, 2.0 + 6.0 * g.unit())
+                    })
+                    .collect();
+
+                let opts = SimplexOptions { refactor_every, ..SimplexOptions::default() };
+                let mut ws = Workspace::default();
+                let mut p = Problem::from_model(&model);
+                load_bounds(&model, &mut ws);
+                run(&mut p, &model.rows, &opts, &mut ws, name, name).unwrap();
+                let basis = snapshot(&p, &ws);
+
+                for &row in &caps {
+                    if g.unit() < 0.6 {
+                        model.set_rhs(row, 0.3 + 1.5 * g.unit());
+                    }
+                }
+                for (j, &v) in x.iter().enumerate() {
+                    if g.unit() < 0.2 {
+                        model.set_bounds(v, 0.0, 0.5 * ws.x[j]);
+                    }
+                }
+                let cut = LinExpr::from_terms(x.iter().step_by(3).map(|&v| (1.0, v)));
+                model.add_row("cut", cut, Cmp::Le, 1.0 + 3.0 * g.unit());
+
+                assert!(p.sync(&model) && resolve_warm(&mut p, &mut ws, &basis));
+                load_bounds(&model, &mut ws);
+                let mut st = warm_state(&p, &model.rows, &opts, &mut ws, &name).unwrap();
+                st.box_dual_infeasible(&p.cost);
+                st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
+                pivots[c] += st.out.dual_iterations;
+                let (d, y) = (st.ws.d.clone(), st.ws.y.clone());
+                st.refactor().unwrap();
+                st.reprice(&p.cost);
+                let tol = 1e-9 * (1.0 + p.cost.iter().fold(0.0f64, |a, &c| a.max(c.abs())));
+                for (i, (&kept, &exact)) in y.iter().zip(&st.ws.y).enumerate() {
+                    assert!((kept - exact).abs() <= tol, "seed {seed}: y[{i}] {kept} vs {exact}");
+                }
+                for j in (0..p.n).filter(|&j| st.ws.pos_of[j] < 0) {
+                    let (kept, exact) = (d[j], st.ws.d[j]);
+                    assert!((kept - exact).abs() <= tol, "seed {seed}: d[{j}] {kept} vs {exact}");
+                }
+            }
+        }
+        assert!(pivots.iter().all(|&k| k > 200), "dual pivots per cadence: {pivots:?}");
     }
 }

@@ -64,6 +64,7 @@ pub struct Solution {
     pub(crate) iterations: u64,
     pub(crate) pricing_scans: u64,
     pub(crate) bland_pivots: u64,
+    pub(crate) dual_iterations: u64,
     pub(crate) pricing_par_sections: u64,
     pub(crate) pricing_par_steals: u64,
     pub(crate) pricing_serial_nanos: u64,
@@ -126,6 +127,12 @@ impl Solution {
     /// Iterations priced under the Bland's-rule anti-cycling fallback.
     pub fn bland_pivots(&self) -> u64 {
         self.bland_pivots
+    }
+
+    /// Iterations that were dual simplex pivots of a warm restart (a
+    /// subset of [`Solution::iterations`]).
+    pub fn dual_iterations(&self) -> u64 {
+        self.dual_iterations
     }
 
     /// Sections executed by the deterministic parallel-pricing layer.

@@ -86,6 +86,12 @@ fn random_rhs(m: usize, rng: &mut Rng) -> Vec<f64> {
     (0..m).map(|_| rng.f64() * 2.0 - 1.0).collect()
 }
 
+fn unit(m: usize, r: usize) -> Vec<f64> {
+    let mut e = vec![0.0; m];
+    e[r] = 1.0;
+    e
+}
+
 fn as_refs(cols: &[SparseCol]) -> Vec<&SparseCol> {
     cols.iter().collect()
 }
@@ -185,12 +191,76 @@ fn matches_dense_reference_kernel() {
                 wd[j]
             );
         }
-        let c = random_rhs(m, &mut rng);
-        let (mut ys, mut yd) = (Vec::new(), Vec::new());
-        sparse.btran(&c, &mut ys);
-        dense.btran(&c, &mut yd);
-        for i in 0..m {
-            assert!((ys[i] - yd[i]).abs() <= 1e-8 * scale(&yd), "btran disagrees at row {i}");
+        // A dense right-hand side, then unit vectors — rows of B⁻¹, where
+        // the scatter-form Uᵀ solve skips most of U.
+        let mut rhs = vec![random_rhs(m, &mut rng)];
+        rhs.extend((0..m).step_by(4).map(|r| unit(m, r)));
+        for c in &rhs {
+            let (mut ys, mut yd) = (Vec::new(), Vec::new());
+            sparse.btran(c, &mut ys);
+            dense.btran(c, &mut yd);
+            for i in 0..m {
+                assert!((ys[i] - yd[i]).abs() <= 1e-8 * scale(&yd), "btran disagrees at row {i}");
+            }
+        }
+    }
+}
+
+/// Forrest–Tomlin updates fed by the spike their own FTRAN left behind,
+/// across the density grid: after a handful of exchanges the updated factors
+/// must solve like a fresh refactorization of the exchanged basis, and their
+/// BTRAN — dense and unit right-hand sides — like the dense reference
+/// kernel's.
+#[test]
+fn spike_fed_updates_match_fresh_refactor_across_density_grid() {
+    let mut rng = Rng::new(0x5B1C_E000_0000);
+    for &m in &[20usize, 60, 120, 250] {
+        for &density in &[0.01, 0.05, 0.15, 0.30] {
+            let mut cols = random_basis(m, density, 1.0, &mut rng);
+            let mut f = Factorization::new(0, 1e-10);
+            f.refactor(&as_refs(&cols)).unwrap();
+            let mut applied = 0;
+            for _ in 0..12 {
+                let entering = random_basis(m, density, 1.0, &mut rng).pop().unwrap();
+                let mut w = Vec::new();
+                f.ftran(&entering, &mut w);
+                // Leave at the largest entry: the exchanged basis stays well
+                // conditioned, which keeps the comparison tolerances honest.
+                let pos = (0..m).max_by(|&a, &b| w[a].abs().total_cmp(&w[b].abs())).unwrap();
+                if f.update(pos) {
+                    cols[pos] = entering;
+                    applied += 1;
+                }
+            }
+            assert_eq!(applied, 12, "m={m} density={density}");
+            let refs = as_refs(&cols);
+            let mut fresh = Factorization::new(0, 1e-10);
+            fresh.refactor(&refs).unwrap();
+            let mut dense = DenseBumpFactorization::new(m, 0, 1e-10);
+            dense.refactor(&refs).unwrap();
+            let what = format!("m={m} density={density} after {applied} updates");
+
+            let a = random_rhs(m, &mut rng);
+            let (mut wu, mut wf) = (Vec::new(), Vec::new());
+            f.ftran_dense(&a, &mut wu);
+            fresh.ftran_dense(&a, &mut wf);
+            assert!(ftran_residual(&cols, &wu, &a) <= 1e-8 * scale(&a), "{what}");
+            for j in 0..m {
+                assert!((wu[j] - wf[j]).abs() <= 1e-8 * scale(&wf), "ftran pos {j}, {what}");
+            }
+            let mut rhs = vec![random_rhs(m, &mut rng)];
+            rhs.extend((0..m).step_by(7).map(|r| unit(m, r)));
+            for c in &rhs {
+                let (mut yu, mut yf, mut yd) = (Vec::new(), Vec::new(), Vec::new());
+                f.btran(c, &mut yu);
+                fresh.btran(c, &mut yf);
+                dense.btran(c, &mut yd);
+                assert!(btran_residual(&cols, &yu, c) <= 1e-8 * scale(c), "{what}");
+                for i in 0..m {
+                    assert!((yu[i] - yf[i]).abs() <= 1e-8 * scale(&yf), "btran row {i}, {what}");
+                    assert!((yu[i] - yd[i]).abs() <= 1e-8 * scale(&yd), "dense row {i}, {what}");
+                }
+            }
         }
     }
 }
@@ -276,7 +346,7 @@ fn ft_update_chain_matches_fresh_refactor() {
         }
         let mut w = Vec::new();
         f.ftran_dense(&dense_a, &mut w);
-        if !f.update(pos, &w) {
+        if !f.update(pos) {
             // Rejected pivot: the kernel asks for a refactor — oblige and
             // retry with a different exchange.
             f.refactor(&as_refs(&cols)).unwrap();
@@ -339,12 +409,22 @@ fn reused_factorization_matches_fresh_bitwise() {
             );
             // Exchange a few columns on both (same updates, same verdicts),
             // compare again, and leave `reused` dirty for the next basis.
+            let mut cols = cols;
             for _ in 0..4 {
                 let pos = rng.below(m);
-                let mut w = Vec::new();
-                fresh.ftran_dense(&random_rhs(m, &mut rng), &mut w);
-                w[pos] += 2.0; // keep the new pivot away from zero
-                assert_eq!(reused.update(pos, &w), fresh.update(pos, &w));
+                // The entering column is B·w for a random w with weight on
+                // `pos`, which keeps the new pivot away from zero.
+                let mut w = random_rhs(m, &mut rng);
+                w[pos] += 2.0;
+                let mut entering = vec![0.0; m];
+                for (col, &wj) in cols.iter().zip(&w) {
+                    col.iter().for_each(|&(i, v)| entering[i as usize] += v * wj);
+                }
+                let (mut wr, mut wf) = (Vec::new(), Vec::new());
+                reused.ftran_dense(&entering, &mut wr);
+                fresh.ftran_dense(&entering, &mut wf);
+                assert_eq!(reused.update(pos), fresh.update(pos));
+                cols[pos] = entering.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect();
             }
             assert_eq!(reused.eta_count(), fresh.eta_count());
             assert_eq!(solves(&mut reused, &a), solves(&mut fresh, &a), "after updates, m={m}");

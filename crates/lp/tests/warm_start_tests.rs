@@ -8,7 +8,10 @@
 //! them: RHS refreshes, bound fixes, appended rows, appended variables.
 
 use pretium_lp::validate::check_optimal;
-use pretium_lp::{Cmp, LinExpr, Model, RowId, Sense, SolveOptions, SolverSession, Var};
+use pretium_lp::{
+    Cmp, LinExpr, Model, Restart, RowId, Sense, SimplexOptions, SolveOptions, SolverSession,
+    SolverTuning, Var,
+};
 
 /// Deterministic xorshift64* stream in `[0, 1)`.
 struct Gen(u64);
@@ -144,8 +147,9 @@ fn assert_warm_matches_cold(
     seed: u64,
     step: usize,
     s: &mut ScheduleShaped,
+    opts: &SolveOptions,
 ) -> Option<pretium_lp::Solution> {
-    let warm_result = s.session.solve(&SolveOptions::default());
+    let warm_result = s.session.solve(opts);
     let cold_result = s.session.model().solve();
     let (warm, cold) = match (warm_result, cold_result) {
         (Ok(w), Ok(c)) => (w, c),
@@ -202,31 +206,39 @@ fn assert_warm_matches_cold(
     Some(warm)
 }
 
+/// Runs at three refactorization cadences: the default (96, never reached
+/// here), and 7 and 2, which refactorize — and so re-seed the reduced costs
+/// and duals the dual simplex maintains — in the middle of its loop.
 #[test]
 fn warm_resolves_match_cold_across_random_mutations() {
-    let mut warm_seen = 0u32;
-    for seed in 0..40 {
-        let mut g = Gen::new(seed);
-        let mut s = schedule_shaped(&mut g);
-        // Initial cold solve to seat a basis.
-        let Some(mut last) = assert_warm_matches_cold(seed, 0, &mut s) else {
-            panic!("seed {seed}: base model must be feasible");
+    for max_etas in [96, 7, 2] {
+        let opts = SolveOptions {
+            tuning: SolverTuning { max_etas, ..SolverTuning::default() },
+            ..SolveOptions::default()
         };
-        for step in 1..=6 {
-            mutate(&mut g, &mut s, &last);
-            if let Some(sol) = assert_warm_matches_cold(seed, step, &mut s) {
-                last = sol;
-                match s.session.last_restart() {
-                    Some(pretium_lp::Restart::WarmPrimal) | Some(pretium_lp::Restart::WarmDual) => {
-                        warm_seen += 1
+        let (mut warm_seen, mut dual_pivots) = (0u32, 0u64);
+        for seed in 0..40 {
+            let mut g = Gen::new(seed);
+            let mut s = schedule_shaped(&mut g);
+            // Initial cold solve to seat a basis.
+            let Some(mut last) = assert_warm_matches_cold(seed, 0, &mut s, &opts) else {
+                panic!("seed {seed}: base model must be feasible");
+            };
+            for step in 1..=6 {
+                mutate(&mut g, &mut s, &last);
+                if let Some(sol) = assert_warm_matches_cold(seed, step, &mut s, &opts) {
+                    dual_pivots += sol.dual_iterations();
+                    last = sol;
+                    if s.session.last_restart() != Some(Restart::Cold) {
+                        warm_seen += 1;
                     }
-                    _ => {}
                 }
             }
         }
+        // The warm path must actually be exercised, not fall back cold always.
+        assert!(warm_seen > 100, "only {warm_seen} warm restarts in 240 mutated solves");
+        assert!(dual_pivots > 50, "only {dual_pivots} dual pivots at cadence {max_etas}");
     }
-    // The warm path must actually be exercised, not fall back cold always.
-    assert!(warm_seen > 100, "only {warm_seen} warm restarts in 240 mutated solves");
 }
 
 #[test]
@@ -239,10 +251,10 @@ fn rhs_sweep_stays_warm_and_correct() {
     for step in 0..10 {
         let rhs = 5.0 - 0.45 * step as f64;
         s.session.set_rhs(row, rhs.max(0.1));
-        assert_warm_matches_cold(0xBEEF, step, &mut s);
+        assert_warm_matches_cold(0xBEEF, step, &mut s, &SolveOptions::default());
         assert_ne!(
             s.session.last_restart(),
-            Some(pretium_lp::Restart::Cold),
+            Some(Restart::Cold),
             "step {step} fell back to a cold solve"
         );
     }
@@ -255,7 +267,7 @@ fn growing_model_keeps_append_stable_basis() {
     // where raw column indices shift and only append-stable keys survive.
     let mut g = Gen::new(0xFACE);
     let mut s = schedule_shaped(&mut g);
-    assert_warm_matches_cold(0xFACE, 0, &mut s);
+    assert_warm_matches_cold(0xFACE, 0, &mut s, &SolveOptions::default());
     for step in 0..8 {
         // Alternate append-variable and append-row mutations.
         if step % 2 == 0 {
@@ -272,7 +284,7 @@ fn growing_model_keeps_append_stable_basis() {
             let rname = format!("gc{step}");
             s.session.add_row(&rname, e, Cmp::Le, g.range(2.0, 8.0));
         }
-        assert_warm_matches_cold(0xFACE, step + 1, &mut s);
+        assert_warm_matches_cold(0xFACE, step + 1, &mut s, &SolveOptions::default());
     }
 }
 
@@ -296,7 +308,7 @@ fn polish_that_certifies_by_refactor_skips_the_terminal_one() {
     s.solve(&SolveOptions::default()).unwrap();
     s.set_obj(y, 10.0);
     let sol = s.solve(&SolveOptions::default()).unwrap();
-    assert_eq!(s.last_restart(), Some(pretium_lp::Restart::WarmPrimal));
+    assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
     assert_eq!(sol.iterations(), 2);
     assert_eq!(sol.factor_stats().refactors, 2, "parent: 3");
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -318,7 +330,7 @@ fn solve_ending_on_a_bound_flip_still_refactors() {
     s.solve(&SolveOptions::default()).unwrap();
     s.set_obj(x, -1.0);
     let sol = s.solve(&SolveOptions::default()).unwrap();
-    assert_eq!(s.last_restart(), Some(pretium_lp::Restart::WarmPrimal));
+    assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
     assert_eq!((sol.iterations(), sol.factor_stats().ft_updates), (1, 0), "one flip, no pivot");
     assert_eq!(sol.factor_stats().refactors, 2);
     assert_eq!(sol.values(), [0.0, 3.0]);
@@ -343,8 +355,77 @@ fn term_merged_after_a_failed_solve_reaches_the_resident_form() {
     s.set_rhs(floor, 1.0);
     s.add_term(r0, z, 1.0); // r0 is now x + 2z <= 4
     let sol = s.solve(&SolveOptions::default()).unwrap();
-    assert_ne!(s.last_restart(), Some(pretium_lp::Restart::Cold), "the basis is still good");
+    assert_ne!(s.last_restart(), Some(Restart::Cold), "the basis is still good");
     let cold = s.model().solve().unwrap();
     assert_eq!(sol.objective().to_bits(), cold.objective().to_bits());
     assert_eq!((sol.value(x), sol.value(z)), (2.0, 1.0));
+}
+
+// --- dual pivots -----------------------------------------------------------
+
+/// Six jobs × eight steps of equal-value flow under per-job demand rows and
+/// per-step capacity rows — a transportation-shaped LP whose optimal bases
+/// are heavily dual degenerate (every reduced cost is 0 or ±1) — solved, then
+/// every capacity cut: the next solve is a dual restart of some 70 pivots.
+fn grid_with_capacities_cut() -> SolverSession {
+    let (jobs, steps) = (6, 8);
+    let mut m = Model::new(Sense::Maximize);
+    let x: Vec<Var> =
+        (0..jobs * steps).map(|i| m.add_var(&format!("x{i}"), 0.0, 4.0, 1.0)).collect();
+    for j in 0..jobs {
+        let e = LinExpr::from_terms((0..steps).map(|t| (1.0, x[j * steps + t])));
+        m.add_row(&format!("dem{j}"), e, Cmp::Le, 6.0 + j as f64);
+    }
+    let caps: Vec<RowId> = (0..steps)
+        .map(|t| {
+            let e = LinExpr::from_terms((0..jobs).map(|j| (1.0, x[j * steps + t])));
+            m.add_row(&format!("cap{t}"), e, Cmp::Le, 9.0)
+        })
+        .collect();
+    let mut s = SolverSession::new(m);
+    s.solve(&SolveOptions::default()).unwrap();
+    for (t, &row) in caps.iter().enumerate() {
+        s.set_rhs(row, 3.0 + 0.5 * t as f64);
+    }
+    s
+}
+
+/// A dual pivot costs one BTRAN — the pivot row, from which the reduced costs
+/// and duals are carried along — so a warm dual restart of `k` pivots that
+/// never refactorizes mid-solve spends `k + 3`: the seeding reprice, the
+/// polish's reprice and the terminal duals. The parent recomputed
+/// `y = c_B B⁻¹` in every pivot as well: `2k + 3`.
+#[test]
+fn dual_pivot_costs_one_btran() {
+    let mut s = grid_with_capacities_cut();
+    let sol = s.solve(&SolveOptions::default()).unwrap();
+    assert_eq!(s.last_restart(), Some(Restart::WarmDual));
+    let (k, fs) = (sol.dual_iterations(), sol.factor_stats());
+    assert!(k >= 5, "only {k} dual pivots");
+    assert_eq!(sol.iterations(), k, "the polish had nothing left to do");
+    assert_eq!(fs.refactors, 2, "start and terminal only");
+    assert!(fs.btrans <= k + 3, "{} BTRANs for {k} dual pivots", fs.btrans);
+    assert_eq!(s.stats().dual_iterations, k);
+    let cold = s.model().solve().unwrap();
+    assert!((sol.objective() - cold.objective()).abs() <= TOL * (1.0 + cold.objective().abs()));
+}
+
+/// Degeneracy in the dual simplex is a dual step of zero — the entering
+/// column's reduced cost already was — whatever the primal step. The parent
+/// judged it on the primal step, which is positive whenever a row is
+/// violated, so Bland's rule could never engage in the dual loop.
+#[test]
+fn dual_degenerate_restart_engages_blands_rule() {
+    let mut s = grid_with_capacities_cut();
+    let bland_at_once = SolveOptions {
+        simplex: Some(SimplexOptions { bland_trigger: 0, ..SimplexOptions::default() }),
+        ..SolveOptions::default()
+    };
+    let sol = s.solve(&bland_at_once).unwrap();
+    assert_eq!(s.last_restart(), Some(Restart::WarmDual));
+    assert_eq!(sol.iterations(), sol.dual_iterations(), "every pivot was a dual one");
+    assert!(sol.bland_pivots() > 0, "no Bland pivot in {} dual pivots", sol.dual_iterations());
+    let cold = s.model().solve().unwrap();
+    assert!((sol.objective() - cold.objective()).abs() <= TOL * (1.0 + cold.objective().abs()));
+    assert!(check_optimal(s.model(), &sol, TOL * 10.0).is_empty());
 }

@@ -361,10 +361,11 @@ mod tests {
     #[test]
     fn full_replay_is_audit_clean() {
         let sc = small();
-        let run = run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap();
-        // Test builds audit unconditionally; a full replay must sweep every
-        // checkpoint without recording a single invariant violation.
-        let aud = run.audit().expect("auditor active in debug/test builds");
+        let cfg = PretiumConfig { audit: true, ..PretiumConfig::default() };
+        let run = run_pretium(&sc, cfg, Variant::Full).unwrap();
+        // A full replay must sweep every checkpoint without recording a
+        // single invariant violation.
+        let aud = run.audit().expect("the config asks for auditing");
         assert!(aud.checks() > 0);
         assert!(aud.is_clean(), "violations: {:?}", aud.violations());
         let t = run.telemetry();

@@ -186,3 +186,39 @@ fn lp_and_scheduling_agree_on_simple_instance() {
     assert!((sol.objective - hand.objective()).abs() < 1e-6);
     assert!((sol.delivered[0] - 21.0).abs() < 1e-6);
 }
+
+#[test]
+fn warm_dual_restart_matches_a_cold_solve() {
+    // A capacity row tightens under an optimal schedule: the session repairs
+    // the old basis with the dual simplex, and must land on the optimum — and
+    // the prices — a solve from scratch finds.
+    use pretium::lp::{Cmp, LinExpr, Model, Restart, Sense, SolveOptions, SolverSession};
+
+    let mut m = Model::new(Sense::Maximize);
+    let value = [3.0, 2.0, 1.0];
+    let xs: Vec<Vec<_>> = (0..3)
+        .map(|j| (0..4).map(|t| m.add_var(&format!("x{j}_{t}"), 0.0, 5.0, value[j])).collect())
+        .collect();
+    for (j, row) in xs.iter().enumerate() {
+        let total = LinExpr::from_terms(row.iter().map(|&x| (1.0, x)));
+        m.add_row(&format!("demand{j}"), total, Cmp::Le, 8.0);
+    }
+    let caps: Vec<_> = (0..4)
+        .map(|t| {
+            let load = LinExpr::from_terms(xs.iter().map(|row| (1.0, row[t])));
+            m.add_row(&format!("cap{t}"), load, Cmp::Le, 6.0)
+        })
+        .collect();
+    let mut session = SolverSession::new(m);
+    session.solve(&SolveOptions::default()).unwrap();
+    session.set_rhs(caps[0], 2.0);
+    session.set_rhs(caps[2], 3.5);
+    let warm = session.solve(&SolveOptions::default()).unwrap();
+    assert_eq!(session.last_restart(), Some(Restart::WarmDual));
+    assert!(warm.dual_iterations() > 0);
+    let cold = session.model().solve().unwrap();
+    assert!((warm.objective() - cold.objective()).abs() < 1e-9);
+    for (w, c) in warm.duals().iter().zip(cold.duals()) {
+        assert!((w - c).abs() < 1e-9, "duals {:?} vs {:?}", warm.duals(), cold.duals());
+    }
+}
