@@ -26,36 +26,14 @@
 //! floors asserted, and no JSON written (a smoke run never clobbers
 //! recorded numbers). Full mode writes `BENCH_sparse_lu.json`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use pretium_bench::black_box;
+use pretium_bench::{allocations, black_box, CountingAlloc};
 use pretium_lp::simplex::basis::dense_ref::DenseBumpFactorization;
 use pretium_lp::simplex::basis::{Factorization, SparseCol};
 use pretium_lp::{Cmp, LinExpr, Model, Restart, Sense, SolveOptions, SolverSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Counts allocations + reallocations; frees are uncounted (the contract
-/// under test is "no new memory on the steady-state solve path").
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -163,9 +141,9 @@ fn run_scenario(
     let fill_ratio = sparse.factor_nnz() as f64 / nnz as f64;
     // The object is warm (it has factorized this basis before): doing it
     // again must not touch the heap.
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     sparse.refactor(&refs).unwrap();
-    let refactor_allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let refactor_allocs = allocations() - allocs_before;
     assert_eq!(refactor_allocs, 0, "{name}: a warmed refactor allocated {refactor_allocs} times");
 
     let mut dense = DenseBumpFactorization::new(m, 0, PIVOT_TOL);
@@ -190,14 +168,14 @@ fn run_scenario(
     // for the sparse kernel's steady state.
     sparse.ftran_dense(&rhs[0], &mut out);
     sparse.btran(&rhs[0], &mut out);
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     for a in &rhs {
         sparse.ftran_dense(black_box(a), &mut out);
         black_box(&out);
         sparse.btran(black_box(a), &mut out);
         black_box(&out);
     }
-    let steady_allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let steady_allocs = allocations() - allocs_before;
     assert_eq!(
         steady_allocs,
         0,
@@ -315,11 +293,11 @@ fn resident_resolve() -> ResolveResult {
         let load: f64 = picked.iter().map(|&v| sol.value(v)).sum();
         let cut = LinExpr::from_terms(picked.iter().map(|&v| (1.0, v)));
         session.add_row("", cut, Cmp::Le, 0.9 * load + 0.05);
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocations();
         let t0 = Instant::now();
         sol = black_box(session.solve(&opts)).expect("cuts keep zero flow feasible");
         times.push(t0.elapsed());
-        allocs.push(ALLOCS.load(Ordering::Relaxed) - before);
+        allocs.push(allocations() - before);
         assert_ne!(session.last_restart(), Some(Restart::Cold), "re-solve fell back cold");
         pivots += sol.iterations();
     }

@@ -9,8 +9,57 @@
 //! `name  median  mean  (samples)` and a machine-readable `BENCH\t` line
 //! per benchmark for scripts to scrape.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box as std_black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// The system allocator with a counter in front: allocations and
+/// reallocations are counted, frees are not (the contracts under test are
+/// of the form "no new memory on this path"). A bench opts in with
+/// `#[global_allocator] static A: CountingAlloc = CountingAlloc;` and
+/// reads the counter through [`allocations`].
+pub struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Heap allocations made so far by a bench running under
+/// [`CountingAlloc`] (always 0 under any other allocator).
+pub fn allocations() -> u64 {
+    ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Where and when a recorded number was taken, as JSON members (no
+/// braces): core count, `git describe --always --dirty`, UTC date.
+pub fn provenance_json() -> String {
+    let run = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into())
+    };
+    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
+    let commit = run("git", &["describe", "--always", "--dirty"]);
+    let date = run("date", &["-u", "+%F"]);
+    format!("\"cores\": {cores},\n  \"commit\": \"{commit}\",\n  \"date\": \"{date}\"")
+}
 
 /// Re-export so benches can `use pretium_bench::black_box`.
 pub fn black_box<T>(x: T) -> T {

@@ -90,14 +90,16 @@ impl SnapshotStats {
 }
 
 /// An immutable admission view published at one epoch: prices + planned
-/// schedule (via a [`NetworkState`] clone) plus the shared path cache.
-/// Cheaply shareable across RA workers behind `Arc`; see the module docs.
+/// schedule (the system's own [`NetworkState`], shared by reference — the
+/// system copies before it writes while a snapshot is held, DESIGN.md §22)
+/// plus the shared path cache. Cheaply shareable across RA workers behind
+/// `Arc`; see the module docs.
 #[derive(Debug)]
 pub struct AdmissionSnapshot {
     epoch: u64,
     horizon: usize,
     net: Arc<Network>,
-    state: NetworkState,
+    state: Arc<NetworkState>,
     paths: Arc<SharedPathSet>,
     pub(crate) stats: SnapshotStats,
     /// The owning system's pending-quote sink. A snapshot can be retired
@@ -119,7 +121,7 @@ impl AdmissionSnapshot {
         epoch: u64,
         horizon: usize,
         net: Arc<Network>,
-        state: NetworkState,
+        state: Arc<NetworkState>,
         paths: Arc<SharedPathSet>,
         pending: Arc<SnapshotStats>,
     ) -> Self {

@@ -8,9 +8,8 @@
 //! schedule (the admission interface doubles as TE by steering traffic to
 //! low-price slots).
 
-use crate::state::NetworkState;
+use crate::state::{NetworkState, PriceBump};
 use pretium_net::{EdgeId, Path, Timestep};
-use rand::DetHashMap as HashMap;
 
 /// Where a menu segment's capacity lives.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,97 +163,306 @@ impl PriceMenu {
     }
 }
 
+/// One `(edge, timestep)` cell of a menu's window ledger: the three state
+/// reads a slot price depends on, taken once, plus the units this menu has
+/// hypothetically sold there so far.
+#[derive(Debug, Clone, Copy)]
+struct LedgerCell {
+    cap: f64,
+    price: f64,
+    reserved: f64,
+    extra: f64,
+}
+
+impl LedgerCell {
+    /// [`NetworkState::marginal_price`] with the menu's own fills on top.
+    fn marginal(&self, bump: PriceBump) -> f64 {
+        bump.marginal(self.price, self.cap, self.reserved + self.extra)
+    }
+
+    /// [`NetworkState::available_at_marginal`] with the menu's own fills
+    /// on top.
+    fn avail_at_marginal(&self, bump: PriceBump) -> f64 {
+        bump.available_at_marginal(self.cap, self.reserved + self.extra)
+    }
+}
+
 /// Build the price menu for a request over `paths` within
 /// `[start, deadline]`, against the current prices/availability in
 /// `state`. Does not mutate the state: hypothetical fills are tracked in a
 /// local ledger so the short-term price bump (§4.1) applies *within* the
 /// menu as well (buying deep into a link's capacity raises later segments).
+///
+/// The ledger is dense (DESIGN.md §22): the request's distinct edges are
+/// numbered locally and every `(edge, timestep)` of the window is read
+/// from `state` once into one flat `edges × window` array, so the greedy
+/// rounds below — which re-price every slot each round — touch no map and
+/// no nested vector. A window that is empty once clipped to the horizon
+/// (`start` past the horizon or past `deadline`) yields the empty menu.
 pub fn build_menu(
     state: &NetworkState,
     paths: &[Path],
     start: Timestep,
     deadline: Timestep,
 ) -> PriceMenu {
-    assert!(start <= deadline, "empty request window");
     let deadline = deadline.min(state.horizon().saturating_sub(1));
-    // Local hypothetical reservations on top of the state.
-    let mut extra: HashMap<(EdgeId, Timestep), f64> = HashMap::default();
-    let marginal = |state: &NetworkState,
-                    extra: &HashMap<(EdgeId, Timestep), f64>,
-                    e: EdgeId,
-                    t: Timestep|
-     -> f64 {
-        let cap = state.sellable_capacity(e, t);
-        if cap <= 0.0 {
-            return state.price(e, t) * state.bump.factor;
-        }
-        let used = state.reserved(e, t) + extra.get(&(e, t)).copied().unwrap_or(0.0);
-        if used / cap >= state.bump.threshold {
-            state.price(e, t) * state.bump.factor
-        } else {
-            state.price(e, t)
-        }
-    };
-    let avail_at_marginal = |state: &NetworkState,
-                             extra: &HashMap<(EdgeId, Timestep), f64>,
-                             e: EdgeId,
-                             t: Timestep|
-     -> f64 {
-        let cap = state.sellable_capacity(e, t);
-        let used = state.reserved(e, t) + extra.get(&(e, t)).copied().unwrap_or(0.0);
-        let boundary = cap * state.bump.threshold;
-        if used < boundary {
-            boundary - used
-        } else {
-            (cap - used).max(0.0)
-        }
-    };
+    if start > deadline {
+        return PriceMenu::default();
+    }
+    let window = deadline - start + 1;
+    let bump = state.bump;
+    // Local edge numbering: `rows` lists, path after path and hop after
+    // hop, where each hop's edge starts in the ledger. Paths that share an
+    // edge share its row, so a fill on one is seen by the others.
+    let hops: usize = paths.iter().map(|p| p.len()).sum();
+    let mut edges: Vec<EdgeId> = Vec::with_capacity(hops);
+    let mut rows: Vec<usize> = Vec::with_capacity(hops);
+    for &e in paths.iter().flat_map(|p| p.edges()) {
+        let local = edges.iter().position(|&seen| seen == e).unwrap_or_else(|| {
+            edges.push(e);
+            edges.len() - 1
+        });
+        rows.push(local * window);
+    }
+    let mut rest = rows.as_slice();
+    let path_rows: Vec<&[usize]> = paths
+        .iter()
+        .map(|p| {
+            let (own, later) = rest.split_at(p.len());
+            rest = later;
+            own
+        })
+        .collect();
+    let mut ledger: Vec<LedgerCell> = Vec::with_capacity(edges.len() * window);
+    for &e in &edges {
+        ledger.extend((start..=deadline).map(|t| LedgerCell {
+            cap: state.sellable_capacity(e, t),
+            price: state.price(e, t),
+            reserved: state.reserved(e, t),
+            extra: 0.0,
+        }));
+    }
 
     let mut segments = Vec::new();
     // Bounded iteration: each round exhausts a segment of at least one
     // (edge, t); 2 segments per pair.
-    let max_rounds = 2 * paths.iter().map(|p| p.len()).sum::<usize>() * (deadline - start + 1) + 8;
+    let max_rounds = 2 * hops * window + 8;
     for _ in 0..max_rounds {
         // Find the cheapest slot with availability.
-        let mut best: Option<(f64, usize, Timestep, f64)> = None; // (price, path, t, qty)
-        for (pi, path) in paths.iter().enumerate() {
-            for t in start..=deadline {
-                let price: f64 = path.edges().iter().map(|&e| marginal(state, &extra, e, t)).sum();
-                let qty: f64 = path
-                    .edges()
+        let mut best: Option<(f64, usize, usize, f64)> = None; // (price, path, t - start, qty)
+        for (pi, hop_rows) in path_rows.iter().enumerate() {
+            for dt in 0..window {
+                let price: f64 = hop_rows.iter().map(|&r| ledger[r + dt].marginal(bump)).sum();
+                let qty: f64 = hop_rows
                     .iter()
-                    .map(|&e| avail_at_marginal(state, &extra, e, t))
+                    .map(|&r| ledger[r + dt].avail_at_marginal(bump))
                     .fold(f64::INFINITY, f64::min);
                 if qty <= 1e-9 {
                     continue;
                 }
                 if best.as_ref().is_none_or(|&(bp, _, _, _)| price < bp - 1e-12) {
-                    best = Some((price, pi, t, qty));
+                    best = Some((price, pi, dt, qty));
                 }
             }
         }
-        let Some((price, pi, t, qty)) = best else { break };
-        for &e in paths[pi].edges() {
-            *extra.entry((e, t)).or_insert(0.0) += qty;
+        let Some((price, pi, dt, qty)) = best else { break };
+        for &r in path_rows[pi] {
+            ledger[r + dt].extra += qty;
         }
         segments.push(Segment {
             unit_price: price,
             units: qty,
-            alloc: SlotAlloc { path_idx: pi, t, units: qty },
+            alloc: SlotAlloc { path_idx: pi, t: start + dt, units: qty },
         });
     }
     // Greedy picks the global minimum each round, so prices are sorted —
     // but the bump can create equal-price reorderings; enforce the
     // invariant.
-    segments.sort_by(|a, b| a.unit_price.partial_cmp(&b.unit_price).unwrap());
+    segments.sort_by(|a, b| a.unit_price.total_cmp(&b.unit_price));
     PriceMenu { segments }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::PriceBump;
     use pretium_net::{LinkCost, Network, Region, TimeGrid};
+    use rand::rngs::StdRng;
+    use rand::{DetHashMap as HashMap, Rng, SeedableRng};
+
+    /// The hash-map menu builder `build_menu` replaced, kept verbatim as
+    /// the oracle of `dense_ledger_matches_hash_map_reference`: same
+    /// greedy, with the hypothetical fills in a map keyed by
+    /// `(edge, timestep)` and every read going through the state.
+    fn build_menu_reference(
+        state: &NetworkState,
+        paths: &[Path],
+        start: Timestep,
+        deadline: Timestep,
+    ) -> PriceMenu {
+        assert!(start <= deadline, "empty request window");
+        let deadline = deadline.min(state.horizon().saturating_sub(1));
+        // Local hypothetical reservations on top of the state.
+        let mut extra: HashMap<(EdgeId, Timestep), f64> = HashMap::default();
+        let marginal = |state: &NetworkState,
+                        extra: &HashMap<(EdgeId, Timestep), f64>,
+                        e: EdgeId,
+                        t: Timestep|
+         -> f64 {
+            let cap = state.sellable_capacity(e, t);
+            if cap <= 0.0 {
+                return state.price(e, t) * state.bump.factor;
+            }
+            let used = state.reserved(e, t) + extra.get(&(e, t)).copied().unwrap_or(0.0);
+            if used / cap >= state.bump.threshold {
+                state.price(e, t) * state.bump.factor
+            } else {
+                state.price(e, t)
+            }
+        };
+        let avail_at_marginal = |state: &NetworkState,
+                                 extra: &HashMap<(EdgeId, Timestep), f64>,
+                                 e: EdgeId,
+                                 t: Timestep|
+         -> f64 {
+            let cap = state.sellable_capacity(e, t);
+            let used = state.reserved(e, t) + extra.get(&(e, t)).copied().unwrap_or(0.0);
+            let boundary = cap * state.bump.threshold;
+            if used < boundary {
+                boundary - used
+            } else {
+                (cap - used).max(0.0)
+            }
+        };
+
+        let mut segments = Vec::new();
+        let max_rounds =
+            2 * paths.iter().map(|p| p.len()).sum::<usize>() * (deadline - start + 1) + 8;
+        for _ in 0..max_rounds {
+            let mut best: Option<(f64, usize, Timestep, f64)> = None; // (price, path, t, qty)
+            for (pi, path) in paths.iter().enumerate() {
+                for t in start..=deadline {
+                    let price: f64 =
+                        path.edges().iter().map(|&e| marginal(state, &extra, e, t)).sum();
+                    let qty: f64 = path
+                        .edges()
+                        .iter()
+                        .map(|&e| avail_at_marginal(state, &extra, e, t))
+                        .fold(f64::INFINITY, f64::min);
+                    if qty <= 1e-9 {
+                        continue;
+                    }
+                    if best.as_ref().is_none_or(|&(bp, _, _, _)| price < bp - 1e-12) {
+                        best = Some((price, pi, t, qty));
+                    }
+                }
+            }
+            let Some((price, pi, t, qty)) = best else { break };
+            for &e in paths[pi].edges() {
+                *extra.entry((e, t)).or_insert(0.0) += qty;
+            }
+            segments.push(Segment {
+                unit_price: price,
+                units: qty,
+                alloc: SlotAlloc { path_idx: pi, t, units: qty },
+            });
+        }
+        segments.sort_by(|a, b| a.unit_price.partial_cmp(&b.unit_price).unwrap());
+        PriceMenu { segments }
+    }
+
+    /// 600 seeded worlds on a five-node mesh whose six S→D routes overlap
+    /// pairwise: the dense ledger must reproduce the reference menu
+    /// bit for bit (`PartialEq` on menus is segment-exact).
+    #[test]
+    fn dense_ledger_matches_hash_map_reference() {
+        const HORIZON: usize = 60;
+        let mut net = Network::new();
+        let [s, a, b, c, d] = ["S", "A", "B", "C", "D"].map(|n| net.add_node(n, Region::Europe));
+        let mut link = |from, to| net.add_edge(from, to, 10.0, LinkCost::owned());
+        let (sa, sb, ab, ac) = (link(s, a), link(s, b), link(a, b), link(a, c));
+        let (bc, ad, bd, cd) = (link(b, c), link(a, d), link(b, d), link(c, d));
+        let routes = [
+            vec![sa, ad],
+            vec![sb, bd],
+            vec![sa, ab, bd],
+            vec![sa, ac, cd],
+            vec![sb, bc, cd],
+            vec![sa, ab, bc, cd],
+        ];
+        let (mut non_trivial, mut clipped, mut unbumped) = (0, 0, 0);
+        for case in 0..600u64 {
+            let mut rng = StdRng::seed_from_u64(0x5eed_0000 + case);
+            let bump = match case % 3 {
+                0 => PriceBump::default(),
+                1 => PriceBump::disabled(),
+                _ => PriceBump {
+                    threshold: rng.gen_range(0.1..0.95),
+                    factor: rng.gen_range(1.0..4.0),
+                },
+            };
+            unbumped += usize::from(bump == PriceBump::disabled());
+            let grid = TimeGrid::new(12, 30);
+            let mut state = NetworkState::new(&net, grid, HORIZON, 0.0, bump, |_| 1.0);
+            // Half the worlds draw prices from four levels, so ties (and
+            // the `1e-12` comparator) are exercised, not only distinct
+            // prices over three decades.
+            let tied = rng.gen_bool(0.5);
+            for e in net.edge_ids() {
+                for t in 0..HORIZON {
+                    let price = if tied {
+                        [0.25, 1.0, 1.0 + 5e-13, 40.0][rng.gen_range(0..4usize)]
+                    } else {
+                        10f64.powf(rng.gen_range(-1.0..2.0))
+                    };
+                    state.set_price(e, t, price);
+                    match rng.gen_range(0..10u32) {
+                        0 => state.set_highpri(e, t, 10.0), // nothing sellable
+                        1 => state.set_health(e, t, 0.0),   // link down
+                        2 => state.set_health(e, t, rng.gen_range(0.05..1.0)),
+                        3 => state.set_highpri(e, t, rng.gen_range(0.0..9.0)),
+                        _ => {}
+                    }
+                    // Reservations on both sides of the bump threshold,
+                    // and at the brim.
+                    let cap = state.sellable_capacity(e, t);
+                    let fill =
+                        if rng.gen_bool(0.1) { 1.0 } else { rng.gen_range(0.0..1.0f64).powi(2) };
+                    state.reserve(e, t, cap * fill);
+                }
+            }
+            let mut picks: Vec<usize> = (0..routes.len()).collect();
+            let k = rng.gen_range(1..=4usize);
+            for i in 0..k {
+                picks.swap(i, rng.gen_range(i..routes.len()));
+            }
+            let paths: Vec<Path> =
+                picks[..k].iter().map(|&r| Path::new(&net, routes[r].clone())).collect();
+            let start = rng.gen_range(0..HORIZON);
+            let deadline = start + rng.gen_range(0..48usize);
+            clipped += usize::from(deadline >= HORIZON);
+
+            let menu = build_menu(&state, &paths, start, deadline);
+            let reference = build_menu_reference(&state, &paths, start, deadline);
+            assert_eq!(menu, reference, "case {case}: window [{start}, {deadline}]");
+            non_trivial += usize::from(menu.segments.len() > 1);
+        }
+        // The generator must reach what it claims to cover.
+        assert!(non_trivial >= 500, "only {non_trivial} multi-segment menus");
+        assert!(clipped >= 50, "only {clipped} windows clipped by the horizon");
+        assert_eq!(unbumped, 200);
+    }
+
+    #[test]
+    fn window_past_the_horizon_is_an_empty_menu() {
+        let (_, state, paths) = setup();
+        // Start on/after the horizon, with the deadline clipped below it.
+        assert!(build_menu(&state, &paths, 4, 9).is_empty());
+        assert!(build_menu(&state, &paths, 7, 7).is_empty());
+        // Start after the deadline, both inside the horizon.
+        assert!(build_menu(&state, &paths, 3, 1).is_empty());
+        // The last step alone is still a window.
+        assert!(!build_menu(&state, &paths, 3, 9).is_empty());
+    }
 
     /// A -> B single edge, capacity 10/step, 4 steps, price 1.0.
     fn setup() -> (Network, NetworkState, Vec<Path>) {

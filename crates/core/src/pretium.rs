@@ -60,7 +60,9 @@ pub struct Pretium {
     grid: TimeGrid,
     horizon: usize,
     cfg: PretiumConfig,
-    state: NetworkState,
+    /// Shared by reference with every snapshot published off it; written
+    /// only through [`writable`], after [`Pretium::bump_epoch`].
+    state: Arc<NetworkState>,
     /// Shared with every published [`AdmissionSnapshot`], so concurrent
     /// quote workers and the live system fill one cache.
     path_cache: Arc<SharedPathSet>,
@@ -129,7 +131,7 @@ impl Pretium {
             grid,
             horizon,
             cfg,
-            state,
+            state: Arc::new(state),
             path_cache,
             epoch: 0,
             published: None,
@@ -173,8 +175,9 @@ impl Pretium {
     /// Publish (or reuse) the admission snapshot for the current epoch: an
     /// immutable view any number of RA workers can [`AdmissionSnapshot::quote`]
     /// against concurrently. Consecutive calls between mutations return
-    /// the same `Arc` — publication is amortized to one state clone per
-    /// epoch.
+    /// the same `Arc`. The snapshot shares the live state by reference:
+    /// publishing copies nothing, and the next mutation copies the state
+    /// only if a snapshot of it is still held somewhere (DESIGN.md §22).
     pub fn snapshot(&mut self) -> Arc<AdmissionSnapshot> {
         if let Some(s) = &self.published {
             return Arc::clone(s);
@@ -183,7 +186,7 @@ impl Pretium {
             self.epoch,
             self.horizon,
             Arc::clone(&self.net),
-            self.state.clone(),
+            Arc::clone(&self.state),
             Arc::clone(&self.path_cache),
             Arc::clone(&self.pending_quotes),
         ));
@@ -193,7 +196,10 @@ impl Pretium {
     }
 
     /// Retire the published snapshot (folding its quote telemetry in) and
-    /// advance the epoch. Every quote-relevant mutation goes through here.
+    /// advance the epoch. Every quote-relevant mutation goes through here
+    /// *before* it takes the state with [`writable`]: dropping the
+    /// system's own handle on the snapshot is what leaves the state
+    /// unshared, so the write that follows happens in place.
     fn bump_epoch(&mut self) {
         if let Some(snap) = self.published.take() {
             snap.stats.drain_into(&mut self.telemetry);
@@ -226,9 +232,12 @@ impl Pretium {
         params: &RequestParams,
         respond: impl FnOnce(&PriceMenu) -> f64,
     ) -> (PriceMenu, Option<ContractId>) {
-        let snap = self.snapshot();
-        let ticket = snap.ticket(params);
-        self.absorb_quotes(&snap);
+        let ticket = {
+            let snap = self.snapshot();
+            let ticket = snap.ticket(params);
+            self.absorb_quotes(&snap);
+            ticket
+        };
         let mut seq = Sequencer::new(self);
         let id = seq.admit(&ticket, respond);
         (ticket.menu, id)
@@ -401,6 +410,8 @@ impl Pretium {
         let guaranteed = units.min(menu.capacity_bound());
         let allocs = menu.allocations_for(guaranteed);
         let mut plan = Vec::with_capacity(allocs.len());
+        self.bump_epoch();
+        let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         for a in &allocs {
             // The menu was built against this very state, so the
             // reservation fits up to float noise; clamp to what the path's
@@ -410,7 +421,7 @@ impl Pretium {
             let room = paths[a.path_idx]
                 .edges()
                 .iter()
-                .map(|&e| self.state.available(e, a.t))
+                .map(|&e| state.available(e, a.t))
                 .fold(f64::INFINITY, f64::min);
             let take = a.units.min(room);
             debug_assert!((take - a.units).abs() < 1e-6 * (1.0 + a.units));
@@ -418,7 +429,7 @@ impl Pretium {
                 continue;
             }
             for &e in paths[a.path_idx].edges() {
-                self.state.reserve(e, a.t, take);
+                state.reserve(e, a.t, take);
             }
             plan.push((a.path_idx, a.t, take));
         }
@@ -438,7 +449,6 @@ impl Pretium {
             plan,
         });
         self.contract_paths.push(paths);
-        self.bump_epoch();
         self.telemetry.accepts_admitted += 1;
         self.telemetry.accept.record(t0.elapsed());
         self.run_audit(AuditPoint::Accept, params.arrival);
@@ -702,7 +712,8 @@ impl Pretium {
         // shaved from the plan, or `execute_step` bills flow the links
         // never carried.
         self.bump_epoch();
-        self.state.clear_reservations_from(now);
+        let state = writable(&mut self.state, &mut self.telemetry.state_copies);
+        state.clear_reservations_from(now);
         for (j, &i) in carry.contract_of_job.iter().enumerate() {
             let mut plan = Vec::with_capacity(sol.flows[j].len());
             for &(pi, t, units) in &sol.flows[j] {
@@ -710,14 +721,14 @@ impl Pretium {
                 let room = path
                     .edges()
                     .iter()
-                    .map(|&e| self.state.available(e, t))
+                    .map(|&e| state.available(e, t))
                     .fold(f64::INFINITY, f64::min);
                 let take = units.min(room);
                 if take <= 1e-12 {
                     continue;
                 }
                 for &e in path.edges() {
-                    self.state.reserve(e, t, take);
+                    state.reserve(e, t, take);
                 }
                 plan.push((pi, t, take));
             }
@@ -890,6 +901,7 @@ impl Pretium {
         self.telemetry.lp_pricing_par_steals += sol.lp_stats.pricing_par_steals;
         // Reference window: the pattern carried into the future.
         self.bump_epoch();
+        let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         let ref_start = self.grid.window_start(w_now - back);
         for e in self.net.edge_ids() {
             let floor = price_floor(&self.net, &self.grid, &self.cfg, e);
@@ -898,7 +910,7 @@ impl Pretium {
                 // Full dual price: congestion shadow price plus marginal
                 // percentile cost (C_e/k on the window's top-k steps).
                 let p = sol.price(e, t_ref).max(floor);
-                self.state.set_price(e, t, p);
+                state.set_price(e, t, p);
             }
         }
         self.pc_runs += 1;
@@ -920,9 +932,10 @@ impl Pretium {
             touched.insert(e);
         }
         let retained = 1.0 - fraction;
+        let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         for t in from..to.min(self.horizon) {
-            let h = self.state.health(e, t).min(retained);
-            self.state.set_health(e, t, h);
+            let h = state.health(e, t).min(retained);
+            state.set_health(e, t, h);
         }
         if from < self.horizon {
             self.fault_windows.insert(self.grid.window_of(from));
@@ -937,8 +950,9 @@ impl Pretium {
         if let Some(touched) = self.sam_touched.as_mut() {
             touched.insert(e);
         }
+        let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         for t in from..to.min(self.horizon) {
-            self.state.set_health(e, t, 1.0);
+            state.set_health(e, t, 1.0);
         }
     }
 
@@ -952,7 +966,7 @@ impl Pretium {
     /// example) — normal operation lets the price computer manage prices.
     pub fn set_price(&mut self, e: EdgeId, t: Timestep, p: f64) {
         self.bump_epoch();
-        self.state.set_price(e, t, p);
+        writable(&mut self.state, &mut self.telemetry.state_copies).set_price(e, t, p);
     }
 
     /// Seed every window's prices from a per-(edge, step-in-window)
@@ -961,14 +975,28 @@ impl Pretium {
     /// would have weeks of history; a fresh simulation has none).
     pub fn seed_prices(&mut self, pattern: impl Fn(EdgeId, usize) -> f64) {
         self.bump_epoch();
+        let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         for e in self.net.edge_ids() {
             let floor = price_floor(&self.net, &self.grid, &self.cfg, e);
             for t in 0..self.horizon {
                 let p = pattern(e, self.grid.step_in_window(t)).max(floor);
-                self.state.set_price(e, t, p);
+                state.set_price(e, t, p);
             }
         }
     }
+}
+
+/// The state, for writing. Copies it first when someone else still holds
+/// it — a pool worker quoting off a retired snapshot, a caller keeping one
+/// across a mutation — so a held snapshot never observes a write; counted
+/// in [`Telemetry::state_copies`]. Once the published snapshot is retired
+/// and no one else holds one, this is a reference-count check and the
+/// write lands in place. (The count is read before `make_mut` decides: a
+/// holder letting go in between is counted as a copy that did not happen,
+/// never the other way round.)
+fn writable<'a>(state: &'a mut Arc<NetworkState>, copies: &mut u64) -> &'a mut NetworkState {
+    *copies += u64::from(Arc::strong_count(state) > 1);
+    Arc::make_mut(state)
 }
 
 /// Per-edge price floor: the configured constant plus, for percentile

@@ -38,6 +38,28 @@ impl PriceBump {
     pub fn disabled() -> Self {
         PriceBump { threshold: 1.0, factor: 1.0 }
     }
+
+    /// Marginal price of the next unit on a link-timestep with base price
+    /// `base` and sellable capacity `cap` of which `used` is taken: bumped
+    /// once utilization has crossed the threshold (or nothing is sellable).
+    pub fn marginal(&self, base: f64, cap: f64, used: f64) -> f64 {
+        if cap <= 0.0 || used / cap >= self.threshold {
+            base * self.factor
+        } else {
+            base
+        }
+    }
+
+    /// Units still sellable at that marginal price before it changes (the
+    /// bump boundary, then exhaustion).
+    pub fn available_at_marginal(&self, cap: f64, used: f64) -> f64 {
+        let boundary = cap * self.threshold;
+        if used < boundary {
+            boundary - used
+        } else {
+            (cap - used).max(0.0)
+        }
+    }
 }
 
 /// Central state shared by RA, SAM and PC.
@@ -162,30 +184,13 @@ impl NetworkState {
     /// reservations: the base price, bumped if utilization of the sellable
     /// capacity has crossed the bump threshold.
     pub fn marginal_price(&self, e: EdgeId, t: Timestep) -> f64 {
-        let base = self.price(e, t);
-        let cap = self.sellable_capacity(e, t);
-        if cap <= 0.0 {
-            return base * self.bump.factor;
-        }
-        let fill = self.reserved[e.index()][t] / cap;
-        if fill >= self.bump.threshold {
-            base * self.bump.factor
-        } else {
-            base
-        }
+        self.bump.marginal(self.price(e, t), self.sellable_capacity(e, t), self.reserved(e, t))
     }
 
     /// Units still sellable at the *current* marginal price of `(e, t)`
     /// before the price changes (segment boundary or exhaustion).
     pub fn available_at_marginal(&self, e: EdgeId, t: Timestep) -> f64 {
-        let cap = self.sellable_capacity(e, t);
-        let used = self.reserved[e.index()][t];
-        let boundary = cap * self.bump.threshold;
-        if used < boundary {
-            boundary - used
-        } else {
-            (cap - used).max(0.0)
-        }
+        self.bump.available_at_marginal(self.sellable_capacity(e, t), self.reserved(e, t))
     }
 
     /// Update the high-pri set-aside at `(e, t)` (fault injection and

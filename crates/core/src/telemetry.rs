@@ -158,6 +158,10 @@ pub struct Telemetry {
     pub quotes_requoted: u64,
     /// Admission snapshots published (one per epoch with quote traffic).
     pub snapshots: u64,
+    /// Mutations that had to copy the network state first because a
+    /// snapshot of it was still held (a pool worker, a caller); 0 when
+    /// every snapshot is dropped before the next mutation (DESIGN.md §22).
+    pub state_copies: u64,
     /// Purchases booked as contracts.
     pub accepts_admitted: u64,
     /// Purchases rejected (walked away, empty menu, or no route).
@@ -247,6 +251,7 @@ impl Telemetry {
             ("quotes empty".into(), self.quotes_empty.to_string()),
             ("quotes requoted".into(), self.quotes_requoted.to_string()),
             ("snapshots published".into(), self.snapshots.to_string()),
+            ("state copies".into(), self.state_copies.to_string()),
             ("accepts admitted".into(), self.accepts_admitted.to_string()),
             ("accepts rejected".into(), self.accepts_rejected.to_string()),
             ("sam skipped".into(), self.sam_skipped.to_string()),
@@ -337,7 +342,7 @@ mod tests {
     fn rows_cover_every_counter() {
         let t = Telemetry::default();
         let rows = t.rows();
-        assert_eq!(rows.len(), 34);
+        assert_eq!(rows.len(), 35);
         assert!(rows.iter().any(|(k, _)| k == "sam localized"));
         assert!(rows.iter().any(|(k, _)| k == "lp refactors"));
         assert!(rows.iter().any(|(k, _)| k == "lp ft updates"));
@@ -349,6 +354,7 @@ mod tests {
         assert!(rows.iter().any(|(k, _)| k.starts_with("run_sam")));
         assert!(rows.iter().any(|(k, _)| k == "quotes requoted"));
         assert!(rows.iter().any(|(k, _)| k == "snapshots published"));
+        assert!(rows.iter().any(|(k, _)| k == "state copies"));
         assert!(rows.iter().any(|(k, _)| k == "audit violations"));
         assert!(rows.iter().any(|(k, _)| k == "guarantees shed"));
         assert!(rows.iter().any(|(k, _)| k == "rerouted units"));

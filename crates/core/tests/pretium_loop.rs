@@ -1,8 +1,10 @@
 //! End-to-end tests of the Pretium façade: the Figure 2 worked example and
 //! full RA → SAM → execute → PC loops on small networks.
 
-use pretium_core::{Pretium, PretiumConfig, PriceBump, RequestParams};
-use pretium_net::{topology, LinkCost, Network, Region, TimeGrid, UsageTracker};
+use pretium_core::{
+    build_menu, Pretium, PretiumConfig, PriceBump, PriceMenu, RequestParams, Sequencer,
+};
+use pretium_net::{topology, EdgeId, LinkCost, Network, Region, TimeGrid, UsageTracker};
 use pretium_workload::RequestId;
 
 fn params(
@@ -321,4 +323,162 @@ fn superseded_snapshot_quotes_drain_on_drop() {
     // Next epoch bump flushes the pending sink: nothing was lost.
     pretium.set_price(e, 0, 2.0);
     assert_eq!(pretium.telemetry().quote.calls, 3);
+}
+
+/// A request whose window lies past the horizon (or ends before it
+/// starts) used to reach `assert!(start <= deadline)` inside `build_menu`
+/// once the deadline had been clamped to `horizon − 1`. It is an empty
+/// menu now: counted in `quotes_empty`, rejected by `accept`, on the
+/// snapshot path and on the sequencer's live re-quote alike.
+#[test]
+fn window_past_the_horizon_is_rejected_not_a_panic() {
+    let mut net = Network::new();
+    let a = net.add_node("A", Region::NorthAmerica);
+    let b = net.add_node("B", Region::NorthAmerica);
+    let e = net.add_edge(a, b, 10.0, LinkCost::owned());
+    let cfg = PretiumConfig { highpri_fraction: 0.0, k_paths: 1, ..Default::default() };
+    let mut pretium = Pretium::new(net, TimeGrid::new(4, 30), 4, cfg);
+    let windows = [(4, 9), (7, 7), (3, 1), (usize::MAX, usize::MAX)];
+    for (i, &(start, deadline)) in windows.iter().enumerate() {
+        let p = params(i as u64, 0, 1, 5.0, start, deadline);
+        let (menu, id) = pretium.admit_one(&p, |menu| menu.optimal_purchase(100.0, 5.0));
+        assert!(menu.is_empty(), "window [{start}, {deadline}]: {menu:?}");
+        assert_eq!(id, None);
+    }
+    assert_eq!(pretium.telemetry().quotes_empty, 4);
+    assert_eq!(pretium.telemetry().accepts_rejected, 4);
+
+    // The same window on a stale ticket: the sequencer re-quotes live.
+    let p = params(9, 0, 1, 5.0, 6, 8);
+    let ticket = pretium.snapshot().ticket(&p);
+    pretium.set_price(e, 0, 1.0);
+    let mut seq = Sequencer::new(&mut pretium);
+    assert_eq!(seq.admit(&ticket, |_| 5.0), None);
+    assert_eq!(pretium.telemetry().quotes_requoted, 1);
+    assert_eq!(pretium.telemetry().quotes_empty, 6);
+    assert!(pretium.contracts().is_empty());
+    // A window that merely overhangs the horizon is clipped, not refused.
+    let p = params(10, 0, 1, 5.0, 3, 8);
+    assert!(pretium.admit_one(&p, |_| 5.0).1.is_some());
+}
+
+/// Two parallel two-hop routes S→T plus a direct S→T link, two windows of
+/// four steps, warmed through window 0 so prices, reservations and a live
+/// SAM session all exist when the copy-on-write tests start mutating.
+fn warmed_diamond() -> (Pretium, UsageTracker, EdgeId, Vec<RequestParams>) {
+    let mut net = Network::new();
+    let s = net.add_node("S", Region::NorthAmerica);
+    let m = net.add_node("M", Region::NorthAmerica);
+    let t = net.add_node("T", Region::Europe);
+    let sm = net.add_edge(s, m, 10.0, LinkCost::owned());
+    net.add_edge(m, t, 10.0, LinkCost::owned());
+    net.add_edge(s, t, 6.0, LinkCost::owned());
+    let cfg = PretiumConfig { k_paths: 2, audit: true, ..Default::default() };
+    let mut usage = UsageTracker::new(net.num_edges(), 8);
+    let mut pretium = Pretium::new(net, TimeGrid::new(4, 30), 8, cfg);
+    for now in 0..4 {
+        let p = params(now as u64, 0, 2, 25.0, now, 5);
+        pretium.admit_one(&p, |menu| menu.optimal_purchase(10.0, p.demand));
+        pretium.run_sam(now, &usage).unwrap();
+        pretium.execute_step(now, &mut usage);
+    }
+    // Probes: the whole remaining horizon, one step, and a clipped window.
+    let probes = vec![
+        params(90, 0, 2, 9.0, 4, 7),
+        params(91, 0, 2, 9.0, 6, 6),
+        params(92, 1, 2, 9.0, 6, 40),
+    ];
+    (pretium, usage, sm, probes)
+}
+
+/// A snapshot shares the live state by reference, and the system copies
+/// before it writes while one is held: across every kind of mutation the
+/// held snapshot keeps quoting the pre-mutation menus bit for bit, a fresh
+/// snapshot quotes what the live state says, and each held mutation costs
+/// exactly one `state_copies`.
+#[test]
+fn held_snapshot_never_sees_a_mutation() {
+    let (mut pretium, usage, sm, probes) = warmed_diamond();
+    assert_eq!(pretium.telemetry().state_copies, 0, "warm-up held no snapshot");
+    type Mutation = Box<dyn Fn(&mut Pretium, &UsageTracker)>;
+    let buyer = params(50, 0, 2, 12.0, 4, 7);
+    let mutations: Vec<(&str, bool, Mutation)> = vec![
+        (
+            "accept",
+            true,
+            Box::new(move |sys, _| {
+                let menu = sys.snapshot().quote(&buyer);
+                assert!(sys.accept(&buyer, &menu, 12.0).is_some());
+            }),
+        ),
+        ("run_pc", true, Box::new(|sys, _| sys.run_pc(4).unwrap())),
+        ("run_sam", false, Box::new(|sys, usage| sys.run_sam(4, usage).unwrap())),
+        ("set_price", true, Box::new(move |sys, _| sys.set_price(sm, 6, 7.5))),
+        (
+            "inject_capacity_loss",
+            true,
+            Box::new(move |sys, _| sys.inject_capacity_loss(sm, 4, 7, 0.9)),
+        ),
+        ("restore_capacity", true, Box::new(move |sys, _| sys.restore_capacity(sm, 4, 7))),
+    ];
+    for (i, (what, must_change, mutate)) in mutations.iter().enumerate() {
+        let held = pretium.snapshot();
+        let before: Vec<PriceMenu> = probes.iter().map(|p| held.quote(p)).collect();
+        assert!(
+            before.iter().any(|m| !m.is_empty()),
+            "{what}: probes must price something: {:?}",
+            before.iter().map(PriceMenu::capacity_bound).collect::<Vec<_>>()
+        );
+        let epoch = pretium.epoch();
+        mutate(&mut pretium, &usage);
+        assert!(pretium.epoch() > epoch, "{what} must bump the epoch");
+        assert_eq!(pretium.telemetry().state_copies, i as u64 + 1, "{what}: one copy");
+
+        let after: Vec<PriceMenu> = probes.iter().map(|p| held.quote(p)).collect();
+        assert_eq!(after, before, "{what}: a held snapshot saw the mutation");
+        let fresh = pretium.snapshot();
+        let live: Vec<PriceMenu> = probes
+            .iter()
+            .map(|p| {
+                let paths = pretium.paths_for(p.src, p.dst);
+                build_menu(pretium.state(), &paths, p.start, p.deadline)
+            })
+            .collect();
+        let quoted: Vec<PriceMenu> = probes.iter().map(|p| fresh.quote(p)).collect();
+        assert_eq!(quoted, live, "{what}: a fresh snapshot quotes the live state");
+        if *must_change {
+            assert_ne!(quoted, before, "{what} changed nothing a menu could see");
+        }
+    }
+    let aud = pretium.auditor().unwrap();
+    assert!(aud.is_clean(), "{:?}", aud.violations());
+}
+
+/// With every snapshot dropped before the next mutation — `admit_one`, a
+/// sequenced batch, SAM, PC, faults — the state is never copied: the
+/// system's own published snapshot is retired by the epoch bump, and the
+/// write lands in place.
+#[test]
+fn serial_walk_never_copies_the_state() {
+    let (mut pretium, mut usage, sm, _) = warmed_diamond();
+    pretium.run_pc(4).unwrap();
+    pretium.inject_capacity_loss(sm, 5, 6, 0.5);
+    for now in 4..8 {
+        // One batch off one snapshot, dropped before sequencing.
+        let batch: Vec<RequestParams> =
+            (0..3).map(|i| params(100 + 10 * now as u64 + i, 0, 2, 4.0, now, 7)).collect();
+        let snap = pretium.snapshot();
+        let tickets: Vec<_> = batch.iter().map(|p| snap.ticket(p)).collect();
+        pretium.absorb_quotes(&snap);
+        drop(snap);
+        let mut seq = Sequencer::new(&mut pretium);
+        for ticket in &tickets {
+            seq.admit(ticket, |menu| menu.optimal_purchase(10.0, 4.0));
+        }
+        seq.finish(now, &usage).unwrap();
+        pretium.execute_step(now, &mut usage);
+    }
+    let t = pretium.telemetry();
+    assert!(t.accepts_admitted >= 8 && t.quotes_requoted >= 1 && t.snapshots >= 8, "{t:?}");
+    assert_eq!(t.state_copies, 0);
 }

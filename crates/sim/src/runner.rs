@@ -377,6 +377,28 @@ mod tests {
     }
 
     #[test]
+    fn pooled_quote_batch_matches_serial_and_copies_no_state() {
+        // `quote_batch` joins its pool before the batch is sequenced, so no
+        // worker still holds the snapshot when the first accept writes: the
+        // pooled replay is the serial one bit for bit, and neither copies
+        // the network state.
+        let sc = small();
+        let run = |ra_jobs| {
+            let cfg = PretiumConfig { ra_jobs, ..PretiumConfig::default() };
+            run_pretium(&sc, cfg, Variant::Full).unwrap()
+        };
+        let (serial, pooled) = (run(1), run(2));
+        assert_eq!(pooled.outcome.admitted, serial.outcome.admitted);
+        assert_eq!(pooled.outcome.payments, serial.outcome.payments);
+        assert_eq!(pooled.outcome.delivered, serial.outcome.delivered);
+        for r in [&serial, &pooled] {
+            let t = r.telemetry();
+            assert!(t.snapshots > 0 && t.accepts_admitted > 0);
+            assert_eq!(t.state_copies, 0, "ra_jobs={}", r.system.config().ra_jobs);
+        }
+    }
+
+    #[test]
     fn nosam_variant_disables_sam() {
         let sc = small();
         let run = run_pretium(&sc, PretiumConfig::default(), Variant::NoSam).unwrap();

@@ -222,3 +222,58 @@ fn warm_dual_restart_matches_a_cold_solve() {
         assert!((w - c).abs() < 1e-9, "duals {:?} vs {:?}", warm.duals(), cold.duals());
     }
 }
+
+#[test]
+fn sequenced_tickets_match_live_quotes_and_refuse_windows_past_the_horizon() {
+    // The admission hot path end to end (DESIGN.md §22): three tickets off
+    // one snapshot — two rivals for the same slots and one whose window
+    // lies past the horizon — sequenced while the snapshot is still held,
+    // against a second system that quotes each request live (`admit_one`).
+    use pretium::core::{Pretium, RequestParams, Sequencer};
+    use pretium::workload::RequestId;
+
+    let sc = tiny(21);
+    let fresh = || Pretium::new(sc.net.clone(), sc.grid, sc.horizon, PretiumConfig::default());
+    let first = RequestParams::from(&sc.requests[0]);
+    let rival = RequestParams { id: RequestId(9_001), ..first.clone() };
+    let late = RequestParams {
+        id: RequestId(9_002),
+        start: sc.horizon + 3,
+        deadline: sc.horizon + 9,
+        ..first.clone()
+    };
+    let batch = [first, rival, late];
+    let buy =
+        |menu: &pretium::core::PriceMenu, p: &RequestParams| menu.optimal_purchase(1e3, p.demand);
+
+    let mut system = fresh();
+    let snap = system.snapshot();
+    let tickets = batch.each_ref().map(|p| snap.ticket(p));
+    system.absorb_quotes(&snap);
+    let mut shown = Vec::new();
+    let mut seq = Sequencer::new(&mut system);
+    let ids = tickets.each_ref().map(|t| {
+        seq.admit(t, |menu| {
+            shown.push(menu.clone());
+            buy(menu, &t.params)
+        })
+    });
+
+    let mut live = fresh();
+    for ((p, menu), id) in batch.iter().zip(&shown).zip(ids) {
+        let (quoted, live_id) = live.admit_one(p, |menu| buy(menu, p));
+        assert_eq!(&quoted, menu, "{:?} was shown a menu the live state would not quote", p.id);
+        assert_eq!(live_id, id);
+    }
+    assert!(ids[0].is_some() && ids[1].is_some());
+    assert_eq!(shown[0], tickets[0].menu, "a fresh ticket keeps its snapshot menu");
+    assert_ne!(shown[1], tickets[1].menu, "the rival's slots were taken: re-quoted live");
+    assert!(shown[2].is_empty() && ids[2].is_none(), "a window past the horizon buys nothing");
+    let t = system.telemetry();
+    assert_eq!((t.quotes_requoted, t.quotes_empty, t.accepts_rejected), (1, 1, 1));
+    // The snapshot was held across both accepts: the first one copied the
+    // state instead of writing under it, the second found it unshared.
+    assert_eq!(t.state_copies, 1);
+    assert_eq!(snap.quote(&batch[0]), tickets[0].menu);
+    assert_eq!(live.telemetry().state_copies, 0);
+}
