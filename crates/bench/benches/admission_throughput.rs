@@ -1,26 +1,22 @@
 //! Admission front-end throughput at load 2.0: quotes/sec off one
-//! published snapshot (serial walk vs the work-stealing pool), menu
-//! builds by window length, heap allocations per quote, and end-to-end
-//! accepts/sec through the sequencer.
+//! published snapshot, menu builds by window length, heap allocations per
+//! quote, and end-to-end accepts/sec through the sequencer.
 //!
 //! Full mode writes `BENCH_admission_throughput.json` at the workspace
 //! root. `ADMISSION_SMOKE=1` is the CI mode: tiny scale, few samples, no
 //! JSON (a smoke run never clobbers recorded numbers), and only checks
-//! that repeat exactly — pooled, held-snapshot and live-state menus equal
-//! the serial ones, allocations per quote under a fixed cap, no state copy
-//! on the serial walk. Both modes run the checks; no wall-clock ratio is
+//! that repeat exactly — held-snapshot and live-state menus equal the
+//! serial ones, allocations per quote under a fixed cap, no state copy on
+//! the serial walk. Both modes run the checks; no wall-clock ratio is
 //! asserted anywhere.
 
 use pretium_bench::{allocations, black_box, provenance_json, CountingAlloc, Harness};
-use pretium_core::{build_menu, Pretium, PretiumConfig, QuoteTicket, RequestParams};
-use pretium_sim::par::run_cells_ok;
-use pretium_sim::{run_pretium, Cell, ScenarioConfig, Variant};
-use std::sync::Arc;
+use pretium_core::{build_menu, Pretium, PretiumConfig, RequestParams};
+use pretium_sim::{run_pretium, ScenarioConfig, Variant};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-const POOL_JOBS: usize = 4;
 /// `menu_build` rows: request windows of this many timesteps.
 const WINDOWS: [usize; 3] = [1, 8, 32];
 /// Ceiling on heap allocations of one quote: the ledger's four vectors
@@ -55,18 +51,6 @@ fn main() {
             }
         });
     });
-    let pooled_tickets = || {
-        let cells: Vec<Cell<QuoteTicket, std::convert::Infallible>> = params
-            .iter()
-            .map(|p| {
-                let snap = Arc::clone(&snap);
-                let p = p.clone();
-                Cell::new(format!("q/{:?}", p.id), move || Ok(snap.ticket(&p)))
-            })
-            .collect();
-        run_cells_ok(POOL_JOBS, cells).0
-    };
-    h.bench_function("admission_quotes_pooled", |b| b.iter(|| black_box(pooled_tickets().len())));
 
     // The menu builder alone, by window length: every request's own route
     // set, its window cut (or stretched) to `len` steps from its start.
@@ -98,13 +82,12 @@ fn main() {
         "a quote allocated {allocs_max} times (cap {MAX_ALLOCS_PER_QUOTE})"
     );
 
-    // Same menus, not just fast ones: the pool, a snapshot held across a
-    // mutation, and a direct build on the live state all agree with the
-    // serial walk, bit for bit.
+    // Same menus, not just fast ones: a snapshot held across a mutation
+    // and a direct build on the live state both agree with the serial
+    // walk, bit for bit.
     let serial: Vec<_> = params.iter().map(|p| snap.quote(p)).collect();
     {
-        for ((t, m), p) in pooled_tickets().iter().zip(&serial).zip(&params) {
-            assert_eq!(&t.menu, m, "pooled menu diverged for {:?}", p.id);
+        for (m, p) in serial.iter().zip(&params) {
             let paths = system.paths_for(p.src, p.dst);
             let live = build_menu(system.state(), &paths, p.start, p.deadline);
             assert_eq!(&live, m, "live-state menu diverged for {:?}", p.id);
@@ -141,21 +124,17 @@ fn main() {
 
     let per_sec = |name: &str| n as f64 / h.get(name).unwrap().median().as_secs_f64();
     let q_serial = per_sec("admission_quotes_serial");
-    let q_pooled = per_sec("admission_quotes_pooled");
     let accepts = per_sec("admission_accepts");
-    let ratio = q_pooled / q_serial;
     let menu_us = WINDOWS.map(|len| {
         h.get(&format!("menu_build_{len}_steps")).unwrap().median().as_secs_f64() * 1e6 / n as f64
     });
     println!(
-        "admission_throughput: {n} requests at load 2.0 — quotes {q_serial:.0}/s serial, \
-         {q_pooled:.0}/s pooled ({ratio:.2}x), accepts {accepts:.0}/s, menu build \
-         {:.2}/{:.2}/{:.2} us at 1/8/32 steps, {allocs_mean:.1} allocations/quote (max \
-         {allocs_max}), 0 state copies on the serial walk",
+        "admission_throughput: {n} requests at load 2.0 — quotes {q_serial:.0}/s, accepts \
+         {accepts:.0}/s, menu build {:.2}/{:.2}/{:.2} us at 1/8/32 steps, {allocs_mean:.1} \
+         allocations/quote (max {allocs_max}), 0 state copies on the serial walk",
         menu_us[0], menu_us[1], menu_us[2]
     );
     println!("BENCH\tadmission_quotes_per_sec_serial\t{q_serial:.1}");
-    println!("BENCH\tadmission_quotes_per_sec_pooled\t{q_pooled:.1}");
     println!("BENCH\tadmission_accepts_per_sec\t{accepts:.1}");
     for (len, us) in WINDOWS.iter().zip(menu_us) {
         println!("BENCH\tadmission_menu_build_us_{len}_steps\t{us:.3}");
@@ -164,7 +143,7 @@ fn main() {
 
     if smoke {
         println!(
-            "admission smoke: pooled, held-snapshot and live-state menus equal serial; \
+            "admission smoke: held-snapshot and live-state menus equal serial; \
              allocations/quote <= {MAX_ALLOCS_PER_QUOTE}; serial walk copied no state \
              (no JSON written)"
         );
@@ -173,10 +152,8 @@ fn main() {
     // Hand-formatted (the workspace builds offline, without serde).
     let json = format!(
         "{{\n  \"bench\": \"admission_throughput\",\n  \"scale\": \"evaluation\",\n  \
-         \"load_factor\": 2.0,\n  \"requests\": {n},\n  \"pool_jobs\": {POOL_JOBS},\n  \
+         \"load_factor\": 2.0,\n  \"requests\": {n},\n  \
          \"quotes_per_sec_serial\": {q_serial:.1},\n  \
-         \"quotes_per_sec_pooled\": {q_pooled:.1},\n  \
-         \"throughput_ratio\": {ratio:.3},\n  \
          \"accepts_per_sec\": {accepts:.1},\n  \
          \"menu_build_us\": {{ \"1_step\": {:.3}, \"8_steps\": {:.3}, \"32_steps\": {:.3} }},\n  \
          \"allocations_per_quote_mean\": {allocs_mean:.1},\n  \

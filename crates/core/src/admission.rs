@@ -266,12 +266,9 @@ impl<'a> Sequencer<'a> {
         self.system.contract(id)
     }
 
-    /// Close the batch: run SAM at the configured cadence (`now %
-    /// sam_every == 0`), exactly where the serial loop triggered it.
+    /// Close the batch: SAM re-optimizes every timestep (§4.2), exactly
+    /// where the serial loop triggered it.
     pub fn finish(self, now: Timestep, realized: &UsageTracker) -> Result<(), SolveError> {
-        if now.is_multiple_of(self.system.config().sam_every.max(1)) {
-            self.system.run_sam(now, realized)?;
-        }
-        Ok(())
+        self.system.run_sam(now, realized)
     }
 }

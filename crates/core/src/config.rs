@@ -1,56 +1,8 @@
 //! Pretium configuration knobs.
 
-use crate::degradation::DegradationPolicy;
 use crate::state::PriceBump;
 use crate::topk::TopkEncoding;
 use pretium_lp::Pricing;
-
-/// Which past window the price computer projects forward (§4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReferenceWindow {
-    /// The window that just ended.
-    Previous,
-    /// `n` windows back (e.g. the same window yesterday when windows are
-    /// shorter than a day).
-    WindowsBack(usize),
-}
-
-/// Incremental SAM re-optimization mode (DESIGN.md §16).
-///
-/// When a SAM step follows a *localized* change — a few accepts, a fault
-/// with a known touched-edge set — the schedule session can freeze every
-/// untouched job block at its current plan and re-solve only the affected
-/// blocks against residual capacities, adopting the composite only when its
-/// KKT certificate holds. `Off` keeps the full (warm-started) re-solve on
-/// every step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IncrementalSam {
-    /// Always re-solve the full LP (warm-started).
-    Off,
-    /// Localized solves certified at the solver's own feasibility
-    /// tolerance — the composite is the exact LP optimum or it is
-    /// discarded.
-    Exact,
-    /// Localized solves certified at an explicit tolerance (looser than
-    /// `Exact` trades a little optimality slack for fewer fallbacks).
-    Certified {
-        /// Max reduced-cost / feasibility violation accepted.
-        tol: f64,
-    },
-}
-
-impl IncrementalSam {
-    /// The certification tolerance this mode demands (solver feasibility
-    /// tolerance for `Exact`).
-    pub fn tol(self) -> f64 {
-        match self {
-            // Matches SimplexOptions::default().feas_tol; solve_restricted
-            // takes the max of the two anyway.
-            IncrementalSam::Off | IncrementalSam::Exact => 1e-7,
-            IncrementalSam::Certified { tol } => tol,
-        }
-    }
-}
 
 /// Column-generation mode for the SAM scheduling LP (DESIGN.md §17).
 ///
@@ -102,7 +54,12 @@ impl ColumnGen {
 }
 
 /// All tunables of a Pretium instance. Defaults follow the paper where it
-/// states values, and DESIGN.md §8 where it does not.
+/// states values, and DESIGN.md §8 where it does not. What the paper fixes
+/// and nothing in the repository varies is not a field: SAM runs every
+/// timestep (§4.2), the PC optimizes over the window that just ended and
+/// projects its duals forward (§4.3), cold-start prices are the per-edge
+/// floors, and an uncoverable guarantee LP always sheds then relaxes
+/// (§4.4).
 #[derive(Debug, Clone)]
 pub struct PretiumConfig {
     /// Admissible routes per request (k-shortest paths).
@@ -115,47 +72,20 @@ pub struct PretiumConfig {
     pub topk: TopkEncoding,
     /// Multiplier on link costs (Figure 12 sweeps this).
     pub cost_scale: f64,
-    /// Run SAM every `sam_every` timesteps (1 = every step, as in §4.2).
-    pub sam_every: usize,
-    /// RA quote workers per arrival batch. 1 (the default) quotes each
-    /// batch serially on the caller's thread; >1 fans quotes out over a
-    /// work-stealing pool. Results are bit-identical either way — the
-    /// sequencer, not thread timing, fixes admission order.
-    pub ra_jobs: usize,
     /// Disable SAM entirely (the Pretium-NoSAM ablation of Figure 11).
     pub sam_enabled: bool,
-    /// Windows of history the price computer optimizes over (the paper's
-    /// period `T`, at least one window).
-    pub lookback_windows: usize,
-    /// Which past window supplies the projected prices.
-    pub reference: ReferenceWindow,
     /// Price floor for owned links (per unit). Percentile links use
     /// `max(this, C_e / k)` so quotes never fall below marginal cost.
     pub price_floor: f64,
-    /// Initial price scale at cold start (multiplies each link's floor).
-    pub initial_price_scale: f64,
     /// Run the network-state invariant auditor after every RA accept, SAM
     /// re-optimization, PC price update, and executed step. Debug/test
     /// builds audit unconditionally; this flag turns auditing on in
     /// release builds too (e.g. for an audited evaluation replay).
     pub audit: bool,
-    /// Fallback policy when faults make the guarantee LP uncoverable
-    /// (§4.4): shed lowest-λ guarantees first, then relax the last one,
-    /// booking every waiver in the violation ledger.
-    pub degradation: DegradationPolicy,
     /// Simplex pricing strategy for every LP Pretium solves (RA quotes,
     /// SAM re-optimization, PC dual pricing). Deterministic given the
     /// model, so any choice preserves the cross-`--jobs` replay contract.
     pub pricing: Pricing,
-    /// Incremental SAM re-optimization on localized changes (DESIGN.md
-    /// §16). Off by default: the full warm re-solve is the reference
-    /// behavior, and every recorded experiment uses it unless stated.
-    pub incremental_sam: IncrementalSam,
-    /// Drift guard for incremental SAM: force a full re-solve every this
-    /// many SAM steps even when every intervening step certified (mirrors
-    /// the PR-5 repricing guard cadence). 0 disables the cadence (certify
-    /// only).
-    pub sam_full_every: usize,
     /// Column generation for the SAM scheduling LP (DESIGN.md §17). Off by
     /// default: full materialization is the reference behavior, and every
     /// recorded experiment uses it unless stated. PC and the offline
@@ -187,18 +117,10 @@ impl Default for PretiumConfig {
             bump: PriceBump::default(),
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
-            sam_every: 1,
-            ra_jobs: 1,
             sam_enabled: true,
-            lookback_windows: 1,
-            reference: ReferenceWindow::Previous,
             price_floor: 0.05,
-            initial_price_scale: 1.0,
             audit: false,
-            degradation: DegradationPolicy::ShedThenRelax,
             pricing: Pricing::default(),
-            incremental_sam: IncrementalSam::Off,
-            sam_full_every: 16,
             colgen: ColumnGen::Off,
             max_etas: 0,
             pricing_jobs: 1,
@@ -212,38 +134,47 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_constants() {
-        let c = PretiumConfig::default();
-        assert_eq!(c.bump.threshold, 0.8);
-        assert_eq!(c.bump.factor, 2.0);
-        assert_eq!(c.sam_every, 1);
-        assert!(c.sam_enabled);
+        // Exhaustive on purpose: a new field does not compile here until
+        // someone has argued for it (ROADMAP item 3: at most 12).
+        let PretiumConfig {
+            k_paths,
+            highpri_fraction,
+            bump,
+            topk,
+            cost_scale,
+            sam_enabled,
+            price_floor,
+            audit,
+            pricing,
+            colgen,
+            max_etas,
+            pricing_jobs,
+        } = PretiumConfig::default();
+        assert_eq!((k_paths, highpri_fraction, cost_scale, price_floor), (3, 0.10, 1.0, 0.05));
+        assert_eq!((bump.threshold, bump.factor), (0.8, 2.0));
+        assert_eq!(topk, TopkEncoding::CVar);
+        assert!(sam_enabled);
         // Release-build auditing is opt-in (debug builds always audit).
-        assert!(!c.audit);
-        assert_eq!(c.degradation, DegradationPolicy::ShedThenRelax);
-        assert_eq!(c.pricing, Pricing::PartialDevex);
-        // Incremental SAM is opt-in; the drift guard defaults to a full
-        // re-solve every 16 steps when it is on.
-        assert_eq!(c.incremental_sam, IncrementalSam::Off);
-        assert_eq!(c.sam_full_every, 16);
-        assert_eq!(IncrementalSam::Certified { tol: 1e-6 }.tol(), 1e-6);
-        assert_eq!(IncrementalSam::Exact.tol(), 1e-7);
+        assert!(!audit);
+        assert_eq!(pricing, Pricing::PartialDevex);
         // Colgen is opt-in; On defaults to 50 pricing rounds and a
         // single-path seed.
-        assert_eq!(c.colgen, ColumnGen::Off);
-        // Pricing parallelism defaults to the serial path; >1 is opt-in
-        // and bit-identical by the section-ordered reduction contract.
-        assert_eq!(c.pricing_jobs, 1);
+        assert_eq!(colgen, ColumnGen::Off);
         assert_eq!(ColumnGen::on().max_rounds(), 50);
         assert_eq!(ColumnGen::on().seed_paths(), 1);
         assert_eq!(ColumnGen::On { max_rounds: 7, seed_paths: 2 }.max_rounds(), 7);
         assert_eq!(ColumnGen::On { max_rounds: 7, seed_paths: 2 }.seed_paths(), 2);
+        // The solver default cadence and the serial pricing path; >1
+        // pricing workers are bit-identical by the section-ordered
+        // reduction contract.
+        assert_eq!((max_etas, pricing_jobs), (0, 1));
     }
 
     #[test]
     fn clone_roundtrip() {
-        let c = PretiumConfig::default();
+        let c = PretiumConfig { k_paths: 5, colgen: ColumnGen::on(), ..Default::default() };
         let back = c.clone();
         assert_eq!(c.k_paths, back.k_paths);
-        assert_eq!(c.reference, back.reference);
+        assert_eq!(c.colgen, back.colgen);
     }
 }

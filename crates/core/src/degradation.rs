@@ -42,15 +42,6 @@ impl DegradationKind {
     }
 }
 
-/// Fallback policy SAM applies when the guarantee LP is short (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradationPolicy {
-    /// Leave shortfalls in place and only count them (pre-fault behavior).
-    Disabled,
-    /// Shed lowest-λ guarantees first, then relax the last one short.
-    ShedThenRelax,
-}
-
 /// One recorded guarantee violation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {

@@ -49,12 +49,12 @@ pub mod topk;
 
 pub use admission::{AdmissionSnapshot, QuoteTicket, Sequencer};
 pub use audit::{AuditContext, AuditPoint, Auditor, Invariant, Violation};
-pub use config::{ColumnGen, PretiumConfig, ReferenceWindow};
+pub use config::{ColumnGen, PretiumConfig};
 pub use contract::{Contract, ContractId, RequestParams};
-pub use degradation::{DegradationKind, DegradationPolicy, LedgerEntry, ViolationLedger};
+pub use degradation::{DegradationKind, LedgerEntry, ViolationLedger};
 pub use menu::{build_menu, PriceMenu};
-pub use pretium::{initial_price, price_floor, Pretium};
-pub use schedule::{Job, LocalizedOutcome, ScheduleProblem, ScheduleSession, ScheduleSolution};
+pub use pretium::{price_floor, Pretium};
+pub use schedule::{Job, ScheduleProblem, ScheduleSession, ScheduleSolution};
 pub use state::{NetworkState, PriceBump};
 pub use telemetry::{ModuleStats, PoolTelemetry, Telemetry};
 pub use topk::{topk_upper_bound, TopkEncoding};

@@ -8,9 +8,9 @@
 
 use crate::admission::{AdmissionSnapshot, Sequencer, SnapshotStats};
 use crate::audit::{AuditContext, AuditPoint, Auditor};
-use crate::config::{IncrementalSam, PretiumConfig, ReferenceWindow};
+use crate::config::PretiumConfig;
 use crate::contract::{Contract, ContractId, RequestParams};
-use crate::degradation::{DegradationKind, DegradationPolicy, ViolationLedger};
+use crate::degradation::{DegradationKind, ViolationLedger};
 use crate::menu::{build_menu, PriceMenu};
 use crate::schedule::{self, Job, ScheduleProblem, ScheduleSession};
 use crate::state::NetworkState;
@@ -102,29 +102,18 @@ pub struct Pretium {
     /// Simplex iteration cap injected by the solver-pressure fault; SAM
     /// keeps its previous plan when a solve hits it.
     solver_pressure: Option<u64>,
-    /// Edges whose capacity changed since the last successful SAM run
-    /// (fault injections and recoveries report them). `None` means the
-    /// change scope is unknown — the next SAM step must re-solve the full
-    /// LP before localized re-optimization can resume (DESIGN.md §16).
-    sam_touched: Option<HashSet<EdgeId>>,
-    /// Consecutive SAM steps since the last full re-solve — the drift
-    /// guard compares this against [`PretiumConfig::sam_full_every`].
-    sam_since_full: usize,
 }
 
 impl Pretium {
     /// Create an instance over `net` for `horizon` timesteps. Initial
-    /// prices are the per-edge floors scaled by
-    /// `cfg.initial_price_scale` (cold start; see DESIGN.md §8).
+    /// prices are the per-edge floors (cold start; see DESIGN.md §8).
     pub fn new(net: Network, grid: TimeGrid, horizon: usize, cfg: PretiumConfig) -> Self {
         assert!(horizon > 0);
-        let initial: Vec<f64> =
-            net.edge_ids().map(|e| initial_price(&net, &grid, &cfg, e)).collect();
+        let floors: Vec<f64> = net.edge_ids().map(|e| price_floor(&net, &grid, &cfg, e)).collect();
         let state = NetworkState::new(&net, grid, horizon, cfg.highpri_fraction, cfg.bump, |e| {
-            initial[e.index()]
+            floors[e.index()]
         });
         let path_cache = Arc::new(SharedPathSet::new(cfg.k_paths));
-        let floors: Vec<f64> = net.edge_ids().map(|e| price_floor(&net, &grid, &cfg, e)).collect();
         let audit = (cfg.audit || cfg!(debug_assertions)).then(Auditor::new);
         Pretium {
             net: Arc::new(net),
@@ -147,8 +136,6 @@ impl Pretium {
             ledger: ViolationLedger::new(),
             fault_windows: HashSet::default(),
             solver_pressure: None,
-            sam_touched: None,
-            sam_since_full: 0,
         }
     }
 
@@ -225,8 +212,8 @@ impl Pretium {
     ///
     /// This is the migration surface for callers of the removed
     /// `quote(&mut self)` + `accept` pair; batch admission should publish
-    /// one snapshot and fan quotes out instead (see `pretium-sim`'s
-    /// runner).
+    /// one snapshot and quote the whole batch off it instead (see
+    /// `pretium-sim`'s runner).
     pub fn admit_one(
         &mut self,
         params: &RequestParams,
@@ -311,7 +298,6 @@ impl Pretium {
             tuning: SolverTuning {
                 max_etas: self.cfg.max_etas,
                 pricing_jobs: self.cfg.pricing_jobs,
-                ..SolverTuning::default()
             },
             ..SolveOptions::default()
         }
@@ -540,48 +526,11 @@ impl Pretium {
         let opts = self.sam_opts();
         let lp_before = carry.sess.lp_stats();
         const SHORT_TOL: f64 = 1e-6;
-        // Localized re-optimization (DESIGN.md §16): when the changes since
-        // the last run are known to be a few accepts plus a reported
-        // touched-edge set, freeze every untouched job block and re-solve
-        // only the affected blocks — gated by the drift guard, which forces
-        // a full re-solve every `sam_full_every` steps regardless.
-        let use_localized = reusable
-            && self.cfg.incremental_sam != IncrementalSam::Off
-            && self.sam_touched.is_some()
-            && (self.cfg.sam_full_every == 0 || self.sam_since_full < self.cfg.sam_full_every);
-        // `local_path`: None = full solve, Some(false) = certified
-        // localized, Some(true) = localized attempt that fell back to full.
-        let (result, local_path) = {
+        let result = {
             let state = &self.state;
             let capacity = |e: EdgeId, t: Timestep| state.sellable_capacity(e, t);
             let realized_fn = |e: EdgeId, t: Timestep| realized.at(e, t);
-            if use_localized {
-                let touched = self.sam_touched.as_ref().expect("gated on is_some");
-                let tol = self.cfg.incremental_sam.tol();
-                match carry.sess.solve_step_localized(
-                    &self.net,
-                    &capacity,
-                    &realized_fn,
-                    touched,
-                    tol,
-                    &opts,
-                ) {
-                    Ok(loc) if !loc.used_full && loc.solution.max_shortfall() <= SHORT_TOL => {
-                        (Ok(loc.solution), Some(false))
-                    }
-                    Ok(loc) if loc.used_full => (Ok(loc.solution), Some(true)),
-                    // A certified localized plan reporting a shortfall:
-                    // re-solve the full LP for the authoritative optimum
-                    // before any guarantee is waived (§4.4).
-                    Ok(_) => (
-                        carry.sess.solve_step_with(&self.net, &capacity, &realized_fn, &opts),
-                        Some(true),
-                    ),
-                    Err(e) => (Err(e), None),
-                }
-            } else {
-                (carry.sess.solve_step_with(&self.net, &capacity, &realized_fn, &opts), None)
-            }
+            carry.sess.solve_step_with(&self.net, &capacity, &realized_fn, &opts)
         };
         let mut sol = match result {
             Ok(sol) => sol,
@@ -589,7 +538,6 @@ impl Pretium {
                 // Retire the failed session (keeping its counters); the
                 // next SAM run rebuilds from scratch.
                 self.lp_stats.merge(carry.sess.lp_stats());
-                self.sam_touched = None;
                 if matches!(err, SolveError::IterationLimit { .. })
                     && self.solver_pressure.is_some()
                 {
@@ -602,17 +550,6 @@ impl Pretium {
                 return Err(err);
             }
         };
-        match local_path {
-            Some(false) => {
-                self.telemetry.sam_localized += 1;
-                self.sam_since_full += 1;
-            }
-            Some(true) => {
-                self.telemetry.sam_localized_fallbacks += 1;
-                self.sam_since_full = 0;
-            }
-            None => self.sam_since_full = 0,
-        }
         if sol.max_shortfall() > SHORT_TOL {
             self.telemetry.sam_shortfalls += 1;
         }
@@ -623,9 +560,7 @@ impl Pretium {
         // its shortfall. Every waiver books a λ·units penalty in the
         // ledger and lowers the LP's guarantee row, so the re-solve
         // (warm, RHS-only) redistributes capacity to the survivors.
-        if sol.max_shortfall() > SHORT_TOL
-            && self.cfg.degradation == DegradationPolicy::ShedThenRelax
-        {
+        if sol.max_shortfall() > SHORT_TOL {
             self.telemetry.sam_degradations += 1;
             let mut handled: HashSet<usize> = HashSet::default();
             loop {
@@ -678,7 +613,6 @@ impl Pretium {
                     Ok(s) => s,
                     Err(err) => {
                         self.lp_stats.merge(carry.sess.lp_stats());
-                        self.sam_touched = None;
                         if matches!(err, SolveError::IterationLimit { .. })
                             && self.solver_pressure.is_some()
                         {
@@ -767,9 +701,6 @@ impl Pretium {
             lp_after.pricing_par_sections - lp_before.pricing_par_sections;
         self.telemetry.lp_pricing_par_steals +=
             lp_after.pricing_par_steals - lp_before.pricing_par_steals;
-        // The installed plans now reflect every capacity change reported so
-        // far; start accumulating touched edges for the next step.
-        self.sam_touched = Some(HashSet::default());
         self.sam = Some(carry);
         self.telemetry.sam.record(t0.elapsed());
         self.run_audit(AuditPoint::Sam, now);
@@ -819,8 +750,8 @@ impl Pretium {
     }
 
     /// PC (§4.3): at the start of a window, solve the offline welfare LP
-    /// over the look-back period and set future prices from the capacity
-    /// duals of the reference window, floored at per-edge marginal cost.
+    /// over the window that just ended and set future prices from its
+    /// capacity duals, floored at per-edge marginal cost.
     pub fn run_pc(&mut self, now: Timestep) -> Result<(), SolveError> {
         debug_assert_eq!(self.grid.step_in_window(now), 0, "PC runs at window starts");
         let w_now = self.grid.window_of(now);
@@ -828,26 +759,17 @@ impl Pretium {
             return Ok(());
         }
         let t0 = Instant::now();
-        let lookback = self.cfg.lookback_windows.max(1).min(w_now);
-        let back = match self.cfg.reference {
-            ReferenceWindow::Previous => 1,
-            ReferenceWindow::WindowsBack(n) => n.max(1),
-        }
-        .min(w_now);
         // §4.4 frozen prices: a window in which links were degraded
         // reflects the broken topology's scarcity, not demand — duals
         // learned from it would poison future quotes. Keep the previous
         // prices until an uncontaminated window is available.
-        let contaminated = (w_now - lookback..w_now)
-            .chain(std::iter::once(w_now - back))
-            .any(|w| self.fault_windows.contains(&w));
-        if contaminated {
+        if self.fault_windows.contains(&(w_now - 1)) {
             self.telemetry.pc_freezes += 1;
             return Ok(());
         }
-        let lb_start = self.grid.window_start(w_now - lookback);
+        let prev_start = self.grid.window_start(w_now - 1);
         // Jobs: every contract whose transfer window intersects the
-        // look-back period, with the marginal accepted price as its value.
+        // previous window, with the marginal accepted price as its value.
         // Crucially the job carries the request's *full* demand, not just
         // the purchased amount: units a customer declined at the margin are
         // worth ≈λ, and it is exactly this excess demand that makes
@@ -857,12 +779,12 @@ impl Pretium {
             .contracts
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.params.start < now && c.params.deadline >= lb_start)
+            .filter(|(_, c)| c.params.start < now && c.params.deadline >= prev_start)
             .map(|(i, c)| {
                 Job::new(
                     i,
                     self.contract_paths[i].clone(),
-                    c.params.start.max(lb_start),
+                    c.params.start.max(prev_start),
                     c.params.deadline.min(now - 1),
                     c.lambda,
                     0.0,
@@ -879,7 +801,7 @@ impl Pretium {
         let problem = ScheduleProblem {
             net: &self.net,
             grid: &self.grid,
-            from: lb_start,
+            from: prev_start,
             to: now,
             jobs: &jobs,
             capacity: &capacity,
@@ -899,14 +821,13 @@ impl Pretium {
         self.telemetry.lp_factor_nnz += sol.lp_stats.factor_nnz;
         self.telemetry.lp_pricing_par_sections += sol.lp_stats.pricing_par_sections;
         self.telemetry.lp_pricing_par_steals += sol.lp_stats.pricing_par_steals;
-        // Reference window: the pattern carried into the future.
+        // The previous window's pattern is carried into the future.
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
-        let ref_start = self.grid.window_start(w_now - back);
         for e in self.net.edge_ids() {
             let floor = price_floor(&self.net, &self.grid, &self.cfg, e);
             for t in now..self.horizon {
-                let t_ref = ref_start + self.grid.step_in_window(t);
+                let t_ref = prev_start + self.grid.step_in_window(t);
                 // Full dual price: congestion shadow price plus marginal
                 // percentile cost (C_e/k on the window's top-k steps).
                 let p = sol.price(e, t_ref).max(floor);
@@ -921,17 +842,14 @@ impl Pretium {
 
     /// Inject a fault: remove `fraction` of an edge's capacity from the
     /// sellable pool over `[from, to)` (§4.4). A fraction of 1.0 models a
-    /// full link failure. Losses compound with any existing degradation
+    /// full link failure; `fraction` is clamped to `[0, 1]` and NaN removes
+    /// nothing. Losses compound with any existing degradation
     /// (the stricter health wins); the window containing `from` is marked
     /// fault-contaminated, and subsequent SAM/execute steps extend the
     /// marking while the fault persists.
     pub fn inject_capacity_loss(&mut self, e: EdgeId, from: Timestep, to: Timestep, fraction: f64) {
-        assert!((0.0..=1.0).contains(&fraction));
         self.bump_epoch();
-        if let Some(touched) = self.sam_touched.as_mut() {
-            touched.insert(e);
-        }
-        let retained = 1.0 - fraction;
+        let retained = if fraction.is_nan() { 1.0 } else { 1.0 - fraction.clamp(0.0, 1.0) };
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         for t in from..to.min(self.horizon) {
             let h = state.health(e, t).min(retained);
@@ -947,9 +865,6 @@ impl Pretium {
     /// contaminated stay marked; the fault did happen in them.
     pub fn restore_capacity(&mut self, e: EdgeId, from: Timestep, to: Timestep) {
         self.bump_epoch();
-        if let Some(touched) = self.sam_touched.as_mut() {
-            touched.insert(e);
-        }
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         for t in from..to.min(self.horizon) {
             state.set_health(e, t, 1.0);
@@ -1009,10 +924,4 @@ fn writable<'a>(state: &'a mut Arc<NetworkState>, copies: &mut u64) -> &'a mut N
 pub fn price_floor(net: &Network, grid: &TimeGrid, cfg: &PretiumConfig, e: EdgeId) -> f64 {
     let flat = net.edge(e).cost.unit_cost() * cfg.cost_scale / grid.steps_per_window as f64;
     cfg.price_floor + flat
-}
-
-/// Cold-start price of an edge (used before the first PC run): the floor,
-/// optionally scaled.
-pub fn initial_price(net: &Network, grid: &TimeGrid, cfg: &PretiumConfig, e: EdgeId) -> f64 {
-    price_floor(net, grid, cfg, e) * cfg.initial_price_scale
 }

@@ -186,22 +186,6 @@ impl ScheduleSolution {
     }
 }
 
-/// Outcome of [`ScheduleSession::solve_step_localized`].
-#[derive(Debug, Clone)]
-pub struct LocalizedOutcome {
-    pub solution: ScheduleSolution,
-    /// True when every round's composite solution carried a KKT certificate
-    /// at the requested tolerance — the localized fast path actually held.
-    pub certified: bool,
-    /// True when the method fell back to (or started with) the full lazy
-    /// loop instead of adopting a restricted submodel solve.
-    pub used_full: bool,
-    /// Jobs in the affected (re-solved) set.
-    pub affected_jobs: usize,
-    /// Variables frozen at their previous plan.
-    pub frozen_vars: usize,
-}
-
 /// Penalty weight for guarantee shortfalls, relative to the largest job
 /// weight.
 const SHORTFALL_PENALTY_FACTOR: f64 = 1e4;
@@ -290,23 +274,14 @@ pub struct ScheduleSession {
     guar_rows: Vec<Option<RowId>>,
     /// Materialized capacity rows.
     cap_rows: HashMap<(EdgeId, Timestep), RowId>,
-    /// Percentile edges with a cost encoding already, per window, mapped to
-    /// the contiguous variable-index range the encoding created (usage
-    /// variables, realized-past constants, top-k internals, and the bound).
-    /// [`ScheduleSession::solve_step_localized`] freezes the whole range
-    /// when the edge lies outside the affected closure, so the edge's cost
-    /// rows drop from the submodel and keep the previous certified duals.
-    costed: HashMap<(EdgeId, usize), (usize, usize)>,
+    /// Percentile edges with a cost encoding already, per window.
+    costed: DetHashSet<(EdgeId, usize)>,
     /// Usage-definition rows (percentile edges only).
     use_rows: HashMap<(EdgeId, Timestep), RowId>,
     /// For each (e, t) within the LP horizon, the vars crossing it.
     crossing: HashMap<(EdgeId, Timestep), Vec<Var>>,
     /// Primal values of the last solve (used to freeze elapsed steps).
     last_values: Vec<f64>,
-    /// Jobs mutated since the last solve (appended, relaxed, or with
-    /// executed usage recorded) — they can never be frozen by
-    /// [`ScheduleSession::solve_step_localized`].
-    dirty_jobs: DetHashSet<usize>,
 }
 
 /// Solve the scheduling LP once (PC, baselines). SAM holds a
@@ -358,11 +333,10 @@ impl ScheduleSession {
             shortfalls: Vec::with_capacity(p.jobs.len()),
             guar_rows: Vec::with_capacity(p.jobs.len()),
             cap_rows: HashMap::default(),
-            costed: HashMap::default(),
+            costed: DetHashSet::default(),
             use_rows: HashMap::default(),
             crossing: HashMap::default(),
             last_values: Vec::new(),
-            dirty_jobs: DetHashSet::default(),
         };
         for job in p.jobs {
             s.add_job(job.clone());
@@ -462,7 +436,6 @@ impl ScheduleSession {
                 self.crossing.entry((e, t)).or_default().push(v);
             }
         }
-        self.dirty_jobs.insert(j);
         if jvars.is_empty() {
             // Window entirely outside the remaining horizon: job gets
             // nothing.
@@ -500,7 +473,6 @@ impl ScheduleSession {
     /// `(edge, t)` pairs as fixed constants; elapsed capacity rows are left
     /// alone (that usage is history, not a planning decision).
     pub fn record_executed(&mut self, job: usize, executed: &[(usize, Timestep, f64)]) {
-        self.dirty_jobs.insert(job);
         let paths = self.jobs[job].paths.clone();
         for &(pi, t, units) in executed {
             if t < self.from || t >= self.fixed_up_to || units <= 0.0 {
@@ -554,7 +526,6 @@ impl ScheduleSession {
         }
         self.jobs[j].min_units -= waived;
         self.sess.set_rhs(row, self.jobs[j].min_units);
-        self.dirty_jobs.insert(j);
         waived
     }
 
@@ -603,179 +574,13 @@ impl ScheduleSession {
                     t0.elapsed()
                 );
             }
-            let grew = self.grow_round(net, capacity, realized, &sol, &mut col_rounds, opts);
+            // Rows first: column pricing needs duals for every materialized
+            // row, and a round that just grew rows has none for them yet.
+            let grew = self.lazy_grow(net, capacity, realized, &sol)
+                || self.colgen_grow(&sol, &mut col_rounds, opts);
             if !grew {
                 self.last_values = sol.values().to_vec();
-                self.dirty_jobs.clear();
                 return Ok(self.extract(sol, rounds));
-            }
-            if rounds >= round_cap {
-                return Err(SolveError::IterationLimit { iterations: rounds as u64 });
-            }
-        }
-    }
-
-    /// Re-solve after a *localized* change — a handful of mutated jobs
-    /// and/or a known set of `touched` edges (a fault or repair). Every job
-    /// outside the affected set is frozen at its current plan and the LP is
-    /// re-solved as a submodel against residual capacities
-    /// ([`SolverSession::solve_restricted`]); the composite solution is
-    /// adopted only when its KKT certificate holds at tolerance `tol`,
-    /// otherwise the method transparently falls back to the full lazy loop.
-    ///
-    /// The affected set is: jobs mutated since the last solve (added,
-    /// relaxed, executed-usage recorded), jobs whose paths cross a touched
-    /// edge, and jobs with columns the last solution has never priced.
-    pub fn solve_step_localized(
-        &mut self,
-        net: &Network,
-        capacity: &dyn Fn(EdgeId, Timestep) -> f64,
-        realized: &dyn Fn(EdgeId, Timestep) -> f64,
-        touched: &DetHashSet<EdgeId>,
-        tol: f64,
-        opts: &SolveOptions,
-    ) -> Result<LocalizedOutcome, SolveError> {
-        let num_jobs = self.jobs.len();
-        if self.last_values.is_empty() {
-            // Nothing to freeze against yet: first solve is always full.
-            let solution = self.solve_step_with(net, capacity, realized, opts)?;
-            return Ok(LocalizedOutcome {
-                solution,
-                certified: false,
-                used_full: true,
-                affected_jobs: num_jobs,
-                frozen_vars: 0,
-            });
-        }
-        self.refresh_capacity_rows(capacity);
-        let mut affected: Vec<bool> = vec![false; num_jobs];
-        for &j in &self.dirty_jobs {
-            if j < num_jobs {
-                affected[j] = true;
-            }
-        }
-        for (j, jvars) in self.vars.iter().enumerate() {
-            if affected[j] {
-                continue;
-            }
-            // Columns the last solve never saw cannot be frozen at a value.
-            if jvars.iter().any(|&(_, _, v)| v.index() >= self.last_values.len())
-                || self.shortfalls[j].is_some_and(|s| s.index() >= self.last_values.len())
-            {
-                affected[j] = true;
-                continue;
-            }
-            if !touched.is_empty()
-                && self.jobs[j].paths.iter().any(|p| p.edges().iter().any(|e| touched.contains(e)))
-            {
-                affected[j] = true;
-            }
-        }
-        let affected_jobs = affected.iter().filter(|&&a| a).count();
-        if affected_jobs == num_jobs {
-            let solution = self.solve_step_with(net, capacity, realized, opts)?;
-            return Ok(LocalizedOutcome {
-                solution,
-                certified: false,
-                used_full: true,
-                affected_jobs,
-                frozen_vars: 0,
-            });
-        }
-        if affected_jobs == 0 {
-            // No block moved; with a clean session this is a pure cache hit
-            // inside the full loop.
-            let solution = self.solve_step_with(net, capacity, realized, opts)?;
-            return Ok(LocalizedOutcome {
-                solution,
-                certified: true,
-                used_full: false,
-                affected_jobs,
-                frozen_vars: 0,
-            });
-        }
-        let mut fixes: Vec<(Var, f64)> = Vec::new();
-        for (j, job_affected) in affected.iter().enumerate().take(num_jobs) {
-            if *job_affected {
-                continue;
-            }
-            for &(_, _, v) in &self.vars[j] {
-                fixes.push((v, self.last_values[v.index()]));
-            }
-            if let Some(s) = self.shortfalls[j] {
-                fixes.push((s, self.last_values[s.index()]));
-            }
-        }
-        // Freeze the cost layer (usage variables and top-k encodings) of
-        // every edge outside the affected closure — edges neither touched
-        // nor crossed by an affected job's path. Their cost rows then carry
-        // only frozen columns, drop from the submodel, and inherit the
-        // previous solve's *certified* duals, which is the dual vertex that
-        // supported the frozen flows in the first place. Leaving them free
-        // would re-solve the whole percentile-cost structure every step and
-        // let top-k ties land on a different (equally optimal) dual vertex
-        // that no longer prices the frozen blocks. Encodings created after
-        // the last solve stay free: they have no values to freeze at.
-        let mut affected_edges: DetHashSet<EdgeId> = touched.iter().copied().collect();
-        for (j, is_affected) in affected.iter().enumerate() {
-            if *is_affected {
-                for p in &self.jobs[j].paths {
-                    affected_edges.extend(p.edges().iter().copied());
-                }
-            }
-        }
-        for (&(e, _), &(lo, hi)) in &self.costed {
-            if affected_edges.contains(&e) || hi > self.last_values.len() {
-                continue;
-            }
-            for idx in lo..hi {
-                fixes.push((Var::from_index(idx), self.last_values[idx]));
-            }
-        }
-        let frozen_vars = fixes.len();
-        let round_cap = MAX_ROUNDS + self.colgen.max_rounds();
-        let mut rounds = 0;
-        let mut col_rounds = 0;
-        loop {
-            rounds += 1;
-            let out = match self.sess.solve_restricted(&fixes, tol, opts) {
-                Ok(out) => out,
-                // A submodel squeezed infeasible by frozen usage is exactly
-                // what the full solve (free to move every block) repairs.
-                Err(SolveError::Infeasible { .. }) => {
-                    let solution = self.solve_step_with(net, capacity, realized, opts)?;
-                    return Ok(LocalizedOutcome {
-                        solution,
-                        certified: false,
-                        used_full: true,
-                        affected_jobs,
-                        frozen_vars,
-                    });
-                }
-                Err(e) => return Err(e),
-            };
-            if !out.certified {
-                let solution = self.solve_step_with(net, capacity, realized, opts)?;
-                return Ok(LocalizedOutcome {
-                    solution,
-                    certified: false,
-                    used_full: true,
-                    affected_jobs,
-                    frozen_vars,
-                });
-            }
-            let sol = out.solution;
-            let grew = self.grow_round(net, capacity, realized, &sol, &mut col_rounds, opts);
-            if !grew {
-                self.last_values = sol.values().to_vec();
-                self.dirty_jobs.clear();
-                return Ok(LocalizedOutcome {
-                    solution: self.extract(sol, rounds),
-                    certified: true,
-                    used_full: false,
-                    affected_jobs,
-                    frozen_vars,
-                });
             }
             if rounds >= round_cap {
                 return Err(SolveError::IterationLimit { iterations: rounds as u64 });
@@ -801,24 +606,6 @@ impl ScheduleSession {
                 self.sess.set_rhs(row, cap);
             }
         }
-    }
-
-    /// One growth round against a tentative optimum, shared by the full
-    /// ([`ScheduleSession::solve_step_with`]) and localized
-    /// ([`ScheduleSession::solve_step_localized`]) loops. Rows first:
-    /// column pricing needs duals for every materialized row, and a round
-    /// that just grew rows has none for them yet. Returns whether anything
-    /// was added.
-    fn grow_round(
-        &mut self,
-        net: &Network,
-        capacity: &dyn Fn(EdgeId, Timestep) -> f64,
-        realized: &dyn Fn(EdgeId, Timestep) -> f64,
-        sol: &Solution,
-        col_rounds: &mut u32,
-        opts: &SolveOptions,
-    ) -> bool {
-        self.lazy_grow(net, capacity, realized, sol) || self.colgen_grow(sol, col_rounds, opts)
     }
 
     /// One round of lazy structure generation against a tentative optimum:
@@ -869,7 +656,7 @@ impl ScheduleSession {
                 continue;
             }
             let w = self.grid.window_of(t);
-            if self.costed.contains_key(&(e, w)) {
+            if self.costed.contains(&(e, w)) {
                 continue;
             }
             let usage: f64 = vars.iter().map(|&v| sol.value(v)).sum();
@@ -1044,7 +831,6 @@ impl ScheduleSession {
     ) {
         let range = self.grid.window_range(w);
         let k = top_k_count(self.grid.steps_per_window, TOP_FRACTION);
-        let first_var = self.sess.model().num_vars();
         let mut inputs: Vec<Var> = Vec::new();
         for t in range {
             if t >= self.from && t < self.to {
@@ -1073,15 +859,14 @@ impl ScheduleSession {
                 }
             }
         }
+        self.costed.insert((e, w));
         if inputs.is_empty() {
-            self.costed.insert((e, w), (first_var, self.sess.model().num_vars()));
             return;
         }
         let (topk, name) = (self.topk, format!("c_{e}_{w}"));
         let s = self.sess.append_with(|m| topk_upper_bound(m, &inputs, k, topk, &name));
         let unit_cost = net.edge(e).cost.unit_cost() * self.cost_scale;
         self.sess.set_obj(s, -unit_cost / k as f64);
-        self.costed.insert((e, w), (first_var, self.sess.model().num_vars()));
     }
 
     /// Read a solution out of the LP. Flows at elapsed (frozen) timesteps
@@ -1626,196 +1411,6 @@ mod tests {
                 after.flows[0].iter().filter(|&&(_, ft, _)| ft == t).map(|&(_, _, x)| x).sum();
             assert!(u <= 5.0 + 1e-6, "t={t}: {u} exceeds halved capacity");
         }
-    }
-
-    /// Two node pairs with disjoint edges — localized changes on one edge
-    /// must never force re-planning the other pair's job.
-    fn disjoint_net() -> (Network, Vec<NodeId>) {
-        let mut net = Network::new();
-        let a = net.add_node("A", pretium_net::Region::NorthAmerica);
-        let b = net.add_node("B", pretium_net::Region::NorthAmerica);
-        let c = net.add_node("C", pretium_net::Region::Europe);
-        let d = net.add_node("D", pretium_net::Region::Europe);
-        net.add_edge(a, b, 10.0, LinkCost::owned());
-        net.add_edge(c, d, 10.0, LinkCost::owned());
-        (net, vec![a, b, c, d])
-    }
-
-    #[test]
-    fn localized_fault_replan_matches_full_resolve() {
-        let (net, n) = disjoint_net();
-        let e2 = net.find_edge(n[2], n[3]).unwrap();
-        let grid = TimeGrid::new(6, 30);
-        // Both jobs want more than their edge can carry, so capacity rows
-        // materialize on both edges in the first solve.
-        let jobs = vec![
-            Job::new(0, single_path(&net, n[0], n[1]), 0, 5, 2.0, 10.0, 80.0),
-            Job::new(1, single_path(&net, n[2], n[3]), 0, 5, 1.0, 10.0, 80.0),
-        ];
-        let full_cap = |_e: EdgeId, _t: Timestep| 10.0;
-        let problem = ScheduleProblem {
-            net: &net,
-            grid: &grid,
-            from: 0,
-            to: 6,
-            jobs: &jobs,
-            capacity: &full_cap,
-            realized: &no_realized,
-            topk: TopkEncoding::CVar,
-            cost_scale: 1.0,
-        };
-        let mut sess = ScheduleSession::new(&problem);
-        sess.solve_step(&net, &full_cap, &no_realized).unwrap();
-        // Fault halves e2 only; e1 is untouched.
-        let faulted = move |e: EdgeId, _t: Timestep| if e == e2 { 5.0 } else { 10.0 };
-        let mut full = sess.clone();
-        let before: Vec<f64> = sess.last_values.clone();
-        let touched: DetHashSet<EdgeId> = [e2].into_iter().collect();
-        let opts = SolveOptions::default();
-        let loc =
-            sess.solve_step_localized(&net, &faulted, &no_realized, &touched, 1e-7, &opts).unwrap();
-        assert!(!loc.used_full, "expected the localized fast path to hold");
-        assert!(loc.certified);
-        assert_eq!(loc.affected_jobs, 1);
-        assert!(loc.frozen_vars > 0);
-        assert!(loc.solution.lp_stats.restricted >= 1, "{:?}", loc.solution.lp_stats);
-        let reference = full.solve_step(&net, &faulted, &no_realized).unwrap();
-        for j in 0..2 {
-            assert!(
-                (loc.solution.delivered[j] - reference.delivered[j]).abs() < 1e-6,
-                "job {j}: localized {} vs full {}",
-                loc.solution.delivered[j],
-                reference.delivered[j]
-            );
-        }
-        assert!(
-            (loc.solution.objective - reference.objective).abs()
-                < 1e-7 * (1.0 + reference.objective.abs()),
-            "objective: localized {} vs full {}",
-            loc.solution.objective,
-            reference.objective
-        );
-        // The untouched job's plan is frozen verbatim (bit-exact).
-        for &(_, _, v) in &sess.vars[0] {
-            assert_eq!(sess.last_values[v.index()], before[v.index()]);
-        }
-    }
-
-    #[test]
-    fn localized_quiet_step_is_cache_hit() {
-        let (net, a, b) = line_net();
-        let grid = TimeGrid::new(6, 30);
-        let jobs = vec![Job::new(0, single_path(&net, a, b), 0, 5, 2.0, 0.0, 40.0)];
-        let cap = |e: EdgeId, _t: Timestep| net.edge(e).capacity;
-        let problem = ScheduleProblem {
-            net: &net,
-            grid: &grid,
-            from: 0,
-            to: 6,
-            jobs: &jobs,
-            capacity: &cap,
-            realized: &no_realized,
-            topk: TopkEncoding::CVar,
-            cost_scale: 1.0,
-        };
-        let mut sess = ScheduleSession::new(&problem);
-        let first = sess.solve_step(&net, &cap, &no_realized).unwrap();
-        let touched = DetHashSet::default();
-        let opts = SolveOptions::default();
-        let loc =
-            sess.solve_step_localized(&net, &cap, &no_realized, &touched, 1e-7, &opts).unwrap();
-        assert!(!loc.used_full);
-        assert!(loc.certified);
-        assert_eq!(loc.affected_jobs, 0);
-        assert!(loc.solution.lp_stats.cache_hits >= 1, "{:?}", loc.solution.lp_stats);
-        assert!((loc.solution.delivered[0] - first.delivered[0]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn localized_with_shared_edge_falls_back_to_full() {
-        // Both jobs cross the touched edge: nothing can be frozen, so the
-        // localized entry must delegate to the full loop and still be right.
-        let (net, a, b) = line_net();
-        let e = net.find_edge(a, b).unwrap();
-        let grid = TimeGrid::new(6, 30);
-        let jobs = vec![
-            Job::new(0, single_path(&net, a, b), 0, 5, 2.0, 10.0, 40.0),
-            Job::new(1, single_path(&net, a, b), 0, 5, 1.0, 0.0, 40.0),
-        ];
-        let cap = |_e: EdgeId, _t: Timestep| 10.0;
-        let problem = ScheduleProblem {
-            net: &net,
-            grid: &grid,
-            from: 0,
-            to: 6,
-            jobs: &jobs,
-            capacity: &cap,
-            realized: &no_realized,
-            topk: TopkEncoding::CVar,
-            cost_scale: 1.0,
-        };
-        let mut sess = ScheduleSession::new(&problem);
-        sess.solve_step(&net, &cap, &no_realized).unwrap();
-        let faulted = |_e: EdgeId, _t: Timestep| 5.0;
-        let mut full = sess.clone();
-        let touched: DetHashSet<EdgeId> = [e].into_iter().collect();
-        let opts = SolveOptions::default();
-        let loc =
-            sess.solve_step_localized(&net, &faulted, &no_realized, &touched, 1e-7, &opts).unwrap();
-        assert!(loc.used_full);
-        assert_eq!(loc.affected_jobs, 2);
-        let reference = full.solve_step(&net, &faulted, &no_realized).unwrap();
-        for j in 0..2 {
-            assert!((loc.solution.delivered[j] - reference.delivered[j]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn localized_after_add_job_matches_rebuild() {
-        // A latecomer on one edge pair leaves the disjoint pair frozen; the
-        // composite must match appending to a full-solving session.
-        let (net, n) = disjoint_net();
-        let grid = TimeGrid::new(6, 30);
-        let jobs = vec![
-            Job::new(0, single_path(&net, n[0], n[1]), 0, 5, 2.0, 0.0, 80.0),
-            Job::new(1, single_path(&net, n[2], n[3]), 0, 5, 1.0, 0.0, 30.0),
-        ];
-        let cap = |_e: EdgeId, _t: Timestep| 10.0;
-        let problem = ScheduleProblem {
-            net: &net,
-            grid: &grid,
-            from: 0,
-            to: 6,
-            jobs: &jobs,
-            capacity: &cap,
-            realized: &no_realized,
-            topk: TopkEncoding::CVar,
-            cost_scale: 1.0,
-        };
-        let mut sess = ScheduleSession::new(&problem);
-        sess.solve_step(&net, &cap, &no_realized).unwrap();
-        let late = Job::new(2, single_path(&net, n[2], n[3]), 0, 3, 5.0, 12.0, 12.0);
-        let mut full = sess.clone();
-        full.add_job(late.clone());
-        sess.add_job(late);
-        let touched = DetHashSet::default();
-        let opts = SolveOptions::default();
-        let loc =
-            sess.solve_step_localized(&net, &cap, &no_realized, &touched, 1e-7, &opts).unwrap();
-        let reference = full.solve_step(&net, &cap, &no_realized).unwrap();
-        // Only the dirty (new) job is in the affected set; job 0 and job 1
-        // were clean. Job 1 shares e2 with the latecomer, yet freezing it is
-        // either certified optimal or the solve falls back — both must agree
-        // with the full reference.
-        for j in 0..3 {
-            assert!(
-                (loc.solution.delivered[j] - reference.delivered[j]).abs() < 1e-6,
-                "job {j}: localized {} vs full {}",
-                loc.solution.delivered[j],
-                reference.delivered[j]
-            );
-        }
-        assert!(loc.solution.shortfall[2] < 1e-6);
     }
 
     #[test]

@@ -190,12 +190,6 @@ pub struct Telemetry {
     /// PC runs skipped because the look-back window was contaminated by a
     /// fault (prices frozen rather than learned from a broken topology).
     pub pc_freezes: u64,
-    /// SAM steps answered by a certified localized (frozen-block) re-solve
-    /// instead of the full LP (DESIGN.md §16).
-    pub sam_localized: u64,
-    /// Localized SAM attempts that fell back to the full LP (certificate
-    /// failure, infeasible submodel, or everything affected).
-    pub sam_localized_fallbacks: u64,
     /// Simplex iterations across every LP this instance solved (SAM
     /// re-optimizations, degradation re-solves, PC pricing LPs).
     pub lp_iterations: u64,
@@ -264,8 +258,6 @@ impl Telemetry {
             ("rerouted units".into(), format!("{:.1}", self.rerouted_units)),
             ("degraded steps".into(), self.degraded_steps.to_string()),
             ("pc freezes".into(), self.pc_freezes.to_string()),
-            ("sam localized".into(), self.sam_localized.to_string()),
-            ("sam localized fallbacks".into(), self.sam_localized_fallbacks.to_string()),
             ("lp iterations".into(), self.lp_iterations.to_string()),
             ("lp dual iterations".into(), self.lp_dual_iterations.to_string()),
             ("lp pricing scans".into(), self.lp_pricing_scans.to_string()),
@@ -342,15 +334,13 @@ mod tests {
     fn rows_cover_every_counter() {
         let t = Telemetry::default();
         let rows = t.rows();
-        assert_eq!(rows.len(), 35);
-        assert!(rows.iter().any(|(k, _)| k == "sam localized"));
+        assert_eq!(rows.len(), 33);
         assert!(rows.iter().any(|(k, _)| k == "lp refactors"));
         assert!(rows.iter().any(|(k, _)| k == "lp ft updates"));
         assert!(rows.iter().any(|(k, _)| k == "lp pivot rejections"));
         assert!(rows.iter().any(|(k, _)| k == "lp fill-in ratio"));
         assert!(rows.iter().any(|(k, _)| k == "lp columns generated"));
         assert!(rows.iter().any(|(k, _)| k == "lp colgen rounds"));
-        assert!(rows.iter().any(|(k, _)| k == "sam localized fallbacks"));
         assert!(rows.iter().any(|(k, _)| k.starts_with("run_sam")));
         assert!(rows.iter().any(|(k, _)| k == "quotes requoted"));
         assert!(rows.iter().any(|(k, _)| k == "snapshots published"));

@@ -2,8 +2,8 @@
 //! master that seeds only each job's shortest path and prices the rest of
 //! the `(path, timestep)` column universe lazily must land on an optimum
 //! of the fully materialized LP, across randomized SAM-like sequences
-//! that exercise faults, the §4.4 shed/relax degradation chain, mid-run
-//! job arrivals, and the localized (frozen-block) solve path.
+//! that exercise faults, the §4.4 shed/relax degradation chain and
+//! mid-run job arrivals.
 //!
 //! The invariant checked at every adopted solution: the colgen session's
 //! objective equals the optimum of a *freshly built, fully materialized*
@@ -108,7 +108,6 @@ struct Coverage {
     generated: u64,
     strict_restriction: bool,
     relaxes: usize,
-    localized: usize,
 }
 
 /// Drive one randomized sequence through a colgen session, checking every
@@ -120,7 +119,7 @@ fn run_sequence(seed: u64) -> Coverage {
     let routes = route_pool(&net, &nodes);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut factors: Vec<f64> = vec![1.0; net.num_edges()];
-    let mut cov = Coverage { generated: 0, strict_restriction: false, relaxes: 0, localized: 0 };
+    let mut cov = Coverage { generated: 0, strict_restriction: false, relaxes: 0 };
 
     let mut jobs = vec![
         Job::new(0, routes[0].clone(), 0, 5, 1.7, 4.0, 30.0),
@@ -160,7 +159,6 @@ fn run_sequence(seed: u64) -> Coverage {
                 flows.iter().filter(|&&(_, ft, _)| ft == t - 1).map(|&(_, _, u)| u).sum::<f64>();
         }
         lazy.advance_to(t);
-        let mut touched: DetHashSet<EdgeId> = DetHashSet::default();
 
         // Accepts: 0-2 new multi-path jobs arriving at t.
         for _ in 0..rng.gen_range(0..3u32) {
@@ -182,7 +180,6 @@ fn run_sequence(seed: u64) -> Coverage {
         if t == 4 {
             let e1 = net.find_edge(nodes[1], nodes[3]).unwrap();
             factors[e1.index()] = 0.1;
-            touched.insert(e1);
             let job =
                 Job::new(next_key, routes[1].clone(), t, (t + 3).min(HORIZON - 1), 2.0, 9.0, 14.0);
             next_key += 1;
@@ -200,22 +197,10 @@ fn run_sequence(seed: u64) -> Coverage {
             } else {
                 1.0
             };
-            touched.insert(e);
         }
 
         let cap = cap_of(&factors);
-        // Alternate between the full loop and the localized
-        // (frozen-block) path, so pricing is exercised under both.
-        let mut sol = if t % 2 == 1 {
-            let loc =
-                lazy.solve_step_localized(&net, &cap, &no_realized, &touched, 1e-7, &opts).unwrap();
-            if loc.certified && !loc.used_full {
-                cov.localized += 1;
-            }
-            loc.solution
-        } else {
-            lazy.solve_step_with(&net, &cap, &no_realized, &opts).unwrap()
-        };
+        let mut sol = lazy.solve_step_with(&net, &cap, &no_realized, &opts).unwrap();
 
         // The session's objective counts executed flows at their frozen
         // values; the fresh reference starts from the remaining demands.
@@ -274,19 +259,15 @@ fn colgen_matches_full_materialization_across_sequences() {
     let mut generated = 0;
     let mut strict = 0;
     let mut relaxes = 0;
-    let mut localized = 0;
     for seed in [11, 23, 57] {
         let cov = run_sequence(seed);
         generated += cov.generated;
         strict += cov.strict_restriction as usize;
         relaxes += cov.relaxes;
-        localized += cov.localized;
     }
-    // The sequences must actually exercise pricing, restriction, the
-    // degradation chain, and the localized path — or the equality
-    // assertions above proved nothing.
+    // The sequences must actually exercise pricing, restriction and the
+    // degradation chain — or the equality assertions above proved nothing.
     assert!(generated > 0, "pricing never generated a column across seeds");
     assert!(strict >= 1, "no sequence ended with a strict column restriction");
     assert!(relaxes >= 1, "degradation path never taken across seeds");
-    assert!(localized >= 1, "localized solve path never certified across seeds");
 }

@@ -89,9 +89,7 @@ pub mod validate;
 pub use expr::{LinExpr, Term, Var};
 pub use lazy::{ColGen, ColRequest, GenOutcome, NoGen, RowGen, RowRequest};
 pub use model::{Cmp, Model, RowId, Sense};
-pub use session::{
-    Mutations, RestrictedOutcome, SessionStats, SolveOptions, SolverSession, SolverTuning,
-};
+pub use session::{Mutations, SessionStats, SolveOptions, SolverSession, SolverTuning};
 pub use simplex::basis::{FactorStats, DEFAULT_MAX_ETAS};
 pub use simplex::{Pricing, Restart, SimplexOptions};
 pub use solution::{Solution, SolveError, Status};

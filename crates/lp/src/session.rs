@@ -45,7 +45,7 @@
 
 use crate::expr::{LinExpr, Var};
 use crate::lazy::{ColGen, ColRequest, GenOutcome, NoGen, RowGen, RowRequest};
-use crate::model::{Cmp, Model, RowId, Sense};
+use crate::model::{Cmp, Model, RowId};
 use crate::simplex::{solve_model_session, Problem, Restart, SimplexOptions, WarmBasis};
 use crate::solution::{Solution, SolveError};
 
@@ -53,21 +53,13 @@ use crate::solution::{Solution, SolveError};
 /// and its one-sided wrappers) when [`SolveOptions::max_rounds`] is 0.
 pub const DEFAULT_MAX_ROUNDS: u32 = 50;
 
-/// Default capacity of the freeze-pattern-keyed warm-basis LRU used by
-/// [`SolverSession::solve_restricted`] when
-/// [`SolveOptions::restricted_basis_cache`] is 0.
-pub const DEFAULT_RESTRICTED_BASIS_CACHE: usize = 8;
-
-/// Grouped solver-tuning knobs shared by every solve path ([`SolverSession::solve`],
-/// [`SolverSession::solve_restricted`], and the generation loops). Every
-/// field follows the crate's `0 selects the default` convention, so the
-/// all-zero [`SolverTuning::default`] changes nothing — callers override
-/// only the knobs they care about and `..Default::default()` the rest.
+/// Grouped solver-tuning knobs shared by every solve path
+/// ([`SolverSession::solve`] and the generation loops). Every field follows
+/// the crate's `0 selects the default` convention, so the all-zero
+/// [`SolverTuning::default`] changes nothing — callers override only the
+/// knobs they care about and `..Default::default()` the rest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverTuning {
-    /// Capacity of [`SolverSession::solve_restricted`]'s freeze-pattern
-    /// warm-basis LRU; `0` selects [`DEFAULT_RESTRICTED_BASIS_CACHE`].
-    pub restricted_basis_cache: usize,
     /// Forrest–Tomlin updates a basis factorization accumulates before
     /// refactorizing; `0` inherits `refactor_every` from the effective
     /// simplex options (whose default is
@@ -77,9 +69,8 @@ pub struct SolverTuning {
     /// Worker threads for the simplex's deterministic parallel-pricing
     /// layer; `0` inherits [`SimplexOptions::pricing_jobs`] from the
     /// effective simplex options (default 1, the serial path), a nonzero
-    /// value overrides it. Restricted sub-solves inherit the resolved
-    /// value through the same effective-options path as top-level solves.
-    /// Any value produces bitwise-identical solves (DESIGN.md §19).
+    /// value overrides it. Any value produces bitwise-identical solves
+    /// (DESIGN.md §19).
     pub pricing_jobs: usize,
 }
 
@@ -94,9 +85,9 @@ pub struct SolveOptions {
     /// [`SolverSession::solve_lazy`] / [`SolverSession::solve_colgen`];
     /// `0` selects [`DEFAULT_MAX_ROUNDS`].
     pub max_rounds: u32,
-    /// Grouped tuning knobs (basis-cache capacity, refactorization cadence,
-    /// pricing parallelism); the all-zero default leaves every knob at its
-    /// built-in default.
+    /// Grouped tuning knobs (refactorization cadence, pricing
+    /// parallelism); the all-zero default leaves every knob at its built-in
+    /// default.
     pub tuning: SolverTuning,
 }
 
@@ -167,8 +158,11 @@ pub struct SessionStats {
     /// Solves answered from the cached solution without touching the
     /// simplex (nothing mutated since the last certified optimum).
     pub cache_hits: u64,
-    /// Restricted (frozen-block submodel) solves; see
-    /// [`SolverSession::solve_restricted`].
+    /// Always 0: counted the frozen-block submodel solves of incremental
+    /// SAM, which PR 18 deleted. The field stays, and stays out of
+    /// [`SessionStats::rows`], only because the frozen end-to-end benchmark
+    /// (`e2ebench/src/layers.rs`) reads it as `lp.restricted`; it goes when
+    /// the manifest drops that metric.
     pub restricted: u64,
     /// Columns appended by pricing oracles through
     /// [`SolverSession::add_generated_cols`] (the colgen growth path).
@@ -217,7 +211,6 @@ impl PartialEq for SessionStats {
             && self.pricing_scans == other.pricing_scans
             && self.bland_pivots == other.bland_pivots
             && self.cache_hits == other.cache_hits
-            && self.restricted == other.restricted
             && self.columns_generated == other.columns_generated
             && self.colgen_rounds == other.colgen_rounds
             && self.refactors == other.refactors
@@ -278,7 +271,6 @@ impl SessionStats {
         self.pricing_scans += other.pricing_scans;
         self.bland_pivots += other.bland_pivots;
         self.cache_hits += other.cache_hits;
-        self.restricted += other.restricted;
         self.columns_generated += other.columns_generated;
         self.colgen_rounds += other.colgen_rounds;
         self.refactors += other.refactors;
@@ -305,7 +297,6 @@ impl SessionStats {
             ("pricing scans".into(), self.pricing_scans.to_string()),
             ("bland pivots".into(), self.bland_pivots.to_string()),
             ("cache hits".into(), self.cache_hits.to_string()),
-            ("restricted solves".into(), self.restricted.to_string()),
             ("columns generated".into(), self.columns_generated.to_string()),
             ("colgen rounds".into(), self.colgen_rounds.to_string()),
             ("refactors".into(), self.refactors.to_string()),
@@ -328,27 +319,6 @@ impl SessionStats {
             ("warm fraction".into(), format!("{:.3}", self.warm_fraction())),
         ]
     }
-}
-
-/// Result of a restricted (frozen-block) re-solve; see
-/// [`SolverSession::solve_restricted`].
-#[derive(Debug, Clone)]
-pub struct RestrictedOutcome {
-    /// Parent-shaped composite solution: frozen coordinates verbatim, free
-    /// coordinates from the submodel optimum, duals of dropped (all-frozen)
-    /// rows inherited from the previous solution and re-validated.
-    pub solution: Solution,
-    /// Whether the KKT certificate held — the composite is a proven optimum
-    /// of the full model. When false the composite is returned for
-    /// inspection but the session adopts nothing; fall back to a full solve.
-    pub certified: bool,
-    /// Largest certificate violation observed (frozen reduced-cost
-    /// improvement signal or dropped-row primal residual).
-    pub max_violation: f64,
-    /// Columns actually solved in the submodel.
-    pub sub_vars: usize,
-    /// Rows kept (with residual RHS) in the submodel.
-    pub sub_rows: usize,
 }
 
 /// A [`Model`] plus the simplex state of its last solve: the saved basis
@@ -382,13 +352,6 @@ pub struct SolverSession {
     /// Served verbatim by [`SolverSession::solve`] when no mutation is
     /// pending, and the reference point for [`SolverSession::fix_at_value`].
     last_solution: Option<Solution>,
-    /// Terminal bases of recent [`SolverSession::solve_restricted`]
-    /// submodels, keyed by a hash of the parent dimensions and the frozen
-    /// column set (which together determine the submodel's structure).
-    /// Recurring freeze patterns — the same fault edge toggling, the same
-    /// block re-planned — then warm-start their submodel instead of
-    /// crashing a fresh basis. Small bounded LRU; misses just solve cold.
-    restricted_bases: Vec<(u64, WarmBasis)>,
 }
 
 // The parallel evaluation engine (`pretium-sim::par`) moves one session
@@ -415,7 +378,6 @@ impl SolverSession {
             solved_vars: 0,
             solved_rows: 0,
             last_solution: None,
-            restricted_bases: Vec::new(),
         }
     }
 
@@ -657,341 +619,6 @@ impl SolverSession {
         self.solved_rows = self.model.num_rows();
         self.last_solution = Some(solution.clone());
         Ok(solution)
-    }
-
-    /// Re-optimize only the columns *not* listed in `fixes`, holding every
-    /// listed variable frozen at the given value, without touching the
-    /// parent model, basis, or pending-mutation state.
-    ///
-    /// This is the block-decomposition primitive behind incremental SAM
-    /// re-optimization: the schedule LP is block-angular (per-request
-    /// schedule blocks coupled only through capacity and cost rows), so
-    /// after a localized change the caller freezes every unaffected block
-    /// at its current plan and re-solves just the affected columns against
-    /// *residual* rows — each kept row's RHS is reduced by the frozen
-    /// columns' contribution, and rows whose every column is frozen are
-    /// dropped entirely (checked for primal feasibility at the frozen
-    /// values instead).
-    ///
-    /// The extracted submodel is solved cold — it is small enough that a
-    /// fresh factorization costs less than re-factorizing the full parent
-    /// basis — and the result is assembled back into a parent-shaped
-    /// composite [`Solution`]: frozen coordinates verbatim, free
-    /// coordinates from the submodel optimum, duals of dropped rows
-    /// inherited from the previous solution (and re-validated), and frozen
-    /// columns' reduced costs recomputed against the composite duals
-    /// (`d_j = c_j − yᵀA_j`).
-    ///
-    /// The composite is then *certified* against the full model's KKT
-    /// conditions: every dropped row must be satisfied by the frozen
-    /// values (within the feasibility tolerance) and every frozen column's
-    /// reduced cost must not signal an improving move off its value
-    /// (within `tol`). When the certificate holds, the composite is a
-    /// proven optimum of the full model, and the session adopts it as its
-    /// cached solution (pending mutations are cleared, so an unchanged
-    /// follow-up [`SolverSession::solve`] is a cache hit). When it fails —
-    /// the localized change actually propagated into a frozen block — the
-    /// outcome reports `certified: false` with the composite untouched by
-    /// the session; callers fall back to a full (warm) solve. The saved
-    /// basis is never invalidated either way.
-    pub fn solve_restricted(
-        &mut self,
-        fixes: &[(Var, f64)],
-        tol: f64,
-        opts: &SolveOptions,
-    ) -> Result<RestrictedOutcome, SolveError> {
-        let simplex = self.effective_simplex(opts);
-        let feas_eps = simplex.feas_tol.max(tol);
-        let n = self.model.num_vars();
-        let mut fixed: Vec<Option<f64>> = vec![None; n];
-        for &(v, x) in fixes {
-            fixed[v.index()] = Some(x);
-        }
-
-        // Extract the submodel over the free columns.
-        let mut sub = Model::new(self.model.sense);
-        *sub.options_mut() = simplex;
-        let mut to_sub: Vec<Option<Var>> = vec![None; n];
-        let mut frozen_obj = self.model.obj_offset;
-        // Submodel vars and rows are unnamed: names only serve diagnostics
-        // on the parent model, and cloning a String per column is a
-        // measurable share of the extraction cost on the hot path.
-        for (j, d) in self.model.vars.iter().enumerate() {
-            match fixed[j] {
-                Some(x) => frozen_obj += d.obj * x,
-                None => to_sub[j] = Some(sub.add_var("", d.lb, d.ub, d.obj)),
-            }
-        }
-        sub.add_obj_offset(frozen_obj);
-
-        // Kept rows get residual RHS; all-frozen rows are dropped from the
-        // submodel (recorded with their frozen left-hand side) and must
-        // hold primally at the frozen values.
-        let mut kept: Vec<usize> = Vec::new();
-        let mut dropped: Vec<(usize, f64)> = Vec::new();
-        let mut primal_violation: f64 = 0.0;
-        for (i, row) in self.model.rows.iter().enumerate() {
-            let mut frozen_lhs = 0.0;
-            let mut free = LinExpr::new();
-            for &(j, c) in &row.terms {
-                match fixed[j as usize] {
-                    Some(x) => frozen_lhs += c * x,
-                    None => free.add_term(c, to_sub[j as usize].expect("free var mapped")),
-                }
-            }
-            if free.is_empty() {
-                let viol = match row.cmp {
-                    Cmp::Le => frozen_lhs - row.rhs,
-                    Cmp::Ge => row.rhs - frozen_lhs,
-                    Cmp::Eq => (frozen_lhs - row.rhs).abs(),
-                };
-                primal_violation = primal_violation.max(viol);
-                dropped.push((i, frozen_lhs));
-            } else {
-                sub.add_row("", free, row.cmp, row.rhs - frozen_lhs);
-                kept.push(i);
-            }
-        }
-        let (sub_vars, sub_rows) = (sub.num_vars(), sub.num_rows());
-        // The submodel's structure is a pure function of the parent's
-        // dimensions and the frozen column set, so recurring freeze
-        // patterns (a fault edge toggling, the same block re-planned) can
-        // warm-start from the terminal basis of their previous submodel —
-        // typically a handful of dual pivots instead of a cold crash.
-        fn fnv(h: u64, x: u64) -> u64 {
-            (h ^ x).wrapping_mul(0x100_0000_01b3)
-        }
-        let mut key = fnv(0xcbf2_9ce4_8422_2325, n as u64);
-        key = fnv(key, self.model.num_rows() as u64);
-        for (j, f) in fixed.iter().enumerate() {
-            if f.is_some() {
-                key = fnv(key, j as u64);
-            }
-        }
-        let warm = self.restricted_bases.iter().find(|(k, _)| *k == key).map(|(_, b)| b);
-        let (sub_sol, sub_basis, _restart) =
-            solve_model_session(&sub, sub.options(), warm, &mut Problem::default())?;
-        if let Some(slot) = self.restricted_bases.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = sub_basis;
-        } else {
-            let cap = if opts.tuning.restricted_basis_cache == 0 {
-                DEFAULT_RESTRICTED_BASIS_CACHE
-            } else {
-                opts.tuning.restricted_basis_cache
-            };
-            while self.restricted_bases.len() >= cap {
-                self.restricted_bases.remove(0);
-            }
-            self.restricted_bases.push((key, sub_basis));
-        }
-        self.stats.restricted += 1;
-        self.stats.iterations += sub_sol.iterations();
-        self.stats.dual_iterations += sub_sol.dual_iterations();
-        self.stats.pricing_scans += sub_sol.pricing_scans();
-        self.stats.bland_pivots += sub_sol.bland_pivots();
-        self.stats.pricing_par_sections += sub_sol.pricing_par_sections();
-        self.stats.pricing_par_steals += sub_sol.pricing_par_steals();
-        self.stats.pricing_serial_nanos += sub_sol.pricing_serial_nanos();
-        self.stats.pricing_par_nanos += sub_sol.pricing_par_nanos();
-        self.stats.record_factor(sub_sol.factor_stats());
-
-        // Assemble the parent-shaped composite.
-        let mut values = vec![0.0; n];
-        let mut reduced_costs = vec![0.0; n];
-        for j in 0..n {
-            match fixed[j] {
-                Some(x) => {
-                    let d = &self.model.vars[j];
-                    values[j] = x;
-                    reduced_costs[j] = d.obj;
-                    primal_violation = primal_violation.max(d.lb - x).max(x - d.ub);
-                }
-                None => {
-                    let sv = to_sub[j].expect("free var mapped");
-                    values[j] = sub_sol.values[sv.index()];
-                    reduced_costs[j] = sub_sol.reduced_costs[sv.index()];
-                }
-            }
-        }
-        let mut duals = vec![0.0; self.model.num_rows()];
-        for (si, &pi) in kept.iter().enumerate() {
-            let y = sub_sol.duals[si];
-            duals[pi] = y;
-            if y != 0.0 {
-                for &(j, c) in &self.model.rows[pi].terms {
-                    if fixed[j as usize].is_some() {
-                        reduced_costs[j as usize] -= y * c;
-                    }
-                }
-            }
-        }
-
-        // Dropped rows carry no dual information from the sub-solve, but
-        // frozen columns at an interior optimum need their private rows'
-        // duals for their reduced costs to certify (a job at its demand
-        // limit is supported by the demand row's dual). Complete the dual
-        // vector heuristically — soundness comes from the certificate
-        // below, which validates whatever this produces:
-        //  1. inherit each dropped row's dual from the previous solution,
-        //     projected onto the valid sign for the row's direction and
-        //     zeroed where complementary slackness demands (slack row ⇒
-        //     dual 0);
-        //  2. only when the certificate fails at inherited duals,
-        //     refinement sweeps re-aim the dual of each *adjustable*
-        //     binding row so its first interior frozen column prices to
-        //     zero — the private-support-shift case (a coupling row
-        //     unbinding moves a column's support onto its private row)
-        //     that pure inheritance cannot certify. Dropped rows are
-        //     always adjustable; a kept row is adjustable when every free
-        //     column in it sits at its lower bound — the sub-solve then
-        //     pinned its dual only up to degeneracy (a shared capacity row
-        //     the affected blocks place no flow on reads as slack-free to
-        //     the submodel even though the frozen flow binds it), and
-        //     moving the dual cannot un-price a basic free column. The
-        //     certificate is re-run after the sweeps, so a bad re-aim
-        //     fails closed; the common case (inherited duals already
-        //     certify) skips the sweeps and their row scans entirely.
-        let sense = self.model.sense;
-        let project = |y: f64, cmp: Cmp| match (sense, cmp) {
-            (_, Cmp::Eq) => y,
-            (Sense::Maximize, Cmp::Le) | (Sense::Minimize, Cmp::Ge) => y.max(0.0),
-            (Sense::Maximize, Cmp::Ge) | (Sense::Minimize, Cmp::Le) => y.min(0.0),
-        };
-        let interior = |j: usize, x: f64| {
-            let d = &self.model.vars[j];
-            x - d.lb > feas_eps && d.ub - x > feas_eps
-        };
-        for &(i, lhs) in &dropped {
-            let row = &self.model.rows[i];
-            let mut y =
-                self.last_solution.as_ref().and_then(|s| s.duals.get(i).copied()).unwrap_or(0.0);
-            if row.cmp != Cmp::Eq && (lhs - row.rhs).abs() > feas_eps {
-                y = 0.0;
-            }
-            y = project(y, row.cmp);
-            duals[i] = y;
-            if y != 0.0 {
-                for &(j, c) in &row.terms {
-                    reduced_costs[j as usize] -= y * c;
-                }
-            }
-        }
-        // Certificate: no column — frozen at its value or free at the
-        // sub-solve's optimum — may have an improving move its own bounds
-        // would permit. Free columns were optimal against the *submodel*
-        // duals; re-checking them here is what keeps the kept-row
-        // re-aiming below sound.
-        let rc_certificate = |values: &[f64], reduced_costs: &[f64]| -> f64 {
-            let mut violation: f64 = 0.0;
-            for j in 0..n {
-                let x = values[j];
-                let (lb, ub) = (self.model.vars[j].lb, self.model.vars[j].ub);
-                let at_lb = x - lb <= feas_eps;
-                let at_ub = ub - x <= feas_eps;
-                let d = reduced_costs[j];
-                // Improvement direction depends on the sense: for Maximize
-                // a positive reduced cost rewards raising x, for Minimize a
-                // negative one does; the mirrored term covers lowering x.
-                let (up, down) = match sense {
-                    Sense::Maximize => (d, -d),
-                    Sense::Minimize => (-d, d),
-                };
-                if !at_ub {
-                    violation = violation.max(up);
-                }
-                if !at_lb {
-                    violation = violation.max(down);
-                }
-            }
-            violation
-        };
-        let mut rc_violation = rc_certificate(&values, &reduced_costs);
-        if rc_violation > tol {
-            let mut adjustable: Vec<usize> = Vec::new();
-            for &(i, lhs) in &dropped {
-                let row = &self.model.rows[i];
-                if row.cmp == Cmp::Eq || (lhs - row.rhs).abs() <= feas_eps {
-                    adjustable.push(i);
-                }
-            }
-            for &pi in &kept {
-                let row = &self.model.rows[pi];
-                let mut lhs = 0.0;
-                let mut has_frozen = false;
-                let mut free_at_lb = true;
-                for &(j, c) in &row.terms {
-                    let x = values[j as usize];
-                    lhs += c * x;
-                    if fixed[j as usize].is_some() {
-                        has_frozen = true;
-                    } else if x - self.model.vars[j as usize].lb > feas_eps {
-                        free_at_lb = false;
-                    }
-                }
-                if has_frozen
-                    && free_at_lb
-                    && (row.cmp == Cmp::Eq || (lhs - row.rhs).abs() <= feas_eps)
-                {
-                    adjustable.push(pi);
-                }
-            }
-            for _ in 0..3 {
-                for &i in &adjustable {
-                    let row = &self.model.rows[i];
-                    let Some((j0, a0)) = row.terms.iter().find_map(|&(j, c)| {
-                        (c != 0.0
-                            && fixed[j as usize].is_some()
-                            && interior(j as usize, values[j as usize]))
-                        .then_some((j as usize, c))
-                    }) else {
-                        continue;
-                    };
-                    let new_y = project(duals[i] + reduced_costs[j0] / a0, row.cmp);
-                    let delta = new_y - duals[i];
-                    if delta != 0.0 {
-                        duals[i] = new_y;
-                        for &(j, c) in &row.terms {
-                            reduced_costs[j as usize] -= delta * c;
-                        }
-                    }
-                }
-            }
-            rc_violation = rc_certificate(&values, &reduced_costs);
-        }
-        let certified = primal_violation <= feas_eps && rc_violation <= tol;
-        let solution = Solution {
-            status: sub_sol.status,
-            objective: sub_sol.objective,
-            values,
-            duals,
-            reduced_costs,
-            iterations: sub_sol.iterations,
-            pricing_scans: sub_sol.pricing_scans,
-            bland_pivots: sub_sol.bland_pivots,
-            dual_iterations: sub_sol.dual_iterations,
-            pricing_par_sections: sub_sol.pricing_par_sections,
-            pricing_par_steals: sub_sol.pricing_par_steals,
-            pricing_serial_nanos: sub_sol.pricing_serial_nanos,
-            pricing_par_nanos: sub_sol.pricing_par_nanos,
-            factor_stats: sub_sol.factor_stats,
-        };
-        if certified {
-            // The composite is a proven optimum of the *current* model
-            // state: adopt it exactly like a full solve would, minus the
-            // basis snapshot (the saved parent basis stays warm-start
-            // valid for whatever full solve comes next).
-            self.last_solution = Some(solution.clone());
-            self.pending = Mutations::default();
-            self.solved_vars = self.model.num_vars();
-            self.solved_rows = self.model.num_rows();
-        }
-        Ok(RestrictedOutcome {
-            solution,
-            certified,
-            max_violation: primal_violation.max(rc_violation),
-            sub_vars,
-            sub_rows,
-        })
     }
 
     // --- lazy generation --------------------------------------------------
@@ -1305,101 +932,6 @@ mod tests {
         assert_eq!(s.stats().cache_hits, 1);
     }
 
-    /// Two independent blocks coupled by one shared capacity row — the
-    /// miniature of the SAM block-angular structure. Freezing the untouched
-    /// block and re-solving the other against the residual must certify and
-    /// agree with the full re-solve.
-    fn coupled() -> (SolverSession, Var, Var, RowId, RowId, RowId) {
-        // max 3a + 2b  s.t.  a <= 4 (da), b <= 6 (db), a + b <= 8 (shared)
-        let mut m = Model::new(Sense::Maximize);
-        let a = m.add_nonneg("a", 3.0);
-        let b = m.add_nonneg("b", 2.0);
-        let da = m.add_row("da", 1.0 * a, Cmp::Le, 4.0);
-        let db = m.add_row("db", 1.0 * b, Cmp::Le, 6.0);
-        let shared = m.add_row("shared", a + b, Cmp::Le, 8.0);
-        (SolverSession::new(m), a, b, da, db, shared)
-    }
-
-    #[test]
-    fn restricted_solve_certifies_and_matches_full() {
-        let (mut s, a, b, _da, db, _shared) = coupled();
-        let sol = s.solve(&SolveOptions::default()).unwrap();
-        // Optimum: a = 4 (da binding), b = 4 (shared binding).
-        assert!((sol.value(a) - 4.0).abs() < 1e-7);
-        assert!((sol.value(b) - 4.0).abs() < 1e-7);
-
-        // Localized change in b's block: tighten db below b's current use.
-        s.set_rhs(db, 3.0);
-        let frozen_a = sol.value(a);
-        let out = s.solve_restricted(&[(a, frozen_a)], 1e-7, &SolveOptions::default()).unwrap();
-        assert!(out.certified, "violation {}", out.max_violation);
-        assert_eq!(out.sub_vars, 1);
-        // a's block froze bitwise; b re-optimized against the residual.
-        assert_eq!(out.solution.value(a), frozen_a);
-        assert!((out.solution.value(b) - 3.0).abs() < 1e-7);
-        // Agrees with the full re-solve of the same mutated model.
-        let full = s.model().solve().unwrap();
-        assert!((out.solution.objective() - full.objective()).abs() < 1e-7);
-        // A certified restricted solve is adopted: nothing pending, and an
-        // unchanged follow-up solve is answered from cache.
-        assert!(s.pending_mutations().is_clean());
-        let next = s.solve(&SolveOptions::default()).unwrap();
-        assert_eq!(next.values(), out.solution.values());
-        assert_eq!(s.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn restricted_solve_completes_dropped_row_duals() {
-        // Freeze a at its optimum where the *dropped* row `da` is what
-        // supports a's reduced cost (rc_a = 3 − y_da − y_shared). The
-        // localized change unbinds the shared row, shifting a's support
-        // entirely onto its private row — the dual-completion sweep must
-        // re-aim y_da or the certificate would spuriously fail on a
-        // perfectly optimal freeze.
-        let (mut s, a, _b, da, db, _shared) = coupled();
-        let sol = s.solve(&SolveOptions::default()).unwrap();
-        s.set_rhs(db, 3.5);
-        let out = s.solve_restricted(&[(a, sol.value(a))], 1e-7, &SolveOptions::default()).unwrap();
-        assert!(out.certified, "violation {}", out.max_violation);
-        assert!(out.solution.dual(da) > 0.0, "inherited dual lost");
-        // The frozen column's recomputed reduced cost matches what a full
-        // solve reports for the same model (sign-convention pin).
-        let full = s.model().solve().unwrap();
-        assert!(
-            (out.solution.reduced_cost(a) - full.reduced_cost(a)).abs() < 1e-7,
-            "rc {} vs full {}",
-            out.solution.reduced_cost(a),
-            full.reduced_cost(a)
-        );
-    }
-
-    #[test]
-    fn restricted_solve_detects_stale_freeze() {
-        let (mut s, a, b, _da, _db, _shared) = coupled();
-        s.solve(&SolveOptions::default()).unwrap();
-        // Freeze a somewhere clearly suboptimal (interior, rc > 0): the
-        // certificate must refuse, and the session must adopt nothing.
-        let pending_before = s.pending_mutations();
-        let out = s.solve_restricted(&[(a, 1.0)], 1e-7, &SolveOptions::default()).unwrap();
-        assert!(!out.certified);
-        assert!(out.max_violation > 1e-3, "violation {}", out.max_violation);
-        assert_eq!(s.pending_mutations(), pending_before);
-        let _ = b;
-    }
-
-    #[test]
-    fn restricted_solve_flags_infeasible_frozen_rows() {
-        let (mut s, a, b, da, _db, _shared) = coupled();
-        s.solve(&SolveOptions::default()).unwrap();
-        // Tighten a's private row below its frozen value: the dropped row
-        // is primally violated, so the composite cannot certify.
-        s.set_rhs(da, 2.0);
-        let out = s.solve_restricted(&[(a, 4.0)], 1e-7, &SolveOptions::default()).unwrap();
-        assert!(!out.certified);
-        assert!(out.max_violation >= 2.0 - 1e-9);
-        let _ = b;
-    }
-
     #[test]
     fn lazy_rounds_reuse_basis() {
         // max x + y, hidden rows generated lazily.
@@ -1518,13 +1050,9 @@ mod tests {
     }
 
     #[test]
-    fn restricted_solves_resolve_zero_cadence_to_default() {
-        // Sessions spun up internally by `solve_restricted` must inherit
-        // the same `0 → DEFAULT_MAX_ETAS` resolution as top-level solves.
+    fn zero_cadence_and_zero_pricing_jobs_resolve_to_the_defaults() {
         let run = |cadence: usize| {
-            let (mut s, a, _b, _da, db, _shared) = coupled();
-            let sol = s.solve(&SolveOptions::default()).unwrap();
-            s.set_rhs(db, 3.0);
+            let (mut s, _x, _y, r1, _r2) = toy();
             let opts = SolveOptions {
                 simplex: Some(SimplexOptions {
                     refactor_every: cadence,
@@ -1532,61 +1060,35 @@ mod tests {
                 }),
                 ..Default::default()
             };
-            let before = s.stats();
-            let out = s.solve_restricted(&[(a, sol.value(a))], 1e-7, &opts).unwrap();
-            assert!(out.certified);
-            (out.solution.objective(), s.stats().refactors - before.refactors)
+            s.solve(&opts).unwrap();
+            s.set_rhs(r1, 7.0);
+            let sol = s.solve(&opts).unwrap();
+            (sol.objective().to_bits(), s.stats().refactors)
         };
         // A literal zero must behave exactly like the shared default —
         // same optimum, same refactorization count — because the
         // resolution happens once, inside `Factorization::set_limits`.
         let zero = run(0);
-        let default = run(crate::simplex::basis::DEFAULT_MAX_ETAS);
-        assert_eq!(zero, default);
-        // And a cadence of 1 genuinely changes the sub-solve's behavior,
-        // proving the override reaches the kernel (not just the options).
-        let tight = run(1);
-        assert!(tight.1 >= zero.1, "cadence 1 refactors at least as often");
+        assert_eq!(zero, run(crate::simplex::basis::DEFAULT_MAX_ETAS));
+        // And a cadence of 1 reaches the kernel, not just the options.
+        assert!(run(1).1 >= zero.1, "cadence 1 refactors at least as often");
 
-        // `pricing_jobs` rides the same inheritance path: restricted
-        // sub-solves pick it up through `effective_simplex`, zero resolves
-        // to the serial default, and any worker count must reproduce the
+        // `pricing_jobs` resolves through `effective_simplex` the same way:
+        // zero is the serial default, and any worker count reproduces the
         // serial objective bitwise (the parallel layer reduces in section
         // order — DESIGN.md §19).
         let par = |jobs: usize| {
-            let (mut s, a, _b, _da, db, _shared) = coupled();
-            let sol = s.solve(&SolveOptions::default()).unwrap();
-            s.set_rhs(db, 3.0);
+            let (mut s, _x, _y, r1, _r2) = toy();
             let opts = SolveOptions {
                 tuning: SolverTuning { pricing_jobs: jobs, ..Default::default() },
                 ..Default::default()
             };
-            let eff = s.effective_simplex(&opts);
-            assert_eq!(eff.pricing_jobs, if jobs == 0 { 1 } else { jobs });
-            let out = s.solve_restricted(&[(a, sol.value(a))], 1e-7, &opts).unwrap();
-            assert!(out.certified);
-            out.solution.objective().to_bits()
+            assert_eq!(s.effective_simplex(&opts).pricing_jobs, if jobs == 0 { 1 } else { jobs });
+            s.solve(&opts).unwrap();
+            s.set_rhs(r1, 7.0);
+            s.solve(&opts).unwrap().objective().to_bits()
         };
         assert_eq!(par(0), par(8));
-    }
-
-    #[test]
-    fn restricted_basis_cache_capacity_is_configurable() {
-        let (mut s, a, _b, _da, db, _shared) = coupled();
-        let sol = s.solve(&SolveOptions::default()).unwrap();
-        let opts = SolveOptions {
-            tuning: SolverTuning { restricted_basis_cache: 1, ..Default::default() },
-            ..Default::default()
-        };
-        // Two distinct freeze patterns under capacity 1: the LRU holds at
-        // most one terminal basis.
-        s.set_rhs(db, 3.0);
-        s.solve_restricted(&[(a, sol.value(a))], 1e-7, &opts).unwrap();
-        assert_eq!(s.restricted_bases.len(), 1);
-        let first_key = s.restricted_bases[0].0;
-        s.solve_restricted(&[], 1e-7, &opts).unwrap();
-        assert_eq!(s.restricted_bases.len(), 1);
-        assert_ne!(s.restricted_bases[0].0, first_key, "older pattern evicted");
     }
 
     // --- resident simplex state: a session against a twin that rebuilds ------

@@ -42,9 +42,7 @@ pub type SparseCol = Vec<(u32, f64)>;
 ///
 /// The single source of truth for the `max_etas: 0` / `refactor_every: 0`
 /// convention: [`Factorization::set_limits`] substitutes it for a zero limit, and
-/// `SimplexOptions::default()` seeds `refactor_every` from it, so sessions
-/// created indirectly (e.g. via `solve_restricted`) inherit the same
-/// cadence.
+/// `SimplexOptions::default()` seeds `refactor_every` from it.
 pub const DEFAULT_MAX_ETAS: usize = 96;
 
 /// Errors from factorization.

@@ -53,7 +53,8 @@ pub struct FaultPlanConfig {
     /// Probability that an outage starts on a given (edge, window).
     pub failure_rate: f64,
     /// Severity range: fraction of capacity removed (draws ≥ 0.95 become
-    /// total [`FaultEvent::LinkFailure`]s).
+    /// total [`FaultEvent::LinkFailure`]s). Ordered and clamped to `[0, 1]`
+    /// by [`FaultPlan::generate`], like the rates.
     pub severity: (f64, f64),
     /// Outage duration range in timesteps (inclusive).
     pub duration: (usize, usize),
@@ -147,6 +148,11 @@ impl FaultPlan {
         let mut events = Vec::new();
         let w = grid.steps_per_window;
         let windows = horizon.div_ceil(w);
+        // A fraction of capacity: out-of-range ends clamp (NaN to 0), a
+        // reversed pair swaps — a config never reaches a panic.
+        let unit = |x: f64| if x.is_nan() { 0.0 } else { x.clamp(0.0, 1.0) };
+        let (s0, s1) = (unit(cfg.severity.0), unit(cfg.severity.1));
+        let (mildest, worst) = (s0.min(s1), s0.max(s1));
 
         let mut outages = StdRng::seed_from_u64(derive_seed(cfg.seed, "outages"));
         for e in net.edge_ids() {
@@ -157,7 +163,7 @@ impl FaultPlan {
                 }
                 let at = win * w + outages.gen_range(0..w);
                 let dur = outages.gen_range(cfg.duration.0..=cfg.duration.1.max(cfg.duration.0));
-                let severity = outages.gen_range(cfg.severity.0..=cfg.severity.1);
+                let severity = outages.gen_range(mildest..=worst);
                 if at < next_free || at >= horizon {
                     continue; // drawn but unusable: edge still down, or past horizon
                 }
@@ -377,6 +383,55 @@ mod tests {
         assert!(plan.contaminates(4));
         assert!(plan.contaminates(7));
         assert!(!plan.contaminates(8));
+    }
+
+    /// A faulted replay of `sc` under `plan` must finish with a clean audit.
+    fn assert_replays_clean(sc: &Scenario, plan: &FaultPlan) {
+        use crate::runner::{run_pretium_faulted, Variant};
+        let cfg = pretium_core::PretiumConfig { audit: true, ..Default::default() };
+        let run = run_pretium_faulted(sc, cfg, Variant::Full, plan).unwrap();
+        let aud = run.audit().expect("cfg.audit = true");
+        assert!(aud.is_clean(), "{:?}", aud.violations());
+    }
+
+    /// A plan for `sc` at failure rate 0.5 under the given severity range,
+    /// checked to have drawn its degradations inside `expect`.
+    fn plan_with_severity(
+        sc: &Scenario,
+        severity: (f64, f64),
+        expect: std::ops::RangeInclusive<f64>,
+    ) -> FaultPlan {
+        let cfg = FaultPlanConfig { seed: 7, failure_rate: 0.5, severity, ..Default::default() };
+        let plan = FaultPlan::for_scenario(sc, &cfg);
+        let drawn: Vec<f64> = plan
+            .events
+            .iter()
+            .filter_map(|ev| match *ev {
+                FaultEvent::CapacityDegradation { fraction, .. } => Some(fraction),
+                _ => None,
+            })
+            .collect();
+        assert!(!drawn.is_empty());
+        assert!(drawn.iter().all(|f| expect.contains(f)), "{drawn:?}");
+        plan
+    }
+
+    #[test]
+    fn out_of_range_severity_is_clamped() {
+        let sc = ScenarioConfig::tiny(7).build();
+        let mut plan = plan_with_severity(&sc, (-0.5, 0.5), 0.0..=0.5);
+        // A hand-built event bypasses `generate`: the system clamps too.
+        for (i, fraction) in [-0.5, 1.5, f64::NAN].into_iter().enumerate() {
+            let (edge, at, until) = (EdgeId(i as u32), 1, sc.horizon);
+            plan.events.push(FaultEvent::CapacityDegradation { edge, at, until, fraction });
+        }
+        assert_replays_clean(&sc, &plan);
+    }
+
+    #[test]
+    fn reversed_severity_is_ordered() {
+        let sc = ScenarioConfig::tiny(7).build();
+        assert_replays_clean(&sc, &plan_with_severity(&sc, (0.8, 0.2), 0.2..=0.8));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! * [`faults`] — seeded fault schedules (link failures, degradations,
 //!   surges, solver pressure) replayed against a live run (§4.4).
 //! * [`runner`] — the online Pretium replay loop (each step's arrivals
-//!   quoted off one admission snapshot — on the [`par`] pool when
-//!   `ra_jobs` > 1 — then sequenced deterministically; SAM per timestep,
-//!   PC per window) and the Figure 11 ablation variants.
+//!   quoted off one admission snapshot, then sequenced deterministically;
+//!   SAM per timestep, PC per window) and the Figure 11 ablation variants.
 //! * [`experiments`] — one regenerator per table/figure of §6.
 //! * [`incentives`] — the §5 misreporting study.
 //! * [`report`] — plain-text rendering of figures/tables.

@@ -1014,10 +1014,11 @@ fn run_table4(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError
 }
 
 /// The admission-surge cell: load 2.0 plus a fault-plan surge stream at
-/// ≥ 10× the scenario's own arrival volume, admitted through the pooled
-/// snapshot front end (`ra_jobs` = 2) with auditing forced on — graceful
-/// behavior under request pressure, with a clean audit trail, is the
-/// acceptance bar for the concurrent admission API.
+/// ≥ 10× the scenario's own arrival volume, admitted through the snapshot
+/// front end (one snapshot per step's batch, stale tickets re-quoted by the
+/// sequencer) with auditing forced on — graceful behavior under request
+/// pressure, with a clean audit trail, is the acceptance bar for the
+/// admission API.
 fn run_surge(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError> {
     // One window is enough to saturate admission (the surge pressure is
     // per-step, not cumulative), and it keeps the per-step SAM LP — which
@@ -1033,7 +1034,7 @@ fn run_surge(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError>
     let plan_cfg = FaultPlanConfig::surge(rand::derive_seed(seed, "surge-exp"), per_surge);
     let plan = FaultPlan::for_scenario(&sc, &plan_cfg);
     let surge_arrivals: usize = (0..sc.horizon).map(|t| plan.surges_at(t).count()).sum();
-    let cfg = PretiumConfig { ra_jobs: 2, audit: true, ..Default::default() };
+    let cfg = PretiumConfig { audit: true, ..Default::default() };
     let run = run_pretium_faulted(&sc, cfg, Variant::Full, &plan)?;
     let scenario_admitted = run.contract_of_request.iter().filter(|c| c.is_some()).count();
     let surge_admitted = run.system.contracts().len() - scenario_admitted;
@@ -1055,7 +1056,7 @@ fn run_surge(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError>
         ("audit violations".to_string(), aud.violations().len().to_string()),
         ("scenario welfare".to_string(), format!("{welfare:.1}")),
     ];
-    Ok(render_table("Admission surge: pooled RA under 10x request pressure", &rows))
+    Ok(render_table("Admission surge: batched RA under 10x request pressure", &rows))
 }
 
 fn run_incentives(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError> {

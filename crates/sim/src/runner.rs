@@ -4,20 +4,17 @@
 //! window boundary.
 //!
 //! RA is batched per timestep: each step's arrivals are quoted off one
-//! published [`pretium_core::AdmissionSnapshot`] (serially, or fanned out
-//! on the [`crate::par`] pool when `PretiumConfig::ra_jobs > 1`) and then
-//! admitted in arrival order by the deterministic
-//! [`pretium_core::Sequencer`] — bit-identical to the serial
-//! quote→accept interleaving at any worker count.
+//! published [`pretium_core::AdmissionSnapshot`] and then admitted in
+//! arrival order by the deterministic [`pretium_core::Sequencer`], which
+//! re-quotes a ticket its predecessors' accepts made stale — bit-identical
+//! to the serial quote→accept interleaving.
 
 use crate::faults::FaultPlan;
-use crate::par::{run_cells_ok, Cell};
 use crate::scenario::Scenario;
 use pretium_baselines::Outcome;
 use pretium_core::{Pretium, PretiumConfig, QuoteTicket, RequestParams, Sequencer};
 use pretium_lp::{SessionStats, SolveError};
 use pretium_net::UsageTracker;
-use std::sync::Arc;
 
 /// Sentinel request index for contracts that did not come from the
 /// scenario's request stream (fault-plan surge traffic).
@@ -193,9 +190,9 @@ pub fn run_pretium_cold(
                 batch.push((RequestParams::from(r), r.value, r.demand, SURGE_SENTINEL));
             }
         }
-        let tickets = quote_batch(&mut system, &batch, t);
-        // The sequencer is created even on empty steps: `finish` owns the
-        // SAM cadence the serial loop ran inline.
+        let tickets = quote_batch(&mut system, &batch);
+        // The sequencer is created even on empty steps: `finish` runs the
+        // step's SAM.
         let mut seq = Sequencer::new(&mut system);
         for (ticket, &(_, value, demand, ri)) in tickets.iter().zip(&batch) {
             let admitted = seq.admit(ticket, |menu| match variant {
@@ -213,7 +210,7 @@ pub fn run_pretium_cold(
                 contract_req.push(ri);
             }
         }
-        // Schedule adjustment (at the configured cadence).
+        // Schedule adjustment.
         seq.finish(t, &usage)?;
         // Move bytes, logging per-contract deltas.
         system.execute_step(t, &mut usage);
@@ -242,37 +239,18 @@ pub fn run_pretium_cold(
     Ok(PretiumRun { outcome, system, delivery_log, contract_of_request, lp_stats })
 }
 
-/// Quote one timestep's arrival batch off a single published snapshot.
-///
-/// With `ra_jobs <= 1` quotes run serially on the caller's thread; above
-/// that they fan out over the work-stealing pool, one cell per request.
-/// Either way results come back in batch order and the snapshot's quote
-/// telemetry is absorbed before sequencing, so the two paths are
-/// indistinguishable downstream.
+/// Quote one timestep's arrival batch off a single published snapshot, in
+/// batch order; the snapshot's quote telemetry is absorbed before
+/// sequencing.
 fn quote_batch(
     system: &mut Pretium,
     batch: &[(RequestParams, f64, f64, usize)],
-    t: usize,
 ) -> Vec<QuoteTicket> {
     if batch.is_empty() {
         return Vec::new();
     }
     let snap = system.snapshot();
-    let jobs = system.config().ra_jobs;
-    let tickets = if jobs <= 1 {
-        batch.iter().map(|(params, ..)| snap.ticket(params)).collect()
-    } else {
-        let cells: Vec<Cell<QuoteTicket, std::convert::Infallible>> = batch
-            .iter()
-            .map(|(params, ..)| {
-                let snap = Arc::clone(&snap);
-                let params = params.clone();
-                Cell::new(format!("ra/t{t}/req{:?}", params.id), move || Ok(snap.ticket(&params)))
-            })
-            .collect();
-        let (tickets, _pool) = run_cells_ok(jobs, cells);
-        tickets
-    };
+    let tickets = batch.iter().map(|(params, ..)| snap.ticket(params)).collect();
     system.absorb_quotes(&snap);
     tickets
 }
@@ -377,25 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn pooled_quote_batch_matches_serial_and_copies_no_state() {
-        // `quote_batch` joins its pool before the batch is sequenced, so no
-        // worker still holds the snapshot when the first accept writes: the
-        // pooled replay is the serial one bit for bit, and neither copies
-        // the network state.
-        let sc = small();
-        let run = |ra_jobs| {
-            let cfg = PretiumConfig { ra_jobs, ..PretiumConfig::default() };
-            run_pretium(&sc, cfg, Variant::Full).unwrap()
-        };
-        let (serial, pooled) = (run(1), run(2));
-        assert_eq!(pooled.outcome.admitted, serial.outcome.admitted);
-        assert_eq!(pooled.outcome.payments, serial.outcome.payments);
-        assert_eq!(pooled.outcome.delivered, serial.outcome.delivered);
-        for r in [&serial, &pooled] {
-            let t = r.telemetry();
-            assert!(t.snapshots > 0 && t.accepts_admitted > 0);
-            assert_eq!(t.state_copies, 0, "ra_jobs={}", r.system.config().ra_jobs);
-        }
+    fn quote_batch_copies_no_state() {
+        // `quote_batch` drops its snapshot before the batch is sequenced, so
+        // nothing still holds the state when the first accept writes.
+        let run = run_pretium(&small(), PretiumConfig::default(), Variant::Full).unwrap();
+        let t = run.telemetry();
+        assert!(t.snapshots > 0 && t.accepts_admitted > 0);
+        assert_eq!(t.state_copies, 0);
     }
 
     #[test]

@@ -3,21 +3,21 @@
 //! 1. Quoting off an [`AdmissionSnapshot`] is a pure read — a parallel
 //!    fan-out over the work-stealing pool returns bit-identical menus to a
 //!    serial walk of the same snapshot.
-//! 2. Admission through the [`Sequencer`] is deterministic in the batch
-//!    order, never in worker count: full faulted replays at `ra_jobs`
-//!    1 / 2 / 8 (under a surge plan that makes batches wide enough to
-//!    collide) produce identical contract streams and welfare.
+//! 2. Admission through the [`Sequencer`] is the serial quote→accept
+//!    interleaving: a batch quoted off one snapshot and then sequenced
+//!    (under a surge plan that makes batches wide enough to collide, so
+//!    stale tickets are re-quoted) books the contract stream that one
+//!    `admit_one` per request books.
 //!
 //! `tests/determinism.rs` (which must keep passing unmodified) covers the
 //! cross-`--jobs` experiment engine; this file covers the admission layer
 //! underneath it.
 
-use pretium_core::{PretiumConfig, QuoteTicket, RequestParams};
+use pretium_core::{Pretium, PretiumConfig, QuoteTicket, RequestParams};
+use pretium_net::UsageTracker;
 use pretium_sim::par::run_cells_ok;
-use pretium_sim::{
-    run_pretium, run_pretium_faulted, Cell, FaultPlan, FaultPlanConfig, PretiumRun, ScenarioConfig,
-    Variant,
-};
+use pretium_sim::runner::run_pretium_cold;
+use pretium_sim::{run_pretium, Cell, FaultPlan, FaultPlanConfig, ScenarioConfig, Variant};
 use std::sync::Arc;
 
 /// Pooled quotes off one snapshot are bit-identical to serial quotes off
@@ -69,55 +69,75 @@ fn snapshots_are_republished_per_epoch() {
     assert!(!Arc::ptr_eq(&s1, &s3), "a new epoch publishes a fresh snapshot");
 }
 
-fn surge_run(jobs: usize) -> PretiumRun {
-    let sc = ScenarioConfig::tiny(13).build();
-    // A surge every window, several requests per surge: admission batches
-    // get wide enough that tickets genuinely collide on slots and the
-    // sequencer's re-quote path is exercised.
-    let plan = FaultPlan::for_scenario(&sc, &FaultPlanConfig::surge(99, 6));
-    let cfg = PretiumConfig { ra_jobs: jobs, audit: true, ..Default::default() };
-    run_pretium_faulted(&sc, cfg, Variant::Full, &plan).unwrap()
-}
-
-/// The tentpole determinism claim: the full replay — admission decisions,
-/// contract stream, payments, deliveries, welfare inputs — is bit-identical
-/// at any RA worker count, including the serial reference.
+/// What the sequencer promises: quoting a whole batch off one snapshot and
+/// admitting it in order books exactly what quoting each request against
+/// the live state just before its own accept books. The reference loop
+/// below is the runner's step loop with `admit_one` per request in place
+/// of the batch.
 #[test]
-fn sequencer_admission_is_bit_identical_across_ra_jobs() {
-    let base = surge_run(1);
-    for jobs in [2usize, 8] {
-        let run = surge_run(jobs);
-        assert_eq!(
-            run.outcome.admitted, base.outcome.admitted,
-            "admission flags diverged at ra_jobs={jobs}"
-        );
-        assert_eq!(
-            run.outcome.payments, base.outcome.payments,
-            "payments diverged at ra_jobs={jobs}"
-        );
-        assert_eq!(
-            run.outcome.delivered, base.outcome.delivered,
-            "deliveries diverged at ra_jobs={jobs}"
-        );
-        assert_eq!(run.contract_of_request, base.contract_of_request);
-        // The contract stream itself: same ids in the same order with the
-        // same bookings (surge contracts included).
-        let stream = |r: &PretiumRun| -> Vec<(u64, f64, f64)> {
-            r.system.contracts().iter().map(|c| (c.params.id.0, c.purchased, c.payment)).collect()
+fn sequenced_batch_equals_interleaved_admit_one_walk() {
+    for seed in [13u64, 7, 21] {
+        let sc = ScenarioConfig::tiny(seed).build();
+        // A surge every window, several requests per surge: admission
+        // batches get wide enough that tickets genuinely collide on slots
+        // and the sequencer's re-quote path is exercised.
+        let plan = FaultPlan::for_scenario(&sc, &FaultPlanConfig::surge(99, 6));
+        let cfg = PretiumConfig { audit: true, ..Default::default() };
+        let batched = run_pretium_cold(&sc, cfg.clone(), Variant::Full, None, Some(&plan)).unwrap();
+
+        let mut system = Pretium::new(sc.net.clone(), sc.grid, sc.horizon, cfg);
+        let mut usage = UsageTracker::new(sc.net.num_edges(), sc.horizon);
+        let mut next_req = 0;
+        for t in 0..sc.horizon {
+            plan.apply_step(&mut system, t);
+            if plan.capacity_event_at(t) {
+                system.run_sam(t, &usage).unwrap();
+            }
+            if sc.grid.step_in_window(t) == 0 && t > 0 {
+                system.run_pc(t).unwrap();
+            }
+            let arrivals = sc.requests[next_req..].iter().take_while(|r| r.arrival == t).count();
+            let batch = &sc.requests[next_req..next_req + arrivals];
+            next_req += arrivals;
+            for r in batch.iter().chain(plan.surges_at(t)) {
+                system.admit_one(&RequestParams::from(r), |menu| {
+                    menu.optimal_purchase(r.value, r.demand)
+                });
+            }
+            system.run_sam(t, &usage).unwrap();
+            system.execute_step(t, &mut usage);
+        }
+
+        let stream = |s: &Pretium| -> Vec<(u64, u64, u64, u64)> {
+            s.contracts()
+                .iter()
+                .map(|c| {
+                    (
+                        c.params.id.0,
+                        c.purchased.to_bits(),
+                        c.payment.to_bits(),
+                        c.delivered.to_bits(),
+                    )
+                })
+                .collect()
         };
-        assert_eq!(stream(&run), stream(&base), "contract stream diverged at ra_jobs={jobs}");
-        let aud = run.audit().expect("cfg.audit = true");
-        assert!(aud.is_clean(), "ra_jobs={jobs}: {:?}", aud.violations());
+        assert!(!batched.system.contracts().is_empty(), "seed {seed}: nothing admitted");
+        assert_eq!(stream(&batched.system), stream(&system), "seed {seed}: contract stream");
+        // The surge plan did its job: batches were wide enough to make at
+        // least one snapshot ticket stale (the re-quote path actually ran).
+        assert!(
+            batched.telemetry().quotes_requoted > 0,
+            "seed {seed}: surge batches never collided — widen them"
+        );
+        for (label, s) in [("batched", &batched.system), ("interleaved", &system)] {
+            let aud = s.auditor().expect("cfg.audit = true");
+            assert!(aud.is_clean(), "seed {seed} {label}: {:?}", aud.violations());
+        }
     }
-    // The surge plan did its job: batches were wide enough to make at
-    // least one snapshot ticket stale (the re-quote path actually ran).
-    assert!(base.telemetry().quotes_requoted > 0, "surge batches never collided — widen them");
-    assert!(base.telemetry().snapshots > 0);
 }
 
-/// The registry's surge cell renders identically at pool jobs 1 vs 8 (its
-/// internal ra_jobs is fixed at 2; this checks the cell is a pure function
-/// of its spec like every other experiment).
+/// The registry's surge cell renders identically at pool jobs 1 vs 8: the
+/// cell is a pure function of its spec like every other experiment.
 #[test]
 fn surge_experiment_is_bit_identical_across_job_counts() {
     use pretium_sim::registry::{registry_at, run_experiments, Scale};

