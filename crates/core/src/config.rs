@@ -74,8 +74,10 @@ pub struct PretiumConfig {
     pub cost_scale: f64,
     /// Disable SAM entirely (the Pretium-NoSAM ablation of Figure 11).
     pub sam_enabled: bool,
-    /// Price floor for owned links (per unit). Percentile links use
-    /// `max(this, C_e / k)` so quotes never fall below marginal cost.
+    /// Price floor per unit: the whole floor on owned links. On
+    /// percentile-billed links `pretium::price_floor` adds a unit's flat
+    /// share of the percentile cost, `price_floor + C_e · cost_scale / W`
+    /// (`W` = steps per window); no quote falls below it.
     pub price_floor: f64,
     /// Run the network-state invariant auditor after every RA accept, SAM
     /// re-optimization, PC price update, and executed step. Debug/test

@@ -1,6 +1,10 @@
-//! One runner per table/figure of the paper's evaluation (§6).
+//! The computations behind the paper's evaluation (§6): the §6.1 scheme
+//! dispatch ([`Scheme`], [`solve_scheme`]) every sweep cell and
+//! [`compare_schemes`] go through, and one `_on(config)` function per
+//! single-world figure/table (Figures 1, 5, 7, 10, Table 4). The
+//! [`crate::registry`] declares which of these run, at which points, and
+//! how their numbers fold into series.
 //!
-//! Each function regenerates the corresponding figure's rows/series.
 //! Absolute numbers differ from the paper (our substrate is a synthetic
 //! trace, not the authors' production WAN), but the *shape* — who wins, by
 //! roughly what factor, where crossovers fall — is the reproduction target
@@ -145,9 +149,37 @@ impl Comparison {
     }
 }
 
-/// The per-scheme result produced by one comparison cell (private plumbing
-/// of [`compare_schemes_jobs`]; each §6.1 scheme returns its own shape).
-enum SchemeOut {
+/// Which §6.1 scheme a cell solves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scheme {
+    /// The offline OPT LP (the welfare upper bound everything is plotted
+    /// against).
+    Opt,
+    /// Online Pretium, in one of its Figure-11 ablation variants.
+    Pretium(Variant),
+    NoPrices,
+    RegionOracle,
+    PeakOracle,
+    VcgLike,
+}
+
+impl Scheme {
+    pub fn label(self) -> &'static str {
+        match self {
+            Scheme::Opt => "OPT",
+            Scheme::Pretium(v) => v.label(),
+            Scheme::NoPrices => "NoPrices",
+            Scheme::RegionOracle => "RegionOracle",
+            Scheme::PeakOracle => "PeakOracle",
+            Scheme::VcgLike => "VCGLike",
+        }
+    }
+}
+
+/// What one scheme solve returns: each §6.1 scheme keeps its own shape
+/// (the oracles carry their chosen prices, Pretium its live system), and
+/// all of them carry an [`Outcome`].
+pub(crate) enum SchemeOut {
     Plain(Box<Outcome>),
     Pretium(Box<PretiumRun>),
     Region(Box<baselines::RegionOracleResult>),
@@ -155,12 +187,58 @@ enum SchemeOut {
 }
 
 impl SchemeOut {
-    fn plain(self) -> Outcome {
+    pub(crate) fn outcome(&self) -> &Outcome {
         match self {
-            SchemeOut::Plain(o) => *o,
-            _ => unreachable!("cell returned a different scheme shape"),
+            SchemeOut::Plain(o) => o,
+            SchemeOut::Pretium(r) => &r.outcome,
+            SchemeOut::Region(r) => &r.outcome,
+            SchemeOut::Peak(r) => &r.outcome,
         }
     }
+}
+
+/// Solve one scheme on one world — the single scheme → solver mapping;
+/// sweep cells and [`compare_schemes_jobs`] both go through it.
+/// `cost_scale` is the §6.2 link-cost multiplier (1.0 outside Figure 12).
+pub(crate) fn solve_scheme(
+    s: &Scenario,
+    scheme: Scheme,
+    cost_scale: f64,
+) -> Result<SchemeOut, SolveError> {
+    let off = OfflineConfig { cost_scale, ..Default::default() };
+    let priced = PricedOfflineConfig { cost_scale, ..Default::default() };
+    let plain = |o| SchemeOut::Plain(Box::new(o));
+    Ok(match scheme {
+        Scheme::Opt => plain(baselines::opt(&s.net, &s.grid, s.horizon, &s.requests, &off)?),
+        Scheme::Pretium(variant) => {
+            let cfg = PretiumConfig { cost_scale, ..Default::default() };
+            SchemeOut::Pretium(Box::new(run_pretium(s, cfg, variant)?))
+        }
+        Scheme::NoPrices => {
+            plain(baselines::no_prices(&s.net, &s.grid, s.horizon, &s.requests, &off)?)
+        }
+        Scheme::RegionOracle => SchemeOut::Region(Box::new(baselines::region_oracle(
+            &s.net,
+            &s.grid,
+            s.horizon,
+            &s.requests,
+            &priced,
+        )?)),
+        Scheme::PeakOracle => {
+            let peaks = baselines::peak_steps_from_trace(&s.trace, &s.grid);
+            SchemeOut::Peak(Box::new(baselines::peak_oracle(
+                &s.net,
+                &s.grid,
+                s.horizon,
+                &s.requests,
+                &peaks,
+                &priced,
+            )?))
+        }
+        Scheme::VcgLike => {
+            plain(baselines::vcg_like(&s.net, &s.grid, s.horizon, &s.requests, &priced)?)
+        }
+    })
 }
 
 /// Run every scheme of §6.1 on one scenario, solving them concurrently on
@@ -183,103 +261,41 @@ pub fn compare_schemes_jobs(
     use std::sync::Arc;
 
     let scenario = Arc::new(config.build());
-    let sc = |f: fn(&Scenario) -> Result<SchemeOut, SolveError>, name: &str| {
+    let cells = [
+        Scheme::Opt,
+        Scheme::Pretium(Variant::Full),
+        Scheme::NoPrices,
+        Scheme::RegionOracle,
+        Scheme::PeakOracle,
+        Scheme::VcgLike,
+    ]
+    .into_iter()
+    .map(|scheme| {
         let scenario = Arc::clone(&scenario);
-        Cell::new(name, move || f(&scenario))
-    };
-    let cells: Vec<Cell<SchemeOut, SolveError>> = vec![
-        sc(
-            |s| {
-                baselines::opt(&s.net, &s.grid, s.horizon, &s.requests, &OfflineConfig::default())
-                    .map(|o| SchemeOut::Plain(Box::new(o)))
-            },
-            "scheme/OPT",
-        ),
-        sc(
-            |s| {
-                run_pretium(s, PretiumConfig::default(), Variant::Full)
-                    .map(|r| SchemeOut::Pretium(Box::new(r)))
-            },
-            "scheme/Pretium",
-        ),
-        sc(
-            |s| {
-                baselines::no_prices(
-                    &s.net,
-                    &s.grid,
-                    s.horizon,
-                    &s.requests,
-                    &OfflineConfig::default(),
-                )
-                .map(|o| SchemeOut::Plain(Box::new(o)))
-            },
-            "scheme/NoPrices",
-        ),
-        sc(
-            |s| {
-                baselines::region_oracle(
-                    &s.net,
-                    &s.grid,
-                    s.horizon,
-                    &s.requests,
-                    &PricedOfflineConfig::default(),
-                )
-                .map(|r| SchemeOut::Region(Box::new(r)))
-            },
-            "scheme/RegionOracle",
-        ),
-        sc(
-            |s| {
-                let peaks = baselines::peak_steps_from_trace(&s.trace, &s.grid);
-                baselines::peak_oracle(
-                    &s.net,
-                    &s.grid,
-                    s.horizon,
-                    &s.requests,
-                    &peaks,
-                    &PricedOfflineConfig::default(),
-                )
-                .map(|r| SchemeOut::Peak(Box::new(r)))
-            },
-            "scheme/PeakOracle",
-        ),
-        sc(
-            |s| {
-                baselines::vcg_like(
-                    &s.net,
-                    &s.grid,
-                    s.horizon,
-                    &s.requests,
-                    &PricedOfflineConfig::default(),
-                )
-                .map(|o| SchemeOut::Plain(Box::new(o)))
-            },
-            "scheme/VCGLike",
-        ),
-    ];
+        Cell::new(format!("scheme/{}", scheme.label()), move || {
+            solve_scheme(&scenario, scheme, 1.0)
+        })
+    })
+    .collect();
     let (results, _telemetry) = crate::par::run_cells(jobs, cells);
-    let mut outs = Vec::with_capacity(results.len());
-    for r in results {
-        outs.push(r?);
-    }
-    // Declaration order above; pop back-to-front.
-    let vcg = outs.pop().unwrap().plain();
-    let peak = match outs.pop().unwrap() {
-        SchemeOut::Peak(p) => *p,
-        _ => unreachable!(),
+    let outs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    use SchemeOut::{Peak, Plain, Pretium, Region};
+    let outs: [SchemeOut; 6] = outs.try_into().ok().expect("one result per scheme cell");
+    let [Plain(opt), Pretium(pretium), Plain(no_prices), Region(region), Peak(peak), Plain(vcg)] =
+        outs
+    else {
+        unreachable!("solve_scheme returns each scheme's own shape, in the order asked")
     };
-    let region = match outs.pop().unwrap() {
-        SchemeOut::Region(r) => *r,
-        _ => unreachable!(),
-    };
-    let no_prices = outs.pop().unwrap().plain();
-    let pretium = match outs.pop().unwrap() {
-        SchemeOut::Pretium(p) => *p,
-        _ => unreachable!(),
-    };
-    let opt = outs.pop().unwrap().plain();
     let scenario = Arc::try_unwrap(scenario).unwrap_or_else(|arc| (*arc).clone());
-    Ok(Comparison { scenario, opt, pretium, no_prices, region, peak, vcg })
+    Ok(Comparison {
+        scenario,
+        opt: *opt,
+        pretium: *pretium,
+        no_prices: *no_prices,
+        region: *region,
+        peak: *peak,
+        vcg: *vcg,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -288,12 +304,6 @@ pub fn compare_schemes_jobs(
 
 /// Figure 7a: price and utilization over time on the busiest
 /// percentile-billed link. Returns `(prices, utilizations)` per timestep.
-pub fn fig7a_price_and_utilization(seed: u64) -> Result<(Vec<f64>, Vec<f64>), SolveError> {
-    fig7a_price_and_utilization_on(&ScenarioConfig::evaluation(seed, 2.0))
-}
-
-/// [`fig7a_price_and_utilization`] on an explicit scenario config (the
-/// registry runs it at either evaluation or tiny scale).
 pub fn fig7a_price_and_utilization_on(
     config: &ScenarioConfig,
 ) -> Result<(Vec<f64>, Vec<f64>), SolveError> {
@@ -317,11 +327,6 @@ pub fn fig7a_price_and_utilization_on(
 
 /// Figure 7b: total value captured per value-per-unit bucket, relative to
 /// OPT's capture in the same bucket.
-pub fn fig7b_value_buckets(seed: u64) -> Result<(Vec<f64>, Vec<Series>), SolveError> {
-    fig7b_value_buckets_on(&ScenarioConfig::evaluation(seed, 2.0))
-}
-
-/// [`fig7b_value_buckets`] on an explicit scenario config.
 pub fn fig7b_value_buckets_on(
     config: &ScenarioConfig,
 ) -> Result<(Vec<f64>, Vec<Series>), SolveError> {
@@ -344,11 +349,6 @@ pub fn fig7b_value_buckets_on(
 
 /// Figure 7c: per-request `(value per unit, average admission price per
 /// unit)` scatter for Pretium-admitted requests.
-pub fn fig7c_price_vs_value(seed: u64) -> Result<Vec<(f64, f64)>, SolveError> {
-    fig7c_price_vs_value_on(&ScenarioConfig::evaluation(seed, 2.0))
-}
-
-/// [`fig7c_price_vs_value`] on an explicit scenario config.
 pub fn fig7c_price_vs_value_on(config: &ScenarioConfig) -> Result<Vec<(f64, f64)>, SolveError> {
     let scenario = config.build();
     let run = run_pretium(&scenario, PretiumConfig::default(), Variant::Full)?;
@@ -370,11 +370,7 @@ pub fn fig7c_price_vs_value_on(config: &ScenarioConfig) -> Result<Vec<(f64, f64)
 // Figure 10 — CDF of 90th-percentile link utilization per scheme.
 // ---------------------------------------------------------------------------
 
-pub fn fig10_p90_utilization_cdf(seed: u64) -> Result<Vec<Series>, SolveError> {
-    fig10_p90_utilization_cdf_on(&ScenarioConfig::evaluation(seed, 2.0))
-}
-
-/// [`fig10_p90_utilization_cdf`] on an explicit scenario config.
+/// Figure 10: each scheme's per-link p90 utilizations, sorted, as a CDF.
 pub fn fig10_p90_utilization_cdf_on(config: &ScenarioConfig) -> Result<Vec<Series>, SolveError> {
     let cmp = compare_schemes(config)?;
     let mut series = Vec::new();
@@ -393,20 +389,6 @@ pub fn fig10_p90_utilization_cdf_on(config: &ScenarioConfig) -> Result<Vec<Serie
 }
 
 // ---------------------------------------------------------------------------
-// Figures 13/14 — sensitivity to the request-value distribution (load 1).
-// ---------------------------------------------------------------------------
-
-/// One `(μ/σ ratio, welfare rel OPT, profit rel RegionOracle)` row.
-#[derive(Debug, Clone)]
-pub struct ValueDistRow {
-    pub distribution: String,
-    pub mean_over_std: f64,
-    pub pretium_welfare: f64,
-    pub region_welfare: f64,
-    pub profit_ratio: f64,
-}
-
-// ---------------------------------------------------------------------------
 // Table 4 — module runtimes.
 // ---------------------------------------------------------------------------
 
@@ -421,27 +403,7 @@ pub struct ModuleRuntimes {
     pub pc: Vec<f64>,
 }
 
-impl ModuleRuntimes {
-    pub fn median(samples: &[f64]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let mut v = samples.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    }
-
-    pub fn p95(samples: &[f64]) -> f64 {
-        percentile(samples, 0.95)
-    }
-}
-
 /// Run one Pretium replay, timing each module invocation (Table 4).
-pub fn table4_runtimes(seed: u64, load: f64) -> Result<ModuleRuntimes, SolveError> {
-    table4_runtimes_on(&ScenarioConfig::evaluation(seed, load))
-}
-
-/// [`table4_runtimes`] on an explicit scenario config.
 pub fn table4_runtimes_on(config: &ScenarioConfig) -> Result<ModuleRuntimes, SolveError> {
     use std::time::Instant;
     let scenario = config.build();
@@ -518,9 +480,9 @@ mod tests {
     #[test]
     fn table4_collects_samples() {
         // Tiny load to keep the test quick.
-        let rt = table4_runtimes(3, 0.2).unwrap();
+        let rt = table4_runtimes_on(&ScenarioConfig::evaluation(3, 0.2)).unwrap();
         assert!(!rt.ra.is_empty());
         assert!(!rt.sam.is_empty());
-        assert!(ModuleRuntimes::median(&rt.sam) >= 0.0);
+        assert!(percentile(&rt.sam, 0.5) >= 0.0);
     }
 }

@@ -10,7 +10,11 @@
 //! * [`runner`] — the online Pretium replay loop (each step's arrivals
 //!   quoted off one admission snapshot, then sequenced deterministically;
 //!   SAM per timestep, PC per window) and the Figure 11 ablation variants.
-//! * [`experiments`] — one regenerator per table/figure of §6.
+//! * [`experiments`] — the §6.1 scheme dispatch and the single-world
+//!   figure computations (Figures 1, 5, 7, 10, Table 4).
+//! * [`registry`] — every table/figure of §6 as one `Experiment` value:
+//!   sweeps as axis × schemes × fold, executed cell by cell on [`par`].
+//! * [`par`] — the work-stealing pool that runs evaluation cells.
 //! * [`incentives`] — the §5 misreporting study.
 //! * [`report`] — plain-text rendering of figures/tables.
 
@@ -27,7 +31,7 @@ pub use experiments::{compare_schemes, compare_schemes_jobs, Comparison};
 pub use faults::{FaultEvent, FaultPlan, FaultPlanConfig};
 pub use incentives::{analyze_deviations, Deviation, DeviationReport};
 pub use par::{default_jobs, run_cells, Cell};
-pub use registry::{registry, Experiment, ExperimentResult, Sweep};
+pub use registry::{registry, Experiment, ExperimentResult};
 pub use report::{render_ascii_plot, render_figure, render_table, Series};
 pub use runner::{run_pretium, run_pretium_faulted, PretiumRun, Variant};
 pub use scenario::{Scenario, ScenarioConfig};

@@ -21,15 +21,27 @@
 //! early), each worker drains its own deque first, then steals from the
 //! busiest sibling. Deques are `Mutex<VecDeque>` — cells are
 //! coarse-grained (whole scheme solves, milliseconds to seconds), so lock
-//! traffic is noise; stealers use `try_lock` and report [`Steal::Retry`]
-//! on contention rather than blocking.
+//! traffic is noise; stealers use `try_lock` and retry on contention
+//! rather than blocking.
+//!
+//! This pool is deliberately not built on `pretium-par`'s `run_stealing`,
+//! although both seed per-worker deques round-robin and steal from the
+//! busiest sibling. That pool's workers stay until a shared `remaining`
+//! counter reaches zero, spinning then yielding while they wait — right
+//! for a pricing section of 256 candidates that ends within microseconds,
+//! wrong for cells that run for seconds, where an idle worker would burn a
+//! core until the slowest cell finishes; here a worker that finds every
+//! deque empty leaves. Sharing one scheduler would make it branch on its
+//! caller. Whether the workspace keeps two pools is decided with
+//! `pricing_jobs` (ROADMAP item 5a): if sectioned pricing goes,
+//! `pretium-par` goes whole and this is the one pool.
 
 use pretium_core::PoolTelemetry;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Number of workers to use when the caller does not specify `--jobs`:
 /// whatever parallelism the host advertises.
@@ -54,7 +66,7 @@ impl<T, E> Cell<T, E> {
 }
 
 /// Outcome of one steal attempt (the crossbeam `Steal` shape).
-pub enum Steal<T> {
+enum Steal<T> {
     /// The deque was empty.
     Empty,
     /// A task was stolen.
@@ -256,29 +268,10 @@ pub fn run_cells_ok<T: Send>(
     (results.into_iter().map(|r| r.unwrap()).collect(), telemetry)
 }
 
-/// Run closures that cannot fail, returning plain values (convenience for
-/// in-crate callers like the parallel `compare_schemes`).
-pub fn scatter<T, E, I>(jobs: usize, labeled: I) -> (Vec<Result<T, E>>, PoolTelemetry)
-where
-    T: Send,
-    E: Send,
-    I: IntoIterator<Item = (String, Box<dyn FnOnce() -> Result<T, E> + Send>)>,
-{
-    run_cells(jobs, labeled.into_iter().map(|(label, run)| Cell { label, run }).collect())
-}
-
-/// Drop-in guard: keep a `Duration` of pool wall-clock per run so reports
-/// can print serial-vs-parallel ratios without re-deriving them.
-pub fn speedup(serial: Duration, parallel: Duration) -> f64 {
-    if parallel.is_zero() {
-        return 1.0;
-    }
-    serial.as_secs_f64() / parallel.as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_declaration_order() {

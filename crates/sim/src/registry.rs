@@ -1,14 +1,17 @@
 //! Unified experiment registry: every table/figure of the paper's §6
-//! evaluation as one [`Experiment`] behind one API.
+//! evaluation as one [`Experiment`] value behind one API.
 //!
-//! An experiment declares its sweep grid as **data** — a [`Sweep`] of axis
-//! points × schemes, expanded into [`CellSpec`]s — and the parallel engine
+//! An experiment is **data**: a name, a scale, and either a sweep (an
+//! [`Axis`] of points × a scheme list, with the [`Fold`] that turns one
+//! point's metrics into plotted numbers), a list of text parts, or the
+//! availability sweep's failure rates. It expands into [`CellSpec`]s whose
+//! payload says everything needed to execute them, and the parallel engine
 //! ([`crate::par`]) executes the cells on any number of workers. The
 //! pipeline is:
 //!
 //! ```text
 //! Experiment::cells(seed)          // declare the grid (deterministic order)
-//!   -> par::run_cells(jobs, ..)    // execute anywhere, any order
+//!   -> par::run_cells(jobs, ..)    // run_cell(spec) anywhere, any order
 //!   -> Experiment::merge(..)       // reassemble in declaration order
 //! ```
 //!
@@ -23,18 +26,16 @@
 //! [`registry`] returns the full suite in the paper's order;
 //! `bin/reproduce` enumerates it instead of hard-coding the figure list.
 
-use crate::experiments::{self, ModuleRuntimes, LOAD_FACTORS};
+use crate::experiments::{self, solve_scheme, Scheme, LOAD_FACTORS};
 use crate::faults::{FaultPlan, FaultPlanConfig};
 use crate::par::{self, Cell};
 use crate::report::{render_figure, render_table, Series};
-use crate::runner::{run_pretium, run_pretium_faulted, Variant};
+use crate::runner::{run_pretium_faulted, Variant};
 use crate::scenario::ScenarioConfig;
-use pretium_baselines as baselines;
-use pretium_baselines::{OfflineConfig, Outcome, PricedOfflineConfig};
 use pretium_core::{PoolTelemetry, PretiumConfig};
 use pretium_lp::SolveError;
+use pretium_net::percentile::percentile;
 use pretium_workload::ValueDist;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Cell model.
@@ -59,33 +60,6 @@ impl Scale {
                 cfg.load_factor = load;
                 cfg
             }
-        }
-    }
-}
-
-/// Which §6.1 scheme a sweep cell solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheme {
-    /// The offline OPT LP (the welfare upper bound everything is plotted
-    /// against).
-    Opt,
-    /// Online Pretium, in one of its Figure-11 ablation variants.
-    Pretium(Variant),
-    NoPrices,
-    RegionOracle,
-    PeakOracle,
-    VcgLike,
-}
-
-impl Scheme {
-    pub fn label(self) -> &'static str {
-        match self {
-            Scheme::Opt => "OPT",
-            Scheme::Pretium(v) => v.label(),
-            Scheme::NoPrices => "NoPrices",
-            Scheme::RegionOracle => "RegionOracle",
-            Scheme::PeakOracle => "PeakOracle",
-            Scheme::VcgLike => "VCGLike",
         }
     }
 }
@@ -133,7 +107,11 @@ impl RobustnessMetrics {
     }
 }
 
-/// What one cell carries into `run_cell`.
+/// Renders one text part at a scale from its cell seed.
+pub type Render = fn(Scale, u64) -> Result<String, SolveError>;
+
+/// What one cell carries into [`run_cell`] — everything needed to execute
+/// it, so execution never consults the declaring experiment.
 #[derive(Debug, Clone)]
 pub enum CellPayload {
     /// One scheme solve on one scenario (the sweep-grid case).
@@ -141,9 +119,9 @@ pub enum CellPayload {
     /// One faulted Pretium run at a given failure rate (the availability
     /// sweep). The fault plan is derived from the cell seed at run time.
     Robustness { config: Box<ScenarioConfig>, failure_rate: f64 },
-    /// Experiment-defined work; `run_cell` dispatches on the cell label
-    /// (single-cell figures like the Figure 1 CDF).
-    Free,
+    /// One pre-rendered text block (single-world figures like the Figure 1
+    /// CDF, each panel of Figure 7).
+    Text { render: Render, scale: Scale },
 }
 
 /// One declared unit of parallel work.
@@ -225,33 +203,20 @@ impl ExperimentResult {
 }
 
 // ---------------------------------------------------------------------------
-// The Experiment trait.
+// Executing a cell.
 // ---------------------------------------------------------------------------
 
-/// One table/figure of the evaluation: a declared cell grid plus the merge
-/// that reassembles cell results — in declaration order, regardless of
-/// completion order — into the figure's series or table rows.
-pub trait Experiment: Send + Sync {
-    /// Registry key (`fig6`, `table4`, ...); what `reproduce` matches
-    /// against.
-    fn name(&self) -> &'static str;
-
-    /// Alternate names that select this experiment (`fig14` -> `fig13`).
-    fn aliases(&self) -> &'static [&'static str] {
-        &[]
+/// Execute one cell: a pure function of the spec.
+pub fn run_cell(cell: &CellSpec) -> Result<CellOut, SolveError> {
+    match &cell.payload {
+        CellPayload::Scheme { config, scheme, cost_scale } => {
+            run_scheme_cell(config, *scheme, *cost_scale).map(CellOut::Metrics)
+        }
+        CellPayload::Robustness { config, failure_rate } => {
+            run_robustness_cell(config, *failure_rate, cell.seed).map(CellOut::Robustness)
+        }
+        CellPayload::Text { render, scale } => render(*scale, cell.seed).map(CellOut::Text),
     }
-
-    /// Declare the sweep grid. Order is the declaration order `merge`
-    /// receives results in; it must be deterministic for a given seed.
-    fn cells(&self, seed: u64) -> Vec<CellSpec>;
-
-    /// Execute one cell. Must be a pure function of the spec (plus the
-    /// experiment's own immutable configuration).
-    fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError>;
-
-    /// Reassemble cell outputs (in declaration order) into the final
-    /// figure/table.
-    fn merge(&self, cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult;
 }
 
 /// Solve one `(scenario, scheme)` cell into absolute [`Metrics`].
@@ -261,57 +226,8 @@ pub fn run_scheme_cell(
     cost_scale: f64,
 ) -> Result<Metrics, SolveError> {
     let scenario = config.build();
-    let off = OfflineConfig { cost_scale, ..Default::default() };
-    let priced = PricedOfflineConfig { cost_scale, ..Default::default() };
-    let outcome: Outcome = match scheme {
-        Scheme::Opt => baselines::opt(
-            &scenario.net,
-            &scenario.grid,
-            scenario.horizon,
-            &scenario.requests,
-            &off,
-        )?,
-        Scheme::Pretium(variant) => {
-            let cfg = PretiumConfig { cost_scale, ..Default::default() };
-            run_pretium(&scenario, cfg, variant)?.outcome
-        }
-        Scheme::NoPrices => baselines::no_prices(
-            &scenario.net,
-            &scenario.grid,
-            scenario.horizon,
-            &scenario.requests,
-            &off,
-        )?,
-        Scheme::RegionOracle => {
-            baselines::region_oracle(
-                &scenario.net,
-                &scenario.grid,
-                scenario.horizon,
-                &scenario.requests,
-                &priced,
-            )?
-            .outcome
-        }
-        Scheme::PeakOracle => {
-            let peaks = baselines::peak_steps_from_trace(&scenario.trace, &scenario.grid);
-            baselines::peak_oracle(
-                &scenario.net,
-                &scenario.grid,
-                scenario.horizon,
-                &scenario.requests,
-                &peaks,
-                &priced,
-            )?
-            .outcome
-        }
-        Scheme::VcgLike => baselines::vcg_like(
-            &scenario.net,
-            &scenario.grid,
-            scenario.horizon,
-            &scenario.requests,
-            &priced,
-        )?,
-    };
+    let out = solve_scheme(&scenario, scheme, cost_scale)?;
+    let outcome = out.outcome();
     Ok(Metrics {
         welfare: outcome.welfare(&scenario.requests, &scenario.net, &scenario.grid, cost_scale),
         profit: outcome.profit(&scenario.net, &scenario.grid, cost_scale),
@@ -350,386 +266,8 @@ pub fn run_robustness_cell(
 }
 
 // ---------------------------------------------------------------------------
-// The Sweep builder.
+// Experiments as data.
 // ---------------------------------------------------------------------------
-
-/// A declarative sweep: axis points × schemes, expanded into cells.
-///
-/// `P` is the axis-point payload — `f64` for the load and cost-scale
-/// axes, `(f64, ValueKind)` for the Figure 13/14 value-distribution grid.
-/// Axes are data here, not copied loops: an experiment lists its points
-/// and schemes once, and `cells()` produces the cross product in
-/// declaration order (points outer, schemes inner).
-pub struct Sweep<P> {
-    pub experiment: &'static str,
-    pub scale: Scale,
-    pub points: Vec<P>,
-    pub schemes: Vec<Scheme>,
-    /// `(point label, axis coordinate)` of one point.
-    pub describe: fn(&P) -> (String, f64),
-    /// Scenario at one point (seed baked in, shared by every scheme at the
-    /// point — schemes must replay identical worlds to be comparable).
-    pub configure: fn(Scale, u64, &P) -> ScenarioConfig,
-    /// §6.2 cost multiplier at one point (1.0 everywhere else).
-    pub cost_scale: fn(&P) -> f64,
-}
-
-fn unit_cost<P>(_: &P) -> f64 {
-    1.0
-}
-
-impl<P> Sweep<P> {
-    pub fn new(
-        experiment: &'static str,
-        scale: Scale,
-        points: Vec<P>,
-        schemes: Vec<Scheme>,
-        describe: fn(&P) -> (String, f64),
-        configure: fn(Scale, u64, &P) -> ScenarioConfig,
-    ) -> Self {
-        Sweep { experiment, scale, points, schemes, describe, configure, cost_scale: unit_cost }
-    }
-
-    pub fn with_cost_scale(mut self, f: fn(&P) -> f64) -> Self {
-        self.cost_scale = f;
-        self
-    }
-
-    /// Expand the grid: one cell per `(point, scheme)`, in declaration
-    /// order.
-    pub fn cells(&self, seed: u64) -> Vec<CellSpec> {
-        let mut cells = Vec::with_capacity(self.points.len() * self.schemes.len());
-        for p in &self.points {
-            let (point_label, x) = (self.describe)(p);
-            let config = (self.configure)(self.scale, seed, p);
-            let cost_scale = (self.cost_scale)(p);
-            for &scheme in &self.schemes {
-                let label = format!("{}/{}/{}", self.experiment, point_label, scheme.label());
-                cells.push(CellSpec {
-                    seed: rand::derive_seed(seed, &label),
-                    label,
-                    x,
-                    payload: CellPayload::Scheme {
-                        config: Box::new(config.clone()),
-                        scheme,
-                        cost_scale,
-                    },
-                });
-            }
-        }
-        cells
-    }
-
-    /// Execute one of this sweep's cells.
-    pub fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
-        match &cell.payload {
-            CellPayload::Scheme { config, scheme, cost_scale } => {
-                run_scheme_cell(config, *scheme, *cost_scale).map(CellOut::Metrics)
-            }
-            _ => unreachable!("sweep experiments declare scheme cells only"),
-        }
-    }
-
-    /// Iterate merge results chunked per axis point: for each point, the
-    /// slice of `(cell, out)` pairs in scheme-declaration order.
-    fn per_point<'a>(
-        &self,
-        cells: &'a [CellSpec],
-        outs: &'a [CellOut],
-    ) -> impl Iterator<Item = (f64, &'a [CellSpec], &'a [CellOut])> {
-        let k = self.schemes.len().max(1);
-        cells
-            .chunks(k)
-            .zip(outs.chunks(k))
-            .map(|(c, o)| (c[0].x, c, o))
-            .collect::<Vec<_>>()
-            .into_iter()
-    }
-}
-
-/// Append `(x, y)` to the series called `name`, creating it on first use
-/// (series appear in first-contribution order, which is declaration
-/// order).
-fn push_point(series: &mut Vec<Series>, name: &str, x: f64, y: f64) {
-    match series.iter_mut().find(|s| s.name == name) {
-        Some(s) => s.points.push((x, y)),
-        None => series.push(Series::new(name, vec![(x, y)])),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sweep experiments (figures 6, 8, 9, 11, 12, 13/14).
-// ---------------------------------------------------------------------------
-
-/// Figure 6: welfare relative to OPT vs load factor, for every scheme.
-pub struct Fig6Welfare {
-    sweep: Sweep<f64>,
-}
-
-fn load_point(p: &f64) -> (String, f64) {
-    (format!("load={p}"), *p)
-}
-
-fn load_config(scale: Scale, seed: u64, p: &f64) -> ScenarioConfig {
-    scale.config(seed, *p)
-}
-
-impl Fig6Welfare {
-    pub fn new(scale: Scale, loads: &[f64]) -> Self {
-        let schemes = vec![
-            Scheme::Opt,
-            Scheme::Pretium(Variant::Full),
-            Scheme::NoPrices,
-            Scheme::RegionOracle,
-            Scheme::PeakOracle,
-            Scheme::VcgLike,
-        ];
-        Fig6Welfare {
-            sweep: Sweep::new("fig6", scale, loads.to_vec(), schemes, load_point, load_config),
-        }
-    }
-}
-
-impl Experiment for Fig6Welfare {
-    fn name(&self) -> &'static str {
-        "fig6"
-    }
-
-    fn cells(&self, seed: u64) -> Vec<CellSpec> {
-        self.sweep.cells(seed)
-    }
-
-    fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
-        self.sweep.run_cell(cell)
-    }
-
-    fn merge(&self, cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult {
-        let mut series: Vec<Series> = Vec::new();
-        for (x, _, point_outs) in self.sweep.per_point(cells, &outs) {
-            let opt = point_outs[0].metrics().welfare;
-            for (scheme, out) in self.sweep.schemes[1..].iter().zip(&point_outs[1..]) {
-                push_point(&mut series, scheme.label(), x, out.metrics().welfare / opt);
-            }
-        }
-        ExperimentResult::Figure {
-            title: "Figure 6: welfare relative to OPT".into(),
-            x_label: "load".into(),
-            series,
-        }
-    }
-}
-
-/// Figure 8: provider profit relative to RegionOracle vs load factor.
-/// When RegionOracle's profit is near zero the ratio is meaningless, so
-/// the denominator is floored at 1% of OPT welfare (ratios then read as
-/// "profit in units of 1% of achievable welfare").
-pub struct Fig8Profit {
-    sweep: Sweep<f64>,
-}
-
-impl Fig8Profit {
-    pub fn new(scale: Scale, loads: &[f64]) -> Self {
-        let schemes = vec![
-            Scheme::Opt,
-            Scheme::RegionOracle,
-            Scheme::Pretium(Variant::Full),
-            Scheme::PeakOracle,
-            Scheme::VcgLike,
-        ];
-        Fig8Profit {
-            sweep: Sweep::new("fig8", scale, loads.to_vec(), schemes, load_point, load_config),
-        }
-    }
-}
-
-impl Experiment for Fig8Profit {
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
-
-    fn cells(&self, seed: u64) -> Vec<CellSpec> {
-        self.sweep.cells(seed)
-    }
-
-    fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
-        self.sweep.run_cell(cell)
-    }
-
-    fn merge(&self, cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult {
-        let mut series: Vec<Series> = Vec::new();
-        for (x, _, point_outs) in self.sweep.per_point(cells, &outs) {
-            let floor = (point_outs[0].metrics().welfare.abs() * 0.01).max(1.0);
-            let base = point_outs[1].metrics().profit.max(floor);
-            for (scheme, out) in self.sweep.schemes[2..].iter().zip(&point_outs[2..]) {
-                push_point(&mut series, scheme.label(), x, out.metrics().profit / base);
-            }
-        }
-        ExperimentResult::Figure {
-            title: "Figure 8: profit relative to RegionOracle".into(),
-            x_label: "load".into(),
-            series,
-        }
-    }
-}
-
-/// Figure 9: fraction of requests fully completed vs load factor.
-pub struct Fig9Completion {
-    sweep: Sweep<f64>,
-}
-
-impl Fig9Completion {
-    pub fn new(scale: Scale, loads: &[f64]) -> Self {
-        let schemes = vec![
-            Scheme::Pretium(Variant::Full),
-            Scheme::NoPrices,
-            Scheme::RegionOracle,
-            Scheme::PeakOracle,
-            Scheme::VcgLike,
-        ];
-        Fig9Completion {
-            sweep: Sweep::new("fig9", scale, loads.to_vec(), schemes, load_point, load_config),
-        }
-    }
-}
-
-impl Experiment for Fig9Completion {
-    fn name(&self) -> &'static str {
-        "fig9"
-    }
-
-    fn cells(&self, seed: u64) -> Vec<CellSpec> {
-        self.sweep.cells(seed)
-    }
-
-    fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
-        self.sweep.run_cell(cell)
-    }
-
-    fn merge(&self, cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult {
-        let mut series: Vec<Series> = Vec::new();
-        for (x, _, point_outs) in self.sweep.per_point(cells, &outs) {
-            for (scheme, out) in self.sweep.schemes.iter().zip(point_outs) {
-                push_point(&mut series, scheme.label(), x, out.metrics().completion);
-            }
-        }
-        ExperimentResult::Figure {
-            title: "Figure 9: fraction of requests completed".into(),
-            x_label: "load".into(),
-            series,
-        }
-    }
-}
-
-/// Figure 11 — ablations: Pretium-NoMenu and Pretium-NoSAM vs full.
-pub struct Fig11Ablations {
-    sweep: Sweep<f64>,
-}
-
-impl Fig11Ablations {
-    pub fn new(scale: Scale, loads: &[f64]) -> Self {
-        let schemes = vec![
-            Scheme::Opt,
-            Scheme::Pretium(Variant::Full),
-            Scheme::Pretium(Variant::NoMenu),
-            Scheme::Pretium(Variant::NoSam),
-        ];
-        Fig11Ablations {
-            sweep: Sweep::new("fig11", scale, loads.to_vec(), schemes, load_point, load_config),
-        }
-    }
-}
-
-impl Experiment for Fig11Ablations {
-    fn name(&self) -> &'static str {
-        "fig11"
-    }
-
-    fn cells(&self, seed: u64) -> Vec<CellSpec> {
-        self.sweep.cells(seed)
-    }
-
-    fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
-        self.sweep.run_cell(cell)
-    }
-
-    fn merge(&self, cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult {
-        let mut series: Vec<Series> = Vec::new();
-        for (x, _, point_outs) in self.sweep.per_point(cells, &outs) {
-            let opt = point_outs[0].metrics().welfare;
-            for (scheme, out) in self.sweep.schemes[1..].iter().zip(&point_outs[1..]) {
-                push_point(&mut series, scheme.label(), x, out.metrics().welfare / opt);
-            }
-        }
-        ExperimentResult::Figure {
-            title: "Figure 11: Pretium ablations (rel. OPT)".into(),
-            x_label: "load".into(),
-            series,
-        }
-    }
-}
-
-/// Figure 12 — sensitivity to mean link cost (load factor 1).
-pub struct Fig12LinkCost {
-    sweep: Sweep<f64>,
-}
-
-fn scale_point(p: &f64) -> (String, f64) {
-    (format!("cost={p}"), *p)
-}
-
-fn unit_load_config(scale: Scale, seed: u64, _p: &f64) -> ScenarioConfig {
-    scale.config(seed, 1.0)
-}
-
-fn identity_cost(p: &f64) -> f64 {
-    *p
-}
-
-impl Fig12LinkCost {
-    pub fn new(scale: Scale, cost_scales: &[f64]) -> Self {
-        let schemes = vec![Scheme::Opt, Scheme::Pretium(Variant::Full), Scheme::RegionOracle];
-        Fig12LinkCost {
-            sweep: Sweep::new(
-                "fig12",
-                scale,
-                cost_scales.to_vec(),
-                schemes,
-                scale_point,
-                unit_load_config,
-            )
-            .with_cost_scale(identity_cost),
-        }
-    }
-}
-
-impl Experiment for Fig12LinkCost {
-    fn name(&self) -> &'static str {
-        "fig12"
-    }
-
-    fn cells(&self, seed: u64) -> Vec<CellSpec> {
-        self.sweep.cells(seed)
-    }
-
-    fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
-        self.sweep.run_cell(cell)
-    }
-
-    fn merge(&self, cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult {
-        let mut series: Vec<Series> = Vec::new();
-        for (x, _, point_outs) in self.sweep.per_point(cells, &outs) {
-            let opt = point_outs[0].metrics().welfare;
-            for (scheme, out) in self.sweep.schemes[1..].iter().zip(&point_outs[1..]) {
-                push_point(&mut series, scheme.label(), x, out.metrics().welfare / opt);
-            }
-        }
-        ExperimentResult::Figure {
-            title: "Figure 12: welfare vs mean link cost (load 1)".into(),
-            x_label: "cost scale".into(),
-            series,
-        }
-    }
-}
 
 /// Value-distribution families swept by Figures 13/14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -756,178 +294,329 @@ impl ValueKind {
     }
 }
 
-/// Figures 13/14 — sensitivity to the request-value distribution (load 1).
-pub struct Fig13Values {
-    sweep: Sweep<(f64, ValueKind)>,
+/// The axis a sweep varies, with its points.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Axis {
+    /// Load factor (Figures 6, 8, 9, 11).
+    Load(&'static [f64]),
+    /// §6.2 link-cost multiplier, at load 1 (Figure 12).
+    LinkCost(&'static [f64]),
+    /// Request-value `μ/σ` ratio × [`ValueKind`] family, at load 1
+    /// (Figures 13/14). Two families share each ratio, so this axis merges
+    /// to a table rather than to series over one x.
+    Values(&'static [f64]),
 }
 
-fn value_point(p: &(f64, ValueKind)) -> (String, f64) {
-    (format!("{}-ratio={}", p.1.label(), p.0), p.0)
+/// One axis point: its label and coordinate, the world every scheme at the
+/// point replays (seed baked in — schemes must see identical inputs to be
+/// comparable), and the §6.2 cost multiplier.
+struct Point {
+    label: String,
+    x: f64,
+    config: ScenarioConfig,
+    cost_scale: f64,
 }
 
-fn value_config(scale: Scale, seed: u64, p: &(f64, ValueKind)) -> ScenarioConfig {
-    let mut config = scale.config(seed, 1.0);
-    config.requests.value_dist = p.1.dist(0.7, p.0);
-    config
+/// The `(ratio, family)` points of a value axis, in declaration order.
+fn value_points(ratios: &[f64]) -> impl Iterator<Item = (f64, ValueKind)> + '_ {
+    ratios.iter().flat_map(|&r| [(r, ValueKind::Normal), (r, ValueKind::Pareto)])
 }
 
-impl Fig13Values {
-    pub fn new(scale: Scale, ratios: &[f64]) -> Self {
-        let points: Vec<(f64, ValueKind)> =
-            ratios.iter().flat_map(|&r| [(r, ValueKind::Normal), (r, ValueKind::Pareto)]).collect();
-        let schemes = vec![Scheme::Opt, Scheme::Pretium(Variant::Full), Scheme::RegionOracle];
-        Fig13Values {
-            sweep: Sweep::new("fig13", scale, points, schemes, value_point, value_config),
+impl Axis {
+    pub fn label(self) -> &'static str {
+        match self {
+            Axis::Load(_) => "load",
+            Axis::LinkCost(_) => "cost scale",
+            Axis::Values(_) => "mu/sigma",
         }
     }
 
-    /// The typed rows behind [`Experiment::merge`], for callers that want
-    /// the numbers rather than rendered series.
-    pub fn rows(&self, cells: &[CellSpec], outs: &[CellOut]) -> Vec<experiments::ValueDistRow> {
-        self.sweep
-            .per_point(cells, outs)
-            .zip(&self.sweep.points)
-            .map(|((ratio, _, point_outs), &(_, kind))| {
-                let opt_w = point_outs[0].metrics().welfare;
-                let pretium = point_outs[1].metrics();
-                let region = point_outs[2].metrics();
-                let opt_scale = (opt_w.abs() * 0.01).max(1.0);
-                let region_profit = region.profit.max(opt_scale);
-                experiments::ValueDistRow {
-                    distribution: kind.label().to_string(),
-                    mean_over_std: ratio,
-                    pretium_welfare: pretium.welfare / opt_w,
-                    region_welfare: region.welfare / opt_w,
-                    profit_ratio: pretium.profit / region_profit,
-                }
-            })
-            .collect()
-    }
-}
-
-impl Experiment for Fig13Values {
-    fn name(&self) -> &'static str {
-        "fig13"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig14"]
-    }
-
-    fn cells(&self, seed: u64) -> Vec<CellSpec> {
-        self.sweep.cells(seed)
-    }
-
-    fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
-        self.sweep.run_cell(cell)
-    }
-
-    fn merge(&self, cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult {
-        let rows = self
-            .rows(cells, &outs)
-            .into_iter()
-            .map(|r| {
-                (
-                    format!("{} mu/sigma={}", r.distribution, r.mean_over_std),
-                    format!(
-                        "Pretium={:.3} Region={:.3} profit_ratio={:.2}",
-                        r.pretium_welfare, r.region_welfare, r.profit_ratio
-                    ),
-                )
-            })
-            .collect();
-        ExperimentResult::Table {
-            title: "Figures 13/14: value-distribution sensitivity (rel. OPT)".into(),
-            rows,
+    fn points(self, scale: Scale, seed: u64) -> Vec<Point> {
+        let point = |label: String, x: f64, load: f64, cost_scale: f64| Point {
+            label,
+            x,
+            config: scale.config(seed, load),
+            cost_scale,
+        };
+        match self {
+            Axis::Load(loads) => {
+                loads.iter().map(|&x| point(format!("load={x}"), x, x, 1.0)).collect()
+            }
+            Axis::LinkCost(multipliers) => {
+                multipliers.iter().map(|&x| point(format!("cost={x}"), x, 1.0, x)).collect()
+            }
+            Axis::Values(ratios) => value_points(ratios)
+                .map(|(x, kind)| {
+                    let mut p = point(format!("{}-ratio={x}", kind.label()), x, 1.0, 1.0);
+                    p.config.requests.value_dist = kind.dist(0.7, x);
+                    p
+                })
+                .collect(),
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Single-cell (text) experiments.
-// ---------------------------------------------------------------------------
+/// How one axis point's [`Metrics`] (in scheme order) become plotted
+/// numbers. Every sweep but Figure 9 lists OPT first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// Welfare of every later scheme relative to the first (Figures 6, 11,
+    /// 12, 13).
+    Welfare,
+    /// Profit relative to RegionOracle's (Figures 8, 14). When that profit
+    /// is near zero the ratio is meaningless, so the denominator is floored
+    /// at 1% of OPT welfare (ratios then read as "profit in units of 1% of
+    /// achievable welfare"). OPT and RegionOracle themselves are not
+    /// plotted.
+    Profit,
+    /// Fraction of requests fully completed, per scheme (Figure 9).
+    Completion,
+}
 
-/// An experiment whose cells each render one text block (Figure 1's CDF,
-/// Table 1, the Figure 7 trio, ...). The cells still flow through the
-/// parallel engine, so e.g. Figure 7's three panels solve concurrently
-/// with every other selected experiment's cells.
-pub struct TextExperiment {
+impl Fold {
+    /// `(scheme label, y)` for each scheme the fold plots at one point.
+    fn apply(self, schemes: &[Scheme], m: &[&Metrics]) -> Vec<(&'static str, f64)> {
+        let labeled = |i: usize, y: f64| (schemes[i].label(), y);
+        match self {
+            Fold::Welfare => {
+                (1..m.len()).map(|i| labeled(i, m[i].welfare / m[0].welfare)).collect()
+            }
+            Fold::Profit => {
+                let region = schemes
+                    .iter()
+                    .position(|&s| s == Scheme::RegionOracle)
+                    .expect("a profit fold lists RegionOracle");
+                let floor = (m[0].welfare.abs() * 0.01).max(1.0);
+                let base = m[region].profit.max(floor);
+                (1..m.len())
+                    .filter(|&i| i != region)
+                    .map(|i| labeled(i, m[i].profit / base))
+                    .collect()
+            }
+            Fold::Completion => (0..m.len()).map(|i| labeled(i, m[i].completion)).collect(),
+        }
+    }
+}
+
+/// What an experiment runs.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// Axis points × schemes (points outer, schemes inner), one scheme
+    /// solve per cell, folded per point.
+    Sweep { axis: Axis, schemes: &'static [Scheme], title: &'static str, fold: Fold },
+    /// One cell per `(part name, render fn)`; the blocks are concatenated.
+    /// The cells still flow through the parallel engine, so e.g. Figure 7's
+    /// three panels solve concurrently with every other selected
+    /// experiment's cells.
+    Text(&'static [(&'static str, Render)]),
+    /// §4.4 robustness: one faulted Pretium run per failure rate
+    /// (probability per (edge, window) of an outage starting). Worlds are
+    /// shared across rates (same scenario seed) so only the fault plan
+    /// varies; the first rate is the baseline welfare is normalized to.
+    Availability(&'static [f64]),
+}
+
+/// One table/figure of the evaluation: a declared cell grid plus the merge
+/// that reassembles cell results — in declaration order, regardless of
+/// completion order — into the figure's series or table rows.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
     name: &'static str,
     aliases: &'static [&'static str],
     scale: Scale,
-    /// One cell per part; the part name disambiguates `run_cell`.
-    parts: &'static [&'static str],
-    run: fn(Scale, u64, &str) -> Result<String, SolveError>,
+    kind: Kind,
 }
 
-impl TextExperiment {
-    pub fn new(
+/// Append `(x, y)` to the series called `name`, creating it on first use
+/// (series appear in first-contribution order, which is declaration
+/// order).
+fn push_point(series: &mut Vec<Series>, name: &str, x: f64, y: f64) {
+    match series.iter_mut().find(|s| s.name == name) {
+        Some(s) => s.points.push((x, y)),
+        None => series.push(Series::new(name, vec![(x, y)])),
+    }
+}
+
+impl Experiment {
+    /// A sweep of `schemes` over `axis`, merged by `fold` under `title`.
+    pub fn sweep(
         name: &'static str,
         aliases: &'static [&'static str],
         scale: Scale,
-        parts: &'static [&'static str],
-        run: fn(Scale, u64, &str) -> Result<String, SolveError>,
+        axis: Axis,
+        schemes: &'static [Scheme],
+        title: &'static str,
+        fold: Fold,
     ) -> Self {
-        TextExperiment { name, aliases, scale, parts, run }
+        Experiment { name, aliases, scale, kind: Kind::Sweep { axis, schemes, title, fold } }
     }
-}
 
-impl Experiment for TextExperiment {
-    fn name(&self) -> &'static str {
+    /// Text blocks, one cell per `(part, render)`; a lone part is named "".
+    pub fn text(
+        name: &'static str,
+        aliases: &'static [&'static str],
+        scale: Scale,
+        parts: &'static [(&'static str, Render)],
+    ) -> Self {
+        Experiment { name, aliases, scale, kind: Kind::Text(parts) }
+    }
+
+    /// The availability sweep over `rates` (the first is the baseline).
+    pub fn availability(scale: Scale, rates: &'static [f64]) -> Self {
+        Experiment {
+            name: "robustness",
+            aliases: &["availability", "faults"],
+            scale,
+            kind: Kind::Availability(rates),
+        }
+    }
+
+    /// Registry key (`fig6`, `table4`, ...); what `reproduce` matches
+    /// against.
+    pub fn name(&self) -> &'static str {
         self.name
     }
 
-    fn aliases(&self) -> &'static [&'static str] {
+    /// Alternate names that select this experiment (`fig14` -> `fig13`).
+    pub fn aliases(&self) -> &'static [&'static str] {
         self.aliases
     }
 
-    fn cells(&self, seed: u64) -> Vec<CellSpec> {
-        self.parts
-            .iter()
-            .map(|part| {
-                let label = if part.is_empty() {
-                    self.name.to_string()
-                } else {
-                    format!("{}/{part}", self.name)
+    /// Declare the cell grid. Order is the declaration order `merge`
+    /// receives results in; it is deterministic for a given seed.
+    pub fn cells(&self, seed: u64) -> Vec<CellSpec> {
+        let cell = |label: String, x: f64, payload: CellPayload| CellSpec {
+            seed: rand::derive_seed(seed, &label),
+            label,
+            x,
+            payload,
+        };
+        match self.kind {
+            Kind::Sweep { axis, schemes, .. } => axis
+                .points(self.scale, seed)
+                .into_iter()
+                .flat_map(|p| {
+                    schemes.iter().map(move |&scheme| {
+                        let label = format!("{}/{}/{}", self.name, p.label, scheme.label());
+                        let config = Box::new(p.config.clone());
+                        cell(
+                            label,
+                            p.x,
+                            CellPayload::Scheme { config, scheme, cost_scale: p.cost_scale },
+                        )
+                    })
+                })
+                .collect(),
+            Kind::Text(parts) => parts
+                .iter()
+                .map(|&(part, render)| {
+                    let label = if part.is_empty() {
+                        self.name.to_string()
+                    } else {
+                        format!("{}/{part}", self.name)
+                    };
+                    cell(label, 0.0, CellPayload::Text { render, scale: self.scale })
+                })
+                .collect(),
+            Kind::Availability(rates) => rates
+                .iter()
+                .map(|&failure_rate| {
+                    // Load 2 (the fig7 operating point): the network is
+                    // contended, so an outage cannot always be rerouted
+                    // around and the degradation chain actually engages.
+                    let config = Box::new(self.scale.config(seed, 2.0));
+                    cell(
+                        format!("robustness/rate={failure_rate}/Pretium"),
+                        failure_rate,
+                        CellPayload::Robustness { config, failure_rate },
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    /// Execute one cell (see [`run_cell`]; the experiment adds nothing).
+    pub fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
+        run_cell(cell)
+    }
+
+    /// Reassemble cell outputs (in declaration order) into the final
+    /// figure/table.
+    pub fn merge(&self, cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult {
+        match self.kind {
+            Kind::Sweep { axis, schemes, title, fold } => {
+                let metrics: Vec<&Metrics> = outs.iter().map(CellOut::metrics).collect();
+                let k = schemes.len().max(1);
+                let per_point = cells.chunks(k).zip(metrics.chunks(k));
+                let Axis::Values(ratios) = axis else {
+                    let mut series: Vec<Series> = Vec::new();
+                    for (point, m) in per_point {
+                        for (name, y) in fold.apply(schemes, m) {
+                            push_point(&mut series, name, point[0].x, y);
+                        }
+                    }
+                    let x_label = axis.label().into();
+                    return ExperimentResult::Figure { title: title.into(), x_label, series };
                 };
-                CellSpec {
-                    seed: rand::derive_seed(seed, &label),
-                    label,
-                    x: 0.0,
-                    payload: CellPayload::Free,
+                // Figure 13's welfare columns and Figure 14's profit ratio,
+                // one row per (ratio, family).
+                let rows = value_points(ratios)
+                    .zip(per_point)
+                    .map(|((ratio, kind), (_, m))| {
+                        let welfare = fold.apply(schemes, m);
+                        let profit = Fold::Profit.apply(schemes, m);
+                        (
+                            format!("{} {}={ratio}", kind.label(), axis.label()),
+                            format!(
+                                "Pretium={:.3} Region={:.3} profit_ratio={:.2}",
+                                welfare[0].1, welfare[1].1, profit[0].1
+                            ),
+                        )
+                    })
+                    .collect();
+                ExperimentResult::Table { title: title.into(), rows }
+            }
+            Kind::Text(_) => ExperimentResult::Text(
+                outs.into_iter().map(CellOut::into_text).collect::<Vec<_>>().join(""),
+            ),
+            Kind::Availability(_) => {
+                let healthy = outs[0].robustness().welfare;
+                let denom = if healthy.abs() > 1e-9 { healthy } else { 1.0 };
+                let mut series: Vec<Series> = Vec::new();
+                for (cell, out) in cells.iter().zip(&outs) {
+                    let m = out.robustness();
+                    push_point(&mut series, "welfare (rel. healthy)", cell.x, m.welfare / denom);
+                    push_point(&mut series, "violation rate", cell.x, m.violation_rate());
                 }
-            })
-            .collect()
-    }
-
-    fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
-        let part = cell.label.rsplit('/').next().unwrap_or("");
-        let part = if part == self.name { "" } else { part };
-        (self.run)(self.scale, cell.seed, part).map(CellOut::Text)
-    }
-
-    fn merge(&self, _cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult {
-        ExperimentResult::Text(
-            outs.into_iter().map(CellOut::into_text).collect::<Vec<_>>().join(""),
-        )
+                ExperimentResult::Figure {
+                    title: "Robustness: welfare & guarantee violations vs failure rate".into(),
+                    x_label: "failure rate".into(),
+                    series,
+                }
+            }
+        }
     }
 }
 
-fn run_table1(_scale: Scale, _seed: u64, _part: &str) -> Result<String, SolveError> {
+// ---------------------------------------------------------------------------
+// The text parts.
+// ---------------------------------------------------------------------------
+
+fn run_table1(_scale: Scale, _seed: u64) -> Result<String, SolveError> {
     Ok(pretium_workload::survey::format_table1())
 }
 
-fn run_fig1(_scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError> {
+fn run_fig1(_scale: Scale, seed: u64) -> Result<String, SolveError> {
     let cdf = experiments::fig1_utilization_ratio_cdf(seed);
     let series = vec![Series::new("CDF", cdf)];
     Ok(render_figure("Figure 1: CDF of p90/p10 link-utilization ratio", "ratio", &series))
 }
 
-fn run_fig2(_scale: Scale, _seed: u64, _part: &str) -> Result<String, SolveError> {
+fn run_fig2(_scale: Scale, _seed: u64) -> Result<String, SolveError> {
     Ok("Figure 2: see `cargo run --release --example paper_example`\n".to_string())
 }
 
-fn run_fig5(_scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError> {
+fn run_fig5(_scale: Scale, seed: u64) -> Result<String, SolveError> {
     let fits = experiments::fig5_topk_proxy(seed);
     let rows: Vec<(String, String)> = fits
         .iter()
@@ -944,55 +633,39 @@ fn run_fig5(_scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError>
     Ok(render_table("Figure 5: z_e (top-10% mean) vs y_e (95th pct)", &rows))
 }
 
-fn run_fig7(scale: Scale, seed: u64, part: &str) -> Result<String, SolveError> {
-    let config = scale.config(seed, 2.0);
-    match part {
-        "a" => {
-            let (prices, util) = experiments::fig7a_price_and_utilization_on(&config)?;
-            let series = vec![
-                Series::new(
-                    "price",
-                    prices.iter().enumerate().map(|(t, &p)| (t as f64, p)).collect(),
-                ),
-                Series::new(
-                    "utilization",
-                    util.iter().enumerate().map(|(t, &u)| (t as f64, u)).collect(),
-                ),
-            ];
-            Ok(render_figure(
-                "Figure 7a: price & utilization over time (busiest pct link)",
-                "t",
-                &series,
-            ))
-        }
-        "b" => {
-            let (_, series) = experiments::fig7b_value_buckets_on(&config)?;
-            Ok(render_figure(
-                "Figure 7b: value captured per value bucket (rel. OPT)",
-                "bucket<=",
-                &series,
-            ))
-        }
-        "c" => {
-            let pts = experiments::fig7c_price_vs_value_on(&config)?;
-            Ok(crate::report::render_ascii_plot(
-                "Figure 7c: admission price vs request value",
-                &pts,
-                60,
-                14,
-            ))
-        }
-        other => unreachable!("unknown fig7 part {other}"),
-    }
+/// An `(index, y)` series over timesteps.
+fn over_time(name: &str, ys: &[f64]) -> Series {
+    Series::new(name, ys.iter().enumerate().map(|(t, &y)| (t as f64, y)).collect())
 }
 
-fn run_fig10(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError> {
+fn run_fig7a(scale: Scale, seed: u64) -> Result<String, SolveError> {
+    let (prices, util) = experiments::fig7a_price_and_utilization_on(&scale.config(seed, 2.0))?;
+    let series = vec![over_time("price", &prices), over_time("utilization", &util)];
+    Ok(render_figure("Figure 7a: price & utilization over time (busiest pct link)", "t", &series))
+}
+
+fn run_fig7b(scale: Scale, seed: u64) -> Result<String, SolveError> {
+    let (_, series) = experiments::fig7b_value_buckets_on(&scale.config(seed, 2.0))?;
+    Ok(render_figure("Figure 7b: value captured per value bucket (rel. OPT)", "bucket<=", &series))
+}
+
+fn run_fig7c(scale: Scale, seed: u64) -> Result<String, SolveError> {
+    let pts = experiments::fig7c_price_vs_value_on(&scale.config(seed, 2.0))?;
+    Ok(crate::report::render_ascii_plot(
+        "Figure 7c: admission price vs request value",
+        &pts,
+        60,
+        14,
+    ))
+}
+
+fn run_fig10(scale: Scale, seed: u64) -> Result<String, SolveError> {
     let config = scale.config(seed, 2.0);
     let series = experiments::fig10_p90_utilization_cdf_on(&config)?;
     Ok(render_figure("Figure 10: CDF of per-link p90 utilization", "p90 util", &series))
 }
 
-fn run_table4(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError> {
+fn run_table4(scale: Scale, seed: u64) -> Result<String, SolveError> {
     let config = scale.config(seed, 2.0);
     let rt = experiments::table4_runtimes_on(&config)?;
     let timing = |name: &str, samples: &[f64]| {
@@ -1000,8 +673,8 @@ fn run_table4(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError
             name.to_string(),
             format!(
                 "median {:.4}s  p95 {:.4}s",
-                ModuleRuntimes::median(samples),
-                ModuleRuntimes::p95(samples)
+                percentile(samples, 0.5),
+                percentile(samples, 0.95)
             ),
         )
     };
@@ -1019,7 +692,7 @@ fn run_table4(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError
 /// sequencer) with auditing forced on — graceful behavior under request
 /// pressure, with a clean audit trail, is the acceptance bar for the
 /// admission API.
-fn run_surge(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError> {
+fn run_surge(scale: Scale, seed: u64) -> Result<String, SolveError> {
     // One window is enough to saturate admission (the surge pressure is
     // per-step, not cumulative), and it keeps the per-step SAM LP — which
     // grows with every admitted surge contract — inside the suite's
@@ -1059,7 +732,7 @@ fn run_surge(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError>
     Ok(render_table("Admission surge: batched RA under 10x request pressure", &rows))
 }
 
-fn run_incentives(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveError> {
+fn run_incentives(scale: Scale, seed: u64) -> Result<String, SolveError> {
     use crate::incentives::{analyze_deviations, Deviation};
     let sc = scale.config(seed, 1.0).build();
     let report = analyze_deviations(
@@ -1085,184 +758,124 @@ fn run_incentives(scale: Scale, seed: u64, _part: &str) -> Result<String, SolveE
 }
 
 // ---------------------------------------------------------------------------
-// The availability (robustness) sweep.
-// ---------------------------------------------------------------------------
-
-/// Failure rates the robustness sweep evaluates (probability per
-/// (edge, window) of an outage starting). Rate 0 is the healthy baseline
-/// every other point's welfare is normalized against.
-pub const FAILURE_RATES: [f64; 4] = [0.0, 0.1, 0.25, 0.5];
-
-/// §4.4 robustness: welfare retention and guarantee-violation rate vs the
-/// injected link-failure rate. One faulted Pretium run per rate; worlds are
-/// shared across rates (same scenario seed) so only the fault plan varies,
-/// and each cell's fault plan derives from the cell seed — the whole sweep
-/// is bit-identical across `--jobs` counts like every other experiment.
-pub struct AvailabilitySweep {
-    scale: Scale,
-    rates: Vec<f64>,
-}
-
-impl AvailabilitySweep {
-    pub fn new(scale: Scale, rates: &[f64]) -> Self {
-        AvailabilitySweep { scale, rates: rates.to_vec() }
-    }
-}
-
-impl Experiment for AvailabilitySweep {
-    fn name(&self) -> &'static str {
-        "robustness"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["availability", "faults"]
-    }
-
-    fn cells(&self, seed: u64) -> Vec<CellSpec> {
-        self.rates
-            .iter()
-            .map(|&rate| {
-                let label = format!("robustness/rate={rate}/Pretium");
-                CellSpec {
-                    seed: rand::derive_seed(seed, &label),
-                    label,
-                    x: rate,
-                    // Load 2 (the fig7 operating point): the network is
-                    // contended, so an outage cannot always be rerouted
-                    // around and the degradation chain actually engages.
-                    payload: CellPayload::Robustness {
-                        config: Box::new(self.scale.config(seed, 2.0)),
-                        failure_rate: rate,
-                    },
-                }
-            })
-            .collect()
-    }
-
-    fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
-        match &cell.payload {
-            CellPayload::Robustness { config, failure_rate } => {
-                run_robustness_cell(config, *failure_rate, cell.seed).map(CellOut::Robustness)
-            }
-            _ => unreachable!("robustness declares robustness cells only"),
-        }
-    }
-
-    fn merge(&self, cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult {
-        let healthy = outs[0].robustness().welfare;
-        let denom = if healthy.abs() > 1e-9 { healthy } else { 1.0 };
-        let mut series: Vec<Series> = Vec::new();
-        for (cell, out) in cells.iter().zip(&outs) {
-            let m = out.robustness();
-            push_point(&mut series, "welfare (rel. healthy)", cell.x, m.welfare / denom);
-            push_point(&mut series, "violation rate", cell.x, m.violation_rate());
-        }
-        ExperimentResult::Figure {
-            title: "Robustness: welfare & guarantee violations vs failure rate".into(),
-            x_label: "failure rate".into(),
-            series,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The registry and the parallel suite runner.
 // ---------------------------------------------------------------------------
 
+/// Failure rates the robustness sweep evaluates. Rate 0 is the healthy
+/// baseline every other point's welfare is normalized against.
+pub const FAILURE_RATES: [f64; 4] = [0.0, 0.1, 0.25, 0.5];
+
+const PRETIUM: Scheme = Scheme::Pretium(Variant::Full);
+
 /// Every experiment of the evaluation, in the paper's order, at the full
 /// evaluation scale.
-pub fn registry() -> Vec<Arc<dyn Experiment>> {
+pub fn registry() -> Vec<Experiment> {
     registry_at(Scale::Evaluation)
 }
 
 /// The full suite at an explicit scale (`Scale::Tiny` for tests and the CI
 /// smoke run).
-pub fn registry_at(scale: Scale) -> Vec<Arc<dyn Experiment>> {
+pub fn registry_at(scale: Scale) -> Vec<Experiment> {
+    use Scheme::{NoPrices, Opt, PeakOracle, RegionOracle, VcgLike};
+    let loads = Axis::Load(&LOAD_FACTORS);
+    let text = |name, aliases, parts| Experiment::text(name, aliases, scale, parts);
+    let sweep = |name, aliases, axis, schemes, title, fold| {
+        Experiment::sweep(name, aliases, scale, axis, schemes, title, fold)
+    };
     vec![
-        Arc::new(TextExperiment::new("table1", &[], scale, &[""], run_table1)),
-        Arc::new(TextExperiment::new("fig1", &[], scale, &[""], run_fig1)),
-        Arc::new(TextExperiment::new("fig2", &[], scale, &[""], run_fig2)),
-        Arc::new(TextExperiment::new("fig5", &[], scale, &[""], run_fig5)),
-        Arc::new(Fig6Welfare::new(scale, &LOAD_FACTORS)),
-        Arc::new(TextExperiment::new(
+        text("table1", &[], &[("", run_table1)]),
+        text("fig1", &[], &[("", run_fig1)]),
+        text("fig2", &[], &[("", run_fig2)]),
+        text("fig5", &[], &[("", run_fig5)]),
+        sweep(
+            "fig6",
+            &[],
+            loads,
+            &[Opt, PRETIUM, NoPrices, RegionOracle, PeakOracle, VcgLike],
+            "Figure 6: welfare relative to OPT",
+            Fold::Welfare,
+        ),
+        text(
             "fig7",
             &["fig7a", "fig7b", "fig7c"],
-            scale,
-            &["a", "b", "c"],
-            run_fig7,
-        )),
-        Arc::new(Fig8Profit::new(scale, &LOAD_FACTORS)),
-        Arc::new(Fig9Completion::new(scale, &LOAD_FACTORS)),
-        Arc::new(TextExperiment::new("fig10", &[], scale, &[""], run_fig10)),
-        Arc::new(Fig11Ablations::new(scale, &LOAD_FACTORS)),
-        Arc::new(Fig12LinkCost::new(scale, &[1.0, 1.4, 1.8, 2.2])),
-        Arc::new(Fig13Values::new(scale, &[1.0, 2.0, 4.0])),
-        Arc::new(TextExperiment::new("table4", &[], scale, &[""], run_table4)),
-        Arc::new(TextExperiment::new("incentives", &[], scale, &[""], run_incentives)),
-        Arc::new(TextExperiment::new("surge", &["admission"], scale, &[""], run_surge)),
-        Arc::new(AvailabilitySweep::new(scale, &FAILURE_RATES)),
+            &[("a", run_fig7a), ("b", run_fig7b), ("c", run_fig7c)],
+        ),
+        sweep(
+            "fig8",
+            &[],
+            loads,
+            &[Opt, RegionOracle, PRETIUM, PeakOracle, VcgLike],
+            "Figure 8: profit relative to RegionOracle",
+            Fold::Profit,
+        ),
+        sweep(
+            "fig9",
+            &[],
+            loads,
+            &[PRETIUM, NoPrices, RegionOracle, PeakOracle, VcgLike],
+            "Figure 9: fraction of requests completed",
+            Fold::Completion,
+        ),
+        text("fig10", &[], &[("", run_fig10)]),
+        sweep(
+            "fig11",
+            &[],
+            loads,
+            &[Opt, PRETIUM, Scheme::Pretium(Variant::NoMenu), Scheme::Pretium(Variant::NoSam)],
+            "Figure 11: Pretium ablations (rel. OPT)",
+            Fold::Welfare,
+        ),
+        sweep(
+            "fig12",
+            &[],
+            Axis::LinkCost(&[1.0, 1.4, 1.8, 2.2]),
+            &[Opt, PRETIUM, RegionOracle],
+            "Figure 12: welfare vs mean link cost (load 1)",
+            Fold::Welfare,
+        ),
+        sweep(
+            "fig13",
+            &["fig14"],
+            Axis::Values(&[1.0, 2.0, 4.0]),
+            &[Opt, PRETIUM, RegionOracle],
+            "Figures 13/14: value-distribution sensitivity (rel. OPT)",
+            Fold::Welfare,
+        ),
+        text("table4", &[], &[("", run_table4)]),
+        text("incentives", &[], &[("", run_incentives)]),
+        text("surge", &["admission"], &[("", run_surge)]),
+        Experiment::availability(scale, &FAILURE_RATES),
     ]
-}
-
-/// Run one experiment's cells on the engine and return `(specs, outs)` in
-/// declaration order — for callers that want a typed merge (e.g.
-/// [`Fig13Values::rows`]) rather than the rendered [`ExperimentResult`].
-pub fn run_experiment_cells(
-    exp: Arc<dyn Experiment>,
-    seed: u64,
-    jobs: usize,
-) -> Result<(Vec<CellSpec>, Vec<CellOut>), SolveError> {
-    let specs = exp.cells(seed);
-    let cells = specs
-        .iter()
-        .map(|spec| {
-            let exp = Arc::clone(&exp);
-            let spec = spec.clone();
-            Cell::new(spec.label.clone(), move || exp.run_cell(&spec))
-        })
-        .collect();
-    let (results, _telemetry) = par::run_cells(jobs, cells);
-    let outs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok((specs, outs))
 }
 
 /// Run a set of experiments through one shared worker pool.
 ///
 /// All experiments' cells are flattened into a single batch, so slow
 /// single-cell figures overlap with wide sweeps instead of serializing the
-/// suite; results are regrouped per experiment and merged in registry
-/// order. Returns each experiment's merged result plus the pool telemetry
-/// of the whole batch.
+/// suite; results come back in declaration order, so each experiment
+/// merges its own consecutive slice of them. Returns each experiment's
+/// merged result plus the pool telemetry of the whole batch.
 pub fn run_experiments(
-    experiments: &[Arc<dyn Experiment>],
+    experiments: &[Experiment],
     seed: u64,
     jobs: usize,
 ) -> Result<(Vec<(String, ExperimentResult)>, PoolTelemetry), SolveError> {
-    let mut all_cells: Vec<Cell<(usize, CellOut), SolveError>> = Vec::new();
-    let mut specs: Vec<Vec<CellSpec>> = Vec::with_capacity(experiments.len());
-    for (i, exp) in experiments.iter().enumerate() {
-        let exp_cells = exp.cells(seed);
-        for spec in &exp_cells {
-            let exp = Arc::clone(exp);
-            let spec = spec.clone();
-            all_cells
-                .push(Cell::new(spec.label.clone(), move || exp.run_cell(&spec).map(|o| (i, o))));
-        }
-        specs.push(exp_cells);
-    }
-    let (results, telemetry) = par::run_cells(jobs, all_cells);
-    let mut outs: Vec<Vec<CellOut>> = experiments.iter().map(|_| Vec::new()).collect();
-    // Results arrive in declaration order, so per-experiment groups stay in
-    // their own declaration order too.
-    for r in results {
-        let (i, out) = r?;
-        outs[i].push(out);
-    }
+    let specs: Vec<Vec<CellSpec>> = experiments.iter().map(|exp| exp.cells(seed)).collect();
+    let cells = specs
+        .iter()
+        .flatten()
+        .cloned()
+        .map(|spec| Cell::new(spec.label.clone(), move || run_cell(&spec)))
+        .collect();
+    let (results, telemetry) = par::run_cells(jobs, cells);
+    let mut outs = results.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter();
     let merged = experiments
         .iter()
-        .zip(specs.iter())
-        .zip(outs)
-        .map(|((exp, spec), out)| (exp.name().to_string(), exp.merge(spec, out)))
+        .zip(&specs)
+        .map(|(exp, spec)| {
+            let own = outs.by_ref().take(spec.len()).collect();
+            (exp.name().to_string(), exp.merge(spec, own))
+        })
         .collect();
     Ok((merged, telemetry))
 }
@@ -1286,7 +899,16 @@ mod tests {
 
     #[test]
     fn sweep_cells_expand_points_times_schemes_in_order() {
-        let exp = Fig6Welfare::new(Scale::Tiny, &[0.5, 1.0]);
+        use Scheme::{NoPrices, Opt, PeakOracle, RegionOracle, VcgLike};
+        let exp = Experiment::sweep(
+            "fig6",
+            &[],
+            Scale::Tiny,
+            Axis::Load(&[0.5, 1.0]),
+            &[Opt, PRETIUM, NoPrices, RegionOracle, PeakOracle, VcgLike],
+            "welfare relative to OPT",
+            Fold::Welfare,
+        );
         let cells = exp.cells(rand::DEFAULT_SEED);
         assert_eq!(cells.len(), 2 * 6);
         assert!(cells[0].label.contains("load=0.5"));
@@ -1300,7 +922,7 @@ mod tests {
 
     #[test]
     fn robustness_sweep_runs_faulted_and_normalizes_to_healthy() {
-        let exp = AvailabilitySweep::new(Scale::Tiny, &[0.0, 0.4]);
+        let exp = Experiment::availability(Scale::Tiny, &[0.0, 0.4]);
         let cells = exp.cells(rand::DEFAULT_SEED);
         assert_eq!(cells.len(), 2);
         let outs: Vec<CellOut> = cells.iter().map(|c| exp.run_cell(c).unwrap()).collect();
@@ -1319,6 +941,25 @@ mod tests {
         assert_eq!(series.len(), 2);
         assert!((series[0].points[0].1 - 1.0).abs() < 1e-9, "healthy point normalizes to 1");
         assert_eq!(series[1].points[0].1, 0.0, "healthy run has no violations");
+    }
+
+    #[test]
+    fn cell_labels_and_seeds_are_pinned() {
+        // Labels feed `derive_seed`, so a renamed or reordered cell silently
+        // re-draws fig1/fig5/fig7/table4/incentives/surge/robustness. FNV-1a
+        // 64 over every `label:seed` line, in registry order, measured on
+        // the trait-based registry this one replaced.
+        for scale in [Scale::Tiny, Scale::Evaluation] {
+            let mut hash = 0xcbf29ce484222325u64;
+            let mut count = 0;
+            for cell in registry_at(scale).iter().flat_map(|e| e.cells(rand::DEFAULT_SEED)) {
+                for byte in format!("{}:{}\n", cell.label, cell.seed).bytes() {
+                    hash = (hash ^ byte as u64).wrapping_mul(0x100000001b3);
+                }
+                count += 1;
+            }
+            assert_eq!((count, hash), (125, 0x28bf2ce88e5ceef4), "{scale:?}");
+        }
     }
 
     #[test]
