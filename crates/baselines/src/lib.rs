@@ -23,6 +23,6 @@ pub mod vcg;
 pub use offline::{no_prices, opt, solve_offline, OfflineConfig};
 pub use outcome::Outcome;
 pub use peak::{peak_oracle, peak_steps_from_requests, peak_steps_from_trace, PeakOracleResult};
-pub use priced_offline::{price_candidates, run_posted_price, PricedOfflineConfig};
+pub use priced_offline::{price_candidates, run_posted_price};
 pub use region::{is_inter_region, region_oracle, RegionOracleResult};
 pub use vcg::vcg_like;

@@ -18,7 +18,7 @@ use pretium_lp::SolveError;
 use pretium_net::{EdgeId, Network, PathSet, TimeGrid, Timestep};
 use pretium_workload::Request;
 
-/// Shared knobs for the offline solvers (kept in sync with the Pretium
+/// Shared knobs for every baseline scheme (kept in sync with the Pretium
 /// configuration for a fair comparison).
 #[derive(Debug, Clone)]
 pub struct OfflineConfig {
@@ -28,6 +28,9 @@ pub struct OfflineConfig {
     pub highpri_fraction: f64,
     pub topk: TopkEncoding,
     pub cost_scale: f64,
+    /// Number of price candidates per level in the posted-price oracles'
+    /// grid search (OPT and NoPrices do not read it).
+    pub grid_points: usize,
 }
 
 impl Default for OfflineConfig {
@@ -37,6 +40,7 @@ impl Default for OfflineConfig {
             highpri_fraction: 0.10,
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
+            grid_points: 4,
         }
     }
 }
@@ -52,6 +56,9 @@ pub fn solve_offline(
     scheme: &str,
     weight_of: impl Fn(&Request) -> f64,
 ) -> Result<Outcome, SolveError> {
+    if horizon == 0 {
+        return Ok(Outcome::new(scheme, requests.len(), net.num_edges(), 0));
+    }
     let mut paths = PathSet::new(cfg.k_paths);
     let mut jobs = Vec::with_capacity(requests.len());
     let mut job_req: Vec<usize> = Vec::with_capacity(requests.len());
@@ -201,6 +208,16 @@ mod tests {
         // OPT would simply decline.
         let o = opt(&net, &grid, 2, &requests, &cfg).unwrap();
         assert!(o.delivered[0] < 1e-6);
+    }
+
+    #[test]
+    fn empty_horizon_is_an_empty_outcome() {
+        let net = one_edge(LinkCost::owned());
+        let grid = TimeGrid::new(2, 30);
+        let requests = vec![req(0, 5.0, 20.0, 0, 1)];
+        let out = opt(&net, &grid, 0, &requests, &OfflineConfig::default()).unwrap();
+        assert_eq!(out.delivered, vec![0.0]);
+        assert_eq!(out.admitted, vec![false]);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! total demand exceeds the daily average); peak and off-peak prices are
 //! then grid-searched in hindsight for maximum welfare.
 
+use crate::offline::OfflineConfig;
 use crate::outcome::Outcome;
-use crate::priced_offline::{price_candidates, run_posted_price, PricedOfflineConfig};
+use crate::priced_offline::{price_candidates, run_posted_price};
 use pretium_lp::SolveError;
 use pretium_net::{Network, TimeGrid, Timestep};
 use pretium_workload::{Request, TrafficTrace};
@@ -54,7 +55,7 @@ pub fn peak_oracle(
     horizon: usize,
     requests: &[Request],
     peak_steps: &[usize],
-    cfg: &PricedOfflineConfig,
+    cfg: &OfflineConfig,
 ) -> Result<PeakOracleResult, SolveError> {
     let candidates = price_candidates(requests, cfg.grid_points);
     let is_peak = |t: Timestep| peak_steps.contains(&grid.step_in_window(t));
@@ -129,7 +130,7 @@ mod tests {
         // flexible request that should ride off-peak.
         let requests =
             vec![req(0, 6.0, 15.0, 0, 1), req(1, 6.0, 15.0, 0, 1), req(2, 1.0, 10.0, 0, 3)];
-        let cfg = PricedOfflineConfig { highpri_fraction: 0.0, ..Default::default() };
+        let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let res = peak_oracle(&net, &grid, 4, &requests, &[0, 1], &cfg).unwrap();
         assert!(res.peak_price >= res.offpeak_price);
         let w = res.outcome.welfare(&requests, &net, &grid, 1.0);
@@ -144,7 +145,7 @@ mod tests {
         net.add_edge(a, b, 10.0, LinkCost::owned());
         let grid = TimeGrid::new(2, 30);
         let requests = vec![req(0, 2.0, 5.0, 0, 1)];
-        let cfg = PricedOfflineConfig { highpri_fraction: 0.0, ..Default::default() };
+        let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let res = peak_oracle(&net, &grid, 2, &requests, &[], &cfg).unwrap();
         assert!((res.outcome.delivered[0] - 5.0).abs() < 1e-6);
     }

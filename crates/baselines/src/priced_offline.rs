@@ -9,34 +9,12 @@
 //! pick their price levels by exhaustively searching a candidate grid and
 //! keeping the prices with the highest realized welfare in hindsight.
 
+use crate::offline::OfflineConfig;
 use crate::outcome::Outcome;
-use pretium_core::{schedule, Job, ScheduleProblem, TopkEncoding};
+use pretium_core::{schedule, Job, ScheduleProblem};
 use pretium_lp::SolveError;
 use pretium_net::{EdgeId, Network, PathSet, TimeGrid, Timestep};
 use pretium_workload::Request;
-
-/// Knobs shared by the priced offline oracles.
-#[derive(Debug, Clone)]
-pub struct PricedOfflineConfig {
-    pub k_paths: usize,
-    pub highpri_fraction: f64,
-    pub topk: TopkEncoding,
-    pub cost_scale: f64,
-    /// Number of price candidates per level in the oracle grid search.
-    pub grid_points: usize,
-}
-
-impl Default for PricedOfflineConfig {
-    fn default() -> Self {
-        PricedOfflineConfig {
-            k_paths: 3,
-            highpri_fraction: 0.10,
-            topk: TopkEncoding::CVar,
-            cost_scale: 1.0,
-            grid_points: 4,
-        }
-    }
-}
 
 /// Candidate per-unit prices: quantiles of the observed value distribution
 /// (plus zero). An oracle searching these cannot miss the revenue-relevant
@@ -64,16 +42,20 @@ pub fn price_candidates(requests: &[Request], n: usize) -> Vec<f64> {
 /// `price_of(i, t)` per unit actually moved at `t`, and the scheduler
 /// maximizes moved units minus proxied percentile costs.
 ///
-/// Returns `None` when no request can participate at all.
+/// Returns `None` when no request can participate at all (in particular
+/// over an empty horizon).
 pub fn run_posted_price(
     net: &Network,
     grid: &TimeGrid,
     horizon: usize,
     requests: &[Request],
-    cfg: &PricedOfflineConfig,
+    cfg: &OfflineConfig,
     scheme: &str,
     price_of: impl Fn(&Request, Timestep) -> f64,
 ) -> Result<Option<Outcome>, SolveError> {
+    if horizon == 0 {
+        return Ok(None);
+    }
     let mut paths = PathSet::new(cfg.k_paths);
     let mut jobs = Vec::new();
     let mut job_req = Vec::new();
@@ -170,7 +152,7 @@ mod tests {
         net.add_edge(a, b, 10.0, LinkCost::owned());
         let grid = TimeGrid::new(2, 30);
         let requests = vec![req(0, 5.0, 5.0, 0, 1), req(1, 1.0, 5.0, 0, 1)];
-        let cfg = PricedOfflineConfig { highpri_fraction: 0.0, ..Default::default() };
+        let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let out =
             run_posted_price(&net, &grid, 2, &requests, &cfg, "t", |_, _| 2.0).unwrap().unwrap();
         assert!((out.delivered[0] - 5.0).abs() < 1e-6);
@@ -189,7 +171,7 @@ mod tests {
         // Price 3 at steps 0-1 (peak), 0.5 at steps 2-3.
         let price = |_r: &Request, t: Timestep| if t < 2 { 3.0 } else { 0.5 };
         let requests = vec![req(0, 1.0, 30.0, 0, 3)];
-        let cfg = PricedOfflineConfig { highpri_fraction: 0.0, ..Default::default() };
+        let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let out = run_posted_price(&net, &grid, 4, &requests, &cfg, "t", price).unwrap().unwrap();
         // Only off-peak steps affordable: 2 × 10 = 20 units at 0.5.
         assert!((out.delivered[0] - 20.0).abs() < 1e-6, "{:?}", out.delivered);
@@ -207,8 +189,11 @@ mod tests {
         net.add_edge(a, b, 10.0, LinkCost::owned());
         let grid = TimeGrid::new(2, 30);
         let requests = vec![req(0, 1.0, 5.0, 0, 1)];
-        let cfg = PricedOfflineConfig::default();
+        let cfg = OfflineConfig::default();
         let out = run_posted_price(&net, &grid, 2, &requests, &cfg, "t", |_, _| 100.0).unwrap();
+        assert!(out.is_none());
+        // An empty horizon admits nobody either (and must not underflow).
+        let out = run_posted_price(&net, &grid, 0, &requests, &cfg, "t", |_, _| 0.0).unwrap();
         assert!(out.is_none());
     }
 }

@@ -3,8 +3,9 @@
 //! hindsight to maximize realized welfare. Mirrors the public-cloud price
 //! sheets of Table 2.
 
+use crate::offline::OfflineConfig;
 use crate::outcome::Outcome;
-use crate::priced_offline::{price_candidates, run_posted_price, PricedOfflineConfig};
+use crate::priced_offline::{price_candidates, run_posted_price};
 use pretium_lp::SolveError;
 use pretium_net::{Network, TimeGrid};
 use pretium_workload::Request;
@@ -30,7 +31,7 @@ pub fn region_oracle(
     grid: &TimeGrid,
     horizon: usize,
     requests: &[Request],
-    cfg: &PricedOfflineConfig,
+    cfg: &OfflineConfig,
 ) -> Result<RegionOracleResult, SolveError> {
     let candidates = price_candidates(requests, cfg.grid_points);
     let mut best: Option<RegionOracleResult> = None;
@@ -111,7 +112,7 @@ mod tests {
             req(1, 0, 2, 8.0, 10.0), // inter, value 8
             req(2, 0, 2, 1.0, 10.0), // inter, value 1
         ];
-        let cfg = PricedOfflineConfig { highpri_fraction: 0.0, ..Default::default() };
+        let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let res = region_oracle(&net, &grid, 2, &requests, &cfg).unwrap();
         assert!(res.inter_price >= res.intra_price);
         // With owned (free) links, serving everyone maximizes welfare: the
@@ -136,7 +137,7 @@ mod tests {
             req(0, 0, 2, 8.0, 10.0), // worth carrying (8 >> cost/unit)
             req(1, 0, 2, 0.2, 10.0), // below carrying cost
         ];
-        let cfg = PricedOfflineConfig { highpri_fraction: 0.0, ..Default::default() };
+        let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let res = region_oracle(&net, &grid, 2, &requests, &cfg).unwrap();
         assert!(res.outcome.delivered[0] > 5.0, "{:?}", res.outcome.delivered);
         assert_eq!(res.outcome.delivered[1], 0.0);

@@ -7,8 +7,8 @@
 //! this scheme is *not* truthful across timesteps, ignores provider costs,
 //! and plans myopically — which is exactly why it underperforms.
 
+use crate::offline::OfflineConfig;
 use crate::outcome::Outcome;
-use crate::priced_offline::PricedOfflineConfig;
 use pretium_lp::{Cmp, LinExpr, Model, Sense, SolveError};
 use pretium_net::{Network, Path, PathSet, TimeGrid};
 use pretium_workload::Request;
@@ -86,7 +86,7 @@ pub fn vcg_like(
     grid: &TimeGrid,
     horizon: usize,
     requests: &[Request],
-    cfg: &PricedOfflineConfig,
+    cfg: &OfflineConfig,
 ) -> Result<Outcome, SolveError> {
     let _ = grid;
     let mut paths = PathSet::new(cfg.k_paths);
@@ -175,7 +175,7 @@ mod tests {
         let net = one_edge();
         let grid = TimeGrid::new(2, 30);
         let requests = vec![req(0, 5.0, 10.0, 0, 1)];
-        let cfg = PricedOfflineConfig { highpri_fraction: 0.0, ..Default::default() };
+        let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let out = vcg_like(&net, &grid, 2, &requests, &cfg).unwrap();
         assert!((out.delivered[0] - 10.0).abs() < 1e-6);
         assert!(out.payments[0].abs() < 1e-9, "VCG payment without contention is 0");
@@ -187,7 +187,7 @@ mod tests {
         let grid = TimeGrid::new(1, 30);
         // One step, capacity 10; both want 10 now.
         let requests = vec![req(0, 5.0, 10.0, 0, 0), req(1, 2.0, 10.0, 0, 0)];
-        let cfg = PricedOfflineConfig { highpri_fraction: 0.0, ..Default::default() };
+        let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let out = vcg_like(&net, &grid, 1, &requests, &cfg).unwrap();
         assert!((out.delivered[0] - 10.0).abs() < 1e-6, "{:?}", out.delivered);
         assert!(out.delivered[1] < 1e-6);
@@ -202,7 +202,7 @@ mod tests {
         let grid = TimeGrid::new(4, 30);
         // Demand 12 over 4 steps: rate 3/step even though capacity is 10.
         let requests = vec![req(0, 5.0, 12.0, 0, 3)];
-        let cfg = PricedOfflineConfig { highpri_fraction: 0.0, ..Default::default() };
+        let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let out = vcg_like(&net, &grid, 4, &requests, &cfg).unwrap();
         assert!((out.delivered[0] - 12.0).abs() < 1e-6);
         let e = pretium_net::EdgeId(0);
@@ -221,7 +221,7 @@ mod tests {
         net.add_edge(a, b, 10.0, LinkCost::percentile(10.0));
         let grid = TimeGrid::new(2, 30);
         let requests = vec![req(0, 0.5, 10.0, 0, 1)];
-        let cfg = PricedOfflineConfig { highpri_fraction: 0.0, ..Default::default() };
+        let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let out = vcg_like(&net, &grid, 2, &requests, &cfg).unwrap();
         assert!(out.delivered[0] > 5.0);
         assert!(out.welfare(&requests, &net, &grid, 1.0) < 0.0);

@@ -255,11 +255,6 @@ impl<'a> Sequencer<'a> {
         Some(id)
     }
 
-    /// Number of `(edge, timestep)` slots dirtied by this batch's accepts.
-    pub fn dirty_slots(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// The booked contract behind an id returned by [`Sequencer::admit`]
     /// (e.g. to read its payment while the batch is still open).
     pub fn contract(&self, id: ContractId) -> &crate::contract::Contract {

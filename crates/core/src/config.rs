@@ -8,49 +8,17 @@ use pretium_lp::Pricing;
 ///
 /// `Off` materializes every `(path, timestep)` flow variable when a job is
 /// added — the reference behavior every recorded experiment uses. `On`
-/// builds a *restricted master*: each job seeds only its shortest
-/// `seed_paths` paths, and absent columns are appended only when the
-/// restricted optimum's duals give them favorable reduced cost. Columns
-/// generated in one SAM step persist (warm) into the next.
+/// builds a *restricted master*: each job seeds only its shortest path, and
+/// absent columns are appended only when the restricted optimum's duals
+/// give them favorable reduced cost. Columns generated in one SAM step
+/// persist (warm) into the next.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ColumnGen {
     /// Materialize the full `(path, timestep)` column universe up front.
     #[default]
     Off,
     /// Lazy column generation over the Yen k-shortest-path set.
-    On {
-        /// Pricing-round budget per SAM step; `0` selects 50. When the
-        /// budget runs out, the restricted-master optimum is adopted as is
-        /// (budget-truncated rather than certified over the universe).
-        max_rounds: u32,
-        /// Paths seeded per job (shortest first); `0` selects 1.
-        seed_paths: usize,
-    },
-}
-
-impl ColumnGen {
-    /// `On` with the default budget and seed width.
-    pub fn on() -> Self {
-        ColumnGen::On { max_rounds: 0, seed_paths: 0 }
-    }
-
-    /// The pricing-round budget this mode grants per SAM step.
-    pub fn max_rounds(self) -> u32 {
-        match self {
-            ColumnGen::Off => 0,
-            ColumnGen::On { max_rounds: 0, .. } => 50,
-            ColumnGen::On { max_rounds, .. } => max_rounds,
-        }
-    }
-
-    /// Paths seeded per job (shortest first).
-    pub fn seed_paths(self) -> usize {
-        match self {
-            ColumnGen::Off => usize::MAX,
-            ColumnGen::On { seed_paths: 0, .. } => 1,
-            ColumnGen::On { seed_paths, .. } => seed_paths,
-        }
-    }
+    On,
 }
 
 /// All tunables of a Pretium instance. Defaults follow the paper where it
@@ -159,13 +127,8 @@ mod tests {
         // Release-build auditing is opt-in (debug builds always audit).
         assert!(!audit);
         assert_eq!(pricing, Pricing::PartialDevex);
-        // Colgen is opt-in; On defaults to 50 pricing rounds and a
-        // single-path seed.
+        // Colgen is opt-in.
         assert_eq!(colgen, ColumnGen::Off);
-        assert_eq!(ColumnGen::on().max_rounds(), 50);
-        assert_eq!(ColumnGen::on().seed_paths(), 1);
-        assert_eq!(ColumnGen::On { max_rounds: 7, seed_paths: 2 }.max_rounds(), 7);
-        assert_eq!(ColumnGen::On { max_rounds: 7, seed_paths: 2 }.seed_paths(), 2);
         // The solver default cadence and the serial pricing path; >1
         // pricing workers are bit-identical by the section-ordered
         // reduction contract.
@@ -174,7 +137,7 @@ mod tests {
 
     #[test]
     fn clone_roundtrip() {
-        let c = PretiumConfig { k_paths: 5, colgen: ColumnGen::on(), ..Default::default() };
+        let c = PretiumConfig { k_paths: 5, colgen: ColumnGen::On, ..Default::default() };
         let back = c.clone();
         assert_eq!(c.k_paths, back.k_paths);
         assert_eq!(c.colgen, back.colgen);

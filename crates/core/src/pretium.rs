@@ -281,12 +281,6 @@ impl Pretium {
         self.solver_pressure = limit;
     }
 
-    /// Whether billing window `w` was contaminated by a fault (the PC
-    /// freezes prices rather than learn from such windows).
-    pub fn window_contaminated(&self, w: usize) -> bool {
-        self.fault_windows.contains(&w)
-    }
-
     /// Solve options carrying the configured pricing strategy (PC and any
     /// other uncapped LP).
     fn pricing_opts(&self) -> SolveOptions {
@@ -524,7 +518,6 @@ impl Pretium {
         // Configured pricing strategy, plus the solver-pressure iteration
         // cap when that fault (§4.4) is injected.
         let opts = self.sam_opts();
-        let lp_before = carry.sess.lp_stats();
         const SHORT_TOL: f64 = 1e-6;
         let result = {
             let state = &self.state;
@@ -684,23 +677,6 @@ impl Pretium {
             }
             self.telemetry.rerouted_units += moved;
         }
-        let lp_after = carry.sess.lp_stats();
-        self.telemetry.lp_iterations += lp_after.iterations - lp_before.iterations;
-        self.telemetry.lp_dual_iterations += lp_after.dual_iterations - lp_before.dual_iterations;
-        self.telemetry.lp_pricing_scans += lp_after.pricing_scans - lp_before.pricing_scans;
-        self.telemetry.lp_columns_generated +=
-            lp_after.columns_generated - lp_before.columns_generated;
-        self.telemetry.lp_colgen_rounds += lp_after.colgen_rounds - lp_before.colgen_rounds;
-        self.telemetry.lp_refactors += lp_after.refactors - lp_before.refactors;
-        self.telemetry.lp_ft_updates += lp_after.ft_updates - lp_before.ft_updates;
-        self.telemetry.lp_pivot_rejections +=
-            lp_after.pivot_rejections - lp_before.pivot_rejections;
-        self.telemetry.lp_basis_nnz += lp_after.basis_nnz - lp_before.basis_nnz;
-        self.telemetry.lp_factor_nnz += lp_after.factor_nnz - lp_before.factor_nnz;
-        self.telemetry.lp_pricing_par_sections +=
-            lp_after.pricing_par_sections - lp_before.pricing_par_sections;
-        self.telemetry.lp_pricing_par_steals +=
-            lp_after.pricing_par_steals - lp_before.pricing_par_steals;
         self.sam = Some(carry);
         self.telemetry.sam.record(t0.elapsed());
         self.run_audit(AuditPoint::Sam, now);
@@ -811,16 +787,6 @@ impl Pretium {
         };
         let sol = schedule::solve_with(&problem, &self.pricing_opts())?;
         self.lp_stats.merge(sol.lp_stats);
-        self.telemetry.lp_iterations += sol.lp_stats.iterations;
-        self.telemetry.lp_dual_iterations += sol.lp_stats.dual_iterations;
-        self.telemetry.lp_pricing_scans += sol.lp_stats.pricing_scans;
-        self.telemetry.lp_refactors += sol.lp_stats.refactors;
-        self.telemetry.lp_ft_updates += sol.lp_stats.ft_updates;
-        self.telemetry.lp_pivot_rejections += sol.lp_stats.pivot_rejections;
-        self.telemetry.lp_basis_nnz += sol.lp_stats.basis_nnz;
-        self.telemetry.lp_factor_nnz += sol.lp_stats.factor_nnz;
-        self.telemetry.lp_pricing_par_sections += sol.lp_stats.pricing_par_sections;
-        self.telemetry.lp_pricing_par_steals += sol.lp_stats.pricing_par_steals;
         // The previous window's pattern is carried into the future.
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);

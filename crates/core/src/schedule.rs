@@ -21,24 +21,33 @@
 //!
 //! ## Lazy rows and columns
 //!
-//! Both capacity rows and per-edge cost encodings are generated lazily:
-//! a round solves the current relaxation, then adds (a) capacity rows the
-//! tentative schedule violates and (b) cost encodings for percentile edges
-//! it actually uses. Omitting the cost of an *unused* edge is sound: costs
-//! only penalize usage, so a relaxed optimum that does not touch the edge
-//! is also optimal for the full objective. Capacity duals of never-added
-//! rows are zero (the rows never bind).
+//! [`ScheduleSession::solve_step_with`] is the tree's one generation loop.
+//! A round solves the current relaxation warm, then grows it — **rows
+//! first**: (a) capacity rows the tentative schedule violates and (b) cost
+//! encodings for percentile edges it actually uses (an encoding appends
+//! variables *and* rows *and* sets an objective coefficient, which is why
+//! the loop lives here and not behind a row oracle in `pretium-lp`).
+//! Omitting the cost of an *unused* edge is sound: costs only penalize
+//! usage, so a relaxed optimum that does not touch the edge is also optimal
+//! for the full objective. Capacity duals of never-added rows are zero (the
+//! rows never bind).
 //!
-//! With [`crate::ColumnGen::On`], the *columns* are lazy too: each job
-//! seeds only its shortest `seed_paths` paths' `(path, timestep)`
-//! variables, and every solve round also prices the absent columns against
-//! the tentative optimum's duals — `d = weight − y_demand − y_guar −
+//! **Then columns**, only in a round that grew no row (pricing needs a dual
+//! for every materialized row). With [`crate::ColumnGen::On`] each job
+//! seeds only its shortest `COLGEN_SEED_PATHS` paths' `(path, timestep)`
+//! variables, and the round prices the absent columns against the
+//! tentative optimum's duals — `d = weight − y_demand − y_guar −
 //! Σ_e (y_cap + y_use)` over the path's edges — appending the best few per
-//! job that price out (`d > 0` under Maximize). When none does, the duals
-//! certify the restricted optimum over the full universe: absent columns
-//! are nonbasic at their lower bound with unfavorable reduced cost.
-//! Columns generated in one SAM step persist (warm) into the next.
-
+//! job that price out (`d > 0` under Maximize) through
+//! [`SolverSession::add_generated_cols`]. Columns generated in one SAM step
+//! persist (warm) into the next.
+//!
+//! The loop ends when neither side grows, and the **terminal duals are the
+//! certificate**: absent rows are satisfied with dual zero, absent columns
+//! are nonbasic at their lower bound with unfavorable reduced cost, so the
+//! restricted optimum is optimal for the full LP — and PC's prices are
+//! duals of that certified optimum.
+//!
 //! ## Incremental re-optimization
 //!
 //! [`ScheduleSession`] keeps the LP (and the solver basis) alive *across*
@@ -202,12 +211,12 @@ const COLGEN_TOL: f64 = 1e-7;
 /// every block at once, small enough that materialization stays close to
 /// the columns the optimum actually needs.
 const COLGEN_PER_JOB: usize = 4;
-
-/// Stable identity of a generated flow column in the session's generation
-/// bookkeeping (`(job, path, timestep)` packed into the oracle key).
-fn colgen_key(j: usize, pi: usize, t: Timestep) -> u64 {
-    ((j as u64) << 40) | (((pi as u64) & 0xf_ffff) << 20) | ((t as u64) & 0xf_ffff)
-}
+/// Pricing-round budget per solve step under [`ColumnGen::On`]. When it
+/// runs out, the restricted-master optimum is adopted as is
+/// (budget-truncated rather than certified over the universe).
+const COLGEN_MAX_ROUNDS: u32 = 50;
+/// Paths seeded per job (shortest first) under [`ColumnGen::On`].
+const COLGEN_SEED_PATHS: usize = 1;
 
 /// The scheduling LP kept alive across solves, with the solver basis of the
 /// last optimum.
@@ -310,7 +319,7 @@ impl ScheduleSession {
 
     /// [`ScheduleSession::new`] with an explicit column-generation mode.
     /// Under [`ColumnGen::On`], each job seeds only its shortest
-    /// `seed_paths` paths' columns and the solve loops price the rest.
+    /// `COLGEN_SEED_PATHS` paths' columns and the solve loop prices the rest.
     pub fn with_colgen(p: &ScheduleProblem<'_>, colgen: ColumnGen) -> Self {
         assert!(p.from < p.to, "empty scheduling horizon");
         let max_weight = p.jobs.iter().map(|j| j.weight.abs()).fold(1.0f64, f64::max);
@@ -342,11 +351,6 @@ impl ScheduleSession {
             s.add_job(job.clone());
         }
         s
-    }
-
-    /// One past the last timestep this session can schedule.
-    pub fn horizon_end(&self) -> Timestep {
-        self.to
     }
 
     /// First timestep still free to re-plan.
@@ -399,14 +403,13 @@ impl ScheduleSession {
         self.universe += universe.len();
         let seed: Vec<(usize, Timestep)> = match self.colgen {
             ColumnGen::Off => universe.clone(),
-            ColumnGen::On { .. } => {
+            ColumnGen::On => {
                 // Feasible steps are path-independent, so the shortest
                 // path's pairs are nonempty whenever the universe is — the
                 // demand/guarantee rows always exist when pricing could
                 // ever generate a column.
-                let sp = self.colgen.seed_paths();
                 let seed: Vec<(usize, Timestep)> =
-                    universe.iter().copied().filter(|&(pi, _)| pi < sp).collect();
+                    universe.iter().copied().filter(|&(pi, _)| pi < COLGEN_SEED_PATHS).collect();
                 // Every universe pair could cross its path's edges: record
                 // them so cost encodings pre-provision usage rows the
                 // later-generated columns retrofit into.
@@ -558,7 +561,10 @@ impl ScheduleSession {
         // lookup.
         static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         let trace = *TRACE.get_or_init(|| std::env::var_os("PRETIUM_LP_TRACE").is_some());
-        let round_cap = MAX_ROUNDS + self.colgen.max_rounds();
+        let round_cap = match self.colgen {
+            ColumnGen::Off => MAX_ROUNDS,
+            ColumnGen::On => MAX_ROUNDS + COLGEN_MAX_ROUNDS,
+        };
         let mut rounds = 0;
         let mut col_rounds = 0;
         loop {
@@ -677,7 +683,7 @@ impl ScheduleSession {
     /// ([`ColumnGen::On`] only): scan each job's absent `(path, timestep)`
     /// pairs, compute reduced costs from the demand / guarantee / capacity /
     /// usage duals (absent lazy rows price at 0), and append the most
-    /// favorable columns through the session's unified generation surface.
+    /// favorable columns through [`SolverSession::add_generated_cols`].
     /// Returns whether any column was appended; `false` with an exhausted
     /// budget adopts the restricted optimum as is.
     ///
@@ -692,10 +698,7 @@ impl ScheduleSession {
     /// loop is itself a job-order concatenation of per-job lists, and
     /// pricing one job never reads another's results.
     fn colgen_grow(&mut self, sol: &Solution, col_rounds: &mut u32, opts: &SolveOptions) -> bool {
-        if self.colgen == ColumnGen::Off {
-            return false;
-        }
-        if *col_rounds >= self.colgen.max_rounds() {
+        if self.colgen == ColumnGen::Off || *col_rounds >= COLGEN_MAX_ROUNDS {
             return false;
         }
         // Resolve the worker count the same way the session's effective
@@ -803,12 +806,11 @@ impl ScheduleSession {
                     ub: f64::INFINITY,
                     obj: job.weight,
                     terms,
-                    key: colgen_key(j, pi, t),
                 }
             })
             .collect();
         let added = self.sess.add_generated_cols(requests);
-        for (&(j, pi, t), &(_, v)) in batch.iter().zip(added.iter()) {
+        for (&(j, pi, t), &v) in batch.iter().zip(added.iter()) {
             self.vars[j].push((pi, t, v));
             self.materialized[j].insert((pi, t));
             for &e in self.jobs[j].paths[pi].edges() {
@@ -1475,7 +1477,7 @@ mod tests {
             cost_scale: 1.0,
         };
         let full = solve(&problem).unwrap();
-        let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::on());
+        let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::On);
         let lazy = sess.solve_step(&net, &cap, &no_realized).unwrap();
         assert!(
             (lazy.objective - full.objective).abs() < 1e-6 * (1.0 + full.objective.abs()),
@@ -1512,7 +1514,7 @@ mod tests {
             cost_scale: 1.0,
         };
         let full = solve(&problem).unwrap();
-        let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::on());
+        let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::On);
         let lazy = sess.solve_step(&net, &cap, &no_realized).unwrap();
         assert!((lazy.objective - full.objective).abs() < 1e-6 * (1.0 + full.objective.abs()));
         assert!((lazy.delivered[0] - full.delivered[0]).abs() < 1e-5);
@@ -1557,7 +1559,7 @@ mod tests {
             cost_scale: 1.0,
         };
         let mut full = ScheduleSession::new(&problem);
-        let mut lazy = ScheduleSession::with_colgen(&problem, ColumnGen::on());
+        let mut lazy = ScheduleSession::with_colgen(&problem, ColumnGen::On);
         for step in [0usize, 1] {
             let f = full.solve_step(&net, &cap, &no_realized).unwrap();
             let l = lazy.solve_step(&net, &cap, &no_realized).unwrap();

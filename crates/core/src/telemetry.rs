@@ -61,8 +61,7 @@ fn duration_from_nanos(nanos: u128) -> Duration {
 }
 
 /// Counters of one parallel-engine run: how many worker threads ran, the
-/// per-cell wall-clock distribution, steal traffic between workers, and
-/// the end-to-end wall time — enough to compute pool occupancy (what
+/// per-cell wall-clock distribution and the end-to-end wall time — enough to compute pool occupancy (what
 /// fraction of `workers × wall` was spent inside cells).
 ///
 /// Lives next to [`Telemetry`] because it is the pool-level sibling of the
@@ -75,8 +74,6 @@ pub struct PoolTelemetry {
     pub workers: usize,
     /// Per-cell wall-clock accumulator (`calls` = cells executed).
     pub cells: ModuleStats,
-    /// Cells taken from another worker's deque rather than the owner's.
-    pub steals: u64,
     /// Label of the slowest cell (the occupancy tail).
     pub slowest_label: String,
     /// End-to-end wall-clock of the pool run, in nanoseconds.
@@ -103,7 +100,6 @@ impl PoolTelemetry {
     /// wall clocks add, as runs are sequential).
     pub fn merge(&mut self, other: &PoolTelemetry) {
         self.workers = self.workers.max(other.workers);
-        self.steals += other.steals;
         self.wall_nanos += other.wall_nanos;
         if other.cells.max_nanos > self.cells.max_nanos {
             self.slowest_label = other.slowest_label.clone();
@@ -125,7 +121,6 @@ impl PoolTelemetry {
                 ),
             ),
             ("slowest cell".into(), self.slowest_label.clone()),
-            ("steals".into(), self.steals.to_string()),
             ("wall".into(), format!("{:.1?}", self.wall())),
             ("occupancy".into(), format!("{:.1}%", 100.0 * self.occupancy())),
         ]
@@ -190,38 +185,6 @@ pub struct Telemetry {
     /// PC runs skipped because the look-back window was contaminated by a
     /// fault (prices frozen rather than learned from a broken topology).
     pub pc_freezes: u64,
-    /// Simplex iterations across every LP this instance solved (SAM
-    /// re-optimizations, degradation re-solves, PC pricing LPs).
-    pub lp_iterations: u64,
-    /// Those of them that were dual simplex pivots of warm restarts.
-    pub lp_dual_iterations: u64,
-    /// Pricing work behind those iterations: columns examined by entering
-    /// selection plus columns touched by incremental pivot-row updates.
-    pub lp_pricing_scans: u64,
-    /// Flow columns the SAM restricted master generated lazily
-    /// ([`crate::config::ColumnGen::On`]; 0 under full materialization).
-    pub lp_columns_generated: u64,
-    /// Pricing rounds that appended at least one generated column.
-    pub lp_colgen_rounds: u64,
-    /// Sparse-LU basis refactorizations across those LPs.
-    pub lp_refactors: u64,
-    /// Forrest–Tomlin basis-exchange updates applied in place.
-    pub lp_ft_updates: u64,
-    /// FT updates rejected on a too-small pivot (each forces a refactor).
-    pub lp_pivot_rejections: u64,
-    /// Cumulative nonzeros of bases handed to refactorization.
-    pub lp_basis_nnz: u64,
-    /// Cumulative nonzeros of the L/U factors produced;
-    /// `lp_factor_nnz / lp_basis_nnz` is the run's fill-in ratio.
-    pub lp_factor_nnz: u64,
-    /// Sections executed by the deterministic parallel-pricing layer
-    /// (simplex pricing sweeps plus the colgen oracle's job-block
-    /// fan-out); 0 when `pricing_jobs <= 1`. Deterministic per
-    /// configuration.
-    pub lp_pricing_par_sections: u64,
-    /// Parallel-pricing sections claimed by a worker other than the one
-    /// they were seeded on — a load-balance diagnostic; timing-dependent.
-    pub lp_pricing_par_steals: u64,
 }
 
 impl Telemetry {
@@ -258,20 +221,6 @@ impl Telemetry {
             ("rerouted units".into(), format!("{:.1}", self.rerouted_units)),
             ("degraded steps".into(), self.degraded_steps.to_string()),
             ("pc freezes".into(), self.pc_freezes.to_string()),
-            ("lp iterations".into(), self.lp_iterations.to_string()),
-            ("lp dual iterations".into(), self.lp_dual_iterations.to_string()),
-            ("lp pricing scans".into(), self.lp_pricing_scans.to_string()),
-            ("lp columns generated".into(), self.lp_columns_generated.to_string()),
-            ("lp colgen rounds".into(), self.lp_colgen_rounds.to_string()),
-            ("lp refactors".into(), self.lp_refactors.to_string()),
-            ("lp ft updates".into(), self.lp_ft_updates.to_string()),
-            ("lp pivot rejections".into(), self.lp_pivot_rejections.to_string()),
-            ("lp pricing par sections".into(), self.lp_pricing_par_sections.to_string()),
-            ("lp pricing par steals".into(), self.lp_pricing_par_steals.to_string()),
-            (
-                "lp fill-in ratio".into(),
-                format!("{:.3}", self.lp_factor_nnz as f64 / self.lp_basis_nnz.max(1) as f64),
-            ),
         ]
     }
 }
@@ -315,7 +264,7 @@ mod tests {
         p.cells.record(Duration::from_nanos(1_000));
         p.cells.record(Duration::from_nanos(1_000));
         assert!((p.occupancy() - 0.5).abs() < 1e-9, "{}", p.occupancy());
-        assert_eq!(p.rows().len(), 6);
+        assert_eq!(p.rows().len(), 5);
     }
 
     #[test]
@@ -334,13 +283,7 @@ mod tests {
     fn rows_cover_every_counter() {
         let t = Telemetry::default();
         let rows = t.rows();
-        assert_eq!(rows.len(), 33);
-        assert!(rows.iter().any(|(k, _)| k == "lp refactors"));
-        assert!(rows.iter().any(|(k, _)| k == "lp ft updates"));
-        assert!(rows.iter().any(|(k, _)| k == "lp pivot rejections"));
-        assert!(rows.iter().any(|(k, _)| k == "lp fill-in ratio"));
-        assert!(rows.iter().any(|(k, _)| k == "lp columns generated"));
-        assert!(rows.iter().any(|(k, _)| k == "lp colgen rounds"));
+        assert_eq!(rows.len(), 22);
         assert!(rows.iter().any(|(k, _)| k.starts_with("run_sam")));
         assert!(rows.iter().any(|(k, _)| k == "quotes requoted"));
         assert!(rows.iter().any(|(k, _)| k == "snapshots published"));
@@ -349,9 +292,7 @@ mod tests {
         assert!(rows.iter().any(|(k, _)| k == "guarantees shed"));
         assert!(rows.iter().any(|(k, _)| k == "rerouted units"));
         assert!(rows.iter().any(|(k, _)| k == "pc freezes"));
-        assert!(rows.iter().any(|(k, _)| k == "lp iterations"));
-        assert!(rows.iter().any(|(k, _)| k == "lp pricing scans"));
-        assert!(rows.iter().any(|(k, _)| k == "lp pricing par sections"));
-        assert!(rows.iter().any(|(k, _)| k == "lp pricing par steals"));
+        // LP counters are `Pretium::lp_stats()`'s, rendered from there.
+        assert!(!rows.iter().any(|(k, _)| k.starts_with("lp ")));
     }
 }

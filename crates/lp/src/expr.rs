@@ -67,11 +67,6 @@ impl LinExpr {
         Self::default()
     }
 
-    /// Expression holding a single constant.
-    pub fn constant_expr(c: f64) -> Self {
-        LinExpr { terms: Vec::new(), constant: c }
-    }
-
     /// Build an expression from `(coefficient, variable)` pairs.
     pub fn from_terms<I: IntoIterator<Item = (f64, Var)>>(iter: I) -> Self {
         let mut e = LinExpr::new();

@@ -17,7 +17,13 @@
 //!   the cheapest restart — primal warm start after objective changes, dual
 //!   simplex after RHS/bound changes or appended rows, cold only when the
 //!   basis cannot be reused. [`Model::solve`] remains as a one-shot
-//!   convenience.
+//!   convenience. Growth is warm-safe in both directions: an appended row
+//!   seats its slack in the basis ([`SolverSession::add_row`]), an appended
+//!   column enters nonbasic at bound
+//!   ([`SolverSession::add_generated_cols`]). That is all the crate offers
+//!   towards lazy generation: which rows a tentative optimum violates and
+//!   which absent columns its duals price favorably is decided by the
+//!   caller's loop (`pretium-core`'s `ScheduleSession`).
 //! * [`simplex`] — bounded-variable revised simplex: sparse
 //!   triangular-plus-bump `LU` basis factorization with a product-form eta
 //!   file, crash basis, two phases, and a bounded-variable dual simplex for
@@ -27,17 +33,6 @@
 //!   with a cyclic candidate list so a pivot prices O(section + candidates)
 //!   columns instead of O(n). A Bland's-rule anti-cycling fallback guards
 //!   every strategy.
-//! * [`lazy`] — symmetric generation oracles. A [`RowGen`] separates rows a
-//!   tentative optimum violates (the schedule LPs have `|E|·T` capacity
-//!   rows of which only a few percent ever bind); a [`ColGen`] prices
-//!   absent columns against the restricted master's duals and returns those
-//!   with favorable reduced cost (only a few percent of `(path, timestep)`
-//!   flow columns ever carry flow at paper scale). Rows and columns grow
-//!   against the same session in one loop —
-//!   [`SolverSession::solve_gen`] runs both oracles,
-//!   [`SolverSession::solve_lazy`] / [`SolverSession::solve_colgen`] are
-//!   the one-sided wrappers — and every generation round warm-starts from
-//!   the saved basis. All three return the shared [`GenOutcome`] shape.
 //! * [`validate`] — independent optimality checks (primal feasibility,
 //!   dual feasibility, complementary slackness) used heavily in tests.
 //!
@@ -79,7 +74,6 @@
 //! ```
 
 pub mod expr;
-pub mod lazy;
 pub mod model;
 pub mod session;
 pub mod simplex;
@@ -87,9 +81,8 @@ pub mod solution;
 pub mod validate;
 
 pub use expr::{LinExpr, Term, Var};
-pub use lazy::{ColGen, ColRequest, GenOutcome, NoGen, RowGen, RowRequest};
 pub use model::{Cmp, Model, RowId, Sense};
-pub use session::{Mutations, SessionStats, SolveOptions, SolverSession, SolverTuning};
+pub use session::{ColRequest, Mutations, SessionStats, SolveOptions, SolverSession, SolverTuning};
 pub use simplex::basis::{FactorStats, DEFAULT_MAX_ETAS};
 pub use simplex::{Pricing, Restart, SimplexOptions};
 pub use solution::{Solution, SolveError, Status};

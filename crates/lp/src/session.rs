@@ -44,18 +44,12 @@
 //! ```
 
 use crate::expr::{LinExpr, Var};
-use crate::lazy::{ColGen, ColRequest, GenOutcome, NoGen, RowGen, RowRequest};
 use crate::model::{Cmp, Model, RowId};
 use crate::simplex::{solve_model_session, Problem, Restart, SimplexOptions, WarmBasis};
 use crate::solution::{Solution, SolveError};
 
-/// Default round cap for the generation loops ([`SolverSession::solve_gen`]
-/// and its one-sided wrappers) when [`SolveOptions::max_rounds`] is 0.
-pub const DEFAULT_MAX_ROUNDS: u32 = 50;
-
-/// Grouped solver-tuning knobs shared by every solve path
-/// ([`SolverSession::solve`] and the generation loops). Every field follows
-/// the crate's `0 selects the default` convention, so the all-zero
+/// Grouped solver-tuning knobs of [`SolverSession::solve`]. Every field
+/// follows the crate's `0 selects the default` convention, so the all-zero
 /// [`SolverTuning::default`] changes nothing — callers override only the
 /// knobs they care about and `..Default::default()` the rest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,10 +75,6 @@ pub struct SolveOptions {
     pub simplex: Option<SimplexOptions>,
     /// Discard the saved basis and solve from scratch.
     pub force_cold: bool,
-    /// Round cap for [`SolverSession::solve_gen`] /
-    /// [`SolverSession::solve_lazy`] / [`SolverSession::solve_colgen`];
-    /// `0` selects [`DEFAULT_MAX_ROUNDS`].
-    pub max_rounds: u32,
     /// Grouped tuning knobs (refactorization cadence, pricing
     /// parallelism); the all-zero default leaves every knob at its built-in
     /// default.
@@ -102,6 +92,23 @@ impl SolveOptions {
             ..SolveOptions::default()
         }
     }
+}
+
+/// One column to append through [`SolverSession::add_generated_cols`].
+///
+/// The column's coefficients land in *existing* rows — pairing a fresh
+/// column with pre-existing rows is the warm-safe growth direction (the
+/// saved basis never references the new column, so it enters nonbasic at
+/// bound and the next solve restarts warm).
+#[derive(Debug, Clone)]
+pub struct ColRequest {
+    pub name: String,
+    pub lb: f64,
+    pub ub: f64,
+    /// Objective coefficient of the new column.
+    pub obj: f64,
+    /// `(row, coefficient)` entries of the column.
+    pub terms: Vec<(RowId, f64)>,
 }
 
 /// Which mutation classes are pending since the last solve.
@@ -138,7 +145,7 @@ impl Mutations {
 /// sizes alone and are reproducible.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionStats {
-    /// Total solves (lazy rounds count individually).
+    /// Total solves (each round of a caller's generation loop is one).
     pub solves: u64,
     /// Solves that ran from a crash basis.
     pub cold_starts: u64,
@@ -164,11 +171,11 @@ pub struct SessionStats {
     /// (`e2ebench/src/layers.rs`) reads it as `lp.restricted`; it goes when
     /// the manifest drops that metric.
     pub restricted: u64,
-    /// Columns appended by pricing oracles through
-    /// [`SolverSession::add_generated_cols`] (the colgen growth path).
+    /// Columns appended through [`SolverSession::add_generated_cols`] (the
+    /// colgen growth path).
     pub columns_generated: u64,
-    /// Generation rounds that appended at least one priced column — the
-    /// restricted-master round count of the column-generation loops.
+    /// Non-empty [`SolverSession::add_generated_cols`] batches — the
+    /// restricted-master round count of the caller's pricing loop.
     pub colgen_rounds: u64,
     /// Sparse-LU refactorizations across all solves.
     pub refactors: u64,
@@ -384,11 +391,6 @@ impl SolverSession {
     /// The wrapped model (read-only; mutate through the session methods).
     pub fn model(&self) -> &Model {
         &self.model
-    }
-
-    /// Unwrap the model, discarding the saved basis.
-    pub fn into_model(self) -> Model {
-        self.model
     }
 
     /// Mutation classes pending since the last solve.
@@ -621,31 +623,16 @@ impl SolverSession {
         Ok(solution)
     }
 
-    // --- lazy generation --------------------------------------------------
+    // --- column growth ----------------------------------------------------
 
-    /// Append rows produced by a [`RowGen`] oracle through the session's
-    /// tracked growth path, returning `(key, row)` pairs in insertion
-    /// order. Appended rows seat their slack in the basis, so the next
-    /// solve restarts warm (dual).
-    pub fn add_generated_rows(&mut self, requests: Vec<RowRequest>) -> Vec<(u64, RowId)> {
-        requests
-            .into_iter()
-            .map(|r| {
-                let id = self.add_row(&r.name, r.expr, r.cmp, r.rhs);
-                (r.key, id)
-            })
-            .collect()
-    }
-
-    /// Append columns produced by a [`ColGen`] oracle through the session's
-    /// tracked growth path, returning `(key, var)` pairs in insertion
-    /// order. Each column lands as a fresh variable retrofitted into its
-    /// (pre-existing) rows — warm-safe, because the saved basis never
-    /// references the new column. Counts the columns into
-    /// [`SessionStats::columns_generated`] and, when the batch is
-    /// non-empty, one restricted-master round into
+    /// Append priced columns through the session's tracked growth path,
+    /// returning their variables in request order. Each column lands as a
+    /// fresh variable retrofitted into its (pre-existing) rows — warm-safe,
+    /// because the saved basis never references the new column. Counts the
+    /// columns into [`SessionStats::columns_generated`] and, when the batch
+    /// is non-empty, one restricted-master round into
     /// [`SessionStats::colgen_rounds`].
-    pub fn add_generated_cols(&mut self, requests: Vec<ColRequest>) -> Vec<(u64, Var)> {
+    pub fn add_generated_cols(&mut self, requests: Vec<ColRequest>) -> Vec<Var> {
         if !requests.is_empty() {
             self.stats.colgen_rounds += 1;
         }
@@ -657,70 +644,9 @@ impl SolverSession {
                     self.add_term(r, v, coef);
                 }
                 self.stats.columns_generated += 1;
-                (c.key, v)
+                v
             })
             .collect()
-    }
-
-    /// The unified generation loop: solve the restricted model **warm**,
-    /// ask the row oracle for violated rows and the column oracle for
-    /// columns that price out against the same tentative optimum, append
-    /// both, and repeat until neither side generates. The terminal
-    /// solution is then optimal for the full problem: absent rows are
-    /// satisfied with dual zero, absent columns are nonbasic at bound with
-    /// unfavorable reduced cost — the terminal duals are the certificate.
-    ///
-    /// Both oracles must be monotone (never retract, never repeat). Rows
-    /// and columns generated in the same round are appended rows-first, so
-    /// a column request may reference a row id returned by *earlier*
-    /// rounds but not one generated in the same round.
-    pub fn solve_gen(
-        &mut self,
-        rows: &mut dyn RowGen,
-        cols: &mut dyn ColGen,
-        opts: &SolveOptions,
-    ) -> Result<GenOutcome, SolveError> {
-        let max_rounds = if opts.max_rounds == 0 { DEFAULT_MAX_ROUNDS } else { opts.max_rounds };
-        let mut generated_rows = Vec::new();
-        let mut generated_cols = Vec::new();
-        let mut rounds = 0;
-        loop {
-            rounds += 1;
-            let solution = self.solve(opts)?;
-            let new_rows = rows.violated(&self.model, &solution);
-            let new_cols = cols.priced(&self.model, &solution);
-            if new_rows.is_empty() && new_cols.is_empty() {
-                return Ok(GenOutcome { solution, generated_rows, generated_cols, rounds });
-            }
-            if rounds >= max_rounds {
-                return Err(SolveError::IterationLimit { iterations: rounds as u64 });
-            }
-            generated_rows.extend(self.add_generated_rows(new_rows));
-            generated_cols.extend(self.add_generated_cols(new_cols));
-        }
-    }
-
-    /// Solve with lazy row generation only: [`SolverSession::solve_gen`]
-    /// with [`NoGen`] on the column side. Semantics match the
-    /// row-generation contract of [`crate::lazy`].
-    pub fn solve_lazy(
-        &mut self,
-        gen: &mut dyn RowGen,
-        opts: &SolveOptions,
-    ) -> Result<GenOutcome, SolveError> {
-        self.solve_gen(gen, &mut NoGen, opts)
-    }
-
-    /// Solve with column generation only: [`SolverSession::solve_gen`]
-    /// with [`NoGen`] on the row side. Each round re-solves the restricted
-    /// master warm from the saved basis and hands the duals to the pricing
-    /// oracle; the loop ends when no column prices out.
-    pub fn solve_colgen(
-        &mut self,
-        gen: &mut dyn ColGen,
-        opts: &SolveOptions,
-    ) -> Result<GenOutcome, SolveError> {
-        self.solve_gen(&mut NoGen, gen, opts)
     }
 }
 
@@ -932,41 +858,47 @@ mod tests {
         assert_eq!(s.stats().cache_hits, 1);
     }
 
+    /// The surviving column-growth path: two columns appended into existing
+    /// rows of a solved session re-solve warm to the optimum of a model that
+    /// had them from the start, and count as one restricted-master round.
     #[test]
-    fn lazy_rounds_reuse_basis() {
-        // max x + y, hidden rows generated lazily.
+    fn generated_cols_enter_existing_rows_warm() {
+        // Universe: columns worth 1, 2, 3, each taking one unit of a
+        // capacity-2 row. The master starts with the worst; full optimum 5.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, 10.0, 1.0);
-        let y = m.add_var("y", 0.0, 10.0, 1.0);
+        let x0 = m.add_var("x0", 0.0, 1.0, 1.0);
+        let cap = m.add_row("cap", LinExpr::from(x0), Cmp::Le, 2.0);
+        let mut full = m.clone();
         let mut s = SolverSession::new(m);
-        let hidden: Vec<(LinExpr, f64, u64)> =
-            vec![(LinExpr::from(x), 3.0, 0), (LinExpr::from(y), 2.0, 1), (x + y, 4.0, 2)];
-        let mut returned: rand::DetHashSet<u64> = Default::default();
-        let mut gen = move |_: &Model, sol: &Solution| {
-            let mut out = Vec::new();
-            for (e, rhs, k) in &hidden {
-                if !returned.contains(k) && e.eval(sol.values()) > rhs + 1e-7 {
-                    returned.insert(*k);
-                    out.push(crate::lazy::RowRequest {
-                        name: format!("h{k}"),
-                        expr: e.clone(),
-                        cmp: Cmp::Le,
-                        rhs: *rhs,
-                        key: *k,
-                    });
-                }
-            }
-            out
-        };
-        let out = s.solve_lazy(&mut gen, &SolveOptions::default()).unwrap();
-        assert!((out.solution.objective() - 4.0).abs() < 1e-7);
-        assert!(out.rounds >= 2);
-        // Only the first round was cold.
+        let first = s.solve(&SolveOptions::default()).unwrap();
+        assert!((first.objective() - 1.0).abs() < 1e-9);
+        let requests: Vec<ColRequest> = [2.0, 3.0]
+            .iter()
+            .map(|&obj| ColRequest {
+                name: format!("x{obj}"),
+                lb: 0.0,
+                ub: 1.0,
+                obj,
+                terms: vec![(cap, 1.0)],
+            })
+            .collect();
+        for c in &requests {
+            let v = full.add_var(&c.name, c.lb, c.ub, c.obj);
+            full.add_term(cap, v, 1.0);
+        }
+        let added = s.add_generated_cols(requests);
+        assert_eq!(added.len(), 2);
+        let sol = s.solve(&SolveOptions::default()).unwrap();
+        assert!(matches!(s.last_restart(), Some(Restart::WarmPrimal | Restart::WarmDual)));
+        let fresh = full.solve().unwrap();
+        assert!((sol.objective() - fresh.objective()).abs() < 1e-7);
+        assert!((sol.objective() - 5.0).abs() < 1e-7, "{}", sol.objective());
+        assert!(added.iter().all(|&v| (sol.value(v) - 1.0).abs() < 1e-7));
+        assert_eq!((s.stats().columns_generated, s.stats().colgen_rounds), (2, 1));
         assert_eq!(s.stats().cold_starts, 1);
-        assert!(s.stats().warm_dual >= 1, "{:?}", s.stats());
-        // Pure row generation reports no columns.
-        assert!(out.generated_cols.is_empty());
-        assert_eq!(s.stats().columns_generated, 0);
+        // An empty batch is not a round.
+        assert!(s.add_generated_cols(Vec::new()).is_empty());
+        assert_eq!(s.stats().colgen_rounds, 1);
     }
 
     #[test]
@@ -1010,32 +942,22 @@ mod tests {
     #[test]
     fn per_solve_factor_stats_sum_to_the_lifetime_counter() {
         // The factorization outlives every solve (it is the thread's), so a
-        // solve must report only its own share. Twenty-odd lazy rounds, each
-        // a warm re-solve after one appended row: the session's sums of the
+        // solve must report only its own share. Twenty rounds, each a warm
+        // re-solve after one appended row: the session's sums of the
         // per-solve stats equal what the one lifetime counter advanced by.
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<Var> = (0..24).map(|j| m.add_var("x", 0.0, 10.0, 1.0 + j as f64)).collect();
-        let mut next = 0;
-        let mut gen = move |_: &Model, sol: &Solution| {
-            let out: Vec<_> = (next < 20 && sol.value(vars[next]) > 1.0)
-                .then(|| crate::lazy::RowRequest {
-                    name: String::new(),
-                    expr: vars[next] + 0.5 * vars[next + 2],
-                    cmp: Cmp::Le,
-                    rhs: 1.0,
-                    key: next as u64,
-                })
-                .into_iter()
-                .collect();
-            next += 1;
-            out
-        };
         let mut s = SolverSession::new(m);
         let before = crate::simplex::lifetime_factor_stats();
-        let out = s.solve_lazy(&mut gen, &SolveOptions::default()).unwrap();
+        for next in 0..20 {
+            let sol = s.solve(&SolveOptions::default()).unwrap();
+            assert!(sol.value(vars[next]) > 1.0, "round {next} has nothing to cut");
+            s.add_row("", vars[next] + 0.5 * vars[next + 2], Cmp::Le, 1.0);
+        }
+        s.solve(&SolveOptions::default()).unwrap();
         let life = crate::simplex::lifetime_factor_stats().since(before);
         let st = s.stats();
-        assert!(out.rounds >= 20 && st.solves == out.rounds as u64, "{st:?}");
+        assert_eq!(st.solves, 21, "{st:?}");
         assert_eq!(
             (st.refactors, st.basis_nnz, st.factor_nnz, st.ft_updates, st.pivot_rejections),
             (

@@ -7,10 +7,10 @@
 //! with Markowitz pivot selection — each step pivots on an entry
 //! minimizing the fill bound `(r_i − 1)(c_j − 1)` among candidates passing
 //! a relative stability threshold — producing sparse `L`/`U` factors plus
-//! row and column permutations ([`markowitz`]).
+//! row and column permutations (`markowitz`).
 //!
 //! Basis exchanges between refactorizations apply *Forrest–Tomlin
-//! updates* ([`ft_update`]): the entering column's spike replaces a column
+//! updates* (`ft_update`): the entering column's spike replaces a column
 //! of `U`, the replaced pivot rotates to the end of the pivot order, and
 //! the stranded row is eliminated into a growing file of row etas. `U`
 //! stays genuinely triangular after every update, so FTRAN/BTRAN never
@@ -18,7 +18,7 @@
 //! rebuilt when the update file reaches `max_etas` or an update's new
 //! pivot is below tolerance.
 //!
-//! The two solve kernels ([`sparse`]) are the classic simplex primitives:
+//! The two solve kernels (`sparse`) are the classic simplex primitives:
 //! * `ftran`: solve `B·w = a` (entering column in basis coordinates),
 //! * `btran`: solve `yᵀ·B = cᵀ` (simplex multipliers / duals).
 //!

@@ -125,13 +125,6 @@ impl UsageTracker {
         net.edge_ids().map(|e| percentile::percentile(&self.utilization(net, e), 0.90)).collect()
     }
 
-    /// Peak (maximum) utilization per edge.
-    pub fn peak_utilizations(&self, net: &Network) -> Vec<f64> {
-        net.edge_ids()
-            .map(|e| self.utilization(net, e).into_iter().fold(0.0f64, f64::max))
-            .collect()
-    }
-
     /// Verify no edge exceeds its capacity by more than `tol` (fraction of
     /// capacity); returns offending `(edge, timestep, usage)` triples.
     pub fn capacity_violations(&self, net: &Network, tol: f64) -> Vec<(EdgeId, Timestep, f64)> {

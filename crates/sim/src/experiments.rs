@@ -1,8 +1,8 @@
 //! The computations behind the paper's evaluation (§6): the §6.1 scheme
-//! dispatch ([`Scheme`], [`solve_scheme`]) every sweep cell and
+//! dispatch ([`Scheme`], `solve_scheme`) every sweep cell and
 //! [`compare_schemes`] go through, and one `_on(config)` function per
 //! single-world figure/table (Figures 1, 5, 7, 10, Table 4). The
-//! [`crate::registry`] declares which of these run, at which points, and
+//! [`mod@crate::registry`] declares which of these run, at which points, and
 //! how their numbers fold into series.
 //!
 //! Absolute numbers differ from the paper (our substrate is a synthetic
@@ -14,7 +14,7 @@ use crate::report::Series;
 use crate::runner::{run_pretium, PretiumRun, Variant};
 use crate::scenario::{Scenario, ScenarioConfig};
 use pretium_baselines as baselines;
-use pretium_baselines::{OfflineConfig, Outcome, PricedOfflineConfig};
+use pretium_baselines::{OfflineConfig, Outcome};
 use pretium_core::PretiumConfig;
 use pretium_lp::SolveError;
 use pretium_net::percentile::{cdf_points, linear_fit, pearson, percentile, top_fraction_mean};
@@ -206,7 +206,6 @@ pub(crate) fn solve_scheme(
     cost_scale: f64,
 ) -> Result<SchemeOut, SolveError> {
     let off = OfflineConfig { cost_scale, ..Default::default() };
-    let priced = PricedOfflineConfig { cost_scale, ..Default::default() };
     let plain = |o| SchemeOut::Plain(Box::new(o));
     Ok(match scheme {
         Scheme::Opt => plain(baselines::opt(&s.net, &s.grid, s.horizon, &s.requests, &off)?),
@@ -222,7 +221,7 @@ pub(crate) fn solve_scheme(
             &s.grid,
             s.horizon,
             &s.requests,
-            &priced,
+            &off,
         )?)),
         Scheme::PeakOracle => {
             let peaks = baselines::peak_steps_from_trace(&s.trace, &s.grid);
@@ -232,11 +231,11 @@ pub(crate) fn solve_scheme(
                 s.horizon,
                 &s.requests,
                 &peaks,
-                &priced,
+                &off,
             )?))
         }
         Scheme::VcgLike => {
-            plain(baselines::vcg_like(&s.net, &s.grid, s.horizon, &s.requests, &priced)?)
+            plain(baselines::vcg_like(&s.net, &s.grid, s.horizon, &s.requests, &off)?)
         }
     })
 }

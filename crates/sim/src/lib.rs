@@ -12,9 +12,9 @@
 //!   SAM per timestep, PC per window) and the Figure 11 ablation variants.
 //! * [`experiments`] — the §6.1 scheme dispatch and the single-world
 //!   figure computations (Figures 1, 5, 7, 10, Table 4).
-//! * [`registry`] — every table/figure of §6 as one `Experiment` value:
+//! * [`mod@registry`] — every table/figure of §6 as one `Experiment` value:
 //!   sweeps as axis × schemes × fold, executed cell by cell on [`par`].
-//! * [`par`] — the work-stealing pool that runs evaluation cells.
+//! * [`par`] — the worker pool that runs evaluation cells.
 //! * [`incentives`] — the §5 misreporting study.
 //! * [`report`] — plain-text rendering of figures/tables.
 

@@ -1,4 +1,4 @@
-//! Work-stealing parallel evaluation engine.
+//! Parallel evaluation engine.
 //!
 //! The evaluation sweep grid — `(figure × axis point × scheme)` — is
 //! embarrassingly parallel: every *cell* builds its own seeded scenario (or
@@ -15,29 +15,21 @@
 //!   label** after all workers have parked — the pool itself is never
 //!   poisoned, and the remaining cells' results are simply discarded.
 //!
-//! The scheduler is a local, dependency-free rendition of the
-//! crossbeam-style injector/worker/stealer triad: cells are round-robined
-//! into per-worker FIFO deques up front (deterministic, keeps early cells
-//! early), each worker drains its own deque first, then steals from the
-//! busiest sibling. Deques are `Mutex<VecDeque>` — cells are
-//! coarse-grained (whole scheme solves, milliseconds to seconds), so lock
-//! traffic is noise; stealers use `try_lock` and retry on contention
-//! rather than blocking.
+//! The scheduler is one shared cursor over the declaration-ordered cells:
+//! a worker takes the next cell nobody has started, runs it, and leaves
+//! when the cursor is exhausted. Cells are coarse-grained (whole scheme
+//! solves, milliseconds to seconds), so one lock acquisition per cell is
+//! noise, and handing cells out one at a time balances load as well as
+//! stealing would.
 //!
-//! This pool is deliberately not built on `pretium-par`'s `run_stealing`,
-//! although both seed per-worker deques round-robin and steal from the
-//! busiest sibling. That pool's workers stay until a shared `remaining`
-//! counter reaches zero, spinning then yielding while they wait — right
-//! for a pricing section of 256 candidates that ends within microseconds,
-//! wrong for cells that run for seconds, where an idle worker would burn a
-//! core until the slowest cell finishes; here a worker that finds every
-//! deque empty leaves. Sharing one scheduler would make it branch on its
-//! caller. Whether the workspace keeps two pools is decided with
-//! `pricing_jobs` (ROADMAP item 5a): if sectioned pricing goes,
-//! `pretium-par` goes whole and this is the one pool.
+//! The workspace's one work-stealing scheduler is `pretium-par`'s
+//! `run_stealing`, which serves the simplex's sectioned pricing: its
+//! workers spin then yield on a shared `remaining` counter — right for a
+//! section of 256 candidates that ends within microseconds, wrong for
+//! cells that run for seconds. Whether that pool stays is decided with
+//! `pricing_jobs` alone (ROADMAP item 5a).
 
 use pretium_core::PoolTelemetry;
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -65,59 +57,6 @@ impl<T, E> Cell<T, E> {
     }
 }
 
-/// Outcome of one steal attempt (the crossbeam `Steal` shape).
-enum Steal<T> {
-    /// The deque was empty.
-    Empty,
-    /// A task was stolen.
-    Success(T),
-    /// The deque was contended; try again or move on.
-    Retry,
-}
-
-/// A FIFO/LIFO deque shared between one owner and any number of stealers.
-/// The owner pushes and pops the front; stealers take from the back with
-/// `try_lock` so they never block the owner.
-struct Deque<T> {
-    slots: Mutex<VecDeque<T>>,
-}
-
-impl<T> Deque<T> {
-    fn new() -> Self {
-        Deque { slots: Mutex::new(VecDeque::new()) }
-    }
-
-    fn push(&self, v: T) {
-        self.slots.lock().unwrap().push_back(v);
-    }
-
-    /// Owner end: earliest-declared task first.
-    fn pop(&self) -> Option<T> {
-        self.slots.lock().unwrap().pop_front()
-    }
-
-    /// Stealer end: latest task, without blocking on a contended lock.
-    fn steal(&self) -> Steal<T> {
-        match self.slots.try_lock() {
-            Ok(mut q) => match q.pop_back() {
-                Some(v) => Steal::Success(v),
-                None => Steal::Empty,
-            },
-            Err(_) => Steal::Retry,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.slots.lock().unwrap().len()
-    }
-}
-
-/// A task in flight: the cell plus its declaration index (its result slot).
-struct Task<T, E> {
-    index: usize,
-    cell: Cell<T, E>,
-}
-
 /// First panic observed in a worker, with the offending cell's label.
 #[derive(Default)]
 struct PanicSlot {
@@ -142,14 +81,14 @@ impl PanicSlot {
 /// declaration order, plus the pool's telemetry.
 ///
 /// Determinism contract: the returned vector depends only on the cells
-/// themselves — `jobs`, scheduling order, and steal races affect wall
-/// clock and telemetry, never results. `jobs <= 1` runs the same code
-/// path minus the threads (one in-line worker), so `--jobs 1` is the
-/// serial reference the determinism suite compares against.
+/// themselves — `jobs` and scheduling order affect wall clock and
+/// telemetry, never results. `jobs <= 1` runs the same code path minus the
+/// threads (one in-line worker), so `--jobs 1` is the serial reference the
+/// determinism suite compares against.
 ///
 /// A panic inside any cell cancels the not-yet-started cells, waits for
-/// in-flight ones, then re-panics with the cell's label; the pool (and
-/// every deque in it) unwinds cleanly rather than poisoning.
+/// in-flight ones, then re-panics with the cell's label; the pool unwinds
+/// cleanly rather than poisoning.
 pub fn run_cells<T, E>(jobs: usize, cells: Vec<Cell<T, E>>) -> (Vec<Result<T, E>>, PoolTelemetry)
 where
     T: Send,
@@ -159,54 +98,24 @@ where
     let workers = jobs.max(1).min(n.max(1));
     let started = Instant::now();
 
-    // Round-robin the cells into per-worker deques up front. Deterministic,
-    // keeps declaration-order locality (worker w gets cells w, w+k, ...),
-    // and leaves the steal path to do the load balancing.
-    let deques: Vec<Deque<Task<T, E>>> = (0..workers).map(|_| Deque::new()).collect();
-    for (index, cell) in cells.into_iter().enumerate() {
-        deques[index % workers].push(Task { index, cell });
-    }
+    // One shared cursor: each worker takes the earliest cell nobody has
+    // started. The lock is released before the cell runs.
+    let queue = Mutex::new(cells.into_iter().enumerate());
 
     let results: Mutex<Vec<Option<Result<T, E>>>> = Mutex::new((0..n).map(|_| None).collect());
     let abort = AtomicBool::new(false);
     let panicked = PanicSlot::default();
     let telemetry = Mutex::new(PoolTelemetry { workers, ..Default::default() });
 
-    let worker_loop = |me: usize| {
+    let worker_loop = || {
         let mut local_cells = pretium_core::ModuleStats::default();
-        let mut local_steals = 0u64;
         let mut slowest = (String::new(), 0u128);
         loop {
             if abort.load(Ordering::Relaxed) {
                 break;
             }
-            // Own deque first; then steal from the sibling with the most
-            // queued work (re-scanning on Retry).
-            let task = deques[me].pop().or_else(|| {
-                let mut spun = 0u32;
-                loop {
-                    let victim = (0..workers)
-                        .filter(|&w| w != me)
-                        .max_by_key(|&w| deques[w].len())
-                        .filter(|&w| deques[w].len() > 0);
-                    let v = victim?;
-                    match deques[v].steal() {
-                        Steal::Success(t) => {
-                            local_steals += 1;
-                            return Some(t);
-                        }
-                        Steal::Empty => return None,
-                        Steal::Retry => {
-                            spun += 1;
-                            if spun > 64 {
-                                std::thread::yield_now();
-                                spun = 0;
-                            }
-                        }
-                    }
-                }
-            });
-            let Some(Task { index, cell }) = task else { break };
+            let next = queue.lock().unwrap().next();
+            let Some((index, cell)) = next else { break };
             let Cell { label, run } = cell;
             let t0 = Instant::now();
             match panic::catch_unwind(AssertUnwindSafe(run)) {
@@ -230,15 +139,14 @@ where
             t.slowest_label = slowest.0;
         }
         t.cells.merge(&local_cells);
-        t.steals += local_steals;
     };
 
     if workers <= 1 {
-        worker_loop(0);
+        worker_loop();
     } else {
         std::thread::scope(|scope| {
-            for me in 0..workers {
-                scope.spawn(move || worker_loop(me));
+            for _ in 0..workers {
+                scope.spawn(worker_loop);
             }
         });
     }
@@ -294,6 +202,24 @@ mod tests {
         assert_eq!(out, (0..64).collect::<Vec<_>>());
         assert_eq!(t.cells.calls, 64);
         assert!(t.workers >= 1);
+    }
+
+    #[test]
+    fn one_worker_starts_cells_in_declaration_order() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc;
+        let clock = Arc::new(AtomicUsize::new(0));
+        let cells: Vec<Cell<usize, std::convert::Infallible>> = (0..32)
+            .map(|i| {
+                let clock = Arc::clone(&clock);
+                Cell::new(format!("cell/{i}"), move || Ok(clock.fetch_add(1, Ordering::SeqCst)))
+            })
+            .collect();
+        // Each cell returns the stamp it drew when it started; the cursor
+        // hands cells out front to back, so stamp == declaration index.
+        let (stamps, t) = run_cells_ok(1, cells);
+        assert_eq!(stamps, (0..32).collect::<Vec<_>>());
+        assert_eq!(t.workers, 1);
     }
 
     #[test]

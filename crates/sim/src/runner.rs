@@ -352,6 +352,19 @@ mod tests {
         assert_eq!(t.audit_violations, 0);
         let rendered = run.telemetry_report("telemetry");
         assert!(rendered.contains("audit sweeps"));
+        // One ledger per counter: no label may appear in both the module
+        // table and the LP table, with or without an "lp " prefix.
+        let mut labels: Vec<&str> = rendered
+            .lines()
+            .filter_map(|l| l.strip_prefix("  ")?.trim_start().split_once("  "))
+            .map(|(label, _)| label.trim_end())
+            .map(|label| label.strip_prefix("lp ").unwrap_or(label))
+            .collect();
+        assert!(labels.contains(&"refactors") && labels.contains(&"accepts admitted"));
+        let rows = labels.len();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), rows, "a counter is reported twice:\n{rendered}");
     }
 
     #[test]

@@ -58,11 +58,6 @@ pub struct Request {
 }
 
 impl Request {
-    /// Timesteps during which this request may transfer (inclusive range).
-    pub fn active_range(&self) -> std::ops::RangeInclusive<Timestep> {
-        self.start..=self.deadline
-    }
-
     /// Number of timesteps available.
     pub fn window_len(&self) -> usize {
         self.deadline - self.start + 1

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from synthetic world
 //! generation through every scheme, with system-level invariants.
 
-use pretium::baselines::{self, OfflineConfig, PricedOfflineConfig};
+use pretium::baselines::{self, OfflineConfig};
 use pretium::core::PretiumConfig;
 use pretium::sim::{run_pretium, ScenarioConfig, Variant};
 
@@ -13,23 +13,21 @@ fn tiny(seed: u64) -> pretium::sim::Scenario {
 fn all_schemes_run_and_respect_capacity() {
     let sc = tiny(21);
     let off = OfflineConfig::default();
-    let priced = PricedOfflineConfig::default();
     let mut outcomes = Vec::new();
     outcomes.push(baselines::opt(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap());
     outcomes.push(baselines::no_prices(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap());
     outcomes.push(
-        baselines::region_oracle(&sc.net, &sc.grid, sc.horizon, &sc.requests, &priced)
+        baselines::region_oracle(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off)
             .unwrap()
             .outcome,
     );
     let peaks = baselines::peak_steps_from_trace(&sc.trace, &sc.grid);
     outcomes.push(
-        baselines::peak_oracle(&sc.net, &sc.grid, sc.horizon, &sc.requests, &peaks, &priced)
+        baselines::peak_oracle(&sc.net, &sc.grid, sc.horizon, &sc.requests, &peaks, &off)
             .unwrap()
             .outcome,
     );
-    outcomes
-        .push(baselines::vcg_like(&sc.net, &sc.grid, sc.horizon, &sc.requests, &priced).unwrap());
+    outcomes.push(baselines::vcg_like(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap());
     outcomes.push(run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap().outcome);
     for o in &outcomes {
         let violations = o.usage.capacity_violations(&sc.net, 1e-4);
@@ -53,14 +51,13 @@ fn opt_dominates_every_scheme_in_proxy_terms() {
     // proxy/true-cost gap. Allow a small slack for that gap.
     let sc = tiny(22);
     let off = OfflineConfig::default();
-    let priced = PricedOfflineConfig::default();
     let w = |o: &baselines::Outcome| o.welfare(&sc.requests, &sc.net, &sc.grid, 1.0);
     let opt = baselines::opt(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap();
     let opt_w = w(&opt);
     let others = [
         w(&baselines::no_prices(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap()),
         w(&run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap().outcome),
-        w(&baselines::vcg_like(&sc.net, &sc.grid, sc.horizon, &sc.requests, &priced).unwrap()),
+        w(&baselines::vcg_like(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap()),
     ];
     for (i, &ow) in others.iter().enumerate() {
         assert!(ow <= opt_w * 1.02 + 1.0, "scheme {i} beat OPT: {ow} > {opt_w}");
@@ -74,9 +71,9 @@ fn pretium_profit_exceeds_vcg_profit() {
     let mut cfg = ScenarioConfig::tiny(23);
     cfg.load_factor = 3.0;
     let sc = cfg.build();
-    let priced = PricedOfflineConfig::default();
+    let off = OfflineConfig::default();
     let pretium = run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap();
-    let vcg = baselines::vcg_like(&sc.net, &sc.grid, sc.horizon, &sc.requests, &priced).unwrap();
+    let vcg = baselines::vcg_like(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap();
     let p_profit = pretium.outcome.profit(&sc.net, &sc.grid, 1.0);
     let v_profit = vcg.profit(&sc.net, &sc.grid, 1.0);
     assert!(p_profit > v_profit, "Pretium profit {p_profit} should exceed VCGLike {v_profit}");
