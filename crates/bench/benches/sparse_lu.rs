@@ -10,10 +10,12 @@
 //!
 //! Measured per scenario: refactorization wall-clock (both kernels),
 //! FTRAN/BTRAN wall-clock (both kernels), the Forrest–Tomlin update loop,
-//! and the fill-in ratio `nnz(L+U) / nnz(B)`. A counting global allocator
-//! additionally asserts the scratch-reuse contract: after one warm-up
-//! call, steady-state `ftran`/`btran` **and `refactor`** perform **zero**
-//! heap allocations.
+//! five capacity-shaped rows bordered onto the fresh factors
+//! (`append_rows`, what a lazy-row round costs a carried solve in place of a
+//! refactorization), and the fill-in ratio `nnz(L+U) / nnz(B)`. A counting
+//! global allocator additionally asserts the scratch-reuse contract: after
+//! one warm-up call, steady-state `ftran`/`btran`, `refactor` **and
+//! `append_row`** perform **zero** heap allocations.
 //!
 //! A third row, `resident_resolve`, measures the same contract one layer
 //! up: 200 warm re-solves of a staircase LP through a `SolverSession`,
@@ -22,13 +24,14 @@
 //! cached copy, and the basis snapshot).
 //!
 //! Set `SPARSE_LU_SMOKE=1` for the CI mode: fewer samples, the
-//! ≥ 1.5× colgen-scale refactor-speedup floor and the zero-allocation
-//! floors asserted, and no JSON written (a smoke run never clobbers
+//! ≥ 1.5× colgen-scale refactor-speedup floor, the border-under-a-third-of-
+//! a-refactorization floor and the zero-allocation floors asserted, and no
+//! JSON written (a smoke run never clobbers
 //! recorded numbers). Full mode writes `BENCH_sparse_lu.json`.
 
 use std::time::{Duration, Instant};
 
-use pretium_bench::{allocations, black_box, CountingAlloc};
+use pretium_bench::{allocations, black_box, provenance_json, CountingAlloc};
 use pretium_lp::simplex::basis::dense_ref::DenseBumpFactorization;
 use pretium_lp::simplex::basis::{Factorization, SparseCol};
 use pretium_lp::{Cmp, LinExpr, Model, Restart, Sense, SolveOptions, SolverSession};
@@ -42,6 +45,12 @@ const PIVOT_TOL: f64 = 1e-9;
 /// Acceptance floor: sparse refactorization must beat the dense bump by
 /// at least this factor at the colgen scale.
 const MIN_COLGEN_REFACTOR_SPEEDUP: f64 = 1.5;
+/// Rows bordered per `append_rows` sample: 73% of lazy-row rounds after the
+/// second append five rows or fewer (ISSUE 24's trace of `large_days`).
+const APPENDED_ROWS: usize = 5;
+/// Acceptance floor: bordering them must cost under this share of
+/// refactorizing the same basis.
+const MAX_BORDER_SHARE_OF_REFACTOR: f64 = 1.0 / 3.0;
 /// Ceiling on heap allocations per warm session re-solve: the returned
 /// `Solution` (3 vectors), the session's cached copy (3) and the basis
 /// snapshot (3), with room for the odd buffer growing as the model does.
@@ -110,6 +119,7 @@ struct ScenarioResult {
     sparse_refactor_us: f64,
     dense_refactor_us: f64,
     refactor_speedup: f64,
+    append_rows_us: f64,
     sparse_ftran_us: f64,
     dense_ftran_us: f64,
     sparse_btran_us: f64,
@@ -145,6 +155,32 @@ fn run_scenario(
     sparse.refactor(&refs).unwrap();
     let refactor_allocs = allocations() - allocs_before;
     assert_eq!(refactor_allocs, 0, "{name}: a warmed refactor allocated {refactor_allocs} times");
+
+    // --- bordered rows --------------------------------------------------
+    // Capacity-shaped rows (unit entries on a handful of basis positions),
+    // bordered onto the fresh factors; every sample starts from them again.
+    let rows: Vec<Vec<(u32, f64)>> = (0..APPENDED_ROWS)
+        .map(|_| {
+            let mut at: Vec<u32> =
+                (0..rng.gen_range(4..12)).map(|_| rng.gen_range(0..m as u32)).collect();
+            at.sort_unstable();
+            at.dedup();
+            at.into_iter().map(|pos| (pos, 1.0)).collect()
+        })
+        .collect();
+    let mut append_t: Vec<Duration> = Vec::new();
+    let mut append_allocs = 0;
+    for _ in 0..refactor_samples {
+        sparse.refactor(&refs).unwrap();
+        let allocs_before = allocations();
+        let t0 = Instant::now();
+        rows.iter().for_each(|row| sparse.append_row(black_box(row)));
+        append_t.push(t0.elapsed());
+        // Every sample after the first borders a warmed object.
+        append_allocs = allocations() - allocs_before;
+    }
+    assert_eq!(append_allocs, 0, "{name}: a warmed border allocated {append_allocs} times");
+    sparse.refactor(&refs).unwrap();
 
     let mut dense = DenseBumpFactorization::new(m, 0, PIVOT_TOL);
     let mut dense_t: Vec<Duration> = (0..dense_samples)
@@ -244,6 +280,7 @@ fn run_scenario(
         sparse_refactor_us: median_us(&mut sparse_t),
         dense_refactor_us: median_us(&mut dense_t),
         refactor_speedup: 0.0, // filled below
+        append_rows_us: median_us(&mut append_t),
         sparse_ftran_us,
         dense_ftran_us,
         sparse_btran_us,
@@ -324,7 +361,8 @@ fn main() {
         r.refactor_speedup = r.dense_refactor_us / r.sparse_refactor_us.max(1e-9);
         println!(
             "{:<8} m={:<5} nnz={:<6} fill={:.3}  refactor {:.1}us (dense {:.1}us, {:.2}x)  \
-             ftran {:.2}us/{:.2}us  btran {:.2}us/{:.2}us  ft-update {:.2}us ({} applied)",
+             ftran {:.2}us/{:.2}us  btran {:.2}us/{:.2}us  ft-update {:.2}us ({} applied)  \
+             {APPENDED_ROWS} bordered rows {:.2}us",
             r.name,
             r.m,
             r.basis_nnz,
@@ -338,6 +376,7 @@ fn main() {
             r.dense_btran_us,
             r.ft_update_us,
             r.ft_updates_applied,
+            r.append_rows_us,
         );
         println!("BENCH\tsparse_lu_{}_fill_ratio\t{:.3}", r.name, r.fill_ratio);
         println!("BENCH\tsparse_lu_{}_refactor_us\t{:.1}", r.name, r.sparse_refactor_us);
@@ -346,6 +385,14 @@ fn main() {
         println!("BENCH\tsparse_lu_{}_ftran_us\t{:.2}", r.name, r.sparse_ftran_us);
         println!("BENCH\tsparse_lu_{}_btran_us\t{:.2}", r.name, r.sparse_btran_us);
         println!("BENCH\tsparse_lu_{}_ft_update_us\t{:.2}", r.name, r.ft_update_us);
+        println!("BENCH\tsparse_lu_{}_append_rows_us\t{:.2}", r.name, r.append_rows_us);
+        assert!(
+            r.append_rows_us < MAX_BORDER_SHARE_OF_REFACTOR * r.sparse_refactor_us,
+            "{}: bordering {APPENDED_ROWS} rows took {:.1}us, a refactorization {:.1}us",
+            r.name,
+            r.append_rows_us,
+            r.sparse_refactor_us
+        );
         assert!(r.ft_updates_applied > 0, "{}: no FT update was ever accepted", r.name);
         assert!(r.fill_ratio < 10.0, "{}: pathological fill {:.1}", r.name, r.fill_ratio);
     }
@@ -373,9 +420,9 @@ fn main() {
 
     if smoke {
         println!(
-            "sparse_lu smoke: zero-allocation (ftran, btran, warmed refactor), resident \
-             re-solve allocation cap, fill, and {MIN_COLGEN_REFACTOR_SPEEDUP}x colgen refactor \
-             floors hold"
+            "sparse_lu smoke: zero-allocation (ftran, btran, warmed refactor, warmed border), \
+             resident re-solve allocation cap, fill, border under a third of a refactorization, \
+             and {MIN_COLGEN_REFACTOR_SPEEDUP}x colgen refactor floors hold"
         );
         return;
     }
@@ -387,7 +434,8 @@ fn main() {
              \"dense_refactor_us\": {:.1},\n      \"refactor_speedup\": {:.3},\n      \
              \"ftran_us\": {:.2},\n      \"dense_ftran_us\": {:.2},\n      \
              \"btran_us\": {:.2},\n      \"dense_btran_us\": {:.2},\n      \
-             \"ft_update_us\": {:.2},\n      \"ft_updates_applied\": {}\n    }}",
+             \"ft_update_us\": {:.2},\n      \"ft_updates_applied\": {},\n      \
+             \"append_rows\": {APPENDED_ROWS},\n      \"append_rows_us\": {:.2}\n    }}",
             r.name,
             r.m,
             r.basis_nnz,
@@ -401,16 +449,18 @@ fn main() {
             r.dense_btran_us,
             r.ft_update_us,
             r.ft_updates_applied,
+            r.append_rows_us,
         )
     };
     let json = format!(
-        "{{\n  \"bench\": \"sparse_lu\",\n  \"cores\": {},\n  \
+        "{{\n  \"bench\": \"sparse_lu\",\n  {},\n  \
          \"steady_state_solve_allocations\": 0,\n  \
-         \"allocations_per_warmed_refactor\": 0,\n  \"scenarios\": [\n{},\n{}\n  ],\n  \
+         \"allocations_per_warmed_refactor\": 0,\n  \
+         \"allocations_per_warmed_border\": 0,\n  \"scenarios\": [\n{},\n{}\n  ],\n  \
          \"resident_resolve\": {{\n    \"solves\": {},\n    \"rows\": {},\n    \"vars\": {},\n    \
          \"pivots_per_solve\": {:.1},\n    \"allocations_per_solve\": {:.0},\n    \
          \"us_per_solve\": {:.1}\n  }}\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        provenance_json(),
         cell(&results[0]),
         cell(&results[1]),
         rr.solves,

@@ -569,9 +569,9 @@ impl ScheduleSession {
         let mut col_rounds = 0;
         loop {
             rounds += 1;
-            let t0 = std::time::Instant::now();
+            let t0 = trace.then(std::time::Instant::now);
             let sol = self.sess.solve(opts)?;
-            if trace {
+            if let Some(t0) = t0 {
                 eprintln!(
                     "[schedule] round {rounds}: {} rows x {} vars, {:?} restart, {:?}",
                     self.sess.model().num_rows(),
@@ -625,24 +625,35 @@ impl ScheduleSession {
         sol: &Solution,
     ) -> bool {
         let mut progressed = false;
+        // One walk over the crossings, each one's usage summed once, for:
         // (a) capacity rows violated by the tentative schedule. Rows
         // that are merely *near* the limit are materialized too: when a
         // violated row is added, displaced flow tends to overflow its
         // neighbours in the next round, so pulling them in now saves
         // whole resolve rounds at a small LP-size cost.
+        // (b) cost encodings for percentile edges the schedule uses.
         let mut new_rows = Vec::new();
         let mut any_violated = false;
+        let mut new_encodings = Vec::new();
         for (&(e, t), vars) in &self.crossing {
-            if t < self.fixed_up_to || self.cap_rows.contains_key(&(e, t)) {
+            let uncapped = t >= self.fixed_up_to && !self.cap_rows.contains_key(&(e, t));
+            let w = self.grid.window_of(t);
+            let uncosted = net.edge(e).cost.is_percentile() && !self.costed.contains(&(e, w));
+            if !uncapped && !uncosted {
                 continue;
             }
             let usage: f64 = vars.iter().map(|&v| sol.value(v)).sum();
-            let cap = capacity(e, t);
-            if usage > cap + CAP_TOL * (1.0 + cap) {
-                new_rows.push((e, t, cap));
-                any_violated = true;
-            } else if usage > cap * NEAR_CAP_FRACTION {
-                new_rows.push((e, t, cap));
+            if uncapped {
+                let cap = capacity(e, t);
+                if usage > cap + CAP_TOL * (1.0 + cap) {
+                    new_rows.push((e, t, cap));
+                    any_violated = true;
+                } else if usage > cap * NEAR_CAP_FRACTION {
+                    new_rows.push((e, t, cap));
+                }
+            }
+            if uncosted && usage > USE_TOL {
+                new_encodings.push((e, w));
             }
         }
         if !any_violated {
@@ -654,21 +665,6 @@ impl ScheduleSession {
             let id = self.sess.add_row(&format!("cap_{e}_{t}"), expr, Cmp::Le, cap);
             self.cap_rows.insert((e, t), id);
             progressed = true;
-        }
-        // (b) cost encodings for percentile edges the schedule uses.
-        let mut new_encodings = Vec::new();
-        for (&(e, t), vars) in &self.crossing {
-            if !net.edge(e).cost.is_percentile() {
-                continue;
-            }
-            let w = self.grid.window_of(t);
-            if self.costed.contains(&(e, w)) {
-                continue;
-            }
-            let usage: f64 = vars.iter().map(|&v| sol.value(v)).sum();
-            if usage > USE_TOL {
-                new_encodings.push((e, w));
-            }
         }
         new_encodings.sort();
         new_encodings.dedup();

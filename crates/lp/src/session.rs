@@ -189,6 +189,15 @@ pub struct SessionStats {
     /// FT updates rejected on a too-small new diagonal (each forces a
     /// refactorization).
     pub pivot_rejections: u64,
+    /// Warm solves that continued from the state their predecessor left in
+    /// the thread's workspace instead of reloading the saved basis
+    /// (DESIGN.md §23); `warm_primal + warm_dual − carried` reloaded.
+    pub carried: u64,
+    /// Appended rows bordered onto the carried factors.
+    pub bordered_rows: u64,
+    /// Solves whose terminal `(x, y)` failed the residual certificate and
+    /// was recomputed from a fresh factorization.
+    pub terminal_refactors: u64,
     /// Sections executed by the deterministic parallel-pricing layer
     /// (simplex pricing sweeps plus any scheduler-side fan-out folded in
     /// via [`SolverSession::note_parallel_pricing`]). Deterministic for a
@@ -225,6 +234,9 @@ impl PartialEq for SessionStats {
             && self.factor_nnz == other.factor_nnz
             && self.ft_updates == other.ft_updates
             && self.pivot_rejections == other.pivot_rejections
+            && self.carried == other.carried
+            && self.bordered_rows == other.bordered_rows
+            && self.terminal_refactors == other.terminal_refactors
             && self.pricing_par_sections == other.pricing_par_sections
     }
 }
@@ -243,6 +255,8 @@ impl SessionStats {
         self.pricing_serial_nanos += solution.pricing_serial_nanos();
         self.pricing_par_nanos += solution.pricing_par_nanos();
         self.record_factor(solution.factor_stats());
+        self.carried += solution.carried as u64;
+        self.terminal_refactors += solution.terminal_refactor as u64;
         match restart {
             Restart::Cold => self.cold_starts += 1,
             Restart::WarmPrimal => self.warm_primal += 1,
@@ -256,6 +270,7 @@ impl SessionStats {
         self.factor_nnz += fs.factor_nnz;
         self.ft_updates += fs.ft_updates;
         self.pivot_rejections += fs.pivot_rejections;
+        self.bordered_rows += fs.bordered_rows;
     }
 
     /// Fraction of solves that reused the previous basis.
@@ -285,6 +300,9 @@ impl SessionStats {
         self.factor_nnz += other.factor_nnz;
         self.ft_updates += other.ft_updates;
         self.pivot_rejections += other.pivot_rejections;
+        self.carried += other.carried;
+        self.bordered_rows += other.bordered_rows;
+        self.terminal_refactors += other.terminal_refactors;
         self.pricing_par_sections += other.pricing_par_sections;
         self.pricing_par_steals += other.pricing_par_steals;
         self.pricing_serial_nanos += other.pricing_serial_nanos;
@@ -309,6 +327,9 @@ impl SessionStats {
             ("refactors".into(), self.refactors.to_string()),
             ("ft updates".into(), self.ft_updates.to_string()),
             ("pivot rejections".into(), self.pivot_rejections.to_string()),
+            ("lp carried solves".into(), self.carried.to_string()),
+            ("lp bordered rows".into(), self.bordered_rows.to_string()),
+            ("lp terminal refactors".into(), self.terminal_refactors.to_string()),
             ("pricing par sections".into(), self.pricing_par_sections.to_string()),
             ("pricing par steals".into(), self.pricing_par_steals.to_string()),
             (
@@ -330,8 +351,9 @@ impl SessionStats {
 
 /// A [`Model`] plus the simplex state of its last solve: the saved basis
 /// and the solver's standard form of the model. (The basis factorization
-/// and the solver's scratch buffers are resident too, once per thread; they
-/// carry nothing between solves but their capacity.)
+/// and the solver's scratch buffers are resident too, once per thread; the
+/// thread's last solve leaves its terminal state there, and the session
+/// that ran it continues from it if it is also the next to solve.)
 ///
 /// Created with [`SolverSession::new`] (or [`Model::into_session`]); see the
 /// [module docs](self) for the restart rules. The session exposes the same
@@ -339,7 +361,10 @@ impl SessionStats {
 /// snapshot, the resident standard form and mutation tracking stay
 /// consistent. A warm re-solve copies only what was appended to the model
 /// into the standard form and allocates nothing but the solution and the
-/// basis snapshot it returns; a clone re-solves bit-identically.
+/// basis snapshot it returns. A clone re-solves bit-identically from the
+/// same starting stage: of a session and its clone, whichever solves second
+/// reloads the saved basis where the first continued in place — the same
+/// certified optimum, not the same bits (DESIGN.md §23).
 #[derive(Debug, Clone)]
 pub struct SolverSession {
     model: Model,
@@ -349,6 +374,10 @@ pub struct SolverSession {
     /// `solve_model_session` rebuilds it whenever it solves without one.
     resident: Problem,
     pending: Mutations,
+    /// The cost of a column the saved basis knows changed since the last
+    /// solve: the reduced costs and duals that solve left behind are stale,
+    /// so the next one reloads instead of carrying.
+    old_cost_moved: bool,
     stats: SessionStats,
     last_restart: Option<Restart>,
     /// Model size at the last basis snapshot; columns/rows past these marks
@@ -380,6 +409,7 @@ impl SolverSession {
             basis: None,
             resident: Problem::default(),
             pending: Mutations::default(),
+            old_cost_moved: false,
             stats: SessionStats::default(),
             last_restart: None,
             solved_vars: 0,
@@ -516,6 +546,7 @@ impl SolverSession {
     /// See [`Model::set_obj`].
     pub fn set_obj(&mut self, v: Var, obj: f64) {
         self.pending.obj = true;
+        self.old_cost_moved |= v.index() < self.solved_vars;
         self.model.set_obj(v, obj);
     }
 
@@ -611,9 +642,15 @@ impl SolverSession {
         }
         let simplex = self.effective_simplex(opts);
         let warm = if opts.force_cold { None } else { self.basis.as_ref() };
-        let (solution, basis, restart) =
-            solve_model_session(&self.model, &simplex, warm, &mut self.resident)?;
+        let (solution, basis, restart) = solve_model_session(
+            &self.model,
+            &simplex,
+            warm,
+            !self.old_cost_moved,
+            &mut self.resident,
+        )?;
         self.basis = Some(basis);
+        self.old_cost_moved = false;
         self.stats.record(restart, &solution);
         self.last_restart = Some(restart);
         self.pending = Mutations::default();
@@ -659,6 +696,7 @@ impl From<Model> for SolverSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simplex::Pricing;
     use crate::{Sense, Status};
 
     fn toy() -> (SolverSession, Var, Var, RowId, RowId) {
@@ -945,6 +983,9 @@ mod tests {
         // solve must report only its own share. Twenty rounds, each a warm
         // re-solve after one appended row: the session's sums of the
         // per-solve stats equal what the one lifetime counter advanced by.
+        // Uninterrupted, every round carries: its row borders the factors
+        // and the refactorization cadence, not the solve count, sets how
+        // often they are rebuilt.
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<Var> = (0..24).map(|j| m.add_var("x", 0.0, 10.0, 1.0 + j as f64)).collect();
         let mut s = SolverSession::new(m);
@@ -959,16 +1000,25 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.solves, 21, "{st:?}");
         assert_eq!(
-            (st.refactors, st.basis_nnz, st.factor_nnz, st.ft_updates, st.pivot_rejections),
+            (
+                st.refactors,
+                st.basis_nnz,
+                st.factor_nnz,
+                st.ft_updates,
+                st.pivot_rejections,
+                st.bordered_rows
+            ),
             (
                 life.refactors,
                 life.basis_nnz,
                 life.factor_nnz,
                 life.ft_updates,
-                life.pivot_rejections
+                life.pivot_rejections,
+                life.bordered_rows
             )
         );
-        assert!(st.refactors >= st.solves && st.ft_updates >= 20, "{st:?}");
+        assert!(st.refactors < st.solves && st.ft_updates >= 20, "{st:?}");
+        assert_eq!((st.carried, st.bordered_rows, st.terminal_refactors), (20, 20, 0), "{st:?}");
     }
 
     #[test]
@@ -1090,6 +1140,11 @@ mod tests {
             var: usize,
             frac: f64,
         },
+        /// `FixAtValue` with the value worked out ([`pinned`]).
+        Pin {
+            var: usize,
+            at: f64,
+        },
         SetRhs {
             row: usize,
             rhs: f64,
@@ -1142,6 +1197,20 @@ mod tests {
         }
     }
 
+    /// `op` with a `FixAtValue` resolved against `s`'s cached solution, so
+    /// that it replays the same on a session whose optimum is another vertex.
+    fn pinned(op: &Op, s: &SolverSession) -> Op {
+        match *op {
+            Op::FixAtValue { var, frac } => {
+                let v = Var::from_index(var);
+                let at = s.cached_solution().map_or(0.0, |sol| sol.value(v) * frac);
+                let (lb, ub) = s.model().bounds(v);
+                Op::Pin { var, at: at.clamp(lb, ub) }
+            }
+            ref other => other.clone(),
+        }
+    }
+
     fn apply(op: &Op, s: &mut SolverSession) {
         let var = Var::from_index;
         match *op {
@@ -1154,11 +1223,8 @@ mod tests {
             }
             Op::AddTerm { row, var: j, coef } => s.add_term(RowId::from_index(row), var(j), coef),
             Op::SetBounds { var: j, lb, ub } => s.set_bounds(var(j), lb, ub),
-            Op::FixAtValue { var: j, frac } => {
-                let at = s.cached_solution().map_or(0.0, |sol| sol.value(var(j)) * frac);
-                let (lb, ub) = s.model().bounds(var(j));
-                s.fix_at_value(var(j), at.clamp(lb, ub));
-            }
+            Op::FixAtValue { .. } => apply(&pinned(op, s), s),
+            Op::Pin { var: j, at } => s.fix_at_value(var(j), at),
             Op::SetRhs { row, rhs } => s.set_rhs(RowId::from_index(row), rhs),
             Op::SetObj { var: j, obj } => s.set_obj(var(j), obj),
             Op::Append { ub, obj, rhs } => s.append_with(|m| {
@@ -1231,5 +1297,166 @@ mod tests {
             }
         }
         assert!(warm * 2 > solves, "only {warm} of {solves} solves restarted warm");
+    }
+
+    /// The three counters of a solve's start and end are merged, compared and
+    /// printed like their neighbours.
+    #[test]
+    fn carry_counters_are_merged_compared_and_rendered() {
+        let st = SessionStats {
+            carried: 7,
+            bordered_rows: 11,
+            terminal_refactors: 3,
+            ..SessionStats::default()
+        };
+        let rows = st.rows();
+        let row = |label: &str| rows.iter().find(|(l, _)| l == label).map(|(_, v)| v.as_str());
+        assert_eq!(row("lp carried solves"), Some("7"));
+        assert_eq!(row("lp bordered rows"), Some("11"));
+        assert_eq!(row("lp terminal refactors"), Some("3"));
+        assert_eq!(rows.len(), 22);
+        let mut twice = st;
+        twice.merge(st);
+        assert_eq!((twice.carried, twice.bordered_rows, twice.terminal_refactors), (14, 22, 6));
+        for one in [
+            SessionStats { carried: 1, ..SessionStats::default() },
+            SessionStats { bordered_rows: 1, ..SessionStats::default() },
+            SessionStats { terminal_refactors: 1, ..SessionStats::default() },
+        ] {
+            assert_ne!(one, SessionStats::default());
+        }
+    }
+
+    // --- carried simplex state: continue in place, or reload ------------------
+
+    /// Carrying is an optimization only. A session that solves uninterrupted
+    /// continues, round after round, from the state its last solve left in
+    /// the thread's workspace; its twin is driven through the same mutations
+    /// but has a decoy session solve before each of its solves, so it finds
+    /// the workspace owned by someone else and reloads its saved basis every
+    /// time — the parent's path. Both must classify the restart the same way
+    /// and return certified optima of equal value; not the same bits, because
+    /// a degenerate LP has many optimal vertices.
+    #[test]
+    fn carrying_session_matches_reloading_twin() {
+        use crate::validate::check_optimal;
+        let opts = SolveOptions::default();
+        let cold = SolveOptions { force_cold: true, ..SolveOptions::default() };
+        let (mut eligible, mut carried, mut warm) = (0u64, 0u64, 0u64);
+        for seed in 0..60u64 {
+            let mut g = Gen((0xCA44 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let base = schedule_shaped(&mut g);
+            // The uninterrupted run, recorded.
+            let mut alone = SolverSession::new(base.clone());
+            let mut script = Vec::new();
+            let mut prev_ok = false;
+            for _ in 0..10 {
+                let (fresh, known) = (alone.model().num_vars(), alone.solved_vars);
+                let mut old_cost_moved = false;
+                let ops: Vec<Op> = (0..1 + g.index(4))
+                    .map(|_| {
+                        let m = alone.model();
+                        let op =
+                            pinned(&random_op(&mut g, m.num_vars(), m.num_rows(), fresh), &alone);
+                        old_cost_moved |= matches!(op, Op::SetObj { var, .. } if var < known);
+                        apply(&op, &mut alone);
+                        op
+                    })
+                    .collect();
+                let force_cold = g.chance(0.05);
+                let before = alone.stats();
+                let result = alone.solve(if force_cold { &cold } else { &opts });
+                let did_carry = alone.stats().carried - before.carried == 1;
+                // (A clean session answers from its cache and runs nothing.)
+                let ran_warm = alone.stats().cold_starts == before.cold_starts
+                    && alone.stats().solves - before.solves == 1;
+                let may_carry = prev_ok && ran_warm && !old_cost_moved;
+                assert!(may_carry || !did_carry, "seed {seed}: carried a solve that must reload");
+                eligible += may_carry as u64;
+                carried += did_carry as u64;
+                prev_ok = result.is_ok();
+                script.push((ops, force_cold, result, alone.last_restart()));
+            }
+            // The twin, interrupted before every solve.
+            let mut twin = SolverSession::new(base.clone());
+            let mut decoy = SolverSession::new(base);
+            for (batch, (ops, force_cold, want, restart)) in script.into_iter().enumerate() {
+                ops.iter().for_each(|op| apply(op, &mut twin));
+                decoy.solve(&cold).unwrap();
+                let got = twin.solve(if force_cold { &cold } else { &opts });
+                let what = format!("seed {seed} batch {batch}");
+                assert_eq!(got.is_ok(), want.is_ok(), "{what}: {got:?} vs {want:?}");
+                let (Ok(got), Ok(want)) = (got, want) else { continue };
+                assert_eq!(twin.last_restart(), restart, "{what}");
+                let tol = 1e-9 * (1.0 + want.objective().abs());
+                assert!((got.objective() - want.objective()).abs() <= tol, "{what}");
+                for sol in [&got, &want] {
+                    let bad = check_optimal(twin.model(), sol, 1e-7);
+                    assert!(bad.is_empty(), "{what}: {bad:?}");
+                }
+                warm += (restart != Some(Restart::Cold)) as u64;
+            }
+            assert_eq!(twin.stats().carried, 0, "seed {seed}: the twin never owns the workspace");
+        }
+        assert!(
+            warm > 300 && eligible * 10 > warm * 8,
+            "{eligible} of {warm} warm solves eligible"
+        );
+        assert_eq!(carried, eligible, "a solve that may continue in place does");
+    }
+
+    /// The stamp rules, one each: what makes the next solve reload.
+    #[test]
+    fn only_the_last_solver_on_a_thread_carries() {
+        let opts = SolveOptions::default();
+        let carried = |s: &mut SolverSession, opts: &SolveOptions, rhs: f64| {
+            let before = s.stats().carried;
+            s.set_rhs(RowId::from_index(0), rhs);
+            let obj = s.solve(opts).unwrap().objective();
+            (s.stats().carried - before == 1, obj)
+        };
+        let (mut s, ..) = toy();
+        s.solve(&opts).unwrap();
+        assert!(carried(&mut s, &opts, 7.0).0, "uninterrupted: continues in place");
+
+        // A clone and its original hold the same stamp: whichever solves first
+        // finds the workspace its own, the other finds it taken.
+        let mut twin = s.clone();
+        let (first, obj) = carried(&mut twin, &opts, 3.0);
+        let (second, obj2) = carried(&mut s, &opts, 3.0);
+        assert!(first && !second, "clone {first}, original {second}");
+        assert_eq!(obj, obj2);
+
+        // Another thread has another workspace.
+        std::thread::scope(|scope| {
+            let moved = scope.spawn(|| carried(&mut s, &opts, 5.0).0);
+            assert!(!moved.join().unwrap(), "solved on a new thread");
+        });
+        assert!(!carried(&mut s, &opts, 4.0).0, "and back: this workspace was the clone's since");
+        assert!(carried(&mut s, &opts, 4.5).0);
+
+        // A solve that fails owns nothing.
+        let x = Var::from_index(0);
+        let floor = s.add_row("floor", 1.0 * x, Cmp::Ge, 50.0);
+        assert!(s.solve(&opts).is_err());
+        s.set_rhs(floor, 0.0);
+        assert!(!carried(&mut s, &opts, 4.0).0, "after an error");
+
+        // Neither does a cold one carry, asked for or forced by `invalidate`.
+        let cold = SolveOptions { force_cold: true, ..SolveOptions::default() };
+        assert!(!carried(&mut s, &cold, 5.0).0, "force_cold");
+        s.invalidate();
+        assert!(!carried(&mut s, &opts, 6.0).0, "invalidate");
+        assert!(carried(&mut s, &opts, 5.0).0);
+
+        // Dantzig pricing keeps no reduced costs: it neither continues from a
+        // state nor leaves one to continue from.
+        let dantzig = SolveOptions {
+            simplex: Some(SimplexOptions { pricing: Pricing::Dantzig, ..Default::default() }),
+            ..SolveOptions::default()
+        };
+        assert!(!carried(&mut s, &dantzig, 4.0).0, "Dantzig after Devex");
+        assert!(!carried(&mut s, &dantzig, 5.0).0, "Dantzig after Dantzig");
+        assert!(!carried(&mut s, &opts, 4.0).0, "Devex after Dantzig");
     }
 }

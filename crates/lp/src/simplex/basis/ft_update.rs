@@ -16,6 +16,12 @@
 //! `s_t − Σ r_k·s_k`; if it falls below the pivot tolerance the update is
 //! *rejected before anything is committed* and the caller refactorizes.
 //!
+//! Appending a row `r` whose slack is basic (`append_row`) is the same
+//! elimination without a spike: the bordered `U` is `[[U, 0], [r, 1]]`, its
+//! last row is stranded whole below the diagonal, and eliminating it
+//! against *every* pivot leaves the multipliers `r·U⁻¹` as a row eta and a
+//! new pivot of exactly 1.
+//!
 //! Cost per update: the row elimination and the spike's own nonzeros, in
 //! exchange for solve kernels that never degrade (U stays truly
 //! triangular, unlike a product-form eta file).
@@ -27,16 +33,12 @@ pub(super) fn apply(f: &mut Factorization, pos: usize) -> bool {
     if !f.spike_live {
         return false;
     }
-    let m = f.m;
     let t = f.slot_of_pos[pos] as usize;
 
     // Eliminate row t against every later pivot (in pivot order),
     // collecting the row-eta terms. Scratch only — nothing is committed
     // until the new pivot passes the tolerance check.
-    f.stamp += 1;
-    let stamp = f.stamp;
-    grow(&mut f.rowbuf, m, 0.0);
-    grow(&mut f.rowstamp, m, 0);
+    let stamp = begin_row(f);
     for &(j, u) in f.urows.get(t) {
         f.rowbuf[j as usize] = u;
         f.rowstamp[j as usize] = stamp;
@@ -44,26 +46,11 @@ pub(super) fn apply(f: &mut Factorization, pos: usize) -> bool {
     // The terms go straight onto the end of the eta file and are cut off
     // again if the update is rejected.
     let terms_from = f.eta_terms.len();
-    let mut new_diag = f.spike[t];
-    for i in (f.ord[t] as usize + 1)..m {
-        let k = f.perm[i] as usize;
-        if f.rowstamp[k] != stamp || f.rowbuf[k] == 0.0 {
-            continue;
-        }
-        let r = f.rowbuf[k] / f.udiag[k];
-        f.eta_terms.push((k as u32, r));
-        // Row k's entry in the spike column contributes to the diagonal.
-        new_diag -= r * f.spike[k];
-        for &(j, u) in f.urows.get(k) {
-            let jj = j as usize;
-            if f.rowstamp[jj] == stamp {
-                f.rowbuf[jj] -= r * u;
-            } else {
-                f.rowstamp[jj] = stamp;
-                f.rowbuf[jj] = -r * u;
-            }
-        }
-    }
+    eliminate_row(f, f.ord[t] as usize + 1, stamp);
+    // Row k's entry in the spike column contributes to the diagonal.
+    let new_diag = f.eta_terms[terms_from..]
+        .iter()
+        .fold(f.spike[t], |diag, &(k, r)| diag - r * f.spike[k as usize]);
     if new_diag.abs() <= f.pivot_tol {
         f.eta_terms.truncate(terms_from);
         f.stats.pivot_rejections += 1;
@@ -94,6 +81,7 @@ pub(super) fn apply(f: &mut Factorization, pos: usize) -> bool {
     }
     f.udiag[t] = new_diag;
     // Rotate slot t to the end of the pivot order.
+    let m = f.m;
     let p0 = f.ord[t] as usize;
     for i in p0..m - 1 {
         f.perm[i] = f.perm[i + 1];
@@ -111,4 +99,83 @@ pub(super) fn apply(f: &mut Factorization, pos: usize) -> bool {
     f.stats.ft_updates += 1;
     f.spike_live = false;
     true
+}
+
+/// Start a working row over the current slots: a fresh validity stamp for
+/// `rowbuf` entries.
+fn begin_row(f: &mut Factorization) -> u64 {
+    f.stamp += 1;
+    grow(&mut f.rowbuf, f.m, 0.0);
+    grow(&mut f.rowstamp, f.m, 0);
+    f.stamp
+}
+
+/// Eliminate the working row (`rowbuf` where `rowstamp == stamp`) against
+/// the pivots from place `from` of the pivot order on, left to right,
+/// pushing one `(slot, multiplier)` term per pivot it meets onto the eta
+/// file: the multipliers are the row times `U⁻¹` over those pivots.
+fn eliminate_row(f: &mut Factorization, from: usize, stamp: u64) {
+    for i in from..f.m {
+        let k = f.perm[i] as usize;
+        if f.rowstamp[k] != stamp || f.rowbuf[k] == 0.0 {
+            continue;
+        }
+        let r = f.rowbuf[k] / f.udiag[k];
+        f.eta_terms.push((k as u32, r));
+        for &(j, u) in f.urows.get(k) {
+            let jj = j as usize;
+            if f.rowstamp[jj] == stamp {
+                f.rowbuf[jj] -= r * u;
+            } else {
+                f.rowstamp[jj] = stamp;
+                f.rowbuf[jj] = -r * u;
+            }
+        }
+    }
+}
+
+/// Border the factors with one row and its unit slack column:
+/// `B' = [[B, 0], [r, 1]]`, `r` given over basis positions. With
+/// `Λ = L·R₁·…·R_K`,
+///
+/// ```text
+/// [[Λ·U, 0], [r, 1]] = [[Λ, 0], [0, 1]] · (I + e_m·ρᵀ) · [[U, 0], [0, 1]],   ρᵀ·U = r
+/// ```
+///
+/// so the new slot joins the end of the pivot order with pivot 1 and empty
+/// `L`/`U` lists, and `ρ = r·U⁻¹` — the elimination of a stranded row that
+/// [`apply`] runs — is one more row eta. Nothing can be refused: the new
+/// pivot is exactly 1.
+pub(super) fn append_row(f: &mut Factorization, row: &[(u32, f64)]) {
+    let stamp = begin_row(f);
+    for &(pos, v) in row {
+        let s = f.slot_of_pos[pos as usize] as usize;
+        f.rowbuf[s] = v;
+        f.rowstamp[s] = stamp;
+    }
+    let terms_from = f.eta_terms.len();
+    eliminate_row(f, 0, stamp);
+    let slot = f.m as u32;
+    f.l_start.push(f.l_data.len() as u32);
+    f.ucols.add_segments(1);
+    f.urows.add_segments(1);
+    f.udiag.push(1.0);
+    for v in [
+        &mut f.perm,
+        &mut f.ord,
+        &mut f.row_of_slot,
+        &mut f.slot_of_row,
+        &mut f.pos_of_slot,
+        &mut f.slot_of_pos,
+    ] {
+        v.push(slot);
+    }
+    if f.eta_terms.len() > terms_from {
+        f.eta_slot.push(slot);
+        f.eta_start.push(f.eta_terms.len() as u32);
+    }
+    f.m += 1;
+    f.updates += 1;
+    f.stats.bordered_rows += 1;
+    f.spike_live = false;
 }

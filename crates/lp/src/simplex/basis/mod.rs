@@ -16,7 +16,9 @@
 //! stays genuinely triangular after every update, so FTRAN/BTRAN never
 //! degrade the way a product-form eta file does; the factorization is
 //! rebuilt when the update file reaches `max_etas` or an update's new
-//! pivot is below tolerance.
+//! pivot is below tolerance. A row appended to the LP with its slack basic
+//! *borders* the factors the same way (`Factorization::append_row`): one
+//! row elimination, one more row eta, no refactorization.
 //!
 //! The two solve kernels (`sparse`) are the classic simplex primitives:
 //! * `ftran`: solve `B·w = a` (entering column in basis coordinates),
@@ -70,6 +72,8 @@ pub struct FactorStats {
     /// Updates refused because the new pivot fell below tolerance (each
     /// forces the caller to refactorize).
     pub pivot_rejections: u64,
+    /// Rows bordered onto the factors by [`Factorization::append_row`].
+    pub bordered_rows: u64,
     /// Forward solves (`ftran` and `ftran_dense`).
     pub ftrans: u64,
     /// Backward solves (`btran`).
@@ -93,6 +97,7 @@ impl FactorStats {
             factor_nnz: self.factor_nnz - earlier.factor_nnz,
             ft_updates: self.ft_updates - earlier.ft_updates,
             pivot_rejections: self.pivot_rejections - earlier.pivot_rejections,
+            bordered_rows: self.bordered_rows - earlier.bordered_rows,
             ftrans: self.ftrans - earlier.ftrans,
             btrans: self.btrans - earlier.btrans,
         }
@@ -216,7 +221,13 @@ impl Factorization {
     /// so it counts *updates* (including identity ones that stored no
     /// eta), not stored etas.
     pub fn wants_refactor(&self) -> bool {
-        self.updates >= self.max_etas
+        self.updates_left() == 0
+    }
+
+    /// Updates (bordered rows included) the file still takes before
+    /// [`Factorization::wants_refactor`] turns true.
+    pub fn updates_left(&self) -> usize {
+        self.max_etas.saturating_sub(self.updates)
     }
 
     /// Factorize the basis given by `columns` (one sparse column per basis
@@ -279,6 +290,16 @@ impl Factorization {
     /// a clone included, does not count).
     pub fn update(&mut self, pos: usize) -> bool {
         ft_update::apply(self, pos)
+    }
+
+    /// Grow the factored basis by one row and one column: the new row has
+    /// the entries `row`, `(basis position, value)` with positions distinct,
+    /// on the old columns, and the new column — the last basis position — is
+    /// the unit vector of the new row (its slack). Costs one row elimination
+    /// and counts as one update toward the refactorization cadence; never
+    /// refused, because the new pivot is exactly 1.
+    pub fn append_row(&mut self, row: &[(u32, f64)]) {
+        ft_update::append_row(self, row);
     }
 }
 

@@ -21,6 +21,7 @@ use crate::model::{Cmp, Model, Sense};
 use crate::solution::{Solution, SolveError, Status};
 use basis::arena::{grow, refill, reserve_tight, SegArena};
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Entering-variable pricing strategy for the primal simplex.
 ///
@@ -219,6 +220,12 @@ pub(crate) enum BasisKey {
 /// A basis snapshot taken after a successful solve, in append-stable form.
 #[derive(Debug, Clone)]
 pub(crate) struct WarmBasis {
+    /// Stamp of that solve — unique in the process, `0` when the solve left
+    /// nothing to continue from. While the solving thread's workspace still
+    /// carries the same stamp, it holds the whole terminal state this is a
+    /// snapshot of, and the next solve may continue there instead of
+    /// reloading (DESIGN.md §23).
+    pub stamp: u64,
     /// Basic column per row position (`keys.len()` = rows at snapshot time).
     pub keys: Vec<BasisKey>,
     /// Rest state per structural variable at snapshot time.
@@ -255,13 +262,19 @@ fn name_fns(model: &Model) -> (impl Fn(usize) -> String + '_, impl Fn(usize) -> 
 thread_local! {
     /// The solver workspace — factorization, elimination arenas, every
     /// per-column and per-row scratch vector — shared by all solves on this
-    /// thread. It carries nothing from one solve to the next but its
-    /// buffers, so it need not belong to a session: an idle session then
-    /// pins only its standard form, and a thread holds one workspace the
-    /// size of its largest LP (until it exits) rather than one per live
-    /// session.
+    /// thread. It need not belong to a session: an idle session pins only
+    /// its standard form, and a thread holds one workspace the size of its
+    /// largest LP (until it exits) rather than one per live session. What
+    /// it carries from one solve to the next, besides its buffers, is the
+    /// terminal state of the last solve under that solve's stamp — of use
+    /// only to the session that ran it, and only if it solves next.
     static WORK: RefCell<solver::Workspace> = RefCell::default();
 }
+
+/// Source of solve stamps. A stamp names one solve and is only ever compared
+/// for equality with the copy that solve left in its thread's workspace, so
+/// it orders nothing and publishes nothing.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// Run `f` on this thread's workspace. No solve starts inside another (row
 /// and column generators run between solves), so the borrow cannot fail.
@@ -315,9 +328,15 @@ fn finish_solution(
     let objective: f64 = model.vars.iter().enumerate().map(|(j, v)| v.obj * values[j]).sum::<f64>()
         + model.obj_offset;
     let duals: Vec<f64> = work.y.iter().map(|&y| sign * y).collect();
-    let reduced_costs: Vec<f64> = (0..model.vars.len())
-        .map(|j| sign * problem.reduced_cost(j, &problem.cost, &work.y))
-        .collect();
+    // The same numbers either way: `reprice` wrote `d` by this formula from
+    // this `y`.
+    let reduced_costs: Vec<f64> = if outcome.fresh {
+        work.d[..model.vars.len()].iter().map(|&d| sign * d).collect()
+    } else {
+        (0..model.vars.len())
+            .map(|j| sign * problem.reduced_cost(j, &problem.cost, &work.y))
+            .collect()
+    };
     Solution {
         status: Status::Optimal,
         objective,
@@ -333,6 +352,8 @@ fn finish_solution(
         pricing_serial_nanos: outcome.pricing_serial_nanos,
         pricing_par_nanos: outcome.pricing_par_nanos,
         factor_stats: outcome.factor_stats,
+        carried: outcome.carried,
+        terminal_refactor: outcome.terminal_refactor,
     }
 }
 
@@ -353,6 +374,7 @@ fn snapshot(problem: &Problem, work: &solver::Workspace) -> WarmBasis {
         })
         .collect();
     WarmBasis {
+        stamp: work.owner,
         keys,
         nb_struct: work.nb[..problem.nstruct].to_vec(),
         nb_slack: work.nb[problem.slack_start..problem.art_start].to_vec(),
@@ -395,13 +417,39 @@ fn resolve_warm(problem: &mut Problem, work: &mut solver::Workspace, warm: &Warm
     true
 }
 
+/// Map a finished solve to what [`solve_model_session`] returns, and stamp
+/// the terminal state it leaves in the workspace as this solve's.
+fn conclude(
+    model: &Model,
+    options: &SimplexOptions,
+    problem: &Problem,
+    work: &mut solver::Workspace,
+    outcome: &solver::Outcome,
+    restart: Restart,
+) -> (Solution, WarmBasis, Restart) {
+    // Dantzig pricing maintains no reduced costs: nothing to inherit.
+    if options.pricing != Pricing::Dantzig {
+        work.owner = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+        (work.owner_m, work.owner_nstruct) = (problem.m, problem.nstruct);
+    }
+    (finish_solution(model, problem, work, outcome), snapshot(problem, work), restart)
+}
+
 /// Solve `model`, optionally warm-starting from a saved basis.
 ///
-/// The warm path classifies the restored basis (primal feasible → primal
+/// The warm path classifies the start basis (primal feasible → primal
 /// phase 2; dual feasible → dual simplex + polish) and falls back to a cold
 /// solve on any warm failure, so the result is always the authoritative
 /// optimum. Returns the solution, a snapshot of the terminal basis for the
 /// next call, and which restart actually ran.
+///
+/// A warm solve *carries* when this thread's workspace still holds the
+/// terminal state `warm` is a snapshot of — same stamp: no other solve ran
+/// here in between — and `costs_kept` says no cost of a column that solve
+/// knew has changed since; it then continues in place
+/// (`solver::warm_state`). Otherwise, or when the carried attempt fails, it
+/// *reloads* `warm`. The stamp is cleared before any attempt, so a solve
+/// that fails leaves nothing to carry.
 ///
 /// `problem` is the caller's resident standard form, and this function is
 /// the one place that decides whether it survives: it is synced and reused
@@ -415,21 +463,28 @@ pub(crate) fn solve_model_session(
     model: &Model,
     options: &SimplexOptions,
     warm: Option<&WarmBasis>,
+    costs_kept: bool,
     problem: &mut Problem,
 ) -> Result<(Solution, WarmBasis, Restart), SolveError> {
     // The model's own row storage is the row-major mirror of the structural
     // matrix (`RowData.terms`, sorted by column); the solver borrows it.
     let (rows, vars) = name_fns(model);
     with_workspace(|work| {
-        if let Some(w) = warm {
-            if problem.sync(model) && resolve_warm(problem, work, w) {
+        let held = std::mem::take(&mut work.owner);
+        if let Some(w) = warm.filter(|_| problem.sync(model)) {
+            let carry =
+                costs_kept && w.stamp == held && held != 0 && options.pricing != Pricing::Dantzig;
+            let stages: &[bool] = if carry { &[true, false] } else { &[false] };
+            for &carry in stages {
+                if !carry && !resolve_warm(problem, work, w) {
+                    break;
+                }
                 load_bounds(model, work);
                 if let Ok((outcome, used_dual)) =
-                    solver::run_warm(problem, &model.rows, options, work, &rows, &vars)
+                    solver::run_warm(problem, &model.rows, options, work, carry, &rows, &vars)
                 {
                     let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
-                    let solution = finish_solution(model, problem, work, &outcome);
-                    return Ok((solution, snapshot(problem, work), restart));
+                    return Ok(conclude(model, options, problem, work, &outcome, restart));
                 }
             }
             // Fall through to a cold solve: correctness never depends on the
@@ -455,8 +510,7 @@ pub(crate) fn solve_model_session(
             }
             Err(e) => return Err(e),
         };
-        let solution = finish_solution(model, problem, work, &outcome);
-        Ok((solution, snapshot(problem, work), Restart::Cold))
+        Ok(conclude(model, options, problem, work, &outcome, Restart::Cold))
     })
 }
 
@@ -467,5 +521,5 @@ pub(crate) fn solve_model_session(
 /// heavily degenerate basis) triggers one conservative retry: larger pivot
 /// tolerance, more frequent refactorization, and Bland's rule throughout.
 pub(crate) fn solve_model(model: &Model, options: &SimplexOptions) -> Result<Solution, SolveError> {
-    solve_model_session(model, options, None, &mut Problem::default()).map(|(sol, _, _)| sol)
+    solve_model_session(model, options, None, false, &mut Problem::default()).map(|(sol, _, _)| sol)
 }

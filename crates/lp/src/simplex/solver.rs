@@ -51,6 +51,15 @@ pub(crate) struct Outcome {
     /// Basis-factorization work of this solve alone (the factorization
     /// itself may be older).
     pub factor_stats: FactorStats,
+    /// The solve continued from the state its predecessor left in the
+    /// workspace instead of reloading a saved basis.
+    pub carried: bool,
+    /// The terminal `(x, y)` failed the residual certificate and was
+    /// recomputed from a fresh factorization.
+    pub terminal_refactor: bool,
+    /// `Workspace::d` holds the reduced costs of the terminal `y` exactly
+    /// (a full reprice, no pivot since).
+    pub fresh: bool,
 }
 
 /// What the ratio test decided.
@@ -64,11 +73,18 @@ enum Step {
 }
 
 /// Every buffer a solve needs, kept by the caller between solves so a
-/// re-solve allocates nothing. A solve overwrites all of it before reading
-/// (only `stamp` and the all-zero `e_r` are invariants), and leaves its
-/// result in `x`, `y`, `basis` and `nb`.
+/// re-solve allocates nothing. A solve leaves its result in `x`, `y`,
+/// `basis` and `nb`; a solve that reloads overwrites everything before
+/// reading (only `stamp` and the all-zero `e_r` are invariants), a solve
+/// that carries (`owner`) continues from `basis`, `nb`, `d`, `y` and the
+/// factors as they stand.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Workspace {
+    /// Stamp of the solve whose terminal state this workspace holds, `0`
+    /// for none, with that solve's row and structural-column counts.
+    pub owner: u64,
+    pub owner_m: usize,
+    pub owner_nstruct: usize,
     /// Bounds of every column, loaded from the model before each solve.
     /// They are solve state — the warm start boxes columns, the crash opens
     /// artificials — so they live here, not in the resident [`Problem`].
@@ -89,7 +105,7 @@ pub(crate) struct Workspace {
     // --- incremental pricing state (Devex / PartialDevex) -----------------
     /// Maintained reduced cost per column: exact after `reprice`, updated
     /// from the pivot row after each pivot. Basic entries are stale.
-    d: Vec<f64>,
+    pub d: Vec<f64>,
     /// Devex reference-framework weight per column.
     gamma: Vec<f64>,
     /// Candidate shortlist for partial pricing.
@@ -175,6 +191,11 @@ impl PriceView<'_> {
 }
 
 const ZTOL: f64 = 1e-11;
+/// Residual certificate of a terminal `(x, y)`, relative: a basic column's
+/// reduced cost against `1 + |c_k|`, a row's `b_i − (A·x)_i` against
+/// `1 + |b_i|`.
+const CERT_DUAL_TOL: f64 = 1e-9;
+const CERT_PRIMAL_TOL: f64 = 1e-9;
 const DEGEN_STEP: f64 = 1e-10;
 
 /// Partial pricing: the column range is scanned in sections of
@@ -274,10 +295,10 @@ pub(crate) fn run(
 /// Re-optimize from a known basis instead of crashing one.
 ///
 /// `ws.basis` gives the basic column per row position, `ws.nb` the rest
-/// state of every column; both typically come from a previous solve of a
-/// since-mutated problem (the caller remaps column indices when the problem
-/// has grown). The start point is classified and the cheapest repair is
-/// run:
+/// state of every column; both come from a previous solve of a
+/// since-mutated problem — resolved from a snapshot by the caller, or, with
+/// `carry`, still here as that solve left them (see [`warm_state`]). The
+/// start point is classified and the cheapest repair is run:
 ///
 /// * basic values within bounds → primal phase 2 directly (objective-only
 ///   changes keep the basis primal feasible);
@@ -291,7 +312,7 @@ pub(crate) fn run(
 ///
 /// Any structural problem with the supplied basis (wrong size, duplicate
 /// columns, singular matrix) is reported as an error; callers are expected
-/// to fall back to a cold [`run`].
+/// to fall back — a carried start to a reloaded one, that to a cold [`run`].
 ///
 /// Returns the outcome plus whether the dual simplex was needed.
 pub(crate) fn run_warm(
@@ -299,24 +320,38 @@ pub(crate) fn run_warm(
     rows: &[RowData],
     opts: &SimplexOptions,
     ws: &mut Workspace,
+    carry: bool,
     row_name: impl Fn(usize) -> String,
     var_name: impl Fn(usize) -> String,
 ) -> Result<(Outcome, bool), SolveError> {
-    let mut st = warm_state(problem, rows, opts, ws, &row_name)?;
+    let mut st = warm_state(problem, rows, opts, ws, carry, &row_name)?;
     st.reoptimize(&problem.cost, &row_name, &var_name)
 }
 
-/// Where [`run_warm`] starts from: the supplied basis checked and factorized,
+/// Where [`run_warm`] starts from: a checked basis with factors and `x_B`,
 /// every nonbasic column at rest on a bound.
+///
+/// The first stage differs. A *reload* takes the basis and rest states the
+/// caller resolved from a snapshot, refactorizes, and leaves the reduced
+/// costs to the first `reprice`. A *carry* — `ws` still holds the terminal
+/// state of this session's previous solve, of a problem that has only grown
+/// since and whose old costs are unchanged — moves that state to the grown
+/// column layout, inherits `d` and `y` (an appended row's dual is 0, so only
+/// the appended columns are priced), borders the factors with the appended
+/// rows, their slacks basic, and takes `x_B` from one FTRAN.
 fn warm_state<'a>(
     problem: &'a Problem,
     rows: &'a [RowData],
     opts: &'a SimplexOptions,
     ws: &'a mut Workspace,
+    carry: bool,
     row_name: &impl Fn(usize) -> String,
 ) -> Result<State<'a>, SolveError> {
     let m = problem.m;
     let n = problem.n;
+    if carry && !ws.regrow(problem) {
+        return Err(SolveError::Numerical("carried basis holds an artificial".into()));
+    }
     if ws.basis.len() != m || ws.nb.len() != n {
         return Err(SolveError::Numerical("warm basis has wrong dimensions".into()));
     }
@@ -351,8 +386,49 @@ fn warm_state<'a>(
     }
 
     let mut st = State::new(problem, rows, opts, ws);
-    st.refactor().map_err(|e| numerical(e, row_name))?;
+    if carry {
+        st.inherit(&problem.cost).map_err(|e| numerical(e, row_name))?;
+    } else {
+        st.refactor().map_err(|e| numerical(e, row_name))?;
+    }
     Ok(st)
+}
+
+/// Insert `count` copies of `fill` into `v` at `at`.
+fn open_gap<T: Clone>(v: &mut Vec<T>, at: usize, count: usize, fill: T) {
+    grow(v, v.len() + count, fill);
+    v[at..].rotate_right(count);
+}
+
+impl Workspace {
+    /// Move the terminal `basis`, `nb`, `d` and `y` of the solve that owns
+    /// this workspace to the column layout of `p`, the same problem grown by
+    /// `dn` structurals and `dm` rows: the new structurals open a gap before
+    /// the slacks (nonbasic, `d` to be priced by the caller), each new row
+    /// seats its slack basic with a zero dual and closes its artificial.
+    /// Returns `false`, with nothing moved, when an artificial is basic (its
+    /// crash-time sign went with the previous standard form).
+    fn regrow(&mut self, p: &Problem) -> bool {
+        let (m0, ns0) = (self.owner_m, self.owner_nstruct);
+        let (dm, dn) = (p.m - m0, p.nstruct - ns0);
+        debug_assert_eq!(
+            (self.nb.len(), self.d.len(), self.y.len()),
+            (ns0 + 2 * m0, ns0 + 2 * m0, m0)
+        );
+        if self.basis.iter().any(|&k| k >= ns0 + m0) {
+            return false;
+        }
+        for k in self.basis.iter_mut().filter(|k| **k >= ns0) {
+            *k += dn;
+        }
+        self.basis.extend((m0..p.m).map(|i| p.slack_start + i));
+        for (at, count) in [(ns0, dn), (p.slack_start + m0, dm), (p.art_start + m0, dm)] {
+            open_gap(&mut self.nb, at, count, NbState::Lower);
+            open_gap(&mut self.d, at, count, 0.0);
+        }
+        grow(&mut self.y, p.m, 0.0);
+        true
+    }
 }
 
 fn numerical(e: FactorError, row_name: &impl Fn(usize) -> String) -> SolveError {
@@ -438,22 +514,104 @@ impl<'a> State<'a> {
         Ok((self.finish(cost, row_name)?, !primal_feasible))
     }
 
-    /// Final `x_B` and duals from a fresh factorization, for accuracy — the
-    /// one already in hand when nothing moved since it was computed.
+    /// The carried first stage of [`warm_state`], once [`Workspace::regrow`]
+    /// has moved the previous solve's state to this problem's layout: price
+    /// the appended columns against the inherited duals, reset the Devex
+    /// framework and the candidate list as a `reprice` would, border the
+    /// factors with the appended rows — or refactorize, when the update file
+    /// has no room for them — and solve for `x_B`.
+    fn inherit(&mut self, cost: &[f64]) -> Result<(), FactorError> {
+        self.out.carried = true;
+        self.ensure_scratch();
+        let (p, ws) = (self.p, &mut *self.ws);
+        let (m0, ns0) = (ws.owner_m, ws.owner_nstruct);
+        for j in ns0..p.nstruct {
+            ws.d[j] = p.reduced_cost(j, cost, &ws.y);
+        }
+        // The artificials are closed and positive again (`Problem::sync`).
+        for (i, &yi) in ws.y.iter().enumerate() {
+            ws.d[p.art_start + i] = -yi;
+        }
+        ws.gamma.fill(1.0);
+        self.clear_candidates();
+        let ws = &mut *self.ws;
+        if p.m - m0 >= ws.factor.updates_left() {
+            return self.refactor();
+        }
+        let mut row = Vec::new();
+        for terms in self.rows[m0..].iter().map(|r| &r.terms) {
+            row.clear();
+            row.extend(terms.iter().filter_map(|&(j, v)| {
+                u32::try_from(ws.pos_of[j as usize]).ok().map(|pos| (pos, v))
+            }));
+            ws.factor.append_row(&row);
+        }
+        self.solve_basics();
+        Ok(())
+    }
+
+    /// Terminal `x_B` and duals. Whatever moved since the last
+    /// refactorization, the factors are not rebuilt to recompute them: the
+    /// pair in hand is accepted when it satisfies the problem's own
+    /// equations (`certified`), and only a failed certificate pays for a
+    /// refactorization.
     fn finish(
         &mut self,
         cost: &[f64],
         row_name: &impl Fn(usize) -> String,
     ) -> Result<Outcome, SolveError> {
-        if !self.settled {
-            self.refactor().map_err(|e| numerical(e, row_name))?;
+        if !self.fresh {
+            self.solve_duals(cost);
         }
+        if !self.settled && !self.certified(cost) {
+            self.refactor().map_err(|e| numerical(e, row_name))?;
+            if self.opts.pricing == Pricing::Dantzig {
+                self.solve_duals(cost);
+            } else {
+                self.reprice(cost);
+            }
+            self.out.terminal_refactor = true;
+        }
+        self.out.fresh = self.fresh;
+        self.out.factor_stats = self.ws.factor.stats().since(self.factor_before);
+        Ok(self.out)
+    }
+
+    /// `y = c_B B⁻¹` by BTRAN.
+    fn solve_duals(&mut self, cost: &[f64]) {
         let ws = &mut *self.ws;
         ws.cb.clear();
         ws.cb.extend(ws.basis.iter().map(|&k| cost[k]));
         ws.factor.btran(&ws.cb, &mut ws.y);
-        self.out.factor_stats = ws.factor.stats().since(self.factor_before);
-        Ok(self.out)
+    }
+
+    /// The residual certificate of the terminal pair, against the problem
+    /// data and not the factors that produced it: every basic column's
+    /// reduced cost vanishes under `y`, and `A·x = b` row by row. `O(nnz)`.
+    fn certified(&mut self, cost: &[f64]) -> bool {
+        let (p, ws) = (self.p, &*self.ws);
+        let dual = |&k: &usize| {
+            p.reduced_cost(k, cost, &ws.y).abs() <= CERT_DUAL_TOL * (1.0 + cost[k].abs())
+        };
+        if !ws.basis.iter().all(dual) {
+            return false;
+        }
+        self.residual(true);
+        let (r, b) = (&self.ws.resid, &self.p.b);
+        r.iter().zip(b).all(|(ri, bi)| ri.abs() <= CERT_PRIMAL_TOL * (1.0 + bi.abs()))
+    }
+
+    /// `resid = b − Σ x_j·a_j`, over every column or the nonbasic ones only.
+    fn residual(&mut self, with_basics: bool) {
+        let (p, ws) = (self.p, &mut *self.ws);
+        let r = &mut ws.resid;
+        r.clear();
+        r.extend_from_slice(&p.b);
+        for (j, &xj) in ws.x.iter().enumerate() {
+            if xj != 0.0 && (with_basics || ws.pos_of[j] < 0) {
+                p.with_col(j, |col| col.iter().for_each(|&(i, v)| r[i as usize] -= v * xj));
+            }
+        }
     }
 
     /// Shared-slice view for parallel pricing workers.
@@ -505,22 +663,19 @@ impl<'a> State<'a> {
         let (p, ws) = (self.p, &mut *self.ws);
         let basis = &ws.basis;
         ws.factor.refactor_with(p.m, |pos, sink| p.with_col(basis[pos], sink))?;
-        // x_B = B⁻¹ (b - N x_N)
-        let r = &mut ws.resid;
-        r.clear();
-        r.extend_from_slice(&p.b);
-        for j in 0..p.n {
-            let xj = ws.x[j];
-            if ws.pos_of[j] < 0 && xj != 0.0 {
-                p.with_col(j, |col| col.iter().for_each(|&(i, v)| r[i as usize] -= v * xj));
-            }
-        }
-        ws.factor.ftran_dense(r, &mut ws.xb);
+        self.solve_basics();
+        self.settled = true;
+        Ok(())
+    }
+
+    /// `x_B = B⁻¹ (b - N x_N)` by FTRAN.
+    fn solve_basics(&mut self) {
+        self.residual(false);
+        let ws = &mut *self.ws;
+        ws.factor.ftran_dense(&ws.resid, &mut ws.xb);
         for (pos, &k) in ws.basis.iter().enumerate() {
             ws.x[k] = ws.xb[pos];
         }
-        self.settled = true;
-        Ok(())
     }
 
     /// Run simplex iterations with the given cost vector until optimal.
@@ -688,12 +843,15 @@ impl<'a> State<'a> {
             }
         }
         self.note_pricing_wall(t0, parallel);
-        self.ws.candidates.clear();
-        for f in self.ws.in_cands.iter_mut() {
-            *f = false;
-        }
+        self.clear_candidates();
         self.out.pricing_scans += n as u64;
         self.fresh = true;
+    }
+
+    /// Empty the partial-pricing shortlist.
+    fn clear_candidates(&mut self) {
+        self.ws.candidates.clear();
+        self.ws.in_cands.fill(false);
     }
 
     /// Is nonbasic column `j` eligible to enter, judged on the maintained
@@ -1068,10 +1226,13 @@ impl<'a> State<'a> {
 
     /// Temporarily fix every nonbasic column whose reduced cost violates
     /// dual feasibility at its current rest value, saving the bounds in
-    /// `ws.boxed` so the caller can restore them. Reprices first; the exact
-    /// `d` and `y` it leaves are what [`State::dual_iterate`] starts from.
+    /// `ws.boxed` so the caller can restore them. Reprices first unless the
+    /// solve inherited its reduced costs; the exact `d` and `y` in hand are
+    /// what [`State::dual_iterate`] starts from.
     fn box_dual_infeasible(&mut self, cost: &[f64]) {
-        self.reprice(cost);
+        if !self.out.carried {
+            self.reprice(cost);
+        }
         let tol = self.opts.opt_tol;
         self.ws.boxed.clear();
         for j in 0..self.p.n {
@@ -1322,68 +1483,72 @@ mod tests {
         }
     }
 
+    /// A schedule-shaped model (value-weighted flows under demand and
+    /// capacity rows) solved cold, then hit with what SAM and the lazy-row
+    /// loop do to it: capacities drop, upper bounds shrink below the flow
+    /// they carried, a cutting row arrives. Returns it with its standard form
+    /// and a workspace holding the resolved cold basis and the new bounds —
+    /// what a reloading [`warm_state`] starts from.
+    fn cut_case(seed: u64, refactor_every: usize) -> (Model, Problem, Workspace, SimplexOptions) {
+        let name = |i: usize| i.to_string();
+        let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let (jobs, steps) = (4 + (g.unit() * 5.0) as usize, 4 + (g.unit() * 6.0) as usize);
+        let mut model = Model::new(Sense::Maximize);
+        let mut x: Vec<Var> = Vec::new();
+        for j in 0..jobs {
+            let value = 0.5 + 2.5 * g.unit();
+            for t in 0..steps {
+                x.push(model.add_var(&format!("x{j}_{t}"), 0.0, 1.0 + 5.0 * g.unit(), value));
+            }
+        }
+        for j in 0..jobs {
+            let e = LinExpr::from_terms((0..steps).map(|t| (1.0, x[j * steps + t])));
+            model.add_row(&format!("dem{j}"), e, Cmp::Le, 2.0 + 8.0 * g.unit());
+        }
+        let caps: Vec<RowId> = (0..steps)
+            .map(|t| {
+                let e = LinExpr::from_terms((0..jobs).map(|j| (1.0, x[j * steps + t])));
+                model.add_row(&format!("cap{t}"), e, Cmp::Le, 2.0 + 6.0 * g.unit())
+            })
+            .collect();
+
+        let opts = SimplexOptions { refactor_every, ..SimplexOptions::default() };
+        let mut ws = Workspace::default();
+        let mut p = Problem::from_model(&model);
+        load_bounds(&model, &mut ws);
+        run(&mut p, &model.rows, &opts, &mut ws, name, name).unwrap();
+        let basis = snapshot(&p, &ws);
+
+        for &row in &caps {
+            if g.unit() < 0.6 {
+                model.set_rhs(row, 0.3 + 1.5 * g.unit());
+            }
+        }
+        for (j, &v) in x.iter().enumerate() {
+            if g.unit() < 0.2 {
+                model.set_bounds(v, 0.0, 0.5 * ws.x[j]);
+            }
+        }
+        let cut = LinExpr::from_terms(x.iter().step_by(3).map(|&v| (1.0, v)));
+        model.add_row("cut", cut, Cmp::Le, 1.0 + 3.0 * g.unit());
+
+        assert!(p.sync(&model) && resolve_warm(&mut p, &mut ws, &basis));
+        load_bounds(&model, &mut ws);
+        (model, p, ws, opts)
+    }
+
     /// The reduced costs and duals the dual loop carries from pivot row to
     /// pivot row must still be the exact ones when it hands over to the
     /// polish — whether it re-seeded them every other pivot (cadence 2),
-    /// every seventh, or never (96). Schedule-shaped models (value-weighted
-    /// flows under demand and capacity rows) are solved cold, then hit with
-    /// what SAM and the lazy-row loop do to them: capacities drop, upper
-    /// bounds shrink below the flow they carried, a cutting row arrives.
+    /// every seventh, or never (96).
     #[test]
     fn dual_loop_hands_over_exact_reduced_costs_and_duals() {
         let name = |i: usize| i.to_string();
         let mut pivots = [0u64; 3];
         for seed in 1..=40u64 {
             for (c, refactor_every) in [2, 7, 96].into_iter().enumerate() {
-                let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let (jobs, steps) = (4 + (g.unit() * 5.0) as usize, 4 + (g.unit() * 6.0) as usize);
-                let mut model = Model::new(Sense::Maximize);
-                let mut x: Vec<Var> = Vec::new();
-                for j in 0..jobs {
-                    let value = 0.5 + 2.5 * g.unit();
-                    for t in 0..steps {
-                        x.push(model.add_var(
-                            &format!("x{j}_{t}"),
-                            0.0,
-                            1.0 + 5.0 * g.unit(),
-                            value,
-                        ));
-                    }
-                }
-                for j in 0..jobs {
-                    let e = LinExpr::from_terms((0..steps).map(|t| (1.0, x[j * steps + t])));
-                    model.add_row(&format!("dem{j}"), e, Cmp::Le, 2.0 + 8.0 * g.unit());
-                }
-                let caps: Vec<RowId> = (0..steps)
-                    .map(|t| {
-                        let e = LinExpr::from_terms((0..jobs).map(|j| (1.0, x[j * steps + t])));
-                        model.add_row(&format!("cap{t}"), e, Cmp::Le, 2.0 + 6.0 * g.unit())
-                    })
-                    .collect();
-
-                let opts = SimplexOptions { refactor_every, ..SimplexOptions::default() };
-                let mut ws = Workspace::default();
-                let mut p = Problem::from_model(&model);
-                load_bounds(&model, &mut ws);
-                run(&mut p, &model.rows, &opts, &mut ws, name, name).unwrap();
-                let basis = snapshot(&p, &ws);
-
-                for &row in &caps {
-                    if g.unit() < 0.6 {
-                        model.set_rhs(row, 0.3 + 1.5 * g.unit());
-                    }
-                }
-                for (j, &v) in x.iter().enumerate() {
-                    if g.unit() < 0.2 {
-                        model.set_bounds(v, 0.0, 0.5 * ws.x[j]);
-                    }
-                }
-                let cut = LinExpr::from_terms(x.iter().step_by(3).map(|&v| (1.0, v)));
-                model.add_row("cut", cut, Cmp::Le, 1.0 + 3.0 * g.unit());
-
-                assert!(p.sync(&model) && resolve_warm(&mut p, &mut ws, &basis));
-                load_bounds(&model, &mut ws);
-                let mut st = warm_state(&p, &model.rows, &opts, &mut ws, &name).unwrap();
+                let (model, p, mut ws, opts) = cut_case(seed, refactor_every);
+                let mut st = warm_state(&p, &model.rows, &opts, &mut ws, false, &name).unwrap();
                 st.box_dual_infeasible(&p.cost);
                 st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
                 pivots[c] += st.out.dual_iterations;
@@ -1401,5 +1566,45 @@ mod tests {
             }
         }
         assert!(pivots.iter().all(|&k| k > 200), "dual pivots per cadence: {pivots:?}");
+    }
+
+    /// `finish` accepts the terminal `(x, y)` on the residual certificate and
+    /// refactorizes only when it fails: untouched, a dual restart ends without
+    /// a refactorization; with one basic value or one dual off by 1e-6 it
+    /// refactorizes and returns what the untouched run returned.
+    #[test]
+    fn finish_refactorizes_only_when_the_certificate_fails() {
+        let name = |i: usize| i.to_string();
+        for seed in 1..=12u64 {
+            let (model, p, start, opts) = cut_case(seed, 96);
+            let finish_after = |perturb: &dyn Fn(&mut Workspace, usize, usize)| {
+                let mut ws = start.clone();
+                let mut st = warm_state(&p, &model.rows, &opts, &mut ws, false, &name).unwrap();
+                st.box_dual_infeasible(&p.cost);
+                st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
+                assert!(st.ws.boxed.is_empty() && st.out.dual_iterations > 0, "seed {seed}");
+                st.iterate(&p.cost, false, &name, &name).unwrap();
+                assert!(st.fresh && !st.settled, "seed {seed}");
+                // A basic column and a row it has an entry in.
+                let k = st.ws.basis[0];
+                let i = p.with_col(k, |col| col[0].0 as usize);
+                perturb(st.ws, k, i);
+                let before = st.ws.factor.stats();
+                let out = st.finish(&p.cost, &name).unwrap();
+                let refactors = st.ws.factor.stats().since(before).refactors;
+                assert_eq!(refactors, out.terminal_refactor as u64, "seed {seed}");
+                (ws.x, ws.y, refactors)
+            };
+            let (x, y, refactors) = finish_after(&|_, _, _| {});
+            assert_eq!(refactors, 0, "seed {seed}: certified without refactorizing");
+            let moved_x = finish_after(&|ws, k, _| ws.x[k] += 1e-6);
+            let moved_y = finish_after(&|ws, _, i| ws.y[i] += 1e-6);
+            for (what, (x2, y2, refactors)) in [("x", moved_x), ("y", moved_y)] {
+                assert_eq!(refactors, 1, "seed {seed}: perturbed {what} passed the certificate");
+                let close =
+                    |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(u, v)| (u - v).abs() <= 1e-9);
+                assert!(close(&x, &x2) && close(&y, &y2), "seed {seed}: perturbed {what} survived");
+            }
+        }
     }
 }

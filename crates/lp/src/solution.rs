@@ -70,6 +70,10 @@ pub struct Solution {
     pub(crate) pricing_serial_nanos: u64,
     pub(crate) pricing_par_nanos: u64,
     pub(crate) factor_stats: FactorStats,
+    /// The solve continued from its predecessor's state in the workspace.
+    pub(crate) carried: bool,
+    /// The terminal residual certificate failed and forced a refactorization.
+    pub(crate) terminal_refactor: bool,
 }
 
 impl Solution {

@@ -265,6 +265,133 @@ fn spike_fed_updates_match_fresh_refactor_across_density_grid() {
     }
 }
 
+/// `count` Forrest–Tomlin exchanges, each leaving at the largest entry of the
+/// entering column's FTRAN so the basis stays well conditioned.
+fn exchange(
+    f: &mut Factorization,
+    cols: &mut [SparseCol],
+    count: usize,
+    density: f64,
+    rng: &mut Rng,
+) {
+    let m = cols.len();
+    for _ in 0..count {
+        let entering = random_basis(m, density, 1.0, rng).pop().unwrap();
+        let mut w = Vec::new();
+        f.ftran(&entering, &mut w);
+        let pos = (0..m).max_by(|&a, &b| w[a].abs().total_cmp(&w[b].abs())).unwrap();
+        assert!(f.update(pos), "m={m} density={density}");
+        cols[pos] = entering;
+    }
+}
+
+/// Border `cols` with one row — random entries on some of the old basis
+/// positions — and its unit slack column; returns the row as `append_row`
+/// takes it.
+fn border(cols: &mut Vec<SparseCol>, density: f64, rng: &mut Rng) -> Vec<(u32, f64)> {
+    let m = cols.len();
+    let mut row: Vec<(u32, f64)> = Vec::new();
+    for _ in 0..((m as f64 * density) as usize).max(1) {
+        let pos = rng.below(m) as u32;
+        if row.iter().all(|&(p, _)| p != pos) {
+            row.push((pos, rng.coeff()));
+        }
+    }
+    for &(pos, v) in &row {
+        cols[pos as usize].push((m as u32, v));
+    }
+    cols.push(vec![(m as u32, 1.0)]);
+    row
+}
+
+/// Rows bordered onto live factors (`append_row`: the new row's slack basic,
+/// one row eta, no refactorization), with exchanges before and after, across
+/// the density grid: 1, 5 and 40 rows. The bordered factors must solve —
+/// FTRAN with sparse and dense right-hand sides, BTRAN with dense and unit
+/// ones — like a fresh refactorization of the bordered matrix and like the
+/// dense reference kernel. A bordered row counts as an update, so a caller
+/// that finds no room for its rows (`updates_left`) refactorizes instead,
+/// which is the last case.
+#[test]
+fn bordered_rows_match_fresh_refactor_across_density_grid() {
+    let mut rng = Rng::new(0xB0AD_E4ED_0000);
+    let cases = [(1usize, 0usize), (5, 0), (40, 0), (40, 12)];
+    for &m in &[20usize, 60, 120, 250] {
+        for (di, &density) in [0.01, 0.05, 0.15, 0.30].iter().enumerate() {
+            // Refactorizing a 290-row basis is slow unoptimized: at the largest
+            // size each density takes one of the cases, in turn.
+            let cases = if m < 250 { &cases[..] } else { &cases[di..=di] };
+            for &(appended, max_etas) in cases {
+                let mut cols = random_basis(m, density, 1.0, &mut rng);
+                let mut f = Factorization::new(max_etas, 1e-10);
+                f.refactor(&as_refs(&cols)).unwrap();
+                exchange(&mut f, &mut cols, 4, density, &mut rng);
+                let rows: Vec<_> =
+                    (0..appended).map(|_| border(&mut cols, density, &mut rng)).collect();
+                let what = format!("m={m} density={density} +{appended} rows, cadence {max_etas}");
+                let (left, before) = (f.updates_left(), f.stats());
+                if appended < left {
+                    rows.iter().for_each(|row| f.append_row(row));
+                    assert_eq!(f.updates_left(), left - appended, "{what}");
+                    assert_eq!(f.stats().since(before).bordered_rows, appended as u64, "{what}");
+                    assert_eq!(f.stats().since(before).refactors, 0, "{what}");
+                } else {
+                    assert_eq!(
+                        (max_etas, left),
+                        (12, 8),
+                        "only the short cadence runs out: {what}"
+                    );
+                    f.refactor(&as_refs(&cols)).unwrap();
+                }
+                assert!(!f.wants_refactor(), "{what}");
+                exchange(&mut f, &mut cols, 4, density, &mut rng);
+
+                let (m, refs) = (cols.len(), as_refs(&cols));
+                let mut fresh = Factorization::new(0, 1e-10);
+                fresh.refactor(&refs).unwrap();
+                // A second opinion from the (cubic) dense kernel on the smaller sizes.
+                let mut dense = (m <= 160).then(|| DenseBumpFactorization::new(m, 0, 1e-10));
+                dense.iter_mut().for_each(|d| d.refactor(&refs).unwrap());
+                let agree = |got: &[f64], want: &[f64], kernel: &str| {
+                    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                        assert!((g - w).abs() <= 1e-8 * scale(want), "{kernel} entry {i}, {what}");
+                    }
+                };
+
+                let sparse_a = random_basis(m, density, 1.0, &mut rng).pop().unwrap();
+                let mut scattered = vec![0.0; m];
+                sparse_a.iter().for_each(|&(i, v)| scattered[i as usize] = v);
+                let (mut wu, mut want) = (Vec::new(), Vec::new());
+                f.ftran(&sparse_a, &mut wu);
+                let res = ftran_residual(&cols, &wu, &scattered);
+                assert!(res <= 1e-8 * scale(&scattered), "{what}");
+                let a = random_rhs(m, &mut rng);
+                f.ftran_dense(&a, &mut wu);
+                assert!(ftran_residual(&cols, &wu, &a) <= 1e-8 * scale(&a), "{what}");
+                fresh.ftran_dense(&a, &mut want);
+                agree(&wu, &want, "fresh ftran");
+                if let Some(dense) = dense.as_mut() {
+                    dense.ftran_dense(&a, &mut want);
+                    agree(&wu, &want, "dense ftran");
+                }
+                let mut rhs = vec![random_rhs(m, &mut rng), unit(m, m - 1)];
+                rhs.extend((0..m).step_by(7).map(|r| unit(m, r)));
+                for c in &rhs {
+                    let mut yu = Vec::new();
+                    f.btran(c, &mut yu);
+                    assert!(btran_residual(&cols, &yu, c) <= 1e-8 * scale(c), "{what}");
+                    fresh.btran(c, &mut want);
+                    agree(&yu, &want, "fresh btran");
+                    if let Some(dense) = dense.as_mut() {
+                        dense.btran(c, &mut want);
+                        agree(&yu, &want, "dense btran");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn permuted_identity_is_exact() {
     let mut rng = Rng::new(7);

@@ -318,22 +318,26 @@ fn polish_that_certifies_by_refactor_skips_the_terminal_one() {
 }
 
 /// A bound flip moves `x` without touching the basis, so the factors are
-/// current but `x_B` is not: a solve that ends on one still refactorizes
-/// (start + terminal, as at the parent).
+/// current but the `x_B` of the last FTRAN is not: a solve that ends on one
+/// must hand back basic values that follow the flip — maintained through it
+/// and passed by the residual certificate, or recomputed. `z = x + y` is the
+/// basic variable that shows it.
 #[test]
-fn solve_ending_on_a_bound_flip_still_refactors() {
+fn solve_ending_on_a_bound_flip_returns_the_moved_basic_values() {
     let mut m = Model::new(Sense::Maximize);
     let x = m.add_var("x", 0.0, 2.0, 1.0);
     let y = m.add_var("y", 0.0, 3.0, 1.0);
-    m.add_row("r", x + y, Cmp::Le, 10.0);
+    let z = m.add_nonneg("z", 0.0);
+    m.add_row("sum", x + y - z, Cmp::Eq, 0.0);
     let mut s = SolverSession::new(m);
-    s.solve(&SolveOptions::default()).unwrap();
+    let first = s.solve(&SolveOptions::default()).unwrap();
+    assert_eq!(first.values(), [2.0, 3.0, 5.0]);
     s.set_obj(x, -1.0);
     let sol = s.solve(&SolveOptions::default()).unwrap();
     assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
     assert_eq!((sol.iterations(), sol.factor_stats().ft_updates), (1, 0), "one flip, no pivot");
-    assert_eq!(sol.factor_stats().refactors, 2);
-    assert_eq!(sol.values(), [0.0, 3.0]);
+    assert_eq!(sol.values(), [0.0, 3.0, 3.0]);
+    assert!(check_optimal(s.model(), &sol, TOL).is_empty());
 }
 
 /// A failed solve syncs the resident standard form but saves no basis, so
@@ -392,9 +396,11 @@ fn grid_with_capacities_cut() -> SolverSession {
 
 /// A dual pivot costs one BTRAN — the pivot row, from which the reduced costs
 /// and duals are carried along — so a warm dual restart of `k` pivots that
-/// never refactorizes mid-solve spends `k + 3`: the seeding reprice, the
-/// polish's reprice and the terminal duals. The parent recomputed
-/// `y = c_B B⁻¹` in every pivot as well: `2k + 3`.
+/// never refactorizes mid-solve spends at most `k + 3`: the seeding reprice
+/// (none when the start is carried), the polish's reprice and the terminal
+/// duals (none when the polish's are current). An uninterrupted RHS-only
+/// restart also never refactorizes: it starts on the factors its
+/// predecessor left and ends on the residual certificate.
 #[test]
 fn dual_pivot_costs_one_btran() {
     let mut s = grid_with_capacities_cut();
@@ -403,7 +409,7 @@ fn dual_pivot_costs_one_btran() {
     let (k, fs) = (sol.dual_iterations(), sol.factor_stats());
     assert!(k >= 5, "only {k} dual pivots");
     assert_eq!(sol.iterations(), k, "the polish had nothing left to do");
-    assert_eq!(fs.refactors, 2, "start and terminal only");
+    assert_eq!(fs.refactors, 0, "carried start, certified end");
     assert!(fs.btrans <= k + 3, "{} BTRANs for {k} dual pivots", fs.btrans);
     assert_eq!(s.stats().dual_iterations, k);
     let cold = s.model().solve().unwrap();

@@ -361,6 +361,12 @@ mod tests {
             .map(|label| label.strip_prefix("lp ").unwrap_or(label))
             .collect();
         assert!(labels.contains(&"refactors") && labels.contains(&"accepts admitted"));
+        // How LP solves started and ended: SAM's session solves alone between
+        // PC windows, so most of its warm solves continue in place.
+        for label in ["carried solves", "bordered rows", "terminal refactors"] {
+            assert!(labels.contains(&label), "no `{label}` row:\n{rendered}");
+        }
+        assert!(run.lp_stats.carried > 0 && run.lp_stats.bordered_rows > 0, "{rendered}");
         let rows = labels.len();
         labels.sort_unstable();
         labels.dedup();
