@@ -17,6 +17,15 @@
 //! one warm-up call, steady-state `ftran`/`btran`, `refactor` **and
 //! `append_row`** perform **zero** heap allocations.
 //!
+//! The `reach` group times the two solves a simplex pivot issues — the
+//! entering column's FTRAN (`ftran`, a sparse column) and one row of `B⁻¹`
+//! (`btran_row`) — against the dense sweeps they replaced (`ftran_dense` of
+//! the column scattered, `btran` of the unit vector), on each basis freshly
+//! factorized and after 48 Forrest–Tomlin updates fed by the sparse kernel's
+//! own spike. It asserts that every result is bitwise the sweep's (a zero's
+//! sign aside) and that the warmed kernels allocate nothing; the time ratio
+//! is recorded, with no floor.
+//!
 //! A third row, `resident_resolve`, measures the same contract one layer
 //! up: 200 warm re-solves of a staircase LP through a `SolverSession`,
 //! one appended row each, counting heap allocations and microseconds per
@@ -25,9 +34,9 @@
 //!
 //! Set `SPARSE_LU_SMOKE=1` for the CI mode: fewer samples, the
 //! ≥ 1.5× colgen-scale refactor-speedup floor, the border-under-a-third-of-
-//! a-refactorization floor and the zero-allocation floors asserted, and no
-//! JSON written (a smoke run never clobbers
-//! recorded numbers). Full mode writes `BENCH_sparse_lu.json`.
+//! a-refactorization floor, the zero-allocation floors and the reach
+//! kernels' bitwise equality asserted, and no JSON written (a smoke run
+//! never clobbers recorded numbers). Full mode writes `BENCH_sparse_lu.json`.
 
 use std::time::{Duration, Instant};
 
@@ -111,6 +120,106 @@ fn median_us(samples: &mut [Duration]) -> f64 {
     samples[samples.len() / 2].as_secs_f64() * 1e6
 }
 
+/// Per-solve microseconds of the pivot's two solves on one state of the
+/// factors: the reach kernels and the sweeps they replaced.
+struct ReachResult {
+    state: &'static str,
+    /// Mean nonzeros of `w` and of the row of `B⁻¹`, out of `m`.
+    ftran_nnz: f64,
+    btran_row_nnz: f64,
+    ftran_us: f64,
+    sweep_ftran_us: f64,
+    btran_row_us: f64,
+    sweep_btran_us: f64,
+}
+
+/// Equal bits, or both zero.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| x.to_bits() == y.to_bits() || x == y)
+}
+
+/// The `reach` group on the factors as they stand (see the module docs):
+/// 64 entering flow columns and 64 rows of `B⁻¹`, checked bitwise against
+/// the sweeps, then timed a pass of 64 solves per sample.
+fn reach_group(
+    (name, state): (&str, &'static str),
+    f: &mut Factorization,
+    m: usize,
+    samples: usize,
+    rng: &mut StdRng,
+) -> ReachResult {
+    let columns: Vec<SparseCol> = (0..64)
+        .map(|_| {
+            let (anchor, hops) = (rng.gen_range(0..m), rng.gen_range(4..8));
+            lp_column(m, anchor, hops, true, rng)
+        })
+        .collect();
+    let scattered: Vec<Vec<f64>> = columns
+        .iter()
+        .map(|col| {
+            let mut dense = vec![0.0; m];
+            col.iter().for_each(|&(i, v)| dense[i as usize] = v);
+            dense
+        })
+        .collect();
+    let positions: Vec<usize> = (0..64).map(|_| rng.gen_range(0..m)).collect();
+    let units: Vec<Vec<f64>> = positions
+        .iter()
+        .map(|&pos| {
+            let mut e = vec![0.0; m];
+            e[pos] = 1.0;
+            e
+        })
+        .collect();
+    let (mut w, mut w_nz, mut rho, mut rho_nz, mut sweep) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut ftran_nnz, mut btran_row_nnz) = (0, 0);
+    for (a, dense) in columns.iter().zip(&scattered) {
+        f.ftran(a, &mut w, &mut w_nz);
+        f.ftran_dense(dense, &mut sweep);
+        assert!(same_bits(&w, &sweep), "{name} {state}: ftran differs from the sweep");
+        ftran_nnz += w_nz.len();
+    }
+    for (&pos, e) in positions.iter().zip(&units) {
+        f.btran_row(pos, &mut rho, &mut rho_nz);
+        f.btran(e, &mut sweep);
+        assert!(same_bits(&rho, &sweep), "{name} {state}: btran_row differs from the sweep");
+        btran_row_nnz += rho_nz.len();
+    }
+    let allocs_before = allocations();
+    for (a, &pos) in columns.iter().zip(&positions) {
+        f.ftran(black_box(a), &mut w, &mut w_nz);
+        f.btran_row(black_box(pos), &mut rho, &mut rho_nz);
+    }
+    let reach_allocs = allocations() - allocs_before;
+    assert_eq!(
+        reach_allocs, 0,
+        "{name} {state}: warmed reach kernels allocated {reach_allocs} times"
+    );
+
+    let per_solve = |body: &mut dyn FnMut(usize)| {
+        let mut passes: Vec<Duration> = (0..samples)
+            .map(|_| {
+                let t0 = Instant::now();
+                (0..64).for_each(&mut *body);
+                t0.elapsed() / 64
+            })
+            .collect();
+        median_us(&mut passes)
+    };
+    ReachResult {
+        state,
+        ftran_nnz: ftran_nnz as f64 / 64.0,
+        btran_row_nnz: btran_row_nnz as f64 / 64.0,
+        ftran_us: per_solve(&mut |k| f.ftran(black_box(&columns[k]), &mut w, &mut w_nz)),
+        sweep_ftran_us: per_solve(&mut |k| f.ftran_dense(black_box(&scattered[k]), &mut sweep)),
+        btran_row_us: per_solve(&mut |k| {
+            f.btran_row(black_box(positions[k]), &mut rho, &mut rho_nz)
+        }),
+        sweep_btran_us: per_solve(&mut |k| f.btran(black_box(&units[k]), &mut sweep)),
+    }
+}
+
 struct ScenarioResult {
     name: &'static str,
     m: usize,
@@ -126,6 +235,7 @@ struct ScenarioResult {
     dense_btran_us: f64,
     ft_update_us: f64,
     ft_updates_applied: u64,
+    reach: Vec<ReachResult>,
 }
 
 fn run_scenario(
@@ -272,6 +382,21 @@ fn run_scenario(
         }
     }
 
+    // --- reach kernels: fresh, then after 48 spike-fed updates ------------
+    sparse.refactor(&as_refs(&cols)).unwrap();
+    let mut reach = vec![reach_group((name, "fresh"), &mut sparse, m, refactor_samples, &mut rng)];
+    let (mut w, mut w_nz) = (Vec::new(), Vec::new());
+    for _ in 0..48 {
+        let (anchor, hops) = (rng.gen_range(0..m), rng.gen_range(4..8));
+        let entering = lp_column(m, anchor, hops, true, &mut rng);
+        sparse.ftran(&entering, &mut w, &mut w_nz);
+        // Leave at the largest entry, so every update is taken.
+        let pos = (0..m).max_by(|&p, &q| w[p].abs().total_cmp(&w[q].abs())).unwrap();
+        assert!(sparse.update(pos), "{name}: an update was refused");
+        cols[pos] = entering;
+    }
+    reach.push(reach_group((name, "ft48"), &mut sparse, m, refactor_samples, &mut rng));
+
     ScenarioResult {
         name,
         m,
@@ -287,6 +412,7 @@ fn run_scenario(
         dense_btran_us,
         ft_update_us: median_us(&mut update_t),
         ft_updates_applied: applied,
+        reach,
     }
 }
 
@@ -386,6 +512,28 @@ fn main() {
         println!("BENCH\tsparse_lu_{}_btran_us\t{:.2}", r.name, r.sparse_btran_us);
         println!("BENCH\tsparse_lu_{}_ft_update_us\t{:.2}", r.name, r.ft_update_us);
         println!("BENCH\tsparse_lu_{}_append_rows_us\t{:.2}", r.name, r.append_rows_us);
+        for g in &r.reach {
+            println!(
+                "  reach [{} {}] ftran {:.2}us (sweep {:.2}us, {:.1}x; {:.0} of {} nonzero)  \
+                 btran_row {:.2}us (sweep {:.2}us, {:.1}x; {:.0} nonzero)",
+                r.name,
+                g.state,
+                g.ftran_us,
+                g.sweep_ftran_us,
+                g.sweep_ftran_us / g.ftran_us.max(1e-9),
+                g.ftran_nnz,
+                r.m,
+                g.btran_row_us,
+                g.sweep_btran_us,
+                g.sweep_btran_us / g.btran_row_us.max(1e-9),
+                g.btran_row_nnz,
+            );
+            let key = format!("sparse_lu_{}_{}", r.name, g.state);
+            println!("BENCH\t{key}_reach_ftran_us\t{:.3}", g.ftran_us);
+            println!("BENCH\t{key}_sweep_ftran_us\t{:.3}", g.sweep_ftran_us);
+            println!("BENCH\t{key}_reach_btran_row_us\t{:.3}", g.btran_row_us);
+            println!("BENCH\t{key}_sweep_btran_us\t{:.3}", g.sweep_btran_us);
+        }
         assert!(
             r.append_rows_us < MAX_BORDER_SHARE_OF_REFACTOR * r.sparse_refactor_us,
             "{}: bordering {APPENDED_ROWS} rows took {:.1}us, a refactorization {:.1}us",
@@ -420,13 +568,35 @@ fn main() {
 
     if smoke {
         println!(
-            "sparse_lu smoke: zero-allocation (ftran, btran, warmed refactor, warmed border), \
-             resident re-solve allocation cap, fill, border under a third of a refactorization, \
-             and {MIN_COLGEN_REFACTOR_SPEEDUP}x colgen refactor floors hold"
+            "sparse_lu smoke: zero-allocation (ftran, btran, warmed refactor, warmed border, \
+             reach kernels), reach kernels bitwise equal to the sweeps, resident re-solve \
+             allocation cap, fill, border under a third of a refactorization, and \
+             {MIN_COLGEN_REFACTOR_SPEEDUP}x colgen refactor floors hold"
         );
         return;
     }
 
+    let reach_cells = |r: &ScenarioResult| {
+        let cells: Vec<String> = r
+            .reach
+            .iter()
+            .map(|g| {
+                format!(
+                    "        {{ \"state\": \"{}\", \"ftran_nnz\": {:.1}, \"btran_row_nnz\": {:.1}, \
+                     \"ftran_us\": {:.3}, \"sweep_ftran_us\": {:.3}, \"btran_row_us\": {:.3}, \
+                     \"sweep_btran_us\": {:.3} }}",
+                    g.state,
+                    g.ftran_nnz,
+                    g.btran_row_nnz,
+                    g.ftran_us,
+                    g.sweep_ftran_us,
+                    g.btran_row_us,
+                    g.sweep_btran_us
+                )
+            })
+            .collect();
+        cells.join(",\n")
+    };
     let cell = |r: &ScenarioResult| {
         format!(
             "    {{\n      \"scenario\": \"{}\",\n      \"m\": {},\n      \"basis_nnz\": {},\n      \
@@ -435,7 +605,8 @@ fn main() {
              \"ftran_us\": {:.2},\n      \"dense_ftran_us\": {:.2},\n      \
              \"btran_us\": {:.2},\n      \"dense_btran_us\": {:.2},\n      \
              \"ft_update_us\": {:.2},\n      \"ft_updates_applied\": {},\n      \
-             \"append_rows\": {APPENDED_ROWS},\n      \"append_rows_us\": {:.2}\n    }}",
+             \"append_rows\": {APPENDED_ROWS},\n      \"append_rows_us\": {:.2},\n      \
+             \"reach\": [\n{}\n      ]\n    }}",
             r.name,
             r.m,
             r.basis_nnz,
@@ -450,13 +621,15 @@ fn main() {
             r.ft_update_us,
             r.ft_updates_applied,
             r.append_rows_us,
+            reach_cells(r),
         )
     };
     let json = format!(
         "{{\n  \"bench\": \"sparse_lu\",\n  {},\n  \
          \"steady_state_solve_allocations\": 0,\n  \
          \"allocations_per_warmed_refactor\": 0,\n  \
-         \"allocations_per_warmed_border\": 0,\n  \"scenarios\": [\n{},\n{}\n  ],\n  \
+         \"allocations_per_warmed_border\": 0,\n  \
+         \"allocations_per_warmed_reach_solve\": 0,\n  \"scenarios\": [\n{},\n{}\n  ],\n  \
          \"resident_resolve\": {{\n    \"solves\": {},\n    \"rows\": {},\n    \"vars\": {},\n    \
          \"pivots_per_solve\": {:.1},\n    \"allocations_per_solve\": {:.0},\n    \
          \"us_per_solve\": {:.1}\n  }}\n}}\n",

@@ -157,6 +157,9 @@ pub struct SessionStats {
     pub iterations: u64,
     /// Those of them that were dual simplex pivots of warm restarts.
     pub dual_iterations: u64,
+    /// Those dual pivots whose dual step `θ_d` was zero: degenerate, the
+    /// duals and reduced costs did not move.
+    pub dual_degenerate: u64,
     /// Total pricing work across all solves: columns examined by entering
     /// selection plus columns touched by incremental pivot-row updates.
     pub pricing_scans: u64,
@@ -224,6 +227,7 @@ impl PartialEq for SessionStats {
             && self.warm_dual == other.warm_dual
             && self.iterations == other.iterations
             && self.dual_iterations == other.dual_iterations
+            && self.dual_degenerate == other.dual_degenerate
             && self.pricing_scans == other.pricing_scans
             && self.bland_pivots == other.bland_pivots
             && self.cache_hits == other.cache_hits
@@ -248,6 +252,7 @@ impl SessionStats {
         self.solves += 1;
         self.iterations += solution.iterations();
         self.dual_iterations += solution.dual_iterations();
+        self.dual_degenerate += solution.dual_degenerate();
         self.pricing_scans += solution.pricing_scans();
         self.bland_pivots += solution.bland_pivots();
         self.pricing_par_sections += solution.pricing_par_sections();
@@ -290,6 +295,7 @@ impl SessionStats {
         self.warm_dual += other.warm_dual;
         self.iterations += other.iterations;
         self.dual_iterations += other.dual_iterations;
+        self.dual_degenerate += other.dual_degenerate;
         self.pricing_scans += other.pricing_scans;
         self.bland_pivots += other.bland_pivots;
         self.cache_hits += other.cache_hits;
@@ -319,6 +325,7 @@ impl SessionStats {
             ("warm dual".into(), self.warm_dual.to_string()),
             ("iterations".into(), self.iterations.to_string()),
             ("dual iterations".into(), self.dual_iterations.to_string()),
+            ("lp degenerate dual pivots".into(), self.dual_degenerate.to_string()),
             ("pricing scans".into(), self.pricing_scans.to_string()),
             ("bland pivots".into(), self.bland_pivots.to_string()),
             ("cache hits".into(), self.cache_hits.to_string()),
@@ -1299,14 +1306,15 @@ mod tests {
         assert!(warm * 2 > solves, "only {warm} of {solves} solves restarted warm");
     }
 
-    /// The three counters of a solve's start and end are merged, compared and
-    /// printed like their neighbours.
+    /// The three counters of a solve's start and end, and the degenerate
+    /// dual pivots, are merged, compared and printed like their neighbours.
     #[test]
     fn carry_counters_are_merged_compared_and_rendered() {
         let st = SessionStats {
             carried: 7,
             bordered_rows: 11,
             terminal_refactors: 3,
+            dual_degenerate: 5,
             ..SessionStats::default()
         };
         let rows = st.rows();
@@ -1314,11 +1322,14 @@ mod tests {
         assert_eq!(row("lp carried solves"), Some("7"));
         assert_eq!(row("lp bordered rows"), Some("11"));
         assert_eq!(row("lp terminal refactors"), Some("3"));
-        assert_eq!(rows.len(), 22);
+        assert_eq!(row("lp degenerate dual pivots"), Some("5"));
+        assert_eq!(rows.len(), 23);
         let mut twice = st;
         twice.merge(st);
         assert_eq!((twice.carried, twice.bordered_rows, twice.terminal_refactors), (14, 22, 6));
+        assert_eq!(twice.dual_degenerate, 10);
         for one in [
+            SessionStats { dual_degenerate: 1, ..SessionStats::default() },
             SessionStats { carried: 1, ..SessionStats::default() },
             SessionStats { bordered_rows: 1, ..SessionStats::default() },
             SessionStats { terminal_refactors: 1, ..SessionStats::default() },

@@ -4,8 +4,9 @@
 //! turns `U` into `H`: `U` with column `t` replaced by the *spike*
 //! `s = Λ⁻¹a`, with `Λ = L·R₁·…·R_K` the product of all factors left of
 //! `U`. That is the vector the FTRAN of `a` holds on its way to
-//! `w = U⁻¹·s`, so the solve keeps it (`Factorization::spike`) and the
-//! update needs neither `w` nor a second pass over `U`.
+//! `w = U⁻¹·s`, so the solve keeps it (`Factorization::spike`, its nonzero
+//! slots in `spike_nz`) and the update needs neither `w` nor a second pass
+//! over `U`.
 //!
 //! Rotating slot `t` to the end of the pivot order makes the spike column
 //! upper triangular again but strands row `t`'s old entries below the
@@ -26,7 +27,7 @@
 //! exchange for solve kernels that never degrade (U stays truly
 //! triangular, unlike a product-form eta file).
 
-use super::arena::grow;
+use super::sparse::{with_work, BitQueue};
 use super::Factorization;
 
 pub(super) fn apply(f: &mut Factorization, pos: usize) -> bool {
@@ -35,18 +36,18 @@ pub(super) fn apply(f: &mut Factorization, pos: usize) -> bool {
     }
     let t = f.slot_of_pos[pos] as usize;
 
-    // Eliminate row t against every later pivot (in pivot order),
-    // collecting the row-eta terms. Scratch only — nothing is committed
-    // until the new pivot passes the tolerance check.
-    let stamp = begin_row(f);
-    for &(j, u) in f.urows.get(t) {
-        f.rowbuf[j as usize] = u;
-        f.rowstamp[j as usize] = stamp;
-    }
-    // The terms go straight onto the end of the eta file and are cut off
-    // again if the update is rejected.
+    // Eliminate row t against the later pivots it reaches (in pivot order),
+    // collecting the row-eta terms. The terms go straight onto the end of
+    // the eta file and are cut off again if the update is rejected; nothing
+    // else is committed until the new pivot passes the tolerance check.
     let terms_from = f.eta_terms.len();
-    eliminate_row(f, f.ord[t] as usize + 1, stamp);
+    with_work(f, |f, z, q, _| {
+        for &(j, u) in f.urows.get(t) {
+            z[j as usize] = u;
+            q.insert(f.ord[j as usize] as usize);
+        }
+        eliminate_row(f, z, q);
+    });
     // Row k's entry in the spike column contributes to the diagonal.
     let new_diag = f.eta_terms[terms_from..]
         .iter()
@@ -72,9 +73,10 @@ pub(super) fn apply(f: &mut Factorization, pos: usize) -> bool {
     // other slot sits above it, so all off-diagonal spike entries land in
     // the upper triangle.
     f.ucols.clear(t);
-    f.ucols.reserve(t, f.spike.iter().filter(|&&sv| sv != 0.0).count());
-    for (s, &sv) in f.spike.iter().enumerate() {
-        if s != t && sv != 0.0 {
+    f.ucols.reserve(t, f.spike_nz.len());
+    for &s in &f.spike_nz {
+        let (s, sv) = (s as usize, f.spike[s as usize]);
+        if s != t {
             f.ucols.push(t, (s as u32, sv));
             f.urows.push(s, (t as u32, sv));
         }
@@ -101,37 +103,29 @@ pub(super) fn apply(f: &mut Factorization, pos: usize) -> bool {
     true
 }
 
-/// Start a working row over the current slots: a fresh validity stamp for
-/// `rowbuf` entries.
-fn begin_row(f: &mut Factorization) -> u64 {
-    f.stamp += 1;
-    grow(&mut f.rowbuf, f.m, 0.0);
-    grow(&mut f.rowstamp, f.m, 0);
-    f.stamp
-}
-
-/// Eliminate the working row (`rowbuf` where `rowstamp == stamp`) against
-/// the pivots from place `from` of the pivot order on, left to right,
-/// pushing one `(slot, multiplier)` term per pivot it meets onto the eta
-/// file: the multipliers are the row times `U⁻¹` over those pivots.
-fn eliminate_row(f: &mut Factorization, from: usize, stamp: u64) {
-    for i in from..f.m {
+/// Eliminate the working row — `z` over slots, the pivot places of its
+/// nonzeros in `q` — against the pivots it reaches, left to right (`q`
+/// popped in ascending pivot order, as the solve kernels pop theirs),
+/// pushing one `(slot, multiplier)` term per nonzero pivot it meets onto the
+/// eta file: the multipliers are the row times `U⁻¹` over those pivots.
+/// Leaves `z` and `q` all-zero.
+fn eliminate_row(f: &mut Factorization, z: &mut [f64], q: &mut BitQueue) {
+    q.drain_up(|q, i| {
         let k = f.perm[i] as usize;
-        if f.rowstamp[k] != stamp || f.rowbuf[k] == 0.0 {
-            continue;
+        let v = std::mem::replace(&mut z[k], 0.0);
+        if v == 0.0 {
+            return;
         }
-        let r = f.rowbuf[k] / f.udiag[k];
+        let r = v / f.udiag[k];
         f.eta_terms.push((k as u32, r));
         for &(j, u) in f.urows.get(k) {
-            let jj = j as usize;
-            if f.rowstamp[jj] == stamp {
-                f.rowbuf[jj] -= r * u;
-            } else {
-                f.rowstamp[jj] = stamp;
-                f.rowbuf[jj] = -r * u;
+            let j = j as usize;
+            if z[j] == 0.0 {
+                q.insert(f.ord[j] as usize);
             }
+            z[j] -= r * u;
         }
-    }
+    });
 }
 
 /// Border the factors with one row and its unit slack column:
@@ -147,16 +141,18 @@ fn eliminate_row(f: &mut Factorization, from: usize, stamp: u64) {
 /// [`apply`] runs — is one more row eta. Nothing can be refused: the new
 /// pivot is exactly 1.
 pub(super) fn append_row(f: &mut Factorization, row: &[(u32, f64)]) {
-    let stamp = begin_row(f);
-    for &(pos, v) in row {
-        let s = f.slot_of_pos[pos as usize] as usize;
-        f.rowbuf[s] = v;
-        f.rowstamp[s] = stamp;
-    }
     let terms_from = f.eta_terms.len();
-    eliminate_row(f, 0, stamp);
+    with_work(f, |f, z, q, _| {
+        for &(pos, v) in row {
+            let s = f.slot_of_pos[pos as usize] as usize;
+            z[s] = v;
+            q.insert(f.ord[s] as usize);
+        }
+        eliminate_row(f, z, q);
+    });
     let slot = f.m as u32;
     f.l_start.push(f.l_data.len() as u32);
+    f.lrow_start.push(f.lrow_data.len() as u32);
     f.ucols.add_segments(1);
     f.urows.add_segments(1);
     f.udiag.push(1.0);

@@ -255,6 +255,22 @@ pub(super) fn refactorize(
     for e in f.l_data.iter_mut() {
         e.0 = f.slot_of_row[e.0 as usize];
     }
+    // Row index of L: slot s lists the columns with an entry there. Count,
+    // take running ends, then fill each row from its end back to its start.
+    refill(&mut f.lrow_start, m + 1, 0);
+    for &(s, _) in &f.l_data {
+        f.lrow_start[s as usize] += 1;
+    }
+    for s in 1..=m {
+        f.lrow_start[s] += f.lrow_start[s - 1];
+    }
+    refill(&mut f.lrow_data, f.l_data.len(), 0);
+    for (k, ends) in f.l_start.windows(2).enumerate() {
+        for &(s, _) in &f.l_data[ends[0] as usize..ends[1] as usize] {
+            f.lrow_start[s as usize] -= 1;
+            f.lrow_data[f.lrow_start[s as usize] as usize] = k as u32;
+        }
+    }
     // U by column (entries of one column stay in step order) and its
     // row-major mirror (each row ascending by column slot), both laid out
     // to fit exactly.

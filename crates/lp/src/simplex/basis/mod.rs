@@ -20,9 +20,13 @@
 //! *borders* the factors the same way (`Factorization::append_row`): one
 //! row elimination, one more row eta, no refactorization.
 //!
-//! The two solve kernels (`sparse`) are the classic simplex primitives:
-//! * `ftran`: solve `B·w = a` (entering column in basis coordinates),
-//! * `btran`: solve `yᵀ·B = cᵀ` (simplex multipliers / duals).
+//! The solve kernels (`sparse`) are the classic simplex primitives, each in
+//! two forms: a sweep over every slot for a dense right-hand side, and a
+//! reach-ordered form for the sparse ones a pivot issues, which visits only
+//! the slots the right-hand side reaches and returns bitwise the sweep's
+//! result:
+//! * `ftran` / `ftran_dense`: solve `B·w = a` (entering column, basic values),
+//! * `btran_row` / `btran`: solve `yᵀ·B = cᵀ` (a row of `B⁻¹`, the duals).
 //!
 //! The previous dense-bump kernel (triangularization pre-pass + dense LU
 //! on the residual bump + product-form etas) survives as a *reference
@@ -36,6 +40,7 @@ mod markowitz;
 mod sparse;
 
 use arena::SegArena;
+pub(crate) use sparse::BitQueue;
 
 /// Sparse column: `(row, value)` pairs, rows strictly increasing.
 pub type SparseCol = Vec<(u32, f64)>;
@@ -129,6 +134,11 @@ pub struct Factorization {
     /// refactors.
     l_start: Vec<u32>,
     l_data: Vec<(u32, f64)>,
+    /// Row index of `L`, built with it: row `s` is
+    /// `lrow_data[lrow_start[s]..lrow_start[s + 1]]`, the columns of `L`
+    /// with an entry at slot `s`. It finds the reach of `Lᵀ`.
+    lrow_start: Vec<u32>,
+    lrow_data: Vec<u32>,
     /// Off-diagonal columns of `U` by slot: `(slot, value)` entries at
     /// slots earlier in the current pivot order.
     ucols: SegArena<(u32, f64)>,
@@ -163,20 +173,22 @@ pub struct Factorization {
     /// Absolute pivot tolerance.
     pivot_tol: f64,
     // --- scratch buffers reused across calls (no steady-state allocs) ----
-    /// Dense RHS scatter for `ftran`, indexed by original row.
-    scratch: Vec<f64>,
-    /// Slot-space work vector for both solve kernels.
+    /// Slot-space work vector of the solve kernels and of the row
+    /// elimination; all-zero between calls.
     z: Vec<f64>,
-    /// What the last `ftran` held after `L` and the row etas, before `U`:
-    /// the Forrest–Tomlin spike of the column it solved for.
+    /// Reach of the sparse kernels and the row elimination, keyed by the
+    /// order each stage visits it in; all-zero between calls.
+    queue: BitQueue,
+    /// Slots a sparse kernel's stage left nonzero.
+    reach: Vec<u32>,
+    /// What the last FTRAN held after `L` and the row etas, before `U`:
+    /// the Forrest–Tomlin spike of the column it solved for, zero outside
+    /// `spike_nz` (its nonzero slots, ascending).
     spike: Vec<f64>,
+    spike_nz: Vec<u32>,
     /// `spike` belongs to the current factors: an `ftran` wrote it and
     /// neither a refactorization nor an update has happened since.
     spike_live: bool,
-    /// FT update: working last row (dense over slots, stamp-validated).
-    rowbuf: Vec<f64>,
-    rowstamp: Vec<u64>,
-    stamp: u64,
     /// Markowitz elimination workspace.
     ws: markowitz::Workspace,
     stats: FactorStats,
@@ -250,31 +262,33 @@ impl Factorization {
         markowitz::refactorize(self, m, column)
     }
 
-    /// Solve `B·w = a` where `a` is a sparse column in original row
-    /// coordinates. The result is dense, indexed by basis *position*.
-    pub fn ftran(&mut self, a: &[(u32, f64)], out: &mut Vec<f64>) {
-        // Borrow the reusable scratch buffer for the dense scatter; only
-        // the entries of `a` are re-zeroed before it is handed back.
-        let mut dense = std::mem::take(&mut self.scratch);
-        arena::grow(&mut dense, self.m, 0.0);
-        for &(i, v) in a.iter() {
-            dense[i as usize] = v;
-        }
-        self.ftran_dense(&dense, out);
-        for &(i, _) in a.iter() {
-            dense[i as usize] = 0.0;
-        }
-        self.scratch = dense;
+    /// Solve `B·w = a` for a sparse column `a` in original row coordinates
+    /// (rows distinct), visiting only the slots `a` reaches: bitwise
+    /// [`Factorization::ftran_dense`] of `a` scattered, up to the sign of a
+    /// zero. `out` is indexed by basis *position* and zero outside `out_nz`,
+    /// its nonzero positions ascending; hand the pair back as the last call
+    /// left it (or empty), as only the listed entries are cleared.
+    pub fn ftran(&mut self, a: &[(u32, f64)], out: &mut Vec<f64>, out_nz: &mut Vec<u32>) {
+        sparse::ftran(self, a, out, out_nz);
     }
 
     /// Like [`Factorization::ftran`] but with a dense right-hand side in
-    /// original row coordinates.
+    /// original row coordinates, swept slot by slot; `out` is overwritten
+    /// whole.
     pub fn ftran_dense(&mut self, a: &[f64], out: &mut Vec<f64>) {
         sparse::ftran_dense(self, a, out);
     }
 
-    /// Solve `yᵀ·B = cᵀ` where `c` is dense, indexed by basis position.
-    /// The result `y` is dense, indexed by original row.
+    /// Row `pos` of `B⁻¹` (`yᵀ·B = e_posᵀ`) over the unit vector's reach:
+    /// bitwise [`Factorization::btran`] of `e_pos`, up to the sign of a zero.
+    /// `out` is indexed by original row, zero outside `out_nz`, with the
+    /// hand-back rule of [`Factorization::ftran`].
+    pub fn btran_row(&mut self, pos: usize, out: &mut Vec<f64>, out_nz: &mut Vec<u32>) {
+        sparse::btran_row(self, pos, out, out_nz);
+    }
+
+    /// Solve `yᵀ·B = cᵀ` where `c` is dense, indexed by basis position,
+    /// swept slot by slot. The result `y` is dense, indexed by original row.
     pub fn btran(&mut self, c: &[f64], out: &mut Vec<f64>) {
         sparse::btran(self, c, out);
     }
@@ -344,9 +358,9 @@ mod tests {
     fn ftran_identity() {
         let cols = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         let mut f = factor_of(&cols);
-        let mut w = Vec::new();
-        f.ftran(&col(&[(0, 3.0), (1, 4.0)]), &mut w);
-        assert_eq!(w, vec![3.0, 4.0]);
+        let (mut w, mut nz) = (Vec::new(), Vec::new());
+        f.ftran(&col(&[(0, 3.0), (1, 4.0)]), &mut w, &mut nz);
+        assert_eq!((w, nz), (vec![3.0, 4.0], vec![0, 1]));
     }
 
     #[test]
@@ -355,7 +369,7 @@ mod tests {
         let mut f = factor_of(&cols);
         let a = col(&[(0, 5.0), (1, 4.0), (2, 3.0)]);
         let mut w = Vec::new();
-        f.ftran(&a, &mut w);
+        f.ftran(&a, &mut w, &mut Vec::new());
         let bx = matvec(&cols, &w);
         for (got, want) in bx.iter().zip([5.0, 4.0, 3.0]) {
             assert!((got - want).abs() < 1e-10, "{bx:?}");
@@ -425,16 +439,16 @@ mod tests {
         let ident = vec![vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0], vec![0.0, 0.0, 1.0]];
         let mut f = factor_of(&ident);
         let a = col(&[(0, 1.0), (1, 2.0), (2, 1.0)]);
-        let mut w = Vec::new();
-        f.ftran(&a, &mut w);
+        let (mut w, mut nz) = (Vec::new(), Vec::new());
+        f.ftran(&a, &mut w, &mut nz);
         assert!(f.update(1));
         let newb = vec![vec![1.0, 0.0, 0.0], vec![1.0, 2.0, 1.0], vec![0.0, 0.0, 1.0]];
         let rhs = col(&[(0, 2.0), (1, 7.0), (2, 5.0)]);
         let mut via_eta = Vec::new();
-        f.ftran(&rhs, &mut via_eta);
+        f.ftran(&rhs, &mut via_eta, &mut Vec::new());
         let mut fresh = factor_of(&newb);
         let mut via_fresh = Vec::new();
-        fresh.ftran(&rhs, &mut via_fresh);
+        fresh.ftran(&rhs, &mut via_fresh, &mut Vec::new());
         for (a, b) in via_eta.iter().zip(&via_fresh) {
             assert!((a - b).abs() < 1e-10, "{via_eta:?} vs {via_fresh:?}");
         }
@@ -474,7 +488,7 @@ mod tests {
                 .map(|(i, &v)| (i as u32, v))
                 .collect();
             let mut w = Vec::new();
-            f.ftran(&a, &mut w);
+            f.ftran(&a, &mut w, &mut Vec::new());
             assert!(f.update(pos), "step {step} rejected");
             cols[pos] = newcol;
         }
@@ -500,7 +514,7 @@ mod tests {
         let ident = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         let mut f = factor_of(&ident);
         let mut w = Vec::new();
-        f.ftran(&col(&[(0, 1.0), (1, 1e-15)]), &mut w);
+        f.ftran(&col(&[(0, 1.0), (1, 1e-15)]), &mut w, &mut Vec::new());
         assert!(!f.update(1));
         assert_eq!(f.stats().pivot_rejections, 1);
         // Nothing was committed: the factorization still solves the
@@ -515,11 +529,11 @@ mod tests {
         let ident = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         let mut f = factor_of(&ident);
         f.max_etas = 2;
-        let mut w = Vec::new();
-        f.ftran(&col(&[(0, 1.0)]), &mut w);
+        let (mut w, mut nz) = (Vec::new(), Vec::new());
+        f.ftran(&col(&[(0, 1.0)]), &mut w, &mut nz);
         assert!(f.update(0));
         assert!(!f.wants_refactor());
-        f.ftran(&col(&[(1, 1.0)]), &mut w);
+        f.ftran(&col(&[(1, 1.0)]), &mut w, &mut nz);
         assert!(f.update(1));
         assert!(f.wants_refactor());
     }
@@ -532,19 +546,19 @@ mod tests {
         let cols = vec![vec![2.0, 1.0, 0.0], vec![0.0, 3.0, 1.0], vec![1.0, 0.0, 2.0]];
         let mut f = factor_of(&cols);
         let a = col(&[(0, 1.0), (1, 2.0), (2, 4.0)]);
-        let mut w = Vec::new();
+        let (mut w, mut nz) = (Vec::new(), Vec::new());
         assert!(!f.update(1), "no ftran yet");
         let mut foreign = f.clone();
-        foreign.ftran(&a, &mut w);
+        foreign.ftran(&a, &mut w, &mut nz);
         assert!(!f.update(1), "the clone's ftran is not this object's");
         assert!(foreign.update(1));
         assert!(!foreign.update(1), "spike already consumed");
-        f.ftran(&a, &mut w);
+        f.ftran(&a, &mut w, &mut nz);
         f.refactor(&[&col(&[(0, 2.0), (1, 1.0)]), &col(&[(1, 3.0), (2, 1.0)]), &a]).unwrap();
         assert!(!f.update(1), "spike predates the refactorization");
         assert_eq!(f.stats().ft_updates + f.stats().pivot_rejections, 0);
         // Refused means untouched: `f` still solves the refactorized basis.
-        f.ftran(&a, &mut w);
+        f.ftran(&a, &mut w, &mut nz);
         for (got, want) in w.iter().zip([0.0, 0.0, 1.0]) {
             assert!((got - want).abs() < 1e-12, "{w:?}");
         }

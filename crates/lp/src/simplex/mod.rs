@@ -347,6 +347,7 @@ fn finish_solution(
         pricing_scans: outcome.pricing_scans,
         bland_pivots: outcome.bland_pivots,
         dual_iterations: outcome.dual_iterations,
+        dual_degenerate: outcome.dual_degenerate,
         pricing_par_sections: outcome.pricing_par_sections,
         pricing_par_steals: outcome.pricing_par_steals,
         pricing_serial_nanos: outcome.pricing_serial_nanos,

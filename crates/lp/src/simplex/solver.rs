@@ -7,7 +7,7 @@
 //! after a run of degenerate pivots.
 
 use super::basis::arena::{grow, refill};
-use super::basis::{FactorError, FactorStats, Factorization};
+use super::basis::{BitQueue, FactorError, FactorStats, Factorization};
 use super::{Pricing, Problem, SimplexOptions};
 use crate::model::RowData;
 use crate::solution::SolveError;
@@ -36,6 +36,9 @@ pub(crate) struct Outcome {
     pub bland_pivots: u64,
     /// Iterations that were dual simplex pivots (a subset of `iterations`).
     pub dual_iterations: u64,
+    /// Dual pivots whose dual step `θ_d` was zero (a subset of
+    /// `dual_iterations`).
+    pub dual_degenerate: u64,
     /// Sections executed by the deterministic parallel-pricing primitive
     /// (`pricing_jobs > 1` only; the serial path never touches it).
     pub pricing_par_sections: u64,
@@ -75,7 +78,8 @@ enum Step {
 /// Every buffer a solve needs, kept by the caller between solves so a
 /// re-solve allocates nothing. A solve leaves its result in `x`, `y`,
 /// `basis` and `nb`; a solve that reloads overwrites everything before
-/// reading (only `stamp` and the all-zero `e_r` are invariants), a solve
+/// reading (only `stamp`, and `w` and `rho` being zero outside their
+/// nonzero lists, are invariants), a solve
 /// that carries (`owner`) continues from `basis`, `nb`, `d`, `y` and the
 /// factors as they stand.
 #[derive(Debug, Clone, Default)]
@@ -99,7 +103,10 @@ pub(crate) struct Workspace {
     /// Rest state of every column (meaningful for nonbasic ones).
     pub nb: Vec<NbState>,
     pub factor: Factorization,
+    /// FTRAN of the entering column by basis position, zero outside `w_nz`
+    /// (its nonzero positions, ascending).
     w: Vec<f64>,
+    w_nz: Vec<u32>,
     /// Row duals for the internal minimization problem.
     pub y: Vec<f64>,
     // --- incremental pricing state (Devex / PartialDevex) -----------------
@@ -115,10 +122,10 @@ pub(crate) struct Workspace {
     // --- scratch ----------------------------------------------------------
     /// Basic cost vector for BTRAN (hoisted out of the iteration loop).
     cb: Vec<f64>,
-    /// Pivot row of B⁻¹ in original row coordinates.
+    /// Pivot row of B⁻¹ in original row coordinates, zero outside `rho_nz`
+    /// (its nonzero rows, ascending).
     rho: Vec<f64>,
-    /// Unit vector for the pivot-row BTRAN (kept all-zero between uses).
-    e_r: Vec<f64>,
+    rho_nz: Vec<u32>,
     /// Pivot-row entries `alpha_j = rho · a_j`, valid where
     /// `alpha_stamp[j] == stamp`; `stamp` only ever grows.
     alpha: Vec<f64>,
@@ -133,6 +140,9 @@ pub(crate) struct Workspace {
     /// Dual ratio-test candidates of the current pivot row:
     /// `(column, alpha, ratio)`.
     dual_cands: Vec<(u32, f64, f64)>,
+    /// The dual loop's leaving-row candidates: exactly the basis positions
+    /// whose value violates a bound by more than `feas_tol`.
+    infeasible: BitQueue,
 }
 
 struct State<'a> {
@@ -646,10 +656,9 @@ impl<'a> State<'a> {
     }
 
     /// Size the pricing/pivot-row scratch buffers for the current problem
-    /// dimensions (idempotent; `e_r` keeps its all-zero invariant).
+    /// dimensions (idempotent).
     fn ensure_scratch(&mut self) {
-        let (m, n) = (self.p.m, self.p.n);
-        grow(&mut self.ws.e_r, m, 0.0);
+        let n = self.p.n;
         grow(&mut self.ws.alpha, n, 0.0);
         grow(&mut self.ws.alpha_stamp, n, 0);
         grow(&mut self.ws.d, n, 0.0);
@@ -747,10 +756,7 @@ impl<'a> State<'a> {
                     }
                 }
             };
-            {
-                let (factor, w) = (&mut self.ws.factor, &mut self.ws.w);
-                self.p.with_col(j, |col| factor.ftran(col, w));
-            }
+            self.ftran_column(j);
             match self.ratio_test(j, sigma, bland) {
                 Step::Unbounded => {
                     if phase1 {
@@ -869,47 +875,46 @@ impl<'a> State<'a> {
         }
     }
 
-    /// BTRAN row `position` of `B⁻¹` into `rho` (original row coordinates)
-    /// and compute the sparse pivot row `alpha_j = rho · a_j` for every column
-    /// with support in a row where `rho` is nonzero: structural terms come
-    /// from the row-major mirror, the slack for row `i` is implicit with
+    /// FTRAN column `j` into `w`.
+    fn ftran_column(&mut self, j: usize) {
+        let (factor, w, w_nz) = (&mut self.ws.factor, &mut self.ws.w, &mut self.ws.w_nz);
+        self.p.with_col(j, |col| factor.ftran(col, w, w_nz));
+    }
+
+    /// Row `position` of `B⁻¹` into `rho` (original row coordinates), and
+    /// the sparse pivot row `alpha_j = rho · a_j` for every column with
+    /// support in a row where `rho` is nonzero: structural terms come from
+    /// the row-major mirror, the slack for row `i` is implicit with
     /// coefficient 1, and the artificial (when opened by the crash) carries
     /// its crash-time sign. Entries are valid where
     /// `alpha_stamp[j] == stamp`; `alpha_touched` lists them.
     fn pivot_row_pass(&mut self, position: usize) {
-        self.ws.e_r[position] = 1.0;
-        {
-            let (factor, e_r, rho) = (&mut self.ws.factor, &self.ws.e_r, &mut self.ws.rho);
-            factor.btran(e_r, rho);
-        }
-        self.ws.e_r[position] = 0.0;
-        self.ws.stamp += 1;
-        let stamp = self.ws.stamp;
-        self.ws.alpha_touched.clear();
-        for i in 0..self.ws.rho.len() {
-            let rv = self.ws.rho[i];
-            if rv == 0.0 {
-                continue;
-            }
+        let ws = &mut *self.ws;
+        ws.factor.btran_row(position, &mut ws.rho, &mut ws.rho_nz);
+        ws.stamp += 1;
+        let stamp = ws.stamp;
+        ws.alpha_touched.clear();
+        for &i in &ws.rho_nz {
+            let (i, rv) = (i as usize, ws.rho[i as usize]);
             for &(jc, v) in &self.rows[i].terms {
                 let j = jc as usize;
-                if self.ws.alpha_stamp[j] != stamp {
-                    self.ws.alpha_stamp[j] = stamp;
-                    self.ws.alpha[j] = 0.0;
-                    self.ws.alpha_touched.push(jc);
+                if ws.alpha_stamp[j] != stamp {
+                    ws.alpha_stamp[j] = stamp;
+                    ws.alpha[j] = 0.0;
+                    ws.alpha_touched.push(jc);
                 }
-                self.ws.alpha[j] += rv * v;
+                ws.alpha[j] += rv * v;
             }
             let s = self.p.slack_start + i;
-            self.ws.alpha_stamp[s] = stamp;
-            self.ws.alpha[s] = rv;
-            self.ws.alpha_touched.push(s as u32);
+            ws.alpha_stamp[s] = stamp;
+            ws.alpha[s] = rv;
+            ws.alpha_touched.push(s as u32);
             let a = self.p.art_start + i;
-            self.ws.alpha_stamp[a] = stamp;
-            self.ws.alpha[a] = rv * self.p.art_sign[i];
-            self.ws.alpha_touched.push(a as u32);
+            ws.alpha_stamp[a] = stamp;
+            ws.alpha[a] = rv * self.p.art_sign[i];
+            ws.alpha_touched.push(a as u32);
         }
-        self.out.pricing_scans += self.ws.alpha_touched.len() as u64;
+        self.out.pricing_scans += ws.alpha_touched.len() as u64;
     }
 
     /// Incremental pricing update for a basis exchange: entering column `q`
@@ -962,10 +967,8 @@ impl<'a> State<'a> {
             return;
         }
         let ws = &mut *self.ws;
-        for (yi, &rv) in ws.y.iter_mut().zip(&ws.rho) {
-            if rv != 0.0 {
-                *yi += theta_d * rv;
-            }
+        for &i in &ws.rho_nz {
+            ws.y[i as usize] += theta_d * ws.rho[i as usize];
         }
     }
 
@@ -1208,11 +1211,10 @@ impl<'a> State<'a> {
         if t == 0.0 {
             return;
         }
-        for (pos, &k) in self.ws.basis.iter().enumerate() {
-            let wi = self.ws.w[pos];
-            if wi != 0.0 {
-                self.ws.x[k] -= sigma * t * wi;
-            }
+        let ws = &mut *self.ws;
+        for &pos in &ws.w_nz {
+            let pos = pos as usize;
+            ws.x[ws.basis[pos]] -= sigma * t * ws.w[pos];
         }
     }
 
@@ -1285,12 +1287,16 @@ impl<'a> State<'a> {
     /// one BTRAN, one FTRAN and work proportional to that row. They are
     /// recomputed after every refactorization in the loop, which bounds
     /// their drift; the caller's primal polish reprices before it certifies
-    /// anything.
+    /// anything. The leaving-row candidates are kept the same way
+    /// (`Workspace::infeasible`): recounted after every refactorization,
+    /// updated at the positions a pivot moves.
     fn dual_iterate(
         &mut self,
         cost: &[f64],
         row_name: &impl Fn(usize) -> String,
     ) -> Result<(), SolveError> {
+        let feas = self.opts.feas_tol;
+        let mut recount = true;
         loop {
             if self.out.iterations >= self.max_iterations {
                 return Err(SolveError::IterationLimit { iterations: self.out.iterations });
@@ -1298,16 +1304,32 @@ impl<'a> State<'a> {
             if self.ws.factor.wants_refactor() {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
                 self.reprice(cost);
+                recount = true;
             }
+            if std::mem::take(&mut recount) {
+                self.ws.infeasible.reset(self.p.m);
+                for pos in 0..self.p.m {
+                    self.mark_infeasible(pos);
+                }
+            }
+            debug_assert!(
+                (0..self.p.m).all(|pos| {
+                    let (below, above) = self.violation(pos);
+                    self.ws.infeasible.contains(pos) == (below.max(above) > feas)
+                }),
+                "the infeasible set differs from a recount"
+            );
             let bland = self.degenerate_run > self.opts.bland_trigger;
             // Leaving variable: the basic value with the largest bound
             // violation (under Bland's rule, the violated one of smallest
-            // index). `to_lower` records which bound it will land on.
-            let feas = self.opts.feas_tol;
+            // index), scanned in position order as a full scan would.
+            // `to_lower` records which bound it will land on.
             let mut leave: Option<(usize, f64, bool)> = None; // (pos, viol, to_lower)
-            for (pos, &k) in self.ws.basis.iter().enumerate() {
-                let below = self.ws.lb[k] - self.ws.x[k];
-                let above = self.ws.x[k] - self.ws.ub[k];
+            let mut from = 0;
+            while let Some(pos) = self.ws.infeasible.next(from) {
+                from = pos + 1;
+                let k = self.ws.basis[pos];
+                let (below, above) = self.violation(pos);
                 let v = below.max(above);
                 let better = |&(bp, bv, _): &(usize, f64, bool)| {
                     if bland {
@@ -1369,7 +1391,9 @@ impl<'a> State<'a> {
             // update `pivot_update` makes for a primal pivot. A degenerate
             // step moves none of them.
             let theta_d = self.ws.d[q] / alpha;
-            if theta_d != 0.0 {
+            if theta_d == 0.0 {
+                self.out.dual_degenerate += 1;
+            } else {
                 for idx in 0..self.ws.alpha_touched.len() {
                     let j = self.ws.alpha_touched[idx] as usize;
                     if self.ws.pos_of[j] < 0 {
@@ -1384,10 +1408,7 @@ impl<'a> State<'a> {
             // Step that lands the leaving variable exactly on its bound.
             let t = ((self.ws.x[k] - bound) / (sigma * alpha)).max(0.0);
             self.settled = false;
-            {
-                let (factor, w) = (&mut self.ws.factor, &mut self.ws.w);
-                self.p.with_col(q, |col| factor.ftran(col, w));
-            }
+            self.ftran_column(q);
             self.apply_step(sigma, t);
             let entering_value = self.ws.x[q] + sigma * t;
             self.ws.x[k] = bound;
@@ -1396,14 +1417,40 @@ impl<'a> State<'a> {
             self.ws.basis[r] = q;
             self.ws.pos_of[q] = r as i32;
             self.ws.x[q] = entering_value;
-            if !self.ws.factor.update(r) {
+            if self.ws.factor.update(r) {
+                // The step moved the basic values at `w_nz`; position `r`
+                // holds the entering column now.
+                for idx in 0..self.ws.w_nz.len() {
+                    self.mark_infeasible(self.ws.w_nz[idx] as usize);
+                }
+                self.mark_infeasible(r);
+            } else {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
                 self.reprice(cost);
+                recount = true;
             }
             // A dual pivot is degenerate when the duals did not move.
             self.note_step(theta_d.abs());
             self.out.iterations += 1;
             self.out.dual_iterations += 1;
+        }
+    }
+
+    /// How far the basic value at position `pos` lies below its lower bound
+    /// and above its upper bound (positive where it violates one).
+    fn violation(&self, pos: usize) -> (f64, f64) {
+        let (ws, k) = (&*self.ws, self.ws.basis[pos]);
+        (ws.lb[k] - ws.x[k], ws.x[k] - ws.ub[k])
+    }
+
+    /// Enter basis position `pos` in the dual loop's infeasible set, or drop
+    /// it, by its value now.
+    fn mark_infeasible(&mut self, pos: usize) {
+        let (below, above) = self.violation(pos);
+        if below.max(above) > self.opts.feas_tol {
+            self.ws.infeasible.insert(pos);
+        } else {
+            self.ws.infeasible.remove(pos);
         }
     }
 
@@ -1415,7 +1462,8 @@ impl<'a> State<'a> {
         let own_range = p.ub[j] - p.lb[j];
         let mut t_best = if own_range.is_finite() { own_range } else { f64::INFINITY };
         let mut leave: Option<(usize, bool, f64)> = None; // (position, to_upper, |w|)
-        for (pos, &wi) in self.ws.w.iter().enumerate() {
+        for &pos in &self.ws.w_nz {
+            let (pos, wi) = (pos as usize, self.ws.w[pos as usize]);
             if wi.abs() <= ZTOL {
                 continue;
             }

@@ -65,6 +65,7 @@ pub struct Solution {
     pub(crate) pricing_scans: u64,
     pub(crate) bland_pivots: u64,
     pub(crate) dual_iterations: u64,
+    pub(crate) dual_degenerate: u64,
     pub(crate) pricing_par_sections: u64,
     pub(crate) pricing_par_steals: u64,
     pub(crate) pricing_serial_nanos: u64,
@@ -137,6 +138,12 @@ impl Solution {
     /// subset of [`Solution::iterations`]).
     pub fn dual_iterations(&self) -> u64 {
         self.dual_iterations
+    }
+
+    /// Dual pivots whose dual step was zero: the duals and reduced costs did
+    /// not move (a subset of [`Solution::dual_iterations`]).
+    pub fn dual_degenerate(&self) -> u64 {
+        self.dual_degenerate
     }
 
     /// Sections executed by the deterministic parallel-pricing layer.

@@ -223,7 +223,7 @@ fn spike_fed_updates_match_fresh_refactor_across_density_grid() {
             for _ in 0..12 {
                 let entering = random_basis(m, density, 1.0, &mut rng).pop().unwrap();
                 let mut w = Vec::new();
-                f.ftran(&entering, &mut w);
+                f.ftran(&entering, &mut w, &mut Vec::new());
                 // Leave at the largest entry: the exchanged basis stays well
                 // conditioned, which keeps the comparison tolerances honest.
                 let pos = (0..m).max_by(|&a, &b| w[a].abs().total_cmp(&w[b].abs())).unwrap();
@@ -278,7 +278,7 @@ fn exchange(
     for _ in 0..count {
         let entering = random_basis(m, density, 1.0, rng).pop().unwrap();
         let mut w = Vec::new();
-        f.ftran(&entering, &mut w);
+        f.ftran(&entering, &mut w, &mut Vec::new());
         let pos = (0..m).max_by(|&a, &b| w[a].abs().total_cmp(&w[b].abs())).unwrap();
         assert!(f.update(pos), "m={m} density={density}");
         cols[pos] = entering;
@@ -362,7 +362,7 @@ fn bordered_rows_match_fresh_refactor_across_density_grid() {
                 let mut scattered = vec![0.0; m];
                 sparse_a.iter().for_each(|&(i, v)| scattered[i as usize] = v);
                 let (mut wu, mut want) = (Vec::new(), Vec::new());
-                f.ftran(&sparse_a, &mut wu);
+                f.ftran(&sparse_a, &mut wu, &mut Vec::new());
                 let res = ftran_residual(&cols, &wu, &scattered);
                 assert!(res <= 1e-8 * scale(&scattered), "{what}");
                 let a = random_rhs(m, &mut rng);
@@ -405,7 +405,7 @@ fn permuted_identity_is_exact() {
     for j in (0..m).step_by(7) {
         let a: SparseCol = vec![(perm[j] as u32, 1.0)];
         let mut w = Vec::new();
-        f.ftran(&a, &mut w);
+        f.ftran(&a, &mut w, &mut Vec::new());
         for (p, &wp) in w.iter().enumerate() {
             assert_eq!(wp, if p == j { 1.0 } else { 0.0 }, "pos {p} of e_{j}");
         }
@@ -559,4 +559,169 @@ fn reused_factorization_matches_fresh_bitwise() {
     }
     let (life, fresh_parts) = (reused.stats(), sizes.len() as u64 * 4);
     assert_eq!(life.refactors, fresh_parts, "lifetime counters keep counting across sizes");
+}
+
+/// A staircase LP basis shaped like the SAM master's (the `sparse_lu`
+/// bench's `wide` and `colgen` bases): 40% slack singletons, 10% coupling
+/// columns across the matrix, the rest flow columns over a band of
+/// consecutive rows; column `j` is dominated at row `j`.
+fn staircase_basis(m: usize, rng: &mut Rng) -> Vec<SparseCol> {
+    (0..m)
+        .map(|j| match rng.f64() {
+            c if c < 0.4 => vec![(j as u32, 1.0)],
+            c if c < 0.5 => random_column(m, j, 16 + rng.below(9), false, rng),
+            _ => random_column(m, j, 4 + rng.below(4), true, rng),
+        })
+        .collect()
+}
+
+/// A column dominated at row `anchor` with up to `extra` more entries: on
+/// the rows after it (`band`, a flow column) or anywhere.
+fn random_column(m: usize, anchor: usize, extra: usize, band: bool, rng: &mut Rng) -> SparseCol {
+    let mut col: SparseCol = Vec::new();
+    let mut mass = 0.0;
+    for hop in 0..extra.min(m - 1) {
+        let r = if band { (anchor + hop + 1) % m } else { rng.below(m) };
+        if r != anchor && col.iter().all(|&(i, _)| i as usize != r) {
+            let v = rng.coeff();
+            mass += v.abs();
+            col.push((r as u32, v));
+        }
+    }
+    col.push((anchor as u32, mass * 2.0 + 1.0));
+    col
+}
+
+/// Equal bits, or both zero.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0)
+}
+
+/// A reach kernel's output against the sweep's: bitwise equal, zero outside
+/// its list, the list ascending (and so covering every nonzero).
+fn assert_reach_output(got: &[f64], nz: &[u32], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    assert!(nz.windows(2).all(|p| p[0] < p[1]), "{what}: list not ascending: {nz:?}");
+    let mut listed = vec![false; got.len()];
+    nz.iter().for_each(|&i| listed[i as usize] = true);
+    for (i, (&g, &d)) in got.iter().zip(want).enumerate() {
+        assert!(same_bits(g, d), "{what}: entry {i} reads {g:e}, the sweep {d:e}");
+        assert!(listed[i] || g == 0.0, "{what}: entry {i} nonzero outside the list");
+    }
+}
+
+/// An entering column: a flow column on a staircase basis, a column of
+/// the basis's own density otherwise.
+fn entering_column(m: usize, density: f64, staircase: bool, rng: &mut Rng) -> SparseCol {
+    let anchor = rng.below(m);
+    match staircase {
+        true => random_column(m, anchor, 4 + rng.below(4), true, rng),
+        false => random_column(m, anchor, (m as f64 * density) as usize, false, rng),
+    }
+}
+
+/// The solver's output pairs, reused from call to call, and a sweep's
+/// output.
+#[derive(Default)]
+struct Outputs {
+    w: Vec<f64>,
+    w_nz: Vec<u32>,
+    rho: Vec<f64>,
+    rho_nz: Vec<u32>,
+    sweep: Vec<f64>,
+}
+
+/// Both reach kernels against their sweeps on `f`, an `m`-row basis: six
+/// entering columns and a slack's unit column, and every `m/24`-th row of
+/// `B⁻¹`.
+fn check_reach_kernels(
+    f: &mut Factorization,
+    m: usize,
+    (density, staircase): (f64, bool),
+    out: &mut Outputs,
+    rng: &mut Rng,
+    what: &str,
+) {
+    let mut columns: Vec<SparseCol> =
+        (0..6).map(|_| entering_column(m, density, staircase, rng)).collect();
+    columns.push(vec![(rng.below(m) as u32, 1.0)]);
+    for (c, a) in columns.iter().enumerate() {
+        let mut scattered = vec![0.0; m];
+        a.iter().for_each(|&(i, v)| scattered[i as usize] = v);
+        f.ftran(a, &mut out.w, &mut out.w_nz);
+        f.ftran_dense(&scattered, &mut out.sweep);
+        assert_reach_output(&out.w, &out.w_nz, &out.sweep, &format!("{what}: ftran {c}"));
+    }
+    for pos in (rng.below(m.min(7))..m).step_by((m / 24).max(1)) {
+        f.btran_row(pos, &mut out.rho, &mut out.rho_nz);
+        f.btran(&unit(m, pos), &mut out.sweep);
+        assert_reach_output(&out.rho, &out.rho_nz, &out.sweep, &format!("{what}: row {pos}"));
+    }
+}
+
+/// The reach-ordered kernels against the sweeps they replace, on the
+/// right-hand sides a pivot issues: `ftran` of sparse columns against
+/// `ftran_dense` of them scattered, `btran_row(pos)` against `btran` of
+/// `e_pos` — bit for bit, a zero's sign aside. Every basis of the density
+/// grid and a `wide` and a `colgen` staircase basis, freshly factorized,
+/// after 1, 24 and 95 spike-fed updates, and after 1, 5 and 40 bordered
+/// rows; the output buffers are reused from call to call, as the solver
+/// reuses them. The updates consume the sparse kernel's spike; a twin fed
+/// the sweep's spike must keep solving bitwise like them.
+#[test]
+fn reach_kernels_match_the_dense_sweep_bitwise_across_density_grid() {
+    let mut rng = Rng::new(0x4EAC_4000_0000);
+    let mut bases = Vec::new();
+    for &m in &[20usize, 60, 120, 250] {
+        for &density in &[0.01, 0.05, 0.15, 0.30] {
+            let cols = random_basis(m, density, 1.0, &mut rng);
+            bases.push((format!("m={m} density={density}"), cols, (density, false)));
+        }
+    }
+    for (name, m) in [("wide", 600), ("colgen", 1600)] {
+        bases.push((name.to_string(), staircase_basis(m, &mut rng), (0.004, true)));
+    }
+    let mut out = Outputs::default();
+    for (name, mut cols, shape) in bases {
+        let m = cols.len();
+        let mut f = Factorization::new(0, 1e-10);
+        f.refactor(&as_refs(&cols)).unwrap();
+        let mut twin = f.clone();
+        check_reach_kernels(&mut f, m, shape, &mut out, &mut rng, &format!("{name}, fresh"));
+        let (mut w, mut w_nz, mut sweep) = (Vec::new(), Vec::new(), Vec::new());
+        for updates in 1..=95 {
+            let a = entering_column(m, shape.0, shape.1, &mut rng);
+            let mut scattered = vec![0.0; m];
+            a.iter().for_each(|&(i, v)| scattered[i as usize] = v);
+            f.ftran(&a, &mut w, &mut w_nz);
+            twin.ftran_dense(&scattered, &mut sweep);
+            let pos = (0..m).max_by(|&p, &q| w[p].abs().total_cmp(&w[q].abs())).unwrap();
+            assert!(f.update(pos) && twin.update(pos), "{name}: update {updates} refused");
+            cols[pos] = a;
+            if [1, 24, 95].contains(&updates) {
+                let what = format!("{name}, {updates} updates");
+                check_reach_kernels(&mut f, m, shape, &mut out, &mut rng, &what);
+                let rhs = random_rhs(m, &mut rng);
+                let solves = |f: &mut Factorization| {
+                    let (mut x, mut y) = (Vec::new(), Vec::new());
+                    f.ftran_dense(&rhs, &mut x);
+                    f.btran(&rhs, &mut y);
+                    x.into_iter().chain(y).collect::<Vec<f64>>()
+                };
+                let agree =
+                    solves(&mut f).into_iter().zip(solves(&mut twin)).all(|(a, b)| same_bits(a, b));
+                assert!(agree, "{what}: the sparse spike left other factors than the sweep's");
+            }
+        }
+        f.refactor(&as_refs(&cols)).unwrap();
+        for (rows, total) in [(1, 1), (4, 5), (35, 40)] {
+            for _ in 0..rows {
+                let row = border(&mut cols, shape.0, &mut rng);
+                f.append_row(&row);
+            }
+            let what = format!("{name}, {total} bordered rows");
+            check_reach_kernels(&mut f, cols.len(), shape, &mut out, &mut rng, &what);
+        }
+        assert_eq!(f.stats().bordered_rows, 40, "{name}");
+    }
 }

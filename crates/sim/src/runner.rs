@@ -367,6 +367,9 @@ mod tests {
             assert!(labels.contains(&label), "no `{label}` row:\n{rendered}");
         }
         assert!(run.lp_stats.carried > 0 && run.lp_stats.bordered_rows > 0, "{rendered}");
+        // Most dual pivots on these LPs are degenerate, but not all of them.
+        let s = run.lp_stats;
+        assert!(0 < s.dual_degenerate && s.dual_degenerate <= s.dual_iterations, "{rendered}");
         let rows = labels.len();
         labels.sort_unstable();
         labels.dedup();
