@@ -26,7 +26,6 @@ pub struct OfflineConfig {
     pub k_paths: usize,
     /// Fraction of capacity withheld for high-pri traffic, as in Pretium.
     pub highpri_fraction: f64,
-    pub topk: TopkEncoding,
     pub cost_scale: f64,
     /// Number of price candidates per level in the posted-price oracles'
     /// grid search (OPT and NoPrices do not read it).
@@ -35,13 +34,7 @@ pub struct OfflineConfig {
 
 impl Default for OfflineConfig {
     fn default() -> Self {
-        OfflineConfig {
-            k_paths: 3,
-            highpri_fraction: 0.10,
-            topk: TopkEncoding::CVar,
-            cost_scale: 1.0,
-            grid_points: 4,
-        }
+        OfflineConfig { k_paths: 3, highpri_fraction: 0.10, cost_scale: 1.0, grid_points: 4 }
     }
 }
 
@@ -89,7 +82,7 @@ pub fn solve_offline(
         jobs: &jobs,
         capacity: &capacity,
         realized: &zero,
-        topk: cfg.topk,
+        topk: TopkEncoding::CVar,
         cost_scale: cfg.cost_scale,
     };
     let sol = schedule::solve(&problem)?;

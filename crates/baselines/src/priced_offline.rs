@@ -11,7 +11,7 @@
 
 use crate::offline::OfflineConfig;
 use crate::outcome::Outcome;
-use pretium_core::{schedule, Job, ScheduleProblem};
+use pretium_core::{schedule, Job, ScheduleProblem, TopkEncoding};
 use pretium_lp::SolveError;
 use pretium_net::{EdgeId, Network, PathSet, TimeGrid, Timestep};
 use pretium_workload::Request;
@@ -96,7 +96,7 @@ pub fn run_posted_price(
         jobs: &jobs,
         capacity: &capacity,
         realized: &zero,
-        topk: cfg.topk,
+        topk: TopkEncoding::CVar,
         cost_scale: cfg.cost_scale,
     };
     let sol = schedule::solve(&problem)?;

@@ -1,29 +1,22 @@
-//! Pricing-strategy comparison on SAM-shaped LPs: Dantzig full rescan vs
-//! Devex (incremental reduced costs) vs the default partial Devex with a
-//! cyclic candidate list, on cold solves of three schedule-shaped models
-//! up to the size a SAM window re-optimization reaches.
+//! Simplex cost on SAM-shaped LPs: a cold solve under the one pricing rule
+//! (partial Devex with a cyclic candidate list) of three schedule-shaped
+//! models up to the size a SAM window re-optimization reaches, and a
+//! `warm_dual_sweep` row per model: one session, capacities tightening
+//! over [`SWEEP_STEPS`] re-solves, each a restart from the previous basis,
+//! by the dual simplex when a cut binds — what SAM does per timestep. The
+//! sweep asserts that a dual pivot costs one BTRAN (the pivot row; the
+//! duals ride along).
 //!
-//! Reports wall-clock, simplex iterations, and pricing-scan work per
-//! strategy, prints the headline `wall` / `iterations` ratios on the
-//! largest model, and writes `BENCH_lp_pricing.json` at the workspace
-//! root. Target from the pricing redesign: partial Devex >= 1.5x
-//! wall-clock or >= 2x fewer iterations than Dantzig on the large model.
-//!
-//! Each model also gets a `warm_dual_sweep` row: one session, capacities
-//! tightening over [`SWEEP_STEPS`] re-solves, each a restart from the
-//! previous basis, by the dual simplex when a cut binds — what SAM does per
-//! timestep. It asserts that a dual pivot costs one BTRAN (the pivot row;
-//! the duals ride along).
+//! Reports wall-clock, simplex iterations, and pricing-scan work per row,
+//! and writes `BENCH_lp_pricing.json` at the workspace root with its
+//! provenance (cores, commit, date).
 //!
 //! Set `LP_PRICING_SMOKE=1` for the CI smoke mode: tiny sizes, few
 //! samples, an iteration-count regression assertion, and no JSON (so a
 //! smoke run never clobbers recorded numbers).
 
-use pretium_bench::{black_box, Harness};
-use pretium_lp::{
-    Cmp, LinExpr, Model, Pricing, Restart, RowId, Sense, SimplexOptions, SolveOptions,
-    SolverSession,
-};
+use pretium_bench::{black_box, provenance_json, Harness};
+use pretium_lp::{Cmp, LinExpr, Model, Restart, RowId, Sense, SolveOptions, SolverSession};
 
 /// Deterministic xorshift64* stream in `[0, 1)` (no registry access, so
 /// the workspace carries its own tiny generator).
@@ -47,19 +40,6 @@ impl Gen {
 
     fn index(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
-    }
-}
-
-const STRATEGIES: [(Pricing, &str); 3] = [
-    (Pricing::Dantzig, "dantzig"),
-    (Pricing::Devex, "devex"),
-    (Pricing::PartialDevex, "partial_devex"),
-];
-
-fn opts_for(pricing: Pricing) -> SolveOptions {
-    SolveOptions {
-        simplex: Some(SimplexOptions { pricing, ..SimplexOptions::default() }),
-        ..SolveOptions::default()
     }
 }
 
@@ -163,7 +143,7 @@ fn warm_dual_sweep(m: &Model) -> (u64, u64) {
 
 struct Record {
     model: &'static str,
-    strategy: &'static str,
+    run: &'static str,
     vars: usize,
     rows: usize,
     iterations: u64,
@@ -186,92 +166,53 @@ fn main() {
 
     for &(name, jobs, paths, steps, links) in sizes {
         let m = schedule_lp(jobs, paths, steps, links, 0xA11CE);
-        let mut objectives = Vec::new();
-        for (pricing, pname) in STRATEGIES {
-            // Counters come from one deterministic cold solve; wall-clock
-            // from the harness over the same solve.
-            let sol = SolverSession::new(m.clone())
-                .solve(&opts_for(pricing))
-                .unwrap_or_else(|e| panic!("{name}/{pname}: {e}"));
-            objectives.push(sol.objective());
-            let bench_name = format!("lp_pricing/{name}/{pname}");
-            h.bench_function(&bench_name, |b| {
-                b.iter(|| {
-                    let mut sess = SolverSession::new(m.clone());
-                    black_box(sess.solve(&opts_for(pricing)).unwrap().objective())
-                });
+        // Counters come from one deterministic cold solve; wall-clock from
+        // the harness over the same solve.
+        let sol = SolverSession::new(m.clone())
+            .solve(&SolveOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let bench_name = format!("lp_pricing/{name}/cold");
+        h.bench_function(&bench_name, |b| {
+            b.iter(|| {
+                let mut sess = SolverSession::new(m.clone());
+                black_box(sess.solve(&SolveOptions::default()).unwrap().objective())
             });
-            let wall = h.get(&bench_name).map(|r| r.median().as_secs_f64()).unwrap_or(0.0);
-            records.push(Record {
-                model: name,
-                strategy: pname,
-                vars: m.num_vars(),
-                rows: m.num_rows(),
-                iterations: sol.iterations(),
-                pricing_scans: sol.pricing_scans(),
-                wall_secs: wall,
-            });
-        }
+        });
+        records.push(Record {
+            model: name,
+            run: "cold",
+            vars: m.num_vars(),
+            rows: m.num_rows(),
+            iterations: sol.iterations(),
+            pricing_scans: sol.pricing_scans(),
+            wall_secs: h.get(&bench_name).map(|r| r.median().as_secs_f64()).unwrap_or(0.0),
+        });
         let (iterations, pricing_scans) = warm_dual_sweep(&m);
         let bench_name = format!("lp_pricing/{name}/warm_dual_sweep");
         h.bench_function(&bench_name, |b| b.iter(|| black_box(warm_dual_sweep(&m))));
         records.push(Record {
             model: name,
-            strategy: "warm_dual_sweep",
+            run: "warm_dual_sweep",
             vars: m.num_vars(),
             rows: m.num_rows(),
             iterations,
             pricing_scans,
             wall_secs: h.get(&bench_name).map(|r| r.median().as_secs_f64()).unwrap_or(0.0),
         });
-        // All strategies must land on the same optimum — a bench that
-        // compares speeds of different answers measures nothing.
-        let base = objectives[0];
-        for (&obj, (_, pname)) in objectives.iter().zip(STRATEGIES.iter()).skip(1) {
-            assert!(
-                (obj - base).abs() <= 1e-6 * (1.0 + base.abs()),
-                "{name}: {pname} found {obj}, dantzig found {base}"
-            );
-        }
     }
-
-    // Headline: partial Devex vs Dantzig on the largest model.
-    let largest = sizes.last().unwrap().0;
-    let pick = |strategy: &str| {
-        records
-            .iter()
-            .find(|r| r.model == largest && r.strategy == strategy)
-            .expect("record exists")
-    };
-    let dantzig = pick("dantzig");
-    let partial = pick("partial_devex");
-    let wall_ratio = dantzig.wall_secs / partial.wall_secs.max(1e-12);
-    let iter_ratio = dantzig.iterations as f64 / partial.iterations.max(1) as f64;
-    let scan_ratio = dantzig.pricing_scans as f64 / partial.pricing_scans.max(1) as f64;
-    println!(
-        "lp_pricing {largest}: partial_devex vs dantzig -> {wall_ratio:.2}x wall, \
-         {iter_ratio:.2}x iterations, {scan_ratio:.2}x pricing scans"
-    );
-    println!("BENCH\tlp_pricing_wall_ratio\t{wall_ratio:.3}");
-    println!("BENCH\tlp_pricing_iteration_ratio\t{iter_ratio:.3}");
 
     if smoke {
         // Regression guard for CI: the smoke model is fixed and the solver
         // deterministic, so iteration counts only move when the algorithm
         // does. Bounds carry ~2x headroom over the recorded counts.
         for r in &records {
-            let cap = match r.strategy {
-                "dantzig" => 200,
-                "warm_dual_sweep" => 50,
-                _ => 250,
-            };
+            let cap = if r.run == "warm_dual_sweep" { 50 } else { 250 };
             assert!(
                 r.iterations <= cap,
-                "{}/{}: {} iterations exceeds regression cap {}",
+                "{}/{}: {} iterations exceeds regression cap {cap}",
                 r.model,
-                r.strategy,
-                r.iterations,
-                cap
+                r.run,
+                r.iterations
             );
         }
         println!("lp_pricing smoke: iteration caps hold");
@@ -283,16 +224,14 @@ fn main() {
     for (i, r) in records.iter().enumerate() {
         let sep = if i + 1 == records.len() { "" } else { "," };
         rows.push_str(&format!(
-            "    {{ \"model\": \"{}\", \"strategy\": \"{}\", \"vars\": {}, \"rows\": {}, \
+            "    {{ \"model\": \"{}\", \"run\": \"{}\", \"vars\": {}, \"rows\": {}, \
              \"iterations\": {}, \"pricing_scans\": {}, \"wall_secs\": {:.6} }}{sep}\n",
-            r.model, r.strategy, r.vars, r.rows, r.iterations, r.pricing_scans, r.wall_secs
+            r.model, r.run, r.vars, r.rows, r.iterations, r.pricing_scans, r.wall_secs
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"lp_pricing\",\n  \"largest_model\": \"{largest}\",\n  \
-         \"wall_ratio_dantzig_over_partial\": {wall_ratio:.3},\n  \
-         \"iteration_ratio_dantzig_over_partial\": {iter_ratio:.3},\n  \
-         \"scan_ratio_dantzig_over_partial\": {scan_ratio:.3},\n  \"results\": [\n{rows}  ]\n}}\n"
+        "{{\n  \"bench\": \"lp_pricing\",\n  {},\n  \"results\": [\n{rows}  ]\n}}\n",
+        provenance_json()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lp_pricing.json");
     std::fs::write(path, json).expect("write BENCH_lp_pricing.json");

@@ -36,7 +36,9 @@ pub struct PretiumConfig {
     pub highpri_fraction: f64,
     /// Short-term congestion price bump (§4.1; paper: double the last 20%).
     pub bump: PriceBump,
-    /// Top-k cost encoding for the scheduling LPs.
+    /// Top-k cost encoding for the scheduling LPs. Nothing sets it off
+    /// [`TopkEncoding::CVar`] outside tests and benches; it stays because
+    /// the frozen end-to-end benchmark (`e2ebench/src/probes.rs`) reads it.
     pub topk: TopkEncoding,
     /// Multiplier on link costs (Figure 12 sweeps this).
     pub cost_scale: f64,
@@ -52,9 +54,10 @@ pub struct PretiumConfig {
     /// builds audit unconditionally; this flag turns auditing on in
     /// release builds too (e.g. for an audited evaluation replay).
     pub audit: bool,
-    /// Simplex pricing strategy for every LP Pretium solves (RA quotes,
-    /// SAM re-optimization, PC dual pricing). Deterministic given the
-    /// model, so any choice preserves the cross-`--jobs` replay contract.
+    /// Simplex pricing rule. [`Pricing`] has one variant and Pretium reads
+    /// nothing from this field; it stays only because the frozen
+    /// end-to-end benchmark (`e2ebench/src/probes.rs`) copies it into its
+    /// solve options, and goes when that reader does.
     pub pricing: Pricing,
     /// Column generation for the SAM scheduling LP (DESIGN.md §17). Off by
     /// default: full materialization is the reference behavior, and every
@@ -62,13 +65,13 @@ pub struct PretiumConfig {
     /// baselines always solve fully materialized regardless of this knob.
     pub colgen: ColumnGen,
     /// Forrest–Tomlin updates the LP basis factorization accumulates
-    /// before refactorizing, for every LP Pretium solves. `0` (the
-    /// default) inherits the solver default
-    /// ([`pretium_lp::DEFAULT_MAX_ETAS`]). Any setting preserves the
-    /// cross-`--jobs` replay contract; different settings change refactor
-    /// cadence and hence floating-point roundoff, so objectives agree
-    /// across settings only to solver tolerance (see the determinism
-    /// suite's documented contract), not bit-exactly.
+    /// before refactorizing, for every LP Pretium solves
+    /// ([`pretium_lp::SolverTuning::max_etas`]). `0` (the default) selects
+    /// the solver default ([`pretium_lp::DEFAULT_MAX_ETAS`]). Any setting
+    /// preserves the cross-`--jobs` replay contract; different settings
+    /// change refactor cadence and hence floating-point roundoff, so
+    /// objectives agree across settings only to solver tolerance (see the
+    /// determinism suite's documented contract), not bit-exactly.
     pub max_etas: usize,
     /// Worker threads for the deterministic parallel-pricing layer, for
     /// every LP Pretium solves *and* the colgen oracle's job-block pricing.

@@ -281,14 +281,10 @@ impl Pretium {
         self.solver_pressure = limit;
     }
 
-    /// Solve options carrying the configured pricing strategy (PC and any
+    /// Solve options carrying the configured kernel tuning (PC and any
     /// other uncapped LP).
-    fn pricing_opts(&self) -> SolveOptions {
+    fn solve_opts(&self) -> SolveOptions {
         SolveOptions {
-            simplex: Some(SimplexOptions {
-                pricing: self.cfg.pricing,
-                ..SimplexOptions::default()
-            }),
             tuning: SolverTuning {
                 max_etas: self.cfg.max_etas,
                 pricing_jobs: self.cfg.pricing_jobs,
@@ -297,14 +293,13 @@ impl Pretium {
         }
     }
 
-    /// SAM's solve options: the pricing strategy plus, when the
+    /// SAM's solve options: the kernel tuning plus, when the
     /// solver-pressure fault is injected, the iteration cap.
     fn sam_opts(&self) -> SolveOptions {
-        let mut o = self.pricing_opts();
-        if let Some(limit) = self.solver_pressure {
-            o.simplex.as_mut().expect("pricing_opts sets simplex").max_iterations = limit;
-        }
-        o
+        let simplex = self
+            .solver_pressure
+            .map(|max_iterations| SimplexOptions { max_iterations, ..SimplexOptions::default() });
+        SolveOptions { simplex, ..self.solve_opts() }
     }
 
     /// Sweep every invariant now and record violations. Runs after each
@@ -515,8 +510,8 @@ impl Pretium {
                 carry.push_contract(i);
             }
         }
-        // Configured pricing strategy, plus the solver-pressure iteration
-        // cap when that fault (§4.4) is injected.
+        // Configured kernel tuning, plus the solver-pressure iteration cap
+        // when that fault (§4.4) is injected.
         let opts = self.sam_opts();
         const SHORT_TOL: f64 = 1e-6;
         let result = {
@@ -785,7 +780,7 @@ impl Pretium {
             topk: self.cfg.topk,
             cost_scale: self.cfg.cost_scale,
         };
-        let sol = schedule::solve_with(&problem, &self.pricing_opts())?;
+        let sol = schedule::solve_with(&problem, &self.solve_opts())?;
         self.lp_stats.merge(sol.lp_stats);
         // The previous window's pattern is carried into the future.
         self.bump_epoch();

@@ -299,8 +299,9 @@ pub fn solve(problem: &ScheduleProblem<'_>) -> Result<ScheduleSolution, SolveErr
     solve_with(problem, &SolveOptions::default())
 }
 
-/// Like [`solve`] but with explicit solver options (e.g. a pricing
-/// strategy from [`crate::PretiumConfig::pricing`]).
+/// Like [`solve`] but with explicit solver options (e.g. the kernel
+/// tuning from [`crate::PretiumConfig::max_etas`] and
+/// [`crate::PretiumConfig::pricing_jobs`]).
 pub fn solve_with(
     problem: &ScheduleProblem<'_>,
     opts: &SolveOptions,
@@ -683,27 +684,21 @@ impl ScheduleSession {
     /// Returns whether any column was appended; `false` with an exhausted
     /// budget adopts the restricted optimum as is.
     ///
-    /// With `pricing_jobs > 1` (via [`pretium_lp::SolverTuning`] or the
-    /// simplex override) the per-job pricing fans out over the sectioned
-    /// pool: each section prices a fixed, size-derived block of job
-    /// indices read-only against `sol`'s duals and returns its jobs'
-    /// top-[`COLGEN_PER_JOB`] candidates (sorted by reduced cost
-    /// descending with `(path, t)` ascending tie-breaks — a total order,
-    /// so the sort is deterministic). Concatenating the per-section lists
-    /// in section order reproduces the serial batch exactly: the serial
-    /// loop is itself a job-order concatenation of per-job lists, and
-    /// pricing one job never reads another's results.
+    /// With [`pretium_lp::SolverTuning::pricing_jobs`] above 1 the per-job
+    /// pricing fans out over the sectioned pool: each section prices a
+    /// fixed, size-derived block of job indices read-only against `sol`'s
+    /// duals and returns its jobs' top-[`COLGEN_PER_JOB`] candidates
+    /// (sorted by reduced cost descending with `(path, t)` ascending
+    /// tie-breaks — a total order, so the sort is deterministic).
+    /// Concatenating the per-section lists in section order reproduces the
+    /// serial batch exactly: the serial loop is itself a job-order
+    /// concatenation of per-job lists, and pricing one job never reads
+    /// another's results.
     fn colgen_grow(&mut self, sol: &Solution, col_rounds: &mut u32, opts: &SolveOptions) -> bool {
         if self.colgen == ColumnGen::Off || *col_rounds >= COLGEN_MAX_ROUNDS {
             return false;
         }
-        // Resolve the worker count the same way the session's effective
-        // simplex options do: a nonzero tuning knob wins, else the simplex
-        // override, else the serial default.
-        let workers = match opts.tuning.pricing_jobs {
-            0 => opts.simplex.as_ref().map_or(1, |s| s.pricing_jobs),
-            n => n,
-        };
+        let workers = opts.tuning.pricing_jobs;
         let n = self.jobs.len();
         let t0 = std::time::Instant::now();
         let parallel = workers > 1 && par::section_count(n) > 1;

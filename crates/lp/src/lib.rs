@@ -27,14 +27,16 @@
 //! * [`simplex`] — bounded-variable revised simplex: sparse
 //!   triangular-plus-bump `LU` basis factorization with a product-form eta
 //!   file, crash basis, two phases, and a bounded-variable dual simplex for
-//!   warm restarts. Pricing is selectable via [`SimplexOptions::pricing`]:
-//!   classic full-scan Dantzig, Devex reference-framework weights over
-//!   incrementally maintained reduced costs, or (the default) partial Devex
-//!   with a cyclic candidate list so a pivot prices O(section + candidates)
-//!   columns instead of O(n). A Bland's-rule anti-cycling fallback guards
-//!   every strategy.
-//! * [`validate`] — independent optimality checks (primal feasibility,
-//!   dual feasibility, complementary slackness) used heavily in tests.
+//!   warm restarts. One pricing rule: partial Devex over incrementally
+//!   maintained reduced costs, with a cyclic candidate list so a pivot
+//!   prices O(section + candidates) columns instead of O(n), and a
+//!   Bland's-rule anti-cycling fallback. A solve is configured by
+//!   [`SimplexOptions`] (tolerances and limits) and [`SolverTuning`]
+//!   (refactorization cadence and pricing workers), one field per
+//!   parameter.
+//! * [`validate`] — the KKT certificate the tests take as their reference:
+//!   finiteness, primal and dual feasibility, complementary slackness and
+//!   the duality gap, checked against the model alone.
 //!
 //! ## Example: session lifecycle
 //!
@@ -82,7 +84,7 @@ pub mod validate;
 
 pub use expr::{LinExpr, Term, Var};
 pub use model::{Cmp, Model, RowId, Sense};
-pub use session::{ColRequest, Mutations, SessionStats, SolveOptions, SolverSession, SolverTuning};
+pub use session::{ColRequest, Mutations, SessionStats, SolveOptions, SolverSession};
 pub use simplex::basis::{FactorStats, DEFAULT_MAX_ETAS};
-pub use simplex::{Pricing, Restart, SimplexOptions};
+pub use simplex::{Pricing, Restart, SimplexOptions, SolverTuning};
 pub use solution::{Solution, SolveError, Status};

@@ -17,7 +17,7 @@
 //! ```
 
 use crate::expr::{LinExpr, Var};
-use crate::simplex::{solve_model, SimplexOptions};
+use crate::simplex::{solve_model_session, Problem, SimplexOptions, SolverTuning};
 use crate::solution::{Solution, SolveError};
 
 /// Optimization direction.
@@ -104,7 +104,6 @@ pub struct Model {
     /// Constant offset accumulated from expression constants; added back to
     /// the reported objective value.
     pub(crate) obj_offset: f64,
-    options: SimplexOptions,
 }
 
 impl Model {
@@ -117,7 +116,6 @@ impl Model {
             var_names: Names::default(),
             row_names: Names::default(),
             obj_offset: 0.0,
-            options: SimplexOptions::default(),
         }
     }
 
@@ -126,24 +124,15 @@ impl Model {
         self.sense
     }
 
-    /// Mutable access to solver options (tolerances, iteration limits).
-    pub fn options_mut(&mut self) -> &mut SimplexOptions {
-        &mut self.options
-    }
-
-    /// Solver options in effect.
-    pub fn options(&self) -> &SimplexOptions {
-        &self.options
-    }
-
     /// Add a variable with bounds `[lb, ub]` and objective coefficient
     /// `obj`. Use `f64::NEG_INFINITY` / `f64::INFINITY` for free directions.
     ///
     /// # Panics
-    /// Panics if `lb > ub` or either bound is NaN.
+    /// Panics if `lb > ub`, or if either bound or `obj` is NaN.
     pub fn add_var(&mut self, name: &str, lb: f64, ub: f64, obj: f64) -> Var {
         assert!(!lb.is_nan() && !ub.is_nan(), "variable bound is NaN");
         assert!(lb <= ub, "variable `{name}` has lb {lb} > ub {ub}");
+        assert!(!obj.is_nan(), "variable `{name}` objective is NaN");
         let idx = self.vars.len();
         assert!(idx < u32::MAX as usize, "too many variables");
         self.var_names.push(name);
@@ -213,7 +202,11 @@ impl Model {
     }
 
     /// Replace the objective coefficient of `v`.
+    ///
+    /// # Panics
+    /// Panics if `obj` is NaN.
     pub fn set_obj(&mut self, v: Var, obj: f64) {
+        assert!(!obj.is_nan(), "set_obj: objective of `{}` is NaN", self.var_name(v));
         self.vars[v.index()].obj = obj;
     }
 
@@ -228,8 +221,12 @@ impl Model {
         d.ub = ub;
     }
 
-    /// Replace the right-hand side of a row.
+    /// Replace the right-hand side of a row (an infinite one is legal).
+    ///
+    /// # Panics
+    /// Panics if `rhs` is NaN.
     pub fn set_rhs(&mut self, r: RowId, rhs: f64) {
+        assert!(!rhs.is_nan(), "set_rhs: row `{}` rhs is NaN", self.row_name(r));
         self.rows[r.index()].rhs = rhs;
     }
 
@@ -287,12 +284,22 @@ impl Model {
 
     /// Solve the model to optimality with the revised simplex method.
     ///
-    /// This is a one-shot convenience (always a cold solve). When the model
+    /// This is a one-shot convenience (always a cold solve, under
+    /// [`SimplexOptions::default`] and [`SolverTuning::default`]). When the model
     /// will be mutated and re-solved — schedule re-optimization, lazy row
     /// generation — wrap it in a [`crate::SolverSession`] instead, which
     /// warm-starts each re-solve from the previous basis.
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        solve_model(self, &self.options)
+        let opts = SimplexOptions::default();
+        solve_model_session(
+            self,
+            &opts,
+            SolverTuning::default(),
+            None,
+            false,
+            &mut Problem::default(),
+        )
+        .map(|(sol, _, _)| sol)
     }
 
     /// Move the model into a [`crate::SolverSession`] for incremental
@@ -343,6 +350,37 @@ mod tests {
         // The extended row binds both variables.
         let sol = m.solve().unwrap();
         assert!((3.0 * sol.value(x) + sol.value(y) - 4.0).abs() < 1e-6);
+    }
+
+    /// A NaN cost or right-hand side is refused where it enters, through the
+    /// model or a session, instead of solving to `Ok` with a NaN objective.
+    /// An infinite right-hand side stays legal.
+    #[test]
+    fn nan_cost_or_rhs_is_rejected() {
+        use crate::{SolveOptions, SolverSession};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let refused = |what: &str, f: &mut dyn FnMut()| {
+            assert!(catch_unwind(AssertUnwindSafe(f)).is_err(), "{what} accepted a NaN");
+        };
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_var("x", 0.0, 1.0, 1.0);
+        let cap = m.add_row("cap", 1.0 * x, Cmp::Le, 2.0);
+        let mut s = SolverSession::new(m.clone());
+        refused("Model::add_var", &mut || {
+            let _ = m.add_var("y", 0.0, 1.0, f64::NAN);
+        });
+        refused("Model::set_obj", &mut || m.set_obj(x, f64::NAN));
+        refused("Model::set_rhs", &mut || m.set_rhs(cap, f64::NAN));
+        s.solve(&SolveOptions::default()).unwrap();
+        refused("SolverSession::add_var", &mut || {
+            let _ = s.add_var("y", 0.0, 1.0, f64::NAN);
+        });
+        refused("SolverSession::set_obj", &mut || s.set_obj(x, f64::NAN));
+        refused("SolverSession::set_rhs", &mut || s.set_rhs(cap, f64::NAN));
+        s.set_rhs(cap, f64::INFINITY);
+        assert_eq!(s.solve(&SolveOptions::default()).unwrap().objective(), 1.0);
+        m.set_rhs(cap, f64::INFINITY);
+        assert_eq!(m.solve().unwrap().objective(), 1.0);
     }
 
     #[test]

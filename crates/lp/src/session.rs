@@ -45,39 +45,20 @@
 
 use crate::expr::{LinExpr, Var};
 use crate::model::{Cmp, Model, RowId};
-use crate::simplex::{solve_model_session, Problem, Restart, SimplexOptions, WarmBasis};
+use crate::simplex::{
+    solve_model_session, Problem, Restart, SimplexOptions, SolverTuning, WarmBasis,
+};
 use crate::solution::{Solution, SolveError};
-
-/// Grouped solver-tuning knobs of [`SolverSession::solve`]. Every field
-/// follows the crate's `0 selects the default` convention, so the all-zero
-/// [`SolverTuning::default`] changes nothing — callers override only the
-/// knobs they care about and `..Default::default()` the rest.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverTuning {
-    /// Forrest–Tomlin updates a basis factorization accumulates before
-    /// refactorizing; `0` inherits `refactor_every` from the effective
-    /// simplex options (whose default is
-    /// [`crate::simplex::basis::DEFAULT_MAX_ETAS`]), a nonzero value
-    /// overrides it for this solve.
-    pub max_etas: usize,
-    /// Worker threads for the simplex's deterministic parallel-pricing
-    /// layer; `0` inherits [`SimplexOptions::pricing_jobs`] from the
-    /// effective simplex options (default 1, the serial path), a nonzero
-    /// value overrides it. Any value produces bitwise-identical solves
-    /// (DESIGN.md §19).
-    pub pricing_jobs: usize,
-}
 
 /// Options for one [`SolverSession::solve`] call.
 #[derive(Debug, Clone, Default)]
 pub struct SolveOptions {
-    /// Simplex parameter override; `None` uses the model's stored options.
+    /// Tolerances and limits; `None` means [`SimplexOptions::default`].
     pub simplex: Option<SimplexOptions>,
     /// Discard the saved basis and solve from scratch.
     pub force_cold: bool,
-    /// Grouped tuning knobs (refactorization cadence, pricing
-    /// parallelism); the all-zero default leaves every knob at its built-in
-    /// default.
+    /// Refactorization cadence and pricing workers; the all-zero default
+    /// is the default kernel.
     pub tuning: SolverTuning,
 }
 
@@ -495,12 +476,6 @@ impl SolverSession {
         }
     }
 
-    /// Mutable solver options of the wrapped model (does not invalidate the
-    /// basis).
-    pub fn options_mut(&mut self) -> &mut SimplexOptions {
-        self.model.options_mut()
-    }
-
     // --- mutators (mirror Model, with mutation-class tracking) ------------
 
     /// See [`Model::add_var`].
@@ -616,21 +591,6 @@ impl SolverSession {
 
     // --- solving ----------------------------------------------------------
 
-    /// The simplex options a solve under `opts` actually runs with: the
-    /// per-call override (or the model's stored options), with each nonzero
-    /// [`SolverTuning`] knob substituted in (`max_etas` → `refactor_every`,
-    /// `pricing_jobs` → `pricing_jobs`).
-    fn effective_simplex(&self, opts: &SolveOptions) -> SimplexOptions {
-        let mut simplex = opts.simplex.clone().unwrap_or_else(|| self.model.options().clone());
-        if opts.tuning.max_etas != 0 {
-            simplex.refactor_every = opts.tuning.max_etas;
-        }
-        if opts.tuning.pricing_jobs != 0 {
-            simplex.pricing_jobs = opts.tuning.pricing_jobs;
-        }
-        simplex
-    }
-
     /// Re-optimize, reusing the saved basis when possible.
     ///
     /// The restart that actually ran is readable via
@@ -647,11 +607,12 @@ impl SolverSession {
                 return Ok(cached.clone());
             }
         }
-        let simplex = self.effective_simplex(opts);
+        let simplex = opts.simplex.clone().unwrap_or_default();
         let warm = if opts.force_cold { None } else { self.basis.as_ref() };
         let (solution, basis, restart) = solve_model_session(
             &self.model,
             &simplex,
+            opts.tuning,
             warm,
             !self.old_cost_moved,
             &mut self.resident,
@@ -703,7 +664,6 @@ impl From<Model> for SolverSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::Pricing;
     use crate::{Sense, Status};
 
     fn toy() -> (SolverSession, Var, Var, RowId, RowId) {
@@ -946,33 +906,26 @@ mod tests {
         assert_eq!(s.stats().colgen_rounds, 1);
     }
 
-    #[test]
-    fn max_etas_overrides_refactor_cadence() {
-        // A tiny max_etas forces refactorization every iteration — the
-        // solve must still reach the same certified optimum.
-        let (mut s, _x, _y, _r1, _r2) = toy();
-        let opts = SolveOptions {
-            tuning: SolverTuning { max_etas: 1, ..Default::default() },
-            ..Default::default()
-        };
+    /// The toy solved cold, then warm after its first row moves, under
+    /// `tuning`: the final objective's bits and the refactorizations of both
+    /// solves.
+    fn toy_under(tuning: SolverTuning) -> (u64, u64) {
+        let (mut s, _x, _y, r1, _r2) = toy();
+        let opts = SolveOptions { tuning, ..Default::default() };
+        assert!((s.solve(&opts).unwrap().objective() - 12.0).abs() < 1e-7);
+        s.set_rhs(r1, 7.0);
         let sol = s.solve(&opts).unwrap();
-        assert!((sol.objective() - 12.0).abs() < 1e-7);
-        // And the default (0) leaves the model's cadence untouched.
-        let eff = s.effective_simplex(&SolveOptions::default());
-        assert_eq!(eff.refactor_every, s.model().options().refactor_every);
-        let eff1 = s.effective_simplex(&opts);
-        assert_eq!(eff1.refactor_every, 1);
+        assert!((sol.objective() - 18.0).abs() < 1e-7);
+        (sol.objective().to_bits(), s.stats().refactors)
     }
 
     #[test]
-    fn default_cadence_is_the_shared_constant() {
-        // The `0 → default` resolution lives in one place:
-        // `basis::DEFAULT_MAX_ETAS` seeds the simplex default cadence, and
-        // `Factorization::set_limits` substitutes it for a literal zero.
-        assert_eq!(
-            SimplexOptions::default().refactor_every,
-            crate::simplex::basis::DEFAULT_MAX_ETAS
-        );
+    fn max_etas_overrides_refactor_cadence() {
+        // A cadence of 1 refactorizes after every update: more often than
+        // the default, and to the same optimum.
+        let one = toy_under(SolverTuning { max_etas: 1, ..Default::default() });
+        let default = toy_under(SolverTuning::default());
+        assert!(one.1 > default.1, "cadence 1: {one:?}, default: {default:?}");
     }
 
     #[test]
@@ -1030,44 +983,17 @@ mod tests {
 
     #[test]
     fn zero_cadence_and_zero_pricing_jobs_resolve_to_the_defaults() {
-        let run = |cadence: usize| {
-            let (mut s, _x, _y, r1, _r2) = toy();
-            let opts = SolveOptions {
-                simplex: Some(SimplexOptions {
-                    refactor_every: cadence,
-                    ..SimplexOptions::default()
-                }),
-                ..Default::default()
-            };
-            s.solve(&opts).unwrap();
-            s.set_rhs(r1, 7.0);
-            let sol = s.solve(&opts).unwrap();
-            (sol.objective().to_bits(), s.stats().refactors)
-        };
-        // A literal zero must behave exactly like the shared default —
-        // same optimum, same refactorization count — because the
-        // resolution happens once, inside `Factorization::set_limits`.
-        let zero = run(0);
-        assert_eq!(zero, run(crate::simplex::basis::DEFAULT_MAX_ETAS));
-        // And a cadence of 1 reaches the kernel, not just the options.
-        assert!(run(1).1 >= zero.1, "cadence 1 refactors at least as often");
-
-        // `pricing_jobs` resolves through `effective_simplex` the same way:
-        // zero is the serial default, and any worker count reproduces the
-        // serial objective bitwise (the parallel layer reduces in section
+        // A zero cadence is `DEFAULT_MAX_ETAS` — same optimum, same
+        // refactorization count — because `Factorization::set_limits` is the
+        // one place that resolves it.
+        let cadence = |max_etas| toy_under(SolverTuning { max_etas, ..Default::default() });
+        assert_eq!(cadence(0), cadence(crate::simplex::basis::DEFAULT_MAX_ETAS));
+        // Zero pricing workers run the serial path, and any worker count
+        // reproduces it bitwise (the parallel layer reduces in section
         // order — DESIGN.md §19).
-        let par = |jobs: usize| {
-            let (mut s, _x, _y, r1, _r2) = toy();
-            let opts = SolveOptions {
-                tuning: SolverTuning { pricing_jobs: jobs, ..Default::default() },
-                ..Default::default()
-            };
-            assert_eq!(s.effective_simplex(&opts).pricing_jobs, if jobs == 0 { 1 } else { jobs });
-            s.solve(&opts).unwrap();
-            s.set_rhs(r1, 7.0);
-            s.solve(&opts).unwrap().objective().to_bits()
-        };
-        assert_eq!(par(0), par(8));
+        let jobs = |pricing_jobs| toy_under(SolverTuning { pricing_jobs, ..Default::default() });
+        assert_eq!(jobs(0), jobs(1));
+        assert_eq!(jobs(0), jobs(8));
     }
 
     // --- resident simplex state: a session against a twin that rebuilds ------
@@ -1459,15 +1385,5 @@ mod tests {
         s.invalidate();
         assert!(!carried(&mut s, &opts, 6.0).0, "invalidate");
         assert!(carried(&mut s, &opts, 5.0).0);
-
-        // Dantzig pricing keeps no reduced costs: it neither continues from a
-        // state nor leaves one to continue from.
-        let dantzig = SolveOptions {
-            simplex: Some(SimplexOptions { pricing: Pricing::Dantzig, ..Default::default() }),
-            ..SolveOptions::default()
-        };
-        assert!(!carried(&mut s, &dantzig, 4.0).0, "Dantzig after Devex");
-        assert!(!carried(&mut s, &dantzig, 5.0).0, "Dantzig after Dantzig");
-        assert!(!carried(&mut s, &opts, 4.0).0, "Devex after Dantzig");
     }
 }

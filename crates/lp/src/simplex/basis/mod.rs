@@ -47,9 +47,8 @@ pub type SparseCol = Vec<(u32, f64)>;
 
 /// Default cap on Forrest–Tomlin updates between refactorizations.
 ///
-/// The single source of truth for the `max_etas: 0` / `refactor_every: 0`
-/// convention: [`Factorization::set_limits`] substitutes it for a zero limit, and
-/// `SimplexOptions::default()` seeds `refactor_every` from it.
+/// [`Factorization::set_limits`] substitutes it for a zero limit — the one
+/// place `SolverTuning::max_etas: 0` is resolved.
 pub const DEFAULT_MAX_ETAS: usize = 96;
 
 /// Errors from factorization.

@@ -23,30 +23,27 @@ use basis::arena::{grow, refill, reserve_tight, SegArena};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Entering-variable pricing strategy for the primal simplex.
+/// Entering-variable pricing rule of the primal simplex: there is one.
 ///
-/// Every strategy is a pure function of `(options, model)` — no clocks, no
-/// randomness — so solves stay bit-identical across processes and worker
-/// counts (the determinism contract of the parallel evaluation engine).
+/// Reduced costs are maintained from the pivot row after each pivot and
+/// scored by Devex reference-framework weights; column sections are scanned
+/// in rotation to keep a shortlist of attractive candidates, so one pivot
+/// prices `O(section + candidates)` columns (DESIGN.md §14). The rule is a
+/// pure function of `(options, model)` — no clocks, no randomness — so
+/// solves stay bit-identical across processes and worker counts.
+///
+/// The enum and [`SimplexOptions::pricing`] stay only because the frozen
+/// end-to-end benchmark names them (`e2ebench/src/probes.rs` copies
+/// `PretiumConfig::pricing` into the field); there is nothing to choose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Pricing {
-    /// Textbook full pricing: recompute `y = c_B B⁻¹` and every nonbasic
-    /// reduced cost each iteration, enter the most negative. `O(n · nnz)`
-    /// per pivot; kept as the reference baseline.
-    Dantzig,
-    /// Incrementally maintained reduced costs (updated from the BTRAN'd
-    /// pivot row after each pivot) scored by Devex reference-framework
-    /// weights. Selection still considers every nonbasic column per pivot,
-    /// but reads the maintained `d[j]` instead of recomputing dot products.
-    Devex,
-    /// Devex weights plus cyclic partial pricing: column sections are
-    /// scanned in rotation to keep a shortlist of attractive candidates,
-    /// so one pivot prices `O(section + candidates)` columns.
+    /// Partial Devex pricing.
     #[default]
     PartialDevex,
 }
 
-/// Tunable solver parameters.
+/// Tolerances and limits of a solve. The kernel's tuning — refactorization
+/// cadence and pricing workers — is [`SolverTuning`].
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
     /// Primal feasibility tolerance (bound violations up to this are
@@ -59,20 +56,10 @@ pub struct SimplexOptions {
     /// Hard iteration cap; `0` selects an automatic limit scaled with the
     /// problem size.
     pub max_iterations: u64,
-    /// Refactorize the basis after this many eta updates.
-    pub refactor_every: usize,
     /// Consecutive degenerate pivots before switching to Bland's rule.
     pub bland_trigger: u32,
-    /// Entering-variable pricing strategy.
+    /// Entering-variable pricing rule (the only one; see [`Pricing`]).
     pub pricing: Pricing,
-    /// Worker threads for the deterministic parallel-pricing layer: the
-    /// incremental strategies' reduced-cost recompute, Devex weight
-    /// refresh, and section sweeps fan out over `pretium-par`'s sectioned
-    /// map when this exceeds 1. Sections are fixed and size-derived, and
-    /// results reduce in section order, so any value produces bitwise the
-    /// same solve as the serial path (DESIGN.md §19). `0` and `1` both run
-    /// the exact serial code with no thread machinery.
-    pub pricing_jobs: usize,
 }
 
 impl Default for SimplexOptions {
@@ -82,12 +69,28 @@ impl Default for SimplexOptions {
             opt_tol: 1e-8,
             pivot_tol: 1e-9,
             max_iterations: 0,
-            refactor_every: basis::DEFAULT_MAX_ETAS,
             bland_trigger: 1000,
-            pricing: Pricing::default(),
-            pricing_jobs: 1,
+            pricing: Pricing::PartialDevex,
         }
     }
+}
+
+/// The kernel's tuning knobs, the one place a solve's refactorization
+/// cadence and pricing worker count are set. The all-zero
+/// [`SolverTuning::default`] is the default kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolverTuning {
+    /// Forrest–Tomlin updates a basis factorization accumulates before
+    /// refactorizing; `0` selects [`basis::DEFAULT_MAX_ETAS`].
+    pub max_etas: usize,
+    /// Worker threads for the deterministic parallel-pricing layer: above
+    /// one, the reduced-cost recompute, the Devex weight refresh and the
+    /// section sweeps fan out over `pretium-par`'s sectioned map. Sections
+    /// are fixed and size-derived, and results reduce in section order, so
+    /// any value produces bitwise the same solve as the serial path
+    /// (DESIGN.md §19). `0` and `1` both run the serial code with no thread
+    /// machinery.
+    pub pricing_jobs: usize,
 }
 
 /// Standard-form problem fed to the iteration core.
@@ -422,17 +425,13 @@ fn resolve_warm(problem: &mut Problem, work: &mut solver::Workspace, warm: &Warm
 /// the terminal state it leaves in the workspace as this solve's.
 fn conclude(
     model: &Model,
-    options: &SimplexOptions,
     problem: &Problem,
     work: &mut solver::Workspace,
     outcome: &solver::Outcome,
     restart: Restart,
 ) -> (Solution, WarmBasis, Restart) {
-    // Dantzig pricing maintains no reduced costs: nothing to inherit.
-    if options.pricing != Pricing::Dantzig {
-        work.owner = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
-        (work.owner_m, work.owner_nstruct) = (problem.m, problem.nstruct);
-    }
+    work.owner = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+    (work.owner_m, work.owner_nstruct) = (problem.m, problem.nstruct);
     (finish_solution(model, problem, work, outcome), snapshot(problem, work), restart)
 }
 
@@ -460,9 +459,15 @@ fn conclude(
 /// model that shrank, a warm attempt that failed, a numerical retry —
 /// rebuilds it from the model. An empty `Problem` makes the call a one-shot
 /// solve.
+///
+/// A numerical failure of the cold solve (singular refactorization after
+/// eta-file drift on a heavily degenerate basis) triggers one conservative
+/// retry: larger pivot tolerance, more frequent refactorization, and
+/// Bland's rule throughout.
 pub(crate) fn solve_model_session(
     model: &Model,
     options: &SimplexOptions,
+    tuning: SolverTuning,
     warm: Option<&WarmBasis>,
     costs_kept: bool,
     problem: &mut Problem,
@@ -473,54 +478,43 @@ pub(crate) fn solve_model_session(
     with_workspace(|work| {
         let held = std::mem::take(&mut work.owner);
         if let Some(w) = warm.filter(|_| problem.sync(model)) {
-            let carry =
-                costs_kept && w.stamp == held && held != 0 && options.pricing != Pricing::Dantzig;
+            let carry = costs_kept && w.stamp == held && held != 0;
             let stages: &[bool] = if carry { &[true, false] } else { &[false] };
             for &carry in stages {
                 if !carry && !resolve_warm(problem, work, w) {
                     break;
                 }
                 load_bounds(model, work);
-                if let Ok((outcome, used_dual)) =
-                    solver::run_warm(problem, &model.rows, options, work, carry, &rows, &vars)
-                {
+                let run =
+                    solver::warm_state(problem, &model.rows, options, tuning, work, carry, &rows)
+                        .and_then(|mut st| st.reoptimize(&problem.cost, &rows, &vars));
+                if let Ok((outcome, used_dual)) = run {
                     let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
-                    return Ok(conclude(model, options, problem, work, &outcome, restart));
+                    return Ok(conclude(model, problem, work, &outcome, restart));
                 }
             }
             // Fall through to a cold solve: correctness never depends on the
             // warm path succeeding.
         }
-        let mut attempt = |options: &SimplexOptions| {
+        let mut attempt = |options: &SimplexOptions, tuning: SolverTuning| {
             // Release the old standard form before building its replacement.
             *problem = Problem::default();
             *problem = Problem::from_model(model);
             load_bounds(model, work);
-            solver::run(problem, &model.rows, options, work, &rows, &vars)
+            solver::run(problem, &model.rows, options, tuning, work, &rows, &vars)
         };
-        let outcome = match attempt(options) {
+        let outcome = match attempt(options, tuning) {
             Ok(s) => s,
             Err(SolveError::Numerical(_)) => {
                 let conservative = SimplexOptions {
                     pivot_tol: options.pivot_tol.max(1e-8),
-                    refactor_every: 32,
                     bland_trigger: 0,
                     ..options.clone()
                 };
-                attempt(&conservative)?
+                attempt(&conservative, SolverTuning { max_etas: 32, ..tuning })?
             }
             Err(e) => return Err(e),
         };
-        Ok(conclude(model, options, problem, work, &outcome, Restart::Cold))
+        Ok(conclude(model, problem, work, &outcome, Restart::Cold))
     })
-}
-
-/// Solve `model` and map the internal result back to the model's sense and
-/// row/variable handles.
-///
-/// A numerical failure (singular refactorization after eta-file drift on a
-/// heavily degenerate basis) triggers one conservative retry: larger pivot
-/// tolerance, more frequent refactorization, and Bland's rule throughout.
-pub(crate) fn solve_model(model: &Model, options: &SimplexOptions) -> Result<Solution, SolveError> {
-    solve_model_session(model, options, None, false, &mut Problem::default()).map(|(sol, _, _)| sol)
 }

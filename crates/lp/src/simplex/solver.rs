@@ -8,7 +8,7 @@
 
 use super::basis::arena::{grow, refill};
 use super::basis::{BitQueue, FactorError, FactorStats, Factorization};
-use super::{Pricing, Problem, SimplexOptions};
+use super::{Problem, SimplexOptions, SolverTuning};
 use crate::model::RowData;
 use crate::solution::SolveError;
 use pretium_par as par;
@@ -109,7 +109,7 @@ pub(crate) struct Workspace {
     w_nz: Vec<u32>,
     /// Row duals for the internal minimization problem.
     pub y: Vec<f64>,
-    // --- incremental pricing state (Devex / PartialDevex) -----------------
+    // --- pricing state ----------------------------------------------------
     /// Maintained reduced cost per column: exact after `reprice`, updated
     /// from the pivot row after each pivot. Basic entries are stale.
     pub d: Vec<f64>,
@@ -145,13 +145,15 @@ pub(crate) struct Workspace {
     infeasible: BitQueue,
 }
 
-struct State<'a> {
+pub(crate) struct State<'a> {
     p: &'a Problem,
     /// Row-major mirror of the structural matrix (the model's own row
     /// storage, terms sorted by column), for sparse pivot-row passes. Slack
     /// and artificial entries are implicit.
     rows: &'a [RowData],
     opts: &'a SimplexOptions,
+    /// Parallel-pricing workers ([`SolverTuning::pricing_jobs`]).
+    jobs: usize,
     ws: &'a mut Workspace,
     /// Counters so far (`factor_stats` is filled in by `finish`).
     out: Outcome,
@@ -171,12 +173,11 @@ struct State<'a> {
 }
 
 /// Read-only view of the pricing state, small enough to hand to the
-/// sectioned parallel map: workers judge eligibility and Devex scores from
-/// shared slices only, never seeing the problem or the factorization the
-/// full [`State`] carries.
+/// sectioned parallel map: workers judge eligibility from shared slices
+/// only, never seeing the problem or the factorization the full [`State`]
+/// carries.
 struct PriceView<'b> {
     d: &'b [f64],
-    gamma: &'b [f64],
     pos_of: &'b [i32],
     nb: &'b [NbState],
     in_cands: &'b [bool],
@@ -222,6 +223,7 @@ pub(crate) fn run(
     problem: &mut Problem,
     rows: &[RowData],
     opts: &SimplexOptions,
+    tuning: SolverTuning,
     ws: &mut Workspace,
     row_name: impl Fn(usize) -> String,
     var_name: impl Fn(usize) -> String,
@@ -274,7 +276,7 @@ pub(crate) fn run(
     }
 
     let problem = &*problem; // fixed from here on: only the workspace moves
-    let mut st = State::new(problem, rows, opts, ws);
+    let mut st = State::new(problem, rows, opts, tuning, ws);
     st.refactor().map_err(|e| numerical(e, &row_name))?;
 
     // --- phase 1 ----------------------------------------------------------
@@ -302,46 +304,13 @@ pub(crate) fn run(
     st.finish(&problem.cost, &row_name)
 }
 
-/// Re-optimize from a known basis instead of crashing one.
+/// Re-optimize from a known basis instead of crashing one, first stage:
+/// a checked basis with factors and `x_B`, every nonbasic column at rest on
+/// a bound, for [`State::reoptimize`] to finish.
 ///
 /// `ws.basis` gives the basic column per row position, `ws.nb` the rest
 /// state of every column; both come from a previous solve of a
-/// since-mutated problem — resolved from a snapshot by the caller, or, with
-/// `carry`, still here as that solve left them (see [`warm_state`]). The
-/// start point is classified and the cheapest repair is run:
-///
-/// * basic values within bounds → primal phase 2 directly (objective-only
-///   changes keep the basis primal feasible);
-/// * primal infeasible → dual simplex drives the basic values back inside
-///   their bounds without losing dual feasibility (RHS / bound changes and
-///   appended cutting rows land here), then a primal phase-2 polish mops up
-///   any residual reduced-cost violations. Nonbasic columns whose reduced
-///   cost has the wrong sign (e.g. freshly added variables) are temporarily
-///   fixed at their rest value so the dual iteration starts dual feasible,
-///   and released for the polish.
-///
-/// Any structural problem with the supplied basis (wrong size, duplicate
-/// columns, singular matrix) is reported as an error; callers are expected
-/// to fall back — a carried start to a reloaded one, that to a cold [`run`].
-///
-/// Returns the outcome plus whether the dual simplex was needed.
-pub(crate) fn run_warm(
-    problem: &Problem,
-    rows: &[RowData],
-    opts: &SimplexOptions,
-    ws: &mut Workspace,
-    carry: bool,
-    row_name: impl Fn(usize) -> String,
-    var_name: impl Fn(usize) -> String,
-) -> Result<(Outcome, bool), SolveError> {
-    let mut st = warm_state(problem, rows, opts, ws, carry, &row_name)?;
-    st.reoptimize(&problem.cost, &row_name, &var_name)
-}
-
-/// Where [`run_warm`] starts from: a checked basis with factors and `x_B`,
-/// every nonbasic column at rest on a bound.
-///
-/// The first stage differs. A *reload* takes the basis and rest states the
+/// since-mutated problem. A *reload* takes the basis and rest states the
 /// caller resolved from a snapshot, refactorizes, and leaves the reduced
 /// costs to the first `reprice`. A *carry* — `ws` still holds the terminal
 /// state of this session's previous solve, of a problem that has only grown
@@ -349,10 +318,15 @@ pub(crate) fn run_warm(
 /// column layout, inherits `d` and `y` (an appended row's dual is 0, so only
 /// the appended columns are priced), borders the factors with the appended
 /// rows, their slacks basic, and takes `x_B` from one FTRAN.
-fn warm_state<'a>(
+///
+/// Any structural problem with the supplied basis (wrong size, duplicate
+/// columns, singular matrix) is reported as an error; callers are expected
+/// to fall back — a carried start to a reloaded one, that to a cold [`run`].
+pub(crate) fn warm_state<'a>(
     problem: &'a Problem,
     rows: &'a [RowData],
     opts: &'a SimplexOptions,
+    tuning: SolverTuning,
     ws: &'a mut Workspace,
     carry: bool,
     row_name: &impl Fn(usize) -> String,
@@ -395,7 +369,7 @@ fn warm_state<'a>(
         };
     }
 
-    let mut st = State::new(problem, rows, opts, ws);
+    let mut st = State::new(problem, rows, opts, tuning, ws);
     if carry {
         st.inherit(&problem.cost).map_err(|e| numerical(e, row_name))?;
     } else {
@@ -455,6 +429,7 @@ impl<'a> State<'a> {
         p: &'a Problem,
         rows: &'a [RowData],
         opts: &'a SimplexOptions,
+        tuning: SolverTuning,
         ws: &'a mut Workspace,
     ) -> Self {
         let max_iterations = if opts.max_iterations > 0 {
@@ -462,12 +437,13 @@ impl<'a> State<'a> {
         } else {
             20_000 + 100 * (p.m as u64 + p.nstruct as u64)
         };
-        ws.factor.set_limits(opts.refactor_every, opts.pivot_tol);
+        ws.factor.set_limits(tuning.max_etas, opts.pivot_tol);
         let factor_before = ws.factor.stats();
         State {
             p,
             rows,
             opts,
+            jobs: tuning.pricing_jobs,
             ws,
             out: Outcome::default(),
             max_iterations,
@@ -479,8 +455,21 @@ impl<'a> State<'a> {
         }
     }
 
-    /// The body of [`run_warm`] once the start basis is factorized.
-    fn reoptimize(
+    /// The rest of a warm solve once [`warm_state`] has factorized the start
+    /// basis. The start point is classified and the cheapest repair is run:
+    ///
+    /// * basic values within bounds → primal phase 2 directly (objective-only
+    ///   changes keep the basis primal feasible);
+    /// * primal infeasible → dual simplex drives the basic values back inside
+    ///   their bounds without losing dual feasibility (RHS / bound changes and
+    ///   appended cutting rows land here), then a primal phase-2 polish mops
+    ///   up any residual reduced-cost violations. Nonbasic columns whose
+    ///   reduced cost has the wrong sign (e.g. freshly added variables) are
+    ///   temporarily fixed at their rest value so the dual iteration starts
+    ///   dual feasible, and released for the polish.
+    ///
+    /// Returns the outcome plus whether the dual simplex was needed.
+    pub(crate) fn reoptimize(
         &mut self,
         cost: &[f64],
         row_name: &impl Fn(usize) -> String,
@@ -575,11 +564,7 @@ impl<'a> State<'a> {
         }
         if !self.settled && !self.certified(cost) {
             self.refactor().map_err(|e| numerical(e, row_name))?;
-            if self.opts.pricing == Pricing::Dantzig {
-                self.solve_duals(cost);
-            } else {
-                self.reprice(cost);
-            }
+            self.reprice(cost);
             self.out.terminal_refactor = true;
         }
         self.out.fresh = self.fresh;
@@ -628,7 +613,6 @@ impl<'a> State<'a> {
     fn view(&self) -> PriceView<'_> {
         PriceView {
             d: &self.ws.d,
-            gamma: &self.ws.gamma,
             pos_of: &self.ws.pos_of,
             nb: &self.ws.nb,
             in_cands: &self.ws.in_cands,
@@ -695,42 +679,22 @@ impl<'a> State<'a> {
         var_name: &impl Fn(usize) -> String,
         row_name: &impl Fn(usize) -> String,
     ) -> Result<(), SolveError> {
-        // Devex / PartialDevex maintain `y` and `d` incrementally; Dantzig
-        // recomputes them from scratch every iteration (the baseline).
-        let incremental = self.opts.pricing != Pricing::Dantzig;
-        if incremental {
-            self.reprice(cost);
-        }
+        // Exact `y` and `d` to start from; pivots maintain them from the
+        // pivot rows.
+        self.reprice(cost);
         loop {
             if self.out.iterations >= self.max_iterations {
                 return Err(SolveError::IterationLimit { iterations: self.out.iterations });
             }
             if self.ws.factor.wants_refactor() {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
-                if incremental {
-                    // The refactor cadence doubles as the pricing drift guard.
-                    self.reprice(cost);
-                }
-            }
-            if !incremental {
-                // Simplex multipliers y = c_B B⁻¹.
-                self.ws.cb.clear();
-                self.ws.cb.extend(self.ws.basis.iter().map(|&k| cost[k]));
-                let (factor, cb, y) = (&mut self.ws.factor, &self.ws.cb, &mut self.ws.y);
-                factor.btran(cb, y);
+                // The refactor cadence doubles as the pricing drift guard.
+                self.reprice(cost);
             }
             let bland = self.degenerate_run > self.opts.bland_trigger;
-            let picked = if bland {
-                self.price_bland(cost)
-            } else {
-                match self.opts.pricing {
-                    Pricing::Dantzig => self.price_dantzig(cost),
-                    Pricing::Devex => self.price_devex(),
-                    Pricing::PartialDevex => self.price_partial(),
-                }
-            };
+            let picked = if bland { self.price_bland() } else { self.price_partial() };
             let Some((j, d)) = picked else {
-                if incremental && !self.fresh {
+                if !self.fresh {
                     // Maintained reduced costs may have drifted since the
                     // last factorization: certify optimality against exact
                     // values before declaring this phase done. Terminates
@@ -775,12 +739,9 @@ impl<'a> State<'a> {
                     self.note_step(t);
                 }
                 Step::Pivot { t, position, to_upper } => {
-                    if incremental {
-                        // Needs the pre-pivot factorization, duals, and
-                        // basis bookkeeping: must run before any of the
-                        // updates below.
-                        self.pivot_update(j, position);
-                    }
+                    // Needs the pre-pivot factorization, duals, and basis
+                    // bookkeeping: must run before any of the updates below.
+                    self.pivot_update(j, position);
                     self.settled = false;
                     self.apply_step(sigma, t);
                     let entering_value = self.ws.x[j] + sigma * t;
@@ -797,9 +758,7 @@ impl<'a> State<'a> {
                         // Pivot too small for a stable eta: rebuild and, if
                         // the basis went bad, surface a numerical error.
                         self.refactor().map_err(|e| numerical(e, row_name))?;
-                        if incremental {
-                            self.reprice(cost);
-                        }
+                        self.reprice(cost);
                     }
                     self.note_step(t);
                 }
@@ -808,9 +767,9 @@ impl<'a> State<'a> {
         }
     }
 
-    /// Full pricing reset for the incremental strategies: recompute
-    /// `y = c_B B⁻¹` and every reduced cost exactly, and reset the Devex
-    /// reference framework (all weights back to 1) and the candidate list.
+    /// Full pricing reset: recompute `y = c_B B⁻¹` and every reduced cost
+    /// exactly, and reset the Devex reference framework (all weights back
+    /// to 1) and the candidate list.
     ///
     /// With `pricing_jobs > 1` the reduced-cost recompute and the weight
     /// refresh fan out over the sectioned parallel map: each worker owns a
@@ -826,7 +785,7 @@ impl<'a> State<'a> {
             factor.btran(cb, y);
         }
         let t0 = Instant::now();
-        let jobs = self.opts.pricing_jobs;
+        let jobs = self.jobs;
         let n = self.p.n;
         let parallel = jobs > 1 && par::section_count(n) > 1;
         if parallel {
@@ -972,119 +931,20 @@ impl<'a> State<'a> {
         }
     }
 
-    /// Bland's anti-cycling rule: the smallest-index eligible column. Under
-    /// Dantzig the reduced cost is recomputed from the fresh duals; the
-    /// incremental strategies judge on the maintained `d[j]` (the drift
-    /// guard in `iterate` re-certifies before declaring optimality).
-    fn price_bland(&mut self, cost: &[f64]) -> Option<(usize, f64)> {
-        let tol = self.opts.opt_tol;
-        let dantzig = self.opts.pricing == Pricing::Dantzig;
+    /// Bland's anti-cycling rule: the smallest-index eligible column, judged
+    /// on the maintained `d[j]` (the drift guard in `iterate` re-certifies
+    /// before declaring optimality).
+    fn price_bland(&mut self) -> Option<(usize, f64)> {
         for j in 0..self.p.n {
             if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
                 continue;
             }
             self.out.pricing_scans += 1;
-            let d = if dantzig { self.p.reduced_cost(j, cost, &self.ws.y) } else { self.ws.d[j] };
-            let eligible = match self.ws.nb[j] {
-                NbState::Lower => d < -tol,
-                NbState::Upper => d > tol,
-                NbState::Free => d.abs() > tol,
-            };
-            if eligible {
-                return Some((j, d));
+            if self.eligible(j) {
+                return Some((j, self.ws.d[j]));
             }
         }
         None
-    }
-
-    /// Dantzig pricing: full scan for the most negative effective reduced
-    /// cost, recomputed per column from the current duals.
-    fn price_dantzig(&mut self, cost: &[f64]) -> Option<(usize, f64)> {
-        let tol = self.opts.opt_tol;
-        let mut best: Option<(usize, f64, f64)> = None; // (j, d, score)
-        for j in 0..self.p.n {
-            if self.ws.pos_of[j] >= 0 {
-                continue;
-            }
-            // Fixed columns (incl. closed artificials) can never improve.
-            if self.ws.lb[j] == self.ws.ub[j] {
-                continue;
-            }
-            self.out.pricing_scans += 1;
-            let d = self.p.reduced_cost(j, cost, &self.ws.y);
-            let eligible = match self.ws.nb[j] {
-                NbState::Lower => d < -tol,
-                NbState::Upper => d > tol,
-                NbState::Free => d.abs() > tol,
-            };
-            if !eligible {
-                continue;
-            }
-            let score = d.abs();
-            if best.as_ref().is_none_or(|&(_, _, s)| score > s) {
-                best = Some((j, d, score));
-            }
-        }
-        best.map(|(j, d, _)| (j, d))
-    }
-
-    /// Devex pricing over all columns using the maintained reduced costs:
-    /// highest `d²/γ` wins, smallest index on exact ties (ascending scan
-    /// with a strictly-greater comparison).
-    ///
-    /// With `pricing_jobs > 1` the scan fans out per section; each section
-    /// keeps its own smallest-index maximum and the reduction walks the
-    /// per-section results **in section order** with the same
-    /// strictly-greater comparison, so the winner is the smallest-index
-    /// attainer of the global maximum — exactly the serial answer.
-    fn price_devex(&mut self) -> Option<(usize, f64)> {
-        let t0 = Instant::now();
-        let n = self.p.n;
-        let jobs = self.opts.pricing_jobs;
-        let parallel = jobs > 1 && par::section_count(n) > 1;
-        let best = if parallel {
-            let (parts, stats) = {
-                let view = self.view();
-                par::map_sections(n, jobs, |_, r| {
-                    let mut best: Option<(usize, f64)> = None; // (j, score)
-                    for j in r {
-                        if !view.eligible(j) {
-                            continue;
-                        }
-                        let dj = view.d[j];
-                        let score = dj * dj / view.gamma[j];
-                        if best.is_none_or(|(_, s)| score > s) {
-                            best = Some((j, score));
-                        }
-                    }
-                    best
-                })
-            };
-            self.note_par_stats(stats);
-            let mut best: Option<(usize, f64)> = None;
-            for (j, score) in parts.into_iter().flatten() {
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((j, score));
-                }
-            }
-            best
-        } else {
-            let mut best: Option<(usize, f64)> = None; // (j, score)
-            for j in 0..n {
-                if !self.eligible(j) {
-                    continue;
-                }
-                let dj = self.ws.d[j];
-                let score = dj * dj / self.ws.gamma[j];
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((j, score));
-                }
-            }
-            best
-        };
-        self.out.pricing_scans += n as u64;
-        self.note_pricing_wall(t0, parallel);
-        best.map(|(j, _)| (j, self.ws.d[j]))
     }
 
     /// Partial Devex pricing: prune the candidate shortlist, sweep one
@@ -1118,7 +978,7 @@ impl<'a> State<'a> {
         self.ws.candidates.truncate(keep);
         let n = self.p.n;
         let section = (n / SECTIONS).max(SECTION_MIN).min(n);
-        let jobs = self.opts.pricing_jobs;
+        let jobs = self.jobs;
         let parallel = jobs > 1 && par::section_count(section) > 1;
         let mut scanned = 0usize;
         while scanned < n {
@@ -1537,7 +1397,7 @@ mod tests {
     /// they carried, a cutting row arrives. Returns it with its standard form
     /// and a workspace holding the resolved cold basis and the new bounds —
     /// what a reloading [`warm_state`] starts from.
-    fn cut_case(seed: u64, refactor_every: usize) -> (Model, Problem, Workspace, SimplexOptions) {
+    fn cut_case(seed: u64, max_etas: usize) -> (Model, Problem, Workspace, SolverTuning) {
         let name = |i: usize| i.to_string();
         let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let (jobs, steps) = (4 + (g.unit() * 5.0) as usize, 4 + (g.unit() * 6.0) as usize);
@@ -1560,11 +1420,11 @@ mod tests {
             })
             .collect();
 
-        let opts = SimplexOptions { refactor_every, ..SimplexOptions::default() };
+        let tuning = SolverTuning { max_etas, ..SolverTuning::default() };
         let mut ws = Workspace::default();
         let mut p = Problem::from_model(&model);
         load_bounds(&model, &mut ws);
-        run(&mut p, &model.rows, &opts, &mut ws, name, name).unwrap();
+        run(&mut p, &model.rows, &SimplexOptions::default(), tuning, &mut ws, name, name).unwrap();
         let basis = snapshot(&p, &ws);
 
         for &row in &caps {
@@ -1582,7 +1442,7 @@ mod tests {
 
         assert!(p.sync(&model) && resolve_warm(&mut p, &mut ws, &basis));
         load_bounds(&model, &mut ws);
-        (model, p, ws, opts)
+        (model, p, ws, tuning)
     }
 
     /// The reduced costs and duals the dual loop carries from pivot row to
@@ -1594,9 +1454,11 @@ mod tests {
         let name = |i: usize| i.to_string();
         let mut pivots = [0u64; 3];
         for seed in 1..=40u64 {
-            for (c, refactor_every) in [2, 7, 96].into_iter().enumerate() {
-                let (model, p, mut ws, opts) = cut_case(seed, refactor_every);
-                let mut st = warm_state(&p, &model.rows, &opts, &mut ws, false, &name).unwrap();
+            for (c, max_etas) in [2, 7, 96].into_iter().enumerate() {
+                let (model, p, mut ws, tuning) = cut_case(seed, max_etas);
+                let opts = SimplexOptions::default();
+                let mut st =
+                    warm_state(&p, &model.rows, &opts, tuning, &mut ws, false, &name).unwrap();
                 st.box_dual_infeasible(&p.cost);
                 st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
                 pivots[c] += st.out.dual_iterations;
@@ -1624,10 +1486,12 @@ mod tests {
     fn finish_refactorizes_only_when_the_certificate_fails() {
         let name = |i: usize| i.to_string();
         for seed in 1..=12u64 {
-            let (model, p, start, opts) = cut_case(seed, 96);
+            let (model, p, start, tuning) = cut_case(seed, 96);
+            let opts = SimplexOptions::default();
             let finish_after = |perturb: &dyn Fn(&mut Workspace, usize, usize)| {
                 let mut ws = start.clone();
-                let mut st = warm_state(&p, &model.rows, &opts, &mut ws, false, &name).unwrap();
+                let mut st =
+                    warm_state(&p, &model.rows, &opts, tuning, &mut ws, false, &name).unwrap();
                 st.box_dual_infeasible(&p.cost);
                 st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
                 assert!(st.ws.boxed.is_empty() && st.out.dual_iterations > 0, "seed {seed}");

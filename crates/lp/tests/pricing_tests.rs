@@ -1,8 +1,8 @@
-//! Cross-strategy pricing tests: Dantzig, Devex, and PartialDevex must all
-//! reach the same certified optimum on schedule-shaped LPs (the per-(job,
-//! path, timestep) structure SAM produces), and the Bland's-rule
-//! anti-cycling escape hatch must still fire under the incremental
-//! strategies.
+//! Pricing tests: the one pricing rule (partial Devex) reaches a
+//! KKT-certified optimum on schedule-shaped LPs (the per-(job, path,
+//! timestep) structure SAM produces), cold and across warm restarts; the
+//! Bland's-rule anti-cycling escape hatch fires; parallel pricing is
+//! bitwise the serial path; and a pivot prices a fraction of the columns.
 //!
 //! As with the other property suites, randomness comes from a local
 //! deterministic xorshift stream (no registry access in the build
@@ -10,7 +10,8 @@
 
 use pretium_lp::validate::check_optimal;
 use pretium_lp::{
-    Cmp, LinExpr, Model, Pricing, RowId, Sense, SimplexOptions, SolveOptions, SolverSession, Var,
+    Cmp, LinExpr, Model, RowId, Sense, SimplexOptions, SolveOptions, SolverSession, SolverTuning,
+    Var,
 };
 
 /// Deterministic xorshift64* stream in `[0, 1)`.
@@ -38,15 +39,6 @@ impl Gen {
 
     fn index(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
-    }
-}
-
-const STRATEGIES: [Pricing; 3] = [Pricing::Dantzig, Pricing::Devex, Pricing::PartialDevex];
-
-fn opts_for(pricing: Pricing) -> SolveOptions {
-    SolveOptions {
-        simplex: Some(SimplexOptions { pricing, ..SimplexOptions::default() }),
-        ..SolveOptions::default()
     }
 }
 
@@ -116,132 +108,95 @@ fn schedule_lp(g: &mut Gen) -> Model {
     m
 }
 
-/// All three strategies agree on the optimal objective (within tolerance)
-/// and each returns a KKT-certified, bound-respecting solution.
+/// Cold solves return KKT-certified optima: finite, primal feasible
+/// (bounds included), dual feasible, complementary and gap-free.
 #[test]
-fn strategies_agree_on_schedule_shaped_lps() {
+fn cold_solves_certify_on_schedule_shaped_lps() {
     for seed in 0..48 {
         let mut g = Gen::new(seed);
         let m = schedule_lp(&mut g);
-        let mut objectives = Vec::new();
-        for pricing in STRATEGIES {
-            let mut sess = SolverSession::new(m.clone());
-            let sol = sess
-                .solve(&opts_for(pricing))
-                .unwrap_or_else(|e| panic!("seed {seed} {pricing:?}: {e}"));
-            // Certified optimum: primal feasibility (incl. bounds), dual
-            // feasibility, complementary slackness.
-            let violations = check_optimal(&m, &sol, 1e-6);
-            assert!(violations.is_empty(), "seed {seed} {pricing:?}: {violations:?}");
-            objectives.push((pricing, sol.objective()));
-        }
-        let (_, base) = objectives[0];
-        for &(pricing, obj) in &objectives[1..] {
-            assert!(
-                (obj - base).abs() <= 1e-6 * (1.0 + base.abs()),
-                "seed {seed}: {pricing:?} found {obj}, Dantzig found {base}"
-            );
-        }
+        let sol = SolverSession::new(m.clone())
+            .solve(&SolveOptions::default())
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let violations = check_optimal(&m, &sol, 1e-6);
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
     }
 }
 
-/// Warm restarts (the SAM timestep pattern: RHS moves, re-solve) agree
-/// across strategies too, and each session stays KKT-certified.
+/// Warm restarts (the SAM timestep pattern: RHS moves, re-solve) return
+/// certified optima of the mutated model, every one of them.
 #[test]
-fn strategies_agree_across_warm_restarts() {
+fn warm_restarts_certify_across_rhs_moves() {
+    let mut warm = 0;
     for seed in 0..16 {
         let mut g = Gen::new(seed ^ 0x5EED);
         let m = schedule_lp(&mut g);
-        // Pre-pick the RHS perturbations so every strategy sees the same
-        // mutation sequence.
         let nrows = m.num_rows();
-        let tweaks: Vec<(usize, f64)> =
-            (0..4).map(|_| (g.index(nrows), g.range(0.5, 4.0))).collect();
-        let mut finals = Vec::new();
-        for pricing in STRATEGIES {
-            let mut sess = SolverSession::new(m.clone());
-            sess.solve(&opts_for(pricing)).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            let mut last = f64::NAN;
-            for &(r, rhs) in &tweaks {
-                sess.set_rhs(RowId::from_index(r), rhs);
-                let sol = sess
-                    .solve(&opts_for(pricing))
-                    .unwrap_or_else(|e| panic!("seed {seed} {pricing:?}: {e}"));
-                let violations = check_optimal(sess.model(), &sol, 1e-6);
-                assert!(violations.is_empty(), "seed {seed} {pricing:?}: {violations:?}");
-                last = sol.objective();
-            }
-            finals.push((pricing, last));
+        let mut sess = SolverSession::new(m);
+        sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        for _ in 0..4 {
+            sess.set_rhs(RowId::from_index(g.index(nrows)), g.range(0.5, 4.0));
+            let sol =
+                sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let violations = check_optimal(sess.model(), &sol, 1e-6);
+            assert!(violations.is_empty(), "seed {seed}: {violations:?}");
         }
-        let (_, base) = finals[0];
-        for &(pricing, obj) in &finals[1..] {
-            assert!(
-                (obj - base).abs() <= 1e-6 * (1.0 + base.abs()),
-                "seed {seed}: {pricing:?} ended at {obj}, Dantzig at {base}"
-            );
-        }
+        warm += sess.stats().warm_primal + sess.stats().warm_dual;
     }
+    assert!(warm >= 48, "only {warm} of 64 re-solves restarted warm");
 }
 
 /// A crafted, massively degenerate LP: a cyclic chain `x_i <= x_{i+1}`
 /// with zero right-hand sides forces every feasible point to have all
 /// variables equal, so the walk from the all-slack crash basis to the
 /// optimum is a run of zero-length steps. With `bland_trigger: 0` the
-/// anti-cycling rule must engage under Devex — observable through the
-/// `bland_pivots` counter — while still reaching the right optimum.
+/// anti-cycling rule must engage under partial Devex — observable through
+/// the `bland_pivots` counter — while still reaching the right optimum.
 #[test]
 fn bland_trigger_fires_under_devex_on_degenerate_lp() {
-    for &pricing in &[Pricing::Devex, Pricing::PartialDevex] {
-        let mut m = Model::new(Sense::Maximize);
-        let n = 12;
-        let xs: Vec<_> = (0..n)
-            .map(|j| m.add_var(&format!("x{j}"), 0.0, f64::INFINITY, 1.0 + 0.01 * j as f64))
-            .collect();
-        // x_i - x_{i+1} <= 0 around a cycle: all variables must be equal.
-        for i in 0..n {
-            let mut e = LinExpr::new();
-            e.add_term(1.0, xs[i]);
-            e.add_term(-1.0, xs[(i + 1) % n]);
-            m.add_row(&format!("chain{i}"), e, Cmp::Le, 0.0);
-        }
-        // One shared unit of capacity bounds the common level at 1/n.
-        let mut cap = LinExpr::new();
-        for &v in &xs {
-            cap.add_term(1.0, v);
-        }
-        m.add_row("cap", cap, Cmp::Le, 1.0);
-        // Reference optimum from a plain Dantzig solve with the default
-        // (effectively never-firing) trigger.
-        let reference = SolverSession::new(m.clone())
-            .solve(&opts_for(Pricing::Dantzig))
-            .expect("reference solve")
-            .objective();
-        let mut sess = SolverSession::new(m.clone());
-        let opts = SolveOptions {
-            simplex: Some(SimplexOptions { pricing, bland_trigger: 0, ..Default::default() }),
-            ..SolveOptions::default()
-        };
-        let sol = sess.solve(&opts).unwrap_or_else(|e| panic!("{pricing:?}: {e}"));
-        assert!(
-            (sol.objective() - reference).abs() <= 1e-6 * (1.0 + reference.abs()),
-            "{pricing:?}: objective {} vs reference {reference}",
-            sol.objective()
-        );
-        assert!(check_optimal(&m, &sol, 1e-6).is_empty(), "{pricing:?}");
-        assert!(
-            sol.bland_pivots() > 0,
-            "{pricing:?}: Bland fallback never engaged on a degenerate LP"
-        );
+    let mut m = Model::new(Sense::Maximize);
+    let n = 12;
+    let xs: Vec<_> = (0..n)
+        .map(|j| m.add_var(&format!("x{j}"), 0.0, f64::INFINITY, 1.0 + 0.01 * j as f64))
+        .collect();
+    // x_i - x_{i+1} <= 0 around a cycle: all variables must be equal.
+    for i in 0..n {
+        let mut e = LinExpr::new();
+        e.add_term(1.0, xs[i]);
+        e.add_term(-1.0, xs[(i + 1) % n]);
+        m.add_row(&format!("chain{i}"), e, Cmp::Le, 0.0);
     }
+    // One shared unit of capacity bounds the common level at 1/n.
+    let mut cap = LinExpr::new();
+    for &v in &xs {
+        cap.add_term(1.0, v);
+    }
+    m.add_row("cap", cap, Cmp::Le, 1.0);
+    // Reference optimum from a solve with the default (effectively
+    // never-firing) trigger.
+    let reference = m.solve().expect("reference solve");
+    assert_eq!(reference.bland_pivots(), 0);
+    let opts = SolveOptions {
+        simplex: Some(SimplexOptions { bland_trigger: 0, ..Default::default() }),
+        ..SolveOptions::default()
+    };
+    let sol = SolverSession::new(m.clone()).solve(&opts).unwrap();
+    let reference = reference.objective();
+    assert!(
+        (sol.objective() - reference).abs() <= 1e-6 * (1.0 + reference.abs()),
+        "objective {} vs reference {reference}",
+        sol.objective()
+    );
+    assert!(check_optimal(&m, &sol, 1e-6).is_empty());
+    assert!(sol.bland_pivots() > 0, "Bland fallback never engaged on a degenerate LP");
 }
 
 /// The deterministic parallel-pricing layer must be invisible at the bit
 /// level: on random models wide enough to engage the sectioned sweeps,
 /// every solution vector — primal values, duals, and the reduced-cost
 /// scores pricing ranks candidates by — must be element-wise bitwise
-/// identical between the serial path and any worker count, for both
-/// incremental strategies, along with the deterministic work counters
-/// (iterations, pricing scans).
+/// identical between the serial path and any worker count, along with the
+/// deterministic work counters (iterations, pricing scans).
 #[test]
 fn parallel_pricing_scores_match_serial_bitwise() {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
@@ -263,46 +218,40 @@ fn parallel_pricing_scores_match_serial_bitwise() {
             }
             m.add_row(&format!("r{i}"), e, Cmp::Le, g.range(2.0, 10.0));
         }
-        for pricing in [Pricing::Devex, Pricing::PartialDevex] {
-            let solve = |jobs: usize| {
-                let mut sess = SolverSession::new(m.clone());
-                let opts = SolveOptions {
-                    simplex: Some(SimplexOptions {
-                        pricing,
-                        pricing_jobs: jobs,
-                        ..Default::default()
-                    }),
-                    ..SolveOptions::default()
-                };
-                sess.solve(&opts)
-                    .unwrap_or_else(|e| panic!("seed {seed} {pricing:?} jobs={jobs}: {e}"))
+        let solve = |pricing_jobs: usize| {
+            let opts = SolveOptions {
+                tuning: SolverTuning { pricing_jobs, ..SolverTuning::default() },
+                ..SolveOptions::default()
             };
-            let serial = solve(1);
-            assert_eq!(serial.pricing_par_sections(), 0, "serial path spawned sections");
-            for jobs in [2usize, 8] {
-                let par = solve(jobs);
-                let tag = format!("seed {seed} {pricing:?} jobs={jobs}");
-                assert_eq!(bits(serial.values()), bits(par.values()), "{tag}: values diverged");
-                assert_eq!(bits(serial.duals()), bits(par.duals()), "{tag}: duals diverged");
-                for j in 0..nvars {
-                    let v = Var::from_index(j);
-                    assert_eq!(
-                        serial.reduced_cost(v).to_bits(),
-                        par.reduced_cost(v).to_bits(),
-                        "{tag}: reduced cost of column {j} diverged"
-                    );
-                }
-                assert_eq!(serial.iterations(), par.iterations(), "{tag}: iterations");
-                assert_eq!(serial.pricing_scans(), par.pricing_scans(), "{tag}: scans");
-                assert!(par.pricing_par_sections() > 0, "{tag}: fan-out never engaged");
+            SolverSession::new(m.clone())
+                .solve(&opts)
+                .unwrap_or_else(|e| panic!("seed {seed} jobs={pricing_jobs}: {e}"))
+        };
+        let serial = solve(1);
+        assert_eq!(serial.pricing_par_sections(), 0, "serial path spawned sections");
+        for jobs in [2usize, 8] {
+            let par = solve(jobs);
+            let tag = format!("seed {seed} jobs={jobs}");
+            assert_eq!(bits(serial.values()), bits(par.values()), "{tag}: values diverged");
+            assert_eq!(bits(serial.duals()), bits(par.duals()), "{tag}: duals diverged");
+            for j in 0..nvars {
+                let v = Var::from_index(j);
+                assert_eq!(
+                    serial.reduced_cost(v).to_bits(),
+                    par.reduced_cost(v).to_bits(),
+                    "{tag}: reduced cost of column {j} diverged"
+                );
             }
+            assert_eq!(serial.iterations(), par.iterations(), "{tag}: iterations");
+            assert_eq!(serial.pricing_scans(), par.pricing_scans(), "{tag}: scans");
+            assert!(par.pricing_par_sections() > 0, "{tag}: fan-out never engaged");
         }
     }
 }
 
-/// The pricing-scan counter reflects the strategies' cost structure on a
-/// larger model: partial pricing must examine far fewer columns per
-/// iteration than the full Dantzig rescan.
+/// The pricing-scan counter reflects partial pricing's cost structure on a
+/// larger model: a pivot examines a fraction of the `n` columns a full
+/// rescan would.
 #[test]
 fn partial_pricing_scans_fewer_columns() {
     let mut g = Gen::new(0xC0FFEE);
@@ -321,17 +270,10 @@ fn partial_pricing_scans_fewer_columns() {
         }
         m.add_row(&format!("r{i}"), e, Cmp::Le, g.range(2.0, 10.0));
     }
-    let mut per_iter = Vec::new();
-    for pricing in [Pricing::Dantzig, Pricing::PartialDevex] {
-        let mut sess = SolverSession::new(m.clone());
-        let sol = sess.solve(&opts_for(pricing)).unwrap();
-        assert!(sol.iterations() > 0);
-        per_iter.push(sol.pricing_scans() as f64 / sol.iterations() as f64);
-    }
-    assert!(
-        per_iter[1] < per_iter[0] / 2.0,
-        "partial pricing scanned {:.0} cols/iter vs Dantzig's {:.0}",
-        per_iter[1],
-        per_iter[0]
-    );
+    let sol = m.solve().unwrap();
+    assert!(sol.iterations() > 0);
+    // Structural and slack columns: what a full rescan prices per pivot.
+    let n = m.num_vars() + m.num_rows();
+    let per_iter = sol.pricing_scans() as f64 / sol.iterations() as f64;
+    assert!(per_iter < n as f64 / 2.0, "partial pricing scanned {per_iter:.0} of {n} cols/iter");
 }

@@ -142,8 +142,8 @@ fn colgen_replays_are_bit_identical() {
 #[test]
 fn parallel_pricing_is_bit_identical_across_job_counts() {
     // The deterministic parallel-pricing layer (DESIGN.md §19) fans the
-    // simplex's reprice/Devex/section sweeps AND the colgen oracle's
-    // job-block pricing out over the sectioned pool. Unlike `max_etas`,
+    // simplex's reprice and partial-pricing section sweeps AND the colgen
+    // oracle's job-block pricing out over the sectioned pool. Unlike `max_etas`,
     // `pricing_jobs` must be a pure wall-clock knob at the bit level:
     // sections are fixed and size-derived, reductions run in section
     // order, so jobs ∈ {1, 2, 8} composed with colgen and the sparse-LU
