@@ -121,21 +121,21 @@ fn warm_dual_sweep(m: &Model) -> (u64, u64) {
         }
         let sol = sess.solve(&SolveOptions::default()).unwrap();
         assert_ne!(sess.last_restart(), Some(Restart::Cold), "sweep step {step}");
-        let fs = sol.factor_stats();
+        let st = sol.stats();
         // One BTRAN per pivot, one per reprice (the seeding one, one after
         // each refactorization inside a loop, the polish's own), one for the
         // terminal duals.
         assert!(
-            fs.btrans <= sol.iterations() + fs.refactors + 1,
+            st.btrans <= st.iterations + st.refactors + 1,
             "sweep step {step}: {} BTRANs for {} pivots ({} dual) and {} refactorizations",
-            fs.btrans,
-            sol.iterations(),
-            sol.dual_iterations(),
-            fs.refactors
+            st.btrans,
+            st.iterations,
+            st.dual_iterations,
+            st.refactors
         );
-        iterations += sol.iterations();
-        scans += sol.pricing_scans();
-        dual_pivots += sol.dual_iterations();
+        iterations += st.iterations;
+        scans += st.pricing_scans;
+        dual_pivots += st.dual_iterations;
     }
     assert!(dual_pivots * 2 > iterations, "{dual_pivots} dual pivots of {iterations}");
     (iterations, scans)
@@ -168,9 +168,10 @@ fn main() {
         let m = schedule_lp(jobs, paths, steps, links, 0xA11CE);
         // Counters come from one deterministic cold solve; wall-clock from
         // the harness over the same solve.
-        let sol = SolverSession::new(m.clone())
+        let cold = SolverSession::new(m.clone())
             .solve(&SolveOptions::default())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .stats();
         let bench_name = format!("lp_pricing/{name}/cold");
         h.bench_function(&bench_name, |b| {
             b.iter(|| {
@@ -183,8 +184,8 @@ fn main() {
             run: "cold",
             vars: m.num_vars(),
             rows: m.num_rows(),
-            iterations: sol.iterations(),
-            pricing_scans: sol.pricing_scans(),
+            iterations: cold.iterations,
+            pricing_scans: cold.pricing_scans,
             wall_secs: h.get(&bench_name).map(|r| r.median().as_secs_f64()).unwrap_or(0.0),
         });
         let (iterations, pricing_scans) = warm_dual_sweep(&m);

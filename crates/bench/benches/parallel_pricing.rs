@@ -149,7 +149,7 @@ fn main() {
         // nothing, and for this layer "different" is a correctness bug.
         let reference = SolverSession::new(m.clone()).solve(&opts_for(1)).expect("serial solve");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(reference.pricing_par_sections(), 0, "jobs=1 must take the serial path");
+        assert_eq!(reference.stats().pricing_par_sections, 0, "jobs=1 must take the serial path");
         for &pj in &JOB_COUNTS[1..] {
             let sol = SolverSession::new(m.clone())
                 .solve(&opts_for(pj))
@@ -170,13 +170,14 @@ fn main() {
                 "{name}: duals diverged at pricing_jobs={pj}"
             );
             assert!(
-                sol.pricing_par_sections() > 0,
+                sol.stats().pricing_par_sections > 0,
                 "{name}: pricing_jobs={pj} never fanned out (model too narrow?)"
             );
         }
 
         for &pj in &JOB_COUNTS {
-            let sol = SolverSession::new(m.clone()).solve(&opts_for(pj)).expect("counter solve");
+            let st =
+                SolverSession::new(m.clone()).solve(&opts_for(pj)).expect("counter solve").stats();
             let bench_name = format!("parallel_pricing/{name}/jobs{pj}");
             h.bench_function(&bench_name, |b| {
                 b.iter(|| {
@@ -190,12 +191,12 @@ fn main() {
                 jobs: pj,
                 vars: m.num_vars(),
                 rows: m.num_rows(),
-                iterations: sol.iterations(),
-                par_sections: sol.pricing_par_sections(),
-                par_steals: sol.pricing_par_steals(),
+                iterations: st.iterations,
+                par_sections: st.pricing_par_sections,
+                par_steals: st.pricing_par_steals,
                 wall_secs: wall,
-                pricing_serial_secs: sol.pricing_serial_nanos() as f64 / 1e9,
-                pricing_par_secs: sol.pricing_par_nanos() as f64 / 1e9,
+                pricing_serial_secs: st.pricing_serial_nanos as f64 / 1e9,
+                pricing_par_secs: st.pricing_par_nanos as f64 / 1e9,
             });
         }
     }

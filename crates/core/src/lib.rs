@@ -24,8 +24,6 @@
 //! * [`pretium`] — the orchestrating façade: `snapshot` / `admit_one`
 //!   (RA), `run_sam` (§4.2), `run_pc` (§4.3), `execute_step`.
 //! * [`config`] — tunables, with paper defaults.
-//! * [`incentives`] — §5: empirical deviation analysis (can customers gain
-//!   by misreporting?).
 //! * [`audit`] — the network-state invariant auditor: sweeps shared-state
 //!   invariants (no oversubscription, plans backed by reservations, finite
 //!   money, price floors, guarantee coverage, ledgered degradation) after
@@ -39,7 +37,6 @@ pub mod audit;
 pub mod config;
 pub mod contract;
 pub mod degradation;
-pub mod incentives;
 pub mod menu;
 pub mod pretium;
 pub mod schedule;

@@ -786,7 +786,7 @@ impl Pretium {
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         for e in self.net.edge_ids() {
-            let floor = price_floor(&self.net, &self.grid, &self.cfg, e);
+            let floor = self.floors[e.index()];
             for t in now..self.horizon {
                 let t_ref = prev_start + self.grid.step_in_window(t);
                 // Full dual price: congestion shadow price plus marginal
@@ -853,7 +853,7 @@ impl Pretium {
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         for e in self.net.edge_ids() {
-            let floor = price_floor(&self.net, &self.grid, &self.cfg, e);
+            let floor = self.floors[e.index()];
             for t in 0..self.horizon {
                 let p = pattern(e, self.grid.step_in_window(t)).max(floor);
                 state.set_price(e, t, p);

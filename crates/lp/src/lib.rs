@@ -24,9 +24,9 @@
 //!   towards lazy generation: which rows a tentative optimum violates and
 //!   which absent columns its duals price favorably is decided by the
 //!   caller's loop (`pretium-core`'s `ScheduleSession`).
-//! * [`simplex`] — bounded-variable revised simplex: sparse
-//!   triangular-plus-bump `LU` basis factorization with a product-form eta
-//!   file, crash basis, two phases, and a bounded-variable dual simplex for
+//! * [`simplex`] — bounded-variable revised simplex: sparse `LU` basis
+//!   factorization with Markowitz pivoting and Forrest–Tomlin updates,
+//!   crash basis, two phases, and a bounded-variable dual simplex for
 //!   warm restarts. One pricing rule: partial Devex over incrementally
 //!   maintained reduced costs, with a cyclic candidate list so a pivot
 //!   prices O(section + candidates) columns instead of O(n), and a
@@ -34,6 +34,8 @@
 //!   [`SimplexOptions`] (tolerances and limits) and [`SolverTuning`]
 //!   (refactorization cadence and pricing workers), one field per
 //!   parameter.
+//! * [`SessionStats`] — the one counter type: a solve counts into it, its
+//!   [`Solution`] carries that ledger, and a session merges them.
 //! * [`validate`] — the KKT certificate the tests take as their reference:
 //!   finiteness, primal and dual feasibility, complementary slackness and
 //!   the duality gap, checked against the model alone.
@@ -80,11 +82,13 @@ pub mod model;
 pub mod session;
 pub mod simplex;
 pub mod solution;
+pub mod stats;
 pub mod validate;
 
 pub use expr::{LinExpr, Term, Var};
 pub use model::{Cmp, Model, RowId, Sense};
-pub use session::{ColRequest, Mutations, SessionStats, SolveOptions, SolverSession};
+pub use session::{ColRequest, SolveOptions, SolverSession};
 pub use simplex::basis::{FactorStats, DEFAULT_MAX_ETAS};
 pub use simplex::{Pricing, Restart, SimplexOptions, SolverTuning};
-pub use solution::{Solution, SolveError, Status};
+pub use solution::{Solution, SolveError};
+pub use stats::SessionStats;

@@ -232,7 +232,11 @@ impl Model {
 
     /// Add a constant to the objective function (reported in
     /// [`Solution::objective`]).
+    ///
+    /// # Panics
+    /// Panics if `c` is NaN.
     pub fn add_obj_offset(&mut self, c: f64) {
+        assert!(!c.is_nan(), "add_obj_offset: offset is NaN");
         self.obj_offset += c;
     }
 
@@ -352,9 +356,9 @@ mod tests {
         assert!((3.0 * sol.value(x) + sol.value(y) - 4.0).abs() < 1e-6);
     }
 
-    /// A NaN cost or right-hand side is refused where it enters, through the
-    /// model or a session, instead of solving to `Ok` with a NaN objective.
-    /// An infinite right-hand side stays legal.
+    /// A NaN cost, objective offset or right-hand side is refused where it
+    /// enters, through the model or a session, instead of solving to `Ok`
+    /// with a NaN objective. An infinite right-hand side stays legal.
     #[test]
     fn nan_cost_or_rhs_is_rejected() {
         use crate::{SolveOptions, SolverSession};
@@ -371,12 +375,14 @@ mod tests {
         });
         refused("Model::set_obj", &mut || m.set_obj(x, f64::NAN));
         refused("Model::set_rhs", &mut || m.set_rhs(cap, f64::NAN));
+        refused("Model::add_obj_offset", &mut || m.add_obj_offset(f64::NAN));
         s.solve(&SolveOptions::default()).unwrap();
         refused("SolverSession::add_var", &mut || {
             let _ = s.add_var("y", 0.0, 1.0, f64::NAN);
         });
         refused("SolverSession::set_obj", &mut || s.set_obj(x, f64::NAN));
         refused("SolverSession::set_rhs", &mut || s.set_rhs(cap, f64::NAN));
+        refused("SolverSession::add_obj_offset", &mut || s.add_obj_offset(f64::NAN));
         s.set_rhs(cap, f64::INFINITY);
         assert_eq!(s.solve(&SolveOptions::default()).unwrap().objective(), 1.0);
         m.set_rhs(cap, f64::INFINITY);

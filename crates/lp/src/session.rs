@@ -2,8 +2,8 @@
 //!
 //! A [`SolverSession`] owns a [`Model`] together with the basis of its last
 //! solve. Incremental mutations (`set_rhs`, `set_bounds`, `set_obj`,
-//! `add_row`, `add_var`) go through the session so it can track which
-//! mutation classes occurred, and every re-solve picks the cheapest restart
+//! `add_row`, `add_var`) go through the session so it knows whether its
+//! cached optimum still holds, and every re-solve picks the cheapest restart
 //! that is still correct:
 //!
 //! * **objective-only changes** leave the basis primal feasible — primal
@@ -49,6 +49,7 @@ use crate::simplex::{
     solve_model_session, Problem, Restart, SimplexOptions, SolverTuning, WarmBasis,
 };
 use crate::solution::{Solution, SolveError};
+use crate::stats::SessionStats;
 
 /// Options for one [`SolverSession::solve`] call.
 #[derive(Debug, Clone, Default)]
@@ -92,251 +93,6 @@ pub struct ColRequest {
     pub terms: Vec<(RowId, f64)>,
 }
 
-/// Which mutation classes are pending since the last solve.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Mutations {
-    /// Objective coefficients or offset changed.
-    pub obj: bool,
-    /// A row right-hand side changed.
-    pub rhs: bool,
-    /// Variable bounds changed.
-    pub bounds: bool,
-    /// Rows appended since the last solve.
-    pub added_rows: u32,
-    /// Variables appended since the last solve.
-    pub added_vars: u32,
-    /// Coefficients retrofitted into rows since the last solve.
-    pub new_terms: u32,
-}
-
-impl Mutations {
-    /// True when nothing changed since the last solve.
-    pub fn is_clean(&self) -> bool {
-        *self == Mutations::default()
-    }
-}
-
-/// Restart counters accumulated over the session's lifetime.
-///
-/// Equality compares only the *deterministic* counters: steal counts and
-/// the serial/parallel wall-clock split depend on thread scheduling and
-/// timer resolution, so they are excluded from `PartialEq` — two runs of
-/// the same configuration compare equal even though their timing fields
-/// differ. Section counts stay in the comparison; they derive from range
-/// sizes alone and are reproducible.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SessionStats {
-    /// Total solves (each round of a caller's generation loop is one).
-    pub solves: u64,
-    /// Solves that ran from a crash basis.
-    pub cold_starts: u64,
-    /// Warm restarts that needed only primal phase 2.
-    pub warm_primal: u64,
-    /// Warm restarts that ran the dual simplex first.
-    pub warm_dual: u64,
-    /// Total simplex iterations across all solves.
-    pub iterations: u64,
-    /// Those of them that were dual simplex pivots of warm restarts.
-    pub dual_iterations: u64,
-    /// Those dual pivots whose dual step `θ_d` was zero: degenerate, the
-    /// duals and reduced costs did not move.
-    pub dual_degenerate: u64,
-    /// Total pricing work across all solves: columns examined by entering
-    /// selection plus columns touched by incremental pivot-row updates.
-    pub pricing_scans: u64,
-    /// Iterations priced under the Bland's-rule anti-cycling fallback.
-    pub bland_pivots: u64,
-    /// Solves answered from the cached solution without touching the
-    /// simplex (nothing mutated since the last certified optimum).
-    pub cache_hits: u64,
-    /// Always 0: counted the frozen-block submodel solves of incremental
-    /// SAM, which PR 18 deleted. The field stays, and stays out of
-    /// [`SessionStats::rows`], only because the frozen end-to-end benchmark
-    /// (`e2ebench/src/layers.rs`) reads it as `lp.restricted`; it goes when
-    /// the manifest drops that metric.
-    pub restricted: u64,
-    /// Columns appended through [`SolverSession::add_generated_cols`] (the
-    /// colgen growth path).
-    pub columns_generated: u64,
-    /// Non-empty [`SolverSession::add_generated_cols`] batches — the
-    /// restricted-master round count of the caller's pricing loop.
-    pub colgen_rounds: u64,
-    /// Sparse-LU refactorizations across all solves.
-    pub refactors: u64,
-    /// Cumulative nonzeros of the bases handed to refactorization.
-    pub basis_nnz: u64,
-    /// Cumulative nonzeros of the L/U factors produced (including the
-    /// diagonal); `factor_nnz / basis_nnz` is the session fill-in ratio.
-    pub factor_nnz: u64,
-    /// Forrest–Tomlin basis-exchange updates applied in place.
-    pub ft_updates: u64,
-    /// FT updates rejected on a too-small new diagonal (each forces a
-    /// refactorization).
-    pub pivot_rejections: u64,
-    /// Warm solves that continued from the state their predecessor left in
-    /// the thread's workspace instead of reloading the saved basis
-    /// (DESIGN.md §23); `warm_primal + warm_dual − carried` reloaded.
-    pub carried: u64,
-    /// Appended rows bordered onto the carried factors.
-    pub bordered_rows: u64,
-    /// Solves whose terminal `(x, y)` failed the residual certificate and
-    /// was recomputed from a fresh factorization.
-    pub terminal_refactors: u64,
-    /// Sections executed by the deterministic parallel-pricing layer
-    /// (simplex pricing sweeps plus any scheduler-side fan-out folded in
-    /// via [`SolverSession::note_parallel_pricing`]). Deterministic for a
-    /// fixed configuration.
-    pub pricing_par_sections: u64,
-    /// Parallel-pricing sections claimed by a worker other than the one
-    /// they were seeded on. Timing-dependent; excluded from equality.
-    pub pricing_par_steals: u64,
-    /// Wall-clock nanoseconds of pricing invocations that ran the serial
-    /// path. Timing-dependent; excluded from equality.
-    pub pricing_serial_nanos: u64,
-    /// Wall-clock nanoseconds of pricing invocations that fanned out over
-    /// the worker pool. Timing-dependent; excluded from equality.
-    pub pricing_par_nanos: u64,
-}
-
-impl PartialEq for SessionStats {
-    fn eq(&self, other: &Self) -> bool {
-        // Every counter except the timing-dependent trio (steals + the two
-        // wall-clock buckets); see the type-level docs.
-        self.solves == other.solves
-            && self.cold_starts == other.cold_starts
-            && self.warm_primal == other.warm_primal
-            && self.warm_dual == other.warm_dual
-            && self.iterations == other.iterations
-            && self.dual_iterations == other.dual_iterations
-            && self.dual_degenerate == other.dual_degenerate
-            && self.pricing_scans == other.pricing_scans
-            && self.bland_pivots == other.bland_pivots
-            && self.cache_hits == other.cache_hits
-            && self.columns_generated == other.columns_generated
-            && self.colgen_rounds == other.colgen_rounds
-            && self.refactors == other.refactors
-            && self.basis_nnz == other.basis_nnz
-            && self.factor_nnz == other.factor_nnz
-            && self.ft_updates == other.ft_updates
-            && self.pivot_rejections == other.pivot_rejections
-            && self.carried == other.carried
-            && self.bordered_rows == other.bordered_rows
-            && self.terminal_refactors == other.terminal_refactors
-            && self.pricing_par_sections == other.pricing_par_sections
-    }
-}
-
-impl Eq for SessionStats {}
-
-impl SessionStats {
-    fn record(&mut self, restart: Restart, solution: &Solution) {
-        self.solves += 1;
-        self.iterations += solution.iterations();
-        self.dual_iterations += solution.dual_iterations();
-        self.dual_degenerate += solution.dual_degenerate();
-        self.pricing_scans += solution.pricing_scans();
-        self.bland_pivots += solution.bland_pivots();
-        self.pricing_par_sections += solution.pricing_par_sections();
-        self.pricing_par_steals += solution.pricing_par_steals();
-        self.pricing_serial_nanos += solution.pricing_serial_nanos();
-        self.pricing_par_nanos += solution.pricing_par_nanos();
-        self.record_factor(solution.factor_stats());
-        self.carried += solution.carried as u64;
-        self.terminal_refactors += solution.terminal_refactor as u64;
-        match restart {
-            Restart::Cold => self.cold_starts += 1,
-            Restart::WarmPrimal => self.warm_primal += 1,
-            Restart::WarmDual => self.warm_dual += 1,
-        }
-    }
-
-    fn record_factor(&mut self, fs: crate::simplex::basis::FactorStats) {
-        self.refactors += fs.refactors;
-        self.basis_nnz += fs.basis_nnz;
-        self.factor_nnz += fs.factor_nnz;
-        self.ft_updates += fs.ft_updates;
-        self.pivot_rejections += fs.pivot_rejections;
-        self.bordered_rows += fs.bordered_rows;
-    }
-
-    /// Fraction of solves that reused the previous basis.
-    pub fn warm_fraction(&self) -> f64 {
-        if self.solves == 0 {
-            return 0.0;
-        }
-        (self.warm_primal + self.warm_dual) as f64 / self.solves as f64
-    }
-
-    /// Fold another counter set into this one (aggregating stats across
-    /// several sessions, e.g. one per SAM window).
-    pub fn merge(&mut self, other: SessionStats) {
-        self.solves += other.solves;
-        self.cold_starts += other.cold_starts;
-        self.warm_primal += other.warm_primal;
-        self.warm_dual += other.warm_dual;
-        self.iterations += other.iterations;
-        self.dual_iterations += other.dual_iterations;
-        self.dual_degenerate += other.dual_degenerate;
-        self.pricing_scans += other.pricing_scans;
-        self.bland_pivots += other.bland_pivots;
-        self.cache_hits += other.cache_hits;
-        self.columns_generated += other.columns_generated;
-        self.colgen_rounds += other.colgen_rounds;
-        self.refactors += other.refactors;
-        self.basis_nnz += other.basis_nnz;
-        self.factor_nnz += other.factor_nnz;
-        self.ft_updates += other.ft_updates;
-        self.pivot_rejections += other.pivot_rejections;
-        self.carried += other.carried;
-        self.bordered_rows += other.bordered_rows;
-        self.terminal_refactors += other.terminal_refactors;
-        self.pricing_par_sections += other.pricing_par_sections;
-        self.pricing_par_steals += other.pricing_par_steals;
-        self.pricing_serial_nanos += other.pricing_serial_nanos;
-        self.pricing_par_nanos += other.pricing_par_nanos;
-    }
-
-    /// Labelled counter rows for table rendering (`(label, value)`), in a
-    /// stable order.
-    pub fn rows(&self) -> Vec<(String, String)> {
-        vec![
-            ("lp solves".into(), self.solves.to_string()),
-            ("cold starts".into(), self.cold_starts.to_string()),
-            ("warm primal".into(), self.warm_primal.to_string()),
-            ("warm dual".into(), self.warm_dual.to_string()),
-            ("iterations".into(), self.iterations.to_string()),
-            ("dual iterations".into(), self.dual_iterations.to_string()),
-            ("lp degenerate dual pivots".into(), self.dual_degenerate.to_string()),
-            ("pricing scans".into(), self.pricing_scans.to_string()),
-            ("bland pivots".into(), self.bland_pivots.to_string()),
-            ("cache hits".into(), self.cache_hits.to_string()),
-            ("columns generated".into(), self.columns_generated.to_string()),
-            ("colgen rounds".into(), self.colgen_rounds.to_string()),
-            ("refactors".into(), self.refactors.to_string()),
-            ("ft updates".into(), self.ft_updates.to_string()),
-            ("pivot rejections".into(), self.pivot_rejections.to_string()),
-            ("lp carried solves".into(), self.carried.to_string()),
-            ("lp bordered rows".into(), self.bordered_rows.to_string()),
-            ("lp terminal refactors".into(), self.terminal_refactors.to_string()),
-            ("pricing par sections".into(), self.pricing_par_sections.to_string()),
-            ("pricing par steals".into(), self.pricing_par_steals.to_string()),
-            (
-                "pricing wall serial/par".into(),
-                format!(
-                    "{:.1}ms / {:.1}ms",
-                    self.pricing_serial_nanos as f64 / 1e6,
-                    self.pricing_par_nanos as f64 / 1e6
-                ),
-            ),
-            (
-                "fill-in ratio".into(),
-                format!("{:.3}", self.factor_nnz as f64 / self.basis_nnz.max(1) as f64),
-            ),
-            ("warm fraction".into(), format!("{:.3}", self.warm_fraction())),
-        ]
-    }
-}
-
 /// A [`Model`] plus the simplex state of its last solve: the saved basis
 /// and the solver's standard form of the model. (The basis factorization
 /// and the solver's scratch buffers are resident too, once per thread; the
@@ -346,7 +102,7 @@ impl SessionStats {
 /// Created with [`SolverSession::new`] (or [`Model::into_session`]); see the
 /// [module docs](self) for the restart rules. The session exposes the same
 /// mutators as [`Model`] — route all changes through it so the basis
-/// snapshot, the resident standard form and mutation tracking stay
+/// snapshot, the resident standard form and the cached optimum stay
 /// consistent. A warm re-solve copies only what was appended to the model
 /// into the standard form and allocates nothing but the solution and the
 /// basis snapshot it returns. A clone re-solves bit-identically from the
@@ -361,11 +117,14 @@ pub struct SolverSession {
     /// than rebuilt (DESIGN.md §20). Valid only together with `basis`:
     /// `solve_model_session` rebuilds it whenever it solves without one.
     resident: Problem,
-    pending: Mutations,
+    /// Something changed since the last solve: the cached optimum is stale.
+    dirty: bool,
     /// The cost of a column the saved basis knows changed since the last
     /// solve: the reduced costs and duals that solve left behind are stale,
     /// so the next one reloads instead of carrying.
     old_cost_moved: bool,
+    /// The merged ledgers of the solves that ran, plus the session's own
+    /// counters (cache hits, generated columns).
     stats: SessionStats,
     last_restart: Option<Restart>,
     /// Model size at the last basis snapshot; columns/rows past these marks
@@ -373,8 +132,8 @@ pub struct SolverSession {
     solved_vars: usize,
     solved_rows: usize,
     /// The most recent certified optimum of the current model state.
-    /// Served verbatim by [`SolverSession::solve`] when no mutation is
-    /// pending, and the reference point for [`SolverSession::fix_at_value`].
+    /// Served verbatim by [`SolverSession::solve`] while the session is not
+    /// `dirty`, and the reference point for [`SolverSession::fix_at_value`].
     last_solution: Option<Solution>,
 }
 
@@ -396,7 +155,7 @@ impl SolverSession {
             model,
             basis: None,
             resident: Problem::default(),
-            pending: Mutations::default(),
+            dirty: false,
             old_cost_moved: false,
             stats: SessionStats::default(),
             last_restart: None,
@@ -411,17 +170,13 @@ impl SolverSession {
         &self.model
     }
 
-    /// Mutation classes pending since the last solve.
-    pub fn pending_mutations(&self) -> Mutations {
-        self.pending
-    }
-
     /// How the most recent solve restarted, if any solve has run.
     pub fn last_restart(&self) -> Option<Restart> {
         self.last_restart
     }
 
-    /// Lifetime restart counters.
+    /// Lifetime counters: the merge of the ledgers ([`Solution::stats`]) of
+    /// the solves that ran, plus cache hits and generated columns.
     pub fn stats(&self) -> SessionStats {
         self.stats
     }
@@ -469,21 +224,14 @@ impl SolverSession {
     /// The certified optimum of the current model state, if no mutation has
     /// been recorded since it was computed.
     pub fn cached_solution(&self) -> Option<&Solution> {
-        if self.pending.is_clean() {
-            self.last_solution.as_ref()
-        } else {
-            None
-        }
+        self.last_solution.as_ref().filter(|_| !self.dirty)
     }
 
-    // --- mutators (mirror Model, with mutation-class tracking) ------------
+    // --- mutators (mirror Model, and mark the cached optimum stale) --------
 
     /// See [`Model::add_var`].
     pub fn add_var(&mut self, name: &str, lb: f64, ub: f64, obj: f64) -> Var {
-        self.pending.added_vars += 1;
-        if obj != 0.0 {
-            self.pending.obj = true;
-        }
+        self.dirty = true;
         self.model.add_var(name, lb, ub, obj)
     }
 
@@ -499,7 +247,7 @@ impl SolverSession {
 
     /// See [`Model::add_row`].
     pub fn add_row(&mut self, name: &str, expr: impl Into<LinExpr>, cmp: Cmp, rhs: f64) -> RowId {
-        self.pending.added_rows += 1;
+        self.dirty = true;
         self.model.add_row(name, expr, cmp, rhs)
     }
 
@@ -512,7 +260,7 @@ impl SolverSession {
     /// factorized basis matrix itself, so the basis is discarded and the
     /// next solve runs cold.
     pub fn add_term(&mut self, r: RowId, v: Var, coef: f64) {
-        self.pending.new_terms += 1;
+        self.dirty = true;
         if v.index() < self.solved_vars && r.index() < self.solved_rows {
             self.invalidate();
         }
@@ -527,20 +275,19 @@ impl SolverSession {
 
     /// See [`Model::set_obj`].
     pub fn set_obj(&mut self, v: Var, obj: f64) {
-        self.pending.obj = true;
+        self.dirty = true;
         self.old_cost_moved |= v.index() < self.solved_vars;
         self.model.set_obj(v, obj);
     }
 
     /// See [`Model::set_bounds`].
     pub fn set_bounds(&mut self, v: Var, lb: f64, ub: f64) {
-        self.pending.bounds = true;
+        self.dirty = true;
         self.model.set_bounds(v, lb, ub);
     }
 
     /// Pin `v` to the single value `x` (bounds `[x, x]`), *without* marking
-    /// a pending mutation when the pin provably preserves the cached
-    /// optimum: if the cached solution already has `v = x` (bitwise) and
+    /// the cached optimum stale when the pin provably preserves it: if the cached solution already has `v = x` (bitwise) and
     /// `x` lies inside the old bounds, fixing the variable there shrinks
     /// the feasible set while keeping the incumbent feasible — the cached
     /// primal/dual pair stays optimal (a fixed column's reduced cost is
@@ -553,28 +300,26 @@ impl SolverSession {
         // (A variable newer than the cached solution has no value in it.)
         let cached = self.last_solution.as_ref().and_then(|s| s.values.get(v.index()));
         let matches_cached = lb <= x && x <= ub && cached == Some(&x);
-        if !(already_pinned || matches_cached) {
-            self.pending.bounds = true;
-        }
+        self.dirty |= !(already_pinned || matches_cached);
         self.model.set_bounds(v, x, x);
     }
 
     /// See [`Model::set_rhs`].
     pub fn set_rhs(&mut self, r: RowId, rhs: f64) {
-        self.pending.rhs = true;
+        self.dirty = true;
         self.model.set_rhs(r, rhs);
     }
 
     /// See [`Model::add_obj_offset`].
     pub fn add_obj_offset(&mut self, c: f64) {
-        self.pending.obj = true;
+        self.dirty = true;
         self.model.add_obj_offset(c);
     }
 
     /// Append-only access to the underlying model, for helpers that build
     /// structure directly on a [`Model`] (e.g. encoding builders that add a
-    /// block of variables and rows). Additions are counted into the pending
-    /// mutation set afterwards by diffing the model dimensions.
+    /// block of variables and rows). Whether anything was added is read off
+    /// the model dimensions afterwards.
     ///
     /// The closure must only *append*: add variables, add rows, and touch
     /// the entries it added. Mutating pre-existing coefficients, bounds,
@@ -584,8 +329,7 @@ impl SolverSession {
     pub fn append_with<R>(&mut self, f: impl FnOnce(&mut Model) -> R) -> R {
         let (nv, nr) = (self.model.num_vars(), self.model.num_rows());
         let out = f(&mut self.model);
-        self.pending.added_vars += (self.model.num_vars() - nv) as u32;
-        self.pending.added_rows += (self.model.num_rows() - nr) as u32;
+        self.dirty |= (nv, nr) != (self.model.num_vars(), self.model.num_rows());
         out
     }
 
@@ -599,13 +343,11 @@ impl SolverSession {
     /// solve internally).
     pub fn solve(&mut self, opts: &SolveOptions) -> Result<Solution, SolveError> {
         // Nothing mutated since the last certified optimum: the cached
-        // solution *is* the answer — skip the simplex entirely. (The basis
-        // requirement makes `invalidate()` force a real cold solve.)
-        if !opts.force_cold && self.pending.is_clean() && self.basis.is_some() {
-            if let Some(cached) = &self.last_solution {
-                self.stats.cache_hits += 1;
-                return Ok(cached.clone());
-            }
+        // solution *is* the answer — skip the simplex entirely. (`invalidate`
+        // drops it, so that a real cold solve follows.)
+        if let Some(hit) = self.cached_solution().filter(|_| !opts.force_cold).cloned() {
+            self.stats.cache_hits += 1;
+            return Ok(hit);
         }
         let simplex = opts.simplex.clone().unwrap_or_default();
         let warm = if opts.force_cold { None } else { self.basis.as_ref() };
@@ -619,9 +361,9 @@ impl SolverSession {
         )?;
         self.basis = Some(basis);
         self.old_cost_moved = false;
-        self.stats.record(restart, &solution);
+        self.stats.merge(solution.stats);
         self.last_restart = Some(restart);
-        self.pending = Mutations::default();
+        self.dirty = false;
         self.solved_vars = self.model.num_vars();
         self.solved_rows = self.model.num_rows();
         self.last_solution = Some(solution.clone());
@@ -664,7 +406,7 @@ impl From<Model> for SolverSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Sense, Status};
+    use crate::Sense;
 
     fn toy() -> (SolverSession, Var, Var, RowId, RowId) {
         // max 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6
@@ -680,7 +422,6 @@ mod tests {
     fn first_solve_is_cold_then_rhs_change_restarts_dual() {
         let (mut s, x, _y, r1, _r2) = toy();
         let sol = s.solve(&SolveOptions::default()).unwrap();
-        assert_eq!(sol.status(), Status::Optimal);
         assert!((sol.objective() - 12.0).abs() < 1e-7);
         assert_eq!(s.last_restart(), Some(Restart::Cold));
 
@@ -793,16 +534,38 @@ mod tests {
         assert_eq!(s.last_restart(), Some(Restart::Cold));
     }
 
+    /// Every mutator, and an `append_with` that appends, makes the cached
+    /// optimum stale; a solve makes the new one current.
     #[test]
     fn mutation_tracking_and_reset() {
-        let (mut s, x, _y, r1, _r2) = toy();
-        assert!(s.pending_mutations().is_clean());
-        s.set_rhs(r1, 5.0);
-        s.set_bounds(x, 0.0, 3.0);
-        let m = s.pending_mutations();
-        assert!(m.rhs && m.bounds && !m.obj);
-        s.solve(&SolveOptions::default()).unwrap();
-        assert!(s.pending_mutations().is_clean());
+        let (mut s, x, y, r1, _r2) = toy();
+        assert!(s.cached_solution().is_none(), "nothing solved yet");
+        type Mutator<'a> = (&'a str, &'a dyn Fn(&mut SolverSession));
+        let mutators: [Mutator; 8] = [
+            ("set_rhs", &|s| s.set_rhs(r1, 5.0)),
+            ("set_bounds", &|s| s.set_bounds(x, 0.0, 3.0)),
+            ("set_obj", &|s| s.set_obj(y, 2.5)),
+            ("add_obj_offset", &|s| s.add_obj_offset(1.0)),
+            ("add_var", &|s| {
+                s.add_var("z", 0.0, 1.0, 0.0);
+            }),
+            ("add_row", &|s| {
+                s.add_row("r3", x + y, Cmp::Le, 9.0);
+            }),
+            ("add_term", &|s| s.add_term(r1, x, 0.5)),
+            ("append_with", &|s| {
+                s.append_with(|m| m.add_var("w", 0.0, 1.0, 0.0));
+            }),
+        ];
+        for (what, mutate) in mutators {
+            s.solve(&SolveOptions::default()).unwrap();
+            s.append_with(|_| ());
+            assert!(s.cached_solution().is_some(), "{what}: an empty append is no mutation");
+            mutate(&mut s);
+            assert!(s.cached_solution().is_none(), "{what} kept the cached optimum");
+        }
+        let sol = s.solve(&SolveOptions::default()).unwrap();
+        assert_eq!(s.cached_solution().map(Solution::values), Some(sol.values()));
     }
 
     #[test]
@@ -852,12 +615,12 @@ mod tests {
         // nothing — the next solve is a pure cache hit.
         s.fix_at_value(x, sol.value(x));
         s.fix_at_value(y, sol.value(y));
-        assert!(s.pending_mutations().is_clean());
+        assert!(s.cached_solution().is_some());
         s.solve(&SolveOptions::default()).unwrap();
         assert_eq!(s.stats().cache_hits, 1);
         // Pinning off the cached value is a real bound mutation.
         s.fix_at_value(x, 1.0);
-        assert!(s.pending_mutations().bounds);
+        assert!(s.cached_solution().is_none());
         let sol2 = s.solve(&SolveOptions::default()).unwrap();
         assert!((sol2.value(x) - 1.0).abs() < 1e-9);
         assert_eq!(s.stats().cache_hits, 1);
@@ -1168,25 +931,21 @@ mod tests {
         }
     }
 
-    /// Everything a solve reports, bit for bit (errors by their message).
-    fn fingerprint(s: &mut SolverSession, opts: &SolveOptions) -> Result<Vec<u64>, String> {
+    /// Everything a solve reports, bit for bit (errors by their message), and
+    /// its ledger.
+    fn fingerprint(
+        s: &mut SolverSession,
+        opts: &SolveOptions,
+    ) -> Result<(Vec<u64>, SessionStats), String> {
         let sol = s.solve(opts).map_err(|e| e.to_string())?;
-        let mut bits = vec![sol.objective().to_bits(), sol.iterations(), sol.pricing_scans()];
+        let mut bits = vec![sol.objective().to_bits()];
         bits.extend(sol.values().iter().map(|v| v.to_bits()));
         bits.extend(sol.duals().iter().map(|v| v.to_bits()));
         bits.extend(
             (0..sol.values().len()).map(|j| sol.reduced_cost(Var::from_index(j)).to_bits()),
         );
-        let fs = sol.factor_stats();
-        bits.extend([
-            fs.refactors,
-            fs.basis_nnz,
-            fs.factor_nnz,
-            fs.ft_updates,
-            fs.pivot_rejections,
-        ]);
         bits.push(s.last_restart().map_or(9, |r| r as u64));
-        Ok(bits)
+        Ok((bits, sol.stats()))
     }
 
     /// The resident standard form is an optimization only: a session that
@@ -1232,8 +991,59 @@ mod tests {
         assert!(warm * 2 > solves, "only {warm} of {solves} solves restarted warm");
     }
 
-    /// The three counters of a solve's start and end, and the degenerate
-    /// dual pivots, are merged, compared and printed like their neighbours.
+    /// One ledger per solve: a session's stats are the merge of the ledgers
+    /// of the solves that ran, each counting one solve and one restart; a
+    /// cache hit hands back the cached optimum with its original ledger and
+    /// counts only itself; a failed solve counts nothing.
+    #[test]
+    fn solution_ledgers_sum_to_the_session() {
+        let opts = SolveOptions::default();
+        let (mut ran, mut hits) = (0u32, 0u32);
+        for seed in 0..40u64 {
+            let mut g = Gen((0x1ED6 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut s = SolverSession::new(schedule_shaped(&mut g));
+            let mut sum = SessionStats::default();
+            for batch in 0..10 {
+                let fresh = s.model().num_vars();
+                // No mutation at all a quarter of the time: a cache hit.
+                for _ in 0..g.index(4) {
+                    let m = s.model();
+                    let op = random_op(&mut g, m.num_vars(), m.num_rows(), fresh);
+                    apply(&op, &mut s);
+                }
+                let what = format!("seed {seed} batch {batch}");
+                let cached = s.cached_solution().cloned();
+                match (s.solve(&opts), cached) {
+                    (Ok(sol), Some(cached)) => {
+                        assert_eq!(sol.values(), cached.values(), "{what}");
+                        assert_eq!(sol.stats(), cached.stats(), "{what}: a hit keeps its ledger");
+                        sum.cache_hits += 1;
+                        hits += 1;
+                    }
+                    (Ok(sol), None) => {
+                        let ledger = sol.stats();
+                        let restarts = [ledger.cold_starts, ledger.warm_primal, ledger.warm_dual];
+                        assert_eq!(ledger.solves, 1, "{what}");
+                        assert_eq!(restarts.iter().sum::<u64>(), 1, "{what}: {restarts:?}");
+                        sum.merge(ledger);
+                        ran += 1;
+                    }
+                    (Err(_), _) => {}
+                }
+                let st = s.stats();
+                assert_eq!(st, sum, "{what}");
+                let timing = |t: &SessionStats| (t.pricing_serial_nanos, t.pricing_par_nanos);
+                assert_eq!(timing(&st), timing(&sum), "{what}");
+            }
+        }
+        assert!(ran > 200 && hits > 40, "{ran} solves ran, {hits} cache hits");
+        let cold = schedule_shaped(&mut Gen(7)).solve().unwrap().stats();
+        assert_eq!((cold.solves, cold.cold_starts, cold.warm_primal + cold.warm_dual), (1, 1, 0));
+    }
+
+    /// The three counters of a solve's start and end, the degenerate dual
+    /// pivots and the BTRANs are merged, compared and printed like their
+    /// neighbours.
     #[test]
     fn carry_counters_are_merged_compared_and_rendered() {
         let st = SessionStats {
@@ -1241,6 +1051,7 @@ mod tests {
             bordered_rows: 11,
             terminal_refactors: 3,
             dual_degenerate: 5,
+            btrans: 13,
             ..SessionStats::default()
         };
         let rows = st.rows();
@@ -1249,13 +1060,15 @@ mod tests {
         assert_eq!(row("lp bordered rows"), Some("11"));
         assert_eq!(row("lp terminal refactors"), Some("3"));
         assert_eq!(row("lp degenerate dual pivots"), Some("5"));
-        assert_eq!(rows.len(), 23);
+        assert_eq!(row("lp btrans"), Some("13"));
+        assert_eq!(rows.len(), 24);
         let mut twice = st;
         twice.merge(st);
         assert_eq!((twice.carried, twice.bordered_rows, twice.terminal_refactors), (14, 22, 6));
-        assert_eq!(twice.dual_degenerate, 10);
+        assert_eq!((twice.dual_degenerate, twice.btrans), (10, 26));
         for one in [
             SessionStats { dual_degenerate: 1, ..SessionStats::default() },
+            SessionStats { btrans: 1, ..SessionStats::default() },
             SessionStats { carried: 1, ..SessionStats::default() },
             SessionStats { bordered_rows: 1, ..SessionStats::default() },
             SessionStats { terminal_refactors: 1, ..SessionStats::default() },

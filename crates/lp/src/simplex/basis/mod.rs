@@ -27,14 +27,8 @@
 //! result:
 //! * `ftran` / `ftran_dense`: solve `B·w = a` (entering column, basic values),
 //! * `btran_row` / `btran`: solve `yᵀ·B = cᵀ` (a row of `B⁻¹`, the duals).
-//!
-//! The previous dense-bump kernel (triangularization pre-pass + dense LU
-//! on the residual bump + product-form etas) survives as a *reference
-//! implementation* in [`dense_ref`] for torture tests and benchmarks; it
-//! is no longer on any solve path.
 
 pub(crate) mod arena;
-pub mod dense_ref;
 mod ft_update;
 mod markowitz;
 mod sparse;
@@ -59,8 +53,8 @@ pub enum FactorError {
     Singular { position: usize },
 }
 
-/// Cumulative factorization work counters, reported per solve through
-/// `Solution::factor_stats` and aggregated into `SessionStats`.
+/// Cumulative factorization work counters. A solve folds its share into
+/// its ledger (`SessionStats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FactorStats {
     /// Refactorizations (sparse Markowitz eliminations) performed.

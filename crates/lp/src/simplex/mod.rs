@@ -18,7 +18,7 @@ pub mod basis;
 mod solver;
 
 use crate::model::{Cmp, Model, Sense};
-use crate::solution::{Solution, SolveError, Status};
+use crate::solution::{Solution, SolveError};
 use basis::arena::{grow, refill, reserve_tight, SegArena};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -321,7 +321,7 @@ fn finish_solution(
     model: &Model,
     problem: &Problem,
     work: &solver::Workspace,
-    outcome: &solver::Outcome,
+    outcome: solver::Outcome,
 ) -> Solution {
     let sign = match model.sense {
         Sense::Minimize => 1.0,
@@ -340,25 +340,7 @@ fn finish_solution(
             .map(|j| sign * problem.reduced_cost(j, &problem.cost, &work.y))
             .collect()
     };
-    Solution {
-        status: Status::Optimal,
-        objective,
-        values,
-        duals,
-        reduced_costs,
-        iterations: outcome.iterations,
-        pricing_scans: outcome.pricing_scans,
-        bland_pivots: outcome.bland_pivots,
-        dual_iterations: outcome.dual_iterations,
-        dual_degenerate: outcome.dual_degenerate,
-        pricing_par_sections: outcome.pricing_par_sections,
-        pricing_par_steals: outcome.pricing_par_steals,
-        pricing_serial_nanos: outcome.pricing_serial_nanos,
-        pricing_par_nanos: outcome.pricing_par_nanos,
-        factor_stats: outcome.factor_stats,
-        carried: outcome.carried,
-        terminal_refactor: outcome.terminal_refactor,
-    }
+    Solution { objective, values, duals, reduced_costs, stats: outcome.stats }
 }
 
 /// Snapshot the terminal basis in append-stable key form.
@@ -421,17 +403,25 @@ fn resolve_warm(problem: &mut Problem, work: &mut solver::Workspace, warm: &Warm
     true
 }
 
-/// Map a finished solve to what [`solve_model_session`] returns, and stamp
+/// Map a finished solve to what [`solve_model_session`] returns — its
+/// ledger completed with `solves` and the counter of `restart` — and stamp
 /// the terminal state it leaves in the workspace as this solve's.
 fn conclude(
     model: &Model,
     problem: &Problem,
     work: &mut solver::Workspace,
-    outcome: &solver::Outcome,
+    mut outcome: solver::Outcome,
     restart: Restart,
 ) -> (Solution, WarmBasis, Restart) {
     work.owner = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
     (work.owner_m, work.owner_nstruct) = (problem.m, problem.nstruct);
+    let stats = &mut outcome.stats;
+    stats.solves = 1;
+    match restart {
+        Restart::Cold => stats.cold_starts = 1,
+        Restart::WarmPrimal => stats.warm_primal = 1,
+        Restart::WarmDual => stats.warm_dual = 1,
+    }
     (finish_solution(model, problem, work, outcome), snapshot(problem, work), restart)
 }
 
@@ -490,7 +480,7 @@ pub(crate) fn solve_model_session(
                         .and_then(|mut st| st.reoptimize(&problem.cost, &rows, &vars));
                 if let Ok((outcome, used_dual)) = run {
                     let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
-                    return Ok(conclude(model, problem, work, &outcome, restart));
+                    return Ok(conclude(model, problem, work, outcome, restart));
                 }
             }
             // Fall through to a cold solve: correctness never depends on the
@@ -515,6 +505,6 @@ pub(crate) fn solve_model_session(
             }
             Err(e) => return Err(e),
         };
-        Ok(conclude(model, problem, work, &outcome, Restart::Cold))
+        Ok(conclude(model, problem, work, outcome, Restart::Cold))
     })
 }

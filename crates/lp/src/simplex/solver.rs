@@ -11,6 +11,7 @@ use super::basis::{BitQueue, FactorError, FactorStats, Factorization};
 use super::{Problem, SimplexOptions, SolverTuning};
 use crate::model::RowData;
 use crate::solution::SolveError;
+use crate::stats::SessionStats;
 use pretium_par as par;
 use std::time::Instant;
 
@@ -23,43 +24,13 @@ pub(crate) enum NbState {
     Free,
 }
 
-/// Counters of one solve, in internal terms. The solution itself — `x`,
-/// the duals `y`, the terminal `basis` and rest states `nb` — stays in the
-/// [`Workspace`].
+/// What one solve counted, and whether its reduced costs are exact. The
+/// solution itself — `x`, the duals `y`, the terminal `basis` and rest
+/// states `nb` — stays in the [`Workspace`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Outcome {
-    pub iterations: u64,
-    /// Columns examined by pricing (selection scans plus incremental
-    /// pivot-row update touches).
-    pub pricing_scans: u64,
-    /// Iterations priced under the Bland's-rule anti-cycling fallback.
-    pub bland_pivots: u64,
-    /// Iterations that were dual simplex pivots (a subset of `iterations`).
-    pub dual_iterations: u64,
-    /// Dual pivots whose dual step `θ_d` was zero (a subset of
-    /// `dual_iterations`).
-    pub dual_degenerate: u64,
-    /// Sections executed by the deterministic parallel-pricing primitive
-    /// (`pricing_jobs > 1` only; the serial path never touches it).
-    pub pricing_par_sections: u64,
-    /// Parallel-pricing sections that ran on a worker which stole them
-    /// from a sibling's deque. Timing-dependent; never deterministic.
-    pub pricing_par_steals: u64,
-    /// Wall clock spent in the incremental pricing routines on the serial
-    /// path, in nanoseconds.
-    pub pricing_serial_nanos: u64,
-    /// Wall clock spent in the incremental pricing routines on the
-    /// parallel path, in nanoseconds.
-    pub pricing_par_nanos: u64,
-    /// Basis-factorization work of this solve alone (the factorization
-    /// itself may be older).
-    pub factor_stats: FactorStats,
-    /// The solve continued from the state its predecessor left in the
-    /// workspace instead of reloading a saved basis.
-    pub carried: bool,
-    /// The terminal `(x, y)` failed the residual certificate and was
-    /// recomputed from a fresh factorization.
-    pub terminal_refactor: bool,
+    /// The solve's ledger; the caller sets `solves` and the restart counter.
+    pub stats: SessionStats,
     /// `Workspace::d` holds the reduced costs of the terminal `y` exactly
     /// (a full reprice, no pivot since).
     pub fresh: bool,
@@ -155,8 +126,8 @@ pub(crate) struct State<'a> {
     /// Parallel-pricing workers ([`SolverTuning::pricing_jobs`]).
     jobs: usize,
     ws: &'a mut Workspace,
-    /// Counters so far (`factor_stats` is filled in by `finish`).
-    out: Outcome,
+    /// Counters so far (the factorization's are folded in by `finish`).
+    stats: SessionStats,
     max_iterations: u64,
     degenerate_run: u32,
     /// Cyclic column cursor for partial pricing sections.
@@ -445,7 +416,7 @@ impl<'a> State<'a> {
             opts,
             jobs: tuning.pricing_jobs,
             ws,
-            out: Outcome::default(),
+            stats: SessionStats::default(),
             max_iterations,
             degenerate_run: 0,
             cursor: 0,
@@ -520,7 +491,7 @@ impl<'a> State<'a> {
     /// factors with the appended rows — or refactorize, when the update file
     /// has no room for them — and solve for `x_B`.
     fn inherit(&mut self, cost: &[f64]) -> Result<(), FactorError> {
-        self.out.carried = true;
+        self.stats.carried = 1;
         self.ensure_scratch();
         let (p, ws) = (self.p, &mut *self.ws);
         let (m0, ns0) = (ws.owner_m, ws.owner_nstruct);
@@ -553,7 +524,8 @@ impl<'a> State<'a> {
     /// refactorization, the factors are not rebuilt to recompute them: the
     /// pair in hand is accepted when it satisfies the problem's own
     /// equations (`certified`), and only a failed certificate pays for a
-    /// refactorization.
+    /// refactorization. The ledger handed back folds in the factorization's
+    /// work since this solve began (the factorization itself may be older).
     fn finish(
         &mut self,
         cost: &[f64],
@@ -565,11 +537,20 @@ impl<'a> State<'a> {
         if !self.settled && !self.certified(cost) {
             self.refactor().map_err(|e| numerical(e, row_name))?;
             self.reprice(cost);
-            self.out.terminal_refactor = true;
+            self.stats.terminal_refactors = 1;
         }
-        self.out.fresh = self.fresh;
-        self.out.factor_stats = self.ws.factor.stats().since(self.factor_before);
-        Ok(self.out)
+        let fs = self.ws.factor.stats().since(self.factor_before);
+        let stats = SessionStats {
+            refactors: fs.refactors,
+            basis_nnz: fs.basis_nnz,
+            factor_nnz: fs.factor_nnz,
+            ft_updates: fs.ft_updates,
+            pivot_rejections: fs.pivot_rejections,
+            btrans: fs.btrans,
+            bordered_rows: fs.bordered_rows,
+            ..self.stats
+        };
+        Ok(Outcome { stats, fresh: self.fresh })
     }
 
     /// `y = c_B B⁻¹` by BTRAN.
@@ -623,9 +604,9 @@ impl<'a> State<'a> {
     }
 
     /// Fold one sectioned run's section/steal counters into the solve's.
-    fn note_par_stats(&mut self, stats: par::ParStats) {
-        self.out.pricing_par_sections += stats.sections;
-        self.out.pricing_par_steals += stats.steals;
+    fn note_par_stats(&mut self, run: par::ParStats) {
+        self.stats.pricing_par_sections += run.sections;
+        self.stats.pricing_par_steals += run.steals;
     }
 
     /// Attribute one pricing call's wall clock to the serial or parallel
@@ -633,9 +614,9 @@ impl<'a> State<'a> {
     fn note_pricing_wall(&mut self, t0: Instant, parallel: bool) {
         let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if parallel {
-            self.out.pricing_par_nanos += nanos;
+            self.stats.pricing_par_nanos += nanos;
         } else {
-            self.out.pricing_serial_nanos += nanos;
+            self.stats.pricing_serial_nanos += nanos;
         }
     }
 
@@ -683,8 +664,8 @@ impl<'a> State<'a> {
         // pivot rows.
         self.reprice(cost);
         loop {
-            if self.out.iterations >= self.max_iterations {
-                return Err(SolveError::IterationLimit { iterations: self.out.iterations });
+            if self.stats.iterations >= self.max_iterations {
+                return Err(SolveError::IterationLimit { iterations: self.stats.iterations });
             }
             if self.ws.factor.wants_refactor() {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
@@ -706,7 +687,7 @@ impl<'a> State<'a> {
                 return Ok(()); // optimal for this phase
             };
             if bland {
-                self.out.bland_pivots += 1;
+                self.stats.bland_pivots += 1;
             }
             // Direction of travel for the entering variable.
             let sigma = match self.ws.nb[j] {
@@ -763,7 +744,7 @@ impl<'a> State<'a> {
                     self.note_step(t);
                 }
             }
-            self.out.iterations += 1;
+            self.stats.iterations += 1;
         }
     }
 
@@ -809,7 +790,7 @@ impl<'a> State<'a> {
         }
         self.note_pricing_wall(t0, parallel);
         self.clear_candidates();
-        self.out.pricing_scans += n as u64;
+        self.stats.pricing_scans += n as u64;
         self.fresh = true;
     }
 
@@ -873,7 +854,7 @@ impl<'a> State<'a> {
             ws.alpha[a] = rv * self.p.art_sign[i];
             ws.alpha_touched.push(a as u32);
         }
-        self.out.pricing_scans += ws.alpha_touched.len() as u64;
+        self.stats.pricing_scans += ws.alpha_touched.len() as u64;
     }
 
     /// Incremental pricing update for a basis exchange: entering column `q`
@@ -939,7 +920,7 @@ impl<'a> State<'a> {
             if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
                 continue;
             }
-            self.out.pricing_scans += 1;
+            self.stats.pricing_scans += 1;
             if self.eligible(j) {
                 return Some((j, self.ws.d[j]));
             }
@@ -967,7 +948,7 @@ impl<'a> State<'a> {
         let mut keep = 0;
         for idx in 0..self.ws.candidates.len() {
             let j = self.ws.candidates[idx] as usize;
-            self.out.pricing_scans += 1;
+            self.stats.pricing_scans += 1;
             if self.eligible(j) {
                 self.ws.candidates[keep] = self.ws.candidates[idx];
                 keep += 1;
@@ -1005,7 +986,7 @@ impl<'a> State<'a> {
                 }
                 self.cursor = (start + take) % n;
                 scanned += take;
-                self.out.pricing_scans += take as u64;
+                self.stats.pricing_scans += take as u64;
             } else {
                 for _ in 0..section {
                     if scanned >= n {
@@ -1017,7 +998,7 @@ impl<'a> State<'a> {
                         self.cursor = 0;
                     }
                     scanned += 1;
-                    self.out.pricing_scans += 1;
+                    self.stats.pricing_scans += 1;
                     if !self.ws.in_cands[j] && self.eligible(j) {
                         self.ws.in_cands[j] = true;
                         self.ws.candidates.push(j as u32);
@@ -1092,7 +1073,7 @@ impl<'a> State<'a> {
     /// solve inherited its reduced costs; the exact `d` and `y` in hand are
     /// what [`State::dual_iterate`] starts from.
     fn box_dual_infeasible(&mut self, cost: &[f64]) {
-        if !self.out.carried {
+        if self.stats.carried == 0 {
             self.reprice(cost);
         }
         let tol = self.opts.opt_tol;
@@ -1158,8 +1139,8 @@ impl<'a> State<'a> {
         let feas = self.opts.feas_tol;
         let mut recount = true;
         loop {
-            if self.out.iterations >= self.max_iterations {
-                return Err(SolveError::IterationLimit { iterations: self.out.iterations });
+            if self.stats.iterations >= self.max_iterations {
+                return Err(SolveError::IterationLimit { iterations: self.stats.iterations });
             }
             if self.ws.factor.wants_refactor() {
                 self.refactor().map_err(|e| numerical(e, row_name))?;
@@ -1244,7 +1225,7 @@ impl<'a> State<'a> {
                 return Err(SolveError::Infeasible { residual: viol });
             };
             if bland {
-                self.out.bland_pivots += 1;
+                self.stats.bland_pivots += 1;
             }
             let (q, sigma) = (q as usize, -need * alpha.signum());
             // Dual step, and the reduced costs and duals it moves: the same
@@ -1252,7 +1233,7 @@ impl<'a> State<'a> {
             // step moves none of them.
             let theta_d = self.ws.d[q] / alpha;
             if theta_d == 0.0 {
-                self.out.dual_degenerate += 1;
+                self.stats.dual_degenerate += 1;
             } else {
                 for idx in 0..self.ws.alpha_touched.len() {
                     let j = self.ws.alpha_touched[idx] as usize;
@@ -1291,8 +1272,8 @@ impl<'a> State<'a> {
             }
             // A dual pivot is degenerate when the duals did not move.
             self.note_step(theta_d.abs());
-            self.out.iterations += 1;
-            self.out.dual_iterations += 1;
+            self.stats.iterations += 1;
+            self.stats.dual_iterations += 1;
         }
     }
 
@@ -1461,7 +1442,7 @@ mod tests {
                     warm_state(&p, &model.rows, &opts, tuning, &mut ws, false, &name).unwrap();
                 st.box_dual_infeasible(&p.cost);
                 st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
-                pivots[c] += st.out.dual_iterations;
+                pivots[c] += st.stats.dual_iterations;
                 let (d, y) = (st.ws.d.clone(), st.ws.y.clone());
                 st.refactor().unwrap();
                 st.reprice(&p.cost);
@@ -1494,7 +1475,7 @@ mod tests {
                     warm_state(&p, &model.rows, &opts, tuning, &mut ws, false, &name).unwrap();
                 st.box_dual_infeasible(&p.cost);
                 st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
-                assert!(st.ws.boxed.is_empty() && st.out.dual_iterations > 0, "seed {seed}");
+                assert!(st.ws.boxed.is_empty() && st.stats.dual_iterations > 0, "seed {seed}");
                 st.iterate(&p.cost, false, &name, &name).unwrap();
                 assert!(st.fresh && !st.settled, "seed {seed}");
                 // A basic column and a row it has an entry in.
@@ -1504,7 +1485,7 @@ mod tests {
                 let before = st.ws.factor.stats();
                 let out = st.finish(&p.cost, &name).unwrap();
                 let refactors = st.ws.factor.stats().since(before).refactors;
-                assert_eq!(refactors, out.terminal_refactor as u64, "seed {seed}");
+                assert_eq!(refactors, out.stats.terminal_refactors, "seed {seed}");
                 (ws.x, ws.y, refactors)
             };
             let (x, y, refactors) = finish_after(&|_, _, _| {});

@@ -1,20 +1,10 @@
-//! Solver results: status, primal/dual values, and error types.
+//! Solver results: primal/dual values, the solve's counters, and error
+//! types.
 
 use crate::expr::Var;
 use crate::model::RowId;
-use crate::simplex::basis::FactorStats;
+use crate::stats::SessionStats;
 use std::fmt;
-
-/// Termination status of a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
-    /// An optimal basic solution was found.
-    Optimal,
-    /// The constraints admit no feasible point.
-    Infeasible,
-    /// The objective is unbounded over the feasible region.
-    Unbounded,
-}
 
 /// Errors surfaced by [`crate::Model::solve`].
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +37,8 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// An optimal solution: primal values, row duals, and reduced costs.
+/// An optimal solution: primal values, row duals, and reduced costs. A solve
+/// that ends anywhere but at an optimum returns a [`SolveError`] instead.
 ///
 /// Dual sign convention: `dual(row)` is the derivative of the optimal
 /// objective with respect to the row's right-hand side, **in the model's
@@ -56,34 +47,15 @@ impl std::error::Error for SolveError {}
 /// non-positive one. For `Minimize` models signs flip accordingly.
 #[derive(Debug, Clone)]
 pub struct Solution {
-    pub(crate) status: Status,
     pub(crate) objective: f64,
     pub(crate) values: Vec<f64>,
     pub(crate) duals: Vec<f64>,
     pub(crate) reduced_costs: Vec<f64>,
-    pub(crate) iterations: u64,
-    pub(crate) pricing_scans: u64,
-    pub(crate) bland_pivots: u64,
-    pub(crate) dual_iterations: u64,
-    pub(crate) dual_degenerate: u64,
-    pub(crate) pricing_par_sections: u64,
-    pub(crate) pricing_par_steals: u64,
-    pub(crate) pricing_serial_nanos: u64,
-    pub(crate) pricing_par_nanos: u64,
-    pub(crate) factor_stats: FactorStats,
-    /// The solve continued from its predecessor's state in the workspace.
-    pub(crate) carried: bool,
-    /// The terminal residual certificate failed and forced a refactorization.
-    pub(crate) terminal_refactor: bool,
+    /// What this solve counted.
+    pub(crate) stats: SessionStats,
 }
 
 impl Solution {
-    /// Termination status (always [`Status::Optimal`] for solutions returned
-    /// from `solve`; errors are reported via [`SolveError`]).
-    pub fn status(&self) -> Status {
-        self.status
-    }
-
     /// Optimal objective value (in the model's sense, including any
     /// objective offset).
     pub fn objective(&self) -> f64 {
@@ -117,66 +89,12 @@ impl Solution {
         self.reduced_costs[v.index()]
     }
 
-    /// Number of simplex iterations used (phase 1 + phase 2).
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
-    /// Columns examined by pricing across the solve: selection scans plus
-    /// the columns touched by incremental pivot-row updates. The work
-    /// measure that partial pricing exists to shrink.
-    pub fn pricing_scans(&self) -> u64 {
-        self.pricing_scans
-    }
-
-    /// Iterations priced under the Bland's-rule anti-cycling fallback.
-    pub fn bland_pivots(&self) -> u64 {
-        self.bland_pivots
-    }
-
-    /// Iterations that were dual simplex pivots of a warm restart (a
-    /// subset of [`Solution::iterations`]).
-    pub fn dual_iterations(&self) -> u64 {
-        self.dual_iterations
-    }
-
-    /// Dual pivots whose dual step was zero: the duals and reduced costs did
-    /// not move (a subset of [`Solution::dual_iterations`]).
-    pub fn dual_degenerate(&self) -> u64 {
-        self.dual_degenerate
-    }
-
-    /// Sections executed by the deterministic parallel-pricing layer.
-    /// Zero when `pricing_jobs <= 1` (the serial path spawns no sections).
-    /// Deterministic for a fixed model and configuration: section counts
-    /// derive from range sizes, never from thread scheduling.
-    pub fn pricing_par_sections(&self) -> u64 {
-        self.pricing_par_sections
-    }
-
-    /// Sections claimed by a worker other than the one whose deque they
-    /// were seeded on. Timing-dependent — a load-balance diagnostic, not a
-    /// deterministic quantity.
-    pub fn pricing_par_steals(&self) -> u64 {
-        self.pricing_par_steals
-    }
-
-    /// Wall-clock nanoseconds spent in pricing invocations that ran the
-    /// serial path.
-    pub fn pricing_serial_nanos(&self) -> u64 {
-        self.pricing_serial_nanos
-    }
-
-    /// Wall-clock nanoseconds spent in pricing invocations that fanned out
-    /// over the worker pool.
-    pub fn pricing_par_nanos(&self) -> u64 {
-        self.pricing_par_nanos
-    }
-
-    /// Basis-factorization counters (refactorizations, fill-in,
-    /// Forrest–Tomlin updates, pivot rejections) accumulated over the
-    /// solve.
-    pub fn factor_stats(&self) -> FactorStats {
-        self.factor_stats
+    /// The ledger of the solve that produced this optimum: `solves == 1`,
+    /// the counter of the restart that ran, and the pivots, pricing and
+    /// factorization work it took. A session's
+    /// [`SolverSession::stats`](crate::SolverSession::stats) is the merge of
+    /// these over the solves it ran; a cached optimum keeps its ledger.
+    pub fn stats(&self) -> SessionStats {
+        self.stats
     }
 }

@@ -7,7 +7,9 @@
 //! between two buggy kernels would miss — plus a direct cross-check
 //! against the dense-bump reference kernel on moderate sizes.
 
-use pretium_lp::simplex::basis::dense_ref::DenseBumpFactorization;
+mod dense_ref;
+
+use dense_ref::DenseBumpFactorization;
 use pretium_lp::simplex::basis::{FactorError, Factorization, SparseCol};
 
 const RESIDUAL_TOL: f64 = 1e-9;
@@ -177,7 +179,7 @@ fn matches_dense_reference_kernel() {
         let refs = as_refs(&cols);
         let mut sparse = Factorization::new(0, 1e-10);
         sparse.refactor(&refs).unwrap();
-        let mut dense = DenseBumpFactorization::new(m, 0, 1e-10);
+        let mut dense = DenseBumpFactorization::new(m, 1e-10);
         dense.refactor(&refs).unwrap();
         let a = random_rhs(m, &mut rng);
         let (mut ws, mut wd) = (Vec::new(), Vec::new());
@@ -236,7 +238,7 @@ fn spike_fed_updates_match_fresh_refactor_across_density_grid() {
             let refs = as_refs(&cols);
             let mut fresh = Factorization::new(0, 1e-10);
             fresh.refactor(&refs).unwrap();
-            let mut dense = DenseBumpFactorization::new(m, 0, 1e-10);
+            let mut dense = DenseBumpFactorization::new(m, 1e-10);
             dense.refactor(&refs).unwrap();
             let what = format!("m={m} density={density} after {applied} updates");
 
@@ -350,7 +352,7 @@ fn bordered_rows_match_fresh_refactor_across_density_grid() {
                 let mut fresh = Factorization::new(0, 1e-10);
                 fresh.refactor(&refs).unwrap();
                 // A second opinion from the (cubic) dense kernel on the smaller sizes.
-                let mut dense = (m <= 160).then(|| DenseBumpFactorization::new(m, 0, 1e-10));
+                let mut dense = (m <= 160).then(|| DenseBumpFactorization::new(m, 1e-10));
                 dense.iter_mut().for_each(|d| d.refactor(&refs).unwrap());
                 let agree = |got: &[f64], want: &[f64], kernel: &str| {
                     for (i, (g, w)) in got.iter().zip(want).enumerate() {

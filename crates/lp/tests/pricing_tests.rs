@@ -175,7 +175,7 @@ fn bland_trigger_fires_under_devex_on_degenerate_lp() {
     // Reference optimum from a solve with the default (effectively
     // never-firing) trigger.
     let reference = m.solve().expect("reference solve");
-    assert_eq!(reference.bland_pivots(), 0);
+    assert_eq!(reference.stats().bland_pivots, 0);
     let opts = SolveOptions {
         simplex: Some(SimplexOptions { bland_trigger: 0, ..Default::default() }),
         ..SolveOptions::default()
@@ -188,7 +188,7 @@ fn bland_trigger_fires_under_devex_on_degenerate_lp() {
         sol.objective()
     );
     assert!(check_optimal(&m, &sol, 1e-6).is_empty());
-    assert!(sol.bland_pivots() > 0, "Bland fallback never engaged on a degenerate LP");
+    assert!(sol.stats().bland_pivots > 0, "Bland fallback never engaged on a degenerate LP");
 }
 
 /// The deterministic parallel-pricing layer must be invisible at the bit
@@ -228,7 +228,7 @@ fn parallel_pricing_scores_match_serial_bitwise() {
                 .unwrap_or_else(|e| panic!("seed {seed} jobs={pricing_jobs}: {e}"))
         };
         let serial = solve(1);
-        assert_eq!(serial.pricing_par_sections(), 0, "serial path spawned sections");
+        assert_eq!(serial.stats().pricing_par_sections, 0, "serial path spawned sections");
         for jobs in [2usize, 8] {
             let par = solve(jobs);
             let tag = format!("seed {seed} jobs={jobs}");
@@ -242,9 +242,9 @@ fn parallel_pricing_scores_match_serial_bitwise() {
                     "{tag}: reduced cost of column {j} diverged"
                 );
             }
-            assert_eq!(serial.iterations(), par.iterations(), "{tag}: iterations");
-            assert_eq!(serial.pricing_scans(), par.pricing_scans(), "{tag}: scans");
-            assert!(par.pricing_par_sections() > 0, "{tag}: fan-out never engaged");
+            assert_eq!(serial.stats().iterations, par.stats().iterations, "{tag}: iterations");
+            assert_eq!(serial.stats().pricing_scans, par.stats().pricing_scans, "{tag}: scans");
+            assert!(par.stats().pricing_par_sections > 0, "{tag}: fan-out never engaged");
         }
     }
 }
@@ -271,9 +271,9 @@ fn partial_pricing_scans_fewer_columns() {
         m.add_row(&format!("r{i}"), e, Cmp::Le, g.range(2.0, 10.0));
     }
     let sol = m.solve().unwrap();
-    assert!(sol.iterations() > 0);
+    assert!(sol.stats().iterations > 0);
     // Structural and slack columns: what a full rescan prices per pivot.
     let n = m.num_vars() + m.num_rows();
-    let per_iter = sol.pricing_scans() as f64 / sol.iterations() as f64;
+    let per_iter = sol.stats().pricing_scans as f64 / sol.stats().iterations as f64;
     assert!(per_iter < n as f64 / 2.0, "partial pricing scanned {per_iter:.0} of {n} cols/iter");
 }

@@ -227,7 +227,7 @@ fn warm_resolves_match_cold_across_random_mutations() {
             for step in 1..=6 {
                 mutate(&mut g, &mut s, &last);
                 if let Some(sol) = assert_warm_matches_cold(seed, step, &mut s, &opts) {
-                    dual_pivots += sol.dual_iterations();
+                    dual_pivots += sol.stats().dual_iterations;
                     last = sol;
                     if s.session.last_restart() != Some(Restart::Cold) {
                         warm_seen += 1;
@@ -309,8 +309,7 @@ fn polish_that_certifies_by_refactor_skips_the_terminal_one() {
     s.set_obj(y, 10.0);
     let sol = s.solve(&SolveOptions::default()).unwrap();
     assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
-    assert_eq!(sol.iterations(), 2);
-    assert_eq!(sol.factor_stats().refactors, 2, "parent: 3");
+    assert_eq!((sol.stats().iterations, sol.stats().refactors), (2, 2), "parent: 3 refactors");
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(sol.objective().to_bits(), 22.0f64.to_bits());
     assert_eq!(bits(sol.values()), bits(&[0.0, 2.0, 2.0]));
@@ -335,7 +334,7 @@ fn solve_ending_on_a_bound_flip_returns_the_moved_basic_values() {
     s.set_obj(x, -1.0);
     let sol = s.solve(&SolveOptions::default()).unwrap();
     assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
-    assert_eq!((sol.iterations(), sol.factor_stats().ft_updates), (1, 0), "one flip, no pivot");
+    assert_eq!((sol.stats().iterations, sol.stats().ft_updates), (1, 0), "one flip, no pivot");
     assert_eq!(sol.values(), [0.0, 3.0, 3.0]);
     assert!(check_optimal(s.model(), &sol, TOL).is_empty());
 }
@@ -406,11 +405,12 @@ fn dual_pivot_costs_one_btran() {
     let mut s = grid_with_capacities_cut();
     let sol = s.solve(&SolveOptions::default()).unwrap();
     assert_eq!(s.last_restart(), Some(Restart::WarmDual));
-    let (k, fs) = (sol.dual_iterations(), sol.factor_stats());
+    let st = sol.stats();
+    let k = st.dual_iterations;
     assert!(k >= 5, "only {k} dual pivots");
-    assert_eq!(sol.iterations(), k, "the polish had nothing left to do");
-    assert_eq!(fs.refactors, 0, "carried start, certified end");
-    assert!(fs.btrans <= k + 3, "{} BTRANs for {k} dual pivots", fs.btrans);
+    assert_eq!(st.iterations, k, "the polish had nothing left to do");
+    assert_eq!(st.refactors, 0, "carried start, certified end");
+    assert!(st.btrans <= k + 3, "{} BTRANs for {k} dual pivots", st.btrans);
     assert_eq!(s.stats().dual_iterations, k);
     let cold = s.model().solve().unwrap();
     assert!((sol.objective() - cold.objective()).abs() <= TOL * (1.0 + cold.objective().abs()));
@@ -429,8 +429,9 @@ fn dual_degenerate_restart_engages_blands_rule() {
     };
     let sol = s.solve(&bland_at_once).unwrap();
     assert_eq!(s.last_restart(), Some(Restart::WarmDual));
-    assert_eq!(sol.iterations(), sol.dual_iterations(), "every pivot was a dual one");
-    assert!(sol.bland_pivots() > 0, "no Bland pivot in {} dual pivots", sol.dual_iterations());
+    let st = sol.stats();
+    assert_eq!(st.iterations, st.dual_iterations, "every pivot was a dual one");
+    assert!(st.bland_pivots > 0, "no Bland pivot in {} dual pivots", st.dual_iterations);
     let cold = s.model().solve().unwrap();
     assert!((sol.objective() - cold.objective()).abs() <= TOL * (1.0 + cold.objective().abs()));
     assert!(check_optimal(s.model(), &sol, TOL * 10.0).is_empty());

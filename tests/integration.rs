@@ -212,7 +212,7 @@ fn warm_dual_restart_matches_a_cold_solve() {
     session.set_rhs(caps[2], 3.5);
     let warm = session.solve(&SolveOptions::default()).unwrap();
     assert_eq!(session.last_restart(), Some(Restart::WarmDual));
-    assert!(warm.dual_iterations() > 0);
+    assert!(warm.stats().dual_iterations > 0);
     let cold = session.model().solve().unwrap();
     assert!((warm.objective() - cold.objective()).abs() < 1e-9);
     for (w, c) in warm.duals().iter().zip(cold.duals()) {
