@@ -19,10 +19,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// `menu_build` rows: request windows of this many timesteps.
 const WINDOWS: [usize; 3] = [1, 8, 32];
-/// Ceiling on heap allocations of one quote: the ledger's four vectors
-/// plus the doubling growth of the segment list (a 1,000-segment menu is
-/// nine doublings). One allocation per slot, round or edge would blow
-/// through it.
+/// Ceiling on heap allocations of one quote: the ledger's four vectors,
+/// the slot-price cache (one `paths × window` vector), plus the doubling
+/// growth of the segment list (a 1,000-segment menu is nine doublings).
+/// One allocation per slot, round or edge would blow through it.
 const MAX_ALLOCS_PER_QUOTE: u64 = 16;
 
 fn main() {

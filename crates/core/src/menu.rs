@@ -196,9 +196,13 @@ impl LedgerCell {
 /// The ledger is dense (DESIGN.md §22): the request's distinct edges are
 /// numbered locally and every `(edge, timestep)` of the window is read
 /// from `state` once into one flat `edges × window` array, so the greedy
-/// rounds below — which re-price every slot each round — touch no map and
-/// no nested vector. A window that is empty once clipped to the horizon
-/// (`start` past the horizon or past `deadline`) yields the empty menu.
+/// rounds below touch no map and no nested vector. Each slot's
+/// `(price, qty)` is cached in a flat `paths × window` array; a round scans
+/// the cache and re-prices only the slots at the step its fill touched,
+/// with the same arithmetic on the same cells, so the menu is bitwise the
+/// one an uncached scan builds. A window that is empty once clipped to the
+/// horizon (`start` past the horizon or past `deadline`) yields the empty
+/// menu.
 pub fn build_menu(
     state: &NetworkState,
     paths: &[Path],
@@ -243,31 +247,46 @@ pub fn build_menu(
         }));
     }
 
+    // `(price, qty)` of one slot: the path's summed marginal price and its
+    // tightest hop's room at that price.
+    let slot = |ledger: &[LedgerCell], hop_rows: &[usize], dt: usize| -> (f64, f64) {
+        let price: f64 = hop_rows.iter().map(|&r| ledger[r + dt].marginal(bump)).sum();
+        let qty: f64 = hop_rows
+            .iter()
+            .map(|&r| ledger[r + dt].avail_at_marginal(bump))
+            .fold(f64::INFINITY, f64::min);
+        (price, qty)
+    };
+    // Slot-price cache, `paths × window`: every slot priced once here. A
+    // round's fill changes cells at one step `dt` only, so only the slots
+    // at `dt` are re-priced after it (DESIGN.md §22).
+    let mut slots: Vec<(f64, f64)> = Vec::with_capacity(paths.len() * window);
+    for hop_rows in &path_rows {
+        slots.extend((0..window).map(|dt| slot(&ledger, hop_rows, dt)));
+    }
+
     let mut segments = Vec::new();
     // Bounded iteration: each round exhausts a segment of at least one
     // (edge, t); 2 segments per pair.
     let max_rounds = 2 * hops * window + 8;
     for _ in 0..max_rounds {
-        // Find the cheapest slot with availability.
-        let mut best: Option<(f64, usize, usize, f64)> = None; // (price, path, t - start, qty)
-        for (pi, hop_rows) in path_rows.iter().enumerate() {
-            for dt in 0..window {
-                let price: f64 = hop_rows.iter().map(|&r| ledger[r + dt].marginal(bump)).sum();
-                let qty: f64 = hop_rows
-                    .iter()
-                    .map(|&r| ledger[r + dt].avail_at_marginal(bump))
-                    .fold(f64::INFINITY, f64::min);
-                if qty <= 1e-9 {
-                    continue;
-                }
-                if best.as_ref().is_none_or(|&(bp, _, _, _)| price < bp - 1e-12) {
-                    best = Some((price, pi, dt, qty));
-                }
+        // Find the cheapest slot with availability, path-major.
+        let mut best: Option<(f64, usize, f64)> = None; // (price, slot index, qty)
+        for (i, &(price, qty)) in slots.iter().enumerate() {
+            if qty <= 1e-9 {
+                continue;
+            }
+            if best.as_ref().is_none_or(|&(bp, _, _)| price < bp - 1e-12) {
+                best = Some((price, i, qty));
             }
         }
-        let Some((price, pi, dt, qty)) = best else { break };
+        let Some((price, i, qty)) = best else { break };
+        let (pi, dt) = (i / window, i % window);
         for &r in path_rows[pi] {
             ledger[r + dt].extra += qty;
+        }
+        for (pj, hop_rows) in path_rows.iter().enumerate() {
+            slots[pj * window + dt] = slot(&ledger, hop_rows, dt);
         }
         segments.push(Segment {
             unit_price: price,
@@ -389,7 +408,7 @@ mod tests {
             vec![sb, bc, cd],
             vec![sa, ab, bc, cd],
         ];
-        let (mut non_trivial, mut clipped, mut unbumped) = (0, 0, 0);
+        let (mut non_trivial, mut clipped, mut unbumped, mut siblings) = (0, 0, 0, 0);
         for case in 0..600u64 {
             let mut rng = StdRng::seed_from_u64(0x5eed_0000 + case);
             let bump = match case % 3 {
@@ -445,11 +464,58 @@ mod tests {
             let reference = build_menu_reference(&state, &paths, start, deadline);
             assert_eq!(menu, reference, "case {case}: window [{start}, {deadline}]");
             non_trivial += usize::from(menu.segments.len() > 1);
+            // Two segments at one step on different paths that share an
+            // edge: the fill of the first moved the second's slot, which
+            // the slot-price cache must have re-priced.
+            let share_edge = |i: usize, j: usize| {
+                i != j && paths[i].edges().iter().any(|e| paths[j].edges().contains(e))
+            };
+            let segs = &menu.segments;
+            siblings += usize::from(segs.iter().enumerate().any(|(k, a)| {
+                segs[k + 1..].iter().any(|b| {
+                    a.alloc.t == b.alloc.t && share_edge(a.alloc.path_idx, b.alloc.path_idx)
+                })
+            }));
         }
         // The generator must reach what it claims to cover.
         assert!(non_trivial >= 500, "only {non_trivial} multi-segment menus");
         assert!(clipped >= 50, "only {clipped} windows clipped by the horizon");
         assert_eq!(unbumped, 200);
+        // 322 at this generator; the floor is half.
+        assert!(siblings >= 160, "only {siblings} menus re-priced a sibling slot");
+    }
+
+    /// Two S→D paths share the bottleneck A→D (capacity 10). The first fill
+    /// (8 units on the cheaper path S→A→D) crosses the bump threshold on
+    /// A→D, so the sibling S→B→A→D's slot at the same step rises from
+    /// 3.0 to 4.0 before its own segment is cut — the re-price the
+    /// slot-price cache makes after every fill. A stale cache would sell
+    /// 8 units at 3.0.
+    #[test]
+    fn fill_on_a_shared_edge_reprices_the_sibling_slot() {
+        let mut net = Network::new();
+        let [s, a, b, d] = ["S", "A", "B", "D"].map(|n| net.add_node(n, Region::Europe));
+        let sa = net.add_edge(s, a, 10.0, LinkCost::owned());
+        let ad = net.add_edge(a, d, 10.0, LinkCost::owned());
+        let sb = net.add_edge(s, b, 100.0, LinkCost::owned());
+        let ba = net.add_edge(b, a, 100.0, LinkCost::owned());
+        let mut state =
+            NetworkState::new(&net, TimeGrid::new(1, 30), 1, 0.0, PriceBump::default(), |_| 1.0);
+        state.set_price(sa, 0, 1.5);
+        let paths = vec![Path::new(&net, vec![sa, ad]), Path::new(&net, vec![sb, ba, ad])];
+
+        let menu = build_menu(&state, &paths, 0, 0);
+        assert_eq!(menu, build_menu_reference(&state, &paths, 0, 0));
+        let cut: Vec<(usize, f64, f64)> =
+            menu.segments.iter().map(|s| (s.alloc.path_idx, s.unit_price, s.units)).collect();
+        assert_eq!(cut.len(), 2, "{cut:?}");
+        // 1.5 + 1.0 for 8 units, up to A→D's threshold ...
+        assert_eq!(cut[0].0, 0);
+        assert!((cut[0].1 - 2.5).abs() < 1e-12 && (cut[0].2 - 8.0).abs() < 1e-9, "{cut:?}");
+        // ... then the sibling at 1.0 + 1.0 + 2.0 (A→D bumped) for A→D's
+        // last 2 units; S→A→D would pay 3.0 + 2.0.
+        assert_eq!(cut[1].0, 1);
+        assert!((cut[1].1 - 4.0).abs() < 1e-12 && (cut[1].2 - 2.0).abs() < 1e-9, "{cut:?}");
     }
 
     #[test]

@@ -361,9 +361,10 @@ impl Pretium {
     /// contract's value proxy `λ`.
     ///
     /// Returns `None` when `units` is zero/negative (customer walked
-    /// away), no route exists, or the menu cannot back a single unit — an
-    /// empty menu has no finite price for any quantity, so booking it
-    /// would record `payment = λ = ∞` and poison every downstream sum.
+    /// away) or not finite (NaN or `∞` has no price to lock in), no route
+    /// exists, or the menu cannot back a single unit — an empty menu has
+    /// no finite price for any quantity, so booking it would record
+    /// `payment = λ = ∞` and poison every downstream sum.
     pub fn accept(
         &mut self,
         params: &RequestParams,
@@ -371,7 +372,7 @@ impl Pretium {
         units: f64,
     ) -> Option<ContractId> {
         let t0 = Instant::now();
-        if units <= 1e-9 || menu.capacity_bound() <= 1e-9 {
+        if !units.is_finite() || units <= 1e-9 || menu.capacity_bound() <= 1e-9 {
             self.telemetry.accepts_rejected += 1;
             self.telemetry.accept.record(t0.elapsed());
             return None;

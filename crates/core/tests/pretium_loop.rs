@@ -362,6 +362,32 @@ fn window_past_the_horizon_is_rejected_not_a_panic() {
     assert!(pretium.admit_one(&p, |_| 5.0).1.is_some());
 }
 
+/// A `respond` callback that answers NaN or +∞ is a purchase with no price.
+/// NaN used to pass the zero-units check, reserve the plan's slots and then
+/// panic in `PriceMenu::price`; +∞ booked a contract paying `∞`. Both are
+/// rejected now like a walk-away: no reservation, no epoch bump, no
+/// contract.
+#[test]
+fn non_finite_purchase_is_rejected() {
+    let (net, [a, b, ..]) = topology::paper_example();
+    let cfg = PretiumConfig { highpri_fraction: 0.0, ..Default::default() };
+    let mut pretium = Pretium::new(net, TimeGrid::new(2, 30), 2, cfg);
+    for (i, units) in [f64::NAN, f64::INFINITY].into_iter().enumerate() {
+        let p = params(i as u64, a.0, b.0, 2.0, 0, 1);
+        let (state, epoch) = (format!("{:?}", pretium.state()), pretium.epoch());
+        let (menu, id) = pretium.admit_one(&p, |_| units);
+        assert!(!menu.is_empty(), "the A→B route has capacity to sell");
+        assert_eq!(id, None, "{units} units were booked");
+        assert_eq!(format!("{:?}", pretium.state()), state, "{units} units reserved capacity");
+        assert_eq!(pretium.epoch(), epoch, "{units} units bumped the epoch");
+    }
+    assert!(pretium.contracts().is_empty());
+    assert_eq!(pretium.telemetry().accepts_rejected, 2);
+    assert_eq!(pretium.telemetry().accepts_admitted, 0);
+    // A finite purchase off the same state still books.
+    assert!(pretium.admit_one(&params(2, a.0, b.0, 2.0, 0, 1), |_| 2.0).1.is_some());
+}
+
 /// Two parallel two-hop routes S→T plus a direct S→T link, two windows of
 /// four steps, warmed through window 0 so prices, reservations and a live
 /// SAM session all exist when the copy-on-write tests start mutating.
