@@ -73,12 +73,11 @@ pub struct PretiumConfig {
     /// objectives agree across settings only to solver tolerance (see the
     /// determinism suite's documented contract), not bit-exactly.
     pub max_etas: usize,
-    /// Worker threads for the deterministic parallel-pricing layer, for
-    /// every LP Pretium solves *and* the colgen oracle's job-block pricing.
-    /// 1 (the default) runs the exact serial path; >1 fans candidate
-    /// scoring out over a work-stealing pool in fixed, size-derived
-    /// sections reduced in section order, so — unlike [`Self::max_etas`] —
-    /// any setting is **bit-identical** to serial (DESIGN.md §19).
+    /// Inert: Pretium reads nothing from this field, and every LP prices
+    /// serially. It set the workers of the parallel-pricing layer, which
+    /// is gone (DESIGN.md §19). It stays only because the frozen
+    /// end-to-end benchmark (`e2ebench/src/probes.rs`) copies it into its
+    /// solve options, and goes when that reader does.
     pub pricing_jobs: usize,
 }
 
@@ -132,9 +131,7 @@ mod tests {
         assert_eq!(pricing, Pricing::PartialDevex);
         // Colgen is opt-in.
         assert_eq!(colgen, ColumnGen::Off);
-        // The solver default cadence and the serial pricing path; >1
-        // pricing workers are bit-identical by the section-ordered
-        // reduction contract.
+        // The solver default cadence; `pricing_jobs` is inert.
         assert_eq!((max_etas, pricing_jobs), (0, 1));
     }
 

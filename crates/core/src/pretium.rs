@@ -285,10 +285,7 @@ impl Pretium {
     /// other uncapped LP).
     fn solve_opts(&self) -> SolveOptions {
         SolveOptions {
-            tuning: SolverTuning {
-                max_etas: self.cfg.max_etas,
-                pricing_jobs: self.cfg.pricing_jobs,
-            },
+            tuning: SolverTuning { max_etas: self.cfg.max_etas, ..SolverTuning::default() },
             ..SolveOptions::default()
         }
     }

@@ -65,7 +65,6 @@ use pretium_lp::{
 use pretium_net::cost::TOP_FRACTION;
 use pretium_net::percentile::top_k_count;
 use pretium_net::{EdgeId, Network, Path, TimeGrid, Timestep};
-use pretium_par as par;
 use rand::{DetHashMap as HashMap, DetHashSet};
 
 /// One schedulable job.
@@ -300,8 +299,7 @@ pub fn solve(problem: &ScheduleProblem<'_>) -> Result<ScheduleSolution, SolveErr
 }
 
 /// Like [`solve`] but with explicit solver options (e.g. the kernel
-/// tuning from [`crate::PretiumConfig::max_etas`] and
-/// [`crate::PretiumConfig::pricing_jobs`]).
+/// tuning from [`crate::PretiumConfig::max_etas`]).
 pub fn solve_with(
     problem: &ScheduleProblem<'_>,
     opts: &SolveOptions,
@@ -584,7 +582,7 @@ impl ScheduleSession {
             // Rows first: column pricing needs duals for every materialized
             // row, and a round that just grew rows has none for them yet.
             let grew = self.lazy_grow(net, capacity, realized, &sol)
-                || self.colgen_grow(&sol, &mut col_rounds, opts);
+                || self.colgen_grow(&sol, &mut col_rounds);
             if !grew {
                 self.last_values = sol.values().to_vec();
                 return Ok(self.extract(sol, rounds));
@@ -683,42 +681,21 @@ impl ScheduleSession {
     /// favorable columns through [`SolverSession::add_generated_cols`].
     /// Returns whether any column was appended; `false` with an exhausted
     /// budget adopts the restricted optimum as is.
-    ///
-    /// With [`pretium_lp::SolverTuning::pricing_jobs`] above 1 the per-job
-    /// pricing fans out over the sectioned pool: each section prices a
-    /// fixed, size-derived block of job indices read-only against `sol`'s
-    /// duals and returns its jobs' top-[`COLGEN_PER_JOB`] candidates
-    /// (sorted by reduced cost descending with `(path, t)` ascending
-    /// tie-breaks — a total order, so the sort is deterministic).
-    /// Concatenating the per-section lists in section order reproduces the
-    /// serial batch exactly: the serial loop is itself a job-order
-    /// concatenation of per-job lists, and pricing one job never reads
-    /// another's results.
-    fn colgen_grow(&mut self, sol: &Solution, col_rounds: &mut u32, opts: &SolveOptions) -> bool {
+    fn colgen_grow(&mut self, sol: &Solution, col_rounds: &mut u32) -> bool {
         if self.colgen == ColumnGen::Off || *col_rounds >= COLGEN_MAX_ROUNDS {
             return false;
         }
-        let workers = opts.tuning.pricing_jobs;
-        let n = self.jobs.len();
-        let t0 = std::time::Instant::now();
-        let parallel = workers > 1 && par::section_count(n) > 1;
-        let (jobs, demand_rows, guar_rows, materialized) =
-            (&self.jobs, &self.demand_rows, &self.guar_rows, &self.materialized);
-        let (cap_rows, use_rows) = (&self.cap_rows, &self.use_rows);
-        let (fixed_up_to, to) = (self.fixed_up_to, self.to);
-        // Price one job block: the body of the old serial per-job loop,
-        // shared verbatim by both paths below.
-        let price_job = |j: usize, batch: &mut Vec<(usize, usize, Timestep)>| {
-            let Some(demand) = demand_rows[j] else { return };
-            let job = &jobs[j];
+        let mut batch: Vec<(usize, usize, Timestep)> = Vec::new();
+        for (j, job) in self.jobs.iter().enumerate() {
+            let Some(demand) = self.demand_rows[j] else { continue };
             let y_demand = sol.dual(demand);
-            let y_guar = guar_rows[j].map(|r| sol.dual(r)).unwrap_or(0.0);
-            let lo = job.start.max(fixed_up_to);
-            let hi = (job.deadline + 1).min(to);
+            let y_guar = self.guar_rows[j].map(|r| sol.dual(r)).unwrap_or(0.0);
+            let lo = job.start.max(self.fixed_up_to);
+            let hi = (job.deadline + 1).min(self.to);
             let mut cands: Vec<(f64, usize, Timestep)> = Vec::new();
             for (pi, path) in job.paths.iter().enumerate() {
                 for t in lo..hi {
-                    if !job.step_allowed(t) || materialized[j].contains(&(pi, t)) {
+                    if !job.step_allowed(t) || self.materialized[j].contains(&(pi, t)) {
                         continue;
                     }
                     // Reduced cost of x_{j,pi,t} in the Maximize master:
@@ -726,10 +703,10 @@ impl ScheduleSession {
                     // materialized row the column would enter.
                     let mut d = job.weight - y_demand - y_guar;
                     for &e in path.edges() {
-                        if let Some(&row) = cap_rows.get(&(e, t)) {
+                        if let Some(&row) = self.cap_rows.get(&(e, t)) {
                             d -= sol.dual(row);
                         }
-                        if let Some(&row) = use_rows.get(&(e, t)) {
+                        if let Some(&row) = self.use_rows.get(&(e, t)) {
                             d -= sol.dual(row);
                         }
                     }
@@ -746,30 +723,7 @@ impl ScheduleSession {
             for &(_, pi, t) in cands.iter().take(COLGEN_PER_JOB) {
                 batch.push((j, pi, t));
             }
-        };
-        let mut batch: Vec<(usize, usize, Timestep)> = Vec::new();
-        let stats = if parallel {
-            let (parts, stats) = par::map_sections(n, workers, |_, range| {
-                let mut part = Vec::new();
-                for j in range {
-                    price_job(j, &mut part);
-                }
-                part
-            });
-            // Section-order concatenation == the serial job-order batch.
-            for part in parts {
-                batch.extend(part);
-            }
-            stats
-        } else {
-            for j in 0..n {
-                price_job(j, &mut batch);
-            }
-            par::ParStats::default()
-        };
-        let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let (serial_nanos, par_nanos) = if parallel { (0, nanos) } else { (nanos, 0) };
-        self.sess.note_parallel_pricing(stats.sections, stats.steals, serial_nanos, par_nanos);
+        }
         if batch.is_empty() {
             return false;
         }

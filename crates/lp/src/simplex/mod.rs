@@ -42,8 +42,8 @@ pub enum Pricing {
     PartialDevex,
 }
 
-/// Tolerances and limits of a solve. The kernel's tuning — refactorization
-/// cadence and pricing workers — is [`SolverTuning`].
+/// Tolerances and limits of a solve. The kernel's tuning — the
+/// refactorization cadence — is [`SolverTuning`].
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
     /// Primal feasibility tolerance (bound violations up to this are
@@ -75,21 +75,19 @@ impl Default for SimplexOptions {
     }
 }
 
-/// The kernel's tuning knobs, the one place a solve's refactorization
-/// cadence and pricing worker count are set. The all-zero
-/// [`SolverTuning::default`] is the default kernel.
+/// The kernel's tuning knob, the one place a solve's refactorization
+/// cadence is set. The all-zero [`SolverTuning::default`] is the default
+/// kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverTuning {
     /// Forrest–Tomlin updates a basis factorization accumulates before
     /// refactorizing; `0` selects [`basis::DEFAULT_MAX_ETAS`].
     pub max_etas: usize,
-    /// Worker threads for the deterministic parallel-pricing layer: above
-    /// one, the reduced-cost recompute, the Devex weight refresh and the
-    /// section sweeps fan out over `pretium-par`'s sectioned map. Sections
-    /// are fixed and size-derived, and results reduce in section order, so
-    /// any value produces bitwise the same solve as the serial path
-    /// (DESIGN.md §19). `0` and `1` both run the serial code with no thread
-    /// machinery.
+    /// Inert: pricing is serial whatever this says, and nothing in the
+    /// solver reads it. It counted the workers of the parallel-pricing
+    /// layer, which is gone (DESIGN.md §19). The field stays only because
+    /// the frozen end-to-end benchmark (`e2ebench/src/probes.rs`) sets it,
+    /// and goes when that reader does.
     pub pricing_jobs: usize,
 }
 

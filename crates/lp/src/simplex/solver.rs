@@ -12,7 +12,6 @@ use super::{Problem, SimplexOptions, SolverTuning};
 use crate::model::RowData;
 use crate::solution::SolveError;
 use crate::stats::SessionStats;
-use pretium_par as par;
 use std::time::Instant;
 
 /// Where a nonbasic variable currently rests.
@@ -123,8 +122,6 @@ pub(crate) struct State<'a> {
     /// and artificial entries are implicit.
     rows: &'a [RowData],
     opts: &'a SimplexOptions,
-    /// Parallel-pricing workers ([`SolverTuning::pricing_jobs`]).
-    jobs: usize,
     ws: &'a mut Workspace,
     /// Counters so far (the factorization's are folded in by `finish`).
     stats: SessionStats,
@@ -141,35 +138,6 @@ pub(crate) struct State<'a> {
     settled: bool,
     /// The factorization's lifetime counters when this solve began.
     factor_before: FactorStats,
-}
-
-/// Read-only view of the pricing state, small enough to hand to the
-/// sectioned parallel map: workers judge eligibility from shared slices
-/// only, never seeing the problem or the factorization the full [`State`]
-/// carries.
-struct PriceView<'b> {
-    d: &'b [f64],
-    pos_of: &'b [i32],
-    nb: &'b [NbState],
-    in_cands: &'b [bool],
-    lb: &'b [f64],
-    ub: &'b [f64],
-    tol: f64,
-}
-
-impl PriceView<'_> {
-    /// Mirror of [`State::eligible`] over the shared slices.
-    fn eligible(&self, j: usize) -> bool {
-        if self.pos_of[j] >= 0 || self.lb[j] == self.ub[j] {
-            return false;
-        }
-        let d = self.d[j];
-        match self.nb[j] {
-            NbState::Lower => d < -self.tol,
-            NbState::Upper => d > self.tol,
-            NbState::Free => d.abs() > self.tol,
-        }
-    }
 }
 
 const ZTOL: f64 = 1e-11;
@@ -414,7 +382,6 @@ impl<'a> State<'a> {
             p,
             rows,
             opts,
-            jobs: tuning.pricing_jobs,
             ws,
             stats: SessionStats::default(),
             max_iterations,
@@ -590,34 +557,9 @@ impl<'a> State<'a> {
         }
     }
 
-    /// Shared-slice view for parallel pricing workers.
-    fn view(&self) -> PriceView<'_> {
-        PriceView {
-            d: &self.ws.d,
-            pos_of: &self.ws.pos_of,
-            nb: &self.ws.nb,
-            in_cands: &self.ws.in_cands,
-            lb: &self.ws.lb,
-            ub: &self.ws.ub,
-            tol: self.opts.opt_tol,
-        }
-    }
-
-    /// Fold one sectioned run's section/steal counters into the solve's.
-    fn note_par_stats(&mut self, run: par::ParStats) {
-        self.stats.pricing_par_sections += run.sections;
-        self.stats.pricing_par_steals += run.steals;
-    }
-
-    /// Attribute one pricing call's wall clock to the serial or parallel
-    /// bucket, depending on which path actually ran.
-    fn note_pricing_wall(&mut self, t0: Instant, parallel: bool) {
-        let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        if parallel {
-            self.stats.pricing_par_nanos += nanos;
-        } else {
-            self.stats.pricing_serial_nanos += nanos;
-        }
+    /// Add one pricing call's wall clock to the solve's pricing wall.
+    fn note_pricing_wall(&mut self, t0: Instant) {
+        self.stats.pricing_serial_nanos += t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     }
 
     /// Size the pricing/pivot-row scratch buffers for the current problem
@@ -751,12 +693,6 @@ impl<'a> State<'a> {
     /// Full pricing reset: recompute `y = c_B B⁻¹` and every reduced cost
     /// exactly, and reset the Devex reference framework (all weights back
     /// to 1) and the candidate list.
-    ///
-    /// With `pricing_jobs > 1` the reduced-cost recompute and the weight
-    /// refresh fan out over the sectioned parallel map: each worker owns a
-    /// disjoint `d`/`gamma` chunk, and each `d[j]` is the same per-column
-    /// sequential dot product as the serial loop — no accumulation crosses
-    /// a section boundary, so the result is bitwise identical.
     fn reprice(&mut self, cost: &[f64]) {
         self.ensure_scratch();
         self.ws.cb.clear();
@@ -766,29 +702,14 @@ impl<'a> State<'a> {
             factor.btran(cb, y);
         }
         let t0 = Instant::now();
-        let jobs = self.jobs;
         let n = self.p.n;
-        let parallel = jobs > 1 && par::section_count(n) > 1;
-        if parallel {
-            let (p, y) = (self.p, &self.ws.y);
-            let mut stats = par::for_each_section(&mut self.ws.d, jobs, |_, start, chunk| {
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    *slot = p.reduced_cost(start + off, cost, y);
-                }
-            });
-            stats.merge(par::for_each_section(&mut self.ws.gamma, jobs, |_, _, chunk| {
-                chunk.fill(1.0);
-            }));
-            self.note_par_stats(stats);
-        } else {
-            for j in 0..n {
-                self.ws.d[j] = self.p.reduced_cost(j, cost, &self.ws.y);
-            }
-            for g in self.ws.gamma.iter_mut() {
-                *g = 1.0;
-            }
+        for j in 0..n {
+            self.ws.d[j] = self.p.reduced_cost(j, cost, &self.ws.y);
         }
-        self.note_pricing_wall(t0, parallel);
+        for g in self.ws.gamma.iter_mut() {
+            *g = 1.0;
+        }
+        self.note_pricing_wall(t0);
         self.clear_candidates();
         self.stats.pricing_scans += n as u64;
         self.fresh = true;
@@ -935,13 +856,6 @@ impl<'a> State<'a> {
     /// Devex score among the survivors — O(section + candidates) per
     /// pivot instead of O(n). A full wrap with an empty shortlist means no
     /// eligible column exists (by the maintained reduced costs).
-    ///
-    /// With `pricing_jobs > 1` each cyclic section's scan fans out over
-    /// the sectioned parallel map: subsections return their eligible
-    /// columns as lists, concatenated in subsection order — reproducing
-    /// the serial cyclic insertion order exactly, including the
-    /// between-section early exit (checked only at section boundaries,
-    /// same as the serial sweep).
     fn price_partial(&mut self) -> Option<(usize, f64)> {
         let t0 = Instant::now();
         // Drop candidates that went basic or lost eligibility.
@@ -959,50 +873,22 @@ impl<'a> State<'a> {
         self.ws.candidates.truncate(keep);
         let n = self.p.n;
         let section = (n / SECTIONS).max(SECTION_MIN).min(n);
-        let jobs = self.jobs;
-        let parallel = jobs > 1 && par::section_count(section) > 1;
         let mut scanned = 0usize;
         while scanned < n {
-            if parallel {
-                let take = section.min(n - scanned);
-                let start = self.cursor;
-                let (parts, stats) = {
-                    let view = self.view();
-                    par::map_sections(take, jobs, |_, r| {
-                        let mut found: Vec<u32> = Vec::new();
-                        for off in r {
-                            let j = (start + off) % n;
-                            if !view.in_cands[j] && view.eligible(j) {
-                                found.push(j as u32);
-                            }
-                        }
-                        found
-                    })
-                };
-                self.note_par_stats(stats);
-                for j in parts.into_iter().flatten() {
-                    self.ws.in_cands[j as usize] = true;
-                    self.ws.candidates.push(j);
+            for _ in 0..section {
+                if scanned >= n {
+                    break;
                 }
-                self.cursor = (start + take) % n;
-                scanned += take;
-                self.stats.pricing_scans += take as u64;
-            } else {
-                for _ in 0..section {
-                    if scanned >= n {
-                        break;
-                    }
-                    let j = self.cursor;
-                    self.cursor += 1;
-                    if self.cursor == n {
-                        self.cursor = 0;
-                    }
-                    scanned += 1;
-                    self.stats.pricing_scans += 1;
-                    if !self.ws.in_cands[j] && self.eligible(j) {
-                        self.ws.in_cands[j] = true;
-                        self.ws.candidates.push(j as u32);
-                    }
+                let j = self.cursor;
+                self.cursor += 1;
+                if self.cursor == n {
+                    self.cursor = 0;
+                }
+                scanned += 1;
+                self.stats.pricing_scans += 1;
+                if !self.ws.in_cands[j] && self.eligible(j) {
+                    self.ws.in_cands[j] = true;
+                    self.ws.candidates.push(j as u32);
                 }
             }
             if self.ws.candidates.len() >= CANDS_MIN {
@@ -1043,7 +929,7 @@ impl<'a> State<'a> {
                 best = Some((j, score));
             }
         }
-        self.note_pricing_wall(t0, parallel);
+        self.note_pricing_wall(t0);
         best.map(|(j, _)| (j, self.ws.d[j]))
     }
 

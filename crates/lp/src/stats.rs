@@ -9,12 +9,11 @@
 
 /// Solver counters: of one solve, or merged over a session's lifetime.
 ///
-/// Equality compares only the *deterministic* counters: steal counts and
-/// the serial/parallel wall-clock split depend on thread scheduling and
-/// timer resolution, so they are excluded from `PartialEq` — two runs of
-/// the same configuration compare equal even though their timing fields
-/// differ. Section counts stay in the comparison; they derive from range
-/// sizes alone and are reproducible.
+/// Equality compares only the *deterministic* counters: the pricing wall
+/// clock depends on the timer, so it is excluded from `PartialEq` — two
+/// runs of the same configuration compare equal even though their timing
+/// fields differ. The fields that always read 0 (`restricted` and the
+/// three `pricing_par_*`) are excluded too.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionStats {
     /// Total solves (each round of a caller's generation loop is one).
@@ -77,27 +76,29 @@ pub struct SessionStats {
     /// Solves whose terminal `(x, y)` failed the residual certificate and
     /// was recomputed from a fresh factorization.
     pub terminal_refactors: u64,
-    /// Sections executed by the deterministic parallel-pricing layer
-    /// (simplex pricing sweeps plus any scheduler-side fan-out folded in
-    /// via
-    /// [`SolverSession::note_parallel_pricing`](crate::SolverSession::note_parallel_pricing)).
-    /// Deterministic for a fixed configuration.
+    /// Always 0: counted the sections of the parallel-pricing layer, which
+    /// is gone (pricing is serial). The field stays, and stays out of
+    /// [`SessionStats::rows`] and equality, only because the frozen
+    /// end-to-end benchmark (`e2ebench/src/layers.rs`) reads it as
+    /// `par.pricing_sections`; it goes when the manifest drops that metric.
     pub pricing_par_sections: u64,
-    /// Parallel-pricing sections claimed by a worker other than the one
-    /// they were seeded on. Timing-dependent; excluded from equality.
+    /// Always 0, like [`Self::pricing_par_sections`]: counted that layer's
+    /// work steals. Kept only for `e2ebench/src/layers.rs`
+    /// (`par.pricing_steals`).
     pub pricing_par_steals: u64,
-    /// Wall-clock nanoseconds of pricing invocations that ran the serial
-    /// path. Timing-dependent; excluded from equality.
+    /// Wall-clock nanoseconds spent pricing: full reprices and partial
+    /// sweeps. Timing-dependent; excluded from equality.
     pub pricing_serial_nanos: u64,
-    /// Wall-clock nanoseconds of pricing invocations that fanned out over
-    /// the worker pool. Timing-dependent; excluded from equality.
+    /// Always 0, like [`Self::pricing_par_sections`]: the parallel-pricing
+    /// layer's wall clock. Kept only because `e2ebench/src/run.rs` adds it
+    /// to [`Self::pricing_serial_nanos`].
     pub pricing_par_nanos: u64,
 }
 
 impl PartialEq for SessionStats {
     fn eq(&self, other: &Self) -> bool {
-        // Every counter except the timing-dependent trio (steals + the two
-        // wall-clock buckets); see the type-level docs.
+        // Every counter except the pricing wall clock and the fields that
+        // always read 0; see the type-level docs.
         self.solves == other.solves
             && self.cold_starts == other.cold_starts
             && self.warm_primal == other.warm_primal
@@ -119,7 +120,6 @@ impl PartialEq for SessionStats {
             && self.carried == other.carried
             && self.bordered_rows == other.bordered_rows
             && self.terminal_refactors == other.terminal_refactors
-            && self.pricing_par_sections == other.pricing_par_sections
     }
 }
 
@@ -158,10 +158,7 @@ impl SessionStats {
         self.carried += other.carried;
         self.bordered_rows += other.bordered_rows;
         self.terminal_refactors += other.terminal_refactors;
-        self.pricing_par_sections += other.pricing_par_sections;
-        self.pricing_par_steals += other.pricing_par_steals;
         self.pricing_serial_nanos += other.pricing_serial_nanos;
-        self.pricing_par_nanos += other.pricing_par_nanos;
     }
 
     /// Labelled counter rows for table rendering (`(label, value)`), in a
@@ -187,16 +184,7 @@ impl SessionStats {
             ("lp carried solves".into(), self.carried.to_string()),
             ("lp bordered rows".into(), self.bordered_rows.to_string()),
             ("lp terminal refactors".into(), self.terminal_refactors.to_string()),
-            ("pricing par sections".into(), self.pricing_par_sections.to_string()),
-            ("pricing par steals".into(), self.pricing_par_steals.to_string()),
-            (
-                "pricing wall serial/par".into(),
-                format!(
-                    "{:.1}ms / {:.1}ms",
-                    self.pricing_serial_nanos as f64 / 1e6,
-                    self.pricing_par_nanos as f64 / 1e6
-                ),
-            ),
+            ("pricing wall".into(), format!("{:.1}ms", self.pricing_serial_nanos as f64 / 1e6)),
             (
                 "fill-in ratio".into(),
                 format!("{:.3}", self.factor_nnz as f64 / self.basis_nnz.max(1) as f64),

@@ -1,18 +1,15 @@
 //! Pricing tests: the one pricing rule (partial Devex) reaches a
 //! KKT-certified optimum on schedule-shaped LPs (the per-(job, path,
 //! timestep) structure SAM produces), cold and across warm restarts; the
-//! Bland's-rule anti-cycling escape hatch fires; parallel pricing is
-//! bitwise the serial path; and a pivot prices a fraction of the columns.
+//! Bland's-rule anti-cycling escape hatch fires; wide random models
+//! certify too; and a pivot prices a fraction of the columns.
 //!
 //! As with the other property suites, randomness comes from a local
 //! deterministic xorshift stream (no registry access in the build
 //! environment); every failing case reports its seed.
 
 use pretium_lp::validate::check_optimal;
-use pretium_lp::{
-    Cmp, LinExpr, Model, RowId, Sense, SimplexOptions, SolveOptions, SolverSession, SolverTuning,
-    Var,
-};
+use pretium_lp::{Cmp, LinExpr, Model, RowId, Sense, SimplexOptions, SolveOptions, SolverSession};
 
 /// Deterministic xorshift64* stream in `[0, 1)`.
 struct Gen(u64);
@@ -191,19 +188,14 @@ fn bland_trigger_fires_under_devex_on_degenerate_lp() {
     assert!(sol.stats().bland_pivots > 0, "Bland fallback never engaged on a degenerate LP");
 }
 
-/// The deterministic parallel-pricing layer must be invisible at the bit
-/// level: on random models wide enough to engage the sectioned sweeps,
-/// every solution vector — primal values, duals, and the reduced-cost
-/// scores pricing ranks candidates by — must be element-wise bitwise
-/// identical between the serial path and any worker count, along with the
-/// deterministic work counters (iterations, pricing scans).
+/// Wide random models (300–600 columns, 60–140 rows): the sectioned
+/// partial sweep wraps the column range many times, and the optimum it
+/// reaches must pass the KKT certificate. No other test here certifies a
+/// model this wide.
 #[test]
-fn parallel_pricing_scores_match_serial_bitwise() {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+fn wide_random_models_reach_certified_optima() {
     for seed in 0..8u64 {
         let mut g = Gen::new(seed.wrapping_mul(0x9A17) | 1);
-        // Wide enough that the size-derived sectioning splits the column
-        // range (the layer stays serial below its per-section minimum).
         let nvars = 300 + g.index(300);
         let mut m = Model::new(Sense::Maximize);
         let xs: Vec<_> =
@@ -218,34 +210,9 @@ fn parallel_pricing_scores_match_serial_bitwise() {
             }
             m.add_row(&format!("r{i}"), e, Cmp::Le, g.range(2.0, 10.0));
         }
-        let solve = |pricing_jobs: usize| {
-            let opts = SolveOptions {
-                tuning: SolverTuning { pricing_jobs, ..SolverTuning::default() },
-                ..SolveOptions::default()
-            };
-            SolverSession::new(m.clone())
-                .solve(&opts)
-                .unwrap_or_else(|e| panic!("seed {seed} jobs={pricing_jobs}: {e}"))
-        };
-        let serial = solve(1);
-        assert_eq!(serial.stats().pricing_par_sections, 0, "serial path spawned sections");
-        for jobs in [2usize, 8] {
-            let par = solve(jobs);
-            let tag = format!("seed {seed} jobs={jobs}");
-            assert_eq!(bits(serial.values()), bits(par.values()), "{tag}: values diverged");
-            assert_eq!(bits(serial.duals()), bits(par.duals()), "{tag}: duals diverged");
-            for j in 0..nvars {
-                let v = Var::from_index(j);
-                assert_eq!(
-                    serial.reduced_cost(v).to_bits(),
-                    par.reduced_cost(v).to_bits(),
-                    "{tag}: reduced cost of column {j} diverged"
-                );
-            }
-            assert_eq!(serial.stats().iterations, par.stats().iterations, "{tag}: iterations");
-            assert_eq!(serial.stats().pricing_scans, par.stats().pricing_scans, "{tag}: scans");
-            assert!(par.stats().pricing_par_sections > 0, "{tag}: fan-out never engaged");
-        }
+        let sol = m.solve().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let violations = check_optimal(&m, &sol, 1e-6);
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
     }
 }
 

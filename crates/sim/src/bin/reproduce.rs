@@ -10,9 +10,10 @@
 //! ```
 //!
 //! The figure list is the experiment registry (`pretium_sim::registry`):
-//! every selected experiment's cells are flattened into one work-stealing
-//! pool (`--jobs N` workers, default = available parallelism) and merged
-//! back in registry order, so output is bit-identical across job counts.
+//! every selected experiment's cells are flattened into one batch for the
+//! worker pool (`--jobs N` workers sharing one cursor, default = available
+//! parallelism) and merged back in registry order, so output is
+//! bit-identical across job counts.
 //! Output is plain text: one block per figure with the same rows/series
 //! the paper plots. EXPERIMENTS.md records a captured run next to the
 //! paper's reported numbers.

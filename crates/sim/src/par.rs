@@ -22,12 +22,8 @@
 //! noise, and handing cells out one at a time balances load as well as
 //! stealing would.
 //!
-//! The workspace's one work-stealing scheduler is `pretium-par`'s
-//! `run_stealing`, which serves the simplex's sectioned pricing: its
-//! workers spin then yield on a shared `remaining` counter — right for a
-//! section of 256 candidates that ends within microseconds, wrong for
-//! cells that run for seconds. Whether that pool stays is decided with
-//! `pricing_jobs` alone (ROADMAP item 5a).
+//! This is the workspace's one thread pool: the LP solver and the colgen
+//! oracle price serially (DESIGN.md §19).
 
 use pretium_core::PoolTelemetry;
 use std::panic::{self, AssertUnwindSafe};

@@ -82,7 +82,7 @@ pub fn render_telemetry(title: &str, telemetry: &Telemetry, audit: Option<&Audit
 }
 
 /// Render the parallel engine's pool counters: worker count, per-cell
-/// wall-clock distribution, steal traffic, and occupancy.
+/// wall-clock distribution, slowest cell, and occupancy.
 pub fn render_pool(title: &str, pool: &PoolTelemetry) -> String {
     render_table(title, &pool.rows())
 }

@@ -1,8 +1,8 @@
 //! The snapshot/sequencer admission contract:
 //!
 //! 1. Quoting off an [`AdmissionSnapshot`] is a pure read — a parallel
-//!    fan-out over the work-stealing pool returns bit-identical menus to a
-//!    serial walk of the same snapshot.
+//!    fan-out over the worker pool (`run_cells_ok`) returns bit-identical
+//!    menus to a serial walk of the same snapshot.
 //! 2. Admission through the [`Sequencer`] is the serial quote→accept
 //!    interleaving: a batch quoted off one snapshot and then sequenced
 //!    (under a surge plan that makes batches wide enough to collide, so
