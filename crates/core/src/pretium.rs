@@ -460,6 +460,8 @@ impl Pretium {
             self.telemetry.degraded_steps += 1;
             self.fault_windows.insert(window);
         }
+        let capacity = |e: EdgeId, t: Timestep| self.state.sellable_capacity(e, t);
+        let realized_fn = |e: EdgeId, t: Timestep| realized.at(e, t);
         let reusable = self.sam.as_ref().is_some_and(|c| c.window == window);
         let mut carry = if reusable {
             self.sam.take().unwrap()
@@ -468,9 +470,6 @@ impl Pretium {
                 self.lp_stats.merge(old.sess.lp_stats());
             }
             let jobs: Vec<Job> = active.iter().map(|&i| self.job_for(i, now)).collect();
-            let state = &self.state;
-            let capacity = |e: EdgeId, t: Timestep| state.sellable_capacity(e, t);
-            let realized_fn = |e: EdgeId, t: Timestep| realized.at(e, t);
             // The session horizon runs to the end of the simulation, not
             // just to the latest current deadline: per-job variables are
             // bounded by deadlines anyway, and the longer horizon means a
@@ -512,43 +511,42 @@ impl Pretium {
         // when that fault (§4.4) is injected.
         let opts = self.sam_opts();
         const SHORT_TOL: f64 = 1e-6;
-        let result = {
-            let state = &self.state;
-            let capacity = |e: EdgeId, t: Timestep| state.sellable_capacity(e, t);
-            let realized_fn = |e: EdgeId, t: Timestep| realized.at(e, t);
-            carry.sess.solve_step_with(&self.net, &capacity, &realized_fn, &opts)
-        };
-        let mut sol = match result {
-            Ok(sol) => sol,
-            Err(err) => {
-                // Retire the failed session (keeping its counters); the
-                // next SAM run rebuilds from scratch.
-                self.lp_stats.merge(carry.sess.lp_stats());
-                if matches!(err, SolveError::IterationLimit { .. })
-                    && self.solver_pressure.is_some()
-                {
-                    // Degraded compute, not a bug: keep the previous plans
-                    // and reservations (stale but feasible) and move on.
-                    self.telemetry.sam_degradations += 1;
-                    self.telemetry.sam.record(t0.elapsed());
-                    return Ok(());
+        // Solve, then walk the fallback chain (§4.4) while the guarantee LP
+        // is uncoverable — even with rerouting, the degraded capacities
+        // cannot serve every admitted guarantee. Shed the lowest-λ short
+        // contract wholly while several are short; when one remains, relax
+        // it by exactly its shortfall. Every waiver books a λ·units penalty
+        // in the ledger and lowers the LP's guarantee row, so the re-solve
+        // (warm, RHS-only) redistributes capacity to the survivors. A
+        // degraded step is counted once, however many re-solves it takes.
+        let mut degraded = false;
+        let mut handled: HashSet<usize> = HashSet::default();
+        let sol = 'solve: loop {
+            let sol = match carry.sess.solve_step_with(&self.net, &capacity, &realized_fn, &opts) {
+                Ok(sol) => sol,
+                Err(err) => {
+                    // Retire the failed session (keeping its counters); the
+                    // next SAM run rebuilds from scratch.
+                    self.lp_stats.merge(carry.sess.lp_stats());
+                    if matches!(err, SolveError::IterationLimit { .. })
+                        && self.solver_pressure.is_some()
+                    {
+                        // Degraded compute, not a bug: keep the previous
+                        // plans and reservations (stale but feasible) and
+                        // move on.
+                        self.telemetry.sam_degradations += u64::from(!degraded);
+                        self.telemetry.sam.record(t0.elapsed());
+                        return Ok(());
+                    }
+                    return Err(err);
                 }
-                return Err(err);
+            };
+            if !degraded && sol.max_shortfall() > SHORT_TOL {
+                self.telemetry.sam_shortfalls += 1;
+                self.telemetry.sam_degradations += 1;
+                degraded = true;
             }
-        };
-        if sol.max_shortfall() > SHORT_TOL {
-            self.telemetry.sam_shortfalls += 1;
-        }
-        // Fallback chain (§4.4): the guarantee LP is uncoverable — even
-        // with rerouting, the degraded capacities cannot serve every
-        // admitted guarantee. Shed the lowest-λ short contract wholly
-        // while several are short; when one remains, relax it by exactly
-        // its shortfall. Every waiver books a λ·units penalty in the
-        // ledger and lowers the LP's guarantee row, so the re-solve
-        // (warm, RHS-only) redistributes capacity to the survivors.
-        if sol.max_shortfall() > SHORT_TOL {
-            self.telemetry.sam_degradations += 1;
-            let mut handled: HashSet<usize> = HashSet::default();
+            // The next waiver that takes, or the solution when none is left.
             loop {
                 let short: Vec<(usize, f64)> = sol
                     .shortfall
@@ -558,7 +556,7 @@ impl Pretium {
                     .map(|(j, &s)| (j, s))
                     .collect();
                 if short.is_empty() {
-                    break;
+                    break 'solve sol;
                 }
                 let (j, units, kind) = if short.len() > 1 {
                     let &(j, _) = short
@@ -589,27 +587,9 @@ impl Pretium {
                     DegradationKind::Shed => self.telemetry.guarantees_shed += 1,
                     DegradationKind::Relaxed => self.telemetry.guarantees_relaxed += 1,
                 }
-                let resolved = {
-                    let state = &self.state;
-                    let capacity = |e: EdgeId, t: Timestep| state.sellable_capacity(e, t);
-                    let realized_fn = |e: EdgeId, t: Timestep| realized.at(e, t);
-                    carry.sess.solve_step_with(&self.net, &capacity, &realized_fn, &opts)
-                };
-                sol = match resolved {
-                    Ok(s) => s,
-                    Err(err) => {
-                        self.lp_stats.merge(carry.sess.lp_stats());
-                        if matches!(err, SolveError::IterationLimit { .. })
-                            && self.solver_pressure.is_some()
-                        {
-                            self.telemetry.sam.record(t0.elapsed());
-                            return Ok(());
-                        }
-                        return Err(err);
-                    }
-                };
+                break;
             }
-        }
+        };
         // Plan snapshot for the rerouted-units metric (§4.4): how much
         // previously planned volume had to move off its (path, step) slot.
         let old_plans: Vec<Vec<(usize, Timestep, f64)>> = if faulted {

@@ -1,9 +1,10 @@
 //! The computations behind the paper's evaluation (§6): the §6.1 scheme
-//! dispatch ([`Scheme`], `solve_scheme`) every sweep cell and
-//! [`compare_schemes`] go through, and one `_on(config)` function per
-//! single-world figure/table (Figures 1, 5, 7, 10, Table 4). The
-//! [`mod@crate::registry`] declares which of these run, at which points, and
-//! how their numbers fold into series.
+//! dispatch ([`Scheme`], `solve_scheme`) every scheme solve goes through,
+//! and one `_on(config)` function per single-world figure (Figures 1, 5,
+//! 7, 10). Table 4 is timed on the runner's own replay loop
+//! ([`crate::runner::PretiumRun::ra_secs`] and its siblings). The
+//! [`mod@crate::registry`] declares which of these run, at which points,
+//! and how their numbers fold into series.
 //!
 //! Absolute numbers differ from the paper (our substrate is a synthetic
 //! trace, not the authors' production WAN), but the *shape* — who wins, by
@@ -11,7 +12,7 @@
 //! (see EXPERIMENTS.md for the paper-vs-measured record).
 
 use crate::report::Series;
-use crate::runner::{run_pretium, PretiumRun, Variant};
+use crate::runner::{run_pretium, Variant};
 use crate::scenario::{Scenario, ScenarioConfig};
 use pretium_baselines as baselines;
 use pretium_baselines::{OfflineConfig, Outcome};
@@ -113,41 +114,8 @@ pub fn fig5_topk_proxy(seed: u64) -> Vec<ProxyFit> {
 }
 
 // ---------------------------------------------------------------------------
-// Scheme comparison machinery shared by Figures 6-11.
+// The §6.1 schemes, shared by Figures 6-14.
 // ---------------------------------------------------------------------------
-
-/// All schemes' outcomes on one scenario.
-pub struct Comparison {
-    pub scenario: Scenario,
-    pub opt: Outcome,
-    pub pretium: PretiumRun,
-    pub no_prices: Outcome,
-    pub region: baselines::RegionOracleResult,
-    pub peak: baselines::PeakOracleResult,
-    pub vcg: Outcome,
-}
-
-impl Comparison {
-    /// Welfare of an outcome under the true percentile costs.
-    pub fn welfare(&self, o: &Outcome) -> f64 {
-        o.welfare(&self.scenario.requests, &self.scenario.net, &self.scenario.grid, 1.0)
-    }
-
-    pub fn profit(&self, o: &Outcome) -> f64 {
-        o.profit(&self.scenario.net, &self.scenario.grid, 1.0)
-    }
-
-    /// `(name, outcome)` pairs in the paper's plotting order.
-    pub fn schemes(&self) -> Vec<(&str, &Outcome)> {
-        vec![
-            ("Pretium", &self.pretium.outcome),
-            ("NoPrices", &self.no_prices),
-            ("RegionOracle", &self.region.outcome),
-            ("PeakOracle", &self.peak.outcome),
-            ("VCGLike", &self.vcg),
-        ]
-    }
-}
 
 /// Which §6.1 scheme a cell solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,126 +144,43 @@ impl Scheme {
     }
 }
 
-/// What one scheme solve returns: each §6.1 scheme keeps its own shape
-/// (the oracles carry their chosen prices, Pretium its live system), and
-/// all of them carry an [`Outcome`].
-pub(crate) enum SchemeOut {
-    Plain(Box<Outcome>),
-    Pretium(Box<PretiumRun>),
-    Region(Box<baselines::RegionOracleResult>),
-    Peak(Box<baselines::PeakOracleResult>),
-}
-
-impl SchemeOut {
-    pub(crate) fn outcome(&self) -> &Outcome {
-        match self {
-            SchemeOut::Plain(o) => o,
-            SchemeOut::Pretium(r) => &r.outcome,
-            SchemeOut::Region(r) => &r.outcome,
-            SchemeOut::Peak(r) => &r.outcome,
-        }
-    }
-}
-
-/// Solve one scheme on one world — the single scheme → solver mapping;
-/// sweep cells and [`compare_schemes_jobs`] both go through it.
+/// Solve one scheme on one world into its [`Outcome`] — the single scheme
+/// → solver mapping every sweep cell and Figures 7b and 10 go through.
 /// `cost_scale` is the §6.2 link-cost multiplier (1.0 outside Figure 12).
 pub(crate) fn solve_scheme(
     s: &Scenario,
     scheme: Scheme,
     cost_scale: f64,
-) -> Result<SchemeOut, SolveError> {
+) -> Result<Outcome, SolveError> {
     let off = OfflineConfig { cost_scale, ..Default::default() };
-    let plain = |o| SchemeOut::Plain(Box::new(o));
-    Ok(match scheme {
-        Scheme::Opt => plain(baselines::opt(&s.net, &s.grid, s.horizon, &s.requests, &off)?),
+    match scheme {
+        Scheme::Opt => baselines::opt(&s.net, &s.grid, s.horizon, &s.requests, &off),
         Scheme::Pretium(variant) => {
             let cfg = PretiumConfig { cost_scale, ..Default::default() };
-            SchemeOut::Pretium(Box::new(run_pretium(s, cfg, variant)?))
+            Ok(run_pretium(s, cfg, variant)?.outcome)
         }
-        Scheme::NoPrices => {
-            plain(baselines::no_prices(&s.net, &s.grid, s.horizon, &s.requests, &off)?)
+        Scheme::NoPrices => baselines::no_prices(&s.net, &s.grid, s.horizon, &s.requests, &off),
+        Scheme::RegionOracle => {
+            Ok(baselines::region_oracle(&s.net, &s.grid, s.horizon, &s.requests, &off)?.outcome)
         }
-        Scheme::RegionOracle => SchemeOut::Region(Box::new(baselines::region_oracle(
-            &s.net,
-            &s.grid,
-            s.horizon,
-            &s.requests,
-            &off,
-        )?)),
         Scheme::PeakOracle => {
             let peaks = baselines::peak_steps_from_trace(&s.trace, &s.grid);
-            SchemeOut::Peak(Box::new(baselines::peak_oracle(
-                &s.net,
-                &s.grid,
-                s.horizon,
-                &s.requests,
-                &peaks,
-                &off,
-            )?))
+            let peak =
+                baselines::peak_oracle(&s.net, &s.grid, s.horizon, &s.requests, &peaks, &off)?;
+            Ok(peak.outcome)
         }
-        Scheme::VcgLike => {
-            plain(baselines::vcg_like(&s.net, &s.grid, s.horizon, &s.requests, &off)?)
-        }
-    })
+        Scheme::VcgLike => baselines::vcg_like(&s.net, &s.grid, s.horizon, &s.requests, &off),
+    }
 }
 
-/// Run every scheme of §6.1 on one scenario, solving them concurrently on
-/// up to [`crate::par::default_jobs`] workers (see [`compare_schemes_jobs`]).
-pub fn compare_schemes(config: &ScenarioConfig) -> Result<Comparison, SolveError> {
-    compare_schemes_jobs(config, crate::par::default_jobs())
-}
-
-/// Run every scheme of §6.1 on one scenario with an explicit worker count.
-///
-/// The scenario is built once and shared immutably behind `Arc`; the five
-/// schemes (plus the OPT LP) are independent solves, each with its own
-/// `SolverSession`, so they execute as parallel cells. Results are merged
-/// in declaration order — `jobs` affects wall clock only, never values.
-pub fn compare_schemes_jobs(
-    config: &ScenarioConfig,
-    jobs: usize,
-) -> Result<Comparison, SolveError> {
-    use crate::par::Cell;
-    use std::sync::Arc;
-
-    let scenario = Arc::new(config.build());
-    let cells = [
-        Scheme::Opt,
-        Scheme::Pretium(Variant::Full),
-        Scheme::NoPrices,
-        Scheme::RegionOracle,
-        Scheme::PeakOracle,
-        Scheme::VcgLike,
-    ]
-    .into_iter()
-    .map(|scheme| {
-        let scenario = Arc::clone(&scenario);
-        Cell::new(format!("scheme/{}", scheme.label()), move || {
-            solve_scheme(&scenario, scheme, 1.0)
-        })
-    })
-    .collect();
-    let (results, _telemetry) = crate::par::run_cells(jobs, cells);
-    let outs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    use SchemeOut::{Peak, Plain, Pretium, Region};
-    let outs: [SchemeOut; 6] = outs.try_into().ok().expect("one result per scheme cell");
-    let [Plain(opt), Pretium(pretium), Plain(no_prices), Region(region), Peak(peak), Plain(vcg)] =
-        outs
-    else {
-        unreachable!("solve_scheme returns each scheme's own shape, in the order asked")
-    };
-    let scenario = Arc::try_unwrap(scenario).unwrap_or_else(|arc| (*arc).clone());
-    Ok(Comparison {
-        scenario,
-        opt: *opt,
-        pretium: *pretium,
-        no_prices: *no_prices,
-        region: *region,
-        peak: *peak,
-        vcg: *vcg,
-    })
-}
+/// The schemes Figures 7b and 10 plot, in the paper's order.
+const PLOTTED: [Scheme; 5] = [
+    Scheme::Pretium(Variant::Full),
+    Scheme::NoPrices,
+    Scheme::RegionOracle,
+    Scheme::PeakOracle,
+    Scheme::VcgLike,
+];
 
 // ---------------------------------------------------------------------------
 // Figure 7 — dynamic prices at work (load factor 2).
@@ -326,24 +211,24 @@ pub fn fig7a_price_and_utilization_on(
 
 /// Figure 7b: total value captured per value-per-unit bucket, relative to
 /// OPT's capture in the same bucket.
-pub fn fig7b_value_buckets_on(
-    config: &ScenarioConfig,
-) -> Result<(Vec<f64>, Vec<Series>), SolveError> {
-    let cmp = compare_schemes(config)?;
-    let max_v = cmp.scenario.requests.iter().map(|r| r.value).fold(0.0f64, f64::max);
+pub fn fig7b_value_buckets_on(config: &ScenarioConfig) -> Result<Vec<Series>, SolveError> {
+    let scenario = config.build();
+    let requests = &scenario.requests;
+    let max_v = requests.iter().map(|r| r.value).fold(0.0f64, f64::max);
     let edges: Vec<f64> = (1..=10).map(|i| max_v * i as f64 / 10.0).collect();
-    let opt_buckets = cmp.opt.value_by_bucket(&cmp.scenario.requests, &edges);
-    let mut series = Vec::new();
-    for (name, o) in cmp.schemes() {
-        let buckets = o.value_by_bucket(&cmp.scenario.requests, &edges);
-        let points = edges
-            .iter()
-            .zip(buckets.iter().zip(&opt_buckets))
-            .map(|(&e, (&b, &ob))| (e, if ob > 1e-9 { b / ob } else { 0.0 }))
-            .collect();
-        series.push(Series::new(name, points));
-    }
-    Ok((edges, series))
+    let opt_buckets = solve_scheme(&scenario, Scheme::Opt, 1.0)?.value_by_bucket(requests, &edges);
+    PLOTTED
+        .iter()
+        .map(|&scheme| {
+            let buckets = solve_scheme(&scenario, scheme, 1.0)?.value_by_bucket(requests, &edges);
+            let points = edges
+                .iter()
+                .zip(buckets.iter().zip(&opt_buckets))
+                .map(|(&e, (&b, &ob))| (e, if ob > 1e-9 { b / ob } else { 0.0 }))
+                .collect();
+            Ok(Series::new(scheme.label(), points))
+        })
+        .collect()
 }
 
 /// Figure 7c: per-request `(value per unit, average admission price per
@@ -371,70 +256,23 @@ pub fn fig7c_price_vs_value_on(config: &ScenarioConfig) -> Result<Vec<(f64, f64)
 
 /// Figure 10: each scheme's per-link p90 utilizations, sorted, as a CDF.
 pub fn fig10_p90_utilization_cdf_on(config: &ScenarioConfig) -> Result<Vec<Series>, SolveError> {
-    let cmp = compare_schemes(config)?;
-    let mut series = Vec::new();
-    for (name, o) in cmp.schemes() {
-        let mut p90 = o.usage.p90_utilizations(&cmp.scenario.net);
-        p90.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        // Report the per-scheme p90 utilization at each CDF quantile so the
-        // columns are directly comparable (lower is better: the paper's
-        // claim is that Pretium cuts the median link's p90 by ~30%).
-        let n = p90.len();
-        let points =
-            p90.into_iter().enumerate().map(|(i, v)| ((i + 1) as f64 / n as f64, v)).collect();
-        series.push(Series::new(name, points));
-    }
-    Ok(series)
-}
-
-// ---------------------------------------------------------------------------
-// Table 4 — module runtimes.
-// ---------------------------------------------------------------------------
-
-/// Measured runtimes of the three Pretium modules at the default scale.
-#[derive(Debug, Clone)]
-pub struct ModuleRuntimes {
-    /// Per-request quote+accept latency samples (seconds).
-    pub ra: Vec<f64>,
-    /// Per-timestep SAM latency samples.
-    pub sam: Vec<f64>,
-    /// Price-computer latency samples (one per window boundary).
-    pub pc: Vec<f64>,
-}
-
-/// Run one Pretium replay, timing each module invocation (Table 4).
-pub fn table4_runtimes_on(config: &ScenarioConfig) -> Result<ModuleRuntimes, SolveError> {
-    use std::time::Instant;
     let scenario = config.build();
-    let mut system = pretium_core::Pretium::new(
-        scenario.net.clone(),
-        scenario.grid,
-        scenario.horizon,
-        PretiumConfig::default(),
-    );
-    let mut usage = UsageTracker::new(scenario.net.num_edges(), scenario.horizon);
-    let mut rt = ModuleRuntimes { ra: Vec::new(), sam: Vec::new(), pc: Vec::new() };
-    let mut next = 0;
-    for t in 0..scenario.horizon {
-        if scenario.grid.step_in_window(t) == 0 && t > 0 {
-            let t0 = Instant::now();
-            system.run_pc(t)?;
-            rt.pc.push(t0.elapsed().as_secs_f64());
-        }
-        while next < scenario.requests.len() && scenario.requests[next].arrival == t {
-            let r = &scenario.requests[next];
-            let params = pretium_core::RequestParams::from(r);
-            let t0 = Instant::now();
-            system.admit_one(&params, |menu| menu.optimal_purchase(r.value, r.demand));
-            rt.ra.push(t0.elapsed().as_secs_f64());
-            next += 1;
-        }
-        let t0 = Instant::now();
-        system.run_sam(t, &usage)?;
-        rt.sam.push(t0.elapsed().as_secs_f64());
-        system.execute_step(t, &mut usage);
-    }
-    Ok(rt)
+    PLOTTED
+        .iter()
+        .map(|&scheme| {
+            let mut p90 =
+                solve_scheme(&scenario, scheme, 1.0)?.usage.p90_utilizations(&scenario.net);
+            p90.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            // Report the per-scheme p90 utilization at each CDF quantile so
+            // the columns are directly comparable (lower is better: the
+            // paper's claim is that Pretium cuts the median link's p90 by
+            // ~30%).
+            let n = p90.len();
+            let points =
+                p90.into_iter().enumerate().map(|(i, v)| ((i + 1) as f64 / n as f64, v)).collect();
+            Ok(Series::new(scheme.label(), points))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -474,14 +312,5 @@ mod tests {
                 fit.points.len()
             );
         }
-    }
-
-    #[test]
-    fn table4_collects_samples() {
-        // Tiny load to keep the test quick.
-        let rt = table4_runtimes_on(&ScenarioConfig::evaluation(3, 0.2)).unwrap();
-        assert!(!rt.ra.is_empty());
-        assert!(!rt.sam.is_empty());
-        assert!(percentile(&rt.sam, 0.5) >= 0.0);
     }
 }

@@ -9,7 +9,7 @@
 //! realized utility (value of units delivered *within the true window*
 //! minus payment).
 
-use crate::runner::{run_pretium, Variant};
+use crate::runner::{run_pretium, PretiumRun, Variant};
 use crate::scenario::Scenario;
 use pretium_core::PretiumConfig;
 use pretium_lp::SolveError;
@@ -96,25 +96,18 @@ impl DeviationReport {
 /// Utility of request `ri` in a run: value × units delivered within the
 /// **true** window, minus the payment. `indices` lists the positions of the
 /// (possibly split) misreported request in the modified request vector.
-fn utility(
-    scenario_requests: &[Request],
-    outcome: &pretium_baselines::Outcome,
-    delivery_log: &[Vec<(usize, f64)>],
-    contract_of_request: &[Option<usize>],
-    indices: &[usize],
-    true_value: f64,
-    true_deadline: usize,
-) -> f64 {
+fn utility(run: &PretiumRun, indices: &[usize], true_value: f64, true_deadline: usize) -> f64 {
     let mut util = 0.0;
     for &i in indices {
-        let within: f64 = match contract_of_request[i] {
-            Some(ci) => {
-                delivery_log[ci].iter().filter(|&&(t, _)| t <= true_deadline).map(|&(_, d)| d).sum()
-            }
+        let within: f64 = match run.contract_of_request[i] {
+            Some(ci) => run.delivery_log[ci]
+                .iter()
+                .filter(|&&(t, _)| t <= true_deadline)
+                .map(|&(_, d)| d)
+                .sum(),
             None => 0.0,
         };
-        util += true_value * within - outcome.payments[i];
-        let _ = scenario_requests;
+        util += true_value * within - run.outcome.payments[i];
     }
     util
 }
@@ -141,15 +134,7 @@ pub fn analyze_deviations(
 
     for &ri in &sampled {
         let truth = &truthful_requests[ri];
-        let base_util = utility(
-            truthful_requests,
-            &base.outcome,
-            &base.delivery_log,
-            &base.contract_of_request,
-            &[ri],
-            truth.value,
-            truth.deadline,
-        );
+        let base_util = utility(&base, &[ri], truth.value, truth.deadline);
         let mut best_gain: f64 = 0.0;
         for (di, &dev) in deviations.iter().enumerate() {
             let Some(reported) = dev.apply(truth, scenario.horizon) else {
@@ -174,15 +159,7 @@ pub fn analyze_deviations(
             let modified = Scenario { requests, ..scenario.clone() };
             let run = run_pretium(&modified, cfg.clone(), Variant::Full)?;
             simulated += 1;
-            let dev_util = utility(
-                &modified.requests,
-                &run.outcome,
-                &run.delivery_log,
-                &run.contract_of_request,
-                &indices,
-                truth.value,
-                truth.deadline,
-            );
+            let dev_util = utility(&run, &indices, truth.value, truth.deadline);
             per_dev[di].1 += 1;
             let gain = dev_util - base_util;
             let rel = gain / base_util.abs().max(1e-9);

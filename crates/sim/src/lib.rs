@@ -7,14 +7,17 @@
 //!   so every scheme replays identical inputs.
 //! * [`faults`] — seeded fault schedules (link failures, degradations,
 //!   surges, solver pressure) replayed against a live run (§4.4).
-//! * [`runner`] — the online Pretium replay loop (each step's arrivals
+//! * [`runner`] — the one online Pretium replay loop (each step's arrivals
 //!   quoted off one admission snapshot, then sequenced deterministically;
-//!   SAM per timestep, PC per window) and the Figure 11 ablation variants.
+//!   SAM per timestep, PC per window), the Figure 11 ablation variants, and
+//!   the per-call module timings Table 4 reports.
 //! * [`experiments`] — the §6.1 scheme dispatch and the single-world
-//!   figure computations (Figures 1, 5, 7, 10, Table 4).
+//!   figure computations (Figures 1, 5, 7, 10).
 //! * [`mod@registry`] — every table/figure of §6 as one `Experiment` value:
-//!   sweeps as axis × schemes × fold, executed cell by cell on [`par`].
-//! * [`par`] — the worker pool that runs evaluation cells.
+//!   sweeps as axis × schemes × fold and single-world text cells, all
+//!   executed cell by cell on one [`par`] pool.
+//! * [`par`] — the worker pool that runs evaluation cells; no cell starts a
+//!   pool of its own.
 //! * [`incentives`] — the §5 misreporting study.
 //! * [`report`] — plain-text rendering of figures/tables.
 
@@ -27,10 +30,9 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 
-pub use experiments::{compare_schemes, compare_schemes_jobs, Comparison};
 pub use faults::{FaultEvent, FaultPlan, FaultPlanConfig};
 pub use incentives::{analyze_deviations, Deviation, DeviationReport};
-pub use par::{default_jobs, run_cells, Cell};
+pub use par::{default_jobs, Cell};
 pub use registry::{registry, Experiment, ExperimentResult};
 pub use report::{render_ascii_plot, render_figure, render_table, Series};
 pub use runner::{run_pretium, run_pretium_faulted, PretiumRun, Variant};

@@ -30,7 +30,7 @@ use crate::experiments::{self, solve_scheme, Scheme, LOAD_FACTORS};
 use crate::faults::{FaultPlan, FaultPlanConfig};
 use crate::par::{self, Cell};
 use crate::report::{render_figure, render_table, Series};
-use crate::runner::{run_pretium_faulted, Variant};
+use crate::runner::{run_pretium_cold, run_pretium_faulted, Variant};
 use crate::scenario::ScenarioConfig;
 use pretium_core::{PoolTelemetry, PretiumConfig};
 use pretium_lp::SolveError;
@@ -226,8 +226,7 @@ pub fn run_scheme_cell(
     cost_scale: f64,
 ) -> Result<Metrics, SolveError> {
     let scenario = config.build();
-    let out = solve_scheme(&scenario, scheme, cost_scale)?;
-    let outcome = out.outcome();
+    let outcome = solve_scheme(&scenario, scheme, cost_scale)?;
     Ok(Metrics {
         welfare: outcome.welfare(&scenario.requests, &scenario.net, &scenario.grid, cost_scale),
         profit: outcome.profit(&scenario.net, &scenario.grid, cost_scale),
@@ -535,11 +534,6 @@ impl Experiment {
         }
     }
 
-    /// Execute one cell (see [`run_cell`]; the experiment adds nothing).
-    pub fn run_cell(&self, cell: &CellSpec) -> Result<CellOut, SolveError> {
-        run_cell(cell)
-    }
-
     /// Reassemble cell outputs (in declaration order) into the final
     /// figure/table.
     pub fn merge(&self, cells: &[CellSpec], outs: Vec<CellOut>) -> ExperimentResult {
@@ -645,7 +639,7 @@ fn run_fig7a(scale: Scale, seed: u64) -> Result<String, SolveError> {
 }
 
 fn run_fig7b(scale: Scale, seed: u64) -> Result<String, SolveError> {
-    let (_, series) = experiments::fig7b_value_buckets_on(&scale.config(seed, 2.0))?;
+    let series = experiments::fig7b_value_buckets_on(&scale.config(seed, 2.0))?;
     Ok(render_figure("Figure 7b: value captured per value bucket (rel. OPT)", "bucket<=", &series))
 }
 
@@ -660,14 +654,15 @@ fn run_fig7c(scale: Scale, seed: u64) -> Result<String, SolveError> {
 }
 
 fn run_fig10(scale: Scale, seed: u64) -> Result<String, SolveError> {
-    let config = scale.config(seed, 2.0);
-    let series = experiments::fig10_p90_utilization_cdf_on(&config)?;
+    let series = experiments::fig10_p90_utilization_cdf_on(&scale.config(seed, 2.0))?;
     Ok(render_figure("Figure 10: CDF of per-link p90 utilization", "p90 util", &series))
 }
 
+/// Table 4: per-call module runtimes of one cold replay (cold-start price
+/// floors, no warm-up pass, no faults) on the runner's own loop.
 fn run_table4(scale: Scale, seed: u64) -> Result<String, SolveError> {
-    let config = scale.config(seed, 2.0);
-    let rt = experiments::table4_runtimes_on(&config)?;
+    let sc = scale.config(seed, 2.0).build();
+    let run = run_pretium_cold(&sc, PretiumConfig::default(), Variant::Full, None, None)?;
     let timing = |name: &str, samples: &[f64]| {
         (
             name.to_string(),
@@ -679,9 +674,9 @@ fn run_table4(scale: Scale, seed: u64) -> Result<String, SolveError> {
         )
     };
     let rows = vec![
-        timing("RA (per request)", &rt.ra),
-        timing("SAM (per timestep)", &rt.sam),
-        timing("PC (per window)", &rt.pc),
+        timing("RA (per request)", &run.ra_secs),
+        timing("SAM (per timestep)", &run.sam_secs),
+        timing("PC (per window)", &run.pc_secs),
     ];
     Ok(render_table("Table 4: module runtimes", &rows))
 }
@@ -925,7 +920,7 @@ mod tests {
         let exp = Experiment::availability(Scale::Tiny, &[0.0, 0.4]);
         let cells = exp.cells(rand::DEFAULT_SEED);
         assert_eq!(cells.len(), 2);
-        let outs: Vec<CellOut> = cells.iter().map(|c| exp.run_cell(c).unwrap()).collect();
+        let outs: Vec<CellOut> = cells.iter().map(|c| run_cell(c).unwrap()).collect();
         // The faulted cell must actually stress the system (rate 0.4 on a
         // 10-edge tiny world essentially guarantees at least one outage).
         let faulted = outs[1].robustness();

@@ -8,6 +8,10 @@
 //! arrival order by the deterministic [`pretium_core::Sequencer`], which
 //! re-quotes a ticket its predecessors' accepts made stale — bit-identical
 //! to the serial quote→accept interleaving.
+//!
+//! The loop times each module call at its own boundaries, and those samples
+//! are the paper's Table 4: RA is one request's ticket plus its sequenced
+//! admission, SAM is the step's `Sequencer::finish`, PC is one `run_pc`.
 
 use crate::faults::FaultPlan;
 use crate::scenario::Scenario;
@@ -15,6 +19,7 @@ use pretium_baselines::Outcome;
 use pretium_core::{Pretium, PretiumConfig, QuoteTicket, RequestParams, Sequencer};
 use pretium_lp::{SessionStats, SolveError};
 use pretium_net::UsageTracker;
+use std::time::{Duration, Instant};
 
 /// Sentinel request index for contracts that did not come from the
 /// scenario's request stream (fault-plan surge traffic).
@@ -57,6 +62,14 @@ pub struct PretiumRun {
     /// LP restart counters over the whole run (SAM sessions + PC solves):
     /// how many solves there were and how many reused a previous basis.
     pub lp_stats: SessionStats,
+    /// Wall time of each quoted request's RA, in seconds: its ticket off
+    /// the step's snapshot plus its sequenced admission (a re-quote
+    /// included), in arrival order.
+    pub ra_secs: Vec<f64>,
+    /// Wall time of each timestep's SAM (`Sequencer::finish`), in seconds.
+    pub sam_secs: Vec<f64>,
+    /// Wall time of each window boundary's PC (`run_pc`), in seconds.
+    pub pc_secs: Vec<f64>,
 }
 
 impl PretiumRun {
@@ -156,6 +169,7 @@ pub fn run_pretium_cold(
     let mut contract_req: Vec<usize> = Vec::new();
     let mut delivery_log: Vec<Vec<(usize, f64)>> = Vec::new();
     let mut prev_delivered: Vec<f64> = Vec::new();
+    let (mut ra_secs, mut sam_secs, mut pc_secs) = (Vec::new(), Vec::new(), Vec::new());
 
     for t in 0..scenario.horizon {
         // Scheduled faults fire first: an outage starting at `t` must be
@@ -172,7 +186,9 @@ pub fn run_pretium_cold(
         // Price computer at window boundaries (not at t=0: nothing to
         // learn yet).
         if scenario.grid.step_in_window(t) == 0 && t > 0 {
+            let t0 = Instant::now();
             system.run_pc(t)?;
+            pc_secs.push(t0.elapsed().as_secs_f64());
         }
         // Request admission for this step's arrivals: scenario requests
         // (in index order) and fault-plan surge traffic join one batch,
@@ -194,7 +210,8 @@ pub fn run_pretium_cold(
         // The sequencer is created even on empty steps: `finish` runs the
         // step's SAM.
         let mut seq = Sequencer::new(&mut system);
-        for (ticket, &(_, value, demand, ri)) in tickets.iter().zip(&batch) {
+        for ((ticket, quoted), &(_, value, demand, ri)) in tickets.iter().zip(&batch) {
+            let t0 = Instant::now();
             let admitted = seq.admit(ticket, |menu| match variant {
                 // Surges always respond optimally, even under NoMenu.
                 Variant::NoMenu if ri != SURGE_SENTINEL => {
@@ -202,6 +219,7 @@ pub fn run_pretium_cold(
                 }
                 _ => menu.optimal_purchase(value, demand),
             });
+            ra_secs.push((*quoted + t0.elapsed()).as_secs_f64());
             if let Some(id) = admitted {
                 if ri != SURGE_SENTINEL {
                     outcome.admitted[ri] = true;
@@ -211,7 +229,9 @@ pub fn run_pretium_cold(
             }
         }
         // Schedule adjustment.
+        let t0 = Instant::now();
         seq.finish(t, &usage)?;
+        sam_secs.push(t0.elapsed().as_secs_f64());
         // Move bytes, logging per-contract deltas.
         system.execute_step(t, &mut usage);
         delivery_log.resize(system.contracts().len(), Vec::new());
@@ -236,21 +256,36 @@ pub fn run_pretium_cold(
     outcome.usage = usage;
     delivery_log.resize(system.contracts().len(), Vec::new());
     let lp_stats = system.lp_stats();
-    Ok(PretiumRun { outcome, system, delivery_log, contract_of_request, lp_stats })
+    Ok(PretiumRun {
+        outcome,
+        system,
+        delivery_log,
+        contract_of_request,
+        lp_stats,
+        ra_secs,
+        sam_secs,
+        pc_secs,
+    })
 }
 
 /// Quote one timestep's arrival batch off a single published snapshot, in
-/// batch order; the snapshot's quote telemetry is absorbed before
-/// sequencing.
+/// batch order, each ticket with the time its quote took; the snapshot's
+/// quote telemetry is absorbed before sequencing.
 fn quote_batch(
     system: &mut Pretium,
     batch: &[(RequestParams, f64, f64, usize)],
-) -> Vec<QuoteTicket> {
+) -> Vec<(QuoteTicket, Duration)> {
     if batch.is_empty() {
         return Vec::new();
     }
     let snap = system.snapshot();
-    let tickets = batch.iter().map(|(params, ..)| snap.ticket(params)).collect();
+    let tickets = batch
+        .iter()
+        .map(|(params, ..)| {
+            let t0 = Instant::now();
+            (snap.ticket(params), t0.elapsed())
+        })
+        .collect();
     system.absorb_quotes(&snap);
     tickets
 }
@@ -296,9 +331,7 @@ mod tests {
     fn payments_never_exceed_value_for_rational_users() {
         let sc = small();
         let run = run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap();
-        for (r, (&paid, &delivered)) in
-            sc.requests.iter().zip(run.outcome.payments.iter().zip(&run.outcome.delivered))
-        {
+        for (r, &paid) in sc.requests.iter().zip(&run.outcome.payments) {
             // Theorem 5.2 users never pay a marginal price above value, so
             // total payment <= value × purchased; delivered >= guaranteed
             // implies payment <= value × max(delivered, purchased).
@@ -308,7 +341,6 @@ mod tests {
                 r.id,
                 r.value * r.demand
             );
-            let _ = delivered;
         }
     }
 
@@ -384,6 +416,21 @@ mod tests {
         let t = run.telemetry();
         assert!(t.snapshots > 0 && t.accepts_admitted > 0);
         assert_eq!(t.state_copies, 0);
+    }
+
+    #[test]
+    fn table4_collects_samples() {
+        // The replay `reproduce table4` times (cold, default config, no
+        // faults), at a light load to keep the test quick: one RA sample
+        // per request, one SAM sample per timestep, one PC sample per
+        // window boundary after the first window.
+        let sc = ScenarioConfig::evaluation(3, 0.2).build();
+        let run =
+            run_pretium_cold(&sc, PretiumConfig::default(), Variant::Full, None, None).unwrap();
+        assert!(!sc.requests.is_empty());
+        assert_eq!(run.ra_secs.len(), sc.requests.len());
+        assert_eq!(run.sam_secs.len(), sc.horizon);
+        assert_eq!(run.pc_secs.len(), sc.horizon / sc.grid.steps_per_window - 1);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!    stale tickets are re-quoted) books the contract stream that one
 //!    `admit_one` per request books.
 //!
-//! `tests/determinism.rs` (which must keep passing unmodified) covers the
-//! cross-`--jobs` experiment engine; this file covers the admission layer
-//! underneath it.
+//! `tests/determinism.rs` covers the cross-`--jobs` experiment engine;
+//! this file covers the admission layer underneath it.
 
 use pretium_core::{Pretium, PretiumConfig, QuoteTicket, RequestParams};
 use pretium_net::UsageTracker;

@@ -6,53 +6,24 @@
 //! with `--jobs 8` must produce bit-identical outputs.
 
 use pretium_core::{ColumnGen, PretiumConfig};
-use pretium_sim::registry::{registry_at, run_experiments, Scale};
-use pretium_sim::{
-    compare_schemes, compare_schemes_jobs, run_pretium, Comparison, ScenarioConfig, Variant,
-};
-
-/// Every float the schemes produce, flattened so `Vec<f64>` equality is a
-/// bitwise comparison of the full comparison result.
-fn fingerprint(c: &Comparison) -> Vec<f64> {
-    let mut fp = Vec::new();
-    for o in [&c.opt, &c.pretium.outcome, &c.no_prices, &c.region.outcome, &c.peak.outcome, &c.vcg]
-    {
-        fp.extend_from_slice(&o.delivered);
-        fp.extend_from_slice(&o.payments);
-        fp.extend(o.admitted.iter().map(|&a| a as u8 as f64));
-        fp.push(c.welfare(o));
-    }
-    fp.push(c.region.intra_price);
-    fp.push(c.region.inter_price);
-    fp
-}
-
-#[test]
-fn compare_schemes_is_bit_identical_across_job_counts() {
-    let cfg = ScenarioConfig::tiny(rand::DEFAULT_SEED);
-    let serial = compare_schemes(&cfg).expect("serial run");
-    let one = compare_schemes_jobs(&cfg, 1).expect("jobs=1 run");
-    let eight = compare_schemes_jobs(&cfg, 8).expect("jobs=8 run");
-    let want = fingerprint(&serial);
-    assert!(!want.is_empty());
-    assert_eq!(want, fingerprint(&one), "jobs=1 diverged from serial");
-    assert_eq!(want, fingerprint(&eight), "jobs=8 diverged from serial");
-}
+use pretium_sim::registry::{registry_at, run_cell, run_experiments, Scale};
+use pretium_sim::{run_pretium, ScenarioConfig, Variant};
 
 #[test]
 fn registry_experiments_are_bit_identical_across_job_counts() {
     // Two sweep experiments — a relative-welfare figure and the value
-    // distribution table — exercised through the same registry path
-    // `reproduce` uses, at tiny scale so debug-mode test time stays low.
-    let selected: Vec<_> = registry_at(Scale::Tiny)
-        .into_iter()
-        .filter(|e| e.name() == "fig6" || e.name() == "fig13")
-        .collect();
-    assert_eq!(selected.len(), 2, "expected both registry experiments");
+    // distribution table — and the two text cells that solve every §6.1
+    // scheme on one world (Figures 7 and 10), exercised through the same
+    // registry path `reproduce` uses, at tiny scale so debug-mode test time
+    // stays low.
+    let wanted = ["fig6", "fig7", "fig10", "fig13"];
+    let selected: Vec<_> =
+        registry_at(Scale::Tiny).into_iter().filter(|e| wanted.contains(&e.name())).collect();
+    assert_eq!(selected.len(), wanted.len(), "expected every selected registry experiment");
 
     let (one, _) = run_experiments(&selected, rand::DEFAULT_SEED, 1).expect("jobs=1 run");
     let (eight, _) = run_experiments(&selected, rand::DEFAULT_SEED, 8).expect("jobs=8 run");
-    assert_eq!(one.len(), 2);
+    assert_eq!(one.len(), wanted.len());
     for ((name_a, res_a), (name_b, res_b)) in one.iter().zip(eight.iter()) {
         assert_eq!(name_a, name_b);
         assert_eq!(res_a, res_b, "experiment `{name_a}` diverged between jobs=1 and jobs=8");
@@ -73,7 +44,7 @@ fn faulted_robustness_cells_are_bit_identical_across_job_counts() {
 
     // Serial: run the cells inline, no worker pool at all.
     let cells = exp.cells(rand::DEFAULT_SEED);
-    let serial_outs: Vec<_> = cells.iter().map(|c| exp.run_cell(c).expect("serial cell")).collect();
+    let serial_outs: Vec<_> = cells.iter().map(|c| run_cell(c).expect("serial cell")).collect();
     let serial = exp.merge(&cells, serial_outs);
 
     let (one, _) = run_experiments(&selected, rand::DEFAULT_SEED, 1).expect("jobs=1 run");
@@ -254,9 +225,10 @@ fn reseeding_changes_the_world_but_stays_deterministic() {
     // Guard against the engine accidentally hashing worker identity or
     // completion order into the seed: a different run seed must change
     // results, while the same seed must reproduce them exactly.
-    let a = compare_schemes_jobs(&ScenarioConfig::tiny(7), 8).expect("seed 7");
-    let b = compare_schemes_jobs(&ScenarioConfig::tiny(7), 8).expect("seed 7 again");
-    let c = compare_schemes_jobs(&ScenarioConfig::tiny(11), 8).expect("seed 11");
-    assert_eq!(fingerprint(&a), fingerprint(&b));
-    assert_ne!(fingerprint(&a), fingerprint(&c));
+    let fig10: Vec<_> =
+        registry_at(Scale::Tiny).into_iter().filter(|e| e.name() == "fig10").collect();
+    let run = |seed| run_experiments(&fig10, seed, 8).expect("fig10 run").0;
+    let (a, b, c) = (run(7), run(7), run(11));
+    assert_eq!(a, b);
+    assert_ne!(a, c);
 }
