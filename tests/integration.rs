@@ -274,3 +274,60 @@ fn sequenced_tickets_match_live_quotes_and_refuse_windows_past_the_horizon() {
     assert_eq!(snap.quote(&batch[0]), tickets[0].menu);
     assert_eq!(live.telemetry().state_copies, 0);
 }
+
+/// Bits of `(welfare, Σ payments, Σ delivered)` for OPT, NoPrices,
+/// RegionOracle and PeakOracle, then RegionOracle's `(intra, inter)` and
+/// PeakOracle's `(off-peak, peak)` prices.
+fn baseline_bits(sc: &pretium::sim::Scenario) -> ([[u64; 3]; 4], [u64; 4]) {
+    let off = OfflineConfig::default();
+    let bits = |o: &baselines::Outcome| {
+        [
+            o.welfare(&sc.requests, &sc.net, &sc.grid, 1.0).to_bits(),
+            o.payments.iter().sum::<f64>().to_bits(),
+            o.delivered.iter().sum::<f64>().to_bits(),
+        ]
+    };
+    let opt = baselines::opt(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap();
+    let none = baselines::no_prices(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap();
+    let region =
+        baselines::region_oracle(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap();
+    let peaks = baselines::peak_steps_from_trace(&sc.trace, &sc.grid);
+    let peak =
+        baselines::peak_oracle(&sc.net, &sc.grid, sc.horizon, &sc.requests, &peaks, &off).unwrap();
+    let prices = [region.intra_price, region.inter_price, peak.offpeak_price, peak.peak_price];
+    (
+        [bits(&opt), bits(&none), bits(&region.outcome), bits(&peak.outcome)],
+        prices.map(f64::to_bits),
+    )
+}
+
+#[test]
+fn baseline_numbers_are_pinned_on_generated_worlds() {
+    // The offline baselines and both oracles' hindsight price choice, bit
+    // for bit. A change to the offline solve, the price grid or the oracle
+    // search moves these on purpose. `tiny(7)` is uncongested on free
+    // links (every scheme serves everything at price 0); the congested
+    // variant, with half its links percentile-billed, separates all four.
+    let free = [0x4071655858b9a680, 0x0, 0x406cc98dc9e09d9a];
+    assert_eq!(baseline_bits(&tiny(7)), ([free; 4], [0; 4]));
+
+    let mut cfg = pretium::sim::ScenarioConfig::tiny(7);
+    cfg.load_factor = 3.0;
+    cfg.topology.intra_capacity = 20.0;
+    cfg.topology.inter_capacity = 10.0;
+    cfg.topology.percentile_fraction = 0.5;
+    cfg.topology.percentile_unit_cost = 2.0;
+    let price = 0x3fedfd5bbef6a18a; // 0.937…, a value-quantile candidate
+    assert_eq!(
+        baseline_bits(&cfg.build()),
+        (
+            [
+                [0x4082cf10758a3dbc, 0x0, 0x4082dba58f32f77f],
+                [0x4081954f7e69eae4, 0x0, 0x408371e7c8e8290f],
+                [0x4081993a2a30f544, 0x407aac6b1aad3d3c, 0x40801fcfe2e4d097],
+                [0x4081f00618673340, 0x406cbe46752d8466, 0x4082db3d73baa976],
+            ],
+            [0, price, 0, price],
+        )
+    );
+}
