@@ -60,17 +60,6 @@ impl Outcome {
         done as f64 / requests.len() as f64
     }
 
-    /// Fraction of *admitted* requests fully served relative to what they
-    /// purchased is scheme-specific; this reports delivered volume over
-    /// total demand.
-    pub fn volume_served_fraction(&self, requests: &[Request]) -> f64 {
-        let demand: f64 = requests.iter().map(|r| r.demand).sum();
-        if demand <= 0.0 {
-            return 0.0;
-        }
-        self.delivered.iter().sum::<f64>() / demand
-    }
-
     /// Total value captured, bucketed by request value per unit — the
     /// histogram of Figure 7b. Returns `(bucket upper edges, value sums)`.
     pub fn value_by_bucket(&self, requests: &[Request], edges: &[f64]) -> Vec<f64> {
@@ -142,7 +131,6 @@ mod tests {
         let mut o = Outcome::new("t", 3, 1, 4);
         o.delivered = vec![10.0, 9.0, 10.0];
         assert!((o.completion_rate(&requests) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((o.volume_served_fraction(&requests) - 29.0 / 30.0).abs() < 1e-12);
     }
 
     #[test]

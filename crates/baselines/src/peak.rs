@@ -1,24 +1,14 @@
-//! The PeakOracle baseline (§6.1): time-of-day two-level pricing. The
-//! peak period is chosen statically from the traffic trace (steps whose
-//! total demand exceeds the daily average); peak and off-peak prices are
-//! then grid-searched in hindsight for maximum welfare.
+//! The PeakOracle baseline (§6.1): time-of-day two-level pricing, the
+//! time-slot pricing of Bilenne & Meunier cut to two levels. The peak
+//! period is chosen statically from the traffic trace (the steps whose
+//! average total demand exceeds the window's average); peak steps pay the
+//! high level, off-peak steps the low one, and [`posted_price_oracle`]
+//! picks both in hindsight for maximum realized welfare.
 
-use crate::offline::OfflineConfig;
-use crate::outcome::Outcome;
-use crate::priced_offline::{price_candidates, run_posted_price};
+use crate::offline::{posted_price_oracle, OfflineConfig, OracleResult};
 use pretium_lp::SolveError;
-use pretium_net::{Network, TimeGrid, Timestep};
+use pretium_net::{Network, TimeGrid};
 use pretium_workload::{Request, TrafficTrace};
-
-/// Result of the oracle search.
-#[derive(Debug, Clone)]
-pub struct PeakOracleResult {
-    pub outcome: Outcome,
-    pub peak_price: f64,
-    pub offpeak_price: f64,
-    /// Step-in-window positions belonging to the peak period.
-    pub peak_steps: Vec<usize>,
-}
 
 /// Identify the peak period: step-in-window positions whose average total
 /// demand (across windows) exceeds the overall average.
@@ -36,19 +26,8 @@ pub fn peak_steps_from_trace(trace: &TrafficTrace, grid: &TimeGrid) -> Vec<usize
     (0..w).filter(|&s| avgs[s] > overall).collect()
 }
 
-/// Derive peak steps directly from a request stream (arrival-weighted
-/// demand), for callers without the underlying trace.
-pub fn peak_steps_from_requests(requests: &[Request], grid: &TimeGrid) -> Vec<usize> {
-    let w = grid.steps_per_window;
-    let mut sums = vec![0.0; w];
-    for r in requests {
-        sums[grid.step_in_window(r.arrival)] += r.demand;
-    }
-    let overall = sums.iter().sum::<f64>() / w as f64;
-    (0..w).filter(|&s| sums[s] > overall).collect()
-}
-
-/// Run PeakOracle with the given peak step set.
+/// Run PeakOracle with the given step-in-window positions as the peak
+/// period. `low` is the off-peak price, `high` the peak one.
 pub fn peak_oracle(
     net: &Network,
     grid: &TimeGrid,
@@ -56,37 +35,10 @@ pub fn peak_oracle(
     requests: &[Request],
     peak_steps: &[usize],
     cfg: &OfflineConfig,
-) -> Result<PeakOracleResult, SolveError> {
-    let candidates = price_candidates(requests, cfg.grid_points);
-    let is_peak = |t: Timestep| peak_steps.contains(&grid.step_in_window(t));
-    let mut best: Option<PeakOracleResult> = None;
-    let mut best_welfare = f64::NEG_INFINITY;
-    for (i, &off) in candidates.iter().enumerate() {
-        for &peak in &candidates[i..] {
-            let price = |_r: &Request, t: Timestep| if is_peak(t) { peak } else { off };
-            let Some(outcome) =
-                run_posted_price(net, grid, horizon, requests, cfg, "PeakOracle", price)?
-            else {
-                continue;
-            };
-            let w = outcome.welfare(requests, net, grid, cfg.cost_scale);
-            if w > best_welfare {
-                best_welfare = w;
-                best = Some(PeakOracleResult {
-                    outcome,
-                    peak_price: peak,
-                    offpeak_price: off,
-                    peak_steps: peak_steps.to_vec(),
-                });
-            }
-        }
-    }
-    Ok(best.unwrap_or_else(|| PeakOracleResult {
-        outcome: Outcome::new("PeakOracle", requests.len(), net.num_edges(), horizon),
-        peak_price: 0.0,
-        offpeak_price: 0.0,
-        peak_steps: peak_steps.to_vec(),
-    }))
+) -> Result<OracleResult, SolveError> {
+    posted_price_oracle(net, grid, horizon, requests, cfg, "PeakOracle", |_, t| {
+        peak_steps.contains(&grid.step_in_window(t))
+    })
 }
 
 #[cfg(test)]
@@ -110,16 +62,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_steps_found_from_requests() {
-        let grid = TimeGrid::new(4, 30);
-        // Heavy arrivals at steps 1 and 2.
-        let requests =
-            vec![req(0, 1.0, 10.0, 1, 3), req(1, 1.0, 12.0, 2, 3), req(2, 1.0, 1.0, 0, 3)];
-        let peaks = peak_steps_from_requests(&requests, &grid);
-        assert_eq!(peaks, vec![1, 2]);
-    }
-
-    #[test]
     fn oracle_charges_more_at_peak() {
         let mut net = Network::new();
         let a = net.add_node("A", Region::NorthAmerica);
@@ -132,7 +74,7 @@ mod tests {
             vec![req(0, 6.0, 15.0, 0, 1), req(1, 6.0, 15.0, 0, 1), req(2, 1.0, 10.0, 0, 3)];
         let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let res = peak_oracle(&net, &grid, 4, &requests, &[0, 1], &cfg).unwrap();
-        assert!(res.peak_price >= res.offpeak_price);
+        assert!(res.high >= res.low);
         let w = res.outcome.welfare(&requests, &net, &grid, 1.0);
         assert!(w > 0.0, "welfare {w}");
     }

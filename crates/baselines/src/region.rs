@@ -1,67 +1,31 @@
-//! The RegionOracle baseline (§6.1): two posted prices — one for
-//! intra-region transfers, a higher one for inter-region — chosen with
-//! hindsight to maximize realized welfare. Mirrors the public-cloud price
-//! sheets of Table 2.
+//! The RegionOracle baseline (§6.1): two posted prices, a low one for
+//! intra-region transfers and a high one for inter-region transfers,
+//! chosen in hindsight for maximum realized welfare by
+//! [`posted_price_oracle`]. It mirrors the public-cloud price sheets of
+//! Table 2, which charge by region pair.
 
-use crate::offline::OfflineConfig;
-use crate::outcome::Outcome;
-use crate::priced_offline::{price_candidates, run_posted_price};
+use crate::offline::{posted_price_oracle, OfflineConfig, OracleResult};
 use pretium_lp::SolveError;
 use pretium_net::{Network, TimeGrid};
 use pretium_workload::Request;
-
-/// Result of the oracle search.
-#[derive(Debug, Clone)]
-pub struct RegionOracleResult {
-    pub outcome: Outcome,
-    pub intra_price: f64,
-    pub inter_price: f64,
-}
 
 /// Whether a request crosses a region boundary.
 pub fn is_inter_region(net: &Network, r: &Request) -> bool {
     net.node(r.src).region != net.node(r.dst).region
 }
 
-/// Run RegionOracle: search all `(intra, inter)` price pairs with
-/// `inter >= intra` over the value-quantile candidate grid and keep the
-/// welfare-maximizing pair.
+/// Run RegionOracle: inter-region requests pay the high level. `low` is
+/// the intra-region price, `high` the inter-region one.
 pub fn region_oracle(
     net: &Network,
     grid: &TimeGrid,
     horizon: usize,
     requests: &[Request],
     cfg: &OfflineConfig,
-) -> Result<RegionOracleResult, SolveError> {
-    let candidates = price_candidates(requests, cfg.grid_points);
-    let mut best: Option<RegionOracleResult> = None;
-    let mut best_welfare = f64::NEG_INFINITY;
-    for (i, &intra) in candidates.iter().enumerate() {
-        for &inter in &candidates[i..] {
-            let price = |r: &Request, _t: usize| {
-                if is_inter_region(net, r) {
-                    inter
-                } else {
-                    intra
-                }
-            };
-            let Some(outcome) =
-                run_posted_price(net, grid, horizon, requests, cfg, "RegionOracle", price)?
-            else {
-                continue;
-            };
-            let w = outcome.welfare(requests, net, grid, cfg.cost_scale);
-            if w > best_welfare {
-                best_welfare = w;
-                best = Some(RegionOracleResult { outcome, intra_price: intra, inter_price: inter });
-            }
-        }
-    }
-    Ok(best.unwrap_or_else(|| RegionOracleResult {
-        outcome: Outcome::new("RegionOracle", requests.len(), net.num_edges(), horizon),
-        intra_price: 0.0,
-        inter_price: 0.0,
-    }))
+) -> Result<OracleResult, SolveError> {
+    posted_price_oracle(net, grid, horizon, requests, cfg, "RegionOracle", |r, _| {
+        is_inter_region(net, r)
+    })
 }
 
 #[cfg(test)]
@@ -114,7 +78,7 @@ mod tests {
         ];
         let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
         let res = region_oracle(&net, &grid, 2, &requests, &cfg).unwrap();
-        assert!(res.inter_price >= res.intra_price);
+        assert!(res.high >= res.low);
         // With owned (free) links, serving everyone maximizes welfare: the
         // oracle should pick prices low enough to admit all three.
         let w = res.outcome.welfare(&requests, &net, &grid, 1.0);
@@ -141,6 +105,6 @@ mod tests {
         let res = region_oracle(&net, &grid, 2, &requests, &cfg).unwrap();
         assert!(res.outcome.delivered[0] > 5.0, "{:?}", res.outcome.delivered);
         assert_eq!(res.outcome.delivered[1], 0.0);
-        assert!(res.inter_price > 0.2, "price {}", res.inter_price);
+        assert!(res.high > 0.2, "price {}", res.high);
     }
 }

@@ -7,10 +7,10 @@
 //! this scheme is *not* truthful across timesteps, ignores provider costs,
 //! and plans myopically — which is exactly why it underperforms.
 
-use crate::offline::OfflineConfig;
+use crate::offline::{OfflineConfig, K_PATHS};
 use crate::outcome::Outcome;
 use pretium_lp::{Cmp, LinExpr, Model, Sense, SolveError};
-use pretium_net::{Network, Path, PathSet, TimeGrid};
+use pretium_net::{Network, Path, PathSet};
 use pretium_workload::Request;
 
 struct ActiveRequest {
@@ -83,13 +83,11 @@ fn solve_step(
 /// Run the VCGLike baseline over the whole horizon.
 pub fn vcg_like(
     net: &Network,
-    grid: &TimeGrid,
     horizon: usize,
     requests: &[Request],
     cfg: &OfflineConfig,
 ) -> Result<Outcome, SolveError> {
-    let _ = grid;
-    let mut paths = PathSet::new(cfg.k_paths);
+    let mut paths = PathSet::new(K_PATHS);
     let mut out = Outcome::new("VCGLike", requests.len(), net.num_edges(), horizon);
     let mut remaining: Vec<f64> = requests.iter().map(|r| r.demand).collect();
     let frac = 1.0 - cfg.highpri_fraction;
@@ -145,7 +143,7 @@ pub fn vcg_like(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pretium_net::{LinkCost, Region};
+    use pretium_net::{LinkCost, Region, TimeGrid};
     use pretium_workload::{RequestId, RequestKind};
 
     fn req(id: u64, value: f64, demand: f64, start: usize, deadline: usize) -> Request {
@@ -173,10 +171,9 @@ mod tests {
     #[test]
     fn uncontended_bidder_pays_nothing() {
         let net = one_edge();
-        let grid = TimeGrid::new(2, 30);
         let requests = vec![req(0, 5.0, 10.0, 0, 1)];
         let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
-        let out = vcg_like(&net, &grid, 2, &requests, &cfg).unwrap();
+        let out = vcg_like(&net, 2, &requests, &cfg).unwrap();
         assert!((out.delivered[0] - 10.0).abs() < 1e-6);
         assert!(out.payments[0].abs() < 1e-9, "VCG payment without contention is 0");
     }
@@ -184,11 +181,10 @@ mod tests {
     #[test]
     fn loser_pays_nothing_winner_pays_displaced_value() {
         let net = one_edge();
-        let grid = TimeGrid::new(1, 30);
         // One step, capacity 10; both want 10 now.
         let requests = vec![req(0, 5.0, 10.0, 0, 0), req(1, 2.0, 10.0, 0, 0)];
         let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
-        let out = vcg_like(&net, &grid, 1, &requests, &cfg).unwrap();
+        let out = vcg_like(&net, 1, &requests, &cfg).unwrap();
         assert!((out.delivered[0] - 10.0).abs() < 1e-6, "{:?}", out.delivered);
         assert!(out.delivered[1] < 1e-6);
         // Winner displaces 10 units of bid-2 traffic: pays 20.
@@ -199,11 +195,10 @@ mod tests {
     #[test]
     fn rates_spread_demand_across_deadline() {
         let net = one_edge();
-        let grid = TimeGrid::new(4, 30);
         // Demand 12 over 4 steps: rate 3/step even though capacity is 10.
         let requests = vec![req(0, 5.0, 12.0, 0, 3)];
         let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
-        let out = vcg_like(&net, &grid, 4, &requests, &cfg).unwrap();
+        let out = vcg_like(&net, 4, &requests, &cfg).unwrap();
         assert!((out.delivered[0] - 12.0).abs() < 1e-6);
         let e = pretium_net::EdgeId(0);
         for t in 0..4 {
@@ -222,7 +217,7 @@ mod tests {
         let grid = TimeGrid::new(2, 30);
         let requests = vec![req(0, 0.5, 10.0, 0, 1)];
         let cfg = OfflineConfig { highpri_fraction: 0.0, ..Default::default() };
-        let out = vcg_like(&net, &grid, 2, &requests, &cfg).unwrap();
+        let out = vcg_like(&net, 2, &requests, &cfg).unwrap();
         assert!(out.delivered[0] > 5.0);
         assert!(out.welfare(&requests, &net, &grid, 1.0) < 0.0);
     }

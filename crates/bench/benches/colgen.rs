@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 use pretium_bench::black_box;
 use pretium_core::schedule::{Job, ScheduleProblem, ScheduleSession};
 use pretium_core::{ColumnGen, TopkEncoding};
+use pretium_lp::SolveOptions;
 use pretium_net::{k_shortest_paths, EdgeId, Network, TimeGrid, Timestep};
 use pretium_sim::ScenarioConfig;
 
@@ -130,7 +131,7 @@ fn main() {
         }
         let mut on = probe;
         let t0 = Instant::now();
-        on.solve_step(&net, &base_cap, &no_realized).unwrap();
+        on.solve_step_with(&net, &base_cap, &no_realized, &SolveOptions::default()).unwrap();
         println!(
             "probe: colgen t=0 solve {:?}, materialized {}",
             t0.elapsed(),
@@ -138,7 +139,7 @@ fn main() {
         );
         let mut off = ScheduleSession::with_colgen(&problem, ColumnGen::Off);
         let t0 = Instant::now();
-        off.solve_step(&net, &base_cap, &no_realized).unwrap();
+        off.solve_step_with(&net, &base_cap, &no_realized, &SolveOptions::default()).unwrap();
         println!("probe: full t=0 solve {:?}", t0.elapsed());
         return;
     }
@@ -178,7 +179,8 @@ fn main() {
             let cap =
                 |e: EdgeId, _t: Timestep| net.edge(e).capacity * HEADROOM * factors[e.index()];
             let t0 = Instant::now();
-            let sol = sess.solve_step(&net, &cap, &no_realized).unwrap();
+            let sol =
+                sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
             replay.step_times.push(t0.elapsed());
             replay.objective += black_box(sol.objective);
         }

@@ -3,7 +3,7 @@
 
 use pretium_bench::{black_box, Harness};
 use pretium_core::{topk_upper_bound, TopkEncoding};
-use pretium_lp::{Cmp, LinExpr, Model, Sense};
+use pretium_lp::{Cmp, LinExpr, Model, Sense, SolveOptions};
 
 /// Balanced transportation problem with `n` sources and sinks.
 fn transportation(n: usize) -> Model {
@@ -94,7 +94,7 @@ fn bench_lazy_schedule(h: &mut Harness) {
                 topk: TopkEncoding::CVar,
                 cost_scale: 1.0,
             };
-            black_box(schedule::solve(&problem).unwrap().objective)
+            black_box(schedule::solve(&problem, &SolveOptions::default()).unwrap().objective)
         });
     });
 }

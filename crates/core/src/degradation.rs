@@ -100,14 +100,6 @@ impl ViolationLedger {
         self.entries.iter().filter(|e| e.contract == contract).map(|e| e.units).sum()
     }
 
-    /// Number of distinct contracts with at least one entry.
-    pub fn violated_contracts(&self) -> usize {
-        let mut ids: Vec<usize> = self.entries.iter().map(|e| e.contract.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
     /// Sum of all booked penalties.
     pub fn total_penalty(&self) -> f64 {
         self.entries.iter().map(|e| e.penalty).sum()
@@ -132,7 +124,6 @@ mod tests {
         l.record(ContractId(7), 4, DegradationKind::Relaxed, 1.5, 3.0);
         l.record(ContractId(2), 9, DegradationKind::Relaxed, 0.5, 1.0);
         assert_eq!(l.len(), 3);
-        assert_eq!(l.violated_contracts(), 2);
         assert!((l.waived_units(ContractId(2)) - 5.5).abs() < 1e-12);
         assert!((l.waived_units(ContractId(7)) - 1.5).abs() < 1e-12);
         assert_eq!(l.waived_units(ContractId(0)), 0.0);

@@ -382,30 +382,17 @@ impl Pretium {
         }
         let guaranteed = units.min(menu.capacity_bound());
         let allocs = menu.allocations_for(guaranteed);
-        let mut plan = Vec::with_capacity(allocs.len());
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
-        for a in &allocs {
-            // The menu was built against this very state, so the
-            // reservation fits up to float noise; clamp to what the path's
-            // tightest link can still carry and plan exactly that amount —
-            // planning the unclamped units would let `execute_step` bill
-            // usage the links never set aside.
-            let room = paths[a.path_idx]
-                .edges()
-                .iter()
-                .map(|&e| state.available(e, a.t))
-                .fold(f64::INFINITY, f64::min);
-            let take = a.units.min(room);
-            debug_assert!((take - a.units).abs() < 1e-6 * (1.0 + a.units));
-            if take <= 1e-12 {
-                continue;
-            }
-            for &e in paths[a.path_idx].edges() {
-                state.reserve(e, a.t, take);
-            }
-            plan.push((a.path_idx, a.t, take));
-        }
+        let plan =
+            reserve_clamped(state, &paths, allocs.iter().map(|a| (a.path_idx, a.t, a.units)));
+        // The menu was built against this very state, so the clamp only
+        // shaved float noise (no slot gains, so the total bounds each).
+        debug_assert!({
+            let asked: f64 = allocs.iter().map(|a| a.units).sum();
+            let planned: f64 = plan.iter().map(|&(_, _, u)| u).sum();
+            (asked - planned).abs() < 1e-6 * (1.0 + asked)
+        });
         let payment = menu.price(units);
         let lambda = menu.marginal((units - 1e-9).max(0.0));
         debug_assert!(payment.is_finite(), "non-empty menu priced {units} units at {payment}");
@@ -607,32 +594,13 @@ impl Pretium {
         // steps, so plans contain only future flows; session jobs beyond
         // the active set (contracts that completed mid-window) simply get
         // empty plans. The LP respects capacities up to its own tolerance,
-        // so the clamp against the path's tightest remaining availability
-        // only shaves float noise — but whatever is shaved must also be
-        // shaved from the plan, or `execute_step` bills flow the links
-        // never carried.
+        // so the clamp only shaves float noise.
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         state.clear_reservations_from(now);
         for (j, &i) in carry.contract_of_job.iter().enumerate() {
-            let mut plan = Vec::with_capacity(sol.flows[j].len());
-            for &(pi, t, units) in &sol.flows[j] {
-                let path = &self.contract_paths[i][pi];
-                let room = path
-                    .edges()
-                    .iter()
-                    .map(|&e| state.available(e, t))
-                    .fold(f64::INFINITY, f64::min);
-                let take = units.min(room);
-                if take <= 1e-12 {
-                    continue;
-                }
-                for &e in path.edges() {
-                    state.reserve(e, t, take);
-                }
-                plan.push((pi, t, take));
-            }
-            self.contracts[i].plan = plan;
+            let flows = sol.flows[j].iter().copied();
+            self.contracts[i].plan = reserve_clamped(state, &self.contract_paths[i], flows);
         }
         if faulted {
             let mut moved = 0.0;
@@ -758,7 +726,7 @@ impl Pretium {
             topk: self.cfg.topk,
             cost_scale: self.cfg.cost_scale,
         };
-        let sol = schedule::solve_with(&problem, &self.solve_opts())?;
+        let sol = schedule::solve(&problem, &self.solve_opts())?;
         self.lp_stats.merge(sol.lp_stats);
         // The previous window's pattern is carried into the future.
         self.bump_epoch();
@@ -851,6 +819,33 @@ impl Pretium {
 fn writable<'a>(state: &'a mut Arc<NetworkState>, copies: &mut u64) -> &'a mut NetworkState {
     *copies += u64::from(Arc::strong_count(state) > 1);
     Arc::make_mut(state)
+}
+
+/// Reserve each `(path index, t, units)` of `flows` on every edge of its
+/// path in `paths`, clamped to what the path's tightest link can still
+/// carry at `t`, and return what was reserved as a plan (a slot clamped to
+/// nothing is left out). Planning the unclamped units would let
+/// `execute_step` bill usage the links never set aside.
+fn reserve_clamped(
+    state: &mut NetworkState,
+    paths: &[Path],
+    flows: impl ExactSizeIterator<Item = (usize, Timestep, f64)>,
+) -> Vec<(usize, Timestep, f64)> {
+    let mut plan = Vec::with_capacity(flows.len());
+    for (pi, t, units) in flows {
+        let path = &paths[pi];
+        let room =
+            path.edges().iter().map(|&e| state.available(e, t)).fold(f64::INFINITY, f64::min);
+        let take = units.min(room);
+        if take <= 1e-12 {
+            continue;
+        }
+        for &e in path.edges() {
+            state.reserve(e, t, take);
+        }
+        plan.push((pi, t, take));
+    }
+    plan
 }
 
 /// Per-edge price floor: the configured constant plus, for percentile

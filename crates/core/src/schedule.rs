@@ -104,12 +104,6 @@ impl Job {
         Job { key, paths, start, deadline, weight, min_units, max_units, allowed_steps: None }
     }
 
-    /// Restrict transfers to the given timesteps.
-    pub fn with_allowed_steps(mut self, steps: Vec<Timestep>) -> Self {
-        self.allowed_steps = Some(steps);
-        self
-    }
-
     fn step_allowed(&self, t: Timestep) -> bool {
         self.allowed_steps.as_ref().is_none_or(|s| s.contains(&t))
     }
@@ -227,7 +221,7 @@ const COLGEN_SEED_PATHS: usize = 1;
 /// * [`ScheduleSession::advance_to`] fixes the flow variables of elapsed
 ///   timesteps at their executed values (a bound change — the basis stays
 ///   primal feasible, since those were the optimal values);
-/// * [`ScheduleSession::solve_step`] refreshes materialized capacity rows
+/// * [`ScheduleSession::solve_step_with`] refreshes materialized capacity rows
 ///   against the current capacity function (RHS changes — dual restart at
 ///   worst) and runs the lazy row loop, where every generation round
 ///   warm-starts too;
@@ -292,15 +286,11 @@ pub struct ScheduleSession {
     last_values: Vec<f64>,
 }
 
-/// Solve the scheduling LP once (PC, baselines). SAM holds a
-/// [`ScheduleSession`] instead and re-solves it incrementally.
-pub fn solve(problem: &ScheduleProblem<'_>) -> Result<ScheduleSolution, SolveError> {
-    solve_with(problem, &SolveOptions::default())
-}
-
-/// Like [`solve`] but with explicit solver options (e.g. the kernel
-/// tuning from [`crate::PretiumConfig::max_etas`]).
-pub fn solve_with(
+/// Solve the scheduling LP once (PC, baselines) with the given solver
+/// options (e.g. the kernel tuning from
+/// [`crate::PretiumConfig::max_etas`]). SAM holds a [`ScheduleSession`]
+/// instead and re-solves it incrementally.
+pub fn solve(
     problem: &ScheduleProblem<'_>,
     opts: &SolveOptions,
 ) -> Result<ScheduleSolution, SolveError> {
@@ -310,7 +300,7 @@ pub fn solve_with(
 
 impl ScheduleSession {
     /// Build the base LP (demand and guarantee rows; capacity rows and cost
-    /// encodings are generated lazily during [`ScheduleSession::solve_step`]),
+    /// encodings are generated lazily during [`ScheduleSession::solve_step_with`]),
     /// with the full column universe materialized ([`ColumnGen::Off`]).
     pub fn new(p: &ScheduleProblem<'_>) -> Self {
         Self::with_colgen(p, ColumnGen::Off)
@@ -535,18 +525,8 @@ impl ScheduleSession {
     /// rows against `capacity`, then run the lazy generation loop (violated
     /// capacity rows, cost encodings for percentile edges in use), where
     /// every round — including the first — restarts from the saved basis
-    /// when one exists.
-    pub fn solve_step(
-        &mut self,
-        net: &Network,
-        capacity: &dyn Fn(EdgeId, Timestep) -> f64,
-        realized: &dyn Fn(EdgeId, Timestep) -> f64,
-    ) -> Result<ScheduleSolution, SolveError> {
-        self.solve_step_with(net, capacity, realized, &SolveOptions::default())
-    }
-
-    /// [`ScheduleSession::solve_step`] with explicit solver options — the
-    /// fault-injection path uses this to impose an iteration limit on the
+    /// when one exists. `opts` carries the solver options; the
+    /// fault-injection path uses it to impose an iteration limit on the
     /// simplex (degraded-compute perturbation, §4.4).
     pub fn solve_step_with(
         &mut self,
@@ -900,7 +880,7 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let sol = solve(&problem).unwrap();
+        let sol = solve(&problem, &SolveOptions::default()).unwrap();
         assert!((sol.delivered[0] - 25.0).abs() < 1e-6, "{:?}", sol.delivered);
         // Needs three timesteps at capacity 10 — capacity rows must have
         // been generated and respected.
@@ -932,7 +912,7 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let sol = solve(&problem).unwrap();
+        let sol = solve(&problem, &SolveOptions::default()).unwrap();
         assert!((sol.delivered[0] - 6.0).abs() < 1e-6);
         assert!((sol.delivered[1] - 4.0).abs() < 1e-6);
         assert!(sol.shortfall[0] < 1e-9);
@@ -955,7 +935,7 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let sol = solve(&problem).unwrap();
+        let sol = solve(&problem, &SolveOptions::default()).unwrap();
         assert!((sol.delivered[0] - 10.0).abs() < 1e-6);
         assert!((sol.shortfall[0] - 5.0).abs() < 1e-6);
     }
@@ -981,11 +961,12 @@ mod tests {
             cost_scale: 1.0,
         };
         let mut sess = ScheduleSession::new(&problem);
-        let sol = sess.solve_step(&net, &cap, &no_realized).unwrap();
+        let sol = sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         assert!((sol.max_shortfall() - 5.0).abs() < 1e-6);
         let waived = sess.relax_guarantee(0, sol.max_shortfall());
         assert!((waived - 5.0).abs() < 1e-6);
-        let relaxed = sess.solve_step(&net, &cap, &no_realized).unwrap();
+        let relaxed =
+            sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         assert!(relaxed.max_shortfall() < 1e-6, "shortfall {}", relaxed.max_shortfall());
         assert!((relaxed.delivered[0] - 10.0).abs() < 1e-6);
         // Relaxing a job with no guarantee row is a no-op.
@@ -1044,7 +1025,7 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let sol = solve(&problem).unwrap();
+        let sol = solve(&problem, &SolveOptions::default()).unwrap();
         // Value 1/unit on 20 units = 20; cost = 5 * peak. Bursting all 20
         // in one step costs 100 (worse than not sending); spreading evenly
         // over 10 steps costs 5 * 2 = 10, net +10. The optimum transfers
@@ -1079,7 +1060,7 @@ mod tests {
         // k = 1 over a 2-step window: every unit sent raises the top-1 by
         // at least 1/2 (if split) at cost 50/1 per unit of S... any transfer
         // loses money; optimum is zero.
-        let sol = solve(&problem).unwrap();
+        let sol = solve(&problem, &SolveOptions::default()).unwrap();
         assert!(sol.delivered[0] < 1e-6, "{:?}", sol.delivered);
         assert!(sol.objective.abs() < 1e-6);
     }
@@ -1116,7 +1097,7 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let sol = solve(&problem).unwrap();
+        let sol = solve(&problem, &SolveOptions::default()).unwrap();
         assert!((sol.delivered[0] - 10.0).abs() < 1e-6, "{:?}", sol.delivered);
         let _ = (net, a, d);
     }
@@ -1146,7 +1127,7 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let sol = solve(&problem).unwrap();
+        let sol = solve(&problem, &SolveOptions::default()).unwrap();
         assert!((sol.delivered[0] - 16.0).abs() < 1e-5, "{:?}", sol.delivered);
         let e = net.edge_ids().next().unwrap();
         for t in 2..4 {
@@ -1171,7 +1152,7 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let sol = solve(&problem).unwrap();
+        let sol = solve(&problem, &SolveOptions::default()).unwrap();
         let e = net.edge_ids().next().unwrap();
         // Congested edge: shadow price equals the marginal value (2.0).
         assert!((sol.dual(e, 0) - 2.0).abs() < 1e-6, "dual {}", sol.dual(e, 0));
@@ -1202,7 +1183,7 @@ mod tests {
                 topk: enc,
                 cost_scale: 1.0,
             };
-            objs.push(solve(&problem).unwrap().objective);
+            objs.push(solve(&problem, &SolveOptions::default()).unwrap().objective);
         }
         assert!(
             (objs[0] - objs[1]).abs() < 1e-5 * (1.0 + objs[0].abs()),
@@ -1237,12 +1218,14 @@ mod tests {
             cost_scale: 1.0,
         };
         let mut sess = ScheduleSession::new(&problem);
-        let first = sess.solve_step(&net, &cap, &no_realized).unwrap();
+        let first =
+            sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         let executed: Vec<f64> = (0..2)
             .map(|j| first.flows[j].iter().filter(|&&(_, t, _)| t == 0).map(|&(_, _, u)| u).sum())
             .collect();
         sess.advance_to(1);
-        let warm = sess.solve_step(&net, &cap, &no_realized).unwrap();
+        let warm =
+            sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         assert!(warm.lp_stats.warm_primal + warm.lp_stats.warm_dual >= 1, "{:?}", warm.lp_stats);
         assert_eq!(warm.lp_stats.cold_starts, 1, "{:?}", warm.lp_stats);
         // Frozen steps are excluded from the installed plan.
@@ -1262,7 +1245,7 @@ mod tests {
             Job::new(1, single_path(&net, a, b), 1, 3, 1.0, 0.0, 20.0 - executed[1]),
         ];
         let fresh_problem = ScheduleProblem { jobs: &fresh_jobs, from: 1, ..problem };
-        let fresh = solve(&fresh_problem).unwrap();
+        let fresh = solve(&fresh_problem, &SolveOptions::default()).unwrap();
         for j in 0..2 {
             assert!(
                 (warm.delivered[j] - fresh.delivered[j]).abs() < 1e-6,
@@ -1294,7 +1277,8 @@ mod tests {
             cost_scale: 1.0,
         };
         let mut sess = ScheduleSession::new(&problem);
-        let first = sess.solve_step(&net, &cap, &no_realized).unwrap();
+        let first =
+            sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         let exec0: f64 =
             first.flows[0].iter().filter(|&&(_, t, _)| t == 0).map(|&(_, _, u)| u).sum();
         sess.advance_to(1);
@@ -1303,11 +1287,12 @@ mod tests {
         // entered the materialized capacity rows.
         let late = Job::new(1, single_path(&net, a, b), 1, 2, 5.0, 15.0, 15.0);
         assert_eq!(sess.add_job(late.clone()), 1);
-        let warm = sess.solve_step(&net, &cap, &no_realized).unwrap();
+        let warm =
+            sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         let fresh_jobs =
             vec![Job::new(0, single_path(&net, a, b), 1, 4, 1.0, 0.0, 25.0 - exec0), late];
         let fresh_problem = ScheduleProblem { jobs: &fresh_jobs, from: 1, ..problem };
-        let fresh = solve(&fresh_problem).unwrap();
+        let fresh = solve(&fresh_problem, &SolveOptions::default()).unwrap();
         for j in 0..2 {
             assert!(
                 (warm.delivered[j] - fresh.delivered[j]).abs() < 1e-6,
@@ -1348,11 +1333,13 @@ mod tests {
             cost_scale: 1.0,
         };
         let mut sess = ScheduleSession::new(&problem);
-        let first = sess.solve_step(&net, &full_cap, &no_realized).unwrap();
+        let first =
+            sess.solve_step_with(&net, &full_cap, &no_realized, &SolveOptions::default()).unwrap();
         assert!((first.delivered[0] - 40.0).abs() < 1e-6);
         sess.advance_to(1);
         let half_cap = |e: EdgeId, _t: Timestep| net.edge(e).capacity * 0.5;
-        let after = sess.solve_step(&net, &half_cap, &no_realized).unwrap();
+        let after =
+            sess.solve_step_with(&net, &half_cap, &no_realized, &SolveOptions::default()).unwrap();
         for t in 1..6 {
             let u: f64 =
                 after.flows[0].iter().filter(|&&(_, ft, _)| ft == t).map(|&(_, _, x)| x).sum();
@@ -1380,7 +1367,7 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 0.0,
         };
-        let sol = solve(&problem).unwrap();
+        let sol = solve(&problem, &SolveOptions::default()).unwrap();
         assert!((sol.delivered[0] - 5.0).abs() < 1e-6);
     }
 
@@ -1421,9 +1408,10 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let full = solve(&problem).unwrap();
+        let full = solve(&problem, &SolveOptions::default()).unwrap();
         let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::On);
-        let lazy = sess.solve_step(&net, &cap, &no_realized).unwrap();
+        let lazy =
+            sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         assert!(
             (lazy.objective - full.objective).abs() < 1e-6 * (1.0 + full.objective.abs()),
             "colgen {} vs full {}",
@@ -1458,9 +1446,10 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let full = solve(&problem).unwrap();
+        let full = solve(&problem, &SolveOptions::default()).unwrap();
         let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::On);
-        let lazy = sess.solve_step(&net, &cap, &no_realized).unwrap();
+        let lazy =
+            sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         assert!((lazy.objective - full.objective).abs() < 1e-6 * (1.0 + full.objective.abs()));
         assert!((lazy.delivered[0] - full.delivered[0]).abs() < 1e-5);
         assert!(
@@ -1506,8 +1495,10 @@ mod tests {
         let mut full = ScheduleSession::new(&problem);
         let mut lazy = ScheduleSession::with_colgen(&problem, ColumnGen::On);
         for step in [0usize, 1] {
-            let f = full.solve_step(&net, &cap, &no_realized).unwrap();
-            let l = lazy.solve_step(&net, &cap, &no_realized).unwrap();
+            let f =
+                full.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
+            let l =
+                lazy.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
             assert!(
                 (l.objective - f.objective).abs() < 1e-6 * (1.0 + f.objective.abs()),
                 "step {step}: colgen {} vs full {}",

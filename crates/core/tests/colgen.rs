@@ -21,7 +21,7 @@
 //! restriction — otherwise the equality above proved nothing about
 //! pricing.
 
-use pretium_core::schedule::solve_with;
+use pretium_core::schedule::solve;
 use pretium_core::{ColumnGen, Job, ScheduleProblem, ScheduleSession, TopkEncoding};
 use pretium_lp::SolveOptions;
 use pretium_net::{k_shortest_paths, EdgeId, LinkCost, Network, NodeId, Path, TimeGrid, Timestep};
@@ -101,7 +101,7 @@ fn reference_optimum(
         topk: TopkEncoding::CVar,
         cost_scale: 1.0,
     };
-    solve_with(&problem, opts).unwrap().objective
+    solve(&problem, opts).unwrap().objective
 }
 
 struct Coverage {

@@ -290,19 +290,6 @@ impl PathSet {
             .or_insert_with(|| Arc::new(k_shortest_paths(net, src, dst, self.k, &|_| 1.0)))
     }
 
-    /// Precompute all pairs (used by experiment setup so later calls are
-    /// allocation-free).
-    pub fn precompute_all(&mut self, net: &Network) {
-        let nodes: Vec<NodeId> = net.node_ids().collect();
-        for &s in &nodes {
-            for &d in &nodes {
-                if s != d {
-                    self.paths(net, s, d);
-                }
-            }
-        }
-    }
-
     pub fn k(&self) -> usize {
         self.k
     }
@@ -330,11 +317,6 @@ impl SharedPathSet {
     /// Paths for `(src, dst)`, computed under the lock on first access.
     pub fn paths(&self, net: &Network, src: NodeId, dst: NodeId) -> Arc<Vec<Path>> {
         self.lock().paths_shared(net, src, dst)
-    }
-
-    /// Precompute all pairs so later lookups never compute under the lock.
-    pub fn precompute_all(&self, net: &Network) {
-        self.lock().precompute_all(net);
     }
 
     pub fn k(&self) -> usize {

@@ -5,7 +5,6 @@
 //! percentile costs, utilization CDFs (Figures 1 and 10), and the
 //! 90th/10th-percentile spread that motivates dynamic pricing.
 
-use crate::cost::LinkCost;
 use crate::graph::{EdgeId, Network};
 use crate::percentile;
 use crate::time::{TimeGrid, Timestep};
@@ -72,21 +71,6 @@ impl UsageTracker {
     /// Total operating cost over all windows using the **true** (non-convex)
     /// 95th-percentile billing rule.
     pub fn total_cost(&self, net: &Network, grid: &TimeGrid) -> f64 {
-        self.cost_with(net, grid, |cost, usage| cost.window_cost(usage))
-    }
-
-    /// Total operating cost under the sum-of-top-k proxy (what the LPs
-    /// optimize).
-    pub fn total_proxy_cost(&self, net: &Network, grid: &TimeGrid) -> f64 {
-        self.cost_with(net, grid, |cost, usage| cost.proxy_window_cost(usage))
-    }
-
-    fn cost_with(
-        &self,
-        net: &Network,
-        grid: &TimeGrid,
-        f: impl Fn(&LinkCost, &[f64]) -> f64,
-    ) -> f64 {
         let mut total = 0.0;
         for e in net.edge_ids() {
             let cost = &net.edge(e).cost;
@@ -94,7 +78,7 @@ impl UsageTracker {
                 continue;
             }
             for w in 0..self.num_windows(grid) {
-                total += f(cost, self.window(e, grid, w));
+                total += cost.window_cost(self.window(e, grid, w));
             }
         }
         total
@@ -144,6 +128,7 @@ impl UsageTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::LinkCost;
     use crate::graph::Region;
 
     fn net_one_pct_edge() -> (Network, EdgeId) {
@@ -174,8 +159,6 @@ mod tests {
         }
         // 95th percentile of 0.1..10.0 is 9.5; unit cost 2.0 -> 19.0.
         assert!((u.total_cost(&net, &grid) - 19.0).abs() < 1e-9);
-        // Proxy: mean of top 10 values (9.1..=10.0 avg 9.55) * 2 = 19.1.
-        assert!((u.total_proxy_cost(&net, &grid) - 19.1).abs() < 1e-9);
     }
 
     #[test]

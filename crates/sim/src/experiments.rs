@@ -165,11 +165,10 @@ pub(crate) fn solve_scheme(
         }
         Scheme::PeakOracle => {
             let peaks = baselines::peak_steps_from_trace(&s.trace, &s.grid);
-            let peak =
-                baselines::peak_oracle(&s.net, &s.grid, s.horizon, &s.requests, &peaks, &off)?;
-            Ok(peak.outcome)
+            Ok(baselines::peak_oracle(&s.net, &s.grid, s.horizon, &s.requests, &peaks, &off)?
+                .outcome)
         }
-        Scheme::VcgLike => baselines::vcg_like(&s.net, &s.grid, s.horizon, &s.requests, &off),
+        Scheme::VcgLike => baselines::vcg_like(&s.net, s.horizon, &s.requests, &off),
     }
 }
 

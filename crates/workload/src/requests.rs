@@ -69,11 +69,6 @@ impl Request {
     pub fn is_active_at(&self, t: Timestep) -> bool {
         t >= self.start && t <= self.deadline
     }
-
-    /// Total value if fully served.
-    pub fn total_value(&self) -> f64 {
-        self.value * self.demand
-    }
 }
 
 /// Parameters mapping a traffic trace to discrete requests.
@@ -312,6 +307,5 @@ mod tests {
         assert_eq!(r.window_len(), 4);
         assert!(r.is_active_at(4) && r.is_active_at(7));
         assert!(!r.is_active_at(3) && !r.is_active_at(8));
-        assert_eq!(r.total_value(), 1.0);
     }
 }

@@ -27,7 +27,7 @@ fn all_schemes_run_and_respect_capacity() {
             .unwrap()
             .outcome,
     );
-    outcomes.push(baselines::vcg_like(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap());
+    outcomes.push(baselines::vcg_like(&sc.net, sc.horizon, &sc.requests, &off).unwrap());
     outcomes.push(run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap().outcome);
     for o in &outcomes {
         let violations = o.usage.capacity_violations(&sc.net, 1e-4);
@@ -57,7 +57,7 @@ fn opt_dominates_every_scheme_in_proxy_terms() {
     let others = [
         w(&baselines::no_prices(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap()),
         w(&run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap().outcome),
-        w(&baselines::vcg_like(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap()),
+        w(&baselines::vcg_like(&sc.net, sc.horizon, &sc.requests, &off).unwrap()),
     ];
     for (i, &ow) in others.iter().enumerate() {
         assert!(ow <= opt_w * 1.02 + 1.0, "scheme {i} beat OPT: {ow} > {opt_w}");
@@ -73,7 +73,7 @@ fn pretium_profit_exceeds_vcg_profit() {
     let sc = cfg.build();
     let off = OfflineConfig::default();
     let pretium = run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap();
-    let vcg = baselines::vcg_like(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap();
+    let vcg = baselines::vcg_like(&sc.net, sc.horizon, &sc.requests, &off).unwrap();
     let p_profit = pretium.outcome.profit(&sc.net, &sc.grid, 1.0);
     let v_profit = vcg.profit(&sc.net, &sc.grid, 1.0);
     assert!(p_profit > v_profit, "Pretium profit {p_profit} should exceed VCGLike {v_profit}");
@@ -150,7 +150,7 @@ fn lp_and_scheduling_agree_on_simple_instance() {
     // Schedule a single job via the high-level API and via a hand-built LP;
     // both must yield the same optimum.
     use pretium::core::{schedule, Job, ScheduleProblem, TopkEncoding};
-    use pretium::lp::{Cmp, LinExpr, Model, Sense};
+    use pretium::lp::{Cmp, LinExpr, Model, Sense, SolveOptions};
     use pretium::net::{LinkCost, Network, Path, Region, TimeGrid};
 
     let mut net = Network::new();
@@ -172,7 +172,7 @@ fn lp_and_scheduling_agree_on_simple_instance() {
         topk: TopkEncoding::CVar,
         cost_scale: 1.0,
     };
-    let sol = schedule::solve(&problem).unwrap();
+    let sol = schedule::solve(&problem, &SolveOptions::default()).unwrap();
 
     // Hand-built: max 2(x0+x1+x2), x_t <= 7, sum <= 30.
     let mut m = Model::new(Sense::Maximize);
@@ -294,7 +294,7 @@ fn baseline_bits(sc: &pretium::sim::Scenario) -> ([[u64; 3]; 4], [u64; 4]) {
     let peaks = baselines::peak_steps_from_trace(&sc.trace, &sc.grid);
     let peak =
         baselines::peak_oracle(&sc.net, &sc.grid, sc.horizon, &sc.requests, &peaks, &off).unwrap();
-    let prices = [region.intra_price, region.inter_price, peak.offpeak_price, peak.peak_price];
+    let prices = [region.low, region.high, peak.low, peak.high];
     (
         [bits(&opt), bits(&none), bits(&region.outcome), bits(&peak.outcome)],
         prices.map(f64::to_bits),
