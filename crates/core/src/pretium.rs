@@ -12,7 +12,7 @@ use crate::config::PretiumConfig;
 use crate::contract::{Contract, ContractId, RequestParams};
 use crate::degradation::{DegradationKind, ViolationLedger};
 use crate::menu::{build_menu, PriceMenu};
-use crate::schedule::{self, Job, ScheduleProblem, ScheduleSession};
+use crate::schedule::{Job, ScheduleProblem, ScheduleSession};
 use crate::state::NetworkState;
 use crate::telemetry::Telemetry;
 use pretium_lp::{SessionStats, SimplexOptions, SolveError, SolveOptions, SolverTuning};
@@ -551,7 +551,7 @@ impl Pretium {
                         .min_by(|a, b| {
                             let la = self.contracts[carry.contract_of_job[a.0]].lambda;
                             let lb = self.contracts[carry.contract_of_job[b.0]].lambda;
-                            la.partial_cmp(&lb).unwrap().then(a.0.cmp(&b.0))
+                            la.total_cmp(&lb).then(a.0.cmp(&b.0))
                         })
                         .unwrap();
                     let i = carry.contract_of_job[j];
@@ -726,18 +726,28 @@ impl Pretium {
             topk: self.cfg.topk,
             cost_scale: self.cfg.cost_scale,
         };
-        let sol = schedule::solve(&problem, &self.solve_opts())?;
+        // Every row that can bind and every cost encoding go in before the
+        // first solve, so PC is one cold round instead of a lazy round
+        // followed by a long dual repair of the rows it appended.
+        let mut sess = ScheduleSession::new(&problem);
+        sess.materialize_contested(&self.net, &capacity, &zero);
+        let sol = sess.solve_step_with(&self.net, &capacity, &zero, &self.solve_opts())?;
         self.lp_stats.merge(sol.lp_stats);
         // The previous window's pattern is carried into the future.
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
+        let spw = self.grid.steps_per_window;
         for e in self.net.edge_ids() {
             let floor = self.floors[e.index()];
             for t in now..self.horizon {
-                let t_ref = prev_start + self.grid.step_in_window(t);
                 // Full dual price: congestion shadow price plus marginal
-                // percentile cost (C_e/k on the window's top-k steps).
-                let p = sol.price(e, t_ref).max(floor);
+                // percentile cost (C_e/k on the window's top-k steps),
+                // computed for the first future window and copied forward.
+                let p = if t < now + spw {
+                    sol.price(e, prev_start + self.grid.step_in_window(t)).max(floor)
+                } else {
+                    state.price(e, t - spw)
+                };
                 state.set_price(e, t, p);
             }
         }

@@ -48,13 +48,19 @@
 //! restricted optimum is optimal for the full LP — and PC's prices are
 //! duals of that certified optimum.
 //!
+//! PC materializes its rows up front instead
+//! ([`ScheduleSession::materialize_contested`]): every capacity row whose
+//! demand bound could reach the generation threshold and every cost
+//! encoding a column crosses. Its offline LP then solves cold in one round,
+//! and the loop finds nothing to add.
+//!
 //! ## Incremental re-optimization
 //!
 //! [`ScheduleSession`] keeps the LP (and the solver basis) alive *across*
 //! solves: SAM advances it timestep by timestep — fixing executed flows,
 //! refreshing capacities, appending newly accepted jobs — and each re-solve
 //! warm-starts from the previous optimal basis instead of rebuilding from
-//! scratch. [`solve`] remains the one-shot entry point (PC, baselines).
+//! scratch. [`solve`] remains the lazy one-shot entry point (baselines).
 
 use crate::config::ColumnGen;
 use crate::topk::{topk_upper_bound, TopkEncoding};
@@ -286,7 +292,7 @@ pub struct ScheduleSession {
     last_values: Vec<f64>,
 }
 
-/// Solve the scheduling LP once (PC, baselines) with the given solver
+/// Solve the scheduling LP once (the offline baselines) with the given solver
 /// options (e.g. the kernel tuning from
 /// [`crate::PretiumConfig::max_etas`]). SAM holds a [`ScheduleSession`]
 /// instead and re-solves it incrementally.
@@ -300,8 +306,9 @@ pub fn solve(
 
 impl ScheduleSession {
     /// Build the base LP (demand and guarantee rows; capacity rows and cost
-    /// encodings are generated lazily during [`ScheduleSession::solve_step_with`]),
-    /// with the full column universe materialized ([`ColumnGen::Off`]).
+    /// encodings are generated lazily during [`ScheduleSession::solve_step_with`],
+    /// or up front by [`ScheduleSession::materialize_contested`]), with the
+    /// full column universe materialized ([`ColumnGen::Off`]).
     pub fn new(p: &ScheduleProblem<'_>) -> Self {
         Self::with_colgen(p, ColumnGen::Off)
     }
@@ -570,6 +577,66 @@ impl ScheduleSession {
             if rounds >= round_cap {
                 return Err(SolveError::IterationLimit { iterations: rounds as u64 });
             }
+        }
+    }
+
+    /// Materialize, before the first solve, every capacity row
+    /// [`ScheduleSession::solve_step_with`]'s row rounds could generate and
+    /// every cost encoding a materialized column could enter, so a cold
+    /// solve starts from the feasible `x = 0` and the loop finds nothing to
+    /// add (PC's offline LP, §4.3).
+    ///
+    /// A capacity row is generated only when usage on `(e, t)` exceeds
+    /// `NEAR_CAP_FRACTION × capacity(e, t)`. Each job's demand row caps its
+    /// columns at `max_units`, so usage never exceeds the *demand bound*
+    /// Σ `max_units` over the jobs with a column crossing `(e, t)` (each job
+    /// counted once): a slot whose bound stays at or below the fraction
+    /// never binds and keeps dual zero. Rows and encodings are added in
+    /// sorted key order; elapsed steps (`< fixed_up_to`) get no row.
+    pub fn materialize_contested(
+        &mut self,
+        net: &Network,
+        capacity: &dyn Fn(EdgeId, Timestep) -> f64,
+        realized: &dyn Fn(EdgeId, Timestep) -> f64,
+    ) {
+        // Per (e, t): the demand bound and the last job that added to it.
+        let mut bound: HashMap<(EdgeId, Timestep), (f64, usize)> = HashMap::default();
+        for (j, jvars) in self.vars.iter().enumerate() {
+            let job = &self.jobs[j];
+            for &(pi, t, _) in jvars {
+                if t < self.fixed_up_to {
+                    continue;
+                }
+                for &e in job.paths[pi].edges() {
+                    let (sum, last) = bound.entry((e, t)).or_insert((0.0, usize::MAX));
+                    if *last != j {
+                        *sum += job.max_units;
+                        *last = j;
+                    }
+                }
+            }
+        }
+        let mut rows: Vec<(EdgeId, Timestep)> = Vec::new();
+        let mut encodings: Vec<(EdgeId, usize)> = Vec::new();
+        for (&(e, t), &(sum, _)) in &bound {
+            if !self.cap_rows.contains_key(&(e, t)) && sum > NEAR_CAP_FRACTION * capacity(e, t) {
+                rows.push((e, t));
+            }
+            let w = self.grid.window_of(t);
+            if net.edge(e).cost.is_percentile() && !self.costed.contains(&(e, w)) {
+                encodings.push((e, w));
+            }
+        }
+        rows.sort();
+        for (e, t) in rows {
+            let expr = LinExpr::from_terms(self.crossing[&(e, t)].iter().map(|&v| (1.0, v)));
+            let id = self.sess.add_row(&format!("cap_{e}_{t}"), expr, Cmp::Le, capacity(e, t));
+            self.cap_rows.insert((e, t), id);
+        }
+        encodings.sort();
+        encodings.dedup();
+        for (e, w) in encodings {
+            self.add_cost_encoding(net, realized, e, w);
         }
     }
 
@@ -1522,5 +1589,77 @@ mod tests {
             }
         }
         assert!(lazy.num_flow_columns() <= lazy.column_universe());
+    }
+
+    #[test]
+    fn contested_rows_solve_in_one_round_at_the_lazy_optimum() {
+        // Three jobs overfill a diamond whose route 1 bills by percentile.
+        // A fourth rides a roomy side network X -> Y -> {Z1, Z2} -> W on two
+        // routes that share X -> Y; counted once, its demand bound is
+        // exactly NEAR_CAP_FRACTION of every side link's capacity.
+        let mut net = Network::new();
+        let s = net.add_node("S", pretium_net::Region::NorthAmerica);
+        let m1 = net.add_node("M1", pretium_net::Region::NorthAmerica);
+        let m2 = net.add_node("M2", pretium_net::Region::Europe);
+        let t = net.add_node("T", pretium_net::Region::NorthAmerica);
+        let x = net.add_node("X", pretium_net::Region::NorthAmerica);
+        let y = net.add_node("Y", pretium_net::Region::NorthAmerica);
+        let z1 = net.add_node("Z1", pretium_net::Region::NorthAmerica);
+        let z2 = net.add_node("Z2", pretium_net::Region::NorthAmerica);
+        let w = net.add_node("W", pretium_net::Region::NorthAmerica);
+        net.add_edge(s, m1, 5.0, LinkCost::owned());
+        net.add_edge(m1, t, 5.0, LinkCost::owned());
+        net.add_edge(s, m2, 5.0, LinkCost::percentile(0.2));
+        net.add_edge(m2, t, 5.0, LinkCost::owned());
+        net.add_edge(x, y, 100.0, LinkCost::owned());
+        for (a, b) in [(y, z1), (z1, w), (y, z2), (z2, w)] {
+            net.add_edge(a, b, 100.0, LinkCost::owned());
+        }
+        let paths = pretium_net::k_shortest_paths(&net, s, t, 2, &|_| 1.0);
+        let side = pretium_net::k_shortest_paths(&net, x, w, 2, &|_| 1.0);
+        assert_eq!((paths.len(), side.len()), (2, 2));
+        let grid = TimeGrid::new(6, 30);
+        let jobs = vec![
+            Job::new(0, paths.clone(), 0, 5, 2.0, 6.0, 35.0),
+            Job::new(1, paths.clone(), 1, 3, 1.0, 0.0, 12.0),
+            Job::new(2, paths, 4, 5, 3.0, 0.0, 8.0),
+            Job::new(3, side.clone(), 0, 5, 1.0, 0.0, NEAR_CAP_FRACTION * 100.0),
+        ];
+        let cap = |e: EdgeId, _t: Timestep| net.edge(e).capacity;
+        let problem = ScheduleProblem {
+            net: &net,
+            grid: &grid,
+            from: 0,
+            to: 6,
+            jobs: &jobs,
+            capacity: &cap,
+            realized: &no_realized,
+            topk: TopkEncoding::CVar,
+            cost_scale: 1.0,
+        };
+        let lazy = solve(&problem, &SolveOptions::default()).unwrap();
+        let mut sess = ScheduleSession::new(&problem);
+        sess.materialize_contested(&net, &cap, &no_realized);
+        let seeded =
+            sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
+        assert!(lazy.rounds > 1, "the lazy solve generated nothing");
+        assert_eq!(seeded.rounds, 1);
+        assert!(
+            (seeded.objective - lazy.objective).abs() <= 1e-9 * lazy.objective.abs(),
+            "seeded {} vs lazy {}",
+            seeded.objective,
+            lazy.objective
+        );
+        // Every row the lazy loop generated was seeded: the demand bound
+        // covers whatever usage could trigger one.
+        for key in lazy.capacity_duals.keys() {
+            assert!(seeded.capacity_duals.contains_key(key), "{key:?} was not seeded");
+        }
+        for &e in side.iter().flat_map(|p| p.edges()) {
+            for t in 0..6 {
+                let key = (e, t);
+                assert!(!seeded.capacity_duals.contains_key(&key), "uncontested row {key:?}");
+            }
+        }
     }
 }

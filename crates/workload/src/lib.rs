@@ -14,6 +14,11 @@
 //! * [`requests`] — converts a trace into a stream of deadline transfer
 //!   requests mimicking it (§6.1 methodology).
 //! * [`survey`] — Table 1 / Table 2 constants.
+//!
+//! Outside its tests the crate neither unwraps nor panics; clippy enforces
+//! it.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod requests;
 pub mod survey;
