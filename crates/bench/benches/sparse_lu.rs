@@ -29,7 +29,7 @@
 //! up: 200 warm re-solves of a staircase LP through a `SolverSession`,
 //! one appended row each, counting heap allocations and microseconds per
 //! `solve` call (DESIGN.md §20: what remains is the returned solution, its
-//! cached copy, and the basis snapshot).
+//! cached copy, and the border's row buffer).
 //!
 //! Set `SPARSE_LU_SMOKE=1` for the CI mode: fewer samples, the
 //! border-under-a-third-of-a-refactorization floor, the zero-allocation
@@ -56,10 +56,11 @@ const APPENDED_ROWS: usize = 5;
 /// refactorizing the same basis.
 const MAX_BORDER_SHARE_OF_REFACTOR: f64 = 1.0 / 3.0;
 /// Ceiling on heap allocations per warm session re-solve: the returned
-/// `Solution` (3 vectors), the session's cached copy (3) and the basis
-/// snapshot (3), with room for the odd buffer growing as the model does.
-/// One allocation per pivot, column or row would blow through it.
-const MAX_ALLOCS_PER_RESOLVE: f64 = 16.0;
+/// `Solution` (3 vectors), the session's cached copy (3) and the border's
+/// row buffer (1) make the 7 measured, and one more is room for the odd
+/// buffer growing as the model does. A per-solve basis snapshot (3) would
+/// blow through it, as would one allocation per pivot, column or row.
+const MAX_ALLOCS_PER_RESOLVE: f64 = 8.0;
 
 /// An LP-shaped basis: `slack_frac` of the columns are slack singletons,
 /// a sprinkle are dense percentile/CVaR columns, the rest are interlocked

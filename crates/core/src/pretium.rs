@@ -449,36 +449,37 @@ impl Pretium {
         }
         let capacity = |e: EdgeId, t: Timestep| self.state.sellable_capacity(e, t);
         let realized_fn = |e: EdgeId, t: Timestep| realized.at(e, t);
-        let reusable = self.sam.as_ref().is_some_and(|c| c.window == window);
-        let mut carry = if reusable {
-            self.sam.take().unwrap()
-        } else {
-            if let Some(old) = self.sam.take() {
-                self.lp_stats.merge(old.sess.lp_stats());
+        let mut carry = match self.sam.take() {
+            Some(c) if c.window == window => c,
+            stale => {
+                // Another window's session: bank its counters, build anew.
+                if let Some(old) = stale {
+                    self.lp_stats.merge(old.sess.lp_stats());
+                }
+                let jobs: Vec<Job> = active.iter().map(|&i| self.job_for(i, now)).collect();
+                // The session horizon runs to the end of the simulation, not
+                // just to the latest current deadline: per-job variables are
+                // bounded by deadlines anyway, and the longer horizon means a
+                // later-arriving contract never forces a rebuild.
+                let problem = ScheduleProblem {
+                    net: &self.net,
+                    grid: &self.grid,
+                    from: now,
+                    to: self.horizon,
+                    jobs: &jobs,
+                    capacity: &capacity,
+                    realized: &realized_fn,
+                    topk: self.cfg.topk,
+                    cost_scale: self.cfg.cost_scale,
+                };
+                // SAM alone runs the restricted master when colgen is on; PC
+                // and the offline baselines always solve fully materialized.
+                SamCarry::new(
+                    ScheduleSession::with_colgen(&problem, self.cfg.colgen),
+                    active.clone(),
+                    window,
+                )
             }
-            let jobs: Vec<Job> = active.iter().map(|&i| self.job_for(i, now)).collect();
-            // The session horizon runs to the end of the simulation, not
-            // just to the latest current deadline: per-job variables are
-            // bounded by deadlines anyway, and the longer horizon means a
-            // later-arriving contract never forces a rebuild.
-            let problem = ScheduleProblem {
-                net: &self.net,
-                grid: &self.grid,
-                from: now,
-                to: self.horizon,
-                jobs: &jobs,
-                capacity: &capacity,
-                realized: &realized_fn,
-                topk: self.cfg.topk,
-                cost_scale: self.cfg.cost_scale,
-            };
-            // SAM alone runs the restricted master when colgen is on; PC
-            // and the offline baselines always solve fully materialized.
-            SamCarry::new(
-                ScheduleSession::with_colgen(&problem, self.cfg.colgen),
-                active.clone(),
-                window,
-            )
         };
         // Freeze the steps executed since the last run, then append
         // contracts accepted in the meantime (with their remaining

@@ -234,7 +234,7 @@ const COLGEN_SEED_PATHS: usize = 1;
 /// * [`ScheduleSession::add_job`] appends a newly accepted contract: new
 ///   columns, new demand/guarantee rows, and retrofitted coefficients into
 ///   already-materialized capacity/usage rows (append-only extensions the
-///   saved basis survives).
+///   last basis survives).
 ///
 /// The one-shot [`solve`] builds a session, solves once, and drops it.
 #[derive(Clone)]
@@ -379,7 +379,7 @@ impl ScheduleSession {
 
     /// Append a job and return its index in the session's job list. New
     /// columns are retrofitted into already-materialized capacity and usage
-    /// rows, which the saved basis survives (the columns are fresh).
+    /// rows, which the last basis survives (the columns are fresh).
     ///
     /// Call [`ScheduleSession::advance_to`] first when adding mid-run: the
     /// job's variables start at `max(job.start, fixed_up_to)`, and its
@@ -531,8 +531,8 @@ impl ScheduleSession {
     /// Re-solve over the remaining horizon: refresh materialized capacity
     /// rows against `capacity`, then run the lazy generation loop (violated
     /// capacity rows, cost encodings for percentile edges in use), where
-    /// every round — including the first — restarts from the saved basis
-    /// when one exists. `opts` carries the solver options; the
+    /// every round — including the first — continues from the last solve's
+    /// basis when the session still holds it. `opts` carries the solver options; the
     /// fault-injection path uses it to impose an iteration limit on the
     /// simplex (degraded-compute perturbation, §4.4).
     pub fn solve_step_with(

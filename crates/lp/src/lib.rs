@@ -11,13 +11,14 @@
 //!
 //! * [`Model`] — incremental LP builder (variables with bounds, linear
 //!   rows, max/min objective) with operator-overloaded [`LinExpr`]s.
-//! * [`SolverSession`] — the primary solve surface: a model plus the basis
+//! * [`SolverSession`] — the primary solve surface: a model plus the stamp
 //!   of its last solve. Mutations (`set_rhs`, `set_bounds`, `set_obj`,
-//!   `add_row`, `add_var`) go through the session, and each re-solve picks
-//!   the cheapest restart — primal warm start after objective changes, dual
-//!   simplex after RHS/bound changes or appended rows, cold only when the
-//!   basis cannot be reused. [`Model::solve`] remains as a one-shot
-//!   convenience. Growth is warm-safe in both directions: an appended row
+//!   `add_row`, `add_var`) go through the session. A re-solve either
+//!   carries the terminal state its last solve left in the thread's
+//!   workspace — when no other solve ran there since — and picks the
+//!   cheapest restart from it (primal warm start after objective changes,
+//!   dual simplex after RHS/bound changes or appended rows), or runs cold.
+//!   [`Model::solve`] remains as a one-shot convenience. Growth is warm-safe in both directions: an appended row
 //!   seats its slack in the basis ([`SolverSession::add_row`]), an appended
 //!   column enters nonbasic at bound
 //!   ([`SolverSession::add_generated_cols`]). That is all the crate offers
@@ -55,7 +56,7 @@
 //! let cap = m.add_row("cap", x + y, Cmp::Le, 4.0);
 //! let _r2 = m.add_row("r2", 1.0 * x + 3.0 * y, Cmp::Le, 6.0);
 //!
-//! // First solve is cold and records the optimal basis.
+//! // First solve is cold and leaves its optimal basis on this thread.
 //! let mut session = m.into_session();
 //! let sol = session.solve(&SolveOptions::default()).unwrap();
 //! assert!((sol.objective() - 12.0).abs() < 1e-7);

@@ -295,15 +295,8 @@ impl Model {
     /// warm-starts each re-solve from the previous basis.
     pub fn solve(&self) -> Result<Solution, SolveError> {
         let opts = SimplexOptions::default();
-        solve_model_session(
-            self,
-            &opts,
-            SolverTuning::default(),
-            None,
-            false,
-            &mut Problem::default(),
-        )
-        .map(|(sol, _, _)| sol)
+        solve_model_session(self, &opts, SolverTuning::default(), 0, false, &mut Problem::default())
+            .map(|(sol, _, _)| sol)
     }
 
     /// Move the model into a [`crate::SolverSession`] for incremental

@@ -203,38 +203,6 @@ impl Problem {
     }
 }
 
-/// Append-stable identifier of a basic column.
-///
-/// Internal column indices shift when variables are appended (every slack
-/// and artificial moves up), so a saved basis keyed by raw indices would go
-/// stale. Keys name the column by class instead: structural variables by
-/// their [`crate::Var`] index, slacks and artificials by their row. The
-/// artificial's crash-time sign is recorded so its column can be
-/// reconstructed exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BasisKey {
-    Struct(u32),
-    Slack(u32),
-    Art { row: u32, neg: bool },
-}
-
-/// A basis snapshot taken after a successful solve, in append-stable form.
-#[derive(Debug, Clone)]
-pub(crate) struct WarmBasis {
-    /// Stamp of that solve — unique in the process, `0` when the solve left
-    /// nothing to continue from. While the solving thread's workspace still
-    /// carries the same stamp, it holds the whole terminal state this is a
-    /// snapshot of, and the next solve may continue there instead of
-    /// reloading (DESIGN.md §23).
-    pub stamp: u64,
-    /// Basic column per row position (`keys.len()` = rows at snapshot time).
-    pub keys: Vec<BasisKey>,
-    /// Rest state per structural variable at snapshot time.
-    pub nb_struct: Vec<solver::NbState>,
-    /// Rest state per slack at snapshot time.
-    pub nb_slack: Vec<solver::NbState>,
-}
-
 /// How a session solve restarted the simplex method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Restart {
@@ -341,66 +309,6 @@ fn finish_solution(
     Solution { objective, values, duals, reduced_costs, stats: outcome.stats }
 }
 
-/// Snapshot the terminal basis in append-stable key form.
-fn snapshot(problem: &Problem, work: &solver::Workspace) -> WarmBasis {
-    let keys = work
-        .basis
-        .iter()
-        .map(|&j| {
-            if j < problem.nstruct {
-                BasisKey::Struct(j as u32)
-            } else if j < problem.art_start {
-                BasisKey::Slack((j - problem.slack_start) as u32)
-            } else {
-                let row = j - problem.art_start;
-                BasisKey::Art { row: row as u32, neg: problem.art_sign[row] < 0.0 }
-            }
-        })
-        .collect();
-    WarmBasis {
-        stamp: work.owner,
-        keys,
-        nb_struct: work.nb[..problem.nstruct].to_vec(),
-        nb_slack: work.nb[problem.slack_start..problem.art_start].to_vec(),
-    }
-}
-
-/// Resolve a saved [`WarmBasis`] against the current problem dimensions,
-/// into the workspace: remap keys to column indices, seat the slacks of
-/// rows appended since the snapshot, restore artificial column signs, and
-/// build the full rest-state vector. Returns `false` when the snapshot
-/// cannot apply (shrunken model, out-of-range keys).
-fn resolve_warm(problem: &mut Problem, work: &mut solver::Workspace, warm: &WarmBasis) -> bool {
-    use solver::NbState;
-    let m = problem.m;
-    if warm.keys.len() > m || warm.nb_struct.len() > problem.nstruct || warm.nb_slack.len() > m {
-        return false;
-    }
-    work.basis.clear();
-    for key in &warm.keys {
-        let idx = match *key {
-            BasisKey::Struct(j) if (j as usize) < problem.nstruct => j as usize,
-            BasisKey::Slack(i) if (i as usize) < m => problem.slack_start + i as usize,
-            BasisKey::Art { row, neg } if (row as usize) < m => {
-                problem.art_sign[row as usize] = if neg { -1.0 } else { 1.0 };
-                problem.art_start + row as usize
-            }
-            _ => return false,
-        };
-        work.basis.push(idx);
-    }
-    // Rows appended since the snapshot get their own slack as the basic
-    // column (the standard cutting-plane extension: duals of the old rows
-    // are unchanged, so dual feasibility survives).
-    work.basis.extend((warm.keys.len()..m).map(|i| problem.slack_start + i));
-    // New structurals / slacks keep the Lower default; `run_warm` normalizes
-    // every rest state against the actual bounds before solving.
-    refill(&mut work.nb, problem.n, NbState::Lower);
-    work.nb[..warm.nb_struct.len()].copy_from_slice(&warm.nb_struct);
-    work.nb[problem.slack_start..][..warm.nb_slack.len()].copy_from_slice(&warm.nb_slack);
-    true
-}
-
 /// Map a finished solve to what [`solve_model_session`] returns — its
 /// ledger completed with `solves` and the counter of `restart` — and stamp
 /// the terminal state it leaves in the workspace as this solve's.
@@ -410,7 +318,7 @@ fn conclude(
     work: &mut solver::Workspace,
     mut outcome: solver::Outcome,
     restart: Restart,
-) -> (Solution, WarmBasis, Restart) {
+) -> (Solution, u64, Restart) {
     work.owner = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
     (work.owner_m, work.owner_nstruct) = (problem.m, problem.nstruct);
     let stats = &mut outcome.stats;
@@ -420,33 +328,31 @@ fn conclude(
         Restart::WarmPrimal => stats.warm_primal = 1,
         Restart::WarmDual => stats.warm_dual = 1,
     }
-    (finish_solution(model, problem, work, outcome), snapshot(problem, work), restart)
+    (finish_solution(model, problem, work, outcome), work.owner, restart)
 }
 
-/// Solve `model`, optionally warm-starting from a saved basis.
+/// Solve `model`: carry the terminal state of the solve stamped `stamp`,
+/// or run cold. Returns the solution, the stamp of the terminal state it
+/// leaves for the next call, and which restart ran.
 ///
-/// The warm path classifies the start basis (primal feasible → primal
-/// phase 2; dual feasible → dual simplex + polish) and falls back to a cold
-/// solve on any warm failure, so the result is always the authoritative
-/// optimum. Returns the solution, a snapshot of the terminal basis for the
-/// next call, and which restart actually ran.
+/// A solve *carries* when this thread's workspace still holds the state
+/// `stamp` names — no other solve ran here since — and `problem` is the
+/// standard form that solve left, which `model` has only grown since
+/// ([`Problem::sync`]). It continues in place (`solver::warm_state`): the
+/// appended rows border the factors, the reduced costs and duals are
+/// inherited — or repriced in full when `old_cost_moved` says the cost of a
+/// column that solve knew has changed — and the start is classified
+/// (primal feasible → primal phase 2; dual feasible → dual simplex and a
+/// primal polish).
 ///
-/// A warm solve *carries* when this thread's workspace still holds the
-/// terminal state `warm` is a snapshot of — same stamp: no other solve ran
-/// here in between — and `costs_kept` says no cost of a column that solve
-/// knew has changed since; it then continues in place
-/// (`solver::warm_state`). Otherwise, or when the carried attempt fails, it
-/// *reloads* `warm`. The stamp is cleared before any attempt, so a solve
-/// that fails leaves nothing to carry.
-///
-/// `problem` is the caller's resident standard form, and this function is
-/// the one place that decides whether it survives: it is synced and reused
-/// exactly when a warm basis is supplied and `model` is the model it was
-/// last synced with, grown by appending. Anything else — no basis (first
-/// solve, `invalidate`, a retrofitted old coefficient, `force_cold`), a
-/// model that shrank, a warm attempt that failed, a numerical retry —
-/// rebuilds it from the model. An empty `Problem` makes the call a one-shot
-/// solve.
+/// Everything else runs *cold*, and rebuilds `problem` from the model: no
+/// stamp (a first solve, `invalidate`, a retrofitted old coefficient, a
+/// failed predecessor), a stamp another solve on this thread has replaced
+/// since (an interleaved session, the clone that solved first), a session
+/// moved to another thread, a model that shrank, and a carried attempt that
+/// errs. The workspace's stamp is cleared before any attempt, so a solve
+/// that fails leaves nothing to carry. Stamp `0` with an empty `Problem`
+/// makes the call a one-shot solve.
 ///
 /// A numerical failure of the cold solve (singular refactorization after
 /// eta-file drift on a heavily degenerate basis) triggers one conservative
@@ -456,33 +362,33 @@ pub(crate) fn solve_model_session(
     model: &Model,
     options: &SimplexOptions,
     tuning: SolverTuning,
-    warm: Option<&WarmBasis>,
-    costs_kept: bool,
+    stamp: u64,
+    old_cost_moved: bool,
     problem: &mut Problem,
-) -> Result<(Solution, WarmBasis, Restart), SolveError> {
+) -> Result<(Solution, u64, Restart), SolveError> {
     // The model's own row storage is the row-major mirror of the structural
     // matrix (`RowData.terms`, sorted by column); the solver borrows it.
     let (rows, vars) = name_fns(model);
     with_workspace(|work| {
         let held = std::mem::take(&mut work.owner);
-        if let Some(w) = warm.filter(|_| problem.sync(model)) {
-            let carry = costs_kept && w.stamp == held && held != 0;
-            let stages: &[bool] = if carry { &[true, false] } else { &[false] };
-            for &carry in stages {
-                if !carry && !resolve_warm(problem, work, w) {
-                    break;
-                }
-                load_bounds(model, work);
-                let run =
-                    solver::warm_state(problem, &model.rows, options, tuning, work, carry, &rows)
-                        .and_then(|mut st| st.reoptimize(&problem.cost, &rows, &vars));
-                if let Ok((outcome, used_dual)) = run {
-                    let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
-                    return Ok(conclude(model, problem, work, outcome, restart));
-                }
+        if stamp != 0 && stamp == held && problem.sync(model) {
+            load_bounds(model, work);
+            let run = solver::warm_state(
+                problem,
+                &model.rows,
+                options,
+                tuning,
+                work,
+                old_cost_moved,
+                &rows,
+            )
+            .and_then(|mut st| st.reoptimize(&problem.cost, &rows, &vars));
+            if let Ok((outcome, used_dual)) = run {
+                let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
+                return Ok(conclude(model, problem, work, outcome, restart));
             }
             // Fall through to a cold solve: correctness never depends on the
-            // warm path succeeding.
+            // carried attempt succeeding.
         }
         let mut attempt = |options: &SimplexOptions, tuning: SolverTuning| {
             // Release the old standard form before building its replacement.

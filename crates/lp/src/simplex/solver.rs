@@ -16,7 +16,7 @@ use std::time::Instant;
 
 /// Where a nonbasic variable currently rests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NbState {
+enum NbState {
     Lower,
     Upper,
     /// Free variable parked at zero.
@@ -47,11 +47,10 @@ enum Step {
 
 /// Every buffer a solve needs, kept by the caller between solves so a
 /// re-solve allocates nothing. A solve leaves its result in `x`, `y`,
-/// `basis` and `nb`; a solve that reloads overwrites everything before
-/// reading (only `stamp`, and `w` and `rho` being zero outside their
-/// nonzero lists, are invariants), a solve
-/// that carries (`owner`) continues from `basis`, `nb`, `d`, `y` and the
-/// factors as they stand.
+/// `basis` and `nb`; a cold solve overwrites everything before reading
+/// (only `stamp`, and `w` and `rho` being zero outside their nonzero lists,
+/// are invariants), a solve that carries (`owner`) continues from `basis`,
+/// `nb`, `d`, `y` and the factors as they stand.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Workspace {
     /// Stamp of the solve whose terminal state this workspace holds, `0`
@@ -65,13 +64,13 @@ pub(crate) struct Workspace {
     pub lb: Vec<f64>,
     pub ub: Vec<f64>,
     /// Basic column per row position.
-    pub basis: Vec<usize>,
+    basis: Vec<usize>,
     /// Column -> basis position, or -1 when nonbasic.
     pos_of: Vec<i32>,
     /// Current value of every column (structurals, slacks, artificials).
     pub x: Vec<f64>,
     /// Rest state of every column (meaningful for nonbasic ones).
-    pub nb: Vec<NbState>,
+    nb: Vec<NbState>,
     pub factor: Factorization,
     /// FTRAN of the entering column by basis position, zero outside `w_nz`
     /// (its nonzero positions, ascending).
@@ -247,32 +246,29 @@ pub(crate) fn run(
 /// a checked basis with factors and `x_B`, every nonbasic column at rest on
 /// a bound, for [`State::reoptimize`] to finish.
 ///
-/// `ws.basis` gives the basic column per row position, `ws.nb` the rest
-/// state of every column; both come from a previous solve of a
-/// since-mutated problem. A *reload* takes the basis and rest states the
-/// caller resolved from a snapshot, refactorizes, and leaves the reduced
-/// costs to the first `reprice`. A *carry* — `ws` still holds the terminal
-/// state of this session's previous solve, of a problem that has only grown
-/// since and whose old costs are unchanged — moves that state to the grown
-/// column layout, inherits `d` and `y` (an appended row's dual is 0, so only
-/// the appended columns are priced), borders the factors with the appended
-/// rows, their slacks basic, and takes `x_B` from one FTRAN.
+/// `ws` holds the terminal state of this session's previous solve, of a
+/// problem that has only grown since into `problem`. The start *carries*
+/// it: moves it to the grown column layout ([`Workspace::regrow`]),
+/// inherits `d` and `y` (an appended row's dual is 0, so only the appended
+/// columns are priced) — or reprices in full when `old_cost_moved` says a
+/// cost that solve priced with has changed — borders the factors with the
+/// appended rows, their slacks basic, and takes `x_B` from one FTRAN.
 ///
-/// Any structural problem with the supplied basis (wrong size, duplicate
-/// columns, singular matrix) is reported as an error; callers are expected
-/// to fall back — a carried start to a reloaded one, that to a cold [`run`].
+/// Any structural problem with the carried basis (a basic artificial, wrong
+/// size, duplicate columns, singular matrix) is reported as an error; the
+/// caller falls back to a cold [`run`].
 pub(crate) fn warm_state<'a>(
     problem: &'a Problem,
     rows: &'a [RowData],
     opts: &'a SimplexOptions,
     tuning: SolverTuning,
     ws: &'a mut Workspace,
-    carry: bool,
+    old_cost_moved: bool,
     row_name: &impl Fn(usize) -> String,
 ) -> Result<State<'a>, SolveError> {
     let m = problem.m;
     let n = problem.n;
-    if carry && !ws.regrow(problem) {
+    if !ws.regrow(problem) {
         return Err(SolveError::Numerical("carried basis holds an artificial".into()));
     }
     if ws.basis.len() != m || ws.nb.len() != n {
@@ -309,11 +305,7 @@ pub(crate) fn warm_state<'a>(
     }
 
     let mut st = State::new(problem, rows, opts, tuning, ws);
-    if carry {
-        st.inherit(&problem.cost).map_err(|e| numerical(e, row_name))?;
-    } else {
-        st.refactor().map_err(|e| numerical(e, row_name))?;
-    }
+    st.inherit(&problem.cost, old_cost_moved).map_err(|e| numerical(e, row_name))?;
     Ok(st)
 }
 
@@ -420,7 +412,7 @@ impl<'a> State<'a> {
         if !primal_feasible {
             // Box away dual-infeasible nonbasics so the dual simplex starts from
             // a dual-feasible point; the primal polish below reconsiders them.
-            self.box_dual_infeasible(cost);
+            self.box_dual_infeasible();
             let result = self.dual_iterate(cost, row_name);
             for idx in 0..self.ws.boxed.len() {
                 let (j, lb, ub) = self.ws.boxed[idx];
@@ -452,17 +444,36 @@ impl<'a> State<'a> {
     }
 
     /// The carried first stage of [`warm_state`], once [`Workspace::regrow`]
-    /// has moved the previous solve's state to this problem's layout: price
-    /// the appended columns against the inherited duals, reset the Devex
-    /// framework and the candidate list as a `reprice` would, border the
-    /// factors with the appended rows — or refactorize, when the update file
-    /// has no room for them — and solve for `x_B`.
-    fn inherit(&mut self, cost: &[f64]) -> Result<(), FactorError> {
-        self.stats.carried = 1;
+    /// has moved the previous solve's state to this problem's layout: border
+    /// the factors with the appended rows — or refactorize, when the update
+    /// file has no room for them — and solve for `x_B`; then price the
+    /// appended columns against the inherited duals and reset the Devex
+    /// framework and the candidate list as a `reprice` would, or, when
+    /// `reprice` is set (an old column's cost moved, so the inherited `d`
+    /// and `y` are stale), run that full `reprice`.
+    fn inherit(&mut self, cost: &[f64], reprice: bool) -> Result<(), FactorError> {
         self.ensure_scratch();
         let (p, ws) = (self.p, &mut *self.ws);
-        let (m0, ns0) = (ws.owner_m, ws.owner_nstruct);
-        for j in ns0..p.nstruct {
+        let m0 = ws.owner_m;
+        if p.m - m0 >= ws.factor.updates_left() {
+            self.refactor()?;
+        } else {
+            let mut row = Vec::new();
+            for terms in self.rows[m0..].iter().map(|r| &r.terms) {
+                row.clear();
+                row.extend(terms.iter().filter_map(|&(j, v)| {
+                    u32::try_from(ws.pos_of[j as usize]).ok().map(|pos| (pos, v))
+                }));
+                ws.factor.append_row(&row);
+            }
+            self.solve_basics();
+        }
+        if reprice {
+            self.reprice(cost);
+            return Ok(());
+        }
+        let (p, ws) = (self.p, &mut *self.ws);
+        for j in ws.owner_nstruct..p.nstruct {
             ws.d[j] = p.reduced_cost(j, cost, &ws.y);
         }
         // The artificials are closed and positive again (`Problem::sync`).
@@ -471,19 +482,6 @@ impl<'a> State<'a> {
         }
         ws.gamma.fill(1.0);
         self.clear_candidates();
-        let ws = &mut *self.ws;
-        if p.m - m0 >= ws.factor.updates_left() {
-            return self.refactor();
-        }
-        let mut row = Vec::new();
-        for terms in self.rows[m0..].iter().map(|r| &r.terms) {
-            row.clear();
-            row.extend(terms.iter().filter_map(|&(j, v)| {
-                u32::try_from(ws.pos_of[j as usize]).ok().map(|pos| (pos, v))
-            }));
-            ws.factor.append_row(&row);
-        }
-        self.solve_basics();
         Ok(())
     }
 
@@ -955,13 +953,9 @@ impl<'a> State<'a> {
 
     /// Temporarily fix every nonbasic column whose reduced cost violates
     /// dual feasibility at its current rest value, saving the bounds in
-    /// `ws.boxed` so the caller can restore them. Reprices first unless the
-    /// solve inherited its reduced costs; the exact `d` and `y` in hand are
-    /// what [`State::dual_iterate`] starts from.
-    fn box_dual_infeasible(&mut self, cost: &[f64]) {
-        if self.stats.carried == 0 {
-            self.reprice(cost);
-        }
+    /// `ws.boxed` so the caller can restore them. The exact `d` and `y` the
+    /// carried start left are what [`State::dual_iterate`] starts from.
+    fn box_dual_infeasible(&mut self) {
         let tol = self.opts.opt_tol;
         self.ws.boxed.clear();
         for j in 0..self.p.n {
@@ -1009,7 +1003,7 @@ impl<'a> State<'a> {
     /// violated basic variable out against the entering column chosen by the
     /// dual ratio test, until primal feasibility is restored.
     ///
-    /// Expects exact `d` and `y` (from `box_dual_infeasible`) and maintains
+    /// Expects exact `d` and `y` (from the carried start) and maintains
     /// them from the pivot row each pivot computes anyway, so a pivot costs
     /// one BTRAN, one FTRAN and work proportional to that row. They are
     /// recomputed after every refactorization in the loop, which bounds
@@ -1243,7 +1237,7 @@ impl<'a> State<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::{load_bounds, resolve_warm, snapshot};
+    use crate::simplex::load_bounds;
     use crate::{Cmp, LinExpr, Model, RowId, Sense, Var};
 
     /// Deterministic xorshift64 stream in `[0, 1)`.
@@ -1261,10 +1255,15 @@ mod tests {
     /// A schedule-shaped model (value-weighted flows under demand and
     /// capacity rows) solved cold, then hit with what SAM and the lazy-row
     /// loop do to it: capacities drop, upper bounds shrink below the flow
-    /// they carried, a cutting row arrives. Returns it with its standard form
-    /// and a workspace holding the resolved cold basis and the new bounds —
-    /// what a reloading [`warm_state`] starts from.
-    fn cut_case(seed: u64, max_etas: usize) -> (Model, Problem, Workspace, SolverTuning) {
+    /// they carried, a cutting row arrives — and, with `move_costs`, a fifth
+    /// of the columns are revalued. Returns it with its standard form synced
+    /// and a workspace holding the cold solve's terminal state and the new
+    /// bounds — what a carried [`warm_state`] starts from.
+    fn cut_case(
+        seed: u64,
+        max_etas: usize,
+        move_costs: bool,
+    ) -> (Model, Problem, Workspace, SolverTuning) {
         let name = |i: usize| i.to_string();
         let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let (jobs, steps) = (4 + (g.unit() * 5.0) as usize, 4 + (g.unit() * 6.0) as usize);
@@ -1292,7 +1291,7 @@ mod tests {
         let mut p = Problem::from_model(&model);
         load_bounds(&model, &mut ws);
         run(&mut p, &model.rows, &SimplexOptions::default(), tuning, &mut ws, name, name).unwrap();
-        let basis = snapshot(&p, &ws);
+        (ws.owner_m, ws.owner_nstruct) = (p.m, p.nstruct);
 
         for &row in &caps {
             if g.unit() < 0.6 {
@@ -1306,8 +1305,15 @@ mod tests {
         }
         let cut = LinExpr::from_terms(x.iter().step_by(3).map(|&v| (1.0, v)));
         model.add_row("cut", cut, Cmp::Le, 1.0 + 3.0 * g.unit());
+        if move_costs {
+            for &v in &x {
+                if g.unit() < 0.2 {
+                    model.set_obj(v, 0.5 + 2.5 * g.unit());
+                }
+            }
+        }
 
-        assert!(p.sync(&model) && resolve_warm(&mut p, &mut ws, &basis));
+        assert!(p.sync(&model));
         load_bounds(&model, &mut ws);
         (model, p, ws, tuning)
     }
@@ -1315,34 +1321,50 @@ mod tests {
     /// The reduced costs and duals the dual loop carries from pivot row to
     /// pivot row must still be the exact ones when it hands over to the
     /// polish — whether it re-seeded them every other pivot (cadence 2),
-    /// every seventh, or never (96).
+    /// every seventh, or never (96), and whether the carried start inherited
+    /// them or, costs having moved, repriced them.
     #[test]
     fn dual_loop_hands_over_exact_reduced_costs_and_duals() {
         let name = |i: usize| i.to_string();
-        let mut pivots = [0u64; 3];
+        let (mut pivots, mut repriced) = ([0u64; 3], 0u32);
         for seed in 1..=40u64 {
             for (c, max_etas) in [2, 7, 96].into_iter().enumerate() {
-                let (model, p, mut ws, tuning) = cut_case(seed, max_etas);
-                let opts = SimplexOptions::default();
-                let mut st =
-                    warm_state(&p, &model.rows, &opts, tuning, &mut ws, false, &name).unwrap();
-                st.box_dual_infeasible(&p.cost);
-                st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
-                pivots[c] += st.stats.dual_iterations;
-                let (d, y) = (st.ws.d.clone(), st.ws.y.clone());
-                st.refactor().unwrap();
-                st.reprice(&p.cost);
-                let tol = 1e-9 * (1.0 + p.cost.iter().fold(0.0f64, |a, &c| a.max(c.abs())));
-                for (i, (&kept, &exact)) in y.iter().zip(&st.ws.y).enumerate() {
-                    assert!((kept - exact).abs() <= tol, "seed {seed}: y[{i}] {kept} vs {exact}");
-                }
-                for j in (0..p.n).filter(|&j| st.ws.pos_of[j] < 0) {
-                    let (kept, exact) = (d[j], st.ws.d[j]);
-                    assert!((kept - exact).abs() <= tol, "seed {seed}: d[{j}] {kept} vs {exact}");
+                for move_costs in [false, true] {
+                    let (model, p, mut ws, tuning) = cut_case(seed, max_etas, move_costs);
+                    let opts = SimplexOptions::default();
+                    let mut st =
+                        warm_state(&p, &model.rows, &opts, tuning, &mut ws, move_costs, &name)
+                            .unwrap();
+                    st.box_dual_infeasible();
+                    let ran = st.dual_iterate(&p.cost, &name);
+                    if move_costs {
+                        // Boxed columns restrict the problem, which may then
+                        // have no feasible point; the solve would go cold.
+                        if ran.is_err() {
+                            continue;
+                        }
+                        repriced += 1;
+                    } else {
+                        ran.expect("zero flow stays feasible");
+                        pivots[c] += st.stats.dual_iterations;
+                    }
+                    let (d, y) = (st.ws.d.clone(), st.ws.y.clone());
+                    st.refactor().unwrap();
+                    st.reprice(&p.cost);
+                    let tol = 1e-9 * (1.0 + p.cost.iter().fold(0.0f64, |a, &c| a.max(c.abs())));
+                    let what = format!("seed {seed}, costs moved: {move_costs}");
+                    for (i, (&kept, &exact)) in y.iter().zip(&st.ws.y).enumerate() {
+                        assert!((kept - exact).abs() <= tol, "{what}: y[{i}] {kept} vs {exact}");
+                    }
+                    for j in (0..p.n).filter(|&j| st.ws.pos_of[j] < 0) {
+                        let (kept, exact) = (d[j], st.ws.d[j]);
+                        assert!((kept - exact).abs() <= tol, "{what}: d[{j}] {kept} vs {exact}");
+                    }
                 }
             }
         }
         assert!(pivots.iter().all(|&k| k > 200), "dual pivots per cadence: {pivots:?}");
+        assert!(repriced > 40, "only {repriced} of 120 repriced starts ran the dual loop");
     }
 
     /// `finish` accepts the terminal `(x, y)` on the residual certificate and
@@ -1353,13 +1375,13 @@ mod tests {
     fn finish_refactorizes_only_when_the_certificate_fails() {
         let name = |i: usize| i.to_string();
         for seed in 1..=12u64 {
-            let (model, p, start, tuning) = cut_case(seed, 96);
+            let (model, p, start, tuning) = cut_case(seed, 96, false);
             let opts = SimplexOptions::default();
             let finish_after = |perturb: &dyn Fn(&mut Workspace, usize, usize)| {
                 let mut ws = start.clone();
                 let mut st =
                     warm_state(&p, &model.rows, &opts, tuning, &mut ws, false, &name).unwrap();
-                st.box_dual_infeasible(&p.cost);
+                st.box_dual_infeasible();
                 st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
                 assert!(st.ws.boxed.is_empty() && st.stats.dual_iterations > 0, "seed {seed}");
                 st.iterate(&p.cost, false, &name, &name).unwrap();

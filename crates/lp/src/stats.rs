@@ -67,11 +67,8 @@ pub struct SessionStats {
     /// Backward solves: one per pivot row, one per full reprice, one for
     /// the terminal duals when they are not already current.
     pub btrans: u64,
-    /// Warm solves that continued from the state their predecessor left in
-    /// the thread's workspace instead of reloading the saved basis
-    /// (DESIGN.md §23); `warm_primal + warm_dual − carried` reloaded.
-    pub carried: u64,
-    /// Appended rows bordered onto the carried factors.
+    /// Appended rows bordered onto the carried factors (every warm solve
+    /// carries: DESIGN.md §23).
     pub bordered_rows: u64,
     /// Solves whose terminal `(x, y)` failed the residual certificate and
     /// was recomputed from a fresh factorization.
@@ -117,7 +114,6 @@ impl PartialEq for SessionStats {
             && self.ft_updates == other.ft_updates
             && self.pivot_rejections == other.pivot_rejections
             && self.btrans == other.btrans
-            && self.carried == other.carried
             && self.bordered_rows == other.bordered_rows
             && self.terminal_refactors == other.terminal_refactors
     }
@@ -155,7 +151,6 @@ impl SessionStats {
         self.ft_updates += other.ft_updates;
         self.pivot_rejections += other.pivot_rejections;
         self.btrans += other.btrans;
-        self.carried += other.carried;
         self.bordered_rows += other.bordered_rows;
         self.terminal_refactors += other.terminal_refactors;
         self.pricing_serial_nanos += other.pricing_serial_nanos;
@@ -181,7 +176,6 @@ impl SessionStats {
             ("ft updates".into(), self.ft_updates.to_string()),
             ("pivot rejections".into(), self.pivot_rejections.to_string()),
             ("lp btrans".into(), self.btrans.to_string()),
-            ("lp carried solves".into(), self.carried.to_string()),
             ("lp bordered rows".into(), self.bordered_rows.to_string()),
             ("lp terminal refactors".into(), self.terminal_refactors.to_string()),
             ("pricing wall".into(), format!("{:.1}ms", self.pricing_serial_nanos as f64 / 1e6)),

@@ -29,8 +29,6 @@ pub mod util;
 
 pub use cost::LinkCost;
 pub use graph::{Edge, EdgeId, Network, Node, NodeId, Region};
-pub use paths::{
-    k_shortest_paths, k_shortest_paths_capped, shortest_path, Path, PathSet, SharedPathSet,
-};
+pub use paths::{k_shortest_paths, shortest_path, Path, PathSet, SharedPathSet};
 pub use time::{TimeGrid, Timestep};
 pub use util::UsageTracker;

@@ -155,7 +155,8 @@ pub fn shortest_path(
 }
 
 /// Yen's algorithm: up to `k` shortest loopless paths from `src` to `dst`.
-/// Paths are returned in non-decreasing weight order.
+/// Paths are returned in non-decreasing weight order; a disconnected pair
+/// has none.
 pub fn k_shortest_paths(
     net: &Network,
     src: NodeId,
@@ -163,41 +164,9 @@ pub fn k_shortest_paths(
     k: usize,
     weight: &impl Fn(EdgeId) -> f64,
 ) -> Vec<Path> {
-    k_shortest_paths_capped(net, src, dst, k, None, weight)
-}
-
-/// [`k_shortest_paths`] with an optional hop cap: paths longer than
-/// `max_hops` edges are never returned, which bounds the `(path, timestep)`
-/// column universe the colgen scheduler prices over on dense topologies.
-/// `None` is uncapped.
-///
-/// When the weight-shortest path exceeds the cap, the hop-count-shortest
-/// path seeds the search instead (it has the fewest edges any path can
-/// have, so if it still exceeds the cap no admissible path exists and the
-/// result is empty). Spur candidates over the cap are discarded, so with
-/// non-uniform weights the capped result is the best admissible set Yen's
-/// deviation tree reaches, not necessarily the k weight-cheapest capped
-/// paths — the cap is a universe bound, not an exact constrained search.
-pub fn k_shortest_paths_capped(
-    net: &Network,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    max_hops: Option<usize>,
-    weight: &impl Fn(EdgeId) -> f64,
-) -> Vec<Path> {
     assert!(k >= 1, "k must be at least 1");
-    let cap = max_hops.unwrap_or(usize::MAX);
-    assert!(cap >= 1, "max_hops must allow at least one edge");
-    let first = match shortest_path(net, src, dst, weight) {
-        Some(p) if p.len() <= cap => p,
-        // The weight-shortest path is too long (or the pair is
-        // disconnected): fall back to the fewest-hop path, which decides
-        // admissibility exactly.
-        _ => match shortest_path(net, src, dst, &|_| 1.0) {
-            Some(p) if p.len() <= cap => p,
-            _ => return Vec::new(),
-        },
+    let Some(first) = shortest_path(net, src, dst, weight) else {
+        return Vec::new();
     };
     let path_cost = |edges: &[EdgeId]| -> f64 { edges.iter().map(|&e| weight(e)).sum() };
     let mut found: Vec<Vec<EdgeId>> = vec![first];
@@ -206,12 +175,8 @@ pub fn k_shortest_paths_capped(
     let mut seen: HashSet<Vec<EdgeId>> = found.iter().cloned().collect();
 
     while found.len() < k {
-        // Spur generation deviates from the most recent accepted path; an
-        // empty `found` (nothing admissible was ever accepted) means there
-        // is nothing to deviate from.
-        let Some(last) = found.last().cloned() else {
-            break;
-        };
+        // Spur generation deviates from the most recent accepted path.
+        let last = found[found.len() - 1].clone();
         // Spur from every node of the previous path.
         for i in 0..last.len() {
             let root = &last[..i];
@@ -235,7 +200,7 @@ pub fn k_shortest_paths_capped(
             {
                 let mut total: Vec<EdgeId> = root.to_vec();
                 total.extend(spur);
-                if total.len() <= cap && seen.insert(total.clone()) {
+                if seen.insert(total.clone()) {
                     candidates.push((path_cost(&total), total));
                 }
             }
@@ -415,38 +380,13 @@ mod tests {
     }
 
     #[test]
-    fn hop_cap_bounds_returned_paths() {
-        let (net, a, d) = diamond();
-        // Cap at 1 hop: only the direct edge qualifies.
-        let paths = k_shortest_paths_capped(&net, a, d, 5, Some(1), &|_| 1.0);
-        assert_eq!(paths.len(), 1);
-        assert_eq!(paths[0].len(), 1);
-        // Cap at 2 admits all three diamond paths; None is uncapped.
-        assert_eq!(k_shortest_paths_capped(&net, a, d, 5, Some(2), &|_| 1.0).len(), 3);
-        assert_eq!(k_shortest_paths_capped(&net, a, d, 5, None, &|_| 1.0).len(), 3);
-    }
-
-    #[test]
-    fn hop_cap_reseeds_from_fewest_hop_path() {
-        let (net, a, d) = diamond();
-        // Make the direct edge so expensive the weight-shortest path is the
-        // 2-hop route; a 1-hop cap must still find the direct path.
-        let direct = net.find_edge(a, d).unwrap();
-        let w = move |e: EdgeId| if e == direct { 100.0 } else { 1.0 };
-        let paths = k_shortest_paths_capped(&net, a, d, 3, Some(1), &w);
-        assert_eq!(paths.len(), 1);
-        assert_eq!(paths[0].edges(), [direct]);
-    }
-
-    #[test]
-    fn hop_cap_on_disconnected_pair_is_empty() {
+    fn yen_on_disconnected_pair_is_empty() {
         let mut net = Network::new();
         let a = net.add_node("A", Region::NorthAmerica);
         let b = net.add_node("B", Region::NorthAmerica);
         let c = net.add_node("C", Region::NorthAmerica);
         net.add_edge(a, b, 1.0, LinkCost::owned());
-        assert!(k_shortest_paths_capped(&net, a, c, 3, Some(4), &|_| 1.0).is_empty());
-        assert!(k_shortest_paths_capped(&net, a, c, 3, None, &|_| 1.0).is_empty());
+        assert!(k_shortest_paths(&net, a, c, 3, &|_| 1.0).is_empty());
     }
 
     #[test]
