@@ -499,21 +499,16 @@ mod tests {
         assert!((sol.objective() - cold.objective()).abs() < 1e-7);
     }
 
-    /// `invalidate` is the one way to ask for a cold solve: it runs the
-    /// simplex even with nothing mutated, past the cached optimum, and again
-    /// after a mutation the last basis would have absorbed warm.
+    /// `invalidate` is the one way to force a cold solve: a mutation the
+    /// last basis would have absorbed warm still runs cold after it.
     #[test]
-    fn invalidate_forces_a_cold_solve_past_the_cache() {
+    fn force_cold_ignores_basis() {
         let (mut s, _x, _y, r1, _r2) = toy();
         s.solve(&SolveOptions::default()).unwrap();
-        s.invalidate();
-        s.solve(&SolveOptions::default()).unwrap();
-        assert_eq!(s.last_restart(), Some(Restart::Cold));
         s.set_rhs(r1, 3.0);
         s.invalidate();
         s.solve(&SolveOptions::default()).unwrap();
         assert_eq!(s.last_restart(), Some(Restart::Cold));
-        assert_eq!((s.stats().cache_hits, s.stats().cold_starts), (0, 3));
     }
 
     /// Every mutator, and an `append_with` that appends, makes the cached
@@ -577,6 +572,19 @@ mod tests {
         s.solve(&SolveOptions::default()).unwrap();
         assert_eq!(s.stats().solves, 2);
         assert_eq!(s.stats().cache_hits, 1);
+    }
+
+    /// With nothing mutated, `invalidate` still runs the simplex, past the
+    /// cached optimum.
+    #[test]
+    fn force_cold_bypasses_cache() {
+        let (mut s, _x, _y, _r1, _r2) = toy();
+        s.solve(&SolveOptions::default()).unwrap();
+        s.invalidate();
+        s.solve(&SolveOptions::default()).unwrap();
+        assert_eq!(s.last_restart(), Some(Restart::Cold));
+        assert_eq!(s.stats().cache_hits, 0);
+        assert_eq!(s.stats().cold_starts, 2);
     }
 
     #[test]
