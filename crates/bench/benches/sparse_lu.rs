@@ -3,7 +3,7 @@
 //!
 //! Two scenarios mirror the repo's LP population: `wide` (m = 600, the
 //! widest single-window SAM master) and `colgen` (m = 1600, the
-//! restricted-master scale the column-generation redesign unlocked). Each
+//! restricted-master scale of the removed column-generation path). Each
 //! basis mixes slack singletons, interlocked multi-hop flow columns, and
 //! denser percentile/CVaR columns.
 //!

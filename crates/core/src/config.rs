@@ -4,23 +4,6 @@ use crate::state::PriceBump;
 use crate::topk::TopkEncoding;
 use pretium_lp::Pricing;
 
-/// Column-generation mode for the SAM scheduling LP (DESIGN.md §17).
-///
-/// `Off` materializes every `(path, timestep)` flow variable when a job is
-/// added — the reference behavior every recorded experiment uses. `On`
-/// builds a *restricted master*: each job seeds only its shortest path, and
-/// absent columns are appended only when the restricted optimum's duals
-/// give them favorable reduced cost. Columns generated in one SAM step
-/// persist (warm) into the next.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ColumnGen {
-    /// Materialize the full `(path, timestep)` column universe up front.
-    #[default]
-    Off,
-    /// Lazy column generation over the Yen k-shortest-path set.
-    On,
-}
-
 /// All tunables of a Pretium instance. Defaults follow the paper where it
 /// states values, and DESIGN.md §8 where it does not. What the paper fixes
 /// and nothing in the repository varies is not a field: SAM runs every
@@ -59,11 +42,6 @@ pub struct PretiumConfig {
     /// end-to-end benchmark (`e2ebench/src/probes.rs`) copies it into its
     /// solve options, and goes when that reader does.
     pub pricing: Pricing,
-    /// Column generation for the SAM scheduling LP (DESIGN.md §17). Off by
-    /// default: full materialization is the reference behavior, and every
-    /// recorded experiment uses it unless stated. PC and the offline
-    /// baselines always solve fully materialized regardless of this knob.
-    pub colgen: ColumnGen,
     /// Forrest–Tomlin updates the LP basis factorization accumulates
     /// before refactorizing, for every LP Pretium solves
     /// ([`pretium_lp::SolverTuning::max_etas`]). `0` (the default) selects
@@ -93,7 +71,6 @@ impl Default for PretiumConfig {
             price_floor: 0.05,
             audit: false,
             pricing: Pricing::default(),
-            colgen: ColumnGen::Off,
             max_etas: 0,
             pricing_jobs: 1,
         }
@@ -107,7 +84,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         // Exhaustive on purpose: a new field does not compile here until
-        // someone has argued for it (ROADMAP item 3: at most 12).
+        // someone has argued for it (ROADMAP item 5: at most 11).
         let PretiumConfig {
             k_paths,
             highpri_fraction,
@@ -118,7 +95,6 @@ mod tests {
             price_floor,
             audit,
             pricing,
-            colgen,
             max_etas,
             pricing_jobs,
         } = PretiumConfig::default();
@@ -129,17 +105,15 @@ mod tests {
         // Release-build auditing is opt-in (debug builds always audit).
         assert!(!audit);
         assert_eq!(pricing, Pricing::PartialDevex);
-        // Colgen is opt-in.
-        assert_eq!(colgen, ColumnGen::Off);
         // The solver default cadence; `pricing_jobs` is inert.
         assert_eq!((max_etas, pricing_jobs), (0, 1));
     }
 
     #[test]
     fn clone_roundtrip() {
-        let c = PretiumConfig { k_paths: 5, colgen: ColumnGen::On, ..Default::default() };
+        let c = PretiumConfig { k_paths: 5, sam_enabled: false, ..Default::default() };
         let back = c.clone();
         assert_eq!(c.k_paths, back.k_paths);
-        assert_eq!(c.colgen, back.colgen);
+        assert_eq!(c.sam_enabled, back.sam_enabled);
     }
 }

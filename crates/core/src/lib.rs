@@ -46,7 +46,7 @@ pub mod topk;
 
 pub use admission::{AdmissionSnapshot, QuoteTicket, Sequencer};
 pub use audit::{AuditContext, AuditPoint, Auditor, Invariant, Violation};
-pub use config::{ColumnGen, PretiumConfig};
+pub use config::PretiumConfig;
 pub use contract::{Contract, ContractId, RequestParams};
 pub use degradation::{DegradationKind, LedgerEntry, ViolationLedger};
 pub use menu::{build_menu, PriceMenu};

@@ -472,13 +472,7 @@ impl Pretium {
                     topk: self.cfg.topk,
                     cost_scale: self.cfg.cost_scale,
                 };
-                // SAM alone runs the restricted master when colgen is on; PC
-                // and the offline baselines always solve fully materialized.
-                SamCarry::new(
-                    ScheduleSession::with_colgen(&problem, self.cfg.colgen),
-                    active.clone(),
-                    window,
-                )
+                SamCarry::new(ScheduleSession::new(&problem), active.clone(), window)
             }
         };
         // Freeze the steps executed since the last run, then append

@@ -19,11 +19,12 @@
 //! infeasible (§4.4). Per `(edge, t)`: `Σ X ≤ capacity`. Percentile-billed
 //! edges additionally carry the sum-of-top-k cost proxy of §4.2.
 //!
-//! ## Lazy rows and columns
+//! ## Lazy rows
 //!
 //! [`ScheduleSession::solve_step_with`] is the tree's one generation loop.
-//! A round solves the current relaxation warm, then grows it — **rows
-//! first**: (a) capacity rows the tentative schedule violates and (b) cost
+//! Every job's `(path, timestep)` columns are materialized when it is added;
+//! only rows are lazy. A round solves the current relaxation warm, then
+//! grows it: (a) capacity rows the tentative schedule violates and (b) cost
 //! encodings for percentile edges it actually uses (an encoding appends
 //! variables *and* rows *and* sets an objective coefficient, which is why
 //! the loop lives here and not behind a row oracle in `pretium-lp`).
@@ -32,21 +33,10 @@
 //! for the full objective. Capacity duals of never-added rows are zero (the
 //! rows never bind).
 //!
-//! **Then columns**, only in a round that grew no row (pricing needs a dual
-//! for every materialized row). With [`crate::ColumnGen::On`] each job
-//! seeds only its shortest `COLGEN_SEED_PATHS` paths' `(path, timestep)`
-//! variables, and the round prices the absent columns against the
-//! tentative optimum's duals — `d = weight − y_demand − y_guar −
-//! Σ_e (y_cap + y_use)` over the path's edges — appending the best few per
-//! job that price out (`d > 0` under Maximize) through
-//! [`SolverSession::add_generated_cols`]. Columns generated in one SAM step
-//! persist (warm) into the next.
-//!
-//! The loop ends when neither side grows, and the **terminal duals are the
-//! certificate**: absent rows are satisfied with dual zero, absent columns
-//! are nonbasic at their lower bound with unfavorable reduced cost, so the
-//! restricted optimum is optimal for the full LP — and PC's prices are
-//! duals of that certified optimum.
+//! The loop ends when a round adds nothing, and the **terminal duals are
+//! the certificate**: absent rows are satisfied with dual zero, so the
+//! relaxed optimum is optimal for the full LP — and PC's prices are duals
+//! of that certified optimum.
 //!
 //! PC materializes its rows up front instead
 //! ([`ScheduleSession::materialize_contested`]): every capacity row whose
@@ -62,11 +52,10 @@
 //! warm-starts from the previous optimal basis instead of rebuilding from
 //! scratch. [`solve`] remains the lazy one-shot entry point (baselines).
 
-use crate::config::ColumnGen;
 use crate::topk::{topk_upper_bound, TopkEncoding};
 use pretium_lp::{
-    Cmp, ColRequest, LinExpr, Model, RowId, Sense, SessionStats, Solution, SolveError,
-    SolveOptions, SolverSession, Var,
+    Cmp, LinExpr, Model, RowId, Sense, SessionStats, Solution, SolveError, SolveOptions,
+    SolverSession, Var,
 };
 use pretium_net::cost::TOP_FRACTION;
 use pretium_net::percentile::top_k_count;
@@ -204,18 +193,6 @@ const USE_TOL: f64 = 1e-7;
 const MAX_ROUNDS: u32 = 60;
 /// Near-violation fraction that pre-materializes a capacity row.
 const NEAR_CAP_FRACTION: f64 = 0.85;
-/// Relative reduced-cost threshold for a column to price out.
-const COLGEN_TOL: f64 = 1e-7;
-/// Columns appended per job per pricing round: enough to make progress on
-/// every block at once, small enough that materialization stays close to
-/// the columns the optimum actually needs.
-const COLGEN_PER_JOB: usize = 4;
-/// Pricing-round budget per solve step under [`ColumnGen::On`]. When it
-/// runs out, the restricted-master optimum is adopted as is
-/// (budget-truncated rather than certified over the universe).
-const COLGEN_MAX_ROUNDS: u32 = 50;
-/// Paths seeded per job (shortest first) under [`ColumnGen::On`].
-const COLGEN_SEED_PATHS: usize = 1;
 
 /// The scheduling LP kept alive across solves, with the solver basis of the
 /// last optimum.
@@ -253,28 +230,9 @@ pub struct ScheduleSession {
     cost_scale: f64,
     /// Shortfall penalty (scales with the largest job weight seen).
     penalty: f64,
-    /// Column-generation mode. `Off` materializes the full
-    /// `(path, timestep)` variable universe at [`ScheduleSession::add_job`];
-    /// `On` seeds a restricted column set and prices the rest lazily.
-    colgen: ColumnGen,
     jobs: Vec<Job>,
     /// Flow variables: per job, `(path index, t, var)`.
     vars: Vec<Vec<(usize, Timestep, Var)>>,
-    /// Per job, the `(path index, t)` pairs with a materialized flow
-    /// variable (colgen prices only absent pairs).
-    materialized: Vec<DetHashSet<(usize, Timestep)>>,
-    /// Demand row per job (`Σ X ≤ max_units`; `None` when the job's window
-    /// is empty) — colgen pricing needs its dual.
-    demand_rows: Vec<Option<RowId>>,
-    /// Size of the full `(path, timestep)` column universe across jobs
-    /// (what `Off` would have materialized).
-    universe: usize,
-    /// `(e, t)` pairs some job's *universe* column could cross (colgen
-    /// mode only). Cost encodings pre-provision usage rows for these, so a
-    /// column generated after the encoding retrofits into the percentile
-    /// proxy instead of escaping it — keeping the `On` LP the exact
-    /// restriction of the `Off` LP.
-    potential: DetHashSet<(EdgeId, Timestep)>,
     /// Shortfall variable per job (if it has a guarantee).
     shortfalls: Vec<Option<Var>>,
     /// Guarantee row per job (if it has one) — the degradation policy
@@ -307,16 +265,9 @@ pub fn solve(
 impl ScheduleSession {
     /// Build the base LP (demand and guarantee rows; capacity rows and cost
     /// encodings are generated lazily during [`ScheduleSession::solve_step_with`],
-    /// or up front by [`ScheduleSession::materialize_contested`]), with the
-    /// full column universe materialized ([`ColumnGen::Off`]).
+    /// or up front by [`ScheduleSession::materialize_contested`]), with
+    /// every job's `(path, timestep)` columns materialized.
     pub fn new(p: &ScheduleProblem<'_>) -> Self {
-        Self::with_colgen(p, ColumnGen::Off)
-    }
-
-    /// [`ScheduleSession::new`] with an explicit column-generation mode.
-    /// Under [`ColumnGen::On`], each job seeds only its shortest
-    /// `COLGEN_SEED_PATHS` paths' columns and the solve loop prices the rest.
-    pub fn with_colgen(p: &ScheduleProblem<'_>, colgen: ColumnGen) -> Self {
         assert!(p.from < p.to, "empty scheduling horizon");
         let max_weight = p.jobs.iter().map(|j| j.weight.abs()).fold(1.0f64, f64::max);
         let mut s = ScheduleSession {
@@ -328,13 +279,8 @@ impl ScheduleSession {
             topk: p.topk,
             cost_scale: p.cost_scale,
             penalty: max_weight * SHORTFALL_PENALTY_FACTOR,
-            colgen,
             jobs: Vec::with_capacity(p.jobs.len()),
             vars: Vec::with_capacity(p.jobs.len()),
-            materialized: Vec::with_capacity(p.jobs.len()),
-            demand_rows: Vec::with_capacity(p.jobs.len()),
-            universe: 0,
-            potential: DetHashSet::default(),
             shortfalls: Vec::with_capacity(p.jobs.len()),
             guar_rows: Vec::with_capacity(p.jobs.len()),
             cap_rows: HashMap::default(),
@@ -354,27 +300,15 @@ impl ScheduleSession {
         self.fixed_up_to
     }
 
-    /// Number of jobs in the LP (in insertion order, matching the `flows`
-    /// vector of returned solutions).
-    pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Restart counters of the underlying LP session.
     pub fn lp_stats(&self) -> SessionStats {
         self.sess.stats()
     }
 
-    /// Flow columns currently materialized across jobs (seeded plus
-    /// generated; excludes shortfall / usage / encoding variables).
+    /// Flow columns materialized across jobs (excludes shortfall / usage /
+    /// encoding variables).
     pub fn num_flow_columns(&self) -> usize {
         self.vars.iter().map(|v| v.len()).sum()
-    }
-
-    /// Size of the full `(path, timestep)` column universe across jobs —
-    /// what [`ColumnGen::Off`] materializes up front.
-    pub fn column_universe(&self) -> usize {
-        self.universe
     }
 
     /// Append a job and return its index in the session's job list. New
@@ -391,64 +325,35 @@ impl ScheduleSession {
         self.penalty = self.penalty.max(job.weight.abs() * SHORTFALL_PENALTY_FACTOR);
         let lo = job.start.max(self.fixed_up_to);
         let hi = (job.deadline + 1).min(self.to);
-        // The full (path, timestep) universe of this job — what Off
-        // materializes, and what On prices over.
-        let universe: Vec<(usize, Timestep)> = (0..job.paths.len())
-            .flat_map(|pi| (lo..hi).filter(|&t| job.step_allowed(t)).map(move |t| (pi, t)))
-            .collect();
-        self.universe += universe.len();
-        let seed: Vec<(usize, Timestep)> = match self.colgen {
-            ColumnGen::Off => universe.clone(),
-            ColumnGen::On => {
-                // Feasible steps are path-independent, so the shortest
-                // path's pairs are nonempty whenever the universe is — the
-                // demand/guarantee rows always exist when pricing could
-                // ever generate a column.
-                let seed: Vec<(usize, Timestep)> =
-                    universe.iter().copied().filter(|&(pi, _)| pi < COLGEN_SEED_PATHS).collect();
-                // Every universe pair could cross its path's edges: record
-                // them so cost encodings pre-provision usage rows the
-                // later-generated columns retrofit into.
-                for &(pi, t) in &universe {
-                    for &e in job.paths[pi].edges() {
-                        self.potential.insert((e, t));
-                    }
-                }
-                seed
-            }
-        };
         let mut jvars = Vec::new();
         let mut total = LinExpr::new();
-        let mut mat = DetHashSet::default();
-        for &(pi, t) in &seed {
-            let v = self.sess.add_var(&format!("x_{j}_{pi}_{t}"), 0.0, f64::INFINITY, job.weight);
-            jvars.push((pi, t, v));
-            mat.insert((pi, t));
-            total.add_term(1.0, v);
-            for &e in job.paths[pi].edges() {
-                if let Some(&row) = self.cap_rows.get(&(e, t)) {
-                    self.sess.add_term(row, v, 1.0);
+        for pi in 0..job.paths.len() {
+            for t in (lo..hi).filter(|&t| job.step_allowed(t)) {
+                let v =
+                    self.sess.add_var(&format!("x_{j}_{pi}_{t}"), 0.0, f64::INFINITY, job.weight);
+                jvars.push((pi, t, v));
+                total.add_term(1.0, v);
+                for &e in job.paths[pi].edges() {
+                    if let Some(&row) = self.cap_rows.get(&(e, t)) {
+                        self.sess.add_term(row, v, 1.0);
+                    }
+                    if let Some(&row) = self.use_rows.get(&(e, t)) {
+                        self.sess.add_term(row, v, 1.0);
+                    }
+                    self.crossing.entry((e, t)).or_default().push(v);
                 }
-                if let Some(&row) = self.use_rows.get(&(e, t)) {
-                    self.sess.add_term(row, v, 1.0);
-                }
-                self.crossing.entry((e, t)).or_default().push(v);
             }
         }
         if jvars.is_empty() {
             // Window entirely outside the remaining horizon: job gets
             // nothing.
             self.vars.push(jvars);
-            self.materialized.push(mat);
-            self.demand_rows.push(None);
             self.shortfalls.push(None);
             self.guar_rows.push(None);
             self.jobs.push(job);
             return j;
         }
-        let demand =
-            self.sess.add_row(&format!("demand_{j}"), total.clone(), Cmp::Le, job.max_units);
-        self.demand_rows.push(Some(demand));
+        self.sess.add_row(&format!("demand_{j}"), total.clone(), Cmp::Le, job.max_units);
         if job.min_units > 1e-9 {
             // Soft guarantee: Σ X + shortfall >= min_units.
             let s = self.sess.add_var(&format!("short_{j}"), 0.0, job.min_units, -self.penalty);
@@ -461,7 +366,6 @@ impl ScheduleSession {
             self.guar_rows.push(None);
         }
         self.vars.push(jvars);
-        self.materialized.push(mat);
         self.jobs.push(job);
         j
     }
@@ -547,12 +451,7 @@ impl ScheduleSession {
         // lookup.
         static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         let trace = *TRACE.get_or_init(|| std::env::var_os("PRETIUM_LP_TRACE").is_some());
-        let round_cap = match self.colgen {
-            ColumnGen::Off => MAX_ROUNDS,
-            ColumnGen::On => MAX_ROUNDS + COLGEN_MAX_ROUNDS,
-        };
         let mut rounds = 0;
-        let mut col_rounds = 0;
         loop {
             rounds += 1;
             let t0 = trace.then(std::time::Instant::now);
@@ -566,15 +465,11 @@ impl ScheduleSession {
                     t0.elapsed()
                 );
             }
-            // Rows first: column pricing needs duals for every materialized
-            // row, and a round that just grew rows has none for them yet.
-            let grew = self.lazy_grow(net, capacity, realized, &sol)
-                || self.colgen_grow(&sol, &mut col_rounds);
-            if !grew {
+            if !self.lazy_grow(net, capacity, realized, &sol) {
                 self.last_values = sol.values().to_vec();
                 return Ok(self.extract(sol, rounds));
             }
-            if rounds >= round_cap {
+            if rounds >= MAX_ROUNDS {
                 return Err(SolveError::IterationLimit { iterations: rounds as u64 });
             }
         }
@@ -721,97 +616,6 @@ impl ScheduleSession {
         progressed
     }
 
-    /// One pricing round against a tentative restricted optimum
-    /// ([`ColumnGen::On`] only): scan each job's absent `(path, timestep)`
-    /// pairs, compute reduced costs from the demand / guarantee / capacity /
-    /// usage duals (absent lazy rows price at 0), and append the most
-    /// favorable columns through [`SolverSession::add_generated_cols`].
-    /// Returns whether any column was appended; `false` with an exhausted
-    /// budget adopts the restricted optimum as is.
-    fn colgen_grow(&mut self, sol: &Solution, col_rounds: &mut u32) -> bool {
-        if self.colgen == ColumnGen::Off || *col_rounds >= COLGEN_MAX_ROUNDS {
-            return false;
-        }
-        let mut batch: Vec<(usize, usize, Timestep)> = Vec::new();
-        for (j, job) in self.jobs.iter().enumerate() {
-            let Some(demand) = self.demand_rows[j] else { continue };
-            let y_demand = sol.dual(demand);
-            let y_guar = self.guar_rows[j].map(|r| sol.dual(r)).unwrap_or(0.0);
-            let lo = job.start.max(self.fixed_up_to);
-            let hi = (job.deadline + 1).min(self.to);
-            let mut cands: Vec<(f64, usize, Timestep)> = Vec::new();
-            for (pi, path) in job.paths.iter().enumerate() {
-                for t in lo..hi {
-                    if !job.step_allowed(t) || self.materialized[j].contains(&(pi, t)) {
-                        continue;
-                    }
-                    // Reduced cost of x_{j,pi,t} in the Maximize master:
-                    // objective coefficient minus the duals of every
-                    // materialized row the column would enter.
-                    let mut d = job.weight - y_demand - y_guar;
-                    for &e in path.edges() {
-                        if let Some(&row) = self.cap_rows.get(&(e, t)) {
-                            d -= sol.dual(row);
-                        }
-                        if let Some(&row) = self.use_rows.get(&(e, t)) {
-                            d -= sol.dual(row);
-                        }
-                    }
-                    if d > COLGEN_TOL * (1.0 + job.weight.abs()) {
-                        cands.push((d, pi, t));
-                    }
-                }
-            }
-            cands.sort_by(|a, b| {
-                b.0.partial_cmp(&a.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
-            });
-            for &(_, pi, t) in cands.iter().take(COLGEN_PER_JOB) {
-                batch.push((j, pi, t));
-            }
-        }
-        if batch.is_empty() {
-            return false;
-        }
-        *col_rounds += 1;
-        let requests: Vec<ColRequest> = batch
-            .iter()
-            .map(|&(j, pi, t)| {
-                let job = &self.jobs[j];
-                let mut terms: Vec<(RowId, f64)> =
-                    vec![(self.demand_rows[j].expect("priced job has a demand row"), 1.0)];
-                if let Some(row) = self.guar_rows[j] {
-                    terms.push((row, 1.0));
-                }
-                for &e in job.paths[pi].edges() {
-                    if let Some(&row) = self.cap_rows.get(&(e, t)) {
-                        terms.push((row, 1.0));
-                    }
-                    if let Some(&row) = self.use_rows.get(&(e, t)) {
-                        terms.push((row, 1.0));
-                    }
-                }
-                ColRequest {
-                    name: format!("x_{j}_{pi}_{t}"),
-                    lb: 0.0,
-                    ub: f64::INFINITY,
-                    obj: job.weight,
-                    terms,
-                }
-            })
-            .collect();
-        let added = self.sess.add_generated_cols(requests);
-        for (&(j, pi, t), &v) in batch.iter().zip(added.iter()) {
-            self.vars[j].push((pi, t, v));
-            self.materialized[j].insert((pi, t));
-            for &e in self.jobs[j].paths[pi].edges() {
-                self.crossing.entry((e, t)).or_default().push(v);
-            }
-        }
-        true
-    }
-
     /// Add the §4.2 cost proxy for percentile edge `e` over billing window
     /// `w`: usage variables `U_{e,t}` tied to the crossing flows,
     /// realized-past constants, a top-k bound `S`, and the objective term
@@ -828,24 +632,19 @@ impl ScheduleSession {
         let mut inputs: Vec<Var> = Vec::new();
         for t in range {
             if t >= self.from && t < self.to {
-                let vars = self.crossing.get(&(e, t));
-                if vars.is_some() || self.potential.contains(&(e, t)) {
-                    // U_{e,t} = Σ crossing flows. Steps no materialized
-                    // flow crosses yet are provisioned anyway when a
-                    // *generatable* column could cross them, so columns
-                    // appended after this encoding retrofit into the
-                    // percentile proxy instead of escaping it.
+                if let Some(vars) = self.crossing.get(&(e, t)) {
+                    // U_{e,t} = Σ crossing flows.
                     let u = self.sess.add_nonneg(&format!("u_{e}_{t}"), 0.0);
                     let mut expr = LinExpr::new().term(-1.0, u);
-                    for &v in vars.into_iter().flatten() {
+                    for &v in vars {
                         expr.add_term(1.0, v);
                     }
                     let row = self.sess.add_row(&format!("use_{e}_{t}"), expr, Cmp::Eq, 0.0);
                     self.use_rows.insert((e, t), row);
                     inputs.push(u);
                 }
-                // No crossing vars and none generatable: future usage is 0,
-                // skip (zeros never enter the top-k of non-negative inputs).
+                // No crossing vars: future usage is 0, skip (zeros never
+                // enter the top-k of non-negative inputs).
             } else if t < self.from {
                 let c = realized(e, t);
                 if c > 0.0 {
@@ -1436,159 +1235,6 @@ mod tests {
         };
         let sol = solve(&problem, &SolveOptions::default()).unwrap();
         assert!((sol.delivered[0] - 5.0).abs() < 1e-6);
-    }
-
-    /// Diamond S -> {M1, M2} -> T with two disjoint routes of per-edge
-    /// capacity 5.
-    fn diamond() -> (Network, Vec<Path>) {
-        let mut net = Network::new();
-        let s = net.add_node("S", pretium_net::Region::NorthAmerica);
-        let m1 = net.add_node("M1", pretium_net::Region::NorthAmerica);
-        let m2 = net.add_node("M2", pretium_net::Region::NorthAmerica);
-        let t = net.add_node("T", pretium_net::Region::NorthAmerica);
-        net.add_edge(s, m1, 5.0, LinkCost::owned());
-        net.add_edge(m1, t, 5.0, LinkCost::owned());
-        net.add_edge(s, m2, 5.0, LinkCost::owned());
-        net.add_edge(m2, t, 5.0, LinkCost::owned());
-        let paths = pretium_net::k_shortest_paths(&net, s, t, 2, &|_| 1.0);
-        assert_eq!(paths.len(), 2);
-        (net, paths)
-    }
-
-    #[test]
-    fn colgen_prices_in_columns_the_seed_lacks() {
-        // Demand 30 over 4 steps needs both routes (path 0 alone carries
-        // 20): the restricted master must price path-1 columns in and land
-        // on the full-materialization optimum.
-        let (net, paths) = diamond();
-        let grid = TimeGrid::new(4, 30);
-        let jobs = vec![Job::new(0, paths, 0, 3, 1.0, 0.0, 30.0)];
-        let cap = |e: EdgeId, _t: Timestep| net.edge(e).capacity;
-        let problem = ScheduleProblem {
-            net: &net,
-            grid: &grid,
-            from: 0,
-            to: 4,
-            jobs: &jobs,
-            capacity: &cap,
-            realized: &no_realized,
-            topk: TopkEncoding::CVar,
-            cost_scale: 1.0,
-        };
-        let full = solve(&problem, &SolveOptions::default()).unwrap();
-        let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::On);
-        let lazy =
-            sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
-        assert!(
-            (lazy.objective - full.objective).abs() < 1e-6 * (1.0 + full.objective.abs()),
-            "colgen {} vs full {}",
-            lazy.objective,
-            full.objective
-        );
-        assert!((lazy.delivered[0] - full.delivered[0]).abs() < 1e-5);
-        assert_eq!(sess.column_universe(), 8);
-        assert!(sess.num_flow_columns() > 4, "pricing generated nothing");
-        let stats = sess.lp_stats();
-        assert!(stats.columns_generated > 0, "{stats:?}");
-        assert!(stats.colgen_rounds > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn colgen_seed_suffices_when_demand_fits_shortest_path() {
-        // Demand 10 fits on path 0 (capacity 20 over 4 steps): the demand
-        // row's dual kills every path-1 candidate, so the master stays a
-        // strict restriction of the full universe.
-        let (net, paths) = diamond();
-        let grid = TimeGrid::new(4, 30);
-        let jobs = vec![Job::new(0, paths, 0, 3, 1.0, 0.0, 10.0)];
-        let cap = |e: EdgeId, _t: Timestep| net.edge(e).capacity;
-        let problem = ScheduleProblem {
-            net: &net,
-            grid: &grid,
-            from: 0,
-            to: 4,
-            jobs: &jobs,
-            capacity: &cap,
-            realized: &no_realized,
-            topk: TopkEncoding::CVar,
-            cost_scale: 1.0,
-        };
-        let full = solve(&problem, &SolveOptions::default()).unwrap();
-        let mut sess = ScheduleSession::with_colgen(&problem, ColumnGen::On);
-        let lazy =
-            sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
-        assert!((lazy.objective - full.objective).abs() < 1e-6 * (1.0 + full.objective.abs()));
-        assert!((lazy.delivered[0] - full.delivered[0]).abs() < 1e-5);
-        assert!(
-            sess.num_flow_columns() < sess.column_universe(),
-            "{} of {} columns — no restriction",
-            sess.num_flow_columns(),
-            sess.column_universe()
-        );
-    }
-
-    #[test]
-    fn colgen_session_tracks_full_across_advance_and_add_job() {
-        // Drive two sessions — full materialization and colgen — through
-        // the same SAM-like sequence: solve, execute a step, add a
-        // latecomer job, re-solve. A percentile edge on route 1 exercises
-        // the pre-provisioned usage rows (columns generated after the cost
-        // encoding must still enter the proxy).
-        let mut net = Network::new();
-        let s = net.add_node("S", pretium_net::Region::NorthAmerica);
-        let m1 = net.add_node("M1", pretium_net::Region::NorthAmerica);
-        let m2 = net.add_node("M2", pretium_net::Region::Europe);
-        let t = net.add_node("T", pretium_net::Region::NorthAmerica);
-        net.add_edge(s, m1, 5.0, LinkCost::owned());
-        net.add_edge(m1, t, 5.0, LinkCost::owned());
-        net.add_edge(s, m2, 5.0, LinkCost::percentile(0.2));
-        net.add_edge(m2, t, 5.0, LinkCost::owned());
-        let paths = pretium_net::k_shortest_paths(&net, s, t, 2, &|_| 1.0);
-        assert_eq!(paths.len(), 2);
-        let grid = TimeGrid::new(6, 30);
-        let jobs = vec![Job::new(0, paths.clone(), 0, 5, 2.0, 6.0, 35.0)];
-        let cap = |e: EdgeId, _t: Timestep| net.edge(e).capacity;
-        let problem = ScheduleProblem {
-            net: &net,
-            grid: &grid,
-            from: 0,
-            to: 6,
-            jobs: &jobs,
-            capacity: &cap,
-            realized: &no_realized,
-            topk: TopkEncoding::CVar,
-            cost_scale: 1.0,
-        };
-        let mut full = ScheduleSession::new(&problem);
-        let mut lazy = ScheduleSession::with_colgen(&problem, ColumnGen::On);
-        for step in [0usize, 1] {
-            let f =
-                full.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
-            let l =
-                lazy.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
-            assert!(
-                (l.objective - f.objective).abs() < 1e-6 * (1.0 + f.objective.abs()),
-                "step {step}: colgen {} vs full {}",
-                l.objective,
-                f.objective
-            );
-            for j in 0..full.num_jobs() {
-                assert!(
-                    (l.delivered[j] - f.delivered[j]).abs() < 1e-5,
-                    "step {step} job {j}: {} vs {}",
-                    l.delivered[j],
-                    f.delivered[j]
-                );
-            }
-            full.advance_to(step as Timestep + 1);
-            lazy.advance_to(step as Timestep + 1);
-            if step == 0 {
-                let late = Job::new(1, paths.clone(), 1, 4, 1.0, 0.0, 12.0);
-                full.add_job(late.clone());
-                lazy.add_job(late);
-            }
-        }
-        assert!(lazy.num_flow_columns() <= lazy.column_universe());
     }
 
     #[test]

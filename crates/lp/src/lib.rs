@@ -18,13 +18,12 @@
 //!   workspace — when no other solve ran there since — and picks the
 //!   cheapest restart from it (primal warm start after objective changes,
 //!   dual simplex after RHS/bound changes or appended rows), or runs cold.
-//!   [`Model::solve`] remains as a one-shot convenience. Growth is warm-safe in both directions: an appended row
-//!   seats its slack in the basis ([`SolverSession::add_row`]), an appended
-//!   column enters nonbasic at bound
-//!   ([`SolverSession::add_generated_cols`]). That is all the crate offers
-//!   towards lazy generation: which rows a tentative optimum violates and
-//!   which absent columns its duals price favorably is decided by the
-//!   caller's loop (`pretium-core`'s `ScheduleSession`).
+//!   [`Model::solve`] remains as a one-shot convenience. Growth is
+//!   warm-safe in both directions: an appended row seats its slack in the
+//!   basis ([`SolverSession::add_row`]), an appended column enters nonbasic
+//!   at bound ([`SolverSession::add_var`]). That is all the crate offers
+//!   towards lazy generation: which rows a tentative optimum violates is
+//!   decided by the caller's loop (`pretium-core`'s `ScheduleSession`).
 //! * [`simplex`] — bounded-variable revised simplex: sparse `LU` basis
 //!   factorization with Markowitz pivoting and Forrest–Tomlin updates,
 //!   crash basis, two phases, and a bounded-variable dual simplex for
@@ -88,7 +87,7 @@ pub mod validate;
 
 pub use expr::{LinExpr, Term, Var};
 pub use model::{Cmp, Model, RowId, Sense};
-pub use session::{ColRequest, SolveOptions, SolverSession};
+pub use session::{SolveOptions, SolverSession};
 pub use simplex::basis::{FactorStats, DEFAULT_MAX_ETAS};
 pub use simplex::{Pricing, Restart, SimplexOptions, SolverTuning};
 pub use solution::{Solution, SolveError};

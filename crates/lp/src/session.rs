@@ -83,23 +83,6 @@ impl SolveOptions {
     }
 }
 
-/// One column to append through [`SolverSession::add_generated_cols`].
-///
-/// The column's coefficients land in *existing* rows — pairing a fresh
-/// column with pre-existing rows is the warm-safe growth direction (the
-/// last basis never references the new column, so it enters nonbasic at
-/// bound and the next solve restarts warm).
-#[derive(Debug, Clone)]
-pub struct ColRequest {
-    pub name: String,
-    pub lb: f64,
-    pub ub: f64,
-    /// Objective coefficient of the new column.
-    pub obj: f64,
-    /// `(row, coefficient)` entries of the column.
-    pub terms: Vec<(RowId, f64)>,
-}
-
 /// A [`Model`] plus what its last solve left: the stamp of that solve and
 /// the solver's standard form of the model. (The basis, its factorization
 /// and the solver's scratch buffers are resident once per thread; the
@@ -134,7 +117,7 @@ pub struct SolverSession {
     /// reprices them in full.
     old_cost_moved: bool,
     /// The merged ledgers of the solves that ran, plus the session's own
-    /// counters (cache hits, generated columns).
+    /// counters (cache hits).
     stats: SessionStats,
     last_restart: Option<Restart>,
     /// Model size at the last solve; columns/rows past these marks were
@@ -185,7 +168,7 @@ impl SolverSession {
     }
 
     /// Lifetime counters: the merge of the ledgers ([`Solution::stats`]) of
-    /// the solves that ran, plus cache hits and generated columns.
+    /// the solves that ran, plus cache hits.
     pub fn stats(&self) -> SessionStats {
         self.stats
     }
@@ -343,32 +326,6 @@ impl SolverSession {
         self.solved_rows = self.model.num_rows();
         self.last_solution = Some(solution.clone());
         Ok(solution)
-    }
-
-    // --- column growth ----------------------------------------------------
-
-    /// Append priced columns through the session's tracked growth path,
-    /// returning their variables in request order. Each column lands as a
-    /// fresh variable retrofitted into its (pre-existing) rows — warm-safe,
-    /// because the last basis never references the new column. Counts the
-    /// columns into [`SessionStats::columns_generated`] and, when the batch
-    /// is non-empty, one restricted-master round into
-    /// [`SessionStats::colgen_rounds`].
-    pub fn add_generated_cols(&mut self, requests: Vec<ColRequest>) -> Vec<Var> {
-        if !requests.is_empty() {
-            self.stats.colgen_rounds += 1;
-        }
-        requests
-            .into_iter()
-            .map(|c| {
-                let v = self.add_var(&c.name, c.lb, c.ub, c.obj);
-                for (r, coef) in c.terms {
-                    self.add_term(r, v, coef);
-                }
-                self.stats.columns_generated += 1;
-                v
-            })
-            .collect()
     }
 }
 
@@ -606,13 +563,13 @@ mod tests {
         assert_eq!(s.stats().cache_hits, 1);
     }
 
-    /// The surviving column-growth path: two columns appended into existing
-    /// rows of a solved session re-solve warm to the optimum of a model that
-    /// had them from the start, and count as one restricted-master round.
+    /// Column growth: two columns appended into existing rows of a solved
+    /// session (as `ScheduleSession::add_job` does mid-run) re-solve warm
+    /// to the optimum of a model that had them from the start.
     #[test]
     fn generated_cols_enter_existing_rows_warm() {
         // Universe: columns worth 1, 2, 3, each taking one unit of a
-        // capacity-2 row. The master starts with the worst; full optimum 5.
+        // capacity-2 row. The session starts with the worst; full optimum 5.
         let mut m = Model::new(Sense::Maximize);
         let x0 = m.add_var("x0", 0.0, 1.0, 1.0);
         let cap = m.add_row("cap", LinExpr::from(x0), Cmp::Le, 2.0);
@@ -620,33 +577,23 @@ mod tests {
         let mut s = SolverSession::new(m);
         let first = s.solve(&SolveOptions::default()).unwrap();
         assert!((first.objective() - 1.0).abs() < 1e-9);
-        let requests: Vec<ColRequest> = [2.0, 3.0]
-            .iter()
-            .map(|&obj| ColRequest {
-                name: format!("x{obj}"),
-                lb: 0.0,
-                ub: 1.0,
-                obj,
-                terms: vec![(cap, 1.0)],
-            })
-            .collect();
-        for c in &requests {
-            let v = full.add_var(&c.name, c.lb, c.ub, c.obj);
+        let mut added = Vec::new();
+        for obj in [2.0, 3.0] {
+            let v = full.add_var(&format!("x{obj}"), 0.0, 1.0, obj);
             full.add_term(cap, v, 1.0);
+            let v = s.add_var(&format!("x{obj}"), 0.0, 1.0, obj);
+            s.add_term(cap, v, 1.0);
+            added.push(v);
         }
-        let added = s.add_generated_cols(requests);
-        assert_eq!(added.len(), 2);
         let sol = s.solve(&SolveOptions::default()).unwrap();
         assert!(matches!(s.last_restart(), Some(Restart::WarmPrimal | Restart::WarmDual)));
         let fresh = full.solve().unwrap();
         assert!((sol.objective() - fresh.objective()).abs() < 1e-7);
         assert!((sol.objective() - 5.0).abs() < 1e-7, "{}", sol.objective());
         assert!(added.iter().all(|&v| (sol.value(v) - 1.0).abs() < 1e-7));
-        assert_eq!((s.stats().columns_generated, s.stats().colgen_rounds), (2, 1));
         assert_eq!(s.stats().cold_starts, 1);
-        // An empty batch is not a round.
-        assert!(s.add_generated_cols(Vec::new()).is_empty());
-        assert_eq!(s.stats().colgen_rounds, 1);
+        // Inert pins: nothing counts into them since column generation went.
+        assert_eq!((s.stats().columns_generated, s.stats().colgen_rounds), (0, 0));
     }
 
     /// The toy solved cold, then warm after its first row moves, under
@@ -1067,7 +1014,7 @@ mod tests {
         assert_eq!(row("lp terminal refactors"), Some("3"));
         assert_eq!(row("lp degenerate dual pivots"), Some("5"));
         assert_eq!(row("lp btrans"), Some("13"));
-        assert_eq!(rows.len(), 21);
+        assert_eq!(rows.len(), 19);
         let mut twice = st;
         twice.merge(st);
         assert_eq!((twice.bordered_rows, twice.terminal_refactors), (22, 6));

@@ -12,8 +12,9 @@
 /// Equality compares only the *deterministic* counters: the pricing wall
 /// clock depends on the timer, so it is excluded from `PartialEq` — two
 /// runs of the same configuration compare equal even though their timing
-/// fields differ. The fields that always read 0 (`restricted` and the
-/// three `pricing_par_*`) are excluded too.
+/// fields differ. The fields that always read 0 (`restricted`,
+/// `columns_generated`, `colgen_rounds` and the three `pricing_par_*`) are
+/// excluded too, and are neither merged nor rendered.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionStats {
     /// Total solves (each round of a caller's generation loop is one).
@@ -45,12 +46,15 @@ pub struct SessionStats {
     /// (`e2ebench/src/layers.rs`) reads it as `lp.restricted`; it goes when
     /// the manifest drops that metric.
     pub restricted: u64,
-    /// Columns appended through
-    /// [`SolverSession::add_generated_cols`](crate::SolverSession::add_generated_cols)
-    /// (the colgen growth path).
+    /// Always 0: counted the columns of column generation, which is gone
+    /// (DESIGN.md §17). The field stays, and stays out of
+    /// [`SessionStats::rows`], only because the frozen end-to-end benchmark
+    /// (`e2ebench/src/layers.rs`) reads it as `lp.columns_generated`; it
+    /// goes when the manifest drops that metric.
     pub columns_generated: u64,
-    /// Non-empty `add_generated_cols` batches — the restricted-master round
-    /// count of the caller's pricing loop.
+    /// Always 0, like [`SessionStats::columns_generated`]: counted column
+    /// generation's pricing rounds, and stays only for the same reader's
+    /// `lp.colgen_rounds`.
     pub colgen_rounds: u64,
     /// Sparse-LU refactorizations across all solves.
     pub refactors: u64,
@@ -106,8 +110,6 @@ impl PartialEq for SessionStats {
             && self.pricing_scans == other.pricing_scans
             && self.bland_pivots == other.bland_pivots
             && self.cache_hits == other.cache_hits
-            && self.columns_generated == other.columns_generated
-            && self.colgen_rounds == other.colgen_rounds
             && self.refactors == other.refactors
             && self.basis_nnz == other.basis_nnz
             && self.factor_nnz == other.factor_nnz
@@ -143,8 +145,6 @@ impl SessionStats {
         self.pricing_scans += other.pricing_scans;
         self.bland_pivots += other.bland_pivots;
         self.cache_hits += other.cache_hits;
-        self.columns_generated += other.columns_generated;
-        self.colgen_rounds += other.colgen_rounds;
         self.refactors += other.refactors;
         self.basis_nnz += other.basis_nnz;
         self.factor_nnz += other.factor_nnz;
@@ -170,8 +170,6 @@ impl SessionStats {
             ("pricing scans".into(), self.pricing_scans.to_string()),
             ("bland pivots".into(), self.bland_pivots.to_string()),
             ("cache hits".into(), self.cache_hits.to_string()),
-            ("columns generated".into(), self.columns_generated.to_string()),
-            ("colgen rounds".into(), self.colgen_rounds.to_string()),
             ("refactors".into(), self.refactors.to_string()),
             ("ft updates".into(), self.ft_updates.to_string()),
             ("pivot rejections".into(), self.pivot_rejections.to_string()),

@@ -18,6 +18,12 @@
 //!   capacity-violation checks.
 //! * [`percentile`] — nearest-rank percentiles, top-k means, correlation
 //!   statistics (Figure 5).
+//!
+//! Outside its tests the crate neither unwraps nor calls `panic!`; clippy
+//! enforces it. What remains are `assert!`s on caller input (a
+//! non-contiguous path, a non-positive capacity).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod cost;
 pub mod graph;

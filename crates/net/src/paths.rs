@@ -47,7 +47,7 @@ impl Path {
     }
 
     pub fn target(&self, net: &Network) -> NodeId {
-        net.edge(*self.edges.last().unwrap()).to
+        net.edge(self.edges[self.edges.len() - 1]).to
     }
 
     /// Whether the path uses edge `e`.
@@ -205,16 +205,12 @@ pub fn k_shortest_paths(
                 }
             }
         }
-        if candidates.is_empty() {
+        // Pop the cheapest candidate; none left ends the search.
+        let Some((best, _)) =
+            candidates.iter().enumerate().min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
+        else {
             break;
-        }
-        // Pop the cheapest candidate.
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).unwrap())
-            .map(|(i, _)| i)
-            .unwrap();
+        };
         let (_, path) = candidates.swap_remove(best);
         found.push(path);
     }

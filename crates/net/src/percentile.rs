@@ -14,7 +14,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in usage series"));
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     let rank = (p * n as f64).ceil() as usize;
     sorted[rank.clamp(1, n) - 1]
@@ -46,7 +46,7 @@ pub fn top_k_mean(samples: &[f64], k: usize) -> f64 {
 pub fn top_k_sum(samples: &[f64], k: usize) -> f64 {
     assert!(k >= 1 && k <= samples.len(), "k must be in [1, n]");
     let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| b.partial_cmp(a).expect("NaN in usage series"));
+    sorted.sort_by(|a, b| b.total_cmp(a));
     sorted[..k].iter().sum()
 }
 
@@ -54,7 +54,7 @@ pub fn top_k_sum(samples: &[f64], k: usize) -> f64 {
 /// cumulative fractions, suitable for plotting (used by Figures 1 and 10).
 pub fn cdf_points(samples: &[f64]) -> Vec<(f64, f64)> {
     let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     sorted.into_iter().enumerate().map(|(i, v)| (v, (i + 1) as f64 / n as f64)).collect()
 }

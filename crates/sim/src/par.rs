@@ -22,8 +22,8 @@
 //! noise, and handing cells out one at a time balances load as well as
 //! stealing would.
 //!
-//! This is the workspace's one thread pool: the LP solver and the colgen
-//! oracle price serially (DESIGN.md §19).
+//! This is the workspace's one thread pool: the LP solver prices serially
+//! (DESIGN.md §19).
 
 use pretium_core::PoolTelemetry;
 use std::panic::{self, AssertUnwindSafe};

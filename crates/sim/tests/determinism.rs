@@ -5,7 +5,7 @@
 //! contract: running the same experiment serially, with `--jobs 1`, and
 //! with `--jobs 8` must produce bit-identical outputs.
 
-use pretium_core::{ColumnGen, PretiumConfig};
+use pretium_core::PretiumConfig;
 use pretium_sim::registry::{registry_at, run_cell, run_experiments, Scale};
 use pretium_sim::{run_pretium, ScenarioConfig, Variant};
 
@@ -82,44 +82,12 @@ fn evaluation_scale_fig6_is_bit_identical_across_job_counts() {
 }
 
 #[test]
-fn colgen_replays_are_bit_identical() {
-    // Lazy column generation (DESIGN.md §17) rides inside each SAM solve.
-    // Two full scenario replays with the restricted master must produce
-    // bit-identical deliveries, payments, admissions, and LP counters —
-    // and must actually price columns in, or this test pins the
-    // full-materialization path under a different flag.
-    let sc = ScenarioConfig::tiny(rand::DEFAULT_SEED).build();
-    let mk = || {
-        let cfg = PretiumConfig { colgen: ColumnGen::On, ..PretiumConfig::default() };
-        run_pretium(&sc, cfg, Variant::Full).expect("colgen run")
-    };
-    let first = mk();
-    let second = mk();
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(
-        bits(&first.outcome.delivered),
-        bits(&second.outcome.delivered),
-        "deliveries diverged between two runs of one config"
-    );
-    assert_eq!(bits(&first.outcome.payments), bits(&second.outcome.payments));
-    assert_eq!(first.outcome.admitted, second.outcome.admitted);
-    assert_eq!(first.lp_stats, second.lp_stats, "LP restart counters diverged");
-    assert!(
-        first.lp_stats.columns_generated > 0,
-        "restricted master never priced a column in the tiny scenario"
-    );
-}
-
-#[test]
 fn pricing_jobs_is_inert() {
     // `pricing_jobs` is kept only as a benchmark pin: pricing is serial
     // whatever it says (DESIGN.md §19). Any value must reproduce the same
     // run bit for bit, with the same LP counters, and the parallel-pricing
-    // counters must stay at 0.
-    //
-    // The scenario is widened past the tiny one (longer windows, denser
-    // demand) so colgen's restricted masters grow past the 256 columns at
-    // which the old sectioned fan-out would have engaged.
+    // counters must stay at 0. The scenario is widened past the tiny one
+    // (longer windows, denser demand).
     let mut wide = ScenarioConfig::tiny(rand::DEFAULT_SEED);
     wide.steps_per_window = 16;
     wide.traffic.pair_activity = 0.5;
@@ -127,7 +95,7 @@ fn pricing_jobs_is_inert() {
     wide.requests.max_window = 12;
     let sc = wide.build();
     let mk = |pricing_jobs: usize| {
-        let cfg = PretiumConfig { pricing_jobs, colgen: ColumnGen::On, ..PretiumConfig::default() };
+        let cfg = PretiumConfig { pricing_jobs, ..PretiumConfig::default() };
         run_pretium(&sc, cfg, Variant::Full).expect("pricing_jobs run")
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
@@ -165,7 +133,7 @@ fn sparse_lu_cadence_is_deterministic_and_tolerance_bounded() {
     const CADENCE_TOL: f64 = 1e-6;
     let sc = ScenarioConfig::tiny(rand::DEFAULT_SEED).build();
     let mk = |max_etas: usize| {
-        let cfg = PretiumConfig { max_etas, colgen: ColumnGen::On, ..PretiumConfig::default() };
+        let cfg = PretiumConfig { max_etas, ..PretiumConfig::default() };
         run_pretium(&sc, cfg, Variant::Full).expect("sparse-lu run")
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
