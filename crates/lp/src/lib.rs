@@ -28,9 +28,10 @@
 //!   factorization with Markowitz pivoting and Forrest–Tomlin updates,
 //!   crash basis, two phases, and a bounded-variable dual simplex for
 //!   warm restarts. One pricing rule: partial Devex over incrementally
-//!   maintained reduced costs, with a cyclic candidate list so a pivot
-//!   prices O(section + candidates) columns instead of O(n), and a
-//!   Bland's-rule anti-cycling fallback. A solve is configured by
+//!   maintained reduced costs, with a cyclic candidate list refilled from
+//!   a maintained set holding the columns that can enter, so a pivot
+//!   examines the candidates and that set's members in a section instead
+//!   of all `n`, and a Bland's-rule anti-cycling fallback. A solve is configured by
 //!   [`SimplexOptions`] (tolerances and limits) and [`SolverTuning`]
 //!   (refactorization cadence and pricing workers), one field per
 //!   parameter.

@@ -50,6 +50,20 @@ impl BitQueue {
         self.words[k >> 6] |= 1 << (k & 63);
     }
 
+    /// Hold exactly the keys below `n` that `member` accepts, asking it
+    /// about each key once, in ascending order, and writing each word once.
+    pub fn rebuild(&mut self, n: usize, mut member: impl FnMut(usize) -> bool) {
+        self.reset(n);
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let base = w << 6;
+            let mut bits = 0;
+            for b in 0..(n - base).min(64) {
+                bits |= u64::from(member(base + b)) << b;
+            }
+            *word = bits;
+        }
+    }
+
     #[inline]
     pub fn remove(&mut self, k: usize) {
         self.words[k >> 6] &= !(1 << (k & 63));
@@ -451,5 +465,25 @@ mod tests {
         });
         assert_eq!(down, [191, 130, 66, 64, 5]);
         assert!(q.is_empty());
+    }
+
+    /// `rebuild` holds exactly the keys its predicate accepts, asked once
+    /// each in ascending order, for lengths at and around word boundaries,
+    /// and drops keys beyond the new length.
+    #[test]
+    fn bit_queue_rebuilds_from_a_predicate() {
+        let mut q = BitQueue::default();
+        for n in [0, 1, 63, 64, 65, 128, 200] {
+            q.reset(n + 1);
+            q.insert(n);
+            let mut asked = Vec::new();
+            q.rebuild(n, |k| {
+                asked.push(k);
+                k % 3 == 0 || k == 64
+            });
+            assert_eq!(asked, (0..n).collect::<Vec<_>>(), "n {n}");
+            assert!((0..n).all(|k| q.contains(k) == (k % 3 == 0 || k == 64)), "n {n}");
+            assert_eq!(q.next(n), None, "n {n}");
+        }
     }
 }

@@ -27,8 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Reduced costs are maintained from the pivot row after each pivot and
 /// scored by Devex reference-framework weights; column sections are scanned
-/// in rotation to keep a shortlist of attractive candidates, so one pivot
-/// prices `O(section + candidates)` columns (DESIGN.md §14). The rule is a
+/// in rotation to keep a shortlist of attractive candidates, visiting only
+/// the columns a maintained entering set holds, so one pivot examines the
+/// candidates and that set's members in a section (DESIGN.md §14). The rule is a
 /// pure function of `(options, model)` — no clocks, no randomness — so
 /// solves stay bit-identical across processes and worker counts.
 ///

@@ -84,10 +84,20 @@ pub(crate) struct Workspace {
     pub d: Vec<f64>,
     /// Devex reference-framework weight per column.
     gamma: Vec<f64>,
+    /// The entering set: every column [`Workspace::eligible`] accepts, and
+    /// maybe some it no longer does. `reprice` rebuilds it exactly; a
+    /// pivot inserts every column whose `d` it moves, unjudged, and the
+    /// pricing sweep drops a member that fails `eligible` when it visits
+    /// it — so a pivot pays one bit per touched column, and the sweep
+    /// judges members only. The dual loop's pivots leave it stale; the
+    /// primal loop reprices before it prices.
+    entering: BitQueue,
     /// Candidate shortlist for partial pricing.
     candidates: Vec<u32>,
     /// Membership flags for `candidates`.
     in_cands: Vec<bool>,
+    /// The shortlist trim's `(Devex score, column)` buffer.
+    scored: Vec<(f64, u32)>,
     // --- scratch ----------------------------------------------------------
     /// Basic cost vector for BTRAN (hoisted out of the iteration loop).
     cb: Vec<f64>,
@@ -156,6 +166,23 @@ const SECTION_MIN: usize = 64;
 const CANDS_MIN: usize = 8;
 /// … and trim it back to the best-scoring this many when it overflows.
 const CANDS_MAX: usize = 64;
+
+/// The Devex pricing score `d² / γ` of a column with reduced cost `d` and
+/// reference weight `gamma`.
+#[inline]
+fn devex_score(d: f64, gamma: f64) -> f64 {
+    d * d / gamma
+}
+
+/// Partition `scored` (`(score, column)` pairs) so its first `keep` entries
+/// are the best `keep` by score descending, ties to the lower column — the
+/// set a sort on that key would put first, in no particular order.
+/// `O(len)` expected, against the sort's `O(len log len)`.
+fn keep_best(scored: &mut [(f64, u32)], keep: usize) {
+    if keep < scored.len() {
+        scored.select_nth_unstable_by(keep, |a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    }
+}
 
 pub(crate) fn run(
     problem: &mut Problem,
@@ -316,6 +343,37 @@ fn open_gap<T: Clone>(v: &mut Vec<T>, at: usize, count: usize, fill: T) {
 }
 
 impl Workspace {
+    /// Is nonbasic column `j` eligible to enter, judged on the maintained
+    /// reduced cost `d[j]` against the optimality tolerance `tol`: below
+    /// `-tol` at a lower bound, above `tol` at an upper one, either when
+    /// free?
+    #[inline]
+    fn eligible(&self, j: usize, tol: f64) -> bool {
+        let (d, nb) = (self.d[j], self.nb[j]);
+        // Non-short-circuit: no branch on the sign tests, which `reprice`
+        // makes for every column.
+        let improves = ((d < -tol) & (nb != NbState::Upper)) | ((d > tol) & (nb != NbState::Lower));
+        improves && self.pos_of[j] < 0 && self.lb[j] != self.ub[j]
+    }
+
+    /// Shortlist the eligible members of the entering set in `lo..hi` that
+    /// are not on the list yet, in ascending order, and drop the members
+    /// that are not eligible; returns how many members it visited.
+    fn admit(&mut self, lo: usize, hi: usize, tol: f64) -> u64 {
+        let (mut from, mut visited) = (lo, 0);
+        while let Some(j) = self.entering.next(from).filter(|&j| j < hi) {
+            from = j + 1;
+            visited += 1;
+            if !self.eligible(j, tol) {
+                self.entering.remove(j);
+            } else if !self.in_cands[j] {
+                self.in_cands[j] = true;
+                self.candidates.push(j as u32);
+            }
+        }
+        visited
+    }
+
     /// Move the terminal `basis`, `nb`, `d` and `y` of the solve that owns
     /// this workspace to the column layout of `p`, the same problem grown by
     /// `dn` structurals and `dm` rows: the new structurals open a gap before
@@ -657,6 +715,8 @@ impl<'a> State<'a> {
                     self.apply_step(sigma, t);
                     self.ws.x[j] = if sigma > 0.0 { self.ws.ub[j] } else { self.ws.lb[j] };
                     self.ws.nb[j] = if sigma > 0.0 { NbState::Upper } else { NbState::Lower };
+                    // It entered on the sign its new bound rules out.
+                    self.ws.entering.remove(j);
                     self.note_step(t);
                 }
                 Step::Pivot { t, position, to_upper } => {
@@ -675,6 +735,8 @@ impl<'a> State<'a> {
                     self.ws.basis[position] = j;
                     self.ws.pos_of[j] = position as i32;
                     self.ws.x[j] = entering_value;
+                    self.ws.entering.remove(j);
+                    self.ws.entering.insert(leaving);
                     if !self.ws.factor.update(position) {
                         // Pivot too small for a stable eta: rebuild and, if
                         // the basis went bad, surface a numerical error.
@@ -689,8 +751,9 @@ impl<'a> State<'a> {
     }
 
     /// Full pricing reset: recompute `y = c_B B⁻¹` and every reduced cost
-    /// exactly, and reset the Devex reference framework (all weights back
-    /// to 1) and the candidate list.
+    /// exactly, rebuild the entering set in the same pass, and reset the
+    /// Devex reference framework (all weights back to 1) and the candidate
+    /// list.
     fn reprice(&mut self, cost: &[f64]) {
         self.ensure_scratch();
         self.ws.cb.clear();
@@ -700,10 +763,16 @@ impl<'a> State<'a> {
             factor.btran(cb, y);
         }
         let t0 = Instant::now();
-        let n = self.p.n;
-        for j in 0..n {
-            self.ws.d[j] = self.p.reduced_cost(j, cost, &self.ws.y);
-        }
+        let (p, ws, tol) = (self.p, &mut *self.ws, self.opts.opt_tol);
+        let n = p.n;
+        // Out of the workspace while the closure writes `d`; the words move
+        // back, nothing allocates.
+        let mut entering = std::mem::take(&mut ws.entering);
+        entering.rebuild(n, |j| {
+            ws.d[j] = p.reduced_cost(j, cost, &ws.y);
+            ws.eligible(j, tol)
+        });
+        ws.entering = entering;
         for g in self.ws.gamma.iter_mut() {
             *g = 1.0;
         }
@@ -719,19 +788,11 @@ impl<'a> State<'a> {
         self.ws.in_cands.fill(false);
     }
 
-    /// Is nonbasic column `j` eligible to enter, judged on the maintained
-    /// reduced cost `d[j]`?
-    fn eligible(&self, j: usize) -> bool {
-        if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
-            return false;
-        }
-        let tol = self.opts.opt_tol;
-        let d = self.ws.d[j];
-        match self.ws.nb[j] {
-            NbState::Lower => d < -tol,
-            NbState::Upper => d > tol,
-            NbState::Free => d.abs() > tol,
-        }
+    /// Does the entering set hold every column [`Workspace::eligible`]
+    /// accepts? `O(n)`: for assertions.
+    fn entering_covers_eligible(&self) -> bool {
+        (0..self.p.n)
+            .all(|j| self.ws.entering.contains(j) || !self.ws.eligible(j, self.opts.opt_tol))
     }
 
     /// FTRAN column `j` into `w`.
@@ -787,6 +848,8 @@ impl<'a> State<'a> {
     /// * Devex: `γ_j ← max(γ_j, (alpha_j/alpha_q)² γ_q)` for touched `j`,
     ///   and the leaving column gets `max(γ_q/alpha_q², 1)`.
     ///
+    /// Every touched nonbasic `j ≠ q` joins the entering set, unjudged; the
+    /// bookkeeping after it removes `q` and inserts the leaving column.
     /// Must run before the basis bookkeeping and eta update for this pivot.
     fn pivot_update(&mut self, q: usize, position: usize) {
         self.fresh = false;
@@ -800,18 +863,20 @@ impl<'a> State<'a> {
         self.pivot_row_pass(position);
         let gamma_q = self.ws.gamma[q].max(1.0);
         let inv_aq = 1.0 / alpha_q;
-        for idx in 0..self.ws.alpha_touched.len() {
-            let j = self.ws.alpha_touched[idx] as usize;
-            if self.ws.pos_of[j] >= 0 || j == q {
+        let ws = &mut *self.ws;
+        for idx in 0..ws.alpha_touched.len() {
+            let j = ws.alpha_touched[idx] as usize;
+            if ws.pos_of[j] >= 0 || j == q {
                 continue;
             }
-            let aj = self.ws.alpha[j];
-            self.ws.d[j] -= theta_d * aj;
+            let aj = ws.alpha[j];
+            ws.d[j] -= theta_d * aj;
             let r = aj * inv_aq;
             let cand = r * r * gamma_q;
-            if cand > self.ws.gamma[j] {
-                self.ws.gamma[j] = cand;
+            if cand > ws.gamma[j] {
+                ws.gamma[j] = cand;
             }
+            ws.entering.insert(j);
         }
         self.shift_duals(theta_d);
         let leaving = self.ws.basis[position];
@@ -833,16 +898,19 @@ impl<'a> State<'a> {
 
     /// Bland's anti-cycling rule: the smallest-index eligible column, judged
     /// on the maintained `d[j]` (the drift guard in `iterate` re-certifies
-    /// before declaring optimality).
+    /// before declaring optimality) — the entering set's first eligible
+    /// member.
     fn price_bland(&mut self) -> Option<(usize, f64)> {
-        for j in 0..self.p.n {
-            if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
-                continue;
-            }
+        debug_assert!(self.entering_covers_eligible(), "an eligible column left the entering set");
+        let ws = &mut *self.ws;
+        let mut from = 0;
+        while let Some(j) = ws.entering.next(from) {
             self.stats.pricing_scans += 1;
-            if self.eligible(j) {
-                return Some((j, self.ws.d[j]));
+            if ws.eligible(j, self.opts.opt_tol) {
+                return Some((j, ws.d[j]));
             }
+            ws.entering.remove(j);
+            from = j + 1;
         }
         None
     }
@@ -850,77 +918,78 @@ impl<'a> State<'a> {
     /// Partial Devex pricing: prune the candidate shortlist, sweep one
     /// column section past the cursor every call (so every column is
     /// revisited within `SECTIONS` pivots and the shortlist never goes
-    /// stale), keep sweeping while the list is thin, and pick the best
-    /// Devex score among the survivors — O(section + candidates) per
-    /// pivot instead of O(n). A full wrap with an empty shortlist means no
-    /// eligible column exists (by the maintained reduced costs).
+    /// stale), keep sweeping while the list is thin, trim it to the best
+    /// `CANDS_MAX` when it overflows, and pick the best Devex score among
+    /// the survivors. The sweep walks the entering set's members in the
+    /// section, not the section, so a pivot judges the candidates and the
+    /// members of the sections swept (eligible columns and columns whose
+    /// `d` moved since the last visit) and reads section / 64 words; the
+    /// trim scores each candidate once and selects (`keep_best`) instead of
+    /// sorting. A full wrap with an empty shortlist means no eligible
+    /// column exists (by the maintained reduced costs).
     fn price_partial(&mut self) -> Option<(usize, f64)> {
+        debug_assert!(self.entering_covers_eligible(), "an eligible column left the entering set");
         let t0 = Instant::now();
+        let (ws, tol) = (&mut *self.ws, self.opts.opt_tol);
         // Drop candidates that went basic or lost eligibility.
+        self.stats.pricing_scans += ws.candidates.len() as u64;
         let mut keep = 0;
-        for idx in 0..self.ws.candidates.len() {
-            let j = self.ws.candidates[idx] as usize;
-            self.stats.pricing_scans += 1;
-            if self.eligible(j) {
-                self.ws.candidates[keep] = self.ws.candidates[idx];
+        for idx in 0..ws.candidates.len() {
+            let j = ws.candidates[idx] as usize;
+            if ws.eligible(j, tol) {
+                ws.candidates[keep] = ws.candidates[idx];
                 keep += 1;
             } else {
-                self.ws.in_cands[j] = false;
+                ws.in_cands[j] = false;
             }
         }
-        self.ws.candidates.truncate(keep);
+        ws.candidates.truncate(keep);
+        // Sections of the cyclic column range, in the order a column-by-
+        // column sweep would visit them; members join in that order.
         let n = self.p.n;
         let section = (n / SECTIONS).max(SECTION_MIN).min(n);
         let mut scanned = 0usize;
         while scanned < n {
-            for _ in 0..section {
-                if scanned >= n {
-                    break;
-                }
-                let j = self.cursor;
-                self.cursor += 1;
-                if self.cursor == n {
-                    self.cursor = 0;
-                }
-                scanned += 1;
-                self.stats.pricing_scans += 1;
-                if !self.ws.in_cands[j] && self.eligible(j) {
-                    self.ws.in_cands[j] = true;
-                    self.ws.candidates.push(j as u32);
-                }
+            let len = section.min(n - scanned);
+            let end = self.cursor + len;
+            let mut visited = ws.admit(self.cursor, end.min(n), tol);
+            if end > n {
+                visited += ws.admit(0, end - n, tol);
             }
-            if self.ws.candidates.len() >= CANDS_MIN {
+            self.stats.pricing_scans += visited;
+            self.cursor = if end >= n { end - n } else { end };
+            scanned += len;
+            if ws.candidates.len() >= CANDS_MIN {
                 break;
             }
         }
         // Trim to the best CANDS_MAX by current Devex score so the
-        // shortlist keeps quality, not arrival order. The sort key is a
-        // pure function of the maintained (d, gamma) state, so the
-        // surviving set — and hence the pivot sequence — stays
-        // deterministic.
-        if self.ws.candidates.len() > CANDS_MAX {
-            let mut cands = std::mem::take(&mut self.ws.candidates);
-            cands.sort_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                let sa = self.ws.d[a] * self.ws.d[a] / self.ws.gamma[a];
-                let sb = self.ws.d[b] * self.ws.d[b] / self.ws.gamma[b];
-                sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-            });
-            for &j in &cands[CANDS_MAX..] {
-                self.ws.in_cands[j as usize] = false;
+        // shortlist keeps quality, not arrival order. The rank is a pure
+        // function of the maintained (d, gamma) state with ties to the
+        // lower index, so the surviving set — and hence the pivot
+        // sequence — stays deterministic whatever the list's order.
+        if ws.candidates.len() > CANDS_MAX {
+            ws.scored.clear();
+            ws.scored.extend(
+                ws.candidates
+                    .iter()
+                    .map(|&j| (devex_score(ws.d[j as usize], ws.gamma[j as usize]), j)),
+            );
+            keep_best(&mut ws.scored, CANDS_MAX);
+            for &(_, j) in &ws.scored[CANDS_MAX..] {
+                ws.in_cands[j as usize] = false;
             }
-            cands.truncate(CANDS_MAX);
-            self.ws.candidates = cands;
+            ws.candidates.clear();
+            ws.candidates.extend(ws.scored[..CANDS_MAX].iter().map(|&(_, j)| j));
         }
         let mut best: Option<(usize, f64)> = None; // (j, score)
-        for idx in 0..self.ws.candidates.len() {
-            let j = self.ws.candidates[idx] as usize;
-            let dj = self.ws.d[j];
-            let score = dj * dj / self.ws.gamma[j];
+        for &j in &ws.candidates {
+            let j = j as usize;
+            let score = devex_score(ws.d[j], ws.gamma[j]);
             let better = match best {
                 None => true,
-                // Insertion order is cyclic, not ascending: break exact
-                // ties by index explicitly for determinism.
+                // The list's order is arrival and selection order, not
+                // ascending: break exact ties by index explicitly.
                 Some((bj, bs)) => score > bs || (score == bs && j < bj),
             };
             if better {
@@ -1365,6 +1434,76 @@ mod tests {
         }
         assert!(pivots.iter().all(|&k| k > 200), "dual pivots per cadence: {pivots:?}");
         assert!(repriced > 40, "only {repriced} of 120 repriced starts ran the dual loop");
+    }
+
+    /// The entering set holds every eligible column at every pivot of the
+    /// primal polish and after it, whatever the refactorization cadence:
+    /// each warm solve of a `cut_case` is stopped after one more pivot at a
+    /// time (`max_iterations`), and wherever it stops in the polish, and
+    /// where it ends, a recount must find no eligible column outside it.
+    #[test]
+    fn entering_set_covers_a_recount_through_the_polish() {
+        let name = |i: usize| i.to_string();
+        let mut checked = [0u64; 3];
+        for seed in 1..=100u64 {
+            for ((c, max_etas), move_costs) in
+                [2, 7, 96].into_iter().enumerate().flat_map(|c| [(c, false), (c, true)])
+            {
+                let (model, p, start, tuning) = cut_case(seed, max_etas, move_costs);
+                let opts = SimplexOptions::default();
+                for stop in 1.. {
+                    let mut ws = start.clone();
+                    let mut st =
+                        warm_state(&p, &model.rows, &opts, tuning, &mut ws, move_costs, &name)
+                            .unwrap();
+                    st.max_iterations = stop;
+                    let done = match st.reoptimize(&p.cost, &name, &name) {
+                        Err(SolveError::IterationLimit { .. }) => false,
+                        Ok(_) => true,
+                        // The dual loop stopped, or the boxed problem had no
+                        // feasible point: no polish to look at.
+                        Err(_) if st.stats.iterations < stop => break,
+                        Err(_) => continue,
+                    };
+                    let at = format!("seed {seed}, cadence {max_etas}, stop {stop}");
+                    assert!(st.entering_covers_eligible(), "{at}");
+                    checked[c] += u64::from(!done);
+                    if done {
+                        break;
+                    }
+                }
+            }
+        }
+        // Measured: 162, 184 and 162 mid-polish stops.
+        assert!(checked.iter().all(|&k| k >= 150), "mid-polish stops per cadence: {checked:?}");
+    }
+
+    /// `keep_best` keeps the set a sort on (score descending, column
+    /// ascending) puts first, on scores drawn from a handful of values so
+    /// exact ties are the rule, for every length around the trim's size.
+    #[test]
+    fn keep_best_keeps_what_a_sort_keeps() {
+        let mut g = Gen(0x7E1E_C7ED);
+        let values = [0.0, 1e-18, 0.25, 1.0, 1.0 + f64::EPSILON, 3.5, f64::INFINITY];
+        for len in 0..200usize {
+            let mut cols: Vec<u32> = (0..len as u32).map(|j| j * 3 + 1).collect();
+            for i in (1..len).rev() {
+                cols.swap(i, (g.unit() * (i + 1) as f64) as usize);
+            }
+            let scored: Vec<(f64, u32)> =
+                cols.iter().map(|&j| (values[(g.unit() * 7.0) as usize], j)).collect();
+            for keep in [0, 1, 7, CANDS_MAX - 1, CANDS_MAX, len] {
+                let mut sorted = scored.clone();
+                sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+                let mut want: Vec<u32> = sorted.iter().take(keep).map(|&(_, j)| j).collect();
+                let mut picked = scored.clone();
+                keep_best(&mut picked, keep);
+                let mut got: Vec<u32> = picked.iter().take(keep).map(|&(_, j)| j).collect();
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "len {len}, keep {keep}");
+            }
+        }
     }
 
     /// `finish` accepts the terminal `(x, y)` on the residual certificate and

@@ -33,7 +33,10 @@ pub struct SessionStats {
     /// duals and reduced costs did not move.
     pub dual_degenerate: u64,
     /// Total pricing work across all solves: columns examined by entering
-    /// selection plus columns touched by incremental pivot-row updates.
+    /// selection — shortlist candidates re-checked plus entering-set
+    /// members a section sweep or Bland's rule visits (columns outside the
+    /// set are skipped, not examined) — plus columns priced by a full
+    /// reprice and columns touched by incremental pivot-row updates.
     pub pricing_scans: u64,
     /// Iterations priced under the Bland's-rule anti-cycling fallback.
     pub bland_pivots: u64,

@@ -9,7 +9,9 @@
 //! environment); every failing case reports its seed.
 
 use pretium_lp::validate::check_optimal;
-use pretium_lp::{Cmp, LinExpr, Model, RowId, Sense, SimplexOptions, SolveOptions, SolverSession};
+use pretium_lp::{
+    Cmp, LinExpr, Model, RowId, Sense, SimplexOptions, SolveOptions, SolverSession, Var,
+};
 
 /// Deterministic xorshift64* stream in `[0, 1)`.
 struct Gen(u64);
@@ -49,6 +51,11 @@ fn schedule_lp(g: &mut Gen) -> Model {
     let paths = 1 + g.index(3);
     let steps = 2 + g.index(5);
     let links = 2 + g.index(4);
+    schedule_lp_sized(g, jobs, paths, steps, links)
+}
+
+/// [`schedule_lp`] at a given size.
+fn schedule_lp_sized(g: &mut Gen, jobs: usize, paths: usize, steps: usize, links: usize) -> Model {
     let mut m = Model::new(Sense::Maximize);
     // Flow variables with per-unit value minus a small path cost.
     let mut x = vec![vec![Vec::with_capacity(steps); paths]; jobs];
@@ -243,4 +250,72 @@ fn partial_pricing_scans_fewer_columns() {
     let n = m.num_vars() + m.num_rows();
     let per_iter = sol.stats().pricing_scans as f64 / sol.stats().iterations as f64;
     assert!(per_iter < n as f64 / 2.0, "partial pricing scanned {per_iter:.0} of {n} cols/iter");
+}
+
+/// The pivot path, pinned: a cold solve and a six-step warm capacity sweep
+/// (a rotating third of the capacity rows cut by a fifth per step, as SAM
+/// tightens them, and every other step a seventh of the columns revalued,
+/// so the primal polish pivots too) of two schedule-shaped models wide enough for sectioned
+/// partial pricing, each solve's iterations, dual pivots, refactorizations
+/// and objective bits against the recorded ones. Pricing may get cheaper;
+/// the columns it picks — and so every count here — may not move.
+#[test]
+fn pivot_path_is_pinned_cold_and_across_a_warm_sweep() {
+    // (iterations, dual_iterations, refactors, objective bits) per solve.
+    type Pin = (u64, u64, u64, u64);
+    // (jobs, paths, steps, links).
+    type Size = (usize, usize, usize, usize);
+    let cases: [(Size, &[Pin]); 2] = [
+        (
+            (16, 2, 10, 8),
+            &[
+                (117, 0, 3, 4638085306250683027),
+                (12, 12, 0, 4638085306250683028),
+                (126, 16, 2, 4638858980229452304),
+                (13, 13, 0, 4638831552443152978),
+                (81, 13, 1, 4638942980657871549),
+                (13, 13, 0, 4638913495177425386),
+                (89, 13, 2, 4638950680984348218),
+            ],
+        ),
+        (
+            (30, 3, 12, 10),
+            &[
+                (573, 0, 8, 4642860529196984623),
+                (47, 47, 0, 4642855476661711067),
+                (649, 103, 8, 4643452833693923705),
+                (116, 116, 1, 4643401293597973766),
+                (418, 90, 5, 4643435057401613517),
+                (96, 96, 1, 4643302359205672127),
+                (323, 90, 4, 4643100761193780546),
+            ],
+        ),
+    ];
+    for (case, &((jobs, paths, steps, links), pinned)) in cases.iter().enumerate() {
+        let m = schedule_lp_sized(&mut Gen::new(0x5EC7 + case as u64), jobs, paths, steps, links);
+        let caps = (0..m.num_rows())
+            .take_while(|&i| m.row_name(RowId::from_index(i)).starts_with("cap_"))
+            .count();
+        let mut sess = SolverSession::new(m);
+        let mut seen: Vec<Pin> = Vec::new();
+        for step in 0..7 {
+            if step > 0 {
+                for row in (step % 3..caps).step_by(3).map(RowId::from_index) {
+                    let rhs = sess.model().rhs(row);
+                    sess.set_rhs(row, 0.8 * rhs);
+                }
+            }
+            if step % 2 == 0 && step > 0 {
+                for v in (step..sess.model().num_vars()).step_by(7).map(Var::from_index) {
+                    let c = sess.model().obj_coef(v);
+                    sess.set_obj(v, 1.15 * c);
+                }
+            }
+            let sol = sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("{e}"));
+            assert!(check_optimal(sess.model(), &sol, 1e-6).is_empty(), "case {case}, step {step}");
+            let st = sol.stats();
+            seen.push((st.iterations, st.dual_iterations, st.refactors, sol.objective().to_bits()));
+        }
+        assert_eq!(seen, pinned, "case {case}: the pivot path moved");
+    }
 }
