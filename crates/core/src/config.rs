@@ -25,8 +25,6 @@ pub struct PretiumConfig {
     pub topk: TopkEncoding,
     /// Multiplier on link costs (Figure 12 sweeps this).
     pub cost_scale: f64,
-    /// Disable SAM entirely (the Pretium-NoSAM ablation of Figure 11).
-    pub sam_enabled: bool,
     /// Price floor per unit: the whole floor on owned links. On
     /// percentile-billed links `pretium::price_floor` adds a unit's flat
     /// share of the percentile cost, `price_floor + C_e · cost_scale / W`
@@ -67,7 +65,6 @@ impl Default for PretiumConfig {
             bump: PriceBump::default(),
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
-            sam_enabled: true,
             price_floor: 0.05,
             audit: false,
             pricing: Pricing::default(),
@@ -84,14 +81,13 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         // Exhaustive on purpose: a new field does not compile here until
-        // someone has argued for it (ROADMAP item 5: at most 11).
+        // someone has argued for it (ROADMAP item 5: at most 10).
         let PretiumConfig {
             k_paths,
             highpri_fraction,
             bump,
             topk,
             cost_scale,
-            sam_enabled,
             price_floor,
             audit,
             pricing,
@@ -101,7 +97,6 @@ mod tests {
         assert_eq!((k_paths, highpri_fraction, cost_scale, price_floor), (3, 0.10, 1.0, 0.05));
         assert_eq!((bump.threshold, bump.factor), (0.8, 2.0));
         assert_eq!(topk, TopkEncoding::CVar);
-        assert!(sam_enabled);
         // Release-build auditing is opt-in (debug builds always audit).
         assert!(!audit);
         assert_eq!(pricing, Pricing::PartialDevex);
@@ -111,9 +106,9 @@ mod tests {
 
     #[test]
     fn clone_roundtrip() {
-        let c = PretiumConfig { k_paths: 5, sam_enabled: false, ..Default::default() };
+        let c = PretiumConfig { k_paths: 5, audit: true, ..Default::default() };
         let back = c.clone();
         assert_eq!(c.k_paths, back.k_paths);
-        assert_eq!(c.sam_enabled, back.sam_enabled);
+        assert_eq!(c.audit, back.audit);
     }
 }

@@ -53,5 +53,5 @@ pub use menu::{build_menu, PriceMenu};
 pub use pretium::{price_floor, Pretium};
 pub use schedule::{Job, ScheduleProblem, ScheduleSession, ScheduleSolution};
 pub use state::{NetworkState, PriceBump};
-pub use telemetry::{ModuleStats, PoolTelemetry, Telemetry};
+pub use telemetry::{ModuleStats, Telemetry};
 pub use topk::{topk_upper_bound, TopkEncoding};

@@ -428,7 +428,7 @@ impl Pretium {
     /// usage rolls into the cost proxy's past constants — and whenever a
     /// new contract's deadline stretches past the carried horizon.
     pub fn run_sam(&mut self, now: Timestep, realized: &UsageTracker) -> Result<(), SolveError> {
-        if !self.cfg.sam_enabled || now >= self.horizon {
+        if now >= self.horizon {
             self.telemetry.sam_skipped += 1;
             return Ok(());
         }

@@ -60,73 +60,6 @@ fn duration_from_nanos(nanos: u128) -> Duration {
     Duration::from_nanos(nanos.min(u64::MAX as u128) as u64)
 }
 
-/// Counters of one parallel-engine run: how many worker threads ran, the
-/// per-cell wall-clock distribution and the end-to-end wall time — enough to compute pool occupancy (what
-/// fraction of `workers × wall` was spent inside cells).
-///
-/// Lives next to [`Telemetry`] because it is the pool-level sibling of the
-/// per-module stats: the simulator's parallel sweep engine fills one of
-/// these per run and `pretium-sim::report` renders it with the same table
-/// machinery.
-#[derive(Debug, Clone, Default)]
-pub struct PoolTelemetry {
-    /// Worker threads the pool ran with (1 = serial in-line execution).
-    pub workers: usize,
-    /// Per-cell wall-clock accumulator (`calls` = cells executed).
-    pub cells: ModuleStats,
-    /// Label of the slowest cell (the occupancy tail).
-    pub slowest_label: String,
-    /// End-to-end wall-clock of the pool run, in nanoseconds.
-    pub wall_nanos: u128,
-}
-
-impl PoolTelemetry {
-    /// Fraction of total worker capacity (`workers × wall`) spent executing
-    /// cells; 1.0 means no worker ever idled.
-    pub fn occupancy(&self) -> f64 {
-        let capacity = self.wall_nanos.saturating_mul(self.workers.max(1) as u128);
-        if capacity == 0 {
-            return 0.0;
-        }
-        self.cells.total_nanos as f64 / capacity as f64
-    }
-
-    /// End-to-end wall-clock of the pool run.
-    pub fn wall(&self) -> Duration {
-        duration_from_nanos(self.wall_nanos)
-    }
-
-    /// Fold a second pool run into this one (workers is kept at the max;
-    /// wall clocks add, as runs are sequential).
-    pub fn merge(&mut self, other: &PoolTelemetry) {
-        self.workers = self.workers.max(other.workers);
-        self.wall_nanos += other.wall_nanos;
-        if other.cells.max_nanos > self.cells.max_nanos {
-            self.slowest_label = other.slowest_label.clone();
-        }
-        self.cells.merge(&other.cells);
-    }
-
-    /// The pool counters as `(field, value)` rows for table rendering.
-    pub fn rows(&self) -> Vec<(String, String)> {
-        vec![
-            ("workers".into(), self.workers.to_string()),
-            (
-                "cells (count / mean / max)".into(),
-                format!(
-                    "{} / {:.1?} / {:.1?}",
-                    self.cells.calls,
-                    self.cells.mean(),
-                    self.cells.max()
-                ),
-            ),
-            ("slowest cell".into(), self.slowest_label.clone()),
-            ("wall".into(), format!("{:.1?}", self.wall())),
-            ("occupancy".into(), format!("{:.1}%", 100.0 * self.occupancy())),
-        ]
-    }
-}
-
 /// All per-module counters of one Pretium instance.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
@@ -161,7 +94,7 @@ pub struct Telemetry {
     pub accepts_admitted: u64,
     /// Purchases rejected (walked away, empty menu, or no route).
     pub accepts_rejected: u64,
-    /// SAM calls skipped (disabled, past horizon, or no active contracts).
+    /// SAM calls skipped (past horizon, or no active contracts).
     pub sam_skipped: u64,
     /// SAM solves whose plan left a guarantee shortfall (§4.4 degradation).
     pub sam_shortfalls: u64,
@@ -256,27 +189,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.calls, 2);
         assert_eq!(a.max(), Duration::from_micros(7));
-    }
-
-    #[test]
-    fn pool_occupancy_is_cell_time_over_capacity() {
-        let mut p = PoolTelemetry { workers: 4, wall_nanos: 1_000, ..Default::default() };
-        p.cells.record(Duration::from_nanos(1_000));
-        p.cells.record(Duration::from_nanos(1_000));
-        assert!((p.occupancy() - 0.5).abs() < 1e-9, "{}", p.occupancy());
-        assert_eq!(p.rows().len(), 5);
-    }
-
-    #[test]
-    fn pool_merge_tracks_slowest_cell() {
-        let mut a = PoolTelemetry { workers: 2, slowest_label: "a".into(), ..Default::default() };
-        a.cells.record(Duration::from_micros(5));
-        let mut b = PoolTelemetry { workers: 4, slowest_label: "b".into(), ..Default::default() };
-        b.cells.record(Duration::from_micros(9));
-        a.merge(&b);
-        assert_eq!(a.workers, 4);
-        assert_eq!(a.slowest_label, "b");
-        assert_eq!(a.cells.calls, 2);
     }
 
     #[test]

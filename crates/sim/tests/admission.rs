@@ -1,8 +1,8 @@
 //! The snapshot/sequencer admission contract:
 //!
 //! 1. Quoting off an [`AdmissionSnapshot`] is a pure read — a parallel
-//!    fan-out over the worker pool (`run_cells_ok`) returns bit-identical
-//!    menus to a serial walk of the same snapshot.
+//!    fan-out over the worker pool (`run_cells` over the requests) returns
+//!    bit-identical menus to a serial walk of the same snapshot.
 //! 2. Admission through the [`Sequencer`] is the serial quote→accept
 //!    interleaving: a batch quoted off one snapshot and then sequenced
 //!    (under a surge plan that makes batches wide enough to collide, so
@@ -12,11 +12,11 @@
 //! `tests/determinism.rs` covers the cross-`--jobs` experiment engine;
 //! this file covers the admission layer underneath it.
 
-use pretium_core::{Pretium, PretiumConfig, QuoteTicket, RequestParams};
+use pretium_core::{Pretium, PretiumConfig, RequestParams};
 use pretium_net::UsageTracker;
-use pretium_sim::par::run_cells_ok;
+use pretium_sim::par::run_cells;
 use pretium_sim::runner::run_pretium_cold;
-use pretium_sim::{run_pretium, Cell, FaultPlan, FaultPlanConfig, ScenarioConfig, Variant};
+use pretium_sim::{run_pretium, FaultPlan, FaultPlanConfig, ScenarioConfig, Variant};
 use std::sync::Arc;
 
 /// Pooled quotes off one snapshot are bit-identical to serial quotes off
@@ -32,15 +32,8 @@ fn parallel_snapshot_quotes_match_serial_bit_for_bit() {
     let params: Vec<RequestParams> = sc.requests.iter().map(RequestParams::from).collect();
     let serial: Vec<_> = params.iter().map(|p| snap.quote(p)).collect();
 
-    let cells: Vec<Cell<QuoteTicket, std::convert::Infallible>> = params
-        .iter()
-        .map(|p| {
-            let snap = Arc::clone(&snap);
-            let p = p.clone();
-            Cell::new(format!("quote/{:?}", p.id), move || Ok(snap.ticket(&p)))
-        })
-        .collect();
-    let (pooled, _telemetry) = run_cells_ok(8, cells);
+    let (pooled, _telemetry) =
+        run_cells(8, &params, |p| format!("quote/{:?}", p.id), |p| snap.ticket(p));
 
     assert_eq!(pooled.len(), serial.len());
     for (ticket, menu) in pooled.iter().zip(&serial) {
