@@ -103,7 +103,6 @@ fn main() {
             assert_eq!(&snap.quote(p), m, "held snapshot saw a mutation at {:?}", p.id);
         }
     }
-    system.absorb_quotes(&snap);
     drop(snap);
 
     // Accepts/sec: admit the whole request stream end to end (quote +

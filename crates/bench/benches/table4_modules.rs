@@ -48,7 +48,6 @@ fn main() {
     h.bench_function("table4_ra_quote", |b| {
         b.iter(|| black_box(snap.quote(&params).capacity_bound()));
     });
-    system.absorb_quotes(&snap);
     drop(snap);
 
     // SAM: one full re-optimization at the midpoint.

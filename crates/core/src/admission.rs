@@ -10,8 +10,8 @@
 //!   network state published at a given *epoch* ([`Pretium::epoch`], bumped
 //!   on every quote-relevant mutation). `quote(&self, ..)` is a pure read;
 //!   any number of RA workers can price menus off one snapshot
-//!   concurrently. Telemetry lives in atomic counters folded back into the
-//!   owning system's [`crate::Telemetry`] when the snapshot retires.
+//!   concurrently. A snapshot records nothing: a quote is counted where
+//!   its ticket is sequenced (see below).
 //! * [`Sequencer`] — the single-threaded back end. It consumes
 //!   [`QuoteTicket`]s (a quote plus the epoch it was priced at) in a fixed
 //!   order chosen by the caller, validates each ticket against live state,
@@ -34,60 +34,25 @@
 //! Only on overlap (or an epoch from before the snapshot) does the
 //! sequencer re-quote against live state and re-invoke the customer's
 //! response — reproducing the serial quote→accept interleaving exactly.
+//!
+//! # Counting quotes
+//!
+//! A quote is counted in [`crate::Telemetry::quote`] (and, when its menu
+//! is empty, in `quotes_empty`) when the sequencer decides on it:
+//! [`Sequencer::admit`] counts its ticket's quote with the time
+//! [`AdmissionSnapshot::ticket`] took, and a live re-quote once more. A
+//! quote off a snapshot that is never sequenced counts nothing, and a
+//! ticket counts once whether or not its snapshot has retired.
 
 use crate::contract::{ContractId, RequestParams};
 use crate::menu::{build_menu, PriceMenu};
 use crate::pretium::Pretium;
 use crate::state::NetworkState;
-use crate::telemetry::Telemetry;
 use pretium_lp::SolveError;
 use pretium_net::{EdgeId, Network, SharedPathSet, Timestep, UsageTracker};
 use rand::DetHashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Atomic quote telemetry of one snapshot: workers on many threads bump
-/// these; the counters drain (exactly once) into the owning system's
-/// [`Telemetry`] when the snapshot retires or is explicitly absorbed.
-#[derive(Debug, Default)]
-pub(crate) struct SnapshotStats {
-    quotes: AtomicU64,
-    empty: AtomicU64,
-    total_nanos: AtomicU64,
-    max_nanos: AtomicU64,
-}
-
-impl SnapshotStats {
-    fn record(&self, empty: bool, nanos: u64) {
-        self.quotes.fetch_add(1, Ordering::Relaxed);
-        if empty {
-            self.empty.fetch_add(1, Ordering::Relaxed);
-        }
-        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-    }
-
-    /// Move the counters into `telemetry`, zeroing them (idempotent: a
-    /// second drain moves nothing).
-    pub(crate) fn drain_into(&self, telemetry: &mut Telemetry) {
-        telemetry.quote.calls += self.quotes.swap(0, Ordering::Relaxed);
-        telemetry.quote.total_nanos += self.total_nanos.swap(0, Ordering::Relaxed) as u128;
-        let max = self.max_nanos.swap(0, Ordering::Relaxed) as u128;
-        telemetry.quote.max_nanos = telemetry.quote.max_nanos.max(max);
-        telemetry.quotes_empty += self.empty.swap(0, Ordering::Relaxed);
-    }
-
-    /// Move the counters into another accumulator (the owning system's
-    /// pending sink) — the `Drop` path, where no `&mut Telemetry` is
-    /// reachable. Idempotent like [`SnapshotStats::drain_into`].
-    fn drain_into_stats(&self, sink: &SnapshotStats) {
-        sink.quotes.fetch_add(self.quotes.swap(0, Ordering::Relaxed), Ordering::Relaxed);
-        sink.empty.fetch_add(self.empty.swap(0, Ordering::Relaxed), Ordering::Relaxed);
-        sink.total_nanos.fetch_add(self.total_nanos.swap(0, Ordering::Relaxed), Ordering::Relaxed);
-        sink.max_nanos.fetch_max(self.max_nanos.swap(0, Ordering::Relaxed), Ordering::Relaxed);
-    }
-}
+use std::time::{Duration, Instant};
 
 /// An immutable admission view published at one epoch: prices + planned
 /// schedule (the system's own [`NetworkState`], shared by reference — the
@@ -101,19 +66,6 @@ pub struct AdmissionSnapshot {
     net: Arc<Network>,
     state: Arc<NetworkState>,
     paths: Arc<SharedPathSet>,
-    pub(crate) stats: SnapshotStats,
-    /// The owning system's pending-quote sink. A snapshot can be retired
-    /// (its counters drained) while pool workers still hold `Arc`s and keep
-    /// quoting; whatever accrues after the drain is moved here on `Drop`
-    /// and flushed into [`Telemetry`] at the system's next epoch bump or
-    /// explicit absorb — no quote is ever lost.
-    pending: Arc<SnapshotStats>,
-}
-
-impl Drop for AdmissionSnapshot {
-    fn drop(&mut self) {
-        self.stats.drain_into_stats(&self.pending);
-    }
 }
 
 impl AdmissionSnapshot {
@@ -123,17 +75,8 @@ impl AdmissionSnapshot {
         net: Arc<Network>,
         state: Arc<NetworkState>,
         paths: Arc<SharedPathSet>,
-        pending: Arc<SnapshotStats>,
     ) -> Self {
-        AdmissionSnapshot {
-            epoch,
-            horizon,
-            net,
-            state,
-            paths,
-            stats: SnapshotStats::default(),
-            pending,
-        }
+        AdmissionSnapshot { epoch, horizon, net, state, paths }
     }
 
     /// The [`Pretium::epoch`] this snapshot was published at.
@@ -151,36 +94,50 @@ impl AdmissionSnapshot {
     }
 
     /// RA step 1 (§4.1): price a menu for `params` — a pure read, safe to
-    /// call from any number of threads on one snapshot. Timing and
-    /// empty-menu counts are recorded symmetrically on every path (the
-    /// no-route early return included) into the snapshot's atomics.
+    /// call from any number of threads on one snapshot. It records
+    /// nothing; only a sequenced [`QuoteTicket`] is counted.
     pub fn quote(&self, params: &RequestParams) -> PriceMenu {
-        let t0 = Instant::now();
-        let paths = self.paths.paths(&self.net, params.src, params.dst);
-        let menu = if paths.is_empty() {
-            PriceMenu::default()
-        } else {
-            build_menu(&self.state, &paths, params.start, params.deadline.min(self.horizon - 1))
-        };
-        let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.stats.record(menu.is_empty(), nanos);
-        menu
+        price_menu(&self.net, &self.state, &self.paths, self.horizon, params)
     }
 
-    /// Quote and tag with this snapshot's epoch — the unit of work a
-    /// parallel RA worker hands to the [`Sequencer`].
+    /// Quote, timed, and tag with this snapshot's epoch — the unit of
+    /// work an RA caller hands to the [`Sequencer`].
     pub fn ticket(&self, params: &RequestParams) -> QuoteTicket {
-        QuoteTicket { params: params.clone(), menu: self.quote(params), epoch: self.epoch }
+        let t0 = Instant::now();
+        let menu = self.quote(params);
+        let elapsed = t0.elapsed();
+        QuoteTicket { params: params.clone(), menu, epoch: self.epoch, elapsed }
+    }
+}
+
+/// The menu for `params` against `state`: the request's admissible routes
+/// from `paths`, its window clipped to the horizon, and an empty menu when
+/// no route exists. The snapshot's quote and the sequencer's live re-quote
+/// both price here.
+pub(crate) fn price_menu(
+    net: &Network,
+    state: &NetworkState,
+    paths: &SharedPathSet,
+    horizon: usize,
+    params: &RequestParams,
+) -> PriceMenu {
+    let paths = paths.paths(net, params.src, params.dst);
+    if paths.is_empty() {
+        PriceMenu::default()
+    } else {
+        build_menu(state, &paths, params.start, params.deadline.min(horizon - 1))
     }
 }
 
 /// A quote awaiting sequencing: the request's visible parameters, the menu
-/// priced for them, and the epoch of the snapshot that priced it.
+/// priced for them, the epoch of the snapshot that priced it, and the time
+/// the quote took. [`Sequencer::admit`] counts the quote with that time.
 #[derive(Debug, Clone)]
 pub struct QuoteTicket {
     pub params: RequestParams,
     pub menu: PriceMenu,
     pub epoch: u64,
+    pub elapsed: Duration,
 }
 
 /// The single-threaded admission back end: applies a batch of quote
@@ -223,15 +180,17 @@ impl<'a> Sequencer<'a> {
         })
     }
 
-    /// Sequence one ticket: validate its menu (re-quoting against live
-    /// state when stale), ask the customer's `respond` callback for the
-    /// purchase off the *valid* menu, and book the accept. The callback
-    /// owns the customer's private value — it never crosses into Pretium.
+    /// Sequence one ticket: count its quote, validate its menu
+    /// (re-quoting against live state when stale, which counts once more),
+    /// ask the customer's `respond` callback for the purchase off the
+    /// *valid* menu, and book the accept. The callback owns the customer's
+    /// private value — it never crosses into Pretium.
     pub fn admit(
         &mut self,
         ticket: &QuoteTicket,
         respond: impl FnOnce(&PriceMenu) -> f64,
     ) -> Option<ContractId> {
+        self.system.count_quote(&ticket.menu, ticket.elapsed);
         let requoted;
         let menu = if self.still_exact(ticket) {
             &ticket.menu

@@ -31,6 +31,11 @@
 //! * [`degradation`] — §4.4 graceful degradation: the shed-then-relax
 //!   fallback policy and the violation ledger of waived guarantees.
 //! * [`telemetry`] — per-module counters and wall-clock timings.
+//!
+//! Outside its tests the crate calls no `unwrap`, `expect` or `panic!`;
+//! clippy enforces it.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod admission;
 pub mod audit;

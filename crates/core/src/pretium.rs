@@ -6,12 +6,12 @@
 //! timestep*; the PC recomputes prices *once per window* from the duals of
 //! an offline solve over recent history.
 
-use crate::admission::{AdmissionSnapshot, Sequencer, SnapshotStats};
+use crate::admission::{price_menu, AdmissionSnapshot, Sequencer};
 use crate::audit::{AuditContext, AuditPoint, Auditor};
 use crate::config::PretiumConfig;
 use crate::contract::{Contract, ContractId, RequestParams};
 use crate::degradation::{DegradationKind, ViolationLedger};
-use crate::menu::{build_menu, PriceMenu};
+use crate::menu::PriceMenu;
 use crate::schedule::{Job, ScheduleProblem, ScheduleSession};
 use crate::state::NetworkState;
 use crate::telemetry::Telemetry;
@@ -19,7 +19,7 @@ use pretium_lp::{SessionStats, SimplexOptions, SolveError, SolveOptions, SolverT
 use pretium_net::{EdgeId, Network, Path, SharedPathSet, TimeGrid, Timestep, UsageTracker};
 use rand::{DetHashMap as HashMap, DetHashSet as HashSet};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The scheduling LP SAM keeps alive between timesteps of one billing
 /// window: successive `run_sam` calls advance it (fix executed flows,
@@ -72,11 +72,6 @@ pub struct Pretium {
     /// The snapshot published for the current epoch, if any — reused by
     /// [`Pretium::snapshot`] until the next mutation retires it.
     published: Option<Arc<AdmissionSnapshot>>,
-    /// Quote counters recorded on retired snapshots *after* their drain
-    /// (pool workers can hold a superseded snapshot's `Arc` and keep
-    /// quoting); each snapshot empties into this sink on `Drop`, and the
-    /// sink flushes into [`Telemetry`] at every epoch bump.
-    pending_quotes: Arc<SnapshotStats>,
     contracts: Vec<Contract>,
     /// Admissible route set per contract (parallel to `contracts`).
     contract_paths: Vec<Vec<Path>>,
@@ -124,7 +119,6 @@ impl Pretium {
             path_cache,
             epoch: 0,
             published: None,
-            pending_quotes: Arc::new(SnapshotStats::default()),
             contracts: Vec::new(),
             contract_paths: Vec::new(),
             pc_runs: 0,
@@ -175,35 +169,26 @@ impl Pretium {
             Arc::clone(&self.net),
             Arc::clone(&self.state),
             Arc::clone(&self.path_cache),
-            Arc::clone(&self.pending_quotes),
         ));
         self.telemetry.snapshots += 1;
         self.published = Some(Arc::clone(&snap));
         snap
     }
 
-    /// Retire the published snapshot (folding its quote telemetry in) and
-    /// advance the epoch. Every quote-relevant mutation goes through here
-    /// *before* it takes the state with [`writable`]: dropping the
-    /// system's own handle on the snapshot is what leaves the state
-    /// unshared, so the write that follows happens in place.
+    /// Retire the published snapshot and advance the epoch. Every
+    /// quote-relevant mutation goes through here *before* it takes the
+    /// state with [`writable`]: dropping the system's own handle on the
+    /// snapshot is what leaves the state unshared, so the write that
+    /// follows happens in place.
     fn bump_epoch(&mut self) {
-        if let Some(snap) = self.published.take() {
-            snap.stats.drain_into(&mut self.telemetry);
-        }
-        self.pending_quotes.drain_into(&mut self.telemetry);
+        self.published = None;
         self.epoch += 1;
     }
 
-    /// Fold a snapshot's atomic quote counters into this system's
-    /// telemetry. Idempotent; retiring a snapshot drains it automatically,
-    /// so this is only needed for counters accrued after the last mutation
-    /// (e.g. the final batch of a run). Also flushes the pending sink of
-    /// counters that landed on already-retired snapshots.
-    pub fn absorb_quotes(&mut self, snap: &AdmissionSnapshot) {
-        snap.stats.drain_into(&mut self.telemetry);
-        self.pending_quotes.drain_into(&mut self.telemetry);
-    }
+    /// Does nothing. A snapshot holds no counters: [`Sequencer::admit`]
+    /// counts each ticket's quote. Kept only because the `e2ebench`
+    /// replay still calls it after quoting a batch.
+    pub fn absorb_quotes(&mut self, _snap: &AdmissionSnapshot) {}
 
     /// One-shot admission through the snapshot/sequencer path: publish (or
     /// reuse) a snapshot, quote `params`, let `respond` choose the
@@ -219,12 +204,7 @@ impl Pretium {
         params: &RequestParams,
         respond: impl FnOnce(&PriceMenu) -> f64,
     ) -> (PriceMenu, Option<ContractId>) {
-        let ticket = {
-            let snap = self.snapshot();
-            let ticket = snap.ticket(params);
-            self.absorb_quotes(&snap);
-            ticket
-        };
+        let ticket = self.snapshot().ticket(params);
         let mut seq = Sequencer::new(self);
         let id = seq.admit(&ticket, respond);
         (ticket.menu, id)
@@ -333,23 +313,21 @@ impl Pretium {
     }
 
     /// RA, step 1 against *live* state: the [`Sequencer`]'s re-quote for
-    /// tickets whose snapshot menu went stale mid-batch. Records timing
-    /// and the empty count symmetrically on every path, plus the requote
-    /// counter. External quoting goes through [`Pretium::snapshot`].
+    /// tickets whose snapshot menu went stale mid-batch, counted like any
+    /// sequenced quote plus the requote counter. External quoting goes
+    /// through [`Pretium::snapshot`].
     pub(crate) fn requote(&mut self, params: &RequestParams) -> PriceMenu {
         let t0 = Instant::now();
-        let paths = self.path_cache.paths(&self.net, params.src, params.dst);
-        let menu = if paths.is_empty() {
-            PriceMenu::default()
-        } else {
-            build_menu(&self.state, &paths, params.start, params.deadline.min(self.horizon - 1))
-        };
-        if menu.is_empty() {
-            self.telemetry.quotes_empty += 1;
-        }
+        let menu = price_menu(&self.net, &self.state, &self.path_cache, self.horizon, params);
         self.telemetry.quotes_requoted += 1;
-        self.telemetry.quote.record(t0.elapsed());
+        self.count_quote(&menu, t0.elapsed());
         menu
+    }
+
+    /// Count one sequenced quote that took `elapsed` (DESIGN.md §15).
+    pub(crate) fn count_quote(&mut self, menu: &PriceMenu, elapsed: Duration) {
+        self.telemetry.quotes_empty += u64::from(menu.is_empty());
+        self.telemetry.quote.record(elapsed);
     }
 
     /// RA, step 2: the customer accepts `units` off the quoted menu. The
@@ -537,24 +515,19 @@ impl Pretium {
                     .filter(|&(j, &s)| s > SHORT_TOL && !handled.contains(&j))
                     .map(|(j, &s)| (j, s))
                     .collect();
-                if short.is_empty() {
+                // The lowest-λ short contract, then the lowest job index.
+                let lambda = |j: usize| self.contracts[carry.contract_of_job[j]].lambda;
+                let Some(&(j, s)) = short
+                    .iter()
+                    .min_by(|a, b| lambda(a.0).total_cmp(&lambda(b.0)).then(a.0.cmp(&b.0)))
+                else {
                     break 'solve sol;
-                }
-                let (j, units, kind) = if short.len() > 1 {
-                    let &(j, _) = short
-                        .iter()
-                        .min_by(|a, b| {
-                            let la = self.contracts[carry.contract_of_job[a.0]].lambda;
-                            let lb = self.contracts[carry.contract_of_job[b.0]].lambda;
-                            la.total_cmp(&lb).then(a.0.cmp(&b.0))
-                        })
-                        .unwrap();
-                    let i = carry.contract_of_job[j];
-                    (j, self.contracts[i].guarantee_remaining(), DegradationKind::Shed)
+                };
+                let remaining = self.contracts[carry.contract_of_job[j]].guarantee_remaining();
+                let (units, kind) = if short.len() > 1 {
+                    (remaining, DegradationKind::Shed)
                 } else {
-                    let (j, s) = short[0];
-                    let i = carry.contract_of_job[j];
-                    (j, s.min(self.contracts[i].guarantee_remaining()), DegradationKind::Relaxed)
+                    (s.min(remaining), DegradationKind::Relaxed)
                 };
                 handled.insert(j);
                 let waived = carry.sess.relax_guarantee(j, units);
@@ -814,7 +787,7 @@ impl Pretium {
 }
 
 /// The state, for writing. Copies it first when someone else still holds
-/// it — a pool worker quoting off a retired snapshot, a caller keeping one
+/// it — a thread still quoting off a retired snapshot, a caller keeping one
 /// across a mutation — so a held snapshot never observes a write; counted
 /// in [`Telemetry::state_copies`]. Once the published snapshot is retired
 /// and no one else holds one, this is a reference-count check and the

@@ -63,9 +63,10 @@ fn duration_from_nanos(nanos: u128) -> Duration {
 /// All per-module counters of one Pretium instance.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    /// RA step 1: menu generation — snapshot quotes (folded in from each
-    /// retired [`crate::AdmissionSnapshot`]'s atomic counters) plus the
-    /// sequencer's live re-quotes.
+    /// RA step 1: menu generation, counted where the decision is made —
+    /// one call per ticket [`crate::Sequencer::admit`] sequences (timed by
+    /// [`crate::AdmissionSnapshot::ticket`]) plus one per live re-quote. A
+    /// quote off a snapshot that is never sequenced is not counted.
     pub quote: ModuleStats,
     /// RA step 2: every purchase decision, rejections included (the
     /// admitted/rejected split lives in the counters below).
@@ -78,7 +79,8 @@ pub struct Telemetry {
     pub execute: ModuleStats,
     /// Audit sweeps (see [`crate::audit::Auditor`]).
     pub audit: ModuleStats,
-    /// Quotes that came back empty (no route or no sellable capacity).
+    /// Counted quotes (see `quote`) that came back empty (no route or no
+    /// sellable capacity).
     pub quotes_empty: u64,
     /// Batch tickets whose snapshot menu went stale (its slot footprint
     /// overlapped an earlier accept's reservations) and were re-quoted
@@ -87,7 +89,7 @@ pub struct Telemetry {
     /// Admission snapshots published (one per epoch with quote traffic).
     pub snapshots: u64,
     /// Mutations that had to copy the network state first because a
-    /// snapshot of it was still held (a pool worker, a caller); 0 when
+    /// snapshot of it was still held (by another thread or a caller); 0 when
     /// every snapshot is dropped before the next mutation (DESIGN.md §22).
     pub state_copies: u64,
     /// Purchases booked as contracts.

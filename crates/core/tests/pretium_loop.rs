@@ -287,37 +287,49 @@ fn purchase_beyond_bound_guarantees_only_xbar() {
     assert!((c.guaranteed - 20.0).abs() < 1e-9);
 }
 
-/// A snapshot superseded while its `Arc` is still held (a pool worker
-/// mid-quote) must not lose quote counters: whatever is recorded after the
-/// retirement drain flows through the pending sink on `Drop` and lands in
-/// telemetry at the next epoch bump.
+/// A quote is counted where the sequencer decides on it: quotes off a
+/// snapshot that are never sequenced count nothing, each sequenced ticket
+/// counts once with the time its quote took — even after its snapshot
+/// retired — and a live re-quote counts once more. `quotes_empty` follows
+/// the same rule.
 #[test]
-fn superseded_snapshot_quotes_drain_on_drop() {
+fn quotes_count_where_their_tickets_are_sequenced() {
     let mut net = Network::new();
     let a = net.add_node("A", Region::NorthAmerica);
     let b = net.add_node("B", Region::NorthAmerica);
     let e = net.add_edge(a, b, 10.0, LinkCost::owned());
-    let grid = TimeGrid::new(4, 30);
-    let cfg = PretiumConfig {
-        highpri_fraction: 0.0,
-        bump: PriceBump::disabled(),
-        k_paths: 1,
-        ..Default::default()
-    };
-    let mut pretium = Pretium::new(net, grid, 4, cfg);
-    let snap = pretium.snapshot();
+    let cfg = PretiumConfig { highpri_fraction: 0.0, k_paths: 1, ..Default::default() };
+    let mut pretium = Pretium::new(net, TimeGrid::new(4, 30), 4, cfg);
     let p = params(0, 0, 1, 5.0, 0, 3);
+    // A window past the horizon: an empty menu.
+    let late = params(1, 0, 1, 5.0, 6, 8);
+    let counts = |sys: &Pretium| {
+        let t = sys.telemetry();
+        (t.quote.calls, t.quotes_empty, t.quotes_requoted)
+    };
+
+    let snap = pretium.snapshot();
     snap.quote(&p);
-    // Retire the published snapshot (epoch bump) while we still hold it.
+    snap.quote(&late);
+    let _never_sequenced = snap.ticket(&p);
+    let (stale, stale_empty) = (snap.ticket(&p), snap.ticket(&late));
+    // Retire the snapshot while its tickets are still out.
     pretium.set_price(e, 0, 1.0);
-    assert_eq!(pretium.telemetry().quote.calls, 1);
-    // A worker still quoting against the superseded snapshot.
-    snap.quote(&p);
-    snap.quote(&p);
     drop(snap);
-    // Next epoch bump flushes the pending sink: nothing was lost.
-    pretium.set_price(e, 0, 2.0);
-    assert_eq!(pretium.telemetry().quote.calls, 3);
+    assert_eq!(counts(&pretium), (0, 0, 0));
+
+    // A fresh ticket counts once, with its own quote time.
+    let fresh = pretium.snapshot().ticket(&p);
+    Sequencer::new(&mut pretium).admit(&fresh, |_| 0.0);
+    assert_eq!(counts(&pretium), (1, 0, 0));
+    assert_eq!(pretium.telemetry().quote.total(), fresh.elapsed);
+
+    // A ticket off the retired snapshot counts once, its re-quote once more.
+    Sequencer::new(&mut pretium).admit(&stale, |_| 0.0);
+    assert_eq!(counts(&pretium), (3, 0, 1));
+    Sequencer::new(&mut pretium).admit(&stale_empty, |_| 0.0);
+    assert_eq!(counts(&pretium), (5, 2, 2));
+    assert!(pretium.contracts().is_empty());
 }
 
 /// A request whose window lies past the horizon (or ends before it
@@ -490,7 +502,6 @@ fn serial_walk_never_copies_the_state() {
             (0..3).map(|i| params(100 + 10 * now as u64 + i, 0, 2, 4.0, now, 7)).collect();
         let snap = pretium.snapshot();
         let tickets: Vec<_> = batch.iter().map(|p| snap.ticket(p)).collect();
-        pretium.absorb_quotes(&snap);
         drop(snap);
         let mut seq = Sequencer::new(&mut pretium);
         for ticket in &tickets {

@@ -77,6 +77,11 @@
 //! session.solve(&SolveOptions::default()).unwrap();
 //! assert_eq!(session.last_restart(), Some(Restart::WarmPrimal));
 //! ```
+//!
+//! Outside its tests the crate calls no `unwrap`, `expect` or `panic!`;
+//! clippy enforces it.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod expr;
 pub mod model;

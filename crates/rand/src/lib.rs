@@ -7,6 +7,11 @@
 //! built on xoshiro256++. Streams are *not* bit-compatible with upstream
 //! `rand`; everything in the workspace treats seeds as opaque, so only
 //! determinism per seed matters.
+//!
+//! Outside its tests the crate calls no `unwrap`, `expect` or `panic!`;
+//! clippy enforces it.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 /// The workspace-wide default seed. Experiments, scenarios, benches, and
 /// examples all start from this one constant; independent streams are
@@ -107,7 +112,9 @@ impl std::hash::Hasher for DetHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().unwrap()));
+            let mut word = [0u8; 8];
+            word.copy_from_slice(c);
+            self.add(u64::from_le_bytes(word));
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {

@@ -118,23 +118,22 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A single total link failure over `[at, until)`.
+    /// A single total link failure over `[at, until)`, clipped to the
+    /// horizon. An interval that is empty after clipping is a plan with no
+    /// events.
     pub fn single_link_failure(
         edge: EdgeId,
         at: Timestep,
         until: Timestep,
         horizon: usize,
     ) -> Self {
-        assert!(at < until, "empty failure interval");
-        FaultPlan {
-            events: vec![FaultEvent::CapacityDegradation {
-                edge,
-                at,
-                until: until.min(horizon),
-                fraction: 1.0,
-            }],
-            horizon,
-        }
+        let until = until.min(horizon);
+        let events = if at < until {
+            vec![FaultEvent::CapacityDegradation { edge, at, until, fraction: 1.0 }]
+        } else {
+            Vec::new()
+        };
+        FaultPlan { events, horizon }
     }
 
     /// Generate a plan from `cfg.seed`. Event draws walk (edge × window)
@@ -346,6 +345,15 @@ mod tests {
         let sc = world();
         let plan = FaultPlan::for_scenario(&sc, &FaultPlanConfig { seed: 3, ..Default::default() });
         assert!(plan.is_empty());
+    }
+
+    #[test]
+    fn empty_failure_interval_is_a_plan_without_events() {
+        for (at, until) in [(5, 5), (6, 3)] {
+            let plan = FaultPlan::single_link_failure(EdgeId(0), at, until, 12);
+            assert!(plan.is_empty(), "[{at}, {until}): {plan:?}");
+        }
+        assert!(!FaultPlan::single_link_failure(EdgeId(0), 5, 6, 12).is_empty());
     }
 
     /// A faulted replay of `sc` under `plan` must finish with a clean audit.

@@ -10,8 +10,9 @@
 //! to the serial quote→accept interleaving.
 //!
 //! The loop times each module call at its own boundaries, and those samples
-//! are the paper's Table 4: RA is one request's ticket plus its sequenced
-//! admission, SAM is the step's `Sequencer::finish`, PC is one `run_pc`.
+//! are the paper's Table 4: RA is one request's quote (the time its ticket
+//! carries) plus its sequenced admission, SAM is the step's
+//! `Sequencer::finish`, PC is one `run_pc`.
 
 use crate::faults::FaultPlan;
 use crate::scenario::Scenario;
@@ -19,7 +20,7 @@ use pretium_baselines::Outcome;
 use pretium_core::{Pretium, PretiumConfig, QuoteTicket, RequestParams, Sequencer};
 use pretium_lp::{SessionStats, SolveError};
 use pretium_net::UsageTracker;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Sentinel request index for contracts that did not come from the
 /// scenario's request stream (fault-plan surge traffic).
@@ -62,9 +63,9 @@ pub struct PretiumRun {
     /// LP restart counters over the whole run (SAM sessions + PC solves):
     /// how many solves there were and how many reused a previous basis.
     pub lp_stats: SessionStats,
-    /// Wall time of each quoted request's RA, in seconds: its ticket off
-    /// the step's snapshot plus its sequenced admission (a re-quote
-    /// included), in arrival order.
+    /// Wall time of each quoted request's RA, in seconds: its ticket's
+    /// quote time (`QuoteTicket::elapsed`) plus its sequenced admission (a
+    /// re-quote included), in arrival order.
     pub ra_secs: Vec<f64>,
     /// Wall time of each timestep's SAM (`Sequencer::finish`), in seconds;
     /// empty under NoSAM.
@@ -209,7 +210,7 @@ pub fn run_pretium_cold(
         // The sequencer is created even on empty steps: `finish` runs the
         // step's SAM (NoSAM drops it unfinished).
         let mut seq = Sequencer::new(&mut system);
-        for ((ticket, quoted), &(_, value, demand, ri)) in tickets.iter().zip(&batch) {
+        for (ticket, &(_, value, demand, ri)) in tickets.iter().zip(&batch) {
             let t0 = Instant::now();
             let admitted = seq.admit(ticket, |menu| match variant {
                 // Surges always respond optimally, even under NoMenu.
@@ -218,7 +219,7 @@ pub fn run_pretium_cold(
                 }
                 _ => menu.optimal_purchase(value, demand),
             });
-            ra_secs.push((*quoted + t0.elapsed()).as_secs_f64());
+            ra_secs.push((ticket.elapsed + t0.elapsed()).as_secs_f64());
             if let Some(id) = admitted {
                 if ri != SURGE_SENTINEL {
                     outcome.admitted[ri] = true;
@@ -270,25 +271,16 @@ pub fn run_pretium_cold(
 }
 
 /// Quote one timestep's arrival batch off a single published snapshot, in
-/// batch order, each ticket with the time its quote took; the snapshot's
-/// quote telemetry is absorbed before sequencing.
+/// batch order; the snapshot is dropped before the batch is sequenced.
 fn quote_batch(
     system: &mut Pretium,
     batch: &[(RequestParams, f64, f64, usize)],
-) -> Vec<(QuoteTicket, Duration)> {
+) -> Vec<QuoteTicket> {
     if batch.is_empty() {
         return Vec::new();
     }
     let snap = system.snapshot();
-    let tickets = batch
-        .iter()
-        .map(|(params, ..)| {
-            let t0 = Instant::now();
-            (snap.ticket(params), t0.elapsed())
-        })
-        .collect();
-    system.absorb_quotes(&snap);
-    tickets
+    batch.iter().map(|(params, ..)| snap.ticket(params)).collect()
 }
 
 #[cfg(test)]

@@ -246,7 +246,6 @@ fn sequenced_tickets_match_live_quotes_and_refuse_windows_past_the_horizon() {
     let mut system = fresh();
     let snap = system.snapshot();
     let tickets = batch.each_ref().map(|p| snap.ticket(p));
-    system.absorb_quotes(&snap);
     let mut shown = Vec::new();
     let mut seq = Sequencer::new(&mut system);
     let ids = tickets.each_ref().map(|t| {
