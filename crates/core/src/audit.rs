@@ -19,9 +19,15 @@
 use crate::contract::{Contract, ContractId};
 use crate::degradation::ViolationLedger;
 use crate::state::{NetworkState, RESERVE_REL_TOL};
+use pretium_lp::validate::check_optimal;
+use pretium_lp::SolverSession;
 use pretium_net::{EdgeId, Network, Path, Timestep};
 use rand::DetHashMap as HashMap;
 use std::fmt;
+
+/// KKT tolerance of invariant (7): an installed LP optimum must pass
+/// `validate::check_optimal` at this tolerance.
+pub const LP_CERT_TOL: f64 = 1e-7;
 
 /// Which module checkpoint triggered an audit sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,11 +76,18 @@ pub enum Invariant {
     /// penalty — a missed guarantee that never reached the ledger means
     /// the run silently dropped a promise.
     GuaranteeLedger,
+    /// (7) Every LP optimum SAM or the PC installs passes
+    /// `validate::check_optimal` at [`LP_CERT_TOL`] against its model
+    /// alone: primal and dual feasibility, complementary slackness and a
+    /// closed duality gap, recomputed from the model's rows — a certificate
+    /// independent of the solver's own bookkeeping (the carried restart's
+    /// change log and the passes that read it, DESIGN.md §23).
+    LpCertificate,
 }
 
 impl Invariant {
     /// Stable index used for per-invariant counters.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 7;
 
     fn index(self) -> usize {
         match self {
@@ -84,6 +97,7 @@ impl Invariant {
             Invariant::PriceFloor => 3,
             Invariant::GuaranteeCoverage => 4,
             Invariant::GuaranteeLedger => 5,
+            Invariant::LpCertificate => 6,
         }
     }
 
@@ -96,6 +110,7 @@ impl Invariant {
             Invariant::PriceFloor,
             Invariant::GuaranteeCoverage,
             Invariant::GuaranteeLedger,
+            Invariant::LpCertificate,
         ]
     }
 
@@ -107,6 +122,7 @@ impl Invariant {
             Invariant::PriceFloor => "price-floor",
             Invariant::GuaranteeCoverage => "guarantee-coverage",
             Invariant::GuaranteeLedger => "guarantee-ledger",
+            Invariant::LpCertificate => "lp-certificate",
         }
     }
 }
@@ -196,7 +212,8 @@ impl Auditor {
         Auditor::default()
     }
 
-    /// Number of audit sweeps run.
+    /// Number of audit sweeps run, plus LP optima certified
+    /// ([`Auditor::check_lp`]).
     pub fn checks(&self) -> u64 {
         self.checks
     }
@@ -255,6 +272,24 @@ impl Auditor {
         self.check_guarantee_coverage(point, cx);
         self.check_guarantee_ledger(point, cx);
         self.total - before
+    }
+
+    /// (7) The optimum `lp` returned last is optimal for its current model
+    /// by [`check_optimal`] at [`LP_CERT_TOL`] (none, because the model
+    /// moved after that solve, is a violation too). Counts as one check;
+    /// returns the number of new violations (0 or 1).
+    pub fn check_lp(&mut self, point: AuditPoint, now: Timestep, lp: &SolverSession) -> u64 {
+        self.checks += 1;
+        let detail = match lp.cached_solution() {
+            None => "no current optimum: the model moved after its last solve".to_string(),
+            Some(sol) => {
+                let bad = check_optimal(lp.model(), sol, LP_CERT_TOL);
+                let Some(first) = bad.first() else { return 0 };
+                format!("{} KKT violation(s), first: {first:?}", bad.len())
+            }
+        };
+        self.record(point, now, Invariant::LpCertificate, detail);
+        1
     }
 
     /// (1) No link carries more reservations than its sellable capacity.
@@ -650,6 +685,28 @@ mod tests {
         aud.check(AuditPoint::Sam, &context);
         assert_eq!(aud.violations_of(Invariant::GuaranteeLedger), 1, "{:?}", aud.violations());
         assert!(aud.violations()[0].to_string().contains("ledger total"));
+    }
+
+    /// Invariant (7): a solved session's optimum certifies; one whose
+    /// model moved since its solve has no optimum to certify, which is a
+    /// violation. Each call counts as one check.
+    #[test]
+    fn lp_certificate_checks_the_optimum_against_its_model() {
+        use pretium_lp::{Cmp, Model, Sense, SolveOptions};
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_nonneg("x", 3.0);
+        let y = m.add_nonneg("y", 2.0);
+        let cap = m.add_row("cap", x + y, Cmp::Le, 4.0);
+        let mut lp = SolverSession::new(m);
+        lp.solve(&SolveOptions::default()).unwrap();
+        let mut aud = Auditor::new();
+        assert_eq!(aud.check_lp(AuditPoint::Sam, 0, &lp), 0);
+        lp.set_rhs(cap, 5.0);
+        assert_eq!(aud.check_lp(AuditPoint::Pc, 1, &lp), 1, "the model moved");
+        lp.solve(&SolveOptions::default()).unwrap();
+        assert_eq!(aud.check_lp(AuditPoint::Sam, 2, &lp), 0);
+        assert_eq!((aud.checks(), aud.violations_of(Invariant::LpCertificate)), (3, 1));
+        assert!(aud.violations()[0].to_string().contains("lp-certificate"));
     }
 
     #[test]

@@ -279,6 +279,14 @@ impl Pretium {
         SolveOptions { simplex, ..self.solve_opts() }
     }
 
+    /// Certify the LP optimum a module installs from `sess` against its
+    /// model alone (audit invariant 7), when auditing is on.
+    fn audit_lp(&mut self, point: AuditPoint, now: Timestep, sess: &ScheduleSession) {
+        if let Some(aud) = self.audit.as_mut() {
+            self.telemetry.audit_violations += aud.check_lp(point, now, sess.lp());
+        }
+    }
+
     /// Sweep every invariant now and record violations. Runs after each
     /// module checkpoint; also callable directly (e.g. right after
     /// [`Pretium::inject_capacity_loss`], before SAM has replanned).
@@ -545,6 +553,7 @@ impl Pretium {
                 break;
             }
         };
+        self.audit_lp(AuditPoint::Sam, now, &carry.sess);
         // Plan snapshot for the rerouted-units metric (§4.4): how much
         // previously planned volume had to move off its (path, step) slot.
         let old_plans: Vec<Vec<(usize, Timestep, f64)>> = if faulted {
@@ -701,6 +710,7 @@ impl Pretium {
         sess.materialize_contested(&self.net, &capacity, &zero);
         let sol = sess.solve_step_with(&self.net, &capacity, &zero, &self.solve_opts())?;
         self.lp_stats.merge(sol.lp_stats);
+        self.audit_lp(AuditPoint::Pc, now, &sess);
         // The previous window's pattern is carried into the future.
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
@@ -712,7 +722,7 @@ impl Pretium {
                 // percentile cost (C_e/k on the window's top-k steps),
                 // computed for the first future window and copied forward.
                 let p = if t < now + spw {
-                    sol.price(e, prev_start + self.grid.step_in_window(t)).max(floor)
+                    sess.price(&sol, e, prev_start + self.grid.step_in_window(t)).max(floor)
                 } else {
                     state.price(e, t - spw)
                 };

@@ -134,13 +134,9 @@ pub struct ScheduleSolution {
     /// LP objective (weighted value minus proxied costs over the LP's
     /// horizon; excludes realized-past cost constants).
     pub objective: f64,
-    /// Shadow price of every *generated* capacity row; absent pairs have
-    /// dual zero.
-    pub capacity_duals: HashMap<(EdgeId, Timestep), f64>,
-    /// Marginal percentile-cost of one extra unit of usage on `(e, t)`
-    /// (the dual of the usage-definition row): `C_e/k` on steps inside the
-    /// window's top-k, zero below the percentile. Absent pairs are zero.
-    pub usage_duals: HashMap<(EdgeId, Timestep), f64>,
+    /// The LP's row duals, by row index: [`ScheduleSession::price`] reads a
+    /// slot's capacity and usage rows from them.
+    row_duals: Vec<f64>,
     /// Guarantee shortfall per job (positive when min_units was missed).
     pub shortfall: Vec<f64>,
     /// Lazy-generation rounds used.
@@ -151,18 +147,6 @@ pub struct ScheduleSolution {
 }
 
 impl ScheduleSolution {
-    /// Congestion dual price of `(e, t)` (zero when the row never bound).
-    pub fn dual(&self, e: EdgeId, t: Timestep) -> f64 {
-        self.capacity_duals.get(&(e, t)).copied().unwrap_or(0.0)
-    }
-
-    /// Full internal price of `(e, t)`: congestion shadow price plus the
-    /// marginal percentile cost. This is the §4.3 "dual price" a unit of
-    /// traffic should be charged for riding this link-timestep.
-    pub fn price(&self, e: EdgeId, t: Timestep) -> f64 {
-        self.dual(e, t) + self.usage_duals.get(&(e, t)).copied().unwrap_or(0.0)
-    }
-
     /// Largest guarantee shortfall across jobs (zero when every `min_units`
     /// was met) — the §4.4 degradation signal the telemetry layer counts.
     pub fn max_shortfall(&self) -> f64 {
@@ -193,6 +177,37 @@ const USE_TOL: f64 = 1e-7;
 const MAX_ROUNDS: u32 = 60;
 /// Near-violation fraction that pre-materializes a capacity row.
 const NEAR_CAP_FRACTION: f64 = 0.85;
+
+/// What one lazy round adds: the capacity rows, in the order a walk of
+/// the slot map meets them, and the cost encodings `(edge, window)`, sorted.
+type Separation = (Vec<(EdgeId, Timestep)>, Vec<(EdgeId, usize)>);
+
+/// One `(edge, timestep)` slot of the LP horizon: the columns crossing it
+/// and what the row separation knows of it.
+#[derive(Debug, Clone)]
+struct Slot {
+    key: (EdgeId, Timestep),
+    /// Flow columns and executed-usage constants crossing the slot.
+    vars: Vec<Var>,
+    /// The slot's capacity row, once materialized.
+    cap_row: Option<RowId>,
+    /// The slot's usage-definition row (percentile edges with a cost
+    /// encoding).
+    use_row: Option<RowId>,
+    /// The edge bills by percentile.
+    percentile: bool,
+    /// The edge has a cost encoding over the slot's billing window.
+    costed: bool,
+    /// Its usage was over `NEAR_CAP_FRACTION` of its capacity when the
+    /// separation last summed it (meaningful while the slot is
+    /// uncapped).
+    near: bool,
+    /// Position of the slot's key in `ScheduleSession::slot_of`'s
+    /// iteration order, the order rows are added in.
+    ordinal: u32,
+    /// The lazy round that last queued the slot for a re-sum.
+    queued: u32,
+}
 
 /// The scheduling LP kept alive across solves, with the solver basis of the
 /// last optimum.
@@ -238,14 +253,30 @@ pub struct ScheduleSession {
     /// Guarantee row per job (if it has one) — the degradation policy
     /// lowers its RHS when a guarantee is shed or relaxed (§4.4).
     guar_rows: Vec<Option<RowId>>,
-    /// Materialized capacity rows.
-    cap_rows: HashMap<(EdgeId, Timestep), RowId>,
     /// Percentile edges with a cost encoding already, per window.
     costed: DetHashSet<(EdgeId, usize)>,
-    /// Usage-definition rows (percentile edges only).
-    use_rows: HashMap<(EdgeId, Timestep), RowId>,
-    /// For each (e, t) within the LP horizon, the vars crossing it.
-    crossing: HashMap<(EdgeId, Timestep), Vec<Var>>,
+    /// Whether each edge (by index) bills by percentile.
+    percentile: Vec<bool>,
+    /// Every (e, t) within the LP horizon that a column crosses, in
+    /// creation order: the columns, its rows and the separation's flags.
+    slots: Vec<Slot>,
+    /// The index in `slots` of each `(e, t)`.
+    slot_of: HashMap<(EdgeId, Timestep), u32>,
+    /// `slots.len()` when `Slot::ordinal` was last assigned.
+    ordered: usize,
+    /// Per column (by index), the range of `crossed_slots` listing the
+    /// slots it crosses: one per path edge for a flow column, one for an
+    /// executed-usage constant, none for any other column (or past the
+    /// end).
+    crossed: Vec<(u32, u32)>,
+    crossed_slots: Vec<u32>,
+    /// The uncapped slots whose `near` flag a judgement set since the
+    /// step's first round (some may be capped or clear since).
+    near: Vec<u32>,
+    /// Scratch: the slots a lazy round re-sums.
+    dirty: Vec<u32>,
+    /// Lazy rounds run, the stamp of `Slot::queued`.
+    round: u32,
     /// Primal values of the last solve (used to freeze elapsed steps).
     last_values: Vec<f64>,
 }
@@ -283,10 +314,16 @@ impl ScheduleSession {
             vars: Vec::with_capacity(p.jobs.len()),
             shortfalls: Vec::with_capacity(p.jobs.len()),
             guar_rows: Vec::with_capacity(p.jobs.len()),
-            cap_rows: HashMap::default(),
             costed: DetHashSet::default(),
-            use_rows: HashMap::default(),
-            crossing: HashMap::default(),
+            percentile: p.net.edge_ids().map(|e| p.net.edge(e).cost.is_percentile()).collect(),
+            slots: Vec::new(),
+            slot_of: HashMap::default(),
+            ordered: 0,
+            crossed: Vec::new(),
+            crossed_slots: Vec::new(),
+            near: Vec::new(),
+            dirty: Vec::new(),
+            round: 0,
             last_values: Vec::new(),
         };
         for job in p.jobs {
@@ -298,6 +335,34 @@ impl ScheduleSession {
     /// First timestep still free to re-plan.
     pub fn fixed_up_to(&self) -> Timestep {
         self.fixed_up_to
+    }
+
+    /// The underlying LP session: its model, and the optimum the last solve
+    /// returned while the model has not moved since.
+    pub fn lp(&self) -> &SolverSession {
+        &self.sess
+    }
+
+    /// Full internal price of `(e, t)` in `sol`, an optimum this session
+    /// returned: the congestion shadow price of the slot's capacity row plus
+    /// the marginal percentile cost of one extra unit of usage there, the
+    /// dual of its usage-definition row — `C_e/k` on steps inside the
+    /// window's top-k, zero below the percentile (clamped: tiny negative
+    /// duals are numerical noise). A row that was never generated, or came
+    /// after `sol`, contributes zero. This is the §4.3 "dual price" a unit
+    /// of traffic should be charged for riding this link-timestep; only the
+    /// PC reads it, so no solve builds a price table.
+    pub fn price(&self, sol: &ScheduleSolution, e: EdgeId, t: Timestep) -> f64 {
+        let Some(slot) = self.slot_of.get(&(e, t)).map(|&i| &self.slots[i as usize]) else {
+            return 0.0;
+        };
+        let dual = |row: Option<RowId>| {
+            row.and_then(|r| sol.row_duals.get(r.index())).copied().unwrap_or(0.0)
+        };
+        // The use-row is written as (Σ flows − U = 0); pushing one forced
+        // unit of usage through the edge corresponds to lowering the rhs
+        // by 1, so the marginal cost is the row dual itself.
+        dual(slot.cap_row) + dual(slot.use_row).max(0.0)
     }
 
     /// Restart counters of the underlying LP session.
@@ -334,14 +399,15 @@ impl ScheduleSession {
                 jvars.push((pi, t, v));
                 total.add_term(1.0, v);
                 for &e in job.paths[pi].edges() {
-                    if let Some(&row) = self.cap_rows.get(&(e, t)) {
+                    let id = self.slot(e, t);
+                    let slot = &mut self.slots[id as usize];
+                    slot.vars.push(v);
+                    for row in [slot.cap_row, slot.use_row].into_iter().flatten() {
                         self.sess.add_term(row, v, 1.0);
                     }
-                    if let Some(&row) = self.use_rows.get(&(e, t)) {
-                        self.sess.add_term(row, v, 1.0);
-                    }
-                    self.crossing.entry((e, t)).or_default().push(v);
+                    self.crossed_slots.push(id);
                 }
+                self.note_crossed(v, job.paths[pi].edges().len());
             }
         }
         if jvars.is_empty() {
@@ -383,12 +449,46 @@ impl ScheduleSession {
             }
             for &e in paths[pi].edges() {
                 let c = self.sess.add_var(&format!("exec_{job}_{e}_{t}"), units, units, 0.0);
-                if let Some(&row) = self.use_rows.get(&(e, t)) {
+                let id = self.slot(e, t);
+                let slot = &mut self.slots[id as usize];
+                slot.vars.push(c);
+                if let Some(row) = slot.use_row {
                     self.sess.add_term(row, c, 1.0);
                 }
-                self.crossing.entry((e, t)).or_default().push(c);
+                self.crossed_slots.push(id);
+                self.note_crossed(c, 1);
             }
         }
+    }
+
+    /// The index of the slot of `(e, t)`, created on first use.
+    fn slot(&mut self, e: EdgeId, t: Timestep) -> u32 {
+        let next = self.slots.len() as u32;
+        let id = *self.slot_of.entry((e, t)).or_insert(next);
+        if id == next {
+            self.slots.push(Slot {
+                key: (e, t),
+                vars: Vec::new(),
+                cap_row: None,
+                use_row: None,
+                percentile: self.percentile[e.index()],
+                costed: self.costed.contains(&(e, self.grid.window_of(t))),
+                near: false,
+                ordinal: 0,
+                queued: 0,
+            });
+        }
+        id
+    }
+
+    /// Record that column `v` crosses the last `count` slots of
+    /// `crossed_slots`.
+    fn note_crossed(&mut self, v: Var, count: usize) {
+        let end = self.crossed_slots.len() as u32;
+        if self.crossed.len() <= v.index() {
+            self.crossed.resize(v.index() + 1, (0, 0));
+        }
+        self.crossed[v.index()] = (end - count as u32, end);
     }
 
     /// Freeze the flow variables of timesteps `< now` at their values in
@@ -452,6 +552,7 @@ impl ScheduleSession {
         static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         let trace = *TRACE.get_or_init(|| std::env::var_os("PRETIUM_LP_TRACE").is_some());
         let mut rounds = 0;
+        let mut prev: Option<Solution> = None;
         loop {
             rounds += 1;
             let t0 = trace.then(std::time::Instant::now);
@@ -465,13 +566,14 @@ impl ScheduleSession {
                     t0.elapsed()
                 );
             }
-            if !self.lazy_grow(net, capacity, realized, &sol) {
+            if !self.lazy_grow(net, capacity, realized, &sol, prev.as_ref()) {
                 self.last_values = sol.values().to_vec();
                 return Ok(self.extract(sol, rounds));
             }
             if rounds >= MAX_ROUNDS {
                 return Err(SolveError::IterationLimit { iterations: rounds as u64 });
             }
+            prev = Some(sol);
         }
     }
 
@@ -514,7 +616,8 @@ impl ScheduleSession {
         let mut rows: Vec<(EdgeId, Timestep)> = Vec::new();
         let mut encodings: Vec<(EdgeId, usize)> = Vec::new();
         for (&(e, t), &(sum, _)) in &bound {
-            if !self.cap_rows.contains_key(&(e, t)) && sum > NEAR_CAP_FRACTION * capacity(e, t) {
+            let capped = self.slots[self.slot_of[&(e, t)] as usize].cap_row.is_some();
+            if !capped && sum > NEAR_CAP_FRACTION * capacity(e, t) {
                 rows.push((e, t));
             }
             let w = self.grid.window_of(t);
@@ -524,9 +627,7 @@ impl ScheduleSession {
         }
         rows.sort();
         for (e, t) in rows {
-            let expr = LinExpr::from_terms(self.crossing[&(e, t)].iter().map(|&v| (1.0, v)));
-            let id = self.sess.add_row(&format!("cap_{e}_{t}"), expr, Cmp::Le, capacity(e, t));
-            self.cap_rows.insert((e, t), id);
+            self.add_capacity_row(self.slot_of[&(e, t)], capacity(e, t));
         }
         encodings.sort();
         encodings.dedup();
@@ -541,13 +642,9 @@ impl ScheduleSession {
     /// skipped so a quiet step leaves the session clean (cache-hit
     /// eligible).
     fn refresh_capacity_rows(&mut self, capacity: &dyn Fn(EdgeId, Timestep) -> f64) {
-        let refresh: Vec<(EdgeId, Timestep, RowId)> = self
-            .cap_rows
-            .iter()
-            .filter(|&(&(_, t), _)| t >= self.fixed_up_to)
-            .map(|(&(e, t), &row)| (e, t, row))
-            .collect();
-        for (e, t, row) in refresh {
+        for slot in &self.slots {
+            let (e, t) = slot.key;
+            let Some(row) = slot.cap_row.filter(|_| t >= self.fixed_up_to) else { continue };
             let cap = capacity(e, t);
             if self.sess.model().rhs(row) != cap {
                 self.sess.set_rhs(row, cap);
@@ -555,65 +652,188 @@ impl ScheduleSession {
         }
     }
 
-    /// One round of lazy structure generation against a tentative optimum:
-    /// materialize violated (and near-capacity) rows and cost encodings for
-    /// percentile edges in use. Returns whether anything was added.
+    /// Materialize the capacity row of slot `id`, over the columns
+    /// crossing it.
+    fn add_capacity_row(&mut self, id: u32, cap: f64) {
+        let slot = &mut self.slots[id as usize];
+        let (e, t) = slot.key;
+        let expr = LinExpr::from_terms(slot.vars.iter().map(|&v| (1.0, v)));
+        slot.cap_row = Some(self.sess.add_row(&format!("cap_{e}_{t}"), expr, Cmp::Le, cap));
+    }
+
+    /// One round of lazy structure generation against a tentative optimum
+    /// `sol`: materialize violated (and near-capacity) rows and cost
+    /// encodings for percentile edges in use. Returns whether anything was
+    /// added.
+    ///
+    /// A slot is *open* while it may still gain a row (uncapped, at a step
+    /// not frozen) or an encoding (percentile, uncosted); its usage is the
+    /// sum of its columns' values, and a round judges it on that sum. The
+    /// round pays for what moved: at a step's first round (`prev` is
+    /// `None`) every open slot is summed, since capacities and
+    /// `fixed_up_to` moved since the last; after that only the slots a
+    /// column whose value differs from `prev`'s crosses. Every other slot
+    /// keeps its last judgement: a slot over capacity or in use while
+    /// uncosted got its row or encoding in the round that found it, so only
+    /// the `near` flag outlives a round. Rows go in in the order a walk of
+    /// `slot_of` meets them (`Slot::ordinal`). A debug assertion compares
+    /// the result with a judgement of every slot.
     fn lazy_grow(
         &mut self,
         net: &Network,
         capacity: &dyn Fn(EdgeId, Timestep) -> f64,
         realized: &dyn Fn(EdgeId, Timestep) -> f64,
         sol: &Solution,
+        prev: Option<&Solution>,
     ) -> bool {
-        let mut progressed = false;
-        // One walk over the crossings, each one's usage summed once, for:
-        // (a) capacity rows violated by the tentative schedule. Rows
-        // that are merely *near* the limit are materialized too: when a
+        let (grid, fixed) = (self.grid, self.fixed_up_to);
+        // (a) Capacity rows violated by the tentative schedule. Rows that
+        // are merely *near* the limit are materialized too: when a
         // violated row is added, displaced flow tends to overflow its
         // neighbours in the next round, so pulling them in now saves
         // whole resolve rounds at a small LP-size cost.
-        // (b) cost encodings for percentile edges the schedule uses.
-        let mut new_rows = Vec::new();
+        // (b) Cost encodings for percentile edges the schedule uses.
         let mut any_violated = false;
         let mut new_encodings = Vec::new();
-        for (&(e, t), vars) in &self.crossing {
-            let uncapped = t >= self.fixed_up_to && !self.cap_rows.contains_key(&(e, t));
+        if prev.is_none() {
+            self.near.clear();
+        }
+        let near = &mut self.near;
+        let mut judge = |id: u32, slot: &mut Slot| {
+            let (e, t) = slot.key;
+            let uncapped = t >= fixed && slot.cap_row.is_none();
+            let uncosted = slot.percentile && !slot.costed;
+            if !uncapped && !uncosted {
+                return;
+            }
+            let usage: f64 = slot.vars.iter().map(|&v| sol.value(v)).sum();
+            if uncapped {
+                let cap = capacity(e, t);
+                let violated = usage > cap + CAP_TOL * (1.0 + cap);
+                let was =
+                    std::mem::replace(&mut slot.near, violated || usage > cap * NEAR_CAP_FRACTION);
+                if slot.near && !was {
+                    near.push(id);
+                }
+                any_violated |= violated;
+            }
+            if uncosted && usage > USE_TOL {
+                new_encodings.push((e, grid.window_of(t)));
+            }
+        };
+        match prev {
+            None => {
+                // Capacities and `fixed_up_to` moved: judge every open
+                // slot afresh. Slots were added since the last step when
+                // the map grew, which reorders its walk.
+                for (id, slot) in self.slots.iter_mut().enumerate() {
+                    slot.near = false;
+                    judge(id as u32, slot);
+                }
+                if self.ordered != self.slots.len() {
+                    for (ordinal, &id) in self.slot_of.values().enumerate() {
+                        self.slots[id as usize].ordinal = ordinal as u32;
+                    }
+                    self.ordered = self.slots.len();
+                }
+            }
+            Some(prev) => {
+                self.round = self.round.wrapping_add(1);
+                let (round, slots, dirty) = (self.round, &mut self.slots, &mut self.dirty);
+                dirty.clear();
+                let mut queue = |id: u32| {
+                    let slot = &mut slots[id as usize];
+                    if slot.queued != round {
+                        slot.queued = round;
+                        dirty.push(id);
+                    }
+                };
+                // (Columns appended since `prev` cross no slot.)
+                let values = sol.values().iter().zip(prev.values());
+                for (j, _) in values.enumerate().filter(|(_, (x, y))| x.to_bits() != y.to_bits()) {
+                    if let Some(&(from, to)) = self.crossed.get(j) {
+                        self.crossed_slots[from as usize..to as usize]
+                            .iter()
+                            .for_each(|&id| queue(id));
+                    }
+                }
+                for &id in dirty.iter() {
+                    judge(id, &mut slots[id as usize]);
+                }
+            }
+        }
+        // The rows to add, in the order a walk of `slot_of` meets them.
+        let mut new_rows: Vec<u32> = Vec::new();
+        if any_violated {
+            let slots = &self.slots;
+            let open = |&id: &u32| {
+                let slot = &slots[id as usize];
+                slot.key.1 >= fixed && slot.cap_row.is_none() && slot.near
+            };
+            new_rows.extend(self.near.iter().copied().filter(open));
+            new_rows.sort_unstable_by_key(|&id| slots[id as usize].ordinal);
+            new_rows.dedup();
+        }
+        new_encodings.sort();
+        new_encodings.dedup();
+        debug_assert_eq!(
+            (
+                new_rows.iter().map(|&id| self.slots[id as usize].key).collect(),
+                new_encodings.clone()
+            ),
+            self.separate_every_slot(net, capacity, sol),
+            "the round's separation differs from a judgement of every slot"
+        );
+        let progressed = !new_rows.is_empty() || !new_encodings.is_empty();
+        for id in new_rows {
+            let (e, t) = self.slots[id as usize].key;
+            self.add_capacity_row(id, capacity(e, t));
+        }
+        for (e, w) in new_encodings {
+            self.add_cost_encoding(net, realized, e, w);
+        }
+        progressed
+    }
+
+    /// The separation of one round judged on every slot, in a walk of
+    /// `slot_of`, from the model's own state and `sol` alone — the rows (in
+    /// walk order) and encodings (sorted) [`ScheduleSession::lazy_grow`]
+    /// must find. For assertions.
+    fn separate_every_slot(
+        &self,
+        net: &Network,
+        capacity: &dyn Fn(EdgeId, Timestep) -> f64,
+        sol: &Solution,
+    ) -> Separation {
+        let (mut rows, mut any_violated, mut encodings) = (Vec::new(), false, Vec::new());
+        for (&(e, t), &id) in &self.slot_of {
+            let slot = &self.slots[id as usize];
+            let uncapped = t >= self.fixed_up_to && slot.cap_row.is_none();
             let w = self.grid.window_of(t);
             let uncosted = net.edge(e).cost.is_percentile() && !self.costed.contains(&(e, w));
             if !uncapped && !uncosted {
                 continue;
             }
-            let usage: f64 = vars.iter().map(|&v| sol.value(v)).sum();
+            let usage: f64 = slot.vars.iter().map(|&v| sol.value(v)).sum();
             if uncapped {
                 let cap = capacity(e, t);
                 if usage > cap + CAP_TOL * (1.0 + cap) {
-                    new_rows.push((e, t, cap));
+                    rows.push((e, t));
                     any_violated = true;
                 } else if usage > cap * NEAR_CAP_FRACTION {
-                    new_rows.push((e, t, cap));
+                    rows.push((e, t));
                 }
             }
             if uncosted && usage > USE_TOL {
-                new_encodings.push((e, w));
+                encodings.push((e, w));
             }
         }
         if !any_violated {
-            new_rows.clear();
+            rows.clear();
         }
-        for (e, t, cap) in new_rows {
-            let vars = &self.crossing[&(e, t)];
-            let expr = LinExpr::from_terms(vars.iter().map(|&v| (1.0, v)));
-            let id = self.sess.add_row(&format!("cap_{e}_{t}"), expr, Cmp::Le, cap);
-            self.cap_rows.insert((e, t), id);
-            progressed = true;
-        }
-        new_encodings.sort();
-        new_encodings.dedup();
-        for (e, w) in new_encodings {
-            self.add_cost_encoding(net, realized, e, w);
-            progressed = true;
-        }
-        progressed
+        encodings.sort();
+        encodings.dedup();
+        (rows, encodings)
     }
 
     /// Add the §4.2 cost proxy for percentile edge `e` over billing window
@@ -632,15 +852,17 @@ impl ScheduleSession {
         let mut inputs: Vec<Var> = Vec::new();
         for t in range {
             if t >= self.from && t < self.to {
-                if let Some(vars) = self.crossing.get(&(e, t)) {
+                if let Some(&id) = self.slot_of.get(&(e, t)) {
+                    let slot = &mut self.slots[id as usize];
                     // U_{e,t} = Σ crossing flows.
                     let u = self.sess.add_nonneg(&format!("u_{e}_{t}"), 0.0);
                     let mut expr = LinExpr::new().term(-1.0, u);
-                    for &v in vars {
+                    for &v in &slot.vars {
                         expr.add_term(1.0, v);
                     }
                     let row = self.sess.add_row(&format!("use_{e}_{t}"), expr, Cmp::Eq, 0.0);
-                    self.use_rows.insert((e, t), row);
+                    slot.use_row = Some(row);
+                    slot.costed = true;
                     inputs.push(u);
                 }
                 // No crossing vars: future usage is 0, skip (zeros never
@@ -684,25 +906,16 @@ impl ScheduleSession {
             flows.push(jf);
             delivered.push(total);
         }
-        let capacity_duals =
-            self.cap_rows.iter().map(|(&key, &row)| (key, sol.dual(row))).collect();
-        // The use-row is written as (Σ flows − U = 0); pushing one forced
-        // unit of usage through the edge corresponds to lowering the rhs by
-        // 1, so the marginal cost is the row dual itself (clamped: tiny
-        // negative duals are numerical noise).
-        let usage_duals =
-            self.use_rows.iter().map(|(&key, &row)| (key, sol.dual(row).max(0.0))).collect();
         let shortfall =
             self.shortfalls.iter().map(|s| s.map(|v| sol.value(v)).unwrap_or(0.0)).collect();
         ScheduleSolution {
             flows,
             delivered,
             objective: sol.objective(),
-            capacity_duals,
-            usage_duals,
             shortfall,
             rounds,
             lp_stats: self.sess.stats(),
+            row_duals: sol.into_duals(),
         }
     }
 }
@@ -1018,10 +1231,12 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let sol = solve(&problem, &SolveOptions::default()).unwrap();
+        let mut sess = ScheduleSession::new(&problem);
+        let sol = sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         let e = net.edge_ids().next().unwrap();
         // Congested edge: shadow price equals the marginal value (2.0).
-        assert!((sol.dual(e, 0) - 2.0).abs() < 1e-6, "dual {}", sol.dual(e, 0));
+        let price = sess.price(&sol, e, 0);
+        assert!((price - 2.0).abs() < 1e-6, "dual {price}");
     }
 
     #[test]
@@ -1237,6 +1452,113 @@ mod tests {
         assert!((sol.delivered[0] - 5.0).abs() < 1e-6);
     }
 
+    /// One session through a faulted window, the way SAM drives it:
+    /// steps that freeze executed flows, a link cut to 30% of its capacity
+    /// mid-window, a job appended mid-window, a relaxed guarantee, and lazy
+    /// rounds several deep. Every step's answer — each round carried over
+    /// the change log, judged by the delta separation — must be a clean
+    /// `check_optimal` optimum of the session's model, of the objective a
+    /// cold solve of that model finds to 1e-9 relative. (The cold
+    /// references run after the session, so none takes its workspace.)
+    #[test]
+    fn session_through_a_faulted_window_matches_cold_solves() {
+        use pretium_lp::validate::check_optimal;
+        let mut net = Network::new();
+        let region = pretium_net::Region::NorthAmerica;
+        let n: Vec<NodeId> = (0..6).map(|i| net.add_node(&format!("n{i}"), region)).collect();
+        for (i, &(a, b)) in
+            [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (1, 4), (4, 2), (0, 5), (5, 3), (5, 2)]
+                .iter()
+                .enumerate()
+        {
+            let cost = if i % 3 == 1 { LinkCost::percentile(0.4) } else { LinkCost::owned() };
+            net.add_edge(n[a], n[b], 8.0 + (i % 4) as f64, cost);
+        }
+        // Faults: the links out of n0 fall to 30% from step 3, the links
+        // into n3 to 40% from step 6.
+        let from0: Vec<EdgeId> = net.edge_ids().filter(|&e| net.edge(e).from == n[0]).collect();
+        let into3: Vec<EdgeId> = net.edge_ids().filter(|&e| net.edge(e).to == n[3]).collect();
+        let routes =
+            |a: usize, b: usize| pretium_net::k_shortest_paths(&net, n[a], n[b], 3, &|_| 1.0);
+        let spec = [
+            (0, 3, 0, 9, 2.0, 12.0, 40.0),
+            (1, 3, 1, 7, 1.5, 0.0, 30.0),
+            (0, 2, 0, 11, 3.0, 8.0, 25.0),
+            (4, 3, 2, 10, 1.0, 0.0, 35.0),
+            (5, 2, 0, 5, 2.5, 10.0, 20.0),
+            (0, 3, 3, 11, 1.2, 5.0, 45.0),
+        ];
+        let jobs: Vec<Job> = spec
+            .iter()
+            .enumerate()
+            .map(|(k, &(a, b, from, to, w, lo, hi))| Job::new(k, routes(a, b), from, to, w, lo, hi))
+            .collect();
+        let grid = TimeGrid::new(6, 30);
+        let (net_ref, from0, into3) = (&net, &from0, &into3);
+        let capacity_at = |now: Timestep| {
+            let net = net_ref;
+            move |e: EdgeId, t: Timestep| {
+                let cut =
+                    |edges: &[EdgeId], at: Timestep| now >= at && t >= at && edges.contains(&e);
+                let health = if cut(from0, 3) {
+                    0.3
+                } else if cut(into3, 6) {
+                    0.4
+                } else {
+                    1.0
+                };
+                net.edge(e).capacity * health
+            }
+        };
+        let cap0 = capacity_at(0);
+        let problem = ScheduleProblem {
+            net: &net,
+            grid: &grid,
+            from: 0,
+            to: 12,
+            jobs: &jobs,
+            capacity: &cap0,
+            realized: &no_realized,
+            topk: TopkEncoding::CVar,
+            cost_scale: 1.0,
+        };
+        let mut sess = ScheduleSession::new(&problem);
+        let opts = SolveOptions::default();
+        let (mut steps, mut deep) = (Vec::new(), 0);
+        let mut solve = |sess: &mut ScheduleSession, now: Timestep| {
+            let cap = capacity_at(now);
+            let sol = sess.solve_step_with(&net, &cap, &no_realized, &opts).unwrap();
+            deep += u32::from(sol.rounds >= 2);
+            let lp = sess.lp();
+            let optimum = lp.cached_solution().expect("a step leaves its optimum current");
+            let bad = check_optimal(lp.model(), optimum, 1e-7);
+            assert!(bad.is_empty(), "step {now}: {bad:?}");
+            steps.push((lp.model().clone(), sol.objective));
+            sol
+        };
+        for now in 0..10 {
+            sess.advance_to(now);
+            if now == 4 {
+                sess.add_job(Job::new(9, routes(0, 3), 4, 9, 4.0, 15.0, 30.0));
+            }
+            let sol = solve(&mut sess, now);
+            if now == 5 {
+                let short = sol.shortfall.iter().copied().enumerate();
+                let (j, units) = short.max_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
+                assert!(sess.relax_guarantee(j, units.max(1.0)) > 0.0, "step {now}");
+                solve(&mut sess, now);
+            }
+        }
+        let st = sess.lp_stats();
+        assert_eq!(st.cold_starts, 1, "every later solve carries: {st:?}");
+        assert!(deep >= 3 && st.warm_dual >= 10, "{deep} deep steps, {st:?}");
+        for (now, (model, objective)) in steps.iter().enumerate() {
+            let cold = model.solve().unwrap().objective();
+            let tol = 1e-9 * (1.0 + cold.abs());
+            assert!((objective - cold).abs() <= tol, "step {now}: {objective} vs cold {cold}");
+        }
+    }
+
     #[test]
     fn contested_rows_solve_in_one_round_at_the_lazy_optimum() {
         // Three jobs overfill a diamond whose route 1 bills by percentile.
@@ -1283,7 +1605,9 @@ mod tests {
             topk: TopkEncoding::CVar,
             cost_scale: 1.0,
         };
-        let lazy = solve(&problem, &SolveOptions::default()).unwrap();
+        let mut lazy_sess = ScheduleSession::new(&problem);
+        let lazy =
+            lazy_sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         let mut sess = ScheduleSession::new(&problem);
         sess.materialize_contested(&net, &cap, &no_realized);
         let seeded =
@@ -1298,13 +1622,18 @@ mod tests {
         );
         // Every row the lazy loop generated was seeded: the demand bound
         // covers whatever usage could trigger one.
-        for key in lazy.capacity_duals.keys() {
-            assert!(seeded.capacity_duals.contains_key(key), "{key:?} was not seeded");
+        let rows = |s: &ScheduleSession| -> Vec<(EdgeId, Timestep)> {
+            s.slots.iter().filter(|slot| slot.cap_row.is_some()).map(|slot| slot.key).collect()
+        };
+        let capped = |s: &ScheduleSession, key| rows(s).contains(&key);
+        let lazy_rows = rows(&lazy_sess);
+        assert!(!lazy_rows.is_empty());
+        for key in lazy_rows {
+            assert!(capped(&sess, key), "{key:?} was not seeded");
         }
         for &e in side.iter().flat_map(|p| p.edges()) {
             for t in 0..6 {
-                let key = (e, t);
-                assert!(!seeded.capacity_duals.contains_key(&key), "uncontested row {key:?}");
+                assert!(!capped(&sess, (e, t)), "uncontested row {:?}", (e, t));
             }
         }
     }

@@ -17,7 +17,7 @@
 //! ```
 
 use crate::expr::{LinExpr, Var};
-use crate::simplex::{solve_model_session, Problem, SimplexOptions, SolverTuning};
+use crate::simplex::{solve_model_session, Changes, Problem, SimplexOptions, SolverTuning};
 use crate::solution::{Solution, SolveError};
 
 /// Optimization direction.
@@ -295,8 +295,15 @@ impl Model {
     /// warm-starts each re-solve from the previous basis.
     pub fn solve(&self) -> Result<Solution, SolveError> {
         let opts = SimplexOptions::default();
-        solve_model_session(self, &opts, SolverTuning::default(), 0, false, &mut Problem::default())
-            .map(|(sol, _, _)| sol)
+        solve_model_session(
+            self,
+            &opts,
+            SolverTuning::default(),
+            0,
+            &Changes::default(),
+            &mut Problem::default(),
+        )
+        .map(|(sol, _, _)| sol)
     }
 
     /// Move the model into a [`crate::SolverSession`] for incremental

@@ -9,7 +9,11 @@
 //!   state of this session's last solve — the stamp matches: the session
 //!   solved last on this thread, and that solve succeeded. It continues in
 //!   place from that state, the model's appended rows bordered onto the
-//!   factors (DESIGN.md §23);
+//!   factors, and pays for what changed since rather than for the whole
+//!   LP: the session logs every mutation of a column or row that solve
+//!   knew, and the carried start updates only the appended and logged
+//!   entries of the standard form, the bounds and the rest states, and
+//!   screens only those columns for dual infeasibility (DESIGN.md §23);
 //! * otherwise it runs **cold**: the first solve, after
 //!   [`SolverSession::invalidate`] or a retrofitted old coefficient, after a
 //!   failed solve, after another solve on this thread (an interleaved
@@ -56,7 +60,9 @@
 
 use crate::expr::{LinExpr, Var};
 use crate::model::{Cmp, Model, RowId};
-use crate::simplex::{solve_model_session, Problem, Restart, SimplexOptions, SolverTuning};
+use crate::simplex::{
+    solve_model_session, Changes, Problem, Restart, SimplexOptions, SolverTuning,
+};
 use crate::solution::{Solution, SolveError};
 use crate::stats::SessionStats;
 
@@ -93,10 +99,12 @@ impl SolveOptions {
 /// Created with [`SolverSession::new`] (or [`Model::into_session`]); see the
 /// [module docs](self) for the restart rules. The session exposes the same
 /// mutators as [`Model`] — route all changes through it so the resident
-/// standard form and the cached optimum stay consistent. A carried re-solve
-/// copies only what was appended to the model into the standard form and
-/// allocates nothing but the solution it returns and the session's cached
-/// copy. A clone holds the same stamp: of a session and its clone, whichever
+/// standard form and the cached optimum stay consistent. The session logs
+/// every mutation of a column or row its last solve knew; a carried
+/// re-solve brings into the standard form and the carried bounds and rest
+/// states only what was appended and what that log names (DESIGN.md §23),
+/// and allocates nothing but the solution it returns and the session's
+/// cached copy. A clone holds the same stamp: of a session and its clone, whichever
 /// solves first on the stamp's thread carries, and the other runs cold —
 /// the same certified optimum, not the same bits (DESIGN.md §23).
 #[derive(Debug, Clone)]
@@ -112,10 +120,10 @@ pub struct SolverSession {
     resident: Problem,
     /// Something changed since the last solve: the cached optimum is stale.
     dirty: bool,
-    /// The cost of a column the last solve knew changed since: the reduced
-    /// costs and duals it left behind are stale, so a carried solve
-    /// reprices them in full.
-    old_cost_moved: bool,
+    /// Every mutation of a column or row the last solve knew, since that
+    /// solve: what a carried solve brings into `resident` and the
+    /// workspace, instead of rereading the whole model (DESIGN.md §23).
+    changes: Changes,
     /// The merged ledgers of the solves that ran, plus the session's own
     /// counters (cache hits).
     stats: SessionStats,
@@ -148,7 +156,7 @@ impl SolverSession {
             stamp: 0,
             resident: Problem::default(),
             dirty: false,
-            old_cost_moved: false,
+            changes: Changes::default(),
             stats: SessionStats::default(),
             last_restart: None,
             solved_vars: 0,
@@ -180,6 +188,7 @@ impl SolverSession {
         self.stamp = 0;
         self.last_solution = None;
         self.resident = Problem::default();
+        self.changes.clear();
     }
 
     /// The certified optimum of the current model state, if no mutation has
@@ -224,8 +233,11 @@ impl SolverSession {
     /// change without this test seeing it.)
     pub fn add_term(&mut self, r: RowId, v: Var, coef: f64) {
         self.dirty = true;
-        if v.index() < self.solved_vars && r.index() < self.solved_rows {
+        let old_row = r.index() < self.solved_rows;
+        if v.index() < self.solved_vars && old_row {
             self.invalidate();
+        } else if old_row {
+            self.changes.tails.push(r.0);
         }
         self.model.add_term(r, v, coef);
     }
@@ -233,14 +245,24 @@ impl SolverSession {
     /// See [`Model::set_obj`].
     pub fn set_obj(&mut self, v: Var, obj: f64) {
         self.dirty = true;
-        self.old_cost_moved |= v.index() < self.solved_vars;
+        if v.index() < self.solved_vars {
+            self.changes.costs.push(v.0);
+        }
         self.model.set_obj(v, obj);
     }
 
     /// See [`Model::set_bounds`].
     pub fn set_bounds(&mut self, v: Var, lb: f64, ub: f64) {
         self.dirty = true;
+        self.log_bounds(v);
         self.model.set_bounds(v, lb, ub);
+    }
+
+    /// Log a bound change of a column the last solve knew.
+    fn log_bounds(&mut self, v: Var) {
+        if v.index() < self.solved_vars {
+            self.changes.bounds.push(v.0);
+        }
     }
 
     /// Pin `v` to the single value `x` (bounds `[x, x]`), *without* marking
@@ -258,12 +280,16 @@ impl SolverSession {
         let cached = self.last_solution.as_ref().and_then(|s| s.values.get(v.index()));
         let matches_cached = lb <= x && x <= ub && cached == Some(&x);
         self.dirty |= !(already_pinned || matches_cached);
+        self.log_bounds(v);
         self.model.set_bounds(v, x, x);
     }
 
     /// See [`Model::set_rhs`].
     pub fn set_rhs(&mut self, r: RowId, rhs: f64) {
         self.dirty = true;
+        if r.index() < self.solved_rows {
+            self.changes.rhs.push(r.0);
+        }
         self.model.set_rhs(r, rhs);
     }
 
@@ -278,11 +304,12 @@ impl SolverSession {
     /// block of variables and rows). Whether anything was added is read off
     /// the model dimensions afterwards.
     ///
-    /// The closure must only *append*: add variables, add rows, and touch
-    /// the entries it added. Mutating pre-existing coefficients, bounds,
-    /// RHS values, or objective entries through this hook bypasses mutation
-    /// tracking and can silently corrupt warm restarts — use the session's
-    /// own mutators for those.
+    /// The closure must only *append*: add variables, add rows over any
+    /// variables, and touch the variables and rows it added. Adding a term
+    /// to a pre-existing row, or mutating pre-existing coefficients, bounds,
+    /// RHS values, or objective entries through this hook bypasses the
+    /// change log and can silently corrupt warm restarts — use the
+    /// session's own mutators for those.
     pub fn append_with<R>(&mut self, f: impl FnOnce(&mut Model) -> R) -> R {
         let (nv, nr) = (self.model.num_vars(), self.model.num_rows());
         let out = f(&mut self.model);
@@ -309,16 +336,19 @@ impl SolverSession {
         }
         let simplex = opts.simplex.clone().unwrap_or_default();
         // Taken, so that a solve that fails leaves no stamp.
-        let (solution, stamp, restart) = solve_model_session(
+        let result = solve_model_session(
             &self.model,
             &simplex,
             opts.tuning,
             std::mem::take(&mut self.stamp),
-            self.old_cost_moved,
+            &self.changes,
             &mut self.resident,
-        )?;
+        );
+        // Read by this solve, or void: a solve that fails leaves no stamp,
+        // so the next one runs cold.
+        self.changes.clear();
+        let (solution, stamp, restart) = result?;
         self.stamp = stamp;
-        self.old_cost_moved = false;
         self.stats.merge(solution.stats);
         self.last_restart = Some(restart);
         self.dirty = false;
@@ -1056,7 +1086,7 @@ mod tests {
                     let op = random_op(&mut g, m.num_vars(), m.num_rows(), fresh);
                     apply(&op, &mut s);
                 }
-                let (may_carry, cost_moved) = (s.stamp != 0, s.old_cost_moved);
+                let (may_carry, cost_moved) = (s.stamp != 0, !s.changes.costs.is_empty());
                 let before = s.stats();
                 let result = s.solve(&opts);
                 // (A clean session answers from its cache and runs nothing.)

@@ -19,7 +19,7 @@ mod solver;
 
 use crate::model::{Cmp, Model, Sense};
 use crate::solution::{Solution, SolveError};
-use basis::arena::{grow, refill, reserve_tight, SegArena};
+use basis::arena::{grow, reserve_tight, SegArena};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -96,9 +96,10 @@ pub struct SolverTuning {
 ///
 /// Only the structural columns are stored. Slack `i` is the unit column
 /// `e_i`; artificial `i` is `art_sign[i] · e_i`, its sign fixed at crash
-/// time by the solver. The column bounds are not here: a solve mutates
-/// them, so they are loaded into its workspace (`load_bounds`) and this
-/// struct stays fixed while the iterations run.
+/// time by the solver and reset to `+1` when that solve ends. The column
+/// bounds are not here: a solve mutates them, so they live in its
+/// workspace (loaded by `load_bounds`, or carried by a warm start) and
+/// this struct stays fixed while the iterations run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Problem {
     /// Number of rows (= equality constraints after slack insertion).
@@ -125,25 +126,26 @@ impl Problem {
     /// Build the standard form from a model.
     pub fn from_model(model: &Model) -> Self {
         let mut p = Problem::default();
-        let synced = p.sync(model);
+        let synced = p.sync(model, &Changes::default());
         debug_assert!(synced, "every model extends the empty problem");
         p
     }
 
     /// Bring the standard form of an earlier state of `model` up to date,
-    /// in `O(appended nonzeros + n + m)`. Returns `false`, leaving `self`
-    /// unusable, when `model` is not that earlier state grown by appending:
-    /// variables, rows, and terms of new variables in old rows (which sort
-    /// to the tails of those rows) may have been added; bounds, costs and
-    /// right-hand sides may have changed; nothing else. The result equals
-    /// [`Problem::from_model`] of the same model, with the artificials
-    /// closed and positive again.
-    pub fn sync(&mut self, model: &Model) -> bool {
+    /// in `O(appended nonzeros + logged changes)` plus a move of the slack
+    /// and artificial costs when the layout grew. `model` must be that
+    /// earlier state grown by appending — variables, rows, and terms of new
+    /// variables in old rows (which sort to the tails of those rows) — with
+    /// every other change in `changes`: set bounds, costs and right-hand
+    /// sides, and the old rows that gained terms. Returns `false`, leaving
+    /// `self` unusable, when `model` is smaller than the earlier state. The
+    /// result equals [`Problem::from_model`] of the same model (a debug
+    /// assertion checks it); the artificials are closed and positive, as a
+    /// solve leaves them (`solver::run`).
+    pub fn sync(&mut self, model: &Model, changes: &Changes) -> bool {
         let (m0, ns0) = (self.m, self.nstruct);
         let (m, nstruct) = (model.rows.len(), model.vars.len());
-        let tails_only =
-            self.row_len.iter().zip(&model.rows).all(|(&l, r)| l as usize <= r.terms.len());
-        if m < m0 || nstruct < ns0 || !tails_only {
+        if m < m0 || nstruct < ns0 {
             return false;
         }
         if self.cols.segments() == 0 {
@@ -157,7 +159,14 @@ impl Problem {
             self.cols.add_segments(nstruct - ns0);
         }
         grow(&mut self.row_len, m, 0);
-        for (i, (row, seen)) in model.rows.iter().zip(&mut self.row_len).enumerate() {
+        // The old rows that gained terms, then the appended rows, in
+        // ascending order: every column's entries stay sorted by row.
+        let mut tails: Vec<u32> =
+            changes.tails.iter().copied().filter(|&i| (i as usize) < m0).collect();
+        tails.sort_unstable();
+        tails.dedup();
+        for i in tails.into_iter().map(|i| i as usize).chain(m0..m) {
+            let (row, seen) = (&model.rows[i], &mut self.row_len[i]);
             for &(j, coef) in &row.terms[*seen as usize..] {
                 debug_assert!(i >= m0 || j as usize >= ns0, "old row gained an old variable");
                 self.cols.push(j as usize, (i as u32, coef));
@@ -166,20 +175,30 @@ impl Problem {
         }
         self.cols.trim();
 
-        (self.m, self.nstruct, self.n) = (m, nstruct, nstruct + 2 * m);
-        (self.slack_start, self.art_start) = (nstruct, nstruct + m);
+        let n = nstruct + 2 * m;
         let sign = match model.sense {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
-        self.cost.clear();
-        reserve_tight(&mut self.cost, self.n);
-        self.cost.extend(model.vars.iter().map(|v| sign * v.obj));
-        self.cost.resize(self.n, 0.0);
-        self.b.clear();
+        if n != self.n {
+            // The slack and artificial costs (zero) move behind the
+            // appended columns.
+            self.cost.truncate(ns0);
+            reserve_tight(&mut self.cost, n);
+            self.cost.extend(model.vars[ns0..].iter().map(|v| sign * v.obj));
+            self.cost.resize(n, 0.0);
+        }
+        for j in changes.costs.iter().map(|&j| j as usize).filter(|&j| j < ns0) {
+            self.cost[j] = sign * model.vars[j].obj;
+        }
         reserve_tight(&mut self.b, m);
-        self.b.extend(model.rows.iter().map(|r| r.rhs));
-        refill(&mut self.art_sign, m, 1.0);
+        self.b.extend(model.rows[m0..].iter().map(|r| r.rhs));
+        for i in changes.rhs.iter().map(|&i| i as usize).filter(|&i| i < m0) {
+            self.b[i] = model.rows[i].rhs;
+        }
+        grow(&mut self.art_sign, m, 1.0);
+        (self.m, self.nstruct, self.n) = (m, nstruct, n);
+        (self.slack_start, self.art_start) = (nstruct, nstruct + m);
         debug_assert!(m0 + ns0 == 0 || *self == Problem::from_model(model));
         true
     }
@@ -201,6 +220,33 @@ impl Problem {
     #[inline]
     pub fn reduced_cost(&self, j: usize, cost: &[f64], y: &[f64]) -> f64 {
         self.with_col(j, |col| col.iter().fold(cost[j], |d, &(i, v)| d - y[i as usize] * v))
+    }
+}
+
+/// What a session changed in its model since its last solve, besides
+/// appending: the change log a carried solve reads instead of rereading the
+/// model (DESIGN.md §23). Each list names pre-existing columns or rows
+/// (appended ones are read whole); an index may repeat, and an entry whose
+/// value did not move is harmless.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Changes {
+    /// Columns whose bounds were set.
+    pub bounds: Vec<u32>,
+    /// Columns whose cost was set: the carried reduced costs and duals are
+    /// stale, so the carried start reprices in full.
+    pub costs: Vec<u32>,
+    /// Rows whose right-hand side was set.
+    pub rhs: Vec<u32>,
+    /// Rows that gained a term of an appended column.
+    pub tails: Vec<u32>,
+}
+
+impl Changes {
+    /// Forget everything: the next solve starts from the current model.
+    pub fn clear(&mut self) {
+        for v in [&mut self.bounds, &mut self.costs, &mut self.rhs, &mut self.tails] {
+            v.clear();
+        }
     }
 }
 
@@ -269,18 +315,23 @@ fn load_bounds(model: &Model, work: &mut solver::Workspace) {
     reserve_tight(ub, n);
     ub.extend(model.vars.iter().map(|v| v.ub));
     for row in &model.rows {
-        // Slack column: row + slack = rhs.
-        let (slb, sub) = match row.cmp {
-            Cmp::Le => (0.0, f64::INFINITY),
-            Cmp::Ge => (f64::NEG_INFINITY, 0.0),
-            Cmp::Eq => (0.0, 0.0),
-        };
+        let (slb, sub) = slack_bounds(row.cmp);
         lb.push(slb);
         ub.push(sub);
     }
     // Artificial columns: opened to [0, inf) only for rows that need one.
     lb.resize(n, 0.0);
     ub.resize(n, 0.0);
+}
+
+/// Bounds of the slack column of a row with comparison `cmp`: row + slack
+/// = rhs.
+pub(crate) fn slack_bounds(cmp: Cmp) -> (f64, f64) {
+    match cmp {
+        Cmp::Le => (0.0, f64::INFINITY),
+        Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+        Cmp::Eq => (0.0, 0.0),
+    }
 }
 
 /// Map a solved outcome back to the model's sense and handles.
@@ -338,13 +389,14 @@ fn conclude(
 ///
 /// A solve *carries* when this thread's workspace still holds the state
 /// `stamp` names — no other solve ran here since — and `problem` is the
-/// standard form that solve left, which `model` has only grown since
-/// ([`Problem::sync`]). It continues in place (`solver::warm_state`): the
-/// appended rows border the factors, the reduced costs and duals are
-/// inherited — or repriced in full when `old_cost_moved` says the cost of a
-/// column that solve knew has changed — and the start is classified
-/// (primal feasible → primal phase 2; dual feasible → dual simplex and a
-/// primal polish).
+/// standard form that solve left, which `model` has only grown since, its
+/// other changes logged in `changes` ([`Problem::sync`]). It continues in
+/// place (`solver::warm_state`), paying for what `changes` and the appended
+/// rows and columns name rather than for the whole LP: the appended rows
+/// border the factors, the reduced costs and duals are inherited — or
+/// repriced in full when the cost of a column that solve knew has changed —
+/// and the start is classified (primal feasible → primal phase 2; dual
+/// feasible → dual simplex and a primal polish).
 ///
 /// Everything else runs *cold*, and rebuilds `problem` from the model: no
 /// stamp (a first solve, `invalidate`, a retrofitted old coefficient, a
@@ -364,7 +416,7 @@ pub(crate) fn solve_model_session(
     options: &SimplexOptions,
     tuning: SolverTuning,
     stamp: u64,
-    old_cost_moved: bool,
+    changes: &Changes,
     problem: &mut Problem,
 ) -> Result<(Solution, u64, Restart), SolveError> {
     // The model's own row storage is the row-major mirror of the structural
@@ -372,18 +424,9 @@ pub(crate) fn solve_model_session(
     let (rows, vars) = name_fns(model);
     with_workspace(|work| {
         let held = std::mem::take(&mut work.owner);
-        if stamp != 0 && stamp == held && problem.sync(model) {
-            load_bounds(model, work);
-            let run = solver::warm_state(
-                problem,
-                &model.rows,
-                options,
-                tuning,
-                work,
-                old_cost_moved,
-                &rows,
-            )
-            .and_then(|mut st| st.reoptimize(&problem.cost, &rows, &vars));
+        if stamp != 0 && stamp == held && problem.sync(model, changes) {
+            let run = solver::warm_state(problem, model, changes, options, tuning, work, &rows)
+                .and_then(|mut st| st.reoptimize(&problem.cost, &rows, &vars));
             if let Ok((outcome, used_dual)) = run {
                 let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
                 return Ok(conclude(model, problem, work, outcome, restart));

@@ -8,8 +8,8 @@
 
 use super::basis::arena::{grow, refill};
 use super::basis::{BitQueue, FactorError, FactorStats, Factorization};
-use super::{Problem, SimplexOptions, SolverTuning};
-use crate::model::RowData;
+use super::{load_bounds, slack_bounds, Changes, Problem, SimplexOptions, SolverTuning};
+use crate::model::{Model, RowData};
 use crate::solution::SolveError;
 use crate::stats::SessionStats;
 use std::time::Instant;
@@ -50,7 +50,7 @@ enum Step {
 /// `basis` and `nb`; a cold solve overwrites everything before reading
 /// (only `stamp`, and `w` and `rho` being zero outside their nonzero lists,
 /// are invariants), a solve that carries (`owner`) continues from `basis`,
-/// `nb`, `d`, `y` and the factors as they stand.
+/// `pos_of`, `nb`, `x`, `lb`, `ub`, `d`, `y` and the factors as they stand.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Workspace {
     /// Stamp of the solve whose terminal state this workspace holds, `0`
@@ -58,11 +58,20 @@ pub(crate) struct Workspace {
     pub owner: u64,
     pub owner_m: usize,
     pub owner_nstruct: usize,
-    /// Bounds of every column, loaded from the model before each solve.
-    /// They are solve state — the warm start boxes columns, the crash opens
+    /// Bounds of every column: loaded from the model before a cold solve,
+    /// carried and updated where the model changed before a warm one. They
+    /// are solve state — the warm start boxes columns, the crash opens
     /// artificials — so they live here, not in the resident [`Problem`].
     pub lb: Vec<f64>,
     pub ub: Vec<f64>,
+    /// The columns a carried start moved to new bounds or appended,
+    /// ascending: the only nonbasic columns it re-rests, and the only ones
+    /// `box_dual_infeasible` judges unless it judges every column.
+    moved: Vec<u32>,
+    /// The optimality tolerance under which the terminal state holds no
+    /// eligible column (the polish ended on an exact reprice and `finish`
+    /// certified without refactorizing); `None` when it ended otherwise.
+    screened: Option<f64>,
     /// Basic column per row position.
     basis: Vec<usize>,
     /// Column -> basis position, or -1 when nonbasic.
@@ -134,6 +143,10 @@ pub(crate) struct State<'a> {
     ws: &'a mut Workspace,
     /// Counters so far (the factorization's are folded in by `finish`).
     stats: SessionStats,
+    /// `box_dual_infeasible` judges every column, not only
+    /// `Workspace::moved`: the carried start repriced, or the last solve
+    /// did not end screened.
+    screen_all: bool,
     max_iterations: u64,
     degenerate_run: u32,
     /// Cyclic column cursor for partial pricing sections.
@@ -240,8 +253,8 @@ pub(crate) fn run(
         ws.pos_of[k] = i as i32;
     }
 
-    let problem = &*problem; // fixed from here on: only the workspace moves
-    let mut st = State::new(problem, rows, opts, tuning, ws);
+    let p = &*problem; // fixed from here on: only the workspace moves
+    let mut st = State::new(p, rows, opts, tuning, ws);
     st.refactor().map_err(|e| numerical(e, &row_name))?;
 
     // --- phase 1 ----------------------------------------------------------
@@ -265,8 +278,13 @@ pub(crate) fn run(
     st.settled = false;
 
     // --- phase 2 ----------------------------------------------------------
-    st.iterate(&problem.cost, false, &var_name, &row_name)?;
-    st.finish(&problem.cost, &row_name)
+    st.iterate(&p.cost, false, &var_name, &row_name)?;
+    let out = st.finish(&p.cost, &row_name, &var_name);
+    // The crash's signs go with this solve: a carried start prices the
+    // artificials positive (`State::inherit`), and `Problem::sync` appends
+    // to the form as it is left here.
+    problem.art_sign.fill(1.0);
+    out
 }
 
 /// Re-optimize from a known basis instead of crashing one, first stage:
@@ -274,72 +292,92 @@ pub(crate) fn run(
 /// a bound, for [`State::reoptimize`] to finish.
 ///
 /// `ws` holds the terminal state of this session's previous solve, of a
-/// problem that has only grown since into `problem`. The start *carries*
-/// it: moves it to the grown column layout ([`Workspace::regrow`]),
-/// inherits `d` and `y` (an appended row's dual is 0, so only the appended
-/// columns are priced) — or reprices in full when `old_cost_moved` says a
-/// cost that solve priced with has changed — borders the factors with the
-/// appended rows, their slacks basic, and takes `x_B` from one FTRAN.
+/// problem that has only grown since into `problem`, its other changes in
+/// `changes` (`model` is the model `problem` is the standard form of). The
+/// start *carries* it, paying for what changed rather than for the whole
+/// LP: it moves the state to the grown column layout
+/// ([`Workspace::regrow`]), loads the bounds of the appended and logged
+/// columns and re-rests those of them that are nonbasic; it inherits `d`
+/// and `y` (an appended row's dual is 0, so only the appended columns are
+/// priced) — or reprices in full when an old column's cost moved —
+/// borders the factors with the appended rows, their slacks basic, and
+/// takes `x_B` from one FTRAN. Debug assertions check every nonbasic
+/// column at rest and the bounds against a full reload.
 ///
 /// Any structural problem with the carried basis (a basic artificial, wrong
 /// size, duplicate columns, singular matrix) is reported as an error; the
 /// caller falls back to a cold [`run`].
 pub(crate) fn warm_state<'a>(
     problem: &'a Problem,
-    rows: &'a [RowData],
+    model: &'a Model,
+    changes: &Changes,
     opts: &'a SimplexOptions,
     tuning: SolverTuning,
     ws: &'a mut Workspace,
-    old_cost_moved: bool,
     row_name: &impl Fn(usize) -> String,
 ) -> Result<State<'a>, SolveError> {
-    let m = problem.m;
-    let n = problem.n;
+    let (m, n) = (problem.m, problem.n);
+    let (m0, ns0) = (ws.owner_m, ws.owner_nstruct);
     if !ws.regrow(problem) {
         return Err(SolveError::Numerical("carried basis holds an artificial".into()));
     }
     if ws.basis.len() != m || ws.nb.len() != n {
         return Err(SolveError::Numerical("warm basis has wrong dimensions".into()));
     }
-    refill(&mut ws.pos_of, n, -1);
-    for (i, &k) in ws.basis.iter().enumerate() {
-        if k >= n || ws.pos_of[k] >= 0 {
-            return Err(SolveError::Numerical("warm basis references invalid columns".into()));
-        }
-        ws.pos_of[k] = i as i32;
+    if ws.basis.iter().enumerate().any(|(i, &k)| k >= n || ws.pos_of[k] != i as i32) {
+        return Err(SolveError::Numerical("warm basis references invalid columns".into()));
     }
-    // Rest nonbasic columns on a bound consistent with their current bounds
-    // (bounds may have moved since the basis was recorded).
-    refill(&mut ws.x, n, 0.0);
-    for j in 0..n {
-        if ws.pos_of[j] >= 0 {
-            continue;
+    debug_assert_eq!(ws.pos_of.iter().filter(|&&pos| pos >= 0).count(), m, "stray basic column");
+    // The columns whose bounds moved, then the appended ones: load their
+    // bounds, and the appended slacks', and rest the nonbasic ones on a
+    // bound consistent with them. Every other nonbasic column is still at
+    // the rest the last solve left it, under the same bounds.
+    ws.moved.clear();
+    ws.moved.extend(changes.bounds.iter().filter(|&&j| (j as usize) < ns0));
+    ws.moved.sort_unstable();
+    ws.moved.dedup();
+    ws.moved.extend(ns0 as u32..problem.nstruct as u32);
+    for idx in 0..ws.moved.len() {
+        let j = ws.moved[idx] as usize;
+        (ws.lb[j], ws.ub[j]) = (model.vars[j].lb, model.vars[j].ub);
+        if ws.pos_of[j] < 0 {
+            (ws.nb[j], ws.x[j]) = ws.rest_of(j);
         }
-        let (lb, ub) = (ws.lb[j], ws.ub[j]);
-        let state = match ws.nb[j] {
-            NbState::Lower if lb.is_finite() => NbState::Lower,
-            NbState::Upper if ub.is_finite() => NbState::Upper,
-            _ if lb.is_finite() => NbState::Lower,
-            _ if ub.is_finite() => NbState::Upper,
-            _ => NbState::Free,
-        };
-        ws.nb[j] = state;
-        ws.x[j] = match state {
-            NbState::Lower => lb,
-            NbState::Upper => ub,
-            NbState::Free => 0.0,
-        };
     }
+    for (i, row) in model.rows.iter().enumerate().skip(m0) {
+        let s = problem.slack_start + i;
+        (ws.lb[s], ws.ub[s]) = slack_bounds(row.cmp);
+    }
+    debug_assert!(
+        {
+            let mut full = Workspace::default();
+            load_bounds(model, &mut full);
+            (full.lb, full.ub) == (ws.lb.clone(), ws.ub.clone())
+        },
+        "carried bounds differ from a reload"
+    );
+    debug_assert!(
+        (0..n).all(|j| ws.pos_of[j] >= 0 || {
+            let (state, x) = ws.rest_of(j);
+            (state, x.to_bits()) == (ws.nb[j], ws.x[j].to_bits())
+        }),
+        "a nonbasic column is off the rest a full pass gives it"
+    );
 
-    let mut st = State::new(problem, rows, opts, tuning, ws);
-    st.inherit(&problem.cost, old_cost_moved).map_err(|e| numerical(e, row_name))?;
+    let reprice = !changes.costs.is_empty();
+    let screen_all = reprice || ws.screened != Some(opts.opt_tol);
+    let mut st = State::new(problem, &model.rows, opts, tuning, ws);
+    st.screen_all = screen_all;
+    st.inherit(&problem.cost, reprice).map_err(|e| numerical(e, row_name))?;
     Ok(st)
 }
 
 /// Insert `count` copies of `fill` into `v` at `at`.
 fn open_gap<T: Clone>(v: &mut Vec<T>, at: usize, count: usize, fill: T) {
-    grow(v, v.len() + count, fill);
-    v[at..].rotate_right(count);
+    if count > 0 {
+        grow(v, v.len() + count, fill);
+        v[at..].rotate_right(count);
+    }
 }
 
 impl Workspace {
@@ -354,6 +392,20 @@ impl Workspace {
         // makes for every column.
         let improves = ((d < -tol) & (nb != NbState::Upper)) | ((d > tol) & (nb != NbState::Lower));
         improves && self.pos_of[j] < 0 && self.lb[j] != self.ub[j]
+    }
+
+    /// Where nonbasic column `j` rests under its current bounds: on the
+    /// side it rested on when that bound is finite, else on a finite one,
+    /// else free at zero.
+    fn rest_of(&self, j: usize) -> (NbState, f64) {
+        let (lb, ub) = (self.lb[j], self.ub[j]);
+        match self.nb[j] {
+            NbState::Lower if lb.is_finite() => (NbState::Lower, lb),
+            NbState::Upper if ub.is_finite() => (NbState::Upper, ub),
+            _ if lb.is_finite() => (NbState::Lower, lb),
+            _ if ub.is_finite() => (NbState::Upper, ub),
+            _ => (NbState::Free, 0.0),
+        }
     }
 
     /// Shortlist the eligible members of the entering set in `lo..hi` that
@@ -374,19 +426,23 @@ impl Workspace {
         visited
     }
 
-    /// Move the terminal `basis`, `nb`, `d` and `y` of the solve that owns
-    /// this workspace to the column layout of `p`, the same problem grown by
-    /// `dn` structurals and `dm` rows: the new structurals open a gap before
-    /// the slacks (nonbasic, `d` to be priced by the caller), each new row
-    /// seats its slack basic with a zero dual and closes its artificial.
-    /// Returns `false`, with nothing moved, when an artificial is basic (its
-    /// crash-time sign went with the previous standard form).
+    /// Move the terminal state of the solve that owns this workspace —
+    /// `basis`, `pos_of`, `nb`, `x`, `lb`, `ub`, `d` and `y` — to the
+    /// column layout of `p`, the same problem grown by `dn` structurals and
+    /// `dm` rows: the new structurals open a gap before the slacks
+    /// (nonbasic, bounds and `d` for the caller to load and price), each new
+    /// row seats its slack basic with a zero dual and closes its
+    /// artificial. Returns `false`, with nothing moved, when an artificial
+    /// is basic (its crash-time sign went with the previous standard form).
     fn regrow(&mut self, p: &Problem) -> bool {
         let (m0, ns0) = (self.owner_m, self.owner_nstruct);
         let (dm, dn) = (p.m - m0, p.nstruct - ns0);
-        debug_assert_eq!(
-            (self.nb.len(), self.d.len(), self.y.len()),
-            (ns0 + 2 * m0, ns0 + 2 * m0, m0)
+        let n0 = ns0 + 2 * m0;
+        debug_assert!(
+            [self.nb.len(), self.d.len(), self.x.len(), self.pos_of.len(), self.lb.len()]
+                .iter()
+                .all(|&len| len == n0)
+                && (self.ub.len(), self.y.len()) == (n0, m0)
         );
         if self.basis.iter().any(|&k| k >= ns0 + m0) {
             return false;
@@ -398,6 +454,13 @@ impl Workspace {
         for (at, count) in [(ns0, dn), (p.slack_start + m0, dm), (p.art_start + m0, dm)] {
             open_gap(&mut self.nb, at, count, NbState::Lower);
             open_gap(&mut self.d, at, count, 0.0);
+            open_gap(&mut self.x, at, count, 0.0);
+            open_gap(&mut self.pos_of, at, count, -1);
+            open_gap(&mut self.lb, at, count, 0.0);
+            open_gap(&mut self.ub, at, count, 0.0);
+        }
+        for i in m0..p.m {
+            self.pos_of[p.slack_start + i] = i as i32;
         }
         grow(&mut self.y, p.m, 0.0);
         true
@@ -434,6 +497,7 @@ impl<'a> State<'a> {
             opts,
             ws,
             stats: SessionStats::default(),
+            screen_all: true,
             max_iterations,
             degenerate_run: 0,
             cursor: 0,
@@ -498,7 +562,7 @@ impl<'a> State<'a> {
         // otherwise it repairs reduced-cost violations (objective changes, newly
         // added columns, boxed columns released above).
         self.iterate(cost, false, var_name, row_name)?;
-        Ok((self.finish(cost, row_name)?, !primal_feasible))
+        Ok((self.finish(cost, row_name, var_name)?, !primal_feasible))
     }
 
     /// The carried first stage of [`warm_state`], once [`Workspace::regrow`]
@@ -547,21 +611,29 @@ impl<'a> State<'a> {
     /// refactorization, the factors are not rebuilt to recompute them: the
     /// pair in hand is accepted when it satisfies the problem's own
     /// equations (`certified`), and only a failed certificate pays for a
-    /// refactorization. The ledger handed back folds in the factorization's
-    /// work since this solve began (the factorization itself may be older).
+    /// refactorization — after which the primal loop runs again from the
+    /// exact reprice it starts with, since those prices may expose an
+    /// eligible column the maintained ones hid, until the pair certifies.
+    /// The ledger handed back folds in the factorization's work since this
+    /// solve began (the factorization itself may be older).
     fn finish(
         &mut self,
         cost: &[f64],
         row_name: &impl Fn(usize) -> String,
+        var_name: &impl Fn(usize) -> String,
     ) -> Result<Outcome, SolveError> {
-        if !self.fresh {
-            self.solve_duals(cost);
-        }
-        if !self.settled && !self.certified(cost) {
+        loop {
+            if !self.fresh {
+                self.solve_duals(cost);
+            }
+            if self.settled || self.certified(cost) {
+                break;
+            }
             self.refactor().map_err(|e| numerical(e, row_name))?;
-            self.reprice(cost);
-            self.stats.terminal_refactors = 1;
+            self.stats.terminal_refactors += 1;
+            self.iterate(cost, false, var_name, row_name)?;
         }
+        self.ws.screened = (self.stats.terminal_refactors == 0).then_some(self.opts.opt_tol);
         let fs = self.ws.factor.stats().since(self.factor_before);
         let stats = SessionStats {
             refactors: fs.refactors,
@@ -1021,27 +1093,39 @@ impl<'a> State<'a> {
     }
 
     /// Temporarily fix every nonbasic column whose reduced cost violates
-    /// dual feasibility at its current rest value, saving the bounds in
-    /// `ws.boxed` so the caller can restore them. The exact `d` and `y` the
-    /// carried start left are what [`State::dual_iterate`] starts from.
+    /// dual feasibility at its current rest value — the columns
+    /// [`Workspace::eligible`] accepts — saving the bounds in `ws.boxed` so
+    /// the caller can restore them. The exact `d` and `y` the carried start
+    /// left are what [`State::dual_iterate`] starts from.
+    ///
+    /// Only the columns the carried start moved or appended are judged,
+    /// unless `screen_all`: every other nonbasic column keeps the `d`, rest
+    /// state and bounds under which the last solve's polish found it not
+    /// eligible, by the same test. A debug assertion compares the boxed set
+    /// with a judgement of every column.
     fn box_dual_infeasible(&mut self) {
-        let tol = self.opts.opt_tol;
-        self.ws.boxed.clear();
-        for j in 0..self.p.n {
-            if self.ws.pos_of[j] >= 0 || self.ws.lb[j] == self.ws.ub[j] {
-                continue;
+        let (n, tol) = (self.p.n, self.opts.opt_tol);
+        let ws = &mut *self.ws;
+        ws.boxed.clear();
+        let judge = |ws: &mut Workspace, j: usize| {
+            if ws.eligible(j, tol) {
+                ws.boxed.push((j, ws.lb[j], ws.ub[j]));
             }
-            let d = self.ws.d[j];
-            let ok = match self.ws.nb[j] {
-                NbState::Lower => d >= -tol,
-                NbState::Upper => d <= tol,
-                NbState::Free => d.abs() <= tol,
-            };
-            if !ok {
-                self.ws.boxed.push((j, self.ws.lb[j], self.ws.ub[j]));
-                self.ws.lb[j] = self.ws.x[j];
-                self.ws.ub[j] = self.ws.x[j];
+        };
+        if self.screen_all {
+            (0..n).for_each(|j| judge(ws, j));
+        } else {
+            for idx in 0..ws.moved.len() {
+                judge(ws, ws.moved[idx] as usize);
             }
+        }
+        debug_assert!(
+            ws.boxed.iter().map(|b| b.0).eq((0..n).filter(|&j| ws.eligible(j, tol))),
+            "the boxed set differs from a judgement of every column"
+        );
+        for &(j, ..) in &ws.boxed {
+            ws.lb[j] = ws.x[j];
+            ws.ub[j] = ws.x[j];
         }
     }
 
@@ -1326,13 +1410,14 @@ mod tests {
     /// loop do to it: capacities drop, upper bounds shrink below the flow
     /// they carried, a cutting row arrives — and, with `move_costs`, a fifth
     /// of the columns are revalued. Returns it with its standard form synced
-    /// and a workspace holding the cold solve's terminal state and the new
-    /// bounds — what a carried [`warm_state`] starts from.
+    /// and a workspace holding the cold solve's terminal state, and the
+    /// change log of the mutations — what a carried [`warm_state`] starts
+    /// from.
     fn cut_case(
         seed: u64,
         max_etas: usize,
         move_costs: bool,
-    ) -> (Model, Problem, Workspace, SolverTuning) {
+    ) -> (Model, Problem, Workspace, SolverTuning, Changes) {
         let name = |i: usize| i.to_string();
         let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let (jobs, steps) = (4 + (g.unit() * 5.0) as usize, 4 + (g.unit() * 6.0) as usize);
@@ -1362,14 +1447,17 @@ mod tests {
         run(&mut p, &model.rows, &SimplexOptions::default(), tuning, &mut ws, name, name).unwrap();
         (ws.owner_m, ws.owner_nstruct) = (p.m, p.nstruct);
 
+        let mut changes = Changes::default();
         for &row in &caps {
             if g.unit() < 0.6 {
                 model.set_rhs(row, 0.3 + 1.5 * g.unit());
+                changes.rhs.push(row.0);
             }
         }
         for (j, &v) in x.iter().enumerate() {
             if g.unit() < 0.2 {
                 model.set_bounds(v, 0.0, 0.5 * ws.x[j]);
+                changes.bounds.push(v.0);
             }
         }
         let cut = LinExpr::from_terms(x.iter().step_by(3).map(|&v| (1.0, v)));
@@ -1378,13 +1466,13 @@ mod tests {
             for &v in &x {
                 if g.unit() < 0.2 {
                     model.set_obj(v, 0.5 + 2.5 * g.unit());
+                    changes.costs.push(v.0);
                 }
             }
         }
 
-        assert!(p.sync(&model));
-        load_bounds(&model, &mut ws);
-        (model, p, ws, tuning)
+        assert!(p.sync(&model, &changes));
+        (model, p, ws, tuning, changes)
     }
 
     /// The reduced costs and duals the dual loop carries from pivot row to
@@ -1399,11 +1487,10 @@ mod tests {
         for seed in 1..=40u64 {
             for (c, max_etas) in [2, 7, 96].into_iter().enumerate() {
                 for move_costs in [false, true] {
-                    let (model, p, mut ws, tuning) = cut_case(seed, max_etas, move_costs);
+                    let (model, p, mut ws, tuning, changes) = cut_case(seed, max_etas, move_costs);
                     let opts = SimplexOptions::default();
                     let mut st =
-                        warm_state(&p, &model.rows, &opts, tuning, &mut ws, move_costs, &name)
-                            .unwrap();
+                        warm_state(&p, &model, &changes, &opts, tuning, &mut ws, &name).unwrap();
                     st.box_dual_infeasible();
                     let ran = st.dual_iterate(&p.cost, &name);
                     if move_costs {
@@ -1449,13 +1536,12 @@ mod tests {
             for ((c, max_etas), move_costs) in
                 [2, 7, 96].into_iter().enumerate().flat_map(|c| [(c, false), (c, true)])
             {
-                let (model, p, start, tuning) = cut_case(seed, max_etas, move_costs);
+                let (model, p, start, tuning, changes) = cut_case(seed, max_etas, move_costs);
                 let opts = SimplexOptions::default();
                 for stop in 1.. {
                     let mut ws = start.clone();
                     let mut st =
-                        warm_state(&p, &model.rows, &opts, tuning, &mut ws, move_costs, &name)
-                            .unwrap();
+                        warm_state(&p, &model, &changes, &opts, tuning, &mut ws, &name).unwrap();
                     st.max_iterations = stop;
                     let done = match st.reoptimize(&p.cost, &name, &name) {
                         Err(SolveError::IterationLimit { .. }) => false,
@@ -1506,6 +1592,41 @@ mod tests {
         }
     }
 
+    /// A failed certificate in `finish` refactorizes and reprices, and the
+    /// exact prices may expose a column the maintained ones hid: `finish`
+    /// must then return to the primal loop, not hand back that basis as
+    /// optimal. Here the cost of a basic column carrying flow jumps under
+    /// the finished polish (the certificate's dual test catches it, as it
+    /// would a drifted `y`); after `finish`, a fresh reprice must find no
+    /// eligible column.
+    #[test]
+    fn finish_reenters_the_primal_loop_when_the_reprice_exposes_a_column() {
+        let name = |i: usize| i.to_string();
+        let mut reentered = 0;
+        for seed in 1..=12u64 {
+            let (model, p, mut ws, tuning, changes) = cut_case(seed, 96, false);
+            let opts = SimplexOptions::default();
+            let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws, &name).unwrap();
+            st.box_dual_infeasible();
+            st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
+            st.iterate(&p.cost, false, &name, &name).unwrap();
+            let busy = |k: &usize| *k < p.nstruct && st.ws.x[*k] > 1e-6;
+            let k = st.ws.basis.iter().copied().find(busy).expect("some flow is basic");
+            let mut cost = p.cost.clone();
+            cost[k] = 10.0;
+            let pivots = st.stats.iterations;
+            let out = st.finish(&cost, &name, &name).unwrap();
+            assert_eq!(out.stats.terminal_refactors, 1, "seed {seed}");
+            reentered += u32::from(st.stats.iterations > pivots);
+            st.refactor().unwrap();
+            st.reprice(&cost);
+            let eligible: Vec<usize> =
+                (0..p.n).filter(|&j| st.ws.eligible(j, opts.opt_tol)).collect();
+            assert!(eligible.is_empty(), "seed {seed}: finish returned with {eligible:?} eligible");
+        }
+        assert_eq!(reentered, 12, "the moved cost exposed a column on every seed");
+    }
+
     /// `finish` accepts the terminal `(x, y)` on the residual certificate and
     /// refactorizes only when it fails: untouched, a dual restart ends without
     /// a refactorization; with one basic value or one dual off by 1e-6 it
@@ -1514,12 +1635,12 @@ mod tests {
     fn finish_refactorizes_only_when_the_certificate_fails() {
         let name = |i: usize| i.to_string();
         for seed in 1..=12u64 {
-            let (model, p, start, tuning) = cut_case(seed, 96, false);
+            let (model, p, start, tuning, changes) = cut_case(seed, 96, false);
             let opts = SimplexOptions::default();
             let finish_after = |perturb: &dyn Fn(&mut Workspace, usize, usize)| {
                 let mut ws = start.clone();
                 let mut st =
-                    warm_state(&p, &model.rows, &opts, tuning, &mut ws, false, &name).unwrap();
+                    warm_state(&p, &model, &changes, &opts, tuning, &mut ws, &name).unwrap();
                 st.box_dual_infeasible();
                 st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
                 assert!(st.ws.boxed.is_empty() && st.stats.dual_iterations > 0, "seed {seed}");
@@ -1530,7 +1651,7 @@ mod tests {
                 let i = p.with_col(k, |col| col[0].0 as usize);
                 perturb(st.ws, k, i);
                 let before = st.ws.factor.stats();
-                let out = st.finish(&p.cost, &name).unwrap();
+                let out = st.finish(&p.cost, &name, &name).unwrap();
                 let refactors = st.ws.factor.stats().since(before).refactors;
                 assert_eq!(refactors, out.stats.terminal_refactors, "seed {seed}");
                 (ws.x, ws.y, refactors)

@@ -83,6 +83,12 @@ impl Solution {
         &self.duals
     }
 
+    /// The row duals, taken out of the solution (by row index, as
+    /// [`Solution::dual`] reads them).
+    pub fn into_duals(self) -> Vec<f64> {
+        self.duals
+    }
+
     /// Reduced cost of a variable at the optimum (model sense): the rate of
     /// objective change per unit increase of the variable off its bound.
     pub fn reduced_cost(&self, v: Var) -> f64 {
