@@ -120,9 +120,8 @@ fn warm_dual_sweep(m: &Model) -> (u64, u64) {
             let rhs = sess.model().rhs(row);
             sess.set_rhs(row, 0.8 * rhs);
         }
-        let sol = sess.solve(&SolveOptions::default()).unwrap();
+        let st = sess.solve(&SolveOptions::default()).unwrap().stats();
         assert_ne!(sess.last_restart(), Some(Restart::Cold), "sweep step {step}");
-        let st = sol.stats();
         // One BTRAN per pivot, one per reprice (the seeding one, one after
         // each refactorization inside a loop, the polish's own), one for the
         // terminal duals.

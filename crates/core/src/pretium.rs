@@ -708,8 +708,8 @@ impl Pretium {
         // followed by a long dual repair of the rows it appended.
         let mut sess = ScheduleSession::new(&problem);
         sess.materialize_contested(&self.net, &capacity, &zero);
-        let sol = sess.solve_step_with(&self.net, &capacity, &zero, &self.solve_opts())?;
-        self.lp_stats.merge(sol.lp_stats);
+        self.lp_stats
+            .merge(sess.solve_step_with(&self.net, &capacity, &zero, &self.solve_opts())?.lp_stats);
         self.audit_lp(AuditPoint::Pc, now, &sess);
         // The previous window's pattern is carried into the future.
         self.bump_epoch();
@@ -722,7 +722,7 @@ impl Pretium {
                 // percentile cost (C_e/k on the window's top-k steps),
                 // computed for the first future window and copied forward.
                 let p = if t < now + spw {
-                    sess.price(&sol, e, prev_start + self.grid.step_in_window(t)).max(floor)
+                    sess.price(e, prev_start + self.grid.step_in_window(t)).max(floor)
                 } else {
                     state.price(e, t - spw)
                 };

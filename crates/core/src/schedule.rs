@@ -134,9 +134,6 @@ pub struct ScheduleSolution {
     /// LP objective (weighted value minus proxied costs over the LP's
     /// horizon; excludes realized-past cost constants).
     pub objective: f64,
-    /// The LP's row duals, by row index: [`ScheduleSession::price`] reads a
-    /// slot's capacity and usage rows from them.
-    row_duals: Vec<f64>,
     /// Guarantee shortfall per job (positive when min_units was missed).
     pub shortfall: Vec<f64>,
     /// Lazy-generation rounds used.
@@ -277,8 +274,9 @@ pub struct ScheduleSession {
     dirty: Vec<u32>,
     /// Lazy rounds run, the stamp of `Slot::queued`.
     round: u32,
-    /// Primal values of the last solve (used to freeze elapsed steps).
-    last_values: Vec<f64>,
+    /// Primal values of the last round judged: what the next round diffs
+    /// against, `advance_to` freezes at and `extract` reads.
+    values: Vec<f64>,
 }
 
 /// Solve the scheduling LP once (the offline baselines) with the given solver
@@ -324,7 +322,7 @@ impl ScheduleSession {
             near: Vec::new(),
             dirty: Vec::new(),
             round: 0,
-            last_values: Vec::new(),
+            values: Vec::new(),
         };
         for job in p.jobs {
             s.add_job(job.clone());
@@ -343,22 +341,22 @@ impl ScheduleSession {
         &self.sess
     }
 
-    /// Full internal price of `(e, t)` in `sol`, an optimum this session
+    /// Full internal price of `(e, t)` at the optimum the last solve
     /// returned: the congestion shadow price of the slot's capacity row plus
     /// the marginal percentile cost of one extra unit of usage there, the
     /// dual of its usage-definition row — `C_e/k` on steps inside the
     /// window's top-k, zero below the percentile (clamped: tiny negative
-    /// duals are numerical noise). A row that was never generated, or came
-    /// after `sol`, contributes zero. This is the §4.3 "dual price" a unit
-    /// of traffic should be charged for riding this link-timestep; only the
-    /// PC reads it, so no solve builds a price table.
-    pub fn price(&self, sol: &ScheduleSolution, e: EdgeId, t: Timestep) -> f64 {
+    /// duals are numerical noise). A row never generated contributes zero,
+    /// as does every row once the model moved past that optimum. This is the
+    /// §4.3 "dual price" a unit of traffic should be charged for riding this
+    /// link-timestep; only the PC reads it, so no solve builds a price table.
+    pub fn price(&self, e: EdgeId, t: Timestep) -> f64 {
         let Some(slot) = self.slot_of.get(&(e, t)).map(|&i| &self.slots[i as usize]) else {
             return 0.0;
         };
-        let dual = |row: Option<RowId>| {
-            row.and_then(|r| sol.row_duals.get(r.index())).copied().unwrap_or(0.0)
-        };
+        let duals = self.sess.cached_solution().map_or(&[][..], |sol| sol.duals());
+        let dual =
+            |row: Option<RowId>| row.and_then(|r| duals.get(r.index())).copied().unwrap_or(0.0);
         // The use-row is written as (Σ flows − U = 0); pushing one forced
         // unit of usage through the edge corresponds to lowering the rhs
         // by 1, so the marginal cost is the row dual itself.
@@ -492,7 +490,8 @@ impl ScheduleSession {
     }
 
     /// Freeze the flow variables of timesteps `< now` at their values in
-    /// the last solution (the plan SAM installed, hence what was executed).
+    /// the optimum the last step returned (its final round: the plan SAM
+    /// installed, hence what was executed).
     /// A fixed optimal value keeps the basis primal feasible, so the next
     /// re-solve typically restarts warm.
     pub fn advance_to(&mut self, now: Timestep) {
@@ -503,7 +502,7 @@ impl ScheduleSession {
         for jvars in &self.vars {
             for &(_, t, v) in jvars {
                 if t >= self.fixed_up_to && t < now {
-                    let x = self.last_values.get(v.index()).copied().unwrap_or(0.0).max(0.0);
+                    let x = self.values.get(v.index()).copied().unwrap_or(0.0).max(0.0);
                     // Pinning a variable at its current optimal value leaves
                     // the solution optimal, so the session can keep its
                     // cached solution (and basis) when nothing else moves.
@@ -552,11 +551,10 @@ impl ScheduleSession {
         static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         let trace = *TRACE.get_or_init(|| std::env::var_os("PRETIUM_LP_TRACE").is_some());
         let mut rounds = 0;
-        let mut prev: Option<Solution> = None;
         loop {
             rounds += 1;
             let t0 = trace.then(std::time::Instant::now);
-            let sol = self.sess.solve(opts)?;
+            let objective = self.sess.solve(opts)?.objective();
             if let Some(t0) = t0 {
                 eprintln!(
                     "[schedule] round {rounds}: {} rows x {} vars, {:?} restart, {:?}",
@@ -566,14 +564,12 @@ impl ScheduleSession {
                     t0.elapsed()
                 );
             }
-            if !self.lazy_grow(net, capacity, realized, &sol, prev.as_ref()) {
-                self.last_values = sol.values().to_vec();
-                return Ok(self.extract(sol, rounds));
+            if !self.lazy_grow(net, capacity, realized, rounds == 1) {
+                return Ok(self.extract(objective, rounds));
             }
             if rounds >= MAX_ROUNDS {
                 return Err(SolveError::IterationLimit { iterations: rounds as u64 });
             }
-            prev = Some(sol);
         }
     }
 
@@ -661,31 +657,32 @@ impl ScheduleSession {
         slot.cap_row = Some(self.sess.add_row(&format!("cap_{e}_{t}"), expr, Cmp::Le, cap));
     }
 
-    /// One round of lazy structure generation against a tentative optimum
-    /// `sol`: materialize violated (and near-capacity) rows and cost
-    /// encodings for percentile edges in use. Returns whether anything was
-    /// added.
+    /// One round of lazy structure generation against the tentative optimum
+    /// the session just solved: materialize violated (and near-capacity)
+    /// rows and cost encodings for percentile edges in use, and keep the
+    /// optimum's values in `values`. Returns whether anything was added.
     ///
     /// A slot is *open* while it may still gain a row (uncapped, at a step
     /// not frozen) or an encoding (percentile, uncosted); its usage is the
     /// sum of its columns' values, and a round judges it on that sum. The
-    /// round pays for what moved: at a step's first round (`prev` is
-    /// `None`) every open slot is summed, since capacities and
-    /// `fixed_up_to` moved since the last; after that only the slots a
-    /// column whose value differs from `prev`'s crosses. Every other slot
-    /// keeps its last judgement: a slot over capacity or in use while
-    /// uncosted got its row or encoding in the round that found it, so only
-    /// the `near` flag outlives a round. Rows go in in the order a walk of
-    /// `slot_of` meets them (`Slot::ordinal`). A debug assertion compares
-    /// the result with a judgement of every slot.
+    /// round pays for what moved: at a step's `first` round every open slot
+    /// is summed, since capacities and `fixed_up_to` moved since the last;
+    /// after that only the slots a column whose value differs from the last
+    /// round's (`values`) crosses. Every other slot keeps its last
+    /// judgement: a slot over capacity or in use while uncosted got its row
+    /// or encoding in the round that found it, so only the `near` flag
+    /// outlives a round. Rows go in in the order a walk of `slot_of` meets
+    /// them (`Slot::ordinal`). A debug assertion compares the result with a
+    /// judgement of every slot.
     fn lazy_grow(
         &mut self,
         net: &Network,
         capacity: &dyn Fn(EdgeId, Timestep) -> f64,
         realized: &dyn Fn(EdgeId, Timestep) -> f64,
-        sol: &Solution,
-        prev: Option<&Solution>,
+        first: bool,
     ) -> bool {
+        // The optimum the loop just solved: nothing moved since.
+        let Some(sol) = self.sess.cached_solution() else { return false };
         let (grid, fixed) = (self.grid, self.fixed_up_to);
         // (a) Capacity rows violated by the tentative schedule. Rows that
         // are merely *near* the limit are materialized too: when a
@@ -695,7 +692,7 @@ impl ScheduleSession {
         // (b) Cost encodings for percentile edges the schedule uses.
         let mut any_violated = false;
         let mut new_encodings = Vec::new();
-        if prev.is_none() {
+        if first {
             self.near.clear();
         }
         let near = &mut self.near;
@@ -721,45 +718,40 @@ impl ScheduleSession {
                 new_encodings.push((e, grid.window_of(t)));
             }
         };
-        match prev {
-            None => {
-                // Capacities and `fixed_up_to` moved: judge every open
-                // slot afresh. Slots were added since the last step when
-                // the map grew, which reorders its walk.
-                for (id, slot) in self.slots.iter_mut().enumerate() {
-                    slot.near = false;
-                    judge(id as u32, slot);
+        if first {
+            // Capacities and `fixed_up_to` moved: judge every open slot
+            // afresh. Slots were added since the last step when the map
+            // grew, which reorders its walk.
+            for (id, slot) in self.slots.iter_mut().enumerate() {
+                slot.near = false;
+                judge(id as u32, slot);
+            }
+            if self.ordered != self.slots.len() {
+                for (ordinal, &id) in self.slot_of.values().enumerate() {
+                    self.slots[id as usize].ordinal = ordinal as u32;
                 }
-                if self.ordered != self.slots.len() {
-                    for (ordinal, &id) in self.slot_of.values().enumerate() {
-                        self.slots[id as usize].ordinal = ordinal as u32;
-                    }
-                    self.ordered = self.slots.len();
+                self.ordered = self.slots.len();
+            }
+        } else {
+            self.round = self.round.wrapping_add(1);
+            let (round, slots, dirty) = (self.round, &mut self.slots, &mut self.dirty);
+            dirty.clear();
+            let mut queue = |id: u32| {
+                let slot = &mut slots[id as usize];
+                if slot.queued != round {
+                    slot.queued = round;
+                    dirty.push(id);
+                }
+            };
+            // (Columns appended since the last round cross no slot.)
+            let values = sol.values().iter().zip(&self.values);
+            for (j, _) in values.enumerate().filter(|(_, (x, y))| x.to_bits() != y.to_bits()) {
+                if let Some(&(from, to)) = self.crossed.get(j) {
+                    self.crossed_slots[from as usize..to as usize].iter().for_each(|&id| queue(id));
                 }
             }
-            Some(prev) => {
-                self.round = self.round.wrapping_add(1);
-                let (round, slots, dirty) = (self.round, &mut self.slots, &mut self.dirty);
-                dirty.clear();
-                let mut queue = |id: u32| {
-                    let slot = &mut slots[id as usize];
-                    if slot.queued != round {
-                        slot.queued = round;
-                        dirty.push(id);
-                    }
-                };
-                // (Columns appended since `prev` cross no slot.)
-                let values = sol.values().iter().zip(prev.values());
-                for (j, _) in values.enumerate().filter(|(_, (x, y))| x.to_bits() != y.to_bits()) {
-                    if let Some(&(from, to)) = self.crossed.get(j) {
-                        self.crossed_slots[from as usize..to as usize]
-                            .iter()
-                            .for_each(|&id| queue(id));
-                    }
-                }
-                for &id in dirty.iter() {
-                    judge(id, &mut slots[id as usize]);
-                }
+            for &id in dirty.iter() {
+                judge(id, &mut slots[id as usize]);
             }
         }
         // The rows to add, in the order a walk of `slot_of` meets them.
@@ -784,6 +776,8 @@ impl ScheduleSession {
             self.separate_every_slot(net, capacity, sol),
             "the round's separation differs from a judgement of every slot"
         );
+        self.values.clear();
+        self.values.extend_from_slice(sol.values());
         let progressed = !new_rows.is_empty() || !new_encodings.is_empty();
         for id in new_rows {
             let (e, t) = self.slots[id as usize].key;
@@ -884,10 +878,12 @@ impl ScheduleSession {
         self.sess.set_obj(s, -unit_cost / k as f64);
     }
 
-    /// Read a solution out of the LP. Flows at elapsed (frozen) timesteps
-    /// are excluded: they were already executed and belong to history, not
-    /// to the plan being installed.
-    fn extract(&self, sol: Solution, rounds: u32) -> ScheduleSolution {
+    /// Read the schedule out of the last round's values, at LP objective
+    /// `objective`. Flows at elapsed (frozen) timesteps are excluded: they
+    /// were already executed and belong to history, not to the plan being
+    /// installed.
+    fn extract(&self, objective: f64, rounds: u32) -> ScheduleSolution {
+        let value = |v: Var| self.values[v.index()];
         let mut flows = Vec::with_capacity(self.vars.len());
         let mut delivered = Vec::with_capacity(self.vars.len());
         for jvars in &self.vars {
@@ -897,7 +893,7 @@ impl ScheduleSession {
                 if t < self.fixed_up_to {
                     continue;
                 }
-                let units = sol.value(v);
+                let units = value(v);
                 if units > 1e-9 {
                     jf.push((pi, t, units));
                     total += units;
@@ -906,16 +902,14 @@ impl ScheduleSession {
             flows.push(jf);
             delivered.push(total);
         }
-        let shortfall =
-            self.shortfalls.iter().map(|s| s.map(|v| sol.value(v)).unwrap_or(0.0)).collect();
+        let shortfall = self.shortfalls.iter().map(|s| s.map(value).unwrap_or(0.0)).collect();
         ScheduleSolution {
             flows,
             delivered,
-            objective: sol.objective(),
+            objective,
             shortfall,
             rounds,
             lp_stats: self.sess.stats(),
-            row_duals: sol.into_duals(),
         }
     }
 }
@@ -1232,11 +1226,54 @@ mod tests {
             cost_scale: 1.0,
         };
         let mut sess = ScheduleSession::new(&problem);
-        let sol = sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
+        sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         let e = net.edge_ids().next().unwrap();
         // Congested edge: shadow price equals the marginal value (2.0).
-        let price = sess.price(&sol, e, 0);
+        let price = sess.price(e, 0);
         assert!((price - 2.0).abs() < 1e-6, "dual {price}");
+    }
+
+    /// `advance_to` freezes an elapsed column at its value in the step's
+    /// final round, the optimum the step returned. Job 0 can only use step
+    /// 0 and wants 15 units of its capacity of 10; job 1 is worth more and
+    /// may use steps 0 and 1. The first round has no capacity row, so it
+    /// puts all 15 of job 0 on step 0; the second adds the row and job 0
+    /// keeps 10. Step 0 must freeze at 10 (and job 1's step 0 at 0).
+    #[test]
+    fn advance_freezes_elapsed_columns_at_the_final_rounds_values() {
+        let (net, a, b) = line_net();
+        let grid = TimeGrid::new(4, 30);
+        let jobs = vec![
+            Job::new(0, single_path(&net, a, b), 0, 0, 1.0, 0.0, 15.0),
+            Job::new(1, single_path(&net, a, b), 0, 1, 2.0, 0.0, 5.0),
+        ];
+        let cap = |e: EdgeId, _t: Timestep| net.edge(e).capacity;
+        let problem = ScheduleProblem {
+            net: &net,
+            grid: &grid,
+            from: 0,
+            to: 4,
+            jobs: &jobs,
+            capacity: &cap,
+            realized: &no_realized,
+            topk: TopkEncoding::CVar,
+            cost_scale: 1.0,
+        };
+        let mut sess = ScheduleSession::new(&problem);
+        let opts = SolveOptions::default();
+        let sol = sess.solve_step_with(&net, &cap, &no_realized, &opts).unwrap();
+        assert!(sol.rounds >= 2, "one round: nothing was generated");
+        let last = sess.lp().cached_solution().expect("the step's optimum").values().to_vec();
+        let elapsed: Vec<Var> =
+            sess.vars.iter().flatten().filter(|&&(_, t, _)| t < 1).map(|&(_, _, v)| v).collect();
+        assert_eq!(elapsed.len(), 2);
+        sess.advance_to(1);
+        for v in elapsed {
+            let x = last[v.index()].max(0.0);
+            assert_eq!(sess.lp().model().bounds(v), (x, x), "{}", sess.lp().model().var_name(v));
+        }
+        let x00 = sess.vars[0][0].2;
+        assert!((last[x00.index()] - 10.0).abs() < 1e-9, "job 0 at step 0: {}", last[x00.index()]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`Model`] — incremental LP builder (variables with bounds, linear
 //!   rows, max/min objective) with operator-overloaded [`LinExpr`]s.
 //! * [`SolverSession`] — the primary solve surface: a model plus the stamp
-//!   of its last solve. Mutations (`set_rhs`, `set_bounds`, `set_obj`,
+//!   of its last solve and its optimum, held once and lent out by
+//!   [`SolverSession::solve`]. Mutations (`set_rhs`, `set_bounds`, `set_obj`,
 //!   `add_row`, `add_var`) go through the session. A re-solve either
 //!   carries the terminal state its last solve left in the thread's
 //!   workspace — when no other solve ran there since — and picks the

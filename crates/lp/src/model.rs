@@ -295,15 +295,17 @@ impl Model {
     /// warm-starts each re-solve from the previous basis.
     pub fn solve(&self) -> Result<Solution, SolveError> {
         let opts = SimplexOptions::default();
+        let mut sol = Solution::empty();
         solve_model_session(
             self,
             &opts,
             SolverTuning::default(),
             0,
-            &Changes::default(),
+            &mut Changes::default(),
             &mut Problem::default(),
-        )
-        .map(|(sol, _, _)| sol)
+            &mut sol,
+        )?;
+        Ok(sol)
     }
 
     /// Move the model into a [`crate::SolverSession`] for incremental

@@ -103,8 +103,8 @@ impl SolveOptions {
 /// every mutation of a column or row its last solve knew; a carried
 /// re-solve brings into the standard form and the carried bounds and rest
 /// states only what was appended and what that log names (DESIGN.md §23),
-/// and allocates nothing but the solution it returns and the session's
-/// cached copy. A clone holds the same stamp: of a session and its clone, whichever
+/// and writes the optimum it lends out over the last one, in its buffers.
+/// A clone holds the same stamp: of a session and its clone, whichever
 /// solves first on the stamp's thread carries, and the other runs cold —
 /// the same certified optimum, not the same bits (DESIGN.md §23).
 #[derive(Debug, Clone)]
@@ -118,7 +118,7 @@ pub struct SolverSession {
     /// than rebuilt (DESIGN.md §20). Valid only together with `stamp`: a
     /// solve that does not carry rebuilds it.
     resident: Problem,
-    /// Something changed since the last solve: the cached optimum is stale.
+    /// `solution` is stale: something changed since, or nothing solved yet.
     dirty: bool,
     /// Every mutation of a column or row the last solve knew, since that
     /// solve: what a carried solve brings into `resident` and the
@@ -132,10 +132,10 @@ pub struct SolverSession {
     /// appended afterwards and are never referenced by its basis.
     solved_vars: usize,
     solved_rows: usize,
-    /// The most recent certified optimum of the current model state.
-    /// Served verbatim by [`SolverSession::solve`] while the session is not
-    /// `dirty`, and the reference point for [`SolverSession::fix_at_value`].
-    last_solution: Option<Solution>,
+    /// The last certified optimum, overwritten in place by each solve that
+    /// succeeds. Served by [`SolverSession::solve`] while the session is
+    /// not `dirty`, and the reference point for [`SolverSession::fix_at_value`].
+    solution: Solution,
 }
 
 // The parallel evaluation engine (`pretium-sim::par`) moves one session
@@ -155,13 +155,13 @@ impl SolverSession {
             model,
             stamp: 0,
             resident: Problem::default(),
-            dirty: false,
+            dirty: true,
             changes: Changes::default(),
             stats: SessionStats::default(),
             last_restart: None,
             solved_vars: 0,
             solved_rows: 0,
-            last_solution: None,
+            solution: Solution::empty(),
         }
     }
 
@@ -181,12 +181,12 @@ impl SolverSession {
         self.stats
     }
 
-    /// Drop the stamp; the next solve runs cold. Also drops the cached
-    /// solution, so the next solve really does run the simplex, and the
-    /// resident standard form, which is only meaningful with the stamp.
+    /// Drop the stamp; the next solve runs cold. Also voids the cached
+    /// solution, so the next solve really does run the simplex, and drops
+    /// the resident standard form, which is only meaningful with the stamp.
     pub fn invalidate(&mut self) {
         self.stamp = 0;
-        self.last_solution = None;
+        self.dirty = true;
         self.resident = Problem::default();
         self.changes.clear();
     }
@@ -194,7 +194,7 @@ impl SolverSession {
     /// The certified optimum of the current model state, if no mutation has
     /// been recorded since it was computed.
     pub fn cached_solution(&self) -> Option<&Solution> {
-        self.last_solution.as_ref().filter(|_| !self.dirty)
+        (!self.dirty).then_some(&self.solution)
     }
 
     // --- mutators (mirror Model, and mark the cached optimum stale) --------
@@ -277,7 +277,7 @@ impl SolverSession {
         let (lb, ub) = self.model.bounds(v);
         let already_pinned = lb == x && ub == x;
         // (A variable newer than the cached solution has no value in it.)
-        let cached = self.last_solution.as_ref().and_then(|s| s.values.get(v.index()));
+        let cached = self.solution.values.get(v.index());
         let matches_cached = lb <= x && x <= ub && cached == Some(&x);
         self.dirty |= !(already_pinned || matches_cached);
         self.log_bounds(v);
@@ -320,19 +320,20 @@ impl SolverSession {
     // --- solving ----------------------------------------------------------
 
     /// Re-optimize: carry the last solve's terminal state when this
-    /// thread still holds it, or run cold (the [module docs](self)).
+    /// thread still holds it, or run cold (the [module docs](self)); lend
+    /// out the optimum, which the session holds until its next solve.
     ///
     /// The restart that actually ran is readable via
     /// [`SolverSession::last_restart`]; the result is always the certified
     /// optimum of the current model (a carried attempt that fails falls back
     /// to a cold solve internally).
-    pub fn solve(&mut self, opts: &SolveOptions) -> Result<Solution, SolveError> {
+    pub fn solve(&mut self, opts: &SolveOptions) -> Result<&Solution, SolveError> {
         // Nothing mutated since the last certified optimum: the cached
         // solution *is* the answer — skip the simplex entirely. (`invalidate`
-        // drops it, so that a real cold solve follows.)
-        if let Some(hit) = self.cached_solution().cloned() {
+        // voids it, so that a real cold solve follows.)
+        if !self.dirty {
             self.stats.cache_hits += 1;
-            return Ok(hit);
+            return Ok(&self.solution);
         }
         let simplex = opts.simplex.clone().unwrap_or_default();
         // Taken, so that a solve that fails leaves no stamp.
@@ -341,21 +342,21 @@ impl SolverSession {
             &simplex,
             opts.tuning,
             std::mem::take(&mut self.stamp),
-            &self.changes,
+            &mut self.changes,
             &mut self.resident,
+            &mut self.solution,
         );
         // Read by this solve, or void: a solve that fails leaves no stamp,
         // so the next one runs cold.
         self.changes.clear();
-        let (solution, stamp, restart) = result?;
+        let (stamp, restart) = result?;
         self.stamp = stamp;
-        self.stats.merge(solution.stats);
+        self.stats.merge(self.solution.stats);
         self.last_restart = Some(restart);
         self.dirty = false;
         self.solved_vars = self.model.num_vars();
         self.solved_rows = self.model.num_rows();
-        self.last_solution = Some(solution.clone());
-        Ok(solution)
+        Ok(&self.solution)
     }
 }
 
@@ -418,7 +419,7 @@ mod tests {
         // Make y the attractive variable; the old basis stays primal
         // feasible so the restart must be primal.
         s.set_obj(y, 10.0);
-        let sol = s.solve(&SolveOptions::default()).unwrap();
+        let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
         // New optimum: y = 2 on r2, x = 0 → 20.
         assert!((sol.objective() - 20.0).abs() < 1e-7, "{}", sol.objective());
@@ -431,7 +432,7 @@ mod tests {
         assert!((sol.value(x) - 4.0).abs() < 1e-7);
         // Cut off the current optimum.
         s.add_row("cut", 1.0 * x, Cmp::Le, 2.0);
-        let sol2 = s.solve(&SolveOptions::default()).unwrap();
+        let sol2 = s.solve(&SolveOptions::default()).unwrap().clone();
         assert_eq!(s.last_restart(), Some(Restart::WarmDual));
         assert!(sol2.value(x) <= 2.0 + 1e-7);
         // Agrees with a cold solve of the same model.
@@ -448,7 +449,7 @@ mod tests {
         // It must participate in an existing row to be bounded — rebuild the
         // row relationship via a fresh row.
         s.add_row("zcap", 1.0 * z, Cmp::Le, 1.0);
-        let sol = s.solve(&SolveOptions::default()).unwrap();
+        let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         let cold = s.model().solve().unwrap();
         assert!((sol.objective() - cold.objective()).abs() < 1e-7);
         assert!((sol.value(z) - 1.0).abs() < 1e-7);
@@ -463,7 +464,7 @@ mod tests {
         // the last basis stays valid and the re-solve is warm.
         let z = s.add_var("z", 0.0, f64::INFINITY, 9.0);
         s.add_term(r1, z, 1.0);
-        let sol = s.solve(&SolveOptions::default()).unwrap();
+        let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         assert_ne!(s.last_restart(), Some(Restart::Cold));
         let cold = s.model().solve().unwrap();
         assert!((sol.objective() - cold.objective()).abs() < 1e-7);
@@ -480,7 +481,7 @@ mod tests {
         // x already exists and r2 already exists: the basis matrix changes.
         s.add_term(r2, x, 1.0);
         assert_eq!(s.stamp, 0);
-        let sol = s.solve(&SolveOptions::default()).unwrap();
+        let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         assert_eq!(s.last_restart(), Some(Restart::Cold));
         let cold = s.model().solve().unwrap();
         assert!((sol.objective() - cold.objective()).abs() < 1e-7);
@@ -528,8 +529,9 @@ mod tests {
             mutate(&mut s);
             assert!(s.cached_solution().is_none(), "{what} kept the cached optimum");
         }
-        let sol = s.solve(&SolveOptions::default()).unwrap();
-        assert_eq!(s.cached_solution().map(Solution::values), Some(sol.values()));
+        let sol: *const Solution = s.solve(&SolveOptions::default()).unwrap();
+        // What the solve lends is the optimum the session holds, not a copy.
+        assert!(s.cached_solution().is_some_and(|cached| std::ptr::eq(cached, sol)));
     }
 
     #[test]
@@ -547,7 +549,7 @@ mod tests {
     #[test]
     fn unchanged_resolve_is_a_cache_hit() {
         let (mut s, _x, _y, r1, _r2) = toy();
-        let first = s.solve(&SolveOptions::default()).unwrap();
+        let first = s.solve(&SolveOptions::default()).unwrap().clone();
         let again = s.solve(&SolveOptions::default()).unwrap();
         // Bit-for-bit the same answer, zero additional simplex work.
         assert_eq!(first.values(), again.values());
@@ -577,7 +579,7 @@ mod tests {
     #[test]
     fn fix_at_cached_value_preserves_cache() {
         let (mut s, x, y, _r1, _r2) = toy();
-        let sol = s.solve(&SolveOptions::default()).unwrap();
+        let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         // Pinning variables at their optimal values provably changes
         // nothing — the next solve is a pure cache hit.
         s.fix_at_value(x, sol.value(x));
@@ -615,7 +617,7 @@ mod tests {
             s.add_term(cap, v, 1.0);
             added.push(v);
         }
-        let sol = s.solve(&SolveOptions::default()).unwrap();
+        let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         assert!(matches!(s.last_restart(), Some(Restart::WarmPrimal | Restart::WarmDual)));
         let fresh = full.solve().unwrap();
         assert!((sol.objective() - fresh.objective()).abs() < 1e-7);
@@ -902,11 +904,9 @@ mod tests {
         let mut bits = vec![sol.objective().to_bits()];
         bits.extend(sol.values().iter().map(|v| v.to_bits()));
         bits.extend(sol.duals().iter().map(|v| v.to_bits()));
-        bits.extend(
-            (0..sol.values().len()).map(|j| sol.reduced_cost(Var::from_index(j)).to_bits()),
-        );
+        let stats = sol.stats();
         bits.push(s.last_restart().map_or(9, |r| r as u64));
-        Ok((bits, sol.stats()))
+        Ok((bits, stats))
     }
 
     /// The resident standard form is an optimization only: a session that
@@ -1088,7 +1088,7 @@ mod tests {
                 }
                 let (may_carry, cost_moved) = (s.stamp != 0, !s.changes.costs.is_empty());
                 let before = s.stats();
-                let result = s.solve(&opts);
+                let result = s.solve(&opts).cloned();
                 // (A clean session answers from its cache and runs nothing.)
                 if s.stats().solves > before.solves {
                     let ran_warm = s.stats().cold_starts == before.cold_starts;
@@ -1129,7 +1129,7 @@ mod tests {
         let opts = SolveOptions::default();
         let warm = |s: &mut SolverSession, rhs: f64| {
             s.set_rhs(RowId::from_index(0), rhs);
-            let sol = s.solve(&opts).unwrap();
+            let sol = s.solve(&opts).unwrap().clone();
             assert!(check_optimal(s.model(), &sol, 1e-9).is_empty(), "rhs {rhs}");
             (s.last_restart() != Some(Restart::Cold), sol.objective())
         };
@@ -1185,7 +1185,7 @@ mod tests {
         s.set_obj(y, 10.0);
         s.add_row("cut", 1.0 * x, Cmp::Le, 1.0);
         let before = s.stats();
-        let sol = s.solve(&SolveOptions::default()).unwrap();
+        let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         let st = s.stats();
         assert_ne!(s.last_restart(), Some(Restart::Cold));
         assert_eq!(st.bordered_rows - before.bordered_rows, 1, "carried: {st:?}");

@@ -19,6 +19,7 @@ mod solver;
 
 use crate::model::{Cmp, Model, Sense};
 use crate::solution::{Solution, SolveError};
+use crate::stats::SessionStats;
 use basis::arena::{grow, reserve_tight, SegArena};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,7 +127,7 @@ impl Problem {
     /// Build the standard form from a model.
     pub fn from_model(model: &Model) -> Self {
         let mut p = Problem::default();
-        let synced = p.sync(model, &Changes::default());
+        let synced = p.sync(model, &mut Changes::default());
         debug_assert!(synced, "every model extends the empty problem");
         p
     }
@@ -137,12 +138,13 @@ impl Problem {
     /// earlier state grown by appending — variables, rows, and terms of new
     /// variables in old rows (which sort to the tails of those rows) — with
     /// every other change in `changes`: set bounds, costs and right-hand
-    /// sides, and the old rows that gained terms. Returns `false`, leaving
+    /// sides, and the old rows that gained terms (sorted and deduplicated in
+    /// place, so `sync` allocates nothing for them). Returns `false`, leaving
     /// `self` unusable, when `model` is smaller than the earlier state. The
     /// result equals [`Problem::from_model`] of the same model (a debug
     /// assertion checks it); the artificials are closed and positive, as a
     /// solve leaves them (`solver::run`).
-    pub fn sync(&mut self, model: &Model, changes: &Changes) -> bool {
+    pub fn sync(&mut self, model: &Model, changes: &mut Changes) -> bool {
         let (m0, ns0) = (self.m, self.nstruct);
         let (m, nstruct) = (model.rows.len(), model.vars.len());
         if m < m0 || nstruct < ns0 {
@@ -161,11 +163,11 @@ impl Problem {
         grow(&mut self.row_len, m, 0);
         // The old rows that gained terms, then the appended rows, in
         // ascending order: every column's entries stay sorted by row.
-        let mut tails: Vec<u32> =
-            changes.tails.iter().copied().filter(|&i| (i as usize) < m0).collect();
+        let tails = &mut changes.tails;
+        tails.retain(|&i| (i as usize) < m0);
         tails.sort_unstable();
         tails.dedup();
-        for i in tails.into_iter().map(|i| i as usize).chain(m0..m) {
+        for i in tails.iter().map(|&i| i as usize).chain(m0..m) {
             let (row, seen) = (&model.rows[i], &mut self.row_len[i]);
             for &(j, coef) in &row.terms[*seen as usize..] {
                 debug_assert!(i >= m0 || j as usize >= ns0, "old row gained an old variable");
@@ -334,58 +336,45 @@ pub(crate) fn slack_bounds(cmp: Cmp) -> (f64, f64) {
     }
 }
 
-/// Map a solved outcome back to the model's sense and handles.
-fn finish_solution(
-    model: &Model,
-    problem: &Problem,
-    work: &solver::Workspace,
-    outcome: solver::Outcome,
-) -> Solution {
-    let sign = match model.sense {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
-    let values: Vec<f64> = work.x[..model.vars.len()].to_vec();
-    let objective: f64 = model.vars.iter().enumerate().map(|(j, v)| v.obj * values[j]).sum::<f64>()
-        + model.obj_offset;
-    let duals: Vec<f64> = work.y.iter().map(|&y| sign * y).collect();
-    // The same numbers either way: `reprice` wrote `d` by this formula from
-    // this `y`.
-    let reduced_costs: Vec<f64> = if outcome.fresh {
-        work.d[..model.vars.len()].iter().map(|&d| sign * d).collect()
-    } else {
-        (0..model.vars.len())
-            .map(|j| sign * problem.reduced_cost(j, &problem.cost, &work.y))
-            .collect()
-    };
-    Solution { objective, values, duals, reduced_costs, stats: outcome.stats }
-}
-
-/// Map a finished solve to what [`solve_model_session`] returns — its
-/// ledger completed with `solves` and the counter of `restart` — and stamp
-/// the terminal state it leaves in the workspace as this solve's.
+/// Map a finished solve into `out` — its ledger completed with `solves`
+/// and the counter of `restart`, its values and duals copied over `out`'s
+/// in the model's sense and handles, into the buffers `out` already has —
+/// and stamp the terminal state it leaves in the workspace as this solve's.
+/// Returns the stamp.
 fn conclude(
     model: &Model,
     problem: &Problem,
     work: &mut solver::Workspace,
-    mut outcome: solver::Outcome,
+    mut stats: SessionStats,
     restart: Restart,
-) -> (Solution, u64, Restart) {
+    out: &mut Solution,
+) -> u64 {
     work.owner = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
     (work.owner_m, work.owner_nstruct) = (problem.m, problem.nstruct);
-    let stats = &mut outcome.stats;
     stats.solves = 1;
     match restart {
         Restart::Cold => stats.cold_starts = 1,
         Restart::WarmPrimal => stats.warm_primal = 1,
         Restart::WarmDual => stats.warm_dual = 1,
     }
-    (finish_solution(model, problem, work, outcome), work.owner, restart)
+    let sign = match model.sense {
+        Sense::Minimize => 1.0,
+        Sense::Maximize => -1.0,
+    };
+    out.values.clear();
+    out.values.extend_from_slice(&work.x[..model.vars.len()]);
+    out.objective =
+        model.vars.iter().zip(&out.values).map(|(v, &x)| v.obj * x).sum::<f64>() + model.obj_offset;
+    out.duals.clear();
+    out.duals.extend(work.y.iter().map(|&y| sign * y));
+    out.stats = stats;
+    work.owner
 }
 
 /// Solve `model`: carry the terminal state of the solve stamped `stamp`,
-/// or run cold. Returns the solution, the stamp of the terminal state it
-/// leaves for the next call, and which restart ran.
+/// or run cold. Writes the optimum over `out` (which keeps its old
+/// contents when the solve fails) and returns the stamp of the terminal
+/// state it leaves for the next call, and which restart ran.
 ///
 /// A solve *carries* when this thread's workspace still holds the state
 /// `stamp` names — no other solve ran here since — and `problem` is the
@@ -416,9 +405,10 @@ pub(crate) fn solve_model_session(
     options: &SimplexOptions,
     tuning: SolverTuning,
     stamp: u64,
-    changes: &Changes,
+    changes: &mut Changes,
     problem: &mut Problem,
-) -> Result<(Solution, u64, Restart), SolveError> {
+    out: &mut Solution,
+) -> Result<(u64, Restart), SolveError> {
     // The model's own row storage is the row-major mirror of the structural
     // matrix (`RowData.terms`, sorted by column); the solver borrows it.
     let (rows, vars) = name_fns(model);
@@ -427,9 +417,9 @@ pub(crate) fn solve_model_session(
         if stamp != 0 && stamp == held && problem.sync(model, changes) {
             let run = solver::warm_state(problem, model, changes, options, tuning, work, &rows)
                 .and_then(|mut st| st.reoptimize(&problem.cost, &rows, &vars));
-            if let Ok((outcome, used_dual)) = run {
+            if let Ok((stats, used_dual)) = run {
                 let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
-                return Ok(conclude(model, problem, work, outcome, restart));
+                return Ok((conclude(model, problem, work, stats, restart, out), restart));
             }
             // Fall through to a cold solve: correctness never depends on the
             // carried attempt succeeding.
@@ -441,7 +431,7 @@ pub(crate) fn solve_model_session(
             load_bounds(model, work);
             solver::run(problem, &model.rows, options, tuning, work, &rows, &vars)
         };
-        let outcome = match attempt(options, tuning) {
+        let stats = match attempt(options, tuning) {
             Ok(s) => s,
             Err(SolveError::Numerical(_)) => {
                 let conservative = SimplexOptions {
@@ -453,6 +443,6 @@ pub(crate) fn solve_model_session(
             }
             Err(e) => return Err(e),
         };
-        Ok(conclude(model, problem, work, outcome, Restart::Cold))
+        Ok((conclude(model, problem, work, stats, Restart::Cold, out), Restart::Cold))
     })
 }

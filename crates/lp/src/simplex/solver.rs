@@ -23,18 +23,6 @@ enum NbState {
     Free,
 }
 
-/// What one solve counted, and whether its reduced costs are exact. The
-/// solution itself — `x`, the duals `y`, the terminal `basis` and rest
-/// states `nb` — stays in the [`Workspace`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Outcome {
-    /// The solve's ledger; the caller sets `solves` and the restart counter.
-    pub stats: SessionStats,
-    /// `Workspace::d` holds the reduced costs of the terminal `y` exactly
-    /// (a full reprice, no pivot since).
-    pub fresh: bool,
-}
-
 /// What the ratio test decided.
 enum Step {
     /// Entering variable travels to its opposite bound; no basis change.
@@ -90,7 +78,7 @@ pub(crate) struct Workspace {
     // --- pricing state ----------------------------------------------------
     /// Maintained reduced cost per column: exact after `reprice`, updated
     /// from the pivot row after each pivot. Basic entries are stale.
-    pub d: Vec<f64>,
+    d: Vec<f64>,
     /// Devex reference-framework weight per column.
     gamma: Vec<f64>,
     /// The entering set: every column [`Workspace::eligible`] accepts, and
@@ -123,6 +111,9 @@ pub(crate) struct Workspace {
     /// Right-hand side and solution of the `x_B` solve in `refactor`.
     resid: Vec<f64>,
     xb: Vec<f64>,
+    /// An appended row's entries in the basic columns, `(basis position,
+    /// value)`, as `State::inherit` borders the factors with it.
+    border: Vec<(u32, f64)>,
     /// Bounds saved by `box_dual_infeasible`: `(column, lb, ub)`.
     boxed: Vec<(usize, f64, f64)>,
     /// Dual ratio-test candidates of the current pivot row:
@@ -205,7 +196,7 @@ pub(crate) fn run(
     ws: &mut Workspace,
     row_name: impl Fn(usize) -> String,
     var_name: impl Fn(usize) -> String,
-) -> Result<Outcome, SolveError> {
+) -> Result<SessionStats, SolveError> {
     let n = problem.n;
 
     // --- crash: place nonbasics at bounds, pick slack or artificial basis --
@@ -520,13 +511,13 @@ impl<'a> State<'a> {
     ///   temporarily fixed at their rest value so the dual iteration starts
     ///   dual feasible, and released for the polish.
     ///
-    /// Returns the outcome plus whether the dual simplex was needed.
+    /// Returns the solve's ledger plus whether the dual simplex was needed.
     pub(crate) fn reoptimize(
         &mut self,
         cost: &[f64],
         row_name: &impl Fn(usize) -> String,
         var_name: &impl Fn(usize) -> String,
-    ) -> Result<(Outcome, bool), SolveError> {
+    ) -> Result<(SessionStats, bool), SolveError> {
         let feas = self.opts.feas_tol;
         let ws = &*self.ws;
         let primal_feasible =
@@ -580,13 +571,13 @@ impl<'a> State<'a> {
         if p.m - m0 >= ws.factor.updates_left() {
             self.refactor()?;
         } else {
-            let mut row = Vec::new();
+            let (row, pos_of) = (&mut ws.border, &ws.pos_of);
             for terms in self.rows[m0..].iter().map(|r| &r.terms) {
                 row.clear();
                 row.extend(terms.iter().filter_map(|&(j, v)| {
-                    u32::try_from(ws.pos_of[j as usize]).ok().map(|pos| (pos, v))
+                    u32::try_from(pos_of[j as usize]).ok().map(|pos| (pos, v))
                 }));
-                ws.factor.append_row(&row);
+                ws.factor.append_row(row);
             }
             self.solve_basics();
         }
@@ -621,7 +612,7 @@ impl<'a> State<'a> {
         cost: &[f64],
         row_name: &impl Fn(usize) -> String,
         var_name: &impl Fn(usize) -> String,
-    ) -> Result<Outcome, SolveError> {
+    ) -> Result<SessionStats, SolveError> {
         loop {
             if !self.fresh {
                 self.solve_duals(cost);
@@ -635,7 +626,7 @@ impl<'a> State<'a> {
         }
         self.ws.screened = (self.stats.terminal_refactors == 0).then_some(self.opts.opt_tol);
         let fs = self.ws.factor.stats().since(self.factor_before);
-        let stats = SessionStats {
+        Ok(SessionStats {
             refactors: fs.refactors,
             basis_nnz: fs.basis_nnz,
             factor_nnz: fs.factor_nnz,
@@ -644,8 +635,7 @@ impl<'a> State<'a> {
             btrans: fs.btrans,
             bordered_rows: fs.bordered_rows,
             ..self.stats
-        };
-        Ok(Outcome { stats, fresh: self.fresh })
+        })
     }
 
     /// `y = c_B B⁻¹` by BTRAN.
@@ -1471,7 +1461,7 @@ mod tests {
             }
         }
 
-        assert!(p.sync(&model, &changes));
+        assert!(p.sync(&model, &mut changes));
         (model, p, ws, tuning, changes)
     }
 
@@ -1616,7 +1606,7 @@ mod tests {
             cost[k] = 10.0;
             let pivots = st.stats.iterations;
             let out = st.finish(&cost, &name, &name).unwrap();
-            assert_eq!(out.stats.terminal_refactors, 1, "seed {seed}");
+            assert_eq!(out.terminal_refactors, 1, "seed {seed}");
             reentered += u32::from(st.stats.iterations > pivots);
             st.refactor().unwrap();
             st.reprice(&cost);
@@ -1653,7 +1643,7 @@ mod tests {
                 let before = st.ws.factor.stats();
                 let out = st.finish(&p.cost, &name, &name).unwrap();
                 let refactors = st.ws.factor.stats().since(before).refactors;
-                assert_eq!(refactors, out.stats.terminal_refactors, "seed {seed}");
+                assert_eq!(refactors, out.terminal_refactors, "seed {seed}");
                 (ws.x, ws.y, refactors)
             };
             let (x, y, refactors) = finish_after(&|_, _, _| {});

@@ -37,8 +37,12 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// An optimal solution: primal values, row duals, and reduced costs. A solve
-/// that ends anywhere but at an optimum returns a [`SolveError`] instead.
+/// An optimal solution: primal values and row duals. A solve that ends
+/// anywhere but at an optimum returns a [`SolveError`] instead. A
+/// [`SolverSession`](crate::SolverSession) holds its last optimum as one of
+/// these and lends it out; a re-solve overwrites it in place. Reduced costs
+/// are a function of the duals: [`crate::validate::reduced_costs`] computes
+/// them.
 ///
 /// Dual sign convention: `dual(row)` is the derivative of the optimal
 /// objective with respect to the row's right-hand side, **in the model's
@@ -50,12 +54,16 @@ pub struct Solution {
     pub(crate) objective: f64,
     pub(crate) values: Vec<f64>,
     pub(crate) duals: Vec<f64>,
-    pub(crate) reduced_costs: Vec<f64>,
     /// What this solve counted.
     pub(crate) stats: SessionStats,
 }
 
 impl Solution {
+    /// No optimum yet: what a solve writes over.
+    pub(crate) fn empty() -> Self {
+        Solution { objective: 0.0, values: vec![], duals: vec![], stats: SessionStats::default() }
+    }
+
     /// Optimal objective value (in the model's sense, including any
     /// objective offset).
     pub fn objective(&self) -> f64 {
@@ -81,18 +89,6 @@ impl Solution {
     /// All row duals, indexed densely by [`RowId::index`].
     pub fn duals(&self) -> &[f64] {
         &self.duals
-    }
-
-    /// The row duals, taken out of the solution (by row index, as
-    /// [`Solution::dual`] reads them).
-    pub fn into_duals(self) -> Vec<f64> {
-        self.duals
-    }
-
-    /// Reduced cost of a variable at the optimum (model sense): the rate of
-    /// objective change per unit increase of the variable off its bound.
-    pub fn reduced_cost(&self, v: Var) -> f64 {
-        self.reduced_costs[v.index()]
     }
 
     /// The ledger of the solve that produced this optimum: `solves == 1`,

@@ -207,9 +207,10 @@ pub fn assert_optimal(model: &Model, sol: &Solution, tol: f64) {
     );
 }
 
-/// Every variable's reduced cost `c_j − yᵀA_j` (model sense), recomputed
-/// from the duals in one pass over the rows (does not trust the solver's
-/// stored reduced costs).
+/// Every variable's reduced cost `c_j − yᵀA_j` (model sense), computed
+/// from the duals in one pass over the rows: the rate of objective change
+/// per unit increase of a variable off its bound. A [`Solution`] stores no
+/// reduced costs; this is where they come from.
 pub fn reduced_costs(model: &Model, sol: &Solution) -> Vec<f64> {
     let mut d: Vec<f64> = model.vars.iter().map(|v| v.obj).collect();
     for (row, &y) in model.rows.iter().zip(sol.duals()) {

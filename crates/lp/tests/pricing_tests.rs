@@ -119,9 +119,7 @@ fn cold_solves_certify_on_schedule_shaped_lps() {
     for seed in 0..48 {
         let mut g = Gen::new(seed);
         let m = schedule_lp(&mut g);
-        let sol = SolverSession::new(m.clone())
-            .solve(&SolveOptions::default())
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let sol = m.solve().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let violations = check_optimal(&m, &sol, 1e-6);
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
     }
@@ -140,9 +138,8 @@ fn warm_restarts_certify_across_rhs_moves() {
         sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         for _ in 0..4 {
             sess.set_rhs(RowId::from_index(g.index(nrows)), g.range(0.5, 4.0));
-            let sol =
-                sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            let violations = check_optimal(sess.model(), &sol, 1e-6);
+            sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let violations = check_optimal(sess.model(), sess.cached_solution().unwrap(), 1e-6);
             assert!(violations.is_empty(), "seed {seed}: {violations:?}");
         }
         warm += sess.stats().warm_primal + sess.stats().warm_dual;
@@ -184,14 +181,15 @@ fn bland_trigger_fires_under_devex_on_degenerate_lp() {
         simplex: Some(SimplexOptions { bland_trigger: 0, ..Default::default() }),
         ..SolveOptions::default()
     };
-    let sol = SolverSession::new(m.clone()).solve(&opts).unwrap();
+    let mut sess = SolverSession::new(m.clone());
+    let sol = sess.solve(&opts).unwrap();
     let reference = reference.objective();
     assert!(
         (sol.objective() - reference).abs() <= 1e-6 * (1.0 + reference.abs()),
         "objective {} vs reference {reference}",
         sol.objective()
     );
-    assert!(check_optimal(&m, &sol, 1e-6).is_empty());
+    assert!(check_optimal(&m, sol, 1e-6).is_empty());
     assert!(sol.stats().bland_pivots > 0, "Bland fallback never engaged on a degenerate LP");
 }
 
@@ -311,8 +309,9 @@ fn pivot_path_is_pinned_cold_and_across_a_warm_sweep() {
                     sess.set_obj(v, 1.15 * c);
                 }
             }
-            let sol = sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("{e}"));
-            assert!(check_optimal(sess.model(), &sol, 1e-6).is_empty(), "case {case}, step {step}");
+            sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("{e}"));
+            let sol = sess.cached_solution().unwrap();
+            assert!(check_optimal(sess.model(), sol, 1e-6).is_empty(), "case {case}, step {step}");
             let st = sol.stats();
             seen.push((st.iterations, st.dual_iterations, st.refactors, sol.objective().to_bits()));
         }

@@ -156,7 +156,7 @@ fn assert_warm_matches_cold(
     s: &mut ScheduleShaped,
     opts: &SolveOptions,
 ) -> Option<pretium_lp::Solution> {
-    let warm_result = s.session.solve(opts);
+    let warm_result = s.session.solve(opts).cloned();
     let cold_result = solve_elsewhere(s.session.model());
     let (warm, cold) = match (warm_result, cold_result) {
         (Ok(w), Ok(c)) => (w, c),
@@ -316,7 +316,7 @@ fn polish_that_certifies_by_refactor_skips_the_terminal_one() {
     let mut s = SolverSession::new(m);
     s.solve(&SolveOptions::default()).unwrap();
     s.set_obj(y, 10.0);
-    let sol = s.solve(&SolveOptions::default()).unwrap();
+    let sol = s.solve(&SolveOptions::default()).unwrap().clone();
     assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
     let st = sol.stats();
     assert_eq!((st.iterations, st.refactors, st.terminal_refactors), (2, 1, 0), "{st:?}");
@@ -342,7 +342,7 @@ fn solve_ending_on_a_bound_flip_returns_the_moved_basic_values() {
     let first = s.solve(&SolveOptions::default()).unwrap();
     assert_eq!(first.values(), [2.0, 3.0, 5.0]);
     s.set_obj(x, -1.0);
-    let sol = s.solve(&SolveOptions::default()).unwrap();
+    let sol = s.solve(&SolveOptions::default()).unwrap().clone();
     assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
     assert_eq!((sol.stats().iterations, sol.stats().ft_updates), (1, 0), "one flip, no pivot");
     assert_eq!(sol.values(), [0.0, 3.0, 3.0]);
@@ -368,7 +368,7 @@ fn term_merged_after_a_failed_solve_reaches_the_resident_form() {
     assert!(s.solve(&SolveOptions::default()).is_err());
     s.set_rhs(floor, 1.0);
     s.add_term(r0, z, 1.0); // r0 is now x + 2z <= 4
-    let sol = s.solve(&SolveOptions::default()).unwrap();
+    let sol = s.solve(&SolveOptions::default()).unwrap().clone();
     assert_eq!(s.last_restart(), Some(Restart::Cold), "nothing to carry");
     let cold = s.model().solve().unwrap();
     assert_eq!(sol.objective().to_bits(), cold.objective().to_bits());
@@ -414,7 +414,7 @@ fn grid_with_capacities_cut() -> SolverSession {
 #[test]
 fn dual_pivot_costs_one_btran() {
     let mut s = grid_with_capacities_cut();
-    let sol = s.solve(&SolveOptions::default()).unwrap();
+    let sol = s.solve(&SolveOptions::default()).unwrap().clone();
     assert_eq!(s.last_restart(), Some(Restart::WarmDual));
     let st = sol.stats();
     let k = st.dual_iterations;
@@ -438,7 +438,7 @@ fn dual_degenerate_restart_engages_blands_rule() {
         simplex: Some(SimplexOptions { bland_trigger: 0, ..SimplexOptions::default() }),
         ..SolveOptions::default()
     };
-    let sol = s.solve(&bland_at_once).unwrap();
+    let sol = s.solve(&bland_at_once).unwrap().clone();
     assert_eq!(s.last_restart(), Some(Restart::WarmDual));
     let st = sol.stats();
     assert_eq!(st.iterations, st.dual_iterations, "every pivot was a dual one");
