@@ -10,7 +10,7 @@
 
 use pretium_lp::validate::check_optimal;
 use pretium_lp::{
-    Cmp, LinExpr, Model, RowId, Sense, SimplexOptions, SolveOptions, SolverSession, Var,
+    Cmp, LinExpr, Model, Restart, RowId, Sense, SimplexOptions, SolveOptions, SolverSession, Var,
 };
 
 /// Deterministic xorshift64* stream in `[0, 1)`.
@@ -255,17 +255,23 @@ fn partial_pricing_scans_fewer_columns() {
 /// tightens them, and every other step a seventh of the columns revalued,
 /// so the primal polish pivots too) of two schedule-shaped models wide enough for sectioned
 /// partial pricing, each solve's iterations, dual pivots, refactorizations
-/// and objective bits against the recorded ones. Pricing may get cheaper;
-/// the columns it picks — and so every count here — may not move.
+/// and objective bits against the recorded ones. The third model also
+/// grows between solves, as `add_job` and the lazy rows grow SAM's LP
+/// mid-window: four columns appended into existing capacity and demand
+/// rows, and one cutting row that the last optimum violates, so every
+/// carried start regrows its layout and then pivots dual. Pricing may get
+/// cheaper; the columns it picks — and so every count here — may not move.
 #[test]
 fn pivot_path_is_pinned_cold_and_across_a_warm_sweep() {
     // (iterations, dual_iterations, refactors, objective bits) per solve.
     type Pin = (u64, u64, u64, u64);
     // (jobs, paths, steps, links).
     type Size = (usize, usize, usize, usize);
-    let cases: [(Size, &[Pin]); 2] = [
+    // (size, grows between solves, pins).
+    let cases: [(Size, bool, &[Pin]); 3] = [
         (
             (16, 2, 10, 8),
+            false,
             &[
                 (117, 0, 3, 4638085306250683027),
                 (12, 12, 0, 4638085306250683028),
@@ -278,6 +284,7 @@ fn pivot_path_is_pinned_cold_and_across_a_warm_sweep() {
         ),
         (
             (30, 3, 12, 10),
+            false,
             &[
                 (573, 0, 8, 4642860529196984623),
                 (47, 47, 0, 4642855476661711067),
@@ -288,15 +295,44 @@ fn pivot_path_is_pinned_cold_and_across_a_warm_sweep() {
                 (323, 90, 4, 4643100761193780546),
             ],
         ),
+        (
+            (20, 2, 10, 8),
+            true,
+            &[
+                (238, 0, 4, 4641219415948885013),
+                (134, 21, 2, 4641349232339179159),
+                (272, 40, 3, 4641934858044631584),
+                (189, 136, 2, 4641741340919288656),
+                (281, 95, 3, 4641426616018172027),
+                (37, 35, 1, 4641023385941489190),
+                (162, 39, 2, 4640686652171523374),
+            ],
+        ),
     ];
-    for (case, &((jobs, paths, steps, links), pinned)) in cases.iter().enumerate() {
+    for (case, &((jobs, paths, steps, links), grows, pinned)) in cases.iter().enumerate() {
         let m = schedule_lp_sized(&mut Gen::new(0x5EC7 + case as u64), jobs, paths, steps, links);
         let caps = (0..m.num_rows())
             .take_while(|&i| m.row_name(RowId::from_index(i)).starts_with("cap_"))
             .count();
+        let flows = jobs * paths * steps;
         let mut sess = SolverSession::new(m);
         let mut seen: Vec<Pin> = Vec::new();
         for step in 0..7 {
+            if step > 0 && grows {
+                // A cut through every fourth flow at 70% of what they carry,
+                // then four columns into old capacity and demand rows.
+                let cut: Vec<Var> = (step % 4..flows).step_by(4).map(Var::from_index).collect();
+                let sol = sess.cached_solution().unwrap();
+                let carried: f64 = cut.iter().map(|&v| sol.value(v)).sum();
+                let e = LinExpr::from_terms(cut.iter().map(|&v| (1.0, v)));
+                sess.add_row(&format!("cut_{step}"), e, Cmp::Le, 0.7 * carried);
+                for c in 0..4 {
+                    let v = sess.add_nonneg(&format!("y_{step}_{c}"), 2.0 + 0.25 * c as f64);
+                    for r in [(step + c) % caps, (step + 3 * c + 5) % caps, caps + 2 * (c % jobs)] {
+                        sess.add_term(RowId::from_index(r), v, 1.0);
+                    }
+                }
+            }
             if step > 0 {
                 for row in (step % 3..caps).step_by(3).map(RowId::from_index) {
                     let rhs = sess.model().rhs(row);
@@ -310,6 +346,9 @@ fn pivot_path_is_pinned_cold_and_across_a_warm_sweep() {
                 }
             }
             sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("{e}"));
+            if step > 0 {
+                assert_ne!(sess.last_restart(), Some(Restart::Cold), "case {case}, step {step}");
+            }
             let sol = sess.cached_solution().unwrap();
             assert!(check_optimal(sess.model(), sol, 1e-6).is_empty(), "case {case}, step {step}");
             let st = sol.stats();
