@@ -15,7 +15,7 @@ use crate::menu::PriceMenu;
 use crate::schedule::{Job, ScheduleProblem, ScheduleSession};
 use crate::state::NetworkState;
 use crate::telemetry::Telemetry;
-use pretium_lp::{SessionStats, SimplexOptions, SolveError, SolveOptions, SolverTuning};
+use pretium_lp::{SessionStats, SolveError, SolveOptions, SolverTuning};
 use pretium_net::{EdgeId, Network, Path, SharedPathSet, TimeGrid, Timestep, UsageTracker};
 use rand::{DetHashMap as HashMap, DetHashSet as HashSet};
 use std::sync::Arc;
@@ -273,10 +273,8 @@ impl Pretium {
     /// SAM's solve options: the kernel tuning plus, when the
     /// solver-pressure fault is injected, the iteration cap.
     fn sam_opts(&self) -> SolveOptions {
-        let simplex = self
-            .solver_pressure
-            .map(|max_iterations| SimplexOptions { max_iterations, ..SimplexOptions::default() });
-        SolveOptions { simplex, ..self.solve_opts() }
+        let capped = self.solver_pressure.map(SolveOptions::with_iteration_limit);
+        SolveOptions { tuning: self.solve_opts().tuning, ..capped.unwrap_or_default() }
     }
 
     /// Certify the LP optimum a module installs from `sess` against its

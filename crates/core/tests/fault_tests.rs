@@ -292,6 +292,33 @@ fn solver_pressure_keeps_previous_plan() {
     assert!(system.auditor().unwrap().is_clean());
 }
 
+/// A zero iteration cap is a cap, not the automatic limit: under
+/// `Some(0)` a SAM step degrades exactly as it does under `Some(1)`,
+/// keeping the previous plan, where an uncapped step replans.
+#[test]
+fn zero_solver_pressure_degrades_like_one() {
+    let run = |limit: Option<u64>| {
+        let mut net = Network::new();
+        let a = net.add_node("A", Region::NorthAmerica);
+        let b = net.add_node("B", Region::NorthAmerica);
+        net.add_edge(a, b, 10.0, LinkCost::owned());
+        let cfg = PretiumConfig { highpri_fraction: 0.0, k_paths: 1, ..Default::default() };
+        let mut system = Pretium::new(net.clone(), TimeGrid::new(4, 30), 4, cfg);
+        let mut usage = UsageTracker::new(net.num_edges(), 4);
+        let id = system.admit_one(&params(0, 0, 1, 20.0, 0, 3), |_| 20.0).1.expect("admitted");
+        system.execute_step(0, &mut usage);
+        let plan_before = system.contract(id).plan.clone();
+        system.set_solver_pressure(limit);
+        system.run_sam(1, &usage).expect("iteration limit must degrade, not error");
+        let plan = system.contract(id).plan.clone();
+        (plan == plan_before, plan, system.telemetry().sam_degradations)
+    };
+    let one = run(Some(1));
+    assert!(one.0 && one.2 == 1, "one pivot kept the plan and degraded once");
+    assert_eq!(run(Some(0)), one, "a zero cap ran otherwise than a cap of one");
+    assert_eq!(run(None).2, 0, "an uncapped step does not degrade");
+}
+
 /// PC freezes prices for windows contaminated by a fault: the recomputation
 /// is skipped and the projected prices stay what they were.
 #[test]

@@ -80,10 +80,13 @@ impl SolveOptions {
     /// Options that cap the simplex at `max` iterations (fault injection /
     /// degraded-compute modelling, §4.4). The solver returns
     /// [`SolveError::IterationLimit`] instead of running to optimality when
-    /// the cap is hit, so callers can degrade gracefully.
+    /// the cap is hit, so callers can degrade gracefully. A cap is at least
+    /// one pivot: `max = 0` caps at one, since a `max_iterations` of `0`
+    /// would select the automatic limit instead.
     pub fn with_iteration_limit(max: u64) -> Self {
+        let max_iterations = max.max(1);
         SolveOptions {
-            simplex: Some(SimplexOptions { max_iterations: max, ..SimplexOptions::default() }),
+            simplex: Some(SimplexOptions { max_iterations, ..SimplexOptions::default() }),
             ..SolveOptions::default()
         }
     }
