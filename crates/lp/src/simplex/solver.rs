@@ -86,8 +86,9 @@ pub(crate) struct Workspace {
     /// pivot inserts every column whose `d` it moves, unjudged, and the
     /// pricing sweep drops a member that fails `eligible` when it visits
     /// it — so a pivot pays one bit per touched column, and the sweep
-    /// judges members only. The dual loop's pivots leave it stale; the
-    /// primal loop reprices before it prices.
+    /// judges members only. A carried start only sizes it, and the dual
+    /// loop's pivots write into it as the primal ones do; the primal loop
+    /// reprices before it prices.
     entering: BitQueue,
     /// Candidate shortlist for partial pricing.
     candidates: Vec<u32>,
@@ -560,10 +561,12 @@ impl<'a> State<'a> {
     /// has moved the previous solve's state to this problem's layout: border
     /// the factors with the appended rows — or refactorize, when the update
     /// file has no room for them — and solve for `x_B`; then price the
-    /// appended columns against the inherited duals and reset the Devex
-    /// framework and the candidate list as a `reprice` would, or, when
-    /// `reprice` is set (an old column's cost moved, so the inherited `d`
-    /// and `y` are stale), run that full `reprice`.
+    /// appended columns against the inherited duals, or, when `reprice` is
+    /// set (an old column's cost moved, so the inherited `d` and `y` are
+    /// stale), run a full `reprice`. The Devex weights and the candidate
+    /// list stay as they are: the polish's `reprice` resets them before any
+    /// primal pricing reads them. Only the entering set is sized for the
+    /// grown layout, for the dual pivots to write into.
     fn inherit(&mut self, cost: &[f64], reprice: bool) -> Result<(), FactorError> {
         self.ensure_scratch();
         let (p, ws) = (self.p, &mut *self.ws);
@@ -593,8 +596,7 @@ impl<'a> State<'a> {
         for (i, &yi) in ws.y.iter().enumerate() {
             ws.d[p.art_start + i] = -yi;
         }
-        ws.gamma.fill(1.0);
-        self.clear_candidates();
+        ws.entering.reset(p.n);
         Ok(())
     }
 
@@ -728,9 +730,8 @@ impl<'a> State<'a> {
                 return Err(SolveError::IterationLimit { iterations: self.stats.iterations });
             }
             if self.ws.factor.wants_refactor() {
-                self.refactor().map_err(|e| numerical(e, row_name))?;
                 // The refactor cadence doubles as the pricing drift guard.
-                self.reprice(cost);
+                self.recover(cost, row_name)?;
             }
             let bland = self.degenerate_run > self.opts.bland_trigger;
             let picked = if bland { self.price_bland() } else { self.price_partial() };
@@ -740,8 +741,7 @@ impl<'a> State<'a> {
                     // last factorization: certify optimality against exact
                     // values before declaring this phase done. Terminates
                     // because the repriced costs are exact (`fresh`).
-                    self.refactor().map_err(|e| numerical(e, row_name))?;
-                    self.reprice(cost);
+                    self.recover(cost, row_name)?;
                     continue;
                 }
                 return Ok(()); // optimal for this phase
@@ -782,28 +782,12 @@ impl<'a> State<'a> {
                     self.note_step(t);
                 }
                 Step::Pivot { t, position, to_upper } => {
-                    // Needs the pre-pivot factorization, duals, and basis
-                    // bookkeeping: must run before any of the updates below.
-                    self.pivot_update(j, position);
-                    self.settled = false;
-                    self.apply_step(sigma, t);
-                    let entering_value = self.ws.x[j] + sigma * t;
-                    let leaving = self.ws.basis[position];
-                    // Snap the leaving variable exactly onto its bound.
-                    self.ws.x[leaving] =
-                        if to_upper { self.ws.ub[leaving] } else { self.ws.lb[leaving] };
-                    self.ws.nb[leaving] = if to_upper { NbState::Upper } else { NbState::Lower };
-                    self.ws.pos_of[leaving] = -1;
-                    self.ws.basis[position] = j;
-                    self.ws.pos_of[j] = position as i32;
-                    self.ws.x[j] = entering_value;
-                    self.ws.entering.remove(j);
-                    self.ws.entering.insert(leaving);
-                    if !self.ws.factor.update(position) {
+                    self.pivot_row_pass(position);
+                    self.pivot_update(j, position, self.ws.w[position]);
+                    if !self.exchange(j, position, sigma, t, to_upper) {
                         // Pivot too small for a stable eta: rebuild and, if
                         // the basis went bad, surface a numerical error.
-                        self.refactor().map_err(|e| numerical(e, row_name))?;
-                        self.reprice(cost);
+                        self.recover(cost, row_name)?;
                     }
                     self.note_step(t);
                 }
@@ -812,18 +796,27 @@ impl<'a> State<'a> {
         }
     }
 
+    /// Refactorize and reprice: how both loops recover from a rejected
+    /// eta, re-seed their prices at the refactorization cadence, and (the
+    /// primal loop) make sure of an empty pricing pass. A singular basis is
+    /// a numerical error.
+    fn recover(
+        &mut self,
+        cost: &[f64],
+        row_name: &impl Fn(usize) -> String,
+    ) -> Result<(), SolveError> {
+        self.refactor().map_err(|e| numerical(e, row_name))?;
+        self.reprice(cost);
+        Ok(())
+    }
+
     /// Full pricing reset: recompute `y = c_B B⁻¹` and every reduced cost
     /// exactly, rebuild the entering set in the same pass, and reset the
     /// Devex reference framework (all weights back to 1) and the candidate
     /// list.
     fn reprice(&mut self, cost: &[f64]) {
         self.ensure_scratch();
-        self.ws.cb.clear();
-        self.ws.cb.extend(self.ws.basis.iter().map(|&k| cost[k]));
-        {
-            let (factor, cb, y) = (&mut self.ws.factor, &self.ws.cb, &mut self.ws.y);
-            factor.btran(cb, y);
-        }
+        self.solve_duals(cost);
         let t0 = Instant::now();
         let (p, ws, tol) = (self.p, &mut *self.ws, self.opts.opt_tol);
         let n = p.n;
@@ -899,10 +892,11 @@ impl<'a> State<'a> {
         self.stats.pricing_scans += ws.alpha_touched.len() as u64;
     }
 
-    /// Incremental pricing update for a basis exchange: entering column `q`
-    /// (whose FTRAN is already in `ws.w`) replaces the basic variable at
-    /// `position`. With `rho` the BTRAN'd pivot row and
-    /// `theta_d = d_q / alpha_q`:
+    /// The pricing update of a pivot, primal or dual: entering column `q`
+    /// replaces the basic variable at `position`, on the pivot element
+    /// `alpha_q` (nonzero), with the pivot row `rho`, `alpha` in hand
+    /// ([`State::pivot_row_pass`]). With `theta_d = d_q / alpha_q`, which it
+    /// returns:
     ///
     /// * `d_j ← d_j − theta_d · alpha_j` for every nonbasic `j ≠ q`,
     /// * `d_leaving ← −theta_d` (its pivot-row entry is exactly 1),
@@ -910,19 +904,11 @@ impl<'a> State<'a> {
     /// * Devex: `γ_j ← max(γ_j, (alpha_j/alpha_q)² γ_q)` for touched `j`,
     ///   and the leaving column gets `max(γ_q/alpha_q², 1)`.
     ///
-    /// Every touched nonbasic `j ≠ q` joins the entering set, unjudged; the
-    /// bookkeeping after it removes `q` and inserts the leaving column.
-    /// Must run before the basis bookkeeping and eta update for this pivot.
-    fn pivot_update(&mut self, q: usize, position: usize) {
+    /// Every touched nonbasic `j ≠ q` joins the entering set, unjudged.
+    /// Must run before [`State::exchange`] for this pivot.
+    fn pivot_update(&mut self, q: usize, position: usize, alpha_q: f64) -> f64 {
         self.fresh = false;
-        let alpha_q = self.ws.w[position];
-        if alpha_q == 0.0 {
-            // The eta update will reject this pivot and force a refactor,
-            // which reprices from scratch anyway.
-            return;
-        }
         let theta_d = self.ws.d[q] / alpha_q;
-        self.pivot_row_pass(position);
         let gamma_q = self.ws.gamma[q].max(1.0);
         let inv_aq = 1.0 / alpha_q;
         let ws = &mut *self.ws;
@@ -940,22 +926,41 @@ impl<'a> State<'a> {
             }
             ws.entering.insert(j);
         }
-        self.shift_duals(theta_d);
-        let leaving = self.ws.basis[position];
-        self.ws.d[leaving] = -theta_d;
-        self.ws.gamma[leaving] = (gamma_q * inv_aq * inv_aq).max(1.0);
-        self.ws.d[q] = 0.0;
+        if theta_d != 0.0 {
+            for &i in &ws.rho_nz {
+                ws.y[i as usize] += theta_d * ws.rho[i as usize];
+            }
+        }
+        let leaving = ws.basis[position];
+        ws.d[leaving] = -theta_d;
+        ws.gamma[leaving] = (gamma_q * inv_aq * inv_aq).max(1.0);
+        ws.d[q] = 0.0;
+        theta_d
     }
 
-    /// `y ← y + theta_d · rho` for the pivot row `rho` in hand.
-    fn shift_duals(&mut self, theta_d: f64) {
-        if theta_d == 0.0 {
-            return;
-        }
+    /// The basis exchange of a pivot, after its [`State::pivot_update`]:
+    /// move the basic values by step `t` along the FTRAN of entering column
+    /// `q` (in `w`) in direction `sigma`, snap the column leaving `position`
+    /// exactly onto its upper bound (`to_upper`) or its lower one, seat `q`
+    /// there, swap the two in the entering set and update the factors.
+    /// Returns `false` when the update rejects the pivot (refactorize).
+    fn exchange(&mut self, q: usize, position: usize, sigma: f64, t: f64, to_upper: bool) -> bool {
+        self.settled = false;
+        self.apply_step(sigma, t);
         let ws = &mut *self.ws;
-        for &i in &ws.rho_nz {
-            ws.y[i as usize] += theta_d * ws.rho[i as usize];
-        }
+        let leaving = ws.basis[position];
+        (ws.x[leaving], ws.nb[leaving]) = if to_upper {
+            (ws.ub[leaving], NbState::Upper)
+        } else {
+            (ws.lb[leaving], NbState::Lower)
+        };
+        ws.pos_of[leaving] = -1;
+        ws.basis[position] = q;
+        ws.pos_of[q] = position as i32;
+        ws.x[q] += sigma * t;
+        ws.entering.remove(q);
+        ws.entering.insert(leaving);
+        ws.factor.update(position)
     }
 
     /// Bland's anti-cycling rule: the smallest-index eligible column, judged
@@ -1147,8 +1152,9 @@ impl<'a> State<'a> {
     /// dual ratio test, until primal feasibility is restored.
     ///
     /// Expects exact `d` and `y` (from the carried start) and maintains
-    /// them from the pivot row each pivot computes anyway, so a pivot costs
-    /// one BTRAN, one FTRAN and work proportional to that row. They are
+    /// them from the pivot row each pivot computes anyway, by the primal
+    /// loop's [`State::pivot_update`], so a pivot costs one BTRAN, one FTRAN
+    /// and work proportional to that row. They are
     /// recomputed after every refactorization in the loop, which bounds
     /// their drift; the caller's primal polish reprices before it certifies
     /// anything. The leaving-row candidates are kept the same way
@@ -1166,8 +1172,7 @@ impl<'a> State<'a> {
                 return Err(SolveError::IterationLimit { iterations: self.stats.iterations });
             }
             if self.ws.factor.wants_refactor() {
-                self.refactor().map_err(|e| numerical(e, row_name))?;
-                self.reprice(cost);
+                self.recover(cost, row_name)?;
                 recount = true;
             }
             if std::mem::take(&mut recount) {
@@ -1251,37 +1256,16 @@ impl<'a> State<'a> {
                 self.stats.bland_pivots += 1;
             }
             let (q, sigma) = (q as usize, -need * alpha.signum());
-            // Dual step, and the reduced costs and duals it moves: the same
-            // update `pivot_update` makes for a primal pivot. A degenerate
-            // step moves none of them.
-            let theta_d = self.ws.d[q] / alpha;
+            // The pivot row is in hand: the primal pivot's own update, on
+            // the row's pivot element. A degenerate step moves no dual.
+            let theta_d = self.pivot_update(q, r, alpha);
             if theta_d == 0.0 {
                 self.stats.dual_degenerate += 1;
-            } else {
-                for idx in 0..self.ws.alpha_touched.len() {
-                    let j = self.ws.alpha_touched[idx] as usize;
-                    if self.ws.pos_of[j] < 0 {
-                        self.ws.d[j] -= theta_d * self.ws.alpha[j];
-                    }
-                }
             }
-            self.shift_duals(theta_d);
-            self.ws.d[k] = -theta_d;
-            self.ws.d[q] = 0.0;
-            self.fresh = false;
             // Step that lands the leaving variable exactly on its bound.
             let t = ((self.ws.x[k] - bound) / (sigma * alpha)).max(0.0);
-            self.settled = false;
             self.ftran_column(q);
-            self.apply_step(sigma, t);
-            let entering_value = self.ws.x[q] + sigma * t;
-            self.ws.x[k] = bound;
-            self.ws.nb[k] = if to_lower { NbState::Lower } else { NbState::Upper };
-            self.ws.pos_of[k] = -1;
-            self.ws.basis[r] = q;
-            self.ws.pos_of[q] = r as i32;
-            self.ws.x[q] = entering_value;
-            if self.ws.factor.update(r) {
+            if self.exchange(q, r, sigma, t, !to_lower) {
                 // The step moved the basic values at `w_nz`; position `r`
                 // holds the entering column now.
                 for idx in 0..self.ws.w_nz.len() {
@@ -1289,8 +1273,7 @@ impl<'a> State<'a> {
                 }
                 self.mark_infeasible(r);
             } else {
-                self.refactor().map_err(|e| numerical(e, row_name))?;
-                self.reprice(cost);
+                self.recover(cost, row_name)?;
                 recount = true;
             }
             // A dual pivot is degenerate when the duals did not move.
@@ -1344,18 +1327,16 @@ impl<'a> State<'a> {
                 }
                 (((p.ub[k] - self.ws.x[k]) / -delta).max(0.0), true)
             };
-            let better = if bland {
-                // Smallest t; ties by smallest variable index (Bland).
-                t < t_best - ZTOL
-                    || (t <= t_best + ZTOL
-                        && leave.as_ref().is_none_or(|&(lp, _, _)| k < self.ws.basis[lp]))
-            } else {
-                // Smallest t; ties by largest pivot magnitude (stability).
-                t < t_best - ZTOL
-                    || (t <= t_best + ZTOL
-                        && leave.as_ref().is_none_or(|&(_, _, wa)| wi.abs() > wa))
+            // Smallest t; ties by smallest variable index under Bland's
+            // rule, else by largest pivot magnitude (stability).
+            let tie = |&(lp, _, wa): &(usize, bool, f64)| {
+                if bland {
+                    k < self.ws.basis[lp]
+                } else {
+                    wi.abs() > wa
+                }
             };
-            if t <= t_best + ZTOL && better {
+            if t < t_best - ZTOL || (t <= t_best + ZTOL && leave.as_ref().is_none_or(tie)) {
                 t_best = t.min(t_best);
                 leave = Some((pos, to_upper, wi.abs()));
             }
