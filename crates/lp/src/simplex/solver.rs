@@ -201,24 +201,15 @@ pub(crate) fn run(
     let n = problem.n;
 
     // --- crash: place nonbasics at bounds, pick slack or artificial basis --
-    let (x, nb) = (&mut ws.x, &mut ws.nb);
-    refill(x, n, 0.0);
-    refill(nb, n, NbState::Lower);
+    // (A column at rest on its lower bound rests where `rest_of` says.)
+    refill(&mut ws.x, n, 0.0);
+    refill(&mut ws.nb, n, NbState::Lower);
     for j in 0..problem.art_start {
-        if ws.lb[j].is_finite() {
-            x[j] = ws.lb[j];
-            nb[j] = NbState::Lower;
-        } else if ws.ub[j].is_finite() {
-            x[j] = ws.ub[j];
-            nb[j] = NbState::Upper;
-        } else {
-            x[j] = 0.0;
-            nb[j] = NbState::Free;
-        }
+        (ws.nb[j], ws.x[j]) = ws.rest_of(j);
     }
     // Residual b - A·x over nonbasic structurals (slacks rest at 0).
     let mut beta = problem.b.clone();
-    for (j, &xj) in x.iter().enumerate().take(problem.nstruct) {
+    for (j, &xj) in ws.x.iter().enumerate().take(problem.nstruct) {
         if xj != 0.0 {
             for &(i, v) in problem.cols.get(j) {
                 beta[i as usize] -= v * xj;
@@ -231,13 +222,13 @@ pub(crate) fn run(
     for (i, &beta_i) in beta.iter().enumerate() {
         let s = problem.slack_start + i;
         let k = if beta_i >= ws.lb[s] - opts.feas_tol && beta_i <= ws.ub[s] + opts.feas_tol {
-            x[s] = beta_i;
+            ws.x[s] = beta_i;
             s
         } else {
             let a = problem.art_start + i;
             problem.art_sign[i] = if beta_i >= 0.0 { 1.0 } else { -1.0 };
             ws.ub[a] = f64::INFINITY;
-            x[a] = beta_i.abs();
+            ws.x[a] = beta_i.abs();
             need_phase1 = true;
             a
         };
@@ -528,10 +519,9 @@ impl<'a> State<'a> {
             // a dual-feasible point; the primal polish below reconsiders them.
             self.box_dual_infeasible();
             let result = self.dual_iterate(cost, row_name);
-            for idx in 0..self.ws.boxed.len() {
-                let (j, lb, ub) = self.ws.boxed[idx];
-                self.ws.lb[j] = lb;
-                self.ws.ub[j] = ub;
+            let ws = &mut *self.ws;
+            for &(j, lb, ub) in &ws.boxed {
+                (ws.lb[j], ws.ub[j]) = (lb, ub);
             }
             match result {
                 Ok(()) => {}
@@ -749,18 +739,9 @@ impl<'a> State<'a> {
             if bland {
                 self.stats.bland_pivots += 1;
             }
-            // Direction of travel for the entering variable.
-            let sigma = match self.ws.nb[j] {
-                NbState::Lower => 1.0,
-                NbState::Upper => -1.0,
-                NbState::Free => {
-                    if d < 0.0 {
-                        1.0
-                    } else {
-                        -1.0
-                    }
-                }
-            };
+            // Direction of travel for the entering variable: against its
+            // reduced cost, which is how `eligible` admitted it.
+            let sigma = if d < 0.0 { 1.0 } else { -1.0 };
             self.ftran_column(j);
             match self.ratio_test(j, sigma, bland) {
                 Step::Unbounded => {
@@ -1080,11 +1061,8 @@ impl<'a> State<'a> {
     }
 
     fn note_step(&mut self, t: f64) {
-        if t <= DEGEN_STEP {
-            self.degenerate_run = self.degenerate_run.saturating_add(1);
-        } else {
-            self.degenerate_run = 0;
-        }
+        self.degenerate_run =
+            if t <= DEGEN_STEP { self.degenerate_run.saturating_add(1) } else { 0 };
     }
 
     /// Temporarily fix every nonbasic column whose reduced cost violates
