@@ -1,0 +1,162 @@
+//! The solver's test-only helpers, and the tests of what `solver` keeps
+//! itself: the certificate in `State::finish`.
+
+use super::*;
+use crate::simplex::load_bounds;
+use crate::{Cmp, LinExpr, Model, RowId, Sense, Var};
+
+/// Deterministic xorshift64 stream in `[0, 1)`.
+pub(super) struct Gen(pub(super) u64);
+
+impl Gen {
+    pub(super) fn unit(&mut self) -> f64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// A schedule-shaped model (value-weighted flows under demand and
+/// capacity rows) solved cold, then hit with what SAM and the lazy-row
+/// loop do to it: capacities drop, upper bounds shrink below the flow
+/// they carried, a cutting row arrives — and, with `move_costs`, a fifth
+/// of the columns are revalued. Returns it with its standard form synced
+/// and a workspace holding the cold solve's terminal state, and the
+/// change log of the mutations — what a carried [`warm_state`] starts
+/// from.
+pub(super) fn cut_case(
+    seed: u64,
+    max_etas: usize,
+    move_costs: bool,
+) -> (Model, Problem, Workspace, SolverTuning, Changes) {
+    let name = |i: usize| i.to_string();
+    let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let (jobs, steps) = (4 + (g.unit() * 5.0) as usize, 4 + (g.unit() * 6.0) as usize);
+    let mut model = Model::new(Sense::Maximize);
+    let mut x: Vec<Var> = Vec::new();
+    for j in 0..jobs {
+        let value = 0.5 + 2.5 * g.unit();
+        for t in 0..steps {
+            x.push(model.add_var(&format!("x{j}_{t}"), 0.0, 1.0 + 5.0 * g.unit(), value));
+        }
+    }
+    for j in 0..jobs {
+        let e = LinExpr::from_terms((0..steps).map(|t| (1.0, x[j * steps + t])));
+        model.add_row(&format!("dem{j}"), e, Cmp::Le, 2.0 + 8.0 * g.unit());
+    }
+    let caps: Vec<RowId> = (0..steps)
+        .map(|t| {
+            let e = LinExpr::from_terms((0..jobs).map(|j| (1.0, x[j * steps + t])));
+            model.add_row(&format!("cap{t}"), e, Cmp::Le, 2.0 + 6.0 * g.unit())
+        })
+        .collect();
+
+    let tuning = SolverTuning { max_etas, ..SolverTuning::default() };
+    let mut ws = Workspace::default();
+    let mut p = Problem::from_model(&model);
+    load_bounds(&model, &mut ws);
+    run(&mut p, &model.rows, &SimplexOptions::default(), tuning, &mut ws, name, name).unwrap();
+    (ws.owner_m, ws.owner_nstruct) = (p.m, p.nstruct);
+
+    let mut changes = Changes::default();
+    for &row in &caps {
+        if g.unit() < 0.6 {
+            model.set_rhs(row, 0.3 + 1.5 * g.unit());
+            changes.rhs.push(row.0);
+        }
+    }
+    for (j, &v) in x.iter().enumerate() {
+        if g.unit() < 0.2 {
+            model.set_bounds(v, 0.0, 0.5 * ws.x[j]);
+            changes.bounds.push(v.0);
+        }
+    }
+    let cut = LinExpr::from_terms(x.iter().step_by(3).map(|&v| (1.0, v)));
+    model.add_row("cut", cut, Cmp::Le, 1.0 + 3.0 * g.unit());
+    if move_costs {
+        for &v in &x {
+            if g.unit() < 0.2 {
+                model.set_obj(v, 0.5 + 2.5 * g.unit());
+                changes.costs.push(v.0);
+            }
+        }
+    }
+
+    assert!(p.sync(&model, &mut changes));
+    (model, p, ws, tuning, changes)
+}
+
+/// A failed certificate in `finish` refactorizes and reprices, and the
+/// exact prices may expose a column the maintained ones hid: `finish`
+/// must then return to the primal loop, not hand back that basis as
+/// optimal. Here the cost of a basic column carrying flow jumps under
+/// the finished polish (the certificate's dual test catches it, as it
+/// would a drifted `y`); after `finish`, a fresh reprice must find no
+/// eligible column.
+#[test]
+fn finish_reenters_the_primal_loop_when_the_reprice_exposes_a_column() {
+    let name = |i: usize| i.to_string();
+    let mut reentered = 0;
+    for seed in 1..=12u64 {
+        let (model, p, mut ws, tuning, changes) = cut_case(seed, 96, false);
+        let opts = SimplexOptions::default();
+        let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws, &name).unwrap();
+        st.box_dual_infeasible();
+        st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
+        st.iterate(&p.cost, false, &name, &name).unwrap();
+        let busy = |k: &usize| *k < p.nstruct && st.ws.x[*k] > 1e-6;
+        let k = st.ws.basis.iter().copied().find(busy).expect("some flow is basic");
+        let mut cost = p.cost.clone();
+        cost[k] = 10.0;
+        let pivots = st.stats.iterations;
+        let out = st.finish(&cost, &name, &name).unwrap();
+        assert_eq!(out.terminal_refactors, 1, "seed {seed}");
+        reentered += u32::from(st.stats.iterations > pivots);
+        st.refactor().unwrap();
+        st.reprice(&cost);
+        let eligible: Vec<usize> = (0..p.n).filter(|&j| st.ws.eligible(j, opts.opt_tol)).collect();
+        assert!(eligible.is_empty(), "seed {seed}: finish returned with {eligible:?} eligible");
+    }
+    assert_eq!(reentered, 12, "the moved cost exposed a column on every seed");
+}
+
+/// `finish` accepts the terminal `(x, y)` on the residual certificate and
+/// refactorizes only when it fails: untouched, a dual restart ends without
+/// a refactorization; with one basic value or one dual off by 1e-6 it
+/// refactorizes and returns what the untouched run returned.
+#[test]
+fn finish_refactorizes_only_when_the_certificate_fails() {
+    let name = |i: usize| i.to_string();
+    for seed in 1..=12u64 {
+        let (model, p, start, tuning, changes) = cut_case(seed, 96, false);
+        let opts = SimplexOptions::default();
+        let finish_after = |perturb: &dyn Fn(&mut Workspace, usize, usize)| {
+            let mut ws = start.clone();
+            let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws, &name).unwrap();
+            st.box_dual_infeasible();
+            st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
+            assert!(st.ws.boxed.is_empty() && st.stats.dual_iterations > 0, "seed {seed}");
+            st.iterate(&p.cost, false, &name, &name).unwrap();
+            assert!(st.fresh && !st.settled, "seed {seed}");
+            // A basic column and a row it has an entry in.
+            let k = st.ws.basis[0];
+            let i = p.with_col(k, |col| col[0].0 as usize);
+            perturb(st.ws, k, i);
+            let before = st.ws.factor.stats();
+            let out = st.finish(&p.cost, &name, &name).unwrap();
+            let refactors = st.ws.factor.stats().since(before).refactors;
+            assert_eq!(refactors, out.terminal_refactors, "seed {seed}");
+            (ws.x, ws.y, refactors)
+        };
+        let (x, y, refactors) = finish_after(&|_, _, _| {});
+        assert_eq!(refactors, 0, "seed {seed}: certified without refactorizing");
+        let moved_x = finish_after(&|ws, k, _| ws.x[k] += 1e-6);
+        let moved_y = finish_after(&|ws, _, i| ws.y[i] += 1e-6);
+        for (what, (x2, y2, refactors)) in [("x", moved_x), ("y", moved_y)] {
+            assert_eq!(refactors, 1, "seed {seed}: perturbed {what} passed the certificate");
+            let close = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(u, v)| (u - v).abs() <= 1e-9);
+            assert!(close(&x, &x2) && close(&y, &y2), "seed {seed}: perturbed {what} survived");
+        }
+    }
+}
