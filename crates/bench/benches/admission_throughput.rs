@@ -10,7 +10,7 @@
 //! the serial walk. Both modes run the checks; no wall-clock ratio is
 //! asserted anywhere.
 
-use pretium_bench::{allocations, black_box, provenance_json, CountingAlloc, Harness};
+use pretium_bench::{allocations, black_box, write_report, CountingAlloc, Harness};
 use pretium_core::{build_menu, Pretium, PretiumConfig, RequestParams};
 use pretium_sim::{run_pretium, ScenarioConfig, Variant};
 
@@ -148,22 +148,16 @@ fn main() {
         );
         return;
     }
-    // Hand-formatted (the workspace builds offline, without serde).
-    let json = format!(
-        "{{\n  \"bench\": \"admission_throughput\",\n  \"scale\": \"evaluation\",\n  \
+    let members = format!(
+        "\"scale\": \"evaluation\",\n  \
          \"load_factor\": 2.0,\n  \"requests\": {n},\n  \
          \"quotes_per_sec_serial\": {q_serial:.1},\n  \
          \"accepts_per_sec\": {accepts:.1},\n  \
          \"menu_build_us\": {{ \"1_step\": {:.3}, \"8_steps\": {:.3}, \"32_steps\": {:.3} }},\n  \
          \"allocations_per_quote_mean\": {allocs_mean:.1},\n  \
          \"allocations_per_quote_max\": {allocs_max},\n  \
-         \"state_copies_serial_walk\": {walk_copies},\n  {}\n}}\n",
-        menu_us[0],
-        menu_us[1],
-        menu_us[2],
-        provenance_json(),
+         \"state_copies_serial_walk\": {walk_copies}",
+        menu_us[0], menu_us[1], menu_us[2],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_admission_throughput.json");
-    std::fs::write(path, json).expect("write BENCH_admission_throughput.json");
-    println!("wrote {path}");
+    write_report("admission_throughput", &members);
 }

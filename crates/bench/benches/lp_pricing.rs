@@ -16,7 +16,7 @@
 //! assertions, and no JSON (so a smoke run never clobbers recorded
 //! numbers).
 
-use pretium_bench::{black_box, provenance_json, Harness};
+use pretium_bench::{black_box, write_report, Harness};
 use pretium_lp::{Cmp, LinExpr, Model, Restart, RowId, Sense, SolveOptions, SolverSession};
 
 /// Deterministic xorshift64* stream in `[0, 1)` (no registry access, so
@@ -231,7 +231,6 @@ fn main() {
         return;
     }
 
-    // Hand-formatted JSON (the workspace builds offline, without serde).
     let mut rows = String::new();
     for (i, r) in records.iter().enumerate() {
         let sep = if i + 1 == records.len() { "" } else { "," };
@@ -241,11 +240,5 @@ fn main() {
             r.model, r.run, r.vars, r.rows, r.iterations, r.pricing_scans, r.wall_secs
         ));
     }
-    let json = format!(
-        "{{\n  \"bench\": \"lp_pricing\",\n  {},\n  \"results\": [\n{rows}  ]\n}}\n",
-        provenance_json()
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lp_pricing.json");
-    std::fs::write(path, json).expect("write BENCH_lp_pricing.json");
-    println!("wrote {path}");
+    write_report("lp_pricing", &format!("\"results\": [\n{rows}  ]"));
 }

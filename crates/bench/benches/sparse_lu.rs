@@ -40,7 +40,7 @@
 
 use std::time::{Duration, Instant};
 
-use pretium_bench::{allocations, black_box, provenance_json, CountingAlloc};
+use pretium_bench::{allocations, black_box, write_report, CountingAlloc};
 use pretium_lp::simplex::basis::{Factorization, SparseCol};
 use pretium_lp::{Cmp, LinExpr, Model, Restart, Sense, SolveOptions, SolverSession};
 use rand::rngs::StdRng;
@@ -573,16 +573,14 @@ fn main() {
             reach_cells(r),
         )
     };
-    let json = format!(
-        "{{\n  \"bench\": \"sparse_lu\",\n  {},\n  \
-         \"steady_state_solve_allocations\": 0,\n  \
+    let members = format!(
+        "\"steady_state_solve_allocations\": 0,\n  \
          \"allocations_per_warmed_refactor\": 0,\n  \
          \"allocations_per_warmed_border\": 0,\n  \
          \"allocations_per_warmed_reach_solve\": 0,\n  \"scenarios\": [\n{},\n{}\n  ],\n  \
          \"resident_resolve\": {{\n    \"solves\": {},\n    \"rows\": {},\n    \"vars\": {},\n    \
          \"pivots_per_solve\": {:.1},\n    \"allocations_per_solve\": {:.0},\n    \
-         \"us_per_solve\": {:.1}\n  }}\n}}\n",
-        provenance_json(),
+         \"us_per_solve\": {:.1}\n  }}",
         cell(&results[0]),
         cell(&results[1]),
         rr.solves,
@@ -592,7 +590,5 @@ fn main() {
         rr.allocs_per_solve,
         rr.us_per_solve,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sparse_lu.json");
-    std::fs::write(path, json).expect("write BENCH_sparse_lu.json");
-    println!("wrote {path}");
+    write_report("sparse_lu", &members);
 }

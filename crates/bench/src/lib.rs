@@ -43,9 +43,21 @@ pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Write a bench's report, `{"bench": name, <provenance>, <members>}`, to
+/// `BENCH_<name>.json` at the workspace root, and say so on stdout.
+/// `members` are the bench's own JSON members, hand-formatted (the
+/// workspace builds offline, without serde) and without braces; the
+/// provenance is where and when the numbers were taken.
+pub fn write_report(name: &str, members: &str) {
+    let json = format!("{{\n  \"bench\": \"{name}\",\n  {},\n  {members}\n}}\n", provenance_json());
+    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
 /// Where and when a recorded number was taken, as JSON members (no
 /// braces): core count, `git describe --always --dirty`, UTC date.
-pub fn provenance_json() -> String {
+fn provenance_json() -> String {
     let run = |cmd: &str, args: &[&str]| {
         std::process::Command::new(cmd)
             .args(args)
