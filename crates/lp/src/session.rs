@@ -1179,7 +1179,7 @@ mod tests {
     /// left are stale, so the carried start reprices in full after bordering
     /// the row appended with it — and restarts warm to the optimum a cold
     /// solve of the same model finds. (That the reprice is what the dual loop
-    /// then starts from is `solver::tests::
+    /// then starts from is `solver::dual::tests::
     /// dual_loop_hands_over_exact_reduced_costs_and_duals`.)
     #[test]
     fn old_cost_change_carries_with_a_full_reprice() {
