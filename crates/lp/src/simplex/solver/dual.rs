@@ -175,8 +175,9 @@ impl State<'_> {
                 self.stats.bland_pivots += 1;
             }
             let (q, sigma) = (q as usize, -need * alpha.signum());
-            // The pivot row is in hand: the primal pivot's own update, on
-            // the row's pivot element. A degenerate step moves no dual.
+            // The pricing update both loops share, on the pivot row's own
+            // element (the primal loop passes the FTRAN's). A degenerate
+            // step moves no dual.
             let theta_d = self.pivot_update(q, r, alpha);
             if theta_d == 0.0 {
                 self.stats.dual_degenerate += 1;

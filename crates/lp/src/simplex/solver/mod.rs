@@ -605,19 +605,12 @@ impl<'a> State<'a> {
             ws.eligible(j, tol)
         });
         ws.entering = entering;
-        for g in self.ws.gamma.iter_mut() {
-            *g = 1.0;
-        }
+        ws.gamma.fill(1.0);
         self.note_pricing_wall(t0);
-        self.clear_candidates();
-        self.stats.pricing_scans += n as u64;
-        self.fresh = true;
-    }
-
-    /// Empty the partial-pricing shortlist.
-    fn clear_candidates(&mut self) {
         self.ws.candidates.clear();
         self.ws.in_cands.fill(false);
+        self.stats.pricing_scans += n as u64;
+        self.fresh = true;
     }
 
     /// Does the entering set hold every column [`Workspace::eligible`]

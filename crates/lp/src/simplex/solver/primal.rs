@@ -60,7 +60,9 @@ pub(crate) fn run(
     let n = problem.n;
 
     // --- crash: place nonbasics at bounds, pick slack or artificial basis --
-    // (A column at rest on its lower bound rests where `rest_of` says.)
+    // Every structural and slack column at rest: on its lower bound when
+    // finite, else on its upper one, else free at zero (`rest_of` from
+    // `Lower`).
     refill(&mut ws.x, n, 0.0);
     refill(&mut ws.nb, n, NbState::Lower);
     for j in 0..problem.art_start {
