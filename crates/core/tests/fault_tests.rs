@@ -253,70 +253,47 @@ fn infeasible_fallback_sheds_lowest_lambda_then_relaxes() {
 }
 
 /// Solver iteration-limit pressure: SAM keeps the previous (still feasible)
-/// plan instead of erroring when the LP is cut off mid-solve.
+/// plan instead of erroring when the LP is cut off mid-solve. A zero cap is
+/// a cap of one pivot, not the automatic limit.
 #[test]
 fn solver_pressure_keeps_previous_plan() {
-    let mut net = Network::new();
-    let a = net.add_node("A", Region::NorthAmerica);
-    let b = net.add_node("B", Region::NorthAmerica);
-    net.add_edge(a, b, 10.0, LinkCost::owned());
-    let grid = TimeGrid::new(4, 30);
-    let horizon = 4;
-    // audit: true so the closing audit-clean assertion holds in release.
-    let cfg =
-        PretiumConfig { highpri_fraction: 0.0, k_paths: 1, audit: true, ..Default::default() };
-    let mut system = Pretium::new(net.clone(), grid, horizon, cfg);
-    let mut usage = UsageTracker::new(net.num_edges(), horizon);
-    let p = params(0, 0, 1, 20.0, 0, 3);
-    let id = system.admit_one(&p, |_| 20.0).1.expect("admitted");
-    system.execute_step(0, &mut usage);
-    let plan_before = system.contract(id).plan.clone();
-
-    // One simplex iteration is never enough for a fresh multi-step solve
-    // (the first SAM call builds its session cold).
-    system.set_solver_pressure(Some(1));
-    system.run_sam(1, &usage).expect("iteration limit must degrade, not error");
-    assert_eq!(system.contract(id).plan, plan_before, "previous plan kept under pressure");
-    assert_eq!(system.telemetry().sam_degradations, 1);
-
-    // Pressure lifts; the run completes and the guarantee is met.
-    system.set_solver_pressure(None);
-    for now in 1..horizon {
-        if now > 1 {
-            system.run_sam(now, &usage).unwrap();
-        }
-        system.execute_step(now, &mut usage);
-    }
-    let c = system.contract(id);
-    assert!(c.guarantee_met(), "delivered {} of {}", c.delivered, c.guaranteed);
-    assert!(system.auditor().unwrap().is_clean());
-}
-
-/// A zero iteration cap is a cap, not the automatic limit: under
-/// `Some(0)` a SAM step degrades exactly as it does under `Some(1)`,
-/// keeping the previous plan, where an uncapped step replans.
-#[test]
-fn zero_solver_pressure_degrades_like_one() {
-    let run = |limit: Option<u64>| {
+    for limit in [1, 0] {
         let mut net = Network::new();
         let a = net.add_node("A", Region::NorthAmerica);
         let b = net.add_node("B", Region::NorthAmerica);
         net.add_edge(a, b, 10.0, LinkCost::owned());
-        let cfg = PretiumConfig { highpri_fraction: 0.0, k_paths: 1, ..Default::default() };
-        let mut system = Pretium::new(net.clone(), TimeGrid::new(4, 30), 4, cfg);
-        let mut usage = UsageTracker::new(net.num_edges(), 4);
-        let id = system.admit_one(&params(0, 0, 1, 20.0, 0, 3), |_| 20.0).1.expect("admitted");
+        let grid = TimeGrid::new(4, 30);
+        let horizon = 4;
+        // audit: true so the closing audit-clean assertion holds in release.
+        let cfg =
+            PretiumConfig { highpri_fraction: 0.0, k_paths: 1, audit: true, ..Default::default() };
+        let mut system = Pretium::new(net.clone(), grid, horizon, cfg);
+        let mut usage = UsageTracker::new(net.num_edges(), horizon);
+        let p = params(0, 0, 1, 20.0, 0, 3);
+        let id = system.admit_one(&p, |_| 20.0).1.expect("admitted");
         system.execute_step(0, &mut usage);
         let plan_before = system.contract(id).plan.clone();
-        system.set_solver_pressure(limit);
+
+        // One simplex iteration is never enough for a fresh multi-step solve
+        // (the first SAM call builds its session cold).
+        system.set_solver_pressure(Some(limit));
         system.run_sam(1, &usage).expect("iteration limit must degrade, not error");
-        let plan = system.contract(id).plan.clone();
-        (plan == plan_before, plan, system.telemetry().sam_degradations)
-    };
-    let one = run(Some(1));
-    assert!(one.0 && one.2 == 1, "one pivot kept the plan and degraded once");
-    assert_eq!(run(Some(0)), one, "a zero cap ran otherwise than a cap of one");
-    assert_eq!(run(None).2, 0, "an uncapped step does not degrade");
+        let kept = system.contract(id).plan == plan_before;
+        assert!(kept, "cap {limit}: previous plan kept under pressure");
+        assert_eq!(system.telemetry().sam_degradations, 1, "cap {limit}");
+
+        // Pressure lifts; the run completes and the guarantee is met.
+        system.set_solver_pressure(None);
+        for now in 1..horizon {
+            if now > 1 {
+                system.run_sam(now, &usage).unwrap();
+            }
+            system.execute_step(now, &mut usage);
+        }
+        let c = system.contract(id);
+        assert!(c.guarantee_met(), "cap {limit}: delivered {} of {}", c.delivered, c.guaranteed);
+        assert!(system.auditor().unwrap().is_clean());
+    }
 }
 
 /// PC freezes prices for windows contaminated by a fault: the recomputation
