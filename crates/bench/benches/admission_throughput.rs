@@ -38,7 +38,7 @@ fn main() {
 
     // Warm a system to end-of-run state so the snapshot quotes against
     // non-trivial prices and reservations.
-    let warmed = run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap();
+    let warmed = run_pretium(&sc, PretiumConfig::default(), Variant::Full, None, &mut ()).unwrap();
     let mut system = warmed.system;
     let params: Vec<RequestParams> = sc.requests.iter().map(RequestParams::from).collect();
     let n = params.len();

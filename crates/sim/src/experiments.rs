@@ -2,7 +2,7 @@
 //! dispatch ([`Scheme`], `solve_scheme`) every scheme solve goes through,
 //! and one `_on(config)` function per single-world figure (Figures 1, 5,
 //! 7, 10). Table 4 is timed on the runner's own replay loop
-//! ([`crate::runner::PretiumRun::ra_secs`] and its siblings). The
+//! ([`crate::runner::ModuleTimes`]). The
 //! [`mod@crate::registry`] declares which of these run, at which points,
 //! and how their numbers fold into series.
 //!
@@ -23,10 +23,6 @@ use pretium_net::{shortest_path, topology, EdgeId, TimeGrid, UsageTracker};
 use pretium_workload::{generate_trace, TrafficConfig, ValueDist};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Default seed for every experiment (override per call for replications).
-/// Re-exported from `pretium-rand`, the workspace's single seed authority.
-pub use rand::DEFAULT_SEED;
 
 /// The load factors swept by Figures 6, 8, 9 and 11.
 pub const LOAD_FACTORS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
@@ -157,7 +153,7 @@ pub(crate) fn solve_scheme(
         Scheme::Opt => baselines::opt(&s.net, &s.grid, s.horizon, &s.requests, &off),
         Scheme::Pretium(variant) => {
             let cfg = PretiumConfig { cost_scale, ..Default::default() };
-            Ok(run_pretium(s, cfg, variant)?.outcome)
+            Ok(run_pretium(s, cfg, variant, None, &mut ())?.outcome)
         }
         Scheme::NoPrices => baselines::no_prices(&s.net, &s.grid, s.horizon, &s.requests, &off),
         Scheme::RegionOracle => {
@@ -191,7 +187,7 @@ pub fn fig7a_price_and_utilization_on(
     config: &ScenarioConfig,
 ) -> Result<(Vec<f64>, Vec<f64>), SolveError> {
     let scenario = config.build();
-    let run = run_pretium(&scenario, PretiumConfig::default(), Variant::Full)?;
+    let run = run_pretium(&scenario, PretiumConfig::default(), Variant::Full, None, &mut ())?;
     // Busiest percentile edge by carried volume.
     let e = scenario
         .net
@@ -234,7 +230,7 @@ pub fn fig7b_value_buckets_on(config: &ScenarioConfig) -> Result<Vec<Series>, So
 /// unit)` scatter for Pretium-admitted requests.
 pub fn fig7c_price_vs_value_on(config: &ScenarioConfig) -> Result<Vec<(f64, f64)>, SolveError> {
     let scenario = config.build();
-    let run = run_pretium(&scenario, PretiumConfig::default(), Variant::Full)?;
+    let run = run_pretium(&scenario, PretiumConfig::default(), Variant::Full, None, &mut ())?;
     let mut pts = Vec::new();
     for (i, r) in scenario.requests.iter().enumerate() {
         if run.outcome.admitted[i] && run.outcome.delivered[i] > 1e-9 {

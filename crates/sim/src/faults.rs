@@ -358,10 +358,10 @@ mod tests {
 
     /// A faulted replay of `sc` under `plan` must finish with a clean audit.
     fn assert_replays_clean(sc: &Scenario, plan: &FaultPlan) {
-        use crate::runner::{run_pretium_faulted, Variant};
+        use crate::runner::{run_pretium, Variant};
         let cfg = pretium_core::PretiumConfig { audit: true, ..Default::default() };
-        let run = run_pretium_faulted(sc, cfg, Variant::Full, plan).unwrap();
-        let aud = run.audit().expect("cfg.audit = true");
+        let run = run_pretium(sc, cfg, Variant::Full, Some(plan), &mut ()).unwrap();
+        let aud = run.system.auditor().expect("cfg.audit = true");
         assert!(aud.is_clean(), "{:?}", aud.violations());
     }
 

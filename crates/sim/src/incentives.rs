@@ -9,10 +9,11 @@
 //! realized utility (value of units delivered *within the true window*
 //! minus payment).
 
-use crate::runner::{run_pretium, PretiumRun, Variant};
+use crate::runner::{run_pretium, Hook, PretiumRun, Variant};
 use crate::scenario::Scenario;
-use pretium_core::PretiumConfig;
+use pretium_core::{Pretium, PretiumConfig};
 use pretium_lp::SolveError;
+use pretium_net::Timestep;
 use pretium_workload::{Request, RequestId};
 
 /// A strategic misreport.
@@ -93,18 +94,55 @@ impl DeviationReport {
     }
 }
 
+/// Per contract, the `(timestep, units)` delivery history of a replay, so
+/// that only units arriving within the *true* deadline are valued.
+#[derive(Default)]
+struct DeliveryLog {
+    log: Vec<Vec<(Timestep, f64)>>,
+    delivered: Vec<f64>,
+}
+
+impl Hook for DeliveryLog {
+    fn step_end(&mut self, now: Timestep, system: &Pretium) {
+        let contracts = system.contracts();
+        self.log.resize(contracts.len(), Vec::new());
+        self.delivered.resize(contracts.len(), 0.0);
+        for (ci, c) in contracts.iter().enumerate() {
+            let delta = c.delivered - self.delivered[ci];
+            if delta > 1e-12 {
+                self.log[ci].push((now, delta));
+                self.delivered[ci] = c.delivered;
+            }
+        }
+    }
+}
+
+/// Replay `scenario` (Full Pretium), logging every contract's deliveries.
+fn logged_run(
+    scenario: &Scenario,
+    cfg: &PretiumConfig,
+) -> Result<(PretiumRun, DeliveryLog), SolveError> {
+    let mut log = DeliveryLog::default();
+    let run = run_pretium(scenario, cfg.clone(), Variant::Full, None, &mut log)?;
+    Ok((run, log))
+}
+
 /// Utility of request `ri` in a run: value × units delivered within the
 /// **true** window, minus the payment. `indices` lists the positions of the
 /// (possibly split) misreported request in the modified request vector.
-fn utility(run: &PretiumRun, indices: &[usize], true_value: f64, true_deadline: usize) -> f64 {
+fn utility(
+    run: &PretiumRun,
+    log: &DeliveryLog,
+    indices: &[usize],
+    true_value: f64,
+    true_deadline: usize,
+) -> f64 {
     let mut util = 0.0;
     for &i in indices {
         let within: f64 = match run.contract_of_request[i] {
-            Some(ci) => run.delivery_log[ci]
-                .iter()
-                .filter(|&&(t, _)| t <= true_deadline)
-                .map(|&(_, d)| d)
-                .sum(),
+            Some(ci) => {
+                log.log[ci].iter().filter(|&&(t, _)| t <= true_deadline).map(|&(_, d)| d).sum()
+            }
             None => 0.0,
         };
         util += true_value * within - run.outcome.payments[i];
@@ -120,7 +158,7 @@ pub fn analyze_deviations(
     deviations: &[Deviation],
     sample: usize,
 ) -> Result<DeviationReport, SolveError> {
-    let base = run_pretium(scenario, cfg.clone(), Variant::Full)?;
+    let (base, base_log) = logged_run(scenario, cfg)?;
     let truthful_requests = &scenario.requests;
     // Sampled users: admitted requests, in arrival order.
     let sampled: Vec<usize> =
@@ -134,7 +172,7 @@ pub fn analyze_deviations(
 
     for &ri in &sampled {
         let truth = &truthful_requests[ri];
-        let base_util = utility(&base, &[ri], truth.value, truth.deadline);
+        let base_util = utility(&base, &base_log, &[ri], truth.value, truth.deadline);
         let mut best_gain: f64 = 0.0;
         for (di, &dev) in deviations.iter().enumerate() {
             let Some(reported) = dev.apply(truth, scenario.horizon) else {
@@ -157,9 +195,9 @@ pub fn analyze_deviations(
                 r.id = RequestId(i as u64);
             }
             let modified = Scenario { requests, ..scenario.clone() };
-            let run = run_pretium(&modified, cfg.clone(), Variant::Full)?;
+            let (run, log) = logged_run(&modified, cfg)?;
             simulated += 1;
-            let dev_util = utility(&run, &indices, truth.value, truth.deadline);
+            let dev_util = utility(&run, &log, &indices, truth.value, truth.deadline);
             per_dev[di].1 += 1;
             let gain = dev_util - base_util;
             let rel = gain / base_util.abs().max(1e-9);

@@ -8,10 +8,11 @@
 //! * [`faults`] — seeded fault schedules (capacity loss, a link failure
 //!   being a total one; surges; solver pressure) replayed against a live
 //!   run (§4.4).
-//! * [`runner`] — the one online Pretium replay loop (each step's arrivals
-//!   quoted off one admission snapshot, then sequenced deterministically;
-//!   SAM per timestep, PC per window), the Figure 11 ablation variants, and
-//!   the per-call module timings Table 4 reports.
+//! * [`runner`] — the one online Pretium replay loop, [`replay`] (each
+//!   step's arrivals quoted off one admission snapshot, then sequenced
+//!   deterministically; SAM per timestep, PC per window), the [`Hook`]
+//!   that observes its phase boundaries, the Figure 11 ablation variants,
+//!   and [`runner::ModuleTimes`], the per-call module timings Table 4 reports.
 //! * [`experiments`] — the §6.1 scheme dispatch and the single-world
 //!   figure computations (Figures 1, 5, 7, 10).
 //! * [`mod@registry`] — every table/figure of §6 as one `Experiment` value:
@@ -43,5 +44,5 @@ pub use incentives::{analyze_deviations, Deviation, DeviationReport};
 pub use par::{default_jobs, PoolTelemetry};
 pub use registry::{registry, Experiment, ExperimentResult};
 pub use report::{render_ascii_plot, render_figure, render_table, Series};
-pub use runner::{run_pretium, run_pretium_faulted, PretiumRun, Variant};
+pub use runner::{replay, run_pretium, Hook, PretiumRun, Variant};
 pub use scenario::{Scenario, ScenarioConfig};

@@ -30,7 +30,7 @@ use crate::experiments::{self, solve_scheme, Scheme, LOAD_FACTORS};
 use crate::faults::{FaultPlan, FaultPlanConfig};
 use crate::par::{self, PoolTelemetry};
 use crate::report::{render_figure, render_table, Series};
-use crate::runner::{run_pretium_cold, run_pretium_faulted, Variant};
+use crate::runner::{replay, run_pretium, ModuleTimes, Variant};
 use crate::scenario::ScenarioConfig;
 use pretium_core::PretiumConfig;
 use pretium_lp::SolveError;
@@ -245,12 +245,13 @@ pub fn run_robustness_cell(
     let fault_cfg =
         FaultPlanConfig::availability(rand::derive_seed(cell_seed, "faults"), failure_rate);
     let plan = FaultPlan::for_scenario(&scenario, &fault_cfg);
-    let run = run_pretium_faulted(&scenario, PretiumConfig::default(), Variant::Full, &plan)?;
+    let run =
+        run_pretium(&scenario, PretiumConfig::default(), Variant::Full, Some(&plan), &mut ())?;
     let guaranteed_contracts = || run.system.contracts().iter().filter(|c| c.guaranteed > 1e-9);
     let violations = guaranteed_contracts().filter(|c| !c.guarantee_met()).count() as u64;
     let ledger = run.system.ledger();
     let (shed, relaxed) = ledger.counts();
-    let t = run.telemetry();
+    let t = run.system.telemetry();
     Ok(RobustnessMetrics {
         welfare: run.outcome.welfare(&scenario.requests, &scenario.net, &scenario.grid, 1.0),
         guaranteed: guaranteed_contracts().count() as u64,
@@ -660,7 +661,8 @@ fn run_fig10(scale: Scale, seed: u64) -> Result<String, SolveError> {
 /// floors, no warm-up pass, no faults) on the runner's own loop.
 fn run_table4(scale: Scale, seed: u64) -> Result<String, SolveError> {
     let sc = scale.config(seed, 2.0).build();
-    let run = run_pretium_cold(&sc, PretiumConfig::default(), Variant::Full, None, None)?;
+    let mut times = ModuleTimes::default();
+    replay(&sc, PretiumConfig::default(), Variant::Full, None, None, &mut times)?;
     let timing = |name: &str, samples: &[f64]| {
         (
             name.to_string(),
@@ -672,9 +674,9 @@ fn run_table4(scale: Scale, seed: u64) -> Result<String, SolveError> {
         )
     };
     let rows = vec![
-        timing("RA (per request)", &run.ra_secs),
-        timing("SAM (per timestep)", &run.sam_secs),
-        timing("PC (per window)", &run.pc_secs),
+        timing("RA (per request)", &times.ra),
+        timing("SAM (per timestep)", &times.sam),
+        timing("PC (per window)", &times.pc),
     ];
     Ok(render_table("Table 4: module runtimes", &rows))
 }
@@ -701,12 +703,13 @@ fn run_surge(scale: Scale, seed: u64) -> Result<String, SolveError> {
     let plan = FaultPlan::for_scenario(&sc, &plan_cfg);
     let surge_arrivals: usize = (0..sc.horizon).map(|t| plan.surges_at(t).count()).sum();
     let cfg = PretiumConfig { audit: true, ..Default::default() };
-    let run = run_pretium_faulted(&sc, cfg, Variant::Full, &plan)?;
+    let run = run_pretium(&sc, cfg, Variant::Full, Some(&plan), &mut ())?;
     let scenario_admitted = run.contract_of_request.iter().filter(|c| c.is_some()).count();
     let surge_admitted = run.system.contracts().len() - scenario_admitted;
-    let t = run.telemetry();
+    let t = run.system.telemetry();
     // The config asks for auditing, so the auditor is always there.
-    let (checks, violations) = run.audit().map_or((0, 0), |a| (a.checks(), a.violations().len()));
+    let (checks, violations) =
+        run.system.auditor().map_or((0, 0), |a| (a.checks(), a.violations().len()));
     let welfare = run.outcome.welfare(&sc.requests, &sc.net, &sc.grid, 1.0);
     let rows = vec![
         ("scenario arrivals".to_string(), sc.requests.len().to_string()),

@@ -15,8 +15,7 @@
 use pretium_core::{Pretium, PretiumConfig, RequestParams};
 use pretium_net::UsageTracker;
 use pretium_sim::par::run_cells;
-use pretium_sim::runner::run_pretium_cold;
-use pretium_sim::{run_pretium, FaultPlan, FaultPlanConfig, ScenarioConfig, Variant};
+use pretium_sim::{replay, run_pretium, FaultPlan, FaultPlanConfig, ScenarioConfig, Variant};
 use std::sync::Arc;
 
 /// Pooled quotes off one snapshot are bit-identical to serial quotes off
@@ -25,7 +24,7 @@ use std::sync::Arc;
 fn parallel_snapshot_quotes_match_serial_bit_for_bit() {
     let sc = ScenarioConfig::tiny(7).build();
     // Warm a system to mid-run state so prices/reservations are non-trivial.
-    let run = run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap();
+    let run = run_pretium(&sc, PretiumConfig::default(), Variant::Full, None, &mut ()).unwrap();
     let mut system = run.system;
     let snap = system.snapshot();
 
@@ -46,7 +45,7 @@ fn parallel_snapshot_quotes_match_serial_bit_for_bit() {
 #[test]
 fn snapshots_are_republished_per_epoch() {
     let sc = ScenarioConfig::tiny(9).build();
-    let run = run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap();
+    let run = run_pretium(&sc, PretiumConfig::default(), Variant::Full, None, &mut ()).unwrap();
     let mut system = run.system;
     let before = system.epoch();
     let s1 = system.snapshot();
@@ -75,7 +74,7 @@ fn sequenced_batch_equals_interleaved_admit_one_walk() {
         // and the sequencer's re-quote path is exercised.
         let plan = FaultPlan::for_scenario(&sc, &FaultPlanConfig::surge(99, 6));
         let cfg = PretiumConfig { audit: true, ..Default::default() };
-        let batched = run_pretium_cold(&sc, cfg.clone(), Variant::Full, None, Some(&plan)).unwrap();
+        let batched = replay(&sc, cfg.clone(), Variant::Full, None, Some(&plan), &mut ()).unwrap();
 
         let mut system = Pretium::new(sc.net.clone(), sc.grid, sc.horizon, cfg);
         let mut usage = UsageTracker::new(sc.net.num_edges(), sc.horizon);
@@ -118,7 +117,7 @@ fn sequenced_batch_equals_interleaved_admit_one_walk() {
         // The surge plan did its job: batches were wide enough to make at
         // least one snapshot ticket stale (the re-quote path actually ran).
         assert!(
-            batched.telemetry().quotes_requoted > 0,
+            batched.system.telemetry().quotes_requoted > 0,
             "seed {seed}: surge batches never collided — widen them"
         );
         for (label, s) in [("batched", &batched.system), ("interleaved", &system)] {

@@ -96,7 +96,7 @@ fn pricing_jobs_is_inert() {
     let sc = wide.build();
     let mk = |pricing_jobs: usize| {
         let cfg = PretiumConfig { pricing_jobs, ..PretiumConfig::default() };
-        run_pretium(&sc, cfg, Variant::Full).expect("pricing_jobs run")
+        run_pretium(&sc, cfg, Variant::Full, None, &mut ()).expect("pricing_jobs run")
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     let one = mk(1);
@@ -108,9 +108,13 @@ fn pricing_jobs_is_inert() {
     );
     assert_eq!(bits(&one.outcome.payments), bits(&eight.outcome.payments));
     assert_eq!(one.outcome.admitted, eight.outcome.admitted);
-    assert_eq!(one.lp_stats, eight.lp_stats, "LP counters diverged between job counts");
+    assert_eq!(
+        one.system.lp_stats(),
+        eight.system.lp_stats(),
+        "LP counters diverged between job counts"
+    );
     for (jobs, run) in [(1, &one), (8, &eight)] {
-        let st = &run.lp_stats;
+        let st = &run.system.lp_stats();
         let par = (st.pricing_par_sections, st.pricing_par_steals, st.pricing_par_nanos);
         assert_eq!(par, (0, 0, 0), "pricing_jobs={jobs} opened sections: {st:?}");
     }
@@ -134,7 +138,7 @@ fn sparse_lu_cadence_is_deterministic_and_tolerance_bounded() {
     let sc = ScenarioConfig::tiny(rand::DEFAULT_SEED).build();
     let mk = |max_etas: usize| {
         let cfg = PretiumConfig { max_etas, ..PretiumConfig::default() };
-        run_pretium(&sc, cfg, Variant::Full).expect("sparse-lu run")
+        run_pretium(&sc, cfg, Variant::Full, None, &mut ()).expect("sparse-lu run")
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
 
@@ -150,14 +154,18 @@ fn sparse_lu_cadence_is_deterministic_and_tolerance_bounded() {
         );
         assert_eq!(bits(&first.outcome.payments), bits(&second.outcome.payments));
         assert_eq!(first.outcome.admitted, second.outcome.admitted);
-        assert_eq!(first.lp_stats, second.lp_stats, "factor counters diverged at {max_etas}");
+        assert_eq!(
+            first.system.lp_stats(),
+            second.system.lp_stats(),
+            "factor counters diverged at {max_etas}"
+        );
         per_cadence.push((max_etas, first));
     }
 
     // The cadences genuinely differ in kernel behavior (else this test
     // pins three identical runs): tighter cadence ⇒ at least as many
     // refactorizations, and the default accumulates real FT updates.
-    let stats = |i: usize| per_cadence[i].1.lp_stats;
+    let stats = |i: usize| per_cadence[i].1.system.lp_stats();
     assert!(
         stats(0).refactors > stats(2).refactors,
         "max_etas=1 should refactorize more than the default: {:?} vs {:?}",

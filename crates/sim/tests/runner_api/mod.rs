@@ -3,14 +3,9 @@
 //! stay byte for byte as they were recorded.
 
 use pretium_core::PretiumConfig;
-use pretium_sim::{run_pretium, run_pretium_faulted, FaultPlan, PretiumRun, Scenario, Variant};
+use pretium_sim::{run_pretium, FaultPlan, PretiumRun, Scenario, Variant};
 
 /// The warm-started replay of `sc` at the default config, under `faults`.
 pub fn warm_run(sc: &Scenario, variant: Variant, faults: Option<&FaultPlan>) -> PretiumRun {
-    let cfg = PretiumConfig::default();
-    match faults {
-        None => run_pretium(sc, cfg, variant),
-        Some(plan) => run_pretium_faulted(sc, cfg, variant, plan),
-    }
-    .expect("pinned replay")
+    run_pretium(sc, PretiumConfig::default(), variant, faults, &mut ()).expect("pinned replay")
 }

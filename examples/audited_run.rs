@@ -31,7 +31,7 @@ fn main() {
     // release builds this example is meant to run as.
     let cfg = PretiumConfig { audit: true, ..Default::default() };
 
-    let run = run_pretium(&scenario, cfg, Variant::Full).expect("LP solve failed");
+    let run = run_pretium(&scenario, cfg, Variant::Full, None, &mut ()).expect("LP solve failed");
     let admitted = run.outcome.admitted.iter().filter(|&&a| a).count();
     let delivered: f64 = run.outcome.delivered.iter().sum();
     println!(
@@ -41,7 +41,7 @@ fn main() {
 
     println!("{}", run.telemetry_report("Telemetry (measured pass)"));
 
-    let aud = run.audit().expect("auditing was enabled");
+    let aud = run.system.auditor().expect("auditing was enabled");
     if aud.is_clean() {
         println!("audit: CLEAN ({} sweeps, 0 violations)", aud.checks());
     } else {

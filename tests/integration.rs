@@ -3,10 +3,15 @@
 
 use pretium::baselines::{self, OfflineConfig};
 use pretium::core::PretiumConfig;
-use pretium::sim::{run_pretium, ScenarioConfig, Variant};
+use pretium::sim::{run_pretium, PretiumRun, Scenario, ScenarioConfig, Variant};
 
-fn tiny(seed: u64) -> pretium::sim::Scenario {
+fn tiny(seed: u64) -> Scenario {
     ScenarioConfig::tiny(seed).build()
+}
+
+/// Full Pretium at the default config, healthy.
+fn pretium(sc: &Scenario) -> PretiumRun {
+    run_pretium(sc, PretiumConfig::default(), Variant::Full, None, &mut ()).unwrap()
 }
 
 #[test]
@@ -28,7 +33,7 @@ fn all_schemes_run_and_respect_capacity() {
             .outcome,
     );
     outcomes.push(baselines::vcg_like(&sc.net, sc.horizon, &sc.requests, &off).unwrap());
-    outcomes.push(run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap().outcome);
+    outcomes.push(pretium(&sc).outcome);
     for o in &outcomes {
         let violations = o.usage.capacity_violations(&sc.net, 1e-4);
         assert!(violations.is_empty(), "{}: {violations:?}", o.scheme);
@@ -56,7 +61,7 @@ fn opt_dominates_every_scheme_in_proxy_terms() {
     let opt_w = w(&opt);
     let others = [
         w(&baselines::no_prices(&sc.net, &sc.grid, sc.horizon, &sc.requests, &off).unwrap()),
-        w(&run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap().outcome),
+        w(&pretium(&sc).outcome),
         w(&baselines::vcg_like(&sc.net, sc.horizon, &sc.requests, &off).unwrap()),
     ];
     for (i, &ow) in others.iter().enumerate() {
@@ -72,7 +77,7 @@ fn pretium_profit_exceeds_vcg_profit() {
     cfg.load_factor = 3.0;
     let sc = cfg.build();
     let off = OfflineConfig::default();
-    let pretium = run_pretium(&sc, PretiumConfig::default(), Variant::Full).unwrap();
+    let pretium = pretium(&sc);
     let vcg = baselines::vcg_like(&sc.net, sc.horizon, &sc.requests, &off).unwrap();
     let p_profit = pretium.outcome.profit(&sc.net, &sc.grid, 1.0);
     let v_profit = vcg.profit(&sc.net, &sc.grid, 1.0);
@@ -81,8 +86,8 @@ fn pretium_profit_exceeds_vcg_profit() {
 
 #[test]
 fn deterministic_end_to_end() {
-    let a = run_pretium(&tiny(24), PretiumConfig::default(), Variant::Full).unwrap();
-    let b = run_pretium(&tiny(24), PretiumConfig::default(), Variant::Full).unwrap();
+    let a = pretium(&tiny(24));
+    let b = pretium(&tiny(24));
     assert_eq!(a.outcome.delivered, b.outcome.delivered);
     assert_eq!(a.outcome.payments, b.outcome.payments);
 }
@@ -136,11 +141,11 @@ fn audited_replay_is_clean_across_seeds() {
         let sc = tiny(seed);
         let cfg = PretiumConfig { audit: true, ..Default::default() };
         for variant in [Variant::Full, Variant::NoSam] {
-            let run = run_pretium(&sc, cfg.clone(), variant).unwrap();
-            let aud = run.audit().expect("auditing enabled via config");
+            let run = run_pretium(&sc, cfg.clone(), variant, None, &mut ()).unwrap();
+            let aud = run.system.auditor().expect("auditing enabled via config");
             assert!(aud.checks() > 0, "seed {seed} {variant:?}: auditor never ran");
             assert!(aud.is_clean(), "seed {seed} {variant:?}: {:?}", aud.violations());
-            assert_eq!(run.telemetry().audit_violations, 0);
+            assert_eq!(run.system.telemetry().audit_violations, 0);
         }
     }
 }
