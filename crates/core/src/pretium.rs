@@ -313,7 +313,7 @@ impl Pretium {
     pub fn lp_stats(&self) -> SessionStats {
         let mut s = self.lp_stats;
         if let Some(carry) = &self.sam {
-            s.merge(carry.sess.lp_stats());
+            s.merge(carry.sess.lp().stats());
         }
         s
     }
@@ -438,7 +438,7 @@ impl Pretium {
             stale => {
                 // Another window's session: bank its counters, build anew.
                 if let Some(old) = stale {
-                    self.lp_stats.merge(old.sess.lp_stats());
+                    self.lp_stats.merge(old.sess.lp().stats());
                 }
                 let jobs: Vec<Job> = active.iter().map(|&i| self.job_for(i, now)).collect();
                 // The session horizon runs to the end of the simulation, not
@@ -493,7 +493,7 @@ impl Pretium {
                 Err(err) => {
                     // Retire the failed session (keeping its counters); the
                     // next SAM run rebuilds from scratch.
-                    self.lp_stats.merge(carry.sess.lp_stats());
+                    self.lp_stats.merge(carry.sess.lp().stats());
                     if matches!(err, SolveError::IterationLimit { .. })
                         && self.solver_pressure.is_some()
                     {
@@ -706,8 +706,8 @@ impl Pretium {
         // followed by a long dual repair of the rows it appended.
         let mut sess = ScheduleSession::new(&problem);
         sess.materialize_contested(&self.net, &capacity, &zero);
-        self.lp_stats
-            .merge(sess.solve_step_with(&self.net, &capacity, &zero, &self.solve_opts())?.lp_stats);
+        sess.solve_step_with(&self.net, &capacity, &zero, &self.solve_opts())?;
+        self.lp_stats.merge(sess.lp().stats());
         self.audit_lp(AuditPoint::Pc, now, &sess);
         // The previous window's pattern is carried into the future.
         self.bump_epoch();

@@ -54,8 +54,7 @@
 
 use crate::topk::{topk_upper_bound, TopkEncoding};
 use pretium_lp::{
-    Cmp, LinExpr, Model, RowId, Sense, SessionStats, Solution, SolveError, SolveOptions,
-    SolverSession, Var,
+    Cmp, LinExpr, Model, RowId, Sense, Solution, SolveError, SolveOptions, SolverSession, Var,
 };
 use pretium_net::cost::TOP_FRACTION;
 use pretium_net::percentile::top_k_count;
@@ -138,9 +137,6 @@ pub struct ScheduleSolution {
     pub shortfall: Vec<f64>,
     /// Lazy-generation rounds used.
     pub rounds: u32,
-    /// Lifetime restart counters of the LP session that produced this
-    /// solution (for a one-shot [`solve`], the counters of just this call).
-    pub lp_stats: SessionStats,
 }
 
 impl ScheduleSolution {
@@ -361,11 +357,6 @@ impl ScheduleSession {
         // unit of usage through the edge corresponds to lowering the rhs
         // by 1, so the marginal cost is the row dual itself.
         dual(slot.cap_row) + dual(slot.use_row).max(0.0)
-    }
-
-    /// Restart counters of the underlying LP session.
-    pub fn lp_stats(&self) -> SessionStats {
-        self.sess.stats()
     }
 
     /// Flow columns materialized across jobs (excludes shortfall / usage /
@@ -903,14 +894,7 @@ impl ScheduleSession {
             delivered.push(total);
         }
         let shortfall = self.shortfalls.iter().map(|s| s.map(value).unwrap_or(0.0)).collect();
-        ScheduleSolution {
-            flows,
-            delivered,
-            objective,
-            shortfall,
-            rounds,
-            lp_stats: self.sess.stats(),
-        }
+        ScheduleSolution { flows, delivered, objective, shortfall, rounds }
     }
 }
 
@@ -1344,8 +1328,9 @@ mod tests {
         sess.advance_to(1);
         let warm =
             sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
-        assert!(warm.lp_stats.warm_primal + warm.lp_stats.warm_dual >= 1, "{:?}", warm.lp_stats);
-        assert_eq!(warm.lp_stats.cold_starts, 1, "{:?}", warm.lp_stats);
+        let st = sess.lp().stats();
+        assert!(st.warm_primal + st.warm_dual >= 1, "{st:?}");
+        assert_eq!(st.cold_starts, 1, "{st:?}");
         // Frozen steps are excluded from the installed plan.
         for j in 0..2 {
             assert!(warm.flows[j].iter().all(|&(_, t, _)| t >= 1));
@@ -1586,7 +1571,7 @@ mod tests {
                 solve(&mut sess, now);
             }
         }
-        let st = sess.lp_stats();
+        let st = sess.lp().stats();
         assert_eq!(st.cold_starts, 1, "every later solve carries: {st:?}");
         assert!(deep >= 3 && st.warm_dual >= 10, "{deep} deep steps, {st:?}");
         for (now, (model, objective)) in steps.iter().enumerate() {

@@ -34,8 +34,7 @@
 //!   examines the candidates and that set's members in a section instead
 //!   of all `n`, and a Bland's-rule anti-cycling fallback. A solve is configured by
 //!   [`SimplexOptions`] (tolerances and limits) and [`SolverTuning`]
-//!   (refactorization cadence and pricing workers), one field per
-//!   parameter.
+//!   (the refactorization cadence), one field per parameter.
 //! * [`SessionStats`] — the one counter type: a solve counts into it, its
 //!   [`Solution`] carries that ledger, and a session merges them.
 //! * [`validate`] — the KKT certificate the tests take as their reference:
@@ -58,7 +57,7 @@
 //! let _r2 = m.add_row("r2", 1.0 * x + 3.0 * y, Cmp::Le, 6.0);
 //!
 //! // First solve is cold and leaves its optimal basis on this thread.
-//! let mut session = m.into_session();
+//! let mut session = SolverSession::new(m);
 //! let sol = session.solve(&SolveOptions::default()).unwrap();
 //! assert!((sol.objective() - 12.0).abs() < 1e-7);
 //! assert!((sol.value(x) - 4.0).abs() < 1e-7);

@@ -307,12 +307,6 @@ impl Model {
         )?;
         Ok(sol)
     }
-
-    /// Move the model into a [`crate::SolverSession`] for incremental
-    /// re-optimization.
-    pub fn into_session(self) -> crate::SolverSession {
-        crate::SolverSession::new(self)
-    }
 }
 
 #[cfg(test)]
@@ -384,7 +378,6 @@ mod tests {
         });
         refused("SolverSession::set_obj", &mut || s.set_obj(x, f64::NAN));
         refused("SolverSession::set_rhs", &mut || s.set_rhs(cap, f64::NAN));
-        refused("SolverSession::add_obj_offset", &mut || s.add_obj_offset(f64::NAN));
         s.set_rhs(cap, f64::INFINITY);
         assert_eq!(s.solve(&SolveOptions::default()).unwrap().objective(), 1.0);
         m.set_rhs(cap, f64::INFINITY);

@@ -71,8 +71,8 @@ use crate::stats::SessionStats;
 pub struct SolveOptions {
     /// Tolerances and limits; `None` means [`SimplexOptions::default`].
     pub simplex: Option<SimplexOptions>,
-    /// Refactorization cadence and pricing workers; the all-zero default
-    /// is the default kernel.
+    /// Refactorization cadence; the all-zero default is the default
+    /// kernel.
     pub tuning: SolverTuning,
 }
 
@@ -99,11 +99,11 @@ impl SolveOptions {
 /// the session that ran it continues from it if it is also the next to
 /// solve.)
 ///
-/// Created with [`SolverSession::new`] (or [`Model::into_session`]); see the
-/// [module docs](self) for the restart rules. The session exposes the same
-/// mutators as [`Model`] — route all changes through it so the resident
-/// standard form and the cached optimum stay consistent. The session logs
-/// every mutation of a column or row its last solve knew; a carried
+/// Created with [`SolverSession::new`]; see the [module docs](self) for the
+/// restart rules. The session has its own [`Model`] mutators — route all
+/// changes through them so the resident standard form and the cached optimum
+/// stay consistent. The session logs every mutation of a column or row its
+/// last solve knew (one the resident standard form holds); a carried
 /// re-solve brings into the standard form and the carried bounds and rest
 /// states only what was appended and what that log names (DESIGN.md §23),
 /// and writes the optimum it lends out over the last one, in its buffers.
@@ -119,7 +119,9 @@ pub struct SolverSession {
     stamp: u64,
     /// Standard form of `model`, kept between solves and synced rather
     /// than rebuilt (DESIGN.md §20). Valid only together with `stamp`: a
-    /// solve that does not carry rebuilds it.
+    /// solve that does not carry rebuilds it. While a stamp is held its
+    /// sizes are the model's at the last solve: columns and rows past them
+    /// were appended afterwards and are never referenced by its basis.
     resident: Problem,
     /// `solution` is stale: something changed since, or nothing solved yet.
     dirty: bool,
@@ -131,10 +133,6 @@ pub struct SolverSession {
     /// counters (cache hits).
     stats: SessionStats,
     last_restart: Option<Restart>,
-    /// Model size at the last solve; columns/rows past these marks were
-    /// appended afterwards and are never referenced by its basis.
-    solved_vars: usize,
-    solved_rows: usize,
     /// The last certified optimum, overwritten in place by each solve that
     /// succeeds. Served by [`SolverSession::solve`] while the session is
     /// not `dirty`, and the reference point for [`SolverSession::fix_at_value`].
@@ -162,8 +160,6 @@ impl SolverSession {
             changes: Changes::default(),
             stats: SessionStats::default(),
             last_restart: None,
-            solved_vars: 0,
-            solved_rows: 0,
             solution: Solution::empty(),
         }
     }
@@ -213,11 +209,6 @@ impl SolverSession {
         self.add_var(name, 0.0, f64::INFINITY, obj)
     }
 
-    /// See [`Model::add_free`].
-    pub fn add_free(&mut self, name: &str, obj: f64) -> Var {
-        self.add_var(name, f64::NEG_INFINITY, f64::INFINITY, obj)
-    }
-
     /// See [`Model::add_row`].
     pub fn add_row(&mut self, name: &str, expr: impl Into<LinExpr>, cmp: Cmp, rhs: f64) -> RowId {
         self.dirty = true;
@@ -236,8 +227,8 @@ impl SolverSession {
     /// change without this test seeing it.)
     pub fn add_term(&mut self, r: RowId, v: Var, coef: f64) {
         self.dirty = true;
-        let old_row = r.index() < self.solved_rows;
-        if v.index() < self.solved_vars && old_row {
+        let old_row = r.index() < self.resident.m;
+        if v.index() < self.resident.nstruct && old_row {
             self.invalidate();
         } else if old_row {
             self.changes.tails.push(r.0);
@@ -248,7 +239,7 @@ impl SolverSession {
     /// See [`Model::set_obj`].
     pub fn set_obj(&mut self, v: Var, obj: f64) {
         self.dirty = true;
-        if v.index() < self.solved_vars {
+        if v.index() < self.resident.nstruct {
             self.changes.costs.push(v.0);
         }
         self.model.set_obj(v, obj);
@@ -263,7 +254,7 @@ impl SolverSession {
 
     /// Log a bound change of a column the last solve knew.
     fn log_bounds(&mut self, v: Var) {
-        if v.index() < self.solved_vars {
+        if v.index() < self.resident.nstruct {
             self.changes.bounds.push(v.0);
         }
     }
@@ -290,16 +281,10 @@ impl SolverSession {
     /// See [`Model::set_rhs`].
     pub fn set_rhs(&mut self, r: RowId, rhs: f64) {
         self.dirty = true;
-        if r.index() < self.solved_rows {
+        if r.index() < self.resident.m {
             self.changes.rhs.push(r.0);
         }
         self.model.set_rhs(r, rhs);
-    }
-
-    /// See [`Model::add_obj_offset`].
-    pub fn add_obj_offset(&mut self, c: f64) {
-        self.dirty = true;
-        self.model.add_obj_offset(c);
     }
 
     /// Append-only access to the underlying model, for helpers that build
@@ -357,15 +342,7 @@ impl SolverSession {
         self.stats.merge(self.solution.stats);
         self.last_restart = Some(restart);
         self.dirty = false;
-        self.solved_vars = self.model.num_vars();
-        self.solved_rows = self.model.num_rows();
         Ok(&self.solution)
-    }
-}
-
-impl From<Model> for SolverSession {
-    fn from(model: Model) -> Self {
-        SolverSession::new(model)
     }
 }
 
@@ -509,11 +486,10 @@ mod tests {
         let (mut s, x, y, r1, _r2) = toy();
         assert!(s.cached_solution().is_none(), "nothing solved yet");
         type Mutator<'a> = (&'a str, &'a dyn Fn(&mut SolverSession));
-        let mutators: [Mutator; 8] = [
+        let mutators: [Mutator; 7] = [
             ("set_rhs", &|s| s.set_rhs(r1, 5.0)),
             ("set_bounds", &|s| s.set_bounds(x, 0.0, 3.0)),
             ("set_obj", &|s| s.set_obj(y, 2.5)),
-            ("add_obj_offset", &|s| s.add_obj_offset(1.0)),
             ("add_var", &|s| {
                 s.add_var("z", 0.0, 1.0, 0.0);
             }),
@@ -914,12 +890,13 @@ mod tests {
 
     /// The resident standard form is an optimization only: a session that
     /// keeps it must report bitwise what a twin reports that is driven through
-    /// the same mutations but rebuilds its standard form before every solve —
-    /// and so must a clone taken mid-run, which carries the resident state
-    /// with it. Each runs on a thread of its own, so each carries; the clone
-    /// takes over from its original on the original's thread. (Under debug
-    /// assertions every sync additionally checks the resident problem against
-    /// a fresh build.)
+    /// the same mutations but rebuilds its standard form before every solve
+    /// that runs (not before a cache hit, which would leave the session
+    /// without the sizes its mutators log against) — and so must a clone
+    /// taken mid-run, which carries the resident state with it. Each runs on
+    /// a thread of its own, so each carries; the clone takes over from its
+    /// original on the original's thread. (Under debug assertions every sync
+    /// additionally checks the resident problem against a fresh build.)
     #[test]
     fn resident_session_matches_rebuilding_twin_bitwise() {
         #[derive(Clone, Copy)]
@@ -954,7 +931,7 @@ mod tests {
                 let mut out = Vec::new();
                 for (batch, ops) in script.iter().enumerate() {
                     ops.iter().for_each(|op| apply(op, &mut s));
-                    if let Keep::Rebuild = keep {
+                    if let (Keep::Rebuild, None) = (keep, s.cached_solution()) {
                         s.resident = Problem::default();
                     }
                     out.push(fingerprint(&mut s, &opts));

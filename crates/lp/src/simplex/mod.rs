@@ -264,19 +264,6 @@ pub enum Restart {
     WarmDual,
 }
 
-fn name_fns(model: &Model) -> (impl Fn(usize) -> String + '_, impl Fn(usize) -> String + '_) {
-    (
-        move |i: usize| model.row_name(crate::RowId::from_index(i)).to_string(),
-        move |j: usize| {
-            if j < model.vars.len() {
-                model.var_name(crate::Var::from_index(j)).to_string()
-            } else {
-                format!("slack_{}", j - model.vars.len())
-            }
-        },
-    )
-}
-
 thread_local! {
     /// The solver workspace — factorization, elimination arenas, every
     /// per-column and per-row scratch vector — shared by all solves on this
@@ -409,14 +396,14 @@ pub(crate) fn solve_model_session(
     problem: &mut Problem,
     out: &mut Solution,
 ) -> Result<(u64, Restart), SolveError> {
-    // The model's own row storage is the row-major mirror of the structural
-    // matrix (`RowData.terms`, sorted by column); the solver borrows it.
-    let (rows, vars) = name_fns(model);
+    // The solver borrows the model: its row storage is the row-major mirror
+    // of the structural matrix (`RowData.terms`, sorted by column), and its
+    // names name the errors.
     with_workspace(|work| {
         let held = std::mem::take(&mut work.owner);
         if stamp != 0 && stamp == held && problem.sync(model, changes) {
-            let run = solver::warm_state(problem, model, changes, options, tuning, work, &rows)
-                .and_then(|mut st| st.reoptimize(&problem.cost, &rows, &vars));
+            let run = solver::warm_state(problem, model, changes, options, tuning, work)
+                .and_then(|mut st| st.reoptimize(&problem.cost));
             if let Ok((stats, used_dual)) = run {
                 let restart = if used_dual { Restart::WarmDual } else { Restart::WarmPrimal };
                 return Ok((conclude(model, problem, work, stats, restart, out), restart));
@@ -429,7 +416,7 @@ pub(crate) fn solve_model_session(
             *problem = Problem::default();
             *problem = Problem::from_model(model);
             load_bounds(model, work);
-            solver::run(problem, &model.rows, options, tuning, work, &rows, &vars)
+            solver::run(problem, model, options, tuning, work)
         };
         let stats = match attempt(options, tuning) {
             Ok(s) => s,

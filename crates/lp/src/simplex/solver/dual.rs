@@ -79,11 +79,7 @@ impl State<'_> {
     /// anything. The leaving-row candidates are kept the same way
     /// (`Workspace::infeasible`): recounted after every refactorization,
     /// updated at the positions a pivot moves.
-    pub(super) fn dual_iterate(
-        &mut self,
-        cost: &[f64],
-        row_name: &impl Fn(usize) -> String,
-    ) -> Result<(), SolveError> {
+    pub(super) fn dual_iterate(&mut self, cost: &[f64]) -> Result<(), SolveError> {
         let feas = self.opts.feas_tol;
         let mut recount = true;
         loop {
@@ -91,7 +87,7 @@ impl State<'_> {
                 return Err(SolveError::IterationLimit { iterations: self.stats.iterations });
             }
             if self.ws.factor.wants_refactor() {
-                self.recover(cost, row_name)?;
+                self.recover(cost)?;
                 recount = true;
             }
             if std::mem::take(&mut recount) {
@@ -193,7 +189,7 @@ impl State<'_> {
                 }
                 self.mark_infeasible(r);
             } else {
-                self.recover(cost, row_name)?;
+                self.recover(cost)?;
                 recount = true;
             }
             // A dual pivot is degenerate when the duals did not move.
@@ -235,17 +231,15 @@ mod tests {
     /// them or, costs having moved, repriced them.
     #[test]
     fn dual_loop_hands_over_exact_reduced_costs_and_duals() {
-        let name = |i: usize| i.to_string();
         let (mut pivots, mut repriced) = ([0u64; 3], 0u32);
         for seed in 1..=40u64 {
             for (c, max_etas) in [2, 7, 96].into_iter().enumerate() {
                 for move_costs in [false, true] {
                     let (model, p, mut ws, tuning, changes) = cut_case(seed, max_etas, move_costs);
                     let opts = SimplexOptions::default();
-                    let mut st =
-                        warm_state(&p, &model, &changes, &opts, tuning, &mut ws, &name).unwrap();
+                    let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws).unwrap();
                     st.box_dual_infeasible();
-                    let ran = st.dual_iterate(&p.cost, &name);
+                    let ran = st.dual_iterate(&p.cost);
                     if move_costs {
                         // Boxed columns restrict the problem, which may then
                         // have no feasible point; the solve would go cold.

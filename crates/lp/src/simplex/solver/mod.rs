@@ -9,7 +9,7 @@
 use super::basis::arena::grow;
 use super::basis::{BitQueue, FactorError, FactorStats, Factorization};
 use super::{load_bounds, slack_bounds, Changes, Problem, SimplexOptions, SolverTuning};
-use crate::model::{Model, RowData};
+use crate::model::{Model, RowId};
 use crate::solution::SolveError;
 use crate::stats::SessionStats;
 use std::time::Instant;
@@ -122,10 +122,11 @@ pub(crate) struct Workspace {
 
 pub(crate) struct State<'a> {
     p: &'a Problem,
-    /// Row-major mirror of the structural matrix (the model's own row
-    /// storage, terms sorted by column), for sparse pivot-row passes. Slack
-    /// and artificial entries are implicit.
-    rows: &'a [RowData],
+    /// The model `p` is the standard form of. Its rows are the row-major
+    /// mirror of the structural matrix (terms sorted by column) for sparse
+    /// pivot-row passes, slack and artificial entries implicit; its names
+    /// are read only to name an error.
+    model: &'a Model,
     opts: &'a SimplexOptions,
     ws: &'a mut Workspace,
     /// Counters so far (the factorization's are folded in by `finish`).
@@ -184,7 +185,6 @@ pub(crate) fn warm_state<'a>(
     opts: &'a SimplexOptions,
     tuning: SolverTuning,
     ws: &'a mut Workspace,
-    row_name: &impl Fn(usize) -> String,
 ) -> Result<State<'a>, SolveError> {
     let (m, n) = (problem.m, problem.n);
     let (m0, ns0) = (ws.owner_m, ws.owner_nstruct);
@@ -236,9 +236,9 @@ pub(crate) fn warm_state<'a>(
 
     let reprice = !changes.costs.is_empty();
     let screen_all = reprice || ws.screened != Some(opts.opt_tol);
-    let mut st = State::new(problem, &model.rows, opts, tuning, ws);
+    let mut st = State::new(problem, model, opts, tuning, ws);
     st.screen_all = screen_all;
-    st.inherit(&problem.cost, reprice).map_err(|e| numerical(e, row_name))?;
+    st.inherit(&problem.cost, reprice).map_err(|e| numerical(e, model))?;
     Ok(st)
 }
 
@@ -319,11 +319,12 @@ impl Workspace {
     }
 }
 
-fn numerical(e: FactorError, row_name: &impl Fn(usize) -> String) -> SolveError {
+/// A factorization failure of a basis of `model`, named by its row.
+fn numerical(e: FactorError, model: &Model) -> SolveError {
     match e {
         FactorError::Singular { position } => SolveError::Numerical(format!(
             "singular basis at elimination step {position} (row {})",
-            row_name(position)
+            model.row_name(RowId::from_index(position))
         )),
     }
 }
@@ -331,7 +332,7 @@ fn numerical(e: FactorError, row_name: &impl Fn(usize) -> String) -> SolveError 
 impl<'a> State<'a> {
     fn new(
         p: &'a Problem,
-        rows: &'a [RowData],
+        model: &'a Model,
         opts: &'a SimplexOptions,
         tuning: SolverTuning,
         ws: &'a mut Workspace,
@@ -345,7 +346,7 @@ impl<'a> State<'a> {
         let factor_before = ws.factor.stats();
         State {
             p,
-            rows,
+            model,
             opts,
             ws,
             stats: SessionStats::default(),
@@ -373,12 +374,7 @@ impl<'a> State<'a> {
     ///   dual feasible, and released for the polish.
     ///
     /// Returns the solve's ledger plus whether the dual simplex was needed.
-    pub(crate) fn reoptimize(
-        &mut self,
-        cost: &[f64],
-        row_name: &impl Fn(usize) -> String,
-        var_name: &impl Fn(usize) -> String,
-    ) -> Result<(SessionStats, bool), SolveError> {
+    pub(crate) fn reoptimize(&mut self, cost: &[f64]) -> Result<(SessionStats, bool), SolveError> {
         let feas = self.opts.feas_tol;
         let ws = &*self.ws;
         let primal_feasible =
@@ -387,7 +383,7 @@ impl<'a> State<'a> {
             // Box away dual-infeasible nonbasics so the dual simplex starts from
             // a dual-feasible point; the primal polish below reconsiders them.
             self.box_dual_infeasible();
-            let result = self.dual_iterate(cost, row_name);
+            let result = self.dual_iterate(cost);
             let ws = &mut *self.ws;
             for &(j, lb, ub) in &ws.boxed {
                 (ws.lb[j], ws.ub[j]) = (lb, ub);
@@ -412,8 +408,8 @@ impl<'a> State<'a> {
         // Primal phase 2: a no-op when the dual pass already reached optimality,
         // otherwise it repairs reduced-cost violations (objective changes, newly
         // added columns, boxed columns released above).
-        self.iterate(cost, false, var_name, row_name)?;
-        Ok((self.finish(cost, row_name, var_name)?, !primal_feasible))
+        self.iterate(cost, false)?;
+        Ok((self.finish(cost)?, !primal_feasible))
     }
 
     /// The carried first stage of [`warm_state`], once [`Workspace::regrow`]
@@ -434,7 +430,7 @@ impl<'a> State<'a> {
             self.refactor()?;
         } else {
             let (row, pos_of) = (&mut ws.border, &ws.pos_of);
-            for terms in self.rows[m0..].iter().map(|r| &r.terms) {
+            for terms in self.model.rows[m0..].iter().map(|r| &r.terms) {
                 row.clear();
                 row.extend(terms.iter().filter_map(|&(j, v)| {
                     u32::try_from(pos_of[j as usize]).ok().map(|pos| (pos, v))
@@ -468,12 +464,7 @@ impl<'a> State<'a> {
     /// eligible column the maintained ones hid, until the pair certifies.
     /// The ledger handed back folds in the factorization's work since this
     /// solve began (the factorization itself may be older).
-    fn finish(
-        &mut self,
-        cost: &[f64],
-        row_name: &impl Fn(usize) -> String,
-        var_name: &impl Fn(usize) -> String,
-    ) -> Result<SessionStats, SolveError> {
+    fn finish(&mut self, cost: &[f64]) -> Result<SessionStats, SolveError> {
         loop {
             if !self.fresh {
                 self.solve_duals(cost);
@@ -481,9 +472,9 @@ impl<'a> State<'a> {
             if self.settled || self.certified(cost) {
                 break;
             }
-            self.refactor().map_err(|e| numerical(e, row_name))?;
+            self.refactor().map_err(|e| numerical(e, self.model))?;
             self.stats.terminal_refactors += 1;
-            self.iterate(cost, false, var_name, row_name)?;
+            self.iterate(cost, false)?;
         }
         self.ws.screened = (self.stats.terminal_refactors == 0).then_some(self.opts.opt_tol);
         let fs = self.ws.factor.stats().since(self.factor_before);
@@ -577,12 +568,8 @@ impl<'a> State<'a> {
     /// eta, re-seed their prices at the refactorization cadence, and (the
     /// primal loop) make sure of an empty pricing pass. A singular basis is
     /// a numerical error.
-    fn recover(
-        &mut self,
-        cost: &[f64],
-        row_name: &impl Fn(usize) -> String,
-    ) -> Result<(), SolveError> {
-        self.refactor().map_err(|e| numerical(e, row_name))?;
+    fn recover(&mut self, cost: &[f64]) -> Result<(), SolveError> {
+        self.refactor().map_err(|e| numerical(e, self.model))?;
         self.reprice(cost);
         Ok(())
     }
@@ -634,14 +621,14 @@ impl<'a> State<'a> {
     /// its crash-time sign. Entries are valid where
     /// `alpha_stamp[j] == stamp`; `alpha_touched` lists them.
     fn pivot_row_pass(&mut self, position: usize) {
-        let ws = &mut *self.ws;
+        let (ws, rows) = (&mut *self.ws, &self.model.rows);
         ws.factor.btran_row(position, &mut ws.rho, &mut ws.rho_nz);
         ws.stamp += 1;
         let stamp = ws.stamp;
         ws.alpha_touched.clear();
         for &i in &ws.rho_nz {
             let (i, rv) = (i as usize, ws.rho[i as usize]);
-            for &(jc, v) in &self.rows[i].terms {
+            for &(jc, v) in &rows[i].terms {
                 let j = jc as usize;
                 if ws.alpha_stamp[j] != stamp {
                     ws.alpha_stamp[j] = stamp;

@@ -4,7 +4,8 @@
 //! ratio test.
 
 use super::{numerical, NbState, State, Workspace, ZTOL};
-use crate::model::RowData;
+use crate::expr::Var;
+use crate::model::{Model, RowId};
 use crate::simplex::basis::arena::refill;
 use crate::simplex::{Problem, SimplexOptions, SolverTuning};
 use crate::solution::SolveError;
@@ -50,12 +51,10 @@ fn keep_best(scored: &mut [(f64, u32)], keep: usize) {
 
 pub(crate) fn run(
     problem: &mut Problem,
-    rows: &[RowData],
+    model: &Model,
     opts: &SimplexOptions,
     tuning: SolverTuning,
     ws: &mut Workspace,
-    row_name: impl Fn(usize) -> String,
-    var_name: impl Fn(usize) -> String,
 ) -> Result<SessionStats, SolveError> {
     let n = problem.n;
 
@@ -98,15 +97,15 @@ pub(crate) fn run(
     }
 
     let p = &*problem; // fixed from here on: only the workspace moves
-    let mut st = State::new(p, rows, opts, tuning, ws);
-    st.refactor().map_err(|e| numerical(e, &row_name))?;
+    let mut st = State::new(p, model, opts, tuning, ws);
+    st.refactor().map_err(|e| numerical(e, model))?;
 
     // --- phase 1 ----------------------------------------------------------
     if need_phase1 {
         let phase1_cost: Vec<f64> = (0..n)
             .map(|j| if j >= st.p.art_start && st.ws.ub[j] > 0.0 { 1.0 } else { 0.0 })
             .collect();
-        st.iterate(&phase1_cost, true, &var_name, &row_name)?;
+        st.iterate(&phase1_cost, true)?;
         let residual: f64 = (st.p.art_start..n).map(|j| st.ws.x[j].max(0.0)).sum();
         let scale = 1.0 + st.p.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
         if residual > st.opts.feas_tol * scale {
@@ -122,8 +121,8 @@ pub(crate) fn run(
     st.settled = false;
 
     // --- phase 2 ----------------------------------------------------------
-    st.iterate(&p.cost, false, &var_name, &row_name)?;
-    let out = st.finish(&p.cost, &row_name, &var_name);
+    st.iterate(&p.cost, false)?;
+    let out = st.finish(&p.cost);
     // The crash's signs go with this solve: a carried start prices the
     // artificials positive (`State::inherit`), and `Problem::sync` appends
     // to the form as it is left here.
@@ -153,13 +152,7 @@ impl Workspace {
 
 impl State<'_> {
     /// Run simplex iterations with the given cost vector until optimal.
-    pub(super) fn iterate(
-        &mut self,
-        cost: &[f64],
-        phase1: bool,
-        var_name: &impl Fn(usize) -> String,
-        row_name: &impl Fn(usize) -> String,
-    ) -> Result<(), SolveError> {
+    pub(super) fn iterate(&mut self, cost: &[f64], phase1: bool) -> Result<(), SolveError> {
         // Exact `y` and `d` to start from; pivots maintain them from the
         // pivot rows.
         self.reprice(cost);
@@ -169,7 +162,7 @@ impl State<'_> {
             }
             if self.ws.factor.wants_refactor() {
                 // The refactor cadence doubles as the pricing drift guard.
-                self.recover(cost, row_name)?;
+                self.recover(cost)?;
             }
             let bland = self.degenerate_run > self.opts.bland_trigger;
             let picked = if bland { self.price_bland() } else { self.price_partial() };
@@ -179,7 +172,7 @@ impl State<'_> {
                     // last factorization: certify optimality against exact
                     // values before declaring this phase done. Terminates
                     // because the repriced costs are exact (`fresh`).
-                    self.recover(cost, row_name)?;
+                    self.recover(cost)?;
                     continue;
                 }
                 return Ok(()); // optimal for this phase
@@ -198,7 +191,15 @@ impl State<'_> {
                             "phase-1 objective unbounded (internal error)".into(),
                         ));
                     }
-                    return Err(SolveError::Unbounded { var: var_name(j.min(self.p.nstruct)) });
+                    // The ray runs along a structural or a row's slack (phase 2
+                    // keeps every artificial closed).
+                    let var = match j.checked_sub(self.p.slack_start) {
+                        None => self.model.var_name(Var::from_index(j)).to_string(),
+                        Some(i) => {
+                            format!("slack of {}", self.model.row_name(RowId::from_index(i)))
+                        }
+                    };
+                    return Err(SolveError::Unbounded { var });
                 }
                 Step::BoundFlip { t } => {
                     // No basis change: `y` and `d` stay exact as-is.
@@ -216,7 +217,7 @@ impl State<'_> {
                     if !self.exchange(j, position, sigma, t, to_upper) {
                         // Pivot too small for a stable eta: rebuild and, if
                         // the basis went bad, surface a numerical error.
-                        self.recover(cost, row_name)?;
+                        self.recover(cost)?;
                     }
                     self.note_step(t);
                 }
@@ -399,7 +400,6 @@ mod tests {
     /// where it ends, a recount must find no eligible column outside it.
     #[test]
     fn entering_set_covers_a_recount_through_the_polish() {
-        let name = |i: usize| i.to_string();
         let mut checked = [0u64; 3];
         for seed in 1..=100u64 {
             for ((c, max_etas), move_costs) in
@@ -409,10 +409,9 @@ mod tests {
                 let opts = SimplexOptions::default();
                 for stop in 1.. {
                     let mut ws = start.clone();
-                    let mut st =
-                        warm_state(&p, &model, &changes, &opts, tuning, &mut ws, &name).unwrap();
+                    let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws).unwrap();
                     st.max_iterations = stop;
-                    let done = match st.reoptimize(&p.cost, &name, &name) {
+                    let done = match st.reoptimize(&p.cost) {
                         Err(SolveError::IterationLimit { .. }) => false,
                         Ok(_) => true,
                         // The dual loop stopped, or the boxed problem had no

@@ -30,7 +30,6 @@ pub(super) fn cut_case(
     max_etas: usize,
     move_costs: bool,
 ) -> (Model, Problem, Workspace, SolverTuning, Changes) {
-    let name = |i: usize| i.to_string();
     let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let (jobs, steps) = (4 + (g.unit() * 5.0) as usize, 4 + (g.unit() * 6.0) as usize);
     let mut model = Model::new(Sense::Maximize);
@@ -56,7 +55,7 @@ pub(super) fn cut_case(
     let mut ws = Workspace::default();
     let mut p = Problem::from_model(&model);
     load_bounds(&model, &mut ws);
-    run(&mut p, &model.rows, &SimplexOptions::default(), tuning, &mut ws, name, name).unwrap();
+    run(&mut p, &model, &SimplexOptions::default(), tuning, &mut ws).unwrap();
     (ws.owner_m, ws.owner_nstruct) = (p.m, p.nstruct);
 
     let mut changes = Changes::default();
@@ -96,21 +95,20 @@ pub(super) fn cut_case(
 /// eligible column.
 #[test]
 fn finish_reenters_the_primal_loop_when_the_reprice_exposes_a_column() {
-    let name = |i: usize| i.to_string();
     let mut reentered = 0;
     for seed in 1..=12u64 {
         let (model, p, mut ws, tuning, changes) = cut_case(seed, 96, false);
         let opts = SimplexOptions::default();
-        let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws, &name).unwrap();
+        let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws).unwrap();
         st.box_dual_infeasible();
-        st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
-        st.iterate(&p.cost, false, &name, &name).unwrap();
+        st.dual_iterate(&p.cost).expect("zero flow stays feasible");
+        st.iterate(&p.cost, false).unwrap();
         let busy = |k: &usize| *k < p.nstruct && st.ws.x[*k] > 1e-6;
         let k = st.ws.basis.iter().copied().find(busy).expect("some flow is basic");
         let mut cost = p.cost.clone();
         cost[k] = 10.0;
         let pivots = st.stats.iterations;
-        let out = st.finish(&cost, &name, &name).unwrap();
+        let out = st.finish(&cost).unwrap();
         assert_eq!(out.terminal_refactors, 1, "seed {seed}");
         reentered += u32::from(st.stats.iterations > pivots);
         st.refactor().unwrap();
@@ -127,24 +125,23 @@ fn finish_reenters_the_primal_loop_when_the_reprice_exposes_a_column() {
 /// refactorizes and returns what the untouched run returned.
 #[test]
 fn finish_refactorizes_only_when_the_certificate_fails() {
-    let name = |i: usize| i.to_string();
     for seed in 1..=12u64 {
         let (model, p, start, tuning, changes) = cut_case(seed, 96, false);
         let opts = SimplexOptions::default();
         let finish_after = |perturb: &dyn Fn(&mut Workspace, usize, usize)| {
             let mut ws = start.clone();
-            let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws, &name).unwrap();
+            let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws).unwrap();
             st.box_dual_infeasible();
-            st.dual_iterate(&p.cost, &name).expect("zero flow stays feasible");
+            st.dual_iterate(&p.cost).expect("zero flow stays feasible");
             assert!(st.ws.boxed.is_empty() && st.stats.dual_iterations > 0, "seed {seed}");
-            st.iterate(&p.cost, false, &name, &name).unwrap();
+            st.iterate(&p.cost, false).unwrap();
             assert!(st.fresh && !st.settled, "seed {seed}");
             // A basic column and a row it has an entry in.
             let k = st.ws.basis[0];
             let i = p.with_col(k, |col| col[0].0 as usize);
             perturb(st.ws, k, i);
             let before = st.ws.factor.stats();
-            let out = st.finish(&p.cost, &name, &name).unwrap();
+            let out = st.finish(&p.cost).unwrap();
             let refactors = st.ws.factor.stats().since(before).refactors;
             assert_eq!(refactors, out.terminal_refactors, "seed {seed}");
             (ws.x, ws.y, refactors)

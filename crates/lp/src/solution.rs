@@ -11,8 +11,8 @@ use std::fmt;
 pub enum SolveError {
     /// No feasible point exists; carries the phase-1 infeasibility residual.
     Infeasible { residual: f64 },
-    /// Objective unbounded; carries the name of a variable with an
-    /// unbounded improving ray.
+    /// Objective unbounded; names the column of an unbounded improving
+    /// ray: a variable, or `slack of <row>` for the slack of a row.
     Unbounded { var: String },
     /// The iteration limit was exceeded before reaching optimality.
     IterationLimit { iterations: u64 },

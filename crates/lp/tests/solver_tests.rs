@@ -141,6 +141,24 @@ fn unbounded_free_variable() {
     assert!(matches!(m.solve(), Err(SolveError::Unbounded { .. })));
 }
 
+/// An unbounded ray through a slack names the slack's own row, wherever
+/// that row sits: here the slack of `lower_b`, behind `k` unrelated rows.
+#[test]
+fn unbounded_ray_through_a_slack_names_its_row() {
+    for k in 0..3 {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_free("x", 1.0);
+        let z = m.add_nonneg("z", 0.0);
+        for pad in 0..k {
+            m.add_row(&format!("pad{pad}"), LinExpr::from(z), Cmp::Le, 5.0 + pad as f64);
+        }
+        m.add_row("lower_a", LinExpr::from(x), Cmp::Ge, -4.0);
+        m.add_row("lower_b", 2.0 * x, Cmp::Ge, 1.0);
+        let err = m.solve().unwrap_err();
+        assert_eq!(err, SolveError::Unbounded { var: "slack of lower_b".into() }, "k = {k}");
+    }
+}
+
 #[test]
 fn degenerate_problem_terminates() {
     // Classic degenerate LP (multiple constraints meet at the optimum).
