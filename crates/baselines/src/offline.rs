@@ -88,7 +88,7 @@ pub fn solve_offline(
     let mut paths = PathSet::new(K_PATHS);
     let mut jobs = Vec::with_capacity(requests.len());
     for (i, r) in requests.iter().enumerate() {
-        let p = paths.paths(net, r.src, r.dst).to_vec();
+        let p = paths.paths(net, r.src, r.dst);
         if p.is_empty() {
             continue;
         }

@@ -12,13 +12,14 @@ use crate::outcome::Outcome;
 use pretium_lp::{Cmp, LinExpr, Model, Sense, SolveError};
 use pretium_net::{Network, Path, PathSet};
 use pretium_workload::Request;
+use std::sync::Arc;
 
 struct ActiveRequest {
     /// Index into the original request slice.
     idx: usize,
     bid: f64,
     rate_cap: f64,
-    paths: Vec<Path>,
+    paths: Arc<[Path]>,
 }
 
 /// Allocation of one spot auction.
@@ -97,7 +98,7 @@ pub fn vcg_like(
             .enumerate()
             .filter(|(i, r)| r.start <= t && t <= r.deadline && remaining[*i] > 1e-9)
             .filter_map(|(i, r)| {
-                let p = paths.paths(net, r.src, r.dst).to_vec();
+                let p = paths.paths(net, r.src, r.dst);
                 if p.is_empty() {
                     return None;
                 }

@@ -73,7 +73,7 @@ fn bench_lazy_schedule(h: &mut Harness) {
         if s == d {
             continue;
         }
-        let p = paths.paths(&net, s, d).to_vec();
+        let p = paths.paths(&net, s, d);
         if p.is_empty() {
             continue;
         }

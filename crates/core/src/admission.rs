@@ -202,11 +202,8 @@ impl<'a> Sequencer<'a> {
         let id = self.system.accept(&ticket.params, menu, units)?;
         // The new contract's reservations dirty its plan's slots for the
         // rest of the batch.
-        let contract = self.system.contract(id);
-        let slots: Vec<(usize, Timestep)> =
-            contract.plan.iter().map(|&(pi, t, _)| (pi, t)).collect();
         let paths = self.system.routes(id);
-        for (pi, t) in slots {
+        for &(pi, t, _) in &self.system.contract(id).plan {
             for &e in paths[pi].edges() {
                 self.dirty.insert((e, t));
             }

@@ -24,6 +24,7 @@ use pretium_lp::SolverSession;
 use pretium_net::{EdgeId, Network, Path, Timestep};
 use rand::DetHashMap as HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// KKT tolerance of invariant (7): an installed LP optimum must pass
 /// `validate::check_optimal` at this tolerance.
@@ -159,7 +160,7 @@ pub struct AuditContext<'a> {
     pub state: &'a NetworkState,
     pub contracts: &'a [Contract],
     /// Admissible route set per contract (parallel to `contracts`).
-    pub contract_paths: &'a [Vec<Path>],
+    pub contract_paths: &'a [Arc<[Path]>],
     /// Per-edge price floor (indexed by `EdgeId::index`).
     pub floors: &'a [f64],
     /// Whether the price computer has produced prices yet (the floor
@@ -475,18 +476,17 @@ mod tests {
     use super::*;
     use crate::contract::{Contract, RequestParams};
     use crate::state::PriceBump;
-    use pretium_net::{LinkCost, Network, NodeId, Region, TimeGrid};
+    use pretium_net::{LinkCost, Network, NodeId, Region};
     use pretium_workload::RequestId;
 
     /// A -> B single edge, capacity 10/step, 4 steps.
-    fn world() -> (Network, NetworkState, Vec<Vec<Path>>) {
+    fn world() -> (Network, NetworkState, Vec<Arc<[Path]>>) {
         let mut net = Network::new();
         let a = net.add_node("A", Region::NorthAmerica);
         let b = net.add_node("B", Region::NorthAmerica);
         let e = net.add_edge(a, b, 10.0, LinkCost::owned());
-        let state =
-            NetworkState::new(&net, TimeGrid::new(4, 30), 4, 0.0, PriceBump::default(), |_| 1.0);
-        let paths = vec![vec![Path::new(&net, vec![e])]];
+        let state = NetworkState::new(&net, 4, 0.0, PriceBump::default(), |_| 1.0);
+        let paths = vec![Arc::from(vec![Path::new(&net, vec![e])])];
         (net, state, paths)
     }
 
@@ -515,7 +515,7 @@ mod tests {
         net: &'a Network,
         state: &'a NetworkState,
         contracts: &'a [Contract],
-        paths: &'a [Vec<Path>],
+        paths: &'a [Arc<[Path]>],
         floors: &'a [f64],
     ) -> AuditContext<'a> {
         AuditContext {
@@ -580,10 +580,10 @@ mod tests {
     #[test]
     fn oversubscription_is_caught() {
         let (net, mut state, paths) = world();
-        // Legal reservation, then a high-pri surge shrinks the sellable
-        // pool under it (the §4.4 scenario an auditor must surface).
+        // Legal reservation, then a fault halves the sellable pool under
+        // it (the §4.4 scenario an auditor must surface).
         state.reserve(EdgeId(0), 1, 9.0);
-        state.set_highpri(EdgeId(0), 1, 5.0);
+        state.set_health(EdgeId(0), 1, 0.5);
         let contracts: [Contract; 0] = [];
         let floors = [0.05];
         let mut aud = Auditor::new();

@@ -8,7 +8,8 @@
 //! Module map (mirrors Figure 3 of the paper):
 //!
 //! * [`state`] — the shared network state: per-(link, timestep) prices,
-//!   reservations, high-pri set-asides, the short-term price bump.
+//!   reservations and health, per-link high-pri set-asides, the
+//!   short-term price bump.
 //! * [`menu`] — RA price menus (§4.1): convex piecewise-linear price
 //!   schedules over the cheapest (path, timestep) slots, the guarantee
 //!   bound `x̄`, and the Theorem 5.2 user response.

@@ -304,7 +304,7 @@ pub fn build_menu(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pretium_net::{LinkCost, Network, Region, TimeGrid};
+    use pretium_net::{LinkCost, Network, Region};
     use rand::rngs::StdRng;
     use rand::{DetHashMap as HashMap, Rng, SeedableRng};
 
@@ -420,8 +420,7 @@ mod tests {
                 },
             };
             unbumped += usize::from(bump == PriceBump::disabled());
-            let grid = TimeGrid::new(12, 30);
-            let mut state = NetworkState::new(&net, grid, HORIZON, 0.0, bump, |_| 1.0);
+            let mut state = NetworkState::new(&net, HORIZON, 0.0, bump, |_| 1.0);
             // Half the worlds draw prices from four levels, so ties (and
             // the `1e-12` comparator) are exercised, not only distinct
             // prices over three decades.
@@ -435,10 +434,9 @@ mod tests {
                     };
                     state.set_price(e, t, price);
                     match rng.gen_range(0..10u32) {
-                        0 => state.set_highpri(e, t, 10.0), // nothing sellable
-                        1 => state.set_health(e, t, 0.0),   // link down
+                        0 | 1 => state.set_health(e, t, 0.0), // nothing sellable
                         2 => state.set_health(e, t, rng.gen_range(0.05..1.0)),
-                        3 => state.set_highpri(e, t, rng.gen_range(0.0..9.0)),
+                        3 => state.set_health(e, t, 1.0 - rng.gen_range(0.0..0.9)),
                         _ => {}
                     }
                     // Reservations on both sides of the bump threshold,
@@ -481,7 +479,7 @@ mod tests {
         assert!(non_trivial >= 500, "only {non_trivial} multi-segment menus");
         assert!(clipped >= 50, "only {clipped} windows clipped by the horizon");
         assert_eq!(unbumped, 200);
-        // 322 at this generator; the floor is half.
+        // 323 at this generator; the floor is half.
         assert!(siblings >= 160, "only {siblings} menus re-priced a sibling slot");
     }
 
@@ -499,8 +497,7 @@ mod tests {
         let ad = net.add_edge(a, d, 10.0, LinkCost::owned());
         let sb = net.add_edge(s, b, 100.0, LinkCost::owned());
         let ba = net.add_edge(b, a, 100.0, LinkCost::owned());
-        let mut state =
-            NetworkState::new(&net, TimeGrid::new(1, 30), 1, 0.0, PriceBump::default(), |_| 1.0);
+        let mut state = NetworkState::new(&net, 1, 0.0, PriceBump::default(), |_| 1.0);
         state.set_price(sa, 0, 1.5);
         let paths = vec![Path::new(&net, vec![sa, ad]), Path::new(&net, vec![sb, ba, ad])];
 
@@ -536,8 +533,7 @@ mod tests {
         let a = net.add_node("A", Region::NorthAmerica);
         let b = net.add_node("B", Region::NorthAmerica);
         let e = net.add_edge(a, b, 10.0, LinkCost::owned());
-        let state =
-            NetworkState::new(&net, TimeGrid::new(4, 30), 4, 0.0, PriceBump::default(), |_| 1.0);
+        let state = NetworkState::new(&net, 4, 0.0, PriceBump::default(), |_| 1.0);
         let paths = vec![Path::new(&net, vec![e])];
         (net, state, paths)
     }
@@ -691,8 +687,7 @@ mod tests {
         let ab = net.add_edge(a, b, 10.0, LinkCost::owned());
         let ac = net.add_edge(a, c, 10.0, LinkCost::owned());
         let cb = net.add_edge(c, b, 10.0, LinkCost::owned());
-        let mut state =
-            NetworkState::new(&net, TimeGrid::new(1, 30), 1, 0.0, PriceBump::disabled(), |_| 1.0);
+        let mut state = NetworkState::new(&net, 1, 0.0, PriceBump::disabled(), |_| 1.0);
         // Two-hop path costs 2.0/unit; make the direct edge pricier (3.0).
         state.set_price(ab, 0, 3.0);
         let paths = vec![Path::new(&net, vec![ab]), Path::new(&net, vec![ac, cb])];

@@ -21,39 +21,6 @@ use rand::{DetHashMap as HashMap, DetHashSet as HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The scheduling LP SAM keeps alive between timesteps of one billing
-/// window: successive `run_sam` calls advance it (fix executed flows,
-/// refresh capacities, append newly accepted contracts) and re-solve warm
-/// from the previous basis instead of rebuilding the LP from scratch.
-struct SamCarry {
-    sess: ScheduleSession,
-    /// Contract index of each job slot (insertion order of the session).
-    contract_of_job: Vec<usize>,
-    /// Membership index over `contract_of_job` — the per-timestep
-    /// append loop probes every active contract, so a linear scan here
-    /// would make carry maintenance O(n²) in contract count.
-    members: HashSet<usize>,
-    /// Billing window the session was built in (rebuilt at boundaries, when
-    /// realized usage rolls into the cost proxy's past constants).
-    window: usize,
-}
-
-impl SamCarry {
-    fn new(sess: ScheduleSession, contract_of_job: Vec<usize>, window: usize) -> Self {
-        let members = contract_of_job.iter().copied().collect();
-        SamCarry { sess, contract_of_job, members, window }
-    }
-
-    fn has_contract(&self, i: usize) -> bool {
-        self.members.contains(&i)
-    }
-
-    fn push_contract(&mut self, i: usize) {
-        self.contract_of_job.push(i);
-        self.members.insert(i);
-    }
-}
-
 /// A running Pretium instance.
 pub struct Pretium {
     net: Arc<Network>,
@@ -73,12 +40,21 @@ pub struct Pretium {
     /// [`Pretium::snapshot`] until the next mutation retires it.
     published: Option<Arc<AdmissionSnapshot>>,
     contracts: Vec<Contract>,
-    /// Admissible route set per contract (parallel to `contracts`).
-    contract_paths: Vec<Vec<Path>>,
-    /// Number of completed price recomputations.
-    pc_runs: u32,
-    /// Live SAM session, if one is being carried across timesteps.
-    sam: Option<SamCarry>,
+    /// Admissible route set per contract (parallel to `contracts`): the
+    /// path cache's own entry, shared with every LP job built for it.
+    contract_paths: Vec<Arc<[Path]>>,
+    /// The scheduling LP SAM keeps alive between the timesteps of one
+    /// billing window, if any: successive `run_sam` calls advance it (fix
+    /// executed flows, refresh capacities, append newly accepted
+    /// contracts) and re-solve warm from the previous basis. Its job `j`
+    /// belongs to contract `jobs()[j].key`, and its window is the window
+    /// of its `from()` (it is rebuilt at boundaries, when realized usage
+    /// rolls into the cost proxy's past constants).
+    sam: Option<ScheduleSession>,
+    /// The contracts `sam` holds a job for. The per-timestep append loop
+    /// probes every active contract, so a scan of the session's jobs here
+    /// would make it O(n²) in contract count.
+    sam_members: HashSet<usize>,
     /// LP restart counters accumulated from retired sessions and PC solves
     /// (use [`Pretium::lp_stats`], which folds in the live session).
     lp_stats: SessionStats,
@@ -105,9 +81,8 @@ impl Pretium {
     pub fn new(net: Network, grid: TimeGrid, horizon: usize, cfg: PretiumConfig) -> Self {
         assert!(horizon > 0);
         let floors: Vec<f64> = net.edge_ids().map(|e| price_floor(&net, &grid, &cfg, e)).collect();
-        let state = NetworkState::new(&net, grid, horizon, cfg.highpri_fraction, cfg.bump, |e| {
-            floors[e.index()]
-        });
+        let state =
+            NetworkState::new(&net, horizon, cfg.highpri_fraction, cfg.bump, |e| floors[e.index()]);
         let path_cache = Arc::new(SharedPathSet::new(cfg.k_paths));
         let audit = (cfg.audit || cfg!(debug_assertions)).then(Auditor::new);
         Pretium {
@@ -121,8 +96,8 @@ impl Pretium {
             published: None,
             contracts: Vec::new(),
             contract_paths: Vec::new(),
-            pc_runs: 0,
             sam: None,
+            sam_members: HashSet::default(),
             lp_stats: SessionStats::default(),
             floors,
             telemetry: Telemetry::default(),
@@ -212,7 +187,7 @@ impl Pretium {
 
     /// The admissible route set for `(src, dst)` from the shared path
     /// cache (computed on first access).
-    pub fn paths_for(&self, src: pretium_net::NodeId, dst: pretium_net::NodeId) -> Arc<Vec<Path>> {
+    pub fn paths_for(&self, src: pretium_net::NodeId, dst: pretium_net::NodeId) -> Arc<[Path]> {
         self.path_cache.paths(&self.net, src, dst)
     }
 
@@ -231,10 +206,6 @@ impl Pretium {
 
     pub fn contract(&self, id: ContractId) -> &Contract {
         &self.contracts[id.0]
-    }
-
-    pub fn pc_runs(&self) -> u32 {
-        self.pc_runs
     }
 
     /// Per-module counters and wall-clock timings.
@@ -297,7 +268,7 @@ impl Pretium {
             contracts: &self.contracts,
             contract_paths: &self.contract_paths,
             floors: &self.floors,
-            pc_has_run: self.pc_runs > 0,
+            pc_has_run: self.telemetry.pc.calls > 0,
             ledger: Some(&self.ledger),
             now,
         };
@@ -312,8 +283,8 @@ impl Pretium {
     /// reused a previous basis instead of starting cold.
     pub fn lp_stats(&self) -> SessionStats {
         let mut s = self.lp_stats;
-        if let Some(carry) = &self.sam {
-            s.merge(carry.sess.lp().stats());
+        if let Some(sess) = &self.sam {
+            s.merge(sess.lp().stats());
         }
         s
     }
@@ -358,7 +329,7 @@ impl Pretium {
             self.telemetry.accept.record(t0.elapsed());
             return None;
         }
-        let paths: Vec<Path> = (*self.path_cache.paths(&self.net, params.src, params.dst)).clone();
+        let paths = self.path_cache.paths(&self.net, params.src, params.dst);
         if paths.is_empty() {
             self.telemetry.accepts_rejected += 1;
             self.telemetry.accept.record(t0.elapsed());
@@ -433,12 +404,12 @@ impl Pretium {
         }
         let capacity = |e: EdgeId, t: Timestep| self.state.sellable_capacity(e, t);
         let realized_fn = |e: EdgeId, t: Timestep| realized.at(e, t);
-        let mut carry = match self.sam.take() {
-            Some(c) if c.window == window => c,
+        let mut sess = match self.sam.take() {
+            Some(s) if self.grid.window_of(s.from()) == window => s,
             stale => {
                 // Another window's session: bank its counters, build anew.
                 if let Some(old) = stale {
-                    self.lp_stats.merge(old.sess.lp().stats());
+                    self.lp_stats.merge(old.lp().stats());
                 }
                 let jobs: Vec<Job> = active.iter().map(|&i| self.job_for(i, now)).collect();
                 // The session horizon runs to the end of the simulation, not
@@ -456,21 +427,21 @@ impl Pretium {
                     topk: self.cfg.topk,
                     cost_scale: self.cfg.cost_scale,
                 };
-                SamCarry::new(ScheduleSession::new(&problem), active.clone(), window)
+                self.sam_members = active.iter().copied().collect();
+                ScheduleSession::new(&problem)
             }
         };
         // Freeze the steps executed since the last run, then append
         // contracts accepted in the meantime (with their remaining
         // amounts — anything they already moved under their preliminary
         // schedule is delivered, and its usage feeds the cost proxy).
-        carry.sess.advance_to(now);
+        sess.advance_to(now);
         for &i in &active {
-            if !carry.has_contract(i) {
-                let slot = carry.sess.add_job(self.job_for(i, now));
+            if self.sam_members.insert(i) {
+                let slot = sess.add_job(self.job_for(i, now));
                 let executed: Vec<(usize, Timestep, f64)> =
                     self.contracts[i].plan.iter().filter(|&&(_, t, _)| t < now).copied().collect();
-                carry.sess.record_executed(slot, &executed);
-                carry.push_contract(i);
+                sess.record_executed(slot, &executed);
             }
         }
         // Configured kernel tuning, plus the solver-pressure iteration cap
@@ -488,12 +459,12 @@ impl Pretium {
         let mut degraded = false;
         let mut handled: HashSet<usize> = HashSet::default();
         let sol = 'solve: loop {
-            let sol = match carry.sess.solve_step_with(&self.net, &capacity, &realized_fn, &opts) {
+            let sol = match sess.solve_step_with(&self.net, &capacity, &realized_fn, &opts) {
                 Ok(sol) => sol,
                 Err(err) => {
                     // Retire the failed session (keeping its counters); the
                     // next SAM run rebuilds from scratch.
-                    self.lp_stats.merge(carry.sess.lp().stats());
+                    self.lp_stats.merge(sess.lp().stats());
                     if matches!(err, SolveError::IterationLimit { .. })
                         && self.solver_pressure.is_some()
                     {
@@ -522,25 +493,26 @@ impl Pretium {
                     .map(|(j, &s)| (j, s))
                     .collect();
                 // The lowest-λ short contract, then the lowest job index.
-                let lambda = |j: usize| self.contracts[carry.contract_of_job[j]].lambda;
+                let contract = |j: usize| sess.jobs()[j].key;
+                let lambda = |j: usize| self.contracts[contract(j)].lambda;
                 let Some(&(j, s)) = short
                     .iter()
                     .min_by(|a, b| lambda(a.0).total_cmp(&lambda(b.0)).then(a.0.cmp(&b.0)))
                 else {
                     break 'solve sol;
                 };
-                let remaining = self.contracts[carry.contract_of_job[j]].guarantee_remaining();
+                let i = contract(j);
+                let remaining = self.contracts[i].guarantee_remaining();
                 let (units, kind) = if short.len() > 1 {
                     (remaining, DegradationKind::Shed)
                 } else {
                     (s.min(remaining), DegradationKind::Relaxed)
                 };
                 handled.insert(j);
-                let waived = carry.sess.relax_guarantee(j, units);
+                let waived = sess.relax_guarantee(j, units);
                 if waived <= 0.0 {
                     continue;
                 }
-                let i = carry.contract_of_job[j];
                 self.contracts[i].waived += waived;
                 let penalty = self.contracts[i].lambda * waived;
                 self.ledger.record(ContractId(i), now, kind, waived, penalty);
@@ -551,15 +523,15 @@ impl Pretium {
                 break;
             }
         };
-        self.audit_lp(AuditPoint::Sam, now, &carry.sess);
+        self.audit_lp(AuditPoint::Sam, now, &sess);
         // Plan snapshot for the rerouted-units metric (§4.4): how much
         // previously planned volume had to move off its (path, step) slot.
         let old_plans: Vec<Vec<(usize, Timestep, f64)>> = if faulted {
-            carry
-                .contract_of_job
+            sess.jobs()
                 .iter()
-                .map(|&i| {
-                    self.contracts[i].plan.iter().filter(|&&(_, t, _)| t >= now).copied().collect()
+                .map(|job| {
+                    let plan = &self.contracts[job.key].plan;
+                    plan.iter().filter(|&&(_, t, _)| t >= now).copied().collect()
                 })
                 .collect()
         } else {
@@ -573,18 +545,18 @@ impl Pretium {
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
         state.clear_reservations_from(now);
-        for (j, &i) in carry.contract_of_job.iter().enumerate() {
-            let flows = sol.flows[j].iter().copied();
-            self.contracts[i].plan = reserve_clamped(state, &self.contract_paths[i], flows);
+        for (job, flows) in sess.jobs().iter().zip(&sol.flows) {
+            self.contracts[job.key].plan =
+                reserve_clamped(state, &job.paths, flows.iter().copied());
         }
         if faulted {
             let mut moved = 0.0;
-            for (j, &i) in carry.contract_of_job.iter().enumerate() {
+            for (job, old_plan) in sess.jobs().iter().zip(&old_plans) {
                 let mut slots: HashMap<(usize, Timestep), f64> = HashMap::default();
-                for &(pi, t, u) in &old_plans[j] {
+                for &(pi, t, u) in old_plan {
                     *slots.entry((pi, t)).or_insert(0.0) += u;
                 }
-                for &(pi, t, u) in &self.contracts[i].plan {
+                for &(pi, t, u) in &self.contracts[job.key].plan {
                     if let Some(v) = slots.get_mut(&(pi, t)) {
                         *v -= u;
                     }
@@ -593,7 +565,7 @@ impl Pretium {
             }
             self.telemetry.rerouted_units += moved;
         }
-        self.sam = Some(carry);
+        self.sam = Some(sess);
         self.telemetry.sam.record(t0.elapsed());
         self.run_audit(AuditPoint::Sam, now);
         Ok(())
@@ -605,7 +577,7 @@ impl Pretium {
         let c = &self.contracts[i];
         Job::new(
             i,
-            self.contract_paths[i].clone(),
+            Arc::clone(&self.contract_paths[i]),
             c.params.start.max(now),
             c.params.deadline,
             c.lambda,
@@ -675,7 +647,7 @@ impl Pretium {
             .map(|(i, c)| {
                 Job::new(
                     i,
-                    self.contract_paths[i].clone(),
+                    Arc::clone(&self.contract_paths[i]),
                     c.params.start.max(prev_start),
                     c.params.deadline.min(now - 1),
                     c.lambda,
@@ -709,25 +681,10 @@ impl Pretium {
         sess.solve_step_with(&self.net, &capacity, &zero, &self.solve_opts())?;
         self.lp_stats.merge(sess.lp().stats());
         self.audit_lp(AuditPoint::Pc, now, &sess);
-        // The previous window's pattern is carried into the future.
-        self.bump_epoch();
-        let state = writable(&mut self.state, &mut self.telemetry.state_copies);
-        let spw = self.grid.steps_per_window;
-        for e in self.net.edge_ids() {
-            let floor = self.floors[e.index()];
-            for t in now..self.horizon {
-                // Full dual price: congestion shadow price plus marginal
-                // percentile cost (C_e/k on the window's top-k steps),
-                // computed for the first future window and copied forward.
-                let p = if t < now + spw {
-                    sess.price(e, prev_start + self.grid.step_in_window(t)).max(floor)
-                } else {
-                    state.price(e, t - spw)
-                };
-                state.set_price(e, t, p);
-            }
-        }
-        self.pc_runs += 1;
+        // The previous window's pattern is carried into the future. Full
+        // dual price: congestion shadow price plus marginal percentile cost
+        // (C_e/k on the window's top-k steps).
+        self.write_prices(now, |e, s| sess.price(e, prev_start + s));
         self.telemetry.pc.record(t0.elapsed());
         self.run_audit(AuditPoint::Pc, now);
         Ok(())
@@ -782,13 +739,22 @@ impl Pretium {
     /// run from a previous day's learned prices (the production system
     /// would have weeks of history; a fresh simulation has none).
     pub fn seed_prices(&mut self, pattern: impl Fn(EdgeId, usize) -> f64) {
+        self.write_prices(0, pattern);
+    }
+
+    /// The one price writer: floor `pattern(e, s)` at `e`'s price floor
+    /// once per (edge, step-in-window) and write it to every step `t ≥
+    /// from` with step-in-window `s`.
+    fn write_prices(&mut self, from: Timestep, pattern: impl Fn(EdgeId, usize) -> f64) {
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
+        let mut window = Vec::with_capacity(self.grid.steps_per_window);
         for e in self.net.edge_ids() {
             let floor = self.floors[e.index()];
-            for t in 0..self.horizon {
-                let p = pattern(e, self.grid.step_in_window(t)).max(floor);
-                state.set_price(e, t, p);
+            window.clear();
+            window.extend((0..self.grid.steps_per_window).map(|s| pattern(e, s).max(floor)));
+            for t in from..self.horizon {
+                state.set_price(e, t, window[self.grid.step_in_window(t)]);
             }
         }
     }

@@ -60,14 +60,16 @@ use pretium_net::cost::TOP_FRACTION;
 use pretium_net::percentile::top_k_count;
 use pretium_net::{EdgeId, Network, Path, TimeGrid, Timestep};
 use rand::{DetHashMap as HashMap, DetHashSet};
+use std::sync::Arc;
 
 /// One schedulable job.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Caller-defined identifier (e.g. request index).
     pub key: usize,
-    /// Admissible routes (`R_i`).
-    pub paths: Vec<Path>,
+    /// Admissible routes (`R_i`), shared with the path cache entry and
+    /// the contract they were booked on.
+    pub paths: Arc<[Path]>,
     /// First timestep the job may transfer (absolute).
     pub start: Timestep,
     /// Last timestep (inclusive, absolute).
@@ -88,13 +90,14 @@ impl Job {
     /// A job allowed to transfer anywhere in `[start, deadline]`.
     pub fn new(
         key: usize,
-        paths: Vec<Path>,
+        paths: impl Into<Arc<[Path]>>,
         start: Timestep,
         deadline: Timestep,
         weight: f64,
         min_units: f64,
         max_units: f64,
     ) -> Self {
+        let paths = paths.into();
         Job { key, paths, start, deadline, weight, min_units, max_units, allowed_steps: None }
     }
 
@@ -326,9 +329,20 @@ impl ScheduleSession {
         s
     }
 
+    /// First timestep of the horizon the session was built over.
+    pub fn from(&self) -> Timestep {
+        self.from
+    }
+
     /// First timestep still free to re-plan.
     pub fn fixed_up_to(&self) -> Timestep {
         self.fixed_up_to
+    }
+
+    /// The session's jobs, in insertion order (job `j` is the `j`-th), as
+    /// the LP holds them: `min_units` net of any relaxed guarantee.
+    pub fn jobs(&self) -> &[Job] {
+        &self.jobs
     }
 
     /// The underlying LP session: its model, and the optimum the last solve
@@ -431,7 +445,7 @@ impl ScheduleSession {
     /// `(edge, t)` pairs as fixed constants; elapsed capacity rows are left
     /// alone (that usage is history, not a planning decision).
     pub fn record_executed(&mut self, job: usize, executed: &[(usize, Timestep, f64)]) {
-        let paths = self.jobs[job].paths.clone();
+        let paths = Arc::clone(&self.jobs[job].paths);
         for &(pi, t, units) in executed {
             if t < self.from || t >= self.fixed_up_to || units <= 0.0 {
                 continue;

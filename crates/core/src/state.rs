@@ -1,13 +1,13 @@
 //! The shared network-state datastructure (§4, Figure 3).
 //!
 //! All three Pretium modules read and write one state object: per-link,
-//! per-timestep **internal prices** `P_{e,t}`, the **planned reservations**
-//! of every accepted request, and the capacity **set aside for high-pri
-//! traffic**. Prices are maintained for the whole simulation horizon;
+//! per-timestep **internal prices** `P_{e,t}` and **planned reservations**
+//! of every accepted request, and per link the capacity **set aside for
+//! high-pri traffic**. Prices are maintained for the whole simulation horizon;
 //! the price computer fills future windows by carrying the reference
 //! window's prices forward (§4.3).
 
-use pretium_net::{EdgeId, Network, TimeGrid, Timestep};
+use pretium_net::{EdgeId, Network, Timestep};
 
 /// Relative float tolerance for reservation-vs-capacity comparisons, shared
 /// by [`NetworkState::reserve`]'s overbooking assert and the
@@ -65,21 +65,19 @@ impl PriceBump {
 /// Central state shared by RA, SAM and PC.
 #[derive(Debug, Clone)]
 pub struct NetworkState {
-    grid: TimeGrid,
     horizon: usize,
     /// Base internal price per unit, `[edge][t]`.
     prices: Vec<Vec<f64>>,
     /// Capacity reserved by accepted requests, `[edge][t]`.
     reserved: Vec<Vec<f64>>,
-    /// Capacity set aside for high-pri traffic, `[edge][t]`.
-    highpri: Vec<Vec<f64>>,
     /// Surviving capacity fraction under faults, `[edge][t]` (§4.4):
     /// `1.0` = healthy, `0.0` = failed. Multiplies the sellable capacity,
     /// so every consumer — menus, the scheduling LPs, the auditor, and the
     /// overbooking assert — sees the *degraded* capacity automatically.
     health: Vec<Vec<f64>>,
-    /// Total capacity per edge (cached from the network).
-    capacity: Vec<f64>,
+    /// Healthy sellable capacity per edge: its total capacity minus the
+    /// constant high-pri set-aside.
+    sellable: Vec<f64>,
     pub bump: PriceBump,
 }
 
@@ -88,7 +86,6 @@ impl NetworkState {
     /// `highpri_fraction` of every link reserved for high-pri traffic.
     pub fn new(
         net: &Network,
-        grid: TimeGrid,
         horizon: usize,
         highpri_fraction: f64,
         bump: PriceBump,
@@ -96,21 +93,18 @@ impl NetworkState {
     ) -> Self {
         assert!((0.0..1.0).contains(&highpri_fraction), "high-pri fraction in [0,1)");
         let ne = net.num_edges();
-        let capacity: Vec<f64> = net.edge_ids().map(|e| net.edge(e).capacity).collect();
+        let sellable = |e: EdgeId| {
+            let c = net.edge(e).capacity;
+            (c - c * highpri_fraction).max(0.0)
+        };
         NetworkState {
-            grid,
             horizon,
             prices: net.edge_ids().map(|e| vec![initial_price(e).max(0.0); horizon]).collect(),
             reserved: vec![vec![0.0; horizon]; ne],
-            highpri: capacity.iter().map(|&c| vec![c * highpri_fraction; horizon]).collect(),
             health: vec![vec![1.0; horizon]; ne],
-            capacity,
+            sellable: net.edge_ids().map(sellable).collect(),
             bump,
         }
-    }
-
-    pub fn grid(&self) -> &TimeGrid {
-        &self.grid
     }
 
     pub fn horizon(&self) -> usize {
@@ -138,8 +132,7 @@ impl NetworkState {
     /// by the fault health factor), ignoring reservations — the `c_{e,t}`
     /// of the scheduling LPs.
     pub fn sellable_capacity(&self, e: EdgeId, t: Timestep) -> f64 {
-        let i = e.index();
-        (self.capacity[i] - self.highpri[i][t]).max(0.0) * self.health[i][t]
+        self.sellable[e.index()] * self.health[e.index()][t]
     }
 
     /// Reserved volume at `(e, t)`.
@@ -193,18 +186,6 @@ impl NetworkState {
         self.bump.available_at_marginal(self.sellable_capacity(e, t), self.reserved(e, t))
     }
 
-    /// Update the high-pri set-aside at `(e, t)` (fault injection and
-    /// high-pri volume surprises, §4.4).
-    pub fn set_highpri(&mut self, e: EdgeId, t: Timestep, amount: f64) {
-        assert!(amount >= 0.0 && amount <= self.capacity[e.index()] + 1e-9);
-        self.highpri[e.index()][t] = amount;
-    }
-
-    /// High-pri set-aside at `(e, t)`.
-    pub fn highpri(&self, e: EdgeId, t: Timestep) -> f64 {
-        self.highpri[e.index()][t]
-    }
-
     /// Set the surviving-capacity fraction of `(e, t)` (§4.4 faults):
     /// `0.0` = link down, `1.0` = fully recovered.
     pub fn set_health(&mut self, e: EdgeId, t: Timestep, h: f64) {
@@ -231,12 +212,11 @@ impl NetworkState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pretium_net::{topology, TimeGrid};
+    use pretium_net::topology;
 
     fn state() -> (pretium_net::Network, NetworkState) {
         let net = topology::default_eval(3);
-        let grid = TimeGrid::coarse_default();
-        let st = NetworkState::new(&net, grid, 96, 0.1, PriceBump::default(), |_| 1.0);
+        let st = NetworkState::new(&net, 96, 0.1, PriceBump::default(), |_| 1.0);
         (net, st)
     }
 

@@ -197,7 +197,7 @@ fn full_loop_replay_is_audit_clean() {
     }
     assert!(admitted > 0, "the mix must admit someone");
     assert!(usage.capacity_violations(&net, 1e-6).is_empty());
-    assert!(pretium.pc_runs() >= 2);
+    assert!(pretium.telemetry().pc.calls >= 2);
 
     let aud = pretium.auditor().expect("the config asks for auditing");
     // Every checkpoint audited: accepts + SAM runs + executed steps + PC.

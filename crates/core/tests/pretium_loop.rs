@@ -148,7 +148,7 @@ fn full_loop_meets_guarantees_and_adapts_prices() {
     // the congested edge (its capacity rows were binding in hindsight).
     let p_w1 = pretium.state().price(e, grid.window_start(1));
     assert!(p_w1 > 0.01 + 1e-9, "expected congestion-driven price, got {p_w1}");
-    assert_eq!(pretium.pc_runs(), 1);
+    assert_eq!(pretium.telemetry().pc.calls, 1);
     // Every checkpoint is audited; the loop must be violation-free.
     let aud = pretium.auditor().unwrap();
     assert!(aud.is_clean(), "{:?}", aud.violations());

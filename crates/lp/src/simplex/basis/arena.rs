@@ -115,16 +115,6 @@ impl<T: Copy + Default> SegArena<T> {
         self.cap[s] = new_cap as u32;
     }
 
-    /// Give memory back when over a quarter of the buffer is dead (for a
-    /// family that outlives the operation that grew it).
-    pub fn trim(&mut self) {
-        if 4 * self.dead > self.data.len() {
-            self.compact();
-            self.data.shrink_to(self.data.len() + self.data.len() / 8);
-            self.order = Vec::new();
-        }
-    }
-
     /// Slide the segments together, dropping dead ranges and spare capacity.
     fn compact(&mut self) {
         self.order.clear();
@@ -222,7 +212,7 @@ mod tests {
                 let kind = match eliminating {
                     true if op < 8 => 1,
                     true => [0, 2, 3][next(3)],
-                    false => next(8),
+                    false => next(7),
                 };
                 let s = next(model.len().max(1));
                 match kind {
@@ -252,12 +242,11 @@ mod tests {
                         arena.clear(s);
                         model[s].clear();
                     }
-                    6 => {
+                    _ => {
                         arena.reserve(s, items.len());
                         arena.add_segments(2);
                         model.resize(model.len() + 2, Vec::new());
                     }
-                    _ => arena.trim(),
                 }
                 assert_eq!(arena.segments(), model.len());
                 for (s, want) in model.iter().enumerate() {

@@ -173,7 +173,9 @@ pub(super) fn refactorize(
             }
         }
         let Some((_, jp, rp, vp)) = best else {
-            return Err(FactorError::Singular { position: step });
+            // No column still unpivoted has an acceptable entry left.
+            let position = col_pivoted.iter().position(|&done| !done).unwrap_or(step);
+            return Err(FactorError::Singular { position });
         };
         let (jp, rp) = (jp as usize, rp as usize);
 

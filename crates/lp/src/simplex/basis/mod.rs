@@ -48,8 +48,8 @@ pub const DEFAULT_MAX_ETAS: usize = 96;
 /// Errors from factorization.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FactorError {
-    /// The basis matrix is numerically singular; the offending elimination
-    /// step is reported.
+    /// The basis matrix is numerically singular: the column at basis
+    /// `position` (the lowest such) was left with no acceptable pivot.
     Singular { position: usize },
 }
 
@@ -417,14 +417,23 @@ mod tests {
 
     #[test]
     fn singular_matrix_detected() {
-        let cols = [vec![1.0, 2.0], vec![2.0, 4.0]];
-        let sparse: Vec<SparseCol> = cols
-            .iter()
-            .map(|c| c.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect())
-            .collect();
-        let refs: Vec<&SparseCol> = sparse.iter().collect();
-        let mut f = Factorization::new(32, 1e-12);
-        assert!(matches!(f.refactor(&refs), Err(FactorError::Singular { .. })));
+        let refactor = |cols: &[Vec<f64>]| {
+            let sparse: Vec<SparseCol> = cols
+                .iter()
+                .map(|c| c.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect())
+                .collect();
+            let refs: Vec<&SparseCol> = sparse.iter().collect();
+            Factorization::new(32, 1e-12).refactor(&refs)
+        };
+        assert!(matches!(
+            refactor(&[vec![1.0, 2.0], vec![2.0, 4.0]]),
+            Err(FactorError::Singular { .. })
+        ));
+        // Positions 0 and 1 are dependent; the elimination pivots position 2
+        // and one of them, and fails at step 2. The error names the position
+        // left without a pivot, not the step.
+        let err = refactor(&[vec![1.0, 1.0, 0.0], vec![2.0, 2.0, 0.0], vec![0.0, 1.0, 1.0]]);
+        assert!(matches!(err, Err(FactorError::Singular { position: 0 | 1 })), "{err:?}");
     }
 
     #[test]

@@ -175,7 +175,6 @@ impl Problem {
             }
             *seen = row.terms.len() as u32;
         }
-        self.cols.trim();
 
         let n = nstruct + 2 * m;
         let sign = match model.sense {

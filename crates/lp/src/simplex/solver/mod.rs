@@ -9,6 +9,7 @@
 use super::basis::arena::grow;
 use super::basis::{BitQueue, FactorError, FactorStats, Factorization};
 use super::{load_bounds, slack_bounds, Changes, Problem, SimplexOptions, SolverTuning};
+use crate::expr::Var;
 use crate::model::{Model, RowId};
 use crate::solution::SolveError;
 use crate::stats::SessionStats;
@@ -238,7 +239,7 @@ pub(crate) fn warm_state<'a>(
     let screen_all = reprice || ws.screened != Some(opts.opt_tol);
     let mut st = State::new(problem, model, opts, tuning, ws);
     st.screen_all = screen_all;
-    st.inherit(&problem.cost, reprice).map_err(|e| numerical(e, model))?;
+    st.inherit(&problem.cost, reprice)?;
     Ok(st)
 }
 
@@ -319,13 +320,16 @@ impl Workspace {
     }
 }
 
-/// A factorization failure of a basis of `model`, named by its row.
-fn numerical(e: FactorError, model: &Model) -> SolveError {
-    match e {
-        FactorError::Singular { position } => SolveError::Numerical(format!(
-            "singular basis at elimination step {position} (row {})",
-            model.row_name(RowId::from_index(position))
-        )),
+/// The name of column `j` of `p`, the standard form of `model`: its
+/// variable's, or the slack or artificial of its row.
+fn column_name(model: &Model, p: &Problem, j: usize) -> String {
+    let row = |start: usize| model.row_name(RowId::from_index(j - start));
+    if j < p.nstruct {
+        model.var_name(Var::from_index(j)).to_string()
+    } else if j < p.art_start {
+        format!("slack of {}", row(p.slack_start))
+    } else {
+        format!("artificial of {}", row(p.art_start))
     }
 }
 
@@ -422,7 +426,7 @@ impl<'a> State<'a> {
     /// list stay as they are: the polish's `reprice` resets them before any
     /// primal pricing reads them. Only the entering set is sized for the
     /// grown layout, for the dual pivots to write into.
-    fn inherit(&mut self, cost: &[f64], reprice: bool) -> Result<(), FactorError> {
+    fn inherit(&mut self, cost: &[f64], reprice: bool) -> Result<(), SolveError> {
         self.ensure_scratch();
         let (p, ws) = (self.p, &mut *self.ws);
         let m0 = ws.owner_m;
@@ -472,7 +476,7 @@ impl<'a> State<'a> {
             if self.settled || self.certified(cost) {
                 break;
             }
-            self.refactor().map_err(|e| numerical(e, self.model))?;
+            self.refactor()?;
             self.stats.terminal_refactors += 1;
             self.iterate(cost, false)?;
         }
@@ -544,11 +548,20 @@ impl<'a> State<'a> {
     }
 
     /// Rebuild the LU factorization from the current basis and refresh the
-    /// basic variable values from scratch (removes accumulated drift).
-    fn refactor(&mut self) -> Result<(), FactorError> {
+    /// basic variable values from scratch (removes accumulated drift). A
+    /// singular basis is a numerical error naming a column left without a
+    /// pivot.
+    fn refactor(&mut self) -> Result<(), SolveError> {
         let (p, ws) = (self.p, &mut *self.ws);
         let basis = &ws.basis;
-        ws.factor.refactor_with(p.m, |pos, sink| p.with_col(basis[pos], sink))?;
+        ws.factor.refactor_with(p.m, |pos, sink| p.with_col(basis[pos], sink)).map_err(
+            |FactorError::Singular { position }| {
+                let var = column_name(self.model, p, basis[position]);
+                SolveError::Numerical(format!(
+                    "singular basis: no pivot for {var} (position {position})"
+                ))
+            },
+        )?;
         self.solve_basics();
         self.settled = true;
         Ok(())
@@ -569,7 +582,7 @@ impl<'a> State<'a> {
     /// primal loop) make sure of an empty pricing pass. A singular basis is
     /// a numerical error.
     fn recover(&mut self, cost: &[f64]) -> Result<(), SolveError> {
-        self.refactor().map_err(|e| numerical(e, self.model))?;
+        self.refactor()?;
         self.reprice(cost);
         Ok(())
     }

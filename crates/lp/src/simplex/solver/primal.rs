@@ -3,9 +3,8 @@
 //! (`State::iterate`), partial Devex and Bland pricing, and the bounded
 //! ratio test.
 
-use super::{numerical, NbState, State, Workspace, ZTOL};
-use crate::expr::Var;
-use crate::model::{Model, RowId};
+use super::{column_name, NbState, State, Workspace, ZTOL};
+use crate::model::Model;
 use crate::simplex::basis::arena::refill;
 use crate::simplex::{Problem, SimplexOptions, SolverTuning};
 use crate::solution::SolveError;
@@ -98,7 +97,7 @@ pub(crate) fn run(
 
     let p = &*problem; // fixed from here on: only the workspace moves
     let mut st = State::new(p, model, opts, tuning, ws);
-    st.refactor().map_err(|e| numerical(e, model))?;
+    st.refactor()?;
 
     // --- phase 1 ----------------------------------------------------------
     if need_phase1 {
@@ -193,12 +192,7 @@ impl State<'_> {
                     }
                     // The ray runs along a structural or a row's slack (phase 2
                     // keeps every artificial closed).
-                    let var = match j.checked_sub(self.p.slack_start) {
-                        None => self.model.var_name(Var::from_index(j)).to_string(),
-                        Some(i) => {
-                            format!("slack of {}", self.model.row_name(RowId::from_index(i)))
-                        }
-                    };
+                    let var = column_name(self.model, self.p, j);
                     return Err(SolveError::Unbounded { var });
                 }
                 Step::BoundFlip { t } => {

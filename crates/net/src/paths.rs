@@ -217,13 +217,14 @@ pub fn k_shortest_paths(
     found.into_iter().map(|edges| Path::new(net, edges)).collect()
 }
 
-/// Cache of k-shortest paths per `(src, dst)` pair. Entries are stored
-/// behind `Arc` so [`SharedPathSet`] can hand them out without holding its
-/// lock or copying the path vectors.
+/// Cache of k-shortest paths per `(src, dst)` pair. Each entry is one
+/// `Arc` that every holder of the route set shares, so handing it out
+/// (also from [`SharedPathSet`], without holding its lock) never copies a
+/// path.
 #[derive(Debug, Clone, Default)]
 pub struct PathSet {
     k: usize,
-    cache: HashMap<(NodeId, NodeId), Arc<Vec<Path>>>,
+    cache: HashMap<(NodeId, NodeId), Arc<[Path]>>,
 }
 
 impl PathSet {
@@ -234,21 +235,14 @@ impl PathSet {
         PathSet { k, cache: HashMap::default() }
     }
 
-    /// Paths for `(src, dst)`, computed on first access.
-    pub fn paths(&mut self, net: &Network, src: NodeId, dst: NodeId) -> &[Path] {
-        self.entry(net, src, dst)
-    }
-
-    /// Like [`PathSet::paths`], but returns a shared handle to the entry
-    /// (an `Arc` clone, no path copying).
-    pub fn paths_shared(&mut self, net: &Network, src: NodeId, dst: NodeId) -> Arc<Vec<Path>> {
-        Arc::clone(self.entry(net, src, dst))
-    }
-
-    fn entry(&mut self, net: &Network, src: NodeId, dst: NodeId) -> &Arc<Vec<Path>> {
-        self.cache
-            .entry((src, dst))
-            .or_insert_with(|| Arc::new(k_shortest_paths(net, src, dst, self.k, &|_| 1.0)))
+    /// Paths for `(src, dst)`, computed on first access: a handle on the
+    /// cached entry.
+    pub fn paths(&mut self, net: &Network, src: NodeId, dst: NodeId) -> Arc<[Path]> {
+        Arc::clone(
+            self.cache
+                .entry((src, dst))
+                .or_insert_with(|| k_shortest_paths(net, src, dst, self.k, &|_| 1.0).into()),
+        )
     }
 
     pub fn k(&self) -> usize {
@@ -276,8 +270,8 @@ impl SharedPathSet {
     }
 
     /// Paths for `(src, dst)`, computed under the lock on first access.
-    pub fn paths(&self, net: &Network, src: NodeId, dst: NodeId) -> Arc<Vec<Path>> {
-        self.lock().paths_shared(net, src, dst)
+    pub fn paths(&self, net: &Network, src: NodeId, dst: NodeId) -> Arc<[Path]> {
+        self.lock().paths(net, src, dst)
     }
 
     pub fn k(&self) -> usize {

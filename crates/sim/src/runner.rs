@@ -267,7 +267,7 @@ mod tests {
         let served: f64 = run.outcome.delivered.iter().sum();
         assert!(served > 0.0);
         assert!(run.outcome.admitted.iter().any(|&a| a));
-        assert_eq!(run.system.pc_runs(), 1);
+        assert_eq!(run.system.telemetry().pc.calls, 1);
     }
 
     #[test]
