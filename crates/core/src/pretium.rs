@@ -811,3 +811,80 @@ pub fn price_floor(net: &Network, grid: &TimeGrid, cfg: &PretiumConfig, e: EdgeI
     let flat = net.edge(e).cost.unit_cost() * cfg.cost_scale / grid.steps_per_window as f64;
     cfg.price_floor + flat
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pretium_lp::{RowId, Var};
+    use pretium_net::{LinkCost, Region};
+    use pretium_workload::RequestId;
+
+    /// A contract accepted after its window's SAM session was built joins
+    /// that session at the next `run_sam`, and the units it already moved
+    /// under its preliminary plan enter the session as fixed `exec_…`
+    /// columns, one per route edge and step, in those slots' use rows (the
+    /// runner runs SAM every step, so its contracts never bring any).
+    #[test]
+    fn executed_units_of_a_late_contract_enter_the_sam_session() {
+        let mut net = Network::new();
+        let a = net.add_node("A", Region::NorthAmerica);
+        let b = net.add_node("B", Region::Europe);
+        net.add_edge(a, b, 10.0, LinkCost::percentile(1.0));
+        let cfg = PretiumConfig { highpri_fraction: 0.0, ..Default::default() };
+        let mut pretium = Pretium::new(net, TimeGrid::new(8, 30), 8, cfg);
+        let request = |id: u64, demand: f64| RequestParams {
+            id: RequestId(id),
+            src: a,
+            dst: b,
+            demand,
+            arrival: 0,
+            start: 0,
+            deadline: 7,
+        };
+        let book = |pretium: &mut Pretium, params: &RequestParams| {
+            let menu = pretium.snapshot().ticket(params).menu;
+            pretium.accept(params, &menu, params.demand).expect("booked")
+        };
+        book(&mut pretium, &request(0, 5.0));
+        let mut usage = UsageTracker::new(pretium.network().num_edges(), 8);
+        pretium.run_sam(0, &usage).unwrap();
+        // Accepted after the window's session was built: it does not join
+        // it until the next SAM run, and executes its preliminary plan
+        // meanwhile. It needs more than two steps' capacity, so it is
+        // still active then.
+        let late = book(&mut pretium, &request(1, 40.0));
+        for now in 0..2 {
+            pretium.execute_step(now, &mut usage);
+        }
+        let executed: Vec<_> =
+            pretium.contract(late).plan.iter().filter(|&&(_, t, _)| t < 2).copied().collect();
+        assert!(!executed.is_empty(), "the preliminary plan moved nothing before step 2");
+        pretium.run_sam(2, &usage).unwrap();
+        let model = pretium.sam.as_ref().expect("the window's session").lp().model();
+        let var = |name: &str| {
+            (0..model.num_vars()).map(Var::from_index).find(|&v| model.var_name(v) == name)
+        };
+        let row = |name: &str| {
+            (0..model.num_rows()).map(RowId::from_index).find(|&r| model.row_name(r) == name)
+        };
+        let mut expected = Vec::new();
+        for &(pi, t, units) in &executed {
+            for &e in pretium.routes(late)[pi].edges() {
+                // The late contract is the session's job 1.
+                let name = format!("exec_1_{e}_{t}");
+                let c = var(&name).unwrap_or_else(|| panic!("no column {name}"));
+                assert_eq!(model.bounds(c), (units, units), "{name} is fixed at its units");
+                let use_row = row(&format!("use_{e}_{t}")).expect("the slot's use row");
+                let mut unit = vec![0.0; model.num_vars()];
+                unit[c.index()] = 1.0;
+                assert_eq!(model.row_lhs(use_row, &unit), 1.0, "{name} is in its use row");
+                expected.push(name);
+            }
+        }
+        let exec: Vec<String> = (0..model.num_vars())
+            .map(|j| model.var_name(Var::from_index(j)))
+            .filter(|name| name.starts_with("exec_"))
+            .collect();
+        assert_eq!(exec, expected);
+    }
+}

@@ -54,7 +54,7 @@
 
 use crate::topk::{topk_upper_bound, TopkEncoding};
 use pretium_lp::{
-    Cmp, LinExpr, Model, RowId, Sense, Solution, SolveError, SolveOptions, SolverSession, Var,
+    Cmp, LinExpr, Model, Name, RowId, Sense, Solution, SolveError, SolveOptions, SolverSession, Var,
 };
 use pretium_net::cost::TOP_FRACTION;
 use pretium_net::percentile::top_k_count;
@@ -195,9 +195,13 @@ struct Slot {
     /// The edge has a cost encoding over the slot's billing window.
     costed: bool,
     /// Its usage was over `NEAR_CAP_FRACTION` of its capacity when the
-    /// separation last summed it (meaningful while the slot is
+    /// separation last judged it (meaningful while the slot is
     /// uncapped).
     near: bool,
+    /// The sum of its columns' values in the round that last re-summed it
+    /// (meaningful while the slot is open): the values of the last judged
+    /// round, since a round re-sums every open slot a moved column crosses.
+    usage: f64,
     /// Position of the slot's key in `ScheduleSession::slot_of`'s
     /// iteration order, the order rows are added in.
     ordinal: u32,
@@ -393,12 +397,14 @@ impl ScheduleSession {
         self.penalty = self.penalty.max(job.weight.abs() * SHORTFALL_PENALTY_FACTOR);
         let lo = job.start.max(self.fixed_up_to);
         let hi = (job.deadline + 1).min(self.to);
-        let mut jvars = Vec::new();
-        let mut total = LinExpr::new();
+        let columns = job.paths.len() * (lo..hi).filter(|&t| job.step_allowed(t)).count();
+        let mut jvars = Vec::with_capacity(columns);
+        // Σ X, with room for the shortfall the guarantee row adds.
+        let mut total = LinExpr::with_capacity(columns + 1);
         for pi in 0..job.paths.len() {
             for t in (lo..hi).filter(|&t| job.step_allowed(t)) {
-                let v =
-                    self.sess.add_var(&format!("x_{j}_{pi}_{t}"), 0.0, f64::INFINITY, job.weight);
+                let name = Name::new("x_{}_{}_{}", [j, pi, t]);
+                let v = self.sess.add_var(name, 0.0, f64::INFINITY, job.weight);
                 jvars.push((pi, t, v));
                 total.add_term(1.0, v);
                 for &e in job.paths[pi].edges() {
@@ -422,15 +428,18 @@ impl ScheduleSession {
             self.jobs.push(job);
             return j;
         }
-        self.sess.add_row(&format!("demand_{j}"), total.clone(), Cmp::Le, job.max_units);
+        let demand = Name::new("demand_{}", [j]);
         if job.min_units > 1e-9 {
+            self.sess.add_row(demand, total.clone(), Cmp::Le, job.max_units);
             // Soft guarantee: Σ X + shortfall >= min_units.
-            let s = self.sess.add_var(&format!("short_{j}"), 0.0, job.min_units, -self.penalty);
+            let s =
+                self.sess.add_var(Name::new("short_{}", [j]), 0.0, job.min_units, -self.penalty);
             let e = total.term(1.0, s);
-            let row = self.sess.add_row(&format!("guar_{j}"), e, Cmp::Ge, job.min_units);
+            let row = self.sess.add_row(Name::new("guar_{}", [j]), e, Cmp::Ge, job.min_units);
             self.shortfalls.push(Some(s));
             self.guar_rows.push(Some(row));
         } else {
+            self.sess.add_row(demand, total, Cmp::Le, job.max_units);
             self.shortfalls.push(None);
             self.guar_rows.push(None);
         }
@@ -451,7 +460,8 @@ impl ScheduleSession {
                 continue;
             }
             for &e in paths[pi].edges() {
-                let c = self.sess.add_var(&format!("exec_{job}_{e}_{t}"), units, units, 0.0);
+                let name = Name::new("exec_{}_e{}_{}", [job, e.index(), t]);
+                let c = self.sess.add_var(name, units, units, 0.0);
                 let id = self.slot(e, t);
                 let slot = &mut self.slots[id as usize];
                 slot.vars.push(c);
@@ -477,6 +487,7 @@ impl ScheduleSession {
                 percentile: self.percentile[e.index()],
                 costed: self.costed.contains(&(e, self.grid.window_of(t))),
                 near: false,
+                usage: 0.0,
                 ordinal: 0,
                 queued: 0,
             });
@@ -589,46 +600,50 @@ impl ScheduleSession {
     /// columns at `max_units`, so usage never exceeds the *demand bound*
     /// Σ `max_units` over the jobs with a column crossing `(e, t)` (each job
     /// counted once): a slot whose bound stays at or below the fraction
-    /// never binds and keeps dual zero. Rows and encodings are added in
-    /// sorted key order; elapsed steps (`< fixed_up_to`) get no row.
+    /// never binds and keeps dual zero. The bounds are summed per slot id,
+    /// over the columns' own crossing index. Rows and encodings are added
+    /// in sorted key order; elapsed steps (`< fixed_up_to`) get no row.
     pub fn materialize_contested(
         &mut self,
         net: &Network,
         capacity: &dyn Fn(EdgeId, Timestep) -> f64,
         realized: &dyn Fn(EdgeId, Timestep) -> f64,
     ) {
-        // Per (e, t): the demand bound and the last job that added to it.
-        let mut bound: HashMap<(EdgeId, Timestep), (f64, usize)> = HashMap::default();
+        // Per slot: the demand bound and the last job that added to it.
+        let mut bound = vec![(0.0, usize::MAX); self.slots.len()];
         for (j, jvars) in self.vars.iter().enumerate() {
-            let job = &self.jobs[j];
-            for &(pi, t, _) in jvars {
+            let max_units = self.jobs[j].max_units;
+            for &(_, t, v) in jvars {
                 if t < self.fixed_up_to {
                     continue;
                 }
-                for &e in job.paths[pi].edges() {
-                    let (sum, last) = bound.entry((e, t)).or_insert((0.0, usize::MAX));
+                let (from, to) = self.crossed[v.index()];
+                for &id in &self.crossed_slots[from as usize..to as usize] {
+                    let (sum, last) = &mut bound[id as usize];
                     if *last != j {
-                        *sum += job.max_units;
+                        *sum += max_units;
                         *last = j;
                     }
                 }
             }
         }
-        let mut rows: Vec<(EdgeId, Timestep)> = Vec::new();
+        let mut rows: Vec<((EdgeId, Timestep), u32)> = Vec::new();
         let mut encodings: Vec<(EdgeId, usize)> = Vec::new();
-        for (&(e, t), &(sum, _)) in &bound {
-            let capped = self.slots[self.slot_of[&(e, t)] as usize].cap_row.is_some();
-            if !capped && sum > NEAR_CAP_FRACTION * capacity(e, t) {
-                rows.push((e, t));
+        for (id, (slot, &(sum, last))) in self.slots.iter().zip(&bound).enumerate() {
+            if last == usize::MAX {
+                continue;
             }
-            let w = self.grid.window_of(t);
-            if net.edge(e).cost.is_percentile() && !self.costed.contains(&(e, w)) {
-                encodings.push((e, w));
+            let (e, t) = slot.key;
+            if slot.cap_row.is_none() && sum > NEAR_CAP_FRACTION * capacity(e, t) {
+                rows.push((slot.key, id as u32));
+            }
+            if slot.percentile && !slot.costed {
+                encodings.push((e, self.grid.window_of(t)));
             }
         }
-        rows.sort();
-        for (e, t) in rows {
-            self.add_capacity_row(self.slot_of[&(e, t)], capacity(e, t));
+        rows.sort_unstable();
+        for ((e, t), id) in rows {
+            self.add_capacity_row(id, capacity(e, t));
         }
         encodings.sort();
         encodings.dedup();
@@ -659,7 +674,8 @@ impl ScheduleSession {
         let slot = &mut self.slots[id as usize];
         let (e, t) = slot.key;
         let expr = LinExpr::from_terms(slot.vars.iter().map(|&v| (1.0, v)));
-        slot.cap_row = Some(self.sess.add_row(&format!("cap_{e}_{t}"), expr, Cmp::Le, cap));
+        let name = Name::new("cap_e{}_{}", [e.index(), t]);
+        slot.cap_row = Some(self.sess.add_row(name, expr, Cmp::Le, cap));
     }
 
     /// One round of lazy structure generation against the tentative optimum
@@ -670,15 +686,19 @@ impl ScheduleSession {
     /// A slot is *open* while it may still gain a row (uncapped, at a step
     /// not frozen) or an encoding (percentile, uncosted); its usage is the
     /// sum of its columns' values, and a round judges it on that sum. The
-    /// round pays for what moved: at a step's `first` round every open slot
-    /// is summed, since capacities and `fixed_up_to` moved since the last;
-    /// after that only the slots a column whose value differs from the last
-    /// round's (`values`) crosses. Every other slot keeps its last
-    /// judgement: a slot over capacity or in use while uncosted got its row
-    /// or encoding in the round that found it, so only the `near` flag
-    /// outlives a round. Rows go in in the order a walk of `slot_of` meets
-    /// them (`Slot::ordinal`). A debug assertion compares the result with a
-    /// judgement of every slot.
+    /// round pays for what moved: it re-sums only the slots crossed by a
+    /// column whose value differs from the last judged round's (`values`)
+    /// or that was appended since (`add_job`'s and `record_executed`'s
+    /// columns cross slots, an encoding's none; a new slot is crossed by
+    /// the column that made it); every other open slot's `Slot::usage` is
+    /// still its sum. At a step's `first` round every open slot is judged,
+    /// on that sum, since capacities and `fixed_up_to` moved since the
+    /// last; after that only the re-summed ones. Every other slot keeps its
+    /// last judgement: a slot over capacity or in use while uncosted got
+    /// its row or encoding in the round that found it, so only the `near`
+    /// flag outlives a round. Rows go in in the order a walk of `slot_of`
+    /// meets them (`Slot::ordinal`). A debug assertion compares the result
+    /// with a judgement of every slot.
     fn lazy_grow(
         &mut self,
         net: &Network,
@@ -697,6 +717,29 @@ impl ScheduleSession {
         // (b) Cost encodings for percentile edges the schedule uses.
         let mut any_violated = false;
         let mut new_encodings = Vec::new();
+        // Queue the slots to re-sum: those a column crosses whose value
+        // moved, or that was appended, since the last judged round. At the
+        // session's first judged round every column is new, and every open
+        // slot is re-summed without the walk.
+        self.round = self.round.wrapping_add(1);
+        let (round, fresh) = (self.round, self.values.is_empty());
+        let (slots, dirty) = (&mut self.slots, &mut self.dirty);
+        dirty.clear();
+        if !fresh {
+            let (values, judged) = (sol.values(), &self.values);
+            let moved = values.iter().zip(judged).enumerate();
+            let moved = moved.filter(|(_, (x, y))| x.to_bits() != y.to_bits()).map(|(j, _)| j);
+            for j in moved.chain(judged.len()..values.len()) {
+                let Some(&(from, to)) = self.crossed.get(j) else { continue };
+                for &id in &self.crossed_slots[from as usize..to as usize] {
+                    let slot = &mut slots[id as usize];
+                    if slot.queued != round {
+                        slot.queued = round;
+                        dirty.push(id);
+                    }
+                }
+            }
+        }
         if first {
             self.near.clear();
         }
@@ -708,7 +751,17 @@ impl ScheduleSession {
             if !uncapped && !uncosted {
                 return;
             }
-            let usage: f64 = slot.vars.iter().map(|&v| sol.value(v)).sum();
+            let sum = || slot.vars.iter().map(|&v| sol.value(v)).sum::<f64>();
+            if fresh || slot.queued == round {
+                slot.usage = sum();
+            }
+            debug_assert_eq!(
+                slot.usage.to_bits(),
+                sum().to_bits(),
+                "stale usage of {:?}",
+                slot.key
+            );
+            let usage = slot.usage;
             if uncapped {
                 let cap = capacity(e, t);
                 let violated = usage > cap + CAP_TOL * (1.0 + cap);
@@ -725,36 +778,20 @@ impl ScheduleSession {
         };
         if first {
             // Capacities and `fixed_up_to` moved: judge every open slot
-            // afresh. Slots were added since the last step when the map
-            // grew, which reorders its walk.
-            for (id, slot) in self.slots.iter_mut().enumerate() {
+            // again, on its kept sum unless it was queued. Slots were added
+            // since the last step when the map grew, which reorders its
+            // walk.
+            for (id, slot) in slots.iter_mut().enumerate() {
                 slot.near = false;
                 judge(id as u32, slot);
             }
-            if self.ordered != self.slots.len() {
+            if self.ordered != slots.len() {
                 for (ordinal, &id) in self.slot_of.values().enumerate() {
-                    self.slots[id as usize].ordinal = ordinal as u32;
+                    slots[id as usize].ordinal = ordinal as u32;
                 }
-                self.ordered = self.slots.len();
+                self.ordered = slots.len();
             }
         } else {
-            self.round = self.round.wrapping_add(1);
-            let (round, slots, dirty) = (self.round, &mut self.slots, &mut self.dirty);
-            dirty.clear();
-            let mut queue = |id: u32| {
-                let slot = &mut slots[id as usize];
-                if slot.queued != round {
-                    slot.queued = round;
-                    dirty.push(id);
-                }
-            };
-            // (Columns appended since the last round cross no slot.)
-            let values = sol.values().iter().zip(&self.values);
-            for (j, _) in values.enumerate().filter(|(_, (x, y))| x.to_bits() != y.to_bits()) {
-                if let Some(&(from, to)) = self.crossed.get(j) {
-                    self.crossed_slots[from as usize..to as usize].iter().for_each(|&id| queue(id));
-                }
-            }
             for &id in dirty.iter() {
                 judge(id, &mut slots[id as usize]);
             }
@@ -848,18 +885,18 @@ impl ScheduleSession {
     ) {
         let range = self.grid.window_range(w);
         let k = top_k_count(self.grid.steps_per_window, TOP_FRACTION);
-        let mut inputs: Vec<Var> = Vec::new();
+        let mut inputs: Vec<Var> = Vec::with_capacity(range.len());
         for t in range {
             if t >= self.from && t < self.to {
                 if let Some(&id) = self.slot_of.get(&(e, t)) {
                     let slot = &mut self.slots[id as usize];
-                    // U_{e,t} = Σ crossing flows.
-                    let u = self.sess.add_nonneg(&format!("u_{e}_{t}"), 0.0);
-                    let mut expr = LinExpr::new().term(-1.0, u);
-                    for &v in &slot.vars {
-                        expr.add_term(1.0, v);
-                    }
-                    let row = self.sess.add_row(&format!("use_{e}_{t}"), expr, Cmp::Eq, 0.0);
+                    // U_{e,t} = Σ crossing flows, in column order (`u` is
+                    // the newest column).
+                    let u = self.sess.add_nonneg(Name::new("u_e{}_{}", [e.index(), t]), 0.0);
+                    let flows = slot.vars.iter().map(|&v| (1.0, v));
+                    let expr = LinExpr::from_terms(flows.chain([(-1.0, u)]));
+                    let name = Name::new("use_e{}_{}", [e.index(), t]);
+                    let row = self.sess.add_row(name, expr, Cmp::Eq, 0.0);
                     slot.use_row = Some(row);
                     slot.costed = true;
                     inputs.push(u);
@@ -869,7 +906,8 @@ impl ScheduleSession {
             } else if t < self.from {
                 let c = realized(e, t);
                 if c > 0.0 {
-                    inputs.push(self.sess.add_var(&format!("past_{e}_{t}"), c, c, 0.0));
+                    let name = Name::new("past_e{}_{}", [e.index(), t]);
+                    inputs.push(self.sess.add_var(name, c, c, 0.0));
                 }
             }
         }
@@ -877,8 +915,8 @@ impl ScheduleSession {
         if inputs.is_empty() {
             return;
         }
-        let (topk, name) = (self.topk, format!("c_{e}_{w}"));
-        let s = self.sess.append_with(|m| topk_upper_bound(m, &inputs, k, topk, &name));
+        let (topk, name) = (self.topk, Name::new("c_e{}_{}", [e.index(), w]));
+        let s = self.sess.append_with(|m| topk_upper_bound(m, &inputs, k, topk, name));
         let unit_cost = net.edge(e).cost.unit_cost() * self.cost_scale;
         self.sess.set_obj(s, -unit_cost / k as f64);
     }
@@ -1593,6 +1631,73 @@ mod tests {
             let tol = 1e-9 * (1.0 + cold.abs());
             assert!((objective - cold).abs() <= tol, "step {now}: {objective} vs cold {cold}");
         }
+    }
+
+    /// The names every builder gives its columns and rows, rendered on
+    /// read, pinned as text: a job with a guarantee, contested capacity
+    /// rows, a CVaR cost encoding over a window with realized past steps,
+    /// and an executed-usage constant, on one percentile edge.
+    #[test]
+    fn builders_names_render_as_pinned() {
+        let mut net = Network::new();
+        let a = net.add_node("A", pretium_net::Region::NorthAmerica);
+        let b = net.add_node("B", pretium_net::Region::Europe);
+        net.add_edge(a, b, 10.0, LinkCost::percentile(1.0));
+        let grid = TimeGrid::new(4, 30);
+        let jobs = vec![Job::new(0, single_path(&net, a, b), 2, 3, 1.0, 2.0, 30.0)];
+        let cap = |_e: EdgeId, _t: Timestep| 10.0;
+        let realized = |_e: EdgeId, t: Timestep| if t < 2 { 4.0 } else { 0.0 };
+        let problem = ScheduleProblem {
+            net: &net,
+            grid: &grid,
+            from: 2,
+            to: 4,
+            jobs: &jobs,
+            capacity: &cap,
+            realized: &realized,
+            topk: TopkEncoding::CVar,
+            cost_scale: 1.0,
+        };
+        let mut sess = ScheduleSession::new(&problem);
+        sess.materialize_contested(&net, &cap, &realized);
+        sess.advance_to(3);
+        sess.record_executed(0, &[(0, 2, 1.5)]);
+        let model = sess.lp().model();
+        let vars: Vec<String> =
+            (0..model.num_vars()).map(|j| model.var_name(Var::from_index(j))).collect();
+        let rows: Vec<String> =
+            (0..model.num_rows()).map(|i| model.row_name(RowId::from_index(i))).collect();
+        let want_vars = [
+            "x_0_0_2",
+            "x_0_0_3",
+            "short_0",
+            "past_e0_0",
+            "past_e0_1",
+            "u_e0_2",
+            "u_e0_3",
+            "c_e0_0_u",
+            "c_e0_0_S",
+            "c_e0_0_s0",
+            "c_e0_0_s1",
+            "c_e0_0_s2",
+            "c_e0_0_s3",
+            "exec_0_e0_2",
+        ];
+        let want_rows = [
+            "demand_0",
+            "guar_0",
+            "cap_e0_2",
+            "cap_e0_3",
+            "use_e0_2",
+            "use_e0_3",
+            "c_e0_0_ex0",
+            "c_e0_0_ex1",
+            "c_e0_0_ex2",
+            "c_e0_0_ex3",
+            "c_e0_0_bound",
+        ];
+        assert_eq!(vars, want_vars);
+        assert_eq!(rows, want_rows);
     }
 
     #[test]

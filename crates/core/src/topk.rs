@@ -16,7 +16,7 @@
 //! the two encodings against a direct sort. The benchmark
 //! `ablation_topk_encoding` compares their LP sizes and solve times.
 
-use pretium_lp::{Cmp, LinExpr, Model, Var};
+use pretium_lp::{Cmp, LinExpr, Model, Name, Var};
 
 /// Which top-k encoding the scheduling LPs use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +28,8 @@ pub enum TopkEncoding {
 }
 
 /// Add an upper bound `S ≥ sum of k largest of inputs` to `model` and
-/// return `S`.
+/// return `S`. Its columns and rows are named `name` followed by `_S`,
+/// `_u`, `_s{t}`, `_ex{t}`, `_bound`, … (rendered only when read).
 ///
 /// `S` is tight (equals the top-k sum) at any optimum in which the
 /// objective strictly decreases in `S` — which is the case for all
@@ -37,24 +38,25 @@ pub enum TopkEncoding {
 ///
 /// # Panics
 /// Panics if `inputs` is empty or `k == 0`.
-pub fn topk_upper_bound(
+pub fn topk_upper_bound<'n>(
     model: &mut Model,
     inputs: &[Var],
     k: usize,
     enc: TopkEncoding,
-    name: &str,
+    name: impl Into<Name<'n>>,
 ) -> Var {
     assert!(!inputs.is_empty(), "top-k of an empty set");
     assert!(k >= 1, "k must be at least 1");
+    let name = name.into();
     let t = inputs.len();
     if k >= t {
         // Degenerate: sum of everything.
-        let s = model.add_nonneg(&format!("{name}_S"), 0.0);
-        let mut e = LinExpr::new().term(-1.0, s);
+        let s = model.add_nonneg(name.join("_S", []), 0.0);
+        let mut e = LinExpr::with_capacity(t + 1);
         for &x in inputs {
             e.add_term(1.0, x);
         }
-        model.add_row(&format!("{name}_sumall"), e, Cmp::Le, 0.0);
+        model.add_row(name.join("_sumall", []), e.term(-1.0, s), Cmp::Le, 0.0);
         return s;
     }
     match enc {
@@ -68,27 +70,28 @@ pub fn topk_upper_bound(
 /// `a + b = m + M`, `m ≤ a`, `m ≤ b` — three rows, two new columns.
 /// Pass `i` bubbles the i-th largest value to the end; after `k` passes the
 /// bubbled maxima `F¹..Fᵏ` sum to (at least) the top-k sum.
-fn sorting_network(model: &mut Model, inputs: &[Var], k: usize, name: &str) -> Var {
+fn sorting_network(model: &mut Model, inputs: &[Var], k: usize, name: Name<'_>) -> Var {
     let t = inputs.len();
-    let mut comparator = |a: Var, b: Var, tag: &str| -> (Var, Var) {
-        let m = model.add_nonneg(&format!("{name}_{tag}_m"), 0.0);
-        let big = model.add_nonneg(&format!("{name}_{tag}_M"), 0.0);
+    // Comparator `c` of pass `p` is tagged `_p{p}c{c}`.
+    let mut comparator = |a: Var, b: Var, p: usize, c: usize| -> (Var, Var) {
+        let m = model.add_nonneg(name.join("_p{}c{}_m", [p, c]), 0.0);
+        let big = model.add_nonneg(name.join("_p{}c{}_M", [p, c]), 0.0);
         // a + b = m + M
         model.add_row(
-            &format!("{name}_{tag}_sum"),
+            name.join("_p{}c{}_sum", [p, c]),
             LinExpr::new().term(1.0, a).term(1.0, b).term(-1.0, m).term(-1.0, big),
             Cmp::Eq,
             0.0,
         );
         // m <= a, m <= b
         model.add_row(
-            &format!("{name}_{tag}_le_a"),
+            name.join("_p{}c{}_le_a", [p, c]),
             LinExpr::new().term(1.0, m).term(-1.0, a),
             Cmp::Le,
             0.0,
         );
         model.add_row(
-            &format!("{name}_{tag}_le_b"),
+            name.join("_p{}c{}_le_b", [p, c]),
             LinExpr::new().term(1.0, m).term(-1.0, b),
             Cmp::Le,
             0.0,
@@ -103,45 +106,46 @@ fn sorting_network(model: &mut Model, inputs: &[Var], k: usize, name: &str) -> V
         let mut next: Vec<Var> = Vec::with_capacity(level.len() - 1);
         // First comparator takes the first two inputs; each later one takes
         // the running maximum and the next input (bubble sort).
-        let (m0, mut carry) = comparator(level[0], level[1], &format!("p{pass}c0"));
+        let (m0, mut carry) = comparator(level[0], level[1], pass, 0);
         next.push(m0);
         for (j, &inp) in level.iter().enumerate().skip(2) {
-            let (m, big) = comparator(carry, inp, &format!("p{pass}c{}", j - 1));
+            let (m, big) = comparator(carry, inp, pass, j - 1);
             next.push(m);
             carry = big;
         }
         maxima.push(carry);
         level = next;
     }
-    let s = model.add_nonneg(&format!("{name}_S"), 0.0);
+    let s = model.add_nonneg(name.join("_S", []), 0.0);
     // S >= F^1 + ... + F^k
-    let mut e = LinExpr::new().term(-1.0, s);
+    let mut e = LinExpr::with_capacity(k + 1);
     for &f in &maxima {
         e.add_term(1.0, f);
     }
-    model.add_row(&format!("{name}_topk"), e, Cmp::Le, 0.0);
+    model.add_row(name.join("_topk", []), e.term(-1.0, s), Cmp::Le, 0.0);
     s
 }
 
 /// CVaR encoding: `S ≥ k·u + Σ_t s_t`, `s_t ≥ x_t − u`, `s_t ≥ 0`,
 /// `u` free. Minimizing `S` sets `u` to the k-th largest input and `S` to
 /// the exact top-k sum.
-fn cvar(model: &mut Model, inputs: &[Var], k: usize, name: &str) -> Var {
-    let u = model.add_free(&format!("{name}_u"), 0.0);
-    let s = model.add_nonneg(&format!("{name}_S"), 0.0);
-    let mut total = LinExpr::new().term(-1.0, s).term(k as f64, u);
+fn cvar(model: &mut Model, inputs: &[Var], k: usize, name: Name<'_>) -> Var {
+    let u = model.add_free(name.join("_u", []), 0.0);
+    let s = model.add_nonneg(name.join("_S", []), 0.0);
+    // In column order, as the row keeps it.
+    let mut total = LinExpr::with_capacity(inputs.len() + 2).term(k as f64, u).term(-1.0, s);
     for (t, &x) in inputs.iter().enumerate() {
-        let st = model.add_nonneg(&format!("{name}_s{t}"), 0.0);
+        let st = model.add_nonneg(name.join("_s{}", [t]), 0.0);
         // x_t - u - s_t <= 0
         model.add_row(
-            &format!("{name}_ex{t}"),
+            name.join("_ex{}", [t]),
             LinExpr::new().term(1.0, x).term(-1.0, u).term(-1.0, st),
             Cmp::Le,
             0.0,
         );
         total.add_term(1.0, st);
     }
-    model.add_row(&format!("{name}_bound"), total, Cmp::Le, 0.0);
+    model.add_row(name.join("_bound", []), total, Cmp::Le, 0.0);
     s
 }
 

@@ -67,9 +67,16 @@ impl LinExpr {
         Self::default()
     }
 
-    /// Build an expression from `(coefficient, variable)` pairs.
+    /// The empty expression, with room for `n` terms.
+    pub fn with_capacity(n: usize) -> Self {
+        LinExpr { terms: Vec::with_capacity(n), constant: 0.0 }
+    }
+
+    /// Build an expression from `(coefficient, variable)` pairs, sized by
+    /// the iterator's lower bound.
     pub fn from_terms<I: IntoIterator<Item = (f64, Var)>>(iter: I) -> Self {
-        let mut e = LinExpr::new();
+        let iter = iter.into_iter();
+        let mut e = LinExpr::with_capacity(iter.size_hint().0);
         for (c, v) in iter {
             e.add_term(c, v);
         }
@@ -117,21 +124,29 @@ impl LinExpr {
     }
 
     /// Merge duplicate variables and drop zero coefficients. Term order is
-    /// ascending by variable index afterwards.
+    /// ascending by variable index afterwards. In place: terms that arrive
+    /// in order are not sorted, and a duplicate is summed into the first
+    /// term of its variable in the order the terms were added.
     pub fn compact(&mut self) {
         if self.terms.len() <= 1 {
             return;
         }
-        self.terms.sort_by_key(|t| t.var);
-        let mut out: Vec<Term> = Vec::with_capacity(self.terms.len());
-        for t in self.terms.drain(..) {
-            match out.last_mut() {
-                Some(last) if last.var == t.var => last.coef += t.coef,
-                _ => out.push(t),
-            }
+        if !self.terms.is_sorted_by_key(|t| t.var) {
+            self.terms.sort_by_key(|t| t.var);
         }
-        out.retain(|t| t.coef != 0.0);
-        self.terms = out;
+        self.terms.dedup_by(|t, kept| {
+            let same = t.var == kept.var;
+            if same {
+                kept.coef += t.coef;
+            }
+            same
+        });
+        self.terms.retain(|t| t.coef != 0.0);
+    }
+
+    /// The term buffer, for a row that takes it over.
+    pub(crate) fn into_terms(self) -> Vec<Term> {
+        self.terms
     }
 
     /// Evaluate the expression given a dense assignment of variable values.
@@ -308,6 +323,70 @@ mod tests {
         let mut e = LinExpr::from_terms([(1.0, v(0)), (-1.0, v(0))]);
         e.compact();
         assert!(e.is_empty());
+    }
+
+    /// The sort-and-copy `compact` the in-place one replaced: the
+    /// reference it must match bit for bit.
+    fn compact_by_copy(terms: &mut Vec<Term>) {
+        if terms.len() <= 1 {
+            return;
+        }
+        terms.sort_by_key(|t| t.var);
+        let mut out: Vec<Term> = Vec::with_capacity(terms.len());
+        for t in terms.drain(..) {
+            match out.last_mut() {
+                Some(last) if last.var == t.var => last.coef += t.coef,
+                _ => out.push(t),
+            }
+        }
+        out.retain(|t| t.coef != 0.0);
+        *terms = out;
+    }
+
+    /// Random expressions, sorted and unsorted, with duplicates and with
+    /// terms that cancel: the in-place `compact` leaves the very terms
+    /// (variables and coefficient bits, in order) the reference does.
+    #[test]
+    fn compact_in_place_matches_sort_and_copy_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(49);
+        let mut shapes = [0usize; 4];
+        for case in 0..4000 {
+            let len = (rng.next_u64() % 12) as usize;
+            let vars = 1 + rng.next_u64() % 10;
+            let mut terms: Vec<Term> = (0..len)
+                .map(|_| {
+                    let coef = match rng.next_u64() % 4 {
+                        0 => 1.0,
+                        1 => -1.0,
+                        _ => (rng.next_u64() % 2001) as f64 / 7.0 - 140.0,
+                    };
+                    Term { coef, var: v((rng.next_u64() % vars) as u32) }
+                })
+                .filter(|t| t.coef != 0.0)
+                .collect();
+            if case % 3 == 0 {
+                terms.sort_by_key(|t| t.var);
+            }
+            if case % 5 == 0 && !terms.is_empty() {
+                // A term and its negation: the variable cancels out.
+                let t = terms[0];
+                terms.push(Term { coef: -t.coef, var: t.var });
+            }
+            let mut want = terms.clone();
+            compact_by_copy(&mut want);
+            let mut e = LinExpr { terms: terms.clone(), constant: 0.0 };
+            e.compact();
+            let bits = |ts: &[Term]| -> Vec<(Var, u64)> {
+                ts.iter().map(|t| (t.var, t.coef.to_bits())).collect()
+            };
+            assert_eq!(bits(&e.terms), bits(&want), "case {case}: {terms:?}");
+            let sorted = terms.is_sorted_by_key(|t| t.var);
+            let merged = want.len() < terms.len();
+            shapes[usize::from(sorted) * 2 + usize::from(merged)] += 1;
+        }
+        assert!(shapes.iter().all(|&n| n > 100), "every shape is drawn: {shapes:?}");
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub mod stats;
 pub mod validate;
 
 pub use expr::{LinExpr, Term, Var};
-pub use model::{Cmp, Model, RowId, Sense};
+pub use model::{Cmp, Model, Name, RowId, Sense};
 pub use session::{SolveOptions, SolverSession};
 pub use simplex::basis::{FactorStats, DEFAULT_MAX_ETAS};
 pub use simplex::{Pricing, Restart, SimplexOptions, SolverTuning};

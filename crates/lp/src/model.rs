@@ -16,9 +16,10 @@
 //! assert!((sol.objective() - 12.0).abs() < 1e-7); // x=4, y=0
 //! ```
 
-use crate::expr::{LinExpr, Var};
+use crate::expr::{LinExpr, Term, Var};
 use crate::simplex::{solve_model_session, Changes, Problem, SimplexOptions, SolverTuning};
 use crate::solution::{Solution, SolveError};
+use std::fmt;
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,23 +59,164 @@ impl RowId {
     }
 }
 
-/// Names back to back in one buffer: they are read only by error paths and
-/// diagnostics, and a `String` apiece costs more memory than the variable.
+/// Most ids one [`Name`] holds.
+const MAX_IDS: usize = 4;
+
+/// The name of a column or row, kept as its parts and rendered only when
+/// it is read ([`Model::var_name`], [`Model::row_name`], error messages):
+/// static text whose `{}` holes take the name's ids in order, optionally
+/// followed by a second such template ([`Name::join`]), or borrowed text,
+/// which the model copies. A builder that adds many columns names them
+/// with [`Name::new`] and allocates nothing per name:
+///
+/// ```
+/// use pretium_lp::{Model, Name, Sense};
+/// let mut m = Model::new(Sense::Maximize);
+/// let x = m.add_nonneg(Name::new("x_{}_{}", [3, 7]), 1.0);
+/// let s = m.add_nonneg(Name::new("c_e{}", [5]).join("_s{}", [0]), 0.0);
+/// let y = m.add_nonneg("y", 1.0);
+/// assert_eq!([m.var_name(x), m.var_name(s), m.var_name(y)], ["x_3_7", "c_e5_s0", "y"]);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Name<'a> {
+    head: Head<'a>,
+    /// Static text after the head; its holes take the ids the head leaves.
+    tail: &'static str,
+    ids: [u32; MAX_IDS],
+    /// Ids in use.
+    len: u8,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Head<'a> {
+    Template(&'static str),
+    Text(&'a str),
+}
+
+impl Name<'static> {
+    /// `template` with each `{}` replaced, in order, by the next of `ids`.
+    pub fn new<const N: usize>(template: &'static str, ids: [usize; N]) -> Self {
+        debug_assert_eq!(template.matches("{}").count(), N, "holes of `{template}`");
+        Name { head: Head::Template(template), tail: "", ids: [0; MAX_IDS], len: 0 }.with(ids)
+    }
+}
+
+impl<'a> Name<'a> {
+    /// This name followed by `template`, whose `{}` holes take `ids`.
+    pub fn join<const N: usize>(self, template: &'static str, ids: [usize; N]) -> Self {
+        debug_assert!(self.tail.is_empty(), "a name joins one template");
+        debug_assert_eq!(template.matches("{}").count(), N, "holes of `{template}`");
+        Name { tail: template, ..self }.with(ids)
+    }
+
+    fn with<const N: usize>(mut self, ids: [usize; N]) -> Self {
+        let from = self.len as usize;
+        assert!(from + N <= MAX_IDS, "a name holds at most {MAX_IDS} ids");
+        for (slot, id) in self.ids[from..from + N].iter_mut().zip(ids) {
+            debug_assert!(u32::try_from(id).is_ok(), "name id {id} overflows u32");
+            *slot = id as u32;
+        }
+        self.len += N as u8;
+        self
+    }
+}
+
+impl<'a> From<&'a str> for Name<'a> {
+    fn from(text: &'a str) -> Self {
+        Name { head: Head::Text(text), tail: "", ids: [0; MAX_IDS], len: 0 }
+    }
+}
+
+impl<'a> From<&'a String> for Name<'a> {
+    fn from(text: &'a String) -> Self {
+        Name::from(text.as_str())
+    }
+}
+
+impl fmt::Display for Name<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut ids = self.ids[..self.len as usize].iter().copied();
+        match self.head {
+            Head::Template(template) => fill(f, template, &mut ids)?,
+            Head::Text(text) => f.write_str(text)?,
+        }
+        fill(f, self.tail, &mut ids)
+    }
+}
+
+/// Write `template` with each `{}` replaced by the next of `ids`.
+fn fill(
+    f: &mut fmt::Formatter<'_>,
+    template: &str,
+    ids: &mut impl Iterator<Item = u32>,
+) -> fmt::Result {
+    let mut parts = template.split("{}");
+    f.write_str(parts.next().unwrap_or_default())?;
+    parts.try_for_each(|part| write!(f, "{}{part}", ids.next().unwrap_or(0)))
+}
+
+/// Head of an [`Entry`] whose text is `Names::text[ids[0]..ids[1]]`.
+const TEXT: u16 = u16::MAX;
+
+/// The names of a model's columns or rows as their parts: they are read
+/// only by error paths and diagnostics, so a builder pays for no text and
+/// an entry costs 20 bytes.
 #[derive(Debug, Clone, Default)]
 struct Names {
+    /// The static templates the entries use.
+    templates: Vec<&'static str>,
+    /// Borrowed names, copied back to back.
     text: String,
-    ends: Vec<u32>,
+    entries: Vec<Entry>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// Index into `templates`, or `TEXT` (the tail's ids then follow the
+    /// text's range).
+    head: u16,
+    tail: u16,
+    ids: [u32; MAX_IDS],
 }
 
 impl Names {
-    fn push(&mut self, name: &str) {
-        self.text.push_str(name);
-        self.ends.push(self.text.len() as u32);
+    fn push(&mut self, name: Name<'_>) {
+        let tail = self.template(name.tail);
+        let entry = match name.head {
+            Head::Template(head) => Entry { head: self.template(head), tail, ids: name.ids },
+            Head::Text(text) => {
+                let len = name.len as usize;
+                assert!(len + 2 <= MAX_IDS, "a borrowed name joins at most 2 ids");
+                let from = self.text.len() as u32;
+                self.text.push_str(text);
+                let mut ids = [from, self.text.len() as u32, 0, 0];
+                ids[2..2 + len].copy_from_slice(&name.ids[..len]);
+                Entry { head: TEXT, tail, ids }
+            }
+        };
+        self.entries.push(entry);
     }
 
-    fn get(&self, i: usize) -> &str {
-        let from = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.text[from..self.ends[i] as usize]
+    /// The index of `template` in `templates`, added on first use.
+    fn template(&mut self, template: &'static str) -> u16 {
+        if let Some(i) = self.templates.iter().rposition(|&t| std::ptr::eq(t, template)) {
+            return i as u16;
+        }
+        assert!(self.templates.len() < TEXT as usize, "too many name templates");
+        self.templates.push(template);
+        (self.templates.len() - 1) as u16
+    }
+
+    fn get(&self, i: usize) -> Name<'_> {
+        let Entry { head, tail, ids } = self.entries[i];
+        let tail = self.templates[tail as usize];
+        let len = MAX_IDS as u8;
+        if head == TEXT {
+            let text = &self.text[ids[0] as usize..ids[1] as usize];
+            Name { head: Head::Text(text), tail, ids: [ids[2], ids[3], 0, 0], len }
+        } else {
+            Name { head: Head::Template(self.templates[head as usize]), tail, ids, len }
+        }
     }
 }
 
@@ -87,8 +229,8 @@ pub(crate) struct VarData {
 
 #[derive(Debug, Clone)]
 pub(crate) struct RowData {
-    /// Compacted terms: `(var index, coefficient)`, ascending by index.
-    pub terms: Vec<(u32, f64)>,
+    /// Compacted terms, ascending by variable.
+    pub terms: Vec<Term>,
     pub cmp: Cmp,
     pub rhs: f64,
 }
@@ -129,7 +271,8 @@ impl Model {
     ///
     /// # Panics
     /// Panics if `lb > ub`, or if either bound or `obj` is NaN.
-    pub fn add_var(&mut self, name: &str, lb: f64, ub: f64, obj: f64) -> Var {
+    pub fn add_var<'n>(&mut self, name: impl Into<Name<'n>>, lb: f64, ub: f64, obj: f64) -> Var {
+        let name = name.into();
         assert!(!lb.is_nan() && !ub.is_nan(), "variable bound is NaN");
         assert!(lb <= ub, "variable `{name}` has lb {lb} > ub {ub}");
         assert!(!obj.is_nan(), "variable `{name}` objective is NaN");
@@ -141,27 +284,34 @@ impl Model {
     }
 
     /// Convenience: non-negative variable `[0, ∞)`.
-    pub fn add_nonneg(&mut self, name: &str, obj: f64) -> Var {
+    pub fn add_nonneg<'n>(&mut self, name: impl Into<Name<'n>>, obj: f64) -> Var {
         self.add_var(name, 0.0, f64::INFINITY, obj)
     }
 
     /// Convenience: free variable `(-∞, ∞)`.
-    pub fn add_free(&mut self, name: &str, obj: f64) -> Var {
+    pub fn add_free<'n>(&mut self, name: impl Into<Name<'n>>, obj: f64) -> Var {
         self.add_var(name, f64::NEG_INFINITY, f64::INFINITY, obj)
     }
 
     /// Add the constraint `expr cmp rhs`. Constants inside `expr` are moved
     /// to the right-hand side. Returns a handle for reading the row's dual
-    /// value.
+    /// value. The row keeps the expression's own term buffer: a row costs
+    /// no allocation beyond the ones that built its expression.
     ///
     /// # Panics
     /// Panics if the expression references a variable not belonging to this
     /// model, or if `rhs` is NaN.
-    pub fn add_row(&mut self, name: &str, expr: impl Into<LinExpr>, cmp: Cmp, rhs: f64) -> RowId {
+    pub fn add_row<'n>(
+        &mut self,
+        name: impl Into<Name<'n>>,
+        expr: impl Into<LinExpr>,
+        cmp: Cmp,
+        rhs: f64,
+    ) -> RowId {
+        let name = name.into();
         assert!(!rhs.is_nan(), "row `{name}` rhs is NaN");
         let mut expr = expr.into();
         expr.compact();
-        let mut terms = Vec::with_capacity(expr.len());
         for t in expr.terms() {
             assert!(
                 t.var.index() < self.vars.len(),
@@ -169,12 +319,12 @@ impl Model {
                 t.var.index()
             );
             assert!(t.coef.is_finite(), "row `{name}` has non-finite coefficient");
-            terms.push((t.var.0, t.coef));
         }
         let idx = self.rows.len();
         assert!(idx < u32::MAX as usize, "too many rows");
         self.row_names.push(name);
-        self.rows.push(RowData { terms, cmp, rhs: rhs - expr.constant() });
+        let rhs = rhs - expr.constant();
+        self.rows.push(RowData { terms: expr.into_terms(), cmp, rhs });
         RowId(idx as u32)
     }
 
@@ -195,9 +345,9 @@ impl Model {
         );
         assert!(coef.is_finite(), "add_term: non-finite coefficient");
         let row = &mut self.rows[r.index()];
-        match row.terms.binary_search_by_key(&v.0, |&(j, _)| j) {
-            Ok(i) => row.terms[i].1 += coef,
-            Err(i) => row.terms.insert(i, (v.0, coef)),
+        match row.terms.binary_search_by_key(&v, |t| t.var) {
+            Ok(i) => row.terms[i].coef += coef,
+            Err(i) => row.terms.insert(i, Term { coef, var: v }),
         }
     }
 
@@ -250,14 +400,14 @@ impl Model {
         self.rows.len()
     }
 
-    /// Name of a variable (as given to [`Model::add_var`]).
-    pub fn var_name(&self, v: Var) -> &str {
-        self.var_names.get(v.index())
+    /// Name of a variable (as given to [`Model::add_var`]), rendered.
+    pub fn var_name(&self, v: Var) -> String {
+        self.var_names.get(v.index()).to_string()
     }
 
-    /// Name of a row.
-    pub fn row_name(&self, r: RowId) -> &str {
-        self.row_names.get(r.index())
+    /// Name of a row, rendered.
+    pub fn row_name(&self, r: RowId) -> String {
+        self.row_names.get(r.index()).to_string()
     }
 
     /// Bounds of a variable.
@@ -283,7 +433,7 @@ impl Model {
 
     /// Evaluate a row's left-hand side under an assignment.
     pub fn row_lhs(&self, r: RowId, values: &[f64]) -> f64 {
-        self.rows[r.index()].terms.iter().map(|&(j, c)| c * values[j as usize]).sum()
+        self.rows[r.index()].terms.iter().map(|t| t.coef * values[t.var.index()]).sum()
     }
 
     /// Solve the model to optimality with the revised simplex method.
@@ -346,7 +496,7 @@ mod tests {
         let y = m.add_var("y", 0.0, 10.0, 1.0);
         m.add_term(r, y, 1.0);
         m.add_term(r, x, 2.0);
-        assert_eq!(m.rows[0].terms, vec![(0, 3.0), (1, 1.0)]);
+        assert_eq!(m.rows[0].terms, [Term { coef: 3.0, var: x }, Term { coef: 1.0, var: y }]);
         // The extended row binds both variables.
         let sol = m.solve().unwrap();
         assert!((3.0 * sol.value(x) + sol.value(y) - 4.0).abs() < 1e-6);
@@ -389,6 +539,6 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", 0.0, 1.0, 0.0);
         m.add_row("r", 1.0 * x + 2.0 * x, Cmp::Le, 1.0);
-        assert_eq!(m.rows[0].terms, vec![(0, 3.0)]);
+        assert_eq!(m.rows[0].terms, [Term { coef: 3.0, var: x }]);
     }
 }

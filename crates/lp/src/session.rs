@@ -59,7 +59,7 @@
 //! ```
 
 use crate::expr::{LinExpr, Var};
-use crate::model::{Cmp, Model, RowId};
+use crate::model::{Cmp, Model, Name, RowId};
 use crate::simplex::{
     solve_model_session, Changes, Problem, Restart, SimplexOptions, SolverTuning,
 };
@@ -199,18 +199,24 @@ impl SolverSession {
     // --- mutators (mirror Model, and mark the cached optimum stale) --------
 
     /// See [`Model::add_var`].
-    pub fn add_var(&mut self, name: &str, lb: f64, ub: f64, obj: f64) -> Var {
+    pub fn add_var<'n>(&mut self, name: impl Into<Name<'n>>, lb: f64, ub: f64, obj: f64) -> Var {
         self.dirty = true;
         self.model.add_var(name, lb, ub, obj)
     }
 
     /// See [`Model::add_nonneg`].
-    pub fn add_nonneg(&mut self, name: &str, obj: f64) -> Var {
+    pub fn add_nonneg<'n>(&mut self, name: impl Into<Name<'n>>, obj: f64) -> Var {
         self.add_var(name, 0.0, f64::INFINITY, obj)
     }
 
     /// See [`Model::add_row`].
-    pub fn add_row(&mut self, name: &str, expr: impl Into<LinExpr>, cmp: Cmp, rhs: f64) -> RowId {
+    pub fn add_row<'n>(
+        &mut self,
+        name: impl Into<Name<'n>>,
+        expr: impl Into<LinExpr>,
+        cmp: Cmp,
+        rhs: f64,
+    ) -> RowId {
         self.dirty = true;
         self.model.add_row(name, expr, cmp, rhs)
     }

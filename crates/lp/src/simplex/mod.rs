@@ -153,8 +153,8 @@ impl Problem {
         if self.cols.segments() == 0 {
             // First build: size every column exactly.
             let mut sizes = vec![0u32; nstruct];
-            for &(j, _) in model.rows.iter().flat_map(|r| &r.terms) {
-                sizes[j as usize] += 1;
+            for t in model.rows.iter().flat_map(|r| &r.terms) {
+                sizes[t.var.index()] += 1;
             }
             self.cols.layout(sizes.into_iter());
         } else {
@@ -169,9 +169,9 @@ impl Problem {
         tails.dedup();
         for i in tails.iter().map(|&i| i as usize).chain(m0..m) {
             let (row, seen) = (&model.rows[i], &mut self.row_len[i]);
-            for &(j, coef) in &row.terms[*seen as usize..] {
-                debug_assert!(i >= m0 || j as usize >= ns0, "old row gained an old variable");
-                self.cols.push(j as usize, (i as u32, coef));
+            for t in &row.terms[*seen as usize..] {
+                debug_assert!(i >= m0 || t.var.index() >= ns0, "old row gained an old variable");
+                self.cols.push(t.var.index(), (i as u32, t.coef));
             }
             *seen = row.terms.len() as u32;
         }

@@ -325,7 +325,7 @@ impl Workspace {
 fn column_name(model: &Model, p: &Problem, j: usize) -> String {
     let row = |start: usize| model.row_name(RowId::from_index(j - start));
     if j < p.nstruct {
-        model.var_name(Var::from_index(j)).to_string()
+        model.var_name(Var::from_index(j))
     } else if j < p.art_start {
         format!("slack of {}", row(p.slack_start))
     } else {
@@ -436,8 +436,8 @@ impl<'a> State<'a> {
             let (row, pos_of) = (&mut ws.border, &ws.pos_of);
             for terms in self.model.rows[m0..].iter().map(|r| &r.terms) {
                 row.clear();
-                row.extend(terms.iter().filter_map(|&(j, v)| {
-                    u32::try_from(pos_of[j as usize]).ok().map(|pos| (pos, v))
+                row.extend(terms.iter().filter_map(|t| {
+                    u32::try_from(pos_of[t.var.index()]).ok().map(|pos| (pos, t.coef))
                 }));
                 ws.factor.append_row(row);
             }
@@ -641,7 +641,8 @@ impl<'a> State<'a> {
         ws.alpha_touched.clear();
         for &i in &ws.rho_nz {
             let (i, rv) = (i as usize, ws.rho[i as usize]);
-            for &(jc, v) in &rows[i].terms {
+            for t in &rows[i].terms {
+                let (jc, v) = (t.var.0, t.coef);
                 let j = jc as usize;
                 if ws.alpha_stamp[j] != stamp {
                     ws.alpha_stamp[j] = stamp;

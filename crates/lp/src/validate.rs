@@ -71,7 +71,7 @@ pub fn check_optimal(model: &Model, sol: &Solution, tol: f64) -> Vec<Violation> 
             Cmp::Eq => (lhs - rhs).abs() <= scale(rhs),
         };
         if !ok {
-            let row = model.row_name(RowId::from_index(i)).into();
+            let row = model.row_name(RowId::from_index(i));
             out.push(Violation::RowInfeasible { row, lhs, cmp, rhs });
         }
     }
@@ -79,12 +79,7 @@ pub fn check_optimal(model: &Model, sol: &Solution, tol: f64) -> Vec<Violation> 
         let v = Var::from_index(j);
         let (lb, ub) = model.bounds(v);
         if val < lb - scale(lb) || val > ub + scale(ub) {
-            out.push(Violation::BoundInfeasible {
-                var: model.var_name(v).into(),
-                value: val,
-                lb,
-                ub,
-            });
+            out.push(Violation::BoundInfeasible { var: model.var_name(v), value: val, lb, ub });
         }
     }
 
@@ -101,7 +96,7 @@ pub fn check_optimal(model: &Model, sol: &Solution, tol: f64) -> Vec<Violation> 
             Cmp::Eq => true,
         };
         if !ok {
-            out.push(Violation::DualSign { row: model.row_name(r).into(), dual, cmp: row.cmp });
+            out.push(Violation::DualSign { row: model.row_name(r), dual, cmp: row.cmp });
         }
     }
 
@@ -135,7 +130,7 @@ pub fn check_optimal(model: &Model, sol: &Solution, tol: f64) -> Vec<Violation> 
         } else if at_lb {
             if s > rtol {
                 out.push(Violation::ReducedCostSign {
-                    var: model.var_name(v).into(),
+                    var: model.var_name(v),
                     reduced,
                     at: "lower",
                 });
@@ -143,7 +138,7 @@ pub fn check_optimal(model: &Model, sol: &Solution, tol: f64) -> Vec<Violation> 
         } else if at_ub {
             if s < -rtol {
                 out.push(Violation::ReducedCostSign {
-                    var: model.var_name(v).into(),
+                    var: model.var_name(v),
                     reduced,
                     at: "upper",
                 });
@@ -214,8 +209,8 @@ pub fn assert_optimal(model: &Model, sol: &Solution, tol: f64) {
 pub fn reduced_costs(model: &Model, sol: &Solution) -> Vec<f64> {
     let mut d: Vec<f64> = model.vars.iter().map(|v| v.obj).collect();
     for (row, &y) in model.rows.iter().zip(sol.duals()) {
-        for &(j, coef) in &row.terms {
-            d[j as usize] -= y * coef;
+        for t in &row.terms {
+            d[t.var.index()] -= y * t.coef;
         }
     }
     d
@@ -272,7 +267,7 @@ mod tests {
         assert_optimal(&m, &sol, 1e-7);
         for (j, &d) in reduced_costs(&m, &sol).iter().enumerate() {
             let scan = m.rows.iter().zip(sol.duals()).fold(m.vars[j].obj, |d, (row, &y)| {
-                row.terms.iter().filter(|&&(k, _)| k as usize == j).fold(d, |d, &(_, a)| d - y * a)
+                row.terms.iter().filter(|t| t.var.index() == j).fold(d, |d, t| d - y * t.coef)
             });
             assert_eq!(d.to_bits(), scan.to_bits(), "variable {j}");
         }
