@@ -118,7 +118,7 @@ fn warm_dual_sweep(m: &Model) -> (u64, u64) {
     for step in 0..SWEEP_STEPS {
         for row in (step % 3..caps).step_by(3).map(RowId::from_index) {
             let rhs = sess.model().rhs(row);
-            sess.set_rhs(row, 0.8 * rhs);
+            sess.model_mut().set_rhs(row, 0.8 * rhs);
         }
         let st = sess.solve(&SolveOptions::default()).unwrap().stats();
         assert_ne!(sess.last_restart(), Some(Restart::Cold), "sweep step {step}");

@@ -425,7 +425,7 @@ fn resident_resolve() -> ResolveResult {
         let sol = session.cached_solution().expect("the last solve is current");
         let load: f64 = picked.iter().map(|&v| sol.value(v)).sum();
         let cut = LinExpr::from_terms(picked.iter().map(|&v| (1.0, v)));
-        session.add_row("", cut, Cmp::Le, 0.9 * load + 0.05);
+        session.model_mut().add_row("", cut, Cmp::Le, 0.9 * load + 0.05);
         let before = allocations();
         let t0 = Instant::now();
         let sol = black_box(session.solve(&opts)).expect("cuts keep zero flow feasible");

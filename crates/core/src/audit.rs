@@ -701,7 +701,7 @@ mod tests {
         lp.solve(&SolveOptions::default()).unwrap();
         let mut aud = Auditor::new();
         assert_eq!(aud.check_lp(AuditPoint::Sam, 0, &lp), 0);
-        lp.set_rhs(cap, 5.0);
+        lp.model_mut().set_rhs(cap, 5.0);
         assert_eq!(aud.check_lp(AuditPoint::Pc, 1, &lp), 1, "the model moved");
         lp.solve(&SolveOptions::default()).unwrap();
         assert_eq!(aud.check_lp(AuditPoint::Sam, 2, &lp), 0);

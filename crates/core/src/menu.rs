@@ -20,17 +20,19 @@ pub struct SlotAlloc {
     pub units: f64,
 }
 
-/// One linear piece of the menu: `units` sellable at `unit_price` each.
+/// One linear piece of the menu: `units` sellable at `unit_price` each, on
+/// path `path_idx` of the request's path set at timestep `t`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     pub unit_price: f64,
     pub units: f64,
-    pub alloc: SlotAlloc,
+    pub path_idx: usize,
+    pub t: Timestep,
 }
 
 /// A convex piecewise-linear price schedule plus the capacity bound `x̄`.
 ///
-/// `PartialEq` is segment-exact (prices, units, and slot allocations
+/// `PartialEq` is segment-exact (prices, units, paths and timesteps
 /// compare bitwise through `f64` equality) — the admission determinism
 /// tests rely on menus quoted from a snapshot being *identical* to menus
 /// quoted serially, not merely close.
@@ -144,7 +146,7 @@ impl PriceMenu {
                 break;
             }
             let take = remaining.min(s.units);
-            out.push(SlotAlloc { path_idx: s.alloc.path_idx, t: s.alloc.t, units: take });
+            out.push(SlotAlloc { path_idx: s.path_idx, t: s.t, units: take });
             remaining -= take;
         }
         out
@@ -288,11 +290,7 @@ pub fn build_menu(
         for (pj, hop_rows) in path_rows.iter().enumerate() {
             slots[pj * window + dt] = slot(&ledger, hop_rows, dt);
         }
-        segments.push(Segment {
-            unit_price: price,
-            units: qty,
-            alloc: SlotAlloc { path_idx: pi, t: start + dt, units: qty },
-        });
+        segments.push(Segment { unit_price: price, units: qty, path_idx: pi, t: start + dt });
     }
     // Greedy picks the global minimum each round, so prices are sorted —
     // but the bump can create equal-price reorderings; enforce the
@@ -379,11 +377,7 @@ mod tests {
             for &e in paths[pi].edges() {
                 *extra.entry((e, t)).or_insert(0.0) += qty;
             }
-            segments.push(Segment {
-                unit_price: price,
-                units: qty,
-                alloc: SlotAlloc { path_idx: pi, t, units: qty },
-            });
+            segments.push(Segment { unit_price: price, units: qty, path_idx: pi, t });
         }
         segments.sort_by(|a, b| a.unit_price.partial_cmp(&b.unit_price).unwrap());
         PriceMenu { segments }
@@ -470,9 +464,7 @@ mod tests {
             };
             let segs = &menu.segments;
             siblings += usize::from(segs.iter().enumerate().any(|(k, a)| {
-                segs[k + 1..].iter().any(|b| {
-                    a.alloc.t == b.alloc.t && share_edge(a.alloc.path_idx, b.alloc.path_idx)
-                })
+                segs[k + 1..].iter().any(|b| a.t == b.t && share_edge(a.path_idx, b.path_idx))
             }));
         }
         // The generator must reach what it claims to cover.
@@ -504,7 +496,7 @@ mod tests {
         let menu = build_menu(&state, &paths, 0, 0);
         assert_eq!(menu, build_menu_reference(&state, &paths, 0, 0));
         let cut: Vec<(usize, f64, f64)> =
-            menu.segments.iter().map(|s| (s.alloc.path_idx, s.unit_price, s.units)).collect();
+            menu.segments.iter().map(|s| (s.path_idx, s.unit_price, s.units)).collect();
         assert_eq!(cut.len(), 2, "{cut:?}");
         // 1.5 + 1.0 for 8 units, up to A→D's threshold ...
         assert_eq!(cut[0].0, 0);
@@ -692,7 +684,7 @@ mod tests {
         state.set_price(ab, 0, 3.0);
         let paths = vec![Path::new(&net, vec![ab]), Path::new(&net, vec![ac, cb])];
         let menu = build_menu(&state, &paths, 0, 0);
-        assert_eq!(menu.segments[0].alloc.path_idx, 1, "two-hop path should be first");
+        assert_eq!(menu.segments[0].path_idx, 1, "two-hop path should be first");
         assert!((menu.segments[0].unit_price - 2.0).abs() < 1e-12);
         assert!((menu.marginal(10.0) - 3.0).abs() < 1e-12);
     }

@@ -190,8 +190,6 @@ struct Slot {
     /// The slot's usage-definition row (percentile edges with a cost
     /// encoding).
     use_row: Option<RowId>,
-    /// The edge bills by percentile.
-    percentile: bool,
     /// The edge has a cost encoding over the slot's billing window.
     costed: bool,
     /// Its usage was over `NEAR_CAP_FRACTION` of its capacity when the
@@ -248,11 +246,10 @@ pub struct ScheduleSession {
     jobs: Vec<Job>,
     /// Flow variables: per job, `(path index, t, var)`.
     vars: Vec<Vec<(usize, Timestep, Var)>>,
-    /// Shortfall variable per job (if it has a guarantee).
-    shortfalls: Vec<Option<Var>>,
-    /// Guarantee row per job (if it has one) — the degradation policy
-    /// lowers its RHS when a guarantee is shed or relaxed (§4.4).
-    guar_rows: Vec<Option<RowId>>,
+    /// Per job with a guarantee, its shortfall variable and its guarantee
+    /// row, whose RHS the degradation policy lowers when the guarantee is
+    /// shed or relaxed (§4.4).
+    guarantees: Vec<Option<(Var, RowId)>>,
     /// Percentile edges with a cost encoding already, per window.
     costed: DetHashSet<(EdgeId, usize)>,
     /// Whether each edge (by index) bills by percentile.
@@ -313,8 +310,7 @@ impl ScheduleSession {
             penalty: max_weight * SHORTFALL_PENALTY_FACTOR,
             jobs: Vec::with_capacity(p.jobs.len()),
             vars: Vec::with_capacity(p.jobs.len()),
-            shortfalls: Vec::with_capacity(p.jobs.len()),
-            guar_rows: Vec::with_capacity(p.jobs.len()),
+            guarantees: Vec::with_capacity(p.jobs.len()),
             costed: DetHashSet::default(),
             percentile: p.net.edge_ids().map(|e| p.net.edge(e).cost.is_percentile()).collect(),
             slots: Vec::new(),
@@ -404,7 +400,7 @@ impl ScheduleSession {
         for pi in 0..job.paths.len() {
             for t in (lo..hi).filter(|&t| job.step_allowed(t)) {
                 let name = Name::new("x_{}_{}_{}", [j, pi, t]);
-                let v = self.sess.add_var(name, 0.0, f64::INFINITY, job.weight);
+                let v = self.sess.model_mut().add_var(name, 0.0, f64::INFINITY, job.weight);
                 jvars.push((pi, t, v));
                 total.add_term(1.0, v);
                 for &e in job.paths[pi].edges() {
@@ -412,7 +408,7 @@ impl ScheduleSession {
                     let slot = &mut self.slots[id as usize];
                     slot.vars.push(v);
                     for row in [slot.cap_row, slot.use_row].into_iter().flatten() {
-                        self.sess.add_term(row, v, 1.0);
+                        self.sess.model_mut().add_term(row, v, 1.0);
                     }
                     self.crossed_slots.push(id);
                 }
@@ -423,26 +419,23 @@ impl ScheduleSession {
             // Window entirely outside the remaining horizon: job gets
             // nothing.
             self.vars.push(jvars);
-            self.shortfalls.push(None);
-            self.guar_rows.push(None);
+            self.guarantees.push(None);
             self.jobs.push(job);
             return j;
         }
+        let model = self.sess.model_mut();
         let demand = Name::new("demand_{}", [j]);
-        if job.min_units > 1e-9 {
-            self.sess.add_row(demand, total.clone(), Cmp::Le, job.max_units);
+        let guarantee = if job.min_units > 1e-9 {
+            model.add_row(demand, total.clone(), Cmp::Le, job.max_units);
             // Soft guarantee: Σ X + shortfall >= min_units.
-            let s =
-                self.sess.add_var(Name::new("short_{}", [j]), 0.0, job.min_units, -self.penalty);
+            let s = model.add_var(Name::new("short_{}", [j]), 0.0, job.min_units, -self.penalty);
             let e = total.term(1.0, s);
-            let row = self.sess.add_row(Name::new("guar_{}", [j]), e, Cmp::Ge, job.min_units);
-            self.shortfalls.push(Some(s));
-            self.guar_rows.push(Some(row));
+            Some((s, model.add_row(Name::new("guar_{}", [j]), e, Cmp::Ge, job.min_units)))
         } else {
-            self.sess.add_row(demand, total, Cmp::Le, job.max_units);
-            self.shortfalls.push(None);
-            self.guar_rows.push(None);
-        }
+            model.add_row(demand, total, Cmp::Le, job.max_units);
+            None
+        };
+        self.guarantees.push(guarantee);
         self.vars.push(jvars);
         self.jobs.push(job);
         j
@@ -461,12 +454,12 @@ impl ScheduleSession {
             }
             for &e in paths[pi].edges() {
                 let name = Name::new("exec_{}_e{}_{}", [job, e.index(), t]);
-                let c = self.sess.add_var(name, units, units, 0.0);
+                let c = self.sess.model_mut().add_var(name, units, units, 0.0);
                 let id = self.slot(e, t);
                 let slot = &mut self.slots[id as usize];
                 slot.vars.push(c);
                 if let Some(row) = slot.use_row {
-                    self.sess.add_term(row, c, 1.0);
+                    self.sess.model_mut().add_term(row, c, 1.0);
                 }
                 self.crossed_slots.push(id);
                 self.note_crossed(c, 1);
@@ -484,7 +477,6 @@ impl ScheduleSession {
                 vars: Vec::new(),
                 cap_row: None,
                 use_row: None,
-                percentile: self.percentile[e.index()],
                 costed: self.costed.contains(&(e, self.grid.window_of(t))),
                 near: false,
                 usage: 0.0,
@@ -537,13 +529,13 @@ impl ScheduleSession {
     /// waived (clamped to the guarantee still encoded in the LP).
     pub fn relax_guarantee(&mut self, j: usize, by: f64) -> f64 {
         assert!(by >= 0.0, "negative guarantee relaxation");
-        let Some(row) = self.guar_rows[j] else { return 0.0 };
+        let Some((_, row)) = self.guarantees[j] else { return 0.0 };
         let waived = by.min(self.jobs[j].min_units).max(0.0);
         if waived <= 0.0 {
             return 0.0;
         }
         self.jobs[j].min_units -= waived;
-        self.sess.set_rhs(row, self.jobs[j].min_units);
+        self.sess.model_mut().set_rhs(row, self.jobs[j].min_units);
         waived
     }
 
@@ -637,7 +629,7 @@ impl ScheduleSession {
             if slot.cap_row.is_none() && sum > NEAR_CAP_FRACTION * capacity(e, t) {
                 rows.push((slot.key, id as u32));
             }
-            if slot.percentile && !slot.costed {
+            if self.percentile[e.index()] && !slot.costed {
                 encodings.push((e, self.grid.window_of(t)));
             }
         }
@@ -658,12 +650,13 @@ impl ScheduleSession {
     /// skipped so a quiet step leaves the session clean (cache-hit
     /// eligible).
     fn refresh_capacity_rows(&mut self, capacity: &dyn Fn(EdgeId, Timestep) -> f64) {
+        let model = self.sess.model_mut();
         for slot in &self.slots {
             let (e, t) = slot.key;
             let Some(row) = slot.cap_row.filter(|_| t >= self.fixed_up_to) else { continue };
             let cap = capacity(e, t);
-            if self.sess.model().rhs(row) != cap {
-                self.sess.set_rhs(row, cap);
+            if model.rhs(row) != cap {
+                model.set_rhs(row, cap);
             }
         }
     }
@@ -675,7 +668,7 @@ impl ScheduleSession {
         let (e, t) = slot.key;
         let expr = LinExpr::from_terms(slot.vars.iter().map(|&v| (1.0, v)));
         let name = Name::new("cap_e{}_{}", [e.index(), t]);
-        slot.cap_row = Some(self.sess.add_row(name, expr, Cmp::Le, cap));
+        slot.cap_row = Some(self.sess.model_mut().add_row(name, expr, Cmp::Le, cap));
     }
 
     /// One round of lazy structure generation against the tentative optimum
@@ -743,11 +736,11 @@ impl ScheduleSession {
         if first {
             self.near.clear();
         }
-        let near = &mut self.near;
+        let (near, percentile) = (&mut self.near, &self.percentile);
         let mut judge = |id: u32, slot: &mut Slot| {
             let (e, t) = slot.key;
             let uncapped = t >= fixed && slot.cap_row.is_none();
-            let uncosted = slot.percentile && !slot.costed;
+            let uncosted = percentile[e.index()] && !slot.costed;
             if !uncapped && !uncosted {
                 return;
             }
@@ -886,17 +879,18 @@ impl ScheduleSession {
         let range = self.grid.window_range(w);
         let k = top_k_count(self.grid.steps_per_window, TOP_FRACTION);
         let mut inputs: Vec<Var> = Vec::with_capacity(range.len());
+        let model = self.sess.model_mut();
         for t in range {
             if t >= self.from && t < self.to {
                 if let Some(&id) = self.slot_of.get(&(e, t)) {
                     let slot = &mut self.slots[id as usize];
                     // U_{e,t} = Σ crossing flows, in column order (`u` is
                     // the newest column).
-                    let u = self.sess.add_nonneg(Name::new("u_e{}_{}", [e.index(), t]), 0.0);
+                    let u = model.add_nonneg(Name::new("u_e{}_{}", [e.index(), t]), 0.0);
                     let flows = slot.vars.iter().map(|&v| (1.0, v));
                     let expr = LinExpr::from_terms(flows.chain([(-1.0, u)]));
                     let name = Name::new("use_e{}_{}", [e.index(), t]);
-                    let row = self.sess.add_row(name, expr, Cmp::Eq, 0.0);
+                    let row = model.add_row(name, expr, Cmp::Eq, 0.0);
                     slot.use_row = Some(row);
                     slot.costed = true;
                     inputs.push(u);
@@ -907,7 +901,7 @@ impl ScheduleSession {
                 let c = realized(e, t);
                 if c > 0.0 {
                     let name = Name::new("past_e{}_{}", [e.index(), t]);
-                    inputs.push(self.sess.add_var(name, c, c, 0.0));
+                    inputs.push(model.add_var(name, c, c, 0.0));
                 }
             }
         }
@@ -916,9 +910,9 @@ impl ScheduleSession {
             return;
         }
         let (topk, name) = (self.topk, Name::new("c_e{}_{}", [e.index(), w]));
-        let s = self.sess.append_with(|m| topk_upper_bound(m, &inputs, k, topk, name));
+        let s = topk_upper_bound(model, &inputs, k, topk, name);
         let unit_cost = net.edge(e).cost.unit_cost() * self.cost_scale;
-        self.sess.set_obj(s, -unit_cost / k as f64);
+        model.set_obj(s, -unit_cost / k as f64);
     }
 
     /// Read the schedule out of the last round's values, at LP objective
@@ -945,7 +939,7 @@ impl ScheduleSession {
             flows.push(jf);
             delivered.push(total);
         }
-        let shortfall = self.shortfalls.iter().map(|s| s.map(value).unwrap_or(0.0)).collect();
+        let shortfall = self.guarantees.iter().map(|g| g.map_or(0.0, |(s, _)| value(s))).collect();
         ScheduleSolution { flows, delivered, objective, shortfall, rounds }
     }
 }

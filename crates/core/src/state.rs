@@ -157,13 +157,6 @@ impl NetworkState {
         );
     }
 
-    /// Release a previous reservation (used when SAM re-plans).
-    pub fn release(&mut self, e: EdgeId, t: Timestep, amount: f64) {
-        assert!(amount >= 0.0, "negative release");
-        let i = e.index();
-        self.reserved[i][t] = (self.reserved[i][t] - amount).max(0.0);
-    }
-
     /// Clear all reservations at timesteps `>= from` (SAM rebuilds them).
     pub fn clear_reservations_from(&mut self, from: Timestep) {
         for series in &mut self.reserved {
@@ -171,19 +164,6 @@ impl NetworkState {
                 *v = 0.0;
             }
         }
-    }
-
-    /// Marginal price of the *next* unit on `(e, t)` given current
-    /// reservations: the base price, bumped if utilization of the sellable
-    /// capacity has crossed the bump threshold.
-    pub fn marginal_price(&self, e: EdgeId, t: Timestep) -> f64 {
-        self.bump.marginal(self.price(e, t), self.sellable_capacity(e, t), self.reserved(e, t))
-    }
-
-    /// Units still sellable at the *current* marginal price of `(e, t)`
-    /// before the price changes (segment boundary or exhaustion).
-    pub fn available_at_marginal(&self, e: EdgeId, t: Timestep) -> f64 {
-        self.bump.available_at_marginal(self.sellable_capacity(e, t), self.reserved(e, t))
     }
 
     /// Set the surviving-capacity fraction of `(e, t)` (§4.4 faults):
@@ -229,6 +209,8 @@ mod tests {
         assert!((st.sellable_capacity(e, 0) - cap * 0.9).abs() < 1e-9);
     }
 
+    /// SAM releases what it re-plans by clearing the reservations from a
+    /// timestep on.
     #[test]
     fn reserve_and_release_roundtrip() {
         let (net, mut st) = state();
@@ -236,7 +218,7 @@ mod tests {
         let avail = st.available(e, 5);
         st.reserve(e, 5, 3.0);
         assert!((st.available(e, 5) - (avail - 3.0)).abs() < 1e-9);
-        st.release(e, 5, 3.0);
+        st.clear_reservations_from(5);
         assert!((st.available(e, 5) - avail).abs() < 1e-9);
     }
 
@@ -252,12 +234,12 @@ mod tests {
     fn bump_applies_past_threshold() {
         let (net, mut st) = state();
         let e = net.edge_ids().next().unwrap();
-        st.set_price(e, 2, 1.5);
-        assert_eq!(st.marginal_price(e, 2), 1.5);
-        // Fill beyond 80%.
         let cap = st.sellable_capacity(e, 2);
+        let marginal = |st: &NetworkState| st.bump.marginal(1.5, cap, st.reserved(e, 2));
+        assert_eq!(marginal(&st), 1.5);
+        // Fill beyond 80%.
         st.reserve(e, 2, cap * 0.85);
-        assert_eq!(st.marginal_price(e, 2), 3.0);
+        assert_eq!(marginal(&st), 3.0);
     }
 
     #[test]
@@ -265,11 +247,12 @@ mod tests {
         let (net, mut st) = state();
         let e = net.edge_ids().next().unwrap();
         let cap = st.sellable_capacity(e, 0);
-        assert!((st.available_at_marginal(e, 0) - cap * 0.8).abs() < 1e-9);
+        let available = |st: &NetworkState| st.bump.available_at_marginal(cap, st.reserved(e, 0));
+        assert!((available(&st) - cap * 0.8).abs() < 1e-9);
         st.reserve(e, 0, cap * 0.8);
-        assert!((st.available_at_marginal(e, 0) - cap * 0.2).abs() < 1e-9);
+        assert!((available(&st) - cap * 0.2).abs() < 1e-9);
         st.reserve(e, 0, cap * 0.2);
-        assert_eq!(st.available_at_marginal(e, 0), 0.0);
+        assert_eq!(available(&st), 0.0);
     }
 
     #[test]
@@ -315,6 +298,7 @@ mod tests {
         let e = net.edge_ids().next().unwrap();
         let cap = st.sellable_capacity(e, 0);
         st.reserve(e, 0, cap * 0.99);
-        assert_eq!(st.marginal_price(e, 0), st.price(e, 0));
+        let base = st.price(e, 0);
+        assert_eq!(st.bump.marginal(base, cap, st.reserved(e, 0)), base);
     }
 }

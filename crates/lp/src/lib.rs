@@ -13,16 +13,17 @@
 //!   rows, max/min objective) with operator-overloaded [`LinExpr`]s.
 //! * [`SolverSession`] — the primary solve surface: a model plus the stamp
 //!   of its last solve and its optimum, held once and lent out by
-//!   [`SolverSession::solve`]. Mutations (`set_rhs`, `set_bounds`, `set_obj`,
-//!   `add_row`, `add_var`) go through the session. A re-solve either
-//!   carries the terminal state its last solve left in the thread's
-//!   workspace — when no other solve ran there since — and picks the
-//!   cheapest restart from it (primal warm start after objective changes,
-//!   dual simplex after RHS/bound changes or appended rows), or runs cold.
+//!   [`SolverSession::solve`]. The model is mutated in place
+//!   ([`SolverSession::model_mut`]) and logs by itself what the next solve
+//!   must re-read. A re-solve either carries the terminal state its last
+//!   solve left in the thread's workspace — when no other solve ran there
+//!   since — and picks the cheapest restart from it (primal warm start
+//!   after objective changes, dual simplex after RHS/bound changes or
+//!   appended rows), or runs cold.
 //!   [`Model::solve`] remains as a one-shot convenience. Growth is
 //!   warm-safe in both directions: an appended row seats its slack in the
-//!   basis ([`SolverSession::add_row`]), an appended column enters nonbasic
-//!   at bound ([`SolverSession::add_var`]). That is all the crate offers
+//!   basis ([`Model::add_row`]), an appended column enters nonbasic at
+//!   bound ([`Model::add_var`]). That is all the crate offers
 //!   towards lazy generation: which rows a tentative optimum violates is
 //!   decided by the caller's loop (`pretium-core`'s `ScheduleSession`).
 //! * [`simplex`] — bounded-variable revised simplex: sparse `LU` basis
@@ -66,14 +67,14 @@
 //!
 //! // Capacity moved past what r2 allows (a SAM timestep): the old basis is
 //! // primal infeasible but still dual feasible — dual simplex repairs it.
-//! session.set_rhs(cap, 7.0);
+//! session.model_mut().set_rhs(cap, 7.0);
 //! let sol = session.solve(&SolveOptions::default()).unwrap();
 //! assert!((sol.objective() - 18.0).abs() < 1e-7);
 //! assert_eq!(session.last_restart(), Some(Restart::WarmDual));
 //!
 //! // Values shifted (new prices): the basis stays primal feasible, so the
 //! // restart is a pure primal continuation.
-//! session.set_obj(y, 4.0);
+//! session.model_mut().set_obj(y, 4.0);
 //! session.solve(&SolveOptions::default()).unwrap();
 //! assert_eq!(session.last_restart(), Some(Restart::WarmPrimal));
 //! ```

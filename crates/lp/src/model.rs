@@ -235,6 +235,35 @@ pub(crate) struct RowData {
     pub rhs: f64,
 }
 
+/// What the next [`crate::SolverSession`] solve must re-read of a model,
+/// kept by the model's own mutators (DESIGN.md §23).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Log {
+    /// Stamp of the session solve the log runs from; `0` for none, and once
+    /// an old row gains a term of an old column, which rewrites the factorized
+    /// basis matrix. A session whose stamp differs runs cold.
+    pub stamp: u64,
+    /// Rows and structural columns of the standard form that solve left: a
+    /// mutation below this watermark is logged, and what lies past it was
+    /// appended since and is read whole. `(0, 0)` when there is none, so a
+    /// model outside a session logs nothing.
+    pub seen: (usize, usize),
+    /// The mutations below the watermark.
+    pub changes: Changes,
+    /// Something changed since that solve, or none ran: no optimum holds.
+    pub stale: bool,
+}
+
+impl Log {
+    /// Forget the last session solve: log nothing until the next one, and
+    /// hold its optimum stale.
+    pub fn reset(&mut self) {
+        let c = &mut self.changes;
+        [&mut c.bounds, &mut c.costs, &mut c.rhs, &mut c.tails].into_iter().for_each(Vec::clear);
+        (self.stamp, self.seen, self.stale) = (0, (0, 0), true);
+    }
+}
+
 /// A linear program under construction.
 #[derive(Debug, Clone)]
 pub struct Model {
@@ -246,6 +275,7 @@ pub struct Model {
     /// Constant offset accumulated from expression constants; added back to
     /// the reported objective value.
     pub(crate) obj_offset: f64,
+    pub(crate) log: Log,
 }
 
 impl Model {
@@ -258,6 +288,7 @@ impl Model {
             var_names: Names::default(),
             row_names: Names::default(),
             obj_offset: 0.0,
+            log: Log { stale: true, ..Log::default() },
         }
     }
 
@@ -280,6 +311,7 @@ impl Model {
         assert!(idx < u32::MAX as usize, "too many variables");
         self.var_names.push(name);
         self.vars.push(VarData { lb, ub, obj });
+        self.log.stale = true;
         Var(idx as u32)
     }
 
@@ -325,6 +357,7 @@ impl Model {
         self.row_names.push(name);
         let rhs = rhs - expr.constant();
         self.rows.push(RowData { terms: expr.into_terms(), cmp, rhs });
+        self.log.stale = true;
         RowId(idx as u32)
     }
 
@@ -332,7 +365,9 @@ impl Model {
     /// term the row already carries for `v`. This is how incrementally grown
     /// models retrofit a newly added variable into rows that were
     /// materialized earlier (e.g. a new job entering an existing capacity
-    /// constraint).
+    /// constraint). A term of an appended column, or in an appended row,
+    /// leaves the last session solve's basis reusable; one of an old column
+    /// in an old row makes the next solve run cold.
     ///
     /// # Panics
     /// Panics if `v` does not belong to this model or `coef` is not finite.
@@ -349,6 +384,13 @@ impl Model {
             Ok(i) => row.terms[i].coef += coef,
             Err(i) => row.terms.insert(i, Term { coef, var: v }),
         }
+        let (rows, cols) = self.log.seen;
+        if r.index() < rows && v.index() < cols {
+            self.log.stamp = 0;
+        } else if r.index() < rows {
+            self.log.changes.tails.push(r.0);
+        }
+        self.log.stale = true;
     }
 
     /// Replace the objective coefficient of `v`.
@@ -358,6 +400,10 @@ impl Model {
     pub fn set_obj(&mut self, v: Var, obj: f64) {
         assert!(!obj.is_nan(), "set_obj: objective of `{}` is NaN", self.var_name(v));
         self.vars[v.index()].obj = obj;
+        if v.index() < self.log.seen.1 {
+            self.log.changes.costs.push(v.0);
+        }
+        self.log.stale = true;
     }
 
     /// Replace the bounds of `v`.
@@ -369,6 +415,10 @@ impl Model {
         let d = &mut self.vars[v.index()];
         d.lb = lb;
         d.ub = ub;
+        if v.index() < self.log.seen.1 {
+            self.log.changes.bounds.push(v.0);
+        }
+        self.log.stale = true;
     }
 
     /// Replace the right-hand side of a row (an infinite one is legal).
@@ -378,6 +428,10 @@ impl Model {
     pub fn set_rhs(&mut self, r: RowId, rhs: f64) {
         assert!(!rhs.is_nan(), "set_rhs: row `{}` rhs is NaN", self.row_name(r));
         self.rows[r.index()].rhs = rhs;
+        if r.index() < self.log.seen.0 {
+            self.log.changes.rhs.push(r.0);
+        }
+        self.log.stale = true;
     }
 
     /// Add a constant to the objective function (reported in
@@ -388,6 +442,7 @@ impl Model {
     pub fn add_obj_offset(&mut self, c: f64) {
         assert!(!c.is_nan(), "add_obj_offset: offset is NaN");
         self.obj_offset += c;
+        self.log.stale = true;
     }
 
     /// Number of variables.
@@ -425,8 +480,8 @@ impl Model {
     /// any constant inside the expression to the right-hand side, so this
     /// returns the stored (normalized) value — the same one
     /// [`Model::set_rhs`] replaces. Callers that refresh RHS values each
-    /// step can compare against this to skip no-op writes (a
-    /// [`crate::SolverSession`] treats any `set_rhs` as a pending mutation).
+    /// step can compare against this to skip no-op writes (any `set_rhs`
+    /// voids a [`crate::SolverSession`]'s cached optimum).
     pub fn rhs(&self, r: RowId) -> f64 {
         self.rows[r.index()].rhs
     }
@@ -503,8 +558,9 @@ mod tests {
     }
 
     /// A NaN cost, objective offset or right-hand side is refused where it
-    /// enters, through the model or a session, instead of solving to `Ok`
-    /// with a NaN objective. An infinite right-hand side stays legal.
+    /// enters the model, instead of solving to `Ok` with a NaN objective. An
+    /// infinite right-hand side stays legal, in a one-shot and a carried
+    /// solve.
     #[test]
     fn nan_cost_or_rhs_is_rejected() {
         use crate::{SolveOptions, SolverSession};
@@ -523,12 +579,7 @@ mod tests {
         refused("Model::set_rhs", &mut || m.set_rhs(cap, f64::NAN));
         refused("Model::add_obj_offset", &mut || m.add_obj_offset(f64::NAN));
         s.solve(&SolveOptions::default()).unwrap();
-        refused("SolverSession::add_var", &mut || {
-            let _ = s.add_var("y", 0.0, 1.0, f64::NAN);
-        });
-        refused("SolverSession::set_obj", &mut || s.set_obj(x, f64::NAN));
-        refused("SolverSession::set_rhs", &mut || s.set_rhs(cap, f64::NAN));
-        s.set_rhs(cap, f64::INFINITY);
+        s.model_mut().set_rhs(cap, f64::INFINITY);
         assert_eq!(s.solve(&SolveOptions::default()).unwrap().objective(), 1.0);
         m.set_rhs(cap, f64::INFINITY);
         assert_eq!(m.solve().unwrap().objective(), 1.0);

@@ -1,24 +1,25 @@
 //! Persistent solver sessions with warm-started re-optimization.
 //!
 //! A [`SolverSession`] owns a [`Model`] together with the stamp of its last
-//! solve. Incremental mutations (`set_rhs`, `set_bounds`, `set_obj`,
-//! `add_row`, `add_var`) go through the session so it knows whether its
-//! cached optimum still holds. A re-solve does one of two things:
+//! solve. The model is mutated in place through [`SolverSession::model_mut`]:
+//! each of its mutators logs what the next solve must re-read and voids the
+//! cached optimum by itself. A re-solve does one of two things:
 //!
 //! * it **carries** when the thread's workspace still holds the terminal
 //!   state of this session's last solve — the stamp matches: the session
 //!   solved last on this thread, and that solve succeeded. It continues in
 //!   place from that state, the model's appended rows bordered onto the
 //!   factors, and pays for what changed since rather than for the whole
-//!   LP: the session logs every mutation of a column or row that solve
+//!   LP: the model logs every mutation of a column or row that solve
 //!   knew, and the carried start updates only the appended and logged
 //!   entries of the standard form, the bounds and the rest states, and
 //!   screens only those columns for dual infeasibility (DESIGN.md §23);
 //! * otherwise it runs **cold**: the first solve, after
-//!   [`SolverSession::invalidate`] or a retrofitted old coefficient, after a
-//!   failed solve, after another solve on this thread (an interleaved
-//!   session, or the clone of this one that solved first), and on a thread
-//!   the session moved to. A carried attempt that errs also ends cold.
+//!   [`SolverSession::invalidate`], a retrofitted old coefficient or a model
+//!   replaced whole, after a failed solve, after another solve on this
+//!   thread (an interleaved session, or the clone of this one that solved
+//!   first), and on a thread the session moved to. A carried attempt that
+//!   errs also ends cold.
 //!
 //! A carried solve picks the cheapest restart that is still correct:
 //!
@@ -52,17 +53,15 @@
 //! assert!((first.objective() - 12.0).abs() < 1e-7);
 //!
 //! // Capacity changes re-optimize from the last basis, not from scratch.
-//! session.set_rhs(cap, 7.0);
+//! session.model_mut().set_rhs(cap, 7.0);
 //! let second = session.solve(&SolveOptions::default()).unwrap();
 //! assert!((second.objective() - 18.0).abs() < 1e-7);
 //! assert_eq!(session.last_restart(), Some(Restart::WarmDual));
 //! ```
 
-use crate::expr::{LinExpr, Var};
-use crate::model::{Cmp, Model, Name, RowId};
-use crate::simplex::{
-    solve_model_session, Changes, Problem, Restart, SimplexOptions, SolverTuning,
-};
+use crate::expr::Var;
+use crate::model::Model;
+use crate::simplex::{solve_model_session, Problem, Restart, SimplexOptions, SolverTuning};
 use crate::solution::{Solution, SolveError};
 use crate::stats::SessionStats;
 
@@ -100,13 +99,12 @@ impl SolveOptions {
 /// solve.)
 ///
 /// Created with [`SolverSession::new`]; see the [module docs](self) for the
-/// restart rules. The session has its own [`Model`] mutators — route all
-/// changes through them so the resident standard form and the cached optimum
-/// stay consistent. The session logs every mutation of a column or row its
-/// last solve knew (one the resident standard form holds); a carried
-/// re-solve brings into the standard form and the carried bounds and rest
-/// states only what was appended and what that log names (DESIGN.md §23),
-/// and writes the optimum it lends out over the last one, in its buffers.
+/// restart rules. The session holds only solve policy: the model logs every
+/// mutation of a column or row the last solve knew (one the resident
+/// standard form holds), and a carried re-solve brings into the standard
+/// form and the carried bounds and rest states only what was appended and
+/// what that log names (DESIGN.md §23), and writes the optimum it lends
+/// out over the last one, in its buffers.
 /// A clone holds the same stamp: of a session and its clone, whichever
 /// solves first on the stamp's thread carries, and the other runs cold —
 /// the same certified optimum, not the same bits (DESIGN.md §23).
@@ -123,19 +121,13 @@ pub struct SolverSession {
     /// sizes are the model's at the last solve: columns and rows past them
     /// were appended afterwards and are never referenced by its basis.
     resident: Problem,
-    /// `solution` is stale: something changed since, or nothing solved yet.
-    dirty: bool,
-    /// Every mutation of a column or row the last solve knew, since that
-    /// solve: what a carried solve brings into `resident` and the
-    /// workspace, instead of rereading the whole model (DESIGN.md §23).
-    changes: Changes,
     /// The merged ledgers of the solves that ran, plus the session's own
     /// counters (cache hits).
     stats: SessionStats,
     last_restart: Option<Restart>,
     /// The last certified optimum, overwritten in place by each solve that
-    /// succeeds. Served by [`SolverSession::solve`] while the session is
-    /// not `dirty`, and the reference point for [`SolverSession::fix_at_value`].
+    /// succeeds. Served by [`SolverSession::solve`] until the model moves,
+    /// and the reference point for [`SolverSession::fix_at_value`].
     solution: Solution,
 }
 
@@ -151,22 +143,29 @@ const _: () = {
 
 impl SolverSession {
     /// Wrap a model in a fresh session (no stamp; the first solve is cold).
-    pub fn new(model: Model) -> Self {
+    /// The model's log starts empty, with no watermark.
+    pub fn new(mut model: Model) -> Self {
+        model.log.reset();
         SolverSession {
             model,
             stamp: 0,
             resident: Problem::default(),
-            dirty: true,
-            changes: Changes::default(),
             stats: SessionStats::default(),
             last_restart: None,
             solution: Solution::empty(),
         }
     }
 
-    /// The wrapped model (read-only; mutate through the session methods).
+    /// The wrapped model.
     pub fn model(&self) -> &Model {
         &self.model
+    }
+
+    /// The wrapped model, to mutate: each of its mutators logs what the next
+    /// solve must re-read and voids the cached optimum itself. A model
+    /// assigned whole is solved cold.
+    pub fn model_mut(&mut self) -> &mut Model {
+        &mut self.model
     }
 
     /// How the most recent solve restarted, if any solve has run.
@@ -185,133 +184,34 @@ impl SolverSession {
     /// the resident standard form, which is only meaningful with the stamp.
     pub fn invalidate(&mut self) {
         self.stamp = 0;
-        self.dirty = true;
         self.resident = Problem::default();
-        self.changes.clear();
+        self.model.log.reset();
     }
 
-    /// The certified optimum of the current model state, if no mutation has
-    /// been recorded since it was computed.
+    /// The certified optimum of the current model state, if the model
+    /// logged no mutation since it was computed.
     pub fn cached_solution(&self) -> Option<&Solution> {
-        (!self.dirty).then_some(&self.solution)
+        (!self.model.log.stale && self.model.log.stamp == self.stamp).then_some(&self.solution)
     }
 
-    // --- mutators (mirror Model, and mark the cached optimum stale) --------
-
-    /// See [`Model::add_var`].
-    pub fn add_var<'n>(&mut self, name: impl Into<Name<'n>>, lb: f64, ub: f64, obj: f64) -> Var {
-        self.dirty = true;
-        self.model.add_var(name, lb, ub, obj)
-    }
-
-    /// See [`Model::add_nonneg`].
-    pub fn add_nonneg<'n>(&mut self, name: impl Into<Name<'n>>, obj: f64) -> Var {
-        self.add_var(name, 0.0, f64::INFINITY, obj)
-    }
-
-    /// See [`Model::add_row`].
-    pub fn add_row<'n>(
-        &mut self,
-        name: impl Into<Name<'n>>,
-        expr: impl Into<LinExpr>,
-        cmp: Cmp,
-        rhs: f64,
-    ) -> RowId {
-        self.dirty = true;
-        self.model.add_row(name, expr, cmp, rhs)
-    }
-
-    /// See [`Model::add_term`]. Warm-start compatible whenever the variable
-    /// *or* the row was appended after the last solve: its basis never
-    /// references the new column/row pairing, so extending the matrix there
-    /// leaves it reusable (a fresh nonbasic column, or a fresh row whose
-    /// slack is seated basic with dual zero). Retrofitting a coefficient
-    /// between a pre-existing row and a pre-existing variable rewrites the
-    /// factorized basis matrix itself, so the stamp is dropped and the next
-    /// solve runs cold. (While there is a stamp, the resident standard form
-    /// is exactly the last solve's model, so no coefficient it holds can
-    /// change without this test seeing it.)
-    pub fn add_term(&mut self, r: RowId, v: Var, coef: f64) {
-        self.dirty = true;
-        let old_row = r.index() < self.resident.m;
-        if v.index() < self.resident.nstruct && old_row {
-            self.invalidate();
-        } else if old_row {
-            self.changes.tails.push(r.0);
-        }
-        self.model.add_term(r, v, coef);
-    }
-
-    /// See [`Model::set_obj`].
-    pub fn set_obj(&mut self, v: Var, obj: f64) {
-        self.dirty = true;
-        if v.index() < self.resident.nstruct {
-            self.changes.costs.push(v.0);
-        }
-        self.model.set_obj(v, obj);
-    }
-
-    /// See [`Model::set_bounds`].
-    pub fn set_bounds(&mut self, v: Var, lb: f64, ub: f64) {
-        self.dirty = true;
-        self.log_bounds(v);
-        self.model.set_bounds(v, lb, ub);
-    }
-
-    /// Log a bound change of a column the last solve knew.
-    fn log_bounds(&mut self, v: Var) {
-        if v.index() < self.resident.nstruct {
-            self.changes.bounds.push(v.0);
-        }
-    }
-
-    /// Pin `v` to the single value `x` (bounds `[x, x]`), *without* marking
-    /// the cached optimum stale when the pin provably preserves it: if the cached solution already has `v = x` (bitwise) and
-    /// `x` lies inside the old bounds, fixing the variable there shrinks
-    /// the feasible set while keeping the incumbent feasible — the cached
-    /// primal/dual pair stays optimal (a fixed column's reduced cost is
-    /// unconstrained). This is what lets a schedule session freeze already-
-    /// executed timesteps at their planned values every step without
-    /// forcing an LP re-solve when nothing actually moved.
+    /// Pin `v` to the single value `x` (bounds `[x, x]`), *without* voiding
+    /// the cached optimum when the pin provably preserves it: if the cached
+    /// solution already has `v = x` (bitwise) and `x` lies inside the old
+    /// bounds, fixing the variable there shrinks the feasible set while
+    /// keeping the incumbent feasible — the cached primal/dual pair stays
+    /// optimal (a fixed column's reduced cost is unconstrained). This is
+    /// what lets a schedule session freeze already-executed timesteps at
+    /// their planned values every step without forcing an LP re-solve when
+    /// nothing actually moved.
     pub fn fix_at_value(&mut self, v: Var, x: f64) {
         let (lb, ub) = self.model.bounds(v);
-        let already_pinned = lb == x && ub == x;
         // (A variable newer than the cached solution has no value in it.)
         let cached = self.solution.values.get(v.index());
-        let matches_cached = lb <= x && x <= ub && cached == Some(&x);
-        self.dirty |= !(already_pinned || matches_cached);
-        self.log_bounds(v);
+        let keeps = (lb == x && ub == x) || (lb <= x && x <= ub && cached == Some(&x));
+        let stale = self.model.log.stale;
         self.model.set_bounds(v, x, x);
+        self.model.log.stale = stale || !keeps;
     }
-
-    /// See [`Model::set_rhs`].
-    pub fn set_rhs(&mut self, r: RowId, rhs: f64) {
-        self.dirty = true;
-        if r.index() < self.resident.m {
-            self.changes.rhs.push(r.0);
-        }
-        self.model.set_rhs(r, rhs);
-    }
-
-    /// Append-only access to the underlying model, for helpers that build
-    /// structure directly on a [`Model`] (e.g. encoding builders that add a
-    /// block of variables and rows). Whether anything was added is read off
-    /// the model dimensions afterwards.
-    ///
-    /// The closure must only *append*: add variables, add rows over any
-    /// variables, and touch the variables and rows it added. Adding a term
-    /// to a pre-existing row, or mutating pre-existing coefficients, bounds,
-    /// RHS values, or objective entries through this hook bypasses the
-    /// change log and can silently corrupt warm restarts — use the
-    /// session's own mutators for those.
-    pub fn append_with<R>(&mut self, f: impl FnOnce(&mut Model) -> R) -> R {
-        let (nv, nr) = (self.model.num_vars(), self.model.num_rows());
-        let out = f(&mut self.model);
-        self.dirty |= (nv, nr) != (self.model.num_vars(), self.model.num_rows());
-        out
-    }
-
-    // --- solving ----------------------------------------------------------
 
     /// Re-optimize: carry the last solve's terminal state when this
     /// thread still holds it, or run cold (the [module docs](self)); lend
@@ -325,29 +225,36 @@ impl SolverSession {
         // Nothing mutated since the last certified optimum: the cached
         // solution *is* the answer — skip the simplex entirely. (`invalidate`
         // voids it, so that a real cold solve follows.)
-        if !self.dirty {
+        if self.cached_solution().is_some() {
             self.stats.cache_hits += 1;
             return Ok(&self.solution);
         }
+        // A retrofitted old coefficient or a model replaced whole: no carry.
+        if self.model.log.stamp != self.stamp {
+            self.invalidate();
+        }
         let simplex = opts.simplex.clone().unwrap_or_default();
-        // Taken, so that a solve that fails leaves no stamp.
+        // The log's buffers are lent to the solve and go back to the model
+        // cleared: read by this solve, or void, since a solve that fails
+        // leaves no stamp (it is taken) and the next one runs cold.
+        let mut changes = std::mem::take(&mut self.model.log.changes);
         let result = solve_model_session(
             &self.model,
             &simplex,
             opts.tuning,
             std::mem::take(&mut self.stamp),
-            &mut self.changes,
+            &mut changes,
             &mut self.resident,
             &mut self.solution,
         );
-        // Read by this solve, or void: a solve that fails leaves no stamp,
-        // so the next one runs cold.
-        self.changes.clear();
+        let log = &mut self.model.log;
+        log.changes = changes;
+        log.reset();
         let (stamp, restart) = result?;
+        (log.stamp, log.seen, log.stale) = (stamp, (self.resident.m, self.resident.nstruct), false);
         self.stamp = stamp;
         self.stats.merge(self.solution.stats);
         self.last_restart = Some(restart);
-        self.dirty = false;
         Ok(&self.solution)
     }
 }
@@ -355,7 +262,7 @@ impl SolverSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sense;
+    use crate::{Cmp, LinExpr, RowId, Sense};
 
     fn toy() -> (SolverSession, Var, Var, RowId, RowId) {
         // max 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6
@@ -376,7 +283,7 @@ mod tests {
 
         // Relaxing r1 past what r2 allows pushes the old basis out of primal
         // feasibility (the r2 slack would go negative): dual restart.
-        s.set_rhs(r1, 7.0);
+        s.model_mut().set_rhs(r1, 7.0);
         let sol2 = s.solve(&SolveOptions::default()).unwrap();
         assert!((sol2.objective() - 18.0).abs() < 1e-7);
         assert!((sol2.value(x) - 6.0).abs() < 1e-7);
@@ -391,7 +298,7 @@ mod tests {
         // bounds keeps the basis primal feasible — no dual pass needed.
         let (mut s, x, _y, r1, _r2) = toy();
         s.solve(&SolveOptions::default()).unwrap();
-        s.set_rhs(r1, 3.0);
+        s.model_mut().set_rhs(r1, 3.0);
         let sol = s.solve(&SolveOptions::default()).unwrap();
         assert!((sol.objective() - 9.0).abs() < 1e-7);
         assert!((sol.value(x) - 3.0).abs() < 1e-7);
@@ -404,7 +311,7 @@ mod tests {
         s.solve(&SolveOptions::default()).unwrap();
         // Make y the attractive variable; the old basis stays primal
         // feasible so the restart must be primal.
-        s.set_obj(y, 10.0);
+        s.model_mut().set_obj(y, 10.0);
         let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
         // New optimum: y = 2 on r2, x = 0 → 20.
@@ -417,7 +324,7 @@ mod tests {
         let sol = s.solve(&SolveOptions::default()).unwrap();
         assert!((sol.value(x) - 4.0).abs() < 1e-7);
         // Cut off the current optimum.
-        s.add_row("cut", 1.0 * x, Cmp::Le, 2.0);
+        s.model_mut().add_row("cut", 1.0 * x, Cmp::Le, 2.0);
         let sol2 = s.solve(&SolveOptions::default()).unwrap().clone();
         assert_eq!(s.last_restart(), Some(Restart::WarmDual));
         assert!(sol2.value(x) <= 2.0 + 1e-7);
@@ -431,10 +338,10 @@ mod tests {
         let (mut s, _x, _y, r1, _r2) = toy();
         s.solve(&SolveOptions::default()).unwrap();
         // A new, very profitable variable entering r1.
-        let z = s.add_var("z", 0.0, f64::INFINITY, 9.0);
+        let z = s.model_mut().add_var("z", 0.0, f64::INFINITY, 9.0);
         // It must participate in an existing row to be bounded — rebuild the
         // row relationship via a fresh row.
-        s.add_row("zcap", 1.0 * z, Cmp::Le, 1.0);
+        s.model_mut().add_row("zcap", 1.0 * z, Cmp::Le, 1.0);
         let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         let cold = s.model().solve().unwrap();
         assert!((sol.objective() - cold.objective()).abs() < 1e-7);
@@ -448,8 +355,8 @@ mod tests {
         s.solve(&SolveOptions::default()).unwrap();
         // New variable competing for r1's capacity: the column is fresh, so
         // the last basis stays valid and the re-solve is warm.
-        let z = s.add_var("z", 0.0, f64::INFINITY, 9.0);
-        s.add_term(r1, z, 1.0);
+        let z = s.model_mut().add_var("z", 0.0, f64::INFINITY, 9.0);
+        s.model_mut().add_term(r1, z, 1.0);
         let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         assert_ne!(s.last_restart(), Some(Restart::Cold));
         let cold = s.model().solve().unwrap();
@@ -463,10 +370,10 @@ mod tests {
     fn retrofitting_old_column_invalidates_basis() {
         let (mut s, x, _y, _r1, r2) = toy();
         s.solve(&SolveOptions::default()).unwrap();
-        assert_ne!(s.stamp, 0);
+        assert_eq!(s.model().log.stamp, s.stamp);
         // x already exists and r2 already exists: the basis matrix changes.
-        s.add_term(r2, x, 1.0);
-        assert_eq!(s.stamp, 0);
+        s.model_mut().add_term(r2, x, 1.0);
+        assert_eq!(s.model().log.stamp, 0);
         let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         assert_eq!(s.last_restart(), Some(Restart::Cold));
         let cold = s.model().solve().unwrap();
@@ -479,39 +386,40 @@ mod tests {
     fn force_cold_ignores_basis() {
         let (mut s, _x, _y, r1, _r2) = toy();
         s.solve(&SolveOptions::default()).unwrap();
-        s.set_rhs(r1, 3.0);
+        s.model_mut().set_rhs(r1, 3.0);
         s.invalidate();
         s.solve(&SolveOptions::default()).unwrap();
         assert_eq!(s.last_restart(), Some(Restart::Cold));
     }
 
-    /// Every mutator, and an `append_with` that appends, makes the cached
-    /// optimum stale; a solve makes the new one current.
+    /// Every mutator of the model makes the cached optimum stale; a solve
+    /// makes the new one current.
     #[test]
     fn mutation_tracking_and_reset() {
         let (mut s, x, y, r1, _r2) = toy();
         assert!(s.cached_solution().is_none(), "nothing solved yet");
-        type Mutator<'a> = (&'a str, &'a dyn Fn(&mut SolverSession));
-        let mutators: [Mutator; 7] = [
-            ("set_rhs", &|s| s.set_rhs(r1, 5.0)),
-            ("set_bounds", &|s| s.set_bounds(x, 0.0, 3.0)),
-            ("set_obj", &|s| s.set_obj(y, 2.5)),
-            ("add_var", &|s| {
-                s.add_var("z", 0.0, 1.0, 0.0);
+        type Mutator<'a> = (&'a str, &'a dyn Fn(&mut Model));
+        let mutators: [Mutator; 8] = [
+            ("set_rhs", &|m| m.set_rhs(r1, 5.0)),
+            ("set_bounds", &|m| m.set_bounds(x, 0.0, 3.0)),
+            ("set_obj", &|m| m.set_obj(y, 2.5)),
+            ("add_var", &|m| {
+                m.add_var("z", 0.0, 1.0, 0.0);
             }),
-            ("add_row", &|s| {
-                s.add_row("r3", x + y, Cmp::Le, 9.0);
+            ("add_free", &|m| {
+                m.add_free("w", 0.0);
             }),
-            ("add_term", &|s| s.add_term(r1, x, 0.5)),
-            ("append_with", &|s| {
-                s.append_with(|m| m.add_var("w", 0.0, 1.0, 0.0));
+            ("add_row", &|m| {
+                m.add_row("r3", x + y, Cmp::Le, 9.0);
             }),
+            ("add_term", &|m| m.add_term(r1, x, 0.5)),
+            ("add_obj_offset", &|m| m.add_obj_offset(1.0)),
         ];
         for (what, mutate) in mutators {
             s.solve(&SolveOptions::default()).unwrap();
-            s.append_with(|_| ());
-            assert!(s.cached_solution().is_some(), "{what}: an empty append is no mutation");
-            mutate(&mut s);
+            let _ = s.model_mut();
+            assert!(s.cached_solution().is_some(), "{what}: borrowing the model is no mutation");
+            mutate(s.model_mut());
             assert!(s.cached_solution().is_none(), "{what} kept the cached optimum");
         }
         let sol: *const Solution = s.solve(&SolveOptions::default()).unwrap();
@@ -524,9 +432,9 @@ mod tests {
         let (mut s, x, y, _r1, _r2) = toy();
         s.solve(&SolveOptions::default()).unwrap();
         // Force x + y >= 9 while x,y <= 4 each: infeasible.
-        s.add_row("floor", x + y, Cmp::Ge, 9.0);
-        s.set_bounds(x, 0.0, 4.0);
-        s.set_bounds(y, 0.0, 4.0);
+        s.model_mut().add_row("floor", x + y, Cmp::Ge, 9.0);
+        s.model_mut().set_bounds(x, 0.0, 4.0);
+        s.model_mut().set_bounds(y, 0.0, 4.0);
         let err = s.solve(&SolveOptions::default()).unwrap_err();
         assert!(matches!(err, SolveError::Infeasible { .. }), "{err}");
     }
@@ -542,7 +450,7 @@ mod tests {
         assert_eq!(s.stats().solves, 1);
         assert_eq!(s.stats().cache_hits, 1);
         // A mutation ends the cache's validity.
-        s.set_rhs(r1, 5.0);
+        s.model_mut().set_rhs(r1, 5.0);
         s.solve(&SolveOptions::default()).unwrap();
         assert_eq!(s.stats().solves, 2);
         assert_eq!(s.stats().cache_hits, 1);
@@ -598,8 +506,8 @@ mod tests {
         for obj in [2.0, 3.0] {
             let v = full.add_var(&format!("x{obj}"), 0.0, 1.0, obj);
             full.add_term(cap, v, 1.0);
-            let v = s.add_var(&format!("x{obj}"), 0.0, 1.0, obj);
-            s.add_term(cap, v, 1.0);
+            let v = s.model_mut().add_var(&format!("x{obj}"), 0.0, 1.0, obj);
+            s.model_mut().add_term(cap, v, 1.0);
             added.push(v);
         }
         let sol = s.solve(&SolveOptions::default()).unwrap().clone();
@@ -619,7 +527,7 @@ mod tests {
         let (mut s, _x, _y, r1, _r2) = toy();
         let opts = SolveOptions { tuning, ..Default::default() };
         assert!((s.solve(&opts).unwrap().objective() - 12.0).abs() < 1e-7);
-        s.set_rhs(r1, 7.0);
+        s.model_mut().set_rhs(r1, 7.0);
         let sol = s.solve(&opts).unwrap();
         assert!((sol.objective() - 18.0).abs() < 1e-7);
         (sol.objective().to_bits(), s.stats())
@@ -659,7 +567,7 @@ mod tests {
         for next in 0..20 {
             let sol = s.solve(&SolveOptions::default()).unwrap();
             assert!(sol.value(vars[next]) > 1.0, "round {next} has nothing to cut");
-            s.add_row("", vars[next] + 0.5 * vars[next + 2], Cmp::Le, 1.0);
+            s.model_mut().add_row("", vars[next] + 0.5 * vars[next + 2], Cmp::Le, 1.0);
         }
         s.solve(&SolveOptions::default()).unwrap();
         let life = crate::simplex::lifetime_factor_stats().since(before);
@@ -797,11 +705,14 @@ mod tests {
             var: usize,
             obj: f64,
         },
-        /// A variable and its own row, added through `append_with`.
+        /// A variable and its own row.
         Append {
             ub: f64,
             obj: f64,
             rhs: f64,
+        },
+        AddObjOffset {
+            c: f64,
         },
         Invalidate,
     }
@@ -837,6 +748,7 @@ mod tests {
                 Op::Append { ub: g.range(0.5, 3.0), obj: g.range(0.5, 3.0), rhs: g.range(0.5, 4.0) }
             }
             11 => Op::Invalidate,
+            12 => Op::AddObjOffset { c: g.range(-2.0, 2.0) },
             _ => Op::AddVar { ub: g.range(0.5, 4.0), obj: g.range(0.2, 3.0) },
         }
     }
@@ -859,22 +771,26 @@ mod tests {
         let var = Var::from_index;
         match *op {
             Op::AddVar { ub, obj } => {
-                s.add_var("v", 0.0, ub, obj);
+                s.model_mut().add_var("v", 0.0, ub, obj);
             }
             Op::AddRow { ref vars, rhs } => {
                 let e = LinExpr::from_terms(vars.iter().map(|&j| (1.0, var(j))));
-                s.add_row("r", e, Cmp::Le, rhs);
+                s.model_mut().add_row("r", e, Cmp::Le, rhs);
             }
-            Op::AddTerm { row, var: j, coef } => s.add_term(RowId::from_index(row), var(j), coef),
-            Op::SetBounds { var: j, lb, ub } => s.set_bounds(var(j), lb, ub),
+            Op::AddTerm { row, var: j, coef } => {
+                s.model_mut().add_term(RowId::from_index(row), var(j), coef)
+            }
+            Op::SetBounds { var: j, lb, ub } => s.model_mut().set_bounds(var(j), lb, ub),
             Op::FixAtValue { .. } => apply(&pinned(op, s), s),
             Op::Pin { var: j, at } => s.fix_at_value(var(j), at),
-            Op::SetRhs { row, rhs } => s.set_rhs(RowId::from_index(row), rhs),
-            Op::SetObj { var: j, obj } => s.set_obj(var(j), obj),
-            Op::Append { ub, obj, rhs } => s.append_with(|m| {
+            Op::SetRhs { row, rhs } => s.model_mut().set_rhs(RowId::from_index(row), rhs),
+            Op::SetObj { var: j, obj } => s.model_mut().set_obj(var(j), obj),
+            Op::Append { ub, obj, rhs } => {
+                let m = s.model_mut();
                 let v = m.add_var("a", 0.0, ub, obj);
                 m.add_row("ar", 1.0 * v, Cmp::Le, rhs);
-            }),
+            }
+            Op::AddObjOffset { c } => s.model_mut().add_obj_offset(c),
             Op::Invalidate => s.invalidate(),
         }
     }
@@ -897,8 +813,7 @@ mod tests {
     /// The resident standard form is an optimization only: a session that
     /// keeps it must report bitwise what a twin reports that is driven through
     /// the same mutations but rebuilds its standard form before every solve
-    /// that runs (not before a cache hit, which would leave the session
-    /// without the sizes its mutators log against) — and so must a clone
+    /// (the model's log keeps its own watermark) — and so must a clone
     /// taken mid-run, which carries the resident state with it. Each runs on
     /// a thread of its own, so each carries; the clone takes over from its
     /// original on the original's thread. (Under debug assertions every sync
@@ -937,7 +852,7 @@ mod tests {
                 let mut out = Vec::new();
                 for (batch, ops) in script.iter().enumerate() {
                     ops.iter().for_each(|op| apply(op, &mut s));
-                    if let (Keep::Rebuild, None) = (keep, s.cached_solution()) {
+                    if let Keep::Rebuild = keep {
                         s.resident = Problem::default();
                     }
                     out.push(fingerprint(&mut s, &opts));
@@ -1072,7 +987,9 @@ mod tests {
                     let op = random_op(&mut g, m.num_vars(), m.num_rows(), fresh);
                     apply(&op, &mut s);
                 }
-                let (may_carry, cost_moved) = (s.stamp != 0, !s.changes.costs.is_empty());
+                let log = &s.model().log;
+                let (may_carry, cost_moved) =
+                    (s.stamp != 0 && log.stamp == s.stamp, !log.changes.costs.is_empty());
                 let before = s.stats();
                 let result = s.solve(&opts).cloned();
                 // (A clean session answers from its cache and runs nothing.)
@@ -1114,7 +1031,7 @@ mod tests {
         use crate::validate::check_optimal;
         let opts = SolveOptions::default();
         let warm = |s: &mut SolverSession, rhs: f64| {
-            s.set_rhs(RowId::from_index(0), rhs);
+            s.model_mut().set_rhs(RowId::from_index(0), rhs);
             let sol = s.solve(&opts).unwrap().clone();
             assert!(check_optimal(s.model(), &sol, 1e-9).is_empty(), "rhs {rhs}");
             (s.last_restart() != Some(Restart::Cold), sol.objective())
@@ -1147,9 +1064,9 @@ mod tests {
 
         // A solve that fails owns nothing.
         let x = Var::from_index(0);
-        let floor = s.add_row("floor", 1.0 * x, Cmp::Ge, 50.0);
+        let floor = s.model_mut().add_row("floor", 1.0 * x, Cmp::Ge, 50.0);
         assert!(s.solve(&opts).is_err());
-        s.set_rhs(floor, 0.0);
+        s.model_mut().set_rhs(floor, 0.0);
         assert!(!warm(&mut s, 4.0).0, "after an error");
 
         // Neither does `invalidate` leave anything to carry.
@@ -1168,8 +1085,8 @@ mod tests {
     fn old_cost_change_carries_with_a_full_reprice() {
         let (mut s, x, y, _r1, _r2) = toy();
         s.solve(&SolveOptions::default()).unwrap();
-        s.set_obj(y, 10.0);
-        s.add_row("cut", 1.0 * x, Cmp::Le, 1.0);
+        s.model_mut().set_obj(y, 10.0);
+        s.model_mut().add_row("cut", 1.0 * x, Cmp::Le, 1.0);
         let before = s.stats();
         let sol = s.solve(&SolveOptions::default()).unwrap().clone();
         let st = s.stats();
@@ -1179,5 +1096,68 @@ mod tests {
         let tol = 1e-9 * (1.0 + cold.objective().abs());
         assert!((sol.objective() - cold.objective()).abs() <= tol);
         assert!((sol.objective() - 20.0).abs() <= tol, "{}", sol.objective());
+    }
+
+    /// `max x  s.t.  x <= 3`, solved: the optimum is 3.
+    fn solved_cap() -> (SolverSession, RowId) {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_nonneg("x", 1.0);
+        let cap = m.add_row("cap", 1.0 * x, Cmp::Le, 3.0);
+        let mut s = SolverSession::new(m);
+        assert_eq!(s.solve(&SolveOptions::default()).unwrap().objective(), 3.0);
+        (s, cap)
+    }
+
+    /// An old row's right-hand side set in the batch that appends a column
+    /// is logged like any other: the carried solve reads it and finds the
+    /// optimum a fresh solve finds (5, not the stale 3).
+    #[test]
+    fn old_rhs_set_beside_an_appended_column_is_read() {
+        let (mut s, cap) = solved_cap();
+        let m = s.model_mut();
+        m.add_var("z", 0.0, 1.0, 0.0);
+        m.set_rhs(cap, 5.0);
+        let got = s.solve(&SolveOptions::default()).unwrap().objective();
+        assert_ne!(s.last_restart(), Some(Restart::Cold));
+        let fresh = s.model().solve().unwrap().objective();
+        assert_eq!((got, fresh), (5.0, 5.0));
+    }
+
+    /// A moved objective offset voids the cached optimum: the next solve
+    /// reports what a fresh solve reports (13, not the cached 3).
+    #[test]
+    fn obj_offset_voids_the_cached_optimum() {
+        let (mut s, _) = solved_cap();
+        s.model_mut().add_obj_offset(10.0);
+        assert!(s.cached_solution().is_none());
+        let got = s.solve(&SolveOptions::default()).unwrap().objective();
+        assert_eq!((got, s.model().solve().unwrap().objective()), (13.0, 13.0));
+    }
+
+    /// A model assigned whole through `model_mut` is no extension of the
+    /// last solve's, even when it is shaped like one: it voids the cached
+    /// optimum, and the next solve runs cold — whether it is new or another
+    /// session's, solved or not.
+    #[test]
+    fn model_replaced_whole_is_solved_cold() {
+        // `max x  s.t.  x <= cap,  x <= 2 cap`: `solved_cap`'s model plus a row.
+        let bigger = |cap: f64| {
+            let mut m = Model::new(Sense::Maximize);
+            let x = m.add_nonneg("x", 1.0);
+            m.add_row("cap", 1.0 * x, Cmp::Le, cap);
+            m.add_row("spare", 1.0 * x, Cmp::Le, 2.0 * cap);
+            m
+        };
+        let mut other = SolverSession::new(bigger(4.0));
+        other.solve(&SolveOptions::default()).unwrap();
+        for (model, want) in [(bigger(5.0), 5.0), (other.model().clone(), 4.0)] {
+            // `s` solved last on this thread: only the replacement keeps it
+            // from carrying.
+            let (mut s, _) = solved_cap();
+            *s.model_mut() = model;
+            assert!(s.cached_solution().is_none(), "{want}");
+            assert_eq!(s.solve(&SolveOptions::default()).unwrap().objective(), want);
+            assert_eq!(s.last_restart(), Some(Restart::Cold), "{want}");
+        }
     }
 }

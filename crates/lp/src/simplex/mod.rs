@@ -224,11 +224,11 @@ impl Problem {
     }
 }
 
-/// What a session changed in its model since its last solve, besides
-/// appending: the change log a carried solve reads instead of rereading the
-/// model (DESIGN.md §23). Each list names pre-existing columns or rows
-/// (appended ones are read whole); an index may repeat, and an entry whose
-/// value did not move is harmless.
+/// What a model changed since its last session solve, besides appending,
+/// kept in its `model::Log`: the change log a carried solve reads instead
+/// of rereading the model (DESIGN.md §23). Each list names pre-existing
+/// columns or rows (appended ones are read whole); an index may repeat, and
+/// an entry whose value did not move is harmless.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Changes {
     /// Columns whose bounds were set.
@@ -240,15 +240,6 @@ pub(crate) struct Changes {
     pub rhs: Vec<u32>,
     /// Rows that gained a term of an appended column.
     pub tails: Vec<u32>,
-}
-
-impl Changes {
-    /// Forget everything: the next solve starts from the current model.
-    pub fn clear(&mut self) {
-        for v in [&mut self.bounds, &mut self.costs, &mut self.rhs, &mut self.tails] {
-            v.clear();
-        }
-    }
 }
 
 /// How a session solve restarted the simplex method.

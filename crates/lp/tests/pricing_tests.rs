@@ -137,7 +137,7 @@ fn warm_restarts_certify_across_rhs_moves() {
         let mut sess = SolverSession::new(m);
         sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         for _ in 0..4 {
-            sess.set_rhs(RowId::from_index(g.index(nrows)), g.range(0.5, 4.0));
+            sess.model_mut().set_rhs(RowId::from_index(g.index(nrows)), g.range(0.5, 4.0));
             sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             let violations = check_optimal(sess.model(), sess.cached_solution().unwrap(), 1e-6);
             assert!(violations.is_empty(), "seed {seed}: {violations:?}");
@@ -325,24 +325,25 @@ fn pivot_path_is_pinned_cold_and_across_a_warm_sweep() {
                 let sol = sess.cached_solution().unwrap();
                 let carried: f64 = cut.iter().map(|&v| sol.value(v)).sum();
                 let e = LinExpr::from_terms(cut.iter().map(|&v| (1.0, v)));
-                sess.add_row(&format!("cut_{step}"), e, Cmp::Le, 0.7 * carried);
+                let m = sess.model_mut();
+                m.add_row(&format!("cut_{step}"), e, Cmp::Le, 0.7 * carried);
                 for c in 0..4 {
-                    let v = sess.add_nonneg(&format!("y_{step}_{c}"), 2.0 + 0.25 * c as f64);
+                    let v = m.add_nonneg(&format!("y_{step}_{c}"), 2.0 + 0.25 * c as f64);
                     for r in [(step + c) % caps, (step + 3 * c + 5) % caps, caps + 2 * (c % jobs)] {
-                        sess.add_term(RowId::from_index(r), v, 1.0);
+                        m.add_term(RowId::from_index(r), v, 1.0);
                     }
                 }
             }
             if step > 0 {
                 for row in (step % 3..caps).step_by(3).map(RowId::from_index) {
                     let rhs = sess.model().rhs(row);
-                    sess.set_rhs(row, 0.8 * rhs);
+                    sess.model_mut().set_rhs(row, 0.8 * rhs);
                 }
             }
             if step % 2 == 0 && step > 0 {
                 for v in (step..sess.model().num_vars()).step_by(7).map(Var::from_index) {
                     let c = sess.model().obj_coef(v);
-                    sess.set_obj(v, 1.15 * c);
+                    sess.model_mut().set_obj(v, 1.15 * c);
                 }
             }
             sess.solve(&SolveOptions::default()).unwrap_or_else(|e| panic!("{e}"));

@@ -87,16 +87,17 @@ fn schedule_shaped(g: &mut Gen) -> ScheduleShaped {
     ScheduleShaped { session: SolverSession::new(m), vars, demand_rows, cap_rows }
 }
 
-/// Apply one random mutation through the session, mirroring what SAM and
+/// Apply one random mutation to the session's model, mirroring what SAM and
 /// the lazy-row loop do between re-solves. `last` is the solution of the
 /// previous solve (used to fix variables at *feasible* executed values, the
 /// way SAM freezes past timesteps).
 fn mutate(g: &mut Gen, s: &mut ScheduleShaped, last: &pretium_lp::Solution) {
+    let m = s.session.model_mut();
     match g.index(5) {
         // Capacity refresh (SAM sees realized traffic / capacity loss).
         0 if !s.cap_rows.is_empty() => {
             let r = s.cap_rows[g.index(s.cap_rows.len())];
-            s.session.set_rhs(r, g.range(0.5, 6.0));
+            m.set_rhs(r, g.range(0.5, 6.0));
         }
         // Fix a variable at (a fraction of) its executed value; every row is
         // `Le` with +1 coefficients, so reducing a variable stays feasible.
@@ -104,13 +105,13 @@ fn mutate(g: &mut Gen, s: &mut ScheduleShaped, last: &pretium_lp::Solution) {
             let v = s.vars[g.index(s.vars.len())];
             if v.index() < last.values().len() {
                 let fix = last.value(v) * g.unit();
-                s.session.set_bounds(v, fix, fix);
+                m.set_bounds(v, fix, fix);
             }
         }
         // Reweight a job (price updates shift the objective).
         2 => {
             let v = s.vars[g.index(s.vars.len())];
-            s.session.set_obj(v, g.range(0.1, 4.0));
+            m.set_obj(v, g.range(0.1, 4.0));
         }
         // Append a cutting row over existing variables (lazy capacity row).
         3 => {
@@ -122,17 +123,17 @@ fn mutate(g: &mut Gen, s: &mut ScheduleShaped, last: &pretium_lp::Solution) {
             }
             if !e.is_empty() {
                 let name = format!("cut{}", s.cap_rows.len() + 100);
-                s.cap_rows.push(s.session.add_row(&name, e, Cmp::Le, g.range(1.0, 6.0)));
+                s.cap_rows.push(m.add_row(&name, e, Cmp::Le, g.range(1.0, 6.0)));
             }
         }
         // Append a variable tied into an existing row (new request).
         _ => {
             let name = format!("z{}", s.vars.len());
-            let v = s.session.add_var(&name, 0.0, g.range(0.5, 3.0), g.range(0.5, 3.0));
+            let v = m.add_var(&name, 0.0, g.range(0.5, 3.0), g.range(0.5, 3.0));
             s.vars.push(v);
             if !s.demand_rows.is_empty() {
                 let name = format!("zr{}", s.vars.len());
-                s.demand_rows.push(s.session.add_row(&name, 1.0 * v, Cmp::Le, g.range(0.5, 4.0)));
+                s.demand_rows.push(m.add_row(&name, 1.0 * v, Cmp::Le, g.range(0.5, 4.0)));
             }
         }
     }
@@ -257,7 +258,7 @@ fn rhs_sweep_stays_warm_and_correct() {
     let Some(&row) = s.cap_rows.first() else { return };
     for step in 0..10 {
         let rhs = 5.0 - 0.45 * step as f64;
-        s.session.set_rhs(row, rhs.max(0.1));
+        s.session.model_mut().set_rhs(row, rhs.max(0.1));
         assert_warm_matches_cold(0xBEEF, step, &mut s, &SolveOptions::default());
         assert_ne!(
             s.session.last_restart(),
@@ -280,17 +281,17 @@ fn growing_model_keeps_append_stable_basis() {
         // Alternate append-variable and append-row mutations.
         if step % 2 == 0 {
             let name = format!("g{step}");
-            let v = s.session.add_var(&name, 0.0, 2.0, 1.5);
+            let v = s.session.model_mut().add_var(&name, 0.0, 2.0, 1.5);
             s.vars.push(v);
             let rname = format!("gr{step}");
-            s.session.add_row(&rname, 1.0 * v, Cmp::Le, 1.0);
+            s.session.model_mut().add_row(&rname, 1.0 * v, Cmp::Le, 1.0);
         } else {
             let mut e = LinExpr::new();
             for &v in s.vars.iter().step_by(2) {
                 e.add_term(1.0, v);
             }
             let rname = format!("gc{step}");
-            s.session.add_row(&rname, e, Cmp::Le, g.range(2.0, 8.0));
+            s.session.model_mut().add_row(&rname, e, Cmp::Le, g.range(2.0, 8.0));
         }
         assert_warm_matches_cold(0xFACE, step + 1, &mut s, &SolveOptions::default());
     }
@@ -315,7 +316,7 @@ fn polish_that_certifies_by_refactor_skips_the_terminal_one() {
     m.add_row("r3", 2.0 * x + 1.0 * z, Cmp::Le, 7.0);
     let mut s = SolverSession::new(m);
     s.solve(&SolveOptions::default()).unwrap();
-    s.set_obj(y, 10.0);
+    s.model_mut().set_obj(y, 10.0);
     let sol = s.solve(&SolveOptions::default()).unwrap().clone();
     assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
     let st = sol.stats();
@@ -341,7 +342,7 @@ fn solve_ending_on_a_bound_flip_returns_the_moved_basic_values() {
     let mut s = SolverSession::new(m);
     let first = s.solve(&SolveOptions::default()).unwrap();
     assert_eq!(first.values(), [2.0, 3.0, 5.0]);
-    s.set_obj(x, -1.0);
+    s.model_mut().set_obj(x, -1.0);
     let sol = s.solve(&SolveOptions::default()).unwrap().clone();
     assert_eq!(s.last_restart(), Some(Restart::WarmPrimal));
     assert_eq!((sol.stats().iterations, sol.stats().ft_updates), (1, 0), "one flip, no pivot");
@@ -362,12 +363,12 @@ fn term_merged_after_a_failed_solve_reaches_the_resident_form() {
     let r0 = m.add_row("r0", 1.0 * x, Cmp::Le, 4.0);
     let mut s = SolverSession::new(m);
     s.solve(&SolveOptions::default()).unwrap();
-    let z = s.add_var("z", 0.0, 5.0, 1.0);
-    let floor = s.add_row("floor", 1.0 * z, Cmp::Ge, 10.0); // z <= 5: infeasible
-    s.add_term(r0, z, 1.0);
+    let z = s.model_mut().add_var("z", 0.0, 5.0, 1.0);
+    let floor = s.model_mut().add_row("floor", 1.0 * z, Cmp::Ge, 10.0); // z <= 5: infeasible
+    s.model_mut().add_term(r0, z, 1.0);
     assert!(s.solve(&SolveOptions::default()).is_err());
-    s.set_rhs(floor, 1.0);
-    s.add_term(r0, z, 1.0); // r0 is now x + 2z <= 4
+    s.model_mut().set_rhs(floor, 1.0);
+    s.model_mut().add_term(r0, z, 1.0); // r0 is now x + 2z <= 4
     let sol = s.solve(&SolveOptions::default()).unwrap().clone();
     assert_eq!(s.last_restart(), Some(Restart::Cold), "nothing to carry");
     let cold = s.model().solve().unwrap();
@@ -399,7 +400,7 @@ fn grid_with_capacities_cut() -> SolverSession {
     let mut s = SolverSession::new(m);
     s.solve(&SolveOptions::default()).unwrap();
     for (t, &row) in caps.iter().enumerate() {
-        s.set_rhs(row, 3.0 + 0.5 * t as f64);
+        s.model_mut().set_rhs(row, 3.0 + 0.5 * t as f64);
     }
     s
 }

@@ -213,8 +213,8 @@ fn warm_dual_restart_matches_a_cold_solve() {
         .collect();
     let mut session = SolverSession::new(m);
     session.solve(&SolveOptions::default()).unwrap();
-    session.set_rhs(caps[0], 2.0);
-    session.set_rhs(caps[2], 3.5);
+    session.model_mut().set_rhs(caps[0], 2.0);
+    session.model_mut().set_rhs(caps[2], 3.5);
     let warm = session.solve(&SolveOptions::default()).unwrap().clone();
     assert_eq!(session.last_restart(), Some(Restart::WarmDual));
     assert!(warm.stats().dual_iterations > 0);
