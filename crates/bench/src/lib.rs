@@ -14,14 +14,15 @@ use std::hint::black_box as std_black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// The system allocator with a counter in front: allocations and
-/// reallocations are counted, frees are not (the contracts under test are
-/// of the form "no new memory on this path"). A bench opts in with
-/// `#[global_allocator] static A: CountingAlloc = CountingAlloc;` and
-/// reads the counter through [`allocations`].
+/// The system allocator with counters in front: allocations and
+/// reallocations are counted in one (the contracts under test are of the
+/// form "no new memory on this path"), frees in another. A bench opts in
+/// with `#[global_allocator] static A: CountingAlloc = CountingAlloc;` and
+/// reads the counters through [`allocations`] and [`frees`].
 pub struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -29,6 +30,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.fetch_add(1, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -41,6 +43,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// [`CountingAlloc`] (always 0 under any other allocator).
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Heap frees made so far by a bench running under [`CountingAlloc`]
+/// (always 0 under any other allocator). A reallocation counts as an
+/// allocation, not a free.
+pub fn frees() -> u64 {
+    FREES.load(Ordering::Relaxed)
 }
 
 /// Write a bench's report, `{"bench": name, <provenance>, <members>}`, to

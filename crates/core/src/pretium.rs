@@ -735,16 +735,19 @@ impl Pretium {
     }
 
     /// Seed every window's prices from a per-(edge, step-in-window)
-    /// pattern, flooring at the per-edge price floor. Used to warm-start a
-    /// run from a previous day's learned prices (the production system
-    /// would have weeks of history; a fresh simulation has none).
+    /// pattern, flooring at the per-edge price floor: `pattern` is called
+    /// once per (edge, step-in-window), and each edge's floored window is
+    /// written over the whole horizon at once. Used to warm-start a run
+    /// from a previous day's learned prices (the production system would
+    /// have weeks of history; a fresh simulation has none).
     pub fn seed_prices(&mut self, pattern: impl Fn(EdgeId, usize) -> f64) {
         self.write_prices(0, pattern);
     }
 
     /// The one price writer: floor `pattern(e, s)` at `e`'s price floor
-    /// once per (edge, step-in-window) and write it to every step `t ≥
-    /// from` with step-in-window `s`.
+    /// once per (edge, step-in-window) and write the window to every step
+    /// `t ≥ from` with step-in-window `s`, one
+    /// [`NetworkState::set_price_pattern`] per edge.
     fn write_prices(&mut self, from: Timestep, pattern: impl Fn(EdgeId, usize) -> f64) {
         self.bump_epoch();
         let state = writable(&mut self.state, &mut self.telemetry.state_copies);
@@ -753,9 +756,7 @@ impl Pretium {
             let floor = self.floors[e.index()];
             window.clear();
             window.extend((0..self.grid.steps_per_window).map(|s| pattern(e, s).max(floor)));
-            for t in from..self.horizon {
-                state.set_price(e, t, window[self.grid.step_in_window(t)]);
-            }
+            state.set_price_pattern(e, from, &window);
         }
     }
 }

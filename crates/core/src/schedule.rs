@@ -178,13 +178,42 @@ const NEAR_CAP_FRACTION: f64 = 0.85;
 /// the slot map meets them, and the cost encodings `(edge, window)`, sorted.
 type Separation = (Vec<(EdgeId, Timestep)>, Vec<(EdgeId, usize)>);
 
-/// One `(edge, timestep)` slot of the LP horizon: the columns crossing it
-/// and what the row separation knows of it.
+/// One `(column, slot)` crossing of a session: an entry of
+/// `ScheduleSession::crossed_slots`, in both the column's range and the
+/// slot's chain.
+#[derive(Debug, Clone, Copy)]
+struct Crossing {
+    /// The slot crossed (its index in `ScheduleSession::slots`).
+    slot: u32,
+    /// The column crossing it.
+    var: Var,
+    /// The slot's next crossing (`u32::MAX` after its last).
+    next: u32,
+}
+
+/// The columns crossing `slot`, in the order they joined it: `Slot::len`
+/// steps along its chain through `crossed`.
+fn columns<'a>(crossed: &'a [Crossing], slot: &Slot) -> impl Iterator<Item = Var> + Clone + 'a {
+    let mut at = slot.first;
+    (0..slot.len).map(move |_| {
+        let c = crossed[at as usize];
+        at = c.next;
+        c.var
+    })
+}
+
+/// One `(edge, timestep)` slot of the LP horizon: its chain of crossing
+/// columns and what the row separation knows of it.
 #[derive(Debug, Clone)]
 struct Slot {
     key: (EdgeId, Timestep),
-    /// Flow columns and executed-usage constants crossing the slot.
-    vars: Vec<Var>,
+    /// The first and last of the slot's crossings in `crossed_slots`
+    /// (meaningless while it has none): flow columns and executed-usage
+    /// constants, chained in the order they joined.
+    first: u32,
+    last: u32,
+    /// The number of crossings in the chain, which sizes its rows.
+    len: u32,
     /// The slot's capacity row, once materialized.
     cap_row: Option<RowId>,
     /// The slot's usage-definition row (percentile edges with a cost
@@ -244,8 +273,11 @@ pub struct ScheduleSession {
     /// Shortfall penalty (scales with the largest job weight seen).
     penalty: f64,
     jobs: Vec<Job>,
-    /// Flow variables: per job, `(path index, t, var)`.
-    vars: Vec<Vec<(usize, Timestep, Var)>>,
+    /// Flow variables `(path index, t, var)` of every job, each job's
+    /// contiguous and in insertion order.
+    vars: Vec<(usize, Timestep, Var)>,
+    /// Per job, the range of `vars` holding its flow variables.
+    job_ranges: Vec<(u32, u32)>,
     /// Per job with a guarantee, its shortfall variable and its guarantee
     /// row, whose RHS the degradation policy lowers when the guarantee is
     /// shed or relaxed (§4.4).
@@ -255,7 +287,8 @@ pub struct ScheduleSession {
     /// Whether each edge (by index) bills by percentile.
     percentile: Vec<bool>,
     /// Every (e, t) within the LP horizon that a column crosses, in
-    /// creation order: the columns, its rows and the separation's flags.
+    /// creation order: its chain of crossings, its rows and the
+    /// separation's flags.
     slots: Vec<Slot>,
     /// The index in `slots` of each `(e, t)`.
     slot_of: HashMap<(EdgeId, Timestep), u32>,
@@ -266,7 +299,10 @@ pub struct ScheduleSession {
     /// executed-usage constant, none for any other column (or past the
     /// end).
     crossed: Vec<(u32, u32)>,
-    crossed_slots: Vec<u32>,
+    /// Every `(column, slot)` crossing of the session, in the order
+    /// `add_job` and `record_executed` made them: a column's are the
+    /// contiguous range `crossed[v]`, a slot's a chain from `Slot::first`.
+    crossed_slots: Vec<Crossing>,
     /// The uncapped slots whose `near` flag a judgement set since the
     /// step's first round (some may be capped or clear since).
     near: Vec<u32>,
@@ -309,7 +345,8 @@ impl ScheduleSession {
             cost_scale: p.cost_scale,
             penalty: max_weight * SHORTFALL_PENALTY_FACTOR,
             jobs: Vec::with_capacity(p.jobs.len()),
-            vars: Vec::with_capacity(p.jobs.len()),
+            vars: Vec::new(),
+            job_ranges: Vec::with_capacity(p.jobs.len()),
             guarantees: Vec::with_capacity(p.jobs.len()),
             costed: DetHashSet::default(),
             percentile: p.net.edge_ids().map(|e| p.net.edge(e).cost.is_percentile()).collect(),
@@ -376,7 +413,13 @@ impl ScheduleSession {
     /// Flow columns materialized across jobs (excludes shortfall / usage /
     /// encoding variables).
     pub fn num_flow_columns(&self) -> usize {
-        self.vars.iter().map(|v| v.len()).sum()
+        self.vars.len()
+    }
+
+    /// Job `j`'s flow variables, `(path index, t, var)`.
+    fn job_vars(&self, j: usize) -> &[(usize, Timestep, Var)] {
+        let (from, to) = self.job_ranges[j];
+        &self.vars[from as usize..to as usize]
     }
 
     /// Append a job and return its index in the session's job list. New
@@ -394,31 +437,31 @@ impl ScheduleSession {
         let lo = job.start.max(self.fixed_up_to);
         let hi = (job.deadline + 1).min(self.to);
         let columns = job.paths.len() * (lo..hi).filter(|&t| job.step_allowed(t)).count();
-        let mut jvars = Vec::with_capacity(columns);
+        let start = self.vars.len() as u32;
+        self.vars.reserve(columns);
         // Σ X, with room for the shortfall the guarantee row adds.
         let mut total = LinExpr::with_capacity(columns + 1);
         for pi in 0..job.paths.len() {
             for t in (lo..hi).filter(|&t| job.step_allowed(t)) {
                 let name = Name::new("x_{}_{}_{}", [j, pi, t]);
                 let v = self.sess.model_mut().add_var(name, 0.0, f64::INFINITY, job.weight);
-                jvars.push((pi, t, v));
+                self.vars.push((pi, t, v));
                 total.add_term(1.0, v);
                 for &e in job.paths[pi].edges() {
                     let id = self.slot(e, t);
-                    let slot = &mut self.slots[id as usize];
-                    slot.vars.push(v);
+                    let slot = &self.slots[id as usize];
                     for row in [slot.cap_row, slot.use_row].into_iter().flatten() {
                         self.sess.model_mut().add_term(row, v, 1.0);
                     }
-                    self.crossed_slots.push(id);
+                    self.cross(id, v);
                 }
                 self.note_crossed(v, job.paths[pi].edges().len());
             }
         }
-        if jvars.is_empty() {
+        self.job_ranges.push((start, self.vars.len() as u32));
+        if columns == 0 {
             // Window entirely outside the remaining horizon: job gets
             // nothing.
-            self.vars.push(jvars);
             self.guarantees.push(None);
             self.jobs.push(job);
             return j;
@@ -436,7 +479,6 @@ impl ScheduleSession {
             None
         };
         self.guarantees.push(guarantee);
-        self.vars.push(jvars);
         self.jobs.push(job);
         j
     }
@@ -456,12 +498,10 @@ impl ScheduleSession {
                 let name = Name::new("exec_{}_e{}_{}", [job, e.index(), t]);
                 let c = self.sess.model_mut().add_var(name, units, units, 0.0);
                 let id = self.slot(e, t);
-                let slot = &mut self.slots[id as usize];
-                slot.vars.push(c);
-                if let Some(row) = slot.use_row {
+                if let Some(row) = self.slots[id as usize].use_row {
                     self.sess.model_mut().add_term(row, c, 1.0);
                 }
-                self.crossed_slots.push(id);
+                self.cross(id, c);
                 self.note_crossed(c, 1);
             }
         }
@@ -474,7 +514,9 @@ impl ScheduleSession {
         if id == next {
             self.slots.push(Slot {
                 key: (e, t),
-                vars: Vec::new(),
+                first: 0,
+                last: 0,
+                len: 0,
                 cap_row: None,
                 use_row: None,
                 costed: self.costed.contains(&(e, self.grid.window_of(t))),
@@ -485,6 +527,21 @@ impl ScheduleSession {
             });
         }
         id
+    }
+
+    /// Append column `v`'s crossing of slot `id` to `crossed_slots`, at the
+    /// tail of the slot's chain.
+    fn cross(&mut self, id: u32, v: Var) {
+        let at = self.crossed_slots.len() as u32;
+        self.crossed_slots.push(Crossing { slot: id, var: v, next: u32::MAX });
+        let slot = &mut self.slots[id as usize];
+        if slot.len == 0 {
+            slot.first = at;
+        } else {
+            self.crossed_slots[slot.last as usize].next = at;
+        }
+        slot.last = at;
+        slot.len += 1;
     }
 
     /// Record that column `v` crosses the last `count` slots of
@@ -507,15 +564,13 @@ impl ScheduleSession {
         if now <= self.fixed_up_to {
             return;
         }
-        for jvars in &self.vars {
-            for &(_, t, v) in jvars {
-                if t >= self.fixed_up_to && t < now {
-                    let x = self.values.get(v.index()).copied().unwrap_or(0.0).max(0.0);
-                    // Pinning a variable at its current optimal value leaves
-                    // the solution optimal, so the session can keep its
-                    // cached solution (and basis) when nothing else moves.
-                    self.sess.fix_at_value(v, x);
-                }
+        for &(_, t, v) in &self.vars {
+            if t >= self.fixed_up_to && t < now {
+                let x = self.values.get(v.index()).copied().unwrap_or(0.0).max(0.0);
+                // Pinning a variable at its current optimal value leaves
+                // the solution optimal, so the session can keep its
+                // cached solution (and basis) when nothing else moves.
+                self.sess.fix_at_value(v, x);
             }
         }
         self.fixed_up_to = now;
@@ -603,15 +658,15 @@ impl ScheduleSession {
     ) {
         // Per slot: the demand bound and the last job that added to it.
         let mut bound = vec![(0.0, usize::MAX); self.slots.len()];
-        for (j, jvars) in self.vars.iter().enumerate() {
-            let max_units = self.jobs[j].max_units;
-            for &(_, t, v) in jvars {
+        for (j, job) in self.jobs.iter().enumerate() {
+            let max_units = job.max_units;
+            for &(_, t, v) in self.job_vars(j) {
                 if t < self.fixed_up_to {
                     continue;
                 }
                 let (from, to) = self.crossed[v.index()];
-                for &id in &self.crossed_slots[from as usize..to as usize] {
-                    let (sum, last) = &mut bound[id as usize];
+                for c in &self.crossed_slots[from as usize..to as usize] {
+                    let (sum, last) = &mut bound[c.slot as usize];
                     if *last != j {
                         *sum += max_units;
                         *last = j;
@@ -664,11 +719,12 @@ impl ScheduleSession {
     /// Materialize the capacity row of slot `id`, over the columns
     /// crossing it.
     fn add_capacity_row(&mut self, id: u32, cap: f64) {
-        let slot = &mut self.slots[id as usize];
+        let slot = &self.slots[id as usize];
         let (e, t) = slot.key;
-        let expr = LinExpr::from_terms(slot.vars.iter().map(|&v| (1.0, v)));
+        let expr = LinExpr::from_terms(columns(&self.crossed_slots, slot).map(|v| (1.0, v)));
         let name = Name::new("cap_e{}_{}", [e.index(), t]);
-        slot.cap_row = Some(self.sess.model_mut().add_row(name, expr, Cmp::Le, cap));
+        let row = self.sess.model_mut().add_row(name, expr, Cmp::Le, cap);
+        self.slots[id as usize].cap_row = Some(row);
     }
 
     /// One round of lazy structure generation against the tentative optimum
@@ -724,11 +780,11 @@ impl ScheduleSession {
             let moved = moved.filter(|(_, (x, y))| x.to_bits() != y.to_bits()).map(|(j, _)| j);
             for j in moved.chain(judged.len()..values.len()) {
                 let Some(&(from, to)) = self.crossed.get(j) else { continue };
-                for &id in &self.crossed_slots[from as usize..to as usize] {
-                    let slot = &mut slots[id as usize];
+                for c in &self.crossed_slots[from as usize..to as usize] {
+                    let slot = &mut slots[c.slot as usize];
                     if slot.queued != round {
                         slot.queued = round;
-                        dirty.push(id);
+                        dirty.push(c.slot);
                     }
                 }
             }
@@ -736,7 +792,7 @@ impl ScheduleSession {
         if first {
             self.near.clear();
         }
-        let (near, percentile) = (&mut self.near, &self.percentile);
+        let (near, percentile, crossed) = (&mut self.near, &self.percentile, &self.crossed_slots);
         let mut judge = |id: u32, slot: &mut Slot| {
             let (e, t) = slot.key;
             let uncapped = t >= fixed && slot.cap_row.is_none();
@@ -744,7 +800,8 @@ impl ScheduleSession {
             if !uncapped && !uncosted {
                 return;
             }
-            let sum = || slot.vars.iter().map(|&v| sol.value(v)).sum::<f64>();
+            let cols = columns(crossed, slot);
+            let sum = || cols.clone().map(|v| sol.value(v)).sum::<f64>();
             if fresh || slot.queued == round {
                 slot.usage = sum();
             }
@@ -843,7 +900,7 @@ impl ScheduleSession {
             if !uncapped && !uncosted {
                 continue;
             }
-            let usage: f64 = slot.vars.iter().map(|&v| sol.value(v)).sum();
+            let usage: f64 = columns(&self.crossed_slots, slot).map(|v| sol.value(v)).sum();
             if uncapped {
                 let cap = capacity(e, t);
                 if usage > cap + CAP_TOL * (1.0 + cap) {
@@ -887,7 +944,7 @@ impl ScheduleSession {
                     // U_{e,t} = Σ crossing flows, in column order (`u` is
                     // the newest column).
                     let u = model.add_nonneg(Name::new("u_e{}_{}", [e.index(), t]), 0.0);
-                    let flows = slot.vars.iter().map(|&v| (1.0, v));
+                    let flows = columns(&self.crossed_slots, slot).map(|v| (1.0, v));
                     let expr = LinExpr::from_terms(flows.chain([(-1.0, u)]));
                     let name = Name::new("use_e{}_{}", [e.index(), t]);
                     let row = model.add_row(name, expr, Cmp::Eq, 0.0);
@@ -921,12 +978,12 @@ impl ScheduleSession {
     /// installed.
     fn extract(&self, objective: f64, rounds: u32) -> ScheduleSolution {
         let value = |v: Var| self.values[v.index()];
-        let mut flows = Vec::with_capacity(self.vars.len());
-        let mut delivered = Vec::with_capacity(self.vars.len());
-        for jvars in &self.vars {
+        let mut flows = Vec::with_capacity(self.jobs.len());
+        let mut delivered = Vec::with_capacity(self.jobs.len());
+        for j in 0..self.jobs.len() {
             let mut jf = Vec::new();
             let mut total = 0.0;
-            for &(pi, t, v) in jvars {
+            for &(pi, t, v) in self.job_vars(j) {
                 if t < self.fixed_up_to {
                     continue;
                 }
@@ -1295,14 +1352,14 @@ mod tests {
         assert!(sol.rounds >= 2, "one round: nothing was generated");
         let last = sess.lp().cached_solution().expect("the step's optimum").values().to_vec();
         let elapsed: Vec<Var> =
-            sess.vars.iter().flatten().filter(|&&(_, t, _)| t < 1).map(|&(_, _, v)| v).collect();
+            sess.vars.iter().filter(|&&(_, t, _)| t < 1).map(|&(_, _, v)| v).collect();
         assert_eq!(elapsed.len(), 2);
         sess.advance_to(1);
         for v in elapsed {
             let x = last[v.index()].max(0.0);
             assert_eq!(sess.lp().model().bounds(v), (x, x), "{}", sess.lp().model().var_name(v));
         }
-        let x00 = sess.vars[0][0].2;
+        let x00 = sess.job_vars(0)[0].2;
         assert!((last[x00.index()] - 10.0).abs() < 1e-9, "job 0 at step 0: {}", last[x00.index()]);
     }
 
@@ -1692,6 +1749,76 @@ mod tests {
         ];
         assert_eq!(vars, want_vars);
         assert_eq!(rows, want_rows);
+    }
+
+    /// Every slot's chain lists exactly the columns whose `crossed` range
+    /// names the slot, in column order, and `len` counts them: after the
+    /// build, a solve, a mid-window `add_job` into materialized rows and
+    /// executed-usage constants, on a world whose every other link bills
+    /// by percentile.
+    #[test]
+    fn slot_chains_are_the_transpose_of_column_ranges() {
+        let mut net = Network::new();
+        let region = pretium_net::Region::NorthAmerica;
+        let n: Vec<NodeId> = (0..5).map(|i| net.add_node(&format!("n{i}"), region)).collect();
+        for (i, &(a, b)) in
+            [(0, 1), (1, 2), (0, 3), (3, 2), (1, 3), (2, 4), (3, 4)].iter().enumerate()
+        {
+            let cost = if i % 2 == 0 { LinkCost::percentile(0.3) } else { LinkCost::owned() };
+            net.add_edge(n[a], n[b], 6.0 + i as f64, cost);
+        }
+        let routes =
+            |a: usize, b: usize| pretium_net::k_shortest_paths(&net, n[a], n[b], 3, &|_| 1.0);
+        let jobs = vec![
+            Job::new(0, routes(0, 2), 0, 7, 2.0, 5.0, 40.0),
+            Job::new(1, routes(1, 4), 1, 5, 1.5, 0.0, 30.0),
+            Job::new(2, routes(0, 4), 2, 7, 3.0, 0.0, 25.0),
+        ];
+        let grid = TimeGrid::new(4, 30);
+        let cap = |e: EdgeId, _t: Timestep| net.edge(e).capacity;
+        let problem = ScheduleProblem {
+            net: &net,
+            grid: &grid,
+            from: 0,
+            to: 8,
+            jobs: &jobs,
+            capacity: &cap,
+            realized: &no_realized,
+            topk: TopkEncoding::CVar,
+            cost_scale: 1.0,
+        };
+        let mut sess = ScheduleSession::new(&problem);
+        sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
+        sess.advance_to(3);
+        let late = sess.add_job(Job::new(3, routes(0, 4), 1, 6, 2.5, 4.0, 20.0));
+        let (late_runs, early_runs) = ([(0, 1, 2.0), (1, 2, 1.5), (0, 2, 0.5)], [(0, 2, 3.0)]);
+        sess.record_executed(late, &late_runs);
+        sess.record_executed(0, &early_runs);
+        let hops = |j: usize, runs: &[(usize, Timestep, f64)]| -> usize {
+            runs.iter().map(|&(pi, _, _)| sess.jobs()[j].paths[pi].edges().len()).sum()
+        };
+        let hops = hops(late, &late_runs) + hops(0, &early_runs);
+        sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
+
+        let mut transpose = vec![Vec::new(); sess.slots.len()];
+        for (v, &(from, to)) in sess.crossed.iter().enumerate() {
+            for c in &sess.crossed_slots[from as usize..to as usize] {
+                assert_eq!(c.var.index(), v, "column {v}'s range names another column");
+                transpose[c.slot as usize].push(c.var);
+            }
+        }
+        let executed = (0..sess.lp().model().num_vars())
+            .filter(|&j| sess.lp().model().var_name(Var::from_index(j)).starts_with("exec_"))
+            .count();
+        assert_eq!(executed, hops, "one executed-usage constant per path edge");
+        let listed: usize = transpose.iter().map(Vec::len).sum();
+        assert_eq!(listed, sess.crossed_slots.len(), "a crossing outside every column range");
+        for (id, slot) in sess.slots.iter().enumerate() {
+            let chain: Vec<Var> = columns(&sess.crossed_slots, slot).collect();
+            assert!(!chain.is_empty(), "slot {:?} has no column", slot.key);
+            assert_eq!(chain, transpose[id], "slot {:?}", slot.key);
+            assert_eq!(slot.len as usize, chain.len(), "slot {:?}", slot.key);
+        }
     }
 
     #[test]

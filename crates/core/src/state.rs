@@ -122,6 +122,28 @@ impl NetworkState {
         self.prices[e.index()][t] = p;
     }
 
+    /// Overwrite the base price of `(e, t)` for every `t ≥ from` with
+    /// `pattern[t % pattern.len()]`: a window's per-step prices carried
+    /// forward, `pattern` indexed by step in window. The same writes as
+    /// [`NetworkState::set_price`] at each such `t`, refused on the same
+    /// values: the pattern values those steps take are checked once, then
+    /// the series is filled a period at a time.
+    pub fn set_price_pattern(&mut self, e: EdgeId, from: Timestep, pattern: &[f64]) {
+        let Some(row) = self.prices[e.index()].get_mut(from..).filter(|r| !r.is_empty()) else {
+            return;
+        };
+        let phase = from % pattern.len();
+        for i in 0..row.len().min(pattern.len()) {
+            let p = pattern[(phase + i) % pattern.len()];
+            assert!(p >= 0.0 && p.is_finite(), "price must be finite and >= 0");
+        }
+        let (head, rest) = row.split_at_mut((pattern.len() - phase).min(row.len()));
+        head.copy_from_slice(&pattern[phase..phase + head.len()]);
+        for period in rest.chunks_mut(pattern.len()) {
+            period.copy_from_slice(&pattern[..period.len()]);
+        }
+    }
+
     /// Capacity currently sellable at `(e, t)`: degraded total minus
     /// high-pri set-aside minus reservations. Never negative.
     pub fn available(&self, e: EdgeId, t: Timestep) -> f64 {
@@ -289,6 +311,51 @@ mod tests {
         st.set_health(e, 0, 0.5);
         // Would fit the healthy link, but not the degraded one.
         st.reserve(e, 0, cap * 0.8);
+    }
+
+    /// The periodic writer against a `set_price` loop, bit for bit, from
+    /// the series' start, a window start, mid-window and the horizon (a
+    /// write of nothing).
+    #[test]
+    fn price_pattern_matches_a_per_step_loop() {
+        let (net, st) = state();
+        let pattern = [0.0, 1.5, 0.25, 3.0 + f64::EPSILON, 7.0];
+        for from in [0, 10, 13, st.horizon()] {
+            let (mut periodic, mut stepped) = (st.clone(), st.clone());
+            for e in net.edge_ids() {
+                periodic.set_price_pattern(e, from, &pattern);
+                for t in from..st.horizon() {
+                    stepped.set_price(e, t, pattern[t % pattern.len()]);
+                }
+            }
+            for e in net.edge_ids() {
+                let bits = |s: &NetworkState| {
+                    s.price_series(e).iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&periodic), bits(&stepped), "from {from}, {e}");
+            }
+        }
+    }
+
+    /// A pattern value `set_price` refuses is refused, with its message,
+    /// exactly when a step would take it.
+    #[test]
+    fn price_pattern_refuses_what_set_price_refuses() {
+        let refused = |pattern: [f64; 4], from: Timestep| {
+            let (net, mut st) = state();
+            let e = net.edge_ids().next().unwrap();
+            let run = std::panic::AssertUnwindSafe(|| st.set_price_pattern(e, from, &pattern));
+            std::panic::catch_unwind(run).err().map(|p| p.downcast_ref::<&str>().copied())
+        };
+        let message = Some(Some("price must be finite and >= 0"));
+        assert_eq!(refused([1.0, -0.5, 2.0, 0.0], 0), message);
+        assert_eq!(refused([1.0, 2.0, f64::INFINITY, 0.0], 48), message);
+        assert_eq!(refused([1.0, 2.0, 3.0, f64::NAN], 7), message);
+        // Steps 94 and 95 take pattern values 2 and 3 only, as a
+        // `set_price` loop from 94 would; from the horizon, none.
+        assert_eq!(refused([-1.0, 0.0, 2.0, 3.0], 94), None);
+        assert_eq!(refused([-1.0, f64::INFINITY, 2.0, 3.0], 96), None);
+        assert_eq!(refused([1.0, 2.0, 3.0, 4.0], 0), None);
     }
 
     #[test]
