@@ -685,6 +685,8 @@ impl Pretium {
         // dual price: congestion shadow price plus marginal percentile cost
         // (C_e/k on the window's top-k steps).
         self.write_prices(now, |e, s| sess.price(e, prev_start + s));
+        // The sample covers the whole window, dropping its session too.
+        drop(sess);
         self.telemetry.pc.record(t0.elapsed());
         self.run_audit(AuditPoint::Pc, now);
         Ok(())

@@ -50,18 +50,55 @@ impl BitQueue {
         self.words[k >> 6] |= 1 << (k & 63);
     }
 
-    /// Hold exactly the keys below `n` that `member` accepts, asking it
-    /// about each key once, in ascending order, and writing each word once.
-    pub fn rebuild(&mut self, n: usize, mut member: impl FnMut(usize) -> bool) {
-        self.reset(n);
-        for (w, word) in self.words.iter_mut().enumerate() {
-            let base = w << 6;
-            let mut bits = 0;
-            for b in 0..(n - base).min(64) {
-                bits |= u64::from(member(base + b)) << b;
-            }
-            *word = bits;
+    /// Hold every key below `n`.
+    pub fn fill(&mut self, n: usize) {
+        refill(&mut self.words, n.div_ceil(64), !0);
+        if n & 63 != 0 {
+            self.words[n >> 6] = below(0, n & 63);
         }
+    }
+
+    /// Hold exactly the keys `other` holds, in this set's own buffer.
+    pub fn copy_from(&mut self, other: &BitQueue) {
+        self.words.clone_from(&other.words);
+    }
+
+    /// Insert `count` keys at `at` into a set of keys below `len`: every
+    /// key at or above `at` moves up by `count`, and the keys
+    /// `at..at + count` are held when `fill`. Word by word, from the top.
+    pub fn open_gap(&mut self, len: usize, at: usize, count: usize, fill: bool) {
+        if count == 0 {
+            return;
+        }
+        let end = at + count;
+        grow(&mut self.words, (len + count).div_ceil(64), 0);
+        for w in (at >> 6..self.words.len()).rev() {
+            let base = w << 6;
+            // The old keys `base - count ..` at their new places (zero
+            // below key 0), from words at or below `w`, which the walk down
+            // has not written yet.
+            let moved = if base >= count {
+                let (from, shift) = ((base - count) >> 6, (base - count) & 63);
+                let lo = self.words[from] >> shift;
+                let hi = self.words.get(from + 1).map_or(0, |&v| v << 1 << (63 - shift));
+                lo | hi
+            } else if count - base < 64 {
+                self.words[0] << (count - base)
+            } else {
+                0
+            };
+            let (keep, head) = (below(base, at), below(base, end));
+            let gap = if fill { head & !keep } else { 0 };
+            self.words[w] = (self.words[w] & keep) | gap | (moved & !head);
+        }
+    }
+
+    /// Hold `k` when `member`, else not.
+    #[inline]
+    pub fn set(&mut self, k: usize, member: bool) {
+        let bit = 1 << (k & 63);
+        let word = &mut self.words[k >> 6];
+        *word = (*word & !bit) | (u64::from(member) << (k & 63));
     }
 
     #[inline]
@@ -112,6 +149,17 @@ impl BitQueue {
             self.words[w - 1] = bits ^ (1 << b);
             visit(self, (w - 1) << 6 | b);
         }
+    }
+}
+
+/// The bits of the word that holds keys `base..base + 64` whose key is
+/// below `k`.
+#[inline]
+fn below(base: usize, k: usize) -> u64 {
+    match k.saturating_sub(base) {
+        0 => 0,
+        b if b >= 64 => !0,
+        b => (1 << b) - 1,
     }
 }
 
@@ -467,23 +515,55 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// `rebuild` holds exactly the keys its predicate accepts, asked once
-    /// each in ascending order, for lengths at and around word boundaries,
-    /// and drops keys beyond the new length.
+    /// The keys a set holds below `len`, as a reference vector, after
+    /// checking that it holds none at or above `len`.
+    fn held(q: &BitQueue, len: usize) -> Vec<bool> {
+        assert_eq!(q.next(len), None, "a key at or above {len}");
+        (0..len).map(|k| q.contains(k)).collect()
+    }
+
+    /// `open_gap`, `copy_from`, `fill` and `set` against a `Vec<bool>`
+    /// reference: random sets of random sizes, gaps at random places and
+    /// at and around word edges, of lengths from 0 to past two words, both
+    /// fills — a chain of gaps on one set, as a carried start opens three.
     #[test]
-    fn bit_queue_rebuilds_from_a_predicate() {
-        let mut q = BitQueue::default();
-        for n in [0, 1, 63, 64, 65, 128, 200] {
-            q.reset(n + 1);
-            q.insert(n);
-            let mut asked = Vec::new();
-            q.rebuild(n, |k| {
-                asked.push(k);
-                k % 3 == 0 || k == 64
-            });
-            assert_eq!(asked, (0..n).collect::<Vec<_>>(), "n {n}");
-            assert!((0..n).all(|k| q.contains(k) == (k % 3 == 0 || k == 64)), "n {n}");
-            assert_eq!(q.next(n), None, "n {n}");
+    fn bit_queue_opens_gaps_and_copies_like_a_vec_of_bools() {
+        let mut state = 0x5EED_B175_u64;
+        let mut draw = |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below.max(1) as u64) as usize
+        };
+        let (mut q, mut copy) = (BitQueue::default(), BitQueue::default());
+        for round in 0..400 {
+            let mut len = [0, 1, 63, 64, 65, 127, 128, 129][round % 8] + draw(3) * draw(90);
+            let mut want: Vec<bool> = (0..len).map(|_| draw(3) == 0).collect();
+            q.reset(len + 1);
+            for (k, &on) in want.iter().enumerate() {
+                q.set(k, on);
+            }
+            q.set(len, true);
+            q.set(len, false);
+            assert_eq!(held(&q, len), want, "round {round}: set");
+            for _ in 0..3 {
+                let at = match draw(4) {
+                    0 => len,
+                    1 => (draw(len / 64 + 1) * 64).min(len),
+                    _ => draw(len + 1),
+                };
+                let count = [0, 1, 63, 64, 65, 130][draw(6)].min(draw(140));
+                let fill = draw(2) == 0;
+                q.open_gap(len, at, count, fill);
+                want.splice(at..at, std::iter::repeat_n(fill, count));
+                len += count;
+                assert_eq!(held(&q, len), want, "round {round}: gap of {count} at {at}");
+            }
+            copy.fill(draw(300));
+            copy.copy_from(&q);
+            assert_eq!(held(&copy, len), want, "round {round}: copy");
+            copy.fill(len);
+            assert_eq!(held(&copy, len), vec![true; len], "round {round}: fill");
         }
     }
 }

@@ -40,6 +40,7 @@ impl State<'_> {
         for &(j, ..) in &ws.boxed {
             ws.lb[j] = ws.x[j];
             ws.ub[j] = ws.x[j];
+            ws.touched.insert(j);
         }
     }
 
@@ -172,9 +173,9 @@ impl State<'_> {
             }
             let (q, sigma) = (q as usize, -need * alpha.signum());
             // The pricing update both loops share, on the pivot row's own
-            // element (the primal loop passes the FTRAN's). A degenerate
-            // step moves no dual.
-            let theta_d = self.pivot_update(q, r, alpha);
+            // element (the primal loop passes the FTRAN's), without what
+            // only primal pricing reads. A degenerate step moves no dual.
+            let theta_d = self.pivot_update(q, r, alpha, false);
             if theta_d == 0.0 {
                 self.stats.dual_degenerate += 1;
             }

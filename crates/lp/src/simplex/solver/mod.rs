@@ -78,14 +78,31 @@ pub(crate) struct Workspace {
     /// Devex reference-framework weight per column.
     gamma: Vec<f64>,
     /// The entering set: every column [`Workspace::eligible`] accepts, and
-    /// maybe some it no longer does. `reprice` rebuilds it exactly; a
+    /// maybe some it no longer does. `reprice` makes it exact; a primal
     /// pivot inserts every column whose `d` it moves, unjudged, and the
     /// pricing sweep drops a member that fails `eligible` when it visits
     /// it — so a pivot pays one bit per touched column, and the sweep
-    /// judges members only. A carried start only sizes it, and the dual
-    /// loop's pivots write into it as the primal ones do; the primal loop
-    /// reprices before it prices.
+    /// judges members only. A carried start only sizes it, and a dual
+    /// pivot leaves it be: the primal loop reprices before it prices.
     entering: BitQueue,
+    /// What the last reprice found: `d_priced` and `y_priced` are its `d`
+    /// and `y` (before any pivot moved them), `priced_set` its exact
+    /// entering set. The next reprice prices again only the columns with a
+    /// term in a row whose dual moved, the slacks and artificials of such
+    /// rows, and the columns in `touched`; every other column's fold runs
+    /// over the same inputs, so it keeps its `d_priced` entry and verdict.
+    d_priced: Vec<f64>,
+    y_priced: Vec<f64>,
+    priced_set: BitQueue,
+    /// Every column whose `nb`, `pos_of`, `lb`, `ub` or column was written
+    /// since the last reprice, and the columns a carried start appended:
+    /// the verdicts `priced_set` holds for them may be out of date.
+    touched: BitQueue,
+    /// `d_priced`, `y_priced` and `priced_set` price the cost vector being
+    /// priced now. Cleared by a crash, by the switch from phase-1 to
+    /// phase-2 costs and by a carried start whose costs moved; the next
+    /// reprice then prices every column.
+    priced: bool,
     /// Candidate shortlist for partial pricing.
     candidates: Vec<u32>,
     /// Membership flags for `candidates`.
@@ -214,6 +231,7 @@ pub(crate) fn warm_state<'a>(
         if ws.pos_of[j] < 0 {
             (ws.nb[j], ws.x[j]) = ws.rest_of(j);
         }
+        ws.touched.insert(j);
     }
     for (i, row) in model.rows.iter().enumerate().skip(m0) {
         let s = problem.slack_start + i;
@@ -280,13 +298,14 @@ impl Workspace {
     }
 
     /// Move the terminal state of the solve that owns this workspace —
-    /// `basis`, `pos_of`, `nb`, `x`, `lb`, `ub`, `d` and `y` — to the
-    /// column layout of `p`, the same problem grown by `dn` structurals and
-    /// `dm` rows: the new structurals open a gap before the slacks
-    /// (nonbasic, bounds and `d` for the caller to load and price), each new
-    /// row seats its slack basic with a zero dual and closes its
-    /// artificial. Returns `false`, with nothing moved, when an artificial
-    /// is basic (its crash-time sign went with the previous standard form).
+    /// `basis`, `pos_of`, `nb`, `x`, `lb`, `ub`, `d`, `y` and what its last
+    /// reprice found — to the column layout of `p`, the same problem grown
+    /// by `dn` structurals and `dm` rows: the new structurals open a gap
+    /// before the slacks (nonbasic, bounds and `d` for the caller to load
+    /// and price), each new row seats its slack basic with a zero dual and
+    /// closes its artificial. Every new column is `touched`. Returns
+    /// `false`, with nothing moved, when an artificial is basic (its
+    /// crash-time sign went with the previous standard form).
     fn regrow(&mut self, p: &Problem) -> bool {
         let (m0, ns0) = (self.owner_m, self.owner_nstruct);
         let (dm, dn) = (p.m - m0, p.nstruct - ns0);
@@ -295,7 +314,7 @@ impl Workspace {
             [self.nb.len(), self.d.len(), self.x.len(), self.pos_of.len(), self.lb.len()]
                 .iter()
                 .all(|&len| len == n0)
-                && (self.ub.len(), self.y.len()) == (n0, m0)
+                && (self.ub.len(), self.y.len(), self.d_priced.len()) == (n0, m0, n0)
         );
         if self.basis.iter().any(|&k| k >= ns0 + m0) {
             return false;
@@ -304,13 +323,18 @@ impl Workspace {
             *k += dn;
         }
         self.basis.extend((m0..p.m).map(|i| p.slack_start + i));
+        let mut len = n0;
         for (at, count) in [(ns0, dn), (p.slack_start + m0, dm), (p.art_start + m0, dm)] {
             open_gap(&mut self.nb, at, count, NbState::Lower);
             open_gap(&mut self.d, at, count, 0.0);
+            open_gap(&mut self.d_priced, at, count, 0.0);
             open_gap(&mut self.x, at, count, 0.0);
             open_gap(&mut self.pos_of, at, count, -1);
             open_gap(&mut self.lb, at, count, 0.0);
             open_gap(&mut self.ub, at, count, 0.0);
+            self.priced_set.open_gap(len, at, count, false);
+            self.touched.open_gap(len, at, count, true);
+            len += count;
         }
         for i in m0..p.m {
             self.pos_of[p.slack_start + i] = i as i32;
@@ -391,6 +415,7 @@ impl<'a> State<'a> {
             let ws = &mut *self.ws;
             for &(j, lb, ub) in &ws.boxed {
                 (ws.lb[j], ws.ub[j]) = (lb, ub);
+                ws.touched.insert(j);
             }
             match result {
                 Ok(()) => {}
@@ -422,10 +447,11 @@ impl<'a> State<'a> {
     /// file has no room for them — and solve for `x_B`; then price the
     /// appended columns against the inherited duals, or, when `reprice` is
     /// set (an old column's cost moved, so the inherited `d` and `y` are
-    /// stale), run a full `reprice`. The Devex weights and the candidate
-    /// list stay as they are: the polish's `reprice` resets them before any
-    /// primal pricing reads them. Only the entering set is sized for the
-    /// grown layout, for the dual pivots to write into.
+    /// stale, and so is what the last reprice found), run a full `reprice`.
+    /// The Devex weights and the candidate list stay as they are: the
+    /// polish's `reprice` resets them before any primal pricing reads them.
+    /// Only the entering set is sized for the grown layout, for the dual
+    /// pivots' exchanges to write into.
     fn inherit(&mut self, cost: &[f64], reprice: bool) -> Result<(), SolveError> {
         self.ensure_scratch();
         let (p, ws) = (self.p, &mut *self.ws);
@@ -444,6 +470,7 @@ impl<'a> State<'a> {
             self.solve_basics();
         }
         if reprice {
+            self.ws.priced = false;
             self.reprice(cost);
             return Ok(());
         }
@@ -543,6 +570,7 @@ impl<'a> State<'a> {
         grow(&mut self.ws.alpha, n, 0.0);
         grow(&mut self.ws.alpha_stamp, n, 0);
         grow(&mut self.ws.d, n, 0.0);
+        grow(&mut self.ws.d_priced, n, 0.0);
         grow(&mut self.ws.gamma, n, 1.0);
         grow(&mut self.ws.in_cands, n, false);
     }
@@ -587,28 +615,70 @@ impl<'a> State<'a> {
         Ok(())
     }
 
-    /// Full pricing reset: recompute `y = c_B B⁻¹` and every reduced cost
-    /// exactly, rebuild the entering set in the same pass, and reset the
-    /// Devex reference framework (all weights back to 1) and the candidate
-    /// list.
+    /// Pricing reset: recompute `y = c_B B⁻¹` and every reduced cost
+    /// exactly, make the entering set exact, and reset the Devex reference
+    /// framework (all weights back to 1) and the candidate list.
+    ///
+    /// A reduced cost is `Problem::reduced_cost`'s fold of the column
+    /// against `y`, so a column none of whose rows' duals moved since the
+    /// last reprice — bit for bit — folds to the same bits it did then:
+    /// only the columns with a term in a row whose dual moved, that row's
+    /// slack and artificial, and the `touched` ones are priced and judged
+    /// again; every other column keeps its `d_priced` entry and its
+    /// `priced_set` verdict. Without `priced`, every column is touched: the
+    /// full pass is this one. A debug assertion compares `d` and the
+    /// entering set with a full recount.
     fn reprice(&mut self, cost: &[f64]) {
+        // A flag is set only for a listed column, and the list's columns are
+        // below `in_cands`'s length until `ensure_scratch` sizes it.
+        let ws = &mut *self.ws;
+        for &j in &ws.candidates {
+            ws.in_cands[j as usize] = false;
+        }
+        ws.candidates.clear();
         self.ensure_scratch();
+        debug_assert!(!self.ws.in_cands.contains(&true), "a shortlist flag outlived its column");
         self.solve_duals(cost);
         let t0 = Instant::now();
-        let (p, ws, tol) = (self.p, &mut *self.ws, self.opts.opt_tol);
+        let (p, rows, ws, tol) = (self.p, &self.model.rows, &mut *self.ws, self.opts.opt_tol);
         let n = p.n;
+        if ws.priced {
+            for (i, &yi) in ws.y.iter().enumerate() {
+                if ws.y_priced.get(i).is_some_and(|old| old.to_bits() == yi.to_bits()) {
+                    continue;
+                }
+                for t in &rows[i].terms {
+                    ws.touched.insert(t.var.index());
+                }
+                ws.touched.insert(p.slack_start + i);
+                ws.touched.insert(p.art_start + i);
+            }
+        } else {
+            ws.touched.fill(n);
+            ws.priced_set.reset(n);
+        }
+        ws.y_priced.clone_from(&ws.y);
         // Out of the workspace while the closure writes `d`; the words move
         // back, nothing allocates.
-        let mut entering = std::mem::take(&mut ws.entering);
-        entering.rebuild(n, |j| {
-            ws.d[j] = p.reduced_cost(j, cost, &ws.y);
-            ws.eligible(j, tol)
+        let mut touched = std::mem::take(&mut ws.touched);
+        touched.drain_up(|_, j| {
+            let dj = p.reduced_cost(j, cost, &ws.y);
+            (ws.d_priced[j], ws.d[j]) = (dj, dj);
+            ws.priced_set.set(j, ws.eligible(j, tol));
         });
-        ws.entering = entering;
+        ws.touched = touched;
+        ws.d.copy_from_slice(&ws.d_priced);
+        ws.entering.copy_from(&ws.priced_set);
+        ws.priced = true;
+        debug_assert!(
+            (0..n).all(|j| {
+                ws.d[j].to_bits() == p.reduced_cost(j, cost, &ws.y).to_bits()
+                    && ws.entering.contains(j) == ws.eligible(j, tol)
+            }) && ws.entering.next(n).is_none(),
+            "a kept reduced cost or entering verdict differs from a full reprice"
+        );
         ws.gamma.fill(1.0);
         self.note_pricing_wall(t0);
-        self.ws.candidates.clear();
-        self.ws.in_cands.fill(false);
         self.stats.pricing_scans += n as u64;
         self.fresh = true;
     }
@@ -672,30 +742,38 @@ impl<'a> State<'a> {
     /// * `d_j ← d_j − theta_d · alpha_j` for every nonbasic `j ≠ q`,
     /// * `d_leaving ← −theta_d` (its pivot-row entry is exactly 1),
     /// * `d_q ← 0`, `y ← y + theta_d · rho`,
-    /// * Devex: `γ_j ← max(γ_j, (alpha_j/alpha_q)² γ_q)` for touched `j`,
-    ///   and the leaving column gets `max(γ_q/alpha_q², 1)`.
+    /// * on a `primal` pivot, Devex: `γ_j ← max(γ_j, (alpha_j/alpha_q)² γ_q)`
+    ///   for touched `j`, and the leaving column gets `max(γ_q/alpha_q², 1)`;
+    ///   every touched nonbasic `j ≠ q` joins the entering set, unjudged.
     ///
-    /// Every touched nonbasic `j ≠ q` joins the entering set, unjudged.
-    /// Must run before [`State::exchange`] for this pivot.
-    fn pivot_update(&mut self, q: usize, position: usize, alpha_q: f64) -> f64 {
+    /// A dual pivot skips what only primal pricing reads — the weights and
+    /// the entering set, which the polish's reprice (or a `recover`) resets
+    /// before anything reads them — and, when `theta_d = 0`, the `d` pass,
+    /// which would change at most the sign of a zero the dual ratio test
+    /// reads as `|d_j|`. Must run before [`State::exchange`] for this pivot.
+    fn pivot_update(&mut self, q: usize, position: usize, alpha_q: f64, primal: bool) -> f64 {
         self.fresh = false;
         let theta_d = self.ws.d[q] / alpha_q;
         let gamma_q = self.ws.gamma[q].max(1.0);
         let inv_aq = 1.0 / alpha_q;
         let ws = &mut *self.ws;
-        for idx in 0..ws.alpha_touched.len() {
-            let j = ws.alpha_touched[idx] as usize;
-            if ws.pos_of[j] >= 0 || j == q {
-                continue;
+        if primal || theta_d != 0.0 {
+            for idx in 0..ws.alpha_touched.len() {
+                let j = ws.alpha_touched[idx] as usize;
+                if ws.pos_of[j] >= 0 || j == q {
+                    continue;
+                }
+                let aj = ws.alpha[j];
+                ws.d[j] -= theta_d * aj;
+                if primal {
+                    let r = aj * inv_aq;
+                    let cand = r * r * gamma_q;
+                    if cand > ws.gamma[j] {
+                        ws.gamma[j] = cand;
+                    }
+                    ws.entering.insert(j);
+                }
             }
-            let aj = ws.alpha[j];
-            ws.d[j] -= theta_d * aj;
-            let r = aj * inv_aq;
-            let cand = r * r * gamma_q;
-            if cand > ws.gamma[j] {
-                ws.gamma[j] = cand;
-            }
-            ws.entering.insert(j);
         }
         if theta_d != 0.0 {
             for &i in &ws.rho_nz {
@@ -704,7 +782,9 @@ impl<'a> State<'a> {
         }
         let leaving = ws.basis[position];
         ws.d[leaving] = -theta_d;
-        ws.gamma[leaving] = (gamma_q * inv_aq * inv_aq).max(1.0);
+        if primal {
+            ws.gamma[leaving] = (gamma_q * inv_aq * inv_aq).max(1.0);
+        }
         ws.d[q] = 0.0;
         theta_d
     }
@@ -713,7 +793,8 @@ impl<'a> State<'a> {
     /// move the basic values by step `t` along the FTRAN of entering column
     /// `q` (in `w`) in direction `sigma`, snap the column leaving `position`
     /// exactly onto its upper bound (`to_upper`) or its lower one, seat `q`
-    /// there, swap the two in the entering set and update the factors.
+    /// there, swap the two in the entering set, touch both for the next
+    /// reprice and update the factors.
     /// Returns `false` when the update rejects the pivot (refactorize).
     fn exchange(&mut self, q: usize, position: usize, sigma: f64, t: f64, to_upper: bool) -> bool {
         self.settled = false;
@@ -731,6 +812,8 @@ impl<'a> State<'a> {
         ws.x[q] += sigma * t;
         ws.entering.remove(q);
         ws.entering.insert(leaving);
+        ws.touched.insert(q);
+        ws.touched.insert(leaving);
         ws.factor.update(position)
     }
 

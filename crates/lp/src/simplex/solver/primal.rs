@@ -60,7 +60,8 @@ pub(crate) fn run(
     // --- crash: place nonbasics at bounds, pick slack or artificial basis --
     // Every structural and slack column at rest: on its lower bound when
     // finite, else on its upper one, else free at zero (`rest_of` from
-    // `Lower`).
+    // `Lower`). Nothing an earlier reprice found carries over.
+    ws.priced = false;
     refill(&mut ws.x, n, 0.0);
     refill(&mut ws.nb, n, NbState::Lower);
     for j in 0..problem.art_start {
@@ -112,19 +113,25 @@ pub(crate) fn run(
         }
     }
     // Close all artificials for phase 2 and snap them to zero (a basic one
-    // may move, so the factors' `x_B` is no longer current).
+    // may move, so the factors' `x_B` is no longer current). Phase 2 prices
+    // other costs than phase 1: nothing phase 1 priced carries over.
     for j in st.p.art_start..n {
         st.ws.ub[j] = 0.0;
         st.ws.x[j] = 0.0;
     }
     st.settled = false;
+    st.ws.priced = false;
 
     // --- phase 2 ----------------------------------------------------------
     st.iterate(&p.cost, false)?;
     let out = st.finish(&p.cost);
     // The crash's signs go with this solve: a carried start prices the
     // artificials positive (`State::inherit`), and `Problem::sync` appends
-    // to the form as it is left here.
+    // to the form as it is left here. An artificial whose column flips is
+    // priced again by the next reprice.
+    for i in (0..problem.m).filter(|&i| problem.art_sign[i] != 1.0) {
+        ws.touched.insert(problem.art_start + i);
+    }
     problem.art_sign.fill(1.0);
     out
 }
@@ -203,11 +210,12 @@ impl State<'_> {
                     self.ws.nb[j] = if sigma > 0.0 { NbState::Upper } else { NbState::Lower };
                     // It entered on the sign its new bound rules out.
                     self.ws.entering.remove(j);
+                    self.ws.touched.insert(j);
                     self.note_step(t);
                 }
                 Step::Pivot { t, position, to_upper } => {
                     self.pivot_row_pass(position);
-                    self.pivot_update(j, position, self.ws.w[position]);
+                    self.pivot_update(j, position, self.ws.w[position], true);
                     if !self.exchange(j, position, sigma, t, to_upper) {
                         // Pivot too small for a stable eta: rebuild and, if
                         // the basis went bad, surface a numerical error.
