@@ -37,22 +37,22 @@ impl State<'_> {
             ws.boxed.iter().map(|b| b.0).eq((0..n).filter(|&j| ws.eligible(j, tol))),
             "the boxed set differs from a judgement of every column"
         );
-        for &(j, ..) in &ws.boxed {
+        for idx in 0..ws.boxed.len() {
+            let j = ws.boxed[idx].0;
             ws.lb[j] = ws.x[j];
             ws.ub[j] = ws.x[j];
-            ws.touched.insert(j);
+            ws.touch(j);
         }
     }
 
     /// Dual ratio-test candidate: `(alpha_j, |d_j / alpha_j|)` when nonbasic
     /// column `j` of the current pivot row may move in the one direction,
     /// `sigma = -need · sign(alpha_j)`, that takes the leaving variable along
-    /// `need` (its value changes by `-t · sigma · alpha_j`).
+    /// `need` (its value changes by `-t · sigma · alpha_j`). The pivot row
+    /// lists live columns only, so `j` is nonbasic and not fixed.
     fn dual_candidate(&self, j: usize, need: f64) -> Option<(f64, f64)> {
         let ws = &*self.ws;
-        if ws.pos_of[j] >= 0 || ws.lb[j] == ws.ub[j] {
-            return None;
-        }
+        debug_assert!(ws.is_live(j), "a pivot row lists a column that cannot enter");
         let alpha = ws.alpha[j];
         if alpha.abs() <= self.opts.pivot_tol {
             return None;
@@ -229,7 +229,10 @@ mod tests {
     /// pivot row must still be the exact ones when it hands over to the
     /// polish — whether it re-seeded them every other pivot (cadence 2),
     /// every seventh, or never (96), and whether the carried start inherited
-    /// them or, costs having moved, repriced them.
+    /// them or, costs having moved, repriced them. A pivot row lists only
+    /// live columns, so `d` is checked for those; every other nonbasic
+    /// column must be closed (`lb == ub`), its `d` left for the polish's
+    /// reprice.
     #[test]
     fn dual_loop_hands_over_exact_reduced_costs_and_duals() {
         let (mut pivots, mut repriced) = ([0u64; 3], 0u32);
@@ -252,7 +255,10 @@ mod tests {
                         ran.expect("zero flow stays feasible");
                         pivots[c] += st.stats.dual_iterations;
                     }
-                    let (d, y) = (st.ws.d.clone(), st.ws.y.clone());
+                    let (d, y, live) = (st.ws.d.clone(), st.ws.y.clone(), st.ws.live.clone());
+                    for j in (0..p.n).filter(|&j| st.ws.pos_of[j] < 0 && !live[j]) {
+                        assert_eq!(st.ws.lb[j], st.ws.ub[j], "seed {seed}: column {j} is open");
+                    }
                     st.refactor().unwrap();
                     st.reprice(&p.cost);
                     let tol = 1e-9 * (1.0 + p.cost.iter().fold(0.0f64, |a, &c| a.max(c.abs())));
@@ -260,7 +266,7 @@ mod tests {
                     for (i, (&kept, &exact)) in y.iter().zip(&st.ws.y).enumerate() {
                         assert!((kept - exact).abs() <= tol, "{what}: y[{i}] {kept} vs {exact}");
                     }
-                    for j in (0..p.n).filter(|&j| st.ws.pos_of[j] < 0) {
+                    for j in (0..p.n).filter(|&j| live[j]) {
                         let (kept, exact) = (d[j], st.ws.d[j]);
                         assert!((kept - exact).abs() <= tol, "{what}: d[{j}] {kept} vs {exact}");
                     }

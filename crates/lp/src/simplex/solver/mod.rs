@@ -34,7 +34,8 @@ enum NbState {
 /// `basis` and `nb`; a cold solve overwrites everything before reading
 /// (only `stamp`, and `w` and `rho` being zero outside their nonzero lists,
 /// are invariants), a solve that carries (`owner`) continues from `basis`,
-/// `pos_of`, `nb`, `x`, `lb`, `ub`, `d`, `y` and the factors as they stand.
+/// `pos_of`, `nb`, `x`, `lb`, `ub`, `live`, `d`, `y` and the factors as
+/// they stand.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Workspace {
     /// Stamp of the solve whose terminal state this workspace holds, `0`
@@ -73,7 +74,8 @@ pub(crate) struct Workspace {
     pub y: Vec<f64>,
     // --- pricing state ----------------------------------------------------
     /// Maintained reduced cost per column: exact after `reprice`, updated
-    /// from the pivot row after each pivot. Basic entries are stale.
+    /// from the pivot row after each pivot for the `live` columns only.
+    /// Basic and fixed entries are stale until the next reprice.
     d: Vec<f64>,
     /// Devex reference-framework weight per column.
     gamma: Vec<f64>,
@@ -98,6 +100,12 @@ pub(crate) struct Workspace {
     /// since the last reprice, and the columns a carried start appended:
     /// the verdicts `priced_set` holds for them may be out of date.
     touched: BitQueue,
+    /// Per column: nonbasic and not fixed (`lb != ub`), the only columns
+    /// that can enter. A pivot row lists only these, so between two
+    /// reprices only their `d` is maintained. Refreshed by
+    /// [`Workspace::touch`], with `touched`, wherever `pos_of`, `lb` or
+    /// `ub` is written; a cold solve recounts it after the crash.
+    live: Vec<bool>,
     /// `d_priced`, `y_priced` and `priced_set` price the cost vector being
     /// priced now. Cleared by a crash, by the switch from phase-1 to
     /// phase-2 costs and by a carried start whose costs moved; the next
@@ -231,7 +239,7 @@ pub(crate) fn warm_state<'a>(
         if ws.pos_of[j] < 0 {
             (ws.nb[j], ws.x[j]) = ws.rest_of(j);
         }
-        ws.touched.insert(j);
+        ws.touch(j);
     }
     for (i, row) in model.rows.iter().enumerate().skip(m0) {
         let s = problem.slack_start + i;
@@ -280,7 +288,30 @@ impl Workspace {
         // Non-short-circuit: no branch on the sign tests, which `reprice`
         // makes for every column.
         let improves = ((d < -tol) & (nb != NbState::Upper)) | ((d > tol) & (nb != NbState::Lower));
-        improves && self.pos_of[j] < 0 && self.lb[j] != self.ub[j]
+        improves && self.is_live(j)
+    }
+
+    /// Can column `j` enter — is it nonbasic and not fixed? What `live[j]`
+    /// holds, recounted.
+    #[inline]
+    fn is_live(&self, j: usize) -> bool {
+        self.pos_of[j] < 0 && self.lb[j] != self.ub[j]
+    }
+
+    /// Note that column `j`'s `nb`, `pos_of`, `lb` or `ub` was written:
+    /// it is priced again by the next reprice, and its `live` byte is
+    /// refreshed.
+    #[inline]
+    fn touch(&mut self, j: usize) {
+        self.touched.insert(j);
+        self.live[j] = self.is_live(j);
+    }
+
+    /// Does `live` hold exactly the columns [`Workspace::is_live`] accepts?
+    /// `O(n)`: for assertions.
+    fn live_is_exact(&self) -> bool {
+        self.live.len() == self.pos_of.len()
+            && (0..self.live.len()).all(|j| self.live[j] == self.is_live(j))
     }
 
     /// Where nonbasic column `j` rests under its current bounds: on the
@@ -303,7 +334,8 @@ impl Workspace {
     /// by `dn` structurals and `dm` rows: the new structurals open a gap
     /// before the slacks (nonbasic, bounds and `d` for the caller to load
     /// and price), each new row seats its slack basic with a zero dual and
-    /// closes its artificial. Every new column is `touched`. Returns
+    /// closes its artificial. Every new column is `touched`, and none is
+    /// `live` (the caller's bound load refreshes the structurals). Returns
     /// `false`, with nothing moved, when an artificial is basic (its
     /// crash-time sign went with the previous standard form).
     fn regrow(&mut self, p: &Problem) -> bool {
@@ -314,7 +346,8 @@ impl Workspace {
             [self.nb.len(), self.d.len(), self.x.len(), self.pos_of.len(), self.lb.len()]
                 .iter()
                 .all(|&len| len == n0)
-                && (self.ub.len(), self.y.len(), self.d_priced.len()) == (n0, m0, n0)
+                && (self.ub.len(), self.live.len()) == (n0, n0)
+                && (self.y.len(), self.d_priced.len()) == (m0, n0)
         );
         if self.basis.iter().any(|&k| k >= ns0 + m0) {
             return false;
@@ -332,6 +365,7 @@ impl Workspace {
             open_gap(&mut self.pos_of, at, count, -1);
             open_gap(&mut self.lb, at, count, 0.0);
             open_gap(&mut self.ub, at, count, 0.0);
+            open_gap(&mut self.live, at, count, false);
             self.priced_set.open_gap(len, at, count, false);
             self.touched.open_gap(len, at, count, true);
             len += count;
@@ -413,9 +447,10 @@ impl<'a> State<'a> {
             self.box_dual_infeasible();
             let result = self.dual_iterate(cost);
             let ws = &mut *self.ws;
-            for &(j, lb, ub) in &ws.boxed {
+            for idx in 0..ws.boxed.len() {
+                let (j, lb, ub) = ws.boxed[idx];
                 (ws.lb[j], ws.ub[j]) = (lb, ub);
-                ws.touched.insert(j);
+                ws.touch(j);
             }
             match result {
                 Ok(()) => {}
@@ -626,8 +661,10 @@ impl<'a> State<'a> {
     /// slack and artificial, and the `touched` ones are priced and judged
     /// again; every other column keeps its `d_priced` entry and its
     /// `priced_set` verdict. Without `priced`, every column is touched: the
-    /// full pass is this one. A debug assertion compares `d` and the
-    /// entering set with a full recount.
+    /// full pass is this one. Every column's `d` is exact afterwards, dead
+    /// ones included, although pivots maintain only the live ones. A debug
+    /// assertion compares `d`, the entering set and `live` with a full
+    /// recount.
     fn reprice(&mut self, cost: &[f64]) {
         // A flag is set only for a listed column, and the list's columns are
         // below `in_cands`'s length until `ensure_scratch` sizes it.
@@ -677,6 +714,7 @@ impl<'a> State<'a> {
             }) && ws.entering.next(n).is_none(),
             "a kept reduced cost or entering verdict differs from a full reprice"
         );
+        debug_assert!(ws.live_is_exact(), "the live set differs from a recount");
         ws.gamma.fill(1.0);
         self.note_pricing_wall(t0);
         self.stats.pricing_scans += n as u64;
@@ -697,12 +735,13 @@ impl<'a> State<'a> {
     }
 
     /// Row `position` of `B⁻¹` into `rho` (original row coordinates), and
-    /// the sparse pivot row `alpha_j = rho · a_j` for every column with
-    /// support in a row where `rho` is nonzero: structural terms come from
-    /// the row-major mirror, the slack for row `i` is implicit with
+    /// the sparse pivot row `alpha_j = rho · a_j` for every `live` column
+    /// with support in a row where `rho` is nonzero: structural terms come
+    /// from the row-major mirror, the slack for row `i` is implicit with
     /// coefficient 1, and the artificial (when opened by the crash) carries
-    /// its crash-time sign. Entries are valid where
-    /// `alpha_stamp[j] == stamp`; `alpha_touched` lists them.
+    /// its crash-time sign. Basic and fixed columns get no entry: nothing
+    /// reads a pivot row's entry of a column that cannot enter. Entries are
+    /// valid where `alpha_stamp[j] == stamp`; `alpha_touched` lists them.
     fn pivot_row_pass(&mut self, position: usize) {
         let (ws, rows) = (&mut *self.ws, &self.model.rows);
         ws.factor.btran_row(position, &mut ws.rho, &mut ws.rho_nz);
@@ -714,6 +753,9 @@ impl<'a> State<'a> {
             for t in &rows[i].terms {
                 let (jc, v) = (t.var.0, t.coef);
                 let j = jc as usize;
+                if !ws.live[j] {
+                    continue;
+                }
                 if ws.alpha_stamp[j] != stamp {
                     ws.alpha_stamp[j] = stamp;
                     ws.alpha[j] = 0.0;
@@ -722,13 +764,17 @@ impl<'a> State<'a> {
                 ws.alpha[j] += rv * v;
             }
             let s = self.p.slack_start + i;
-            ws.alpha_stamp[s] = stamp;
-            ws.alpha[s] = rv;
-            ws.alpha_touched.push(s as u32);
+            if ws.live[s] {
+                ws.alpha_stamp[s] = stamp;
+                ws.alpha[s] = rv;
+                ws.alpha_touched.push(s as u32);
+            }
             let a = self.p.art_start + i;
-            ws.alpha_stamp[a] = stamp;
-            ws.alpha[a] = rv * self.p.art_sign[i];
-            ws.alpha_touched.push(a as u32);
+            if ws.live[a] {
+                ws.alpha_stamp[a] = stamp;
+                ws.alpha[a] = rv * self.p.art_sign[i];
+                ws.alpha_touched.push(a as u32);
+            }
         }
         self.stats.pricing_scans += ws.alpha_touched.len() as u64;
     }
@@ -739,12 +785,13 @@ impl<'a> State<'a> {
     /// ([`State::pivot_row_pass`]). With `theta_d = d_q / alpha_q`, which it
     /// returns:
     ///
-    /// * `d_j ← d_j − theta_d · alpha_j` for every nonbasic `j ≠ q`,
+    /// * `d_j ← d_j − theta_d · alpha_j` for every live `j ≠ q` (the row
+    ///   lists no other; a dead column's `d` waits for the next reprice),
     /// * `d_leaving ← −theta_d` (its pivot-row entry is exactly 1),
     /// * `d_q ← 0`, `y ← y + theta_d · rho`,
     /// * on a `primal` pivot, Devex: `γ_j ← max(γ_j, (alpha_j/alpha_q)² γ_q)`
-    ///   for touched `j`, and the leaving column gets `max(γ_q/alpha_q², 1)`;
-    ///   every touched nonbasic `j ≠ q` joins the entering set, unjudged.
+    ///   for listed `j`, and the leaving column gets `max(γ_q/alpha_q², 1)`;
+    ///   every listed `j ≠ q` joins the entering set, unjudged.
     ///
     /// A dual pivot skips what only primal pricing reads — the weights and
     /// the entering set, which the polish's reprice (or a `recover`) resets
@@ -760,7 +807,7 @@ impl<'a> State<'a> {
         if primal || theta_d != 0.0 {
             for idx in 0..ws.alpha_touched.len() {
                 let j = ws.alpha_touched[idx] as usize;
-                if ws.pos_of[j] >= 0 || j == q {
+                if j == q {
                     continue;
                 }
                 let aj = ws.alpha[j];
@@ -793,8 +840,9 @@ impl<'a> State<'a> {
     /// move the basic values by step `t` along the FTRAN of entering column
     /// `q` (in `w`) in direction `sigma`, snap the column leaving `position`
     /// exactly onto its upper bound (`to_upper`) or its lower one, seat `q`
-    /// there, swap the two in the entering set, touch both for the next
-    /// reprice and update the factors.
+    /// there, swap the two in the entering set, touch both (the next
+    /// reprice prices them; `live` drops `q` and takes the leaving column
+    /// unless it is fixed) and update the factors.
     /// Returns `false` when the update rejects the pivot (refactorize).
     fn exchange(&mut self, q: usize, position: usize, sigma: f64, t: f64, to_upper: bool) -> bool {
         self.settled = false;
@@ -812,8 +860,8 @@ impl<'a> State<'a> {
         ws.x[q] += sigma * t;
         ws.entering.remove(q);
         ws.entering.insert(leaving);
-        ws.touched.insert(q);
-        ws.touched.insert(leaving);
+        ws.touch(q);
+        ws.touch(leaving);
         ws.factor.update(position)
     }
 

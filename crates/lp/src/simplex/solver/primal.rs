@@ -95,6 +95,10 @@ pub(crate) fn run(
         ws.basis.push(k);
         ws.pos_of[k] = i as i32;
     }
+    refill(&mut ws.live, n, false);
+    for j in 0..n {
+        ws.live[j] = ws.is_live(j);
+    }
 
     let p = &*problem; // fixed from here on: only the workspace moves
     let mut st = State::new(p, model, opts, tuning, ws);
@@ -118,6 +122,7 @@ pub(crate) fn run(
     for j in st.p.art_start..n {
         st.ws.ub[j] = 0.0;
         st.ws.x[j] = 0.0;
+        st.ws.live[j] = false;
     }
     st.settled = false;
     st.ws.priced = false;

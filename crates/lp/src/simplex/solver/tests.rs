@@ -1,5 +1,6 @@
 //! The solver's test-only helpers, and the tests of what `solver` keeps
-//! itself: the certificate in `State::finish`.
+//! itself: the certificate in `State::finish`, the singular-basis error,
+//! what a reprice keeps, and the live set.
 
 use super::*;
 use crate::simplex::load_bounds;
@@ -158,6 +159,45 @@ fn finish_refactorizes_only_when_the_certificate_fails() {
     }
 }
 
+/// A carried basis that holds two parallel structural columns is
+/// singular: the carried start that refactorizes it (an appended row, one
+/// update left) must return `SolveError::Numerical` naming one of the
+/// two, not panic.
+#[test]
+fn a_singular_carried_basis_is_a_numerical_error_naming_its_column() {
+    let mut model = Model::new(Sense::Maximize);
+    let a = model.add_var("xa", 0.0, 4.0, 1.0);
+    let b = model.add_var("xb", 0.0, 4.0, 2.0);
+    let c = model.add_var("xc", 0.0, 4.0, 1.0);
+    model.add_row("r0", LinExpr::from_terms([(1.0, a), (1.0, b), (1.0, c)]), Cmp::Le, 5.0);
+    model.add_row("r1", LinExpr::from_terms([(2.0, a), (2.0, b), (-1.0, c)]), Cmp::Le, 6.0);
+    let (opts, tuning) =
+        (SimplexOptions::default(), SolverTuning { max_etas: 1, ..SolverTuning::default() });
+    let mut p = Problem::from_model(&model);
+    let mut ws = Workspace::default();
+    load_bounds(&model, &mut ws);
+    run(&mut p, &model, &opts, tuning, &mut ws).unwrap();
+    (ws.owner_m, ws.owner_nstruct) = (p.m, p.nstruct);
+    // Seat `xa` and `xb` at positions 0 and 1; whatever sat there rests.
+    for (pos, k) in [(0, a.index()), (1, b.index())] {
+        let out = ws.basis[pos];
+        if out != k && ws.pos_of[k] < 0 {
+            ws.pos_of[out] = -1;
+            (ws.nb[out], ws.x[out]) = ws.rest_of(out);
+            (ws.basis[pos], ws.pos_of[k]) = (k, pos as i32);
+        }
+    }
+    assert_eq!(ws.basis, [a.index(), b.index()]);
+    model.add_row("cut", LinExpr::from_terms([(1.0, a), (1.0, c)]), Cmp::Le, 3.0);
+    let mut changes = Changes::default();
+    assert!(p.sync(&model, &mut changes));
+    let Err(SolveError::Numerical(msg)) = warm_state(&p, &model, &changes, &opts, tuning, &mut ws)
+    else {
+        panic!("a singular carried basis was not a numerical error");
+    };
+    assert!(msg.contains("no pivot for xa") || msg.contains("no pivot for xb"), "{msg}");
+}
+
 /// Reprice `st`, and a copy of its workspace that keeps nothing from
 /// earlier reprices: the two must agree bit for bit on `y`, `d` and the
 /// entering set. Returns the duals `st`'s kept prices were found under when
@@ -220,21 +260,41 @@ fn reprice_reuses_exactly_what_a_full_reprice_computes() {
     assert!(reused >= 3_500 && partial >= 2_500, "reuse-path reprices {reused}, partial {partial}");
 }
 
+/// A `cut_case` model with a row `−Σ x = −0.1` added, which the crash of
+/// a cold solve opens an artificial for (with sign −1), so the solve runs
+/// phase 1; returned with that row.
+fn floored(seed: u64) -> (Model, RowId) {
+    let (mut model, ..) = cut_case(seed, 96, false);
+    let floor = LinExpr::from_terms((0..model.num_vars()).map(|j| (-1.0, Var::from_index(j))));
+    let floor = model.add_row("floor", floor, Cmp::Eq, -0.1);
+    (model, floor)
+}
+
+/// Give a `floored` model a column in its first row and the floor row,
+/// and sync `p` to it: the change log a carried start appends it from.
+fn append_late_column(model: &mut Model, floor: RowId, p: &mut Problem) -> Changes {
+    let late = model.add_var("late", 0.0, 2.0, 0.25);
+    let first = RowId::from_index(0);
+    model.add_term(first, late, 1.0);
+    model.add_term(floor, late, -1.0);
+    let mut changes = Changes { tails: vec![first.0, floor.0], ..Changes::default() };
+    assert!(p.sync(model, &mut changes));
+    changes
+}
+
 /// What a cold solve leaves for the next reprice to keep, and what a
-/// carried start appends: a `cut_case` model gains a row `−Σ x = −0.1`,
-/// so the crash opens its artificial with sign −1 and the end of the cold
-/// solve flips it back; it is solved cold, then gets a column in its first
-/// row and the new one, and is solved carried. After each solve a reprice
-/// must equal a full one — the flipped artificial and the appended column
-/// are priced again even where no dual of theirs moved, and nothing phase
-/// 1 priced is kept.
+/// carried start appends: a `floored` model, whose crash opens the floor
+/// row's artificial with sign −1 and the end of the cold solve flips it
+/// back, is solved cold, then gets a column in its first row and the
+/// floor row, and is solved carried. After each solve a reprice must
+/// equal a full one — the flipped artificial and the appended column are
+/// priced again even where no dual of theirs moved, and nothing phase 1
+/// priced is kept.
 #[test]
 fn reprice_reuse_covers_flipped_artificials_and_appended_columns() {
     let mut reused = 0;
     for seed in 1..=40u64 {
-        let (mut model, ..) = cut_case(seed, 96, false);
-        let floor = LinExpr::from_terms((0..model.num_vars()).map(|j| (-1.0, Var::from_index(j))));
-        let floor = model.add_row("floor", floor, Cmp::Eq, -0.1);
+        let (mut model, floor) = floored(seed);
         let opts = SimplexOptions::default();
         let tuning = SolverTuning::default();
         let mut p = Problem::from_model(&model);
@@ -245,15 +305,86 @@ fn reprice_reuse_covers_flipped_artificials_and_appended_columns() {
         let at = format!("seed {seed}");
         let mut st = State::new(&p, &model, &opts, tuning, &mut ws);
         reused += u32::from(reprice_against_a_full_one(&mut st, tuning, &at).is_some());
-        let late = model.add_var("late", 0.0, 2.0, 0.25);
-        let first = RowId::from_index(0);
-        model.add_term(first, late, 1.0);
-        model.add_term(floor, late, -1.0);
-        let mut changes = Changes { tails: vec![first.0, floor.0], ..Changes::default() };
-        assert!(p.sync(&model, &mut changes));
+        let changes = append_late_column(&mut model, floor, &mut p);
         let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws).unwrap();
         st.reoptimize(&p.cost).unwrap();
         reused += u32::from(reprice_against_a_full_one(&mut st, tuning, &at).is_some());
     }
     assert_eq!(reused, 80, "every check took the reuse path");
+}
+
+/// `live` holds exactly the columns that can enter — nonbasic and not
+/// fixed — wherever a solve stops: each carried solve of a `cut_case`
+/// (cadences 2, 7 and 96, costs moved or not) is stopped after one more
+/// pivot at a time, once in the dual loop with its boxes still in place
+/// and once through the polish; each cold solve of a `floored` model is
+/// stopped the same way in phase 1 or phase 2, then solved carried with
+/// a column appended. Every stop, every carried start before its first
+/// pivot and every end must agree with a recount.
+#[test]
+fn live_set_matches_a_recount_after_every_pivot() {
+    // Stops checked: carried dual loop, carried polish, cold.
+    let mut checked = [0u64; 3];
+    let ran_out = |st: &State, stop: u64| u64::from(st.stats.iterations >= stop);
+    for seed in 1..=40u64 {
+        for max_etas in [2, 7, 96] {
+            for move_costs in [false, true] {
+                let (model, p, start, tuning, changes) = cut_case(seed, max_etas, move_costs);
+                let opts = SimplexOptions::default();
+                for stop in 1.. {
+                    let at =
+                        format!("seed {seed}, cadence {max_etas}, costs {move_costs}, stop {stop}");
+                    let mut ws = start.clone();
+                    let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws).unwrap();
+                    assert!(st.ws.live_is_exact(), "{at}: carried start");
+                    st.box_dual_infeasible();
+                    st.max_iterations = stop;
+                    // Stopped, done, or infeasible under its boxes: each leaves
+                    // a state to recount.
+                    let _ = st.dual_iterate(&p.cost);
+                    assert!(st.ws.live_is_exact(), "{at}: dual loop");
+                    checked[0] += ran_out(&st, stop);
+                    let mut ws = start.clone();
+                    let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws).unwrap();
+                    st.max_iterations = stop;
+                    let done = st.reoptimize(&p.cost).is_ok();
+                    assert!(st.ws.live_is_exact(), "{at}: polish");
+                    checked[1] += ran_out(&st, stop);
+                    if done || st.stats.iterations < stop {
+                        break;
+                    }
+                }
+            }
+        }
+        let (mut model, floor) = floored(seed);
+        let tuning = SolverTuning::default();
+        let cold = |max_iterations: u64| {
+            let mut p = Problem::from_model(&model);
+            let mut ws = Workspace::default();
+            load_bounds(&model, &mut ws);
+            let opts = SimplexOptions { max_iterations, ..SimplexOptions::default() };
+            let out = run(&mut p, &model, &opts, tuning, &mut ws);
+            (out, p, ws)
+        };
+        for stop in 1.. {
+            let (out, _, ws) = cold(stop);
+            assert!(ws.live_is_exact(), "seed {seed}, cold, stop {stop}");
+            if out.is_ok() {
+                break;
+            }
+            checked[2] += 1;
+        }
+        let (out, mut p, mut start) = cold(0);
+        out.unwrap();
+        (start.owner_m, start.owner_nstruct) = (p.m, p.nstruct);
+        let changes = append_late_column(&mut model, floor, &mut p);
+        let opts = SimplexOptions::default();
+        let mut st = warm_state(&p, &model, &changes, &opts, tuning, &mut start).unwrap();
+        assert!(st.ws.live_is_exact(), "seed {seed}: carried start with a column appended");
+        st.reoptimize(&p.cost).unwrap();
+        assert!(st.ws.live_is_exact(), "seed {seed}: carried solve with a column appended");
+    }
+    // Measured: 3,319 stops in the dual loop, 3,464 in the polish, 76 cold.
+    let [dual, polish, cold] = checked;
+    assert!(dual >= 3_000 && polish >= 3_000 && cold >= 60, "stops checked: {checked:?}");
 }

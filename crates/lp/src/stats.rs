@@ -35,8 +35,9 @@ pub struct SessionStats {
     /// Total pricing work across all solves: columns examined by entering
     /// selection — shortlist candidates re-checked plus entering-set
     /// members a section sweep or Bland's rule visits (columns outside the
-    /// set are skipped, not examined) — plus columns priced by a full
-    /// reprice and columns touched by incremental pivot-row updates.
+    /// set are skipped, not examined) — plus every column of each reprice,
+    /// plus the live columns (nonbasic, not fixed) each pivot row touches;
+    /// a pivot row lists no basic or fixed column.
     pub pricing_scans: u64,
     /// Iterations priced under the Bland's-rule anti-cycling fallback.
     pub bland_pivots: u64,

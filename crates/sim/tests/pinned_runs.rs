@@ -33,30 +33,30 @@ use std::hash::{BuildHasher, Hasher};
 const REPLAYS: [(&str, &str); 8] = [
     (
         "tiny-7/Pretium",
-        "welfare 40708d413e716736 paid 40387ba68136fd95 admitted 14 | solves 17 cold 3 warm 0/14 iterations 81 pricing_scans 8887 bland 0 refactors 16 ft 81 rejections 0 cache_hits 0 | prices 38f978903ac942c6 usage d99276a29574b90e",
+        "welfare 40708d413e716736 paid 40387ba68136fd95 admitted 14 | solves 17 cold 3 warm 0/14 iterations 81 pricing_scans 8149 bland 0 refactors 16 ft 81 rejections 0 cache_hits 0 | prices 38f978903ac942c6 usage d99276a29574b90e",
     ),
     (
         "tiny-7/Pretium-NoSAM",
-        "welfare 4071655858b9a680 paid 40387ba68136fd95 admitted 14 | solves 1 cold 1 warm 0/0 iterations 26 pricing_scans 2896 bland 0 refactors 2 ft 26 rejections 0 cache_hits 0 | prices 38f978903ac942c6 usage cd0fbdb355bf786f",
+        "welfare 4071655858b9a680 paid 40387ba68136fd95 admitted 14 | solves 1 cold 1 warm 0/0 iterations 26 pricing_scans 2730 bland 0 refactors 2 ft 26 rejections 0 cache_hits 0 | prices 38f978903ac942c6 usage cd0fbdb355bf786f",
     ),
     (
         "tiny-11/Pretium",
-        "welfare 4066ab90179db2ab paid 403376b096d801da admitted 13 | solves 13 cold 3 warm 0/10 iterations 49 pricing_scans 4508 bland 0 refactors 14 ft 49 rejections 0 cache_hits 2 | prices a779745190f76ecc usage 3040f9c12bd355a7",
+        "welfare 4066ab90179db2ab paid 403376b096d801da admitted 13 | solves 13 cold 3 warm 0/10 iterations 49 pricing_scans 4144 bland 0 refactors 14 ft 49 rejections 0 cache_hits 2 | prices a779745190f76ecc usage 3040f9c12bd355a7",
     ),
     (
         "tiny-11/Pretium-NoSAM",
-        "welfare 4067feaa9a270a92 paid 403376b096d801da admitted 13 | solves 1 cold 1 warm 0/0 iterations 13 pricing_scans 1290 bland 0 refactors 2 ft 13 rejections 0 cache_hits 0 | prices a779745190f76ecc usage 38b2f36446dc8464",
+        "welfare 4067feaa9a270a92 paid 403376b096d801da admitted 13 | solves 1 cold 1 warm 0/0 iterations 13 pricing_scans 1214 bland 0 refactors 2 ft 13 rejections 0 cache_hits 0 | prices a779745190f76ecc usage 38b2f36446dc8464",
     ),
     (
         "tiny-7-faulted/Pretium",
-        "welfare 40706ae2232aa1fe paid 40387ba68136fd95 admitted 14 | solves 17 cold 2 warm 0/15 iterations 77 pricing_scans 9855 bland 0 refactors 15 ft 77 rejections 0 cache_hits 2 | prices 38f978903ac942c6 usage a6ba7903d34ad273",
+        "welfare 40706ae2232aa1fe paid 40387ba68136fd95 admitted 14 | solves 17 cold 2 warm 0/15 iterations 77 pricing_scans 8972 bland 0 refactors 15 ft 77 rejections 0 cache_hits 2 | prices 38f978903ac942c6 usage a6ba7903d34ad273",
     ),
     (
         "tiny-7-faulted/Pretium-NoSAM",
         "welfare 4071655858b9a680 paid 40387ba68136fd95 admitted 14 | solves 0 cold 0 warm 0/0 iterations 0 pricing_scans 0 bland 0 refactors 0 ft 0 rejections 0 cache_hits 0 | prices 38f978903ac942c6 usage 583f86a2ec01cdef",
     ),
-    ("eval-7-2w/Pretium", "welfare 406e53644a9b3f87 paid 404448e39ad5c176 admitted 98 | solves 45 cold 3 warm 0/42 iterations 764 pricing_scans 134236 bland 0 refactors 40 ft 764 rejections 0 cache_hits 1 | prices 4bbd95260a65740a usage da067e7eeb655d0b"),
-    ("eval-7-2w/Pretium-NoSAM", "welfare 4073122db483ffec paid 404448e39ad5c176 admitted 98 | solves 1 cold 1 warm 0/0 iterations 201 pricing_scans 26887 bland 0 refactors 4 ft 201 rejections 0 cache_hits 0 | prices 4bbd95260a65740a usage a76108b49a754e3f"),
+    ("eval-7-2w/Pretium", "welfare 406e53644a9b3f87 paid 404448e39ad5c176 admitted 98 | solves 45 cold 3 warm 0/42 iterations 764 pricing_scans 106051 bland 0 refactors 40 ft 764 rejections 0 cache_hits 1 | prices 4bbd95260a65740a usage da067e7eeb655d0b"),
+    ("eval-7-2w/Pretium-NoSAM", "welfare 4073122db483ffec paid 404448e39ad5c176 admitted 98 | solves 1 cold 1 warm 0/0 iterations 201 pricing_scans 25103 bland 0 refactors 4 ft 201 rejections 0 cache_hits 0 | prices 4bbd95260a65740a usage a76108b49a754e3f"),
 ];
 
 /// `(experiment, digest of its render)` over the tiny registry.
