@@ -1,20 +1,22 @@
 //! Sparse LU with Markowitz pivoting + Forrest–Tomlin updates on LP-shaped
 //! bases.
 //!
-//! Two scenarios mirror the repo's LP population: `wide` (m = 600, the
-//! widest single-window SAM master) and `colgen` (m = 1600, the
-//! restricted-master scale of the removed column-generation path). Each
-//! basis mixes slack singletons, interlocked multi-hop flow columns, and
-//! denser percentile/CVaR columns.
+//! Three scenarios mirror the repo's LP population: `wide` (m = 600, the
+//! widest single-window SAM master), `colgen` (m = 1600, the
+//! restricted-master scale of the removed column-generation path) and
+//! `large` (m = 3200, twice that). Each basis mixes slack singletons,
+//! interlocked multi-hop flow columns, and denser percentile/CVaR columns.
 //!
 //! Measured per scenario: refactorization wall-clock, FTRAN/BTRAN
-//! wall-clock, the Forrest–Tomlin update loop,
+//! wall-clock, nanoseconds per Forrest–Tomlin update (the update alone, on
+//! a chain of exchanges; the three sizes show whether an update's cost
+//! grows with `m`, as a shift of the pivot order would make it),
 //! five capacity-shaped rows bordered onto the fresh factors
 //! (`append_rows`, what a lazy-row round costs a carried solve in place of a
 //! refactorization), and the fill-in ratio `nnz(L+U) / nnz(B)`. A counting
 //! global allocator additionally asserts the scratch-reuse contract: after
-//! one warm-up call, steady-state `ftran`/`btran`, `refactor` **and
-//! `append_row`** perform **zero** heap allocations.
+//! one warm-up call, steady-state `ftran`/`btran`, `refactor`,
+//! `append_row` **and `update`** perform **zero** heap allocations.
 //!
 //! The `reach` group times the two solves a simplex pivot issues — the
 //! entering column's FTRAN (`ftran`, a sparse column) and one row of `B⁻¹`
@@ -34,9 +36,9 @@
 //!
 //! Set `SPARSE_LU_SMOKE=1` for the CI mode: fewer samples, the
 //! border-under-a-third-of-a-refactorization floor, the zero-allocation
-//! floors and the reach kernels' bitwise equality asserted, and no JSON
-//! written (a smoke run never clobbers recorded numbers). Full mode writes
-//! `BENCH_sparse_lu.json`.
+//! floors (warmed FT updates included) and the reach kernels' bitwise
+//! equality asserted, and no JSON written (a smoke run never clobbers
+//! recorded numbers). Full mode writes `BENCH_sparse_lu.json`.
 
 use std::time::{Duration, Instant};
 
@@ -64,11 +66,15 @@ const MAX_BORDER_SHARE_OF_REFACTOR: f64 = 1.0 / 3.0;
 /// `Solution` (2 vectors) would blow through it, as would a per-solve basis
 /// snapshot or one allocation per pivot, column or row.
 const MAX_ALLOCS_PER_RESOLVE: f64 = 1.0;
+/// Exchanges in the Forrest–Tomlin chain: under the default cadence (96),
+/// so only a refused update refactorizes inside it.
+const FT_EXCHANGES: usize = 64;
 
 /// An LP-shaped basis: `slack_frac` of the columns are slack singletons,
-/// a sprinkle are dense percentile/CVaR columns, the rest are interlocked
-/// flow columns whose row patterns stride across the matrix. Column `j` is
-/// anchored at row `j` with strict column dominance ⇒ nonsingular.
+/// `coupling_frac` are dense percentile/CVaR columns, the rest are
+/// interlocked flow columns whose row patterns stride across the matrix.
+/// Column `j` is anchored at row `j` with strict column dominance ⇒
+/// nonsingular.
 fn lp_column(m: usize, anchor: usize, extra: usize, local: bool, rng: &mut StdRng) -> SparseCol {
     let mut used = vec![anchor];
     let mut col: SparseCol = Vec::new();
@@ -89,13 +95,13 @@ fn lp_column(m: usize, anchor: usize, extra: usize, local: bool, rng: &mut StdRn
     col
 }
 
-fn lp_basis(m: usize, slack_frac: f64, rng: &mut StdRng) -> Vec<SparseCol> {
+fn lp_basis(m: usize, slack_frac: f64, coupling_frac: f64, rng: &mut StdRng) -> Vec<SparseCol> {
     (0..m)
         .map(|j| {
             let class = rng.gen_range(0.0..1.0);
             let (extra, local) = if class < slack_frac {
                 (0, true) // slack singleton
-            } else if class < slack_frac + 0.10 {
+            } else if class < slack_frac + coupling_frac {
                 (rng.gen_range(16..25), false) // percentile/CVaR coupling column
             } else {
                 (rng.gen_range(4..8), true) // k-hop flow column
@@ -227,14 +233,14 @@ struct ScenarioResult {
     append_rows_us: f64,
     sparse_ftran_us: f64,
     sparse_btran_us: f64,
-    ft_update_us: f64,
+    ft_update_ns: f64,
     ft_updates_applied: u64,
     reach: Vec<ReachResult>,
 }
 
 fn run_scenario(name: &'static str, m: usize, refactor_samples: usize) -> ScenarioResult {
     let mut rng = StdRng::seed_from_u64(rand::derive_seed(rand::DEFAULT_SEED, name));
-    let mut cols = lp_basis(m, 0.40, &mut rng);
+    let mut cols = lp_basis(m, 0.40, 0.10, &mut rng);
     let nnz = basis_nnz(&cols);
     let refs = as_refs(&cols);
 
@@ -325,40 +331,59 @@ fn run_scenario(name: &'static str, m: usize, refactor_samples: usize) -> Scenar
     let sparse_btran_us = time_solves(&rhs, &mut out, &mut |a, o| sparse.btran(a, o));
 
     // --- Forrest–Tomlin update loop -------------------------------------
-    // Replace random non-slack positions with fresh flow columns, timing
-    // FTRAN + update per exchange; refactor on rejection or cadence, as
-    // the solver would.
-    let mut applied = 0u64;
-    let mut update_t: Vec<Duration> = Vec::new();
-    let mut dense_a = vec![0.0; m];
-    let exchanges = 64.min(m / 4);
-    for _ in 0..exchanges {
-        let pos = rng.gen_range(0..m);
-        let hops = rng.gen_range(4..8);
-        let entering = lp_column(m, pos, hops, true, &mut rng);
-        dense_a.iter_mut().for_each(|v| *v = 0.0);
-        for &(i, v) in &entering {
-            dense_a[i as usize] = v;
+    // A chain of exchanges, each a fresh flow column entering at a random
+    // position: the column's FTRAN (untimed), then the update alone, timed;
+    // refactor on rejection or cadence, as the solver would. The chain runs
+    // on a basis of slacks and flow columns only, which factors with almost
+    // no fill, like the `e2e` workloads' LP bases (fill 1.01–1.08): the
+    // staircase basis above fills more as `m` grows, and its row
+    // eliminations would hide how an update's own cost scales. The chain
+    // runs again and again from the same factors: the first pass warms the
+    // buffers, and no later pass may allocate inside an update.
+    let chain: Vec<(usize, SparseCol)> = (0..FT_EXCHANGES)
+        .map(|_| {
+            let (pos, hops) = (rng.gen_range(0..m), rng.gen_range(4..8));
+            (pos, lp_column(m, pos, hops, true, &mut rng))
+        })
+        .collect();
+    let start = lp_basis(m, 0.40, 0.0, &mut rng);
+    let mut ft_cols = start.clone();
+    let (mut w, mut w_nz) = (Vec::new(), Vec::new());
+    let (mut update_t, mut applied, mut update_allocs) = (Vec::new(), 0u64, 0);
+    for pass in 0..refactor_samples {
+        ft_cols.clone_from(&start);
+        sparse.refactor(&as_refs(&ft_cols)).unwrap();
+        if pass == 0 {
+            println!(
+                "  [{name}] FT chain basis fill {:.3}",
+                sparse.factor_nnz() as f64 / basis_nnz(&start) as f64
+            );
         }
-        let t0 = Instant::now();
-        let mut w = Vec::new();
-        sparse.ftran_dense(&dense_a, &mut w);
-        let ok = sparse.update(pos);
-        update_t.push(t0.elapsed());
-        if ok {
-            cols[pos] = entering;
-            applied += 1;
-        }
-        if !ok || sparse.wants_refactor() {
-            let refs = as_refs(&cols);
-            sparse.refactor(&refs).unwrap();
+        applied = 0;
+        for (pos, entering) in &chain {
+            sparse.ftran(entering, &mut w, &mut w_nz);
+            let allocs_before = allocations();
+            let t0 = Instant::now();
+            let ok = sparse.update(black_box(*pos));
+            let (elapsed, allocs) = (t0.elapsed(), allocations() - allocs_before);
+            if pass > 0 {
+                update_t.push(elapsed);
+                update_allocs += allocs;
+            }
+            if ok {
+                ft_cols[*pos].clone_from(entering);
+                applied += 1;
+            }
+            if !ok || sparse.wants_refactor() {
+                sparse.refactor(&as_refs(&ft_cols)).unwrap();
+            }
         }
     }
+    assert_eq!(update_allocs, 0, "{name}: warmed FT updates allocated {update_allocs} times");
 
     // --- reach kernels: fresh, then after 48 spike-fed updates ------------
     sparse.refactor(&as_refs(&cols)).unwrap();
     let mut reach = vec![reach_group((name, "fresh"), &mut sparse, m, refactor_samples, &mut rng)];
-    let (mut w, mut w_nz) = (Vec::new(), Vec::new());
     for _ in 0..48 {
         let (anchor, hops) = (rng.gen_range(0..m), rng.gen_range(4..8));
         let entering = lp_column(m, anchor, hops, true, &mut rng);
@@ -379,7 +404,7 @@ fn run_scenario(name: &'static str, m: usize, refactor_samples: usize) -> Scenar
         append_rows_us: median_us(&mut append_t),
         sparse_ftran_us,
         sparse_btran_us,
-        ft_update_us: median_us(&mut update_t),
+        ft_update_ns: median_us(&mut update_t) * 1e3,
         ft_updates_applied: applied,
         reach,
     }
@@ -453,11 +478,12 @@ fn main() {
     let results = [
         run_scenario("wide", 600, refactor_samples),
         run_scenario("colgen", 1600, refactor_samples),
+        run_scenario("large", 3200, refactor_samples),
     ];
     for r in &results {
         println!(
             "{:<8} m={:<5} nnz={:<6} fill={:.3}  refactor {:.1}us  ftran {:.2}us  btran {:.2}us  \
-             ft-update {:.2}us ({} applied)  {APPENDED_ROWS} bordered rows {:.2}us",
+             ft-update {:.0}ns ({} applied)  {APPENDED_ROWS} bordered rows {:.2}us",
             r.name,
             r.m,
             r.basis_nnz,
@@ -465,7 +491,7 @@ fn main() {
             r.sparse_refactor_us,
             r.sparse_ftran_us,
             r.sparse_btran_us,
-            r.ft_update_us,
+            r.ft_update_ns,
             r.ft_updates_applied,
             r.append_rows_us,
         );
@@ -473,7 +499,7 @@ fn main() {
         println!("BENCH\tsparse_lu_{}_refactor_us\t{:.1}", r.name, r.sparse_refactor_us);
         println!("BENCH\tsparse_lu_{}_ftran_us\t{:.2}", r.name, r.sparse_ftran_us);
         println!("BENCH\tsparse_lu_{}_btran_us\t{:.2}", r.name, r.sparse_btran_us);
-        println!("BENCH\tsparse_lu_{}_ft_update_us\t{:.2}", r.name, r.ft_update_us);
+        println!("BENCH\tsparse_lu_{}_ft_update_ns\t{:.0}", r.name, r.ft_update_ns);
         println!("BENCH\tsparse_lu_{}_append_rows_us\t{:.2}", r.name, r.append_rows_us);
         for g in &r.reach {
             println!(
@@ -507,6 +533,9 @@ fn main() {
         assert!(r.ft_updates_applied > 0, "{}: no FT update was ever accepted", r.name);
         assert!(r.fill_ratio < 10.0, "{}: pathological fill {:.1}", r.name, r.fill_ratio);
     }
+    let by_m: Vec<String> =
+        results.iter().map(|r| format!("m={} {:.0}ns", r.m, r.ft_update_ns)).collect();
+    println!("ft-update per update: {}", by_m.join(", "));
 
     let rr = resident_resolve();
     println!(
@@ -525,8 +554,9 @@ fn main() {
     if smoke {
         println!(
             "sparse_lu smoke: zero-allocation (ftran, btran, warmed refactor, warmed border, \
-             reach kernels), reach kernels bitwise equal to the sweeps, resident re-solve \
-             allocation cap, fill and border under a third of a refactorization floors hold"
+             warmed FT update, reach kernels), reach kernels bitwise equal to the sweeps, \
+             resident re-solve allocation cap, fill and border under a third of a \
+             refactorization floors hold"
         );
         return;
     }
@@ -557,7 +587,7 @@ fn main() {
             "    {{\n      \"scenario\": \"{}\",\n      \"m\": {},\n      \"basis_nnz\": {},\n      \
              \"fill_ratio\": {:.3},\n      \"refactor_us\": {:.1},\n      \
              \"ftran_us\": {:.2},\n      \"btran_us\": {:.2},\n      \
-             \"ft_update_us\": {:.2},\n      \"ft_updates_applied\": {},\n      \
+             \"ft_update_ns\": {:.0},\n      \"ft_updates_applied\": {},\n      \
              \"append_rows\": {APPENDED_ROWS},\n      \"append_rows_us\": {:.2},\n      \
              \"reach\": [\n{}\n      ]\n    }}",
             r.name,
@@ -567,22 +597,23 @@ fn main() {
             r.sparse_refactor_us,
             r.sparse_ftran_us,
             r.sparse_btran_us,
-            r.ft_update_us,
+            r.ft_update_ns,
             r.ft_updates_applied,
             r.append_rows_us,
             reach_cells(r),
         )
     };
+    let scenarios: Vec<String> = results.iter().map(cell).collect();
     let members = format!(
         "\"steady_state_solve_allocations\": 0,\n  \
          \"allocations_per_warmed_refactor\": 0,\n  \
          \"allocations_per_warmed_border\": 0,\n  \
-         \"allocations_per_warmed_reach_solve\": 0,\n  \"scenarios\": [\n{},\n{}\n  ],\n  \
+         \"allocations_per_warmed_ft_update\": 0,\n  \
+         \"allocations_per_warmed_reach_solve\": 0,\n  \"scenarios\": [\n{}\n  ],\n  \
          \"resident_resolve\": {{\n    \"solves\": {},\n    \"rows\": {},\n    \"vars\": {},\n    \
          \"pivots_per_solve\": {:.1},\n    \"allocations_per_solve\": {:.0},\n    \
          \"us_per_solve\": {:.1}\n  }}",
-        cell(&results[0]),
-        cell(&results[1]),
+        scenarios.join(",\n"),
         rr.solves,
         rr.rows,
         rr.vars,

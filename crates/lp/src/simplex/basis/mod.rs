@@ -11,14 +11,15 @@
 //!
 //! Basis exchanges between refactorizations apply *Forrest–Tomlin
 //! updates* (`ft_update`): the entering column's spike replaces a column
-//! of `U`, the replaced pivot rotates to the end of the pivot order, and
-//! the stranded row is eliminated into a growing file of row etas. `U`
-//! stays genuinely triangular after every update, so FTRAN/BTRAN never
-//! degrade the way a product-form eta file does; the factorization is
-//! rebuilt when the update file reaches `max_etas` or an update's new
-//! pivot is below tolerance. A row appended to the LP with its slack basic
-//! *borders* the factors the same way (`Factorization::append_row`): one
-//! row elimination, one more row eta, no refactorization.
+//! of `U`, the replaced pivot moves to the end of the pivot order (it takes
+//! a fresh pivot key, in O(1)), and the stranded row is eliminated into a
+//! growing file of row etas. `U` stays genuinely triangular after every
+//! update, so FTRAN/BTRAN never degrade the way a product-form eta file
+//! does; the factorization is rebuilt when the update file reaches
+//! `max_etas` or an update's new pivot is below tolerance. A row appended
+//! to the LP with its slack basic *borders* the factors the same way
+//! (`Factorization::append_row`): one row elimination, one more row eta,
+//! no refactorization.
 //!
 //! The solve kernels (`sparse`) are the classic simplex primitives, each in
 //! two forms: a sweep over every slot for a dense right-hand side, and a
@@ -38,6 +39,9 @@ pub(crate) use sparse::BitQueue;
 
 /// Sparse column: `(row, value)` pairs, rows strictly increasing.
 pub type SparseCol = Vec<(u32, f64)>;
+
+/// `perm`'s mark for a pivot key no slot holds any more.
+const RETIRED: u32 = u32::MAX;
 
 /// Default cap on Forrest–Tomlin updates between refactorizations.
 ///
@@ -109,10 +113,11 @@ impl FactorStats {
 /// order of the last refactorization. `L` is fixed between
 /// refactorizations and applied in slot order; `U` is maintained in both
 /// column- and row-major form so updates can delete/insert rows, and its
-/// pivot order (`perm`) starts as the slot order and is rotated by each
-/// update. Slots map to original rows (`row_of_slot`) and basis positions
-/// (`pos_of_slot`), which is how the external API keeps speaking the
-/// row/position language of the solver.
+/// pivot order is given by *pivot keys* (`ord`, `perm`): they start as the
+/// slot numbers, and each update moves one slot to the end of the order by
+/// giving it the next key. Slots map to original rows (`row_of_slot`) and
+/// basis positions (`pos_of_slot`), which is how the external API keeps
+/// speaking the row/position language of the solver.
 ///
 /// Every list family is a flat buffer and the elimination workspace lives
 /// in the object, so one `Factorization` can be refactorized again and
@@ -139,9 +144,17 @@ pub struct Factorization {
     urows: SegArena<(u32, f64)>,
     /// Diagonal of `U` by slot.
     udiag: Vec<f64>,
-    /// Current pivot order: `perm[i]` = slot eliminated `i`-th.
+    /// Pivot keys to slots: `perm[key]` is the slot holding `key`, or
+    /// `RETIRED` for a key an update took back. The live keys in
+    /// ascending order are the current pivot order. A refactorization
+    /// numbers them `0..m`; each update and bordered row appends one, so
+    /// there are `m + updates` keys until the next.
     perm: Vec<u32>,
-    /// Inverse of `perm`: `ord[slot]` = its position in the pivot order.
+    /// Each slot's pivot key (`perm[ord[slot]] == slot`). Keys only grow
+    /// between refactorizations: a slot moved to the end of the order takes
+    /// `perm.len()`, and every other slot keeps its own, so the kernels,
+    /// which visit slots by ascending or descending key, see the same
+    /// relative order as under a contiguous rotation.
     ord: Vec<u32>,
     /// Original row held by each slot.
     row_of_slot: Vec<u32>,
@@ -152,7 +165,7 @@ pub struct Factorization {
     /// Inverse of `pos_of_slot`.
     slot_of_pos: Vec<u32>,
     /// Forrest–Tomlin row-eta file, chronological: eta `e` eliminated the
-    /// row of `U` at slot `eta_slot[e]` (rotated to the end of the pivot
+    /// row of `U` at slot `eta_slot[e]` (moved to the end of the pivot
     /// order) against `eta_terms[eta_start[e]..eta_start[e + 1]]`,
     /// `(slot, multiplier)` terms in pivot order.
     eta_slot: Vec<u32>,
@@ -313,6 +326,75 @@ impl Factorization {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Xorshift draws for the randomized factorization tests.
+    pub(super) struct Rng(pub u64);
+
+    impl Rng {
+        pub fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// A draw from `0..n`.
+        pub fn below(&mut self, n: usize) -> usize {
+            (self.next() >> 11) as usize % n.max(1)
+        }
+
+        /// A draw from `[lo, hi)`.
+        pub fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        }
+    }
+
+    /// An LP-shaped column anchored at row `anchor`: `extra` entries on the
+    /// rows after it (`local`, a flow path's consecutive edge×time rows) or
+    /// anywhere (a percentile coupling column), and an anchor entry that
+    /// dominates them all.
+    pub(super) fn lp_column(
+        m: usize,
+        anchor: usize,
+        extra: usize,
+        local: bool,
+        rng: &mut Rng,
+    ) -> SparseCol {
+        let mut col: SparseCol = Vec::new();
+        let mut mass = 0.0;
+        for hop in 0..extra {
+            let r =
+                if local { (anchor + hop + 1) % m } else { (anchor + 1 + rng.below(m - 1)) % m };
+            if r != anchor && col.iter().all(|&(i, _)| i as usize != r) {
+                let v = rng.range(0.25, 1.0) * if rng.below(2) == 0 { -1.0 } else { 1.0 };
+                mass += f64::abs(v);
+                col.push((r as u32, v));
+            }
+        }
+        col.push((anchor as u32, mass * 2.0 + 1.0));
+        col.sort_unstable_by_key(|&(i, _)| i);
+        col
+    }
+
+    /// An LP-shaped basis of `m` columns, nonsingular by column dominance:
+    /// a `slack` share of slack singletons, a tenth coupling columns of
+    /// 16–24 entries, the rest flow columns of 4–7.
+    pub(super) fn lp_basis(m: usize, slack: f64, rng: &mut Rng) -> Vec<SparseCol> {
+        (0..m)
+            .map(|j| {
+                let class = rng.range(0.0, 1.0);
+                if class < slack {
+                    lp_column(m, j, 0, true, rng)
+                } else if class < slack + 0.1 {
+                    let extra = 16 + rng.below(9);
+                    lp_column(m, j, extra, false, rng)
+                } else {
+                    let extra = 4 + rng.below(4);
+                    lp_column(m, j, extra, true, rng)
+                }
+            })
+            .collect()
+    }
 
     fn col(entries: &[(u32, f64)]) -> SparseCol {
         entries.to_vec()

@@ -4,13 +4,15 @@
 //! row/position-to-slot permutations, `L` is unit lower triangular in
 //! slot order (static between refactorizations), each `R_k` is a
 //! Forrest–Tomlin *row eta* `I + Σ_j r_j·e_t·e_{k_j}ᵀ`, and `U` is upper
-//! triangular with respect to the *current* pivot order `perm` (rotated
-//! by every update).
+//! triangular with respect to the *current* pivot order: the slots by
+//! ascending pivot key (`ord`, `perm`; every update moves one slot to the
+//! end by giving it the next key).
 //!
 //! A dense right-hand side (the basic values, the duals) is *swept*: every
-//! slot, in the order each factor needs (`ftran_dense`, `btran`). The
-//! per-pivot solves (`ftran` of the entering column, `btran_row`) visit only
-//! the slots their right-hand side *reaches*: each stage queues the slots it
+//! slot, in the order each factor needs (`ftran_dense`, `btran`; `U`'s
+//! stage walks `perm` and skips the retired keys). The per-pivot solves
+//! (`ftran` of the entering column, `btran_row`) visit only the slots
+//! their right-hand side *reaches*: each stage queues the slots it
 //! writes in a [`BitQueue`] keyed by the order the sweep visits them in, and
 //! pops them in that order. A popped slot gets exactly the sweep's
 //! arithmetic and an unreached one is a zero the sweep only adds zeros to,
@@ -21,7 +23,7 @@
 //! warmed.
 
 use super::arena::{grow, refill};
-use super::Factorization;
+use super::{Factorization, RETIRED};
 
 /// Keys `0..n` as bits, visited in key order: one `u64` word per 64 keys,
 /// so a scan skips 64 absent keys per word read.
@@ -181,9 +183,10 @@ fn eta_terms(f: &Factorization, e: usize) -> &[(u32, f64)] {
     &f.eta_terms[f.eta_start[e] as usize..f.eta_start[e + 1] as usize]
 }
 
-/// Run `body` with the slot-space work vector, the bit queue and an empty
-/// slot list lent out of `f`, sized to the basis; `body` must leave the
-/// vector and the queue all-zero, as it gets them.
+/// Run `body` with the slot-space work vector, the bit queue (for keys
+/// below the pivot-key count, which covers every slot, row and position
+/// too) and an empty slot list lent out of `f`, sized to the basis; `body`
+/// must leave the vector and the queue all-zero, as it gets them.
 pub(super) fn with_work(
     f: &mut Factorization,
     body: impl FnOnce(&mut Factorization, &mut [f64], &mut BitQueue, &mut Vec<u32>),
@@ -191,7 +194,7 @@ pub(super) fn with_work(
     let (mut z, mut q) = (std::mem::take(&mut f.z), std::mem::take(&mut f.queue));
     debug_assert!(z.iter().all(|&v| v == 0.0) && q.is_empty(), "solve scratch not all-zero");
     grow(&mut z, f.m, 0.0);
-    q.reset(f.m);
+    q.reset(f.perm.len());
     let mut reach = std::mem::take(&mut f.reach);
     reach.clear();
     body(f, &mut z, &mut q, &mut reach);
@@ -279,7 +282,7 @@ pub(super) fn ftran(
             }
         });
         f.spike_live = true;
-        // U backward by pivot place.
+        // U backward by pivot key.
         for &s in &f.spike_nz {
             q.insert(f.ord[s as usize] as usize);
         }
@@ -314,7 +317,7 @@ pub(super) fn btran_row(f: &mut Factorization, pos: usize, out: &mut Vec<f64>, n
     with_work(f, |f, z, q, reach| {
         let s0 = f.slot_of_pos[pos] as usize;
         z[s0] = 1.0;
-        // Uᵀ forward by pivot place, scattering along rows of U.
+        // Uᵀ forward by pivot key, scattering along rows of U.
         q.insert(f.ord[s0] as usize);
         q.drain_up(|q, i| {
             let s = f.perm[i] as usize;
@@ -411,8 +414,8 @@ pub(super) fn ftran_dense(f: &mut Factorization, a: &[f64], out: &mut Vec<f64>) 
         }
         f.spike_live = true;
         // U backward, column-oriented over the current pivot order.
-        for i in (0..m).rev() {
-            let s = f.perm[i] as usize;
+        for &s in f.perm.iter().rev().filter(|&&s| s != RETIRED) {
+            let s = s as usize;
             let x = z[s] / f.udiag[s];
             z[s] = x;
             if x != 0.0 {
@@ -442,8 +445,8 @@ pub(super) fn btran(f: &mut Factorization, c: &[f64], out: &mut Vec<f64>) {
         }
         // Uᵀ forward in pivot order, scattering each finished entry along its
         // row of U: a zero entry costs nothing.
-        for i in 0..m {
-            let s = f.perm[i] as usize;
+        for &s in f.perm.iter().filter(|&&s| s != RETIRED) {
+            let s = s as usize;
             if z[s] == 0.0 {
                 continue;
             }
