@@ -49,7 +49,8 @@ pub struct Pretium {
     /// contracts) and re-solve warm from the previous basis. Its job `j`
     /// belongs to contract `jobs()[j].key`, and its window is the window
     /// of its `from()` (it is rebuilt at boundaries, when realized usage
-    /// rolls into the cost proxy's past constants).
+    /// rolls into the cost proxy's past constants, and when a joiner's
+    /// executed units need to).
     sam: Option<ScheduleSession>,
     /// The contracts `sam` holds a job for. The per-timestep append loop
     /// probes every active contract, so a scan of the session's jobs here
@@ -380,8 +381,9 @@ impl Pretium {
     /// capacities refreshed, newly accepted contracts appended) are applied
     /// incrementally and the LP warm-starts from the previous optimal
     /// basis. The session is rebuilt at window boundaries — where realized
-    /// usage rolls into the cost proxy's past constants — and whenever a
-    /// new contract's deadline stretches past the carried horizon.
+    /// usage rolls into the cost proxy's past constants — and when a new
+    /// contract already moved units at a step the session covers: the
+    /// rebuilt session starts at `now` and reads them from `realized`.
     pub fn run_sam(&mut self, now: Timestep, realized: &UsageTracker) -> Result<(), SolveError> {
         if now >= self.horizon {
             self.telemetry.sam_skipped += 1;
@@ -404,10 +406,18 @@ impl Pretium {
         }
         let capacity = |e: EdgeId, t: Timestep| self.state.sellable_capacity(e, t);
         let realized_fn = |e: EdgeId, t: Timestep| realized.at(e, t);
+        // A joiner whose plan has steps in `[from, now)` brings usage the
+        // session holds no column for.
+        let history = |from: Timestep| {
+            let joiners = active.iter().filter(|&i| !self.sam_members.contains(i));
+            let mut plans = joiners.flat_map(|&i| &self.contracts[i].plan);
+            plans.any(|&(_, t, _)| (from..now).contains(&t))
+        };
         let mut sess = match self.sam.take() {
-            Some(s) if self.grid.window_of(s.from()) == window => s,
+            Some(s) if self.grid.window_of(s.from()) == window && !history(s.from()) => s,
             stale => {
-                // Another window's session: bank its counters, build anew.
+                // Another window's session, or one a joiner brings history
+                // to: bank its counters, build anew.
                 if let Some(old) = stale {
                     self.lp_stats.merge(old.lp().stats());
                 }
@@ -432,16 +442,11 @@ impl Pretium {
             }
         };
         // Freeze the steps executed since the last run, then append
-        // contracts accepted in the meantime (with their remaining
-        // amounts — anything they already moved under their preliminary
-        // schedule is delivered, and its usage feeds the cost proxy).
+        // contracts accepted in the meantime, with their remaining amounts.
         sess.advance_to(now);
         for &i in &active {
             if self.sam_members.insert(i) {
-                let slot = sess.add_job(self.job_for(i, now));
-                let executed: Vec<(usize, Timestep, f64)> =
-                    self.contracts[i].plan.iter().filter(|&&(_, t, _)| t < now).copied().collect();
-                sess.record_executed(slot, &executed);
+                sess.add_job(self.job_for(i, now));
             }
         }
         // Configured kernel tuning, plus the solver-pressure iteration cap
@@ -818,15 +823,16 @@ pub fn price_floor(net: &Network, grid: &TimeGrid, cfg: &PretiumConfig, e: EdgeI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pretium_lp::{RowId, Var};
+    use pretium_lp::Var;
     use pretium_net::{LinkCost, Region};
     use pretium_workload::RequestId;
 
-    /// A contract accepted after its window's SAM session was built joins
-    /// that session at the next `run_sam`, and the units it already moved
-    /// under its preliminary plan enter the session as fixed `exec_…`
-    /// columns, one per route edge and step, in those slots' use rows (the
-    /// runner runs SAM every step, so its contracts never bring any).
+    /// A contract accepted after its window's SAM session was built, which
+    /// moves units under its preliminary plan before the next `run_sam`,
+    /// makes that run rebuild the session from `now`: the units enter the
+    /// cost proxy through `realized`, as the rebuilt session's fixed
+    /// `past_…` constants (the runner runs SAM every step, so its contracts
+    /// never bring any).
     #[test]
     fn executed_units_of_a_late_contract_enter_the_sam_session() {
         let mut net = Network::new();
@@ -863,31 +869,25 @@ mod tests {
             pretium.contract(late).plan.iter().filter(|&&(_, t, _)| t < 2).copied().collect();
         assert!(!executed.is_empty(), "the preliminary plan moved nothing before step 2");
         pretium.run_sam(2, &usage).unwrap();
-        let model = pretium.sam.as_ref().expect("the window's session").lp().model();
-        let var = |name: &str| {
-            (0..model.num_vars()).map(Var::from_index).find(|&v| model.var_name(v) == name)
-        };
-        let row = |name: &str| {
-            (0..model.num_rows()).map(RowId::from_index).find(|&r| model.row_name(r) == name)
-        };
-        let mut expected = Vec::new();
+        let sess = pretium.sam.as_ref().expect("the window's session");
+        assert_eq!(sess.from(), 2, "the late contract's history rebuilds the session");
+        let model = sess.lp().model();
+        let names: Vec<String> =
+            (0..model.num_vars()).map(|j| model.var_name(Var::from_index(j))).collect();
+        // Flows, shortfalls and the cost proxy's columns: no column holds
+        // executed usage.
+        let kinds = ["x_", "short_", "past_", "u_", "c_"];
+        let other = names.iter().find(|name| !kinds.iter().any(|k| name.starts_with(k)));
+        assert_eq!(other, None, "{names:?}");
         for &(pi, t, units) in &executed {
             for &e in pretium.routes(late)[pi].edges() {
-                // The late contract is the session's job 1.
-                let name = format!("exec_1_{e}_{t}");
-                let c = var(&name).unwrap_or_else(|| panic!("no column {name}"));
-                assert_eq!(model.bounds(c), (units, units), "{name} is fixed at its units");
-                let use_row = row(&format!("use_{e}_{t}")).expect("the slot's use row");
-                let mut unit = vec![0.0; model.num_vars()];
-                unit[c.index()] = 1.0;
-                assert_eq!(model.row_lhs(use_row, &unit), 1.0, "{name} is in its use row");
-                expected.push(name);
+                let name = format!("past_{e}_{t}");
+                let c = names.iter().position(|n| *n == name);
+                let c = Var::from_index(c.unwrap_or_else(|| panic!("no constant {name}")));
+                let realized = usage.at(e, t);
+                assert_eq!(model.bounds(c), (realized, realized), "{name} is the realized usage");
+                assert!(realized >= units, "{name}: {realized} leaves out the late {units} units");
             }
         }
-        let exec: Vec<String> = (0..model.num_vars())
-            .map(|j| model.var_name(Var::from_index(j)))
-            .filter(|name| name.starts_with("exec_"))
-            .collect();
-        assert_eq!(exec, expected);
     }
 }

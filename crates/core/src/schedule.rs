@@ -208,8 +208,8 @@ fn columns<'a>(crossed: &'a [Crossing], slot: &Slot) -> impl Iterator<Item = Var
 struct Slot {
     key: (EdgeId, Timestep),
     /// The first and last of the slot's crossings in `crossed_slots`
-    /// (meaningless while it has none): flow columns and executed-usage
-    /// constants, chained in the order they joined.
+    /// (meaningless while it has none), chained in the order the flow
+    /// columns joined.
     first: u32,
     last: u32,
     /// The number of crossings in the chain, which sizes its rows.
@@ -295,13 +295,12 @@ pub struct ScheduleSession {
     /// `slots.len()` when `Slot::ordinal` was last assigned.
     ordered: usize,
     /// Per column (by index), the range of `crossed_slots` listing the
-    /// slots it crosses: one per path edge for a flow column, one for an
-    /// executed-usage constant, none for any other column (or past the
-    /// end).
+    /// slots it crosses: one per path edge for a flow column, none for any
+    /// other column (or past the end).
     crossed: Vec<(u32, u32)>,
     /// Every `(column, slot)` crossing of the session, in the order
-    /// `add_job` and `record_executed` made them: a column's are the
-    /// contiguous range `crossed[v]`, a slot's a chain from `Slot::first`.
+    /// `add_job` made them: a column's are the contiguous range
+    /// `crossed[v]`, a slot's a chain from `Slot::first`.
     crossed_slots: Vec<Crossing>,
     /// The uncapped slots whose `near` flag a judgement set since the
     /// step's first round (some may be capped or clear since).
@@ -481,30 +480,6 @@ impl ScheduleSession {
         self.guarantees.push(guarantee);
         self.jobs.push(job);
         j
-    }
-
-    /// Record usage a job carried *before* it joined the session (e.g. a
-    /// contract that executed its preliminary menu schedule between SAM
-    /// runs). The units enter the percentile cost proxy of the affected
-    /// `(edge, t)` pairs as fixed constants; elapsed capacity rows are left
-    /// alone (that usage is history, not a planning decision).
-    pub fn record_executed(&mut self, job: usize, executed: &[(usize, Timestep, f64)]) {
-        let paths = Arc::clone(&self.jobs[job].paths);
-        for &(pi, t, units) in executed {
-            if t < self.from || t >= self.fixed_up_to || units <= 0.0 {
-                continue;
-            }
-            for &e in paths[pi].edges() {
-                let name = Name::new("exec_{}_e{}_{}", [job, e.index(), t]);
-                let c = self.sess.model_mut().add_var(name, units, units, 0.0);
-                let id = self.slot(e, t);
-                if let Some(row) = self.slots[id as usize].use_row {
-                    self.sess.model_mut().add_term(row, c, 1.0);
-                }
-                self.cross(id, c);
-                self.note_crossed(c, 1);
-            }
-        }
     }
 
     /// The index of the slot of `(e, t)`, created on first use.
@@ -737,17 +712,17 @@ impl ScheduleSession {
     /// sum of its columns' values, and a round judges it on that sum. The
     /// round pays for what moved: it re-sums only the slots crossed by a
     /// column whose value differs from the last judged round's (`values`)
-    /// or that was appended since (`add_job`'s and `record_executed`'s
-    /// columns cross slots, an encoding's none; a new slot is crossed by
-    /// the column that made it); every other open slot's `Slot::usage` is
-    /// still its sum. At a step's `first` round every open slot is judged,
-    /// on that sum, since capacities and `fixed_up_to` moved since the
-    /// last; after that only the re-summed ones. Every other slot keeps its
-    /// last judgement: a slot over capacity or in use while uncosted got
-    /// its row or encoding in the round that found it, so only the `near`
-    /// flag outlives a round. Rows go in in the order a walk of `slot_of`
-    /// meets them (`Slot::ordinal`). A debug assertion compares the result
-    /// with a judgement of every slot.
+    /// or that was appended since (`add_job`'s columns cross slots, an
+    /// encoding's none; a new slot is crossed by the column that made it);
+    /// every other open slot's `Slot::usage` is still its sum. At a step's
+    /// `first` round every open slot is judged, on that sum, since
+    /// capacities and `fixed_up_to` moved since the last; after that only
+    /// the re-summed ones. Every other slot keeps its last judgement: a
+    /// slot over capacity or in use while uncosted got its row or encoding
+    /// in the round that found it, so only the `near` flag outlives a
+    /// round. Rows go in in the order a walk of `slot_of` meets them
+    /// (`Slot::ordinal`). A debug assertion compares the result with a
+    /// judgement of every slot.
     fn lazy_grow(
         &mut self,
         net: &Network,
@@ -1686,8 +1661,8 @@ mod tests {
 
     /// The names every builder gives its columns and rows, rendered on
     /// read, pinned as text: a job with a guarantee, contested capacity
-    /// rows, a CVaR cost encoding over a window with realized past steps,
-    /// and an executed-usage constant, on one percentile edge.
+    /// rows and a CVaR cost encoding over a window with realized past
+    /// steps, on one percentile edge.
     #[test]
     fn builders_names_render_as_pinned() {
         let mut net = Network::new();
@@ -1712,7 +1687,6 @@ mod tests {
         let mut sess = ScheduleSession::new(&problem);
         sess.materialize_contested(&net, &cap, &realized);
         sess.advance_to(3);
-        sess.record_executed(0, &[(0, 2, 1.5)]);
         let model = sess.lp().model();
         let vars: Vec<String> =
             (0..model.num_vars()).map(|j| model.var_name(Var::from_index(j))).collect();
@@ -1732,7 +1706,6 @@ mod tests {
             "c_e0_0_s1",
             "c_e0_0_s2",
             "c_e0_0_s3",
-            "exec_0_e0_2",
         ];
         let want_rows = [
             "demand_0",
@@ -1753,9 +1726,8 @@ mod tests {
 
     /// Every slot's chain lists exactly the columns whose `crossed` range
     /// names the slot, in column order, and `len` counts them: after the
-    /// build, a solve, a mid-window `add_job` into materialized rows and
-    /// executed-usage constants, on a world whose every other link bills
-    /// by percentile.
+    /// build, a solve and a mid-window `add_job` into materialized rows,
+    /// on a world whose every other link bills by percentile.
     #[test]
     fn slot_chains_are_the_transpose_of_column_ranges() {
         let mut net = Network::new();
@@ -1790,14 +1762,7 @@ mod tests {
         let mut sess = ScheduleSession::new(&problem);
         sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
         sess.advance_to(3);
-        let late = sess.add_job(Job::new(3, routes(0, 4), 1, 6, 2.5, 4.0, 20.0));
-        let (late_runs, early_runs) = ([(0, 1, 2.0), (1, 2, 1.5), (0, 2, 0.5)], [(0, 2, 3.0)]);
-        sess.record_executed(late, &late_runs);
-        sess.record_executed(0, &early_runs);
-        let hops = |j: usize, runs: &[(usize, Timestep, f64)]| -> usize {
-            runs.iter().map(|&(pi, _, _)| sess.jobs()[j].paths[pi].edges().len()).sum()
-        };
-        let hops = hops(late, &late_runs) + hops(0, &early_runs);
+        sess.add_job(Job::new(3, routes(0, 4), 1, 6, 2.5, 4.0, 20.0));
         sess.solve_step_with(&net, &cap, &no_realized, &SolveOptions::default()).unwrap();
 
         let mut transpose = vec![Vec::new(); sess.slots.len()];
@@ -1807,10 +1772,6 @@ mod tests {
                 transpose[c.slot as usize].push(c.var);
             }
         }
-        let executed = (0..sess.lp().model().num_vars())
-            .filter(|&j| sess.lp().model().var_name(Var::from_index(j)).starts_with("exec_"))
-            .count();
-        assert_eq!(executed, hops, "one executed-usage constant per path edge");
         let listed: usize = transpose.iter().map(Vec::len).sum();
         assert_eq!(listed, sess.crossed_slots.len(), "a crossing outside every column range");
         for (id, slot) in sess.slots.iter().enumerate() {
