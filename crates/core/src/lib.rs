@@ -45,6 +45,7 @@ pub mod contract;
 pub mod degradation;
 pub mod menu;
 pub mod pretium;
+mod proxy;
 pub mod schedule;
 pub mod state;
 pub mod telemetry;

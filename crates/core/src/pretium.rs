@@ -49,8 +49,7 @@ pub struct Pretium {
     /// contracts) and re-solve warm from the previous basis. Its job `j`
     /// belongs to contract `jobs()[j].key`, and its window is the window
     /// of its `from()` (it is rebuilt at boundaries, when realized usage
-    /// rolls into the cost proxy's past constants, and when a joiner's
-    /// executed units need to).
+    /// rolls into the cost proxy's past constants; see `run_sam`).
     sam: Option<ScheduleSession>,
     /// The contracts `sam` holds a job for. The per-timestep append loop
     /// probes every active contract, so a scan of the session's jobs here
@@ -382,8 +381,7 @@ impl Pretium {
     /// incrementally and the LP warm-starts from the previous optimal
     /// basis. The session is rebuilt at window boundaries — where realized
     /// usage rolls into the cost proxy's past constants — and when a new
-    /// contract already moved units at a step the session covers: the
-    /// rebuilt session starts at `now` and reads them from `realized`.
+    /// contract moved units at a step the session covers.
     pub fn run_sam(&mut self, now: Timestep, realized: &UsageTracker) -> Result<(), SolveError> {
         if now >= self.horizon {
             self.telemetry.sam_skipped += 1;
@@ -406,8 +404,6 @@ impl Pretium {
         }
         let capacity = |e: EdgeId, t: Timestep| self.state.sellable_capacity(e, t);
         let realized_fn = |e: EdgeId, t: Timestep| realized.at(e, t);
-        // A joiner whose plan has steps in `[from, now)` brings usage the
-        // session holds no column for.
         let history = |from: Timestep| {
             let joiners = active.iter().filter(|&i| !self.sam_members.contains(i));
             let mut plans = joiners.flat_map(|&i| &self.contracts[i].plan);
@@ -416,16 +412,16 @@ impl Pretium {
         let mut sess = match self.sam.take() {
             Some(s) if self.grid.window_of(s.from()) == window && !history(s.from()) => s,
             stale => {
-                // Another window's session, or one a joiner brings history
-                // to: bank its counters, build anew.
+                // Another window's session, or one a joiner moved units in
+                // (rebuilt from `now`, it reads them from `realized`): bank
+                // its counters, build anew.
                 if let Some(old) = stale {
                     self.lp_stats.merge(old.lp().stats());
                 }
                 let jobs: Vec<Job> = active.iter().map(|&i| self.job_for(i, now)).collect();
                 // The session horizon runs to the end of the simulation, not
-                // just to the latest current deadline: per-job variables are
-                // bounded by deadlines anyway, and the longer horizon means a
-                // later-arriving contract never forces a rebuild.
+                // just to the latest deadline: per-job variables are bounded
+                // by deadlines anyway, and no later deadline forces a rebuild.
                 let problem = ScheduleProblem {
                     net: &self.net,
                     grid: &self.grid,

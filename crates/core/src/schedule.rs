@@ -17,7 +17,7 @@
 //! shortfalls are penalized rather than made hard constraints so that
 //! unexpected high-pri surges degrade gracefully instead of making the LP
 //! infeasible (§4.4). Per `(edge, t)`: `Σ X ≤ capacity`. Percentile-billed
-//! edges additionally carry the sum-of-top-k cost proxy of §4.2.
+//! edges additionally carry §4.2's sum-of-top-k cost proxy (`proxy.rs`).
 //!
 //! ## Lazy rows
 //!
@@ -43,23 +43,14 @@
 //! demand bound could reach the generation threshold and every cost
 //! encoding a column crosses. Its offline LP then solves cold in one round,
 //! and the loop finds nothing to add.
-//!
-//! ## Incremental re-optimization
-//!
-//! [`ScheduleSession`] keeps the LP (and the solver basis) alive *across*
-//! solves: SAM advances it timestep by timestep — fixing executed flows,
-//! refreshing capacities, appending newly accepted jobs — and each re-solve
-//! warm-starts from the previous optimal basis instead of rebuilding from
-//! scratch. [`solve`] remains the lazy one-shot entry point (baselines).
 
-use crate::topk::{topk_upper_bound, TopkEncoding};
+use crate::proxy::PercentileProxy;
+use crate::topk::TopkEncoding;
 use pretium_lp::{
     Cmp, LinExpr, Model, Name, RowId, Sense, Solution, SolveError, SolveOptions, SolverSession, Var,
 };
-use pretium_net::cost::TOP_FRACTION;
-use pretium_net::percentile::top_k_count;
 use pretium_net::{EdgeId, Network, Path, TimeGrid, Timestep};
-use rand::{DetHashMap as HashMap, DetHashSet};
+use rand::DetHashMap as HashMap;
 use std::sync::Arc;
 
 /// One schedulable job.
@@ -207,20 +198,14 @@ fn columns<'a>(crossed: &'a [Crossing], slot: &Slot) -> impl Iterator<Item = Var
 #[derive(Debug, Clone)]
 struct Slot {
     key: (EdgeId, Timestep),
-    /// The first and last of the slot's crossings in `crossed_slots`
-    /// (meaningless while it has none), chained in the order the flow
-    /// columns joined.
+    /// The first and last of the slot's crossings in `crossed_slots`,
+    /// chained in the order the columns joined.
     first: u32,
     last: u32,
     /// The number of crossings in the chain, which sizes its rows.
     len: u32,
     /// The slot's capacity row, once materialized.
     cap_row: Option<RowId>,
-    /// The slot's usage-definition row (percentile edges with a cost
-    /// encoding).
-    use_row: Option<RowId>,
-    /// The edge has a cost encoding over the slot's billing window.
-    costed: bool,
     /// Its usage was over `NEAR_CAP_FRACTION` of its capacity when the
     /// separation last judged it (meaningful while the slot is
     /// uncapped).
@@ -268,8 +253,6 @@ pub struct ScheduleSession {
     /// Flow variables at steps `< fixed_up_to` are frozen at executed
     /// values; lazy capacity checks skip those steps.
     fixed_up_to: Timestep,
-    topk: TopkEncoding,
-    cost_scale: f64,
     /// Shortfall penalty (scales with the largest job weight seen).
     penalty: f64,
     jobs: Vec<Job>,
@@ -282,10 +265,8 @@ pub struct ScheduleSession {
     /// row, whose RHS the degradation policy lowers when the guarantee is
     /// shed or relaxed (§4.4).
     guarantees: Vec<Option<(Var, RowId)>>,
-    /// Percentile edges with a cost encoding already, per window.
-    costed: DetHashSet<(EdgeId, usize)>,
-    /// Whether each edge (by index) bills by percentile.
-    percentile: Vec<bool>,
+    /// The cost proxy of the percentile edges, over the same slots.
+    proxy: PercentileProxy,
     /// Every (e, t) within the LP horizon that a column crosses, in
     /// creation order: its chain of crossings, its rows and the
     /// separation's flags.
@@ -340,15 +321,12 @@ impl ScheduleSession {
             from: p.from,
             to: p.to,
             fixed_up_to: p.from,
-            topk: p.topk,
-            cost_scale: p.cost_scale,
             penalty: max_weight * SHORTFALL_PENALTY_FACTOR,
             jobs: Vec::with_capacity(p.jobs.len()),
             vars: Vec::new(),
             job_ranges: Vec::with_capacity(p.jobs.len()),
             guarantees: Vec::with_capacity(p.jobs.len()),
-            costed: DetHashSet::default(),
-            percentile: p.net.edge_ids().map(|e| p.net.edge(e).cost.is_percentile()).collect(),
+            proxy: PercentileProxy::new(p),
             slots: Vec::new(),
             slot_of: HashMap::default(),
             ordered: 0,
@@ -370,11 +348,6 @@ impl ScheduleSession {
         self.from
     }
 
-    /// First timestep still free to re-plan.
-    pub fn fixed_up_to(&self) -> Timestep {
-        self.fixed_up_to
-    }
-
     /// The session's jobs, in insertion order (job `j` is the `j`-th), as
     /// the LP holds them: `min_units` net of any relaxed guarantee.
     pub fn jobs(&self) -> &[Job] {
@@ -389,24 +362,17 @@ impl ScheduleSession {
 
     /// Full internal price of `(e, t)` at the optimum the last solve
     /// returned: the congestion shadow price of the slot's capacity row plus
-    /// the marginal percentile cost of one extra unit of usage there, the
-    /// dual of its usage-definition row — `C_e/k` on steps inside the
-    /// window's top-k, zero below the percentile (clamped: tiny negative
-    /// duals are numerical noise). A row never generated contributes zero,
+    /// the cost proxy's marginal percentile cost of one extra unit there —
+    /// `C_e/k` on steps inside the window's top-k, zero below the
+    /// percentile. A row never generated contributes zero,
     /// as does every row once the model moved past that optimum. This is the
     /// §4.3 "dual price" a unit of traffic should be charged for riding this
     /// link-timestep; only the PC reads it, so no solve builds a price table.
     pub fn price(&self, e: EdgeId, t: Timestep) -> f64 {
-        let Some(slot) = self.slot_of.get(&(e, t)).map(|&i| &self.slots[i as usize]) else {
-            return 0.0;
-        };
+        let Some(&id) = self.slot_of.get(&(e, t)) else { return 0.0 };
         let duals = self.sess.cached_solution().map_or(&[][..], |sol| sol.duals());
-        let dual =
-            |row: Option<RowId>| row.and_then(|r| duals.get(r.index())).copied().unwrap_or(0.0);
-        // The use-row is written as (Σ flows − U = 0); pushing one forced
-        // unit of usage through the edge corresponds to lowering the rhs
-        // by 1, so the marginal cost is the row dual itself.
-        dual(slot.cap_row) + dual(slot.use_row).max(0.0)
+        let cap = self.slots[id as usize].cap_row.and_then(|r| duals.get(r.index())).copied();
+        cap.unwrap_or(0.0) + self.proxy.usage_dual(id, duals)
     }
 
     /// Flow columns materialized across jobs (excludes shortfall / usage /
@@ -446,15 +412,17 @@ impl ScheduleSession {
                 let v = self.sess.model_mut().add_var(name, 0.0, f64::INFINITY, job.weight);
                 self.vars.push((pi, t, v));
                 total.add_term(1.0, v);
+                let begin = self.crossed_slots.len() as u32;
                 for &e in job.paths[pi].edges() {
-                    let id = self.slot(e, t);
-                    let slot = &self.slots[id as usize];
-                    for row in [slot.cap_row, slot.use_row].into_iter().flatten() {
+                    let id = self.cross(e, t, v);
+                    if let Some(row) = self.slots[id as usize].cap_row {
                         self.sess.model_mut().add_term(row, v, 1.0);
                     }
-                    self.cross(id, v);
+                    self.proxy.join(self.sess.model_mut(), id, (e, t), v);
                 }
-                self.note_crossed(v, job.paths[pi].edges().len());
+                // `v` is the newest column: the ones between get no slot.
+                self.crossed.resize(v.index(), (0, 0));
+                self.crossed.push((begin, self.crossed_slots.len() as u32));
             }
         }
         self.job_ranges.push((start, self.vars.len() as u32));
@@ -482,51 +450,32 @@ impl ScheduleSession {
         j
     }
 
-    /// The index of the slot of `(e, t)`, created on first use.
-    fn slot(&mut self, e: EdgeId, t: Timestep) -> u32 {
-        let next = self.slots.len() as u32;
+    /// Append column `v`'s crossing of `(e, t)` to `crossed_slots`, at the
+    /// tail of the slot's chain, and return the slot's index (a slot is
+    /// created by its first crossing).
+    fn cross(&mut self, e: EdgeId, t: Timestep, v: Var) -> u32 {
+        let (at, next) = (self.crossed_slots.len() as u32, self.slots.len() as u32);
         let id = *self.slot_of.entry((e, t)).or_insert(next);
+        self.crossed_slots.push(Crossing { slot: id, var: v, next: u32::MAX });
         if id == next {
             self.slots.push(Slot {
                 key: (e, t),
-                first: 0,
-                last: 0,
-                len: 0,
+                first: at,
+                last: at,
+                len: 1,
                 cap_row: None,
-                use_row: None,
-                costed: self.costed.contains(&(e, self.grid.window_of(t))),
                 near: false,
                 usage: 0.0,
                 ordinal: 0,
                 queued: 0,
             });
+        } else {
+            let slot = &mut self.slots[id as usize];
+            self.crossed_slots[slot.last as usize].next = at;
+            slot.last = at;
+            slot.len += 1;
         }
         id
-    }
-
-    /// Append column `v`'s crossing of slot `id` to `crossed_slots`, at the
-    /// tail of the slot's chain.
-    fn cross(&mut self, id: u32, v: Var) {
-        let at = self.crossed_slots.len() as u32;
-        self.crossed_slots.push(Crossing { slot: id, var: v, next: u32::MAX });
-        let slot = &mut self.slots[id as usize];
-        if slot.len == 0 {
-            slot.first = at;
-        } else {
-            self.crossed_slots[slot.last as usize].next = at;
-        }
-        slot.last = at;
-        slot.len += 1;
-    }
-
-    /// Record that column `v` crosses the last `count` slots of
-    /// `crossed_slots`.
-    fn note_crossed(&mut self, v: Var, count: usize) {
-        let end = self.crossed_slots.len() as u32;
-        if self.crossed.len() <= v.index() {
-            self.crossed.resize(v.index() + 1, (0, 0));
-        }
-        self.crossed[v.index()] = (end - count as u32, end);
     }
 
     /// Freeze the flow variables of timesteps `< now` at their values in
@@ -591,6 +540,8 @@ impl ScheduleSession {
         let mut rounds = 0;
         loop {
             rounds += 1;
+            let (slots, crossed) = (&self.slots, &self.crossed_slots);
+            self.proxy.check(self.sess.model(), |id| columns(crossed, &slots[id as usize]));
             let t0 = trace.then(std::time::Instant::now);
             let objective = self.sess.solve(opts)?.objective();
             if let Some(t0) = t0 {
@@ -659,19 +610,14 @@ impl ScheduleSession {
             if slot.cap_row.is_none() && sum > NEAR_CAP_FRACTION * capacity(e, t) {
                 rows.push((slot.key, id as u32));
             }
-            if self.percentile[e.index()] && !slot.costed {
+            if self.proxy.awaits_encoding(id as u32) {
                 encodings.push((e, self.grid.window_of(t)));
             }
         }
         rows.sort_unstable();
-        for ((e, t), id) in rows {
-            self.add_capacity_row(id, capacity(e, t));
-        }
         encodings.sort();
         encodings.dedup();
-        for (e, w) in encodings {
-            self.add_cost_encoding(net, realized, e, w);
-        }
+        self.grow(net, capacity, realized, rows.into_iter().map(|(_, id)| id), encodings);
     }
 
     /// Refresh materialized capacity rows against `capacity`. Capacity can
@@ -691,15 +637,31 @@ impl ScheduleSession {
         }
     }
 
-    /// Materialize the capacity row of slot `id`, over the columns
-    /// crossing it.
-    fn add_capacity_row(&mut self, id: u32, cap: f64) {
-        let slot = &self.slots[id as usize];
-        let (e, t) = slot.key;
-        let expr = LinExpr::from_terms(columns(&self.crossed_slots, slot).map(|v| (1.0, v)));
-        let name = Name::new("cap_e{}_{}", [e.index(), t]);
-        let row = self.sess.model_mut().add_row(name, expr, Cmp::Le, cap);
-        self.slots[id as usize].cap_row = Some(row);
+    /// Materialize the capacity row of each slot of `rows`, in order, over
+    /// the columns crossing it, then the cost proxy's encoding of each
+    /// `(edge, window)` of `encodings`, over the window's slots.
+    fn grow(
+        &mut self,
+        net: &Network,
+        capacity: &dyn Fn(EdgeId, Timestep) -> f64,
+        realized: &dyn Fn(EdgeId, Timestep) -> f64,
+        rows: impl IntoIterator<Item = u32>,
+        encodings: Vec<(EdgeId, usize)>,
+    ) {
+        let (model, crossed, slot_of) = (self.sess.model_mut(), &self.crossed_slots, &self.slot_of);
+        for id in rows {
+            let slot = &mut self.slots[id as usize];
+            let (e, t) = slot.key;
+            let expr = LinExpr::from_terms(columns(crossed, slot).map(|v| (1.0, v)));
+            let name = Name::new("cap_e{}_{}", [e.index(), t]);
+            slot.cap_row = Some(model.add_row(name, expr, Cmp::Le, capacity(e, t)));
+        }
+        let slots = &self.slots;
+        for (e, w) in encodings {
+            let slot =
+                |t| slot_of.get(&(e, t)).map(|&id| (id, columns(crossed, &slots[id as usize])));
+            self.proxy.encode(model, net, realized, (e, w), self.from, slot);
+        }
     }
 
     /// One round of lazy structure generation against the tentative optimum
@@ -708,7 +670,7 @@ impl ScheduleSession {
     /// optimum's values in `values`. Returns whether anything was added.
     ///
     /// A slot is *open* while it may still gain a row (uncapped, at a step
-    /// not frozen) or an encoding (percentile, uncosted); its usage is the
+    /// not frozen) or an encoding (percentile, unencoded); its usage is the
     /// sum of its columns' values, and a round judges it on that sum. The
     /// round pays for what moved: it re-sums only the slots crossed by a
     /// column whose value differs from the last judged round's (`values`)
@@ -718,7 +680,7 @@ impl ScheduleSession {
     /// `first` round every open slot is judged, on that sum, since
     /// capacities and `fixed_up_to` moved since the last; after that only
     /// the re-summed ones. Every other slot keeps its last judgement: a
-    /// slot over capacity or in use while uncosted got its row or encoding
+    /// slot over capacity or in use while unencoded got its row or encoding
     /// in the round that found it, so only the `near` flag outlives a
     /// round. Rows go in in the order a walk of `slot_of` meets them
     /// (`Slot::ordinal`). A debug assertion compares the result with a
@@ -767,12 +729,12 @@ impl ScheduleSession {
         if first {
             self.near.clear();
         }
-        let (near, percentile, crossed) = (&mut self.near, &self.percentile, &self.crossed_slots);
+        let (near, proxy, crossed) = (&mut self.near, &self.proxy, &self.crossed_slots);
         let mut judge = |id: u32, slot: &mut Slot| {
             let (e, t) = slot.key;
             let uncapped = t >= fixed && slot.cap_row.is_none();
-            let uncosted = percentile[e.index()] && !slot.costed;
-            if !uncapped && !uncosted {
+            let unencoded = proxy.awaits_encoding(id);
+            if !uncapped && !unencoded {
                 return;
             }
             let cols = columns(crossed, slot);
@@ -797,7 +759,7 @@ impl ScheduleSession {
                 }
                 any_violated |= violated;
             }
-            if uncosted && usage > USE_TOL {
+            if unencoded && usage > USE_TOL {
                 new_encodings.push((e, grid.window_of(t)));
             }
         };
@@ -840,19 +802,13 @@ impl ScheduleSession {
                 new_rows.iter().map(|&id| self.slots[id as usize].key).collect(),
                 new_encodings.clone()
             ),
-            self.separate_every_slot(net, capacity, sol),
+            self.separate_every_slot(capacity, sol),
             "the round's separation differs from a judgement of every slot"
         );
         self.values.clear();
         self.values.extend_from_slice(sol.values());
         let progressed = !new_rows.is_empty() || !new_encodings.is_empty();
-        for id in new_rows {
-            let (e, t) = self.slots[id as usize].key;
-            self.add_capacity_row(id, capacity(e, t));
-        }
-        for (e, w) in new_encodings {
-            self.add_cost_encoding(net, realized, e, w);
-        }
+        self.grow(net, capacity, realized, new_rows, new_encodings);
         progressed
     }
 
@@ -862,7 +818,6 @@ impl ScheduleSession {
     /// must find. For assertions.
     fn separate_every_slot(
         &self,
-        net: &Network,
         capacity: &dyn Fn(EdgeId, Timestep) -> f64,
         sol: &Solution,
     ) -> Separation {
@@ -870,23 +825,21 @@ impl ScheduleSession {
         for (&(e, t), &id) in &self.slot_of {
             let slot = &self.slots[id as usize];
             let uncapped = t >= self.fixed_up_to && slot.cap_row.is_none();
-            let w = self.grid.window_of(t);
-            let uncosted = net.edge(e).cost.is_percentile() && !self.costed.contains(&(e, w));
-            if !uncapped && !uncosted {
+            let unencoded = self.proxy.awaits_encoding(id);
+            if !uncapped && !unencoded {
                 continue;
             }
             let usage: f64 = columns(&self.crossed_slots, slot).map(|v| sol.value(v)).sum();
             if uncapped {
                 let cap = capacity(e, t);
-                if usage > cap + CAP_TOL * (1.0 + cap) {
-                    rows.push((e, t));
-                    any_violated = true;
-                } else if usage > cap * NEAR_CAP_FRACTION {
+                let violated = usage > cap + CAP_TOL * (1.0 + cap);
+                any_violated |= violated;
+                if violated || usage > cap * NEAR_CAP_FRACTION {
                     rows.push((e, t));
                 }
             }
-            if uncosted && usage > USE_TOL {
-                encodings.push((e, w));
+            if unencoded && usage > USE_TOL {
+                encodings.push((e, self.grid.window_of(t)));
             }
         }
         if !any_violated {
@@ -895,56 +848,6 @@ impl ScheduleSession {
         encodings.sort();
         encodings.dedup();
         (rows, encodings)
-    }
-
-    /// Add the §4.2 cost proxy for percentile edge `e` over billing window
-    /// `w`: usage variables `U_{e,t}` tied to the crossing flows,
-    /// realized-past constants, a top-k bound `S`, and the objective term
-    /// `-C_e·S/k`.
-    fn add_cost_encoding(
-        &mut self,
-        net: &Network,
-        realized: &dyn Fn(EdgeId, Timestep) -> f64,
-        e: EdgeId,
-        w: usize,
-    ) {
-        let range = self.grid.window_range(w);
-        let k = top_k_count(self.grid.steps_per_window, TOP_FRACTION);
-        let mut inputs: Vec<Var> = Vec::with_capacity(range.len());
-        let model = self.sess.model_mut();
-        for t in range {
-            if t >= self.from && t < self.to {
-                if let Some(&id) = self.slot_of.get(&(e, t)) {
-                    let slot = &mut self.slots[id as usize];
-                    // U_{e,t} = Σ crossing flows, in column order (`u` is
-                    // the newest column).
-                    let u = model.add_nonneg(Name::new("u_e{}_{}", [e.index(), t]), 0.0);
-                    let flows = columns(&self.crossed_slots, slot).map(|v| (1.0, v));
-                    let expr = LinExpr::from_terms(flows.chain([(-1.0, u)]));
-                    let name = Name::new("use_e{}_{}", [e.index(), t]);
-                    let row = model.add_row(name, expr, Cmp::Eq, 0.0);
-                    slot.use_row = Some(row);
-                    slot.costed = true;
-                    inputs.push(u);
-                }
-                // No crossing vars: future usage is 0, skip (zeros never
-                // enter the top-k of non-negative inputs).
-            } else if t < self.from {
-                let c = realized(e, t);
-                if c > 0.0 {
-                    let name = Name::new("past_e{}_{}", [e.index(), t]);
-                    inputs.push(model.add_var(name, c, c, 0.0));
-                }
-            }
-        }
-        self.costed.insert((e, w));
-        if inputs.is_empty() {
-            return;
-        }
-        let (topk, name) = (self.topk, Name::new("c_e{}_{}", [e.index(), w]));
-        let s = topk_upper_bound(model, &inputs, k, topk, name);
-        let unit_cost = net.edge(e).cost.unit_cost() * self.cost_scale;
-        model.set_obj(s, -unit_cost / k as f64);
     }
 
     /// Read the schedule out of the last round's values, at LP objective
@@ -979,7 +882,7 @@ impl ScheduleSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pretium_net::{topology, LinkCost, Network, NodeId, TimeGrid};
+    use pretium_net::{LinkCost, Network, NodeId, TimeGrid};
 
     fn no_realized(_: EdgeId, _: Timestep) -> f64 {
         0.0
@@ -1202,11 +1105,6 @@ mod tests {
 
     #[test]
     fn multipath_splits_when_one_path_is_full() {
-        let net = topology::paper_example().0;
-        let a = NodeId(0);
-        let d = NodeId(3);
-        // Only route A->C->D exists for A->D in the paper example. Build a
-        // richer check on the diamond instead.
         let mut net2 = Network::new();
         let s = net2.add_node("S", pretium_net::Region::NorthAmerica);
         let m1 = net2.add_node("M1", pretium_net::Region::NorthAmerica);
@@ -1234,7 +1132,6 @@ mod tests {
         };
         let sol = solve(&problem, &SolveOptions::default()).unwrap();
         assert!((sol.delivered[0] - 10.0).abs() < 1e-6, "{:?}", sol.delivered);
-        let _ = (net, a, d);
     }
 
     #[test]
@@ -1779,6 +1676,61 @@ mod tests {
             assert!(!chain.is_empty(), "slot {:?} has no column", slot.key);
             assert_eq!(chain, transpose[id], "slot {:?}", slot.key);
             assert_eq!(slot.len as usize, chain.len(), "slot {:?}", slot.key);
+        }
+    }
+
+    /// Pins ROADMAP item 12(a)'s leak at the cost proxy's seam: a slot made
+    /// after its window was encoded (here by an `add_job` mid-window on a
+    /// percentile edge) has no use row, so the flow columns `join` puts
+    /// there are a term of no proxy row, and no later round encodes them.
+    /// Item 15 gives such a slot its row on first touch and inverts the
+    /// assertions.
+    #[test]
+    fn a_column_in_a_slot_made_after_its_window_was_encoded_escapes_the_proxy() {
+        let mut net = Network::new();
+        let a = net.add_node("A", pretium_net::Region::NorthAmerica);
+        let b = net.add_node("B", pretium_net::Region::Europe);
+        net.add_edge(a, b, 10.0, LinkCost::percentile(1.0));
+        let grid = TimeGrid::new(4, 30);
+        let jobs = vec![Job::new(0, single_path(&net, a, b), 0, 1, 5.0, 0.0, 8.0)];
+        let cap = |_e: EdgeId, _t: Timestep| 10.0;
+        let problem = ScheduleProblem {
+            net: &net,
+            grid: &grid,
+            from: 0,
+            to: 4,
+            jobs: &jobs,
+            capacity: &cap,
+            realized: &no_realized,
+            topk: TopkEncoding::CVar,
+            cost_scale: 1.0,
+        };
+        let mut sess = ScheduleSession::new(&problem);
+        let opts = SolveOptions::default();
+        sess.solve_step_with(&net, &cap, &no_realized, &opts).unwrap();
+        let use_rows = |sess: &ScheduleSession| -> Vec<(RowId, String)> {
+            let model = sess.lp().model();
+            let rows = (0..model.num_rows()).map(RowId::from_index);
+            rows.map(|r| (r, model.row_name(r)))
+                .filter(|(_, name)| name.starts_with("use_"))
+                .collect()
+        };
+        let names =
+            |rows: &[(RowId, String)]| rows.iter().map(|(_, n)| n.clone()).collect::<Vec<_>>();
+        // Job 0's steps 0 and 1 were crossed when the window was encoded.
+        assert_eq!(names(&use_rows(&sess)), ["use_e0_0", "use_e0_1"]);
+        sess.advance_to(1);
+        let late = sess.add_job(Job::new(1, single_path(&net, a, b), 2, 3, 5.0, 0.0, 8.0));
+        sess.solve_step_with(&net, &cap, &no_realized, &opts).unwrap();
+        let rows = use_rows(&sess);
+        assert_eq!(names(&rows), ["use_e0_0", "use_e0_1"], "a slot made later got a use row");
+        let e = net.edge_ids().next().unwrap();
+        for &(_, t, v) in sess.job_vars(late) {
+            let id = sess.slot_of[&(e, t)];
+            assert!(!sess.proxy.awaits_encoding(id), "step {t} awaits an encoding still");
+            for (row, name) in &rows {
+                assert_eq!(sess.lp().model().coef(*row, v), 0.0, "step {t}'s column is in {name}");
+            }
         }
     }
 

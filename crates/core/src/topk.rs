@@ -13,8 +13,8 @@
 //!
 //! Both yield a variable `S` that, under minimization pressure, equals the
 //! sum of the `k` largest inputs exactly. The property tests cross-check
-//! the two encodings against a direct sort. The benchmark
-//! `ablation_topk_encoding` compares their LP sizes and solve times.
+//! the two encodings against a direct sort; the `lp_solver` bench's
+//! `topk_encoding/{sorting_network,cvar}/*` cases time their solves.
 
 use pretium_lp::{Cmp, LinExpr, Model, Name, Var};
 

@@ -486,6 +486,13 @@ impl Model {
         self.rows[r.index()].rhs
     }
 
+    /// The coefficient of `v` in row `r` (zero when the row has no term of
+    /// it).
+    pub fn coef(&self, r: RowId, v: Var) -> f64 {
+        let terms = &self.rows[r.index()].terms;
+        terms.binary_search_by_key(&v, |t| t.var).map_or(0.0, |i| terms[i].coef)
+    }
+
     /// Evaluate a row's left-hand side under an assignment.
     pub fn row_lhs(&self, r: RowId, values: &[f64]) -> f64 {
         self.rows[r.index()].terms.iter().map(|t| t.coef * values[t.var.index()]).sum()
