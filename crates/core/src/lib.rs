@@ -15,8 +15,8 @@
 //!   bound `x̄`, and the Theorem 5.2 user response.
 //! * [`contract`] — accepted transfers: purchase, guarantee, payment, and
 //!   the marginal price `λ` used as the value proxy downstream.
-//! * [`schedule`] — the multi-timestep scheduling LP (Equation 2) with
-//!   lazy capacity rows and lazily-attached percentile cost encodings.
+//! * [`schedule`] — the multi-timestep scheduling LP (Equation 2), with
+//!   lazy capacity rows and lazily encoded cost proxies (private `proxy`).
 //! * [`topk`] — Theorem 4.2: O(kT) sorting-network encoding of
 //!   sum-of-top-k, plus the O(T) CVaR alternative.
 //! * [`admission`] — the concurrent RA front end: epoch-published
