@@ -1,11 +1,20 @@
 //! Sparse LU with Markowitz pivoting + Forrest–Tomlin updates on LP-shaped
 //! bases.
 //!
-//! Three scenarios mirror the repo's LP population: `wide` (m = 600, the
-//! widest single-window SAM master), `colgen` (m = 1600, the
-//! restricted-master scale of the removed column-generation path) and
-//! `large` (m = 3200, twice that). Each basis mixes slack singletons,
-//! interlocked multi-hop flow columns, and denser percentile/CVaR columns.
+//! Three staircase scenarios stress the kernels at three sizes: `wide`
+//! (m = 600), `colgen` (m = 1600, the restricted-master scale of the removed
+//! column-generation path) and `large` (m = 3200). Each basis mixes slack
+//! singletons, interlocked multi-hop flow columns, and denser
+//! percentile/CVaR columns, and factors with 2.3–5.8× fill — far denser
+//! factors than the `e2e` workloads' LP bases, whose fill reads 1.01–1.08
+//! (`lp.fill_in_ratio`). A fourth scenario, `schedule`, is shaped like
+//! those: eight bases of m = 450 (SAM's on `wide_faulted` average 453),
+//! 45% slacks, and flow columns of two or three entries on the rows after
+//! their anchor, half of them with one more on one of the last 50 rows (a
+//! job's demand row). They triangularize but for a bump on some bases: 91%
+//! of the pivots are singletons and the fill is 1.02, against SAM's 88% and
+//! 1.03. It times the refactorization alone, in nanoseconds per basis row,
+//! and holds a warmed refactorization to zero allocations.
 //!
 //! Measured per scenario: refactorization wall-clock, FTRAN/BTRAN
 //! wall-clock, nanoseconds per Forrest–Tomlin update (the update alone, on
@@ -69,6 +78,11 @@ const MAX_ALLOCS_PER_RESOLVE: f64 = 1.0;
 /// Exchanges in the Forrest–Tomlin chain: under the default cadence (96),
 /// so only a refused update refactorizes inside it.
 const FT_EXCHANGES: usize = 64;
+/// Rows of the `schedule` bases: SAM's bases on `wide_faulted` average 453.
+const SCHEDULE_ROWS: usize = 450;
+/// Bases in the `schedule` set: whether a basis keeps a bump varies from
+/// one draw to the next, as it does across SAM's steps.
+const SCHEDULE_BASES: u64 = 8;
 
 /// An LP-shaped basis: `slack_frac` of the columns are slack singletons,
 /// `coupling_frac` are dense percentile/CVaR columns, the rest are
@@ -410,6 +424,72 @@ fn run_scenario(name: &'static str, m: usize, refactor_samples: usize) -> Scenar
     }
 }
 
+struct ScheduleResult {
+    m: usize,
+    basis_nnz: usize,
+    fill_ratio: f64,
+    refactor_us: f64,
+    refactor_ns_per_row: f64,
+}
+
+/// A schedule-shaped basis (see the module docs), columns anchored on
+/// their own rows and dominated there, so it is nonsingular.
+fn schedule_basis(m: usize, rng: &mut StdRng) -> Vec<SparseCol> {
+    (0..m)
+        .map(|j| {
+            if rng.gen_range(0.0..1.0) < 0.45 {
+                return lp_column(m, j, 0, true, rng); // slack
+            }
+            let mut col = lp_column(m, j, rng.gen_range(1..3), true, rng);
+            if rng.gen_range(0.0..1.0) < 0.5 {
+                let demand = (m - 1 - rng.gen_range(0..50usize)) as u32;
+                if col.iter().all(|&(i, _)| i != demand) {
+                    col.push((demand, if rng.gen_range(0..2) == 0 { -0.5 } else { 0.5 }));
+                    col.iter_mut().filter(|e| e.0 == j as u32).for_each(|e| e.1 += 1.0);
+                }
+            }
+            col.sort_unstable_by_key(|&(i, _)| i);
+            col
+        })
+        .collect()
+}
+
+/// The `schedule` scenario (see the module docs): refactorizations of
+/// the set, after asserting that warmed ones allocate nothing; the median
+/// pass over the set, per basis row.
+fn schedule_scenario(samples: usize) -> ScheduleResult {
+    let m = SCHEDULE_ROWS;
+    let bases: Vec<Vec<SparseCol>> = (0..SCHEDULE_BASES)
+        .map(|k| {
+            let seed = rand::derive_seed(rand::DEFAULT_SEED ^ k, "schedule");
+            schedule_basis(m, &mut StdRng::seed_from_u64(seed))
+        })
+        .collect();
+    let refs: Vec<Vec<&SparseCol>> = bases.iter().map(|b| as_refs(b)).collect();
+    let mut f = Factorization::new(0, PIVOT_TOL);
+    refs.iter().for_each(|b| f.refactor(b).unwrap());
+    let (before, allocs_before) = (f.stats(), allocations());
+    refs.iter().for_each(|b| f.refactor(b).unwrap());
+    let allocs = allocations() - allocs_before;
+    assert_eq!(allocs, 0, "schedule: warmed refactors allocated {allocs} times");
+    let set = f.stats().since(before);
+    let mut t: Vec<Duration> = (0..samples)
+        .map(|_| {
+            let t0 = Instant::now();
+            refs.iter().for_each(|b| black_box(f.refactor(black_box(b))).unwrap());
+            t0.elapsed() / SCHEDULE_BASES as u32
+        })
+        .collect();
+    let refactor_us = median_us(&mut t);
+    ScheduleResult {
+        m,
+        basis_nnz: set.basis_nnz as usize / SCHEDULE_BASES as usize,
+        fill_ratio: set.fill_ratio(),
+        refactor_us,
+        refactor_ns_per_row: refactor_us * 1e3 / m as f64,
+    }
+}
+
 struct ResolveResult {
     solves: usize,
     rows: usize,
@@ -533,6 +613,20 @@ fn main() {
         assert!(r.ft_updates_applied > 0, "{}: no FT update was ever accepted", r.name);
         assert!(r.fill_ratio < 10.0, "{}: pathological fill {:.1}", r.name, r.fill_ratio);
     }
+    let sched = schedule_scenario(if smoke { 5 } else { 100 });
+    println!(
+        "schedule {SCHEDULE_BASES} bases m={} nnz={} fill={:.3}  refactor {:.1}us = {:.0}ns per \
+         basis row  (warmed refactor: 0 allocations)",
+        sched.m, sched.basis_nnz, sched.fill_ratio, sched.refactor_us, sched.refactor_ns_per_row
+    );
+    println!("BENCH\tsparse_lu_schedule_fill_ratio\t{:.3}", sched.fill_ratio);
+    println!("BENCH\tsparse_lu_schedule_refactor_ns_per_row\t{:.0}", sched.refactor_ns_per_row);
+    assert!(
+        sched.fill_ratio < 1.1,
+        "schedule: fill {:.3} is not schedule-shaped",
+        sched.fill_ratio
+    );
+
     let by_m: Vec<String> =
         results.iter().map(|r| format!("m={} {:.0}ns", r.m, r.ft_update_ns)).collect();
     println!("ft-update per update: {}", by_m.join(", "));
@@ -553,10 +647,10 @@ fn main() {
 
     if smoke {
         println!(
-            "sparse_lu smoke: zero-allocation (ftran, btran, warmed refactor, warmed border, \
-             warmed FT update, reach kernels), reach kernels bitwise equal to the sweeps, \
-             resident re-solve allocation cap, fill and border under a third of a \
-             refactorization floors hold"
+            "sparse_lu smoke: zero-allocation (ftran, btran, warmed refactor of every scenario \
+             and of the schedule bases, warmed border, warmed FT update, reach kernels), reach \
+             kernels bitwise equal to the sweeps, resident re-solve allocation cap, fill and \
+             border under a third of a refactorization floors hold"
         );
         return;
     }
@@ -586,6 +680,7 @@ fn main() {
         format!(
             "    {{\n      \"scenario\": \"{}\",\n      \"m\": {},\n      \"basis_nnz\": {},\n      \
              \"fill_ratio\": {:.3},\n      \"refactor_us\": {:.1},\n      \
+             \"refactor_ns_per_row\": {:.0},\n      \
              \"ftran_us\": {:.2},\n      \"btran_us\": {:.2},\n      \
              \"ft_update_ns\": {:.0},\n      \"ft_updates_applied\": {},\n      \
              \"append_rows\": {APPENDED_ROWS},\n      \"append_rows_us\": {:.2},\n      \
@@ -595,6 +690,7 @@ fn main() {
             r.basis_nnz,
             r.fill_ratio,
             r.sparse_refactor_us,
+            r.sparse_refactor_us * 1e3 / r.m as f64,
             r.sparse_ftran_us,
             r.sparse_btran_us,
             r.ft_update_ns,
@@ -603,7 +699,14 @@ fn main() {
             reach_cells(r),
         )
     };
-    let scenarios: Vec<String> = results.iter().map(cell).collect();
+    let mut scenarios: Vec<String> = results.iter().map(cell).collect();
+    scenarios.push(format!(
+        "    {{\n      \"scenario\": \"schedule\",\n      \"bases\": {SCHEDULE_BASES},\n      \
+         \"m\": {},\n      \"basis_nnz\": {},\n      \
+         \"fill_ratio\": {:.3},\n      \"refactor_us\": {:.1},\n      \
+         \"refactor_ns_per_row\": {:.0}\n    }}",
+        sched.m, sched.basis_nnz, sched.fill_ratio, sched.refactor_us, sched.refactor_ns_per_row,
+    ));
     let members = format!(
         "\"steady_state_solve_allocations\": 0,\n  \
          \"allocations_per_warmed_refactor\": 0,\n  \

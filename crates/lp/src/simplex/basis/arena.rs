@@ -31,13 +31,20 @@ pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
     grow(v, len, fill);
 }
 
+/// Where one segment sits in the buffer: `data[start..start + len]`, with
+/// room up to `start + cap`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seg {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
 /// See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SegArena<T> {
     data: Vec<T>,
-    start: Vec<u32>,
-    len: Vec<u32>,
-    cap: Vec<u32>,
+    segs: Vec<Seg>,
     /// Entries of `data` that belong to no segment any more.
     dead: usize,
     /// Scratch for `compact`: segments in buffer order.
@@ -48,84 +55,118 @@ impl<T: Copy + Default> SegArena<T> {
     /// Start over with one empty segment per capacity in `caps`, laid out
     /// back to back (an exact fit when the final lengths are known).
     pub fn layout(&mut self, caps: impl Iterator<Item = u32>) {
-        self.start.clear();
-        self.cap.clear();
         let mut at = 0u32;
-        for c in caps {
-            self.start.push(at);
-            self.cap.push(c);
-            at += c;
-        }
-        refill(&mut self.len, self.start.len(), 0);
+        self.segs.clear();
+        self.segs.extend(caps.map(|cap| {
+            at += cap;
+            Seg { start: at - cap, len: 0, cap }
+        }));
         refill(&mut self.data, at as usize, T::default());
         self.dead = 0;
     }
 
+    /// Start over with segment `s` holding the run `bounds[s]..bounds[s + 1]`
+    /// of `items`, with no room to spare.
+    pub fn layout_runs(&mut self, bounds: &[u32], items: impl Iterator<Item = T>) {
+        self.segs.clear();
+        self.segs.extend(bounds.windows(2).map(|w| {
+            let len = w[1] - w[0];
+            Seg { start: w[0], len, cap: len }
+        }));
+        self.data.clear();
+        self.data.extend(items);
+        debug_assert_eq!(self.data.len(), bounds.last().map_or(0, |&end| end as usize));
+        self.dead = 0;
+    }
+
+    /// Append a segment holding `items`, with no room to spare, showing
+    /// each to `each` on the way.
+    pub fn push_segment_with(&mut self, items: &[T], mut each: impl FnMut(&T)) {
+        let len = items.len() as u32;
+        self.segs.push(Seg { start: self.data.len() as u32, len, cap: len });
+        for v in items {
+            each(v);
+            self.data.push(*v);
+        }
+    }
+
     /// Append a segment holding `items`, with no room to spare.
+    #[cfg(test)]
     pub fn push_segment(&mut self, items: &[T]) {
-        self.start.push(self.data.len() as u32);
-        self.len.push(items.len() as u32);
-        self.cap.push(items.len() as u32);
-        self.data.extend_from_slice(items);
+        self.push_segment_with(items, |_| ());
     }
 
     /// Append `extra` empty zero-capacity segments.
     pub fn add_segments(&mut self, extra: usize) {
-        let segs = self.start.len() + extra;
-        for v in [&mut self.start, &mut self.len, &mut self.cap] {
-            grow(v, segs, 0);
-        }
+        let segs = self.segs.len() + extra;
+        grow(&mut self.segs, segs, Seg::default());
     }
 
     pub fn segments(&self) -> usize {
-        self.start.len()
+        self.segs.len()
     }
 
     /// Entries stored over all segments.
     pub fn total_len(&self) -> usize {
-        self.len.iter().map(|&l| l as usize).sum()
+        self.segs.iter().map(|g| g.len as usize).sum()
     }
 
     #[inline]
     pub fn get(&self, s: usize) -> &[T] {
-        let at = self.start[s] as usize;
-        &self.data[at..at + self.len[s] as usize]
+        let g = self.segs[s];
+        &self.data[g.start as usize..(g.start + g.len) as usize]
+    }
+
+    /// Segment `s`, writable in place.
+    #[inline]
+    pub fn get_mut(&mut self, s: usize) -> &mut [T] {
+        let g = self.segs[s];
+        &mut self.data[g.start as usize..(g.start + g.len) as usize]
     }
 
     /// Make room for `extra` more entries in segment `s`: a first fill is
     /// exact, later growth adds at least half.
+    #[inline]
     pub fn reserve(&mut self, s: usize, extra: usize) {
-        let len = self.len[s] as usize;
-        if len + extra <= self.cap[s] as usize {
-            return;
+        let g = self.segs[s];
+        if g.len as usize + extra > g.cap as usize {
+            self.relocate(s, extra);
         }
+    }
+
+    /// Move segment `s` to the end of the buffer with room for `extra` more.
+    #[cold]
+    #[inline(never)]
+    fn relocate(&mut self, s: usize, extra: usize) {
         if 2 * self.dead > self.data.len() {
             self.compact();
         }
         // Read only now: compaction moves every segment and cuts its
         // capacity down to its length.
-        let (at, cap) = (self.start[s] as usize, self.cap[s] as usize);
+        let Seg { start, len, cap } = self.segs[s];
+        let (at, len, cap) = (start as usize, len as usize, cap as usize);
         if at + cap != self.data.len() {
-            self.start[s] = self.data.len() as u32;
+            self.segs[s].start = self.data.len() as u32;
             self.data.extend_from_within(at..at + len);
             self.dead += cap;
         }
         let new_cap = if cap == 0 { extra } else { (len + extra).max(cap + cap / 2 + 1) };
-        grow(&mut self.data, self.start[s] as usize + new_cap, T::default());
-        self.cap[s] = new_cap as u32;
+        grow(&mut self.data, self.segs[s].start as usize + new_cap, T::default());
+        self.segs[s].cap = new_cap as u32;
     }
 
     /// Slide the segments together, dropping dead ranges and spare capacity.
     fn compact(&mut self) {
         self.order.clear();
-        self.order.extend(0..self.start.len() as u32);
-        self.order.sort_unstable_by_key(|&s| self.start[s as usize]);
+        self.order.extend(0..self.segs.len() as u32);
+        self.order.sort_unstable_by_key(|&s| self.segs[s as usize].start);
         let mut at = 0;
         for &s in &self.order {
-            let (from, len) = (self.start[s as usize] as usize, self.len[s as usize] as usize);
+            let g = &mut self.segs[s as usize];
+            let (from, len) = (g.start as usize, g.len as usize);
             self.data.copy_within(from..from + len, at);
-            self.start[s as usize] = at as u32;
-            self.cap[s as usize] = len as u32;
+            g.start = at as u32;
+            g.cap = len as u32;
             at += len;
         }
         self.data.truncate(at);
@@ -135,43 +176,62 @@ impl<T: Copy + Default> SegArena<T> {
     #[inline]
     pub fn push(&mut self, s: usize, v: T) {
         self.reserve(s, 1);
-        self.data[(self.start[s] + self.len[s]) as usize] = v;
-        self.len[s] += 1;
+        let g = &mut self.segs[s];
+        self.data[(g.start + g.len) as usize] = v;
+        g.len += 1;
     }
 
     /// Replace segment `s` by `len` entries for the caller to overwrite.
     pub fn rewrite(&mut self, s: usize, len: usize) -> &mut [T] {
         self.clear(s);
         self.reserve(s, len);
-        self.len[s] = len as u32;
-        let at = self.start[s] as usize;
+        self.segs[s].len = len as u32;
+        let at = self.segs[s].start as usize;
         &mut self.data[at..at + len]
     }
 
     /// Empty segment `s` (it keeps its capacity).
     pub fn clear(&mut self, s: usize) {
-        self.len[s] = 0;
+        self.segs[s].len = 0;
     }
 
     /// Remove entry `i` of segment `s` by moving the last entry into it.
+    #[cfg(test)]
     pub fn swap_remove(&mut self, s: usize, i: usize) {
-        let at = self.start[s] as usize;
-        self.len[s] -= 1;
-        self.data[at + i] = self.data[at + self.len[s] as usize];
+        let g = &mut self.segs[s];
+        g.len -= 1;
+        self.data[(g.start as usize) + i] = self.data[(g.start + g.len) as usize];
     }
 
     /// Keep the entries of segment `s` that satisfy `keep`, in order.
     pub fn retain(&mut self, s: usize, mut keep: impl FnMut(&T) -> bool) {
-        let at = self.start[s] as usize;
+        let g = &mut self.segs[s];
+        let seg = &mut self.data[g.start as usize..(g.start + g.len) as usize];
         let mut kept = 0;
-        for i in 0..self.len[s] as usize {
-            let v = self.data[at + i];
+        for i in 0..seg.len() {
+            let v = seg[i];
             if keep(&v) {
-                self.data[at + kept] = v;
+                seg[kept] = v;
                 kept += 1;
             }
         }
-        self.len[s] = kept as u32;
+        g.len = kept as u32;
+    }
+}
+
+impl SegArena<(u32, f64)> {
+    /// Remove the entry keyed `key` from segment `s`, keeping the rest in
+    /// order, and return its value (`0.0` when there is none).
+    #[inline]
+    pub fn remove_key(&mut self, s: usize, key: u32) -> f64 {
+        let mut value = 0.0;
+        self.retain(s, |&(k, v)| {
+            if k == key {
+                value = v;
+            }
+            k != key
+        });
+        value
     }
 }
 

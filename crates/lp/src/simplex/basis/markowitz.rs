@@ -6,7 +6,10 @@
 //! maintained incrementally; columns live in count-indexed candidate
 //! buckets with lazily discarded stale entries, so each search touches
 //! only a handful of columns (bounded by [`MAX_SEARCH`] once a candidate
-//! exists, with an immediate stop on a fill-free `cost == 0` pivot).
+//! exists, with an immediate stop on a fill-free `cost == 0` pivot). A
+//! column of count 1 is its own column maximum, so only the absolute floor
+//! can refuse it. The search stops at the largest count any column has had,
+//! the last bucket that can hold an entry.
 //!
 //! Elimination is right-looking: the pivot column becomes a column of
 //! `L`, the pivot row's entries become a row of `U`, and every active
@@ -15,14 +18,12 @@
 //! pivots of an LP basis are singleton columns, whose `L` column is empty:
 //! a column crossing one only loses its pivot-row entry, which is removed
 //! in place, keeping the rest in order, as the scatter and gather would.
-//! The search stops at the largest count any column has had, the last
-//! bucket that can hold an entry.
 //!
 //! Everything — bucket order, tie-breaks, fill pattern order — is a pure
 //! function of the input columns, preserving the repo-wide bit-exact
 //! determinism contract.
 
-use super::arena::{refill, reserve_tight, SegArena};
+use super::arena::{grow, refill, reserve_tight, SegArena};
 use super::{FactorError, Factorization};
 
 /// Relative stability threshold: an entry is pivot-eligible only when its
@@ -34,10 +35,14 @@ const TAU: f64 = 0.1;
 /// Candidate columns examined per pivot search once at least one eligible
 /// entry has been found (the Suhl–Suhl style bounded search).
 const MAX_SEARCH: usize = 8;
+/// `ccount` of a pivoted column: no bucket is searched at it.
+const PIVOTED: u32 = u32::MAX;
 
 /// Elimination workspace, kept in the [`Factorization`] between calls so a
-/// refactorization only resets it. Every field is fully re-initialized by
-/// [`refactorize`]; nothing carries over from one basis to the next.
+/// refactorization only resets it. Every field but the stamps (`stamp`,
+/// `mark`, `seen`, which only ever compare equal to a stamp of the current
+/// call) is re-initialized by [`refactorize`], so nothing else carries
+/// over from one basis to the next.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Workspace {
     /// Working copy of the basis, column-major over active rows.
@@ -49,13 +54,16 @@ pub(super) struct Workspace {
     /// Count-indexed candidate buckets with lazy invalidation: a column is
     /// re-pushed whenever its count changes; stale or duplicate entries are
     /// dropped when a search encounters them.
-    bucket: SegArena<u32>,
+    bucket: Vec<Vec<u32>>,
+    /// Active entries of each column, [`PIVOTED`] once it is pivoted.
     ccount: Vec<u32>,
+    /// Active entries of each row.
     rcount: Vec<u32>,
-    col_pivoted: Vec<bool>,
     /// Off-diagonal entries of `U` in creation order: `(basis position,
-    /// elimination step, value)`.
+    /// elimination step, value)`. Step `k` created the run
+    /// `uents[ustart[k]..ustart[k + 1]]`, its row of `U`.
     uents: Vec<(u32, u32, f64)>,
+    ustart: Vec<u32>,
     /// Dense scatter scratch for the column updates (`mark`-validated), a
     /// per-search seen stamp for bucket deduplication, the fill pattern of
     /// the column being updated, and segment sizes for the flat layouts.
@@ -64,6 +72,20 @@ pub(super) struct Workspace {
     seen: Vec<u32>,
     pattern: Vec<u32>,
     sizes: Vec<u32>,
+    /// The last stamp written to `mark` or `seen`. Stamps keep counting
+    /// across refactorizations, so neither array is cleared between them.
+    stamp: u32,
+}
+
+/// A stamp no entry of `mark` or `seen` holds yet.
+fn next_stamp(stamp: &mut u32, mark: &mut [u32], seen: &mut [u32]) -> u32 {
+    if *stamp == u32::MAX {
+        mark.fill(0);
+        seen.fill(0);
+        *stamp = 0;
+    }
+    *stamp += 1;
+    *stamp
 }
 
 pub(super) fn refactorize(
@@ -77,13 +99,14 @@ pub(super) fn refactorize(
         bucket,
         ccount,
         rcount,
-        col_pivoted,
         uents,
+        ustart,
         work,
         mark,
         seen,
         pattern,
         sizes,
+        stamp,
     } = &mut f.ws;
     f.m = m;
 
@@ -91,80 +114,91 @@ pub(super) fn refactorize(
     acol.layout(std::iter::empty());
     ccount.clear();
     refill(rcount, m, 0);
-    refill(sizes, m + 1, 0);
+    bucket.iter_mut().for_each(Vec::clear);
     for j in 0..m {
-        column(j, &mut |col| acol.push_segment(col));
-        let col = acol.get(j);
-        ccount.push(col.len() as u32);
-        sizes[col.len()] += 1;
-        for &(r, _) in col {
-            rcount[r as usize] += 1;
-        }
+        column(j, &mut |col| {
+            acol.push_segment_with(col, |&(r, _)| rcount[r as usize] += 1);
+            let c = col.len();
+            ccount.push(c as u32);
+            if bucket.len() <= c {
+                bucket.resize_with(c + 1, Vec::new);
+            }
+            bucket[c].push(j as u32);
+        });
     }
     let basis_nnz = acol.total_len() as u64;
+    // The largest count any column has had: no bucket above it ever holds
+    // an entry, stale or live.
+    let mut cmax = bucket.iter().rposition(|b| !b.is_empty()).unwrap_or(0);
     rows_cols.layout(rcount.iter().copied());
-    bucket.layout(sizes.iter().copied());
-    for (j, &c) in ccount.iter().enumerate() {
-        bucket.push(c as usize, j as u32);
+    for j in 0..m {
         for &(r, _) in acol.get(j) {
             rows_cols.push(r as usize, j as u32);
         }
     }
 
-    refill(col_pivoted, m, false);
     // Per-slot outputs, keyed by original row / basis position until the
     // final remap into slot indices.
     f.l_start.clear();
     f.l_start.push(0);
     f.l_data.clear(); // (orig row, mult)
     uents.clear();
+    ustart.clear();
     f.udiag.clear();
     f.row_of_slot.clear();
     f.pos_of_slot.clear();
-    refill(work, m, 0.0);
-    refill(mark, m, 0);
-    refill(seen, m, 0);
-    let mut stamp: u32 = 0;
-    // The largest count any column has had: no bucket above it ever holds
-    // an entry, stale or live.
-    let mut cmax = ccount.iter().copied().max().unwrap_or(0) as usize;
+    grow(work, m, 0.0);
+    grow(mark, m, 0);
+    grow(seen, m, 0);
 
     for step in 0..m {
+        ustart.push(uents.len() as u32);
         // --- pivot search ------------------------------------------------
-        let sstamp = step as u32 + 1;
+        let sstamp = next_stamp(stamp, mark, seen);
         let mut best: Option<(u64, u32, u32, f64)> = None; // (cost, col, row, val)
         let mut examined = 0usize;
-        'search: for c in 1..=cmax {
+        'search: for (c, cands) in bucket.iter_mut().enumerate().take(cmax + 1).skip(1) {
             let mut idx = 0;
-            while idx < bucket.get(c).len() {
-                let j = bucket.get(c)[idx] as usize;
-                if col_pivoted[j] || ccount[j] as usize != c || seen[j] == sstamp {
-                    bucket.swap_remove(c, idx); // stale or duplicate
+            while idx < cands.len() {
+                let j = cands[idx] as usize;
+                if ccount[j] as usize != c || seen[j] == sstamp {
+                    cands.swap_remove(idx); // stale or duplicate
+                    continue;
+                }
+                idx += 1;
+                examined += 1;
+                let col = acol.get(j);
+                if c == 1 {
+                    // Fill-free, and no candidate found before it is
+                    // cheaper: taken unless under the absolute floor (the
+                    // search goes on, so a duplicate must be told).
+                    let (r, v) = col[0];
+                    if v.abs() > f.pivot_tol {
+                        best = Some((0, j as u32, r, v));
+                        break 'search;
+                    }
+                    seen[j] = sstamp;
                     continue;
                 }
                 seen[j] = sstamp;
-                idx += 1;
                 // Examine column j: stability threshold relative to its
-                // largest active entry, Markowitz cost from row counts.
-                let colmax = acol.get(j).iter().fold(0.0f64, |a, &(_, v)| a.max(v.abs()));
+                // largest active entry, the cheapest row by count (the
+                // lowest on a tie) among the entries passing it.
+                let colmax = col.iter().fold(0.0f64, |a, &(_, v)| a.max(v.abs()));
                 let thresh = TAU * colmax;
-                let mut local: Option<(u64, u32, f64)> = None; // (cost, row, val)
-                for &(r, v) in acol.get(j) {
+                let mut local: Option<(u32, u32, f64)> = None; // (row count, row, val)
+                for &(r, v) in col {
                     let av = v.abs();
                     if av <= f.pivot_tol || av < thresh {
                         continue;
                     }
-                    let cost = (rcount[r as usize] as u64 - 1) * (c as u64 - 1);
-                    let better = match local {
-                        None => true,
-                        Some((bc, br, _)) => cost < bc || (cost == bc && r < br),
-                    };
-                    if better {
-                        local = Some((cost, r, v));
+                    let rc = rcount[r as usize];
+                    if local.is_none_or(|(bc, br, _)| rc < bc || (rc == bc && r < br)) {
+                        local = Some((rc, r, v));
                     }
                 }
-                examined += 1;
-                if let Some((cost, r, v)) = local {
+                if let Some((rc, r, v)) = local {
+                    let cost = (rc as u64 - 1) * (c as u64 - 1);
                     // Strictly-smaller cost wins; ties keep the earlier
                     // candidate (lower count bucket / earlier in scan),
                     // which is deterministic by construction.
@@ -182,16 +216,36 @@ pub(super) fn refactorize(
         }
         let Some((_, jp, rp, vp)) = best else {
             // No column still unpivoted has an acceptable entry left.
-            let position = col_pivoted.iter().position(|&done| !done).unwrap_or(step);
+            let position = ccount.iter().position(|&c| c != PIVOTED).unwrap_or(step);
             return Err(FactorError::Singular { position });
         };
         let (jp, rp) = (jp as usize, rp as usize);
 
         // --- eliminate ---------------------------------------------------
-        col_pivoted[jp] = true;
+        let singleton = ccount[jp] == 1;
+        ccount[jp] = PIVOTED;
         f.row_of_slot.push(rp as u32);
         f.pos_of_slot.push(jp as u32);
         f.udiag.push(vp);
+        if singleton {
+            // An empty column of L: each column crossing the pivot row only
+            // loses its entry there, in place and in order.
+            f.l_start.push(f.l_data.len() as u32);
+            for &jc in rows_cols.get(rp) {
+                let j = jc as usize;
+                let count = ccount[j];
+                if count == PIVOTED {
+                    continue;
+                }
+                let u = acol.remove_key(j, rp as u32);
+                if u != 0.0 {
+                    uents.push((jc, step as u32, u));
+                }
+                ccount[j] = count - 1;
+                bucket[count as usize - 1].push(jc);
+            }
+            continue;
+        }
 
         // Pivot column → column of L (active rows only, scaled).
         for &(i, v) in acol.get(jp) {
@@ -212,29 +266,10 @@ pub(super) fn refactorize(
         for t in 0..rows_cols.get(rp).len() {
             let jc = rows_cols.get(rp)[t];
             let j = jc as usize;
-            if col_pivoted[j] {
+            if ccount[j] == PIVOTED {
                 continue;
             }
-            if lcol.is_empty() {
-                // A singleton pivot column: no fill, so the column only
-                // loses its pivot-row entry, in place and in order.
-                let mut u = 0.0;
-                acol.retain(j, |&(i, v)| {
-                    let hit = i as usize == rp;
-                    if hit {
-                        u = v;
-                    }
-                    !hit
-                });
-                if u != 0.0 {
-                    uents.push((jc, step as u32, u));
-                }
-                let count = acol.get(j).len();
-                ccount[j] = count as u32;
-                bucket.push(count, jc);
-                continue;
-            }
-            stamp += 1;
+            let stamp = next_stamp(stamp, mark, seen);
             pattern.clear();
             let mut u = 0.0;
             for &(i, v) in acol.get(j) {
@@ -267,19 +302,23 @@ pub(super) fn refactorize(
             for (entry, &i) in acol.rewrite(j, pattern.len()).iter_mut().zip(pattern.iter()) {
                 *entry = (i, work[i as usize]);
             }
-            ccount[j] = pattern.len() as u32;
-            cmax = cmax.max(pattern.len());
-            bucket.push(pattern.len(), jc);
+            let count = pattern.len();
+            ccount[j] = count as u32;
+            if count > cmax {
+                cmax = count;
+                if bucket.len() <= cmax {
+                    bucket.resize_with(cmax + 1, Vec::new);
+                }
+            }
+            bucket[count].push(jc);
         }
     }
 
     // --- remap into slot space and install -------------------------------
     refill(&mut f.slot_of_row, m, 0);
-    for (k, &r) in f.row_of_slot.iter().enumerate() {
-        f.slot_of_row[r as usize] = k as u32;
-    }
     refill(&mut f.slot_of_pos, m, 0);
-    for (k, &p) in f.pos_of_slot.iter().enumerate() {
+    for (k, (&r, &p)) in f.row_of_slot.iter().zip(&f.pos_of_slot).enumerate() {
+        f.slot_of_row[r as usize] = k as u32;
         f.slot_of_pos[p as usize] = k as u32;
     }
     for e in f.l_data.iter_mut() {
@@ -301,24 +340,25 @@ pub(super) fn refactorize(
             f.lrow_data[f.lrow_start[s as usize] as usize] = k as u32;
         }
     }
-    // U by column (entries of one column stay in step order) and its
-    // row-major mirror (each row ascending by column slot), both laid out
-    // to fit exactly.
+    // U by rows, each ascending by column slot: step k's run of `uents`,
+    // sorted.
+    ustart.push(uents.len() as u32);
+    f.urows.layout_runs(ustart, uents.iter().map(|&(j, _, u)| (f.slot_of_pos[j as usize], u)));
+    for k in 0..m {
+        let row = f.urows.get_mut(k);
+        if row.len() > 1 {
+            row.sort_unstable_by_key(|&(s, _)| s);
+        }
+    }
+    // U by column (entries of one column stay in step order), laid out to
+    // fit exactly.
     refill(sizes, m, 0);
     for &(j, _, _) in uents.iter() {
         sizes[f.slot_of_pos[j as usize] as usize] += 1;
     }
     f.ucols.layout(sizes.iter().copied());
-    refill(sizes, m, 0);
     for &(j, k, u) in uents.iter() {
         f.ucols.push(f.slot_of_pos[j as usize] as usize, (k, u));
-        sizes[k as usize] += 1;
-    }
-    f.urows.layout(sizes.iter().copied());
-    for s in 0..m {
-        for &(k, u) in f.ucols.get(s) {
-            f.urows.push(k as usize, (s as u32, u));
-        }
     }
     // Pivot keys `0..m`, with room for the keys the update file can add
     // before the next refactorization (queue words included), so a warmed
@@ -343,9 +383,26 @@ pub(super) fn refactorize(
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{lp_basis, Rng};
+    use super::super::tests::{lp_basis, lp_column, Rng};
     use super::super::{FactorError, Factorization, SparseCol};
     use super::*;
+
+    /// The elimination workspace as it was when `reference` was the kernel.
+    #[derive(Default)]
+    struct RefWorkspace {
+        acol: SegArena<(u32, f64)>,
+        rows_cols: SegArena<u32>,
+        bucket: SegArena<u32>,
+        ccount: Vec<u32>,
+        rcount: Vec<u32>,
+        col_pivoted: Vec<bool>,
+        uents: Vec<(u32, u32, f64)>,
+        work: Vec<f64>,
+        mark: Vec<u32>,
+        seen: Vec<u32>,
+        pattern: Vec<u32>,
+        sizes: Vec<u32>,
+    }
 
     /// `refactorize` as it was before the in-place crossings of singleton
     /// pivots and the bounded bucket search: the reference the kernel is
@@ -355,7 +412,7 @@ mod tests {
         m: usize,
         column: impl Fn(usize, &mut dyn FnMut(&[(u32, f64)])),
     ) -> Result<(), FactorError> {
-        let Workspace {
+        let RefWorkspace {
             acol,
             rows_cols,
             bucket,
@@ -368,7 +425,7 @@ mod tests {
             seen,
             pattern,
             sizes,
-        } = &mut f.ws;
+        } = &mut RefWorkspace::default();
         f.m = m;
 
         // --- working copy of the basis ---------------------------------------
@@ -618,9 +675,10 @@ mod tests {
     }
 
     /// Both kernels on `cols`, each on a fresh object and on one warmed by
-    /// the bases before: the same verdict, and on success the same slots,
-    /// diagonal, `L` and `U` (both orientations) to the bit. Returns the
-    /// verdict.
+    /// the bases before: the same verdict and the same pivot sequence
+    /// (slots, diagonal, `L`) to the bit, up to a singular column's
+    /// position, and on success the same `U` (both orientations). Returns
+    /// the verdict.
     fn assert_same(
         cols: &[SparseCol],
         pivot_tol: f64,
@@ -637,14 +695,13 @@ mod tests {
             old.set_limits(0, pivot_tol);
             let verdict = run(&mut new, cols, |f, m, c| refactorize(f, m, c));
             assert_eq!(verdict, run(&mut old, cols, |f, m, c| reference(f, m, c)), "{at}");
+            assert_eq!(new.row_of_slot, old.row_of_slot, "{at}: row_of_slot");
+            assert_eq!(new.pos_of_slot, old.pos_of_slot, "{at}: pos_of_slot");
+            let diag = |f: &Factorization| f.udiag.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(diag(&new), diag(&old), "{at}: udiag");
+            assert_eq!(new.l_start, old.l_start, "{at}: l_start");
+            assert_eq!(bits(&new.l_data), bits(&old.l_data), "{at}: l_data");
             if verdict.is_ok() {
-                assert_eq!(new.row_of_slot, old.row_of_slot, "{at}: row_of_slot");
-                assert_eq!(new.pos_of_slot, old.pos_of_slot, "{at}: pos_of_slot");
-                let diag =
-                    |f: &Factorization| f.udiag.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(diag(&new), diag(&old), "{at}: udiag");
-                assert_eq!(new.l_start, old.l_start, "{at}: l_start");
-                assert_eq!(bits(&new.l_data), bits(&old.l_data), "{at}: l_data");
                 assert_eq!(segments(&new.ucols), segments(&old.ucols), "{at}: ucols");
                 assert_eq!(segments(&new.urows), segments(&old.urows), "{at}: urows");
                 assert_eq!(new.stats(), old.stats(), "{at}: stats");
@@ -664,19 +721,73 @@ mod tests {
             .collect()
     }
 
+    /// A basis shaped like the schedule LPs' (SAM's, PC's): `m` rows, a
+    /// `slack` share of slack singletons, the rest flow columns of two or
+    /// three entries on the rows after their anchor, so the basis
+    /// triangularizes but for the few that wrap past the last row, which
+    /// leave a small bump.
+    fn schedule_basis(m: usize, slack: f64, rng: &mut Rng) -> Vec<SparseCol> {
+        (0..m)
+            .map(|j| {
+                let extra = if rng.range(0.0, 1.0) < slack { 0 } else { 1 + rng.below(2) };
+                lp_column(m, j, extra, true, rng)
+            })
+            .collect()
+    }
+
     /// The kernel against the pre-change reference on LP-shaped bases:
-    /// slack-heavy ones, singleton chains, bumps with fill-in, singletons
-    /// at and just above `pivot_tol`, and singular bases.
+    /// slack-heavy ones, schedule-shaped ones, slacks alone, singleton
+    /// chains, bumps with fill-in (counts that fall and rise again, so
+    /// buckets hold stale and duplicate entries), singletons at and just
+    /// above `pivot_tol`, and singular bases.
     #[test]
     fn refactorize_matches_the_reference_bitwise() {
         let mut rng = Rng(0x3A11_0C0F_FEE5_u64);
         let mut warm = [Factorization::new(0, 1e-9), Factorization::new(0, 1e-9)];
+        // The smallest bases: none, one slack, one refused singleton.
+        assert_same(&[], 1e-9, &mut warm, "m = 0").unwrap();
+        assert_same(&[vec![(0, 2.0)]], 1e-9, &mut warm, "m = 1").unwrap();
+        let tiny = assert_same(&[vec![(0, 1e-10)]], 1e-9, &mut warm, "m = 1, tiny");
+        assert_eq!(tiny, Err(FactorError::Singular { position: 0 }));
         for trial in 0..30 {
             let m = 20 + rng.below(300);
             // Slack-heavy and mixed LP bases.
             let slack = [0.9, 0.6, 0.3][trial % 3];
             let cols = lp_basis(m, slack, &mut rng);
             assert_same(&cols, 1e-9, &mut warm, &format!("lp {trial}")).unwrap();
+
+            // Schedule-shaped bases (about 45% slacks) and slacks alone, in
+            // scrambled positions.
+            let mut cols = schedule_basis(m, [0.45, 0.3, 0.75][trial % 3], &mut rng);
+            assert_same(&cols, 1e-9, &mut warm, &format!("schedule {trial}")).unwrap();
+            for k in (1..m).rev() {
+                cols.swap(k, rng.below(k + 1));
+            }
+            assert_same(&cols, 1e-9, &mut warm, &format!("shuffled {trial}")).unwrap();
+            let slacks: Vec<SparseCol> =
+                (0..m).map(|j| vec![(((j * 7) % m) as u32, rng.range(0.5, 2.0))]).collect();
+            let verdict = assert_same(&slacks, 1e-9, &mut warm, &format!("slacks {trial}"));
+            // A row stride sharing a factor with `m` repeats rows.
+            assert_eq!(verdict.is_ok(), !m.is_multiple_of(7), "slacks {trial}: {verdict:?}");
+
+            // Tiny entries sprinkled over a schedule basis: singletons the
+            // search examines, refuses and passes by step after step (and
+            // meets again in later searches), until the basis is found
+            // singular or the tiny entry's row goes to another column.
+            let mut cols = schedule_basis(m, 0.45, &mut rng);
+            for col in cols.iter_mut() {
+                if rng.below(20) == 0 {
+                    let at = rng.below(col.len());
+                    col[at].1 = 1e-10;
+                }
+            }
+            assert_same(&cols, 1e-9, &mut warm, &format!("tiny {trial}")).ok();
+
+            // Stamps about to wrap: the marks are cleared and counting
+            // restarts, in the middle of an elimination.
+            warm[0].ws.stamp = u32::MAX - 3;
+            let cols = lp_basis(m, 0.3, &mut rng);
+            assert_same(&cols, 1e-9, &mut warm, &format!("wrap {trial}")).unwrap();
 
             // A singleton chain: column j covers rows j..j + 3, so each
             // pivot leaves the column before it a singleton.
@@ -724,6 +835,16 @@ mod tests {
             cols[a].clear();
             let verdict = assert_same(&cols, 1e-9, &mut warm, &format!("empty {trial}"));
             assert!(matches!(verdict, Err(FactorError::Singular { .. })), "{verdict:?}");
+
+            // Singular and slack-heavy: a slack repeated at another position.
+            let mut cols = schedule_basis(m, 0.8, &mut rng);
+            let (a, b) = (rng.below(m), rng.below(m));
+            if a != b {
+                cols[b] = vec![(a as u32, 2.0)];
+                cols[a] = vec![(a as u32, 1.0)];
+                let verdict = assert_same(&cols, 1e-9, &mut warm, &format!("repeat {trial}"));
+                assert!(matches!(verdict, Err(FactorError::Singular { .. })), "{verdict:?}");
+            }
         }
     }
 }
