@@ -106,6 +106,7 @@ fn lp_column(m: usize, anchor: usize, extra: usize, local: bool, rng: &mut StdRn
         }
     }
     col.push((anchor as u32, mass * 2.0 + 1.0));
+    col.sort_unstable_by_key(|&(i, _)| i);
     col
 }
 

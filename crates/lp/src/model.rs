@@ -588,6 +588,10 @@ mod tests {
         s.solve(&SolveOptions::default()).unwrap();
         s.model_mut().set_rhs(cap, f64::INFINITY);
         assert_eq!(s.solve(&SolveOptions::default()).unwrap().objective(), 1.0);
+        // And back: a carried start has no finite `Δb` for this row.
+        s.model_mut().set_rhs(cap, 0.5);
+        assert_eq!(s.solve(&SolveOptions::default()).unwrap().objective(), 0.5);
+        assert_ne!(s.last_restart(), Some(crate::Restart::Cold));
         m.set_rhs(cap, f64::INFINITY);
         assert_eq!(m.solve().unwrap().objective(), 1.0);
     }

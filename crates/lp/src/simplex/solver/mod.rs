@@ -34,8 +34,8 @@ enum NbState {
 /// `basis` and `nb`; a cold solve overwrites everything before reading
 /// (only `stamp`, and `w` and `rho` being zero outside their nonzero lists,
 /// are invariants), a solve that carries (`owner`) continues from `basis`,
-/// `pos_of`, `nb`, `x`, `lb`, `ub`, `live`, `d`, `y` and the factors as
-/// they stand.
+/// `pos_of`, `nb`, `x`, `lb`, `ub`, `live`, `d`, `y`, the factors and
+/// `rhs`, the right-hand side its `x_B` solves, as they stand.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Workspace {
     /// Stamp of the solve whose terminal state this workspace holds, `0`
@@ -53,6 +53,16 @@ pub(crate) struct Workspace {
     /// ascending: the only nonbasic columns it re-rests, and the only ones
     /// `box_dual_infeasible` judges unless it judges every column.
     moved: Vec<u32>,
+    /// The right-hand side `b` that `x` solves, `B·x_B = b − N·x_N`: a
+    /// cold solve copies the problem's, a carried start brings the logged
+    /// and appended rows up to date. Kept here rather than read from the
+    /// last standard form, which a session may drop and rebuild.
+    rhs: Vec<f64>,
+    /// What a carried start changed of the old rows' `b − N·x_N`:
+    /// `Δb − Σ a_j·Δx_j` over the logged right-hand sides and the nonbasic
+    /// columns it re-rested, `(row, value)`, rows ascending and distinct.
+    /// `x_B` moves by its FTRAN instead of being solved for again.
+    delta: Vec<(u32, f64)>,
     /// The optimality tolerance under which the terminal state holds no
     /// eligible column (the polish ended on an exact reprice and `finish`
     /// certified without refactorizing); `None` when it ended otherwise.
@@ -66,8 +76,8 @@ pub(crate) struct Workspace {
     /// Rest state of every column (meaningful for nonbasic ones).
     nb: Vec<NbState>,
     pub factor: Factorization,
-    /// FTRAN of the entering column by basis position, zero outside `w_nz`
-    /// (its nonzero positions, ascending).
+    /// FTRAN of the entering column by basis position (at a carried start,
+    /// of `delta`), zero outside `w_nz` (its nonzero positions, ascending).
     w: Vec<f64>,
     w_nz: Vec<u32>,
     /// Row duals for the internal minimization problem.
@@ -194,12 +204,15 @@ const DEGEN_STEP: f64 = 1e-10;
 /// start *carries* it, paying for what changed rather than for the whole
 /// LP: it moves the state to the grown column layout
 /// ([`Workspace::regrow`]), loads the bounds of the appended and logged
-/// columns and re-rests those of them that are nonbasic; it inherits `d`
-/// and `y` (an appended row's dual is 0, so only the appended columns are
-/// priced) — or reprices in full when an old column's cost moved —
-/// borders the factors with the appended rows, their slacks basic, and
-/// takes `x_B` from one FTRAN. Debug assertions check every nonbasic
-/// column at rest and the bounds against a full reload.
+/// columns and re-rests those of them that are nonbasic, collecting what
+/// that and the logged right-hand sides change of `b − N·x_N` on the old
+/// rows (`Workspace::delta`); it inherits `d` and `y` (an appended row's
+/// dual is 0, so only the appended columns are priced) — or reprices in
+/// full when an old column's cost moved — moves `x_B` by one FTRAN of that
+/// change, borders the factors with the appended rows, their slacks basic,
+/// and sets each such slack from its own row. Debug assertions check every
+/// nonbasic column at rest, the bounds against a full reload and `x_B`
+/// against a full solve.
 ///
 /// Any structural problem with the carried basis (a basic artificial, wrong
 /// size, duplicate columns, singular matrix) is reported as an error; the
@@ -224,10 +237,22 @@ pub(crate) fn warm_state<'a>(
         return Err(SolveError::Numerical("warm basis references invalid columns".into()));
     }
     debug_assert_eq!(ws.pos_of.iter().filter(|&&pos| pos >= 0).count(), m, "stray basic column");
-    // The columns whose bounds moved, then the appended ones: load their
-    // bounds, and the appended slacks', and rest the nonbasic ones on a
-    // bound consistent with them. Every other nonbasic column is still at
-    // the rest the last solve left it, under the same bounds.
+    // The logged right-hand sides that moved since `x` was solved for:
+    // `Δb` on the old rows. The appended rows enter `rhs` whole.
+    debug_assert_eq!(ws.rhs.len(), m0, "the carried right-hand side has the old row count");
+    ws.delta.clear();
+    for i in changes.rhs.iter().map(|&i| i as usize).filter(|&i| i < m0) {
+        if problem.b[i] != ws.rhs[i] {
+            ws.delta.push((i as u32, problem.b[i] - ws.rhs[i]));
+            ws.rhs[i] = problem.b[i];
+        }
+    }
+    ws.rhs.extend_from_slice(&problem.b[m0..]);
+    // The columns whose bounds moved, then the appended ones (at 0 after
+    // `regrow`): load their bounds, and the appended slacks', and rest the
+    // nonbasic ones on a bound consistent with them, each move `Δx_j`
+    // taking `a_j·Δx_j` off the old rows. Every other nonbasic column is
+    // still at the rest the last solve left it, under the same bounds.
     ws.moved.clear();
     ws.moved.extend(changes.bounds.iter().filter(|&&j| (j as usize) < ns0));
     ws.moved.sort_unstable();
@@ -237,10 +262,24 @@ pub(crate) fn warm_state<'a>(
         let j = ws.moved[idx] as usize;
         (ws.lb[j], ws.ub[j]) = (model.vars[j].lb, model.vars[j].ub);
         if ws.pos_of[j] < 0 {
+            let old = ws.x[j];
             (ws.nb[j], ws.x[j]) = ws.rest_of(j);
+            let dx = ws.x[j] - old;
+            if dx != 0.0 {
+                let old_rows = problem.cols.get(j).iter().take_while(|e| (e.0 as usize) < m0);
+                ws.delta.extend(old_rows.map(|&(i, v)| (i, -v * dx)));
+            }
         }
         ws.touch(j);
     }
+    // One entry per row for the FTRAN (rows distinct).
+    ws.delta.sort_unstable_by_key(|e| e.0);
+    ws.delta.dedup_by(|next, kept| {
+        next.0 == kept.0 && {
+            kept.1 += next.1;
+            true
+        }
+    });
     for (i, row) in model.rows.iter().enumerate().skip(m0) {
         let s = problem.slack_start + i;
         (ws.lb[s], ws.ub[s]) = slack_bounds(row.cmp);
@@ -325,6 +364,28 @@ impl Workspace {
             _ if lb.is_finite() => (NbState::Lower, lb),
             _ if ub.is_finite() => (NbState::Upper, ub),
             _ => (NbState::Free, 0.0),
+        }
+    }
+
+    /// `resid = b − Σ x_j·a_j` over the columns of `p`, every one or the
+    /// nonbasic ones only.
+    fn residual(&mut self, p: &Problem, with_basics: bool) {
+        let r = &mut self.resid;
+        r.clear();
+        r.extend_from_slice(&p.b);
+        for (j, &xj) in self.x.iter().enumerate() {
+            if xj != 0.0 && (with_basics || self.pos_of[j] < 0) {
+                p.with_col(j, |col| col.iter().for_each(|&(i, v)| r[i as usize] -= v * xj));
+            }
+        }
+    }
+
+    /// `x_B = B⁻¹ (b - N x_N)` by FTRAN, from scratch.
+    fn solve_basics(&mut self, p: &Problem) {
+        self.residual(p, false);
+        self.factor.ftran_dense(&self.resid, &mut self.xb);
+        for (pos, &k) in self.basis.iter().enumerate() {
+            self.x[k] = self.xb[pos];
         }
     }
 
@@ -477,32 +538,27 @@ impl<'a> State<'a> {
     }
 
     /// The carried first stage of [`warm_state`], once [`Workspace::regrow`]
-    /// has moved the previous solve's state to this problem's layout: border
-    /// the factors with the appended rows — or refactorize, when the update
-    /// file has no room for them — and solve for `x_B`; then price the
-    /// appended columns against the inherited duals, or, when `reprice` is
-    /// set (an old column's cost moved, so the inherited `d` and `y` are
-    /// stale, and so is what the last reprice found), run a full `reprice`.
-    /// The Devex weights and the candidate list stay as they are: the
-    /// polish's `reprice` resets them before any primal pricing reads them.
-    /// Only the entering set is sized for the grown layout, for the dual
-    /// pivots' exchanges to write into.
+    /// has moved the previous solve's state to this problem's layout and
+    /// the moved columns are re-rested: carry `x_B` into the bordered basis
+    /// ([`State::carry_basics`]) — or refactorize, which solves for it
+    /// afresh, when the update file has no room for the appended rows or a
+    /// right-hand side moved to or from an infinite value (no finite `Δb`);
+    /// then price
+    /// the appended columns against the inherited duals, or, when
+    /// `reprice` is set (an old column's cost moved, so the inherited `d`
+    /// and `y` are stale, and so is what the last reprice found), run a
+    /// full `reprice`. The Devex weights and the candidate list stay as
+    /// they are: the polish's `reprice` resets them before any primal
+    /// pricing reads them. Only the entering set is sized for the grown
+    /// layout, for the dual pivots' exchanges to write into.
     fn inherit(&mut self, cost: &[f64], reprice: bool) -> Result<(), SolveError> {
         self.ensure_scratch();
-        let (p, ws) = (self.p, &mut *self.ws);
-        let m0 = ws.owner_m;
-        if p.m - m0 >= ws.factor.updates_left() {
+        let ws = &*self.ws;
+        let no_room = self.p.m - ws.owner_m >= ws.factor.updates_left();
+        if no_room || ws.delta.iter().any(|e| !e.1.is_finite()) {
             self.refactor()?;
         } else {
-            let (row, pos_of) = (&mut ws.border, &ws.pos_of);
-            for terms in self.model.rows[m0..].iter().map(|r| &r.terms) {
-                row.clear();
-                row.extend(terms.iter().filter_map(|t| {
-                    u32::try_from(pos_of[t.var.index()]).ok().map(|pos| (pos, t.coef))
-                }));
-                ws.factor.append_row(row);
-            }
-            self.solve_basics();
+            self.carry_basics();
         }
         if reprice {
             self.ws.priced = false;
@@ -519,6 +575,46 @@ impl<'a> State<'a> {
         }
         ws.entering.reset(p.n);
         Ok(())
+    }
+
+    /// `x_B` of the bordered basis from the carried one, paying for what
+    /// changed: the old rows' basic values move by `B⁻¹·Δ`, `Δ` the change
+    /// `warm_state` collected in `delta` (one reach-ordered FTRAN on the
+    /// inherited factors); then the factors are bordered with the appended
+    /// rows, and each appended row's basic slack takes `b_i − Σ a_ij·x_j`
+    /// from its own row. Not bit-identical to solving `b − N·x_N` afresh —
+    /// the carried `x_B` keeps the rounding its pivots left — so a debug
+    /// assertion holds it within `1e-9·(1 + |x|)` of that solve, and
+    /// `finish`'s residual certificate stands behind the solve's end.
+    fn carry_basics(&mut self) {
+        let (p, ws) = (self.p, &mut *self.ws);
+        if !ws.delta.is_empty() {
+            ws.factor.ftran(&ws.delta, &mut ws.w, &mut ws.w_nz);
+            for &pos in &ws.w_nz {
+                ws.x[ws.basis[pos as usize]] += ws.w[pos as usize];
+            }
+        }
+        let (row, pos_of, x) = (&mut ws.border, &ws.pos_of, &mut ws.x);
+        for (i, r) in self.model.rows.iter().enumerate().skip(ws.owner_m) {
+            row.clear();
+            row.extend(r.terms.iter().filter_map(|t| {
+                u32::try_from(pos_of[t.var.index()]).ok().map(|pos| (pos, t.coef))
+            }));
+            ws.factor.append_row(row);
+            x[p.slack_start + i] =
+                r.terms.iter().fold(p.b[i], |s, t| s - t.coef * x[t.var.index()]);
+        }
+        debug_assert!(self.basics_match_a_fresh_solve(), "carried x_B is off a fresh solve");
+    }
+
+    /// Does every basic value lie within `1e-9·(1 + |x|)` of what
+    /// [`Workspace::solve_basics`] finds on a copy of the workspace (or
+    /// equal it, infinite)? For assertions.
+    fn basics_match_a_fresh_solve(&self) -> bool {
+        let mut fresh = self.ws.clone();
+        fresh.solve_basics(self.p);
+        let close = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-9 * (1.0 + b.abs());
+        self.ws.basis.iter().all(|&k| close(self.ws.x[k], fresh.x[k]))
     }
 
     /// Terminal `x_B` and duals. Whatever moved since the last
@@ -575,22 +671,9 @@ impl<'a> State<'a> {
         if !ws.basis.iter().all(dual) {
             return false;
         }
-        self.residual(true);
+        self.ws.residual(self.p, true);
         let (r, b) = (&self.ws.resid, &self.p.b);
         r.iter().zip(b).all(|(ri, bi)| ri.abs() <= CERT_PRIMAL_TOL * (1.0 + bi.abs()))
-    }
-
-    /// `resid = b − Σ x_j·a_j`, over every column or the nonbasic ones only.
-    fn residual(&mut self, with_basics: bool) {
-        let (p, ws) = (self.p, &mut *self.ws);
-        let r = &mut ws.resid;
-        r.clear();
-        r.extend_from_slice(&p.b);
-        for (j, &xj) in ws.x.iter().enumerate() {
-            if xj != 0.0 && (with_basics || ws.pos_of[j] < 0) {
-                p.with_col(j, |col| col.iter().for_each(|&(i, v)| r[i as usize] -= v * xj));
-            }
-        }
     }
 
     /// Add one pricing call's wall clock to the solve's pricing wall.
@@ -625,19 +708,9 @@ impl<'a> State<'a> {
                 ))
             },
         )?;
-        self.solve_basics();
+        self.ws.solve_basics(p);
         self.settled = true;
         Ok(())
-    }
-
-    /// `x_B = B⁻¹ (b - N x_N)` by FTRAN.
-    fn solve_basics(&mut self) {
-        self.residual(false);
-        let ws = &mut *self.ws;
-        ws.factor.ftran_dense(&ws.resid, &mut ws.xb);
-        for (pos, &k) in ws.basis.iter().enumerate() {
-            ws.x[k] = ws.xb[pos];
-        }
     }
 
     /// Refactorize and reprice: how both loops recover from a rejected

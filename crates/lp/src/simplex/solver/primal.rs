@@ -67,6 +67,9 @@ pub(crate) fn run(
     for j in 0..problem.art_start {
         (ws.nb[j], ws.x[j]) = ws.rest_of(j);
     }
+    // The right-hand side this solve's `x` will solve, for the next carried
+    // start to take `Δb` against.
+    ws.rhs.clone_from(&problem.b);
     // Residual b - A·x over nonbasic structurals (slacks rest at 0).
     let mut beta = problem.b.clone();
     for (j, &xj) in ws.x.iter().enumerate().take(problem.nstruct) {

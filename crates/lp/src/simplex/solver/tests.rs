@@ -87,6 +87,56 @@ pub(super) fn cut_case(
     (model, p, ws, tuning, changes)
 }
 
+/// A carried start moves `x_B` by the change it logged instead of solving
+/// for it: each `cut_case` (cadences 2, 7 and 96, costs moved or not;
+/// capacities and bounds moved, a cutting row appended), with a column
+/// appended on odd seeds — resting at a lower bound of 0.5, in a demand
+/// row and the cut — is stopped right after `warm_state`, and its basic
+/// values must lie within `1e-9·(1 + |x|)` of a fresh solve of
+/// `b − N·x_N` on a copy.
+#[test]
+fn carried_basics_match_a_fresh_solve() {
+    // Starts that bordered and moved `x_B`: in all, with a `Δb` row, with
+    // a row only a re-rested column moved, with a column appended.
+    let mut counts = [0u32; 4];
+    for seed in 1..=40u64 {
+        for max_etas in [2, 7, 96] {
+            for move_costs in [false, true] {
+                let (mut model, mut p, mut ws, tuning, mut changes) =
+                    cut_case(seed, max_etas, move_costs);
+                if seed % 2 == 1 {
+                    let late = model.add_var("late", 0.5, 2.0, 0.25);
+                    let (dem, cut) = (RowId::from_index(0), RowId::from_index(p.m - 1));
+                    model.add_term(dem, late, 1.0);
+                    model.add_term(cut, late, 1.0);
+                    changes.tails.extend([dem.0, cut.0]);
+                    assert!(p.sync(&model, &mut changes));
+                }
+                let opts = SimplexOptions::default();
+                let refactors = ws.factor.stats().refactors;
+                let st = warm_state(&p, &model, &changes, &opts, tuning, &mut ws).unwrap();
+                let at = format!("seed {seed}, cadence {max_etas}, costs {move_costs}");
+                assert!(st.basics_match_a_fresh_solve(), "{at}");
+                let delta = &st.ws.delta;
+                if st.ws.factor.stats().refactors == refactors && !delta.is_empty() {
+                    let logged = delta.iter().filter(|e| changes.rhs.contains(&e.0)).count();
+                    counts[0] += 1;
+                    counts[1] += u32::from(logged > 0);
+                    counts[2] += u32::from(logged < delta.len());
+                    counts[3] += u32::from(seed % 2 == 1);
+                }
+            }
+        }
+    }
+    // Measured: 240 of the 240 starts, 240 with a `Δb` row, 222 with a
+    // row only a re-rested column moved, 120 with a column appended.
+    let [all, rhs, rested, appended] = counts;
+    assert!(
+        all >= 230 && rhs >= 230 && rested >= 200 && appended >= 110,
+        "bordered starts that moved x_B: {counts:?}"
+    );
+}
+
 /// A failed certificate in `finish` refactorizes and reprices, and the
 /// exact prices may expose a column the maintained ones hid: `finish`
 /// must then return to the primal loop, not hand back that basis as

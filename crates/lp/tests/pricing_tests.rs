@@ -287,7 +287,7 @@ fn pivot_path_is_pinned_cold_and_across_a_warm_sweep() {
             false,
             &[
                 (573, 0, 8, 4642860529196984623),
-                (47, 47, 0, 4642855476661711067),
+                (47, 47, 0, 4642855476661711069),
                 (649, 103, 8, 4643452833693923705),
                 (116, 116, 1, 4643401293597973766),
                 (418, 90, 5, 4643435057401613517),

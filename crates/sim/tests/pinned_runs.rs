@@ -55,7 +55,7 @@ const REPLAYS: [(&str, &str); 8] = [
         "tiny-7-faulted/Pretium-NoSAM",
         "welfare 4071655858b9a680 paid 40387ba68136fd95 admitted 14 | solves 0 cold 0 warm 0/0 iterations 0 pricing_scans 0 bland 0 refactors 0 ft 0 rejections 0 cache_hits 0 | prices 38f978903ac942c6 usage 583f86a2ec01cdef",
     ),
-    ("eval-7-2w/Pretium", "welfare 406e53644a9b3f87 paid 404448e39ad5c176 admitted 98 | solves 45 cold 3 warm 0/42 iterations 764 pricing_scans 106051 bland 0 refactors 40 ft 764 rejections 0 cache_hits 1 | prices 4bbd95260a65740a usage da067e7eeb655d0b"),
+    ("eval-7-2w/Pretium", "welfare 406e53644a9b3f87 paid 404448e39ad5c176 admitted 98 | solves 45 cold 3 warm 0/42 iterations 764 pricing_scans 106051 bland 0 refactors 40 ft 764 rejections 0 cache_hits 1 | prices 4bbd95260a65740a usage 95962512a6e2aef4"),
     ("eval-7-2w/Pretium-NoSAM", "welfare 4073122db483ffec paid 404448e39ad5c176 admitted 98 | solves 1 cold 1 warm 0/0 iterations 201 pricing_scans 25103 bland 0 refactors 4 ft 201 rejections 0 cache_hits 0 | prices 4bbd95260a65740a usage a76108b49a754e3f"),
 ];
 
